@@ -176,6 +176,27 @@ impl Array {
         if self.shape() == target_shape {
             return self.clone();
         }
+        let block: usize = target_shape.iter().product();
+        if block == 0 || !is_trailing_suffix(target_shape, self.shape()) {
+            return self.reduce_to_shape_generic(target_shape);
+        }
+        // The target is the trailing `block` elements of every leading
+        // index (a bias or positional-embedding gradient): add the source
+        // block by block. Element `j` receives blocks 0, 1, 2, … in that
+        // order, the chain the generic loop builds one index at a time.
+        let mut out = Array::zeros(target_shape);
+        let acc = out.data_mut();
+        for src in self.data().chunks_exact(block) {
+            for (o, &v) in acc.iter_mut().zip(src) {
+                *o += v;
+            }
+        }
+        out
+    }
+
+    /// [`Array::reduce_to_shape`] for any broadcastable target: one index
+    /// computation per source element.
+    fn reduce_to_shape_generic(&self, target_shape: &[usize]) -> Array {
         let out_shape = self.shape().to_vec();
         let ts = strides_for(target_shape);
         let mut out = Array::zeros(target_shape);
@@ -386,6 +407,48 @@ mod tests {
         assert_eq!(g.reduce_to_shape(&[2, 1]).data(), &[6.0, 15.0]);
         // Reduce to scalar.
         assert_eq!(g.reduce_to_shape(&[]).data(), &[21.0]);
+    }
+
+    #[test]
+    fn reduce_to_shape_suffix_path_matches_generic_bitwise() {
+        use rand::Rng;
+        let mut rng = crate::SmallRng64::new(5);
+        let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let check = |src: &[usize], target: &[usize], suffix: bool| {
+            assert_eq!(
+                is_trailing_suffix(target, src),
+                suffix,
+                "{src:?} -> {target:?}"
+            );
+            let seed = src.iter().chain(target).fold(7, |h, &d| h * 31 + d as u64);
+            let g = crate::randn(src, &mut crate::SmallRng64::new(seed));
+            let (fast, generic) = (g.reduce_to_shape(target), g.reduce_to_shape_generic(target));
+            assert_eq!(fast.shape(), target);
+            assert_eq!(bits(&fast), bits(&generic), "{src:?} -> {target:?}");
+        };
+        check(&[4, 5, 6], &[1, 5, 6], true); // positional embedding
+        check(&[7, 6], &[6], true); // bias
+        check(&[3, 1, 4], &[1, 4], true);
+        check(&[5, 3], &[], true);
+        check(&[2, 3], &[2, 1], false);
+        check(&[4, 5, 6], &[5, 1], false);
+        for _ in 0..32 {
+            let src: Vec<usize> = (0..rng.gen_range(1..=4))
+                .map(|_| rng.gen_range(1..=6))
+                .collect();
+            let keep = rng.gen_range(0..=src.len());
+            let mut target = vec![1; rng.gen_range(0..=src.len() - keep)];
+            target.extend_from_slice(&src[src.len() - keep..]);
+            check(&src, &target, true);
+            // Collapse one kept axis instead: no longer a suffix unless
+            // that axis was 1 already or only leading 1s remain before it.
+            if let Some(axis) = (0..src.len()).rev().find(|&a| src[a] > 1) {
+                let mut target = src.clone();
+                target[axis] = 1;
+                let suffix = target[..axis].iter().all(|&d| d == 1);
+                check(&src, &target, suffix);
+            }
+        }
     }
 
     #[test]
