@@ -85,7 +85,11 @@ impl Acme {
         // `--threads` also governs kernel-level parallelism: the GEMM
         // engine inside `acme-tensor` picks up its workers from the
         // process-wide pool. Kernels are bit-deterministic at any thread
-        // count, so this only affects wall-clock time.
+        // count, so this only affects wall-clock time. The two do not
+        // multiply: a phase fanned out over `pool_rt` hands each task its
+        // share of the `cfg.threads` budget, and kernels (and nested
+        // `par_map`s) inside the task stay within it — serial when the
+        // fan-out already uses every thread, as in the stages below.
         acme_runtime::set_global_threads(cfg.threads);
         let mut data_rng = rng.fork(1);
         let mut model_rng = rng.fork(2);

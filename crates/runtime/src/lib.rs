@@ -44,12 +44,26 @@
 //! [`Pool::par_map`] (each scope owns its worker threads), which is how
 //! the per-cluster refinement parallelizes its inner similarity matrix.
 //! Spawning onto a *parent* scope from inside a task is not supported.
+//!
+//! Nesting shares **one thread budget** instead of multiplying thread
+//! counts. A top-level scope has the budget `max(pool.threads,
+//! global_threads())` and behaves as if nothing else existed. Each task
+//! it runs on `w > 1` workers carries a *share* of `max(1, budget / w)`
+//! (`w` is `threads` for [`Pool::scope`], `min(threads, items)` for
+//! [`Pool::par_map`]), and every scope opened from inside that task —
+//! on an explicit [`Pool`] or on [`global_pool`] — uses at most that
+//! many workers and divides the share again among its own tasks. A
+//! share of 1 takes the inline path: no threads, no queues. So
+//! `Pool::new(2).par_map` over tasks that call `Pool::new(2).par_map`
+//! over kernels on a 2-thread [`global_pool`] keeps 2 threads runnable,
+//! not 8, while `Pool::new(8)` over 2 items still lets each item fan
+//! out 4 wide.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Process-wide worker count used by components that cannot be handed a
@@ -76,13 +90,27 @@ pub fn global_threads() -> usize {
     GLOBAL_THREADS.load(Ordering::SeqCst)
 }
 
+thread_local! {
+    /// How many threads the task running on this thread may keep busy,
+    /// itself included; 0 on a thread that is not inside any task of a
+    /// multi-worker scope (top level).
+    static SHARE: Cell<usize> = const { Cell::new(0) };
+}
+
 /// A pool sized by [`set_global_threads`], or by available parallelism
-/// when no explicit count has been set. Construction is free ([`Pool`]
-/// only records a thread count); workers are spawned per scope.
+/// when no explicit count has been set — capped, inside a task, at that
+/// task's share of the thread budget (see the crate docs), so kernels
+/// that size their split by [`Pool::threads`] stay serial where a scope
+/// would run inline anyway. Construction is free ([`Pool`] only records
+/// a thread count); workers are spawned per scope.
 pub fn global_pool() -> Pool {
-    match GLOBAL_THREADS.load(Ordering::SeqCst) {
+    let pool = match GLOBAL_THREADS.load(Ordering::SeqCst) {
         0 => Pool::with_available_parallelism(),
         t => Pool::new(t),
+    };
+    match SHARE.get() {
+        0 => pool,
+        share => Pool::new(pool.threads.min(share)),
     }
 }
 
@@ -131,13 +159,16 @@ impl Pool {
     }
 
     /// A pool sized to the machine's available parallelism (1 when that
-    /// cannot be determined).
+    /// cannot be determined). The query reads the affinity mask and the
+    /// cgroup quota files (≈17 µs), so it is made once per process: an
+    /// unpinned [`global_pool`] comes through here on every kernel call.
     pub fn with_available_parallelism() -> Self {
-        Pool::new(
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
+        Pool::new(*AVAILABLE.get_or_init(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// The single-threaded pool: tasks run inline at their spawn site.
@@ -155,10 +186,22 @@ impl Pool {
         self.threads == 1
     }
 
+    /// Worker count, and the share each task gets, for a scope opened
+    /// here that wants `fan_out` workers: all of them at top level, at
+    /// most the enclosing task's share inside one.
+    fn plan(&self, fan_out: usize) -> (usize, usize) {
+        let (workers, budget) = match SHARE.get() {
+            0 => (fan_out, self.threads.max(global_threads())),
+            share => (fan_out.min(share), share),
+        };
+        (workers, (budget / workers.max(1)).max(1))
+    }
+
     /// Runs `f` with a [`Scope`] onto which tasks can be spawned, and
     /// blocks until `f` has returned **and** every spawned task has
     /// finished. The calling thread participates as worker 0 once `f`
-    /// returns.
+    /// returns. Called from inside a task of another scope, it uses at
+    /// most that task's share of the thread budget (see the crate docs).
     ///
     /// If one or more tasks panic, all remaining tasks still run, and
     /// the earliest-spawned panic is resumed on the calling thread after
@@ -168,18 +211,28 @@ impl Pool {
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
-        if self.threads == 1 {
+        let (workers, task_share) = self.plan(self.threads);
+        self.scope_on(workers, task_share, f)
+    }
+
+    /// [`Pool::scope`] on exactly `workers` threads (the caller's
+    /// included), each task carrying `task_share`.
+    fn scope_on<'env, F, R>(&self, workers: usize, task_share: usize, f: F) -> R
+    where
+        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+    {
+        if workers <= 1 {
             return f(&Scope {
                 shared: None,
                 inline_seq: Cell::new(0),
             });
         }
-        let shared = Shared::new(self.threads);
+        let shared = Shared::new(workers, task_share);
         let result = std::thread::scope(|ts| {
             // Declared first so it drops last: workers are told to exit
             // even when `f` or the drain unwinds.
             let _close = CloseGuard(&shared);
-            for w in 1..self.threads {
+            for w in 1..workers {
                 let sh = &shared;
                 ts.spawn(move || sh.worker_loop(w));
             }
@@ -210,7 +263,8 @@ impl Pool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        if self.threads == 1 || items.len() <= 1 {
+        let (workers, task_share) = self.plan(self.threads.min(items.len()));
+        if workers <= 1 {
             return items
                 .into_iter()
                 .enumerate()
@@ -220,7 +274,7 @@ impl Pool {
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         let slots_ref = &slots;
         let f_ref = &f;
-        self.scope(|s| {
+        self.scope_on(workers, task_share, |s| {
             for (i, item) in items.into_iter().enumerate() {
                 s.spawn(move || {
                     let r = f_ref(i, item);
@@ -279,13 +333,16 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 struct Shared<'env> {
     /// One deque per worker (index 0 = the scope-owning thread).
     queues: Vec<Mutex<VecDeque<(usize, Job<'env>)>>>,
+    /// The share of the thread budget each task of this scope runs with.
+    task_share: usize,
     /// Tasks queued or running.
     pending: AtomicUsize,
     /// Tasks spawned so far — the stable task sequence.
     spawned: AtomicUsize,
     /// Set when the scope is over and workers should exit.
     closed: AtomicBool,
-    /// Wakeup channel for idle workers / the draining owner.
+    /// Wakeup channel for idle workers / the draining owner: an epoch
+    /// bumped by every [`Shared::wake`].
     signal: Mutex<u64>,
     signal_cv: Condvar,
     /// Earliest-spawned panic payload, if any task panicked.
@@ -293,9 +350,10 @@ struct Shared<'env> {
 }
 
 impl<'env> Shared<'env> {
-    fn new(threads: usize) -> Self {
+    fn new(threads: usize, task_share: usize) -> Self {
         Shared {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            task_share,
             pending: AtomicUsize::new(0),
             spawned: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
@@ -328,7 +386,11 @@ impl<'env> Shared<'env> {
 
     fn run_job(&self, seq: usize, job: Job<'env>) {
         let task = acme_obs::span!(acme_obs::Detail::Task, "runtime.task", "seq" => seq);
+        // The owner drains on a thread that has a share of its own (or
+        // none); `catch_unwind` guarantees it gets it back.
+        let outer_share = SHARE.replace(self.task_share);
         let result = catch_unwind(AssertUnwindSafe(job));
+        SHARE.set(outer_share);
         drop(task);
         if let Err(payload) = result {
             let mut slot = lock(&self.panic);
@@ -344,34 +406,47 @@ impl<'env> Shared<'env> {
 
     fn worker_loop(&self, w: usize) {
         loop {
+            let seen = *lock(&self.signal);
             while let Some((seq, job)) = self.find_job(w) {
                 self.run_job(seq, job);
             }
             if self.closed.load(Ordering::SeqCst) {
                 return;
             }
-            self.sleep();
+            self.sleep_unless_woken_since(seen);
         }
     }
 
     /// Runs tasks as worker `w` until none are queued *or running*.
     fn drain_as(&self, w: usize) {
         loop {
+            let seen = *lock(&self.signal);
             while let Some((seq, job)) = self.find_job(w) {
                 self.run_job(seq, job);
             }
             if self.pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            self.sleep();
+            self.sleep_unless_woken_since(seen);
         }
     }
 
-    fn sleep(&self) {
+    /// Parks until the next [`Shared::wake`], unless one already came
+    /// after `seen` was read. The caller reads `seen` *before* the scan
+    /// that finds the deques empty and before it checks `closed` or
+    /// `pending`; every change to those is followed by a `wake`, so a
+    /// change the scan missed has moved the epoch and the wait is
+    /// skipped. Without the check a thread pre-empted between scan and
+    /// wait sleeps through the push it raced with — a full timeout, ten
+    /// times the work of a 100 µs kernel scope. (A `seen` read before
+    /// jobs ran is merely older: it can skip a wait, never lose a wake.)
+    fn sleep_unless_woken_since(&self, seen: u64) {
         let guard = lock(&self.signal);
-        // The timeout bounds any lost-wakeup race between a failed scan
-        // and this wait; tasks here are milliseconds-to-seconds of
-        // compute, so 1 ms of worst-case idle is noise.
+        if *guard != seen {
+            return;
+        }
+        // Backstop only: no wake-up can be lost above, so this bounds the
+        // damage of a future bug at 1 ms per wait instead of a hang.
         let _ = self
             .signal_cv
             .wait_timeout(guard, Duration::from_millis(1))
@@ -506,6 +581,143 @@ mod tests {
         assert_eq!(out.len(), 6);
     }
 
+    /// `set_global_threads` is process-global; tests that depend on it
+    /// (the budget is `max(pool.threads, global_threads())`) serialize.
+    static GLOBAL: Mutex<()> = Mutex::new(());
+
+    /// Counts the tasks running at once and remembers the most seen.
+    #[derive(Default)]
+    struct HighWater {
+        running: AtomicUsize,
+        max: AtomicUsize,
+    }
+
+    impl HighWater {
+        /// A leaf task: long enough that sibling leaves overlap whenever
+        /// the pool lets them. The bound below is a safety property, so
+        /// timing can hide a violation but never fake one.
+        fn leaf(&self) {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(300));
+            self.running.fetch_sub(1, Ordering::SeqCst);
+        }
+
+        fn max(&self) -> usize {
+            self.max.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn nested_scopes_stay_within_one_thread_budget() {
+        let _g = lock(&GLOBAL);
+        for outer in [2usize, 3, 4] {
+            for inner in [2usize, 3, 4] {
+                set_global_threads(inner);
+                let budget = outer.max(inner);
+
+                let hw = HighWater::default();
+                Pool::new(outer).par_map((0..outer).collect(), |_, _| {
+                    Pool::new(inner).par_map((0..2 * inner).collect(), |_, _| hw.leaf());
+                });
+                assert!(
+                    hw.max() <= budget,
+                    "explicit pools: {} leaves at once, outer {outer} x inner {inner}",
+                    hw.max()
+                );
+
+                let hw = HighWater::default();
+                Pool::new(outer).par_map((0..outer).collect(), |_, _| {
+                    global_pool().scope(|s| {
+                        for _ in 0..2 * inner {
+                            s.spawn(|| hw.leaf());
+                        }
+                    });
+                });
+                assert!(
+                    hw.max() <= budget,
+                    "global pool: {} leaves at once, outer {outer} x global {inner}",
+                    hw.max()
+                );
+            }
+        }
+        set_global_threads(1);
+    }
+
+    #[test]
+    fn nesting_changes_neither_results_nor_which_panic_wins() {
+        let f = |i: usize, x: u64| stream_seed(x, i as u64);
+        let expect: Vec<Vec<u64>> = (0..6u64)
+            .map(|x| Pool::serial().par_map((x..x + 9).collect(), f))
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let (outer, inner) = (Pool::new(threads), Pool::new(threads));
+            let got = outer.par_map((0..6u64).collect(), |_, x| {
+                inner.par_map((x..x + 9).collect(), f)
+            });
+            assert_eq!(got, expect, "threads = {threads}");
+
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                outer.par_map((0..6usize).collect(), |i, _| {
+                    inner.par_map((0..8usize).collect(), |j, _| {
+                        if i >= 2 && j >= 3 {
+                            panic!("boom {i}.{j}");
+                        }
+                    })
+                })
+            }))
+            .expect_err("must propagate");
+            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(msg, "boom 2.3", "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn top_level_task_starts_while_the_scope_body_runs() {
+        // `serve()` spawns its workers and then runs the load generator
+        // in the scope body; the workers must not wait for it to return.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let started = Pool::new(2).scope(|s| {
+            s.spawn(move || tx.send(()).expect("the body is still listening"));
+            rx.recv_timeout(Duration::from_secs(10)).is_ok()
+        });
+        assert!(started, "the task ran only after the body returned");
+    }
+
+    #[test]
+    fn share_is_the_budget_divided_by_the_fan_out() {
+        let _g = lock(&GLOBAL);
+        set_global_threads(1);
+        assert_eq!(SHARE.get(), 0, "top level");
+        let shares = Pool::new(8).par_map(vec![(); 2], |_, _| {
+            let hw = HighWater::default();
+            let nested = Pool::new(8).par_map(vec![(); 8], |_, _| {
+                hw.leaf();
+                SHARE.get()
+            });
+            (SHARE.get(), nested, hw.max())
+        });
+        for (share, nested, max) in shares {
+            assert_eq!(share, 4, "8 threads over 2 items");
+            assert_eq!(nested, vec![1; 8], "4 workers over a share of 4");
+            assert!(max <= 4, "{max} nested tasks at once on a share of 4");
+        }
+        // `scope` fans out over its workers, however few tasks it gets.
+        Pool::new(4).scope(|s| s.spawn(|| assert_eq!(SHARE.get(), 1)));
+        // Inline tasks are not tasks of a multi-worker scope.
+        Pool::new(1).scope(|s| s.spawn(|| assert_eq!(SHARE.get(), 0)));
+        set_global_threads(6);
+        Pool::new(2).scope(|s| {
+            s.spawn(|| {
+                assert_eq!(SHARE.get(), 3, "budget max(2, 6) over 2 workers");
+                assert_eq!(global_pool().threads(), 3);
+                assert_eq!(Pool::new(8).plan(8), (3, 1));
+            })
+        });
+        assert_eq!(global_pool().threads(), 6, "uncapped at top level");
+        set_global_threads(1);
+    }
+
     #[test]
     fn zero_threads_clamps_to_serial() {
         let pool = Pool::new(0);
@@ -531,6 +743,7 @@ mod tests {
 
     #[test]
     fn global_pool_reflects_set_threads() {
+        let _g = lock(&GLOBAL);
         // Unset (0 on a fresh process) falls back to available
         // parallelism; after setting, the pool mirrors the setting.
         assert!(global_pool().threads() >= 1);

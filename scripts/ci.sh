@@ -7,8 +7,10 @@
 # With no registry reachable and a cold cargo cache, dependency
 # resolution fails before anything compiles (the workspace pulls rand,
 # crossbeam, criterion, proptest, ...). We probe for that case first and
-# fail with a clear message instead of a misleading build error; the
-# std-only `crates/runtime` can still be exercised with a bare rustc.
+# fail with a clear message instead of a misleading build error — after
+# testing what needs no registry: the std-only `crates/runtime` (on the
+# std-only `crates/obs`) builds and runs its unit tests under a bare
+# rustc, so the pool is tested on every checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,10 +21,28 @@ fi
 
 step() { echo; echo "==> $*"; }
 
+# The std-only crates' unit tests with no cargo: acme-obs as an rlib,
+# then acme-runtime's test harness against it.
+std_only_tests() {
+    local out
+    out="$(mktemp -d -t acme-std-only.XXXXXX)"
+    rustc --edition 2021 -O --crate-type rlib --crate-name acme_obs \
+        crates/obs/src/lib.rs --out-dir "$out"
+    rustc --edition 2021 -O --test --crate-name acme_runtime \
+        crates/runtime/src/lib.rs --extern acme_obs="$out/libacme_obs.rlib" \
+        -o "$out/acme_runtime_tests"
+    "$out/acme_runtime_tests"
+    rm -rf "$out"
+}
+
 if ! cargo metadata --format-version 1 "${CARGO_FLAGS[@]}" >/dev/null 2>&1; then
+    step "std-only crates under bare rustc (acme-obs, acme-runtime unit tests)"
+    std_only_tests
+    echo
     echo "error: cargo cannot resolve the dependency graph." >&2
     echo "       The registry is unreachable and the local cache is cold;" >&2
-    echo "       see 'Offline builds' in README.md. Nothing was compiled." >&2
+    echo "       see 'Offline builds' in README.md. Only the std-only crates" >&2
+    echo "       above were compiled and tested." >&2
     exit 1
 fi
 
