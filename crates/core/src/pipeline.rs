@@ -43,19 +43,6 @@ impl Acme {
         Ok(Acme { config })
     }
 
-    /// Panicking shim over [`Acme::try_new`], kept for one release.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is inconsistent.
-    #[deprecated(note = "use `Acme::try_new`, which reports invalid configurations as `AcmeError`")]
-    pub fn new(config: AcmeConfig) -> Self {
-        match Acme::try_new(config) {
-            Ok(acme) => acme,
-            Err(e) => panic!("invalid ACME configuration: {e}"),
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &AcmeConfig {
         &self.config
@@ -371,14 +358,5 @@ mod tests {
             Acme::try_new(cfg),
             Err(AcmeError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ACME configuration")]
-    fn constructor_rejects_bad_config() {
-        let mut cfg = AcmeConfig::quick();
-        cfg.widths.clear();
-        #[allow(deprecated)]
-        Acme::new(cfg);
     }
 }

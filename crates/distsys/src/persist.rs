@@ -20,9 +20,31 @@
 //! are not serialized; a resumed run executes fault-free unless the
 //! caller re-injects a plan via
 //! [`ProtocolRun::execute_segment`].
+//!
+//! `ACMR` body grammar (inside the [`acme_store::wire`] frame; ids,
+//! rounds and sizes are `u64`):
+//!
+//! ```text
+//! cluster count u32 (>= 1)
+//! per cluster: edge id | device count u32
+//!   per device: id | gpu f64 | storage | patches | batch size
+//! config: loop rounds | backbone params | header params | header tokens
+//!         | importance len | retry attempts u32 | retry base ns
+//!         | retry cap ns | min quorum | deploy tag u8 (1 adds backbone
+//!         bytes | variant bytes)
+//! rounds done | driver u8 | seed | jitter f64 (finite, >= 0)
+//! report: messages | total | uplink | retransmissions | retransmitted
+//!         bytes | row count u32
+//!   per row: kind (u32 len + UTF-8) | messages | uplink | downlink | link u8
+//! node count u32, per node: kind u8 | id | completed rounds
+//!   | drop tag u8 (2 adds round) | retries
+//!   (the fleet's nodes in order: cloud, then each edge and its devices)
+//! ```
 
-use acme_energy::{Device, DeviceCluster, EdgeId, Fleet};
-use acme_store::{ByteReader, ByteWriter, ContentHash, ModelStore, StoreError, WireError};
+use acme_energy::{Device, DeviceCluster, DeviceId, EdgeId, Fleet};
+use acme_store::{
+    wire, ByteReader, ByteWriter, Codec, ContentHash, ModelStore, StoreError, WireError,
+};
 
 use crate::ledger::{KindRow, TransferReport};
 use crate::message::{LinkClass, NodeId};
@@ -30,9 +52,6 @@ use crate::protocol::{
     DriverKind, DropPoint, MeasuredDeploy, NodeStatus, ProtocolConfig, ProtocolError,
     ProtocolOutcome, ProtocolRun, RetryPolicy,
 };
-
-const MAGIC: &[u8; 4] = b"ACMR";
-const VERSION: u32 = 1;
 
 /// A resumable snapshot of a partially executed protocol run.
 ///
@@ -139,34 +158,46 @@ impl RunCheckpoint {
         Ok(RunCheckpoint::from_bytes(&store.get(hash)?)?)
     }
 
-    /// Serializes to the digest-trailed `ACMR` wire format.
+    /// Serializes to a sealed `ACMR` blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
+        wire::seal(self)
+    }
+
+    /// Parses a sealed `ACMR` blob; see [`wire::open`] for the check
+    /// order.
+    pub fn from_bytes(bytes: &[u8]) -> Result<RunCheckpoint, WireError> {
+        wire::open(bytes)
+    }
+}
+
+impl Codec for RunCheckpoint {
+    const MAGIC: [u8; 4] = *b"ACMR";
+    const VERSION: u32 = 1;
+
+    fn encode_body(&self, w: &mut ByteWriter) {
         // Fleet topology.
-        w.u32(self.fleet.clusters().len() as u32);
+        w.count(self.fleet.clusters().len());
         for cluster in self.fleet.clusters() {
-            w.u64(cluster.edge().0 as u64);
-            w.u32(cluster.devices().len() as u32);
+            w.usize(cluster.edge().0);
+            w.count(cluster.devices().len());
             for d in cluster.devices() {
-                w.u64(d.id().0 as u64);
+                w.usize(d.id().0);
                 w.f64(d.gpu_capacity());
                 w.u64(d.storage_limit());
-                w.u64(d.num_patches() as u64);
-                w.u64(d.batch_size() as u64);
+                w.usize(d.num_patches());
+                w.usize(d.batch_size());
             }
         }
         // Full-run configuration.
-        w.u64(self.config.loop_rounds as u64);
+        w.usize(self.config.loop_rounds);
         w.u64(self.config.backbone_params);
         w.u64(self.config.header_params);
-        w.u64(self.config.header_tokens as u64);
-        w.u64(self.config.importance_len as u64);
+        w.usize(self.config.header_tokens);
+        w.usize(self.config.importance_len);
         w.u32(self.config.retry.max_attempts);
         w.u64(duration_nanos(self.config.retry.base));
         w.u64(duration_nanos(self.config.retry.cap));
-        w.u64(self.config.min_quorum as u64);
+        w.usize(self.config.min_quorum);
         match self.config.deploy {
             None => w.u8(0),
             Some(m) => {
@@ -176,7 +207,7 @@ impl RunCheckpoint {
             }
         }
         // Progress and driver selection.
-        w.u64(self.rounds_done as u64);
+        w.usize(self.rounds_done);
         w.u8(match self.driver {
             DriverKind::Threaded => 0,
             DriverKind::Sim => 1,
@@ -189,7 +220,7 @@ impl RunCheckpoint {
         w.u64(self.report.uplink_bytes);
         w.u64(self.report.retransmissions);
         w.u64(self.report.retransmitted_bytes);
-        w.u32(self.report.per_kind.len() as u32);
+        w.count(self.report.per_kind.len());
         for row in &self.report.per_kind {
             w.str(&row.kind);
             w.u64(row.messages);
@@ -201,7 +232,7 @@ impl RunCheckpoint {
             });
         }
         // Cumulative node statuses.
-        w.u32(self.nodes.len() as u32);
+        w.count(self.nodes.len());
         for s in &self.nodes {
             match s.node {
                 NodeId::Cloud => {
@@ -210,66 +241,43 @@ impl RunCheckpoint {
                 }
                 NodeId::Edge(e) => {
                     w.u8(1);
-                    w.u64(e.0 as u64);
+                    w.usize(e.0);
                 }
                 NodeId::Device(d) => {
                     w.u8(2);
-                    w.u64(d.0 as u64);
+                    w.usize(d.0);
                 }
             }
-            w.u64(s.completed_rounds as u64);
+            w.usize(s.completed_rounds);
             match s.dropped_at {
                 None => w.u8(0),
                 Some(DropPoint::Setup) => w.u8(1),
                 Some(DropPoint::Round(r)) => {
                     w.u8(2);
-                    w.u64(r as u64);
+                    w.usize(r);
                 }
             }
             w.u64(s.retries);
         }
-        let mut out = w.into_vec();
-        let digest = ContentHash::of(&out).0;
-        out.extend_from_slice(&digest);
-        out
     }
 
-    /// Deserializes a digest-trailed `ACMR` blob, validating every
-    /// declared length against the remaining input before allocating.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadChecksum`] when the trailer digest does not match
-    /// (bit rot, truncation), plus the usual structural
-    /// [`WireError`] variants for malformed bodies.
-    pub fn from_bytes(bytes: &[u8]) -> Result<RunCheckpoint, WireError> {
-        let body_len = bytes.len().checked_sub(16).ok_or(WireError::Truncated)?;
-        let (body, trailer) = bytes.split_at(body_len);
-        if ContentHash::of(body).0[..] != *trailer {
-            return Err(WireError::BadChecksum);
+    fn decode_body(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let n_clusters = r.count(12)?;
+        if n_clusters == 0 {
+            // `Fleet::new` asserts on an empty cluster list.
+            return Err(WireError::BadShape);
         }
-        let mut r = ByteReader::new(body);
-        if r.bytes(4)? != MAGIC.as_slice() {
-            return Err(WireError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let n_clusters = r.u32()?;
-        let n_clusters = r.checked_count(u64::from(n_clusters), 12)?;
         let mut clusters = Vec::with_capacity(n_clusters);
         for _ in 0..n_clusters {
-            let edge = EdgeId(read_usize(&mut r)?);
-            let n_devices = r.u32()?;
-            let n_devices = r.checked_count(u64::from(n_devices), 40)?;
+            let edge = EdgeId(r.usize()?);
+            let n_devices = r.count(40)?;
             let mut devices = Vec::with_capacity(n_devices);
             for _ in 0..n_devices {
-                let id = read_usize(&mut r)?;
+                let id = r.usize()?;
                 let gpu = r.f64()?;
                 let storage = r.u64()?;
-                let patches = read_usize(&mut r)?;
-                let batch = read_usize(&mut r)?;
+                let patches = r.usize()?;
+                let batch = r.usize()?;
                 devices.push(
                     Device::new(id, gpu, storage)
                         .with_patches(patches)
@@ -280,17 +288,17 @@ impl RunCheckpoint {
         }
         let fleet = Fleet::new(clusters);
         let config = ProtocolConfig {
-            loop_rounds: read_usize(&mut r)?,
+            loop_rounds: r.usize()?,
             backbone_params: r.u64()?,
             header_params: r.u64()?,
-            header_tokens: read_usize(&mut r)?,
-            importance_len: read_usize(&mut r)?,
+            header_tokens: r.usize()?,
+            importance_len: r.usize()?,
             retry: RetryPolicy {
                 max_attempts: r.u32()?,
                 base: std::time::Duration::from_nanos(r.u64()?),
                 cap: std::time::Duration::from_nanos(r.u64()?),
             },
-            min_quorum: read_usize(&mut r)?,
+            min_quorum: r.usize()?,
             deploy: match r.u8()? {
                 0 => None,
                 1 => Some(MeasuredDeploy {
@@ -300,7 +308,7 @@ impl RunCheckpoint {
                 t => return Err(WireError::BadTag(t)),
             },
         };
-        let rounds_done = read_usize(&mut r)?;
+        let rounds_done = r.usize()?;
         let driver = match r.u8()? {
             0 => DriverKind::Threaded,
             1 => DriverKind::Sim,
@@ -316,8 +324,7 @@ impl RunCheckpoint {
         let uplink_bytes = r.u64()?;
         let retransmissions = r.u64()?;
         let retransmitted_bytes = r.u64()?;
-        let n_rows = r.u32()?;
-        let n_rows = r.checked_count(u64::from(n_rows), 29)?;
+        let n_rows = r.count(29)?;
         let mut per_kind = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             per_kind.push(KindRow {
@@ -340,8 +347,7 @@ impl RunCheckpoint {
             retransmitted_bytes,
             per_kind,
         };
-        let n_nodes = r.u32()?;
-        let n_nodes = r.checked_count(u64::from(n_nodes), 26)?;
+        let n_nodes = r.count(26)?;
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let node = match r.u8()? {
@@ -349,15 +355,15 @@ impl RunCheckpoint {
                     r.u64()?;
                     NodeId::Cloud
                 }
-                1 => NodeId::Edge(EdgeId(read_usize(&mut r)?)),
-                2 => NodeId::Device(acme_energy::DeviceId(read_usize(&mut r)?)),
+                1 => NodeId::Edge(EdgeId(r.usize()?)),
+                2 => NodeId::Device(DeviceId(r.usize()?)),
                 t => return Err(WireError::BadTag(t)),
             };
-            let completed_rounds = read_usize(&mut r)?;
+            let completed_rounds = r.usize()?;
             let dropped_at = match r.u8()? {
                 0 => None,
                 1 => Some(DropPoint::Setup),
-                2 => Some(DropPoint::Round(read_usize(&mut r)?)),
+                2 => Some(DropPoint::Round(r.usize()?)),
                 t => return Err(WireError::BadTag(t)),
             };
             let retries = r.u64()?;
@@ -368,8 +374,10 @@ impl RunCheckpoint {
                 retries,
             });
         }
-        if !r.is_empty() {
-            return Err(WireError::Truncated);
+        // `resume_segment` merges these with a fresh run's statuses
+        // position by position, so they must be the fleet's own nodes.
+        if !nodes.iter().map(|s| s.node).eq(fleet_nodes(&fleet)) {
+            return Err(WireError::BadShape);
         }
         Ok(RunCheckpoint {
             fleet,
@@ -382,6 +390,15 @@ impl RunCheckpoint {
             jitter,
         })
     }
+}
+
+/// The fleet's nodes in status order: cloud first, then each cluster's
+/// edge followed by its devices.
+fn fleet_nodes(fleet: &Fleet) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::once(NodeId::Cloud).chain(fleet.clusters().iter().flat_map(|c| {
+        std::iter::once(NodeId::Edge(c.edge()))
+            .chain(c.devices().iter().map(|d| NodeId::Device(d.id())))
+    }))
 }
 
 /// Minimum completed rounds over all device statuses, mirroring the
@@ -423,10 +440,6 @@ fn duration_nanos(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn read_usize(r: &mut ByteReader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::BadShape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,24 +470,6 @@ mod tests {
         assert_eq!(hash, ContentHash::of(&bytes));
         let loaded = RunCheckpoint::load(&store, hash).expect("load");
         assert_eq!(loaded, ck);
-    }
-
-    #[test]
-    fn corrupt_checkpoints_are_rejected() {
-        let (_, ck) = checkpoint_after(1, 2);
-        let bytes = ck.to_bytes();
-        for i in (0..bytes.len()).step_by(13) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                RunCheckpoint::from_bytes(&bad).is_err(),
-                "flip at byte {i} must not parse"
-            );
-        }
-        assert!(matches!(
-            RunCheckpoint::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(WireError::BadChecksum) | Err(WireError::Truncated)
-        ));
     }
 
     #[test]

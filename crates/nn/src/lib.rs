@@ -45,12 +45,11 @@ mod optim;
 mod param;
 mod schedule;
 mod transformer;
+pub mod wire;
 
 pub use activation::Activation;
 pub use attention::MultiHeadSelfAttention;
-pub use checkpoint::{
-    digest128, load_params, save_params, save_params_v1, CheckpointError, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{load_params, save_params};
 pub use conv::Conv2dLayer;
 pub use linear::{EmbeddingLayer, Linear, Mlp};
 pub use lstm::LstmCell;

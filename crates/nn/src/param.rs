@@ -50,6 +50,24 @@ impl Clone for ParamSet {
     }
 }
 
+/// Content equality: same names, trainable flags, shapes and value
+/// *bits* in the same order (NaN-safe, so a checkpointed set equals its
+/// reloaded self). Store identity and mutation counters do not take part.
+impl PartialEq for ParamSet {
+    fn eq(&self, other: &Self) -> bool {
+        fn bits(a: &Array) -> impl Iterator<Item = u32> + '_ {
+            a.data().iter().map(|v| v.to_bits())
+        }
+        self.entries.len() == other.entries.len()
+            && self.entries.iter().zip(&other.entries).all(|(a, b)| {
+                a.name == b.name
+                    && a.trainable == b.trainable
+                    && a.value.shape() == b.value.shape()
+                    && bits(&a.value).eq(bits(&b.value))
+            })
+    }
+}
+
 impl Default for ParamSet {
     fn default() -> Self {
         ParamSet::new()

@@ -16,32 +16,27 @@
 //! identical to the one [`VariantStore::persist`] saw — serving outputs
 //! cannot drift across a persist/restore cycle.
 //!
-//! Manifest wire format (little-endian, versioned):
+//! `ACMS` manifest body grammar (inside the [`acme_store::wire`] frame):
 //!
 //! ```text
-//! magic "ACMS" | version u32
 //! model: image, patch, channels, dim, depth, heads, head_dim,
 //!        mlp_hidden, classes (u64 x 9)
 //! exit count u32 | exit layer u64 x count
 //! activation u8 | precision u8
 //! backbone count u32 | backbone hash 16 x count
 //! variant count u32 | per variant: cluster u32 | delta hash 16
-//! fnv1a-128 digest (16 bytes) of every preceding byte
 //! ```
 
-use acme_nn::{digest128, Activation, ParamSet};
+use acme_nn::{Activation, ParamSet};
 use acme_runtime::Pool;
 use acme_store::{
-    ByteReader, ByteWriter, ContentHash, ModelStore, StoreError, VariantDelta, WireError,
+    wire, ByteReader, ByteWriter, Codec, ContentHash, ModelStore, StoreError, VariantDelta,
+    WireError,
 };
 use acme_tensor::{Precision, SmallRng64};
 use acme_vit::{MultiExitVit, Vit, VitConfig};
 
 use crate::variant::{ClusterModel, ServeModelConfig, VariantSlot, VariantStore};
-
-const MAGIC: &[u8; 4] = b"ACMS";
-const VERSION: u32 = 1;
-const DIGEST_LEN: usize = 16;
 
 /// One device entry in a [`StoreManifest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,17 +95,24 @@ fn precision_from_tag(t: u8) -> Result<Precision, WireError> {
     })
 }
 
-fn read_usize(r: &mut ByteReader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::BadShape)
+impl StoreManifest {
+    /// Serializes to a sealed `ACMS` blob.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        wire::seal(self)
+    }
+
+    /// Parses a sealed `ACMS` blob; see [`wire::open`] for the check
+    /// order.
+    pub fn from_bytes(bytes: &[u8]) -> Result<StoreManifest, WireError> {
+        wire::open(bytes)
+    }
 }
 
-impl StoreManifest {
-    /// Serializes to the versioned wire format (see module docs).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w =
-            ByteWriter::with_capacity(128 + 16 * self.backbones.len() + 20 * self.variants.len());
-        w.bytes(MAGIC);
-        w.u32(VERSION);
+impl Codec for StoreManifest {
+    const MAGIC: [u8; 4] = *b"ACMS";
+    const VERSION: u32 = 1;
+
+    fn encode_body(&self, w: &mut ByteWriter) {
         let v = &self.model.vit;
         for dim in [
             v.image,
@@ -123,88 +125,66 @@ impl StoreManifest {
             v.mlp_hidden,
             v.classes,
         ] {
-            w.u64(dim as u64);
+            w.usize(dim);
         }
-        w.u32(self.model.exit_layers.len() as u32);
+        w.count(self.model.exit_layers.len());
         for &e in &self.model.exit_layers {
-            w.u64(e as u64);
+            w.usize(e);
         }
         w.u8(activation_tag(self.model.activation));
         w.u8(precision_tag(self.precision));
-        w.u32(self.backbones.len() as u32);
+        w.count(self.backbones.len());
         for h in &self.backbones {
             w.bytes(&h.0);
         }
-        w.u32(self.variants.len() as u32);
+        w.count(self.variants.len());
         for v in &self.variants {
             w.u32(v.cluster);
             w.bytes(&v.delta.0);
         }
-        let digest = digest128(w.as_slice());
-        w.bytes(&digest);
-        w.into_vec()
     }
 
-    /// Parses the wire format, verifying the integrity digest and
-    /// validating declared counts against the remaining input before
-    /// allocating from them.
-    pub fn from_bytes(bytes: &[u8]) -> Result<StoreManifest, WireError> {
-        if bytes.len() < 4 + 4 + DIGEST_LEN {
-            return Err(WireError::Truncated);
-        }
-        let body = &bytes[..bytes.len() - DIGEST_LEN];
-        if &body[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        if digest128(body) != bytes[bytes.len() - DIGEST_LEN..] {
-            return Err(WireError::BadChecksum);
-        }
-        let mut r = ByteReader::new(&body[4..]);
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
+    /// Also checks what [`VariantStore::from_store`] builds a model
+    /// from — a [`VitConfig`] that validates, and exit layers strictly
+    /// increasing up to the final block — so a manifest that decodes
+    /// cannot trip the model constructors' asserts.
+    fn decode_body(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let vit = VitConfig {
-            image: read_usize(&mut r)?,
-            patch: read_usize(&mut r)?,
-            channels: read_usize(&mut r)?,
-            dim: read_usize(&mut r)?,
-            depth: read_usize(&mut r)?,
-            heads: read_usize(&mut r)?,
-            head_dim: read_usize(&mut r)?,
-            mlp_hidden: read_usize(&mut r)?,
-            classes: read_usize(&mut r)?,
+            image: r.usize()?,
+            patch: r.usize()?,
+            channels: r.usize()?,
+            dim: r.usize()?,
+            depth: r.usize()?,
+            heads: r.usize()?,
+            head_dim: r.usize()?,
+            mlp_hidden: r.usize()?,
+            classes: r.usize()?,
         };
-        let n_exits = {
-            let declared = r.u32()? as u64;
-            r.checked_count(declared, 8)?
-        };
+        let n_exits = r.count(8)?;
         let mut exit_layers = Vec::with_capacity(n_exits);
         for _ in 0..n_exits {
-            exit_layers.push(read_usize(&mut r)?);
+            exit_layers.push(r.usize()?);
+        }
+        if vit.validate().is_err()
+            || !exit_layers.windows(2).all(|w| w[0] < w[1])
+            || exit_layers.last() != Some(&(vit.depth - 1))
+        {
+            return Err(WireError::BadShape);
         }
         let activation = activation_from_tag(r.u8()?)?;
         let precision = precision_from_tag(r.u8()?)?;
-        let n_backbones = {
-            let declared = r.u32()? as u64;
-            r.checked_count(declared, 16)?
-        };
+        let n_backbones = r.count(16)?;
         let mut backbones = Vec::with_capacity(n_backbones);
         for _ in 0..n_backbones {
-            backbones.push(ContentHash(r.bytes(16)?.try_into().expect("16 bytes")));
+            backbones.push(ContentHash::read(r)?);
         }
-        let n_variants = {
-            let declared = r.u32()? as u64;
-            r.checked_count(declared, 20)?
-        };
+        let n_variants = r.count(20)?;
         let mut variants = Vec::with_capacity(n_variants);
         for _ in 0..n_variants {
-            let cluster = r.u32()?;
-            let delta = ContentHash(r.bytes(16)?.try_into().expect("16 bytes"));
-            variants.push(ManifestVariant { cluster, delta });
-        }
-        if !r.is_empty() {
-            return Err(WireError::Truncated);
+            variants.push(ManifestVariant {
+                cluster: r.u32()?,
+                delta: ContentHash::read(r)?,
+            });
         }
         Ok(StoreManifest {
             model: ServeModelConfig {
@@ -409,18 +389,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_manifest_is_rejected() {
+    fn restoring_an_unbuildable_model_is_a_typed_error() {
+        // Well-sealed manifests whose model shape used to reach
+        // `VitConfig::num_patches` (division by zero) or
+        // `MultiExitVit::new`'s asserts inside `from_store`.
         let store = tiny_store(2);
         let mut blobs = ModelStore::in_memory();
         let root = store.persist(&mut blobs).unwrap();
-        let good = blobs.get(root).unwrap();
-        for pos in (0..good.len()).step_by(11) {
+        let good = StoreManifest::from_bytes(&blobs.get(root).unwrap()).unwrap();
+        let edits: [fn(&mut StoreManifest); 4] = [
+            |m| m.model.vit.patch = 0,
+            |m| m.model.exit_layers.clear(),
+            |m| m.model.exit_layers.reverse(),
+            |m| *m.model.exit_layers.last_mut().unwrap() += 1,
+        ];
+        for edit in edits {
             let mut bad = good.clone();
-            bad[pos] ^= 0x20;
-            assert!(
-                StoreManifest::from_bytes(&bad).is_err(),
-                "flip at {pos} went undetected"
-            );
+            edit(&mut bad);
+            let bad_root = blobs.put(bad.to_bytes()).unwrap();
+            assert!(matches!(
+                VariantStore::from_store(&blobs, bad_root),
+                Err(StoreError::Wire(WireError::BadShape))
+            ));
         }
     }
 

@@ -11,29 +11,23 @@
 //! `apply(backbone, encode(backbone, …, variant)) == variant` holds
 //! exactly, NaNs and signed zeros included.
 //!
-//! Wire format (little-endian, versioned):
+//! `ACMD` body grammar (inside the [`acme_nn::wire`] frame):
 //!
 //! ```text
-//! magic "ACMD" | version u32 | backbone hash 16 bytes
+//! backbone hash 16 bytes
 //! class count u32 | class id u32 x count
 //! op count u32
 //! per op: tag u8 | name len u32 | name | trainable u8
 //!         tag 2 (Changed) adds: rank u32 | dims u64 x rank | f32 x volume
-//! fnv1a-128 digest (16 bytes) of every preceding byte
 //! ```
 
 use std::collections::HashMap;
 
-use acme_nn::digest128;
+use acme_nn::wire::{self, ByteReader, ByteWriter, Codec, WireError};
 use acme_nn::ParamSet;
 use acme_tensor::Array;
 
 use crate::hash::ContentHash;
-use crate::wire::{ByteReader, ByteWriter, WireError};
-
-const MAGIC: &[u8; 4] = b"ACMD";
-const VERSION: u32 = 1;
-const DIGEST_LEN: usize = 16;
 
 const TAG_SAME: u8 = 0;
 const TAG_PRUNED: u8 = 1;
@@ -339,110 +333,71 @@ impl VariantDelta {
         Ok(())
     }
 
-    /// Serializes to the versioned wire format (see module docs).
+    /// Serializes to a sealed `ACMD` blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(64 + self.ops.len() * 32);
-        w.bytes(MAGIC);
-        w.u32(VERSION);
+        wire::seal(self)
+    }
+
+    /// Parses a sealed `ACMD` blob; see [`wire::open`] for the check
+    /// order.
+    pub fn from_bytes(bytes: &[u8]) -> Result<VariantDelta, WireError> {
+        wire::open(bytes)
+    }
+
+    /// Serialized size in bytes — the *measured* deploy cost of shipping
+    /// this variant to a device that already holds the backbone (the
+    /// quantity the transfer ledger meters instead of the
+    /// `4·param_count` estimate).
+    pub fn bytes(&self) -> u64 {
+        wire::encoded_len(self)
+    }
+}
+
+impl Codec for VariantDelta {
+    const MAGIC: [u8; 4] = *b"ACMD";
+    const VERSION: u32 = 1;
+
+    fn encode_body(&self, w: &mut ByteWriter) {
         w.bytes(&self.backbone.0);
-        w.u32(self.classes.len() as u32);
+        w.count(self.classes.len());
         for &c in &self.classes {
             w.u32(c);
         }
-        w.u32(self.ops.len() as u32);
+        w.count(self.ops.len());
         for op in &self.ops {
-            match op {
-                DeltaOp::Same { name, trainable } => {
-                    w.u8(TAG_SAME);
-                    w.str(name);
-                    w.u8(u8::from(*trainable));
-                }
-                DeltaOp::PrunedCols { name, trainable } => {
-                    w.u8(TAG_PRUNED);
-                    w.str(name);
-                    w.u8(u8::from(*trainable));
-                }
-                DeltaOp::Changed {
-                    name,
-                    shape,
-                    values,
-                    trainable,
-                } => {
-                    w.u8(TAG_CHANGED);
-                    w.str(name);
-                    w.u8(u8::from(*trainable));
-                    w.u32(shape.len() as u32);
-                    for &d in shape {
-                        w.u64(d as u64);
-                    }
-                    for &v in values {
-                        w.f32(v);
-                    }
-                }
+            let (tag, trainable) = match op {
+                DeltaOp::Same { trainable, .. } => (TAG_SAME, trainable),
+                DeltaOp::PrunedCols { trainable, .. } => (TAG_PRUNED, trainable),
+                DeltaOp::Changed { trainable, .. } => (TAG_CHANGED, trainable),
+            };
+            w.u8(tag);
+            w.str(op.name());
+            w.u8(u8::from(*trainable));
+            if let DeltaOp::Changed { shape, values, .. } = op {
+                w.tensor(shape, values);
             }
         }
-        let digest = digest128(w.as_slice());
-        w.bytes(&digest);
-        w.into_vec()
     }
 
-    /// Parses the wire format, verifying the integrity digest and
-    /// validating every declared length before allocating from it.
-    pub fn from_bytes(bytes: &[u8]) -> Result<VariantDelta, WireError> {
-        if bytes.len() < 4 + 4 + DIGEST_LEN {
-            return Err(WireError::Truncated);
-        }
-        let body = &bytes[..bytes.len() - DIGEST_LEN];
-        if &body[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        if digest128(body) != bytes[bytes.len() - DIGEST_LEN..] {
-            return Err(WireError::BadChecksum);
-        }
-        let mut r = ByteReader::new(&body[4..]);
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let backbone = ContentHash(r.bytes(16)?.try_into().expect("16 bytes"));
-        let n_classes = {
-            let declared = r.u32()? as u64;
-            r.checked_count(declared, 4)?
-        };
+    fn decode_body(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let backbone = ContentHash::read(r)?;
+        let n_classes = r.count(4)?;
         let mut classes = Vec::with_capacity(n_classes);
         for _ in 0..n_classes {
             classes.push(r.u32()?);
         }
-        let n_ops = {
-            let declared = r.u32()? as u64;
-            // Smallest op: tag + empty name len + trainable = 6 bytes.
-            r.checked_count(declared, 6)?
-        };
+        // Smallest op: tag + empty name len + trainable = 6 bytes.
+        let n_ops = r.count(6)?;
         let mut ops = Vec::with_capacity(n_ops);
         for _ in 0..n_ops {
             let tag = r.u8()?;
             let name = r.str()?;
             let trainable = r.u8()? != 0;
-            let op = match tag {
+            ops.push(match tag {
                 TAG_SAME => DeltaOp::Same { name, trainable },
                 TAG_PRUNED => DeltaOp::PrunedCols { name, trainable },
                 TAG_CHANGED => {
-                    let rank = {
-                        let declared = r.u32()? as u64;
-                        r.checked_count(declared, 8)?
-                    };
-                    let mut shape = Vec::with_capacity(rank);
-                    let mut volume: u64 = 1;
-                    for _ in 0..rank {
-                        let d = r.u64()?;
-                        volume = volume.checked_mul(d).ok_or(WireError::BadShape)?;
-                        shape.push(usize::try_from(d).map_err(|_| WireError::BadShape)?);
-                    }
-                    let volume = r.checked_count(volume, 4)?;
-                    let mut values = Vec::with_capacity(volume);
-                    for _ in 0..volume {
-                        values.push(r.f32()?);
-                    }
+                    let (shape, values) = r.tensor()?;
                     DeltaOp::Changed {
                         name,
                         shape,
@@ -451,34 +406,13 @@ impl VariantDelta {
                     }
                 }
                 t => return Err(WireError::BadTag(t)),
-            };
-            ops.push(op);
-        }
-        if !r.is_empty() {
-            // Trailing garbage would have broken the digest window, but
-            // be explicit for hand-rolled streams.
-            return Err(WireError::Truncated);
+            });
         }
         Ok(VariantDelta {
             backbone,
             classes,
             ops,
         })
-    }
-
-    /// Serialized size in bytes — the *measured* deploy cost of shipping
-    /// this variant to a device that already holds the backbone (the
-    /// quantity the transfer ledger meters instead of the
-    /// `4·param_count` estimate).
-    pub fn bytes(&self) -> u64 {
-        let mut n = 4 + 4 + 16 + 4 + 4 * self.classes.len() as u64 + 4 + DIGEST_LEN as u64;
-        for op in &self.ops {
-            n += 1 + 4 + op.name().len() as u64 + 1;
-            if let DeltaOp::Changed { shape, values, .. } = op {
-                n += 4 + 8 * shape.len() as u64 + 4 * values.len() as u64;
-            }
-        }
-        n
     }
 }
 
@@ -582,93 +516,5 @@ mod tests {
         short.add("exit1.head.w", Array::ones(&[4, 2]));
         short.add("exit1.head.b", Array::ones(&[2]));
         assert!(matches!(d.apply(&short), Err(ApplyError::BadGather(_))));
-    }
-
-    #[test]
-    fn corrupt_streams_are_rejected() {
-        let (b, h) = backbone();
-        let (classes, v) = sample_variant(&b);
-        let good = VariantDelta::encode(&b, h, &classes, &v).to_bytes();
-        assert_eq!(
-            VariantDelta::from_bytes(&[]).unwrap_err(),
-            WireError::Truncated
-        );
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert_eq!(
-            VariantDelta::from_bytes(&bad).unwrap_err(),
-            WireError::BadMagic
-        );
-        for pos in (4..good.len()).step_by(7) {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x10;
-            assert!(
-                VariantDelta::from_bytes(&bad).is_err(),
-                "flip at {pos} went undetected"
-            );
-        }
-        for cut in 0..good.len() {
-            assert!(VariantDelta::from_bytes(&good[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn huge_declared_counts_fail_before_allocating() {
-        // Hand-rolled body with absurd counts; digest appended so the
-        // checksum gate passes and the length validation is what fires.
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.bytes(&[0u8; 16]);
-        w.u32(u32::MAX); // class count
-        let mut bytes = w.into_vec();
-        let digest = digest128(&bytes);
-        bytes.extend_from_slice(&digest);
-        assert_eq!(
-            VariantDelta::from_bytes(&bytes).unwrap_err(),
-            WireError::Truncated
-        );
-
-        // Changed op with overflowing dims -> BadShape, not a wrap.
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.bytes(&[0u8; 16]);
-        w.u32(0); // no classes
-        w.u32(1); // one op
-        w.u8(TAG_CHANGED);
-        w.str("w");
-        w.u8(1);
-        w.u32(3);
-        w.u64(1 << 32);
-        w.u64(1 << 32);
-        w.u64(16);
-        let mut bytes = w.into_vec();
-        let digest = digest128(&bytes);
-        bytes.extend_from_slice(&digest);
-        assert_eq!(
-            VariantDelta::from_bytes(&bytes).unwrap_err(),
-            WireError::BadShape
-        );
-    }
-
-    #[test]
-    fn unknown_tag_is_rejected() {
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.bytes(&[0u8; 16]);
-        w.u32(0);
-        w.u32(1);
-        w.u8(9);
-        w.str("w");
-        w.u8(1);
-        let mut bytes = w.into_vec();
-        let digest = digest128(&bytes);
-        bytes.extend_from_slice(&digest);
-        assert_eq!(
-            VariantDelta::from_bytes(&bytes).unwrap_err(),
-            WireError::BadTag(9)
-        );
     }
 }

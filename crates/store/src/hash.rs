@@ -1,6 +1,6 @@
 //! Content addresses: the 128-bit FNV-1a digest of a blob.
 
-use acme_nn::digest128;
+use acme_nn::wire::{digest128, ByteReader, WireError};
 
 /// Address of a blob in a [`ModelStore`](crate::ModelStore): the
 /// [`digest128`] of its bytes. Two identical serializations share one
@@ -13,6 +13,11 @@ impl ContentHash {
     /// The address of `bytes`.
     pub fn of(bytes: &[u8]) -> Self {
         ContentHash(digest128(bytes))
+    }
+
+    /// Reads the 16 raw address bytes a framed body embeds.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(ContentHash(r.array()?))
     }
 
     /// Lowercase-hex form, 32 characters — also the on-disk file name a

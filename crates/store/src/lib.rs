@@ -8,7 +8,7 @@
 //! not as a full weight copy. This crate provides the three pieces:
 //!
 //! - [`ContentHash`]: 128-bit FNV-1a address of a blob
-//!   ([`acme_nn::digest128`], the same digest the v2 checkpoint trailer
+//!   ([`wire::digest128`], the same digest every framed format's trailer
 //!   carries — a blob's address doubles as its integrity check).
 //! - [`ModelStore`]: a deduplicating blob store, in-memory or backed by
 //!   a directory of hash-named files. A backbone [`ParamSet`]
@@ -21,9 +21,12 @@
 //!   residuals, so `apply(backbone, encode(backbone, variant)) ==
 //!   variant` exactly).
 //!
-//! Wire formats are versioned and length-validated with the same
-//! discipline as the checkpoint loader: every declared length is checked
-//! against the remaining input before any allocation is sized from it.
+//! Every serialized form — checkpoints, deltas, and the serving manifest
+//! and run checkpoint the crates above this one keep in the store — is a
+//! [`Codec`] body inside the one frame [`acme_nn::wire`] defines
+//! (re-exported here as [`wire`]): one check order, one digest, and every
+//! declared length checked against the remaining input before any
+//! allocation is sized from it.
 //!
 //! ```
 //! use acme_nn::ParamSet;
@@ -49,9 +52,8 @@
 mod delta;
 mod hash;
 mod store;
-mod wire;
 
+pub use acme_nn::wire::{self, ByteReader, ByteWriter, Codec, WireError};
 pub use delta::{ApplyError, DeltaOp, VariantDelta};
 pub use hash::ContentHash;
 pub use store::{ModelStore, StoreError};
-pub use wire::{ByteReader, ByteWriter, WireError};

@@ -3,11 +3,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use acme_nn::{load_params, save_params, CheckpointError, ParamSet};
+use acme_nn::{load_params, save_params, ParamSet};
 
 use crate::delta::{ApplyError, VariantDelta};
 use crate::hash::ContentHash;
-use crate::wire::WireError;
+use acme_nn::wire::WireError;
 
 /// Error from a [`ModelStore`] operation.
 #[derive(Debug)]
@@ -18,10 +18,8 @@ pub enum StoreError {
     Corrupt(ContentHash),
     /// Filesystem failure (directory-backed stores only).
     Io(std::io::Error),
-    /// A blob failed to parse as a [`VariantDelta`].
+    /// A blob failed to parse as the framed type it was fetched as.
     Wire(WireError),
-    /// A blob failed to parse as a checkpointed [`ParamSet`].
-    Checkpoint(CheckpointError),
     /// A delta does not fit the backbone it was resolved against.
     Apply(ApplyError),
     /// Stored content disagrees with what the caller expected of it
@@ -35,8 +33,7 @@ impl std::fmt::Display for StoreError {
             StoreError::NotFound(h) => write!(f, "blob {h} not in store"),
             StoreError::Corrupt(h) => write!(f, "blob {h} is corrupt on disk"),
             StoreError::Io(e) => write!(f, "store i/o: {e}"),
-            StoreError::Wire(e) => write!(f, "blob is not a valid delta: {e}"),
-            StoreError::Checkpoint(e) => write!(f, "blob is not a valid checkpoint: {e}"),
+            StoreError::Wire(e) => write!(f, "blob does not parse: {e}"),
             StoreError::Apply(e) => write!(f, "delta does not fit its backbone: {e}"),
             StoreError::Mismatch(what) => write!(f, "stored content mismatch: {what}"),
         }
@@ -60,12 +57,6 @@ impl From<std::io::Error> for StoreError {
 impl From<WireError> for StoreError {
     fn from(e: WireError) -> Self {
         StoreError::Wire(e)
-    }
-}
-
-impl From<CheckpointError> for StoreError {
-    fn from(e: CheckpointError) -> Self {
-        StoreError::Checkpoint(e)
     }
 }
 
@@ -176,8 +167,7 @@ impl ModelStore {
         self.blobs.contains_key(&hash) || self.disk.contains_key(&hash)
     }
 
-    /// Stores a checkpointed [`ParamSet`] (v2 format), returning its
-    /// address.
+    /// Stores a checkpointed [`ParamSet`], returning its address.
     pub fn put_params(&mut self, ps: &ParamSet) -> Result<ContentHash, StoreError> {
         self.put(save_params(ps))
     }

@@ -10,7 +10,8 @@
 # fail with a clear message instead of a misleading build error — after
 # testing what needs no registry: the std-only `crates/runtime` (on the
 # std-only `crates/obs`) builds and runs its unit tests under a bare
-# rustc, so the pool is tested on every checkout.
+# rustc, so the pool is tested on every checkout, and the hermetic
+# benchmark round-trips all four framed formats (acme_nn::wire).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,11 +39,16 @@ std_only_tests() {
 if ! cargo metadata --format-version 1 "${CARGO_FLAGS[@]}" >/dev/null 2>&1; then
     step "std-only crates under bare rustc (acme-obs, acme-runtime unit tests)"
     std_only_tests
+    step "codec gate (hermetic benchmark: ACMR resume == straight run; ACME/ACMD/ACMS persist -> lazy restore -> bitwise serving)"
+    # benchmarks/ builds every crate against its std-only shims, so these
+    # run where the root graph cannot resolve; a failed check exits non-zero.
+    bash benchmarks/run.sh --workload fleet_sim --seed 1 --seconds 1 --trace 0
+    bash benchmarks/run.sh --workload serve_churn --seed 1 --seconds 1 --trace 0
     echo
     echo "error: cargo cannot resolve the dependency graph." >&2
     echo "       The registry is unreachable and the local cache is cold;" >&2
     echo "       see 'Offline builds' in README.md. Only the std-only crates" >&2
-    echo "       above were compiled and tested." >&2
+    echo "       and the two benchmark workloads above were built and run." >&2
     exit 1
 fi
 
