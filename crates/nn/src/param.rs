@@ -50,6 +50,14 @@ impl Clone for ParamSet {
     }
 }
 
+/// Store ids are never reused, so the packed weights cached under this
+/// one could never be hit again.
+impl Drop for ParamSet {
+    fn drop(&mut self) {
+        packcache::forget_store(self.store);
+    }
+}
+
 /// Content equality: same names, trainable flags, shapes and value
 /// *bits* in the same order (NaN-safe, so a checkpointed set equals its
 /// reloaded self). Store identity and mutation counters do not take part.

@@ -430,9 +430,9 @@ impl VariantStore {
     /// delta is applied against the device's current cluster backbone —
     /// exactly the materialization path a store loaded from blobs runs —
     /// so the swapped variant is bit-identical to a fresh build from the
-    /// same delta. The old head is dropped; its pack-cache entries are
-    /// keyed by the old `ParamSet`'s pack idents and simply go cold, so
-    /// no stale packed weights can leak into the new head's products.
+    /// same delta. The old head is dropped and takes its pack-cache
+    /// entries with it (they are keyed by the old `ParamSet`'s store id),
+    /// so no stale packed weights can leak into the new head's products.
     ///
     /// # Errors
     ///

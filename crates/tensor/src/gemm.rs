@@ -1,5 +1,5 @@
 //! Cache-blocked, multi-threaded GEMM engine behind every matmul in the
-//! workspace.
+//! workspace: one blocked driver, instantiated per dtype by a [`Kernel`].
 //!
 //! The structure is the classic three-level blocking scheme (BLIS/GotoBLAS):
 //!
@@ -14,15 +14,21 @@
 //!   chunks on an [`acme_runtime::Pool`], the caller working one chunk
 //!   itself.
 //!
+//! The loop nest, the packed-panel addressing ([`Packed`]), partial tiles
+//! and the row-panel split are written once, over a [`Kernel`]: the
+//! operand types, the two pack layouts and the register-tile arithmetic.
+//! [`F32`] (this file) and [`crate::qgemm::I8`] are the two
+//! instantiations.
+//!
 //! # Determinism
 //!
-//! Every output element `out[i, j]` is produced by the *same* chain of
+//! Every f32 output element `out[i, j]` is produced by the *same* chain of
 //! arithmetic as the naive triple loop in [`gemm_naive`]: `k` is walked in
 //! ascending order with a single accumulator per element (initialized from
 //! the existing `out` value, so the kernels keep `+=` semantics), and each
 //! step applies one [`madd`] — a *fused* multiply-add on targets with FMA,
 //! a plain `a * b + c` elsewhere, selected at compile time and used
-//! **uniformly** by the reference kernel, the scalar microkernels, and the
+//! **uniformly** by the reference kernel, the scalar microkernel, and the
 //! vector microkernel (`vfmadd` is bitwise-identical to scalar
 //! `f32::mul_add`). Packing only relocates values and the parallel driver
 //! only splits over *independent* output rows, so the blocked, packed, and
@@ -35,6 +41,9 @@
 //! reused across calls via [`gemm_prepacked`] — the hook used by the
 //! parameter-keyed packed-weight cache in `packcache` for inference-style
 //! repeated matmuls against frozen weights.
+
+use std::fmt::Debug;
+use std::ops::Range;
 
 use acme_runtime::Pool;
 
@@ -56,18 +65,6 @@ pub const KC: usize = 512;
 /// Dispatch is invisible in the results — both paths are bit-identical.
 const BLOCKED_MIN_FLOPS: usize = 16 * 1024;
 
-/// Work below which the driver stays on the calling thread even when a
-/// multi-worker pool is supplied. The pool spawns its workers per scope,
-/// and one two-task fork/join measures 50–75 µs, so fanning out pays
-/// only once the serial kernel time is several times that (the row-wise
-/// kernels break even at four, see `rowwise.rs`). 2^26 multiply-adds are
-/// ≈1.7 ms at the ≈40 G multiply-adds/s the blocked kernel sustains —
-/// some 25 fork/joins. The margin is kept wide because two threads buy
-/// this kernel little on the reference host even far above it (parallel
-/// efficiency 0.6–1.0 at 512³, 2^27). No training-shape product of the
-/// reference ViT reaches the cutoff.
-const PARALLEL_MIN_FLOPS: usize = 1 << 26;
-
 /// One accumulation step, `a * b + c`. Fused on FMA targets, plain
 /// mul-then-add elsewhere — chosen at compile time, never mixed, so every
 /// kernel in this module performs bitwise-identical arithmetic.
@@ -87,57 +84,108 @@ pub fn madd(a: f32, b: f32, c: f32) -> f32 {
 /// `(i, j)` lives at `data[i * rs + j * cs]`. This is what lets one engine
 /// serve `A·B`, `Aᵀ·B`, and `A·Bᵀ` without materializing transposes.
 #[derive(Debug, Clone, Copy)]
-pub struct MatRef<'a> {
-    data: &'a [f32],
+pub struct MatRef<'a, T = f32> {
+    data: &'a [T],
     rs: usize,
     cs: usize,
 }
 
-impl<'a> MatRef<'a> {
+impl<'a, T: Copy> MatRef<'a, T> {
     /// A view with explicit row/column strides. The caller must ensure
     /// every addressed element is in bounds; packing panics otherwise.
-    pub fn strided(data: &'a [f32], rs: usize, cs: usize) -> Self {
+    pub fn strided(data: &'a [T], rs: usize, cs: usize) -> Self {
         MatRef { data, rs, cs }
     }
 
     /// A row-major `rows x cols` view (`rs = cols, cs = 1`).
-    pub fn row_major(data: &'a [f32], cols: usize) -> Self {
-        MatRef {
-            data,
-            rs: cols,
-            cs: 1,
-        }
+    pub fn row_major(data: &'a [T], cols: usize) -> Self {
+        Self::strided(data, cols, 1)
     }
 
     /// A view of the *transpose* of a row-major `rows x cols` buffer: the
     /// result is a logical `cols x rows` matrix (`rs = 1, cs = cols`).
-    pub fn transposed(data: &'a [f32], cols: usize) -> Self {
-        MatRef {
-            data,
-            rs: 1,
-            cs: cols,
-        }
+    pub fn transposed(data: &'a [T], cols: usize) -> Self {
+        Self::strided(data, 1, cols)
     }
 
     #[inline(always)]
-    pub(crate) fn at(&self, i: usize, j: usize) -> f32 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> T {
         self.data[i * self.rs + j * self.cs]
     }
 }
 
-/// A matrix packed into `KC`-deep, `NR`-wide column panels, ready to be
-/// streamed by the microkernel. Layout: for each depth block `pc` (size
-/// `min(KC, k - pc)`), all column panels of that block are stored
-/// back-to-back; a panel holds `kc_block * NR` floats ordered `[p][j]`,
-/// zero-padded in `j` past the last column.
-#[derive(Debug, Clone)]
-pub struct PackedB {
-    k: usize,
-    n: usize,
-    data: Vec<f32>,
+/// One dtype instantiation of the blocked engine: the operand types, the
+/// two pack layouts and the arithmetic of one register tile. Everything
+/// that walks blocks, addresses panels, pads partial tiles or forks rows
+/// lives in the generic driver ([`gemm_prepacked`]) and is shared.
+pub trait Kernel: Sized + 'static {
+    /// Element of the unpacked left operand, as a [`MatRef`] views it.
+    type Lhs: Copy + Send + Sync;
+    /// Element of a packed left panel.
+    type A: Copy + Send;
+    /// Element of a packed right panel; `default()` is its zero padding.
+    type B: Copy + Default + Debug + Send + Sync;
+    /// Accumulator and output element; `default()` is zero.
+    type C: Copy + Default + Send;
+    /// What a [`Packed`] right operand carries beside its panels.
+    type Extra: Clone + Debug + Send + Sync;
+
+    /// Depth steps per packed group: panels interleave `KP` consecutive
+    /// depth steps of one row/column, zero-padding the last group.
+    /// [`KC`] must be a multiple of it.
+    const KP: usize;
+    /// Work (in multiply-adds) below which the driver stays on the
+    /// calling thread even when a multi-worker pool is supplied.
+    const PARALLEL_MIN_MACS: usize;
+    /// Name of the `acme_obs` timer around one blocked product.
+    const TIMER: &'static str;
+
+    /// Packs a logical `k x n` f32 weight view for this kernel.
+    fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> Packed<Self>;
+
+    /// Packs rows `i0 .. i0+mb` of `a`, depth slice `p0 .. p0+kcb`, into
+    /// `MR`-row panels of `kcb.div_ceil(KP) * KP * MR` elements ordered
+    /// `[panel][group][row][KP]`, padded past the last row and the depth
+    /// tail with a value whose products vanish against the zero-padded
+    /// right panels. `buf` is resized as needed.
+    fn pack_a(
+        a: MatRef<'_, Self::Lhs>,
+        i0: usize,
+        mb: usize,
+        p0: usize,
+        kcb: usize,
+        buf: &mut Vec<Self::A>,
+    );
+
+    /// The full `MR x NR` register-tile microkernel:
+    /// `out[0..MR, 0..NR] += pa · pb` over `groups` depth groups, rows of
+    /// `out` being `ldc` apart.
+    fn microkernel(pa: &[Self::A], pb: &[Self::B], groups: usize, out: &mut [Self::C], ldc: usize);
+
+    /// Runs once over a chunk of finished output rows (`n` columns each)
+    /// after the last depth block has been accumulated into them.
+    fn finish(_extra: &Self::Extra, _out: &mut [Self::C], _n: usize) {}
+
+    /// `out[m, n] = a[m, k] · pb` from f32 activations to f32 outputs,
+    /// `out` zeroed on entry: the product `Array::matmul_prepacked` runs.
+    fn gemm_f32(a: &[f32], pb: &Packed<Self>, out: &mut [f32], m: usize, pool: &Pool);
 }
 
-impl PackedB {
+/// A right-hand matrix packed into `KC`-deep, `NR`-wide column panels,
+/// ready to be streamed by `K`'s microkernel. Layout: for each depth
+/// block `pc` (size `min(KC, k - pc)`), all column panels of that block
+/// are stored back-to-back; a panel holds `kcb.div_ceil(KP)` groups of
+/// `NR * KP` elements ordered `[group][column][KP]`, zero-padded past
+/// the last column and the depth tail.
+#[derive(Debug, Clone)]
+pub struct Packed<K: Kernel> {
+    k: usize,
+    n: usize,
+    data: Vec<K::B>,
+    pub(crate) extra: K::Extra,
+}
+
+impl<K: Kernel> Packed<K> {
     /// Depth (rows) of the packed matrix.
     pub fn k(&self) -> usize {
         self.k
@@ -148,7 +196,7 @@ impl PackedB {
         self.n
     }
 
-    /// Packed size in floats (for cache accounting).
+    /// Packed size in elements (for cache accounting).
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -158,209 +206,106 @@ impl PackedB {
         self.data.is_empty()
     }
 
-    /// Padded column count (multiple of [`NR`]).
-    fn n_padded(&self) -> usize {
-        self.n.div_ceil(NR) * NR
+    /// Allocates the zeroed panels of a `k x n` matrix and walks them in
+    /// storage order, handing each to `fill(panel, pc, kcb, j0, nrb)`:
+    /// the panel of depth block `pc .. pc+kcb` and columns
+    /// `j0 .. j0+nrb`.
+    pub(crate) fn build(
+        k: usize,
+        n: usize,
+        extra: K::Extra,
+        mut fill: impl FnMut(&mut [K::B], usize, usize, usize, usize),
+    ) -> Self {
+        const { assert!(KC.is_multiple_of(K::KP)) };
+        let len = k.div_ceil(K::KP) * K::KP * n.div_ceil(NR) * NR;
+        let data = vec![K::B::default(); len];
+        let mut packed = Packed { k, n, data, extra };
+        let mut pc = 0;
+        while pc < k {
+            let kcb = KC.min(k - pc);
+            for jp in 0..n.div_ceil(NR) {
+                let j0 = jp * NR;
+                let range = packed.panel_range(pc, kcb, jp);
+                fill(&mut packed.data[range], pc, kcb, j0, NR.min(n - j0));
+            }
+            pc += kcb;
+        }
+        packed
     }
 
-    /// The `kc_block x NR` panel of depth block starting at `pc` and
-    /// column panel `jp` (columns `jp*NR ..`).
+    /// Where the panel of depth block `pc` (`kcb` deep) and column panel
+    /// `jp` (columns `jp*NR ..`) lives. Every block before `pc` is a full
+    /// `KC` one, a whole number of groups, so `pc` padded rows precede it.
     #[inline]
-    fn panel(&self, pc: usize, kc_block: usize, jp: usize) -> &[f32] {
-        let base = pc * self.n_padded() + jp * NR * kc_block;
-        &self.data[base..base + kc_block * NR]
+    fn panel_range(&self, pc: usize, kcb: usize, jp: usize) -> Range<usize> {
+        let len = kcb.div_ceil(K::KP) * K::KP * NR;
+        let base = pc * self.n.div_ceil(NR) * NR + jp * len;
+        base..base + len
     }
 }
 
-/// Packs a logical `k x n` matrix view into [`PackedB`] layout.
-pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
-    let n_padded = n.div_ceil(NR) * NR;
-    let mut data = vec![0.0f32; k * n_padded];
-    let mut base = 0;
-    let mut pc = 0;
-    while pc < k {
-        let kcb = KC.min(k - pc);
-        for jp in 0..n.div_ceil(NR) {
-            let j0 = jp * NR;
-            let nrb = NR.min(n - j0);
-            if b.cs == 1 {
-                for p in 0..kcb {
-                    let src = (pc + p) * b.rs + j0;
-                    data[base + p * NR..base + p * NR + nrb]
-                        .copy_from_slice(&b.data[src..src + nrb]);
-                }
-            } else {
-                for p in 0..kcb {
-                    let dst = base + p * NR;
-                    for j in 0..nrb {
-                        data[dst + j] = b.at(pc + p, j0 + j);
-                    }
-                }
-            }
-            base += kcb * NR;
-        }
-        pc += kcb;
-    }
-    PackedB { k, n, data }
-}
-
-/// Packs rows `i0 .. i0+mb` of a logical `m x k` view, depth slice
-/// `p0 .. p0+kcb`, into `MR`-row panels ordered `[panel][p][r]`,
-/// zero-padded in `r` past the last row. `buf` is resized as needed.
-fn pack_a(a: MatRef<'_>, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<f32>) {
-    let panels = mb.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * kcb * MR, 0.0);
-    for ip in 0..panels {
-        let r0 = i0 + ip * MR;
-        let mrb = MR.min(i0 + mb - r0);
-        let base = ip * kcb * MR;
-        for p in 0..kcb {
-            let dst = base + p * MR;
-            for r in 0..mrb {
-                buf[dst + r] = a.at(r0 + r, p0 + p);
-            }
-        }
-    }
-}
-
-/// The full `MR x NR` register-tile microkernel:
-/// `out[0..MR, 0..NR] += pa · pb` over `kc` depth steps. Accumulators are
-/// loaded from `out` first, so per-element accumulation chains stay
-/// identical to the naive loops.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "fma"
-)))]
-#[inline(always)]
-fn microkernel_full(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[r * ldc..r * ldc + NR]);
-    }
-    for (ap, bp) in pa[..kc * MR]
-        .chunks_exact(MR)
-        .zip(pb[..kc * NR].chunks_exact(NR))
-    {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let ar = ap[r];
-            for (c, cell) in row.iter_mut().enumerate() {
-                *cell = madd(ar, bp[c], *cell);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        out[r * ldc..r * ldc + NR].copy_from_slice(row);
-    }
-}
-
-/// AVX-512 form of the full microkernel: a 4×48 accumulator block held in
-/// twelve zmm registers, one `vfmadd231ps` per accumulator per depth step.
-/// `vfmadd` is bitwise-identical to scalar [`madd`] on FMA targets, so
-/// this kernel produces exactly the bits of the scalar form it replaces.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "fma"
-))]
-#[inline(always)]
-fn microkernel_full(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
-    use core::arch::x86_64::*;
-    assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    assert!(out.len() >= (MR - 1) * ldc + NR);
-    // SAFETY: avx512f/fma are compile-time-enabled under this cfg; all
-    // pointer arithmetic stays inside the slices per the asserts above
-    // (loadu/storeu have no alignment requirement).
-    unsafe {
-        let o = out.as_mut_ptr();
-        let mut acc = [[_mm512_setzero_ps(); 3]; MR];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, cell) in row.iter_mut().enumerate() {
-                *cell = _mm512_loadu_ps(o.add(r * ldc + v * 16));
-            }
-        }
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            let b2 = _mm512_loadu_ps(bp.add(32));
-            for (r, row) in acc.iter_mut().enumerate() {
-                let ar = _mm512_set1_ps(*ap.add(r));
-                row[0] = _mm512_fmadd_ps(ar, b0, row[0]);
-                row[1] = _mm512_fmadd_ps(ar, b1, row[1]);
-                row[2] = _mm512_fmadd_ps(ar, b2, row[2]);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, cell) in row.iter().enumerate() {
-                _mm512_storeu_ps(o.add(r * ldc + v * 16), *cell);
-            }
-        }
-    }
-}
-
-/// Edge-tile microkernel for partial tiles (`mr <= MR`, `nr <= NR`). The
-/// arithmetic runs over the full zero-padded register tile; only the valid
-/// `mr x nr` region is loaded from and stored to `out`.
-fn microkernel_edge(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    out: &mut [f32],
+/// Runs `K`'s microkernel on a partial tile (`mr <= MR`, `nr <= NR`):
+/// the valid region of `out` is copied into a zeroed `MR x NR` stack
+/// tile, the full kernel runs on that, and the region is copied back.
+/// The accumulators still start from `out` and the panels are padded so
+/// the extra lanes never reach a valid one, so each valid element sees
+/// exactly the arithmetic of a full tile.
+fn partial_tile<K: Kernel>(
+    pa: &[K::A],
+    pb: &[K::B],
+    groups: usize,
+    out: &mut [K::C],
     ldc: usize,
     mr: usize,
     nr: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut tile = [K::C::default(); MR * NR];
     for r in 0..mr {
-        acc[r][..nr].copy_from_slice(&out[r * ldc..r * ldc + nr]);
+        tile[r * NR..r * NR + nr].copy_from_slice(&out[r * ldc..r * ldc + nr]);
     }
-    for (ap, bp) in pa[..kc * MR]
-        .chunks_exact(MR)
-        .zip(pb[..kc * NR].chunks_exact(NR))
-    {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let ar = ap[r];
-            for (c, cell) in row.iter_mut().enumerate() {
-                *cell = madd(ar, bp[c], *cell);
-            }
-        }
-    }
+    K::microkernel(pa, pb, groups, &mut tile, NR);
     for r in 0..mr {
-        out[r * ldc..r * ldc + nr].copy_from_slice(&acc[r][..nr]);
+        out[r * ldc..r * ldc + nr].copy_from_slice(&tile[r * NR..r * NR + nr]);
     }
 }
 
 /// Runs the blocked kernels over output rows `row0 .. row0+rows` of a
 /// logical `m x k · k x n` product, accumulating into `out` (`out` is the
 /// caller's buffer *starting at* `row0`'s row, not the full matrix).
-fn gemm_rows(a: MatRef<'_>, pb: &PackedB, out: &mut [f32], row0: usize, rows: usize) {
+/// Each row's full depth reduction lives inside one call, so
+/// [`Kernel::finish`] applies exactly once per output whatever the
+/// parallel row split.
+fn gemm_rows<K: Kernel>(
+    a: MatRef<'_, K::Lhs>,
+    pb: &Packed<K>,
+    out: &mut [K::C],
+    row0: usize,
+    rows: usize,
+) {
     let (k, n) = (pb.k, pb.n);
     let mut pa_buf = Vec::new();
     let mut pc = 0;
     while pc < k {
         let kcb = KC.min(k - pc);
+        let groups = kcb.div_ceil(K::KP);
+        let a_panel = groups * K::KP * MR;
         let mut ic = 0;
         while ic < rows {
             let mcb = MC.min(rows - ic);
-            pack_a(a, row0 + ic, mcb, pc, kcb, &mut pa_buf);
+            K::pack_a(a, row0 + ic, mcb, pc, kcb, &mut pa_buf);
             for jp in 0..n.div_ceil(NR) {
                 let j0 = jp * NR;
                 let nrb = NR.min(n - j0);
-                let bp = pb.panel(pc, kcb, jp);
+                let bp = &pb.data[pb.panel_range(pc, kcb, jp)];
                 for ip in 0..mcb.div_ceil(MR) {
                     let r0 = ip * MR;
                     let mrb = MR.min(mcb - r0);
-                    let ap = &pa_buf[ip * kcb * MR..(ip + 1) * kcb * MR];
+                    let ap = &pa_buf[ip * a_panel..(ip + 1) * a_panel];
                     let co = (ic + r0) * n + j0;
                     if mrb == MR && nrb == NR {
-                        microkernel_full(ap, bp, kcb, &mut out[co..], n);
+                        K::microkernel(ap, bp, groups, &mut out[co..], n);
                     } else {
-                        microkernel_edge(ap, bp, kcb, &mut out[co..], n, mrb, nrb);
+                        partial_tile::<K>(ap, bp, groups, &mut out[co..], n, mrb, nrb);
                     }
                 }
             }
@@ -368,6 +313,197 @@ fn gemm_rows(a: MatRef<'_>, pb: &PackedB, out: &mut [f32], row0: usize, rows: us
         }
         pc += kcb;
     }
+    K::finish(&pb.extra, out, n);
+}
+
+/// `out[m, n] += a[m, k] · pb[k, n]` against a pre-packed right-hand
+/// side, with cache blocking and row-panel parallelism over `pool`: the
+/// one blocked driver, and for f32 the packed-weight-cache fast path
+/// ([`gemm`] with the re-packing of `b` skipped). Bit-identical to the
+/// kernel's naive oracle at any thread count.
+pub fn gemm_prepacked<K: Kernel>(
+    a: MatRef<'_, K::Lhs>,
+    pb: &Packed<K>,
+    out: &mut [K::C],
+    m: usize,
+    pool: &Pool,
+) {
+    let (k, n) = (pb.k, pb.n);
+    assert_eq!(out.len(), m * n, "gemm_prepacked: output buffer size");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let _t = acme_obs::timer!(K::TIMER, "m" => m, "k" => k, "n" => n);
+    let chunks = pool.threads().min(m.div_ceil(MC));
+    if chunks <= 1 || m * k * n < K::PARALLEL_MIN_MACS {
+        return gemm_rows(a, pb, out, 0, m);
+    }
+    // Split rows over `chunks` tasks on MC boundaries (`m > MC` here, so
+    // the first is a full `rows_per`). Each task owns a disjoint slice of
+    // `out`; per-element arithmetic is unchanged, so the result is
+    // bit-identical at any thread count.
+    let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
+    let (head, tail) = out.split_at_mut(rows_per * n);
+    pool.scope(|s| {
+        for (t, chunk) in tail.chunks_mut(rows_per * n).enumerate() {
+            let rows = chunk.len() / n;
+            s.spawn(move || gemm_rows(a, pb, chunk, (t + 1) * rows_per, rows));
+        }
+        // The caller works the first chunk itself instead of parking
+        // while a spawned task does it.
+        gemm_rows(a, pb, head, 0, rows_per);
+    });
+}
+
+/// The f32 instantiation of the engine: plain `[group = depth step]`
+/// panels, one [`madd`] per element per step.
+#[derive(Debug, Clone, Copy)]
+pub struct F32;
+
+/// An f32 matrix packed for [`gemm_prepacked`]: a panel holds
+/// `kcb * NR` floats ordered `[p][j]`.
+pub type PackedB = Packed<F32>;
+
+impl Kernel for F32 {
+    type Lhs = f32;
+    type A = f32;
+    type B = f32;
+    type C = f32;
+    type Extra = ();
+
+    const KP: usize = 1;
+    /// The pool spawns its workers per scope, and one two-task fork/join
+    /// measures 50–75 µs, so fanning out pays only once the serial
+    /// kernel time is several times that (the row-wise kernels break
+    /// even at four, see `rowwise.rs`). 2^26 multiply-adds are ≈1.7 ms
+    /// at the ≈40 G multiply-adds/s the blocked kernel sustains — some
+    /// 25 fork/joins. The margin is kept wide because two threads buy
+    /// this kernel little on the reference host even far above it
+    /// (parallel efficiency 0.6–1.0 at 512³, 2^27). No training-shape
+    /// product of the reference ViT reaches the cutoff.
+    const PARALLEL_MIN_MACS: usize = 1 << 26;
+    const TIMER: &'static str = "tensor.gemm.blocked";
+
+    fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
+        Packed::build(k, n, (), |panel, pc, kcb, j0, nrb| {
+            for p in 0..kcb {
+                let row = &mut panel[p * NR..p * NR + nrb];
+                if b.cs == 1 {
+                    let src = (pc + p) * b.rs + j0;
+                    row.copy_from_slice(&b.data[src..src + nrb]);
+                } else {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = b.at(pc + p, j0 + j);
+                    }
+                }
+            }
+        })
+    }
+
+    /// Panels are ordered `[panel][p][r]`, zero-padded in `r`.
+    fn pack_a(a: MatRef<'_>, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<f32>) {
+        let panels = mb.div_ceil(MR);
+        buf.clear();
+        buf.resize(panels * kcb * MR, 0.0);
+        for ip in 0..panels {
+            let r0 = i0 + ip * MR;
+            let mrb = MR.min(i0 + mb - r0);
+            let base = ip * kcb * MR;
+            for p in 0..kcb {
+                let dst = base + p * MR;
+                for r in 0..mrb {
+                    buf[dst + r] = a.at(r0 + r, p0 + p);
+                }
+            }
+        }
+    }
+
+    /// Accumulators are loaded from `out` first, so per-element
+    /// accumulation chains stay identical to the naive loops.
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "fma"
+    )))]
+    #[inline(always)]
+    fn microkernel(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
+        let mut acc = [[0.0f32; NR]; MR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&out[r * ldc..r * ldc + NR]);
+        }
+        for (ap, bp) in pa[..kc * MR]
+            .chunks_exact(MR)
+            .zip(pb[..kc * NR].chunks_exact(NR))
+        {
+            for (r, row) in acc.iter_mut().enumerate() {
+                let ar = ap[r];
+                for (c, cell) in row.iter_mut().enumerate() {
+                    *cell = madd(ar, bp[c], *cell);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            out[r * ldc..r * ldc + NR].copy_from_slice(row);
+        }
+    }
+
+    /// AVX-512 form of the microkernel: a 4×48 accumulator block held in
+    /// twelve zmm registers, loaded from `out` first, one `vfmadd231ps`
+    /// per accumulator per depth step. `vfmadd` is bitwise-identical to
+    /// scalar [`madd`] on FMA targets, so this kernel produces exactly
+    /// the bits of the scalar form it replaces.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "fma"
+    ))]
+    #[inline(always)]
+    fn microkernel(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
+        use core::arch::x86_64::*;
+        assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+        assert!(out.len() >= (MR - 1) * ldc + NR);
+        // SAFETY: avx512f/fma are compile-time-enabled under this cfg; all
+        // pointer arithmetic stays inside the slices per the asserts above
+        // (loadu/storeu have no alignment requirement).
+        unsafe {
+            let o = out.as_mut_ptr();
+            let mut acc = [[_mm512_setzero_ps(); 3]; MR];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, cell) in row.iter_mut().enumerate() {
+                    *cell = _mm512_loadu_ps(o.add(r * ldc + v * 16));
+                }
+            }
+            let mut ap = pa.as_ptr();
+            let mut bp = pb.as_ptr();
+            for _ in 0..kc {
+                let b0 = _mm512_loadu_ps(bp);
+                let b1 = _mm512_loadu_ps(bp.add(16));
+                let b2 = _mm512_loadu_ps(bp.add(32));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let ar = _mm512_set1_ps(*ap.add(r));
+                    row[0] = _mm512_fmadd_ps(ar, b0, row[0]);
+                    row[1] = _mm512_fmadd_ps(ar, b1, row[1]);
+                    row[2] = _mm512_fmadd_ps(ar, b2, row[2]);
+                }
+                ap = ap.add(MR);
+                bp = bp.add(NR);
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, cell) in row.iter().enumerate() {
+                    _mm512_storeu_ps(o.add(r * ldc + v * 16), *cell);
+                }
+            }
+        }
+    }
+
+    fn gemm_f32(a: &[f32], pb: &PackedB, out: &mut [f32], m: usize, pool: &Pool) {
+        gemm_prepacked(MatRef::row_major(a, pb.k), pb, out, m, pool);
+    }
+}
+
+/// Packs a logical `k x n` matrix view into [`PackedB`] layout.
+pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
+    F32::pack_b(b, k, n)
 }
 
 /// Reference kernel: the naive, dense, branch-free triple loop
@@ -416,47 +552,6 @@ pub fn gemm(
     gemm_prepacked(a, &pb, out, m, pool);
 }
 
-/// [`gemm`] with a pre-packed right-hand side (the packed-weight-cache
-/// fast path: re-packing `b` is skipped entirely).
-pub fn gemm_prepacked(a: MatRef<'_>, pb: &PackedB, out: &mut [f32], m: usize, pool: &Pool) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(out.len(), m * n, "gemm_prepacked: output buffer size");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let _t = acme_obs::timer!("tensor.gemm.blocked", "m" => m, "k" => k, "n" => n);
-    let chunks = row_chunks(m, k, n, pool);
-    if chunks <= 1 {
-        return gemm_rows(a, pb, out, 0, m);
-    }
-    // Split rows over `chunks` tasks on MC boundaries. Each task owns a
-    // disjoint slice of `out`; per-element arithmetic is unchanged, so the
-    // result is bit-identical at any thread count.
-    let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
-    pool.scope(|s| {
-        let mut iter = out.chunks_mut(rows_per * n).enumerate();
-        let first = iter.next();
-        for (t, chunk) in iter {
-            let rows = chunk.len() / n;
-            s.spawn(move || gemm_rows(a, pb, chunk, t * rows_per, rows));
-        }
-        // The caller works the first chunk itself instead of parking
-        // while a spawned task does it.
-        if let Some((_, chunk)) = first {
-            let rows = chunk.len() / n;
-            gemm_rows(a, pb, chunk, 0, rows);
-        }
-    });
-}
-
-/// How many row-panel tasks to fan out for an `m x k x n` product.
-fn row_chunks(m: usize, k: usize, n: usize, pool: &Pool) -> usize {
-    if pool.is_serial() || m * k * n < PARALLEL_MIN_FLOPS {
-        return 1;
-    }
-    pool.threads().min(m.div_ceil(MC))
-}
-
 /// Batched `out[b] += a[b] · rhs[b]` over `batch` independent
 /// `m x k · k x n` products, parallelized over the batch axis (each
 /// batch's product runs serial inside its task, keeping the k-order
@@ -473,59 +568,35 @@ pub fn gemm_batched(
     pool: &Pool,
 ) {
     assert_eq!(out.len(), batch * m * n, "gemm_batched: output buffer size");
-    if batch == 1 {
-        return gemm(
-            MatRef::row_major(a, k),
-            MatRef::row_major(b, n),
-            out,
-            m,
-            k,
-            n,
-            pool,
-        );
-    }
-    let work = batch * m * k * n;
-    if pool.is_serial() || work < PARALLEL_MIN_FLOPS {
-        for (bi, chunk) in out.chunks_exact_mut(m * n).enumerate() {
-            let av = &a[bi * m * k..(bi + 1) * m * k];
-            let bv = &b[bi * k * n..(bi + 1) * k * n];
-            gemm(
-                MatRef::row_major(av, k),
-                MatRef::row_major(bv, n),
-                chunk,
-                m,
-                k,
-                n,
-                &Pool::serial(),
-            );
-        }
+    if out.is_empty() {
         return;
     }
-    pool.scope(|s| {
-        for (bi, chunk) in out.chunks_exact_mut(m * n).enumerate() {
-            let av = &a[bi * m * k..(bi + 1) * m * k];
-            let bv = &b[bi * k * n..(bi + 1) * k * n];
-            s.spawn(move || {
-                gemm(
-                    MatRef::row_major(av, k),
-                    MatRef::row_major(bv, n),
-                    chunk,
-                    m,
-                    k,
-                    n,
-                    &Pool::serial(),
-                )
-            });
-        }
-    });
+    let product = |bi: usize, chunk: &mut [f32], pool: &Pool| {
+        let av = MatRef::row_major(&a[bi * m * k..(bi + 1) * m * k], k);
+        let bv = MatRef::row_major(&b[bi * k * n..(bi + 1) * k * n], n);
+        gemm(av, bv, chunk, m, k, n, pool);
+    };
+    if batch == 1 {
+        return product(0, out, pool);
+    }
+    let chunks = out.chunks_exact_mut(m * n).enumerate();
+    if pool.is_serial() || batch * m * k * n < F32::PARALLEL_MIN_MACS {
+        chunks.for_each(|(bi, chunk)| product(bi, chunk, &Pool::serial()));
+    } else {
+        let product = &product;
+        pool.scope(|s| {
+            chunks.for_each(|(bi, chunk)| s.spawn(move || product(bi, chunk, &Pool::serial())))
+        });
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::array::Array;
 
     /// Deterministic xorshift values in roughly [-2, 2].
-    fn fill(buf: &mut [f32], seed: u64) {
+    pub(crate) fn fill(buf: &mut [f32], seed: u64) {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         for v in buf.iter_mut() {
             s ^= s << 13;
@@ -558,7 +629,8 @@ mod tests {
     #[test]
     fn blocked_matches_naive_bitwise_across_shapes() {
         // Shapes straddling every blocking edge: unit dims, sub-tile,
-        // exact-tile, off-by-one around MR/NR/MC/KC.
+        // exact-tile, off-by-one around MR/NR/MC/KC; the last is past
+        // `PARALLEL_MIN_MACS`, so 2 and 4 threads really split its rows.
         let shapes = [
             (1, 1, 1),
             (1, 7, 1),
@@ -569,6 +641,7 @@ mod tests {
             (MC + MR - 1, KC - 1, NR * 2 - 3),
             (2 * MC + 3, KC + 5, 37),
             (65, 300, 41),
+            (2 * MC + 3, KC + 5, 512),
         ];
         for &(m, k, n) in &shapes {
             let mut a = vec![0.0; m * k];
@@ -742,5 +815,16 @@ mod tests {
             &pool,
         );
         assert!(empty.is_empty());
+        // An empty batched product is the empty (or all-zero) result at
+        // any batch count, not a zero-sized chunking.
+        for batch in [1, 2] {
+            for (m, k, n) in [(0, 3, 4), (2, 3, 0), (2, 0, 4)] {
+                let out = Array::zeros(&[batch, m, k])
+                    .batch_matmul(&Array::zeros(&[batch, k, n]))
+                    .unwrap();
+                assert_eq!(out.shape(), &[batch, m, n]);
+                assert!(out.data().iter().all(|&v| v == 0.0));
+            }
+        }
     }
 }

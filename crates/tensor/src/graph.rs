@@ -393,12 +393,12 @@ impl Graph {
             Some(&ident) if packcache::worth_caching(self.value(b)) => {
                 match self.matmul_precision {
                     Precision::F32 => {
-                        let packed = packcache::lookup_or_pack(ident, self.value(b));
-                        self.value(a).matmul_prepacked(&packed)?
+                        let packed = packcache::F32_CACHE.lookup_or_pack(ident, self.value(b));
+                        self.value(a).matmul_prepacked(&*packed)?
                     }
                     Precision::Int8 => {
-                        let packed = packcache::lookup_or_pack_i8(ident, self.value(b));
-                        self.value(a).matmul_prepacked_i8(&packed)?
+                        let packed = packcache::I8_CACHE.lookup_or_pack(ident, self.value(b));
+                        self.value(a).matmul_prepacked(&*packed)?
                     }
                 }
             }

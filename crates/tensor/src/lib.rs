@@ -53,8 +53,9 @@ pub use error::{Result, TensorError};
 /// (as `tensor.pool.*` counters), pack-cache packs
 /// (`tensor.packcache.packs` / `tensor.packcache.hits`, plus the
 /// `i8_packs` / `i8_hits` pair for the quantized side) and its size
-/// (`tensor.packcache.entries` / `tensor.packcache.cached_floats`
-/// gauges), and the mean weight-quantization error over every int8
+/// (`tensor.packcache.entries`, both dtypes, and
+/// `tensor.packcache.cached_floats`, the f32 side, as gauges), and the
+/// mean weight-quantization error over every int8
 /// pack performed (`tensor.packcache.i8_mean_quant_error`). Call at a
 /// snapshot point (end of run, before `metrics::snapshot`); the hot
 /// paths keep their dependency-free atomics, so observation costs

@@ -9,8 +9,7 @@
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
-use crate::gemm::{self, MatRef};
-use crate::qgemm;
+use crate::gemm::{self, Kernel, MatRef, Packed};
 use crate::shape::strides_for;
 
 /// Raw 2-D matmul kernel: `out[m,n] += a[m,k] * b[k,n]` over contiguous
@@ -103,6 +102,29 @@ pub(crate) fn matmul_sparse_kernel(
 }
 
 impl Array {
+    /// The `(m, k, n)` of the 2-D product `self · rhs`, `rhs_shape` being
+    /// the right operand's logical shape (packed operands have no
+    /// `Array` to ask).
+    fn matmul_dims(&self, rhs_shape: &[usize], op: &'static str) -> Result<(usize, usize, usize)> {
+        for rank in [self.rank(), rhs_shape.len()] {
+            if rank != 2 {
+                return Err(TensorError::RankMismatch {
+                    expected: 2,
+                    actual: rank,
+                    op,
+                });
+            }
+        }
+        if self.shape()[1] != rhs_shape[0] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.shape().to_vec(),
+                rhs: rhs_shape.to_vec(),
+                op,
+            });
+        }
+        Ok((self.shape()[0], self.shape()[1], rhs_shape[1]))
+    }
+
     /// Plain 2-D matrix multiplication `[m,k] x [k,n] -> [m,n]`.
     ///
     /// # Errors
@@ -110,105 +132,31 @@ impl Array {
     /// Returns [`TensorError::RankMismatch`] for non-2-D operands and
     /// [`TensorError::ShapeMismatch`] when the inner dimensions differ.
     pub fn matmul(&self, rhs: &Array) -> Result<Array> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul",
-            });
-        }
-        if rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: rhs.rank(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul",
-            });
-        }
+        let (m, k, n) = self.matmul_dims(rhs.shape(), "matmul")?;
         let mut out = Array::zeros(&[m, n]);
         matmul_kernel(self.data(), rhs.data(), out.data_mut(), m, k, n);
         Ok(out)
     }
 
     /// `self · b` where the right-hand side has already been packed into
-    /// microkernel layout (see [`crate::packcache`]). Bit-identical to
-    /// [`Array::matmul`] against the unpacked matrix; only the `O(k·n)`
-    /// packing copy is skipped.
+    /// kernel `K`'s microkernel layout (see [`crate::packcache`]). At
+    /// [`gemm::F32`] it is bit-identical to [`Array::matmul`] against the
+    /// unpacked matrix; only the `O(k·n)` packing copy is skipped. At
+    /// [`crate::qgemm::I8`] it quantizes `self` per row, runs the
+    /// i8·i8→i32 engine and dequantizes into an f32 output: bit-identical
+    /// to the scalar quantized oracle at any thread count, *not* to
+    /// [`Array::matmul`] — the quantization error is the precision trade
+    /// serving opts into.
     ///
     /// # Errors
     ///
     /// Returns the same rank/shape errors as [`Array::matmul`], with the
     /// packed operand's logical shape standing in for `rhs`.
-    pub fn matmul_prepacked(&self, packed: &gemm::PackedB) -> Result<Array> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        if k != packed.k() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: vec![packed.k(), packed.n()],
-                op: "matmul",
-            });
-        }
-        let mut out = Array::zeros(&[m, packed.n()]);
-        gemm::gemm_prepacked(
-            MatRef::row_major(self.data(), k),
-            packed,
-            out.data_mut(),
-            m,
-            &acme_runtime::global_pool(),
-        );
-        Ok(out)
-    }
-
-    /// `self · b` against a weight already quantized to int8 and packed
-    /// into microkernel layout (see [`crate::qgemm`]): quantizes `self`
-    /// per row, runs the blocked i8·i8→i32 engine, and dequantizes into
-    /// an f32 output. Bit-identical to the scalar quantized oracle at
-    /// any thread count; *not* bit-identical to [`Array::matmul`] — the
-    /// quantization error is the precision trade serving opts into.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same rank/shape errors as [`Array::matmul`], with the
-    /// packed operand's logical shape standing in for `rhs`.
-    pub fn matmul_prepacked_i8(&self, packed: &qgemm::PackedBI8) -> Result<Array> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        if k != packed.k() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: vec![packed.k(), packed.n()],
-                op: "matmul",
-            });
-        }
-        let mut out = Array::zeros(&[m, packed.n()]);
-        qgemm::gemm_i8_dequant(
-            self.data(),
-            packed,
-            out.data_mut(),
-            m,
-            &acme_runtime::global_pool(),
-        );
+    pub fn matmul_prepacked<K: Kernel>(&self, packed: &Packed<K>) -> Result<Array> {
+        let (m, _, n) = self.matmul_dims(&[packed.k(), packed.n()], "matmul")?;
+        let mut out = Array::zeros(&[m, n]);
+        let pool = acme_runtime::global_pool();
+        K::gemm_f32(self.data(), packed, out.data_mut(), m, &pool);
         Ok(out)
     }
 
@@ -221,29 +169,7 @@ impl Array {
     ///
     /// Same shape/rank errors as [`Array::matmul`].
     pub fn matmul_sparse(&self, rhs: &Array) -> Result<Array> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul_sparse",
-            });
-        }
-        if rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: rhs.rank(),
-                op: "matmul_sparse",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul_sparse",
-            });
-        }
+        let (m, k, n) = self.matmul_dims(rhs.shape(), "matmul_sparse")?;
         let mut out = Array::zeros(&[m, n]);
         matmul_sparse_kernel(self.data(), rhs.data(), out.data_mut(), m, k, n);
         Ok(out)

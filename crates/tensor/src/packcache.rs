@@ -18,9 +18,14 @@
 //! version differs from the cached entry's replaces it, so the cache can
 //! never serve stale weights: an optimizer step (which bumps the version)
 //! invalidates the packed copy automatically, while frozen parameters keep
-//! hitting. Each `(store, slot)` pair holds at most one packed buffer, so
-//! memory is bounded by the number of live weight matrices, not by the
-//! number of versions they went through.
+//! hitting. Each `(store, slot)` pair holds at most one packed buffer per
+//! dtype, and a store takes its entries with it when it is dropped
+//! ([`forget_store`]), so memory is bounded by the number of live weight
+//! matrices, not by the number of versions or clones they went through.
+//!
+//! There is one cache type, [`Cache`], instantiated once per [`Kernel`]
+//! ([`F32_CACHE`] and [`I8_CACHE`]); [`Cache::lookup_or_pack`] is the
+//! only lookup body.
 //!
 //! # Determinism
 //!
@@ -36,11 +41,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 use crate::array::Array;
-use crate::gemm::{self, PackedB};
-use crate::qgemm::{self, PackedBI8};
+use crate::gemm::{Kernel, MatRef, Packed, F32};
+use crate::qgemm::I8;
 
 /// Identity of one versioned parameter tensor, the cache key for its
 /// packed form. Obtained from the parameter store that owns the tensor
@@ -74,52 +79,54 @@ pub fn worth_caching(b: &Array) -> bool {
     b.rank() == 2 && b.len() >= MIN_CACHED_LEN
 }
 
-/// Count of packing operations actually performed (cache misses plus
-/// below-threshold packs). Tests assert this stays flat across
-/// `Graph::reset` + re-bind cycles to prove no spurious repacks.
-static PACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Total packs performed since process start (see [`PACKS`]).
-pub fn packs() -> u64 {
-    PACKS.load(Ordering::Relaxed)
-}
-
-/// Count of lookups served from the cache without repacking. The serving
-/// path's steady-state contract is "hits grow, packs stay flat".
-static HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total cache hits since process start (see [`HITS`]).
-pub fn hits() -> u64 {
-    HITS.load(Ordering::Relaxed)
-}
-
-struct Entry {
+struct Entry<K: Kernel> {
     version: u64,
-    pack: Arc<PackedB>,
+    pack: Arc<Packed<K>>,
 }
 
-fn cache() -> &'static Mutex<HashMap<(u64, u64), Entry>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u64), Entry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// The cache of one kernel instantiation: its packed weights by store,
+/// then slot — so a dropped store is forgotten without a scan of the
+/// others' entries — and its counters.
+pub struct Cache<K: Kernel> {
+    stores: Mutex<HashMap<u64, HashMap<u64, Entry<K>>>>,
+    /// Packing operations actually performed (cache misses plus
+    /// below-threshold packs). Tests assert this stays flat across
+    /// `Graph::reset` + re-bind cycles to prove no spurious repacks.
+    packs: AtomicU64,
+    /// Lookups served from the cache without repacking. The serving
+    /// path's steady-state contract is "hits grow, packs stay flat".
+    hits: AtomicU64,
+    /// Sees every pack performed.
+    on_pack: fn(&Packed<K>),
 }
 
-/// Count of int8 quantize-and-pack operations actually performed
-/// (misses plus below-threshold packs) — the quantized twin of
-/// [`PACKS`]. Serving at int8 quantizes each frozen weight once at
-/// first bind; steady state is all hits.
-static I8_PACKS: AtomicU64 = AtomicU64::new(0);
+/// The f32 cache.
+pub static F32_CACHE: LazyLock<Cache<F32>> = LazyLock::new(|| Cache::new(|_| ()));
 
-/// Total int8 packs performed since process start (see [`I8_PACKS`]).
+/// The int8 cache: serving at int8 quantizes each frozen weight once at
+/// first bind, and each pack's mean absolute quantization error feeds
+/// [`i8_mean_quant_error`].
+pub static I8_CACHE: LazyLock<Cache<I8>> =
+    LazyLock::new(|| Cache::new(|pack| record_i8_error(pack.mean_abs_error())));
+
+/// Total f32 packs performed since process start.
+pub fn packs() -> u64 {
+    F32_CACHE.packs.load(Ordering::Relaxed)
+}
+
+/// Total f32 cache hits since process start.
+pub fn hits() -> u64 {
+    F32_CACHE.hits.load(Ordering::Relaxed)
+}
+
+/// Total int8 quantize-and-pack operations since process start.
 pub fn i8_packs() -> u64 {
-    I8_PACKS.load(Ordering::Relaxed)
+    I8_CACHE.packs.load(Ordering::Relaxed)
 }
 
-/// Count of int8 lookups served from the cache without re-quantizing.
-static I8_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total int8 cache hits since process start (see [`I8_HITS`]).
+/// Total int8 cache hits since process start.
 pub fn i8_hits() -> u64 {
-    I8_HITS.load(Ordering::Relaxed)
+    I8_CACHE.hits.load(Ordering::Relaxed)
 }
 
 /// Running `(sum of per-pack mean abs error, packs)` over every int8
@@ -153,124 +160,96 @@ pub fn i8_mean_quant_error() -> f64 {
     f64::from_bits(I8_ERR_SUM_BITS.load(Ordering::Relaxed)) / n as f64
 }
 
-struct EntryI8 {
-    version: u64,
-    pack: Arc<PackedBI8>,
+impl<K: Kernel> Cache<K> {
+    fn new(on_pack: fn(&Packed<K>)) -> Self {
+        Cache {
+            stores: Mutex::default(),
+            packs: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            on_pack,
+        }
+    }
+
+    /// Every update of the map is one `insert`, `remove` or `clear`, so
+    /// it is valid even behind a poisoned lock — and `forget_store` runs
+    /// in a destructor, which must not panic.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, HashMap<u64, Entry<K>>>> {
+        self.stores.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn len(&self) -> usize {
+        self.lock().values().map(HashMap::len).sum()
+    }
+
+    /// The form of the 2-D weight matrix `b` packed for kernel `K` (for
+    /// [`I8`]: quantized per output channel, then packed) under identity
+    /// `ident`, served from the cache when the version still matches and
+    /// re-packed (and re-cached) otherwise: a mutated weight packs again,
+    /// a frozen one exactly once per process. Tiny matrices are packed
+    /// without caching.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `b` is 2-D (callers gate on rank first).
+    pub fn lookup_or_pack(&self, ident: PackIdent, b: &Array) -> Arc<Packed<K>> {
+        assert_eq!(b.rank(), 2, "packcache: weight must be 2-D");
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        let pack_now = || {
+            self.packs.fetch_add(1, Ordering::Relaxed);
+            let pack = K::pack_b(MatRef::row_major(b.data(), n), k, n);
+            (self.on_pack)(&pack);
+            Arc::new(pack)
+        };
+        if b.len() < MIN_CACHED_LEN {
+            return pack_now();
+        }
+        let mut stores = self.lock();
+        let slots = stores.entry(ident.store).or_default();
+        match slots.get(&ident.slot) {
+            Some(e) if e.version == ident.version => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(&e.pack)
+            }
+            _ => {
+                let pack = pack_now();
+                slots.insert(
+                    ident.slot,
+                    Entry {
+                        version: ident.version,
+                        pack: Arc::clone(&pack),
+                    },
+                );
+                pack
+            }
+        }
+    }
 }
 
-fn cache_i8() -> &'static Mutex<HashMap<(u64, u64), EntryI8>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u64), EntryI8>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The packed form of the 2-D weight matrix `b` under identity `ident`,
-/// served from the cache when the version still matches and re-packed
-/// (and re-cached) otherwise. Tiny matrices are packed without caching.
-///
-/// # Panics
-///
-/// Panics unless `b` is 2-D (callers gate on rank first).
-pub fn lookup_or_pack(ident: PackIdent, b: &Array) -> Arc<PackedB> {
-    assert_eq!(b.rank(), 2, "packcache: weight must be 2-D");
-    let (k, n) = (b.shape()[0], b.shape()[1]);
-    let pack_now = || {
-        PACKS.fetch_add(1, Ordering::Relaxed);
-        Arc::new(gemm::pack_b(gemm::MatRef::row_major(b.data(), n), k, n))
-    };
-    if b.len() < MIN_CACHED_LEN {
-        return pack_now();
-    }
-    let key = (ident.store, ident.slot);
-    let mut map = cache().lock().expect("packcache mutex");
-    match map.get(&key) {
-        Some(e) if e.version == ident.version => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&e.pack)
-        }
-        _ => {
-            let pack = pack_now();
-            map.insert(
-                key,
-                Entry {
-                    version: ident.version,
-                    pack: Arc::clone(&pack),
-                },
-            );
-            pack
-        }
-    }
-}
-
-/// The int8 quantized-and-packed form of the 2-D weight matrix `b`
-/// under identity `ident`: symmetric per-output-channel quantization
-/// plus panel packing (see [`crate::qgemm::pack_b_i8`]), performed once
-/// per `(store, slot, version)` and served from the quantized cache
-/// thereafter. Versioning matches [`lookup_or_pack`]: a mutated weight
-/// re-quantizes, a frozen one quantizes exactly once per process. Each
-/// pack's mean absolute quantization error feeds
-/// [`i8_mean_quant_error`].
-///
-/// # Panics
-///
-/// Panics unless `b` is 2-D (callers gate on rank first).
-pub fn lookup_or_pack_i8(ident: PackIdent, b: &Array) -> Arc<PackedBI8> {
-    assert_eq!(b.rank(), 2, "packcache: weight must be 2-D");
-    let (k, n) = (b.shape()[0], b.shape()[1]);
-    let pack_now = || {
-        I8_PACKS.fetch_add(1, Ordering::Relaxed);
-        let pack = qgemm::pack_b_i8(gemm::MatRef::row_major(b.data(), n), k, n);
-        record_i8_error(pack.mean_abs_error());
-        Arc::new(pack)
-    };
-    if b.len() < MIN_CACHED_LEN {
-        return pack_now();
-    }
-    let key = (ident.store, ident.slot);
-    let mut map = cache_i8().lock().expect("packcache i8 mutex");
-    match map.get(&key) {
-        Some(e) if e.version == ident.version => {
-            I8_HITS.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&e.pack)
-        }
-        _ => {
-            let pack = pack_now();
-            map.insert(
-                key,
-                EntryI8 {
-                    version: ident.version,
-                    pack: Arc::clone(&pack),
-                },
-            );
-            pack
-        }
-    }
+/// Drops every buffer cached for parameter store `store`, at every
+/// dtype. Stores call this when they are dropped: their id is never
+/// reused, so the entries could only sit there for good.
+pub fn forget_store(store: u64) {
+    F32_CACHE.lock().remove(&store);
+    I8_CACHE.lock().remove(&store);
 }
 
 /// Drops every cached buffer — f32 and int8 sides both (used by tests
 /// and by harnesses that want a cold-cache measurement).
 pub fn clear() {
-    cache().lock().expect("packcache mutex").clear();
-    cache_i8().lock().expect("packcache i8 mutex").clear();
+    F32_CACHE.lock().clear();
+    I8_CACHE.lock().clear();
 }
 
-/// Number of cached int8 packed matrices.
-pub fn len_i8() -> usize {
-    cache_i8().lock().expect("packcache i8 mutex").len()
-}
-
-/// Number of cached packed matrices.
+/// Number of cached packed matrices, both dtypes.
 pub fn len() -> usize {
-    cache().lock().expect("packcache mutex").len()
+    F32_CACHE.len() + I8_CACHE.len()
 }
 
-/// Total cached size in `f32`s across all entries.
+/// Total cached size in `f32`s across all f32 entries.
 pub fn cached_floats() -> usize {
-    cache()
-        .lock()
-        .expect("packcache mutex")
-        .values()
-        .map(|e| e.pack.len())
-        .sum()
+    let stores = F32_CACHE.lock();
+    let entries = stores.values().flat_map(HashMap::values);
+    entries.map(|e| e.pack.len()).sum()
 }
 
 #[cfg(test)]
@@ -294,14 +273,14 @@ mod tests {
             slot: 0,
             version: 0,
         };
-        let p1 = lookup_or_pack(id_v0, &w);
+        let p1 = F32_CACHE.lookup_or_pack(id_v0, &w);
         let h0 = hits();
-        let p2 = lookup_or_pack(id_v0, &w);
+        let p2 = F32_CACHE.lookup_or_pack(id_v0, &w);
         assert!(Arc::ptr_eq(&p1, &p2), "same version hits the cache");
         assert!(hits() > h0, "cache hit increments the hit counter");
         // A version bump replaces the entry rather than growing the map.
         let before = len();
-        let p3 = lookup_or_pack(
+        let p3 = F32_CACHE.lookup_or_pack(
             PackIdent {
                 version: 1,
                 ..id_v0
@@ -326,8 +305,8 @@ mod tests {
             slot: 7,
             version: 3,
         };
-        let pa = lookup_or_pack(a, &w);
-        let pb = lookup_or_pack(b, &w);
+        let pa = F32_CACHE.lookup_or_pack(a, &w);
+        let pb = F32_CACHE.lookup_or_pack(b, &w);
         assert!(!Arc::ptr_eq(&pa, &pb));
     }
 
@@ -340,14 +319,14 @@ mod tests {
             slot: 0,
             version: 0,
         };
-        let p1 = lookup_or_pack_i8(id, &w);
+        let p1 = I8_CACHE.lookup_or_pack(id, &w);
         let h0 = i8_hits();
-        let p2 = lookup_or_pack_i8(id, &w);
+        let p2 = I8_CACHE.lookup_or_pack(id, &w);
         assert!(Arc::ptr_eq(&p1, &p2), "same version hits the i8 cache");
         assert!(i8_hits() > h0);
-        let p3 = lookup_or_pack_i8(PackIdent { version: 1, ..id }, &w);
+        let p3 = I8_CACHE.lookup_or_pack(PackIdent { version: 1, ..id }, &w);
         assert!(!Arc::ptr_eq(&p1, &p3), "stale version re-quantizes");
-        assert!(len_i8() >= 1);
+        assert!(I8_CACHE.len() >= 1);
         assert!(i8_packs() >= 2, "miss and invalidation both pack");
         assert!(
             i8_mean_quant_error() >= 0.0,
@@ -355,7 +334,7 @@ mod tests {
         );
         // The two dtype caches are independent: an f32 pack of the same
         // ident must not collide with the i8 entry.
-        let pf = lookup_or_pack(PackIdent { version: 1, ..id }, &w);
+        let pf = F32_CACHE.lookup_or_pack(PackIdent { version: 1, ..id }, &w);
         assert_eq!((pf.k(), pf.n()), (p3.k(), p3.n()));
     }
 
@@ -368,7 +347,7 @@ mod tests {
             version: 0,
         };
         let before = len();
-        let p = lookup_or_pack(id, &w);
+        let p = F32_CACHE.lookup_or_pack(id, &w);
         assert_eq!(len(), before, "below-threshold pack is not cached");
         assert_eq!((p.k(), p.n()), (4, 4));
     }

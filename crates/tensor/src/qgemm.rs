@@ -1,5 +1,9 @@
-//! Int8 quantized GEMM: the second dtype instantiation of the blocked
-//! engine in [`crate::gemm`].
+//! Int8 quantized GEMM: [`I8`], the second [`Kernel`] instantiation of
+//! the blocked engine in [`crate::gemm`]. This file holds what is int8's
+//! own — quantization, the quad-interleaved pack layouts, the scalar and
+//! VNNI microkernels, the bias correction — and the scalar oracle; the
+//! loop nest, panel addressing, partial tiles and the row split are the
+//! generic driver's ([`gemm_prepacked`]).
 //!
 //! The pipeline is symmetric per-row quantization on both operands,
 //! exact 32-bit integer accumulation, and a single dequantization pass
@@ -30,7 +34,8 @@
 //! # Packed layout and the VNNI kernel
 //!
 //! [`PackedBI8`] stores `KC`-deep, [`NR`]-wide panels like
-//! [`crate::gemm::PackedB`], but **quad-interleaved**: four consecutive
+//! [`crate::gemm::PackedB`] (both are [`Packed`]), but
+//! **quad-interleaved** ([`Kernel::KP`]` = 4`): four consecutive
 //! depth steps of one column sit adjacent as four `i8`s, exactly the
 //! operand shape of `vpdpbusd` (AVX-512 VNNI), which multiplies 64
 //! byte pairs and accumulates 16 `i32` lanes in one instruction — four
@@ -48,7 +53,7 @@
 
 use acme_runtime::Pool;
 
-use crate::gemm::{MatRef, KC, MC, MR, NR};
+use crate::gemm::{gemm_prepacked, Kernel, MatRef, Packed, MR, NR};
 
 /// Quantized values live in `[-QMAX, QMAX]`; the symmetric range keeps
 /// `-q` representable so sign-flipped inputs quantize to flipped codes.
@@ -204,17 +209,21 @@ pub fn dequantize_acc(acc: &[i32], sa: &[f32], sb: &[f32], out: &mut [f32], m: u
 /// Depth steps consumed per microkernel iteration (one `i8` quad).
 const KP: usize = 4;
 
+/// The int8 instantiation of the engine: quad-interleaved panels, `u8`
+/// activation codes against `i8` weight codes, `i32` accumulation.
+#[derive(Debug, Clone, Copy)]
+pub struct I8;
+
 /// A weight matrix quantized to int8 and packed into quad-interleaved,
 /// `NR`-wide column panels for the VNNI microkernel (see the module
-/// docs for the layout). Carries the per-output-channel scales, the
-/// premultiplied `u8`-bias corrections, and the mean absolute
-/// quantization error of the weights it encodes.
+/// docs for the layout), with its [`Quant`] side data.
+pub type PackedBI8 = Packed<I8>;
+
+/// What an int8-packed weight carries beside its panels: the
+/// per-output-channel scales, the premultiplied `u8`-bias corrections,
+/// and the mean absolute quantization error of the weights it encodes.
 #[derive(Debug, Clone)]
-pub struct PackedBI8 {
-    k: usize,
-    n: usize,
-    /// Quad-interleaved panels of int8 codes.
-    data: Vec<i8>,
+pub struct Quant {
     /// One scale per output channel (column of the logical `[k, n]`).
     scales: Vec<f32>,
     /// `128 · Σ_k qb[k, j]` per output channel (wrapping i32): the
@@ -225,313 +234,217 @@ pub struct PackedBI8 {
     mean_abs_error: f32,
 }
 
-impl PackedBI8 {
-    /// Depth (rows) of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Columns (output channels) of the packed matrix.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Packed size in bytes (for cache accounting).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the packed buffer is empty (`k == 0` or `n == 0`).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
+impl Packed<I8> {
     /// Per-output-channel dequantization scales.
     pub fn scales(&self) -> &[f32] {
-        &self.scales
+        &self.extra.scales
     }
 
     /// Mean absolute quantization error of the encoded weights.
     pub fn mean_abs_error(&self) -> f32 {
-        self.mean_abs_error
+        self.extra.mean_abs_error
+    }
+}
+
+impl Kernel for I8 {
+    type Lhs = i8;
+    type A = u8;
+    type B = i8;
+    type C = i32;
+    type Extra = Quant;
+
+    const KP: usize = KP;
+    /// The int8 kernel retires 2.1–2.7x the multiply-adds per second of
+    /// the f32 one, so the same ≈1.5 ms of serial kernel time — some 20
+    /// fork/joins of 50–75 µs, the margin `F32::PARALLEL_MIN_MACS`
+    /// keeps — is twice the work.
+    const PARALLEL_MIN_MACS: usize = 1 << 27;
+    const TIMER: &'static str = "tensor.gemm.i8";
+
+    /// Quantizes the weight view per output channel, then packs the
+    /// codes `[quad][column][4]`.
+    fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedBI8 {
+        let (q, scales) = quantize_cols(b, k, n);
+        // One pass over the codes for the quantization error and the
+        // per-output-channel bias corrections of the `u8` activation
+        // trick: `128 · Σ_k qb[k, j]`, accumulated with the same wrapping
+        // i32 arithmetic the kernels use.
+        let mut err_sum = 0.0f64;
+        let mut col_bias = vec![0i32; n];
+        for p in 0..k {
+            for (j, bias) in col_bias.iter_mut().enumerate() {
+                let code = q[p * n + j];
+                err_sum += (code as f32 * scales[j] - b.at(p, j)).abs() as f64;
+                *bias = bias.wrapping_add(code as i32);
+            }
+        }
+        for bias in &mut col_bias {
+            *bias = bias.wrapping_mul(128);
+        }
+        let mean_abs_error = (err_sum / (k * n).max(1) as f64) as f32;
+
+        let quant = Quant {
+            scales,
+            col_bias,
+            mean_abs_error,
+        };
+        Packed::build(k, n, quant, |panel, pc, kcb, j0, nrb| {
+            for p4 in 0..kcb.div_ceil(KP) {
+                let row0 = pc + p4 * KP;
+                let dst = p4 * NR * KP;
+                // Depth tail stays zero-padded: a zero weight byte
+                // contributes exact zero whatever the activation byte.
+                for j in 0..nrb {
+                    for t in 0..KP.min(pc + kcb - row0) {
+                        panel[dst + j * KP + t] = q[(row0 + t) * n + j0 + j];
+                    }
+                }
+            }
+        })
     }
 
-    /// Padded column count (multiple of [`NR`]).
-    fn n_padded(&self) -> usize {
-        self.n.div_ceil(NR) * NR
-    }
-
-    /// The panel of depth block `pc` (`kcb` deep) and column panel `jp`:
-    /// `kcb.div_ceil(4) * NR * 4` bytes, `[quad][column][4]` ordered.
-    #[inline]
-    fn panel(&self, pc: usize, kcb: usize, jp: usize) -> &[i8] {
-        // Depth blocks before `pc` are all full KC blocks.
-        let quads_before = (pc / KC) * KC.div_ceil(KP);
+    /// Panels are ordered `[panel][quad][row][4]`, each code biased by
+    /// `+128` into `u8` for the `vpdpbusd` operand shape. Padding (past
+    /// the last row or the depth tail) stays at the biased zero `0x80`;
+    /// tail products still vanish because the weight panel pads with
+    /// zero bytes.
+    fn pack_a(a: MatRef<'_, i8>, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<u8>) {
+        let panels = mb.div_ceil(MR);
         let kcp = kcb.div_ceil(KP);
-        let base = quads_before * self.n_padded() * KP + jp * NR * kcp * KP;
-        &self.data[base..base + kcp * NR * KP]
+        buf.clear();
+        buf.resize(panels * kcp * MR * KP, 0x80);
+        for ip in 0..panels {
+            let r0 = i0 + ip * MR;
+            let mrb = MR.min(i0 + mb - r0);
+            let base = ip * kcp * MR * KP;
+            for p4 in 0..kcp {
+                let c0 = p0 + p4 * KP;
+                let dst = base + p4 * MR * KP;
+                for r in 0..mrb {
+                    for t in 0..KP.min(p0 + kcb - c0) {
+                        buf[dst + r * KP + t] = (a.at(r0 + r, c0 + t) as u8) ^ 0x80;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scalar form: `pa` carries `+128`-biased `u8` codes ([`Self::finish`]
+    /// subtracts the per-column bias after the depth loop). Each quad dot
+    /// product (`4 · 255 · 127`) fits `i32` exactly, matching
+    /// `vpdpbusd`'s internal arithmetic, and the accumulator wraps
+    /// identically — the two kernels are bit-interchangeable.
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512vnni"
+    )))]
+    #[inline(always)]
+    fn microkernel(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
+        let mut acc = [[0i32; NR]; MR];
+        for (ap, bp) in pa[..kcp * MR * KP]
+            .chunks_exact(MR * KP)
+            .zip(pb[..kcp * NR * KP].chunks_exact(NR * KP))
+        {
+            for (r, row) in acc.iter_mut().enumerate() {
+                let a = &ap[r * KP..(r + 1) * KP];
+                for (c, cell) in row.iter_mut().enumerate() {
+                    let b = &bp[c * KP..(c + 1) * KP];
+                    let mut dot = 0i32;
+                    for t in 0..KP {
+                        dot += a[t] as i32 * b[t] as i32;
+                    }
+                    *cell = cell.wrapping_add(dot);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                let o = &mut out[r * ldc + c];
+                *o = o.wrapping_add(v);
+            }
+        }
+    }
+
+    /// AVX-512 VNNI form: a 4×48 i32 accumulator block in twelve zmm
+    /// registers, one `vpdpbusd` (64 byte multiplies + 16 i32
+    /// accumulates) per accumulator per depth *quad* — four times the
+    /// multiply-add density of the f32 FMA kernel. The four per-lane
+    /// byte products each fit `i16` (`255 · 127`), their sum accumulates
+    /// into `i32` without saturation, and integer accumulation wraps
+    /// exactly like the scalar form, so the result is bit-identical to it.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512vnni"
+    ))]
+    #[inline(always)]
+    fn microkernel(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
+        use core::arch::x86_64::*;
+        assert!(pa.len() >= kcp * MR * KP && pb.len() >= kcp * NR * KP);
+        assert!(out.len() >= (MR - 1) * ldc + NR);
+        // SAFETY: avx512f/avx512vnni are compile-time-enabled under this
+        // cfg; all pointer arithmetic stays inside the slices per the
+        // asserts above, and every multi-byte access goes through
+        // unaligned loads/stores.
+        unsafe {
+            let o = out.as_mut_ptr();
+            let mut acc = [[_mm512_setzero_si512(); 3]; MR];
+            let mut ap = pa.as_ptr() as *const i32; // one u8 quad per i32
+            let mut bp = pb.as_ptr() as *const i32;
+            for _ in 0..kcp {
+                let b0 = _mm512_loadu_si512(bp as *const __m512i);
+                let b1 = _mm512_loadu_si512(bp.add(16) as *const __m512i);
+                let b2 = _mm512_loadu_si512(bp.add(32) as *const __m512i);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let a = _mm512_set1_epi32(core::ptr::read_unaligned(ap.add(r)));
+                    row[0] = _mm512_dpbusd_epi32(row[0], a, b0);
+                    row[1] = _mm512_dpbusd_epi32(row[1], a, b1);
+                    row[2] = _mm512_dpbusd_epi32(row[2], a, b2);
+                }
+                ap = ap.add(MR);
+                bp = bp.add(NR);
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, cell) in row.iter().enumerate() {
+                    let dst = o.add(r * ldc + v * 16);
+                    let prev = _mm512_loadu_si512(dst as *const __m512i);
+                    _mm512_storeu_si512(dst as *mut __m512i, _mm512_add_epi32(prev, *cell));
+                }
+            }
+        }
+    }
+
+    /// Subtracts the per-column `u8`-bias surplus so the result equals
+    /// the pure `Σ qa·qb` the oracle computes.
+    fn finish(quant: &Quant, out: &mut [i32], n: usize) {
+        for out_row in out.chunks_exact_mut(n) {
+            for (o, &bias) in out_row.iter_mut().zip(&quant.col_bias) {
+                *o = o.wrapping_sub(bias);
+            }
+        }
+    }
+
+    /// Per-row quantization of `a`, the blocked int8 engine, and the
+    /// shared dequantization into `out`.
+    fn gemm_f32(a: &[f32], pb: &PackedBI8, out: &mut [f32], m: usize, pool: &Pool) {
+        let (k, n) = (pb.k(), pb.n());
+        assert_eq!(a.len(), m * k, "gemm_i8_dequant: lhs size");
+        assert_eq!(out.len(), m * n, "gemm_i8_dequant: output size");
+        if m == 0 || n == 0 {
+            return;
+        }
+        let (qa, sa) = quantize_rows(a, m, k);
+        let mut acc = vec![0i32; m * n];
+        gemm_i8_prepacked(&qa, pb, &mut acc, m, pool);
+        dequantize_acc(&acc, &sa, pb.scales(), out, m, n);
     }
 }
 
 /// Quantizes a logical `k x n` weight view per output channel and packs
 /// it into [`PackedBI8`] layout.
 pub fn pack_b_i8(b: MatRef<'_>, k: usize, n: usize) -> PackedBI8 {
-    let (q, scales) = quantize_cols(b, k, n);
-    // Quantization error before the codes are consumed by packing.
-    let mut err_sum = 0.0f64;
-    for p in 0..k {
-        for j in 0..n {
-            let deq = q[p * n + j] as f32 * scales[j];
-            err_sum += (deq - b.at(p, j)).abs() as f64;
-        }
-    }
-    let mean_abs_error = if k * n > 0 {
-        (err_sum / (k * n) as f64) as f32
-    } else {
-        0.0
-    };
-
-    // Per-output-channel bias corrections for the `u8` activation trick:
-    // `128 · Σ_k qb[k, j]`, accumulated with the same wrapping i32
-    // arithmetic the kernels use.
-    let mut col_bias = vec![0i32; n];
-    for p in 0..k {
-        for (j, bias) in col_bias.iter_mut().enumerate() {
-            *bias = bias.wrapping_add(q[p * n + j] as i32);
-        }
-    }
-    for bias in &mut col_bias {
-        *bias = bias.wrapping_mul(128);
-    }
-
-    let n_panels = n.div_ceil(NR);
-    let total_quads: usize = {
-        let mut t = 0;
-        let mut pc = 0;
-        while pc < k {
-            let kcb = KC.min(k - pc);
-            t += kcb.div_ceil(KP);
-            pc += kcb;
-        }
-        t
-    };
-    let mut data = vec![0i8; total_quads * n_panels * NR * KP];
-    let mut base = 0;
-    let mut pc = 0;
-    while pc < k {
-        let kcb = KC.min(k - pc);
-        let kcp = kcb.div_ceil(KP);
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let nrb = NR.min(n - j0);
-            for p4 in 0..kcp {
-                let row0 = pc + p4 * KP;
-                let dst = base + p4 * NR * KP;
-                // Depth tail stays zero-padded: a zero weight byte
-                // contributes exact zero whatever the activation byte.
-                for j in 0..nrb {
-                    for t in 0..KP.min(pc + kcb - row0) {
-                        data[dst + j * KP + t] = q[(row0 + t) * n + j0 + j];
-                    }
-                }
-            }
-            base += kcp * NR * KP;
-        }
-        pc += kcb;
-    }
-    PackedBI8 {
-        k,
-        n,
-        data,
-        scales,
-        col_bias,
-        mean_abs_error,
-    }
-}
-
-/// Packs rows `i0 .. i0+mb` of the row-major int8 activation matrix
-/// (depth slice `p0 .. p0+kcb`) into `MR`-row, quad-interleaved panels
-/// ordered `[panel][quad][row][4]`, biasing each code by `+128` into
-/// `u8` for the `vpdpbusd` operand shape. Padding (past the last row or
-/// the depth tail) stays at the biased zero `0x80`; tail products still
-/// vanish because the weight panel pads with zero bytes. `buf` is
-/// resized as needed.
-fn pack_a_i8(qa: &[i8], k: usize, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<u8>) {
-    let panels = mb.div_ceil(MR);
-    let kcp = kcb.div_ceil(KP);
-    buf.clear();
-    buf.resize(panels * kcp * MR * KP, 0x80);
-    for ip in 0..panels {
-        let r0 = i0 + ip * MR;
-        let mrb = MR.min(i0 + mb - r0);
-        let base = ip * kcp * MR * KP;
-        for p4 in 0..kcp {
-            let c0 = p0 + p4 * KP;
-            let dst = base + p4 * MR * KP;
-            for r in 0..mrb {
-                for t in 0..KP.min(p0 + kcb - c0) {
-                    buf[dst + r * KP + t] = (qa[(r0 + r) * k + c0 + t] as u8) ^ 0x80;
-                }
-            }
-        }
-    }
-}
-
-/// Scalar `MR x NR` int8 microkernel: `out += pa · pb` over `kcp` depth
-/// quads, accumulating in `i32`. `pa` carries `+128`-biased `u8` codes
-/// (the caller subtracts the per-column bias after the depth loop).
-/// Each quad dot product (`4 · 255 · 127`) fits `i32` exactly, matching
-/// `vpdpbusd`'s internal arithmetic, and the accumulator wraps
-/// identically — the two kernels are bit-interchangeable.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "avx512vnni"
-)))]
-#[inline(always)]
-fn microkernel_i8_full(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
-    let mut acc = [[0i32; NR]; MR];
-    for (ap, bp) in pa[..kcp * MR * KP]
-        .chunks_exact(MR * KP)
-        .zip(pb[..kcp * NR * KP].chunks_exact(NR * KP))
-    {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a = &ap[r * KP..(r + 1) * KP];
-            for (c, cell) in row.iter_mut().enumerate() {
-                let b = &bp[c * KP..(c + 1) * KP];
-                let mut dot = 0i32;
-                for t in 0..KP {
-                    dot += a[t] as i32 * b[t] as i32;
-                }
-                *cell = cell.wrapping_add(dot);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            let o = &mut out[r * ldc + c];
-            *o = o.wrapping_add(v);
-        }
-    }
-}
-
-/// AVX-512 VNNI form of the int8 microkernel: a 4×48 i32 accumulator
-/// block in twelve zmm registers, one `vpdpbusd` (64 byte multiplies +
-/// 16 i32 accumulates) per accumulator per depth *quad* — four times
-/// the multiply-add density of the f32 FMA kernel. The four per-lane
-/// byte products each fit `i16` (`255 · 127`), their sum accumulates
-/// into `i32` without saturation, and integer accumulation wraps
-/// exactly like the scalar form, so the result is bit-identical to it.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "avx512vnni"
-))]
-#[inline(always)]
-fn microkernel_i8_full(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
-    use core::arch::x86_64::*;
-    assert!(pa.len() >= kcp * MR * KP && pb.len() >= kcp * NR * KP);
-    assert!(out.len() >= (MR - 1) * ldc + NR);
-    // SAFETY: avx512f/avx512vnni are compile-time-enabled under this
-    // cfg; all pointer arithmetic stays inside the slices per the
-    // asserts above, and every multi-byte access goes through
-    // unaligned loads/stores.
-    unsafe {
-        let o = out.as_mut_ptr();
-        let mut acc = [[_mm512_setzero_si512(); 3]; MR];
-        let mut ap = pa.as_ptr() as *const i32; // one u8 quad per i32
-        let mut bp = pb.as_ptr() as *const i32;
-        for _ in 0..kcp {
-            let b0 = _mm512_loadu_si512(bp as *const __m512i);
-            let b1 = _mm512_loadu_si512(bp.add(16) as *const __m512i);
-            let b2 = _mm512_loadu_si512(bp.add(32) as *const __m512i);
-            for (r, row) in acc.iter_mut().enumerate() {
-                let a = _mm512_set1_epi32(core::ptr::read_unaligned(ap.add(r)));
-                row[0] = _mm512_dpbusd_epi32(row[0], a, b0);
-                row[1] = _mm512_dpbusd_epi32(row[1], a, b1);
-                row[2] = _mm512_dpbusd_epi32(row[2], a, b2);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, cell) in row.iter().enumerate() {
-                let dst = o.add(r * ldc + v * 16);
-                let prev = _mm512_loadu_si512(dst as *const __m512i);
-                _mm512_storeu_si512(dst as *mut __m512i, _mm512_add_epi32(prev, *cell));
-            }
-        }
-    }
-}
-
-/// Edge-tile int8 microkernel for partial tiles (`mr <= MR`,
-/// `nr <= NR`): the full-tile kernel runs over a zero-initialized
-/// `MR x NR` scratch tile (padded lanes contribute exact zeros, and the
-/// packed panels are zero-padded, so the arithmetic is identical to the
-/// full path — VNNI-accelerated when the full kernel is), then only the
-/// valid `mr x nr` region is accumulated into `out`.
-fn microkernel_i8_edge(
-    pa: &[u8],
-    pb: &[i8],
-    kcp: usize,
-    out: &mut [i32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut tile = [0i32; MR * NR];
-    microkernel_i8_full(pa, pb, kcp, &mut tile, NR);
-    for r in 0..mr {
-        for c in 0..nr {
-            let o = &mut out[r * ldc + c];
-            *o = o.wrapping_add(tile[r * NR + c]);
-        }
-    }
-}
-
-/// Runs the blocked int8 kernels over output rows `row0 .. row0+rows`,
-/// accumulating into `out` (the caller's buffer starting at `row0`),
-/// then subtracts the per-column `u8`-bias surplus so the result equals
-/// the pure `Σ qa·qb` the oracle computes. Each row's full depth
-/// reduction lives inside one call, so the correction applies exactly
-/// once per output whatever the parallel row split.
-fn gemm_i8_rows(qa: &[i8], pb: &PackedBI8, out: &mut [i32], row0: usize, rows: usize) {
-    let (k, n) = (pb.k, pb.n);
-    let mut pa_buf: Vec<u8> = Vec::new();
-    let mut pc = 0;
-    while pc < k {
-        let kcb = KC.min(k - pc);
-        let kcp = kcb.div_ceil(KP);
-        let mut ic = 0;
-        while ic < rows {
-            let mcb = MC.min(rows - ic);
-            pack_a_i8(qa, k, row0 + ic, mcb, pc, kcb, &mut pa_buf);
-            for jp in 0..n.div_ceil(NR) {
-                let j0 = jp * NR;
-                let nrb = NR.min(n - j0);
-                let bp = pb.panel(pc, kcb, jp);
-                for ip in 0..mcb.div_ceil(MR) {
-                    let r0 = ip * MR;
-                    let mrb = MR.min(mcb - r0);
-                    let ap = &pa_buf[ip * kcp * MR * KP..(ip + 1) * kcp * MR * KP];
-                    let co = (ic + r0) * n + j0;
-                    if mrb == MR && nrb == NR {
-                        microkernel_i8_full(ap, bp, kcp, &mut out[co..], n);
-                    } else {
-                        microkernel_i8_edge(ap, bp, kcp, &mut out[co..], n, mrb, nrb);
-                    }
-                }
-            }
-            ic += mcb;
-        }
-        pc += kcb;
-    }
-    for r in 0..rows {
-        let out_row = &mut out[r * n..(r + 1) * n];
-        for (o, &bias) in out_row.iter_mut().zip(&pb.col_bias) {
-            *o = o.wrapping_sub(bias);
-        }
-    }
+    I8::pack_b(b, k, n)
 }
 
 /// Reference kernel and bitwise oracle: the naive triple loop over the
@@ -553,82 +466,27 @@ pub fn gemm_i8_naive(qa: &[i8], qb: &[i8], out: &mut [i32], m: usize, k: usize, 
     }
 }
 
-/// Work below which the driver stays on the calling thread. The int8
-/// kernel retires 2.1–2.7x the multiply-adds per second of the f32 one,
-/// so the same ≈1.5 ms of serial kernel time — some 20 fork/joins of
-/// 50–75 µs, the margin `gemm.rs: PARALLEL_MIN_FLOPS` keeps — is twice
-/// the work.
-const PARALLEL_MIN_MACS: usize = 1 << 27;
-
 /// `out[m, n] += qa[m, k] · pb[k, n]` over int8 operands with i32
-/// accumulation: cache blocking, packing, and row-panel parallelism over
-/// `pool`. Bit-identical to [`gemm_i8_naive`] on the same quantized
+/// accumulation: the blocked driver ([`gemm_prepacked`]) on a row-major
+/// lhs. Bit-identical to [`gemm_i8_naive`] on the same quantized
 /// operands at any thread count.
 pub fn gemm_i8_prepacked(qa: &[i8], pb: &PackedBI8, out: &mut [i32], m: usize, pool: &Pool) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(qa.len(), m * k, "gemm_i8_prepacked: lhs size");
-    assert_eq!(out.len(), m * n, "gemm_i8_prepacked: output size");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let _t = acme_obs::timer!("tensor.gemm.i8", "m" => m, "k" => k, "n" => n);
-    let work = m * k * n;
-    let chunks = if pool.is_serial() || work < PARALLEL_MIN_MACS {
-        1
-    } else {
-        pool.threads().min(m.div_ceil(MC))
-    };
-    if chunks <= 1 {
-        return gemm_i8_rows(qa, pb, out, 0, m);
-    }
-    // Disjoint row panels on MC boundaries; integer accumulation makes
-    // any split bit-identical by construction.
-    let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
-    pool.scope(|s| {
-        let mut iter = out.chunks_mut(rows_per * n).enumerate();
-        let first = iter.next();
-        for (t, chunk) in iter {
-            let rows = chunk.len() / n;
-            s.spawn(move || gemm_i8_rows(qa, pb, chunk, t * rows_per, rows));
-        }
-        if let Some((_, chunk)) = first {
-            let rows = chunk.len() / n;
-            gemm_i8_rows(qa, pb, chunk, 0, rows);
-        }
-    });
+    assert_eq!(qa.len(), m * pb.k(), "gemm_i8_prepacked: lhs size");
+    gemm_prepacked(MatRef::row_major(qa, pb.k()), pb, out, m, pool);
 }
 
 /// The full quantized product for an f32 activation block against a
-/// pre-packed int8 weight: per-row quantization of `a`, the blocked
-/// int8 engine, and the shared dequantization into `out`. This is the
-/// serving fast path behind `Array::matmul_prepacked_i8`.
+/// pre-packed int8 weight ([`I8`]'s [`Kernel::gemm_f32`]): the serving
+/// fast path behind `Array::matmul_prepacked`.
 pub fn gemm_i8_dequant(a: &[f32], pb: &PackedBI8, out: &mut [f32], m: usize, pool: &Pool) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(a.len(), m * k, "gemm_i8_dequant: lhs size");
-    assert_eq!(out.len(), m * n, "gemm_i8_dequant: output size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let (qa, sa) = quantize_rows(a, m, k);
-    let mut acc = vec![0i32; m * n];
-    gemm_i8_prepacked(&qa, pb, &mut acc, m, pool);
-    dequantize_acc(&acc, &sa, &pb.scales, out, m, n);
+    I8::gemm_f32(a, pb, out, m, pool);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic xorshift values in roughly [-2, 2].
-    fn fill(buf: &mut [f32], seed: u64) {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        for v in buf.iter_mut() {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            *v = ((s >> 40) as f32 / (1u64 << 22) as f32) - 2.0;
-        }
-    }
+    use crate::gemm::tests::fill;
+    use crate::gemm::{KC, MC};
 
     /// The scalar quantized oracle: shared quantization, naive i32
     /// product, shared dequantization.
@@ -645,7 +503,9 @@ mod tests {
     #[test]
     fn blocked_matches_naive_bitwise_across_shapes() {
         // Shapes straddling every blocking edge, including odd depths
-        // (the quad-interleaved layout zero-pads the depth tail).
+        // (the quad-interleaved layout zero-pads the depth tail); the
+        // last is past `PARALLEL_MIN_MACS`, so 2 and 4 threads really
+        // split its rows.
         let shapes = [
             (1, 1, 1),
             (1, 7, 1),
@@ -656,6 +516,7 @@ mod tests {
             (MC + MR - 1, KC - 1, NR * 2 - 3),
             (2 * MC + 3, KC + 5, 37),
             (65, 301, 41),
+            (2 * MC + 3, 2 * KC + 5, 512),
         ];
         for &(m, k, n) in &shapes {
             let mut a = vec![0.0; m * k];

@@ -67,12 +67,14 @@ cargo build --workspace --release "${CARGO_FLAGS[@]}"
 step "cargo test (release)"
 cargo test --workspace --release -q "${CARGO_FLAGS[@]}"
 
-step "int8 oracle matrix (quantized GEMM vs scalar oracle, 1/2/4 threads)"
-# The quantized engine must be bit-identical to the scalar i32 oracle at
-# every thread count — unit matrix plus the property tests; run them on
-# their own so a VNNI/layout regression is attributable at a glance.
-cargo test -p acme-tensor --release --lib "${CARGO_FLAGS[@]}" -q qgemm
-cargo test -p acme-tensor --release --test qgemm_props -q "${CARGO_FLAGS[@]}"
+step "GEMM oracle matrix (f32 and int8 engine vs naive oracles, 1/2/4 threads)"
+# Both instantiations of the blocked driver must be bit-identical to
+# their scalar oracle at every thread count — the unit shape matrices
+# (`gemm` matches the gemm:: and qgemm:: tests) plus the one property
+# file; run them on their own so a pack-layout or microkernel regression
+# in either dtype is attributable at a glance.
+cargo test -p acme-tensor --release --lib "${CARGO_FLAGS[@]}" -q gemm
+cargo test -p acme-tensor --release --test gemm_props -q "${CARGO_FLAGS[@]}"
 
 step "fault-matrix smoke (release, real timers)"
 # The fault matrix exercises recv timeouts, retransmission, and
