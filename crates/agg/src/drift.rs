@@ -11,7 +11,10 @@
 //! The threshold is `mean + sigma·std` of the warmup distances, floored
 //! at `min_threshold`. The floor is what makes constant (drift-free)
 //! streams safe: their warmup distances are exactly zero, so without the
-//! floor any rounding jitter would trigger. Everything is sequential and
+//! floor any rounding jitter would trigger. A NaN or infinite observation
+//! is dropped and counted ([`DriftDetector::non_finite_dropped`]), never
+//! stored: one would poison every distance of its window, or of the
+//! whole run if it landed in the reference. Everything is sequential and
 //! allocation-light; a fleet of detectors run under a worker pool is
 //! bit-identical at any thread count because each detector owns its
 //! stream.
@@ -123,6 +126,7 @@ pub struct DriftDetector {
     over_threshold_streak: usize,
     drifted: bool,
     observed: u64,
+    non_finite: u64,
 }
 
 impl DriftDetector {
@@ -143,14 +147,21 @@ impl DriftDetector {
             over_threshold_streak: 0,
             drifted: false,
             observed: 0,
+            non_finite: 0,
         })
     }
 
     /// Feeds one scalar observation; returns the verdict for this step.
     /// Window distances are only computed when a window completes, so
-    /// all but every `window`-th call return in O(1).
+    /// all but every `window`-th call return in O(1). A NaN or infinite
+    /// `x` is dropped: it enters no window and returns
+    /// [`DriftStatus::Filling`].
     pub fn observe(&mut self, x: f32) -> DriftStatus {
         self.observed += 1;
+        if !x.is_finite() {
+            self.non_finite += 1;
+            return DriftStatus::Filling;
+        }
         if self.reference.len() < self.cfg.window {
             self.reference.push(x);
             return DriftStatus::Filling;
@@ -160,7 +171,7 @@ impl DriftDetector {
             return DriftStatus::Filling;
         }
         let distance = wasserstein_1d_samples(&self.buf, &self.reference)
-            .expect("reference and buffer windows are full and non-empty");
+            .expect("both windows are full and hold only finite observations");
         self.buf.clear();
         match self.threshold {
             None => {
@@ -220,15 +231,20 @@ impl DriftDetector {
         self.drifted
     }
 
-    /// Total observations fed in so far.
+    /// Total observations fed in so far, dropped ones included.
     pub fn observations(&self) -> u64 {
         self.observed
+    }
+
+    /// How many of those observations were NaN or infinite and dropped.
+    pub fn non_finite_dropped(&self) -> u64 {
+        self.non_finite
     }
 
     /// Re-anchors the detector after re-customization: drops the
     /// reference, calibration, and drift flag so the detector re-learns
     /// the post-adaptation distribution from scratch. The observation
-    /// counter is preserved (it meters detection latency).
+    /// counters are preserved (they meter detection latency).
     pub fn rebase(&mut self) {
         self.reference.clear();
         self.buf.clear();
@@ -388,6 +404,33 @@ mod tests {
             assert!(!matches!(s, DriftStatus::Drifted { .. }));
         }
         assert!(!det.has_drifted());
+    }
+
+    #[test]
+    fn non_finite_observations_are_dropped_and_counted() {
+        // Regression: a NaN panicked inside the distance's sort at the
+        // next window boundary. Dropped, the verdicts are those of the
+        // same stream without the bad observations.
+        let stream: Vec<f32> = (0..96)
+            .map(|i| if i < 48 { 0.0 } else { 5.0 } + (i % 7) as f32 * 0.01)
+            .collect();
+        let mut clean = DriftDetector::new(cfg_small()).unwrap();
+        let expected = feed(&mut clean, stream.iter().copied());
+        assert!(clean.has_drifted());
+
+        let mut det = DriftDetector::new(cfg_small()).unwrap();
+        let mut verdicts = Vec::new();
+        for (i, &x) in stream.iter().enumerate() {
+            if i % 5 == 0 {
+                let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+                assert_eq!(det.observe(bad), DriftStatus::Filling);
+            }
+            verdicts.push(det.observe(x));
+        }
+        assert_eq!(verdicts, expected);
+        assert_eq!(det.non_finite_dropped(), 20);
+        assert_eq!(det.observations(), 96 + 20);
+        assert_eq!(clean.non_finite_dropped(), 0);
     }
 
     #[test]

@@ -21,6 +21,10 @@ pub enum MetricError {
         /// Sample count of the right set.
         right: usize,
     },
+    /// A sample — or a feature row projected onto a direction — is NaN
+    /// or infinite. The quantile coupling sorts its samples, and one
+    /// value without an order has no quantile.
+    NonFinite,
     /// Histogram supports have different lengths.
     LengthMismatch {
         /// Bin count of the left histogram.
@@ -73,6 +77,9 @@ impl std::fmt::Display for MetricError {
                  (left {left}, right {right})",
                 left.max(right)
             ),
+            MetricError::NonFinite => {
+                write!(f, "1-Wasserstein of a NaN or infinite sample is undefined")
+            }
             MetricError::LengthMismatch { left, right } => {
                 write!(f, "histogram length mismatch: {left} vs {right} bins")
             }
@@ -113,6 +120,7 @@ mod tests {
     fn displays_are_informative() {
         let e = MetricError::EmptyWindow { left: 0, right: 5 };
         assert!(e.to_string().contains("empty window"));
+        assert!(MetricError::NonFinite.to_string().contains("NaN"));
         assert!(MetricError::LengthMismatch { left: 3, right: 4 }
             .to_string()
             .contains("3 vs 4"));

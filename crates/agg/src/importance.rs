@@ -131,6 +131,10 @@ pub fn aggregate_importance(
 /// Algorithm 2 discards. Ties break toward lower indices; the result is
 /// ascending.
 ///
+/// A NaN importance ranks above every number, `+∞` included: an entry
+/// whose score a device could not compute is kept until every scored
+/// entry has been dropped.
+///
 /// # Panics
 ///
 /// Panics when `drop > set.len()`.
@@ -140,7 +144,7 @@ pub fn least_important(set: &ImportanceSet, drop: usize) -> Vec<usize> {
     idx.sort_by(|&a, &b| {
         set[a]
             .partial_cmp(&set[b])
-            .expect("finite importance")
+            .unwrap_or_else(|| set[a].is_nan().cmp(&set[b].is_nan()))
             .then(a.cmp(&b))
     });
     let mut out = idx[..drop].to_vec();
@@ -204,6 +208,18 @@ mod tests {
         let set = vec![5.0, 1.0, 3.0, 0.5];
         assert_eq!(least_important(&set, 2), vec![1, 3]);
         assert_eq!(least_important(&set, 0), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn nan_importance_is_dropped_last() {
+        // Regression: the sort's `expect("finite importance")` panicked.
+        let set = vec![1.0, f64::NAN, 0.5];
+        assert_eq!(least_important(&set, 1), vec![2]);
+        assert_eq!(least_important(&set, 2), vec![0, 2]);
+        assert_eq!(least_important(&set, 3), vec![0, 1, 2]);
+        let set = vec![f64::NAN, f64::INFINITY, f64::NAN, f64::NEG_INFINITY];
+        assert_eq!(least_important(&set, 2), vec![1, 3]);
+        assert_eq!(least_important(&set, 3), vec![0, 1, 3]);
     }
 
     #[test]

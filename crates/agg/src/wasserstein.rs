@@ -25,6 +25,8 @@ use crate::error::MetricError;
 /// the coupling against an empty distribution is undefined, and the
 /// `0.0` this function used to return silently read as "zero distance /
 /// no drift" to windowed callers whose buffer had not filled yet.
+/// Returns [`MetricError::NonFinite`] when either set holds a NaN or an
+/// infinity.
 pub fn wasserstein_1d_samples(xs: &[f32], ys: &[f32]) -> Result<f64, MetricError> {
     match (xs.is_empty(), ys.is_empty()) {
         (true, true) => return Ok(0.0),
@@ -36,10 +38,13 @@ pub fn wasserstein_1d_samples(xs: &[f32], ys: &[f32]) -> Result<f64, MetricError
             })
         }
     }
+    if !xs.iter().chain(ys).all(|v| v.is_finite()) {
+        return Err(MetricError::NonFinite);
+    }
     let mut a: Vec<f32> = xs.to_vec();
     let mut b: Vec<f32> = ys.to_vec();
-    a.sort_by(|p, q| p.partial_cmp(q).expect("finite samples"));
-    b.sort_by(|p, q| p.partial_cmp(q).expect("finite samples"));
+    a.sort_by(|p, q| p.partial_cmp(q).expect("checked finite above"));
+    b.sort_by(|p, q| p.partial_cmp(q).expect("checked finite above"));
     let (n, m) = (a.len() as u64, b.len() as u64);
     // On segment [t_prev, t_next), F_a⁻¹ = a[i] and F_b⁻¹ = b[j]. The
     // next breakpoint is min((i+1)/n, (j+1)/m); times n·m that is
@@ -100,8 +105,10 @@ pub fn wasserstein_1d_hist(p: &[f64], q: &[f64]) -> Result<f64, MetricError> {
 /// # Errors
 ///
 /// Returns [`MetricError::ZeroProjections`], [`MetricError::BadRank`],
-/// [`MetricError::WidthMismatch`], or [`MetricError::EmptyWindow`]
-/// (exactly one cloud has zero rows) on degenerate inputs.
+/// [`MetricError::WidthMismatch`], [`MetricError::EmptyWindow`]
+/// (exactly one cloud has zero rows), or [`MetricError::NonFinite`] (a
+/// NaN or infinite feature, or finite features whose projection
+/// overflows) on degenerate inputs.
 pub fn sliced_wasserstein(
     x: &Array,
     y: &Array,
@@ -157,8 +164,7 @@ pub fn sliced_wasserstein(
                 })
                 .collect()
         };
-        total += wasserstein_1d_samples(&project(x), &project(y))
-            .expect("both projected sets are non-empty");
+        total += wasserstein_1d_samples(&project(x), &project(y))?;
     }
     Ok(total / projections as f64)
 }
@@ -202,6 +208,44 @@ mod tests {
         assert_eq!(
             wasserstein_1d_samples(&[1.0, 2.0], &[]),
             Err(MetricError::EmptyWindow { left: 2, right: 0 })
+        );
+    }
+
+    #[test]
+    fn non_finite_samples_are_a_typed_error() {
+        // Regression: the sort's `expect("finite samples")` panicked.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(
+                wasserstein_1d_samples(&[bad, 1.0], &[0.0, 1.0]),
+                Err(MetricError::NonFinite)
+            );
+            assert_eq!(
+                wasserstein_1d_samples(&[0.0, 1.0], &[1.0, bad]),
+                Err(MetricError::NonFinite)
+            );
+        }
+    }
+
+    #[test]
+    fn sliced_over_a_non_finite_feature_is_a_typed_error() {
+        let mut rng = SmallRng64::new(5);
+        let x = randn(&[6, 4], &mut rng);
+        let mut poisoned = x.data().to_vec();
+        poisoned[9] = f32::NAN;
+        let y = Array::from_vec(poisoned, &[6, 4]).unwrap();
+        assert_eq!(
+            sliced_wasserstein(&x, &y, 4, &mut rng),
+            Err(MetricError::NonFinite)
+        );
+        assert_eq!(
+            sliced_wasserstein(&y, &x, 4, &mut rng),
+            Err(MetricError::NonFinite)
+        );
+        // ... and so is the similarity matrix an edge builds from it.
+        let pool = acme_runtime::Pool::new(2);
+        assert_eq!(
+            crate::similarity_matrix_wasserstein_on(&pool, &[x.clone(), y, x], 4, &mut rng),
+            Err(MetricError::NonFinite)
         );
     }
 

@@ -46,14 +46,8 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet_scale.json".to_string());
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let out_path = acme_bench::out_path("BENCH_fleet_scale.json");
 
     // Ascending sweep: each row's peak-RSS reading (VmHWM is a process
     // high-water mark) is attributable to the largest fleet seen so far.

@@ -22,14 +22,8 @@ use acme_bench::store::{sweep, write_json, SweepConfig};
 const SMOKE_CEILING_SECS: f64 = 60.0;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_store.json".to_string());
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let out_path = acme_bench::out_path("BENCH_store.json");
 
     let cfg = if smoke {
         SweepConfig::smoke()

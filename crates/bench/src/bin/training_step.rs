@@ -3,10 +3,17 @@
 //! `acme_bench::trainstep`), at 1 / 2 / 4 / all-cores threads, tracked
 //! across PRs via `BENCH_training_step.json` at the workspace root. The
 //! harness panics (failing CI) if the two paths are not bit-identical.
-//! `--quick` reduces the repetitions for a CI-sized smoke run.
+//!
+//! Run via `cargo run --release -p acme-bench --bin training_step`.
+//! Flags:
+//!
+//! - `--quick`: fewer repetitions and thread counts (CI-sized smoke run).
+//! - `--out PATH`: write the JSON somewhere other than
+//!   `BENCH_training_step.json`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let out_path = acme_bench::out_path("BENCH_training_step.json");
     let reps = if quick { 5 } else { 50 };
 
     let mut threads = vec![1usize, 2, 4];
@@ -41,8 +48,11 @@ fn main() {
             r.alloc_drop()
         );
     }
-    match acme_bench::trainstep::write_json("BENCH_training_step.json", &rows) {
-        Ok(_) => println!("wrote BENCH_training_step.json ({} rows)", rows.len()),
-        Err(e) => eprintln!("warning: could not write BENCH_training_step.json: {e}"),
+    match acme_bench::trainstep::write_json(&out_path, &rows) {
+        Ok(_) => println!("wrote {out_path} ({} rows)", rows.len()),
+        Err(e) => {
+            eprintln!("error: could not write {out_path}: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -13,7 +13,9 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use acme::{run_recustomization, Pool, RecustomizeConfig, RecustomizeOutcome};
+use acme::{
+    run_recustomization, DeviceRecustomization, Pool, RecustomizeConfig, RecustomizeOutcome,
+};
 use acme_data::{DriftSpec, SyntheticSpec};
 use acme_distsys::Network;
 
@@ -45,8 +47,16 @@ pub struct DriftRow {
     /// Mean accuracy at the detection window (drifted devices only;
     /// falls back to the pre-drift mean when nothing was detected).
     pub mean_accuracy_at_detection: f64,
-    /// Fleet-mean accuracy on the final window's distribution.
+    /// Fleet-mean accuracy on the final window's distribution. A device
+    /// whose detector stayed silent keeps its stale header and stays
+    /// degraded, so this recovers only as far as detection reached.
     pub mean_accuracy_final: f64,
+    /// Mean pre-drift accuracy of the devices that re-customized (the
+    /// fleet's when none did).
+    pub recustomized_accuracy_before: f64,
+    /// Mean final accuracy of the devices that re-customized (the
+    /// fleet's when none did): what adaptation itself recovered.
+    pub recustomized_accuracy_final: f64,
     /// Ledger bytes metered for `recustomize-delta` messages.
     pub ledger_bytes: u64,
     /// Wall-clock of the run.
@@ -116,12 +126,15 @@ fn run_cell(magnitude: f32, fleet: usize, threads: usize, seed: u64) -> DriftRow
         run_recustomization(&pool, &cfg, &spec, Some(&net), seed).expect("recustomization runs");
     let wall_s = started.elapsed().as_secs_f64();
 
-    let n = out.devices.len() as f64;
-    let drifted: Vec<_> = out
+    let all: Vec<&DeviceRecustomization> = out.devices.iter().collect();
+    let drifted: Vec<&DeviceRecustomization> = out
         .devices
         .iter()
         .filter(|d| d.detected_at.is_some())
         .collect();
+    let mean = |of: &[&DeviceRecustomization], field: fn(&DeviceRecustomization) -> f32| {
+        of.iter().map(|d| field(d) as f64).sum::<f64>() / of.len() as f64
+    };
     let mean_detection_latency = (!drifted.is_empty()).then(|| {
         drifted
             .iter()
@@ -129,27 +142,10 @@ fn run_cell(magnitude: f32, fleet: usize, threads: usize, seed: u64) -> DriftRow
             .sum::<f64>()
             / drifted.len() as f64
     });
-    let mean_accuracy_before = out
-        .devices
-        .iter()
-        .map(|d| d.accuracy_before as f64)
-        .sum::<f64>()
-        / n;
-    let mean_accuracy_at_detection = if drifted.is_empty() {
-        mean_accuracy_before
-    } else {
-        drifted
-            .iter()
-            .map(|d| d.accuracy_at_detection as f64)
-            .sum::<f64>()
-            / drifted.len() as f64
-    };
-    let mean_accuracy_final = out
-        .devices
-        .iter()
-        .map(|d| d.accuracy_final as f64)
-        .sum::<f64>()
-        / n;
+    // The drifted-only means fall back to the fleet's when nothing was
+    // detected (a silent device's `accuracy_at_detection` is its
+    // `accuracy_before`).
+    let recustomized = if drifted.is_empty() { &all } else { &drifted };
 
     DriftRow {
         magnitude: magnitude as f64,
@@ -161,9 +157,11 @@ fn run_cell(magnitude: f32, fleet: usize, threads: usize, seed: u64) -> DriftRow
         total_delta_bytes: out.total_delta_bytes,
         total_cold_start_bytes: out.total_cold_start_bytes,
         transfer_ratio: out.transfer_ratio(),
-        mean_accuracy_before,
-        mean_accuracy_at_detection,
-        mean_accuracy_final,
+        mean_accuracy_before: mean(&all, |d| d.accuracy_before),
+        mean_accuracy_at_detection: mean(recustomized, |d| d.accuracy_at_detection),
+        mean_accuracy_final: mean(&all, |d| d.accuracy_final),
+        recustomized_accuracy_before: mean(recustomized, |d| d.accuracy_before),
+        recustomized_accuracy_final: mean(recustomized, |d| d.accuracy_final),
         ledger_bytes: net.ledger().total_bytes(),
         wall_s,
     }
@@ -198,7 +196,9 @@ pub fn write_json(path: &str, rows: &[DriftRow]) -> std::io::Result<()> {
              \"mean_detection_latency\": {}, \"total_delta_bytes\": {}, \
              \"total_cold_start_bytes\": {}, \"transfer_ratio\": {}, \
              \"mean_accuracy_before\": {:.4}, \"mean_accuracy_at_detection\": {:.4}, \
-             \"mean_accuracy_final\": {:.4}, \"ledger_bytes\": {}, \"wall_s\": {:.4}}}{}\n",
+             \"mean_accuracy_final\": {:.4}, \"recustomized_accuracy_before\": {:.4}, \
+             \"recustomized_accuracy_final\": {:.4}, \"ledger_bytes\": {}, \
+             \"wall_s\": {:.4}}}{}\n",
             r.magnitude,
             r.fleet_devices,
             r.windows,
@@ -211,6 +211,8 @@ pub fn write_json(path: &str, rows: &[DriftRow]) -> std::io::Result<()> {
             r.mean_accuracy_before,
             r.mean_accuracy_at_detection,
             r.mean_accuracy_final,
+            r.recustomized_accuracy_before,
+            r.recustomized_accuracy_final,
             r.ledger_bytes,
             r.wall_s,
             if i + 1 < rows.len() { "," } else { "" },

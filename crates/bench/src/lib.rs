@@ -2,8 +2,9 @@
 //!
 //! The benchmark harness of the ACME reproduction: one binary per table
 //! and figure of the paper's evaluation (§IV), plus ablation binaries for
-//! the design choices called out in `DESIGN.md`, and Criterion
-//! micro-benchmarks over the computational kernels.
+//! the design choices called out in `DESIGN.md`, and six timing sweeps
+//! (`kernels`, `training_step`, `serving`, `store`, `drift`,
+//! `fleet_scale`) that each record a `BENCH_*.json`.
 //!
 //! Every `fig*`/`table1`/`ablation*` binary prints the same rows or
 //! series the paper reports and accepts `--quick` for a reduced run:
@@ -55,6 +56,15 @@ impl RunScale {
     pub fn is_quick(self) -> bool {
         self == RunScale::Quick
     }
+}
+
+/// The sweep bins' `--out PATH` argument: where to write the JSON rows,
+/// `default` (the committed `BENCH_*.json`) when the flag is absent.
+pub fn out_path(default: &str) -> String {
+    std::env::args()
+        .skip_while(|a| a != "--out")
+        .nth(1)
+        .unwrap_or_else(|| default.to_string())
 }
 
 /// The CIFAR-100-like evaluation workload at harness scale.

@@ -2,10 +2,10 @@
 //! encode∘apply identity, and wire round-trips over randomized
 //! backbone/variant pairs.
 
+use acme_check::cases;
 use acme_nn::{save_params, ParamSet};
 use acme_store::{ContentHash, DeltaOp, VariantDelta};
 use acme_tensor::{randn, Array, SmallRng64};
-use proptest::prelude::*;
 use rand::RngCore;
 
 /// A random backbone: a trunk matrix plus one head over `total` classes.
@@ -72,17 +72,13 @@ fn assert_bitwise_equal(a: &ParamSet, b: &ParamSet) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn apply_of_encode_is_bitwise_identity(
-        seed in 0u64..1_000,
-        dim in 2usize..8,
-        total in 4usize..12,
-        pers in 0u8..2,
-    ) {
-        let personalize = pers == 1;
+#[test]
+fn apply_of_encode_is_bitwise_identity() {
+    cases(32, |g| {
+        let seed = g.u64(0..1_000);
+        let dim = g.usize(2..8);
+        let total = g.usize(4..12);
+        let personalize = g.u32(0..2) == 1;
         let keep = 2 + (seed as usize) % (total - 1).min(5);
         let classes = pick_classes(seed, total, keep.min(total));
         let (backbone, hash) = make_backbone(seed, dim, total);
@@ -90,51 +86,52 @@ proptest! {
         let delta = VariantDelta::encode(&backbone, hash, &classes, &variant);
         let rebuilt = delta.apply(&backbone).unwrap();
         assert_bitwise_equal(&variant, &rebuilt);
-    }
+    });
+}
 
-    #[test]
-    fn encode_apply_encode_is_identity(
-        seed in 0u64..1_000,
-        dim in 2usize..8,
-        total in 4usize..12,
-        pers in 0u8..2,
-    ) {
-        let personalize = pers == 1;
+#[test]
+fn encode_apply_encode_is_identity() {
+    cases(32, |g| {
+        let seed = g.u64(0..1_000);
+        let dim = g.usize(2..8);
+        let total = g.usize(4..12);
+        let personalize = g.u32(0..2) == 1;
         let keep = 2 + (seed as usize) % (total - 1).min(5);
         let classes = pick_classes(seed, total, keep.min(total));
         let (backbone, hash) = make_backbone(seed, dim, total);
         let variant = make_variant(&backbone, &classes, personalize, seed);
         let delta = VariantDelta::encode(&backbone, hash, &classes, &variant);
-        let redelta = VariantDelta::encode(
-            &backbone, hash, &classes, &delta.apply(&backbone).unwrap(),
-        );
-        prop_assert!(redelta == delta, "encode ∘ apply must be a fixpoint");
-    }
+        let redelta =
+            VariantDelta::encode(&backbone, hash, &classes, &delta.apply(&backbone).unwrap());
+        assert!(redelta == delta, "encode ∘ apply must be a fixpoint");
+    });
+}
 
-    #[test]
-    fn wire_roundtrip_is_exact(
-        seed in 0u64..1_000,
-        dim in 2usize..8,
-        total in 4usize..12,
-    ) {
+#[test]
+fn wire_roundtrip_is_exact() {
+    cases(32, |g| {
+        let seed = g.u64(0..1_000);
+        let dim = g.usize(2..8);
+        let total = g.usize(4..12);
         let classes = pick_classes(seed, total, 2.min(total));
         let (backbone, hash) = make_backbone(seed, dim, total);
         let variant = make_variant(&backbone, &classes, true, seed);
         let delta = VariantDelta::encode(&backbone, hash, &classes, &variant);
         let bytes = delta.to_bytes();
-        prop_assert_eq!(bytes.len() as u64, delta.bytes());
+        assert_eq!(bytes.len() as u64, delta.bytes());
         let back = VariantDelta::from_bytes(&bytes).unwrap();
-        prop_assert!(back == delta);
+        assert!(back == delta);
         // And the reconstruction through the wire is still bitwise.
         assert_bitwise_equal(&variant, &back.apply(&backbone).unwrap());
-    }
+    });
+}
 
-    #[test]
-    fn unpersonalized_variant_ships_no_weights(
-        seed in 0u64..200,
-        dim in 2usize..8,
-        total in 4usize..12,
-    ) {
+#[test]
+fn unpersonalized_variant_ships_no_weights() {
+    cases(32, |g| {
+        let seed = g.u64(0..200);
+        let dim = g.usize(2..8);
+        let total = g.usize(4..12);
         // A pure structural prune must encode to Same/PrunedCols ops
         // only — no Changed payload, so the delta stays near-constant
         // size no matter how large the backbone is.
@@ -142,10 +139,14 @@ proptest! {
         let (backbone, hash) = make_backbone(seed, dim, total);
         let variant = make_variant(&backbone, &classes, false, seed);
         let delta = VariantDelta::encode(&backbone, hash, &classes, &variant);
-        prop_assert!(delta
+        assert!(delta
             .ops
             .iter()
             .all(|op| !matches!(op, DeltaOp::Changed { .. })));
-        prop_assert!(delta.bytes() < 200, "structural delta too big: {}", delta.bytes());
-    }
+        assert!(
+            delta.bytes() < 200,
+            "structural delta too big: {}",
+            delta.bytes()
+        );
+    });
 }

@@ -1,8 +1,8 @@
 //! Property-based tests of the autograd engine: gradients checked
 //! against finite differences over randomized shapes and compositions.
 
+use acme_check::cases;
 use acme_tensor::{gradcheck, Array, Graph, Var};
-use proptest::prelude::*;
 
 const TOL: f32 = 5e-2;
 
@@ -10,15 +10,12 @@ fn arr(values: &[f32], shape: &[usize]) -> Array {
     Array::from_vec(values[..shape.iter().product::<usize>()].to_vec(), shape).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn binary_chain_gradients_match_fd(
-        values_a in prop::collection::vec(-2.0f32..2.0, 12),
-        values_b in prop::collection::vec(0.5f32..2.0, 12),
-        rows in 1usize..4,
-    ) {
+#[test]
+fn binary_chain_gradients_match_fd() {
+    cases(24, |g| {
+        let values_a = g.vec(12..13, |g| g.f32(-2.0..2.0));
+        let values_b = g.vec(12..13, |g| g.f32(0.5..2.0));
+        let rows = g.usize(1..4);
         let cols = 12 / rows / rows.max(1);
         let cols = cols.max(1).min(12 / rows);
         let shape = [rows, cols];
@@ -30,16 +27,17 @@ proptest! {
             let t = g.tanh(d);
             g.mean_all(t)
         });
-        prop_assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
-    }
+        assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
+    });
+}
 
-    #[test]
-    fn matmul_grad_matches_fd(
-        values_a in prop::collection::vec(-1.0f32..1.0, 12),
-        values_b in prop::collection::vec(-1.0f32..1.0, 12),
-        m in 1usize..4,
-        n in 1usize..4,
-    ) {
+#[test]
+fn matmul_grad_matches_fd() {
+    cases(24, |g| {
+        let values_a = g.vec(12..13, |g| g.f32(-1.0..1.0));
+        let values_b = g.vec(12..13, |g| g.f32(-1.0..1.0));
+        let m = g.usize(1..4);
+        let n = g.usize(1..4);
         let k = (12 / m).min(12 / n).max(1);
         let a = arr(&values_a, &[m, k]);
         let b = arr(&values_b, &[k, n]);
@@ -47,59 +45,65 @@ proptest! {
             let c = g.matmul(v[0], v[1]).expect("shapes match");
             g.sum_all(c)
         });
-        prop_assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
-    }
+        assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
+    });
+}
 
-    #[test]
-    fn softmax_rows_sum_to_one_for_any_input(
-        values in prop::collection::vec(-30.0f32..30.0, 12),
-        rows in 1usize..5,
-    ) {
+#[test]
+fn softmax_rows_sum_to_one_for_any_input() {
+    cases(24, |g| {
+        let values = g.vec(12..13, |g| g.f32(-30.0..30.0));
+        let rows = g.usize(1..5);
         let cols = (12 / rows).max(1);
         let a = arr(&values, &[rows, cols]);
         let s = a.softmax_last();
         for r in 0..rows {
             let sum: f32 = s.data()[r * cols..(r + 1) * cols].iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
-            prop_assert!(s.data()[r * cols..(r + 1) * cols].iter().all(|&p| p >= 0.0));
+            assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
+            assert!(s.data()[r * cols..(r + 1) * cols].iter().all(|&p| p >= 0.0));
         }
-    }
+    });
+}
 
-    #[test]
-    fn concat_split_roundtrip(
-        values in prop::collection::vec(-5.0f32..5.0, 24),
-        left in 1usize..4,
-        right in 1usize..4,
-    ) {
+#[test]
+fn concat_split_roundtrip() {
+    cases(24, |g| {
+        let values = g.vec(24..25, |g| g.f32(-5.0..5.0));
+        let left = g.usize(1..4);
+        let right = g.usize(1..4);
         let rows = 24 / (left + right);
-        if rows == 0 { return Ok(()); }
+        if rows == 0 {
+            return;
+        }
         let a = arr(&values[..rows * left], &[rows, left]);
         let b = arr(&values[rows * left..rows * (left + right)], &[rows, right]);
         let joined = Array::concat(&[&a, &b], 1).unwrap();
         let parts = joined.split(1, &[left, right]).unwrap();
-        prop_assert_eq!(&parts[0], &a);
-        prop_assert_eq!(&parts[1], &b);
-    }
+        assert_eq!(&parts[0], &a);
+        assert_eq!(&parts[1], &b);
+    });
+}
 
-    #[test]
-    fn permute_preserves_multiset(
-        values in prop::collection::vec(-5.0f32..5.0, 24),
-    ) {
+#[test]
+fn permute_preserves_multiset() {
+    cases(24, |g| {
+        let values = g.vec(24..25, |g| g.f32(-5.0..5.0));
         let a = arr(&values, &[2, 3, 4]);
         let p = a.permute(&[2, 0, 1]).unwrap();
         let mut x: Vec<f32> = a.data().to_vec();
         let mut y: Vec<f32> = p.data().to_vec();
         x.sort_by(f32::total_cmp);
         y.sort_by(f32::total_cmp);
-        prop_assert_eq!(x, y);
-    }
+        assert_eq!(x, y);
+    });
+}
 
-    #[test]
-    fn cross_entropy_grad_rows_sum_to_zero(
-        values in prop::collection::vec(-3.0f32..3.0, 20),
-        t0 in 0usize..5,
-        t1 in 0usize..5,
-    ) {
+#[test]
+fn cross_entropy_grad_rows_sum_to_zero() {
+    cases(24, |g| {
+        let values = g.vec(20..21, |g| g.f32(-3.0..3.0));
+        let t0 = g.usize(0..5);
+        let t1 = g.usize(0..5);
         let logits = arr(&values, &[4, 5]);
         let targets = [t0, t1, (t0 + 1) % 5, (t1 + 2) % 5];
         let mut g = Graph::new();
@@ -110,15 +114,16 @@ proptest! {
         // Softmax-minus-onehot rows sum to zero.
         for r in 0..4 {
             let s: f32 = grad.data()[r * 5..(r + 1) * 5].iter().sum();
-            prop_assert!(s.abs() < 1e-5, "row {r} grad sum {s}");
+            assert!(s.abs() < 1e-5, "row {r} grad sum {s}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn layer_norm_is_shift_invariant(
-        values in prop::collection::vec(-2.0f32..2.0, 16),
-        shift in -10.0f32..10.0,
-    ) {
+#[test]
+fn layer_norm_is_shift_invariant() {
+    cases(24, |g| {
+        let values = g.vec(16..17, |g| g.f32(-2.0..2.0));
+        let shift = g.f32(-10.0..10.0);
         let x = arr(&values, &[2, 8]);
         let shifted = x.add_scalar(shift);
         let run = |input: Array| {
@@ -132,14 +137,15 @@ proptest! {
         let a = run(x);
         let b = run(shifted);
         for (p, q) in a.data().iter().zip(b.data()) {
-            prop_assert!((p - q).abs() < 1e-3, "{p} vs {q}");
+            assert!((p - q).abs() < 1e-3, "{p} vs {q}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn conv_identity_kernel_is_identity(
-        values in prop::collection::vec(-3.0f32..3.0, 32),
-    ) {
+#[test]
+fn conv_identity_kernel_is_identity() {
+    cases(24, |g| {
+        let values = g.vec(32..33, |g| g.f32(-3.0..3.0));
         let x = arr(&values, &[1, 2, 4, 4]);
         let mut g = Graph::new();
         let xv = g.leaf(x.clone());
@@ -149,6 +155,6 @@ proptest! {
         *w.at_mut(&[1, 1, 0, 0]) = 1.0;
         let wv = g.constant(w);
         let y = g.conv2d(xv, wv, None, 1, 0);
-        prop_assert_eq!(g.value(y).data(), x.data());
-    }
+        assert_eq!(g.value(y).data(), x.data());
+    });
 }

@@ -9,6 +9,7 @@
 //! the int8 path (half-step round trips, row-permutation equivariance)
 //! live here too.
 
+use acme_check::{cases, Gen};
 use acme_runtime::Pool;
 use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, NR};
 use acme_tensor::qgemm::{
@@ -16,7 +17,6 @@ use acme_tensor::qgemm::{
     I8,
 };
 use acme_tensor::Array;
-use proptest::prelude::*;
 
 /// A buffer of deterministic values in roughly `[-2, 2]`, including exact
 /// zeros (to exercise any zero-skipping temptation) and whole zero rows
@@ -52,18 +52,13 @@ fn assert_bits_eq(x: &[f32], y: &[f32], ctx: &str) {
     }
 }
 
-/// The one shape strategy: `(m, n)` biased to straddle the MR/NR/MC tile
-/// edges, and a depth that is short (with `k = 0` and the depth-quad
-/// tails) three draws in four and straddles the `KC` block edge
-/// otherwise — see [`dims`].
-fn shape() -> impl Strategy<Value = ((usize, usize), (usize, usize))> {
-    (
-        (1usize..(MC + MR + 2), 1usize..(2 * NR + 2)),
-        (0usize..4, 0usize..96),
-    )
-}
-
-fn dims(((m, n), (deep, k)): ((usize, usize), (usize, usize))) -> (usize, usize, usize) {
+/// The one shape generator: `(m, n)` biased to straddle the MR/NR/MC
+/// tile edges, and a depth that is short (with `k = 0` and the
+/// depth-quad tails) three draws in four and straddles the `KC` block
+/// edge otherwise.
+fn dims(g: &mut Gen) -> (usize, usize, usize) {
+    let (m, n) = (g.usize(1..MC + MR + 2), g.usize(1..2 * NR + 2));
+    let (deep, k) = (g.usize(0..4), g.usize(0..96));
     (m, if deep == 0 { KC - 8 + k } else { k }, n)
 }
 
@@ -156,37 +151,35 @@ where
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+#[test]
+fn f32_engine_bitwise_matches_oracle() {
+    cases(48, |g| {
+        let shape = dims(g);
+        let view = g.usize(0..3);
+        let seed = g.u64(0..1 << 48);
+        engine_matches_oracle::<F32>(shape, view, seed);
+    });
+}
 
-    #[test]
-    fn f32_engine_bitwise_matches_oracle(
-        shape in shape(),
-        view in 0usize..3,
-        seed in 0u64..1u64 << 48,
-    ) {
-        engine_matches_oracle::<F32>(dims(shape), view, seed);
-    }
+#[test]
+fn int8_engine_bitwise_matches_oracle() {
+    cases(48, |g| {
+        let shape = dims(g);
+        let view = g.usize(0..3);
+        let seed = g.u64(0..1 << 48);
+        engine_matches_oracle::<I8>(shape, view, seed);
+    });
+}
 
-    #[test]
-    fn int8_engine_bitwise_matches_oracle(
-        shape in shape(),
-        view in 0usize..3,
-        seed in 0u64..1u64 << 48,
-    ) {
-        engine_matches_oracle::<I8>(dims(shape), view, seed);
-    }
-
-    /// The dequantized f32 output of the int8 engine — from its own
-    /// accumulator and packed scales, and through the one-call
-    /// f32-in/f32-out entry point — matches the scalar quantized oracle
-    /// bitwise.
-    #[test]
-    fn int8_dequantized_output_bitwise_matches_oracle(
-        shape in shape(),
-        seed in 0u64..1u64 << 48,
-    ) {
-        let (m, k, n) = dims(shape);
+/// The dequantized f32 output of the int8 engine — from its own
+/// accumulator and packed scales, and through the one-call
+/// f32-in/f32-out entry point — matches the scalar quantized oracle
+/// bitwise.
+#[test]
+fn int8_dequantized_output_bitwise_matches_oracle() {
+    cases(48, |g| {
+        let (m, k, n) = dims(g);
+        let seed = g.u64(0..1 << 48);
         let a = filled(m * k, seed, 4, k);
         let b = filled(k * n, seed ^ 0xABCD, 0, n);
         let (qa, sa) = quantize_rows(&a, m, k);
@@ -200,7 +193,11 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let mut acc = vec![0i32; m * n];
             qgemm::gemm_i8_prepacked(&qa, &pb, &mut acc, m, &Pool::new(threads));
-            prop_assert_eq!(&acc, &acc_ref, "{}x{}x{} t{}: accumulator", m, k, n, threads);
+            assert_eq!(
+                &acc, &acc_ref,
+                "{}x{}x{} t{}: accumulator",
+                m, k, n, threads
+            );
             let mut out = vec![0.0f32; m * n];
             dequantize_acc(&acc, &sa, pb.scales(), &mut out, m, n);
             assert_bits_eq(&out, &out_ref, &format!("{m}x{k}x{n} t{threads}: f32"));
@@ -208,17 +205,18 @@ proptest! {
         let mut out = vec![0.0f32; m * n];
         qgemm::gemm_i8_dequant(&a, &pb, &mut out, m, &Pool::new(2));
         assert_bits_eq(&out, &out_ref, "dequant entry");
-    }
+    });
+}
 
-    /// The public dispatching entry point (which may pick the naive or
-    /// the blocked kernel by size) is also bitwise-stable vs the oracle.
-    #[test]
-    fn dispatched_gemm_bitwise_matches_naive(
-        m in 1usize..40,
-        k in 0usize..40,
-        n in 1usize..40,
-        seed in 0u64..1u64 << 48,
-    ) {
+/// The public dispatching entry point (which may pick the naive or
+/// the blocked kernel by size) is also bitwise-stable vs the oracle.
+#[test]
+fn dispatched_gemm_bitwise_matches_naive() {
+    cases(48, |g| {
+        let m = g.usize(1..40);
+        let k = g.usize(0..40);
+        let n = g.usize(1..40);
+        let seed = g.u64(0..1 << 48);
         let a = filled(m * k, seed, 0, k);
         let b = filled(k * n, seed ^ 0x1234, 0, n);
         let expect = naive(&a, &b, m, k, n);
@@ -233,19 +231,20 @@ proptest! {
             &Pool::new(3),
         );
         assert_bits_eq(&out, &expect, &format!("dispatch {m}x{k}x{n}"));
-    }
+    });
+}
 
-    /// `Array::matmul` (which routes through the engine and the global
-    /// pool) agrees bitwise with the reference kernel, and
-    /// `Array::batch_matmul` agrees with per-batch 2-D products.
-    #[test]
-    fn array_matmul_and_batched_match_reference(
-        batch in 1usize..4,
-        m in 1usize..12,
-        k in 1usize..12,
-        n in 1usize..12,
-        seed in 0u64..1u64 << 48,
-    ) {
+/// `Array::matmul` (which routes through the engine and the global
+/// pool) agrees bitwise with the reference kernel, and
+/// `Array::batch_matmul` agrees with per-batch 2-D products.
+#[test]
+fn array_matmul_and_batched_match_reference() {
+    cases(48, |g| {
+        let batch = g.usize(1..4);
+        let m = g.usize(1..12);
+        let k = g.usize(1..12);
+        let n = g.usize(1..12);
+        let seed = g.u64(0..1 << 48);
         let a = filled(batch * m * k, seed, 0, k);
         let b = filled(batch * k * n, seed ^ 0x77, 0, n);
         let av = Array::from_vec(a.clone(), &[batch, m, k]).unwrap();
@@ -269,18 +268,23 @@ proptest! {
         let a0 = Array::from_vec(a[..m * k].to_vec(), &[m, k]).unwrap();
         let b0 = Array::from_vec(b[..k * n].to_vec(), &[k, n]).unwrap();
         let m0 = a0.matmul(&b0).unwrap();
-        assert_bits_eq(m0.data(), &naive(&a[..m * k], &b[..k * n], m, k, n), "matmul");
-    }
+        assert_bits_eq(
+            m0.data(),
+            &naive(&a[..m * k], &b[..k * n], m, k, n),
+            "matmul",
+        );
+    });
+}
 
-    /// The prepacked path against a cached `PackedB` is bitwise-stable
-    /// across repeated uses and thread counts.
-    #[test]
-    fn prepacked_reuse_is_bitwise_stable(
-        m in 1usize..32,
-        k in 1usize..48,
-        n in 1usize..64,
-        seed in 0u64..1u64 << 48,
-    ) {
+/// The prepacked path against a cached `PackedB` is bitwise-stable
+/// across repeated uses and thread counts.
+#[test]
+fn prepacked_reuse_is_bitwise_stable() {
+    cases(48, |g| {
+        let m = g.usize(1..32);
+        let k = g.usize(1..48);
+        let n = g.usize(1..64);
+        let seed = g.u64(0..1 << 48);
         let a = filled(m * k, seed, 0, k);
         let b = filled(k * n, seed ^ 0xF00D, 0, n);
         let av = Array::from_vec(a, &[m, k]).unwrap();
@@ -290,18 +294,19 @@ proptest! {
         let second = av.matmul_prepacked(&pb).unwrap();
         assert_bits_eq(first.data(), second.data(), "reuse");
         assert_bits_eq(first.data(), av.matmul(&bv).unwrap().data(), "vs matmul");
-    }
+    });
+}
 
-    /// Symmetric per-row quantization round-trips within half a
-    /// quantization step per element (`scale / 2`, plus f32 slack), and
-    /// all-zero rows round-trip exactly.
-    #[test]
-    fn quantize_round_trip_is_half_step_bounded(
-        rows in 1usize..24,
-        cols in 1usize..64,
-        seed in 0u64..1u64 << 48,
-        zero_stride in 0usize..5,
-    ) {
+/// Symmetric per-row quantization round-trips within half a
+/// quantization step per element (`scale / 2`, plus f32 slack), and
+/// all-zero rows round-trip exactly.
+#[test]
+fn quantize_round_trip_is_half_step_bounded() {
+    cases(48, |g| {
+        let rows = g.usize(1..24);
+        let cols = g.usize(1..64);
+        let seed = g.u64(0..1 << 48);
+        let zero_stride = g.usize(0..5);
         let src = filled(rows * cols, seed, zero_stride, cols);
         let (q, scales) = quantize_rows(&src, rows, cols);
         let back = dequantize_rows(&q, &scales, rows, cols);
@@ -309,47 +314,48 @@ proptest! {
             let bound = scales[i] * 0.5 + 1e-6;
             for j in 0..cols {
                 let err = (back[i * cols + j] - src[i * cols + j]).abs();
-                prop_assert!(
-                    err <= bound,
-                    "row {i} col {j}: err {err} > bound {bound}"
-                );
+                assert!(err <= bound, "row {i} col {j}: err {err} > bound {bound}");
             }
         }
-    }
+    });
+}
 
-    /// Per-row quantization is equivariant under row permutation:
-    /// quantizing a row-rotated matrix yields the rotated codes and the
-    /// rotated scales, bitwise. (Each row's scale depends only on that
-    /// row, never on its neighbours.)
-    #[test]
-    fn row_scales_are_permutation_equivariant(
-        rows in 2usize..16,
-        cols in 1usize..48,
-        rot in 1usize..16,
-        seed in 0u64..1u64 << 48,
-    ) {
-        let rot = rot % rows;
+/// Per-row quantization is equivariant under row permutation:
+/// quantizing a row-rotated matrix yields the rotated codes and the
+/// rotated scales, bitwise. (Each row's scale depends only on that
+/// row, never on its neighbours.)
+#[test]
+fn row_scales_are_permutation_equivariant() {
+    cases(48, |g| {
+        let rows = g.usize(2..16);
+        let cols = g.usize(1..48);
+        let rot = g.usize(1..16) % rows;
+        let seed = g.u64(0..1 << 48);
         let src = filled(rows * cols, seed, 3, cols);
         let (q, scales) = quantize_rows(&src, rows, cols);
         // Rotate rows by `rot` and quantize the permuted matrix.
         let mut permuted = vec![0.0f32; rows * cols];
         for i in 0..rows {
             let p = (i + rot) % rows;
-            permuted[i * cols..(i + 1) * cols]
-                .copy_from_slice(&src[p * cols..(p + 1) * cols]);
+            permuted[i * cols..(i + 1) * cols].copy_from_slice(&src[p * cols..(p + 1) * cols]);
         }
         let (qp, sp) = quantize_rows(&permuted, rows, cols);
         for i in 0..rows {
             let p = (i + rot) % rows;
-            prop_assert_eq!(
-                sp[i].to_bits(), scales[p].to_bits(),
-                "scale of permuted row {} vs source row {}", i, p
+            assert_eq!(
+                sp[i].to_bits(),
+                scales[p].to_bits(),
+                "scale of permuted row {} vs source row {}",
+                i,
+                p
             );
-            prop_assert_eq!(
+            assert_eq!(
                 &qp[i * cols..(i + 1) * cols],
                 &q[p * cols..(p + 1) * cols],
-                "codes of permuted row {} vs source row {}", i, p
+                "codes of permuted row {} vs source row {}",
+                i,
+                p
             );
         }
-    }
+    });
 }

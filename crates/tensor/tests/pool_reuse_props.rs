@@ -4,9 +4,9 @@
 //! thread count; steady-state steps must stop allocating; and resetting
 //! a graph must not invalidate the packed-weight cache.
 
+use acme_check::cases;
 use acme_tensor::packcache::{self, PackIdent};
 use acme_tensor::{pool, randn, Array, Graph, SmallRng64};
-use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
 /// The pool, the pack cache, and the runtime thread count are all
@@ -108,16 +108,13 @@ fn check_reuse_matches(p: &Problem, baseline: &[u32], threads: usize) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn pooled_reuse_is_bit_identical_across_threads(
-        seed in 0u64..1 << 32,
-        rows in 2usize..24,
-        d_sel in 0usize..3,
-        classes in 2usize..12,
-    ) {
+#[test]
+fn pooled_reuse_is_bit_identical_across_threads() {
+    cases(8, |g| {
+        let seed = g.u64(0..1 << 32);
+        let rows = g.usize(2..24);
+        let d_sel = g.usize(0..3);
+        let classes = g.usize(2..12);
         let _lock = guard();
         let d = [8, 16, 32][d_sel];
         let p = problem(seed, rows, d, classes);
@@ -126,7 +123,7 @@ proptest! {
             check_reuse_matches(&p, &baseline, threads);
         }
         acme_runtime::set_global_threads(1);
-    }
+    });
 }
 
 /// Big enough that every fused row-wise kernel of the step clears its
