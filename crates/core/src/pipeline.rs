@@ -54,8 +54,9 @@ impl Acme {
     ///
     /// # Errors
     ///
-    /// Returns [`AcmeError`] when a metered transfer fails or Phase 1
-    /// yields no candidate to assign.
+    /// Returns [`AcmeError`] when the configured dataset or partition is
+    /// degenerate, a similarity metric is undefined, or Phase 1 yields
+    /// no candidate to assign.
     pub fn run(&self) -> Result<AcmeOutcome, AcmeError> {
         self.run_with_rng(&mut SmallRng64::new(self.config.seed))
     }
@@ -98,24 +99,9 @@ impl Acme {
             &mut data_rng,
         )?;
 
-        // Transfer metering fabric.
+        // Transfer metering fabric: the pipeline carries its payloads
+        // in-process, so sends are only metered and no node needs an inbox.
         let net = Network::new();
-        let reg_err = acme_distsys::ProtocolError::from;
-        let _cloud_rx = net.register(NodeId::Cloud).map_err(reg_err)?;
-        let _edge_rxs: Vec<_> = fleet
-            .clusters()
-            .iter()
-            .map(|c| net.register(NodeId::Edge(c.edge())).map_err(reg_err))
-            .collect::<Result<_, _>>()?;
-        let _device_rxs: Vec<_> = fleet
-            .clusters()
-            .iter()
-            .flat_map(|c| {
-                c.devices()
-                    .iter()
-                    .map(|d| net.register(NodeId::Device(d.id())).map_err(reg_err))
-            })
-            .collect::<Result<_, _>>()?;
 
         // Cloud pre-training of the reference model θ0.
         let mut teacher_ps = ParamSet::new();
@@ -164,7 +150,7 @@ impl Acme {
             // selection error instead of panicking inside the comparator.
             let choice = choice?;
             let edge = cluster.edge();
-            net.send(
+            net.meter(
                 NodeId::Edge(edge),
                 NodeId::Cloud,
                 Payload::AttributeReport {
@@ -177,10 +163,10 @@ impl Acme {
                         .map(|d| d.gpu_capacity())
                         .fold(f64::NEG_INFINITY, f64::max),
                 },
-            )?;
+            );
             let idx = choice.unwrap_or(smallest);
             let chosen = &pool[idx];
-            net.send(
+            net.meter(
                 NodeId::Cloud,
                 NodeId::Edge(edge),
                 Payload::BackboneAssignment {
@@ -189,7 +175,7 @@ impl Acme {
                     param_count: chosen.params,
                     measured_bytes: None,
                 },
-            )?;
+            );
             let energy = cluster
                 .devices()
                 .iter()
@@ -272,7 +258,7 @@ impl Acme {
                 let header_params =
                     edge_ps.num_scalars_of(&acme_vit::headers::Header::param_ids(&header)) as u64;
                 for dev in cluster.devices() {
-                    net.send(
+                    net.meter(
                         NodeId::Edge(edge),
                         NodeId::Device(dev.id()),
                         Payload::HeaderSpec {
@@ -281,7 +267,7 @@ impl Acme {
                             param_count: header_params + chosen.params,
                             measured_bytes: None,
                         },
-                    )?;
+                    );
                 }
                 // Phase 2-2: the single-loop refinement.
                 let _span = acme_obs::span!(

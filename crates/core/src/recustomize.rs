@@ -324,9 +324,8 @@ fn simulate_device(
 ///
 /// # Errors
 ///
-/// Returns [`AcmeError::Metric`] on a degenerate detector config,
-/// [`AcmeError::Data`] on a degenerate stream spec, and
-/// [`AcmeError::Transfer`] when a metered send cannot be delivered.
+/// Returns [`AcmeError::Metric`] on a degenerate detector config and
+/// [`AcmeError::Data`] on a degenerate stream spec.
 pub fn run_recustomization(
     pool: &Pool,
     cfg: &RecustomizeConfig,
@@ -369,17 +368,7 @@ pub fn run_recustomization(
         )
     });
 
-    // Meter shipped deltas in device order; the edge and devices may
-    // already be registered by an outer pipeline run.
-    let _inboxes: Option<Vec<_>> = network.map(|net| {
-        let mut rx: Vec<_> = net
-            .register(NodeId::Edge(EdgeId(0)))
-            .ok()
-            .into_iter()
-            .collect();
-        rx.extend((0..n).filter_map(|d| net.register(NodeId::Device(DeviceId(d))).ok()));
-        rx
-    });
+    // Shipped deltas are metered in device order.
     let mut devices = Vec::with_capacity(n);
     let mut total_delta_bytes = 0;
     let mut total_cold_start_bytes = 0;
@@ -387,7 +376,7 @@ pub fn run_recustomization(
         let delta_bytes = sim.delta.as_ref().map_or(0, VariantDelta::bytes);
         if let (Some(t), Some(_)) = (sim.detected_at, &sim.delta) {
             if let Some(net) = network {
-                net.send(
+                net.meter(
                     NodeId::Edge(EdgeId(0)),
                     NodeId::Device(DeviceId(d)),
                     Payload::RecustomizeDelta {
@@ -395,7 +384,7 @@ pub fn run_recustomization(
                         param_count: sim.param_count,
                         measured_bytes: Some(delta_bytes),
                     },
-                )?;
+                );
             }
             total_delta_bytes += delta_bytes;
             total_cold_start_bytes += sim.cold_start_bytes;

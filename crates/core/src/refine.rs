@@ -205,8 +205,8 @@ pub fn apply_neuron_drops(ps: &mut ParamSet, header: &NasHeader, drops: &[usize]
 ///
 /// # Errors
 ///
-/// Returns [`AcmeError::Transfer`] when a metered send cannot be
-/// delivered.
+/// Returns [`AcmeError::Metric`] when the devices' features or label
+/// distributions yield no valid similarity matrix.
 ///
 /// # Panics
 ///
@@ -231,19 +231,6 @@ pub fn refine_cluster(
         "empty device data"
     );
     let n = devices.len();
-    // Register the nodes so metered sends have routes (inboxes are
-    // serviced inline since the pipeline is sequential here). Ids the
-    // caller registered already keep their existing routes: a duplicate
-    // here is expected, not an error.
-    let _inboxes: Option<Vec<_>> = network.map(|net| {
-        let mut rx: Vec<_> = net.register(NodeId::Edge(edge)).ok().into_iter().collect();
-        rx.extend(
-            devices
-                .iter()
-                .filter_map(|d| net.register(NodeId::Device(d.device)).ok()),
-        );
-        rx
-    });
 
     // Eq. (19)–(20): similarity of the devices' data distributions,
     // measured on features extracted by the pre-trained backbone (the
@@ -312,14 +299,14 @@ pub fn refine_cluster(
                 rng,
             );
             if let Some(net) = network {
-                net.send(
+                net.meter(
                     NodeId::Device(dev.device),
                     NodeId::Edge(edge),
                     Payload::ImportanceUpload {
                         round,
                         values: set.iter().map(|&v| v as f32).collect(),
                     },
-                )?;
+                );
             }
             sets.push(set);
         }
@@ -327,14 +314,14 @@ pub fn refine_cluster(
         for (i, dev) in devices.iter().enumerate() {
             let fused = aggregate_importance(&sets, &weights, i);
             if let Some(net) = network {
-                net.send(
+                net.meter(
                     NodeId::Edge(edge),
                     NodeId::Device(dev.device),
                     Payload::PersonalizedImportance {
                         round,
                         values: fused.iter().map(|&v| v as f32).collect(),
                     },
-                )?;
+                );
             }
             // Device side: discard the least important *active* neurons,
             // keeping at least a quarter of the tail alive.

@@ -3,19 +3,22 @@
 //!
 //! A [`Driver`] owns everything the machines deliberately don't —
 //! transport, clocks, scheduling — and speaks to them only through
-//! [`Event`]s and the [`Outbox`]. Two implementations ship:
+//! [`Event`]s and the [`Outbox`]. Both implementations run the same
+//! machines, built once in fleet order, and put every outbox send
+//! through the crate's one send path (`network::route`: fault verdict →
+//! ledger charge → `net.*` trace events); they are two *sinks* of it,
+//! differing in what delivering a message and waiting for a timer mean:
 //!
-//! * [`ThreadedDriver`] — the original thread-per-node runtime reduced
-//!   to a thin shell: each node thread pumps real channel `recv`s (and
-//!   wall-clock `recv_timeout` expirations) into its machine and flushes
-//!   the outbox through [`Network`]. It remains the *oracle*: real OS
-//!   preemption, real channel backpressure, real time.
+//! * [`ThreadedDriver`] — one OS thread per node pumping real channel
+//!   `recv`s (and wall-clock `recv_timeout` expirations) into its
+//!   machine; a delivery is a channel send. It remains the *oracle*:
+//!   real OS preemption, real channel backpressure, real time.
 //! * [`SimDriver`] — a discrete-event simulator: one binary heap of
 //!   pending events keyed by virtual delivery time (derived from the
 //!   [`LinkModel`] plus any [`FaultPlan`] delays), zero OS threads per
-//!   node, deterministic by seed. This is what scales the fleet from
-//!   tens of nodes to 100k+ devices in one process; see
-//!   [`simulate_fleet`].
+//!   node, deterministic by seed; a delivery is a heap push. This is
+//!   what scales the fleet from tens of nodes to 100k+ devices in one
+//!   process; see [`simulate_fleet`].
 //!
 //! Differential tests (`tests/driver_differential.rs`) pin the two
 //! drivers to bit-identical [`ProtocolOutcome`]s on deterministic
@@ -24,20 +27,21 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use acme_energy::Fleet;
 
-use crate::fault::{fnv1a, node_tag, splitmix64, FaultPlan, FaultState, Verdict};
+use crate::fault::{
+    fnv1a, link_uniform, node_tag, splitmix64, FaultPlan, FaultState, LinkOccurrences,
+};
 use crate::latency::LinkModel;
 use crate::ledger::Ledger;
-use crate::message::{Envelope, NodeId};
-use crate::network::Network;
+use crate::message::{Envelope, NodeId, Payload};
+use crate::network::{route, Network, RegisterError};
 use crate::node::{
     CloudNode, DeviceNode, EdgeNode, Event, NodeStateMachine, Outbox, TimerToken, VirtualTime,
 };
@@ -54,14 +58,83 @@ pub trait Driver {
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] for structural faults: duplicate node
-    /// registration or (threaded only) a panicking node thread. Lost
-    /// peers degrade the run per cluster instead.
+    /// registration, an invalid [`SimConfig`] or (threaded only) a
+    /// panicking node thread. Lost peers degrade the run per cluster
+    /// instead.
     fn run(
         &self,
         fleet: &Fleet,
         config: &ProtocolConfig,
         faults: FaultPlan,
     ) -> Result<ProtocolOutcome, ProtocolError>;
+}
+
+/// One node of a run. An enum rather than `Box<dyn NodeStateMachine>`
+/// to keep the simulator monomorphic (no per-node vtables across a
+/// million devices). A fleet is almost entirely `Device`s, so the rare,
+/// much larger edge and cloud machines are boxed to keep the per-device
+/// footprint at the `DeviceNode` size.
+#[derive(Debug)]
+enum Machine {
+    Device(DeviceNode),
+    Edge(Box<EdgeNode>),
+    Cloud(Box<CloudNode>),
+}
+
+/// The machines of a run in fleet order: the cloud, then each cluster's
+/// edge followed by its devices. Both drivers start exactly these, and
+/// report their statuses in exactly this order
+/// ([`ProtocolOutcome::nodes`]).
+fn machines(fleet: &Fleet, config: &ProtocolConfig) -> Vec<Machine> {
+    let cfg = Arc::new(config.clone());
+    let mut machines = Vec::with_capacity(1 + fleet.num_edges() + fleet.num_devices());
+    machines.push(Machine::Cloud(Box::new(CloudNode::new(Arc::clone(&cfg)))));
+    for cluster in fleet.clusters() {
+        let edge = EdgeNode::new(cluster, Arc::clone(&cfg));
+        machines.push(Machine::Edge(Box::new(edge)));
+        machines.extend(cluster.devices().iter().map(|device| {
+            Machine::Device(DeviceNode::new(
+                device.id(),
+                cluster.edge(),
+                Arc::clone(&cfg),
+            ))
+        }));
+    }
+    machines
+}
+
+impl NodeStateMachine for Machine {
+    fn id(&self) -> NodeId {
+        match self {
+            Machine::Device(m) => m.id(),
+            Machine::Edge(m) => m.id(),
+            Machine::Cloud(m) => m.id(),
+        }
+    }
+
+    fn handle(&mut self, event: Event, now: VirtualTime, out: &mut Outbox) {
+        match self {
+            Machine::Device(m) => m.handle(event, now, out),
+            Machine::Edge(m) => m.handle(event, now, out),
+            Machine::Cloud(m) => m.handle(event, now, out),
+        }
+    }
+
+    fn status(&self) -> Option<&NodeStatus> {
+        match self {
+            Machine::Device(m) => m.status(),
+            Machine::Edge(m) => m.status(),
+            Machine::Cloud(m) => m.status(),
+        }
+    }
+
+    fn finalize(&mut self, now: VirtualTime) -> NodeStatus {
+        match self {
+            Machine::Device(m) => m.finalize(now),
+            Machine::Edge(m) => m.finalize(now),
+            Machine::Cloud(m) => m.finalize(now),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -87,7 +160,6 @@ impl Driver for ThreadedDriver {
         config: &ProtocolConfig,
         faults: FaultPlan,
     ) -> Result<ProtocolOutcome, ProtocolError> {
-        let cfg = Arc::new(config.clone());
         let run_span = acme_obs::span!(
             acme_obs::Detail::Phase,
             "protocol.run",
@@ -96,187 +168,83 @@ impl Driver for ThreadedDriver {
             "driver" => "threaded",
         );
         let net = Network::with_faults(faults);
-        let cloud_rx = net.register(NodeId::Cloud)?;
         let epoch = Instant::now();
-
-        let mut edge_handles = Vec::with_capacity(fleet.num_edges());
-        let mut device_handles = Vec::with_capacity(fleet.num_devices());
-        for cluster in fleet.clusters() {
-            let edge_rx = net.register(NodeId::Edge(cluster.edge()))?;
-            // Register devices before any thread starts sending.
-            let device_rxs: Vec<_> = cluster
-                .devices()
-                .iter()
-                .map(|d| net.register(NodeId::Device(d.id())))
-                .collect::<Result<_, _>>()?;
-            let sm = EdgeNode::new(cluster, Arc::clone(&cfg));
-            {
+        // Every node is registered before any thread starts sending.
+        let nodes = machines(fleet, config)
+            .into_iter()
+            .map(|sm| Ok((net.register(sm.id())?, sm)))
+            .collect::<Result<Vec<_>, RegisterError>>()?;
+        // Collected: every thread is running before the first is joined.
+        let mut handles = nodes
+            .into_iter()
+            .map(|(rx, sm)| {
                 let net = net.clone();
-                edge_handles.push(thread::spawn(move || pump_node(net, edge_rx, sm, epoch)));
-            }
-            for (device, rx) in cluster.devices().iter().zip(device_rxs) {
-                let sm = DeviceNode::new(device.id(), cluster.edge(), Arc::clone(&cfg));
-                let net = net.clone();
-                device_handles.push(thread::spawn(move || pump_node(net, rx, sm, epoch)));
-            }
-        }
-
-        // Cloud thread: serves attribute reports (and replays lost
-        // assignments) until every other node has finished.
-        let stop = Arc::new(AtomicBool::new(false));
-        let cloud_handle = {
-            let net = net.clone();
-            let sm = CloudNode::new(cfg);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || pump_cloud(net, cloud_rx, sm, stop, epoch))
-        };
-
-        let mut first_err = None;
-        let mut edge_statuses = Vec::with_capacity(edge_handles.len());
-        for h in edge_handles {
-            match h.join() {
-                Ok(status) => edge_statuses.push(status),
-                Err(_) => {
-                    first_err.get_or_insert(ProtocolError::NodePanicked);
-                }
-            }
-        }
-        let mut device_statuses = Vec::with_capacity(device_handles.len());
-        for h in device_handles {
-            match h.join() {
-                Ok(status) => device_statuses.push(status),
-                Err(_) => {
-                    first_err.get_or_insert(ProtocolError::NodePanicked);
-                }
-            }
-        }
-        // All peers are done: release the cloud's replay service.
-        stop.store(true, Ordering::Relaxed);
-        let cloud_status = match cloud_handle.join() {
-            Ok(status) => Some(status),
-            Err(_) => {
-                first_err.get_or_insert(ProtocolError::NodePanicked);
-                None
-            }
-        };
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+                thread::spawn(move || pump_node(net, rx, sm, epoch))
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
+        let cloud = handles.next().expect("the cloud machine comes first");
+        // Edges and devices run out their bounded schedules. The cloud
+        // arms no timers and never finishes on its own: it serves
+        // reports and replays until every peer is done and closing the
+        // fabric disconnects its inbox.
+        let peers: Vec<_> = handles.map(JoinHandle::join).collect();
+        net.close();
+        let statuses = std::iter::once(cloud.join())
+            .chain(peers)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| ProtocolError::NodePanicked)?;
         let report = net.ledger().report();
         // Close the run span before assembling so it lands in this
         // run's trace.
         drop(run_span);
-        Ok(assemble_outcome(
-            fleet,
-            cloud_status.expect("no panic implies a cloud status"),
-            edge_statuses,
-            device_statuses,
-            report,
-        ))
+        Ok(assemble_outcome(statuses, report))
     }
 }
 
 /// Pumps one node: blocks on the inbox up to the machine's armed
 /// deadline, translating receives into [`Event::Message`] and
-/// expirations into [`Event::Timer`].
-fn pump_node<S: NodeStateMachine>(
-    net: Network,
-    rx: Receiver<Envelope>,
-    mut sm: S,
-    epoch: Instant,
-) -> NodeStatus {
+/// expirations into [`Event::Timer`], and flushing the outbox through
+/// the channel sink after every event.
+fn pump_node(net: Network, rx: Receiver<Envelope>, mut sm: Machine, epoch: Instant) -> NodeStatus {
+    let now = || VirtualTime::from_duration(epoch.elapsed());
+    let me = sm.id();
     let mut out = Outbox::new();
     let mut deadline: Option<(TimerToken, Instant)> = None;
-    let me = sm.id();
-    sm.handle(
-        Event::Start,
-        VirtualTime::from_duration(epoch.elapsed()),
-        &mut out,
-    );
-    flush(&net, me, &mut out, &mut deadline);
+    let mut event = Event::Start;
     loop {
-        if sm.status().is_some() {
-            return sm.finalize(VirtualTime::from_duration(epoch.elapsed()));
+        sm.handle(event, now(), &mut out);
+        for s in out.drain_sends() {
+            // A peer that already tore its inbox down is not an error
+            // here: it simply never answers.
+            let _ = net.transmit(me, s.to, s.payload, s.retransmission);
         }
-        let event = match deadline {
-            Some((token, at)) => match at.checked_duration_since(Instant::now()) {
-                Some(left) => match rx.recv_timeout(left) {
-                    Ok(env) => Event::Message(env),
-                    Err(RecvTimeoutError::Timeout) => {
-                        deadline = None;
-                        Event::Timer(token)
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return sm.finalize(VirtualTime::from_duration(epoch.elapsed()));
-                    }
-                },
-                None => {
+        if let Some((token, after)) = out.take_timer() {
+            deadline = Some((token, Instant::now() + after));
+        }
+        if sm.status().is_some() {
+            return sm.finalize(now());
+        }
+        event = match deadline {
+            Some((token, at)) => match at
+                .checked_duration_since(Instant::now())
+                .map(|left| rx.recv_timeout(left))
+            {
+                Some(Ok(env)) => Event::Message(env),
+                Some(Err(RecvTimeoutError::Disconnected)) => return sm.finalize(now()),
+                // The window ran out, before or during the wait.
+                Some(Err(RecvTimeoutError::Timeout)) | None => {
                     deadline = None;
                     Event::Timer(token)
                 }
             },
-            // The machines arm a timer for every wait of the schedule,
-            // so an unarmed pump only happens for machines that are
-            // already terminal — caught at the top of the loop.
+            // Only the cloud waits with no timer armed: it serves until
+            // the driver closes the fabric and its inbox disconnects.
             None => match rx.recv() {
                 Ok(env) => Event::Message(env),
-                Err(_) => return sm.finalize(VirtualTime::from_duration(epoch.elapsed())),
+                Err(_) => return sm.finalize(now()),
             },
         };
-        sm.handle(event, VirtualTime::from_duration(epoch.elapsed()), &mut out);
-        flush(&net, me, &mut out, &mut deadline);
-    }
-}
-
-/// Pumps the cloud, which arms no timers and never self-terminates: poll
-/// the inbox until the driver signals that every peer is done.
-fn pump_cloud(
-    net: Network,
-    rx: Receiver<Envelope>,
-    mut sm: CloudNode,
-    stop: Arc<AtomicBool>,
-    epoch: Instant,
-) -> NodeStatus {
-    let mut out = Outbox::new();
-    let mut deadline = None;
-    sm.handle(
-        Event::Start,
-        VirtualTime::from_duration(epoch.elapsed()),
-        &mut out,
-    );
-    flush(&net, NodeId::Cloud, &mut out, &mut deadline);
-    while !stop.load(Ordering::Relaxed) {
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(env) => {
-                sm.handle(
-                    Event::Message(env),
-                    VirtualTime::from_duration(epoch.elapsed()),
-                    &mut out,
-                );
-                flush(&net, NodeId::Cloud, &mut out, &mut deadline);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    sm.finalize(VirtualTime::from_duration(epoch.elapsed()))
-}
-
-fn flush(
-    net: &Network,
-    from: NodeId,
-    out: &mut Outbox,
-    deadline: &mut Option<(TimerToken, Instant)>,
-) {
-    for s in out.take_sends() {
-        let _ = if s.retransmission {
-            net.send_retransmit(from, s.to, s.payload)
-        } else {
-            net.send(from, s.to, s.payload)
-        };
-    }
-    if let Some((token, after)) = out.take_timer() {
-        *deadline = Some((token, Instant::now() + after));
     }
 }
 
@@ -343,17 +311,9 @@ pub struct SimDriver {
 }
 
 impl SimDriver {
-    /// A simulator with the given virtual-clock parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.jitter` is negative or not finite.
+    /// A simulator with the given virtual-clock parameters, which are
+    /// validated when a run starts.
     pub fn new(config: SimConfig) -> Self {
-        assert!(
-            config.jitter.is_finite() && config.jitter >= 0.0,
-            "jitter must be finite and non-negative, got {}",
-            config.jitter
-        );
         SimDriver { config }
     }
 
@@ -368,14 +328,17 @@ impl SimDriver {
     /// # Errors
     ///
     /// Returns [`ProtocolError::Register`] when the fleet contains a
-    /// duplicate node id.
+    /// duplicate node id and [`ProtocolError::InvalidJitter`] when
+    /// [`SimConfig::jitter`] is negative or not finite.
     pub fn run_with_stats(
         &self,
         fleet: &Fleet,
         config: &ProtocolConfig,
         faults: FaultPlan,
     ) -> Result<(ProtocolOutcome, SimStats), ProtocolError> {
-        let cfg = Arc::new(config.clone());
+        if !(self.config.jitter.is_finite() && self.config.jitter >= 0.0) {
+            return Err(ProtocolError::InvalidJitter);
+        }
         let run_span = acme_obs::span!(
             acme_obs::Detail::Phase,
             "protocol.run",
@@ -384,53 +347,19 @@ impl SimDriver {
             "driver" => "sim",
         );
 
-        // Machines in fleet order: cloud, then each cluster's edge
-        // followed by its devices — the registration order of the
-        // threaded driver and the status order of the outcome.
-        let mut machines: Vec<SimMachine> =
-            Vec::with_capacity(1 + fleet.num_edges() + fleet.num_devices());
-        machines.push(SimMachine::Cloud(Box::new(CloudNode::new(Arc::clone(
-            &cfg,
-        )))));
-        for cluster in fleet.clusters() {
-            machines.push(SimMachine::Edge(Box::new(EdgeNode::new(
-                cluster,
-                Arc::clone(&cfg),
-            ))));
-            for device in cluster.devices() {
-                machines.push(SimMachine::Device(DeviceNode::new(
-                    device.id(),
-                    cluster.edge(),
-                    Arc::clone(&cfg),
-                )));
-            }
-        }
+        let mut machines = machines(fleet, config);
         let mut index: HashMap<NodeId, usize> = HashMap::with_capacity(machines.len());
         for (i, m) in machines.iter().enumerate() {
             if index.insert(m.id(), i).is_some() {
-                return Err(crate::network::RegisterError { node: m.id() }.into());
+                return Err(RegisterError { node: m.id() }.into());
             }
         }
-
-        let ledger = Ledger::new();
-        let mut fault_state = if faults.is_empty() {
-            None
-        } else {
-            Some(FaultState::new(faults))
-        };
-        let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut wire = SimWire::new(&self.config, faults);
         for m in &machines {
-            heap.push(Reverse(Scheduled {
-                at: VirtualTime::ZERO,
-                seq: next_seq(&mut seq),
-                target: m.id(),
-                kind: ScheduledKind::Start,
-            }));
+            wire.schedule(VirtualTime::ZERO, m.id(), Event::Start);
         }
 
         let mut out = Outbox::new();
-        let mut occurrence: HashMap<(NodeId, NodeId, &'static str), u64> = HashMap::new();
         let mut stats = SimStats {
             events: 0,
             messages_delivered: 0,
@@ -438,21 +367,15 @@ impl SimDriver {
             order_digest: splitmix64(self.config.seed),
         };
         let mut now = VirtualTime::ZERO;
-        while let Some(Reverse(ev)) = heap.pop() {
+        while let Some(Reverse(ev)) = wire.heap.pop() {
             debug_assert!(ev.at >= now, "virtual time must be monotone");
             now = ev.at;
             stats.events += 1;
             stats.order_digest = digest_event(stats.order_digest, &ev);
-            let i = index[&ev.target];
-            let event = match ev.kind {
-                ScheduledKind::Start => Event::Start,
-                ScheduledKind::Timer(token) => Event::Timer(token),
-                ScheduledKind::Deliver(env) => {
-                    stats.messages_delivered += 1;
-                    Event::Message(env)
-                }
-            };
-            let machine = &mut machines[i];
+            if let Event::Message(_) = ev.event {
+                stats.messages_delivered += 1;
+            }
+            let machine = &mut machines[index[&ev.target]];
             // Stale timers outlive their machines (the queue cannot
             // un-schedule), so the protocol's finish line is the last
             // event a still-live machine consumed — not the time the
@@ -460,192 +383,92 @@ impl SimDriver {
             if machine.status().is_none() {
                 stats.virtual_elapsed = now;
             }
-            machine.handle(event, now, &mut out);
-            let from = machine.id();
-            for send in out.take_sends() {
-                let env = Envelope {
-                    from,
-                    to: send.to,
-                    payload: send.payload,
-                };
-                self.transmit(
-                    env,
-                    send.retransmission,
-                    now,
-                    &ledger,
-                    &mut fault_state,
-                    &mut occurrence,
-                    &mut heap,
-                    &mut seq,
-                );
+            machine.handle(ev.event, now, &mut out);
+            for s in out.drain_sends() {
+                wire.send(now, ev.target, s.to, s.payload, s.retransmission);
             }
             if let Some((token, after)) = out.take_timer() {
-                heap.push(Reverse(Scheduled {
-                    at: now.saturating_add(after),
-                    seq: next_seq(&mut seq),
-                    target: from,
-                    kind: ScheduledKind::Timer(token),
-                }));
+                wire.schedule(now.saturating_add(after), ev.target, Event::Timer(token));
             }
         }
 
         // The queue is dry: every device and edge has run out its
         // bounded schedule; shut the cloud's replay service down.
-        let mut cloud_status: Option<NodeStatus> = None;
-        let mut edge_statuses = Vec::with_capacity(fleet.num_edges());
-        let mut device_statuses = Vec::with_capacity(fleet.num_devices());
-        for m in &mut machines {
-            let status = m.finalize(now);
-            match status.node {
-                NodeId::Cloud => cloud_status = Some(status),
-                NodeId::Edge(_) => edge_statuses.push(status),
-                NodeId::Device(_) => device_statuses.push(status),
-            }
-        }
-        let report = ledger.report();
+        let statuses = machines.iter_mut().map(|m| m.finalize(now)).collect();
+        let report = wire.ledger.report();
         drop(run_span);
-        let outcome = assemble_outcome(
-            fleet,
-            cloud_status.expect("the cloud machine always yields a status"),
-            edge_statuses,
-            device_statuses,
-            report,
-        );
-        Ok((outcome, stats))
+        Ok((assemble_outcome(statuses, report), stats))
+    }
+}
+
+/// The simulator's wire: the event queue and everything a send consults
+/// on its way into it.
+struct SimWire<'a> {
+    config: &'a SimConfig,
+    ledger: Ledger,
+    faults: Option<FaultState>,
+    /// Messages carried so far per link, behind the latency jitter.
+    flights: LinkOccurrences,
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    seq: u64,
+}
+
+impl<'a> SimWire<'a> {
+    fn new(config: &'a SimConfig, faults: FaultPlan) -> Self {
+        SimWire {
+            config,
+            ledger: Ledger::new(),
+            faults: FaultState::for_plan(faults),
+            flights: LinkOccurrences::new(),
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
     }
 
-    /// Applies the fault verdict and meters/schedules one send — the
-    /// virtual-time mirror of `Network::transmit`, with identical
-    /// metering (lost messages still crossed the sender's link) and the
-    /// same `net.*` trace events, each stamped with the virtual clock.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
-        &self,
-        env: Envelope,
-        retransmission: bool,
+    fn schedule(&mut self, at: VirtualTime, target: NodeId, event: Event) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Scheduled {
+            at,
+            seq,
+            target,
+            event,
+        }));
+    }
+
+    /// The heap sink of `route`: every copy is scheduled for the virtual
+    /// instant it lands — `now`, plus any fault delay (which defers this
+    /// one delivery, where the channel sink stalls the whole sender),
+    /// plus the link's one-way flight time (half the RTT plus
+    /// serialization) stretched by a jitter factor in `[1, 1 + jitter]`.
+    /// The jitter is drawn for every message that reached the wire, lost
+    /// ones included, with the fault layer's seeded-drop hash over this
+    /// driver's own seed and per-link counts.
+    fn send(
+        &mut self,
         now: VirtualTime,
-        ledger: &Ledger,
-        faults: &mut Option<FaultState>,
-        occurrence: &mut HashMap<(NodeId, NodeId, &'static str), u64>,
-        heap: &mut BinaryHeap<Reverse<Scheduled>>,
-        seq: &mut u64,
+        from: NodeId,
+        to: NodeId,
+        payload: Payload,
+        retransmission: bool,
     ) {
-        let verdict = match faults {
-            Some(f) => f.on_send(&env),
-            None => Verdict::Deliver,
-        };
-        if verdict == Verdict::SenderDead {
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.dead_sender",
-                "from" => env.from.to_string(),
-                "kind" => env.payload.kind(),
-                "vtime_us" => now.as_micros(),
-            );
+        let env = Envelope { from, to, payload };
+        let faults = self.faults.as_mut();
+        let Some(routed) = route(&env, retransmission, faults, &self.ledger, Some(now)) else {
             return;
-        }
-        let mut extra = Duration::ZERO;
-        if let Verdict::Delay(d) = verdict {
-            // In virtual time a fault delay defers this delivery only;
-            // the threaded driver stalls the whole sender instead.
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.delay",
-                "from" => env.from.to_string(),
-                "to" => env.to.to_string(),
-                "kind" => env.payload.kind(),
-                "delay_us" => d.as_micros() as u64,
-                "vtime_us" => now.as_micros(),
-            );
-            extra = d;
-        }
-        let copies = if verdict == Verdict::Duplicate { 2 } else { 1 };
-        let deliver = verdict != Verdict::Lose;
-        if !deliver {
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.drop",
-                "from" => env.from.to_string(),
-                "to" => env.to.to_string(),
-                "kind" => env.payload.kind(),
-                "bytes" => env.payload.wire_bytes(),
-                "vtime_us" => now.as_micros(),
-            );
-        } else if copies > 1 {
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.duplicate",
-                "from" => env.from.to_string(),
-                "to" => env.to.to_string(),
-                "kind" => env.payload.kind(),
-                "vtime_us" => now.as_micros(),
-            );
+        };
+        let link = self.config.links.link(env.payload.link_class());
+        let mut flight = link.one_way_seconds(env.payload.wire_bytes());
+        if self.config.jitter > 0.0 {
+            let u = link_uniform(self.config.seed, &env, &mut self.flights);
+            flight *= 1.0 + self.config.jitter * u;
         }
         let at = now
-            .saturating_add(extra)
-            .saturating_add(self.delivery_latency(&env, occurrence));
-        for _ in 0..copies {
-            // Lost messages still crossed the sender's link: metered.
-            if retransmission {
-                ledger.record_retransmission(&env);
-            } else {
-                ledger.record(&env);
-            }
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.send",
-                "from" => env.from.to_string(),
-                "to" => env.to.to_string(),
-                "kind" => env.payload.kind(),
-                "bytes" => env.payload.wire_bytes(),
-                "retransmit" => retransmission as u64,
-                "vtime_us" => now.as_micros(),
-            );
-            if deliver {
-                heap.push(Reverse(Scheduled {
-                    at,
-                    seq: next_seq(seq),
-                    target: env.to,
-                    kind: ScheduledKind::Deliver(env.clone()),
-                }));
-            }
+            .saturating_add(routed.delay)
+            .saturating_add(Duration::from_secs_f64(flight));
+        for env in std::iter::repeat_n(env, routed.copies) {
+            self.schedule(at, to, Event::Message(env));
         }
-    }
-
-    /// One-way flight time of `env` under the link model: half the RTT
-    /// plus serialization, stretched by a deterministic jitter factor
-    /// hashed from the seed and the message's link coordinates (the same
-    /// scheme the fault layer uses for its seeded drops).
-    fn delivery_latency(
-        &self,
-        env: &Envelope,
-        occurrence: &mut HashMap<(NodeId, NodeId, &'static str), u64>,
-    ) -> Duration {
-        let link = self.config.links.link(env.payload.link_class());
-        let base = link.one_way_seconds(env.payload.wire_bytes());
-        let factor = if self.config.jitter > 0.0 {
-            let occ = occurrence
-                .entry((env.from, env.to, env.payload.kind()))
-                .or_insert(0);
-            let n = *occ;
-            *occ += 1;
-            let h = splitmix64(
-                self.config
-                    .seed
-                    .wrapping_add(node_tag(env.from))
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(node_tag(env.to))
-                    .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                    .wrapping_add(fnv1a(env.payload.kind()))
-                    .wrapping_add(n),
-            );
-            // Top 53 bits → uniform in [0, 1).
-            let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-            1.0 + self.config.jitter * u
-        } else {
-            1.0
-        };
-        Duration::from_secs_f64(base * factor)
     }
 }
 
@@ -686,65 +509,13 @@ pub fn simulate_fleet(
     .run(fleet, config, faults)
 }
 
-/// The machine enum keeps the simulator monomorphic (no per-node trait
-/// vtables across a million devices). A fleet is almost entirely
-/// `Device`s, so the rare, much larger edge and cloud machines are
-/// boxed to keep the per-device footprint at the `DeviceNode` size.
-#[derive(Debug)]
-enum SimMachine {
-    Device(DeviceNode),
-    Edge(Box<EdgeNode>),
-    Cloud(Box<CloudNode>),
-}
-
-impl SimMachine {
-    fn id(&self) -> NodeId {
-        match self {
-            SimMachine::Device(m) => m.id(),
-            SimMachine::Edge(m) => m.id(),
-            SimMachine::Cloud(m) => m.id(),
-        }
-    }
-
-    fn handle(&mut self, event: Event, now: VirtualTime, out: &mut Outbox) {
-        match self {
-            SimMachine::Device(m) => m.handle(event, now, out),
-            SimMachine::Edge(m) => m.handle(event, now, out),
-            SimMachine::Cloud(m) => m.handle(event, now, out),
-        }
-    }
-
-    fn status(&self) -> Option<&NodeStatus> {
-        match self {
-            SimMachine::Device(m) => m.status(),
-            SimMachine::Edge(m) => m.status(),
-            SimMachine::Cloud(m) => m.status(),
-        }
-    }
-
-    fn finalize(&mut self, now: VirtualTime) -> NodeStatus {
-        match self {
-            SimMachine::Device(m) => m.finalize(now),
-            SimMachine::Edge(m) => m.finalize(now),
-            SimMachine::Cloud(m) => m.finalize(now),
-        }
-    }
-}
-
 /// One pending event in the simulator's queue.
 #[derive(Debug, Clone)]
 struct Scheduled {
     at: VirtualTime,
     seq: u64,
     target: NodeId,
-    kind: ScheduledKind,
-}
-
-#[derive(Debug, Clone)]
-enum ScheduledKind {
-    Start,
-    Timer(TimerToken),
-    Deliver(Envelope),
+    event: Event,
 }
 
 /// Events are totally ordered by `(at, seq)`. `seq` is the unique,
@@ -770,18 +541,12 @@ impl Ord for Scheduled {
     }
 }
 
-fn next_seq(seq: &mut u64) -> u64 {
-    let s = *seq;
-    *seq += 1;
-    s
-}
-
 /// Folds one processed event into the order digest.
 fn digest_event(digest: u64, ev: &Scheduled) -> u64 {
-    let kind_tag = match &ev.kind {
-        ScheduledKind::Start => 0x11,
-        ScheduledKind::Timer(token) => 0x22 ^ (token.0 << 8),
-        ScheduledKind::Deliver(env) => 0x33 ^ fnv1a(env.payload.kind()) ^ (node_tag(env.from) << 4),
+    let kind_tag = match &ev.event {
+        Event::Start => 0x11,
+        Event::Timer(token) => 0x22 ^ (token.0 << 8),
+        Event::Message(env) => 0x33 ^ fnv1a(env.payload.kind()) ^ (node_tag(env.from) << 4),
     };
     splitmix64(
         digest
@@ -796,6 +561,7 @@ fn digest_event(digest: u64, ev: &Scheduled) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultRule};
     use crate::protocol::{DropPoint, RetryPolicy};
     use acme_energy::{Device, DeviceCluster, EdgeId};
 
@@ -918,13 +684,109 @@ mod tests {
         assert!(matches!(err, ProtocolError::Register(_)));
     }
 
+    /// Puts `sends` (`from`, `to`, retransmission; all acks) through the
+    /// channel sink and through the heap sink under `plan`, checks that
+    /// both delivered the same copies and charged the same ledger, and
+    /// returns the recipients of the delivered copies with the report.
+    fn through_both_sinks(
+        plan: FaultPlan,
+        sends: &[(NodeId, NodeId, bool)],
+    ) -> (Vec<NodeId>, crate::TransferReport) {
+        let net = Network::with_faults(plan.clone());
+        let mut inboxes: Vec<(NodeId, Receiver<Envelope>)> = Vec::new();
+        let config = SimConfig::default();
+        let mut wire = SimWire::new(&config, plan);
+        for &(from, to, retransmission) in sends {
+            for node in [from, to] {
+                if let Ok(rx) = net.register(node) {
+                    inboxes.push((node, rx));
+                }
+            }
+            net.transmit(from, to, Payload::Ack, retransmission)
+                .expect("registered recipient");
+            wire.send(VirtualTime::ZERO, from, to, Payload::Ack, retransmission);
+        }
+        let key = |env: &Envelope| (node_tag(env.to), node_tag(env.from));
+        let mut channel: Vec<Envelope> = inboxes
+            .iter()
+            .flat_map(|(node, rx)| rx.try_iter().inspect(move |env| assert_eq!(env.to, *node)))
+            .collect();
+        channel.sort_by_key(key);
+        let mut heap: Vec<Envelope> = std::iter::from_fn(|| wire.heap.pop())
+            .map(|Reverse(ev)| match ev.event {
+                Event::Message(env) if env.to == ev.target => env,
+                other => panic!("only deliveries to their addressee are queued: {other:?}"),
+            })
+            .collect();
+        heap.sort_by_key(key);
+        assert_eq!(channel, heap, "the sinks delivered different copies");
+        let report = net.ledger().report();
+        assert_eq!(
+            report,
+            wire.ledger.report(),
+            "the sinks metered differently"
+        );
+        (channel.iter().map(|env| env.to).collect(), report)
+    }
+
+    const EDGE: NodeId = NodeId::Edge(EdgeId(0));
+    const CLOUD: NodeId = NodeId::Cloud;
+
+    #[test]
+    fn empty_fault_plan_is_fault_free() {
+        let (delivered, report) = through_both_sinks(FaultPlan::none(), &[(EDGE, CLOUD, false)]);
+        assert_eq!(delivered, [CLOUD]);
+        assert_eq!(report.messages, 1);
+    }
+
+    #[test]
+    fn retransmit_counts_in_both_totals() {
+        let sends = [(EDGE, CLOUD, false), (EDGE, CLOUD, true)];
+        let (delivered, report) = through_both_sinks(FaultPlan::none(), &sends);
+        assert_eq!(delivered, [CLOUD, CLOUD]);
+        assert_eq!((report.messages, report.retransmissions), (2, 1));
+    }
+
+    #[test]
+    fn injected_drop_is_metered_but_not_delivered() {
+        let plan = FaultPlan::none().rule(FaultRule::on(FaultAction::Drop).kind("ack").nth(0));
+        let sends = [(EDGE, CLOUD, false), (EDGE, CLOUD, false)];
+        let (delivered, report) = through_both_sinks(plan, &sends);
+        // Both metered, only the second delivered.
+        assert_eq!(report.messages, 2);
+        assert_eq!(delivered, [CLOUD]);
+    }
+
+    #[test]
+    fn injected_duplicate_delivers_and_meters_twice() {
+        let plan = FaultPlan::none().rule(FaultRule::on(FaultAction::Duplicate).nth(0));
+        let (delivered, report) = through_both_sinks(plan, &[(EDGE, CLOUD, false)]);
+        assert_eq!(report.messages, 2);
+        assert_eq!(delivered, [CLOUD, CLOUD]);
+    }
+
+    #[test]
+    fn dead_sender_is_swallowed_unmetered() {
+        let dead = NodeId::Device(acme_energy::DeviceId(3));
+        let plan = FaultPlan::none().kill(dead, 0);
+        // The dead node's send "succeeds" but nothing reaches the wire.
+        let (delivered, report) = through_both_sinks(plan.clone(), &[(dead, CLOUD, false)]);
+        assert_eq!(report.messages, 0);
+        assert!(delivered.is_empty());
+        // Traffic toward the dead node is lost in flight but metered.
+        let sends = [(dead, CLOUD, false), (CLOUD, dead, false)];
+        let (delivered, report) = through_both_sinks(plan, &sends);
+        assert_eq!(report.messages, 1);
+        assert!(delivered.is_empty());
+    }
+
     #[test]
     fn scheduled_order_is_total_by_time_then_seq() {
         let ev = |at_ns, seq| Scheduled {
             at: VirtualTime::from_nanos(at_ns),
             seq,
             target: NodeId::Cloud,
-            kind: ScheduledKind::Start,
+            event: Event::Start,
         };
         assert!(ev(1, 5) < ev(2, 0), "earlier time wins");
         assert!(ev(2, 1) < ev(2, 2), "FIFO among simultaneous events");

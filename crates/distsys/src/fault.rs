@@ -1,7 +1,9 @@
 //! Deterministic fault injection for the message fabric.
 //!
-//! A [`FaultPlan`] is attached to a [`crate::Network`] at construction
-//! ([`crate::Network::with_faults`]) and consulted on every send. It can
+//! A [`FaultPlan`] is handed to a run ([`crate::ProtocolRun::faults`])
+//! or attached to a [`crate::Network`] at construction
+//! ([`crate::Network::with_faults`]) and consulted on every send, by the
+//! crate's one send path. It can
 //!
 //! * apply a [`FaultAction`] (drop, delay, duplicate) to messages
 //!   matched by a [`FaultRule`] (sender / recipient / payload kind /
@@ -30,8 +32,10 @@ use crate::message::{Envelope, NodeId};
 pub enum FaultAction {
     /// The message is lost in flight (metered as sent, never delivered).
     Drop,
-    /// Delivery is delayed by stalling the sender for the given time
-    /// before the message enters the wire.
+    /// Delivery is held back for the given time. The two drivers give
+    /// this different meanings: a [`crate::Network`] stalls the sender
+    /// before the message enters the wire, the simulator defers only
+    /// this one delivery.
     Delay(Duration),
     /// The message is delivered (and metered) twice.
     Duplicate,
@@ -163,7 +167,7 @@ pub(crate) enum Verdict {
     Lose,
     /// The sender is dead: nothing reaches the wire, nothing is metered.
     SenderDead,
-    /// Stall the sender, then deliver.
+    /// Deliver, this much later.
     Delay(Duration),
 }
 
@@ -174,10 +178,16 @@ pub(crate) struct FaultState {
     plan: FaultPlan,
     rule_hits: Vec<u64>,
     sends_by_node: HashMap<NodeId, u64>,
-    link_occurrence: HashMap<(NodeId, NodeId, &'static str), u64>,
+    link_occurrence: LinkOccurrences,
 }
 
 impl FaultState {
+    /// The bookkeeping `plan` needs: none for an empty plan, which then
+    /// costs a send nothing.
+    pub(crate) fn for_plan(plan: FaultPlan) -> Option<Self> {
+        (!plan.is_empty()).then(|| FaultState::new(plan))
+    }
+
     pub(crate) fn new(plan: FaultPlan) -> Self {
         let rules = plan.rules.len();
         FaultState {
@@ -221,34 +231,44 @@ impl FaultState {
                 }
             }
         }
-        if self.plan.drop_prob > 0.0 {
-            let key = (env.from, env.to, env.payload.kind());
-            let occ = self.link_occurrence.entry(key).or_insert(0);
-            let n = *occ;
-            *occ += 1;
-            let h = splitmix64(
-                self.plan
-                    .seed
-                    .wrapping_add(node_tag(env.from))
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(node_tag(env.to))
-                    .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                    .wrapping_add(fnv1a(env.payload.kind()))
-                    .wrapping_add(n),
-            );
-            // Top 53 bits → uniform in [0, 1).
-            let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-            if u < self.plan.drop_prob {
-                return Verdict::Lose;
-            }
+        if self.plan.drop_prob > 0.0
+            && link_uniform(self.plan.seed, env, &mut self.link_occurrence) < self.plan.drop_prob
+        {
+            return Verdict::Lose;
         }
         Verdict::Deliver
     }
 }
 
-/// Stable 64-bit encoding of a node address for hashing. Shared with the
-/// sim driver's latency jitter so both fault and timing randomness hash
-/// the same message coordinates.
+/// How many messages each `(from, to, kind)` link has carried so far.
+pub(crate) type LinkOccurrences = HashMap<(NodeId, NodeId, &'static str), u64>;
+
+/// A uniform draw in `[0, 1)` for the next message on `env`'s link: the
+/// seed hashed with the message's `(from, to, kind)` coordinates and the
+/// link's occurrence count, which this advances. The fault layer's
+/// seeded drops and the sim driver's latency jitter share this function
+/// but each keeps its own `seen`: they count different sends (those no
+/// kill or rule decided vs. those that reached the wire), and merging
+/// them would move every draw.
+pub(crate) fn link_uniform(seed: u64, env: &Envelope, seen: &mut LinkOccurrences) -> f64 {
+    let occ = seen
+        .entry((env.from, env.to, env.payload.kind()))
+        .or_insert(0);
+    let n = *occ;
+    *occ += 1;
+    let h = splitmix64(
+        seed.wrapping_add(node_tag(env.from))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(node_tag(env.to))
+            .wrapping_mul(0x2545_f491_4f6c_dd1d)
+            .wrapping_add(fnv1a(env.payload.kind()))
+            .wrapping_add(n),
+    );
+    // Top 53 bits → uniform in [0, 1).
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Stable 64-bit encoding of a node address for hashing.
 pub(crate) fn node_tag(node: NodeId) -> u64 {
     match node {
         NodeId::Cloud => 0,

@@ -6,10 +6,15 @@
 //!
 //! Three layers are provided:
 //!
-//! * **Transport** — [`Network`] routes [`Envelope`]s between [`NodeId`]s
-//!   over crossbeam channels while a shared [`Ledger`] meters every
-//!   message's [`Payload::wire_bytes`]. This is what Table I's
-//!   upload-volume comparison is measured on.
+//! * **Transport** — one crate-private send path rules every send
+//!   against the [`FaultPlan`], charges its [`Payload::wire_bytes`] to a
+//!   shared [`Ledger`] and emits its `net.*` trace events; what it
+//!   returns (how many copies, how late) is delivered by a *sink*.
+//!   [`Network`] is the channel sink, routing [`Envelope`]s between
+//!   [`NodeId`]s over crossbeam channels; [`Network::meter`] is the
+//!   sink that delivers nothing, for callers that only account for a
+//!   transfer. This is what Table I's upload-volume comparison is
+//!   measured on.
 //! * **Protocol** — sans-IO state machines ([`DeviceNode`], [`EdgeNode`],
 //!   [`CloudNode`] behind the [`NodeStateMachine`] trait) encode the
 //!   paper's schedule (edge attribute upload → cloud backbone assignment
@@ -20,8 +25,9 @@
 //! * **Drivers** — a [`ProtocolRun`] executes the machines on a
 //!   pluggable [`Driver`]: the thread-per-node [`ThreadedDriver`] oracle
 //!   (real channels, real clocks) or the discrete-event [`SimDriver`]
-//!   (one thread, a virtual clock, deterministic by seed), which scales
-//!   the same protocol to 100k+ devices via [`simulate_fleet`].
+//!   (one thread, a virtual clock, deterministic by seed; its sink is an
+//!   event heap), which scales the same protocol to 100k+ devices via
+//!   [`simulate_fleet`].
 //!
 //! The runtime is fault tolerant: every wait is bounded by a
 //! [`RetryPolicy`] timer, and a deterministic [`FaultPlan`] can drop,

@@ -1,9 +1,12 @@
-//! Channel-based message routing between node threads, with optional
-//! deterministic fault injection.
+//! The one send path of the crate ([`route`]: fault verdict → ledger
+//! charge → `net.*` trace events) and its channel sink: [`Network`],
+//! message routing between node threads.
 
 use std::collections::HashMap;
+use std::ops::DerefMut;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -11,6 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::fault::{FaultPlan, FaultState, Verdict};
 use crate::ledger::Ledger;
 use crate::message::{Envelope, NodeId, Payload};
+use crate::node::VirtualTime;
 
 /// Error returned by [`Network::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,11 +88,7 @@ impl Network {
             inner: Arc::new(Inner {
                 ledger: Arc::default(),
                 routes: RwLock::default(),
-                faults: if plan.is_empty() {
-                    None
-                } else {
-                    Some(Mutex::new(FaultState::new(plan)))
-                },
+                faults: FaultState::for_plan(plan).map(Mutex::new),
             }),
         }
     }
@@ -140,90 +140,48 @@ impl Network {
         self.transmit(from, to, payload, true)
     }
 
-    fn transmit(
+    /// Meters `payload` as sent from `from` to `to` without delivering
+    /// it anywhere: the entry point for callers that account for a
+    /// transfer they carry out themselves (the in-process pipeline, the
+    /// centralized baseline). No node needs to be registered. The send
+    /// goes through the same path as [`Network::send`], so a fault plan
+    /// is honoured — a dead sender meters nothing, a duplicate meters
+    /// twice — except that a delay, with nothing to deliver, is moot.
+    pub fn meter(&self, from: NodeId, to: NodeId, payload: Payload) {
+        self.route(&Envelope { from, to, payload }, false);
+    }
+
+    /// The channel sink of [`route`]: the sender sleeps through any
+    /// fault delay, then every copy goes into the recipient's inbox.
+    pub(crate) fn transmit(
         &self,
         from: NodeId,
         to: NodeId,
         payload: Payload,
         retransmission: bool,
     ) -> Result<(), SendError> {
-        let env = Envelope { from, to, payload };
-        let verdict = match &self.inner.faults {
-            Some(f) => f.lock().on_send(&env),
-            None => Verdict::Deliver,
-        };
-        if verdict == Verdict::SenderDead {
-            // A dead node's sends never reach the wire: swallowed
-            // silently and unmetered so the sender cannot observe its
-            // own death through an error.
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.dead_sender",
-                "from" => from.to_string(),
-                "kind" => env.payload.kind(),
-            );
-            return Ok(());
-        }
-        if let Verdict::Delay(d) = verdict {
-            // Delivery delay is modeled as a sender-side stall before
-            // the message enters the wire.
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.delay",
-                "from" => from.to_string(),
-                "to" => to.to_string(),
-                "kind" => env.payload.kind(),
-                "delay_us" => d.as_micros() as u64,
-            );
-            thread::sleep(d);
-        }
-        // Unknown recipients error before metering (nothing was sent).
+        // An unknown recipient is the caller's error, not traffic:
+        // rejected before anything is ruled or metered.
         let tx = {
             let routes = self.inner.routes.read();
             routes.get(&to).cloned().ok_or(SendError::UnknownNode(to))?
         };
-        let copies = if verdict == Verdict::Duplicate { 2 } else { 1 };
-        let deliver = verdict != Verdict::Lose;
-        if !deliver {
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.drop",
-                "from" => from.to_string(),
-                "to" => to.to_string(),
-                "kind" => env.payload.kind(),
-                "bytes" => env.payload.wire_bytes(),
-            );
-        } else if copies > 1 {
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.duplicate",
-                "from" => from.to_string(),
-                "to" => to.to_string(),
-                "kind" => env.payload.kind(),
-            );
-        }
-        for _ in 0..copies {
-            // Lost messages still crossed the sender's link: metered.
-            if retransmission {
-                self.inner.ledger.record_retransmission(&env);
-            } else {
-                self.inner.ledger.record(&env);
-            }
-            acme_obs::event!(
-                acme_obs::Detail::Task,
-                "net.send",
-                "from" => from.to_string(),
-                "to" => to.to_string(),
-                "kind" => env.payload.kind(),
-                "bytes" => env.payload.wire_bytes(),
-                "retransmit" => retransmission as u64,
-            );
-            if deliver {
-                tx.send(env.clone())
-                    .map_err(|_| SendError::Disconnected(to))?;
-            }
+        let env = Envelope { from, to, payload };
+        let Some(routed) = self.route(&env, retransmission) else {
+            // Swallowed silently, so a dead sender cannot observe its
+            // own death through an error.
+            return Ok(());
+        };
+        thread::sleep(routed.delay);
+        for env in std::iter::repeat_n(env, routed.copies) {
+            tx.send(env).map_err(|_| SendError::Disconnected(to))?;
         }
         Ok(())
+    }
+
+    fn route(&self, env: &Envelope, retransmission: bool) -> Option<Routed> {
+        let faults = self.inner.faults.as_ref().map(|f| f.lock());
+        route(env, retransmission, faults, &self.inner.ledger, None)
     }
 
     /// Drops every registered route, disconnecting all inboxes. Blocked
@@ -242,6 +200,102 @@ impl Network {
     pub fn node_count(&self) -> usize {
         self.inner.routes.read().len()
     }
+}
+
+/// What [`route`] put on the wire for one send, left for the calling
+/// sink to deliver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Routed {
+    /// Copies to deliver: `0` for a message that was metered and then
+    /// lost in flight, `2` for a duplicated one.
+    pub(crate) copies: usize,
+    /// How long the fault layer holds the delivery back.
+    pub(crate) delay: Duration,
+}
+
+/// The one send path: fault verdict → ledger charge → `net.*` trace
+/// events → how many copies the caller must deliver, and how late.
+///
+/// Every send of the crate — a [`Network`] channel send, a [`SimDriver`]
+/// heap push, a metering-only [`Network::meter`] — is ruled and charged
+/// here and nowhere else; the callers are *sinks* that differ only in
+/// what delivering a copy means. `None` means the sender is dead:
+/// nothing reached the wire, nothing was metered. `Some` with
+/// `copies == 0` means the message crossed the sender's link, was
+/// metered, and was lost in flight. The distinction is load-bearing for
+/// the sim sink, which draws a latency jitter (advancing its per-link
+/// occurrence counter) for every message that reached the wire, lost or
+/// not, and none for a dead sender's. That jitter counter and the fault
+/// layer's own stay two counters — they count different sends — and
+/// share only [`link_uniform`](crate::fault::link_uniform).
+///
+/// `delay` is the one place the sinks give a verdict different
+/// meanings: the channel sink stalls the *sender* for it before the
+/// message enters the wire, the sim sink defers that one *delivery*.
+/// A sink that can refuse a send ([`Network`]: an unknown recipient)
+/// does so *before* calling this, so a rejected send is neither ruled
+/// (no fault counter moves) nor metered.
+///
+/// `vtime` stamps the trace events with the sim's virtual clock
+/// (`vtime_us`); wall-clock callers pass `None` and their events carry
+/// no such field.
+///
+/// [`SimDriver`]: crate::SimDriver
+pub(crate) fn route(
+    env: &Envelope,
+    retransmission: bool,
+    faults: Option<impl DerefMut<Target = FaultState>>,
+    ledger: &Ledger,
+    vtime: Option<VirtualTime>,
+) -> Option<Routed> {
+    macro_rules! net_event {
+        ($name:literal $(, $k:literal => $v:expr)*) => {
+            if acme_obs::compiled() && acme_obs::trace::enabled_at(acme_obs::Detail::Task) {
+                let event = acme_obs::trace::EventBuilder::begin($name)
+                    .with("from", env.from.to_string())
+                    $(.with($k, $v))*;
+                match vtime {
+                    Some(t) => event.with("vtime_us", t.as_micros()).emit(),
+                    None => event.emit(),
+                }
+            }
+        };
+    }
+    // `faults` may be a lock guard: it is released with the verdict.
+    let verdict = faults.map_or(Verdict::Deliver, |mut f| f.on_send(env));
+    let kind = env.payload.kind();
+    let (copies, delay) = match verdict {
+        Verdict::SenderDead => {
+            net_event!("net.dead_sender", "kind" => kind);
+            return None;
+        }
+        Verdict::Delay(d) => {
+            net_event!("net.delay", "to" => env.to.to_string(), "kind" => kind,
+                "delay_us" => d.as_micros() as u64);
+            (1, d)
+        }
+        Verdict::Lose => {
+            net_event!("net.drop", "to" => env.to.to_string(), "kind" => kind,
+                "bytes" => env.payload.wire_bytes());
+            (0, Duration::ZERO)
+        }
+        Verdict::Duplicate => {
+            net_event!("net.duplicate", "to" => env.to.to_string(), "kind" => kind);
+            (2, Duration::ZERO)
+        }
+        Verdict::Deliver => (1, Duration::ZERO),
+    };
+    // A lost message still crossed the sender's link: metered once.
+    for _ in 0..copies.max(1) {
+        if retransmission {
+            ledger.record_retransmission(env);
+        } else {
+            ledger.record(env);
+        }
+        net_event!("net.send", "to" => env.to.to_string(), "kind" => kind,
+            "bytes" => env.payload.wire_bytes(), "retransmit" => retransmission as u64);
+    }
+    Some(Routed { copies, delay })
 }
 
 #[cfg(test)]
@@ -356,73 +410,108 @@ mod tests {
         assert!(e.to_string().contains("unknown"));
     }
 
+    /// The send path's whole contract, one row per verdict: what the
+    /// sink is told to deliver and what the ledger was charged, for a
+    /// first send and for a retransmission.
     #[test]
-    fn injected_drop_is_metered_but_not_delivered() {
+    fn route_rules_meters_and_reports_every_verdict() {
         use crate::fault::{FaultAction, FaultPlan, FaultRule};
-        let net = Network::with_faults(
-            FaultPlan::none().rule(FaultRule::on(FaultAction::Drop).kind("ack").nth(0)),
-        );
-        let rx = net.register(NodeId::Cloud).unwrap();
-        net.register(NodeId::Edge(EdgeId(0))).unwrap();
-        let from = NodeId::Edge(EdgeId(0));
-        net.send(from, NodeId::Cloud, Payload::Ack).unwrap();
-        net.send(from, NodeId::Cloud, Payload::Ack).unwrap();
-        // Both metered, only the second delivered.
-        assert_eq!(net.ledger().message_count(), 2);
-        assert_eq!(rx.try_iter().count(), 1);
+        let (from, to) = (NodeId::Edge(EdgeId(0)), NodeId::Cloud);
+        let lag = Duration::from_millis(7);
+        let rule = |action| FaultPlan::none().rule(FaultRule::on(action));
+        let routed = |copies, delay| Some(Routed { copies, delay });
+        // (label, plan, outcome, sends metered)
+        let table = [
+            ("no plan", FaultPlan::none(), routed(1, Duration::ZERO), 1),
+            (
+                "a plan that rules on other traffic",
+                FaultPlan::none()
+                    .rule(FaultRule::on(FaultAction::Drop).kind("header-spec"))
+                    .kill(NodeId::Device(DeviceId(9)), 0),
+                routed(1, Duration::ZERO),
+                1,
+            ),
+            (
+                "duplicate",
+                rule(FaultAction::Duplicate),
+                routed(2, Duration::ZERO),
+                2,
+            ),
+            (
+                "lose",
+                rule(FaultAction::Drop),
+                routed(0, Duration::ZERO),
+                1,
+            ),
+            (
+                "lost to a dead node",
+                FaultPlan::none().kill(to, 0),
+                routed(0, Duration::ZERO),
+                1,
+            ),
+            ("delay", rule(FaultAction::Delay(lag)), routed(1, lag), 1),
+            ("dead sender", FaultPlan::none().kill(from, 0), None, 0),
+        ];
+        for (label, plan, expected, metered) in table {
+            for retransmission in [false, true] {
+                let mut faults = FaultState::for_plan(plan.clone());
+                let ledger = Ledger::new();
+                let env = Envelope {
+                    from,
+                    to,
+                    payload: Payload::Ack,
+                };
+                let got = route(&env, retransmission, faults.as_mut(), &ledger, None);
+                let label = format!("{label}, retransmission {retransmission}");
+                assert_eq!(got, expected, "{label}");
+                let report = ledger.report();
+                let retransmitted = if retransmission { metered } else { 0 };
+                assert_eq!(report.messages, metered, "{label}");
+                assert_eq!(
+                    report.total_bytes,
+                    metered * env.payload.wire_bytes(),
+                    "{label}"
+                );
+                assert_eq!(report.retransmissions, retransmitted, "{label}");
+                assert_eq!(
+                    report.retransmitted_bytes,
+                    retransmitted * env.payload.wire_bytes(),
+                    "{label}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn injected_duplicate_delivers_and_meters_twice() {
+    fn meter_needs_no_inbox_and_honours_the_fault_plan() {
         use crate::fault::{FaultAction, FaultPlan, FaultRule};
-        let net = Network::with_faults(
-            FaultPlan::none().rule(FaultRule::on(FaultAction::Duplicate).nth(0)),
+        let (edge, device, dead) = (
+            NodeId::Edge(EdgeId(0)),
+            NodeId::Device(DeviceId(0)),
+            NodeId::Device(DeviceId(3)),
         );
-        let rx = net.register(NodeId::Cloud).unwrap();
-        net.register(NodeId::Edge(EdgeId(0))).unwrap();
-        net.send(NodeId::Edge(EdgeId(0)), NodeId::Cloud, Payload::Ack)
-            .unwrap();
-        assert_eq!(net.ledger().message_count(), 2);
-        assert_eq!(rx.try_iter().count(), 2);
-    }
-
-    #[test]
-    fn dead_sender_is_swallowed_unmetered() {
-        use crate::fault::FaultPlan;
-        let dead = NodeId::Device(DeviceId(3));
-        let net = Network::with_faults(FaultPlan::none().kill(dead, 0));
-        let rx = net.register(NodeId::Cloud).unwrap();
-        net.register(dead).unwrap();
-        // The dead node's send "succeeds" but nothing reaches the wire.
-        net.send(dead, NodeId::Cloud, Payload::Ack).unwrap();
-        assert_eq!(net.ledger().message_count(), 0);
-        assert!(rx.try_recv().is_err());
-        // Traffic toward the dead node is lost in flight but metered.
-        net.send(NodeId::Cloud, dead, Payload::Ack).unwrap();
-        assert_eq!(net.ledger().message_count(), 1);
-    }
-
-    #[test]
-    fn retransmit_counts_in_both_totals() {
+        // Nobody is registered: a send would be rejected, a metered
+        // transfer is charged.
         let net = Network::new();
-        let _rx = net.register(NodeId::Cloud).unwrap();
-        net.register(NodeId::Edge(EdgeId(0))).unwrap();
-        net.send(NodeId::Edge(EdgeId(0)), NodeId::Cloud, Payload::Ack)
-            .unwrap();
-        net.send_retransmit(NodeId::Edge(EdgeId(0)), NodeId::Cloud, Payload::Ack)
-            .unwrap();
-        assert_eq!(net.ledger().message_count(), 2);
-        assert_eq!(net.ledger().retransmission_count(), 1);
-    }
-
-    #[test]
-    fn empty_fault_plan_is_fault_free() {
-        use crate::fault::FaultPlan;
-        let net = Network::with_faults(FaultPlan::none());
-        let rx = net.register(NodeId::Cloud).unwrap();
-        net.register(NodeId::Edge(EdgeId(0))).unwrap();
-        net.send(NodeId::Edge(EdgeId(0)), NodeId::Cloud, Payload::Ack)
-            .unwrap();
-        assert_eq!(rx.try_iter().count(), 1);
+        assert!(net.send(device, edge, Payload::Ack).is_err());
+        net.meter(device, edge, Payload::Ack);
+        assert_eq!(net.node_count(), 0);
+        assert_eq!(net.ledger().message_count(), 1);
+        assert_eq!(net.ledger().total_bytes(), Payload::Ack.wire_bytes());
+        // Same path as a send: a dead sender meters nothing, traffic
+        // toward it is lost but metered, a duplicate meters twice.
+        let net = Network::with_faults(
+            FaultPlan::none()
+                .kill(dead, 0)
+                .rule(FaultRule::on(FaultAction::Duplicate).from(device).nth(0)),
+        );
+        net.meter(dead, edge, Payload::Ack);
+        assert_eq!(net.ledger().message_count(), 0);
+        net.meter(edge, dead, Payload::Ack);
+        assert_eq!(net.ledger().message_count(), 1);
+        net.meter(device, edge, Payload::Ack);
+        assert_eq!(net.ledger().message_count(), 3);
+        net.meter(device, edge, Payload::Ack);
+        assert_eq!(net.ledger().message_count(), 4);
     }
 }

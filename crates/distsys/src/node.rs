@@ -164,6 +164,13 @@ impl Outbox {
         std::mem::take(&mut self.sends)
     }
 
+    /// Drains the queued sends in place, keeping the buffer: the drivers
+    /// flush after every event, and [`Outbox::take_sends`] would free
+    /// and re-allocate it each time.
+    pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, OutboundSend> {
+        self.sends.drain(..)
+    }
+
     /// Takes the armed timer, if one was set during the last `handle`.
     pub fn take_timer(&mut self) -> Option<(TimerToken, Duration)> {
         self.timer.take()

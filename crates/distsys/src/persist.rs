@@ -93,12 +93,7 @@ impl RunCheckpoint {
 
     /// The cumulative outcome of the segments executed so far.
     pub fn outcome(&self) -> ProtocolOutcome {
-        ProtocolOutcome {
-            report: self.report.clone(),
-            rounds_completed: min_device_rounds(&self.nodes),
-            nodes: self.nodes.clone(),
-            trace: None,
-        }
+        ProtocolOutcome::new(self.nodes.clone(), self.report.clone(), None)
     }
 
     /// Runs all remaining loop rounds and returns the full-run outcome:
@@ -399,17 +394,6 @@ fn fleet_nodes(fleet: &Fleet) -> impl Iterator<Item = NodeId> + '_ {
         std::iter::once(NodeId::Edge(c.edge()))
             .chain(c.devices().iter().map(|d| NodeId::Device(d.id())))
     }))
-}
-
-/// Minimum completed rounds over all device statuses, mirroring the
-/// semantics of [`ProtocolOutcome::rounds_completed`].
-fn min_device_rounds(nodes: &[NodeStatus]) -> usize {
-    nodes
-        .iter()
-        .filter(|s| matches!(s.node, NodeId::Device(_)))
-        .map(|s| s.completed_rounds)
-        .min()
-        .unwrap_or(0)
 }
 
 /// Merges the cumulative statuses with a fresh segment's: rounds and

@@ -56,8 +56,8 @@ use crate::network::{Network, RegisterError, SendError};
 /// With the fault-tolerant runtime, recoverable conditions (lost or
 /// delayed messages, silent peers) are handled by retry and degradation
 /// and never surface here; this error remains for structural faults — a
-/// duplicate registration, a panicking node thread, or transport misuse
-/// outside the schedule.
+/// duplicate registration, an invalid sim configuration, a panicking
+/// node thread, or transport misuse outside the schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
     /// A message could not be delivered.
@@ -65,21 +65,8 @@ pub enum ProtocolError {
     /// A node id was registered twice (e.g. two clusters sharing an
     /// edge id, or overlapping device ids).
     Register(RegisterError),
-    /// A node's inbox closed while it awaited a message.
-    ChannelClosed {
-        /// The node that was waiting.
-        node: NodeId,
-        /// What it was waiting for.
-        waiting_for: &'static str,
-    },
-    /// A node received a message it did not expect at that point of the
-    /// schedule.
-    UnexpectedPayload {
-        /// The surprised node.
-        node: NodeId,
-        /// The payload kind the schedule called for.
-        expected: &'static str,
-    },
+    /// The sim driver's [`SimConfig::jitter`] is negative or not finite.
+    InvalidJitter,
     /// A node thread panicked.
     NodePanicked,
 }
@@ -89,11 +76,8 @@ impl std::fmt::Display for ProtocolError {
         match self {
             ProtocolError::Send(e) => write!(f, "send failed: {e}"),
             ProtocolError::Register(e) => write!(f, "registration failed: {e}"),
-            ProtocolError::ChannelClosed { node, waiting_for } => {
-                write!(f, "{node} lost its inbox while awaiting {waiting_for}")
-            }
-            ProtocolError::UnexpectedPayload { node, expected } => {
-                write!(f, "{node} expected a {expected} payload")
+            ProtocolError::InvalidJitter => {
+                write!(f, "sim jitter must be finite and non-negative")
             }
             ProtocolError::NodePanicked => write!(f, "a node thread panicked"),
         }
@@ -359,6 +343,26 @@ impl PartialEq for ProtocolOutcome {
 }
 
 impl ProtocolOutcome {
+    /// An outcome over the final statuses `nodes`, in fleet order.
+    pub(crate) fn new(
+        nodes: Vec<NodeStatus>,
+        report: TransferReport,
+        trace: Option<acme_obs::Trace>,
+    ) -> Self {
+        let rounds_completed = nodes
+            .iter()
+            .filter(|s| matches!(s.node, NodeId::Device(_)))
+            .map(|s| s.completed_rounds)
+            .min()
+            .unwrap_or(0);
+        ProtocolOutcome {
+            report,
+            rounds_completed,
+            nodes,
+            trace,
+        }
+    }
+
     /// Status of one node, if it took part in the run.
     pub fn node(&self, node: NodeId) -> Option<&NodeStatus> {
         self.nodes.iter().find(|s| s.node == node)
@@ -378,31 +382,12 @@ impl ProtocolOutcome {
     }
 }
 
-/// Assembles the per-driver pieces into a [`ProtocolOutcome`]: interleave
-/// statuses back into fleet order, fold the ledger meters into the
-/// metrics registry, and drain the trace. Callers close their
-/// `protocol.run` span first so it lands in this run's drain.
-pub(crate) fn assemble_outcome(
-    fleet: &Fleet,
-    cloud: NodeStatus,
-    edge_statuses: Vec<NodeStatus>,
-    device_statuses: Vec<NodeStatus>,
-    report: TransferReport,
-) -> ProtocolOutcome {
-    let rounds_completed = device_statuses
-        .iter()
-        .map(|s| s.completed_rounds)
-        .min()
-        .unwrap_or(0);
-    let mut nodes = Vec::with_capacity(1 + edge_statuses.len() + device_statuses.len());
-    nodes.push(cloud);
-    // Interleave back into fleet order: each cluster's edge, then its
-    // devices.
-    let mut devices = device_statuses.into_iter();
-    for (cluster, edge) in fleet.clusters().iter().zip(edge_statuses) {
-        nodes.push(edge);
-        nodes.extend(devices.by_ref().take(cluster.devices().len()));
-    }
+/// Assembles a driver's results into a [`ProtocolOutcome`]: `nodes` are
+/// the final statuses in fleet order, exactly as both drivers produce
+/// them. Folds the ledger meters into the metrics registry and drains
+/// the trace; callers close their `protocol.run` span first so it lands
+/// in this run's drain.
+pub(crate) fn assemble_outcome(nodes: Vec<NodeStatus>, report: TransferReport) -> ProtocolOutcome {
     // Absorb the ledger meters and per-node retry counts into the
     // unified metrics registry (absolute values: the ledger keeps its
     // own dependency-free accounting on the hot path).
@@ -424,12 +409,7 @@ pub(crate) fn assemble_outcome(
     } else {
         None
     };
-    ProtocolOutcome {
-        report,
-        rounds_completed,
-        nodes,
-        trace,
-    }
+    ProtocolOutcome::new(nodes, report, trace)
 }
 
 /// Which [`Driver`](crate::driver::Driver) a [`ProtocolRun`] executes
@@ -530,14 +510,10 @@ impl<'a> ProtocolRun<'a> {
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] for structural faults: duplicate node
-    /// registration, or (threaded) a panicking node thread. Lost peers
-    /// degrade the run per cluster instead, visible in
+    /// registration, (sim) a negative or non-finite
+    /// [`ProtocolRun::jitter`], or (threaded) a panicking node thread.
+    /// Lost peers degrade the run per cluster instead, visible in
     /// [`ProtocolOutcome::nodes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`ProtocolRun::jitter`] was set to a negative or
-    /// non-finite value and the sim driver is selected.
     pub fn execute(self) -> Result<ProtocolOutcome, ProtocolError> {
         match self.driver {
             DriverKind::Threaded => ThreadedDriver.run(self.fleet, &self.config, self.faults),
@@ -593,9 +569,8 @@ impl<'a> ProtocolRun<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::Send`] when a transfer cannot be delivered
-/// (an inbox was dropped) and [`ProtocolError::Register`] on duplicate
-/// device ids.
+/// None today: the transfers are only metered ([`Network::meter`]), so
+/// there is no inbox to lose. The `Result` is kept for the callers.
 pub fn centralized_transfers(
     fleet: &Fleet,
     samples_per_device: u64,
@@ -603,31 +578,26 @@ pub fn centralized_transfers(
     model_params: u64,
 ) -> Result<TransferReport, ProtocolError> {
     let net = Network::new();
-    let _cloud_rx = net.register(NodeId::Cloud)?;
-    let mut inboxes = Vec::new();
-    for cluster in fleet.clusters() {
-        for device in cluster.devices() {
-            let d = NodeId::Device(device.id());
-            inboxes.push(net.register(d)?);
-            net.send(
-                d,
-                NodeId::Cloud,
-                Payload::RawDataUpload {
-                    samples: samples_per_device,
-                    bytes_per_sample,
-                },
-            )?;
-            net.send(
-                NodeId::Cloud,
-                d,
-                Payload::BackboneAssignment {
-                    w: 1.0,
-                    d: 12,
-                    param_count: model_params,
-                    measured_bytes: None,
-                },
-            )?;
-        }
+    for device in fleet.clusters().iter().flat_map(|c| c.devices()) {
+        let d = NodeId::Device(device.id());
+        net.meter(
+            d,
+            NodeId::Cloud,
+            Payload::RawDataUpload {
+                samples: samples_per_device,
+                bytes_per_sample,
+            },
+        );
+        net.meter(
+            NodeId::Cloud,
+            d,
+            Payload::BackboneAssignment {
+                w: 1.0,
+                d: 12,
+                param_count: model_params,
+                measured_bytes: None,
+            },
+        );
     }
     Ok(net.ledger().report())
 }
@@ -917,12 +887,20 @@ mod tests {
     }
 
     #[test]
+    fn invalid_jitter_is_a_typed_error_not_a_panic() {
+        let fleet = Fleet::paper_default(1, 1);
+        for jitter in [f64::NAN, f64::INFINITY, -0.1] {
+            let run = ProtocolRun::new(&fleet).jitter(jitter);
+            let err = run.clone().driver(DriverKind::Sim).execute().unwrap_err();
+            assert_eq!(err, ProtocolError::InvalidJitter, "jitter {jitter}");
+            assert!(err.to_string().contains("jitter"));
+            // The threaded driver has no virtual links to jitter.
+            assert!(run.execute().is_ok());
+        }
+    }
+
+    #[test]
     fn protocol_error_display_names_the_node() {
-        let e = ProtocolError::ChannelClosed {
-            node: NodeId::Edge(EdgeId(2)),
-            waiting_for: "backbone assignment",
-        };
-        assert!(e.to_string().contains("edge-2"));
         let e = ProtocolError::Send(SendError::UnknownNode(NodeId::Cloud));
         assert!(std::error::Error::source(&e).is_some());
         let e = ProtocolError::Register(RegisterError {

@@ -63,7 +63,10 @@ impl DeviceCluster {
 
     /// The device with the largest energy footprint proxy (lowest GPU
     /// capacity): the paper uses the cluster's max energy as the
-    /// representative metric in Eq. (10).
+    /// representative metric in Eq. (10). Ties go to the earlier device.
+    /// A NaN capacity ranks above every number, so a device whose
+    /// capacity is unknown is returned only when no device has a known
+    /// one (then the first).
     ///
     /// # Panics
     ///
@@ -72,9 +75,9 @@ impl DeviceCluster {
         self.devices
             .iter()
             .min_by(|a, b| {
-                a.gpu_capacity()
-                    .partial_cmp(&b.gpu_capacity())
-                    .expect("finite")
+                let (a, b) = (a.gpu_capacity(), b.gpu_capacity());
+                a.partial_cmp(&b)
+                    .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
             })
             .expect("nonempty")
     }
@@ -191,6 +194,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceId;
 
     #[test]
     fn paper_default_matches_system_settings() {
@@ -207,6 +211,35 @@ mod tests {
                 assert!(d.storage_limit() <= 110_000_000);
             }
         }
+    }
+
+    #[test]
+    fn weakest_device_ranks_a_nan_capacity_above_every_number() {
+        let cluster = |caps: &[f64]| {
+            let devices = caps.iter().enumerate();
+            DeviceCluster::new(
+                EdgeId(0),
+                devices.map(|(i, &g)| Device::new(i, g, 1)).collect(),
+            )
+        };
+        let c = cluster(&[f64::NAN, 5.0, 3.0, f64::NAN, 3.0]);
+        assert_eq!(
+            c.weakest_device().id(),
+            DeviceId(2),
+            "first of the tied minima"
+        );
+        let c = cluster(&[f64::NAN, f64::INFINITY]);
+        assert_eq!(
+            c.weakest_device().id(),
+            DeviceId(1),
+            "+inf is still a number"
+        );
+        let c = cluster(&[f64::NAN, f64::NAN]);
+        assert_eq!(
+            c.weakest_device().id(),
+            DeviceId(0),
+            "nothing known: the first"
+        );
     }
 
     #[test]

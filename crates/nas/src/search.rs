@@ -219,7 +219,13 @@ impl NasSearch {
             let score = self.predictor.predict(ps, &arch);
             pool.push((arch, score));
         }
-        pool.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite prediction"));
+        // A NaN prediction (a diverged predictor) ranks below every
+        // number, so such a candidate is taken only when nothing scored
+        // is left; finite predictions compare exactly as before.
+        pool.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or_else(|| a.1.is_nan().cmp(&b.1.is_nan()))
+        });
         candidates.extend(
             pool.into_iter()
                 .take(self.config.final_candidates)
@@ -431,6 +437,45 @@ mod tests {
         assert!(outcome.best_accuracy >= 0.0 && outcome.best_accuracy <= 1.0);
         assert_eq!(outcome.reward_history.len(), 1);
         assert!(outcome.evaluations >= 3);
+    }
+
+    #[test]
+    fn diverged_predictor_does_not_panic_the_final_selection() {
+        let mut rng = SmallRng64::new(2);
+        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let (train, val) = ds.split(0.7, &mut rng);
+        let cfg = VitConfig::tiny(ds.num_classes());
+        let mut ps = ParamSet::new();
+        let vit = Vit::new(&mut ps, &cfg, &mut rng);
+        let shared = SharedParams::new(
+            &mut ps,
+            "sn",
+            2,
+            cfg.dim,
+            cfg.grid(),
+            ds.num_classes(),
+            &mut rng,
+        );
+        // No alternation rounds: the run is the final selection alone,
+        // pre-screened by a predictor whose every output is NaN.
+        let config = SearchConfig {
+            rounds: 0,
+            ..SearchConfig::quick()
+        };
+        let mut search = NasSearch::new(&mut ps, config, &mut rng);
+        let readout: Vec<_> = ps
+            .ids()
+            .filter(|&id| ps.name(id).starts_with("pred.read"))
+            .collect();
+        assert!(!readout.is_empty());
+        for id in readout {
+            ps.value_mut(id).data_mut().fill(f32::NAN);
+        }
+        let probe = HeaderArch::chain(2, 1);
+        assert!(search.predictor.predict(&ps, &probe).is_nan());
+        let outcome = search.run(&vit, &shared, &mut ps, &train, &val, &mut rng);
+        assert_eq!(outcome.best_arch.blocks().len(), 2);
+        assert!((0.0..=1.0).contains(&outcome.best_accuracy));
     }
 
     #[test]

@@ -14,8 +14,7 @@ use crate::shape::strides_for;
 
 /// Raw 2-D matmul kernel: `out[m,n] += a[m,k] * b[k,n]` over contiguous
 /// row-major buffers. Dense and branch-free — zero entries are multiplied
-/// like any other value (see [`matmul_sparse_kernel`] for the skip-zeros
-/// variant used with pruned weights).
+/// like any other value.
 pub(crate) fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     gemm::gemm(
         MatRef::row_major(a, k),
@@ -68,37 +67,6 @@ pub(crate) fn matmul_a_bt_kernel(
         n,
         &acme_runtime::global_pool(),
     );
-}
-
-/// Sparsity-aware matmul kernel: rows of `a` are scanned once and zero
-/// entries skip their whole `b`-row term. Worth it only when `a` is
-/// genuinely sparse (e.g. structured-pruned weights from `acme-vit`);
-/// for dense operands the branch defeats vectorization, which is why the
-/// dense kernels above never take this path. Accumulation uses the same
-/// [`gemm::madd`] step in the same `k`-ascending order, so for inputs
-/// with no explicit zeros the result is bit-identical to
-/// [`matmul_kernel`].
-pub(crate) fn matmul_sparse_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = gemm::madd(av, bv, *o);
-            }
-        }
-    }
 }
 
 impl Array {
@@ -157,21 +125,6 @@ impl Array {
         let mut out = Array::zeros(&[m, n]);
         let pool = acme_runtime::global_pool();
         K::gemm_f32(self.data(), packed, out.data_mut(), m, &pool);
-        Ok(out)
-    }
-
-    /// Like [`Array::matmul`], but skips zero entries of `self` row by
-    /// row — the right call when `self` carries structured-pruned (mostly
-    /// zero) weights. For dense inputs prefer [`Array::matmul`], whose
-    /// branch-free blocked kernels are several times faster.
-    ///
-    /// # Errors
-    ///
-    /// Same shape/rank errors as [`Array::matmul`].
-    pub fn matmul_sparse(&self, rhs: &Array) -> Result<Array> {
-        let (m, k, n) = self.matmul_dims(rhs.shape(), "matmul_sparse")?;
-        let mut out = Array::zeros(&[m, n]);
-        matmul_sparse_kernel(self.data(), rhs.data(), out.data_mut(), m, k, n);
         Ok(out)
     }
 
@@ -439,17 +392,5 @@ mod tests {
         let mut out = vec![0.0; 4];
         matmul_a_bt_kernel(a.data(), bt.data(), &mut out, 2, 3, 2);
         assert_eq!(out, c.data());
-    }
-
-    #[test]
-    fn sparse_matmul_matches_dense() {
-        // Mostly-zero lhs, as produced by structured pruning.
-        let a = arr(&[0.0, 2.0, 0.0, 0.0, 0.0, 3.0, 0.0, 1.0, 0.0], &[3, 3]);
-        let b = arr(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], &[3, 3]);
-        let dense = a.matmul(&b).unwrap();
-        let sparse = a.matmul_sparse(&b).unwrap();
-        assert_eq!(dense, sparse);
-        assert!(a.matmul_sparse(&Array::ones(&[2, 2])).is_err());
-        assert!(a.matmul_sparse(&Array::ones(&[3])).is_err());
     }
 }

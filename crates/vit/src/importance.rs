@@ -20,6 +20,9 @@ pub struct ImportanceScores {
 
 impl ImportanceScores {
     /// Indices of the `keep` most-important heads in `layer`, ascending.
+    /// A NaN score ranks below every number, `-∞` included: a head whose
+    /// importance could not be computed is kept only once every scored
+    /// one is.
     ///
     /// # Panics
     ///
@@ -28,7 +31,8 @@ impl ImportanceScores {
         top_k(&self.heads[layer], keep)
     }
 
-    /// Indices of the `keep` most-important neurons in `layer`, ascending.
+    /// Indices of the `keep` most-important neurons in `layer`, ascending;
+    /// NaN scores rank last, as in [`ImportanceScores::top_heads`].
     ///
     /// # Panics
     ///
@@ -48,7 +52,7 @@ fn top_k(scores: &[f32], keep: usize) -> Vec<usize> {
     idx.sort_by(|&a, &b| {
         scores[b]
             .partial_cmp(&scores[a])
-            .expect("finite importance")
+            .unwrap_or_else(|| scores[a].is_nan().cmp(&scores[b].is_nan()))
     });
     let mut kept = idx[..keep].to_vec();
     kept.sort_unstable();
@@ -126,6 +130,19 @@ mod tests {
         };
         assert_eq!(s.top_heads(0, 2), vec![1, 3]);
         assert_eq!(s.top_heads(0, 4), vec![0, 1, 2, 3]);
+        assert_eq!(s.top_neurons(0, 1), vec![0]);
+    }
+
+    #[test]
+    fn top_k_ranks_nan_below_every_number() {
+        let s = ImportanceScores {
+            heads: vec![vec![f32::NAN, 0.2, f32::NEG_INFINITY, f32::NAN, 0.9]],
+            neurons: vec![vec![f32::NAN, f32::NAN]],
+        };
+        assert_eq!(s.top_heads(0, 2), vec![1, 4]);
+        assert_eq!(s.top_heads(0, 3), vec![1, 2, 4], "-inf still outranks NaN");
+        // NaNs are taken last, earlier index first.
+        assert_eq!(s.top_heads(0, 4), vec![0, 1, 2, 4]);
         assert_eq!(s.top_neurons(0, 1), vec![0]);
     }
 

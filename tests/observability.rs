@@ -70,6 +70,109 @@ fn protocol_outcome_is_bit_identical_under_observation() {
     reset_obs();
 }
 
+/// The `net.*` events of one traced protocol run, as sorted
+/// `name{from,to,kind,bytes,retransmit}` signatures (fields an event
+/// lacks are skipped), and how many of them carried the sim's `vtime_us`
+/// stamp.
+fn net_events(run: ProtocolRun<'_>) -> (Vec<String>, usize) {
+    acme_obs::trace::set_detail(acme_obs::Detail::Task);
+    acme_obs::trace::set_enabled(true);
+    let outcome = run.execute().expect("traced run");
+    acme_obs::trace::set_enabled(false);
+    acme_obs::trace::set_detail(acme_obs::Detail::Phase);
+    let trace = outcome.trace.expect("observed run carries its trace");
+    assert_eq!(trace.dropped_events, 0, "ring did not overflow");
+    let events: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("net."))
+        .collect();
+    let mut signatures: Vec<String> = events
+        .iter()
+        .map(|s| {
+            let compared = ["from", "to", "kind", "bytes", "retransmit"];
+            let fields: Vec<String> = s
+                .fields
+                .iter()
+                .filter(|(k, _)| compared.contains(k))
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            format!("{}{{{}}}", s.name, fields.join(","))
+        })
+        .collect();
+    signatures.sort_unstable();
+    let stamped = events
+        .iter()
+        .filter(|s| s.fields.iter().any(|(k, _)| *k == "vtime_us"))
+        .count();
+    (signatures, stamped)
+}
+
+#[test]
+fn both_drivers_trace_the_same_net_events() {
+    use acme::{DriverKind, FaultAction, FaultPlan, FaultRule, RetryPolicy};
+    use acme_distsys::{Link, LinkModel, NodeId};
+    use std::time::Duration;
+    let _g = serialize();
+    reset_obs();
+    // `driver_differential`'s pinned dropped-uplink and
+    // duplicated-downlink scenarios, on its fast retry policy and links.
+    let cfg = ProtocolConfig {
+        loop_rounds: 2,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_millis(120),
+            cap: Duration::from_millis(480),
+        },
+        ..ProtocolConfig::default()
+    };
+    let link = Link::try_new(1e12, 1e-6).expect("valid link");
+    let links = LinkModel {
+        device_edge: link,
+        edge_cloud: link,
+    };
+    let lockstep = Fleet::paper_default(2, 1);
+    let wide = Fleet::paper_default(2, 3);
+    let uploader = NodeId::Device(lockstep.clusters()[0].devices()[0].id());
+    let listener = NodeId::Device(wide.clusters()[1].devices()[2].id());
+    let scenarios = [
+        (
+            "dropped uplink",
+            &lockstep,
+            FaultRule::on(FaultAction::Drop)
+                .from(uploader)
+                .kind("importance-upload")
+                .nth(0),
+            ("net.drop", 1),
+        ),
+        (
+            "duplicated downlink",
+            &wide,
+            FaultRule::on(FaultAction::Duplicate)
+                .to(listener)
+                .kind("personalized-importance")
+                .nth(0),
+            ("net.duplicate", 1),
+        ),
+    ];
+    for (label, fleet, rule, (fault_event, count)) in scenarios {
+        let run = || {
+            ProtocolRun::new(fleet)
+                .config(cfg.clone())
+                .faults(FaultPlan::none().rule(rule.clone()))
+        };
+        let (threaded, threaded_stamped) = net_events(run());
+        let (sim, sim_stamped) = net_events(run().driver(DriverKind::Sim).seed(7).links(links));
+        assert_eq!(threaded, sim, "{label}: the drivers traced different sends");
+        let faults = sim.iter().filter(|s| s.starts_with(fault_event)).count();
+        assert_eq!(faults, count, "{label}: {fault_event} events");
+        assert!(sim.iter().any(|s| s.starts_with("net.send{")), "{label}");
+        assert_eq!(threaded_stamped, 0, "{label}: wall-clock events");
+        assert_eq!(sim_stamped, sim.len(), "{label}: sim events carry vtime_us");
+    }
+    reset_obs();
+}
+
 #[test]
 fn pipeline_outputs_are_bit_identical_under_observation_at_any_thread_count() {
     let _g = serialize();
