@@ -137,10 +137,15 @@ pub fn build_candidate_pool_on(
         let (wide, wide_ps) = prune_width(teacher, teacher_ps, &scores, w);
         (w, wide, wide_ps)
     });
+    // Handed over largest first and turned back below: the grid is sorted
+    // by cost and the pool starts tasks in index order, so as listed the
+    // two heaviest distillations would run together, last, on top of
+    // every finished candidate (measured: +5 % peak RSS on `customize`).
     let grid: Vec<(usize, usize)> = (0..widths.len())
         .flat_map(|wi| depths.iter().map(move |&d| (wi, d)))
+        .rev()
         .collect();
-    pool.par_map(grid, |_, (wi, d)| {
+    let mut candidates = pool.par_map(grid, |_, (wi, d)| {
         let (w, wide, wide_ps) = &pruned[wi];
         let (vit, mut ps) = truncate_depth(wide, wide_ps, d);
         if distill_cfg.epochs > 0 {
@@ -165,7 +170,9 @@ pub fn build_candidate_pool_on(
             accuracy,
             params,
         }
-    })
+    });
+    candidates.reverse();
+    candidates
 }
 
 /// Algorithm 1's per-cluster selection: builds the objective vectors
@@ -337,7 +344,7 @@ mod tests {
 
     #[test]
     fn parallel_pool_matches_serial() {
-        let (vit, ps, train, val, mut rng) = setup();
+        let (vit, ps, train, val, rng) = setup();
         let cfg = DistillConfig {
             epochs: 1,
             ..DistillConfig::default()
@@ -353,23 +360,28 @@ mod tests {
             1,
             &mut rng.clone(),
         );
-        let parallel = build_candidate_pool_on(
-            &Pool::new(4),
-            &vit,
-            &ps,
-            &train,
-            &val,
-            &[0.5, 1.0],
-            &[1, 2],
-            &cfg,
-            1,
-            &mut rng,
-        );
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!((a.w, a.d, a.params), (b.w, b.d, b.params));
-            assert_eq!(a.loss, b.loss, "candidate ({}, {})", a.w, a.d);
-            assert_eq!(a.accuracy, b.accuracy);
+        // Width-major, depth-minor, whichever end the pool is handed first.
+        let order: Vec<(f64, usize)> = serial.iter().map(|c| (c.w, c.d)).collect();
+        assert_eq!(order, [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)]);
+        for threads in [2, 4] {
+            let parallel = build_candidate_pool_on(
+                &Pool::new(threads),
+                &vit,
+                &ps,
+                &train,
+                &val,
+                &[0.5, 1.0],
+                &[1, 2],
+                &cfg,
+                1,
+                &mut rng.clone(),
+            );
+            assert_eq!(serial.len(), parallel.len());
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!((a.w, a.d, a.params), (b.w, b.d, b.params));
+                assert_eq!(a.loss, b.loss, "candidate ({}, {})", a.w, a.d);
+                assert_eq!(a.accuracy, b.accuracy);
+            }
         }
     }
 

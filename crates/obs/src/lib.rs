@@ -27,8 +27,7 @@
 //!    site is one relaxed atomic load.
 //!
 //! Volume is bounded by a [`trace::Detail`] level (phases only by
-//! default) and a sampling knob ([`trace::set_sample_every`]) for
-//! kernel-level spans.
+//! default).
 //!
 //! ## Determinism contract
 //!
@@ -38,7 +37,7 @@
 //! `tests/observability.rs`. Timestamps and thread ordinals are *not*
 //! deterministic; everything else about a drained trace (span names,
 //! fields, counts) is, for a fixed seed and thread count, as long as no
-//! ring overflows (`dropped_events == 0`) and `sample_every` is 1.
+//! ring overflows (`dropped_events == 0`).
 
 pub mod export;
 pub mod metrics;
@@ -77,7 +76,7 @@ pub fn enabled() -> bool {
 macro_rules! span {
     ($detail:expr, $name:expr $(, $k:expr => $v:expr)* $(,)?) => {{
         if $crate::compiled() && $crate::trace::enabled_at($detail) {
-            $crate::trace::SpanGuard::begin($name, $detail)$(.with($k, $v))*
+            $crate::trace::SpanGuard::begin($name)$(.with($k, $v))*
         } else {
             $crate::trace::SpanGuard::disabled()
         }

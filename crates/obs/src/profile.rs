@@ -1,10 +1,9 @@
 //! Profiling hooks: named phase timers whose totals accumulate in a
-//! process-wide table and export in the workspace's `BENCH_*.json`
-//! shape (a flat JSON array of objects carrying a `"bench"` key).
+//! process-wide table ([`snapshot`]).
 //!
 //! A phase is both profiled (total milliseconds + invocation count)
 //! and traced (a [`crate::Detail::Phase`] span), so `--trace-out`
-//! output and `BENCH`-style rows stay consistent.
+//! output and the profile rows stay consistent.
 
 /// Accumulated totals of one named phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,31 +13,10 @@ pub struct PhaseRow {
     pub count: u64,
 }
 
-/// Renders phase rows in the `BENCH_*.json` shape: a flat array of
-/// objects with a `"bench"` key, one per phase.
-#[must_use]
-pub fn bench_json(bench: &str, rows: &[PhaseRow]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"bench\": \"{}\", \"phase\": \"{}\", \"total_ms\": {}, \"count\": {}}}",
-            crate::export::json_escape(bench),
-            crate::export::json_escape(&row.phase),
-            crate::export::json_f64(row.total_ms),
-            row.count
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 #[cfg(feature = "enabled")]
 mod imp {
     use super::PhaseRow;
-    use crate::trace::{Detail, SpanGuard};
+    use crate::trace::SpanGuard;
     use std::collections::BTreeMap;
     use std::sync::{Mutex, OnceLock};
     use std::time::Instant;
@@ -55,14 +33,14 @@ mod imp {
         open: Option<(&'static str, Instant, SpanGuard)>,
     }
 
-    /// Opens a named phase: a [`Detail::Phase`] span plus an entry in
+    /// Opens a named phase: a [`crate::Detail::Phase`] span plus an entry in
     /// the profile table.
     pub fn phase(name: &'static str) -> PhaseGuard {
         if !crate::trace::enabled() {
             return PhaseGuard::default();
         }
         PhaseGuard {
-            open: Some((name, Instant::now(), SpanGuard::begin(name, Detail::Phase))),
+            open: Some((name, Instant::now(), SpanGuard::begin(name))),
         }
     }
 

@@ -23,8 +23,7 @@ pub enum Detail {
     /// Plus per-task runtime-pool spans and per-message network
     /// events. Volume is O(messages + spawned tasks).
     Task = 2,
-    /// Plus per-kernel spans (gemm, row-wise). High volume; combine
-    /// with [`set_sample_every`] on long runs.
+    /// Plus per-kernel spans (gemm, row-wise). High volume.
     Kernel = 3,
 }
 
@@ -213,13 +212,12 @@ impl Trace {
 mod imp {
     use super::{Detail, FieldValue, IntoField, SpanEvent, SpanKind, Trace};
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static DETAIL: AtomicU8 = AtomicU8::new(Detail::Phase as u8);
-    static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
     static RING_CAPACITY: AtomicUsize = AtomicUsize::new(1 << 16);
     static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
@@ -245,7 +243,6 @@ mod imp {
     struct Tls {
         ring: Arc<Mutex<Ring>>,
         depth: Cell<u16>,
-        sampler: Cell<u64>,
         thread: u32,
     }
 
@@ -259,7 +256,6 @@ mod imp {
             Tls {
                 ring,
                 depth: Cell::new(0),
-                sampler: Cell::new(0),
                 thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
             }
         }
@@ -306,13 +302,6 @@ mod imp {
         DETAIL.store(detail as u8, Ordering::SeqCst);
     }
 
-    /// Records only every `n`-th [`Detail::Kernel`] span per thread
-    /// (default 1 = all). Sampling trades trace-rerun stability for
-    /// volume: per-thread counters depend on work scheduling.
-    pub fn set_sample_every(n: u64) {
-        SAMPLE_EVERY.store(n.max(1), Ordering::SeqCst);
-    }
-
     /// Sets the per-thread ring capacity applied to future pushes.
     pub fn set_ring_capacity(capacity: usize) {
         RING_CAPACITY.store(capacity.max(1), Ordering::SeqCst);
@@ -341,18 +330,6 @@ mod imp {
         }
     }
 
-    fn kernel_sampled_out() -> bool {
-        let every = SAMPLE_EVERY.load(Ordering::Relaxed);
-        if every <= 1 {
-            return false;
-        }
-        TLS.with(|t| {
-            let n = t.sampler.get();
-            t.sampler.set(n.wrapping_add(1));
-            n % every != 0
-        })
-    }
-
     struct Open {
         name: &'static str,
         fields: Vec<(&'static str, FieldValue)>,
@@ -371,10 +348,7 @@ mod imp {
     impl SpanGuard {
         /// Opens a span now. Callers should go through [`crate::span!`],
         /// which performs the enabled checks first.
-        pub fn begin(name: &'static str, detail: Detail) -> SpanGuard {
-            if detail == Detail::Kernel && kernel_sampled_out() {
-                return SpanGuard::disabled();
-            }
+        pub fn begin(name: &'static str) -> SpanGuard {
             let depth = TLS.with(|t| {
                 let d = t.depth.get();
                 t.depth.set(d.saturating_add(1));
@@ -477,7 +451,7 @@ mod imp {
 
     impl TimerGuard {
         pub fn begin(name: &'static str) -> TimerGuard {
-            let trace = enabled_at(Detail::Kernel) && !kernel_sampled_out();
+            let trace = enabled_at(Detail::Kernel);
             let depth = if trace {
                 TLS.with(|t| {
                     let d = t.depth.get();
@@ -559,8 +533,6 @@ mod imp {
 
     pub fn set_detail(_detail: Detail) {}
 
-    pub fn set_sample_every(_n: u64) {}
-
     pub fn set_ring_capacity(_capacity: usize) {}
 
     /// Always returns an empty trace.
@@ -574,7 +546,7 @@ mod imp {
 
     impl SpanGuard {
         #[inline(always)]
-        pub fn begin(_name: &'static str, _detail: Detail) -> SpanGuard {
+        pub fn begin(_name: &'static str) -> SpanGuard {
             SpanGuard
         }
 
@@ -630,6 +602,6 @@ mod imp {
 }
 
 pub use imp::{
-    drain, enabled, enabled_at, set_detail, set_enabled, set_ring_capacity, set_sample_every,
-    EventBuilder, SpanGuard, TimerGuard,
+    drain, enabled, enabled_at, set_detail, set_enabled, set_ring_capacity, EventBuilder,
+    SpanGuard, TimerGuard,
 };

@@ -17,7 +17,6 @@ fn fresh() -> std::sync::MutexGuard<'static, ()> {
     trace::set_enabled(false);
     trace::drain();
     trace::set_detail(Detail::Phase);
-    trace::set_sample_every(1);
     trace::set_ring_capacity(1 << 16);
     metrics::reset();
     profile::reset();
@@ -157,22 +156,6 @@ fn kernel_detail_records_timer_spans() {
 }
 
 #[test]
-fn sampling_thins_kernel_spans() {
-    let _g = fresh();
-    trace::set_enabled(true);
-    trace::set_detail(Detail::Kernel);
-    trace::set_sample_every(4);
-    for _ in 0..16 {
-        let _s = span!(Detail::Kernel, "sampled");
-    }
-    trace::set_enabled(false);
-    trace::set_sample_every(1);
-    let count = trace::drain().count("sampled");
-    assert!(count <= 4, "expected ~1/4 of 16 spans, got {count}");
-    assert!(count >= 1);
-}
-
-#[test]
 fn metrics_registry_counters_gauges_histograms() {
     let _g = fresh();
     trace::set_enabled(true);
@@ -233,7 +216,4 @@ fn phases_accumulate_and_trace() {
     assert_eq!(row.count, 3);
     assert!(row.total_ms >= 0.0);
     assert_eq!(trace::drain().count("pipeline.pretrain"), 3);
-    let json = profile::bench_json("pipeline", &rows);
-    assert!(json.contains("\"bench\": \"pipeline\""));
-    assert!(json.contains("\"phase\": \"pipeline.pretrain\""));
 }

@@ -1,9 +1,11 @@
 //! # acme-runtime
 //!
-//! A scoped, work-stealing thread pool for the ACME pipeline's
-//! embarrassingly parallel stages: Phase 1 candidate distillation, the
-//! per-cluster customization loops, and the pairwise Wasserstein
-//! similarity matrix.
+//! One fork–join primitive, [`Pool::par_map`], for the ACME pipeline's
+//! fan-outs: Phase 1 candidate distillation, the per-cluster
+//! customization loops, the pairwise Wasserstein similarity matrix, the
+//! row chunks of one GEMM, the roles of a serving session. Each of them
+//! walks a list that is complete before its first task starts, so the
+//! whole schedule is "each of `w` threads takes the next index".
 //!
 //! The design goals, in order:
 //!
@@ -12,25 +14,27 @@
 //!    seed by *stable task index* (see [`stream_seed`]) before any task
 //!    runs. Output is therefore identical at any thread count —
 //!    `threads = 1` reproduces the serial pipeline bit-for-bit.
-//! 2. **Scoped borrows.** Tasks may borrow from the caller's stack
-//!    ([`Pool::scope`] is built on [`std::thread::scope`]), so the large
-//!    teacher model, datasets, and candidate pools are shared by
-//!    reference instead of cloned per task.
-//! 3. **No external dependencies.** The pool uses std threads,
-//!    mutex-backed deques, and atomics only (plus the std-only
-//!    `acme-obs` path crate for optional task spans), so this crate
-//!    builds and tests even in offline environments where the
-//!    crates.io registry is unreachable.
+//! 2. **Scoped borrows.** Tasks may borrow from the caller's stack (the
+//!    workers are [`std::thread::scope`] threads that live for one
+//!    call), so the large teacher model, datasets, and candidate pools
+//!    are shared by reference instead of cloned per task.
+//! 3. **No external dependencies.** The pool uses std threads, mutexes
+//!    and one atomic counter only (plus the std-only `acme-obs` path
+//!    crate for optional task spans), so this crate builds and tests
+//!    even in offline environments where the crates.io registry is
+//!    unreachable.
 //!
-//! Work distribution is round-robin across per-worker deques at spawn
-//! time; an idle worker pops its own deque LIFO and steals FIFO from its
-//! siblings, so imbalanced task costs (e.g. one slow cluster) do not
-//! serialize the batch.
+//! Work distribution: the threads of a call share one counter, and a
+//! thread that is free claims the next index from it. Tasks therefore
+//! **start in index order** — the order of the serial loop — at every
+//! thread count, and imbalanced task costs (e.g. one slow cluster) do
+//! not serialize the batch. A caller whose list is sorted by cost
+//! decides for itself which end goes first.
 //!
 //! Panic handling: a panicking task never aborts the process. All tasks
-//! of the scope still run to completion (or unwind), and the panic of
-//! the **earliest-spawned** panicking task is re-raised on the caller's
-//! thread once the scope ends — again independent of thread count.
+//! of the call still run to completion (or unwind), and the panic of
+//! the **lowest-index** panicking task is re-raised on the caller's
+//! thread once they have — again independent of thread count.
 //!
 //! ```
 //! use acme_runtime::Pool;
@@ -40,31 +44,27 @@
 //! assert_eq!(doubled, vec![2, 5, 8, 11]);
 //! ```
 //!
-//! Nested use is supported: a task may create its own [`Pool::scope`] /
-//! [`Pool::par_map`] (each scope owns its worker threads), which is how
-//! the per-cluster refinement parallelizes its inner similarity matrix.
-//! Spawning onto a *parent* scope from inside a task is not supported.
+//! Nested use is supported: a task may call [`Pool::par_map`] itself
+//! (each call owns its worker threads), which is how the per-cluster
+//! refinement parallelizes its inner similarity matrix.
 //!
 //! Nesting shares **one thread budget** instead of multiplying thread
-//! counts. A top-level scope has the budget `max(pool.threads,
+//! counts. A top-level call has the budget `max(pool.threads,
 //! global_threads())` and behaves as if nothing else existed. Each task
-//! it runs on `w > 1` workers carries a *share* of `max(1, budget / w)`
-//! (`w` is `threads` for [`Pool::scope`], `min(threads, items)` for
-//! [`Pool::par_map`]), and every scope opened from inside that task —
-//! on an explicit [`Pool`] or on [`global_pool`] — uses at most that
-//! many workers and divides the share again among its own tasks. A
-//! share of 1 takes the inline path: no threads, no queues. So
+//! it runs on `w = min(threads, items) > 1` workers carries a *share* of
+//! `max(1, budget / w)`, and every call made from inside that task — on
+//! an explicit [`Pool`] or on [`global_pool`] — uses at most that many
+//! workers and divides the share again among its own tasks. A share of
+//! 1 takes the inline path: no threads, a plain loop. So
 //! `Pool::new(2).par_map` over tasks that call `Pool::new(2).par_map`
 //! over kernels on a 2-thread [`global_pool`] keeps 2 threads runnable,
 //! not 8, while `Pool::new(8)` over 2 items still lets each item fan
 //! out 4 wide.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Process-wide worker count used by components that cannot be handed a
 /// [`Pool`] explicitly (e.g. the `acme-tensor` GEMM kernels called from
@@ -93,16 +93,16 @@ pub fn global_threads() -> usize {
 thread_local! {
     /// How many threads the task running on this thread may keep busy,
     /// itself included; 0 on a thread that is not inside any task of a
-    /// multi-worker scope (top level).
+    /// multi-worker [`Pool::par_map`] (top level).
     static SHARE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A pool sized by [`set_global_threads`], or by available parallelism
 /// when no explicit count has been set — capped, inside a task, at that
 /// task's share of the thread budget (see the crate docs), so kernels
-/// that size their split by [`Pool::threads`] stay serial where a scope
+/// that size their split by [`Pool::threads`] stay serial where the map
 /// would run inline anyway. Construction is free ([`Pool`] only records
-/// a thread count); workers are spawned per scope.
+/// a thread count); workers are spawned per call.
 pub fn global_pool() -> Pool {
     let pool = match GLOBAL_THREADS.load(Ordering::SeqCst) {
         0 => Pool::with_available_parallelism(),
@@ -114,11 +114,8 @@ pub fn global_pool() -> Pool {
     }
 }
 
-/// A boxed task queued on a [`Scope`].
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Acquires `m`, ignoring poisoning: jobs run outside every internal
-/// lock, so a panicking task cannot leave shared state inconsistent.
+/// Acquires `m`, ignoring poisoning: tasks run outside every internal
+/// lock, so a panicking task cannot leave a slot half-written.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -136,13 +133,13 @@ pub fn stream_seed(root_seed: u64, task_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A work-stealing thread pool configuration.
+/// A thread-pool configuration.
 ///
 /// The pool is *scoped*: worker threads live only for the duration of
-/// one [`Pool::scope`] (or [`Pool::par_map`]) call, which lets tasks
-/// borrow from the caller's stack without `'static` bounds or `Arc`
-/// cloning. Construction is free — the struct only records the thread
-/// count — so it can be embedded in configs and cloned liberally.
+/// one [`Pool::par_map`] call, which lets tasks borrow from the caller's
+/// stack without `'static` bounds or `Arc` cloning. Construction is
+/// free — the struct only records the thread count — so it can be
+/// embedded in configs and cloned liberally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -151,7 +148,7 @@ pub struct Pool {
 impl Pool {
     /// A pool of `threads` workers. Values below 1 are clamped to 1; a
     /// one-thread pool runs every task inline on the calling thread, in
-    /// spawn order, which reproduces the plain serial loop exactly.
+    /// index order, which reproduces the plain serial loop exactly.
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
@@ -171,7 +168,7 @@ impl Pool {
         }))
     }
 
-    /// The single-threaded pool: tasks run inline at their spawn site.
+    /// The single-threaded pool: tasks run inline on the calling thread.
     pub fn serial() -> Self {
         Pool::new(1)
     }
@@ -186,7 +183,7 @@ impl Pool {
         self.threads == 1
     }
 
-    /// Worker count, and the share each task gets, for a scope opened
+    /// Worker count, and the share each task gets, for a map opened
     /// here that wants `fan_out` workers: all of them at top level, at
     /// most the enclosing task's share inside one.
     fn plan(&self, fan_out: usize) -> (usize, usize) {
@@ -197,66 +194,23 @@ impl Pool {
         (workers, (budget / workers.max(1)).max(1))
     }
 
-    /// Runs `f` with a [`Scope`] onto which tasks can be spawned, and
-    /// blocks until `f` has returned **and** every spawned task has
-    /// finished. The calling thread participates as worker 0 once `f`
-    /// returns. Called from inside a task of another scope, it uses at
-    /// most that task's share of the thread budget (see the crate docs).
-    ///
-    /// If one or more tasks panic, all remaining tasks still run, and
-    /// the earliest-spawned panic is resumed on the calling thread after
-    /// the scope completes (with one thread, a panicking task unwinds
-    /// directly from its spawn site — the same task's panic, earlier).
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        let (workers, task_share) = self.plan(self.threads);
-        self.scope_on(workers, task_share, f)
-    }
-
-    /// [`Pool::scope`] on exactly `workers` threads (the caller's
-    /// included), each task carrying `task_share`.
-    fn scope_on<'env, F, R>(&self, workers: usize, task_share: usize, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        if workers <= 1 {
-            return f(&Scope {
-                shared: None,
-                inline_seq: Cell::new(0),
-            });
-        }
-        let shared = Shared::new(workers, task_share);
-        let result = std::thread::scope(|ts| {
-            // Declared first so it drops last: workers are told to exit
-            // even when `f` or the drain unwinds.
-            let _close = CloseGuard(&shared);
-            for w in 1..workers {
-                let sh = &shared;
-                ts.spawn(move || sh.worker_loop(w));
-            }
-            let scope = Scope {
-                shared: Some(&shared),
-                inline_seq: Cell::new(0),
-            };
-            let r = f(&scope);
-            shared.drain_as(0);
-            r
-        });
-        if let Some((_seq, payload)) = lock(&shared.panic).take() {
-            resume_unwind(payload);
-        }
-        result
-    }
-
     /// Maps `f` over `items` in parallel, returning the results **in
     /// input order**. `f` receives the item's index alongside the item,
     /// so callers can derive per-task state (RNG streams, labels) from
     /// the stable index rather than from execution order.
     ///
+    /// Runs on `min(threads, items)` threads, the caller's included — at
+    /// most the enclosing task's share of the thread budget when called
+    /// from inside a task (see the crate docs). Tasks are **claimed in
+    /// index order**, each by the first thread free to take it: index 0
+    /// is the first to start at every thread count, and a thread runs
+    /// its own tasks in ascending order. Blocks until every task has
+    /// finished; if any panicked, the rest still run and the panic of
+    /// the lowest index is resumed on the calling thread.
+    ///
     /// With one thread this is exactly `items.into_iter().enumerate()
-    /// .map(..).collect()` — no queues, no threads.
+    /// .map(..).collect()` — no threads, and a panic unwinds from the
+    /// task directly (the same task's panic, earlier).
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -264,33 +218,67 @@ impl Pool {
         F: Fn(usize, T) -> R + Sync,
     {
         let (workers, task_share) = self.plan(self.threads.min(items.len()));
+        let task = |i: usize, item: T| {
+            let _span = acme_obs::span!(acme_obs::Detail::Task, "runtime.task", "seq" => i);
+            f(i, item)
+        };
         if workers <= 1 {
             return items
                 .into_iter()
                 .enumerate()
-                .map(|(i, item)| f(i, item))
+                .map(|(i, item)| task(i, item))
                 .collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let slots_ref = &slots;
-        let f_ref = &f;
-        self.scope_on(workers, task_share, |s| {
-            for (i, item) in items.into_iter().enumerate() {
-                s.spawn(move || {
-                    let r = f_ref(i, item);
-                    *lock(&slots_ref[i]) = Some(r);
-                });
-            }
+        // One slot per index: the item until a thread claims it, and what
+        // its task returned or panicked with afterwards.
+        type Outcome<R> = Mutex<Option<std::thread::Result<R>>>;
+        let slots: Vec<(Mutex<Option<T>>, Outcome<R>)> = items
+            .into_iter()
+            .map(|item| (Mutex::new(Some(item)), Mutex::new(None)))
+            .collect();
+        fork_join(slots.len(), workers, task_share, &|i| {
+            let (input, outcome) = &slots[i];
+            let item = lock(input).take().expect("an index is claimed once");
+            let result = catch_unwind(AssertUnwindSafe(|| task(i, item)));
+            *lock(outcome) = Some(result);
         });
         slots
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("scope waits for every task before returning")
+            .map(|(_, outcome)| {
+                let outcome = outcome.into_inner().unwrap_or_else(|e| e.into_inner());
+                match outcome.expect("the join waits for every index") {
+                    Ok(r) => r,
+                    Err(payload) => resume_unwind(payload),
+                }
             })
             .collect()
     }
+}
+
+/// Runs `run(0) .. run(n - 1)` on `workers` scoped threads, the caller's
+/// included: each takes the next index from one shared counter until
+/// none is left. `run` must not unwind. Not generic: inlined into each
+/// of [`Pool::par_map`]'s 27 instantiations, the spawn and join were
+/// 144 KB of text and cost `recustomize`, all small kernels, 5 %.
+fn fork_join(n: usize, workers: usize, task_share: usize, run: &(dyn Fn(usize) + Sync)) {
+    // Relaxed: the counter hands out indices and publishes nothing; what
+    // the tasks read and write is ordered by the threads' spawn and join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        // The caller works on a thread that has a share of its own (or
+        // none) and gets it back, because `run` returns.
+        let outer_share = SHARE.replace(task_share);
+        std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .take_while(|&i| i < n)
+            .for_each(run);
+        SHARE.set(outer_share);
+    };
+    std::thread::scope(|ts| {
+        for _ in 1..workers {
+            ts.spawn(work);
+        }
+        work();
+    });
 }
 
 impl Default for Pool {
@@ -299,181 +287,12 @@ impl Default for Pool {
     }
 }
 
-/// Handle for spawning tasks inside a [`Pool::scope`] call. Tasks may
-/// borrow anything that outlives the scope (`'env`).
-pub struct Scope<'scope, 'env> {
-    /// `None` in single-threaded pools: tasks run inline at spawn.
-    shared: Option<&'scope Shared<'env>>,
-    /// Task sequence of the inline path, mirroring `Shared::spawned` so
-    /// `runtime.task` spans carry the same `seq` at every thread count.
-    inline_seq: Cell<usize>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Queues `f` for execution (or runs it immediately on a one-thread
-    /// pool). Tasks are distributed round-robin over the worker deques;
-    /// idle workers steal from their siblings.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        match self.shared {
-            None => {
-                let seq = self.inline_seq.get();
-                self.inline_seq.set(seq + 1);
-                let _task = acme_obs::span!(acme_obs::Detail::Task, "runtime.task", "seq" => seq);
-                f()
-            }
-            Some(sh) => sh.push(Box::new(f)),
-        }
-    }
-}
-
-/// State shared between the scope owner and its workers.
-struct Shared<'env> {
-    /// One deque per worker (index 0 = the scope-owning thread).
-    queues: Vec<Mutex<VecDeque<(usize, Job<'env>)>>>,
-    /// The share of the thread budget each task of this scope runs with.
-    task_share: usize,
-    /// Tasks queued or running.
-    pending: AtomicUsize,
-    /// Tasks spawned so far — the stable task sequence.
-    spawned: AtomicUsize,
-    /// Set when the scope is over and workers should exit.
-    closed: AtomicBool,
-    /// Wakeup channel for idle workers / the draining owner: an epoch
-    /// bumped by every [`Shared::wake`].
-    signal: Mutex<u64>,
-    signal_cv: Condvar,
-    /// Earliest-spawned panic payload, if any task panicked.
-    panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>>,
-}
-
-impl<'env> Shared<'env> {
-    fn new(threads: usize, task_share: usize) -> Self {
-        Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            task_share,
-            pending: AtomicUsize::new(0),
-            spawned: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            signal: Mutex::new(0),
-            signal_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn push(&self, job: Job<'env>) {
-        let seq = self.spawned.fetch_add(1, Ordering::Relaxed);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        lock(&self.queues[seq % self.queues.len()]).push_back((seq, job));
-        self.wake();
-    }
-
-    /// Owner pops its own deque newest-first; thieves take oldest-first.
-    fn find_job(&self, w: usize) -> Option<(usize, Job<'env>)> {
-        if let Some(job) = lock(&self.queues[w]).pop_back() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for k in 1..n {
-            if let Some(job) = lock(&self.queues[(w + k) % n]).pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn run_job(&self, seq: usize, job: Job<'env>) {
-        let task = acme_obs::span!(acme_obs::Detail::Task, "runtime.task", "seq" => seq);
-        // The owner drains on a thread that has a share of its own (or
-        // none); `catch_unwind` guarantees it gets it back.
-        let outer_share = SHARE.replace(self.task_share);
-        let result = catch_unwind(AssertUnwindSafe(job));
-        SHARE.set(outer_share);
-        drop(task);
-        if let Err(payload) = result {
-            let mut slot = lock(&self.panic);
-            match &*slot {
-                Some((first, _)) if *first <= seq => {}
-                _ => *slot = Some((seq, payload)),
-            }
-        }
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.wake();
-        }
-    }
-
-    fn worker_loop(&self, w: usize) {
-        loop {
-            let seen = *lock(&self.signal);
-            while let Some((seq, job)) = self.find_job(w) {
-                self.run_job(seq, job);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return;
-            }
-            self.sleep_unless_woken_since(seen);
-        }
-    }
-
-    /// Runs tasks as worker `w` until none are queued *or running*.
-    fn drain_as(&self, w: usize) {
-        loop {
-            let seen = *lock(&self.signal);
-            while let Some((seq, job)) = self.find_job(w) {
-                self.run_job(seq, job);
-            }
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            self.sleep_unless_woken_since(seen);
-        }
-    }
-
-    /// Parks until the next [`Shared::wake`], unless one already came
-    /// after `seen` was read. The caller reads `seen` *before* the scan
-    /// that finds the deques empty and before it checks `closed` or
-    /// `pending`; every change to those is followed by a `wake`, so a
-    /// change the scan missed has moved the epoch and the wait is
-    /// skipped. Without the check a thread pre-empted between scan and
-    /// wait sleeps through the push it raced with — a full timeout, ten
-    /// times the work of a 100 µs kernel scope. (A `seen` read before
-    /// jobs ran is merely older: it can skip a wait, never lose a wake.)
-    fn sleep_unless_woken_since(&self, seen: u64) {
-        let guard = lock(&self.signal);
-        if *guard != seen {
-            return;
-        }
-        // Backstop only: no wake-up can be lost above, so this bounds the
-        // damage of a future bug at 1 ms per wait instead of a hang.
-        let _ = self
-            .signal_cv
-            .wait_timeout(guard, Duration::from_millis(1))
-            .unwrap_or_else(|e| e.into_inner());
-    }
-
-    fn wake(&self) {
-        let mut g = lock(&self.signal);
-        *g = g.wrapping_add(1);
-        self.signal_cv.notify_all();
-    }
-}
-
-/// Tells workers to exit once the queues empty, even on unwind.
-struct CloseGuard<'a, 'env>(&'a Shared<'env>);
-
-impl Drop for CloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.0.closed.store(true, Ordering::SeqCst);
-        self.0.wake();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -502,23 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_every_task() {
+    fn par_map_runs_every_task() {
         let pool = Pool::new(3);
         let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..500 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        pool.par_map(vec![(); 500], |_, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 500);
-    }
-
-    #[test]
-    fn scope_returns_closure_value() {
-        assert_eq!(Pool::new(2).scope(|_| 42), 42);
-        assert_eq!(Pool::new(1).scope(|_| "x"), "x");
     }
 
     #[test]
@@ -554,16 +363,11 @@ mod tests {
         let pool = Pool::new(4);
         let done = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..64 {
-                    let done = &done;
-                    s.spawn(move || {
-                        if i == 0 {
-                            panic!("first");
-                        }
-                        done.fetch_add(1, Ordering::SeqCst);
-                    });
+            pool.par_map((0..64).collect(), |_, i| {
+                if i == 0 {
+                    panic!("first");
                 }
+                done.fetch_add(1, Ordering::SeqCst);
             });
         }));
         assert!(result.is_err());
@@ -628,11 +432,7 @@ mod tests {
 
                 let hw = HighWater::default();
                 Pool::new(outer).par_map((0..outer).collect(), |_, _| {
-                    global_pool().scope(|s| {
-                        for _ in 0..2 * inner {
-                            s.spawn(|| hw.leaf());
-                        }
-                    });
+                    global_pool().par_map((0..2 * inner).collect(), |_, _| hw.leaf());
                 });
                 assert!(
                     hw.max() <= budget,
@@ -673,15 +473,59 @@ mod tests {
     }
 
     #[test]
-    fn top_level_task_starts_while_the_scope_body_runs() {
-        // `serve()` spawns its workers and then runs the load generator
-        // in the scope body; the workers must not wait for it to return.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let started = Pool::new(2).scope(|s| {
-            s.spawn(move || tx.send(()).expect("the body is still listening"));
-            rx.recv_timeout(Duration::from_secs(10)).is_ok()
+    fn two_tasks_on_two_threads_run_at_the_same_time() {
+        // `serve()` maps over its load generator and its worker loops;
+        // neither side finishes unless the other is running. Each task
+        // here signals its sibling and then waits for the sibling's.
+        let ((tx_a, rx_a), (tx_b, rx_b)) = (mpsc::channel(), mpsc::channel());
+        let met = Pool::new(2).par_map(vec![(tx_a, rx_b), (tx_b, rx_a)], |_, (tx, rx)| {
+            tx.send(()).is_ok() && rx.recv_timeout(Duration::from_secs(10)).is_ok()
         });
-        assert!(started, "the task ran only after the body returned");
+        assert_eq!(met, [true, true], "a task ran only after the other ended");
+    }
+
+    #[test]
+    fn a_free_thread_claims_what_a_busy_one_leaves() {
+        // Item 0 returns only once the 63 others have, so the map ends
+        // only if the second thread claims every one of them: nothing is
+        // dealt out ahead of time to the thread that item 0 keeps busy.
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let ran_on = Pool::new(2).par_map((0..64usize).collect(), |_, i| {
+            let in_time = match i {
+                0 => {
+                    let rx = lock(&rx);
+                    (1..64).all(|_| rx.recv_timeout(Duration::from_secs(10)).is_ok())
+                }
+                _ => tx.send(()).is_ok(),
+            };
+            (in_time, std::thread::current().id())
+        });
+        assert!(ran_on[0].0, "63 items waited behind the one that was busy");
+        let busy = ran_on[0].1;
+        assert_eq!(ran_on.iter().filter(|(_, id)| *id == busy).count(), 1);
+    }
+
+    #[test]
+    fn tasks_start_in_index_order() {
+        for threads in [1usize, 2, 4] {
+            let started = AtomicUsize::new(0);
+            let tickets = Pool::new(threads).par_map(vec![(); 200], |_, _| {
+                let ticket = started.fetch_add(1, Ordering::SeqCst);
+                (std::thread::current().id(), ticket)
+            });
+            if threads == 1 {
+                let order: Vec<usize> = tickets.iter().map(|&(_, t)| t).collect();
+                assert_eq!(order, (0..200).collect::<Vec<_>>(), "the serial loop");
+            }
+            // Walking the indices upwards, each thread's own tickets rise.
+            let mut last = std::collections::HashMap::new();
+            for (index, (id, ticket)) in tickets.into_iter().enumerate() {
+                if let Some(before) = last.insert(id, ticket) {
+                    assert!(before < ticket, "index {index}, threads = {threads}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -702,17 +546,17 @@ mod tests {
             assert_eq!(nested, vec![1; 8], "4 workers over a share of 4");
             assert!(max <= 4, "{max} nested tasks at once on a share of 4");
         }
-        // `scope` fans out over its workers, however few tasks it gets.
-        Pool::new(4).scope(|s| s.spawn(|| assert_eq!(SHARE.get(), 1)));
-        // Inline tasks are not tasks of a multi-worker scope.
-        Pool::new(1).scope(|s| s.spawn(|| assert_eq!(SHARE.get(), 0)));
+        // The fan-out is the item count when that is below the threads.
+        Pool::new(4).par_map(vec![(); 4], |_, _| assert_eq!(SHARE.get(), 1));
+        Pool::new(4).par_map(vec![(); 2], |_, _| assert_eq!(SHARE.get(), 2));
+        // Inline tasks are not tasks of a multi-worker map.
+        Pool::new(1).par_map(vec![(); 2], |_, _| assert_eq!(SHARE.get(), 0));
+        Pool::new(4).par_map(vec![()], |_, _| assert_eq!(SHARE.get(), 0));
         set_global_threads(6);
-        Pool::new(2).scope(|s| {
-            s.spawn(|| {
-                assert_eq!(SHARE.get(), 3, "budget max(2, 6) over 2 workers");
-                assert_eq!(global_pool().threads(), 3);
-                assert_eq!(Pool::new(8).plan(8), (3, 1));
-            })
+        Pool::new(2).par_map(vec![(); 2], |_, _| {
+            assert_eq!(SHARE.get(), 3, "budget max(2, 6) over 2 workers");
+            assert_eq!(global_pool().threads(), 3);
+            assert_eq!(Pool::new(8).plan(8), (3, 1));
         });
         assert_eq!(global_pool().threads(), 6, "uncapped at top level");
         set_global_threads(1);
@@ -761,14 +605,9 @@ mod tests {
         use std::sync::Mutex as StdMutex;
         let pool = Pool::new(4);
         let ids = StdMutex::new(HashSet::new());
-        pool.scope(|s| {
-            for _ in 0..256 {
-                let ids = &ids;
-                s.spawn(move || {
-                    std::thread::sleep(Duration::from_micros(200));
-                    ids.lock().unwrap().insert(std::thread::current().id());
-                });
-            }
+        pool.par_map(vec![(); 256], |_, _| {
+            std::thread::sleep(Duration::from_micros(200));
+            ids.lock().unwrap().insert(std::thread::current().id());
         });
         // With 256 sleeping tasks and 4 workers, more than one thread
         // must have participated.

@@ -113,9 +113,11 @@ impl Batcher {
     }
 
     /// Marks the end of the request stream; workers drain what is queued
-    /// and then observe `None`.
+    /// and then observe `None`. Never panics — `serve()` calls it from a
+    /// drop guard while its load generator unwinds — so a poisoned mutex
+    /// is entered anyway: setting the flag is valid in any state.
     pub fn close(&self) {
-        self.shared.lock().expect("batcher mutex").closed = true;
+        self.shared.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.ready.notify_all();
     }
 

@@ -1,7 +1,8 @@
 //! The serving loop: a worker pool draining the shape-aware batcher
 //! through the batched early-exit engine.
 //!
-//! Workers come from an [`acme_runtime::Pool`]; each owns a long-lived
+//! The load generator and the workers are the tasks of one
+//! [`acme_runtime::Pool::par_map`]; each worker owns a long-lived
 //! [`Graph`] it resets per batch, so steady-state serving performs no
 //! per-batch graph allocation and every frozen backbone product runs
 //! against the pack cache.
@@ -98,10 +99,20 @@ impl ServeReport {
     }
 }
 
-/// Runs a serving session: spawns `cfg.workers` worker loops on an
-/// [`acme_runtime::Pool`], hands the batcher to `produce` (the load
-/// generator), and drains until the generator returns and the queue
-/// empties.
+/// Closes the batcher when the load generator returns *or unwinds*, so
+/// the serve loops always drain what is queued and end.
+struct CloseOnDrop<'a>(&'a Batcher);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Runs a serving session: one [`Pool::par_map`] over `cfg.workers + 1`
+/// roles — `produce` (the load generator, handed the batcher) at index 0
+/// and a serve loop at every other index — that ends once the generator
+/// has returned and the queue is empty.
 ///
 /// Per-request results are independent of worker count and batching
 /// composition (see [`BatchEngine`]), so any two runs over the same
@@ -109,7 +120,8 @@ impl ServeReport {
 ///
 /// # Panics
 ///
-/// Panics when `cfg.workers` is zero or a worker panics.
+/// Panics when `cfg.workers` is zero, or with the panic of the generator
+/// or else of a worker.
 pub fn serve<F>(store: &VariantStore, cfg: &ServerConfig, produce: F) -> ServeReport
 where
     F: FnOnce(&Batcher) + Send,
@@ -121,44 +133,47 @@ where
     let batches = std::sync::atomic::AtomicU64::new(0);
     let start = Instant::now();
 
-    // workers + 1 pool threads: the caller keeps one slot for the load
-    // generator while `cfg.workers` OS workers run the serve loops (the
-    // pool steals, so every loop lands on an idle worker).
-    let pool = Pool::new(cfg.workers + 1);
-    pool.scope(|scope| {
-        for _ in 0..cfg.workers {
-            scope.spawn(|| {
-                let mut g = Graph::new();
-                let mut local: Vec<Completion> = Vec::new();
-                while let Some(batch) = batcher.pop_batch() {
-                    let (requests, enqueued): (Vec<_>, Vec<_>) =
-                        batch.into_iter().map(|q| (q.request, q.enqueued)).unzip();
-                    let responses = engine.serve_batch(&mut g, &requests);
-                    let final_exit = store
-                        .cluster_of(requests[0].device)
-                        .exits
-                        .exit_layers()
-                        .len()
-                        - 1;
-                    let early = responses.iter().filter(|r| r.exit < final_exit).count();
-                    metrics::record_batch(responses.len(), early);
-                    if store.precision() == acme_tensor::Precision::Int8 {
-                        metrics::record_int8_rows(responses.len());
-                    }
-                    batches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let done = Instant::now();
-                    local.extend(enqueued.into_iter().zip(responses).map(|(at, response)| {
-                        Completion {
-                            response,
-                            latency: done.duration_since(at),
-                        }
-                    }));
-                }
-                completions.lock().expect("completions mutex").extend(local);
-            });
+    // Every role has its own thread at top level. Inside a task with a
+    // smaller thread share (inline, at a share of 1) the generator must
+    // still start first, or the loops wait for requests nobody is free to
+    // push: `par_map` claims roles in index order.
+    let mut roles = vec![Some(produce)];
+    roles.resize_with(cfg.workers + 1, || None);
+    Pool::new(cfg.workers + 1).par_map(roles, |_, generator| {
+        if let Some(produce) = generator {
+            let _close = CloseOnDrop(&batcher);
+            return produce(&batcher);
         }
-        produce(&batcher);
-        batcher.close();
+        let mut g = Graph::new();
+        let mut local: Vec<Completion> = Vec::new();
+        while let Some(batch) = batcher.pop_batch() {
+            let (requests, enqueued): (Vec<_>, Vec<_>) =
+                batch.into_iter().map(|q| (q.request, q.enqueued)).unzip();
+            let responses = engine.serve_batch(&mut g, &requests);
+            let final_exit = store
+                .cluster_of(requests[0].device)
+                .exits
+                .exit_layers()
+                .len()
+                - 1;
+            let early = responses.iter().filter(|r| r.exit < final_exit).count();
+            metrics::record_batch(responses.len(), early);
+            if store.precision() == acme_tensor::Precision::Int8 {
+                metrics::record_int8_rows(responses.len());
+            }
+            batches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let done = Instant::now();
+            local.extend(
+                enqueued
+                    .into_iter()
+                    .zip(responses)
+                    .map(|(at, response)| Completion {
+                        response,
+                        latency: done.duration_since(at),
+                    }),
+            );
+        }
+        completions.lock().expect("completions mutex").extend(local);
     });
 
     let elapsed = start.elapsed();
@@ -178,6 +193,7 @@ mod tests {
     use crate::variant::{ServeModelConfig, StoreConfig, VariantStore};
     use acme_tensor::{Array, Precision, SmallRng64};
     use rand::RngCore;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn store() -> VariantStore {
         VariantStore::build(
@@ -231,6 +247,54 @@ mod tests {
         assert_eq!(ids, (0..12).collect::<Vec<_>>());
         assert!(report.batches >= 2, "two devices cannot share a batch");
         assert!(report.latency_quantile_ms(0.5) >= 0.0);
+    }
+
+    /// What `f` returned or panicked with, or `None` when it has not come
+    /// back after ten seconds; `f` runs on a helper thread that a hung
+    /// `serve()` keeps, and the test process outlives.
+    fn within_ten_seconds<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> Option<std::thread::Result<R>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(f))));
+        rx.recv_timeout(Duration::from_secs(10)).ok()
+    }
+
+    fn one_worker() -> ServerConfig {
+        ServerConfig {
+            workers: 1,
+            batcher: BatcherConfig::unbatched(),
+            policy: ExitPolicy::never(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_generator_reaches_the_caller() {
+        let outcome = within_ten_seconds(|| {
+            serve(&store(), &one_worker(), |_| panic!("generator died"));
+        })
+        .expect("the worker loop waits on a batcher nobody closes");
+        let payload = outcome.expect_err("the generator's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"generator died"));
+    }
+
+    #[test]
+    fn serves_inline_inside_a_task_with_a_thread_share_of_one() {
+        // Budget max(2, 1) over two tasks: each `serve()` below runs its
+        // roles inline, so the generator must be the first of them.
+        acme_runtime::set_global_threads(1);
+        let served = within_ten_seconds(|| {
+            let store = store();
+            let reqs = requests(&store, 16);
+            Pool::new(2).par_map(vec![(), ()], |_, _| {
+                let report = serve(&store, &one_worker(), |b| {
+                    reqs.iter().for_each(|r| b.push(r.clone()));
+                });
+                report.requests()
+            })
+        })
+        .expect("a serve loop ran before the generator had pushed anything");
+        assert_eq!(served.expect("no panic"), [16, 16]);
     }
 
     #[test]

@@ -338,20 +338,12 @@ pub fn gemm_prepacked<K: Kernel>(
     if chunks <= 1 || m * k * n < K::PARALLEL_MIN_MACS {
         return gemm_rows(a, pb, out, 0, m);
     }
-    // Split rows over `chunks` tasks on MC boundaries (`m > MC` here, so
-    // the first is a full `rows_per`). Each task owns a disjoint slice of
-    // `out`; per-element arithmetic is unchanged, so the result is
-    // bit-identical at any thread count.
+    // Split rows over `chunks` tasks on MC boundaries. Each task owns a
+    // disjoint slice of `out`; per-element arithmetic is unchanged, so
+    // the result is bit-identical at any thread count.
     let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
-    let (head, tail) = out.split_at_mut(rows_per * n);
-    pool.scope(|s| {
-        for (t, chunk) in tail.chunks_mut(rows_per * n).enumerate() {
-            let rows = chunk.len() / n;
-            s.spawn(move || gemm_rows(a, pb, chunk, (t + 1) * rows_per, rows));
-        }
-        // The caller works the first chunk itself instead of parking
-        // while a spawned task does it.
-        gemm_rows(a, pb, head, 0, rows_per);
+    pool.par_map(out.chunks_mut(rows_per * n).collect(), |t, chunk| {
+        gemm_rows(a, pb, chunk, t * rows_per, chunk.len() / n)
     });
 }
 
@@ -372,7 +364,7 @@ impl Kernel for F32 {
     type Extra = ();
 
     const KP: usize = 1;
-    /// The pool spawns its workers per scope, and one two-task fork/join
+    /// The pool spawns its workers per call, and one two-task fork/join
     /// measures 50–75 µs, so fanning out pays only once the serial
     /// kernel time is several times that (the row-wise kernels break
     /// even at four, see `rowwise.rs`). 2^26 multiply-adds are ≈1.7 ms
@@ -583,9 +575,8 @@ pub fn gemm_batched(
     if pool.is_serial() || batch * m * k * n < F32::PARALLEL_MIN_MACS {
         chunks.for_each(|(bi, chunk)| product(bi, chunk, &Pool::serial()));
     } else {
-        let product = &product;
-        pool.scope(|s| {
-            chunks.for_each(|(bi, chunk)| s.spawn(move || product(bi, chunk, &Pool::serial())))
+        pool.par_map(chunks.collect(), |_, (bi, chunk)| {
+            product(bi, chunk, &Pool::serial())
         });
     }
 }

@@ -140,7 +140,14 @@ pub struct Graph {
     pub(crate) grads: Vec<Option<Array>>,
     /// Recorded operation of each node.
     pub(crate) ops: Vec<Op>,
+    /// Key → node of every bound parameter: the lookup behind
+    /// [`Graph::bind_param`].
     param_bindings: HashMap<u64, Var>,
+    /// The same bindings in the order they were made, which is the order
+    /// [`Graph::param_bindings`] yields: a hash map's iteration order
+    /// differs per map and per process, and an optimizer that sums over
+    /// parameters must not inherit it.
+    bind_order: Vec<(u64, Var)>,
     /// Pack-cache identity of bound parameter nodes (node index →
     /// ident), recorded by [`Graph::bind_param_ident`] and consumed by
     /// [`Graph::matmul`] to reuse packed frozen weights.
@@ -184,6 +191,7 @@ impl Graph {
         self.grads.clear();
         self.ops.clear();
         self.param_bindings.clear();
+        self.bind_order.clear();
         self.param_idents.clear();
         // `matmul_precision` is intentionally kept: it configures the
         // graph's serving mode, not the recorded tape.
@@ -252,6 +260,7 @@ impl Graph {
         }
         let v = self.leaf(value.clone());
         self.param_bindings.insert(key, v);
+        self.bind_order.push((key, v));
         v
     }
 
@@ -271,9 +280,11 @@ impl Graph {
     }
 
     /// All `(key, var)` parameter bindings recorded by
-    /// [`Graph::bind_param`], in unspecified order.
+    /// [`Graph::bind_param`], in the order the keys were first bound —
+    /// the same on every graph and in every process that runs the same
+    /// model.
     pub fn param_bindings(&self) -> impl Iterator<Item = (u64, Var)> + '_ {
-        self.param_bindings.iter().map(|(&k, &v)| (k, v))
+        self.bind_order.iter().copied()
     }
 
     /// The forward value of `v`.
@@ -877,6 +888,25 @@ mod tests {
         let (loss2, grad2) = run(&mut g);
         assert_eq!(loss1.to_bits(), loss2.to_bits());
         assert_eq!(grad1, grad2);
+    }
+
+    #[test]
+    fn param_bindings_come_back_in_bind_order() {
+        // 16 keys, scrambled (5 is a unit mod 16 and a multiplier that
+        // spreads them): no hash order, nor key order, reproduces this.
+        let keys: Vec<u64> = (0..16u64).map(|i| (i * 5 + 3) % 16 * 1_000_003).collect();
+        let w = Array::ones(&[1]);
+        let bound = |g: &mut Graph| -> Vec<u64> {
+            for &k in keys.iter().chain(&keys[..4]) {
+                g.bind_param(k, &w);
+            }
+            g.param_bindings().map(|(k, _)| k).collect()
+        };
+        let mut g = Graph::new();
+        assert_eq!(bound(&mut g), keys);
+        g.reset();
+        assert_eq!(bound(&mut g), keys, "after reset");
+        assert_eq!(bound(&mut Graph::new()), keys, "on a second graph");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 use acme_runtime::{global_pool, Pool};
 
 /// One two-task fork/join on the runtime's scoped workers — spawn a
-/// thread, wake it, join it — measured at 50–75 µs on the 2-core
-/// reference host (`runtime.par_map_empty_us` in the benchmark).
+/// thread, join it — measured at 50–75 µs on the 2-core reference host
+/// (`runtime.par_map_empty_us` in the benchmark).
 const FORK_JOIN_NS: usize = 70_000;
 
 /// A kernel forks only when its estimated serial time is at least four
@@ -98,19 +98,19 @@ fn par_rows2<A: Send, B: Send>(
         return body(0, a, b);
     }
     let per = rows.div_ceil(width);
-    Pool::new(width).scope(|s| {
-        let body = &body;
-        let (mut a_rest, mut b_rest) = (a, b);
-        let mut r0 = 0;
-        while r0 < rows {
-            let take = per.min(rows - r0);
-            let (a_chunk, a_tail) = a_rest.split_at_mut(take * a_len);
-            let (b_chunk, b_tail) = b_rest.split_at_mut(take * b_len);
-            a_rest = a_tail;
-            b_rest = b_tail;
-            s.spawn(move || body(r0, a_chunk, b_chunk));
-            r0 += take;
-        }
+    let (mut a_rest, mut b_rest) = (a, b);
+    let mut ranges = Vec::with_capacity(width);
+    let mut r0 = 0;
+    while r0 < rows {
+        let take = per.min(rows - r0);
+        let (a_chunk, a_tail) = a_rest.split_at_mut(take * a_len);
+        let (b_chunk, b_tail) = b_rest.split_at_mut(take * b_len);
+        (a_rest, b_rest) = (a_tail, b_tail);
+        ranges.push((r0, a_chunk, b_chunk));
+        r0 += take;
+    }
+    Pool::new(width).par_map(ranges, |_, (r0, a_chunk, b_chunk)| {
+        body(r0, a_chunk, b_chunk)
     });
 }
 

@@ -24,11 +24,12 @@ step "one send path (acme-distsys rules, meters and traces a send in one place)"
 # Ledger::record and Ledger::record_retransmission once each (all three
 # in network::route) and spells each "net.*" name once, so a new sink
 # delivers what route decided instead of growing its own copy of it.
-distsys_code() {
-    for f in crates/distsys/src/*.rs; do
+code_of() {
+    for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' "$f"
     done
 }
+distsys_code() { code_of crates/distsys/src/*.rs; }
 for call in '.on_send(' '.record(' '.record_retransmission('; do
     n="$(distsys_code | grep -cF -- "$call" || true)"
     if [ "$n" -ne 1 ]; then
@@ -39,6 +40,21 @@ done
 repeated="$(distsys_code | grep -oE '"net\.[a-z_]+"' | sort | uniq -d || true)"
 if [ -n "$repeated" ]; then
     echo "ci.sh: net.* name spelled more than once:" $repeated >&2
+    exit 1
+fi
+
+step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
+# Outside tests and comments, crates/*/src (crates/bench aside) names
+# thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's
+# workers and ThreadedDriver's node pumps. Every other fan-out goes
+# through par_map and so stays inside the one thread budget.
+forks=""
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort); do
+    n="$(code_of "$f" | grep -cE 'thread::(scope|spawn|Builder)' || true)"
+    [ "$n" -eq 0 ] || forks="$forks $f:$n"
+done
+if [ "$forks" != " crates/distsys/src/driver.rs:1 crates/runtime/src/lib.rs:1" ]; then
+    echo "ci.sh: threads are started outside par_map and the threaded driver:$forks" >&2
     exit 1
 fi
 
