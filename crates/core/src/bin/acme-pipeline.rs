@@ -23,8 +23,8 @@ OPTIONS:
     --seed <S>            root RNG seed                     [default: 7]
     --threads <N>         worker threads (1 = serial)       [default: all cores]
     --trace-out <PATH>    write an acme-obs-trace-v1 JSON document
-                          (pipeline phases, metrics registry, profile
-                          table; requires building with --features obs)
+                          (pipeline phase spans, metrics registry and
+                          per-phase totals)
     --chrome-out <PATH>   also write chrome://tracing trace-event JSON
     --help                print this help
 ";
@@ -124,13 +124,6 @@ fn main() {
     let config = opts.config;
     let tracing = opts.trace_out.is_some() || opts.chrome_out.is_some();
     if tracing {
-        if !acme_obs::compiled() {
-            eprintln!(
-                "error: --trace-out/--chrome-out need observability compiled in; \
-                 rebuild with `cargo build -p acme --features obs`"
-            );
-            std::process::exit(2);
-        }
         acme_obs::trace::set_enabled(true);
     }
     println!(
@@ -189,7 +182,6 @@ fn main() {
         acme_tensor::publish_obs_metrics();
         let trace = acme_obs::trace::drain();
         let metrics = acme_obs::metrics::snapshot();
-        let phases = acme_obs::profile::snapshot();
         let write = |path: &str, doc: String, what: &str| {
             if let Err(e) = std::fs::write(path, doc) {
                 eprintln!("error: failed to write {what} to {path}: {e}");
@@ -200,7 +192,7 @@ fn main() {
         if let Some(path) = &opts.trace_out {
             write(
                 path,
-                acme_obs::export::trace_json(&trace, &metrics, &phases),
+                acme_obs::export::trace_json(&trace, &metrics),
                 "trace",
             );
         }

@@ -107,13 +107,13 @@ impl Acme {
         let mut teacher_ps = ParamSet::new();
         let teacher = Vit::new(&mut teacher_ps, &cfg.reference, &mut model_rng);
         {
-            let _phase = acme_obs::profile::phase("pipeline.pretrain");
+            let _phase = acme_obs::span!(acme_obs::Detail::Phase, "pipeline.pretrain");
             fit(&teacher, &mut teacher_ps, &public_train, &cfg.pretrain);
         }
 
         // Phase 1: candidate pool (one task per candidate) and
         // per-cluster backbone customization (one task per cluster).
-        let phase1 = acme_obs::profile::phase("pipeline.phase1");
+        let phase1 = acme_obs::span!(acme_obs::Detail::Phase, "pipeline.phase1");
         let pool = build_candidate_pool_on(
             &pool_rt,
             &teacher,
@@ -205,7 +205,7 @@ impl Acme {
         let cluster_streams: Vec<(usize, SmallRng64, SmallRng64)> = (0..fleet.clusters().len())
             .map(|s| (s, data_rng.fork(s as u64), pipe_rng.fork(s as u64)))
             .collect();
-        let phase2 = acme_obs::profile::phase("pipeline.phase2");
+        let phase2 = acme_obs::span!(acme_obs::Detail::Phase, "pipeline.phase2");
         let per_cluster = pool_rt.par_map(
             cluster_streams,
             |_, (s, mut c_data_rng, mut c_pipe_rng)| -> Result<_, AcmeError> {
@@ -223,6 +223,17 @@ impl Acme {
                 for (i, dev) in cluster.devices().iter().enumerate() {
                     let part = &parts[offsets[s] + i];
                     let (train, test) = part.split(0.75, &mut c_data_rng);
+                    // Dirichlet skew or a thin pool can leave a device
+                    // nothing to train or test on.
+                    if train.is_empty() || test.is_empty() {
+                        return Err(AcmeError::InvalidConfig(format!(
+                            "{} of {edge} has {} train and {} test samples; \
+                             use fewer devices per cluster or more data",
+                            dev.id(),
+                            train.len(),
+                            test.len()
+                        )));
+                    }
                     let share = train.sample(
                         (cfg.edge_share * train.len() as f64).ceil() as usize,
                         &mut c_data_rng,

@@ -205,12 +205,10 @@ pub fn apply_neuron_drops(ps: &mut ParamSet, header: &NasHeader, drops: &[usize]
 ///
 /// # Errors
 ///
-/// Returns [`AcmeError::Metric`] when the devices' features or label
-/// distributions yield no valid similarity matrix.
-///
-/// # Panics
-///
-/// Panics when `devices` is empty or any device has empty data.
+/// Returns [`AcmeError::InvalidConfig`] when `devices` is empty or any
+/// device has no train or no test data, and [`AcmeError::Metric`] when
+/// the devices' features or label distributions yield no valid
+/// similarity matrix.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_cluster(
     pool: &Pool,
@@ -223,13 +221,20 @@ pub fn refine_cluster(
     network: Option<&Network>,
     rng: &mut SmallRng64,
 ) -> Result<RefineOutcome, AcmeError> {
-    assert!(!devices.is_empty(), "refinement needs devices");
-    assert!(
-        devices
-            .iter()
-            .all(|d| !d.train.is_empty() && !d.test.is_empty()),
-        "empty device data"
-    );
+    if devices.is_empty() {
+        return Err(AcmeError::InvalidConfig("refinement needs devices".into()));
+    }
+    if let Some(d) = devices
+        .iter()
+        .find(|d| d.train.is_empty() || d.test.is_empty())
+    {
+        return Err(AcmeError::InvalidConfig(format!(
+            "{} of {edge} has {} train and {} test samples",
+            d.device,
+            d.train.len(),
+            d.test.len()
+        )));
+    }
     let n = devices.len();
 
     // Eq. (19)–(20): similarity of the devices' data distributions,

@@ -250,7 +250,7 @@ pub(crate) fn route(
 ) -> Option<Routed> {
     macro_rules! net_event {
         ($name:literal $(, $k:literal => $v:expr)*) => {
-            if acme_obs::compiled() && acme_obs::trace::enabled_at(acme_obs::Detail::Task) {
+            if acme_obs::trace::enabled_at(acme_obs::Detail::Task) {
                 let event = acme_obs::trace::EventBuilder::begin($name)
                     .with("from", env.from.to_string())
                     $(.with($k, $v))*;

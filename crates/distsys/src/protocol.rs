@@ -322,10 +322,10 @@ pub struct ProtocolOutcome {
     pub nodes: Vec<NodeStatus>,
     /// Structured trace drained at the end of the run — per-round
     /// `protocol.round` spans plus `protocol.retry` /
-    /// `protocol.device_drop` and `net.*` events — when observability is
-    /// compiled in (`obs` feature) and runtime-enabled; `None`
-    /// otherwise. Draining here hands the run's spans to the caller, so
-    /// a caller that also records its own spans should
+    /// `protocol.device_drop` and `net.*` events — when recording is
+    /// enabled (`acme_obs::trace::set_enabled`); `None` otherwise.
+    /// Draining here hands the run's spans to the caller, so a caller
+    /// that also records its own spans should
     /// [`merge`](acme_obs::Trace::merge) this into its final drain.
     pub trace: Option<acme_obs::Trace>,
 }

@@ -5,8 +5,9 @@
 //! `Cargo.toml`), so emission is hand-rolled here, mirroring how the
 //! `BENCH_*.json` artifacts are written.
 
+use std::collections::BTreeMap;
+
 use crate::metrics::MetricsSnapshot;
-use crate::profile::PhaseRow;
 use crate::trace::{FieldValue, SpanKind, Trace};
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -59,7 +60,7 @@ fn json_fields(fields: &[(&'static str, FieldValue)]) -> String {
     out
 }
 
-/// Renders a drained trace plus registry/profile snapshots as the
+/// Renders a drained trace plus a registry snapshot as the
 /// `acme-obs-trace-v1` document:
 ///
 /// ```json
@@ -72,8 +73,11 @@ fn json_fields(fields: &[(&'static str, FieldValue)]) -> String {
 ///   "phases": [{"phase": "...", "total_ms": 1.0, "count": 1}, ...]
 /// }
 /// ```
+///
+/// `"phases"` is derived from the spans: one row per duration-span name,
+/// sorted by name, with the summed duration and the number of spans.
 #[must_use]
-pub fn trace_json(trace: &Trace, metrics: &MetricsSnapshot, phases: &[PhaseRow]) -> String {
+pub fn trace_json(trace: &Trace, metrics: &MetricsSnapshot) -> String {
     let mut out = String::from("{\n  \"schema\": \"acme-obs-trace-v1\",\n");
     out.push_str(&format!(
         "  \"dropped_events\": {},\n  \"spans\": [",
@@ -129,15 +133,21 @@ pub fn trace_json(trace: &Trace, metrics: &MetricsSnapshot, phases: &[PhaseRow])
         ));
     }
     out.push_str("}\n  },\n  \"phases\": [");
-    for (i, row) in phases.iter().enumerate() {
+    let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for e in trace.spans.iter().filter(|e| e.kind == SpanKind::Span) {
+        let (dur_ns, count) = phases.entry(e.name).or_default();
+        *dur_ns += e.dur_ns;
+        *count += 1;
+    }
+    for (i, (phase, (dur_ns, count))) in phases.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "\n    {{\"phase\": \"{}\", \"total_ms\": {}, \"count\": {}}}",
-            json_escape(&row.phase),
-            json_f64(row.total_ms),
-            row.count
+            json_escape(phase),
+            json_f64(*dur_ns as f64 / 1e6),
+            count
         ));
     }
     out.push_str("\n  ]\n}\n");
@@ -218,13 +228,39 @@ mod tests {
             )],
             dropped_events: 0,
         };
-        let json = trace_json(&trace, &MetricsSnapshot::default(), &[]);
+        let json = trace_json(&trace, &MetricsSnapshot::default());
         assert!(json.contains("\"schema\": \"acme-obs-trace-v1\""));
         assert!(json.contains("\"name\": \"protocol.round\""));
         assert!(json.contains("\"round\": 2"));
         assert!(json.contains("\"node\": \"edge-0\""));
         assert!(json.contains("\"start_us\": 1.5"));
         assert!(json.contains("\"dur_us\": 10"));
+    }
+
+    #[test]
+    fn phase_rows_sum_duration_spans_by_name() {
+        let tick = SpanEvent {
+            kind: SpanKind::Event,
+            dur_ns: 0,
+            ..event("protocol.retry", vec![])
+        };
+        let trace = Trace {
+            spans: vec![
+                event("pipeline.pretrain", vec![]),
+                tick,
+                SpanEvent {
+                    dur_ns: 30_000,
+                    ..event("pipeline.pretrain", vec![])
+                },
+            ],
+            dropped_events: 0,
+        };
+        let json = trace_json(&trace, &MetricsSnapshot::default());
+        let phases = &json[json.find("\"phases\"").unwrap()..];
+        assert!(
+            phases.contains("{\"phase\": \"pipeline.pretrain\", \"total_ms\": 0.04, \"count\": 2}")
+        );
+        assert!(!phases.contains("protocol.retry"), "events are not phases");
     }
 
     #[test]

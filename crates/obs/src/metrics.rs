@@ -9,6 +9,7 @@
 //! opts into observability pays one relaxed atomic load per call site.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Default microsecond bucket upper bounds used by [`observe_us`] (an
 /// implicit overflow bucket follows the last bound).
@@ -57,171 +58,130 @@ impl MetricsSnapshot {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{HistogramSnapshot, MetricsSnapshot, DEFAULT_US_BOUNDS};
-    use std::collections::BTreeMap;
-    use std::sync::{Mutex, OnceLock};
+struct Histogram {
+    bounds: Vec<f64>,
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+}
 
-    struct Histogram {
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        count: u64,
-        sum: f64,
-    }
-
-    impl Histogram {
-        fn new(bounds: &[f64]) -> Self {
-            Histogram {
-                bounds: bounds.to_vec(),
-                counts: vec![0; bounds.len() + 1],
-                count: 0,
-                sum: 0.0,
-            }
-        }
-
-        fn observe(&mut self, value: f64) {
-            let bucket = self
-                .bounds
-                .iter()
-                .position(|&b| value <= b)
-                .unwrap_or(self.bounds.len());
-            self.counts[bucket] += 1;
-            self.count += 1;
-            self.sum += value;
+impl Histogram {
+    fn new(bounds: &[f64]) -> Self {
+        Histogram {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0.0,
         }
     }
 
-    #[derive(Default)]
-    struct Registry {
-        counters: BTreeMap<&'static str, u64>,
-        gauges: BTreeMap<&'static str, f64>,
-        histograms: BTreeMap<&'static str, Histogram>,
+    fn observe(&mut self, value: f64) {
+        let bucket = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[bucket] += 1;
+        self.count += 1;
+        self.sum += value;
     }
+}
 
-    fn registry() -> &'static Mutex<Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+#[derive(Default)]
+struct Registry {
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
+    histograms: BTreeMap<&'static str, Histogram>,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+}
+
+/// Adds `by` to the named monotonic counter.
+pub fn inc_counter(name: &'static str, by: u64) {
+    if !crate::enabled() {
+        return;
     }
+    *registry().lock().unwrap().counters.entry(name).or_insert(0) += by;
+}
 
-    #[inline]
-    fn active() -> bool {
-        crate::trace::enabled()
+/// Sets the named counter to an absolute value — the bridge for
+/// counters maintained elsewhere (tensor pool statics, ledger
+/// totals) that are published into the registry at snapshot points.
+pub fn set_counter(name: &'static str, value: u64) {
+    if !crate::enabled() {
+        return;
     }
+    registry().lock().unwrap().counters.insert(name, value);
+}
 
-    /// Adds `by` to the named monotonic counter.
-    pub fn inc_counter(name: &'static str, by: u64) {
-        if !active() {
-            return;
-        }
-        *registry().lock().unwrap().counters.entry(name).or_insert(0) += by;
+/// Sets the named gauge.
+pub fn set_gauge(name: &'static str, value: f64) {
+    if !crate::enabled() {
+        return;
     }
+    registry().lock().unwrap().gauges.insert(name, value);
+}
 
-    /// Sets the named counter to an absolute value — the bridge for
-    /// counters maintained elsewhere (tensor pool statics, ledger
-    /// totals) that are published into the registry at snapshot points.
-    pub fn set_counter(name: &'static str, value: u64) {
-        if !active() {
-            return;
-        }
-        registry().lock().unwrap().counters.insert(name, value);
+/// Records `value` into the named histogram with explicit bucket
+/// bounds (fixed at the first observation; later `bounds` arguments
+/// are ignored).
+pub fn observe(name: &'static str, bounds: &[f64], value: f64) {
+    if !crate::enabled() {
+        return;
     }
+    registry()
+        .lock()
+        .unwrap()
+        .histograms
+        .entry(name)
+        .or_insert_with(|| Histogram::new(bounds))
+        .observe(value);
+}
 
-    /// Sets the named gauge.
-    pub fn set_gauge(name: &'static str, value: f64) {
-        if !active() {
-            return;
-        }
-        registry().lock().unwrap().gauges.insert(name, value);
-    }
+/// Records a microsecond duration with [`DEFAULT_US_BOUNDS`].
+pub fn observe_us(name: &'static str, us: f64) {
+    observe(name, &DEFAULT_US_BOUNDS, us);
+}
 
-    /// Records `value` into the named histogram with explicit bucket
-    /// bounds (fixed at the first observation; later `bounds` arguments
-    /// are ignored).
-    pub fn observe(name: &'static str, bounds: &[f64], value: f64) {
-        if !active() {
-            return;
-        }
-        registry()
-            .lock()
-            .unwrap()
+/// Copies the registry.
+pub fn snapshot() -> MetricsSnapshot {
+    let reg = registry().lock().unwrap();
+    MetricsSnapshot {
+        counters: reg
+            .counters
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect(),
+        gauges: reg
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect(),
+        histograms: reg
             .histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
-    }
-
-    /// Records a microsecond duration with [`DEFAULT_US_BOUNDS`].
-    pub fn observe_us(name: &'static str, us: f64) {
-        observe(name, &DEFAULT_US_BOUNDS, us);
-    }
-
-    /// Copies the registry.
-    pub fn snapshot() -> MetricsSnapshot {
-        let reg = registry().lock().unwrap();
-        MetricsSnapshot {
-            counters: reg
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            gauges: reg
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            histograms: reg
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.to_string(),
-                        HistogramSnapshot {
-                            bounds: h.bounds.clone(),
-                            counts: h.counts.clone(),
-                            count: h.count,
-                            sum: h.sum,
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Clears every metric (used between runs and by tests).
-    pub fn reset() {
-        let mut reg = registry().lock().unwrap();
-        reg.counters.clear();
-        reg.gauges.clear();
-        reg.histograms.clear();
+            .iter()
+            .map(|(k, h)| {
+                (
+                    k.to_string(),
+                    HistogramSnapshot {
+                        bounds: h.bounds.clone(),
+                        counts: h.counts.clone(),
+                        count: h.count,
+                        sum: h.sum,
+                    },
+                )
+            })
+            .collect(),
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::MetricsSnapshot;
-
-    #[inline(always)]
-    pub fn inc_counter(_name: &'static str, _by: u64) {}
-
-    #[inline(always)]
-    pub fn set_counter(_name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    pub fn set_gauge(_name: &'static str, _value: f64) {}
-
-    #[inline(always)]
-    pub fn observe(_name: &'static str, _bounds: &[f64], _value: f64) {}
-
-    #[inline(always)]
-    pub fn observe_us(_name: &'static str, _us: f64) {}
-
-    /// Always returns an empty snapshot.
-    pub fn snapshot() -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    pub fn reset() {}
+/// Clears every metric (used between runs and by tests).
+pub fn reset() {
+    let mut reg = registry().lock().unwrap();
+    reg.counters.clear();
+    reg.gauges.clear();
+    reg.histograms.clear();
 }
-
-pub use imp::{inc_counter, observe, observe_us, reset, set_counter, set_gauge, snapshot};

@@ -10,7 +10,11 @@
 //! [`Trace::stable_signature`], is reproducible run-to-run for a seeded
 //! workload even though raw timestamps are not.
 
+use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// How much of the span hierarchy is recorded. Levels are cumulative:
 /// `Task` includes everything `Phase` records, and so on.
@@ -208,180 +212,285 @@ impl Trace {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{Detail, FieldValue, IntoField, SpanEvent, SpanKind, Trace};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static DETAIL: AtomicU8 = AtomicU8::new(Detail::Phase as u8);
+static RING_CAPACITY: AtomicUsize = AtomicUsize::new(1 << 16);
+static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static DETAIL: AtomicU8 = AtomicU8::new(Detail::Phase as u8);
-    static RING_CAPACITY: AtomicUsize = AtomicUsize::new(1 << 16);
-    static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
+fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos() as u64
+}
+
+struct Ring {
+    events: Vec<SpanEvent>,
+    dropped: u64,
+}
+
+fn registry() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+struct Tls {
+    ring: Arc<Mutex<Ring>>,
+    depth: Cell<u16>,
+    thread: u32,
+}
+
+impl Tls {
+    fn new() -> Self {
+        let ring = Arc::new(Mutex::new(Ring {
+            events: Vec::new(),
+            dropped: 0,
+        }));
+        registry().lock().unwrap().push(Arc::clone(&ring));
+        Tls {
+            ring,
+            depth: Cell::new(0),
+            thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+        }
     }
+}
 
-    fn now_ns() -> u64 {
-        epoch().elapsed().as_nanos() as u64
+thread_local! {
+    static TLS: Tls = Tls::new();
+}
+
+fn push(event: SpanEvent) {
+    TLS.with(|t| {
+        let mut ring = t.ring.lock().unwrap();
+        if ring.events.len() >= RING_CAPACITY.load(Ordering::Relaxed) {
+            ring.dropped += 1;
+        } else {
+            ring.events.push(event);
+        }
+    });
+}
+
+/// Turns recording on or off — the one switch of every span, event,
+/// timer and metric in the workspace.
+pub fn set_enabled(on: bool) {
+    if on {
+        epoch(); // pin the epoch before the first span
     }
+    ENABLED.store(on, Ordering::SeqCst);
+}
 
-    struct Ring {
-        events: Vec<SpanEvent>,
-        dropped: u64,
+/// `true` iff runtime recording is on.
+#[inline(always)]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// `true` iff runtime recording is on at the given detail level.
+#[inline(always)]
+pub fn enabled_at(detail: Detail) -> bool {
+    enabled() && detail as u8 <= DETAIL.load(Ordering::Relaxed)
+}
+
+/// Sets the recorded [`Detail`] level (default: [`Detail::Phase`]).
+pub fn set_detail(detail: Detail) {
+    DETAIL.store(detail as u8, Ordering::SeqCst);
+}
+
+/// Sets the per-thread ring capacity applied to future pushes.
+pub fn set_ring_capacity(capacity: usize) {
+    RING_CAPACITY.store(capacity.max(1), Ordering::SeqCst);
+}
+
+/// Collects every thread's ring into one canonically sorted
+/// [`Trace`], leaving all rings empty. Rings of threads that have
+/// since exited are drained and unregistered.
+pub fn drain() -> Trace {
+    let mut spans = Vec::new();
+    let mut dropped = 0;
+    registry().lock().unwrap().retain(|ring| {
+        let alive;
+        {
+            let mut r = ring.lock().unwrap();
+            spans.append(&mut r.events);
+            dropped += std::mem::take(&mut r.dropped);
+            alive = Arc::strong_count(ring) > 1;
+        }
+        alive
+    });
+    spans.sort_by_cached_key(|e| (e.signature(), e.start_ns, e.thread, e.dur_ns));
+    Trace {
+        spans,
+        dropped_events: dropped,
     }
+}
 
-    fn registry() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
+struct Open {
+    name: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+    depth: u16,
+    start_ns: u64,
+}
 
-    struct Tls {
-        ring: Arc<Mutex<Ring>>,
-        depth: Cell<u16>,
-        thread: u32,
-    }
+/// Guard for an open span; records the span when dropped. Created
+/// by the [`crate::span!`] macro.
+#[must_use = "a span guard records its span when dropped"]
+#[derive(Default)]
+pub struct SpanGuard {
+    open: Option<Open>,
+}
 
-    impl Tls {
-        fn new() -> Self {
-            let ring = Arc::new(Mutex::new(Ring {
-                events: Vec::new(),
-                dropped: 0,
-            }));
-            registry().lock().unwrap().push(Arc::clone(&ring));
-            Tls {
-                ring,
-                depth: Cell::new(0),
-                thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            }
+impl SpanGuard {
+    /// Opens a span now. Callers should go through [`crate::span!`],
+    /// which performs the enabled checks first.
+    pub fn begin(name: &'static str) -> SpanGuard {
+        let depth = TLS.with(|t| {
+            let d = t.depth.get();
+            t.depth.set(d.saturating_add(1));
+            d
+        });
+        SpanGuard {
+            open: Some(Open {
+                name,
+                fields: Vec::new(),
+                depth,
+                start_ns: now_ns(),
+            }),
         }
     }
 
-    thread_local! {
-        static TLS: Tls = Tls::new();
+    /// A guard that records nothing.
+    pub fn disabled() -> SpanGuard {
+        SpanGuard { open: None }
     }
 
-    fn push(event: SpanEvent) {
-        TLS.with(|t| {
-            let mut ring = t.ring.lock().unwrap();
-            if ring.events.len() >= RING_CAPACITY.load(Ordering::Relaxed) {
-                ring.dropped += 1;
-            } else {
-                ring.events.push(event);
-            }
+    /// Attaches a field (call-site order is preserved).
+    pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
+        if let Some(open) = &mut self.open {
+            open.fields.push((key, value.into_field()));
+        }
+        self
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some(open) = self.open.take() {
+            let end = now_ns();
+            TLS.with(|t| t.depth.set(t.depth.get().saturating_sub(1)));
+            push(SpanEvent {
+                name: open.name,
+                kind: SpanKind::Span,
+                fields: open.fields,
+                thread: TLS.with(|t| t.thread),
+                depth: open.depth,
+                start_ns: open.start_ns,
+                dur_ns: end.saturating_sub(open.start_ns),
+            });
+        }
+    }
+}
+
+/// Builder for an instantaneous event. Created by the
+/// [`crate::event!`] macro.
+#[must_use = "call .emit() to record the event"]
+pub struct EventBuilder {
+    name: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+}
+
+impl EventBuilder {
+    pub fn begin(name: &'static str) -> EventBuilder {
+        EventBuilder {
+            name,
+            fields: Vec::new(),
+        }
+    }
+
+    pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
+        self.fields.push((key, value.into_field()));
+        self
+    }
+
+    /// Records the event at the current depth with zero duration.
+    pub fn emit(self) {
+        let (thread, depth) = TLS.with(|t| (t.thread, t.depth.get()));
+        push(SpanEvent {
+            name: self.name,
+            kind: SpanKind::Event,
+            fields: self.fields,
+            thread,
+            depth,
+            start_ns: now_ns(),
+            dur_ns: 0,
         });
     }
+}
 
-    /// Turns runtime recording on or off (the compile-time `enabled`
-    /// feature must also be on for any call site to reach this).
-    pub fn set_enabled(on: bool) {
-        if on {
-            epoch(); // pin the epoch before the first span
-        }
-        ENABLED.store(on, Ordering::SeqCst);
-    }
+struct TimerOpen {
+    name: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+    depth: u16,
+    start_ns: u64,
+    trace: bool,
+}
 
-    /// `true` iff runtime recording is on.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
+/// Guard that feeds a duration histogram (and, at
+/// [`Detail::Kernel`], a span) when dropped. Created by the
+/// [`crate::timer!`] macro.
+#[must_use = "a timer guard observes its duration when dropped"]
+#[derive(Default)]
+pub struct TimerGuard {
+    open: Option<TimerOpen>,
+}
 
-    /// `true` iff runtime recording is on at the given detail level.
-    #[inline(always)]
-    pub fn enabled_at(detail: Detail) -> bool {
-        enabled() && detail as u8 <= DETAIL.load(Ordering::Relaxed)
-    }
-
-    /// Sets the recorded [`Detail`] level (default: [`Detail::Phase`]).
-    pub fn set_detail(detail: Detail) {
-        DETAIL.store(detail as u8, Ordering::SeqCst);
-    }
-
-    /// Sets the per-thread ring capacity applied to future pushes.
-    pub fn set_ring_capacity(capacity: usize) {
-        RING_CAPACITY.store(capacity.max(1), Ordering::SeqCst);
-    }
-
-    /// Collects every thread's ring into one canonically sorted
-    /// [`Trace`], leaving all rings empty. Rings of threads that have
-    /// since exited are drained and unregistered.
-    pub fn drain() -> Trace {
-        let mut spans = Vec::new();
-        let mut dropped = 0;
-        registry().lock().unwrap().retain(|ring| {
-            let alive;
-            {
-                let mut r = ring.lock().unwrap();
-                spans.append(&mut r.events);
-                dropped += std::mem::take(&mut r.dropped);
-                alive = Arc::strong_count(ring) > 1;
-            }
-            alive
-        });
-        spans.sort_by_cached_key(|e| (e.signature(), e.start_ns, e.thread, e.dur_ns));
-        Trace {
-            spans,
-            dropped_events: dropped,
-        }
-    }
-
-    struct Open {
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-        depth: u16,
-        start_ns: u64,
-    }
-
-    /// Guard for an open span; records the span when dropped. Created
-    /// by the [`crate::span!`] macro.
-    #[must_use = "a span guard records its span when dropped"]
-    #[derive(Default)]
-    pub struct SpanGuard {
-        open: Option<Open>,
-    }
-
-    impl SpanGuard {
-        /// Opens a span now. Callers should go through [`crate::span!`],
-        /// which performs the enabled checks first.
-        pub fn begin(name: &'static str) -> SpanGuard {
-            let depth = TLS.with(|t| {
+impl TimerGuard {
+    pub fn begin(name: &'static str) -> TimerGuard {
+        let trace = enabled_at(Detail::Kernel);
+        let depth = if trace {
+            TLS.with(|t| {
                 let d = t.depth.get();
                 t.depth.set(d.saturating_add(1));
                 d
-            });
-            SpanGuard {
-                open: Some(Open {
-                    name,
-                    fields: Vec::new(),
-                    depth,
-                    start_ns: now_ns(),
-                }),
-            }
-        }
-
-        /// A guard that records nothing.
-        pub fn disabled() -> SpanGuard {
-            SpanGuard { open: None }
-        }
-
-        /// Attaches a field (call-site order is preserved).
-        pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
-            if let Some(open) = &mut self.open {
-                open.fields.push((key, value.into_field()));
-            }
-            self
+            })
+        } else {
+            0
+        };
+        TimerGuard {
+            open: Some(TimerOpen {
+                name,
+                fields: Vec::new(),
+                depth,
+                start_ns: now_ns(),
+                trace,
+            }),
         }
     }
 
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if let Some(open) = self.open.take() {
-                let end = now_ns();
+    pub fn disabled() -> TimerGuard {
+        TimerGuard { open: None }
+    }
+
+    /// Attaches a field to the kernel span. No-op (and no
+    /// allocation) unless kernel-level tracing is active.
+    pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
+        if let Some(open) = &mut self.open {
+            if open.trace {
+                open.fields.push((key, value.into_field()));
+            }
+        }
+        self
+    }
+}
+
+impl Drop for TimerGuard {
+    fn drop(&mut self) {
+        if let Some(open) = self.open.take() {
+            let end = now_ns();
+            let dur_ns = end.saturating_sub(open.start_ns);
+            crate::metrics::observe_us(open.name, dur_ns as f64 / 1_000.0);
+            if open.trace {
                 TLS.with(|t| t.depth.set(t.depth.get().saturating_sub(1)));
                 push(SpanEvent {
                     name: open.name,
@@ -390,218 +499,9 @@ mod imp {
                     thread: TLS.with(|t| t.thread),
                     depth: open.depth,
                     start_ns: open.start_ns,
-                    dur_ns: end.saturating_sub(open.start_ns),
+                    dur_ns,
                 });
             }
         }
     }
-
-    /// Builder for an instantaneous event. Created by the
-    /// [`crate::event!`] macro.
-    #[must_use = "call .emit() to record the event"]
-    pub struct EventBuilder {
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    }
-
-    impl EventBuilder {
-        pub fn begin(name: &'static str) -> EventBuilder {
-            EventBuilder {
-                name,
-                fields: Vec::new(),
-            }
-        }
-
-        pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
-            self.fields.push((key, value.into_field()));
-            self
-        }
-
-        /// Records the event at the current depth with zero duration.
-        pub fn emit(self) {
-            let (thread, depth) = TLS.with(|t| (t.thread, t.depth.get()));
-            push(SpanEvent {
-                name: self.name,
-                kind: SpanKind::Event,
-                fields: self.fields,
-                thread,
-                depth,
-                start_ns: now_ns(),
-                dur_ns: 0,
-            });
-        }
-    }
-
-    struct TimerOpen {
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-        depth: u16,
-        start_ns: u64,
-        trace: bool,
-    }
-
-    /// Guard that feeds a duration histogram (and, at
-    /// [`Detail::Kernel`], a span) when dropped. Created by the
-    /// [`crate::timer!`] macro.
-    #[must_use = "a timer guard observes its duration when dropped"]
-    #[derive(Default)]
-    pub struct TimerGuard {
-        open: Option<TimerOpen>,
-    }
-
-    impl TimerGuard {
-        pub fn begin(name: &'static str) -> TimerGuard {
-            let trace = enabled_at(Detail::Kernel);
-            let depth = if trace {
-                TLS.with(|t| {
-                    let d = t.depth.get();
-                    t.depth.set(d.saturating_add(1));
-                    d
-                })
-            } else {
-                0
-            };
-            TimerGuard {
-                open: Some(TimerOpen {
-                    name,
-                    fields: Vec::new(),
-                    depth,
-                    start_ns: now_ns(),
-                    trace,
-                }),
-            }
-        }
-
-        pub fn disabled() -> TimerGuard {
-            TimerGuard { open: None }
-        }
-
-        /// Attaches a field to the kernel span. No-op (and no
-        /// allocation) unless kernel-level tracing is active.
-        pub fn with(mut self, key: &'static str, value: impl IntoField) -> Self {
-            if let Some(open) = &mut self.open {
-                if open.trace {
-                    open.fields.push((key, value.into_field()));
-                }
-            }
-            self
-        }
-    }
-
-    impl Drop for TimerGuard {
-        fn drop(&mut self) {
-            if let Some(open) = self.open.take() {
-                let end = now_ns();
-                let dur_ns = end.saturating_sub(open.start_ns);
-                crate::metrics::observe_us(open.name, dur_ns as f64 / 1_000.0);
-                if open.trace {
-                    TLS.with(|t| t.depth.set(t.depth.get().saturating_sub(1)));
-                    push(SpanEvent {
-                        name: open.name,
-                        kind: SpanKind::Span,
-                        fields: open.fields,
-                        thread: TLS.with(|t| t.thread),
-                        depth: open.depth,
-                        start_ns: open.start_ns,
-                        dur_ns,
-                    });
-                }
-            }
-        }
-    }
 }
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    //! Inlined no-op stand-ins compiled when the `enabled` feature is
-    //! off. Call sites still type-check (and their recording branches
-    //! are folded away via [`crate::compiled`]).
-
-    use super::{Detail, IntoField, Trace};
-
-    pub fn set_enabled(_on: bool) {}
-
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn enabled_at(_detail: Detail) -> bool {
-        false
-    }
-
-    pub fn set_detail(_detail: Detail) {}
-
-    pub fn set_ring_capacity(_capacity: usize) {}
-
-    /// Always returns an empty trace.
-    pub fn drain() -> Trace {
-        Trace::default()
-    }
-
-    #[must_use = "a span guard records its span when dropped"]
-    #[derive(Default)]
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        #[inline(always)]
-        pub fn begin(_name: &'static str) -> SpanGuard {
-            SpanGuard
-        }
-
-        #[inline(always)]
-        pub fn disabled() -> SpanGuard {
-            SpanGuard
-        }
-
-        #[inline(always)]
-        pub fn with(self, _key: &'static str, _value: impl IntoField) -> Self {
-            self
-        }
-    }
-
-    #[must_use = "call .emit() to record the event"]
-    pub struct EventBuilder;
-
-    impl EventBuilder {
-        #[inline(always)]
-        pub fn begin(_name: &'static str) -> EventBuilder {
-            EventBuilder
-        }
-
-        #[inline(always)]
-        pub fn with(self, _key: &'static str, _value: impl IntoField) -> Self {
-            self
-        }
-
-        #[inline(always)]
-        pub fn emit(self) {}
-    }
-
-    #[must_use = "a timer guard observes its duration when dropped"]
-    #[derive(Default)]
-    pub struct TimerGuard;
-
-    impl TimerGuard {
-        #[inline(always)]
-        pub fn begin(_name: &'static str) -> TimerGuard {
-            TimerGuard
-        }
-
-        #[inline(always)]
-        pub fn disabled() -> TimerGuard {
-            TimerGuard
-        }
-
-        #[inline(always)]
-        pub fn with(self, _key: &'static str, _value: impl IntoField) -> Self {
-            self
-        }
-    }
-}
-
-pub use imp::{
-    drain, enabled, enabled_at, set_detail, set_enabled, set_ring_capacity, EventBuilder,
-    SpanGuard, TimerGuard,
-};

@@ -1,13 +1,9 @@
-//! Behavior of the recording machinery (compiled only with the
-//! `enabled` feature; without it `acme-obs` is all no-ops and these
-//! tests vanish).
+//! Behavior of the recording machinery.
 //!
 //! Recording state is process-global, so every test takes `GUARD` and
 //! resets state on entry.
 
-#![cfg(feature = "enabled")]
-
-use acme_obs::{event, metrics, profile, span, timer, trace, Detail, SpanKind};
+use acme_obs::{event, metrics, span, timer, trace, Detail, SpanKind};
 use std::sync::Mutex;
 
 static GUARD: Mutex<()> = Mutex::new(());
@@ -19,7 +15,6 @@ fn fresh() -> std::sync::MutexGuard<'static, ()> {
     trace::set_detail(Detail::Phase);
     trace::set_ring_capacity(1 << 16);
     metrics::reset();
-    profile::reset();
     guard
 }
 
@@ -198,22 +193,4 @@ fn spans_merge_across_threads() {
     for i in 0..4 {
         assert!(sig.contains(&format!("worker{{i={i}}}")));
     }
-}
-
-#[test]
-fn phases_accumulate_and_trace() {
-    let _g = fresh();
-    trace::set_enabled(true);
-    for _ in 0..3 {
-        let _p = profile::phase("pipeline.pretrain");
-    }
-    trace::set_enabled(false);
-    let rows = profile::snapshot();
-    let row = rows
-        .iter()
-        .find(|r| r.phase == "pipeline.pretrain")
-        .unwrap();
-    assert_eq!(row.count, 3);
-    assert!(row.total_ms >= 0.0);
-    assert_eq!(trace::drain().count("pipeline.pretrain"), 3);
 }

@@ -25,8 +25,8 @@
 //! Serving counters (`serve.requests`, `serve.batches`,
 //! `serve.early_exits`, the `serve.batch_size` histogram) publish into
 //! the unified [`acme_obs::metrics`] registry via
-//! [`metrics::publish_obs_metrics`], double-gated exactly like the rest
-//! of the workspace.
+//! [`metrics::publish_obs_metrics`] while recording is enabled
+//! (`acme_obs::trace::set_enabled`), the one switch of the workspace.
 
 pub mod batcher;
 pub mod engine;

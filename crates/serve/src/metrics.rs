@@ -3,10 +3,8 @@
 //!
 //! Following the tensor-substrate pattern, the hot path touches only
 //! dependency-free atomics; [`publish_obs_metrics`] copies them into the
-//! registry at a snapshot point. Publishing is double-gated: it
-//! compiles to the real registry only with the `obs` feature
-//! (`acme-obs/enabled`), and it records only when tracing is
-//! runtime-enabled (`acme_obs::trace::set_enabled`).
+//! registry at a snapshot point. Publishing records only while
+//! recording is enabled (`acme_obs::trace::set_enabled`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,8 +54,7 @@ pub fn int8_requests() -> u64 {
 /// Publishes the serving counters as `serve.*` registry entries
 /// (`serve.requests`, `serve.batches`, `serve.early_exits`,
 /// `serve.int8_requests`; the `serve.batch_size` histogram streams in
-/// via [`record_batch`]). No-op unless observability is compiled in and
-/// runtime-enabled.
+/// via [`record_batch`]). No-op unless recording is enabled.
 pub fn publish_obs_metrics() {
     if !acme_obs::enabled() {
         return;

@@ -637,6 +637,48 @@ mod tests {
     }
 
     #[test]
+    fn hot_swap_fails_closed_on_an_out_of_range_device() {
+        let mut store = tiny_store(3);
+        let requests = sample_requests(&store, 18);
+        let serve = |s: &VariantStore| {
+            let engine = BatchEngine::new(s, ExitPolicy::always());
+            let mut out = Vec::new();
+            for device in 0..s.num_devices() {
+                let batch: Vec<Request> = requests
+                    .iter()
+                    .filter(|r| r.device == device)
+                    .cloned()
+                    .collect();
+                out.extend(engine.serve_batch(&mut Graph::new(), &batch));
+            }
+            out
+        };
+        let before = serve(&store);
+
+        // A delta that would fit: device 0's own head against its backbone.
+        let delta = {
+            let v = store.device(0);
+            let backbone = &store.clusters()[v.cluster].params;
+            let hash = ModelStore::in_memory().put_params(backbone).unwrap();
+            VariantDelta::encode(backbone, hash, &v.classes, &v.params)
+        };
+        assert!(matches!(
+            store.hot_swap(store.num_devices(), delta),
+            Err(StoreError::Mismatch(_))
+        ));
+
+        // Every variant keeps serving, bit for bit.
+        let after = serve(&store);
+        assert_eq!(before.len(), after.len());
+        for (x, y) in before.iter().zip(&after) {
+            assert_eq!((x.id, x.exit, x.class), (y.id, y.exit, y.class));
+            for (p, q) in x.logits.iter().zip(&y.logits) {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn persist_is_deterministic_across_thread_counts() {
         let store = tiny_store(9);
         let mut roots = Vec::new();

@@ -436,15 +436,17 @@ impl VariantStore {
     ///
     /// # Errors
     ///
-    /// Fails closed (the old variant keeps serving) when the delta does
-    /// not match the backbone or its ops do not come in per-exit
-    /// `(w, b)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `device` is out of range.
+    /// Fails closed (every variant keeps serving) when `device` is out of
+    /// range, the delta does not match the backbone, or its ops do not
+    /// come in per-exit `(w, b)` pairs.
     pub fn hot_swap(&mut self, device: usize, delta: VariantDelta) -> Result<(), StoreError> {
-        let cluster = self.slots[device].cluster;
+        let Some(slot) = self.slots.get(device) else {
+            return Err(StoreError::Mismatch(format!(
+                "device {device} is out of range for a fleet of {}",
+                self.slots.len()
+            )));
+        };
+        let cluster = slot.cluster;
         if !delta.ops.len().is_multiple_of(2) {
             return Err(StoreError::Mismatch(format!(
                 "variant delta has {} ops; exit heads come in (w, b) pairs",

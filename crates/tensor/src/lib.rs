@@ -59,8 +59,7 @@ pub use error::{Result, TensorError};
 /// pack performed (`tensor.packcache.i8_mean_quant_error`). Call at a
 /// snapshot point (end of run, before `metrics::snapshot`); the hot
 /// paths keep their dependency-free atomics, so observation costs
-/// nothing per allocation. No-op unless observability is compiled in
-/// and runtime-enabled.
+/// nothing per allocation. No-op unless recording is enabled.
 pub fn publish_obs_metrics() {
     if !acme_obs::enabled() {
         return;

@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cargo run --release --example edge_deployment
-//! # with a fault-injection trace (requires the default `obs` feature):
+//! # with a fault-injection trace:
 //! cargo run --release --example edge_deployment -- --quick --trace-out /tmp/trace.json
 //! ```
 
@@ -38,10 +38,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-    if trace_out.is_some() && !acme_obs::compiled() {
-        eprintln!("error: --trace-out needs observability compiled in (the `obs` feature)");
-        std::process::exit(2);
     }
 
     let mut rng = SmallRng64::new(5);
@@ -244,11 +240,7 @@ fn main() {
         acme_tensor::publish_obs_metrics();
         let mut trace = degraded.trace.clone().unwrap_or_default();
         trace.merge(acme_obs::trace::drain());
-        let json = acme_obs::export::trace_json(
-            &trace,
-            &acme_obs::metrics::snapshot(),
-            &acme_obs::profile::snapshot(),
-        );
+        let json = acme_obs::export::trace_json(&trace, &acme_obs::metrics::snapshot());
         std::fs::write(&path, json).expect("write trace");
         println!("  trace written to {path}");
     }

@@ -58,11 +58,23 @@ if [ "$forks" != " crates/distsys/src/driver.rs:1 crates/runtime/src/lib.rs:1" ]
     exit 1
 fi
 
+step "one build (acme-obs is always compiled in; set_enabled is its only switch)"
+# No crate compiles its recording out: no obs/enabled cargo feature, no
+# cfg on one, no compiled() test, so what cargo test checks is what the
+# benchmark measures.
+gated="$(grep -rnE 'cfg\(feature = "(obs|enabled)"\)|acme_obs::compiled|\bcompiled\(\)' \
+    crates tests examples --include='*.rs' || true)"
+features="$(git ls-files '*Cargo.toml' | xargs awk '
+    /^\[/ { in_features = ($0 == "[features]") }
+    in_features && /^(obs|enabled)[[:space:]]*=/ { print FILENAME ": " $0 }')"
+if [ -n "$gated$features" ]; then
+    echo "ci.sh: observability is gated at build time:" >&2
+    printf '%s\n' "$gated" "$features" | sed '/^$/d' >&2
+    exit 1
+fi
+
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
-# The obs feature is off by default for the library crates; lint the
-# instrumented configuration too so span/metric call sites stay clean.
-cargo clippy -p acme --features obs --all-targets -- -D warnings
 
 step "cargo build --release"
 cargo build --workspace --release

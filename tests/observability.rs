@@ -1,18 +1,16 @@
-//! Determinism under observation: enabling the observability layer —
-//! at compile time (this file only builds with the `obs` feature) and
-//! at run time — must leave every numeric output bit-identical, at any
-//! thread count, and the drained trace itself must be stable across
-//! reruns of the same seeded workload.
-#![cfg(feature = "obs")]
+//! Determinism under observation: turning recording on must leave every
+//! numeric output bit-identical — of the pipeline at any thread count,
+//! of the protocol, of drift re-customization and of serving — and the
+//! drained trace itself must be stable across reruns of the same seeded
+//! workload.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use acme::{Acme, AcmeConfig, AcmeOutcome, ProtocolConfig, ProtocolRun};
 use acme_energy::Fleet;
 
-/// The obs registries (trace rings, metrics, profile table) are
-/// process-wide, so tests that flip recording on and off must not
-/// interleave.
+/// The obs registries (trace rings, metrics) are process-wide, so tests
+/// that flip recording on and off must not interleave.
 fn serialize() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(()))
@@ -24,7 +22,6 @@ fn reset_obs() {
     acme_obs::trace::set_enabled(false);
     let _ = acme_obs::trace::drain();
     acme_obs::metrics::reset();
-    acme_obs::profile::reset();
 }
 
 fn quick_run(threads: usize, seed: u64, observe: bool) -> AcmeOutcome {
@@ -219,7 +216,118 @@ fn no_trace_when_runtime_disabled() {
     let trace = acme_obs::trace::drain();
     assert!(trace.spans.is_empty());
     assert_eq!(trace.dropped_events, 0);
-    assert!(acme_obs::profile::snapshot().is_empty());
     let metrics = acme_obs::metrics::snapshot();
     assert!(metrics.counters.is_empty() && metrics.histograms.is_empty());
+}
+
+#[test]
+fn recustomization_is_bit_identical_under_observation() {
+    use acme::{run_recustomization, Pool, RecustomizeConfig, RecustomizeOutcome};
+    use acme_data::{DriftSpec, SyntheticSpec};
+    let _g = serialize();
+    reset_obs();
+    let spec = DriftSpec {
+        base: SyntheticSpec::tiny().with_per_class(8),
+        onset: 5,
+        ramp: 3,
+        magnitude: 0.9,
+        mixture_shift: 0.0,
+    };
+    let run = |observe: bool| {
+        acme_obs::trace::set_enabled(observe);
+        let out = run_recustomization(&Pool::new(2), &RecustomizeConfig::quick(), &spec, None, 4)
+            .expect("re-customization run");
+        acme_obs::trace::set_enabled(false);
+        out
+    };
+    let devices = |o: &RecustomizeOutcome| -> Vec<(Option<usize>, u64, [u32; 3])> {
+        o.devices
+            .iter()
+            .map(|d| {
+                let acc = [d.accuracy_before, d.accuracy_at_detection, d.accuracy_final];
+                (d.detected_at, d.delta_bytes, acc.map(f32::to_bits))
+            })
+            .collect()
+    };
+    let plain = run(false);
+    let observed = run(true);
+    assert!(plain.drifted_count() > 0, "some device must re-customize");
+    assert_eq!(devices(&plain), devices(&observed));
+    reset_obs();
+}
+
+#[test]
+fn serving_is_bit_identical_under_observation() {
+    use acme_serve::{
+        serve, BatcherConfig, ExitPolicy, Request, Response, ServeModelConfig, ServerConfig,
+        StoreConfig, VariantStore,
+    };
+    use acme_tensor::{Array, Precision, SmallRng64};
+    use rand::RngCore;
+    use std::time::Duration;
+    let _g = serialize();
+    reset_obs();
+    let store = VariantStore::build(
+        &StoreConfig {
+            clusters: 2,
+            devices: 3,
+            keep_classes: 4,
+            model: ServeModelConfig::tiny(),
+            precision: Precision::F32,
+        },
+        17,
+    );
+    let [c, h, w] = store.input_shape();
+    let mut rng = SmallRng64::new(5);
+    let reqs: Vec<Request> = (0..32)
+        .map(|id| Request {
+            id,
+            device: (rng.next_u64() as usize) % store.num_devices(),
+            input: Array::from_vec(
+                (0..c * h * w)
+                    .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
+                    .collect(),
+                &[c, h, w],
+            )
+            .expect("input volume"),
+        })
+        .collect();
+    let cfg = ServerConfig {
+        workers: 2,
+        batcher: BatcherConfig {
+            max_batch: 8,
+            window: Duration::from_millis(1),
+        },
+        policy: ExitPolicy::calibrated(&store, &reqs[..8], 0.5),
+    };
+    let bits = |r: &Response| {
+        let logits: Vec<u32> = r.logits.iter().map(|v| v.to_bits()).collect();
+        (
+            r.id,
+            r.device,
+            r.exit,
+            r.class,
+            r.confidence.to_bits(),
+            logits,
+        )
+    };
+    let run = |observe: bool| {
+        acme_obs::trace::set_enabled(observe);
+        let report = serve(&store, &cfg, |b| {
+            for r in &reqs {
+                b.push(r.clone());
+            }
+        });
+        acme_obs::trace::set_enabled(false);
+        report
+            .completions
+            .iter()
+            .map(|c| bits(&c.response))
+            .collect::<Vec<_>>()
+    };
+    let plain = run(false);
+    let observed = run(true);
+    assert_eq!(plain.len(), reqs.len(), "every request answered");
+    assert_eq!(plain, observed);
+    reset_obs();
 }

@@ -112,3 +112,17 @@ fn different_seeds_differ() {
         .all(|(x, y)| x.accuracy_after == y.accuracy_after);
     assert!(!same_accs, "distinct seeds should yield distinct runs");
 }
+
+#[test]
+fn a_device_left_without_data_is_a_typed_error() {
+    // Eight devices per cluster under C3's skew leave one whose 0.75
+    // split has no test rows; validation cannot see that in advance.
+    let config = AcmeConfig {
+        confusion: acme_data::ConfusionLevel::C3,
+        devices_per_cluster: 8,
+        threads: 1,
+        ..AcmeConfig::quick()
+    };
+    let acme = Acme::try_new(config).expect("the config validates");
+    assert!(matches!(acme.run(), Err(acme::AcmeError::InvalidConfig(_))));
+}

@@ -114,7 +114,6 @@ fn batched_server_is_bitwise_identical_to_sequential_reference() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn serving_counters_publish_into_obs_registry() {
     let _g = serialize();
     let store = test_store(2);
