@@ -13,11 +13,13 @@
 //!   `recv`s (and wall-clock `recv_timeout` expirations) into its
 //!   machine; a delivery is a channel send. It remains the *oracle*:
 //!   real OS preemption, real channel backpressure, real time.
-//! * [`SimDriver`] — a discrete-event simulator: one binary heap of
-//!   pending events keyed by virtual delivery time (derived from the
-//!   [`LinkModel`] plus any [`FaultPlan`] delays), zero OS threads per
-//!   node, deterministic by seed; a delivery is a heap push. This is
-//!   what scales the fleet from tens of nodes to 100k+ devices in one
+//! * [`SimDriver`] — a discrete-event simulator: one queue of pending
+//!   events ordered by virtual delivery time (derived from the
+//!   [`LinkModel`] plus any [`FaultPlan`] delays) — a binary heap of
+//!   small `(time, seq, body)` keys over a slab of event bodies — zero
+//!   OS threads per node, deterministic by seed; a delivery is a queue
+//!   push addressed to the recipient's machine slot. This is what
+//!   scales the fleet from tens of nodes to 100k+ devices in one
 //!   process; see [`simulate_fleet`].
 //!
 //! Differential tests (`tests/driver_differential.rs`) pin the two
@@ -26,7 +28,7 @@
 //! threaded runtime cannot reach.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -36,7 +38,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use acme_energy::Fleet;
 
 use crate::fault::{
-    fnv1a, link_uniform, node_tag, splitmix64, FaultPlan, FaultState, LinkOccurrences,
+    link_uniform, node_tag, splitmix64, FaultPlan, FaultState, LinkOccurrences, NodeMap,
 };
 use crate::latency::LinkModel;
 use crate::ledger::Ledger;
@@ -262,7 +264,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Relative latency jitter: each delivery is stretched by a
     /// deterministic, seed-hashed factor in `[1, 1 + jitter]`. Zero
-    /// disables jitter. Must be finite and non-negative.
+    /// disables jitter. Must be finite and non-negative. A flight time
+    /// the stretch pushes past what a `Duration` holds saturates, like
+    /// every virtual-time sum: the message lands at the end of virtual
+    /// time, after every retry window has run out.
     pub jitter: f64,
 }
 
@@ -297,7 +302,7 @@ pub struct SimStats {
 /// against a virtual clock.
 ///
 /// Every pending event — node start, message delivery, timer expiration
-/// — sits in a single binary heap ordered by `(virtual_time, push_seq)`.
+/// — sits in a single queue ordered by `(virtual_time, push_seq)`.
 /// The push sequence number breaks ties deterministically (FIFO among
 /// simultaneous events), making the processing order a total order that
 /// is a pure function of the fleet, config, fault plan, and seed.
@@ -348,15 +353,15 @@ impl SimDriver {
         );
 
         let mut machines = machines(fleet, config);
-        let mut index: HashMap<NodeId, usize> = HashMap::with_capacity(machines.len());
-        for (i, m) in machines.iter().enumerate() {
-            if index.insert(m.id(), i).is_some() {
+        let mut slots = NodeMap::with_capacity_and_hasher(machines.len(), Default::default());
+        for (slot, m) in machines.iter().enumerate() {
+            if slots.insert(m.id(), slot).is_some() {
                 return Err(RegisterError { node: m.id() }.into());
             }
         }
-        let mut wire = SimWire::new(&self.config, faults);
-        for m in &machines {
-            wire.schedule(VirtualTime::ZERO, m.id(), Event::Start);
+        let mut wire = SimWire::new(&self.config, faults, slots);
+        for slot in 0..machines.len() {
+            wire.queue.push(VirtualTime::ZERO, slot, Event::Start);
         }
 
         let mut out = Outbox::new();
@@ -367,15 +372,16 @@ impl SimDriver {
             order_digest: splitmix64(self.config.seed),
         };
         let mut now = VirtualTime::ZERO;
-        while let Some(Reverse(ev)) = wire.heap.pop() {
-            debug_assert!(ev.at >= now, "virtual time must be monotone");
-            now = ev.at;
+        while let Some((at, seq, Pending { target, event })) = wire.queue.pop() {
+            debug_assert!(at >= now, "virtual time must be monotone");
+            now = at;
+            let machine = &mut machines[target];
+            let me = machine.id();
             stats.events += 1;
-            stats.order_digest = digest_event(stats.order_digest, &ev);
-            if let Event::Message(_) = ev.event {
+            stats.order_digest = digest_event(stats.order_digest, at, seq, me, &event);
+            if let Event::Message(_) = event {
                 stats.messages_delivered += 1;
             }
-            let machine = &mut machines[index[&ev.target]];
             // Stale timers outlive their machines (the queue cannot
             // un-schedule), so the protocol's finish line is the last
             // event a still-live machine consumed — not the time the
@@ -383,12 +389,13 @@ impl SimDriver {
             if machine.status().is_none() {
                 stats.virtual_elapsed = now;
             }
-            machine.handle(ev.event, now, &mut out);
+            machine.handle(event, now, &mut out);
             for s in out.drain_sends() {
-                wire.send(now, ev.target, s.to, s.payload, s.retransmission);
+                wire.send(now, me, s.to, s.payload, s.retransmission);
             }
             if let Some((token, after)) = out.take_timer() {
-                wire.schedule(now.saturating_add(after), ev.target, Event::Timer(token));
+                wire.queue
+                    .push(now.saturating_add(after), target, Event::Timer(token));
             }
         }
 
@@ -409,31 +416,32 @@ struct SimWire<'a> {
     faults: Option<FaultState>,
     /// Messages carried so far per link, behind the latency jitter.
     flights: LinkOccurrences,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    /// Each node's slot (index) among the run's machines: a delivery is
+    /// queued for that slot, so the id is looked up once per send.
+    slots: NodeMap<NodeId, usize>,
+    queue: EventQueue,
 }
 
 impl<'a> SimWire<'a> {
-    fn new(config: &'a SimConfig, faults: FaultPlan) -> Self {
+    fn new(config: &'a SimConfig, faults: FaultPlan, slots: NodeMap<NodeId, usize>) -> Self {
+        // Sized from the fleet: a device keeps about three links busy
+        // (header down, upload up, reply down) and about three events
+        // pending (its timers, stale ones included, and a message in
+        // flight). Allocating once spares the tables the doubling
+        // reallocations whose freed halves the allocator keeps resident.
+        let expected = 3 * slots.len();
+        let mut faults = FaultState::for_plan(faults);
+        if let Some(faults) = &mut faults {
+            faults.reserve_links(expected);
+        }
         SimWire {
             config,
             ledger: Ledger::new(),
-            faults: FaultState::for_plan(faults),
-            flights: LinkOccurrences::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            faults,
+            flights: LinkOccurrences::with_capacity_and_hasher(expected, Default::default()),
+            slots,
+            queue: EventQueue::with_capacity(expected),
         }
-    }
-
-    fn schedule(&mut self, at: VirtualTime, target: NodeId, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            at,
-            seq,
-            target,
-            event,
-        }));
     }
 
     /// The heap sink of `route`: every copy is scheduled for the virtual
@@ -443,7 +451,8 @@ impl<'a> SimWire<'a> {
     /// serialization) stretched by a jitter factor in `[1, 1 + jitter]`.
     /// The jitter is drawn for every message that reached the wire, lost
     /// ones included, with the fault layer's seeded-drop hash over this
-    /// driver's own seed and per-link counts.
+    /// driver's own seed and per-link counts. A flight too long for a
+    /// `Duration` saturates (see [`SimConfig::jitter`]).
     fn send(
         &mut self,
         now: VirtualTime,
@@ -463,11 +472,15 @@ impl<'a> SimWire<'a> {
             let u = link_uniform(self.config.seed, &env, &mut self.flights);
             flight *= 1.0 + self.config.jitter * u;
         }
+        if routed.copies == 0 {
+            return;
+        }
         let at = now
             .saturating_add(routed.delay)
-            .saturating_add(Duration::from_secs_f64(flight));
+            .saturating_add(Duration::try_from_secs_f64(flight).unwrap_or(Duration::MAX));
+        let target = self.slots[&to];
         for env in std::iter::repeat_n(env, routed.copies) {
-            self.schedule(at, to, Event::Message(env));
+            self.queue.push(at, target, Event::Message(env));
         }
     }
 }
@@ -509,51 +522,77 @@ pub fn simulate_fleet(
     .run(fleet, config, faults)
 }
 
-/// One pending event in the simulator's queue.
-#[derive(Debug, Clone)]
-struct Scheduled {
-    at: VirtualTime,
+/// The simulator's pending events, popped in `(at, seq)` order: `seq` is
+/// the unique, monotone push counter, so ties at the same virtual instant
+/// resolve FIFO and the order never depends on heap internals. The heap
+/// holds only 24-byte `(at, seq, body)` keys; each event waits in
+/// `bodies[body]`, a slab whose freed entries are reused, so heap sifts
+/// never move an `Event`.
+#[derive(Debug, Default)]
+struct EventQueue {
+    keys: BinaryHeap<Reverse<(VirtualTime, u64, usize)>>,
+    bodies: Vec<Option<Pending>>,
+    free: Vec<usize>,
     seq: u64,
-    target: NodeId,
+}
+
+/// An event body: the machine slot it is delivered to, and the event.
+#[derive(Debug)]
+struct Pending {
+    target: usize,
     event: Event,
 }
 
-/// Events are totally ordered by `(at, seq)`. `seq` is the unique,
-/// monotone push counter, so ties at the same virtual instant resolve
-/// FIFO and the order never depends on heap internals.
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl EventQueue {
+    fn with_capacity(n: usize) -> Self {
+        EventQueue {
+            keys: BinaryHeap::with_capacity(n),
+            bodies: Vec::with_capacity(n),
+            ..EventQueue::default()
+        }
+    }
+
+    fn push(&mut self, at: VirtualTime, target: usize, event: Event) {
+        let pending = Some(Pending { target, event });
+        let body = match self.free.pop() {
+            Some(body) => {
+                self.bodies[body] = pending;
+                body
+            }
+            None => {
+                self.bodies.push(pending);
+                self.bodies.len() - 1
+            }
+        };
+        self.keys.push(Reverse((at, self.seq, body)));
+        self.seq += 1;
+    }
+
+    /// The earliest pending event with its time and push number.
+    fn pop(&mut self) -> Option<(VirtualTime, u64, Pending)> {
+        let Reverse((at, seq, body)) = self.keys.pop()?;
+        self.free.push(body);
+        let pending = self.bodies[body]
+            .take()
+            .expect("a queued key owns its body");
+        Some((at, seq, pending))
     }
 }
 
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Folds one processed event into the order digest.
-fn digest_event(digest: u64, ev: &Scheduled) -> u64 {
-    let kind_tag = match &ev.event {
+/// Folds one processed event, delivered to `target`, into the order
+/// digest.
+fn digest_event(digest: u64, at: VirtualTime, seq: u64, target: NodeId, event: &Event) -> u64 {
+    let kind_tag = match event {
         Event::Start => 0x11,
         Event::Timer(token) => 0x22 ^ (token.0 << 8),
-        Event::Message(env) => 0x33 ^ fnv1a(env.payload.kind()) ^ (node_tag(env.from) << 4),
+        Event::Message(env) => 0x33 ^ env.payload.kind_tag() ^ (node_tag(env.from) << 4),
     };
     splitmix64(
         digest
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(ev.at.as_nanos())
-            .wrapping_add(ev.seq.rotate_left(32))
-            .wrapping_add(node_tag(ev.target))
+            .wrapping_add(at.as_nanos())
+            .wrapping_add(seq.rotate_left(32))
+            .wrapping_add(node_tag(target))
             .wrapping_add(kind_tag),
     )
 }
@@ -694,14 +733,21 @@ mod tests {
     ) -> (Vec<NodeId>, crate::TransferReport) {
         let net = Network::with_faults(plan.clone());
         let mut inboxes: Vec<(NodeId, Receiver<Envelope>)> = Vec::new();
-        let config = SimConfig::default();
-        let mut wire = SimWire::new(&config, plan);
-        for &(from, to, retransmission) in sends {
+        for &(from, to, _) in sends {
             for node in [from, to] {
                 if let Ok(rx) = net.register(node) {
                     inboxes.push((node, rx));
                 }
             }
+        }
+        let slots = inboxes
+            .iter()
+            .enumerate()
+            .map(|(slot, (node, _))| (*node, slot))
+            .collect();
+        let config = SimConfig::default();
+        let mut wire = SimWire::new(&config, plan, slots);
+        for &(from, to, retransmission) in sends {
             net.transmit(from, to, Payload::Ack, retransmission)
                 .expect("registered recipient");
             wire.send(VirtualTime::ZERO, from, to, Payload::Ack, retransmission);
@@ -712,9 +758,9 @@ mod tests {
             .flat_map(|(node, rx)| rx.try_iter().inspect(move |env| assert_eq!(env.to, *node)))
             .collect();
         channel.sort_by_key(key);
-        let mut heap: Vec<Envelope> = std::iter::from_fn(|| wire.heap.pop())
-            .map(|Reverse(ev)| match ev.event {
-                Event::Message(env) if env.to == ev.target => env,
+        let mut heap: Vec<Envelope> = std::iter::from_fn(|| wire.queue.pop())
+            .map(|(_, _, p)| match p.event {
+                Event::Message(env) if env.to == inboxes[p.target].0 => env,
                 other => panic!("only deliveries to their addressee are queued: {other:?}"),
             })
             .collect();
@@ -781,23 +827,54 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_order_is_total_by_time_then_seq() {
-        let ev = |at_ns, seq| Scheduled {
-            at: VirtualTime::from_nanos(at_ns),
-            seq,
-            target: NodeId::Cloud,
-            event: Event::Start,
+    fn queue_pops_by_time_then_push_order_and_reuses_bodies() {
+        let mut q = EventQueue::default();
+        let push = |q: &mut EventQueue, at_ns, target| {
+            q.push(VirtualTime::from_nanos(at_ns), target, Event::Start);
         };
-        assert!(ev(1, 5) < ev(2, 0), "earlier time wins");
-        assert!(ev(2, 1) < ev(2, 2), "FIFO among simultaneous events");
-        assert_eq!(ev(2, 2), ev(2, 2));
-        let mut heap = BinaryHeap::new();
-        for (t, s) in [(5u64, 4u64), (1, 2), (5, 3), (1, 1), (0, 0)] {
-            heap.push(Reverse(ev(t, s)));
+        // (time, target); the target doubles as the push number here.
+        for (t, target) in [(5u64, 0usize), (1, 1), (5, 2), (1, 3), (0, 4)] {
+            push(&mut q, t, target);
         }
-        let drained: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(e)| (e.at.as_nanos(), e.seq))
-            .collect();
-        assert_eq!(drained, vec![(0, 0), (1, 1), (1, 2), (5, 3), (5, 4)]);
+        let drain = |q: &mut EventQueue, n| -> Vec<(u64, u64, usize)> {
+            (0..n)
+                .map(|_| {
+                    let (at, seq, p) = q.pop().expect("pending");
+                    (at.as_nanos(), seq, p.target)
+                })
+                .collect()
+        };
+        assert_eq!(
+            drain(&mut q, 3),
+            [(0, 4, 4), (1, 1, 1), (1, 3, 3)],
+            "earlier time first, FIFO among simultaneous events"
+        );
+        // New pushes take the freed bodies and keep counting `seq`.
+        push(&mut q, 5, 5);
+        push(&mut q, 2, 6);
+        assert_eq!(q.bodies.len(), 5, "freed bodies are reused");
+        assert_eq!(
+            drain(&mut q, 4),
+            [(2, 6, 6), (5, 0, 0), (5, 2, 2), (5, 5, 5)]
+        );
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn an_overflowing_flight_time_saturates_instead_of_panicking() {
+        // A finite jitter large enough to stretch a flight past what a
+        // `Duration` holds: every message lands at the end of virtual
+        // time, so every node runs out its retry windows first.
+        let fleet = Fleet::paper_default(2, 3);
+        let (out, stats) = SimDriver::new(SimConfig {
+            jitter: 1e308,
+            ..SimConfig::default()
+        })
+        .run_with_stats(&fleet, &fast_cfg(1), FaultPlan::none())
+        .expect("an accepted config runs");
+        assert_eq!(out.dropped_nodes().len(), 2 + 6);
+        // The cloud never finishes, so its saturated deliveries set the
+        // finish line.
+        assert_eq!(stats.virtual_elapsed, VirtualTime::from_nanos(u64::MAX));
     }
 }

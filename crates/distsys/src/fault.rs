@@ -22,7 +22,7 @@
 //! verdict for the n-th `importance-upload` from device 3 never depends
 //! on how the OS interleaved the other node threads.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Duration;
 
 use crate::message::{Envelope, NodeId};
@@ -172,13 +172,31 @@ pub(crate) enum Verdict {
 }
 
 /// Mutable per-network fault bookkeeping (rule occurrence counters and
-/// per-node send counts), guarded by the network's fault mutex.
+/// the killed nodes' send counts), guarded by the network's fault mutex.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     rule_hits: Vec<u64>,
-    sends_by_node: HashMap<NodeId, u64>,
+    /// One entry per node in the plan's kill list and none for anyone
+    /// else: a node's sends only matter once it has a kill point.
+    kills: NodeMap<NodeId, Kill>,
     link_occurrence: LinkOccurrences,
+}
+
+/// A killed node's schedule point and progress toward it.
+#[derive(Debug, Clone, Copy)]
+struct Kill {
+    /// The earliest of the node's kill points.
+    after_sends: u64,
+    /// Send attempts so far.
+    sent: u64,
+}
+
+impl Kill {
+    /// Dark once it has attempted `>= after_sends` sends.
+    fn is_dead(self) -> bool {
+        self.sent >= self.after_sends
+    }
 }
 
 impl FaultState {
@@ -189,33 +207,43 @@ impl FaultState {
     }
 
     pub(crate) fn new(plan: FaultPlan) -> Self {
-        let rules = plan.rules.len();
+        let mut kills = NodeMap::<NodeId, Kill>::default();
+        for &(node, after_sends) in &plan.kills {
+            kills
+                .entry(node)
+                .and_modify(|k| k.after_sends = k.after_sends.min(after_sends))
+                .or_insert(Kill {
+                    after_sends,
+                    sent: 0,
+                });
+        }
         FaultState {
+            rule_hits: vec![0; plan.rules.len()],
             plan,
-            rule_hits: vec![0; rules],
-            sends_by_node: HashMap::new(),
-            link_occurrence: HashMap::new(),
+            kills,
+            link_occurrence: LinkOccurrences::default(),
         }
     }
 
-    /// Node `node` is dark once it has attempted `>= after_sends` sends.
-    fn is_dead(&self, node: NodeId) -> bool {
-        let sent = self.sends_by_node.get(&node).copied().unwrap_or(0);
-        self.plan
-            .kills
-            .iter()
-            .any(|&(n, after)| n == node && sent >= after)
+    /// Makes room for `links` per-link counters up front, if the plan's
+    /// seeded drop will keep any.
+    pub(crate) fn reserve_links(&mut self, links: usize) {
+        if self.plan.drop_prob > 0.0 {
+            self.link_occurrence.reserve(links);
+        }
     }
 
     /// Decides the fate of `env` and advances the deterministic
     /// counters.
     pub(crate) fn on_send(&mut self, env: &Envelope) -> Verdict {
-        let sender_dead = self.is_dead(env.from);
-        *self.sends_by_node.entry(env.from).or_insert(0) += 1;
-        if sender_dead {
-            return Verdict::SenderDead;
+        if let Some(kill) = self.kills.get_mut(&env.from) {
+            let dead = kill.is_dead();
+            kill.sent += 1;
+            if dead {
+                return Verdict::SenderDead;
+            }
         }
-        if self.is_dead(env.to) {
+        if self.kills.get(&env.to).is_some_and(|k| k.is_dead()) {
             return Verdict::Lose;
         }
         for (i, rule) in self.plan.rules.iter().enumerate() {
@@ -240,8 +268,54 @@ impl FaultState {
     }
 }
 
-/// How many messages each `(from, to, kind)` link has carried so far.
-pub(crate) type LinkOccurrences = HashMap<(NodeId, NodeId, &'static str), u64>;
+/// How many messages each `(from, to, kind)` link has carried so far,
+/// the kind as its [`Payload::kind_index`](crate::Payload). Keyed by
+/// `NodeId`s, not [`node_tag`]s, which collide for ids `>= 2^32`.
+pub(crate) type LinkOccurrences = NodeMap<(NodeId, NodeId, usize), u64>;
+
+/// A hash map over node-addressed keys with [`NodeHasher`].
+pub(crate) type NodeMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<NodeHasher>>;
+/// A hash set over node-addressed keys with [`NodeHasher`].
+pub(crate) type NodeSet<K> = std::collections::HashSet<K, BuildHasherDefault<NodeHasher>>;
+
+/// Multiply–rotate hasher (FxHash-style) for the simulator's per-event
+/// tables, whose keys are small integers (`NodeId`s, kind indices):
+/// one rotate, xor and multiply per word instead of SipHash's rounds.
+/// It is not collision-resistant: a fleet whose ids were crafted to
+/// collide (say, decoded from a hostile run checkpoint) can slow a run
+/// down but not change its outcome or statistics, since only the order
+/// of an edge's `protocol.device_drop` trace events follows a table's
+/// iteration order.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct NodeHasher(u64);
+
+impl NodeHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A uniform draw in `[0, 1)` for the next message on `env`'s link: the
 /// seed hashed with the message's `(from, to, kind)` coordinates and the
@@ -252,7 +326,7 @@ pub(crate) type LinkOccurrences = HashMap<(NodeId, NodeId, &'static str), u64>;
 /// them would move every draw.
 pub(crate) fn link_uniform(seed: u64, env: &Envelope, seen: &mut LinkOccurrences) -> f64 {
     let occ = seen
-        .entry((env.from, env.to, env.payload.kind()))
+        .entry((env.from, env.to, env.payload.kind_index()))
         .or_insert(0);
     let n = *occ;
     *occ += 1;
@@ -261,7 +335,7 @@ pub(crate) fn link_uniform(seed: u64, env: &Envelope, seen: &mut LinkOccurrences
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(node_tag(env.to))
             .wrapping_mul(0x2545_f491_4f6c_dd1d)
-            .wrapping_add(fnv1a(env.payload.kind()))
+            .wrapping_add(env.payload.kind_tag())
             .wrapping_add(n),
     );
     // Top 53 bits → uniform in [0, 1).
@@ -277,11 +351,16 @@ pub(crate) fn node_tag(node: NodeId) -> u64 {
     }
 }
 
-pub(crate) fn fnv1a(s: &str) -> u64 {
+/// FNV-1a over `s`; `const` so each payload kind's tag is computed at
+/// compile time ([`Payload::kind_tag`](crate::Payload)).
+pub(crate) const fn fnv1a(s: &str) -> u64 {
+    let bytes = s.as_bytes();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     h
 }
@@ -359,6 +438,66 @@ mod tests {
         let mut st = FaultState::new(FaultPlan::none().kill(dead, 0));
         assert_eq!(st.on_send(&env(dead, NodeId::Cloud)), Verdict::SenderDead);
         assert_eq!(st.on_send(&env(NodeId::Cloud, dead)), Verdict::Lose);
+    }
+
+    #[test]
+    fn a_node_killed_twice_goes_dark_at_the_earlier_point() {
+        let n = NodeId::Device(DeviceId(4));
+        let edge = NodeId::Edge(EdgeId(0));
+        for plan in [
+            FaultPlan::none().kill(n, 5).kill(n, 2),
+            FaultPlan::none().kill(n, 2).kill(n, 5),
+        ] {
+            let mut st = FaultState::new(plan);
+            assert_eq!(st.on_send(&env(n, edge)), Verdict::Deliver);
+            assert_eq!(st.on_send(&env(edge, n)), Verdict::Deliver);
+            assert_eq!(st.on_send(&env(n, edge)), Verdict::Deliver);
+            assert_eq!(st.on_send(&env(n, edge)), Verdict::SenderDead);
+            assert_eq!(st.on_send(&env(edge, n)), Verdict::Lose);
+        }
+    }
+
+    #[test]
+    fn traffic_toward_a_node_killed_at_zero_is_lost_before_it_sends() {
+        let silent = NodeId::Device(DeviceId(9));
+        let later = NodeId::Device(DeviceId(4));
+        let edge = NodeId::Edge(EdgeId(0));
+        let mut st = FaultState::new(FaultPlan::none().kill(silent, 0).kill(later, 1));
+        assert_eq!(st.on_send(&env(edge, silent)), Verdict::Lose);
+        // A kill point still ahead leaves the node reachable.
+        assert_eq!(st.on_send(&env(edge, later)), Verdict::Deliver);
+        // Only the two killed nodes are counted, the sending edge is not.
+        assert_eq!(st.kills.len(), 2);
+    }
+
+    #[test]
+    fn a_plan_without_kills_keeps_no_per_node_counters() {
+        let mut st = FaultState::new(
+            FaultPlan::seeded(3)
+                .drop_uniform(0.5)
+                .rule(FaultRule::on(FaultAction::Duplicate).nth(1)),
+        );
+        for d in 0..100 {
+            st.on_send(&env(NodeId::Device(DeviceId(d)), NodeId::Edge(EdgeId(0))));
+        }
+        assert!(st.kills.is_empty());
+    }
+
+    #[test]
+    fn node_hasher_spreads_sequential_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<NodeHasher>::default();
+        let hashes: NodeSet<u64> = (0..10_000)
+            .map(|d| build.hash_one(NodeId::Device(DeviceId(d))))
+            .collect();
+        assert_eq!(hashes.len(), 10_000, "distinct ids hash apart");
+        // Top 7 bits pick the table's control byte: all 128 values show.
+        let tops: NodeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(tops.len(), 128);
+        assert_ne!(
+            build.hash_one(NodeId::Edge(EdgeId(3))),
+            build.hash_one(NodeId::Device(DeviceId(3)))
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::message::{Envelope, LinkClass};
+use crate::message::{Envelope, LinkClass, KINDS};
 
 #[derive(Debug, Clone, Copy)]
 struct KindTotals {
@@ -22,7 +22,9 @@ struct Totals {
     uplink_bytes: u64,
     retransmissions: u64,
     retransmitted_bytes: u64,
-    per_kind: BTreeMap<&'static str, KindTotals>,
+    /// Indexed by [`Payload::kind_index`](crate::Payload); `None` for a
+    /// kind never metered, which gets no report row.
+    per_kind: [Option<KindTotals>; KINDS.len()],
 }
 
 /// Accumulates message counts and byte volumes across all network links.
@@ -65,7 +67,7 @@ impl Ledger {
             t.retransmissions += 1;
             t.retransmitted_bytes += bytes;
         }
-        let e = t.per_kind.entry(env.payload.kind()).or_insert(KindTotals {
+        let e = t.per_kind[env.payload.kind_index()].get_or_insert(KindTotals {
             messages: 0,
             uplink_bytes: 0,
             downlink_bytes: 0,
@@ -108,10 +110,12 @@ impl Ledger {
             uplink_bytes: t.uplink_bytes,
             retransmissions: t.retransmissions,
             retransmitted_bytes: t.retransmitted_bytes,
-            per_kind: t
-                .per_kind
+            // `KINDS` is sorted: rows come out in label order.
+            per_kind: KINDS
                 .iter()
-                .map(|(&k, &kt)| KindRow {
+                .zip(&t.per_kind)
+                .filter_map(|(k, kt)| kt.map(|kt| (k, kt)))
+                .map(|(k, kt)| KindRow {
                     kind: k.to_string(),
                     messages: kt.messages,
                     uplink_bytes: kt.uplink_bytes,

@@ -3,6 +3,8 @@
 use acme_energy::{DeviceId, EdgeId};
 use serde::{Deserialize, Serialize};
 
+use crate::fault::fnv1a;
+
 /// Address of a node in the three-tier hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum NodeId {
@@ -188,18 +190,53 @@ impl Payload {
 
     /// Short kind label used by the ledger's per-kind breakdown.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// Dense index of this payload's kind into [`KINDS`], so per-kind
+    /// tables are arrays rather than maps keyed by the label.
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
-            Payload::AttributeReport { .. } => "attribute-report",
-            Payload::BackboneAssignment { .. } => "backbone-assignment",
-            Payload::HeaderSpec { .. } => "header-spec",
-            Payload::ImportanceUpload { .. } => "importance-upload",
-            Payload::PersonalizedImportance { .. } => "personalized-importance",
-            Payload::RecustomizeDelta { .. } => "recustomize-delta",
-            Payload::RawDataUpload { .. } => "raw-data-upload",
-            Payload::Ack => "ack",
+            Payload::Ack => 0,
+            Payload::AttributeReport { .. } => 1,
+            Payload::BackboneAssignment { .. } => 2,
+            Payload::HeaderSpec { .. } => 3,
+            Payload::ImportanceUpload { .. } => 4,
+            Payload::PersonalizedImportance { .. } => 5,
+            Payload::RawDataUpload { .. } => 6,
+            Payload::RecustomizeDelta { .. } => 7,
         }
     }
+
+    /// [`fnv1a`] of [`Payload::kind`], computed at compile time: what the
+    /// simulator's hashes fold in for the kind.
+    pub(crate) fn kind_tag(&self) -> u64 {
+        KIND_TAGS[self.kind_index()]
+    }
 }
+
+/// Every [`Payload::kind`] label, at its [`Payload::kind_index`]. Sorted,
+/// so walking a kind-indexed table visits the kinds in label order.
+pub(crate) const KINDS: [&str; 8] = [
+    "ack",
+    "attribute-report",
+    "backbone-assignment",
+    "header-spec",
+    "importance-upload",
+    "personalized-importance",
+    "raw-data-upload",
+    "recustomize-delta",
+];
+
+const KIND_TAGS: [u64; KINDS.len()] = {
+    let mut tags = [0; KINDS.len()];
+    let mut i = 0;
+    while i < KINDS.len() {
+        tags[i] = fnv1a(KINDS[i]);
+        i += 1;
+    }
+    tags
+};
 
 /// A routed message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -350,6 +387,55 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), kinds.len());
+    }
+
+    #[test]
+    fn kind_table_is_sorted_dense_and_tagged() {
+        let every = [
+            Payload::Ack,
+            Payload::AttributeReport {
+                device_count: 0,
+                min_storage: 0,
+                min_gpu: 0.0,
+                max_gpu: 0.0,
+            },
+            Payload::BackboneAssignment {
+                w: 1.0,
+                d: 1,
+                param_count: 0,
+                measured_bytes: None,
+            },
+            Payload::HeaderSpec {
+                tokens: vec![],
+                u: 1,
+                param_count: 0,
+                measured_bytes: None,
+            },
+            Payload::ImportanceUpload {
+                round: 0,
+                values: vec![],
+            },
+            Payload::PersonalizedImportance {
+                round: 0,
+                values: vec![],
+            },
+            Payload::RawDataUpload {
+                samples: 0,
+                bytes_per_sample: 0,
+            },
+            Payload::RecustomizeDelta {
+                round: 0,
+                param_count: 0,
+                measured_bytes: None,
+            },
+        ];
+        for (i, p) in every.iter().enumerate() {
+            assert_eq!(p.kind_index(), i, "{}", p.kind());
+            assert_eq!(p.kind_tag(), fnv1a(p.kind()));
+        }
+        assert!(KINDS.windows(2).all(|w| w[0] < w[1]), "{KINDS:?}");
+        assert_eq!(Payload::Ack.kind(), "ack");
+        assert_eq!(every[6].kind(), "raw-data-upload");
     }
 
     #[test]

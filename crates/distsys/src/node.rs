@@ -21,12 +21,12 @@
 //! [`Driver`]: crate::Driver
 //! [`RetryPolicy`]: crate::RetryPolicy
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use acme_energy::{DeviceCluster, DeviceId, EdgeId};
 
+use crate::fault::{NodeMap, NodeSet};
 use crate::message::{Envelope, NodeId, Payload};
 use crate::protocol::{DropPoint, NodeStatus, ProtocolConfig};
 
@@ -412,15 +412,15 @@ enum EdgeState {
     Rounds {
         round: usize,
         /// Devices still participating in this cluster.
-        live: HashSet<NodeId>,
+        live: NodeSet<NodeId>,
         /// Devices heard from in the current round (dedup set).
-        got: HashSet<NodeId>,
+        got: NodeSet<NodeId>,
         /// This round's uploads in arrival order.
         sets: Vec<(NodeId, Vec<f32>)>,
         /// Last personalized set served per device, replayed when a
         /// device signals (by re-uploading an old round) that its
         /// downlink was lost.
-        served: HashMap<NodeId, (usize, Vec<f32>)>,
+        served: NodeMap<NodeId, (usize, Vec<f32>)>,
     },
     Done,
 }
@@ -594,9 +594,12 @@ impl NodeStateMachine for EdgeNode {
                     self.state = EdgeState::Rounds {
                         round: 0,
                         live: self.devices.iter().copied().collect(),
-                        got: HashSet::with_capacity(self.devices.len()),
+                        got: NodeSet::with_capacity_and_hasher(
+                            self.devices.len(),
+                            Default::default(),
+                        ),
                         sets: Vec::with_capacity(self.devices.len()),
-                        served: HashMap::new(),
+                        served: NodeMap::default(),
                     };
                     self.run_rounds(out);
                 }
@@ -736,7 +739,7 @@ impl NodeStateMachine for EdgeNode {
 pub struct CloudNode {
     me: NodeId,
     cfg: Arc<ProtocolConfig>,
-    assigned: HashSet<NodeId>,
+    assigned: NodeSet<NodeId>,
     retries: u64,
 }
 
@@ -746,7 +749,7 @@ impl CloudNode {
         CloudNode {
             me: NodeId::Cloud,
             cfg,
-            assigned: HashSet::new(),
+            assigned: NodeSet::default(),
             retries: 0,
         }
     }

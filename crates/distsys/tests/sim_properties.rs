@@ -5,8 +5,11 @@
 
 use std::time::Duration;
 
-use acme_distsys::protocol::{ProtocolConfig, RetryPolicy};
-use acme_distsys::{FaultPlan, Link, LinkModel, SimConfig, SimDriver};
+use acme_distsys::protocol::{DropPoint, ProtocolConfig, RetryPolicy};
+use acme_distsys::{
+    FaultAction, FaultPlan, FaultRule, Link, LinkModel, NodeId, SimConfig, SimDriver, SimStats,
+    VirtualTime,
+};
 use acme_energy::Fleet;
 
 fn fast_cfg(loop_rounds: usize) -> ProtocolConfig {
@@ -48,6 +51,87 @@ fn replaying_a_seed_reproduces_the_run_exactly() {
         let (out_b, stats_b) = run();
         assert_eq!(out_a, out_b, "seed {seed}: outcome not replay-stable");
         assert_eq!(stats_a, stats_b, "seed {seed}: stats not replay-stable");
+    }
+}
+
+#[test]
+fn golden_run_pins_every_bit() {
+    // Replay tests only compare a build with itself; this pins the bits
+    // across builds. A 10 x 100 fleet under seeded loss, one duplicated
+    // upload rule and two kills — one node killed twice, the earlier
+    // point winning — must reproduce these exact statistics and ledger
+    // totals. A change to the event queue, the node tables, the fault
+    // counters or the hashes that moves any of them fails here.
+    let fleet = Fleet::paper_default(10, 100);
+    let cfg = ProtocolConfig {
+        backbone_params: 10_000,
+        header_params: 1_000,
+        importance_len: 32,
+        ..fast_cfg(3)
+    };
+    let device =
+        |cluster: usize, i: usize| NodeId::Device(fleet.clusters()[cluster].devices()[i].id());
+    let run = |seed: u64| {
+        let plan = FaultPlan::seeded(seed)
+            .drop_uniform(0.01)
+            .rule(
+                FaultRule::on(FaultAction::Duplicate)
+                    .kind("importance-upload")
+                    .nth(5),
+            )
+            .kill(device(2, 7), 0)
+            .kill(device(6, 40), 3)
+            .kill(device(6, 40), 1);
+        SimDriver::new(SimConfig {
+            seed,
+            ..SimConfig::default()
+        })
+        .run_with_stats(&fleet, &cfg, plan)
+        .expect("sim run")
+    };
+    // (seed, stats, ledger total bytes, messages, retransmissions)
+    let golden = [
+        (
+            42u64,
+            SimStats {
+                events: 17_309,
+                messages_delivered: 9_777,
+                virtual_elapsed: VirtualTime::from_nanos(1_391_052_730),
+                order_digest: 16_535_467_259_104_839_301,
+            },
+            45_722_624u64,
+            9_866u64,
+            2_895u64,
+        ),
+        (
+            7,
+            SimStats {
+                events: 16_934,
+                messages_delivered: 9_538,
+                virtual_elapsed: VirtualTime::from_nanos(1_387_192_554),
+                order_digest: 11_036_477_694_222_501_025,
+            },
+            45_686_192,
+            9_613,
+            2_630,
+        ),
+    ];
+    for (seed, stats, bytes, messages, retransmissions) in golden {
+        let (out, got) = run(seed);
+        assert_eq!(got, stats, "seed {seed}: simulator statistics moved");
+        assert_eq!(
+            (
+                out.report.total_bytes,
+                out.report.messages,
+                out.report.retransmissions
+            ),
+            (bytes, messages, retransmissions),
+            "seed {seed}: ledger totals moved"
+        );
+        let dropped_at = |node| out.node(node).and_then(|s| s.dropped_at);
+        assert_eq!(dropped_at(device(2, 7)), Some(DropPoint::Setup));
+        // Dark after one send (its round-0 upload), not after three.
+        assert_eq!(dropped_at(device(6, 40)), Some(DropPoint::Round(0)));
     }
 }
 

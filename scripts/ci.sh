@@ -43,6 +43,20 @@ if [ -n "$repeated" ]; then
     exit 1
 fi
 
+step "one node hasher (the simulator's node tables hash with fault::NodeHasher)"
+# Outside tests and comments, crates/distsys/src/{driver,node,fault}.rs
+# name HashMap / HashSet only in fault.rs's NodeMap / NodeSet alias
+# definitions, so a SipHash table cannot creep back onto the
+# simulator's per-event path.
+aliases='^pub\(crate\) type Node(Map|Set)<'
+hashed="$(code_of crates/distsys/src/{driver,node,fault}.rs | grep -E '\bHash(Map|Set)\b' || true)"
+offenders="$(grep -vE "$aliases" <<<"$hashed" || true)"
+if [ -n "$offenders" ] || [ "$(grep -cE "$aliases" <<<"$hashed" || true)" -ne 2 ]; then
+    echo "ci.sh: the sim's tables name HashMap/HashSet outside the NodeMap/NodeSet aliases:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's
