@@ -3,12 +3,12 @@
 
 use acme_data::Dataset;
 use acme_energy::{DeviceCluster, EnergyModel};
-use acme_nn::ParamSet;
+use acme_nn::{accuracy, ParamSet};
 use acme_pareto::{select_constrained, Candidate, GridSpec, SelectError};
 use acme_runtime::Pool;
 use acme_tensor::{Graph, SmallRng64};
 use acme_vit::{
-    distill, evaluate, prune_width, score_importance, truncate_depth, DistillConfig, Vit,
+    distill_from, prune_width, score_importance, truncate_depth, DistillConfig, TeacherTargets, Vit,
 };
 
 /// One `(w, d)` candidate with its trained weights and cloud-side loss.
@@ -40,25 +40,32 @@ impl std::fmt::Debug for CandidateModel {
     }
 }
 
-/// Mean cross-entropy of `vit`'s default head on `data`.
-fn val_loss(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> f64 {
+/// Mean cross-entropy and accuracy of `vit`'s default head on `data`,
+/// from one forward pass per batch. The batches and the accuracy's
+/// rounding through `f32` are [`acme_vit::evaluate`]'s.
+fn validate(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> (f64, f64) {
     let mut rng = SmallRng64::new(0);
-    let mut total = 0.0f64;
+    let mut loss = 0.0f64;
+    let mut correct = 0.0f64;
     let mut count = 0usize;
     let mut g = Graph::new();
     for batch in data.batches(batch_size, &mut rng) {
         g.reset();
+        let n = batch.labels.len() as f64;
         let logits = vit.logits(&mut g, ps, &batch.images);
-        let loss = g.cross_entropy_logits(logits, &batch.labels);
-        total += g.value(loss).item() as f64 * batch.labels.len() as f64;
+        correct += accuracy(g.value(logits), &batch.labels) as f64 * n;
+        let ce = g.cross_entropy_logits(logits, &batch.labels);
+        loss += g.value(ce).item() as f64 * n;
         count += batch.labels.len();
     }
-    total / count.max(1) as f64
+    let count = count.max(1) as f64;
+    (loss / count, (correct / count) as f32 as f64)
 }
 
 /// Builds the backbone candidate pool: for every `(w, d)` of the grids,
 /// importance-prune the teacher to width `w` (Eqs. 6–8), truncate to
-/// depth `d`, distill against the teacher (Eq. 9), and measure loss and
+/// depth `d`, distill against the teacher (Eq. 9; the teacher's targets
+/// are computed once and shared by every candidate), and measure loss and
 /// accuracy on the cloud's public validation split.
 ///
 /// Serial convenience wrapper over [`build_candidate_pool_on`] with a
@@ -139,27 +146,24 @@ pub fn build_candidate_pool_on(
     });
     // Handed over largest first and turned back below: the grid is sorted
     // by cost and the pool starts tasks in index order, so as listed the
-    // two heaviest distillations would run together, last, on top of
-    // every finished candidate (measured: +5 % peak RSS on `customize`).
+    // two heaviest distillations would run together, last, and set the
+    // makespan (measured: +7 % `job_s` on `customize`).
     let grid: Vec<(usize, usize)> = (0..widths.len())
         .flat_map(|wi| depths.iter().map(move |&d| (wi, d)))
         .rev()
         .collect();
+    // The Eq. (9) targets depend only on θ₀ and the example: one teacher
+    // pass, borrowed by every candidate.
+    let targets = (distill_cfg.epochs > 0).then(|| {
+        TeacherTargets::compute(teacher, teacher_ps, public_train, distill_cfg.batch_size)
+    });
     let mut candidates = pool.par_map(grid, |_, (wi, d)| {
         let (w, wide, wide_ps) = &pruned[wi];
         let (vit, mut ps) = truncate_depth(wide, wide_ps, d);
-        if distill_cfg.epochs > 0 {
-            distill(
-                teacher,
-                teacher_ps,
-                &vit,
-                &mut ps,
-                public_train,
-                distill_cfg,
-            );
+        if let Some(targets) = &targets {
+            distill_from(targets, &vit, &mut ps, public_train, distill_cfg);
         }
-        let loss = val_loss(&vit, &ps, public_val, distill_cfg.batch_size);
-        let accuracy = evaluate(&vit, &ps, public_val, distill_cfg.batch_size) as f64;
+        let (loss, accuracy) = validate(&vit, &ps, public_val, distill_cfg.batch_size);
         let params = ps.num_scalars() as u64;
         CandidateModel {
             w: *w,
@@ -239,7 +243,11 @@ mod tests {
     use acme_vit::VitConfig;
 
     fn setup() -> (Vit, ParamSet, Dataset, Dataset, SmallRng64) {
-        let mut rng = SmallRng64::new(0);
+        setup_at(0)
+    }
+
+    fn setup_at(seed: u64) -> (Vit, ParamSet, Dataset, Dataset, SmallRng64) {
+        let mut rng = SmallRng64::new(seed);
         let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let (train, val) = ds.split(0.7, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
@@ -382,6 +390,57 @@ mod tests {
                 assert_eq!(a.loss, b.loss, "candidate ({}, {})", a.w, a.d);
                 assert_eq!(a.accuracy, b.accuracy);
             }
+        }
+    }
+
+    /// Every candidate's `(w, d, params, loss bits, accuracy bits)` after
+    /// one distillation epoch, pinned across builds: a change that moves
+    /// any bit of Phase 1 fails here, where `parallel_pool_matches_serial`
+    /// only compares two runs of the same build.
+    #[test]
+    fn golden_pool_pins_every_bit() {
+        type Row = (f64, usize, u64, u64, u64);
+        let pinned: [(u64, [Row; 4]); 2] = [
+            (
+                0,
+                [
+                    (0.5, 1, 1628, 4609178953674915840, 4601392076498665472),
+                    (0.5, 2, 2788, 4608772529509629952, 4601392076498665472),
+                    (1.0, 1, 2692, 4609420557933346816, 4601392076498665472),
+                    (1.0, 2, 4916, 4610808926512873472, 4598818591150702592),
+                ],
+            ),
+            (
+                1,
+                [
+                    (0.5, 1, 1628, 4614647816063549440, 4589811391895961600),
+                    (0.5, 2, 2788, 4614461814988603392, 4589811391895961600),
+                    (1.0, 1, 2692, 4612473718650699776, 0),
+                    (1.0, 2, 4916, 4613174273987575808, 4589811391895961600),
+                ],
+            ),
+        ];
+        for (seed, want) in pinned {
+            let (vit, ps, train, val, mut rng) = setup_at(seed);
+            let pool = build_candidate_pool(
+                &vit,
+                &ps,
+                &train,
+                &val,
+                &[0.5, 1.0],
+                &[1, 2],
+                &DistillConfig {
+                    epochs: 1,
+                    ..DistillConfig::default()
+                },
+                1,
+                &mut rng,
+            );
+            let got: Vec<Row> = pool
+                .iter()
+                .map(|c| (c.w, c.d, c.params, c.loss.to_bits(), c.accuracy.to_bits()))
+                .collect();
+            assert_eq!(got, want, "seed {seed}");
         }
     }
 

@@ -7,6 +7,8 @@ use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::Vit;
 
+use crate::error::AcmeError;
+
 /// Outcome of one edge server's header search: the chosen architecture
 /// bound to the (trained) shared weights.
 pub struct EdgeCustomization {
@@ -28,6 +30,24 @@ impl std::fmt::Debug for EdgeCustomization {
             .field("search_accuracy", &self.search_accuracy)
             .finish()
     }
+}
+
+/// Fraction of the edge's shared dataset the search trains on; the rest
+/// scores the children.
+const SEARCH_SPLIT: f64 = 0.7;
+
+/// Refuses a shared dataset that [`coarse_header_search`]'s train/score
+/// split would leave without a row on either side.
+pub(crate) fn check_search_split(edge: EdgeId, shared_data: &Dataset) -> Result<(), AcmeError> {
+    let (train, val) = shared_data.split_sizes(SEARCH_SPLIT);
+    if train == 0 || val == 0 {
+        return Err(AcmeError::InvalidConfig(format!(
+            "the {SEARCH_SPLIT} search split of {edge}'s {} shared examples leaves {train} \
+             train and {val} validation examples; use a larger edge share or more data",
+            shared_data.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Runs the edge server's coarse-header customization: registers a
@@ -58,7 +78,7 @@ pub fn coarse_header_search(
         cfg.classes,
         rng,
     );
-    let (train, val) = shared_data.split(0.7, rng);
+    let (train, val) = shared_data.split(SEARCH_SPLIT, rng);
     let mut search = NasSearch::new(ps, search_cfg.clone(), rng);
     let outcome = search.run(backbone, &shared, ps, &train, &val, rng);
     EdgeCustomization {

@@ -14,7 +14,7 @@ use crate::config::AcmeConfig;
 use crate::error::AcmeError;
 use crate::outcome::{AcmeOutcome, BackboneAssignment};
 use crate::phase1::{build_candidate_pool_on, customize_backbone_for_cluster};
-use crate::phase2::coarse_header_search;
+use crate::phase2::{check_search_split, coarse_header_search};
 use crate::refine::{refine_cluster, DeviceSetup};
 
 /// The pipeline runner. Construct with [`Acme::try_new`] and call
@@ -86,6 +86,17 @@ impl Acme {
         // Data: the cloud's public dataset and the devices' private pool.
         let public = generate(&cfg.dataset, &mut data_rng)?;
         let (public_train, public_val) = public.split(0.8, &mut data_rng);
+        // A thin dataset can leave Phase 1 nothing to distil on or
+        // nothing to rank candidates by.
+        if public_train.is_empty() || public_val.is_empty() {
+            return Err(AcmeError::InvalidConfig(format!(
+                "the cloud's 0.8 public split of {} examples leaves {} train and {} \
+                 validation examples; use more data per class",
+                public.len(),
+                public_train.len(),
+                public_val.len()
+            )));
+        }
         let device_pool = generate(&cfg.dataset, &mut data_rng)?;
         let fleet = Fleet::micro_scaled(
             cfg.clusters,
@@ -250,6 +261,7 @@ impl Acme {
                     });
                 }
                 // Phase 2-1: NAS on the edge's shared dataset.
+                check_search_split(edge, &edge_data)?;
                 let customization = {
                     let _span = acme_obs::span!(
                         acme_obs::Detail::Phase,

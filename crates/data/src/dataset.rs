@@ -115,8 +115,15 @@ impl Dataset {
     pub fn split(&self, frac: f64, rng: &mut impl Rng) -> (Dataset, Dataset) {
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(rng);
-        let cut = ((self.len() as f64) * frac).round() as usize;
+        let (cut, _) = self.split_sizes(frac);
         (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
+    }
+
+    /// The `(train, test)` sizes [`Dataset::split`] yields at `frac`,
+    /// without drawing from an RNG.
+    pub fn split_sizes(&self, frac: f64) -> (usize, usize) {
+        let cut = ((self.len() as f64) * frac).round() as usize;
+        (cut, self.len().saturating_sub(cut))
     }
 
     /// Merges two datasets over the same label space.
@@ -146,19 +153,35 @@ impl Dataset {
     ///
     /// Panics on an empty dataset.
     pub fn as_batch(&self) -> Batch {
-        self.make_batch(&(0..self.len()).collect::<Vec<_>>())
+        self.batch(&(0..self.len()).collect::<Vec<_>>())
     }
 
-    /// Yields shuffled minibatches of (at most) `batch_size`.
+    /// Yields shuffled minibatches of (at most) `batch_size`: the
+    /// batches of [`Dataset::batch_indices`], in its order.
     pub fn batches(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Batch> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.chunks(batch_size.max(1))
-            .map(|c| self.make_batch(c))
+        self.batch_indices(batch_size, rng)
+            .iter()
+            .map(|c| self.batch(c))
             .collect()
     }
 
-    fn make_batch(&self, indices: &[usize]) -> Batch {
+    /// One shuffle of the example indices, cut into chunks of (at most)
+    /// `batch_size` — the indices behind [`Dataset::batches`], for
+    /// callers that keep per-example state beside the images.
+    pub fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
+        let mut idx: Vec<usize> = (0..self.len()).collect();
+        idx.shuffle(rng);
+        idx.chunks(batch_size.max(1))
+            .map(<[usize]>::to_vec)
+            .collect()
+    }
+
+    /// Stacks the examples at `indices`, in that order, into one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on empty or out-of-range indices.
+    pub fn batch(&self, indices: &[usize]) -> Batch {
         assert!(!indices.is_empty(), "empty batch");
         let shape = self.image_shape().to_vec();
         let per = shape.iter().product::<usize>();
@@ -212,6 +235,8 @@ mod tests {
         let (a, b) = ds.split(0.75, &mut SmallRng64::new(0));
         assert_eq!(a.len(), 15);
         assert_eq!(b.len(), 5);
+        assert_eq!(ds.split_sizes(0.75), (15, 5));
+        assert_eq!(toy(1, 1).split_sizes(0.7), (1, 0));
     }
 
     #[test]
@@ -222,6 +247,23 @@ mod tests {
         let total: usize = bs.iter().map(|b| b.labels.len()).sum();
         assert_eq!(total, 10);
         assert_eq!(bs[0].images.shape(), &[3, 1, 2, 2]);
+    }
+
+    #[test]
+    fn batches_are_the_batch_indices_built() {
+        let ds = toy(10, 2);
+        let idx = ds.batch_indices(3, &mut SmallRng64::new(4));
+        let bs = ds.batches(3, &mut SmallRng64::new(4));
+        assert_eq!(idx.len(), bs.len());
+        for (c, b) in idx.iter().zip(&bs) {
+            // toy image i is filled with i.
+            let firsts: Vec<f32> = b.images.data().iter().step_by(4).copied().collect();
+            assert_eq!(firsts, c.iter().map(|&i| i as f32).collect::<Vec<_>>());
+            assert_eq!(b.labels, c.iter().map(|&i| i % 2).collect::<Vec<_>>());
+        }
+        let mut all: Vec<usize> = idx.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

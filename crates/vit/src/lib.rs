@@ -11,7 +11,9 @@
 //!   important heads/neurons, yielding the width-scalable backbone
 //!   `θ̂^B`;
 //! * [`distill`] — knowledge distillation of the pruned student against
-//!   the full teacher (Eq. 9: logits + embeddings + hidden states, MSE);
+//!   the full teacher (Eq. 9: logits + embeddings + hidden states, MSE),
+//!   split into one teacher pass ([`TeacherTargets`]) shared by every
+//!   student and the per-student loop ([`distill_from`]);
 //! * [`headers`] — the four fixed reference headers of Fig. 7(b)
 //!   (Bakhtiarnia et al. styles) and the [`Header`] trait the NAS-found
 //!   headers also implement;
@@ -48,7 +50,7 @@ mod prune;
 
 pub use classifier::{evaluate, fit, ImageClassifier, TrainConfig, TrainReport};
 pub use config::VitConfig;
-pub use distill::{distill, DistillConfig, DistillReport};
+pub use distill::{distill, distill_from, DistillConfig, DistillReport, TeacherTargets};
 pub use headers::{Header, HeaderKind};
 pub use importance::{score_importance, ImportanceScores};
 pub use model::{patchify, Features, Vit};

@@ -160,9 +160,16 @@ impl Vit {
         g.add(tokens, pos)
     }
 
-    /// Full backbone forward.
+    /// Full backbone forward: [`Vit::embed`], then the encoder blocks and
+    /// the final layer norm.
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, images: &Array) -> Features {
-        let mut x = self.embed(g, ps, images);
+        let x = self.embed(g, ps, images);
+        self.encode(g, ps, x)
+    }
+
+    /// The encoder blocks and final layer norm over an embedded token
+    /// sequence `x` (the output of [`Vit::embed`]).
+    pub(crate) fn encode(&self, g: &mut Graph, ps: &ParamSet, mut x: Var) -> Features {
         let mut penultimate = x;
         for (i, blk) in self.blocks.iter().enumerate() {
             if i + 1 == self.blocks.len() {

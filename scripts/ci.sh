@@ -57,6 +57,24 @@ if [ -n "$offenders" ] || [ "$(grep -cE "$aliases" <<<"$hashed" || true)" -ne 2 
     exit 1
 fi
 
+step "one teacher pass (Phase 1 runs the distillation teacher once, not per candidate)"
+# Outside tests and comments, crates/core/src/phase1.rs never calls
+# distill( — candidates call distill_from on targets computed once
+# before the fan-out — and crates/vit/src/distill.rs runs teacher.forward(
+# or teacher.embed( only inside TeacherTargets::compute.
+offenders="$(
+    code_of crates/core/src/phase1.rs | grep -E '\bdistill\(' || true
+    code_of crates/vit/src/distill.rs | awk '
+        /fn compute\(/ { inside = 1 }
+        inside && /^    }$/ { inside = 0; next }
+        !inside && /teacher\.(forward|embed)\(/ { print }'
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: the teacher runs outside TeacherTargets::compute:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's

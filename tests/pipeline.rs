@@ -126,3 +126,51 @@ fn a_device_left_without_data_is_a_typed_error() {
     let acme = Acme::try_new(config).expect("the config validates");
     assert!(matches!(acme.run(), Err(acme::AcmeError::InvalidConfig(_))));
 }
+
+/// One device in one cluster over two classes of `per_class` examples
+/// each: a config `build()` accepts whatever `per_class` is.
+fn run_thin(per_class: usize) -> Result<acme::AcmeOutcome, acme::AcmeError> {
+    let config = AcmeConfig::builder()
+        .quick()
+        .reference(acme_vit::VitConfig::tiny(2))
+        .dataset(
+            acme_data::SyntheticSpec::tiny()
+                .with_classes(2)
+                .with_per_class(per_class),
+        )
+        .clusters(1)
+        .devices_per_cluster(1)
+        .widths(vec![1.0])
+        .depths(vec![1])
+        .threads(1)
+        .build()
+        .expect("the config validates");
+    Acme::try_new(config).expect("validated config").run()
+}
+
+fn invalid_config_naming(per_class: usize, split: &str) {
+    match run_thin(per_class) {
+        Err(acme::AcmeError::InvalidConfig(msg)) => {
+            assert!(msg.contains(split), "per_class {per_class}: {msg}")
+        }
+        other => panic!("per_class {per_class}: expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_public_split_without_validation_rows_is_a_typed_error() {
+    // Two examples: the 0.8 public split keeps both for training.
+    invalid_config_naming(1, "public split");
+}
+
+#[test]
+fn an_edge_search_split_without_validation_rows_is_a_typed_error_at_two_per_class() {
+    // The device keeps 3 of 4 examples, mirrors one to its edge, and
+    // the edge's 0.7 search split has nothing left to validate on.
+    invalid_config_naming(2, "search split");
+}
+
+#[test]
+fn an_edge_search_split_without_validation_rows_is_a_typed_error_at_three_per_class() {
+    invalid_config_naming(3, "search split");
+}
