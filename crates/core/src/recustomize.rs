@@ -23,8 +23,7 @@ use acme_nn::{save_params, ParamSet};
 use acme_runtime::Pool;
 use acme_store::{ContentHash, VariantDelta};
 use acme_tensor::SmallRng64;
-use acme_vit::headers::HeadedVit;
-use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
+use acme_vit::{evaluate_header, fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
 use rand::RngCore;
 
 use crate::error::AcmeError;
@@ -224,31 +223,38 @@ fn simulate_device(
     cfg: &RecustomizeConfig,
 ) -> DeviceSim {
     let mut rng = SmallRng64::new(seed);
-    let model = HeadedVit::new(backbone, header);
     let mut ps = base_ps.clone();
     backbone.set_backbone_trainable(&mut ps, false);
-
-    // Deploy-time personalization: header fit on the pre-drift stream.
-    let pretrain = stream.window(device, 0, cfg.pretrain_samples);
-    fit(
-        &model,
-        &mut ps,
-        &pretrain,
-        &TrainConfig {
-            epochs: cfg.pretrain_epochs,
+    // The backbone never changes on the device: each window it fits or
+    // is evaluated on runs through it once, from the shared base
+    // parameters, and the header reads the cached features.
+    let features =
+        |data: &Dataset| FrozenFeatures::compute(backbone, base_ps, data, cfg.batch_size);
+    let accuracy_at = |ps: &ParamSet, t: usize| {
+        let eval = features(&stream.eval_set(device, t, cfg.eval_per_class));
+        evaluate_header(header, ps, &eval, cfg.batch_size)
+    };
+    let refit = |ps: &mut ParamSet, window: &FrozenFeatures, epochs: usize, seed: u64| {
+        let train_cfg = TrainConfig {
+            epochs,
             batch_size: cfg.batch_size,
             lr: cfg.lr,
             clip: Some(5.0),
-            seed: rng.next_u64(),
+            seed,
             ..TrainConfig::default()
-        },
+        };
+        fit_header(header, ps, window, &train_cfg);
+    };
+
+    // Deploy-time personalization: header fit on the pre-drift stream.
+    let pretrain = stream.window(device, 0, cfg.pretrain_samples);
+    refit(
+        &mut ps,
+        &features(&pretrain),
+        cfg.pretrain_epochs,
+        rng.next_u64(),
     );
-    let accuracy_before = evaluate(
-        &model,
-        &ps,
-        &stream.eval_set(device, 0, cfg.eval_per_class),
-        cfg.batch_size,
-    );
+    let accuracy_before = accuracy_at(&ps, 0);
 
     let mut detector =
         DriftDetector::new(cfg.detector).expect("config validated by run_recustomization");
@@ -262,28 +268,11 @@ fn simulate_device(
         }
         if detector.has_drifted() && delta.is_none() {
             detected_at = Some(t);
-            accuracy_at_detection = evaluate(
-                &model,
-                &ps,
-                &stream.eval_set(device, t, cfg.eval_per_class),
-                cfg.batch_size,
-            );
+            accuracy_at_detection = accuracy_at(&ps, t);
             // Incremental Phase 2-2: refit the header on the window that
             // tripped the detector, backbone frozen.
             let adapt = stream.window(device, t, cfg.adapt_samples);
-            fit(
-                &model,
-                &mut ps,
-                &adapt,
-                &TrainConfig {
-                    epochs: cfg.adapt_epochs,
-                    batch_size: cfg.batch_size,
-                    lr: cfg.lr,
-                    clip: Some(5.0),
-                    seed: rng.next_u64(),
-                    ..TrainConfig::default()
-                },
-            );
+            refit(&mut ps, &features(&adapt), cfg.adapt_epochs, rng.next_u64());
             // The frozen backbone encodes to `Same` ops; only the
             // retrained header ships verbatim.
             let all_classes: Vec<usize> = (0..stream.spec().base.classes).collect();
@@ -296,12 +285,7 @@ fn simulate_device(
             detector.rebase();
         }
     }
-    let accuracy_final = evaluate(
-        &model,
-        &ps,
-        &stream.eval_set(device, cfg.windows.saturating_sub(1), cfg.eval_per_class),
-        cfg.batch_size,
-    );
+    let accuracy_final = accuracy_at(&ps, cfg.windows.saturating_sub(1));
     DeviceSim {
         detected_at,
         accuracy_before,
@@ -324,8 +308,11 @@ fn simulate_device(
 ///
 /// # Errors
 ///
-/// Returns [`AcmeError::Metric`] on a degenerate detector config and
-/// [`AcmeError::Data`] on a degenerate stream spec.
+/// Returns [`AcmeError::Metric`] on a degenerate detector config,
+/// [`AcmeError::Data`] on a degenerate stream spec, and
+/// [`AcmeError::InvalidConfig`] when `pretrain_samples` or
+/// `adapt_samples` is zero (a header fit with nothing to train on) — all
+/// before any device runs.
 pub fn run_recustomization(
     pool: &Pool,
     cfg: &RecustomizeConfig,
@@ -334,6 +321,16 @@ pub fn run_recustomization(
     seed: u64,
 ) -> Result<RecustomizeOutcome, AcmeError> {
     cfg.detector.validate()?;
+    for (field, samples) in [
+        ("pretrain_samples", cfg.pretrain_samples),
+        ("adapt_samples", cfg.adapt_samples),
+    ] {
+        if samples == 0 {
+            return Err(AcmeError::InvalidConfig(format!(
+                "{field} is 0: every device fits its header on that many samples"
+            )));
+        }
+    }
     let stream = DriftingStream::new(spec.clone(), seed)?;
 
     let mut root = SmallRng64::new(seed ^ 0xAC3E_0417_D21F_7C1D);
@@ -568,5 +565,36 @@ mod tests {
         let err = run_recustomization(&Pool::serial(), &RecustomizeConfig::quick(), &spec, None, 0)
             .expect_err("zero ramp");
         assert!(matches!(err, AcmeError::Data(_)), "got {err}");
+    }
+
+    #[test]
+    fn zero_pretrain_samples_is_a_typed_error() {
+        let cfg = RecustomizeConfig {
+            pretrain_samples: 0,
+            ..RecustomizeConfig::quick()
+        };
+        let err = run_recustomization(&Pool::serial(), &cfg, &drifting_spec(0.9), None, 4)
+            .expect_err("no pre-training samples");
+        assert!(
+            matches!(&err, AcmeError::InvalidConfig(m) if m.contains("pretrain_samples")),
+            "got {err}"
+        );
+    }
+
+    /// Seed 4 at magnitude 0.9 trips detectors (see
+    /// `drifted_fleet_is_detected_and_recustomized_cheaply`), so a run
+    /// that got that far would refit on an empty window.
+    #[test]
+    fn zero_adapt_samples_is_a_typed_error() {
+        let cfg = RecustomizeConfig {
+            adapt_samples: 0,
+            ..RecustomizeConfig::quick()
+        };
+        let err = run_recustomization(&Pool::serial(), &cfg, &drifting_spec(0.9), None, 4)
+            .expect_err("no adaptation samples");
+        assert!(
+            matches!(&err, AcmeError::InvalidConfig(m) if m.contains("adapt_samples")),
+            "got {err}"
+        );
     }
 }

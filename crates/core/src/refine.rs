@@ -5,15 +5,15 @@ use acme_agg::{
     normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein_on,
     AggregationMethod,
 };
-use acme_data::{label_distribution, Dataset};
+use acme_data::{batch_indices, label_distribution, sample_indices, Dataset};
 use acme_distsys::{Network, NodeId, Payload};
 use acme_energy::{DeviceId, EdgeId};
 use acme_nas::NasHeader;
 use acme_nn::ParamSet;
 use acme_runtime::Pool;
-use acme_tensor::{Graph, SmallRng64};
-use acme_vit::headers::{HeadedVit, Header};
-use acme_vit::{evaluate, fit, TrainConfig, Vit};
+use acme_tensor::{Array, Graph, SmallRng64};
+use acme_vit::headers::Header;
+use acme_vit::{evaluate_header, fit_header, FrozenFeatures, TrainConfig, Vit};
 
 use crate::error::AcmeError;
 use crate::outcome::DeviceResult;
@@ -100,24 +100,31 @@ pub fn backbone_features(
     data: &Dataset,
     n: usize,
     rng: &mut SmallRng64,
-) -> acme_tensor::Array {
+) -> Array {
     let sample = data.sample(n, rng);
-    let batch = sample.as_batch();
-    let mut g = Graph::new();
-    let feats = backbone.forward(&mut g, ps, &batch.images);
-    g.value(feats.cls).clone()
+    let features = FrozenFeatures::compute(backbone, ps, &sample, sample.len());
+    class_tokens(&features, &(0..sample.len()).collect::<Vec<_>>())
 }
 
-/// Per-tail-neuron importance of the header on `data` (Eqs. 16–18): for
-/// neuron `j`, the joint importance of its incoming parameters,
-/// `Σ_i (g_ij · v_ij)² + (g_bj · v_bj)²`, accumulated over up to
-/// `batches` minibatches.
-#[allow(clippy::needless_range_loop, clippy::explicit_counter_loop)] // index loops mirror Eq. (17)'s per-parameter sums
+/// The class tokens `[indices.len(), dim]` of examples `indices`. With
+/// `indices` drawn by [`sample_indices`] over features of a whole
+/// dataset, this is [`backbone_features`] of that dataset — the same
+/// examples, the same bits — with no backbone pass.
+fn class_tokens(features: &FrozenFeatures, indices: &[usize]) -> Array {
+    let mut g = Graph::new();
+    let f = features.gather(&mut g, indices);
+    g.value(f.cls).clone()
+}
+
+/// Per-tail-neuron importance of the header on the examples `features`
+/// covers (Eqs. 16–18): for neuron `j`, the joint importance of its
+/// incoming parameters, `Σ_i (g_ij · v_ij)² + (g_bj · v_bj)²`,
+/// accumulated over up to `batches` minibatches.
+#[allow(clippy::needless_range_loop)] // index loops mirror Eq. (17)'s per-parameter sums
 pub fn header_neuron_importance(
-    backbone: &Vit,
     header: &NasHeader,
     ps: &ParamSet,
-    data: &Dataset,
+    features: &FrozenFeatures,
     batch_size: usize,
     batches: usize,
     rng: &mut SmallRng64,
@@ -125,16 +132,16 @@ pub fn header_neuron_importance(
     let hidden = header.shared().tail_hidden();
     let [w_id, b_id] = header.shared().tail_fc1().param_ids();
     let mut scores = vec![0.0f64; hidden];
-    let mut done = 0;
     let mut g = Graph::new();
-    for batch in data.batches(batch_size, rng) {
-        if done >= batches {
-            break;
-        }
+    for indices in batch_indices(features.len(), batch_size, rng)
+        .iter()
+        .take(batches)
+    {
         g.reset();
-        let feats = backbone.forward(&mut g, ps, &batch.images);
+        let feats = features.gather(&mut g, indices);
         let logits = header.forward(&mut g, ps, &feats);
-        let loss = g.cross_entropy_logits(logits, &batch.labels);
+        let labels: Vec<usize> = indices.iter().map(|&i| features.labels()[i]).collect();
+        let loss = g.cross_entropy_logits(logits, &labels);
         g.backward(loss);
         let w_var = ps.bind(&mut g, w_id);
         let b_var = ps.bind(&mut g, b_id);
@@ -155,7 +162,6 @@ pub fn header_neuron_importance(
                 scores[j] += x * x;
             }
         }
-        done += 1;
     }
     scores
 }
@@ -237,14 +243,26 @@ pub fn refine_cluster(
     }
     let n = devices.len();
 
+    // The backbone is frozen throughout, so each device's train and test
+    // features are computed once and serve the similarity sample, every
+    // round's local training and importance scoring, and both
+    // evaluations.
+    let features: Vec<(FrozenFeatures, FrozenFeatures)> =
+        pool.par_map(devices.iter().collect(), |_, d: &DeviceSetup| {
+            let of = |data| FrozenFeatures::compute(backbone, base_ps, data, cfg.batch_size);
+            (of(&d.train), of(&d.test))
+        });
+
     // Eq. (19)–(20): similarity of the devices' data distributions,
     // measured on features extracted by the pre-trained backbone (the
     // paper's `P(D̃_i)`).
     let weights = match cfg.method {
         AggregationMethod::Wasserstein => {
-            let feats: Vec<_> = devices
+            let feats: Vec<_> = features
                 .iter()
-                .map(|d| backbone_features(backbone, base_ps, &d.train, cfg.sim_sample, rng))
+                .map(|(train, _)| {
+                    class_tokens(train, &sample_indices(train.len(), cfg.sim_sample, rng))
+                })
                 .collect();
             let sim = similarity_matrix_wasserstein_on(pool, &feats, cfg.sim_projections, rng)?;
             normalize_similarity_with_temperature(&sim, cfg.sim_temperature)?
@@ -260,19 +278,16 @@ pub fn refine_cluster(
         other => aggregation_weights(other, n, None),
     };
 
-    // Device state: private parameter copies with frozen backbones.
+    // Device state: private parameter copies. The backbone reaches the
+    // header only through the cached features, so it stays frozen.
     let mut device_ps: Vec<ParamSet> = (0..n).map(|_| base_ps.clone()).collect();
-    for ps in &mut device_ps {
-        backbone.set_backbone_trainable(ps, false);
-    }
     let mut dropped: Vec<Vec<usize>> = vec![Vec::new(); n];
     let hidden = header.shared().tail_hidden();
 
-    let model = HeadedVit::new(backbone, header);
-    let before: Vec<f32> = devices
+    let before: Vec<f32> = features
         .iter()
         .zip(&device_ps)
-        .map(|(d, ps)| evaluate(&model, ps, &d.test, cfg.batch_size))
+        .map(|((_, test), ps)| evaluate_header(header, ps, test, cfg.batch_size))
         .collect();
 
     for round in 0..cfg.loop_rounds {
@@ -291,18 +306,12 @@ pub fn refine_cluster(
                 seed,
                 ..TrainConfig::default()
             };
-            fit(&model, &mut device_ps[i], &dev.train, &train_cfg);
+            let train = &features[i].0;
+            fit_header(header, &mut device_ps[i], train, &train_cfg);
             // Keep architecturally removed neurons dead.
             apply_neuron_drops(&mut device_ps[i], header, &dropped[i]);
-            let set = header_neuron_importance(
-                backbone,
-                header,
-                &device_ps[i],
-                &dev.train,
-                cfg.batch_size,
-                2,
-                rng,
-            );
+            let set =
+                header_neuron_importance(header, &device_ps[i], train, cfg.batch_size, 2, rng);
             if let Some(net) = network {
                 net.meter(
                     NodeId::Device(dev.device),
@@ -348,13 +357,14 @@ pub fn refine_cluster(
 
     let results = devices
         .iter()
+        .zip(&features)
         .zip(&device_ps)
         .zip(before)
-        .map(|((dev, ps), acc_before)| DeviceResult {
+        .map(|(((dev, (_, test)), ps), acc_before)| DeviceResult {
             device: dev.device,
             edge,
             accuracy_before: acc_before,
-            accuracy_after: evaluate(&model, ps, &dev.test, cfg.batch_size),
+            accuracy_after: evaluate_header(header, ps, test, cfg.batch_size),
         })
         .collect();
     Ok(RefineOutcome { results, weights })
@@ -402,8 +412,8 @@ mod tests {
     #[test]
     fn importance_scores_cover_all_neurons() {
         let (vit, header, ps, devices, mut rng) = setup();
-        let scores =
-            header_neuron_importance(&vit, &header, &ps, &devices[0].train, 8, 2, &mut rng);
+        let train = FrozenFeatures::compute(&vit, &ps, &devices[0].train, 8);
+        let scores = header_neuron_importance(&header, &ps, &train, 8, 2, &mut rng);
         assert_eq!(scores.len(), header.shared().tail_hidden());
         assert!(scores.iter().all(|&s| s >= 0.0 && s.is_finite()));
         assert!(scores.iter().sum::<f64>() > 0.0);

@@ -102,12 +102,9 @@ impl Dataset {
     }
 
     /// Randomly samples `n` examples (without replacement; clamped to
-    /// `len()`).
+    /// `len()`): the examples at [`sample_indices`], in its order.
     pub fn sample(&self, n: usize, rng: &mut impl Rng) -> Dataset {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(n.min(self.len()));
-        self.subset(&idx)
+        self.subset(&sample_indices(self.len(), n, rng))
     }
 
     /// Splits into `(train, test)` with a `frac` fraction of shuffled
@@ -169,11 +166,7 @@ impl Dataset {
     /// `batch_size` — the indices behind [`Dataset::batches`], for
     /// callers that keep per-example state beside the images.
     pub fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.chunks(batch_size.max(1))
-            .map(<[usize]>::to_vec)
-            .collect()
+        batch_indices(self.len(), batch_size, rng)
     }
 
     /// Stacks the examples at `indices`, in that order, into one batch.
@@ -198,6 +191,27 @@ impl Dataset {
             labels,
         }
     }
+}
+
+/// One shuffle of `0..len`, cut into chunks of (at most) `batch_size`:
+/// [`Dataset::batch_indices`] for a dataset of `len` examples, for
+/// per-example stores (such as cached features) that batch the way the
+/// images would.
+pub fn batch_indices(len: usize, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
+    let mut idx: Vec<usize> = (0..len).collect();
+    idx.shuffle(rng);
+    idx.chunks(batch_size.max(1))
+        .map(<[usize]>::to_vec)
+        .collect()
+}
+
+/// `n` indices of `0..len` drawn without replacement (clamped to `len`):
+/// the examples [`Dataset::sample`] picks from a dataset of `len`.
+pub fn sample_indices(len: usize, n: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..len).collect();
+    idx.shuffle(rng);
+    idx.truncate(n.min(len));
+    idx
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ mod stats;
 mod synthetic;
 
 pub use augment::Augment;
-pub use dataset::{Batch, Dataset};
+pub use dataset::{batch_indices, sample_indices, Batch, Dataset};
 pub use drift::{DriftSpec, DriftingStream};
 pub use error::DataError;
 pub use partition::{

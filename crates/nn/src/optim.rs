@@ -178,6 +178,11 @@ impl Optimizer for Adam {
 /// Scales all bound gradients in `g` so their global L2 norm does not
 /// exceed `max_norm`, returning the pre-clip norm.
 ///
+/// Only trainable parameters hold gradients — [`ParamSet::bind`] binds a
+/// frozen one as a constant — so the norm is theirs alone: a header refit
+/// over a frozen backbone is clipped by the header's gradient, not the
+/// backbone's.
+///
 /// Call between `backward` and `Optimizer::step`. Gradient clipping keeps
 /// the REINFORCE controller updates (§III-C) stable.
 pub fn clip_grad_norm(g: &mut Graph, max_norm: f32) -> f32 {
@@ -285,6 +290,26 @@ mod tests {
         let gvar = g.param_bindings().next().unwrap().1;
         let post = g.grad(gvar).unwrap().sq_norm().sqrt();
         assert!((post - 1.0).abs() < 1e-4, "post-clip norm {post}");
+    }
+
+    #[test]
+    fn clip_grad_norm_counts_trainable_parameters_only() {
+        // loss = mean((w + f - 3)^2) over a trainable w and a frozen f.
+        let mut ps = ParamSet::new();
+        let w = ps.add("w", Array::full(&[4], 1.0));
+        let f = ps.add("f", Array::full(&[4], 100.0));
+        ps.set_trainable(f, false);
+        let mut g = Graph::new();
+        let (wv, fv) = (ps.bind(&mut g, w), ps.bind(&mut g, f));
+        let sum = g.add(wv, fv);
+        let target = g.constant(Array::full(&[4], 3.0));
+        let loss = g.mse_loss(sum, target);
+        g.backward(loss);
+        assert!(g.grad(fv).is_none(), "a frozen parameter holds no gradient");
+        // d/dw = 2 (w + f - 3) / 4 = 49 per element, norm 98.
+        let trainable = g.grad(wv).unwrap().sq_norm().sqrt();
+        assert_eq!(trainable, 98.0);
+        assert_eq!(clip_grad_norm(&mut g, 1.0), trainable);
     }
 
     #[test]

@@ -166,8 +166,13 @@ impl ParamSet {
         &self.entries[id.0].name
     }
 
-    /// Marks a parameter as frozen; optimizers skip it. The paper freezes
-    /// backbone parameters during device-side header refinement (§III-D).
+    /// Marks a parameter as frozen (or trainable again). A frozen
+    /// parameter is a constant: [`ParamSet::bind`] places it in a graph
+    /// as one, so no gradient is computed for it or for anything
+    /// computed from constants alone, optimizers skip it, and
+    /// [`clip_grad_norm`](crate::clip_grad_norm) does not count it. The
+    /// paper freezes backbone parameters during device-side header
+    /// refinement (§III-D).
     pub fn set_trainable(&mut self, id: ParamId, trainable: bool) {
         self.entries[id.0].trainable = trainable;
     }
@@ -180,12 +185,20 @@ impl ParamSet {
     /// Binds the parameter into `g`, returning the graph node. Repeated
     /// binds of the same parameter within one graph return the same node.
     ///
-    /// The bind carries the parameter's pack-cache identity, so matmuls
-    /// against it reuse the process-wide packed form while the value
-    /// stays unchanged (frozen backbones during PFG evaluation and
-    /// header refinement hit this every step).
+    /// A trainable parameter is bound as a gradient leaf; a frozen one
+    /// (see [`ParamSet::set_trainable`]) as a constant, so a header
+    /// refit over a frozen backbone differentiates the header alone.
+    /// Either way the bind carries the parameter's pack-cache identity,
+    /// so matmuls against it reuse the process-wide packed form while
+    /// the value stays unchanged (frozen backbones during PFG evaluation
+    /// and header refinement hit this every step).
     pub fn bind(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.bind_param_ident(id.key(), self.pack_ident(id), self.value(id))
+        g.bind_param_ident(
+            id.key(),
+            self.pack_ident(id),
+            self.value(id),
+            self.is_trainable(id),
+        )
     }
 
     /// Iterates over all ids in registration order.

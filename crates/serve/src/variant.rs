@@ -201,6 +201,7 @@ impl DeviceVariant {
             DEVICE_PARAM_KEY_OFFSET + id.key(),
             self.params.pack_ident(id),
             self.params.value(id),
+            self.params.is_trainable(id),
         )
     }
 }

@@ -19,6 +19,14 @@ impl Graph {
 
     /// Runs the backward sweep with an explicit output gradient seed.
     ///
+    /// The sweep visits only nodes downstream of a leaf that requires a
+    /// gradient: everything computed from constants alone is skipped,
+    /// and a rule with several inputs
+    /// computes only the contributions of inputs that require one (no
+    /// `dA` for a product whose left side is constant patches or cached
+    /// features). Gradients of the nodes that do require one are
+    /// bitwise what a sweep over every node would give them.
+    ///
     /// The sweep is clone-free: each node's gradient is *taken* out of
     /// its slot (`Option::take`) for the duration of its rule and put
     /// back afterwards, the out-value and parent values are borrowed
@@ -35,80 +43,108 @@ impl Graph {
             self.values[output.0].shape(),
             "backward seed shape mismatch"
         );
-        Self::accumulate_into(&mut self.grads, &self.ops, output.0, seed);
+        self.mark_needs_grad(output.0);
+        if !self.needs_grad[output.0] {
+            return;
+        }
+        Self::accumulate_into(&mut self.grads, output.0, seed);
         for id in (0..=output.0).rev() {
             // Take the gradient while its contributions are computed;
             // parents always precede `id`, so no rule touches this slot.
+            // A node that needs no gradient never holds one.
             let Some(grad) = self.grads[id].take() else {
                 continue;
             };
-            let contributions =
-                Self::contributions(&self.values, &self.ops[id], &grad, &self.values[id]);
+            let contributions = Self::contributions(
+                &self.values,
+                &self.needs_grad,
+                &self.ops[id],
+                &grad,
+                &self.values[id],
+            );
             for (parent, contrib) in contributions {
-                Self::accumulate_into(&mut self.grads, &self.ops, parent, contrib);
+                Self::accumulate_into(&mut self.grads, parent, contrib);
             }
             // Restore so repeated backward calls keep accumulating.
             self.grads[id] = Some(grad);
         }
     }
 
-    fn accumulate_into(grads: &mut [Option<Array>], ops: &[Op], id: usize, contrib: Array) {
-        if let Op::Leaf {
-            requires_grad: false,
-        } = ops[id]
-        {
-            return;
+    /// Records for nodes `0..=last` whether a leaf that requires a
+    /// gradient lies upstream: a leaf says so itself, any other node iff
+    /// one of its inputs (which always precede it) does.
+    fn mark_needs_grad(&mut self, last: usize) {
+        let needs = &mut self.needs_grad;
+        needs.clear();
+        for op in &self.ops[..=last] {
+            let need = match op {
+                Op::Leaf { requires_grad } => *requires_grad,
+                _ => op.any_input(|v| needs[v.0]),
+            };
+            needs.push(need);
         }
+    }
+
+    fn accumulate_into(grads: &mut [Option<Array>], id: usize, contrib: Array) {
         match &mut grads[id] {
             Some(g) => g.add_assign(&contrib),
             slot @ None => *slot = Some(contrib),
         }
     }
 
+    /// The gradient contributions of `op`'s inputs that require one.
     #[allow(clippy::needless_range_loop)] // index loops mirror the math of each rule
     fn contributions(
         values: &[Array],
+        needs_grad: &[bool],
         op: &Op,
         grad: &Array,
         out_value: &Array,
     ) -> Vec<(usize, Array)> {
         let val = |v: Var| &values[v.0];
+        // `Some((v, rule()))` when `v` requires a gradient; the rule is
+        // not run otherwise. A node with one input requires a gradient
+        // only through it, so single-input rules below need no check.
+        let part = |v: Var, rule: &dyn Fn() -> Array| needs_grad[v.0].then(|| (v.0, rule()));
+        let pair = |p: [Option<(usize, Array)>; 2]| p.into_iter().flatten().collect();
         match op {
             Op::Leaf { .. } => Vec::new(),
-            Op::Add(a, b) => vec![
-                (a.0, grad.reduce_to_shape(val(*a).shape())),
-                (b.0, grad.reduce_to_shape(val(*b).shape())),
-            ],
-            Op::Sub(a, b) => vec![
-                (a.0, grad.reduce_to_shape(val(*a).shape())),
-                (b.0, grad.scale(-1.0).reduce_to_shape(val(*b).shape())),
-            ],
-            Op::Mul(a, b) => {
-                let ga = grad
-                    .mul(val(*b))
-                    .expect("mul backward")
-                    .reduce_to_shape(val(*a).shape());
-                let gb = grad
-                    .mul(val(*a))
-                    .expect("mul backward")
-                    .reduce_to_shape(val(*b).shape());
-                vec![(a.0, ga), (b.0, gb)]
-            }
-            Op::Div(a, b) => {
-                let ga = grad
-                    .div(val(*b))
-                    .expect("div backward")
-                    .reduce_to_shape(val(*a).shape());
-                let b2 = val(*b).mul(val(*b)).expect("square");
-                let gb = grad
-                    .mul(val(*a))
-                    .expect("div backward")
-                    .div(&b2)
-                    .expect("div backward")
-                    .scale(-1.0)
-                    .reduce_to_shape(val(*b).shape());
-                vec![(a.0, ga), (b.0, gb)]
-            }
+            Op::Add(a, b) => pair([
+                part(*a, &|| grad.reduce_to_shape(val(*a).shape())),
+                part(*b, &|| grad.reduce_to_shape(val(*b).shape())),
+            ]),
+            Op::Sub(a, b) => pair([
+                part(*a, &|| grad.reduce_to_shape(val(*a).shape())),
+                part(*b, &|| grad.scale(-1.0).reduce_to_shape(val(*b).shape())),
+            ]),
+            Op::Mul(a, b) => pair([
+                part(*a, &|| {
+                    grad.mul(val(*b))
+                        .expect("mul backward")
+                        .reduce_to_shape(val(*a).shape())
+                }),
+                part(*b, &|| {
+                    grad.mul(val(*a))
+                        .expect("mul backward")
+                        .reduce_to_shape(val(*b).shape())
+                }),
+            ]),
+            Op::Div(a, b) => pair([
+                part(*a, &|| {
+                    grad.div(val(*b))
+                        .expect("div backward")
+                        .reduce_to_shape(val(*a).shape())
+                }),
+                part(*b, &|| {
+                    let b2 = val(*b).mul(val(*b)).expect("square");
+                    grad.mul(val(*a))
+                        .expect("div backward")
+                        .div(&b2)
+                        .expect("div backward")
+                        .scale(-1.0)
+                        .reduce_to_shape(val(*b).shape())
+                }),
+            ]),
             Op::Neg(a) => vec![(a.0, grad.scale(-1.0))],
             Op::Scale(a, c) => vec![(a.0, grad.scale(*c))],
             Op::AddScalar(a) => vec![(a.0, grad.clone())],
@@ -125,13 +161,20 @@ impl Graph {
                 let bv = val(*b);
                 let (m, k) = (av.shape()[0], av.shape()[1]);
                 let n = bv.shape()[1];
-                // ga = grad @ b^T
-                let mut ga = Array::zeros(&[m, k]);
-                matmul_a_bt_kernel(grad.data(), bv.data(), ga.data_mut(), m, n, k);
-                // gb = a^T @ grad
-                let mut gb = Array::zeros(&[k, n]);
-                matmul_at_b_kernel(av.data(), grad.data(), gb.data_mut(), k, m, n);
-                vec![(a.0, ga), (b.0, gb)]
+                pair([
+                    // ga = grad @ b^T
+                    part(*a, &|| {
+                        let mut ga = Array::zeros(&[m, k]);
+                        matmul_a_bt_kernel(grad.data(), bv.data(), ga.data_mut(), m, n, k);
+                        ga
+                    }),
+                    // gb = a^T @ grad
+                    part(*b, &|| {
+                        let mut gb = Array::zeros(&[k, n]);
+                        matmul_at_b_kernel(av.data(), grad.data(), gb.data_mut(), k, m, n);
+                        gb
+                    }),
+                ])
             }
             Op::BatchMatMul(a, b) => {
                 let av = val(*a);
@@ -140,28 +183,37 @@ impl Graph {
                 let batch: usize = av.shape()[..r - 2].iter().product();
                 let (m, k) = (av.shape()[r - 2], av.shape()[r - 1]);
                 let n = bv.shape()[r - 1];
-                let mut ga = Array::zeros(av.shape());
-                let mut gb = Array::zeros(bv.shape());
-                for bi in 0..batch {
-                    let gslice = &grad.data()[bi * m * n..(bi + 1) * m * n];
-                    matmul_a_bt_kernel(
-                        gslice,
-                        &bv.data()[bi * k * n..(bi + 1) * k * n],
-                        &mut ga.data_mut()[bi * m * k..(bi + 1) * m * k],
-                        m,
-                        n,
-                        k,
-                    );
-                    matmul_at_b_kernel(
-                        &av.data()[bi * m * k..(bi + 1) * m * k],
-                        gslice,
-                        &mut gb.data_mut()[bi * k * n..(bi + 1) * k * n],
-                        k,
-                        m,
-                        n,
-                    );
-                }
-                vec![(a.0, ga), (b.0, gb)]
+                let gslice = |bi: usize| &grad.data()[bi * m * n..(bi + 1) * m * n];
+                pair([
+                    part(*a, &|| {
+                        let mut ga = Array::zeros(av.shape());
+                        for bi in 0..batch {
+                            matmul_a_bt_kernel(
+                                gslice(bi),
+                                &bv.data()[bi * k * n..(bi + 1) * k * n],
+                                &mut ga.data_mut()[bi * m * k..(bi + 1) * m * k],
+                                m,
+                                n,
+                                k,
+                            );
+                        }
+                        ga
+                    }),
+                    part(*b, &|| {
+                        let mut gb = Array::zeros(bv.shape());
+                        for bi in 0..batch {
+                            matmul_at_b_kernel(
+                                &av.data()[bi * m * k..(bi + 1) * m * k],
+                                gslice(bi),
+                                &mut gb.data_mut()[bi * k * n..(bi + 1) * k * n],
+                                k,
+                                m,
+                                n,
+                            );
+                        }
+                        gb
+                    }),
+                ])
             }
             Op::Permute(a, perm) => {
                 vec![(
@@ -266,7 +318,12 @@ impl Graph {
                     gbeta.data_mut(),
                     d,
                 );
-                vec![(x.0, gx), (gamma.0, ggamma), (beta.0, gbeta)]
+                // One fused kernel yields all three; keep the needed ones.
+                [(*x, gx), (*gamma, ggamma), (*beta, gbeta)]
+                    .into_iter()
+                    .filter(|(v, _)| needs_grad[v.0])
+                    .map(|(v, g)| (v.0, g))
+                    .collect()
             }
             Op::CrossEntropyLogits { logits, targets } => {
                 let lv = val(*logits);
@@ -286,11 +343,16 @@ impl Graph {
                     .sub(bv)
                     .expect("mse backward")
                     .scale(2.0 * grad.item() / n);
-                vec![(a.0, d.clone()), (b.0, d.scale(-1.0))]
+                pair([part(*a, &|| d.clone()), part(*b, &|| d.scale(-1.0))])
             }
             Op::Concat { parts, axis, sizes } => {
                 let chunks = grad.split(*axis, sizes).expect("concat backward split");
-                parts.iter().zip(chunks).map(|(p, c)| (p.0, c)).collect()
+                parts
+                    .iter()
+                    .zip(chunks)
+                    .filter(|(p, _)| needs_grad[p.0])
+                    .map(|(p, c)| (p.0, c))
+                    .collect()
             }
             Op::SliceAxis {
                 input,
@@ -324,25 +386,32 @@ impl Graph {
                 let in_plane = g.in_ch * g.in_h * g.in_w;
                 let iv = val(*input);
                 let wv = val(*weight);
-                let mut gin = Array::zeros(iv.shape());
-                let mut gw = Array::zeros(wv.shape()); // [out_ch, cw] flat
-                let mut gb = bias.map(|_| Array::zeros(&[g.out_ch]));
+                let mut gin = needs_grad[input.0].then(|| Array::zeros(iv.shape()));
+                // [out_ch, cw] flat
+                let mut gw = needs_grad[weight.0].then(|| Array::zeros(wv.shape()));
+                let mut gb = bias
+                    .filter(|b| needs_grad[b.0])
+                    .map(|_| Array::zeros(&[g.out_ch]));
                 let mut col = vec![0.0f32; ch * cw];
                 let mut gcol = vec![0.0f32; ch * cw];
                 for b in 0..g.batch {
-                    im2col(&iv.data()[b * in_plane..(b + 1) * in_plane], g, &mut col);
                     // gout for this batch: [out_ch, ch] contiguous
                     let gout = &grad.data()[b * g.out_ch * ch..(b + 1) * g.out_ch * ch];
-                    // gw[o, c] += sum_yx gout[o, yx] * col[yx, c]
-                    matmul_kernel(gout, &col, gw.data_mut(), g.out_ch, ch, cw);
-                    // gcol[yx, c] = sum_o gout[o, yx] * w[o, c] = gout^T @ w
-                    gcol.iter_mut().for_each(|v| *v = 0.0);
-                    matmul_at_b_kernel(gout, wv.data(), &mut gcol, ch, g.out_ch, cw);
-                    col2im(
-                        &gcol,
-                        g,
-                        &mut gin.data_mut()[b * in_plane..(b + 1) * in_plane],
-                    );
+                    if let Some(gw) = gw.as_mut() {
+                        im2col(&iv.data()[b * in_plane..(b + 1) * in_plane], g, &mut col);
+                        // gw[o, c] += sum_yx gout[o, yx] * col[yx, c]
+                        matmul_kernel(gout, &col, gw.data_mut(), g.out_ch, ch, cw);
+                    }
+                    if let Some(gin) = gin.as_mut() {
+                        // gcol[yx, c] = sum_o gout[o, yx] * w[o, c] = gout^T @ w
+                        gcol.iter_mut().for_each(|v| *v = 0.0);
+                        matmul_at_b_kernel(gout, wv.data(), &mut gcol, ch, g.out_ch, cw);
+                        col2im(
+                            &gcol,
+                            g,
+                            &mut gin.data_mut()[b * in_plane..(b + 1) * in_plane],
+                        );
+                    }
                     if let Some(gb) = gb.as_mut() {
                         for o in 0..g.out_ch {
                             let s: f32 = gout[o * ch..(o + 1) * ch].iter().sum();
@@ -350,11 +419,14 @@ impl Graph {
                         }
                     }
                 }
-                let mut out = vec![(input.0, gin), (weight.0, gw)];
-                if let (Some(b), Some(gb)) = (bias, gb) {
-                    out.push((b.0, gb));
-                }
-                out
+                [
+                    gin.map(|gin| (input.0, gin)),
+                    gw.map(|gw| (weight.0, gw)),
+                    bias.zip(gb).map(|(b, gb)| (b.0, gb)),
+                ]
+                .into_iter()
+                .flatten()
+                .collect()
             }
             Op::MaxPool2d { input, argmax } => {
                 let mut g = Array::zeros(val(*input).shape());

@@ -105,6 +105,53 @@ pub(crate) enum Op {
     },
 }
 
+impl Op {
+    /// Whether `f` holds for any input of this op (none for a leaf).
+    pub(crate) fn any_input(&self, mut f: impl FnMut(Var) -> bool) -> bool {
+        match self {
+            Op::Leaf { .. } => false,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MatMul(a, b)
+            | Op::BatchMatMul(a, b)
+            | Op::MseLoss(a, b) => f(*a) || f(*b),
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::PowScalar(a, _)
+            | Op::Permute(a, _)
+            | Op::Reshape(a, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SumAxis(a, _)
+            | Op::Relu(a)
+            | Op::Gelu { a, .. }
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::SoftmaxLast(a)
+            | Op::LogSoftmaxLast(a)
+            | Op::CrossEntropyLogits { logits: a, .. }
+            | Op::SliceAxis { input: a, .. }
+            | Op::MaxPool2d { input: a, .. }
+            | Op::AvgPool2d { input: a, .. }
+            | Op::Embedding { weight: a, .. }
+            | Op::Dropout { input: a, .. } => f(*a),
+            Op::LayerNorm { x, gamma, beta, .. } => f(*x) || f(*gamma) || f(*beta),
+            Op::Concat { parts, .. } => parts.iter().any(|&p| f(p)),
+            Op::Conv2d {
+                input,
+                weight,
+                bias,
+                ..
+            } => f(*input) || f(*weight) || bias.is_some_and(f),
+        }
+    }
+}
+
 /// A reverse-mode autodiff tape.
 ///
 /// Every builder method appends a node holding the forward value and enough
@@ -123,6 +170,13 @@ pub(crate) enum Op {
 /// mutating other nodes' gradients — the basis of the clone-free
 /// backward pass in `backward.rs`.
 ///
+/// Backward first records per node whether any leaf upstream of it
+/// requires a gradient. A node built only from constants — input
+/// patches, cached features, parameters bound as constants because they
+/// are frozen — gets no gradient: the sweep skips it, and rules with
+/// several inputs compute only the contributions of inputs that require
+/// one.
+///
 /// # Panics
 ///
 /// Most builder methods panic when operand shapes are incompatible —
@@ -140,6 +194,10 @@ pub struct Graph {
     pub(crate) grads: Vec<Option<Array>>,
     /// Recorded operation of each node.
     pub(crate) ops: Vec<Op>,
+    /// Whether each node lies downstream of a leaf that requires a
+    /// gradient: marked by backward before its sweep (forward-only
+    /// graphs never pay for it), its capacity reused across steps.
+    pub(crate) needs_grad: Vec<bool>,
     /// Key → node of every bound parameter: the lookup behind
     /// [`Graph::bind_param`].
     param_bindings: HashMap<u64, Var>,
@@ -246,8 +304,9 @@ impl Graph {
         )
     }
 
-    /// Binds an external parameter identified by `key`, returning the same
-    /// [`Var`] for repeated bindings of the same key within this graph.
+    /// Binds an external parameter identified by `key` as a leaf that
+    /// requires a gradient, returning the same [`Var`] for repeated
+    /// bindings of the same key within this graph.
     ///
     /// This is the hook used by the `acme-nn` parameter store: after
     /// [`Graph::backward`], the gradient of each bound parameter can be
@@ -255,34 +314,45 @@ impl Graph {
     /// the same key twice reuses the node, which is what makes NAS
     /// parameter sharing (§III-C of the paper) gradient-correct.
     pub fn bind_param(&mut self, key: u64, value: &Array) -> Var {
-        if let Some(&v) = self.param_bindings.get(&key) {
-            return v;
-        }
-        let v = self.leaf(value.clone());
-        self.param_bindings.insert(key, v);
-        self.bind_order.push((key, v));
-        v
+        self.bind(key, value, true)
     }
 
     /// [`Graph::bind_param`] carrying the parameter's pack-cache identity
-    /// (see [`crate::packcache`]). When such a node later appears as the
-    /// right-hand side of [`Graph::matmul`], its packed microkernel
-    /// layout is fetched from — or installed into — the process-wide
-    /// packed-weight cache, so repeated products against frozen weights
-    /// skip re-packing. Results are unaffected (the packed path is
-    /// bit-identical); only 2-D values are recorded.
-    pub fn bind_param_ident(&mut self, key: u64, ident: PackIdent, value: &Array) -> Var {
-        let v = self.bind_param(key, value);
+    /// (see [`crate::packcache`]), bound as a gradient leaf when
+    /// `requires_grad` and as a constant otherwise. When such a node
+    /// later appears as the right-hand side of [`Graph::matmul`], its
+    /// packed microkernel layout is fetched from — or installed into —
+    /// the process-wide packed-weight cache, so repeated products against
+    /// frozen weights skip re-packing. Results are unaffected (the packed
+    /// path is bit-identical); only 2-D values are recorded.
+    pub fn bind_param_ident(
+        &mut self,
+        key: u64,
+        ident: PackIdent,
+        value: &Array,
+        requires_grad: bool,
+    ) -> Var {
+        let v = self.bind(key, value, requires_grad);
         if value.rank() == 2 {
             self.param_idents.insert(v.0, ident);
         }
         v
     }
 
+    fn bind(&mut self, key: u64, value: &Array, requires_grad: bool) -> Var {
+        if let Some(&v) = self.param_bindings.get(&key) {
+            return v;
+        }
+        let v = self.push(value.clone(), Op::Leaf { requires_grad });
+        self.param_bindings.insert(key, v);
+        self.bind_order.push((key, v));
+        v
+    }
+
     /// All `(key, var)` parameter bindings recorded by
-    /// [`Graph::bind_param`], in the order the keys were first bound —
-    /// the same on every graph and in every process that runs the same
-    /// model.
+    /// [`Graph::bind_param`] and [`Graph::bind_param_ident`] (constants
+    /// included), in the order the keys were first bound — the same on
+    /// every graph and in every process that runs the same model.
     pub fn param_bindings(&self) -> impl Iterator<Item = (u64, Var)> + '_ {
         self.bind_order.iter().copied()
     }
@@ -293,7 +363,8 @@ impl Graph {
     }
 
     /// The accumulated gradient of `v`, if any was produced by
-    /// [`Graph::backward`].
+    /// [`Graph::backward`] — never for a node computed from constants
+    /// alone.
     pub fn grad(&self, v: Var) -> Option<&Array> {
         self.grads[v.0].as_ref()
     }

@@ -183,7 +183,7 @@ fn graph_reset_keeps_pack_cache_warm() {
     let step = |g: &mut Graph| {
         g.reset();
         let xv = g.leaf(x.clone());
-        let wv = g.bind_param_ident(11, ident, &w);
+        let wv = g.bind_param_ident(11, ident, &w, true);
         let y = g.matmul(xv, wv).expect("x @ w");
         let loss = g.sum_all(y);
         g.backward(loss);

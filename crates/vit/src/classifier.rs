@@ -1,9 +1,12 @@
 //! Generic training/evaluation loop shared by the ViT, the NAS-headed
 //! models, and the lightweight baselines.
 
-use acme_data::Dataset;
+use acme_data::{batch_indices, Dataset};
 use acme_nn::{accuracy, clip_grad_norm, Adam, LrSchedule, Optimizer, ParamSet};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
+
+use crate::frozen::FrozenFeatures;
+use crate::headers::Header;
 
 /// Anything that maps an image batch to class logits inside a graph.
 pub trait ImageClassifier {
@@ -89,7 +92,65 @@ impl TrainReport {
     }
 }
 
+/// Where [`fit`] and [`evaluate`] (and their cached-feature twins) draw
+/// minibatches from: examples addressed by index, turned into logits
+/// inside a graph. One training loop and one evaluation loop serve every
+/// source.
+trait BatchSource {
+    /// Number of examples.
+    fn len(&self) -> usize;
+
+    /// Records the logits of examples `indices` in `g` and returns them
+    /// with the examples' labels.
+    fn logits(&self, g: &mut Graph, ps: &ParamSet, indices: &[usize]) -> (Var, Vec<usize>);
+}
+
+/// Images through a whole model.
+struct Images<'a, M: ?Sized> {
+    model: &'a M,
+    data: &'a Dataset,
+}
+
+impl<M: ImageClassifier + ?Sized> BatchSource for Images<'_, M> {
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    fn logits(&self, g: &mut Graph, ps: &ParamSet, indices: &[usize]) -> (Var, Vec<usize>) {
+        let batch = self.data.batch(indices);
+        (self.model.logits(g, ps, &batch.images), batch.labels)
+    }
+}
+
+/// Cached frozen-backbone features through a header.
+struct Cached<'a> {
+    header: &'a dyn Header,
+    features: &'a FrozenFeatures,
+}
+
+impl BatchSource for Cached<'_> {
+    fn len(&self) -> usize {
+        self.features.len()
+    }
+
+    fn logits(&self, g: &mut Graph, ps: &ParamSet, indices: &[usize]) -> (Var, Vec<usize>) {
+        let features = self.features.gather(g, indices);
+        let labels = self.features.labels();
+        (
+            self.header.forward(g, ps, &features),
+            indices.iter().map(|&i| labels[i]).collect(),
+        )
+    }
+}
+
 /// Trains `model` on `train` with Adam + cross-entropy.
+///
+/// Only trainable parameters learn, and only they are differentiated:
+/// frozen ones are constants in the graph (see [`ParamSet::bind`]), so
+/// the gradient clip sees the trainable parameters' gradient alone. A
+/// header refit over a frozen backbone reads the same minibatches, bit
+/// for bit, from [`fit_header`] on [`FrozenFeatures`] of `train`, which
+/// runs the backbone once per example instead of once per step.
 ///
 /// # Panics
 ///
@@ -100,11 +161,32 @@ pub fn fit(
     train: &Dataset,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    assert!(!train.is_empty(), "fit on empty dataset");
+    train_on(&Images { model, data: train }, ps, cfg)
+}
+
+/// Trains `header` on cached frozen-backbone `features` with Adam +
+/// cross-entropy: [`fit`] of the header over that backbone, on the
+/// dataset the features were computed from, bit for bit — every epoch
+/// loss and every parameter — without running the backbone.
+///
+/// # Panics
+///
+/// Panics when `features` covers no example.
+pub fn fit_header(
+    header: &dyn Header,
+    ps: &mut ParamSet,
+    features: &FrozenFeatures,
+    cfg: &TrainConfig,
+) -> TrainReport {
+    train_on(&Cached { header, features }, ps, cfg)
+}
+
+fn train_on(source: &dyn BatchSource, ps: &mut ParamSet, cfg: &TrainConfig) -> TrainReport {
+    assert!(source.len() > 0, "fit on empty dataset");
     let mut rng = SmallRng64::new(cfg.seed);
     let mut opt = Adam::new(cfg.lr);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let steps_per_epoch = train.len().div_ceil(cfg.batch_size.max(1));
+    let steps_per_epoch = source.len().div_ceil(cfg.batch_size.max(1));
     let total_steps = (cfg.epochs * steps_per_epoch).max(1);
     let mut step = 0usize;
     // One tape arena for the whole run: reset per step recycles every
@@ -113,12 +195,12 @@ pub fn fit(
     for _ in 0..cfg.epochs {
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for batch in train.batches(cfg.batch_size, &mut rng) {
+        for indices in batch_indices(source.len(), cfg.batch_size, &mut rng) {
             opt.set_learning_rate(cfg.schedule.lr_at(cfg.lr, step, total_steps));
             step += 1;
             g.reset();
-            let logits = model.logits(&mut g, ps, &batch.images);
-            let loss = g.cross_entropy_logits(logits, &batch.labels);
+            let (logits, labels) = source.logits(&mut g, ps, &indices);
+            let loss = g.cross_entropy_logits(logits, &labels);
             g.backward(loss);
             if let Some(c) = cfg.clip {
                 clip_grad_norm(&mut g, c);
@@ -139,19 +221,32 @@ pub fn evaluate(
     test: &Dataset,
     batch_size: usize,
 ) -> f32 {
-    if test.is_empty() {
-        return 0.0;
-    }
+    evaluate_on(&Images { model, data: test }, ps, batch_size)
+}
+
+/// Mean accuracy of `header` over cached frozen-backbone `features`:
+/// [`evaluate`] of the header over that backbone, on the dataset the
+/// features were computed from, bit for bit.
+pub fn evaluate_header(
+    header: &dyn Header,
+    ps: &ParamSet,
+    features: &FrozenFeatures,
+    batch_size: usize,
+) -> f32 {
+    evaluate_on(&Cached { header, features }, ps, batch_size)
+}
+
+fn evaluate_on(source: &dyn BatchSource, ps: &ParamSet, batch_size: usize) -> f32 {
     let mut rng = SmallRng64::new(0);
     let mut correct = 0.0f64;
     let mut total = 0usize;
     let mut g = Graph::new();
-    for batch in test.batches(batch_size, &mut rng) {
+    for indices in batch_indices(source.len(), batch_size, &mut rng) {
         g.reset();
-        let logits = model.logits(&mut g, ps, &batch.images);
-        let acc = accuracy(g.value(logits), &batch.labels);
-        correct += acc as f64 * batch.labels.len() as f64;
-        total += batch.labels.len();
+        let (logits, labels) = source.logits(&mut g, ps, &indices);
+        let acc = accuracy(g.value(logits), &labels);
+        correct += acc as f64 * labels.len() as f64;
+        total += labels.len();
     }
     (correct / total.max(1) as f64) as f32
 }

@@ -366,6 +366,66 @@ mod tests {
         assert!(report.improved(), "losses {:?}", report.epoch_losses);
     }
 
+    /// A frozen backbone is a constant: after `backward` none of its
+    /// parameters or outputs holds a gradient, and every header
+    /// gradient is bitwise the one it gets with the backbone trainable.
+    #[test]
+    fn frozen_backbone_holds_no_gradient_and_moves_no_header_bit() {
+        let (vit, mut ps, mut rng) = setup();
+        let images = randn(&[3, 1, 8, 8], &mut rng);
+        let headers: Vec<Box<dyn Header>> = HeaderKind::all()
+            .into_iter()
+            .map(|kind| kind.build(&mut ps, &format!("h-{kind}"), 16, 2, 5, &mut rng))
+            .collect();
+        let bits = |a: &acme_tensor::Array| a.data().iter().map(|v| v.to_bits()).collect();
+        // Per header: how many backbone parameters and outputs hold a
+        // gradient, and the header's gradient bits.
+        let step = |ps: &ParamSet, header: &dyn Header| -> (usize, Vec<Vec<u32>>) {
+            let mut g = Graph::new();
+            let f = vit.forward(&mut g, ps, &images);
+            let logits = header.forward(&mut g, ps, &f);
+            let loss = g.cross_entropy_logits(logits, &[0, 3, 4]);
+            g.backward(loss);
+            let backbone: Vec<Var> = vit
+                .backbone_param_ids()
+                .into_iter()
+                .map(|id| ps.bind(&mut g, id))
+                .chain([f.tokens, f.penultimate, f.cls])
+                .collect();
+            let held = backbone.iter().filter(|&&v| g.grad(v).is_some()).count();
+            let grads = header
+                .param_ids()
+                .into_iter()
+                .map(|id| {
+                    let v = ps.bind(&mut g, id);
+                    bits(g.grad(v).expect("header gradient"))
+                })
+                .collect();
+            (held, grads)
+        };
+        let trainable: Vec<_> = headers.iter().map(|h| step(&ps, h.as_ref())).collect();
+        vit.set_backbone_trainable(&mut ps, false);
+        for (header, (held, grads)) in headers.iter().zip(trainable) {
+            assert!(
+                held > 0,
+                "{}: a trainable backbone gets gradients",
+                header.name()
+            );
+            let (frozen_held, frozen_grads) = step(&ps, header.as_ref());
+            assert_eq!(
+                frozen_held,
+                0,
+                "{}: frozen backbone nodes hold gradients",
+                header.name()
+            );
+            assert!(
+                frozen_grads == grads,
+                "{}: header gradients moved",
+                header.name()
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least 2x2")]
     fn cnn_header_rejects_tiny_grid() {

@@ -14,6 +14,9 @@
 //!   the full teacher (Eq. 9: logits + embeddings + hidden states, MSE),
 //!   split into one teacher pass ([`TeacherTargets`]) shared by every
 //!   student and the per-student loop ([`distill_from`]);
+//! * [`FrozenFeatures`] — a frozen backbone's features, computed once
+//!   per example, that header refits ([`fit_header`]) and evaluations
+//!   ([`evaluate_header`]) read instead of re-running the backbone;
 //! * [`headers`] — the four fixed reference headers of Fig. 7(b)
 //!   (Bakhtiarnia et al. styles) and the [`Header`] trait the NAS-found
 //!   headers also implement;
@@ -42,15 +45,19 @@ pub mod baselines;
 mod classifier;
 mod config;
 mod distill;
+mod frozen;
 pub mod headers;
 mod importance;
 mod model;
 pub mod multi_exit;
 mod prune;
 
-pub use classifier::{evaluate, fit, ImageClassifier, TrainConfig, TrainReport};
+pub use classifier::{
+    evaluate, evaluate_header, fit, fit_header, ImageClassifier, TrainConfig, TrainReport,
+};
 pub use config::VitConfig;
 pub use distill::{distill, distill_from, DistillConfig, DistillReport, TeacherTargets};
+pub use frozen::FrozenFeatures;
 pub use headers::{Header, HeaderKind};
 pub use importance::{score_importance, ImportanceScores};
 pub use model::{patchify, Features, Vit};

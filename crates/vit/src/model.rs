@@ -23,6 +23,29 @@ pub struct Features {
     pub dim: usize,
 }
 
+impl Features {
+    /// The features of final tokens `tokens` and penultimate tokens
+    /// `penultimate`; the class token is row 0 of `tokens`.
+    pub(crate) fn over(
+        g: &mut Graph,
+        tokens: Var,
+        penultimate: Var,
+        grid: usize,
+        dim: usize,
+    ) -> Features {
+        let b = g.shape(tokens)[0];
+        let cls = g.slice_axis(tokens, 1, 0, 1);
+        let cls = g.reshape(cls, &[b, dim]);
+        Features {
+            tokens,
+            cls,
+            penultimate,
+            grid,
+            dim,
+        }
+    }
+}
+
 /// Extracts non-overlapping `patch x patch` patches from `[batch, c, h,
 /// w]` images into `[batch, tokens, c*patch*patch]`, row-major over the
 /// patch grid. This is a pure preprocessing step (images carry no
@@ -215,16 +238,7 @@ impl Vit {
 
     fn features_from(&self, g: &mut Graph, ps: &ParamSet, x: Var, penultimate: Var) -> Features {
         let tokens = self.final_ln.forward(g, ps, x);
-        let b = g.shape(tokens)[0];
-        let cls = g.slice_axis(tokens, 1, 0, 1);
-        let cls = g.reshape(cls, &[b, self.config.dim]);
-        Features {
-            tokens,
-            cls,
-            penultimate,
-            grid: self.config.grid(),
-            dim: self.config.dim,
-        }
+        Features::over(g, tokens, penultimate, self.config.grid(), self.config.dim)
     }
 
     /// Logits of the default linear header applied to the class token.

@@ -13,7 +13,9 @@ use acme_nas::{search_space_size, OpKind, SearchConfig};
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::headers::{HeadedVit, Header, HeaderKind};
-use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
+use acme_vit::{
+    evaluate, evaluate_header, fit, fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig,
+};
 
 fn main() {
     let mut rng = SmallRng64::new(1);
@@ -46,8 +48,11 @@ fn main() {
         },
     );
 
-    // Fixed reference headers.
+    // Fixed reference headers, over the frozen backbone's features
+    // (computed once, shared by all four).
     println!("\nfixed headers (backbone frozen):");
+    let train_features = FrozenFeatures::compute(&vit, &ps, &train, 32);
+    let test_features = FrozenFeatures::compute(&vit, &ps, &test, 32);
     for kind in HeaderKind::all() {
         let mut hps = ps.clone();
         vit.set_backbone_trainable(&mut hps, false);
@@ -59,17 +64,16 @@ fn main() {
             12,
             &mut rng,
         );
-        let model = HeadedVit::new(&vit, header.as_ref());
-        fit(
-            &model,
+        fit_header(
+            header.as_ref(),
             &mut hps,
-            &train,
+            &train_features,
             &TrainConfig {
                 epochs: 4,
                 ..TrainConfig::default()
             },
         );
-        let acc = evaluate(&model, &hps, &test, 32);
+        let acc = evaluate_header(header.as_ref(), &hps, &test_features, 32);
         let params = hps.num_scalars_of(&header.param_ids());
         println!("  {kind:>10}: accuracy {acc:.3} ({params} header params)");
     }

@@ -75,6 +75,20 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+step "one frozen-backbone pass (header refits run the backbone once per example)"
+# Outside tests and comments, crates/core/src/{refine,recustomize}.rs build
+# no HeadedVit and call no backbone.forward( — the frozen backbone runs
+# once per example inside FrozenFeatures::compute, and every refit,
+# evaluation and importance score reads the cached features.
+offenders="$(
+    code_of crates/core/src/{refine,recustomize}.rs | grep -E 'HeadedVit|backbone\.forward\(' || true
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: a header refit runs the frozen backbone per step:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's
