@@ -3,6 +3,9 @@
 //! `acme_bench::trainstep`), at 1 / 2 / 4 / all-cores threads, tracked
 //! across PRs via `BENCH_training_step.json` at the workspace root. The
 //! harness panics (failing CI) if the two paths are not bit-identical.
+//! Then the per-op self-time table of the reference ViT's batch-32
+//! training step on one thread, printed and appended to the JSON as
+//! `training_step_vit` / `training_step_op` rows.
 //!
 //! Run via `cargo run --release -p acme-bench --bin training_step`.
 //! Flags:
@@ -48,8 +51,34 @@ fn main() {
             r.alloc_drop()
         );
     }
-    match acme_bench::trainstep::write_json(&out_path, &rows) {
-        Ok(_) => println!("wrote {out_path} ({} rows)", rows.len()),
+
+    let table = acme_bench::trainstep::vit_op_table(if quick { 2 } else { 20 });
+    println!(
+        "\nreference ViT step, batch 32, 1 thread, recording on: \
+         fwd {:.3} ms, bwd {:.3} ms; per-op self time per step:",
+        table.fwd_ms, table.bwd_ms
+    );
+    println!(
+        "{:<22} {:>7} {:>9} {:>9}",
+        "op", "calls", "fwd_ms", "bwd_ms"
+    );
+    for r in &table.rows {
+        println!(
+            "{:<22} {:>7.0} {:>9.3} {:>9.3}",
+            r.op, r.calls, r.fwd_ms, r.bwd_ms
+        );
+    }
+    let (fwd, bwd) = table
+        .rows
+        .iter()
+        .fold((0.0, 0.0), |(f, b), r| (f + r.fwd_ms, b + r.bwd_ms));
+    println!("{:<22} {:>7} {fwd:>9.3} {bwd:>9.3}", "sum of rows", "");
+    match acme_bench::trainstep::write_json(&out_path, &rows, &table.json_rows()) {
+        Ok(_) => println!(
+            "wrote {out_path} ({} sweep rows, {} ViT rows)",
+            rows.len(),
+            table.rows.len() + 1
+        ),
         Err(e) => {
             eprintln!("error: could not write {out_path}: {e}");
             std::process::exit(1);

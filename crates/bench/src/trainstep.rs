@@ -5,6 +5,10 @@
 //! (run via `cargo bench -p acme-bench --bench training_step`;
 //! `--quick` shrinks the sweep to a CI-sized smoke case).
 //!
+//! [`vit_op_table`] adds the per-op breakdown of a second step: the
+//! reference ViT's batch-32 training step, read from the tape's per-op
+//! self-time table (`tensor.op.*` in the `acme-obs` registry).
+//!
 //! The baseline keeps the engine's *arithmetic* — the same blocked GEMM,
 //! the same per-row float-op order — but reproduces the old engine's
 //! *memory traffic*: a fresh buffer per op, clone-then-overwrite
@@ -17,8 +21,10 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use acme_nn::{Adam, Optimizer, ParamSet};
 use acme_tensor::gemm::{self, MatRef};
-use acme_tensor::{pool, randn, Array, Graph, SmallRng64};
+use acme_tensor::{obs, pool, randn, Array, Graph, SmallRng64};
+use acme_vit::{Vit, VitConfig};
 
 /// Problem shape: a tiny-ViT block's MLP path over a token batch.
 const ROWS: usize = 128;
@@ -394,32 +400,155 @@ pub fn sweep(thread_counts: &[usize], reps: usize) -> Vec<StepMeasurement> {
     rows
 }
 
-/// Serializes the sweep to a JSON array (hand-rolled — the bench crate
-/// deliberately has no serialization dependency).
-pub fn to_json(rows: &[StepMeasurement]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "  {{\"bench\": \"training_step\", \"threads\": {}, \
-             \"baseline_ms\": {:.4}, \"step_ms\": {:.4}, \"speedup\": {:.3}, \
-             \"baseline_allocs\": {}, \"step_allocs\": {}, \"alloc_drop\": {:.1}}}{}\n",
-            r.threads,
-            r.baseline_ms,
-            r.step_ms,
-            r.speedup(),
-            r.baseline_allocs,
-            r.step_allocs,
-            r.alloc_drop(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push(']');
-    s
+// ---- per-op table of the reference ViT step ----------------------------
+
+/// One op's share of a training step, per step.
+#[derive(Debug, Clone)]
+pub struct OpRow {
+    /// The op's name in the tape's table (`attention`, `leaf`, …).
+    pub op: String,
+    /// Nodes of this op per step.
+    pub calls: f64,
+    /// Forward self-time per step, in ms.
+    pub fwd_ms: f64,
+    /// Backward self-time per step, in ms.
+    pub bwd_ms: f64,
 }
 
-/// Writes the JSON summary to `path`, returning the serialized string.
-pub fn write_json(path: &str, rows: &[StepMeasurement]) -> std::io::Result<String> {
-    let json = to_json(rows);
+/// The per-op breakdown of the reference ViT's training step.
+#[derive(Debug, Clone)]
+pub struct OpTable {
+    /// Ops by descending forward + backward time.
+    pub rows: Vec<OpRow>,
+    /// Measured forward wall time per step (recording on), in ms.
+    pub fwd_ms: f64,
+    /// Measured backward wall time per step (recording on), in ms.
+    pub bwd_ms: f64,
+}
+
+impl OpTable {
+    /// The table as JSON rows (no surrounding array).
+    pub fn json_rows(&self) -> Vec<String> {
+        let mut out = vec![format!(
+            "  {{\"bench\": \"training_step_vit\", \"threads\": 1, \"batch\": {VIT_BATCH}, \
+             \"fwd_ms\": {:.4}, \"bwd_ms\": {:.4}}}",
+            self.fwd_ms, self.bwd_ms
+        )];
+        out.extend(self.rows.iter().map(|r| {
+            format!(
+                "  {{\"bench\": \"training_step_op\", \"threads\": 1, \"op\": \"{}\", \
+                 \"calls\": {:.1}, \"fwd_ms\": {:.4}, \"bwd_ms\": {:.4}}}",
+                r.op, r.calls, r.fwd_ms, r.bwd_ms
+            )
+        }));
+        out
+    }
+}
+
+/// Batch of the reference ViT step.
+const VIT_BATCH: usize = 32;
+
+/// Runs `steps` training steps (forward, cross-entropy, backward, Adam)
+/// of the reference ViT at batch 32 on one thread with recording on,
+/// and reads the tape's per-op table back from the `acme-obs` registry.
+/// Recording is restored to its previous state afterwards.
+pub fn vit_op_table(steps: usize) -> OpTable {
+    acme_runtime::set_global_threads(1);
+    let cfg = VitConfig::reference(10);
+    let mut rng = SmallRng64::new(17);
+    let mut ps = ParamSet::new();
+    let vit = Vit::new(&mut ps, &cfg, &mut rng);
+    let images = randn(&[VIT_BATCH, cfg.channels, cfg.image, cfg.image], &mut rng);
+    let labels: Vec<usize> = (0..VIT_BATCH).map(|i| (i * 7) % cfg.classes).collect();
+    let mut opt = Adam::new(1e-3);
+    let mut g = Graph::new();
+    let mut step = |g: &mut Graph, ps: &mut ParamSet| {
+        g.reset();
+        let t0 = Instant::now();
+        let logits = vit.logits(g, ps, &images);
+        let loss = g.cross_entropy_logits(logits, &labels);
+        let t1 = Instant::now();
+        g.backward(loss);
+        let t2 = Instant::now();
+        opt.step(ps, g);
+        (t1 - t0, t2 - t1)
+    };
+    // The first steps fill the buffer pool and the optimizer state.
+    for _ in 0..3 {
+        step(&mut g, &mut ps);
+    }
+    let was = obs::enabled();
+    obs::trace::set_enabled(true);
+    let counters = || {
+        acme_tensor::publish_obs_metrics();
+        obs::metrics::snapshot().counters
+    };
+    let before = counters();
+    let (mut fwd, mut bwd) = (0.0, 0.0);
+    for _ in 0..steps {
+        let (f, b) = step(&mut g, &mut ps);
+        fwd += f.as_secs_f64();
+        bwd += b.as_secs_f64();
+    }
+    let after = counters();
+    obs::trace::set_enabled(was);
+    let per_step = |name: String| {
+        let delta =
+            after.get(&name).copied().unwrap_or(0) - before.get(&name).copied().unwrap_or(0);
+        delta as f64 / steps as f64
+    };
+    let mut rows: Vec<OpRow> = after
+        .keys()
+        .filter_map(|k| k.strip_prefix("tensor.op.")?.strip_suffix(".calls"))
+        .map(|op| OpRow {
+            op: op.to_string(),
+            calls: per_step(format!("tensor.op.{op}.calls")),
+            fwd_ms: per_step(format!("tensor.op.{op}.fwd_ns")) * 1e-6,
+            bwd_ms: per_step(format!("tensor.op.{op}.bwd_ns")) * 1e-6,
+        })
+        .filter(|r| r.calls > 0.0)
+        .collect();
+    rows.sort_by(|a, b| (b.fwd_ms + b.bwd_ms).total_cmp(&(a.fwd_ms + a.bwd_ms)));
+    OpTable {
+        rows,
+        fwd_ms: fwd * 1e3 / steps as f64,
+        bwd_ms: bwd * 1e3 / steps as f64,
+    }
+}
+
+/// Serializes the sweep, followed by `extra` rows, to a JSON array
+/// (hand-rolled — the bench crate deliberately has no serialization
+/// dependency).
+pub fn to_json(rows: &[StepMeasurement], extra: &[String]) -> String {
+    let mut lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "  {{\"bench\": \"training_step\", \"threads\": {}, \
+                 \"baseline_ms\": {:.4}, \"step_ms\": {:.4}, \"speedup\": {:.3}, \
+                 \"baseline_allocs\": {}, \"step_allocs\": {}, \"alloc_drop\": {:.1}}}",
+                r.threads,
+                r.baseline_ms,
+                r.step_ms,
+                r.speedup(),
+                r.baseline_allocs,
+                r.step_allocs,
+                r.alloc_drop(),
+            )
+        })
+        .collect();
+    lines.extend_from_slice(extra);
+    format!("[\n{}\n]", lines.join(",\n"))
+}
+
+/// Writes the JSON summary (the sweep, then `extra` rows) to `path`,
+/// returning the serialized string.
+pub fn write_json(
+    path: &str,
+    rows: &[StepMeasurement],
+    extra: &[String],
+) -> std::io::Result<String> {
+    let json = to_json(rows, extra);
     let mut f = std::fs::File::create(path)?;
     f.write_all(json.as_bytes())?;
     f.write_all(b"\n")?;
@@ -459,9 +588,34 @@ mod tests {
             baseline_allocs: 40,
             step_allocs: 0,
         }];
-        let json = to_json(&rows);
+        let json = to_json(&rows, &[]);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"speedup\": 2.000"));
         assert!(json.contains("\"alloc_drop\": 40.0"));
+        assert!(!json.contains("},\n]"), "no trailing comma");
+    }
+
+    #[test]
+    fn vit_op_table_accounts_for_the_step() {
+        let table = vit_op_table(1);
+        let op = |name: &str| table.rows.iter().find(|r| r.op == name);
+        let leaf = op("leaf").expect("a leaf row");
+        assert!(leaf.calls > 0.0 && leaf.fwd_ms > 0.0);
+        let (fwd, bwd) = table
+            .rows
+            .iter()
+            .fold((0.0, 0.0), |(f, b), r| (f + r.fwd_ms, b + r.bwd_ms));
+        // Rows sum to at most the step they were measured in.
+        assert!(
+            fwd <= table.fwd_ms * 1.05 + 0.05,
+            "{fwd} vs {}",
+            table.fwd_ms
+        );
+        assert!(
+            bwd <= table.bwd_ms * 1.05 + 0.05,
+            "{bwd} vs {}",
+            table.bwd_ms
+        );
+        assert!(table.json_rows().len() == table.rows.len() + 1);
     }
 }

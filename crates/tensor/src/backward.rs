@@ -1,10 +1,12 @@
 //! Reverse-mode gradient rules for every [`Op`](crate::graph::Op).
 
+use std::time::Instant;
+
 use crate::array::Array;
 use crate::conv::{col2im, im2col};
 use crate::graph::{Graph, Op, Var};
 use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel, matmul_kernel};
-use crate::rowwise;
+use crate::{optable, rowwise};
 
 impl Graph {
     /// Runs the backward sweep from `output`, seeding its gradient with
@@ -48,6 +50,7 @@ impl Graph {
             return;
         }
         Self::accumulate_into(&mut self.grads, output.0, seed);
+        let timed = acme_obs::enabled();
         for id in (0..=output.0).rev() {
             // Take the gradient while its contributions are computed;
             // parents always precede `id`, so no rule touches this slot.
@@ -55,6 +58,7 @@ impl Graph {
             let Some(grad) = self.grads[id].take() else {
                 continue;
             };
+            let start = timed.then(Instant::now);
             let contributions = Self::contributions(
                 &self.values,
                 &self.needs_grad,
@@ -65,8 +69,14 @@ impl Graph {
             for (parent, contrib) in contributions {
                 Self::accumulate_into(&mut self.grads, parent, contrib);
             }
+            if let Some(start) = start {
+                optable::backward(&self.ops[id], start);
+            }
             // Restore so repeated backward calls keep accumulating.
             self.grads[id] = Some(grad);
+        }
+        if timed {
+            self.clock = Some(Instant::now());
         }
     }
 

@@ -2,13 +2,14 @@
 //! builders for every differentiable operation.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use crate::array::Array;
 use crate::conv::{avgpool_forward, im2col, maxpool_forward, ConvGeom, PoolGeom};
 use crate::error::Result;
 use crate::packcache::{self, PackIdent};
 use crate::qgemm::Precision;
-use crate::{pool, rowwise};
+use crate::{optable, pool, rowwise};
 
 /// Handle to a node in a [`Graph`].
 ///
@@ -177,6 +178,15 @@ impl Op {
 /// several inputs compute only the contributions of inputs that require
 /// one.
 ///
+/// While [`acme_obs::trace::enabled`], every pushed node and every
+/// backward rule adds its wall time to a process-wide per-op table
+/// (forward ns, backward ns, node count per op), which
+/// [`crate::publish_obs_metrics`] publishes as `tensor.op.<name>.*`
+/// counters. A node's forward time runs from the previous push, so host
+/// work between two builders (patchifying images before their
+/// `constant`) lands on the next node. Recording off costs one relaxed
+/// load per push and one per backward sweep.
+///
 /// # Panics
 ///
 /// Most builder methods panic when operand shapes are incompatible —
@@ -214,6 +224,10 @@ pub struct Graph {
     /// [`Graph::set_matmul_precision`]). Defaults to f32 and survives
     /// [`Graph::reset`] — it is serving configuration, not tape state.
     matmul_precision: Precision,
+    /// While recording is on, when the last node was pushed (or the tape
+    /// reset, or a backward sweep ended): the start of the next node's
+    /// forward self-time in the per-op table (see [`crate::optable`]).
+    pub(crate) clock: Option<Instant>,
 }
 
 impl Graph {
@@ -253,6 +267,7 @@ impl Graph {
         self.param_idents.clear();
         // `matmul_precision` is intentionally kept: it configures the
         // graph's serving mode, not the recorded tape.
+        self.clock = acme_obs::enabled().then(Instant::now);
     }
 
     /// Sets the precision at which pack-cache-eligible weight products
@@ -278,6 +293,9 @@ impl Graph {
     }
 
     fn push(&mut self, value: Array, op: Op) -> Var {
+        if acme_obs::enabled() {
+            self.clock = Some(optable::forward(&op, self.clock));
+        }
         self.values.push(value);
         self.grads.push(None);
         self.ops.push(op);

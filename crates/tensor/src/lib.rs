@@ -38,6 +38,7 @@ mod gradcheck;
 mod graph;
 mod linalg;
 mod ops;
+mod optable;
 pub mod packcache;
 pub mod pool;
 pub mod qgemm;
@@ -48,6 +49,12 @@ mod shape;
 pub use array::Array;
 pub use error::{Result, TensorError};
 
+/// The observability crate the tape records into: its one switch
+/// (`obs::trace::set_enabled`) and the registry
+/// [`publish_obs_metrics`] fills, for callers that read the per-op table
+/// without depending on `acme-obs` themselves.
+pub use acme_obs as obs;
+
 /// Publishes the tensor substrate's ad-hoc counters into the
 /// [`acme_obs::metrics`] registry: pool hits/misses/recycled/dropped
 /// (as `tensor.pool.*` counters), pack-cache packs
@@ -56,7 +63,10 @@ pub use error::{Result, TensorError};
 /// (`tensor.packcache.entries`, both dtypes, and
 /// `tensor.packcache.cached_floats`, the f32 side, as gauges), and the
 /// mean weight-quantization error over every int8
-/// pack performed (`tensor.packcache.i8_mean_quant_error`). Call at a
+/// pack performed (`tensor.packcache.i8_mean_quant_error`), and the
+/// tape's per-op self-time table (`tensor.op.<name>.fwd_ns` /
+/// `.bwd_ns` / `.calls` counters for every op that has recorded a
+/// node; see `Graph`'s docs). Call at a
 /// snapshot point (end of run, before `metrics::snapshot`); the hot
 /// paths keep their dependency-free atomics, so observation costs
 /// nothing per allocation. No-op unless recording is enabled.
@@ -82,6 +92,7 @@ pub fn publish_obs_metrics() {
         "tensor.packcache.i8_mean_quant_error",
         packcache::i8_mean_quant_error(),
     );
+    optable::publish();
 }
 pub use gradcheck::{gradcheck, GradCheckReport};
 pub use graph::{Graph, Var};

@@ -1,6 +1,7 @@
 //! Determinism under observation: turning recording on must leave every
 //! numeric output bit-identical — of the pipeline at any thread count,
-//! of the protocol, of drift re-customization and of serving — and the
+//! of the protocol, of drift re-customization, of serving and of one
+//! training step — and the
 //! drained trace itself must be stable across reruns of the same seeded
 //! workload.
 
@@ -8,6 +9,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use acme::{Acme, AcmeConfig, AcmeOutcome, ProtocolConfig, ProtocolRun};
 use acme_energy::Fleet;
+use acme_nn::{Adam, Optimizer, ParamSet};
+use acme_tensor::{randn, Graph, SmallRng64};
+use acme_vit::{Vit, VitConfig};
 
 /// The obs registries (trace rings, metrics) are process-wide, so tests
 /// that flip recording on and off must not interleave.
@@ -329,5 +333,56 @@ fn serving_is_bit_identical_under_observation() {
     let observed = run(true);
     assert_eq!(plain.len(), reqs.len(), "every request answered");
     assert_eq!(plain, observed);
+    reset_obs();
+}
+
+/// Two training steps of the reference ViT (forward, loss, backward,
+/// Adam) on one graph: every loss bit and every parameter bit after.
+fn training_steps(observe: bool) -> Vec<u32> {
+    acme_obs::trace::set_enabled(observe);
+    let cfg = VitConfig::reference(10);
+    let mut rng = SmallRng64::new(5);
+    let mut ps = ParamSet::new();
+    let vit = Vit::new(&mut ps, &cfg, &mut rng);
+    let images = randn(&[6, cfg.channels, cfg.image, cfg.image], &mut rng);
+    let labels: Vec<usize> = (0..6).map(|i| (i * 3) % cfg.classes).collect();
+    let mut opt = Adam::new(1e-3);
+    let mut g = Graph::new();
+    let mut bits = Vec::new();
+    for _ in 0..2 {
+        g.reset();
+        let logits = vit.logits(&mut g, &ps, &images);
+        let loss = g.cross_entropy_logits(logits, &labels);
+        g.backward(loss);
+        opt.step(&mut ps, &g);
+        bits.push(g.value(loss).item().to_bits());
+    }
+    acme_obs::trace::set_enabled(false);
+    for id in ps.ids() {
+        bits.extend(ps.value(id).data().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+#[test]
+fn a_training_step_is_bit_identical_with_recording_on_and_off() {
+    let _g = serialize();
+    reset_obs();
+    let plain = training_steps(false);
+    let observed = training_steps(true);
+    assert!(plain == observed, "recording moved a loss or parameter bit");
+    // The observed steps filled the tape's per-op table.
+    acme_obs::trace::set_enabled(true);
+    acme_tensor::publish_obs_metrics();
+    let metrics = acme_obs::metrics::snapshot();
+    acme_obs::trace::set_enabled(false);
+    for name in ["leaf", "matmul", "layer_norm", "gelu"] {
+        assert!(
+            metrics.counter(&format!("tensor.op.{name}.calls")) > 0,
+            "no {name} row"
+        );
+    }
+    assert!(metrics.counter("tensor.op.matmul.fwd_ns") > 0);
+    assert!(metrics.counter("tensor.op.matmul.bwd_ns") > 0);
     reset_obs();
 }
