@@ -111,6 +111,10 @@ impl MultiHeadSelfAttention {
         self.forward_inner(g, ps, x, Some(mask))
     }
 
+    /// The three input projections, one fused [`Graph::attention`] node
+    /// (scores, softmax, context and head mask per (batch, head), in the
+    /// projections' own `[batch·tokens, heads·head_dim]` layout), then
+    /// the output projection.
     fn forward_inner(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Option<Var>) -> Var {
         let shape = g.shape(x).to_vec();
         assert_eq!(
@@ -120,30 +124,9 @@ impl MultiHeadSelfAttention {
         );
         let (b, t, d) = (shape[0], shape[1], shape[2]);
         assert_eq!(d, self.dim, "attention width mismatch");
-        let dh = self.head_dim;
-        let inner = self.heads * dh;
         let flat = g.reshape(x, &[b * t, d]);
-        // [B*T, inner] -> [B, h, T, dh]
-        let to_heads = |g: &mut Graph, v: Var| {
-            let v = g.reshape(v, &[b, t, self.heads, dh]);
-            g.permute(v, &[0, 2, 1, 3])
-        };
-        let q = self.wq.forward(g, ps, flat);
-        let q = to_heads(g, q);
-        let k = self.wk.forward(g, ps, flat);
-        let k = to_heads(g, k);
-        let v = self.wv.forward(g, ps, flat);
-        let v = to_heads(g, v);
-        let kt = g.permute(k, &[0, 1, 3, 2]);
-        let scores = g.batch_matmul(q, kt).expect("attention: score shapes");
-        let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
-        let attn = g.softmax_last(scores);
-        let mut out = g.batch_matmul(attn, v).expect("attention: value shapes"); // [B, h, T, dh]
-        if let Some(m) = mask {
-            out = g.mul(out, m);
-        }
-        let out = g.permute(out, &[0, 2, 1, 3]); // [B, T, h, dh]
-        let out = g.reshape(out, &[b * t, inner]);
+        let [q, k, v] = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(g, ps, flat));
+        let out = g.attention(q, k, v, mask, t, self.heads);
         let out = self.wo.forward(g, ps, out);
         g.reshape(out, &[b, t, d])
     }

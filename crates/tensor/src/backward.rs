@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use crate::array::Array;
+use crate::attention;
 use crate::conv::{col2im, im2col};
 use crate::graph::{Graph, Op, Var};
 use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel, matmul_kernel};
@@ -483,6 +484,37 @@ impl Graph {
             }
             Op::Dropout { input, mask } => {
                 vec![(input.0, grad.mul(mask).expect("dropout backward"))]
+            }
+            Op::Attention {
+                q,
+                k,
+                v,
+                mask,
+                geom,
+                probs,
+            } => {
+                let zeros_if_needed =
+                    |x: Var| needs_grad[x.0].then(|| Array::zeros(val(x).shape()));
+                let [mut dq, mut dk, mut dv] = [*q, *k, *v].map(zeros_if_needed);
+                let mut dmask = mask.and_then(zeros_if_needed);
+                attention::backward(
+                    geom,
+                    [*q, *k, *v].map(|x| val(x).data()),
+                    mask.map(|m| val(m).data()),
+                    probs.data(),
+                    grad.data(),
+                    attention::Grads {
+                        dq: dq.as_mut().map(Array::data_mut),
+                        dk: dk.as_mut().map(Array::data_mut),
+                        dv: dv.as_mut().map(Array::data_mut),
+                        dmask: dmask.as_mut().map(Array::data_mut),
+                    },
+                );
+                [(*q, dq), (*k, dk), (*v, dv)]
+                    .into_iter()
+                    .chain(mask.map(|m| (m, dmask)))
+                    .filter_map(|(x, d)| Some((x.0, d?)))
+                    .collect()
             }
         }
     }

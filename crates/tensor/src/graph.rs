@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::array::Array;
+use crate::attention::{self, Geom};
 use crate::conv::{avgpool_forward, im2col, maxpool_forward, ConvGeom, PoolGeom};
 use crate::error::Result;
 use crate::packcache::{self, PackIdent};
@@ -104,6 +105,16 @@ pub(crate) enum Op {
         /// Kept-mask already scaled by `1/keep_prob`.
         mask: Array,
     },
+    Attention {
+        q: Var,
+        k: Var,
+        v: Var,
+        mask: Option<Var>,
+        geom: Geom,
+        /// The softmax probabilities `[batch, heads, T, T]`: the backward
+        /// reads them rather than re-evaluating every `exp`.
+        probs: Array,
+    },
 }
 
 impl Op {
@@ -142,6 +153,7 @@ impl Op {
             | Op::Embedding { weight: a, .. }
             | Op::Dropout { input: a, .. } => f(*a),
             Op::LayerNorm { x, gamma, beta, .. } => f(*x) || f(*gamma) || f(*beta),
+            Op::Attention { q, k, v, mask, .. } => f(*q) || f(*k) || f(*v) || mask.is_some_and(f),
             Op::Concat { parts, .. } => parts.iter().any(|&p| f(p)),
             Op::Conv2d {
                 input,
@@ -629,6 +641,83 @@ impl Graph {
         let mut v = Array::zeros(x.shape());
         rowwise::log_softmax_fwd(x.data(), v.data_mut(), cols.max(1));
         self.push(v, Op::LogSoftmaxLast(a))
+    }
+
+    /// Multi-head self-attention over projections `q`, `k`, `v`, each
+    /// `[batch·tokens, heads·head_dim]` (the outputs of the three input
+    /// projections, row `b·tokens + t`, head `h` in columns
+    /// `h·head_dim ..`). Per (batch, head) it computes
+    /// `softmax(Q·Kᵀ / √head_dim) · V`, times `mask[h]` when a mask is
+    /// given, and writes the context back in the same
+    /// `[batch·tokens, heads·head_dim]` layout, ready for the output
+    /// projection. `head_dim` is the projection width over `heads`.
+    ///
+    /// One node replaces the unfused reshape / permute / `batch_matmul`
+    /// / `scale` / `softmax_last` / `batch_matmul` / `mul` / permute
+    /// sequence and is bit-identical to it, forward and backward, at any
+    /// thread count (see [`crate::attention`] for the contract). The
+    /// backward produces gradients only for the inputs that need one;
+    /// the mask's is the per-head `Σ dO_h · O_h`, the Taylor importance
+    /// numerator.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q`, `k` and `v` are 2-D of one shape whose rows
+    /// divide into `tokens` and whose width divides into `heads`, and a
+    /// mask, if given, holds `heads` values (e.g. `[1, heads, 1, 1]`).
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        mask: Option<Var>,
+        tokens: usize,
+        heads: usize,
+    ) -> Var {
+        let shape = self.shape(q).to_vec();
+        assert_eq!(shape.len(), 2, "attention: projections must be 2-D");
+        assert!(
+            self.shape(k) == shape && self.shape(v) == shape,
+            "attention: q, k, v shapes differ"
+        );
+        let (rows, inner) = (shape[0], shape[1]);
+        assert!(
+            tokens > 0 && rows.is_multiple_of(tokens),
+            "attention: {rows} rows are not batches of {tokens} tokens"
+        );
+        assert!(
+            heads > 0 && inner.is_multiple_of(heads),
+            "attention: width {inner} not divisible by {heads} heads"
+        );
+        let geom = Geom {
+            batch: rows / tokens,
+            tokens,
+            heads,
+            head_dim: inner / heads,
+        };
+        if let Some(m) = mask {
+            assert_eq!(self.value(m).len(), heads, "attention: head mask length");
+        }
+        let mut out = Array::zeros(&shape);
+        let mut probs = Array::zeros(&[geom.batch, heads, tokens, tokens]);
+        attention::forward(
+            &geom,
+            [q, k, v].map(|x| self.values[x.0].data()),
+            mask.map(|m| self.values[m.0].data()),
+            out.data_mut(),
+            probs.data_mut(),
+        );
+        self.push(
+            out,
+            Op::Attention {
+                q,
+                k,
+                v,
+                mask,
+                geom,
+                probs,
+            },
+        )
     }
 
     // ---- normalization ----

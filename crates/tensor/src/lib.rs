@@ -30,6 +30,7 @@
 //! ```
 
 mod array;
+mod attention;
 mod backward;
 mod conv;
 mod error;

@@ -80,6 +80,7 @@ op_table! {
     AvgPool2d => "avg_pool2d",
     Embedding => "embedding",
     Dropout => "dropout",
+    Attention => "attention",
 }
 
 const FWD: usize = 0;

@@ -50,7 +50,7 @@ const fn par_min(ps_per_element: usize) -> usize {
 const PAR_MIN_TANH: usize = par_min(28_000);
 /// Softmax and log-softmax forward, cross-entropy both ways (5.2–5.6 ns)
 /// and log-softmax backward (3.0 ns), one `exp` per element: 51 k.
-const PAR_MIN_EXP: usize = par_min(5_500);
+pub(crate) const PAR_MIN_EXP: usize = par_min(5_500);
 /// Layer norm, three passes over each row, 1.5–1.9 ns: 165 k.
 const PAR_MIN_NORM: usize = par_min(1_700);
 /// GELU and softmax backward, a few multiply-adds per element read,
@@ -71,7 +71,7 @@ const _: () = {
 /// independent rows (or columns) should shard over: 1 below the class
 /// cutoff `par_min`, else the global pool's width — which is already 1
 /// inside a task whose share of the thread budget is 1.
-fn fork_width(elements: usize, par_min: usize, units: usize) -> usize {
+pub(crate) fn fork_width(elements: usize, par_min: usize, units: usize) -> usize {
     #[cfg(test)]
     if let Some(width) = tests::FORCED_WIDTH.get() {
         return width.min(units.max(1));
@@ -85,7 +85,7 @@ fn fork_width(elements: usize, par_min: usize, units: usize) -> usize {
 /// Runs `body(first_row, a_chunk, b_chunk)` over `a` and `b` (rows of
 /// `a_len` and `b_len` elements) split into the same `width` contiguous
 /// row ranges, one task each; inline when `width` is 1.
-fn par_rows2<A: Send, B: Send>(
+pub(crate) fn par_rows2<A: Send, B: Send>(
     width: usize,
     rows: usize,
     (a, a_len): (&mut [A], usize),
@@ -189,30 +189,47 @@ pub(crate) fn gelu_bwd(x: &[f32], saved: &[f32], g: &[f32], out: &mut [f32]) {
     });
 }
 
-/// Fused softmax over rows of `cols` elements: one max pass, one
-/// exp-and-sum pass, one divide pass per row, all in the staging buffer.
+/// Softmax of one row: one max pass, one exp-and-sum pass, one divide
+/// pass, all in `out`. Shared by [`softmax_fwd`] and the fused attention
+/// kernel, so both produce the same bits.
+#[inline]
+pub(crate) fn softmax_row(xrow: &[f32], orow: &mut [f32]) {
+    let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for (o, &v) in orow.iter_mut().zip(xrow) {
+        *o = (v - m).exp();
+        sum += *o;
+    }
+    for o in orow.iter_mut() {
+        *o /= sum;
+    }
+}
+
+/// Softmax backward of one row: `out = y * (g - sum(g * y))`, the dot
+/// product reduced in ascending column order. Shared like
+/// [`softmax_row`].
+#[inline]
+pub(crate) fn softmax_bwd_row(ys: &[f32], gs: &[f32], orow: &mut [f32]) {
+    let dot: f32 = ys.iter().zip(gs).map(|(&a, &b)| a * b).sum();
+    for ((o, &yi), &gi) in orow.iter_mut().zip(ys).zip(gs) {
+        *o = yi * (gi - dot);
+    }
+}
+
+/// Fused softmax over rows of `cols` elements (see [`softmax_row`]).
 pub(crate) fn softmax_fwd(x: &[f32], out: &mut [f32], cols: usize) {
     debug_assert_eq!(x.len(), out.len());
     let rows = x.len() / cols.max(1);
     par_rows(PAR_MIN_EXP, rows, cols, out, |r0, chunk| {
         for (i, orow) in chunk.chunks_exact_mut(cols).enumerate() {
             let r = r0 + i;
-            let xrow = &x[r * cols..(r + 1) * cols];
-            let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for (o, &v) in orow.iter_mut().zip(xrow) {
-                *o = (v - m).exp();
-                sum += *o;
-            }
-            for o in orow.iter_mut() {
-                *o /= sum;
-            }
+            softmax_row(&x[r * cols..(r + 1) * cols], orow);
         }
     });
 }
 
-/// Softmax backward: `out = y * (g - sum(g * y))` per row, with the dot
-/// product reduced in ascending column order.
+/// Softmax backward over rows of `cols` elements (see
+/// [`softmax_bwd_row`]).
 pub(crate) fn softmax_bwd(y: &[f32], g: &[f32], out: &mut [f32], cols: usize) {
     debug_assert_eq!(y.len(), out.len());
     debug_assert_eq!(g.len(), out.len());
@@ -220,12 +237,8 @@ pub(crate) fn softmax_bwd(y: &[f32], g: &[f32], out: &mut [f32], cols: usize) {
     par_rows(PAR_MIN_STREAM, rows, cols, out, |r0, chunk| {
         for (i, orow) in chunk.chunks_exact_mut(cols).enumerate() {
             let r = r0 + i;
-            let ys = &y[r * cols..(r + 1) * cols];
-            let gs = &g[r * cols..(r + 1) * cols];
-            let dot: f32 = ys.iter().zip(gs).map(|(&a, &b)| a * b).sum();
-            for ((o, &yi), &gi) in orow.iter_mut().zip(ys).zip(gs) {
-                *o = yi * (gi - dot);
-            }
+            let span = r * cols..(r + 1) * cols;
+            softmax_bwd_row(&y[span.clone()], &g[span], orow);
         }
     });
 }

@@ -1,7 +1,7 @@
 //! The ViT backbone model with masking hooks for importance scoring.
 
 use acme_nn::{Activation, LayerNorm, Linear, ParamId, ParamSet, TransformerBlock};
-use acme_tensor::{randn, Array, Graph, Var};
+use acme_tensor::{pool, randn, Array, Graph, Var};
 use rand::Rng;
 
 use crate::config::VitConfig;
@@ -49,7 +49,8 @@ impl Features {
 /// Extracts non-overlapping `patch x patch` patches from `[batch, c, h,
 /// w]` images into `[batch, tokens, c*patch*patch]`, row-major over the
 /// patch grid. This is a pure preprocessing step (images carry no
-/// gradient).
+/// gradient) and a pure relocation: every token is `c * patch`
+/// contiguous `patch`-wide runs of an image row, copied in order.
 ///
 /// # Panics
 ///
@@ -65,25 +66,21 @@ pub fn patchify(images: &Array, patch: usize) -> Array {
     );
     let (gh, gw) = (h / patch, w / patch);
     let pd = c * patch * patch;
-    let mut out = Array::zeros(&[b, gh * gw, pd]);
+    let src = images.data();
+    let mut data = pool::take(b * gh * gw * pd);
     for bi in 0..b {
         for gy in 0..gh {
             for gx in 0..gw {
-                let t = gy * gw + gx;
-                let mut k = 0;
                 for ci in 0..c {
                     for py in 0..patch {
-                        for px in 0..patch {
-                            let v = images.at(&[bi, ci, gy * patch + py, gx * patch + px]);
-                            *out.at_mut(&[bi, t, k]) = v;
-                            k += 1;
-                        }
+                        let at = ((bi * c + ci) * h + gy * patch + py) * w + gx * patch;
+                        data.extend_from_slice(&src[at..at + patch]);
                     }
                 }
             }
         }
     }
-    out
+    Array::from_vec(data, &[b, gh * gw, pd]).expect("patches fill the output")
 }
 
 /// A scaled-down Vision Transformer with the structure of ViT-B: patch

@@ -1,11 +1,11 @@
-//! Property-based tests of the ViT transform `δ(θ₀, w, d)` and the
-//! pruning machinery.
+//! Property-based tests of the ViT transform `δ(θ₀, w, d)`, the
+//! pruning machinery and patch extraction.
 
 use acme_check::cases;
 use acme_data::{cifar100_like, SyntheticSpec};
 use acme_nn::ParamSet;
-use acme_tensor::{Graph, SmallRng64};
-use acme_vit::{prune_width, score_importance, truncate_depth, Vit, VitConfig};
+use acme_tensor::{Array, Graph, SmallRng64};
+use acme_vit::{patchify, prune_width, score_importance, truncate_depth, Vit, VitConfig};
 
 fn setup(seed: u64) -> (Vit, ParamSet, acme_data::Dataset, SmallRng64) {
     let mut rng = SmallRng64::new(seed);
@@ -88,4 +88,31 @@ fn prune_then_truncate_composes() {
     let mut g = Graph::new();
     let logits = small.logits(&mut g, &small_ps, &batch.images);
     assert_eq!(g.shape(logits), &[4, ds.num_classes()]);
+}
+
+#[test]
+fn patchify_is_the_index_formula() {
+    // The reference ViT's input (3 × 16 × 16, 4 × 4 patches) and a
+    // non-square one whose patch width is odd.
+    for (c, h, w, patch) in [(3, 16, 16, 4), (2, 6, 9, 3)] {
+        cases(4, |g| {
+            let b = g.usize(1..5);
+            let images = g.vec(b * c * h * w..b * c * h * w + 1, |g| g.f32(-1.0..1.0));
+            let images = Array::from_vec(images, &[b, c, h, w]).unwrap();
+            let out = patchify(&images, patch);
+            let (gh, gw, pd) = (h / patch, w / patch, c * patch * patch);
+            assert_eq!(out.shape(), &[b, gh * gw, pd]);
+            for (i, &v) in out.data().iter().enumerate() {
+                let (bi, token, k) = (i / (gh * gw * pd), i / pd % (gh * gw), i % pd);
+                let (gy, gx) = (token / gw, token % gw);
+                let (ci, py, px) = (k / (patch * patch), k / patch % patch, k % patch);
+                let src = ((bi * c + ci) * h + gy * patch + py) * w + gx * patch + px;
+                assert_eq!(
+                    v.to_bits(),
+                    images.data()[src].to_bits(),
+                    "element {i} of {c}x{h}x{w} / {patch}"
+                );
+            }
+        });
+    }
 }
