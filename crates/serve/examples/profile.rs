@@ -85,21 +85,12 @@ fn main() {
             let bb = g.constant(b1.clone());
             g.add(h, bb);
         });
-        let q4 = randn(&[b, vit_cfg.heads, t, vit_cfg.head_dim], &mut rng);
-        time("permute4d", &mut |g, _x| {
-            let q = g.constant(q4.clone());
-            g.permute(q, &[0, 2, 1, 3]);
-        });
-        let sc = randn(&[b, vit_cfg.heads, t, t], &mut rng);
-        time("softmax_last", &mut |g, _x| {
-            let s = g.constant(sc.clone());
-            g.softmax_last(s);
-        });
-        let kt = randn(&[b, vit_cfg.heads, vit_cfg.head_dim, t], &mut rng);
-        time("batch_matmul", &mut |g, _x| {
-            let q = g.constant(q4.clone());
-            let k = g.constant(kt.clone());
-            let _ = g.batch_matmul(q, k);
+        // The fused attention node alone, on projection-layout inputs.
+        let inner = vit_cfg.heads * vit_cfg.head_dim;
+        let qkv: Vec<Array> = (0..3).map(|_| randn(&[b * t, inner], &mut rng)).collect();
+        time("attention", &mut |g, _x| {
+            let [q, k, v] = [0, 1, 2].map(|i| g.constant(qkv[i].clone()));
+            g.attention(q, k, v, None, t, vit_cfg.heads);
         });
         println!();
     }

@@ -173,18 +173,15 @@ impl Array {
         &mut self.data[i]
     }
 
+    /// The row-major offset of `index`, accumulated axis by axis
+    /// (`offset · dim + i`, Horner's rule) so no stride vector is built:
+    /// element access allocates nothing. Axes are checked first to last.
     fn flat_index(&self, index: &[usize]) -> usize {
         assert_eq!(index.len(), self.shape.len(), "index rank mismatch");
-        let strides = self.strides();
-        index
-            .iter()
-            .zip(&self.shape)
-            .zip(&strides)
-            .map(|((&i, &d), &s)| {
-                assert!(i < d, "index {i} out of range for axis of size {d}");
-                i * s
-            })
-            .sum()
+        index.iter().zip(&self.shape).fold(0, |offset, (&i, &d)| {
+            assert!(i < d, "index {i} out of range for axis of size {d}");
+            offset * d + i
+        })
     }
 
     /// Returns a reshaped copy sharing no storage with `self`.
@@ -384,6 +381,18 @@ mod tests {
         assert_eq!(a.at(&[0, 0, 0]), 0.0);
         assert_eq!(a.at(&[1, 2, 3]), 23.0);
         assert_eq!(a.at(&[1, 0, 2]), 14.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 out of range for axis of size 3")]
+    fn at_names_the_first_axis_out_of_range() {
+        Array::zeros(&[2, 3, 4]).at(&[1, 3, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank mismatch")]
+    fn at_rejects_a_short_index() {
+        Array::zeros(&[2, 3]).at(&[1]);
     }
 
     #[test]

@@ -89,6 +89,20 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+step "one attention kernel (multi-head attention is one Graph::attention node)"
+# Outside tests and comments, crates/nn/src/attention.rs calls no
+# softmax_last(, batch_matmul( or permute(: every attention path (plain,
+# head-masked, importance) runs the fused op, and the unfused graph lives
+# on only as the oracle in crates/tensor/tests/attention_props.rs.
+offenders="$(
+    code_of crates/nn/src/attention.rs | grep -E '\b(softmax_last|batch_matmul|permute)\(' || true
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: attention is spelled as an unfused graph again:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's
