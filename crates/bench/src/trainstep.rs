@@ -596,26 +596,16 @@ mod tests {
     }
 
     #[test]
-    fn vit_op_table_accounts_for_the_step() {
+    fn vit_op_table_has_the_steps_ops() {
+        // The table is process-wide, and other tests of this crate may
+        // push nodes while it records, so only presence is checked here;
+        // the bin prints the rows' sum beside the measured step.
         let table = vit_op_table(1);
-        let op = |name: &str| table.rows.iter().find(|r| r.op == name);
-        let leaf = op("leaf").expect("a leaf row");
-        assert!(leaf.calls > 0.0 && leaf.fwd_ms > 0.0);
-        let (fwd, bwd) = table
-            .rows
-            .iter()
-            .fold((0.0, 0.0), |(f, b), r| (f + r.fwd_ms, b + r.bwd_ms));
-        // Rows sum to at most the step they were measured in.
-        assert!(
-            fwd <= table.fwd_ms * 1.05 + 0.05,
-            "{fwd} vs {}",
-            table.fwd_ms
-        );
-        assert!(
-            bwd <= table.bwd_ms * 1.05 + 0.05,
-            "{bwd} vs {}",
-            table.bwd_ms
-        );
-        assert!(table.json_rows().len() == table.rows.len() + 1);
+        for name in ["leaf", "attention", "matmul", "gelu", "layer_norm"] {
+            let row = table.rows.iter().find(|r| r.op == name);
+            assert!(row.is_some_and(|r| r.calls > 0.0), "no {name} row");
+        }
+        assert!(table.fwd_ms > 0.0 && table.bwd_ms > 0.0);
+        assert_eq!(table.json_rows().len(), table.rows.len() + 1);
     }
 }

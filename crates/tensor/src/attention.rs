@@ -54,7 +54,7 @@ pub(crate) struct Geom {
 
 impl Geom {
     /// Width of a projection row: `heads · head_dim`.
-    pub(crate) fn inner(&self) -> usize {
+    fn inner(&self) -> usize {
         self.heads * self.head_dim
     }
 
@@ -336,7 +336,8 @@ fn backward_batches(
             &v[span.clone()],
             &dy[span],
         );
-        let local = (b - b0) * g.batch_len()..;
+        // Where this batch's rows start in the gradient chunks.
+        let local = (b - b0) * g.batch_len();
         let probs = &probs[b * g.probs_len()..(b + 1) * g.probs_len()];
         for (h, p) in probs.chunks_exact(t_len * t_len).enumerate() {
             let head = h * dh;
@@ -352,16 +353,8 @@ fn backward_batches(
             // dV[j] = Σ_i P[i, j] · dO[i].
             if let Some(dv) = dv.as_deref_mut() {
                 let pt = MatRef::strided(p, 1, t_len);
-                product(
-                    t_len,
-                    t_len,
-                    dh,
-                    pt,
-                    &d_o,
-                    dh,
-                    &mut dv[local.start + head..],
-                    inner,
-                );
+                let dv = &mut dv[local + head..];
+                product(t_len, t_len, dh, pt, &d_o, dh, dv, inner);
             }
             if !scores_needed {
                 continue;
@@ -383,12 +376,12 @@ fn backward_batches(
             // dQ[i] = Σ_j dS[i, j] · K[j];  dK[j] = Σ_i dS[i, j] · Q[i].
             if let Some(dq) = dq.as_deref_mut() {
                 let ds_view = MatRef::strided(&ds, t_len, 1);
-                let dq = &mut dq[local.start + head..];
+                let dq = &mut dq[local + head..];
                 product(t_len, t_len, dh, ds_view, &k[head..], inner, dq, inner);
             }
             if let Some(dk) = dk.as_deref_mut() {
                 let dst_view = MatRef::strided(&ds, 1, t_len);
-                let dk = &mut dk[local.start + head..];
+                let dk = &mut dk[local + head..];
                 product(t_len, t_len, dh, dst_view, &q[head..], inner, dk, inner);
             }
         }
