@@ -451,8 +451,10 @@ const VIT_BATCH: usize = 32;
 /// Runs `steps` training steps (forward, cross-entropy, backward, Adam)
 /// of the reference ViT at batch 32 on one thread with recording on,
 /// and reads the tape's per-op table back from the `acme-obs` registry.
-/// Recording is restored to its previous state afterwards.
+/// Recording, and a global thread count that was set, are restored to
+/// their previous state afterwards.
 pub fn vit_op_table(steps: usize) -> OpTable {
+    let threads = acme_runtime::global_threads();
     acme_runtime::set_global_threads(1);
     let cfg = VitConfig::reference(10);
     let mut rng = SmallRng64::new(17);
@@ -492,6 +494,9 @@ pub fn vit_op_table(steps: usize) -> OpTable {
     }
     let after = counters();
     obs::trace::set_enabled(was);
+    if threads > 0 {
+        acme_runtime::set_global_threads(threads);
+    }
     let per_step = |name: String| {
         let delta =
             after.get(&name).copied().unwrap_or(0) - before.get(&name).copied().unwrap_or(0);
@@ -593,19 +598,5 @@ mod tests {
         assert!(json.contains("\"speedup\": 2.000"));
         assert!(json.contains("\"alloc_drop\": 40.0"));
         assert!(!json.contains("},\n]"), "no trailing comma");
-    }
-
-    #[test]
-    fn vit_op_table_has_the_steps_ops() {
-        // The table is process-wide, and other tests of this crate may
-        // push nodes while it records, so only presence is checked here;
-        // the bin prints the rows' sum beside the measured step.
-        let table = vit_op_table(1);
-        for name in ["leaf", "attention", "matmul", "gelu", "layer_norm"] {
-            let row = table.rows.iter().find(|r| r.op == name);
-            assert!(row.is_some_and(|r| r.calls > 0.0), "no {name} row");
-        }
-        assert!(table.fwd_ms > 0.0 && table.bwd_ms > 0.0);
-        assert_eq!(table.json_rows().len(), table.rows.len() + 1);
     }
 }

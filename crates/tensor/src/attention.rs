@@ -29,10 +29,9 @@
 //! advances its tile (a loop that finishes one chain before starting the
 //! next waits on every fused multiply-add's latency). Only the order of
 //! *independent* chains differs from the oracle, never a chain itself.
-//! Batches are independent, so sharding them over threads keeps every
-//! bit at any thread count.
-
-use acme_runtime::Pool;
+//! Batches are independent, so sharding the forward's batches over
+//! threads keeps every bit at any thread count; the backward runs its
+//! batches on the calling thread.
 
 use crate::gemm::{madd, MatRef};
 use crate::pool;
@@ -79,7 +78,7 @@ impl Geom {
         1.0 / (self.head_dim as f32).sqrt()
     }
 
-    /// How many threads the call shards its batches over.
+    /// How many threads the forward shards its batches over.
     fn width(&self) -> usize {
         fork_width(self.batch * self.probs_len(), PAR_MIN_EXP, self.batch)
     }
@@ -260,29 +259,9 @@ pub(crate) fn backward(
         mask_grad(g, v, probs, dy, dmask);
     }
     let Grads { dq, dk, dv, .. } = grads;
-    if dq.is_none() && dk.is_none() && dv.is_none() {
-        return;
+    if dq.is_some() || dk.is_some() || dv.is_some() {
+        backward_batches(g, [q, k, v], mask, probs, dy, [dq, dk, dv]);
     }
-    let width = g.width();
-    if width <= 1 {
-        return backward_batches(g, [q, k, v], mask, probs, dy, 0, [dq, dk, dv]);
-    }
-    let per = g.batch.div_ceil(width);
-    let mut chunks = [dq, dk, dv].map(|d| d.map(|d| d.chunks_mut(per * g.batch_len())));
-    let tasks: Vec<_> = (0..g.batch)
-        .step_by(per)
-        .map(|b0| {
-            (
-                b0,
-                chunks
-                    .each_mut()
-                    .map(|c| c.as_mut().and_then(Iterator::next)),
-            )
-        })
-        .collect();
-    Pool::new(width).par_map(tasks, |_, (b0, grads)| {
-        backward_batches(g, [q, k, v], mask, probs, dy, b0, grads)
-    });
 }
 
 /// `dmask[h] = Σ dy[b, t, h, e] · O[b, t, h, e]` over (b, t, e) in that
@@ -306,38 +285,32 @@ fn mask_grad(g: &Geom, v: &[f32], probs: &[f32], dy: &[f32], dmask: &mut [f32]) 
     pool::recycle(o);
 }
 
-/// Backward of the batches `b0 ..` that the gradient chunks cover: the
-/// query, key and value gradients of every head.
+/// The query, key and value gradients of every head of every batch,
+/// one batch after another on the calling thread.
 fn backward_batches(
     g: &Geom,
     [q, k, v]: [&[f32]; 3],
     mask: Option<&[f32]>,
     probs: &[f32],
     dy: &[f32],
-    b0: usize,
     [mut dq, mut dk, mut dv]: [Option<&mut [f32]>; 3],
 ) {
     let (t_len, dh, tp, c, inner) = (g.tokens, g.head_dim, g.padded(), g.scale(), g.inner());
-    let batches = [&dq, &dk, &dv]
-        .into_iter()
-        .find_map(|d| d.as_ref().map(|d| d.len() / g.batch_len()))
-        .unwrap_or(0);
     let scores_needed = dq.is_some() || dk.is_some();
     // Scratch: `dO` as `[T, head_dim]`, `Vᵀ`, `dP` (padded rows), `dS`.
     let mut d_o = pool::take_filled(t_len * dh, 0.0);
     let mut vt = pool::take_filled(dh * tp, 0.0);
     let mut dp = pool::take_filled(t_len * tp, 0.0);
     let mut ds = pool::take_filled(t_len * t_len, 0.0);
-    for b in b0..b0 + batches {
+    for b in 0..g.batch {
         let span = b * g.batch_len()..(b + 1) * g.batch_len();
+        let base = span.start;
         let (q, k, v, dy) = (
             &q[span.clone()],
             &k[span.clone()],
             &v[span.clone()],
             &dy[span],
         );
-        // Where this batch's rows start in the gradient chunks.
-        let local = (b - b0) * g.batch_len();
         let probs = &probs[b * g.probs_len()..(b + 1) * g.probs_len()];
         for (h, p) in probs.chunks_exact(t_len * t_len).enumerate() {
             let head = h * dh;
@@ -353,7 +326,7 @@ fn backward_batches(
             // dV[j] = Σ_i P[i, j] · dO[i].
             if let Some(dv) = dv.as_deref_mut() {
                 let pt = MatRef::strided(p, 1, t_len);
-                let dv = &mut dv[local + head..];
+                let dv = &mut dv[base + head..];
                 product(t_len, t_len, dh, pt, &d_o, dh, dv, inner);
             }
             if !scores_needed {
@@ -376,12 +349,12 @@ fn backward_batches(
             // dQ[i] = Σ_j dS[i, j] · K[j];  dK[j] = Σ_i dS[i, j] · Q[i].
             if let Some(dq) = dq.as_deref_mut() {
                 let ds_view = MatRef::strided(&ds, t_len, 1);
-                let dq = &mut dq[local + head..];
+                let dq = &mut dq[base + head..];
                 product(t_len, t_len, dh, ds_view, &k[head..], inner, dq, inner);
             }
             if let Some(dk) = dk.as_deref_mut() {
                 let dst_view = MatRef::strided(&ds, 1, t_len);
-                let dk = &mut dk[local + head..];
+                let dk = &mut dk[base + head..];
                 product(t_len, t_len, dh, dst_view, &q[head..], inner, dk, inner);
             }
         }

@@ -76,9 +76,7 @@ impl Graph {
             // Restore so repeated backward calls keep accumulating.
             self.grads[id] = Some(grad);
         }
-        if timed {
-            self.clock = Some(Instant::now());
-        }
+        self.clock = timed.then(Instant::now);
     }
 
     /// Records for nodes `0..=last` whether a leaf that requires a

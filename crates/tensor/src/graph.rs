@@ -305,9 +305,9 @@ impl Graph {
     }
 
     fn push(&mut self, value: Array, op: Op) -> Var {
-        if acme_obs::enabled() {
-            self.clock = Some(optable::forward(&op, self.clock));
-        }
+        // Off, the clock is dropped, so a node pushed after recording
+        // turns back on is never charged the time it was off.
+        self.clock = acme_obs::enabled().then(|| optable::forward(&op, self.clock));
         self.values.push(value);
         self.grads.push(None);
         self.ops.push(op);

@@ -6,9 +6,11 @@
 //!
 //! A node's forward time is the wall time since the graph's previous
 //! node was pushed (or since [`Graph::reset`](crate::Graph::reset) /
-//! the end of a backward sweep), so it covers the builder's kernel and
-//! whatever host code prepared its inputs: a `constant` over freshly
-//! patchified images carries the patchify. A node's backward time is its
+//! the end of a backward sweep) while recording stayed on; a node pushed
+//! right after recording turns on mid-tape is counted but charged no
+//! time. It covers the builder's kernel and whatever host code prepared
+//! its inputs: a `constant` over freshly patchified images carries the
+//! patchify. A node's backward time is its
 //! gradient rule plus the accumulation of its contributions. The rows of
 //! one step therefore sum to the step's forward and backward wall time.
 

@@ -159,7 +159,7 @@ fn fused_attention_is_bit_identical_to_the_unfused_graph() {
 #[test]
 fn batches_sharded_over_threads_keep_every_bit() {
     // 64 × 4 × 17² scores: past the fork cutoff, so two threads split
-    // the batches (and the unfused softmax its rows).
+    // the forward's batches (and the unfused softmax its rows).
     let (b, t, dh, heads) = (64, 17, 8, 4);
     acme_check::cases(2, |gen| {
         let rows = [b * t, heads * dh];

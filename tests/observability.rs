@@ -386,3 +386,28 @@ fn a_training_step_is_bit_identical_with_recording_on_and_off() {
     assert!(metrics.counter("tensor.op.matmul.bwd_ns") > 0);
     reset_obs();
 }
+
+/// Recording switched off and back on in the middle of a tape: the node
+/// pushed after it resumes is not charged the time it was off.
+#[test]
+fn a_node_pushed_after_recording_resumes_is_not_charged_the_pause() {
+    let _g = serialize();
+    reset_obs();
+    let neg_ns = || {
+        acme_tensor::publish_obs_metrics();
+        acme_obs::metrics::snapshot().counter("tensor.op.neg.fwd_ns")
+    };
+    acme_obs::trace::set_enabled(true);
+    let mut g = Graph::new();
+    let x = g.constant(acme_tensor::Array::zeros(&[4]));
+    let before = neg_ns();
+    acme_obs::trace::set_enabled(false);
+    let y = g.neg(x);
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    acme_obs::trace::set_enabled(true);
+    g.neg(y);
+    let charged = neg_ns() - before;
+    acme_obs::trace::set_enabled(false);
+    assert!(charged < 100_000_000, "the pause was charged: {charged} ns");
+    reset_obs();
+}
