@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use acme_nn::{Adam, Optimizer, ParamSet};
 use acme_tensor::gemm::{self, MatRef};
-use acme_tensor::{obs, pool, randn, Array, Graph, SmallRng64};
+use acme_tensor::{fastmath, obs, pool, randn, Array, Graph, SmallRng64};
 use acme_vit::{Vit, VitConfig};
 
 /// Problem shape: a tiny-ViT block's MLP path over a token batch.
@@ -92,17 +92,19 @@ pub struct StepBits(Vec<u32>);
 // ---- pre-pool replica ---------------------------------------------------
 
 /// GELU (tanh approximation) of a scalar — verbatim copy of the engine's
-/// kernel, kept here so the replica survives future engine changes.
+/// kernel, kept here so the replica survives future engine changes. The
+/// transcendentals are the engine's own (`acme_tensor::fastmath`), as in
+/// the softmax below.
 fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + fastmath::tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// Derivative of [`gelu_scalar`], same provenance.
 fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = fastmath::tanh(u);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
@@ -176,7 +178,7 @@ pub fn baseline_step(p: &Problem) -> StepBits {
         let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - m).exp();
+            *v = fastmath::exp(*v - m);
             sum += *v;
         }
         for v in row.iter_mut() {

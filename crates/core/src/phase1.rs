@@ -404,9 +404,9 @@ mod tests {
             (
                 0,
                 [
-                    (0.5, 1, 1628, 4609178953674915840, 4601392076498665472),
-                    (0.5, 2, 2788, 4608772529509629952, 4601392076498665472),
-                    (1.0, 1, 2692, 4609420557933346816, 4601392076498665472),
+                    (0.5, 1, 1628, 4609178954211786752, 4601392076498665472),
+                    (0.5, 2, 2788, 4608772528972759040, 4601392076498665472),
+                    (1.0, 1, 2692, 4609420558470217728, 4601392076498665472),
                     (1.0, 2, 4916, 4610808926512873472, 4598818591150702592),
                 ],
             ),
@@ -414,9 +414,9 @@ mod tests {
                 1,
                 [
                     (0.5, 1, 1628, 4614647816063549440, 4589811391895961600),
-                    (0.5, 2, 2788, 4614461814988603392, 4589811391895961600),
-                    (1.0, 1, 2692, 4612473718650699776, 0),
-                    (1.0, 2, 4916, 4613174273987575808, 4589811391895961600),
+                    (0.5, 2, 2788, 4614461814451732480, 4589811391895961600),
+                    (1.0, 1, 2692, 4612473717040087040, 0),
+                    (1.0, 2, 4916, 4613174273450704896, 4589811391895961600),
                 ],
             ),
         ];

@@ -129,7 +129,7 @@ impl Controller {
                     self.op_head.forward(g, ps, h)
                 };
                 let logprobs = g.log_softmax_last(logits);
-                let probs = g.value(logprobs).map(f32::exp);
+                let probs = g.value(logprobs).map(acme_tensor::fastmath::exp);
                 let choice = if greedy {
                     probs.argmax()
                 } else {

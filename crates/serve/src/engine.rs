@@ -228,7 +228,9 @@ impl<'a> BatchEngine<'a> {
 }
 
 /// Top class and softmax confidence of one logit row. Shared by the
-/// batched and sequential paths so the comparison is bit-exact.
+/// batched and sequential paths so the comparison is bit-exact; the
+/// in-tree `exp` keeps the confidence (and so every early-exit decision)
+/// independent of the host's libm.
 fn softmax_top(logits: &[f32]) -> (usize, f32) {
     let mut top = 0usize;
     let mut max = f32::NEG_INFINITY;
@@ -238,11 +240,7 @@ fn softmax_top(logits: &[f32]) -> (usize, f32) {
             top = i;
         }
     }
-    let mut denom = 0.0f32;
-    for &v in logits {
-        denom += (v - max).exp();
-    }
-    (top, 1.0 / denom)
+    (top, 1.0 / acme_tensor::fastmath::exp_sum(logits, max))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::conv::{avgpool_forward, im2col, maxpool_forward, ConvGeom, PoolGeom};
 use crate::error::Result;
 use crate::packcache::{self, PackIdent};
 use crate::qgemm::Precision;
-use crate::{optable, pool, rowwise};
+use crate::{fastmath, optable, pool, rowwise};
 
 /// Handle to a node in a [`Graph`].
 ///
@@ -605,19 +605,19 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
+        let v = self.value(a).map(fastmath::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(|x| 1.0 / (1.0 + fastmath::exp(-x)));
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::exp);
+        let v = self.value(a).map(fastmath::exp);
         self.push(v, Op::Exp(a))
     }
 
@@ -1020,7 +1020,7 @@ impl Graph {
 #[cfg(test)]
 pub(crate) fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + fastmath::tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// Derivative of [`gelu_scalar`].
@@ -1028,7 +1028,7 @@ pub(crate) fn gelu_scalar(x: f32) -> f32 {
 pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = fastmath::tanh(u);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 

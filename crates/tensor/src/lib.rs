@@ -34,6 +34,7 @@ mod attention;
 mod backward;
 mod conv;
 mod error;
+pub mod fastmath;
 pub mod gemm;
 mod gradcheck;
 mod graph;

@@ -20,6 +20,7 @@
 //! order, and the cross-entropy per-row losses are written to a scratch
 //! slice in parallel and summed serially in row order.
 
+use crate::fastmath;
 use acme_runtime::{global_pool, Pool};
 
 /// One two-task fork/join on the runtime's scoped workers — spawn a
@@ -32,9 +33,11 @@ const FORK_JOIN_NS: usize = 70_000;
 /// shapes: every kernel under 200 µs of serial work lost (layer norm
 /// forward 26 → 113 µs, backward 29 → 165 µs; GELU backward 10 → 58 µs;
 /// softmax backward 18 → 81 µs; log-softmax backward 108 → 154 µs),
-/// softmax forward at 194 µs broke even, GELU forward at 942 µs won
-/// (633 µs). The loss exceeds the fork/join itself: the second core has
-/// to pull an L2-resident tensor across.
+/// softmax forward at 194 µs broke even, GELU forward at 942 µs (libm
+/// `tanhf`) won (633 µs). The loss exceeds the fork/join itself: the
+/// second core has to pull an L2-resident tensor across. With the in-tree
+/// `tanh` the same GELU forward takes 56–64 µs, and at 4x the rows
+/// (250–260 µs serial) a fork still lost (280–290 µs).
 const FORK_MIN_SERIAL_NS: usize = 4 * FORK_JOIN_NS;
 
 /// Elements below which a kernel that costs `ps_per_element` picoseconds
@@ -46,25 +49,27 @@ const fn par_min(ps_per_element: usize) -> usize {
 // One cutoff per kernel class, from the serial cost per element measured
 // at those shapes and at 4x and 16x the rows (it does not move with size).
 
-/// GELU forward, one `tanh` per element at ≈28 ns: 10 k elements.
-const PAR_MIN_TANH: usize = par_min(28_000);
-/// Softmax and log-softmax forward, cross-entropy both ways (5.2–5.6 ns)
-/// and log-softmax backward (3.0 ns), one `exp` per element: 51 k.
-pub(crate) const PAR_MIN_EXP: usize = par_min(5_500);
-/// Layer norm, three passes over each row, 1.5–1.9 ns: 165 k.
+/// Softmax forward (4.1–5.5 ns at the attention's 17-wide rows, 2.2–2.7
+/// ns at 100-wide ones), log-softmax forward, cross-entropy both ways and
+/// log-softmax backward (2.5–3.6 ns at 100-wide rows): one vectorised
+/// `exp` per element plus a max and a sum pass, costed at the short
+/// rows: 62 k.
+pub(crate) const PAR_MIN_EXP: usize = par_min(4_500);
+/// Layer norm, three passes over each row (1.5–1.9 ns), and GELU
+/// forward, one rational `tanh` per element (1.5–2.1 ns): 165 k.
 const PAR_MIN_NORM: usize = par_min(1_700);
 /// GELU and softmax backward, a few multiply-adds per element read,
 /// 0.3–0.6 ns: 560 k.
 const PAR_MIN_STREAM: usize = par_min(500);
 
 // What the cutoffs are for: a batch of 32 through the reference ViT (544
-// token rows, dim 32, MLP 64, 4 heads of 17 x 17 scores) forks in GELU
-// forward and nowhere else.
+// token rows, dim 32, MLP 64, 4 heads of 17 x 17 scores) forks nowhere;
+// a batch of 64 shards the attention forward's batches.
 const _: () = {
-    assert!(544 * 32 < PAR_MIN_NORM);
+    assert!(544 * 64 < PAR_MIN_NORM);
     assert!(32 * 4 * 17 * 17 < PAR_MIN_EXP);
+    assert!(64 * 4 * 17 * 17 >= PAR_MIN_EXP);
     assert!(544 * 64 < PAR_MIN_STREAM);
-    assert!(544 * 64 >= PAR_MIN_TANH);
 };
 
 /// How many threads a kernel over `elements` elements in `units`
@@ -140,9 +145,9 @@ fn par_rows(
 /// derivative) is saved by the forward so the backward never recomputes
 /// it — same floats, same bits, half the transcendentals per step.
 #[inline]
-fn gelu_parts(x: f32) -> (f32, f32) {
+pub(crate) fn gelu_parts(x: f32) -> (f32, f32) {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    let t = (C * (x + 0.044715 * x * x * x)).tanh();
+    let t = fastmath::tanh(C * (x + 0.044715 * x * x * x));
     (0.5 * x * (1.0 + t), t)
 }
 
@@ -155,13 +160,12 @@ pub(crate) fn gelu_fwd(x: &[f32], out: &mut [f32], saved: &mut [f32]) {
     let n = x.len();
     let _t = acme_obs::timer!("tensor.rowwise", "rows" => n, "row_len" => 1usize);
     let body = |i0: usize, ochunk: &mut [f32], schunk: &mut [f32]| {
-        for (k, (o, s)) in ochunk.iter_mut().zip(schunk.iter_mut()).enumerate() {
-            let (v, t) = gelu_parts(x[i0 + k]);
-            *o = v;
-            *s = t;
+        let xs = &x[i0..i0 + ochunk.len()];
+        for ((o, s), &xv) in ochunk.iter_mut().zip(schunk.iter_mut()).zip(xs) {
+            (*o, *s) = gelu_parts(xv);
         }
     };
-    let width = fork_width(n, PAR_MIN_TANH, n);
+    let width = fork_width(n, PAR_MIN_NORM, n);
     par_rows2(width, n, (out, 1), (saved, 1), body);
 }
 
@@ -189,16 +193,17 @@ pub(crate) fn gelu_bwd(x: &[f32], saved: &[f32], g: &[f32], out: &mut [f32]) {
     });
 }
 
-/// Softmax of one row: one max pass, one exp-and-sum pass, one divide
-/// pass, all in `out`. Shared by [`softmax_fwd`] and the fused attention
-/// kernel, so both produce the same bits.
+/// Softmax of one row: a max pass, the vectorised exp pass, an
+/// ascending sum pass and a divide pass, all in `out`. Shared by
+/// [`softmax_fwd`], cross-entropy's backward and the fused attention
+/// kernel, so all three produce the same bits.
 #[inline]
 pub(crate) fn softmax_row(xrow: &[f32], orow: &mut [f32]) {
     let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    fastmath::exp_sub(xrow, m, orow);
     let mut sum = 0.0;
-    for (o, &v) in orow.iter_mut().zip(xrow) {
-        *o = (v - m).exp();
-        sum += *o;
+    for &o in orow.iter() {
+        sum += o;
     }
     for o in orow.iter_mut() {
         *o /= sum;
@@ -243,7 +248,8 @@ pub(crate) fn softmax_bwd(y: &[f32], g: &[f32], out: &mut [f32], cols: usize) {
     });
 }
 
-/// Fused log-softmax: `out = x - (m + ln(sum(exp(x - m))))` per row.
+/// Fused log-softmax: `out = x - (m + ln(sum(exp(x - m))))` per row,
+/// the exps staged in `out`.
 pub(crate) fn log_softmax_fwd(x: &[f32], out: &mut [f32], cols: usize) {
     debug_assert_eq!(x.len(), out.len());
     let rows = x.len() / cols.max(1);
@@ -252,7 +258,8 @@ pub(crate) fn log_softmax_fwd(x: &[f32], out: &mut [f32], cols: usize) {
             let r = r0 + i;
             let xrow = &x[r * cols..(r + 1) * cols];
             let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + xrow.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+            fastmath::exp_sub(xrow, m, orow);
+            let lse = m + orow.iter().sum::<f32>().ln();
             for (o, &v) in orow.iter_mut().zip(xrow) {
                 *o = v - lse;
             }
@@ -272,7 +279,7 @@ pub(crate) fn log_softmax_bwd(y: &[f32], g: &[f32], out: &mut [f32], cols: usize
             let gs = &g[r * cols..(r + 1) * cols];
             let gsum: f32 = gs.iter().sum();
             for ((o, &yi), &gi) in orow.iter_mut().zip(ys).zip(gs) {
-                *o = gi - yi.exp() * gsum;
+                *o = gi - fastmath::exp(yi) * gsum;
             }
         }
     });
@@ -438,15 +445,8 @@ pub(crate) fn cross_entropy_fwd(
         let xrow = &logits[r * cols..(r + 1) * cols];
         let t = targets[r];
         let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        let mut et = 0.0f32;
-        for (i, &v) in xrow.iter().enumerate() {
-            let e = (v - m).exp();
-            sum += e;
-            if i == t {
-                et = e;
-            }
-        }
+        let sum = fastmath::exp_sum(xrow, m);
+        let et = fastmath::exp(xrow[t] - m);
         ((et / sum).max(1e-12) as f64).ln()
     };
     // Shard over the f64 loss slice; each row reads its logits row.
@@ -459,10 +459,10 @@ pub(crate) fn cross_entropy_fwd(
 }
 
 /// Fused cross-entropy backward: recomputes each row's softmax from the
-/// logits (cheaper than carrying a saved copy through the graph) and
-/// writes `(softmax - onehot(t)) * scale`. The recomputation repeats the
-/// forward's exact float sequence, so the result is bit-identical to
-/// subtracting from a saved softmax.
+/// logits with [`softmax_row`] (cheaper than carrying a saved copy
+/// through the graph) and writes `(softmax - onehot(t)) * scale`. The
+/// recomputation repeats the forward's exact float sequence, so the
+/// result is bit-identical to subtracting from a saved softmax.
 pub(crate) fn cross_entropy_bwd(
     logits: &[f32],
     targets: &[usize],
@@ -476,16 +476,7 @@ pub(crate) fn cross_entropy_bwd(
     par_rows(PAR_MIN_EXP, rows, cols, out, |r0, chunk| {
         for (i, orow) in chunk.chunks_exact_mut(cols).enumerate() {
             let r = r0 + i;
-            let xrow = &logits[r * cols..(r + 1) * cols];
-            let m = xrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for (o, &v) in orow.iter_mut().zip(xrow) {
-                *o = (v - m).exp();
-                sum += *o;
-            }
-            for o in orow.iter_mut() {
-                *o /= sum;
-            }
+            softmax_row(&logits[r * cols..(r + 1) * cols], orow);
             orow[targets[r]] -= 1.0;
             for o in orow.iter_mut() {
                 *o *= scale;

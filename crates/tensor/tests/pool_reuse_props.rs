@@ -128,7 +128,7 @@ fn pooled_reuse_is_bit_identical_across_threads() {
 
 /// Big enough that every fused row-wise kernel of the step clears its
 /// cost cutoff (`rowwise.rs`: the highest class, GELU backward, forks
-/// from 560 k elements; the 9216 x 24 logits clear the 51 k of the `exp`
+/// from 560 k elements; the 9216 x 24 logits clear the 62 k of the `exp`
 /// class) and really shards across the runtime pool. The kernels' unit
 /// tests force the sharded bodies at small sizes; this is the whole step
 /// through the public API.

@@ -103,6 +103,23 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+step "one tanh/exp (the f32 transcendentals are acme_tensor::fastmath's)"
+# Outside tests and comments, crates/{tensor,nn,serve}/src call no
+# .tanh() / .exp() and name no f32::tanh / f32::exp: every hyperbolic
+# tangent and exponential of a training step or a served request is the
+# in-tree kernel, so its bits do not depend on the host's libm. (grep
+# cannot tell f32 from f64 calls; these crates have no f64 ones.)
+offenders="$(
+    for f in $(find crates/{tensor,nn,serve}/src -name '*.rs' | sort); do
+        code_of "$f" | grep -E '\.(tanh|exp)\(\)|\bf32::(tanh|exp)\b' | sed "s|^|$f: |" || true
+    done
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: a libm tanh/exp is back on the tensor, layer or serve path:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's

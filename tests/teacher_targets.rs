@@ -3,7 +3,7 @@
 //! rows, gathered for the shuffled minibatches distillation draws, are
 //! bitwise the values a per-batch teacher pass over the same examples
 //! yields — at batch sizes on both sides of the naive/blocked GEMM
-//! dispatch and of GELU's fork cutoff, at one and two kernel threads.
+//! dispatch, at one and two kernel threads.
 //!
 //! This file holds a single test so it owns its test process: the kernel
 //! thread count is process-wide.
@@ -28,9 +28,9 @@ fn gathered_rows_match_a_per_batch_teacher_pass_bitwise() {
         &mut rng,
     )
     .unwrap();
-    // The reference geometry: at batch 32 its GELU input (32 × 17 × 64)
-    // forks and its projections take the blocked GEMM; at batch 1 the
-    // head and attention products take the naive one.
+    // The reference geometry: at batch 32 its projections take the
+    // blocked GEMM; at batch 1 the head and attention products take the
+    // naive one.
     let mut ps = ParamSet::new();
     let teacher = Vit::new(&mut ps, &VitConfig::reference(data.num_classes()), &mut rng);
     for threads in [1, 2] {
