@@ -21,15 +21,11 @@ fn main() {
     };
     let mut ps = ParamSet::new();
     let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    fit(
-        &vit,
-        &mut ps,
-        &train,
-        &TrainConfig {
-            epochs: scale.pick(6, 3),
-            ..TrainConfig::default()
-        },
-    );
+    let train_cfg = TrainConfig {
+        epochs: scale.pick(6, 3),
+        ..TrainConfig::default()
+    };
+    fit(&vit, &mut ps, &train, &train_cfg);
 
     let exits: Vec<usize> = if depth >= 6 {
         vec![1, 3, depth - 1]
@@ -37,7 +33,7 @@ fn main() {
         vec![0, depth - 1]
     };
     let me = MultiExitVit::new(&mut ps, &vit, &exits, &mut rng);
-    me.fit_exits(&mut ps, &vit, &train, scale.pick(6, 3), 32, 3e-3, 0);
+    me.fit_exits(&mut ps, &vit, &train, &train_cfg);
 
     let mut rows = Vec::new();
     for &threshold in &[0.5f32, 0.7, 0.8, 0.9, 0.95, 1.0] {

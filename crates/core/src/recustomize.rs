@@ -239,9 +239,7 @@ fn simulate_device(
             epochs,
             batch_size: cfg.batch_size,
             lr: cfg.lr,
-            clip: Some(5.0),
             seed,
-            ..TrainConfig::default()
         };
         fit_header(header, ps, window, &train_cfg);
     };

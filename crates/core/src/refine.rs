@@ -302,9 +302,7 @@ pub fn refine_cluster(
                 epochs: cfg.local_epochs,
                 batch_size: cfg.batch_size,
                 lr: cfg.lr,
-                clip: Some(5.0),
                 seed,
-                ..TrainConfig::default()
             };
             let train = &features[i].0;
             fit_header(header, &mut device_ps[i], train, &train_cfg);

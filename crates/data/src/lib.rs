@@ -30,7 +30,6 @@
 //! assert!(train.len() > test.len());
 //! ```
 
-mod augment;
 mod dataset;
 mod drift;
 mod error;
@@ -38,12 +37,11 @@ mod partition;
 mod stats;
 mod synthetic;
 
-pub use augment::Augment;
 pub use dataset::{batch_indices, sample_indices, Batch, Dataset};
 pub use drift::{DriftSpec, DriftingStream};
 pub use error::DataError;
 pub use partition::{
     partition_confusion, partition_dirichlet, partition_iid, partition_shards, ConfusionLevel,
 };
-pub use stats::{feature_matrix, label_distribution};
+pub use stats::label_distribution;
 pub use synthetic::{cifar100_like, generate, stanford_cars_like, SyntheticSpec};

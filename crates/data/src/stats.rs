@@ -1,8 +1,6 @@
 //! Distribution summaries consumed by the similarity machinery in
 //! `acme-agg` (Eqs. 19–20 of the paper).
 
-use acme_tensor::Array;
-
 use crate::dataset::Dataset;
 
 /// Normalized label histogram of a dataset over its full class space.
@@ -21,25 +19,6 @@ pub fn label_distribution(ds: &Dataset) -> Vec<f64> {
     let n = ds.len() as f64;
     counts.iter_mut().for_each(|c| *c /= n);
     counts
-}
-
-/// Stacks (a sample of) the dataset's images into a `[n, d]` feature
-/// matrix of flattened pixels. This is the stand-in for the paper's
-/// "features extracted by a pre-trained model": any fixed embedding works
-/// for measuring *relative* distributional distance, and raw pixels of
-/// the prototype-structured synthetic data carry the class geometry
-/// directly.
-pub fn feature_matrix(ds: &Dataset, max_rows: usize) -> Array {
-    let n = ds.len().min(max_rows);
-    if n == 0 {
-        return Array::zeros(&[0, 0]);
-    }
-    let d: usize = ds.image_shape().iter().product();
-    let mut data = Vec::with_capacity(n * d);
-    for i in 0..n {
-        data.extend_from_slice(ds.get(i).0.data());
-    }
-    Array::from_vec(data, &[n, d]).expect("volume matches")
 }
 
 #[cfg(test)]
@@ -64,14 +43,5 @@ mod tests {
         let empty = ds.subset(&[]);
         let p = label_distribution(&empty);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn feature_matrix_shape_and_cap() {
-        let ds = generate(&SyntheticSpec::tiny(), &mut SmallRng64::new(0)).unwrap();
-        let f = feature_matrix(&ds, 10);
-        assert_eq!(f.shape(), &[10, 64]);
-        let f_all = feature_matrix(&ds, 10_000);
-        assert_eq!(f_all.shape()[0], ds.len());
     }
 }

@@ -1,7 +1,7 @@
 //! # acme-nn
 //!
 //! Neural-network building blocks on top of [`acme_tensor`]: a parameter
-//! store, optimizers, and the layers the ACME reproduction needs — linear
+//! store, the Adam optimizer, and the layers the ACME reproduction needs — linear
 //! and convolutional layers, layer normalization, multi-head self-attention
 //! with per-head masking (the hook for the paper's head-importance
 //! pruning), Transformer encoder blocks with MLP-neuron masking, and an
@@ -15,13 +15,13 @@
 //! paper's ENAS-style header search, §III-C) is gradient-correct for free.
 //!
 //! ```
-//! use acme_nn::{Linear, Optimizer, ParamSet, Sgd};
+//! use acme_nn::{Adam, Linear, Optimizer, ParamSet};
 //! use acme_tensor::{Array, Graph, SmallRng64};
 //!
 //! let mut rng = SmallRng64::new(0);
 //! let mut ps = ParamSet::new();
 //! let layer = Linear::new(&mut ps, "fc", 4, 2, &mut rng);
-//! let mut opt = Sgd::new(0.1);
+//! let mut opt = Adam::new(0.1);
 //! for _ in 0..10 {
 //!     let mut g = Graph::new();
 //!     let x = g.constant(Array::ones(&[3, 4]));
@@ -43,7 +43,6 @@ mod metrics;
 mod norm;
 mod optim;
 mod param;
-mod schedule;
 mod transformer;
 pub mod wire;
 
@@ -55,7 +54,6 @@ pub use linear::{EmbeddingLayer, Linear, Mlp};
 pub use lstm::LstmCell;
 pub use metrics::accuracy;
 pub use norm::LayerNorm;
-pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use optim::{clip_grad_norm, Adam, Optimizer};
 pub use param::{ParamId, ParamSet};
-pub use schedule::LrSchedule;
 pub use transformer::TransformerBlock;

@@ -16,98 +16,15 @@ use crate::param::{ParamId, ParamSet};
 pub trait Optimizer {
     /// Applies one update step from the gradients recorded in `g`.
     fn step(&mut self, ps: &mut ParamSet, g: &Graph);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (e.g. for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<ParamId, Array>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Adds classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, ps: &mut ParamSet, g: &Graph) {
-        for (key, var) in g.param_bindings() {
-            let id = ParamId(key as usize);
-            if !ps.is_trainable(id) {
-                continue;
-            }
-            let Some(grad) = g.grad(var) else { continue };
-            if self.momentum > 0.0 {
-                let vel = self
-                    .velocity
-                    .entry(id)
-                    .or_insert_with(|| Array::zeros(grad.shape()));
-                for (v, &gr) in vel.data_mut().iter_mut().zip(grad.data()) {
-                    *v = self.momentum * *v + gr;
-                }
-                let vel = vel.clone();
-                let value = ps.value_mut(id);
-                if self.weight_decay > 0.0 {
-                    let wd = self.weight_decay * self.lr;
-                    value.map_in_place(|x| x * (1.0 - wd));
-                }
-                value.add_scaled_assign(&vel, -self.lr);
-            } else {
-                let value = ps.value_mut(id);
-                if self.weight_decay > 0.0 {
-                    let wd = self.weight_decay * self.lr;
-                    value.map_in_place(|x| x * (1.0 - wd));
-                }
-                value.add_scaled_assign(grad, -self.lr);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction and optional weight decay.
+/// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     step_count: u64,
     moments: HashMap<ParamId, (Array, Array)>,
 }
@@ -120,16 +37,9 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             step_count: 0,
             moments: HashMap::new(),
         }
-    }
-
-    /// Adds decoupled (AdamW-style) weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
     }
 }
 
@@ -154,24 +64,12 @@ impl Optimizer for Adam {
             }
             let (m, v) = (m.clone(), v.clone());
             let value = ps.value_mut(id);
-            if self.weight_decay > 0.0 {
-                let wd = self.weight_decay * self.lr;
-                value.map_in_place(|x| x * (1.0 - wd));
-            }
             for ((x, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let mhat = mi / bc1;
                 let vhat = vi / bc2;
                 *x -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -222,30 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut ps = ParamSet::new();
-        let id = ps.add("w", Array::zeros(&[4]));
-        let mut opt = Sgd::new(0.2);
-        let mut last = f32::MAX;
-        for _ in 0..50 {
-            last = quadratic_step(&mut ps, id, &mut opt);
-        }
-        assert!(last < 1e-3, "loss {last}");
-        assert!((ps.value(id).data()[0] - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut ps = ParamSet::new();
-        let id = ps.add("w", Array::zeros(&[2]));
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        for _ in 0..100 {
-            quadratic_step(&mut ps, id, &mut opt);
-        }
-        assert!((ps.value(id).data()[0] - 3.0).abs() < 0.1);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut ps = ParamSet::new();
         let id = ps.add("w", Array::zeros(&[4]));
@@ -261,19 +135,9 @@ mod tests {
         let mut ps = ParamSet::new();
         let id = ps.add("w", Array::zeros(&[2]));
         ps.set_trainable(id, false);
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         quadratic_step(&mut ps, id, &mut opt);
         assert_eq!(ps.value(id).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut ps = ParamSet::new();
-        let id = ps.add("w", Array::full(&[1], 10.0));
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
-        // Gradient toward 3, decay toward 0.
-        quadratic_step(&mut ps, id, &mut opt);
-        assert!(ps.value(id).data()[0] < 10.0);
     }
 
     #[test]
@@ -310,13 +174,5 @@ mod tests {
         let trainable = g.grad(wv).unwrap().sq_norm().sqrt();
         assert_eq!(trainable, 98.0);
         assert_eq!(clip_grad_norm(&mut g, 1.0), trainable);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -154,7 +154,6 @@ impl Graph {
                         .reduce_to_shape(val(*b).shape())
                 }),
             ]),
-            Op::Neg(a) => vec![(a.0, grad.scale(-1.0))],
             Op::Scale(a, c) => vec![(a.0, grad.scale(*c))],
             Op::AddScalar(a) => vec![(a.0, grad.clone())],
             Op::PowScalar(a, p) => {
@@ -479,9 +478,6 @@ impl Graph {
                     }
                 }
                 vec![(weight.0, g)]
-            }
-            Op::Dropout { input, mask } => {
-                vec![(input.0, grad.mul(mask).expect("dropout backward"))]
             }
             Op::Attention {
                 q,

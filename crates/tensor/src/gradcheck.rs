@@ -288,18 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_dropout_with_fixed_mask() {
-        let mut rng = SmallRng64::new(29);
-        let a = randn(&[10], &mut rng);
-        let u = uniform(&[10], 0.0, 1.0, &mut rng);
-        check(&[a], |g, v| {
-            let d = g.dropout(v[0], &u, 0.6);
-            let t = g.tanh(d);
-            g.sum_all(t)
-        });
-    }
-
-    #[test]
     fn gc_embedding() {
         let mut rng = SmallRng64::new(25);
         let w = randn(&[4, 3], &mut rng);

@@ -31,7 +31,6 @@ pub(crate) enum Op {
     Sub(Var, Var),
     Mul(Var, Var),
     Div(Var, Var),
-    Neg(Var),
     Scale(Var, f32),
     AddScalar(Var),
     PowScalar(Var, f32),
@@ -100,11 +99,6 @@ pub(crate) enum Op {
         weight: Var,
         indices: Vec<usize>,
     },
-    Dropout {
-        input: Var,
-        /// Kept-mask already scaled by `1/keep_prob`.
-        mask: Array,
-    },
     Attention {
         q: Var,
         k: Var,
@@ -129,8 +123,7 @@ impl Op {
             | Op::MatMul(a, b)
             | Op::BatchMatMul(a, b)
             | Op::MseLoss(a, b) => f(*a) || f(*b),
-            Op::Neg(a)
-            | Op::Scale(a, _)
+            Op::Scale(a, _)
             | Op::AddScalar(a)
             | Op::PowScalar(a, _)
             | Op::Permute(a, _)
@@ -150,8 +143,7 @@ impl Op {
             | Op::SliceAxis { input: a, .. }
             | Op::MaxPool2d { input: a, .. }
             | Op::AvgPool2d { input: a, .. }
-            | Op::Embedding { weight: a, .. }
-            | Op::Dropout { input: a, .. } => f(*a),
+            | Op::Embedding { weight: a, .. } => f(*a),
             Op::LayerNorm { x, gamma, beta, .. } => f(*x) || f(*gamma) || f(*beta),
             Op::Attention { q, k, v, mask, .. } => f(*q) || f(*k) || f(*v) || mask.is_some_and(f),
             Op::Concat { parts, .. } => parts.iter().any(|&p| f(p)),
@@ -462,12 +454,6 @@ impl Graph {
             .div(self.value(b))
             .expect("div: incompatible shapes");
         self.push(v, Op::Div(a, b))
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.value(a).scale(-1.0);
-        self.push(v, Op::Neg(a))
     }
 
     /// Multiplies by a constant.
@@ -985,21 +971,6 @@ impl Graph {
         )
     }
 
-    /// Inverted dropout: keeps each element with probability `keep`, scaling
-    /// kept elements by `1/keep`. Pass an externally sampled uniform array
-    /// `u` in `[0,1)` of the same shape to keep the graph deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `keep` is not in `(0, 1]` or `u` shape differs.
-    pub fn dropout(&mut self, input: Var, u: &Array, keep: f32) -> Var {
-        assert!(keep > 0.0 && keep <= 1.0, "dropout: keep must be in (0,1]");
-        assert_eq!(u.shape(), self.shape(input), "dropout: mask shape");
-        let mask = u.map(|x| if x < keep { 1.0 / keep } else { 0.0 });
-        let out = self.value(input).mul(&mask).expect("shapes equal");
-        self.push(out, Op::Dropout { input, mask })
-    }
-
     // ---- composite helpers ----
 
     /// Affine map `x @ w + b` with `x: [n, in]`, `w: [in, out]`,
@@ -1176,15 +1147,6 @@ mod tests {
             g.value(y).data(),
             &[1.5, 1.5, 1.5, 1.5, -2.0, -2.0, -2.0, -2.0]
         );
-    }
-
-    #[test]
-    fn dropout_keep_one_is_identity() {
-        let mut g = Graph::new();
-        let x = g.leaf(Array::from_slice(&[1.0, 2.0, 3.0]));
-        let u = Array::from_slice(&[0.1, 0.5, 0.9]);
-        let y = g.dropout(x, &u, 1.0);
-        assert_eq!(g.value(y).data(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -53,7 +53,6 @@ op_table! {
     Sub => "sub",
     Mul => "mul",
     Div => "div",
-    Neg => "neg",
     Scale => "scale",
     AddScalar => "add_scalar",
     PowScalar => "pow_scalar",
@@ -81,7 +80,6 @@ op_table! {
     MaxPool2d => "max_pool2d",
     AvgPool2d => "avg_pool2d",
     Embedding => "embedding",
-    Dropout => "dropout",
     Attention => "attention",
 }
 

@@ -1,8 +1,10 @@
-//! Generic training/evaluation loop shared by the ViT, the NAS-headed
-//! models, and the lightweight baselines.
+//! The one minibatch training loop — cloud pre-training, Phase 1
+//! distillation, Phase 2 header refits and multi-exit training all step
+//! through `train_on` with their own loss — and the evaluation loop
+//! shared by the ViT, the NAS-headed models and the lightweight baselines.
 
 use acme_data::{batch_indices, Dataset};
-use acme_nn::{accuracy, clip_grad_norm, Adam, LrSchedule, Optimizer, ParamSet};
+use acme_nn::{accuracy, clip_grad_norm, Adam, Optimizer, ParamSet};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
 
 use crate::frozen::FrozenFeatures;
@@ -29,19 +31,16 @@ impl ImageClassifier for crate::model::Vit {
     }
 }
 
-/// Hyperparameters of [`fit`].
+/// Hyperparameters of [`fit`], [`fit_header`] and
+/// [`MultiExitVit::fit_exits`](crate::MultiExitVit::fit_exits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Passes over the training set.
     pub epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Adam learning rate.
+    /// Adam learning rate, constant over the run.
     pub lr: f32,
-    /// Global gradient-norm clip (disabled when `None`).
-    pub clip: Option<f32>,
-    /// Learning-rate schedule applied over the whole run.
-    pub schedule: LrSchedule,
     /// Shuffling seed.
     pub seed: u64,
 }
@@ -52,8 +51,6 @@ impl Default for TrainConfig {
             epochs: 5,
             batch_size: 32,
             lr: 3e-3,
-            clip: Some(5.0),
-            schedule: LrSchedule::Constant,
             seed: 0,
         }
     }
@@ -70,7 +67,9 @@ impl TrainConfig {
     }
 }
 
-/// Outcome of a [`fit`] run.
+/// Outcome of a training run: [`fit`], [`fit_header`],
+/// [`distill_from`](crate::distill_from) or
+/// [`MultiExitVit::fit_exits`](crate::MultiExitVit::fit_exits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean training loss per epoch.
@@ -161,7 +160,7 @@ pub fn fit(
     train: &Dataset,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    train_on(&Images { model, data: train }, ps, cfg)
+    fit_source(&Images { model, data: train }, ps, cfg)
 }
 
 /// Trains `header` on cached frozen-backbone `features` with Adam +
@@ -178,38 +177,53 @@ pub fn fit_header(
     features: &FrozenFeatures,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    train_on(&Cached { header, features }, ps, cfg)
+    fit_source(&Cached { header, features }, ps, cfg)
 }
 
-fn train_on(source: &dyn BatchSource, ps: &mut ParamSet, cfg: &TrainConfig) -> TrainReport {
-    assert!(source.len() > 0, "fit on empty dataset");
+/// Cross-entropy of `source`'s logits through [`train_on`].
+fn fit_source(source: &dyn BatchSource, ps: &mut ParamSet, cfg: &TrainConfig) -> TrainReport {
+    train_on(source.len(), ps, cfg, |g, ps, indices| {
+        let (logits, labels) = source.logits(g, ps, indices);
+        g.cross_entropy_logits(logits, &labels)
+    })
+}
+
+/// The minibatch training loop every trainer of this crate and of
+/// `acme-core` runs (the NAS searches keep their own, whose draws share
+/// the caller's RNG): per epoch, one seeded shuffle of
+/// `0..len` cut into `cfg.batch_size` chunks; per chunk, `loss` records
+/// the minibatch's scalar loss on a reset tape, then backward, a global
+/// gradient-norm clip at 5 and one Adam step at the constant `cfg.lr`.
+/// Each epoch reports the f64 mean of its minibatch losses.
+///
+/// # Panics
+///
+/// Panics when `len` is zero.
+pub(crate) fn train_on(
+    len: usize,
+    ps: &mut ParamSet,
+    cfg: &TrainConfig,
+    mut loss: impl FnMut(&mut Graph, &ParamSet, &[usize]) -> Var,
+) -> TrainReport {
+    assert!(len > 0, "fit on empty dataset");
     let mut rng = SmallRng64::new(cfg.seed);
     let mut opt = Adam::new(cfg.lr);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let steps_per_epoch = source.len().div_ceil(cfg.batch_size.max(1));
-    let total_steps = (cfg.epochs * steps_per_epoch).max(1);
-    let mut step = 0usize;
     // One tape arena for the whole run: reset per step recycles every
     // node buffer through the pool instead of reallocating.
     let mut g = Graph::new();
     for _ in 0..cfg.epochs {
+        let batches = batch_indices(len, cfg.batch_size, &mut rng);
         let mut total = 0.0f64;
-        let mut count = 0usize;
-        for indices in batch_indices(source.len(), cfg.batch_size, &mut rng) {
-            opt.set_learning_rate(cfg.schedule.lr_at(cfg.lr, step, total_steps));
-            step += 1;
+        for indices in &batches {
             g.reset();
-            let (logits, labels) = source.logits(&mut g, ps, &indices);
-            let loss = g.cross_entropy_logits(logits, &labels);
+            let loss = loss(&mut g, ps, indices);
             g.backward(loss);
-            if let Some(c) = cfg.clip {
-                clip_grad_norm(&mut g, c);
-            }
+            clip_grad_norm(&mut g, 5.0);
             opt.step(ps, &g);
             total += g.value(loss).item() as f64;
-            count += 1;
         }
-        epoch_losses.push((total / count.max(1) as f64) as f32);
+        epoch_losses.push((total / batches.len() as f64) as f32);
     }
     TrainReport { epoch_losses }
 }

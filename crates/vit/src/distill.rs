@@ -2,9 +2,10 @@
 //! (Eq. 9): MSE over logits, patch embeddings, and final hidden states.
 
 use acme_data::Dataset;
-use acme_nn::{clip_grad_norm, Adam, Optimizer, ParamSet};
-use acme_tensor::{pool, Array, Graph, SmallRng64};
+use acme_nn::ParamSet;
+use acme_tensor::{pool, Array, Graph};
 
+use crate::classifier::{train_on, TrainConfig, TrainReport};
 use crate::model::Vit;
 
 /// Hyperparameters of [`distill`] and [`distill_from`]; `lambda1`/`lambda2`
@@ -34,28 +35,6 @@ impl Default for DistillConfig {
             batch_size: 32,
             lr: 3e-3,
             seed: 0,
-        }
-    }
-}
-
-/// Outcome of a distillation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistillReport {
-    /// Mean total distillation loss per epoch.
-    pub epoch_losses: Vec<f32>,
-}
-
-impl DistillReport {
-    /// The last epoch's mean loss.
-    pub fn final_loss(&self) -> f32 {
-        *self.epoch_losses.last().unwrap_or(&f32::NAN)
-    }
-
-    /// Whether the loss decreased from first to last epoch.
-    pub fn improved(&self) -> bool {
-        match (self.epoch_losses.first(), self.epoch_losses.last()) {
-            (Some(a), Some(b)) => b < a,
-            _ => false,
         }
     }
 }
@@ -174,7 +153,7 @@ pub fn distill(
     student_ps: &mut ParamSet,
     transfer: &Dataset,
     cfg: &DistillConfig,
-) -> DistillReport {
+) -> TrainReport {
     let targets = TeacherTargets::compute(teacher, teacher_ps, transfer, cfg.batch_size);
     distill_from(&targets, student, student_ps, transfer, cfg)
 }
@@ -182,7 +161,8 @@ pub fn distill(
 /// Distills `student` toward precomputed teacher `targets` on `transfer`
 /// (Eq. 9): every minibatch gathers its examples' teacher logits `ý`,
 /// token embeddings `É` and final hidden states `H́` by index, and the
-/// student minimizes `λ₁·MSE(ý, y) + λ₂·MSE(É, E) + MSE(H́, H)`.
+/// student minimizes `λ₁·MSE(ý, y) + λ₂·MSE(É, E) + MSE(H́, H)` in the
+/// training loop [`fit`](crate::fit) runs.
 ///
 /// # Panics
 ///
@@ -195,7 +175,7 @@ pub fn distill_from(
     student_ps: &mut ParamSet,
     transfer: &Dataset,
     cfg: &DistillConfig,
-) -> DistillReport {
+) -> TrainReport {
     assert!(!transfer.is_empty(), "distill on empty dataset");
     assert_eq!(
         targets.len(),
@@ -208,52 +188,41 @@ pub fn distill_from(
         student.config().num_tokens(),
         "distill token-count mismatch"
     );
-    let mut rng = SmallRng64::new(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    // One reusable arena: the tape is torn down every step, recycling
-    // through the pool.
-    let mut g = Graph::new();
-    for _ in 0..cfg.epochs {
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        for indices in transfer.batch_indices(cfg.batch_size, &mut rng) {
-            let batch = transfer.batch(&indices);
-            let (t_logits, t_embed, t_hidden) = targets.gather(&indices);
-            g.reset();
-            // Two student embeddings on purpose: feeding `s_embed` into
-            // `encode` would sum the patch projection's two gradients in
-            // another order and move the student's bits.
-            let s_embed = student.embed(&mut g, student_ps, &batch.images);
-            let s_feats = student.forward(&mut g, student_ps, &batch.images);
-            let s_logits = student.logits_from(&mut g, student_ps, &s_feats);
-            let ty = g.constant(t_logits);
-            let te = g.constant(t_embed);
-            let th = g.constant(t_hidden);
-            let l_logit = g.mse_loss(s_logits, ty);
-            let l_embed = g.mse_loss(s_embed, te);
-            let l_hidden = g.mse_loss(s_feats.tokens, th);
-            let l1 = g.scale(l_logit, cfg.lambda1);
-            let l2 = g.scale(l_embed, cfg.lambda2);
-            let partial = g.add(l1, l2);
-            let loss = g.add(partial, l_hidden);
-            g.backward(loss);
-            clip_grad_norm(&mut g, 5.0);
-            opt.step(student_ps, &g);
-            total += g.value(loss).item() as f64;
-            count += 1;
-        }
-        epoch_losses.push((total / count.max(1) as f64) as f32);
-    }
-    DistillReport { epoch_losses }
+    let train_cfg = TrainConfig {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        lr: cfg.lr,
+        seed: cfg.seed,
+    };
+    train_on(transfer.len(), student_ps, &train_cfg, |g, ps, indices| {
+        let batch = transfer.batch(indices);
+        let (t_logits, t_embed, t_hidden) = targets.gather(indices);
+        // Two student embeddings on purpose: feeding `s_embed` into
+        // `encode` would sum the patch projection's two gradients in
+        // another order and move the student's bits.
+        let s_embed = student.embed(g, ps, &batch.images);
+        let s_feats = student.forward(g, ps, &batch.images);
+        let s_logits = student.logits_from(g, ps, &s_feats);
+        let ty = g.constant(t_logits);
+        let te = g.constant(t_embed);
+        let th = g.constant(t_hidden);
+        let l_logit = g.mse_loss(s_logits, ty);
+        let l_embed = g.mse_loss(s_embed, te);
+        let l_hidden = g.mse_loss(s_feats.tokens, th);
+        let l1 = g.scale(l_logit, cfg.lambda1);
+        let l2 = g.scale(l_embed, cfg.lambda2);
+        let partial = g.add(l1, l2);
+        g.add(partial, l_hidden)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::{evaluate, fit, TrainConfig};
+    use crate::classifier::{evaluate, fit};
     use crate::config::VitConfig;
     use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_tensor::SmallRng64;
 
     #[test]
     fn distillation_reduces_loss_and_transfers_signal() {
@@ -321,7 +290,7 @@ mod tests {
         let targets = TeacherTargets::compute(&teacher, &tps, &ds, 32);
         let mut b = sps.clone();
         let rb = distill_from(&targets, &student, &mut b, &ds, &dcfg);
-        let bits = |r: &DistillReport| {
+        let bits = |r: &TrainReport| {
             r.epoch_losses
                 .iter()
                 .map(|l| l.to_bits())

@@ -4,10 +4,11 @@
 //! energy exactly along the axis ACME's energy model (Eq. 1) prices.
 
 use acme_data::Dataset;
-use acme_nn::{accuracy, clip_grad_norm, Adam, LayerNorm, Linear, Optimizer, ParamSet};
+use acme_nn::{accuracy, LayerNorm, Linear, ParamSet};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
 use rand::Rng;
 
+use crate::classifier::{train_on, TrainConfig, TrainReport};
 use crate::model::Vit;
 
 /// A backbone with one classifier per exit depth. Exit `i` sits after
@@ -124,45 +125,29 @@ impl MultiExitVit {
     }
 
     /// Jointly trains all exits (sum of cross-entropies, backbone not
-    /// frozen), returning the mean loss of the last epoch.
-    #[allow(clippy::too_many_arguments)]
+    /// frozen) in the training loop [`fit`](crate::fit) runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty training set.
     pub fn fit_exits(
         &self,
         ps: &mut ParamSet,
         vit: &Vit,
         train: &Dataset,
-        epochs: usize,
-        batch_size: usize,
-        lr: f32,
-        seed: u64,
-    ) -> f32 {
-        let mut rng = SmallRng64::new(seed);
-        let mut opt = Adam::new(lr);
-        let mut last = f32::NAN;
-        for _ in 0..epochs {
-            let mut total = 0.0f64;
-            let mut count = 0usize;
-            for batch in train.batches(batch_size, &mut rng) {
-                let mut g = Graph::new();
-                let all = self.all_exit_logits(&mut g, ps, vit, &batch.images);
-                let mut loss_acc: Option<Var> = None;
-                for logits in all {
-                    let loss = g.cross_entropy_logits(logits, &batch.labels);
-                    loss_acc = Some(match loss_acc {
-                        Some(acc) => g.add(acc, loss),
-                        None => loss,
-                    });
-                }
-                let loss = loss_acc.expect("at least one exit");
-                g.backward(loss);
-                clip_grad_norm(&mut g, 5.0);
-                opt.step(ps, &g);
-                total += g.value(loss).item() as f64;
-                count += 1;
+        cfg: &TrainConfig,
+    ) -> TrainReport {
+        train_on(train.len(), ps, cfg, |g, ps, indices| {
+            let batch = train.batch(indices);
+            let all = self.all_exit_logits(g, ps, vit, &batch.images);
+            let (first, rest) = all.split_first().expect("at least one exit");
+            let mut loss = g.cross_entropy_logits(*first, &batch.labels);
+            for &logits in rest {
+                let exit_loss = g.cross_entropy_logits(logits, &batch.labels);
+                loss = g.add(loss, exit_loss);
             }
-            last = (total / count.max(1) as f64) as f32;
-        }
-        last
+            loss
+        })
     }
 
     /// Confidence-thresholded inference: each example leaves at the first
@@ -305,7 +290,11 @@ mod tests {
         let (vit, mut ps, ds, mut rng) = setup();
         let (train, test) = ds.split(0.75, &mut rng);
         let me = MultiExitVit::new(&mut ps, &vit, &[0, 1], &mut rng);
-        me.fit_exits(&mut ps, &vit, &train, 8, 16, 3e-3, 0);
+        let cfg = TrainConfig {
+            epochs: 8,
+            ..TrainConfig::quick()
+        };
+        me.fit_exits(&mut ps, &vit, &train, &cfg);
         let strict = me.evaluate_early_exit(&ps, &vit, &test, 0.99, 16);
         let lenient = me.evaluate_early_exit(&ps, &vit, &test, 0.5, 16);
         // A lower threshold exits earlier on average.
@@ -317,5 +306,13 @@ mod tests {
         // Exit fractions sum to 1.
         let s: f64 = lenient.exit_fractions.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn fit_exits_rejects_an_empty_training_set() {
+        let (vit, mut ps, ds, mut rng) = setup();
+        let me = MultiExitVit::new(&mut ps, &vit, &[0, 1], &mut rng);
+        me.fit_exits(&mut ps, &vit, &ds.subset(&[]), &TrainConfig::quick());
     }
 }

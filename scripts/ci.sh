@@ -120,6 +120,29 @@ if [ -n "$offenders" ]; then
     exit 1
 fi
 
+step "one training loop (pretrain, distillation, header refits and multi-exit training share one step)"
+# Outside tests and comments, crates/{vit,core}/src call Adam::new( and
+# clip_grad_norm( once each, both in crates/vit/src/classifier.rs's
+# train_on: fit, fit_header, distill_from and MultiExitVit::fit_exits pass
+# their loss to that loop instead of growing their own optimizer and
+# clip, so ROADMAP item 4's data-parallel step lands in one place.
+# crates/nas is left out on purpose: NasSearch::run's phase A and
+# random_search draw their shuffles and architectures from the caller's
+# rng and stop on a step budget, so folding them into train_on would
+# move Phase 2-1's bits.
+for call in 'Adam::new(' 'clip_grad_norm('; do
+    found="$(
+        for f in $(find crates/{vit,core}/src -name '*.rs' | sort); do
+            code_of "$f" | grep -F -- "$call" | sed "s|^|$f: |" || true
+        done
+    )"
+    if [ "$(grep -c . <<<"$found" || true)" -ne 1 ] || [[ "$found" != crates/vit/src/classifier.rs:* ]]; then
+        echo "ci.sh: expected one $call in crates/{vit,core}/src, in classifier.rs; found:" >&2
+        printf '%s\n' "$found" >&2
+        exit 1
+    fi
+done
+
 step "one fork (threads start in acme-runtime's par_map and in the threaded driver)"
 # Outside tests and comments, crates/*/src (crates/bench aside) names
 # thread::scope / thread::spawn / thread::Builder twice: Pool::par_map's
