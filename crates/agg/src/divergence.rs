@@ -9,7 +9,7 @@ use crate::error::MetricError;
 /// # Errors
 ///
 /// Returns [`MetricError::LengthMismatch`] when the supports differ.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> Result<f64, MetricError> {
+fn kl_divergence(p: &[f64], q: &[f64]) -> Result<f64, MetricError> {
     if p.len() != q.len() {
         return Err(MetricError::LengthMismatch {
             left: p.len(),
@@ -93,15 +93,16 @@ mod tests {
         // The motivating observation for the paper's choice of the
         // Wasserstein distance (Fig. 10): JS sees all disjoint supports as
         // equally far, Wasserstein sees how far apart they sit.
-        use crate::wasserstein::wasserstein_1d_hist;
+        use crate::wasserstein::wasserstein_1d_samples;
         let p = [1.0, 0.0, 0.0, 0.0];
         let near = [0.0, 1.0, 0.0, 0.0];
         let far = [0.0, 0.0, 0.0, 1.0];
         let dj_near = js_divergence(&p, &near).unwrap();
         let dj_far = js_divergence(&p, &far).unwrap();
         assert!((dj_near - dj_far).abs() < 1e-12);
-        let dw_near = wasserstein_1d_hist(&p, &near).unwrap();
-        let dw_far = wasserstein_1d_hist(&p, &far).unwrap();
+        // The same point masses as samples at their bin positions.
+        let dw_near = wasserstein_1d_samples(&[0.0], &[1.0]).unwrap();
+        let dw_far = wasserstein_1d_samples(&[0.0], &[3.0]).unwrap();
         assert!(dw_near < dw_far);
     }
 

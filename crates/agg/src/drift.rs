@@ -125,7 +125,6 @@ pub struct DriftDetector {
     threshold: Option<f64>,
     over_threshold_streak: usize,
     drifted: bool,
-    observed: u64,
     non_finite: u64,
 }
 
@@ -146,7 +145,6 @@ impl DriftDetector {
             threshold: None,
             over_threshold_streak: 0,
             drifted: false,
-            observed: 0,
             non_finite: 0,
         })
     }
@@ -157,7 +155,6 @@ impl DriftDetector {
     /// `x` is dropped: it enters no window and returns
     /// [`DriftStatus::Filling`].
     pub fn observe(&mut self, x: f32) -> DriftStatus {
-        self.observed += 1;
         if !x.is_finite() {
             self.non_finite += 1;
             return DriftStatus::Filling;
@@ -231,11 +228,6 @@ impl DriftDetector {
         self.drifted
     }
 
-    /// Total observations fed in so far, dropped ones included.
-    pub fn observations(&self) -> u64 {
-        self.observed
-    }
-
     /// How many of those observations were NaN or infinite and dropped.
     pub fn non_finite_dropped(&self) -> u64 {
         self.non_finite
@@ -243,8 +235,8 @@ impl DriftDetector {
 
     /// Re-anchors the detector after re-customization: drops the
     /// reference, calibration, and drift flag so the detector re-learns
-    /// the post-adaptation distribution from scratch. The observation
-    /// counters are preserved (they meter detection latency).
+    /// the post-adaptation distribution from scratch. The non-finite
+    /// count is preserved.
     pub fn rebase(&mut self) {
         self.reference.clear();
         self.buf.clear();
@@ -429,7 +421,6 @@ mod tests {
         }
         assert_eq!(verdicts, expected);
         assert_eq!(det.non_finite_dropped(), 20);
-        assert_eq!(det.observations(), 96 + 20);
         assert_eq!(clean.non_finite_dropped(), 0);
     }
 
@@ -445,7 +436,6 @@ mod tests {
         // The new distribution is now "normal": no re-trigger.
         feed(&mut det, std::iter::repeat_n(5.0, 256));
         assert!(!det.has_drifted());
-        assert!(det.observations() > 0);
     }
 
     #[test]

@@ -6,28 +6,6 @@
 /// (Eq. 17).
 pub type ImportanceSet = Vec<f64>;
 
-/// Builds an importance set from parameter values and their gradients
-/// (Eq. 17): `Q_r = (g_r · v_r)²`.
-///
-/// # Panics
-///
-/// Panics when lengths differ.
-pub fn importance_set_from_grads(values: &[f32], grads: &[f32]) -> ImportanceSet {
-    assert_eq!(
-        values.len(),
-        grads.len(),
-        "importance values/grads length mismatch"
-    );
-    values
-        .iter()
-        .zip(grads)
-        .map(|(&v, &g)| {
-            let x = (v as f64) * (g as f64);
-            x * x
-        })
-        .collect()
-}
-
 /// How a device's importance set is refined with the cluster's knowledge
 /// — the four methods compared in Fig. 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,12 +133,6 @@ pub fn least_important(set: &ImportanceSet, drop: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn importance_is_squared_product() {
-        let q = importance_set_from_grads(&[2.0, -1.0, 0.0], &[0.5, 3.0, 7.0]);
-        assert_eq!(q, vec![1.0, 9.0, 0.0]);
-    }
 
     #[test]
     fn alone_weights_are_identity() {

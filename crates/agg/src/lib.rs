@@ -16,7 +16,9 @@
 //! panicking (or silently returning `0.0` for an empty window).
 //!
 //! ```
-//! use acme_agg::{similarity_matrix_wasserstein, normalize_similarity, aggregate_importance};
+//! use acme_agg::{
+//!     aggregate_importance, normalize_similarity_with_temperature, similarity_matrix_wasserstein,
+//! };
 //! use acme_tensor::{Array, SmallRng64};
 //!
 //! // Two devices with very different feature clouds, one pair similar.
@@ -26,7 +28,7 @@
 //! let mut rng = SmallRng64::new(0);
 //! let sim = similarity_matrix_wasserstein(&[a, b, c], 16, &mut rng).unwrap();
 //! assert!(sim[0][1] > sim[0][2]); // a is closer to b than to c
-//! let weights = normalize_similarity(&sim).unwrap();
+//! let weights = normalize_similarity_with_temperature(&sim, 1.0).unwrap();
 //! let sets = vec![vec![1.0, 0.0], vec![1.0, 0.2], vec![0.0, 9.0]];
 //! let fused = aggregate_importance(&sets, &weights, 0);
 //! assert_eq!(fused.len(), 2);
@@ -39,15 +41,14 @@ mod importance;
 mod similarity;
 mod wasserstein;
 
-pub use divergence::{js_divergence, kl_divergence};
+pub use divergence::js_divergence;
 pub use drift::{DriftDetector, DriftDetectorConfig, DriftStatus};
 pub use error::MetricError;
 pub use importance::{
-    aggregate_importance, aggregation_weights, importance_set_from_grads, least_important,
-    AggregationMethod, ImportanceSet,
+    aggregate_importance, aggregation_weights, least_important, AggregationMethod, ImportanceSet,
 };
 pub use similarity::{
-    normalize_similarity, normalize_similarity_with_temperature, similarity_matrix_js,
-    similarity_matrix_wasserstein, similarity_matrix_wasserstein_on,
+    normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein,
+    similarity_matrix_wasserstein_on,
 };
-pub use wasserstein::{sliced_wasserstein, wasserstein_1d_hist, wasserstein_1d_samples};
+pub use wasserstein::{sliced_wasserstein, wasserstein_1d_samples};

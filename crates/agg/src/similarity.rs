@@ -114,17 +114,8 @@ pub fn similarity_matrix_js(label_dists: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, M
 }
 
 /// Regularizes a similarity matrix per Eq. (20): symmetrize through the
-/// elementwise square root of `W·Wᵀ`, then normalize rows with a softmax.
-/// Every row of the result sums to 1.
-///
-/// # Errors
-///
-/// Returns [`MetricError::NotSquare`] on a ragged or non-square input.
-pub fn normalize_similarity(sim: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, MetricError> {
-    normalize_similarity_with_temperature(sim, 1.0)
-}
-
-/// [`normalize_similarity`] with a softmax temperature `tau`.
+/// elementwise square root of `W·Wᵀ`, then normalize rows with a softmax
+/// at temperature `tau`. Every row of the result sums to 1.
 ///
 /// Eq. (20) of the paper writes a plain softmax; the authors' Wasserstein
 /// distances over deep features span a wide numeric range, whereas the
@@ -262,7 +253,7 @@ mod tests {
             vec![0.8, 1.0, 0.2],
             vec![0.1, 0.2, 1.0],
         ];
-        let w = normalize_similarity(&sim).unwrap();
+        let w = normalize_similarity_with_temperature(&sim, 1.0).unwrap();
         for row in &w {
             let s: f64 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-9);
@@ -282,7 +273,7 @@ mod tests {
             vec![0.9, 1.0, 0.1],
             vec![0.1, 0.1, 1.0],
         ];
-        let w = normalize_similarity(&sim).unwrap();
+        let w = normalize_similarity_with_temperature(&sim, 1.0).unwrap();
         assert!(w[0][1] > w[0][2]);
     }
 
@@ -293,7 +284,7 @@ mod tests {
             vec![0.9, 1.0, 0.5],
             vec![0.5, 0.5, 1.0],
         ];
-        let soft = normalize_similarity(&sim).unwrap();
+        let soft = normalize_similarity_with_temperature(&sim, 1.0).unwrap();
         let sharp = normalize_similarity_with_temperature(&sim, 0.05).unwrap();
         // Sharper softmax concentrates more mass on the similar device.
         assert!(sharp[0][1] / sharp[0][2] > soft[0][1] / soft[0][2]);
@@ -313,7 +304,7 @@ mod tests {
             Err(MetricError::BadTemperature(_))
         ));
         assert_eq!(
-            normalize_similarity(&[vec![1.0, 0.5], vec![0.5]]),
+            normalize_similarity_with_temperature(&[vec![1.0, 0.5], vec![0.5]], 1.0),
             Err(MetricError::NotSquare {
                 rows: 2,
                 row_len: 1

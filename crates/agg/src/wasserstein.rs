@@ -68,31 +68,6 @@ pub fn wasserstein_1d_samples(xs: &[f32], ys: &[f32]) -> Result<f64, MetricError
     Ok(total / (n * m) as f64)
 }
 
-/// Exact 1-Wasserstein distance between two histograms over the same
-/// ordered bins with unit spacing: the L1 distance between CDFs.
-///
-/// # Errors
-///
-/// Returns [`MetricError::LengthMismatch`] when the supports differ.
-pub fn wasserstein_1d_hist(p: &[f64], q: &[f64]) -> Result<f64, MetricError> {
-    if p.len() != q.len() {
-        return Err(MetricError::LengthMismatch {
-            left: p.len(),
-            right: q.len(),
-        });
-    }
-    let (sp, sq): (f64, f64) = (p.iter().sum(), q.iter().sum());
-    let mut cdf_diff = 0.0f64;
-    let mut total = 0.0f64;
-    for (&a, &b) in p.iter().zip(q) {
-        let pa = if sp > 0.0 { a / sp } else { 0.0 };
-        let qb = if sq > 0.0 { b / sq } else { 0.0 };
-        cdf_diff += pa - qb;
-        total += cdf_diff.abs();
-    }
-    Ok(total)
-}
-
 /// Sliced 1-Wasserstein distance between two feature clouds `x: [n, d]`,
 /// `y: [m, d]`: the average exact 1-D distance over `projections` random
 /// unit directions. This preserves the ranking structure of the full
@@ -277,37 +252,6 @@ mod tests {
         // (1 + 18 + 16 + 18 + 51)/12 = 104/12.
         let d = wasserstein_1d_samples(&[0.0, 10.0, 20.0], &[0.0, 1.0, 2.0, 3.0]).unwrap();
         assert!((d - 104.0 / 12.0).abs() < 1e-9, "got {d}");
-    }
-
-    #[test]
-    fn hist_distance_basic() {
-        // Point masses two bins apart -> distance 2.
-        let d = wasserstein_1d_hist(&[1.0, 0.0, 0.0], &[0.0, 0.0, 1.0]).unwrap();
-        assert!((d - 2.0).abs() < 1e-12);
-        // Identical -> 0.
-        assert_eq!(wasserstein_1d_hist(&[0.5, 0.5], &[0.5, 0.5]), Ok(0.0));
-        // Unnormalized inputs are normalized first.
-        let d = wasserstein_1d_hist(&[2.0, 0.0], &[0.0, 4.0]).unwrap();
-        assert!((d - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hist_rejects_mismatched_lengths() {
-        assert_eq!(
-            wasserstein_1d_hist(&[1.0], &[0.5, 0.5]),
-            Err(MetricError::LengthMismatch { left: 1, right: 2 })
-        );
-    }
-
-    #[test]
-    fn hist_triangle_inequality_spot_check() {
-        let a = [0.6, 0.3, 0.1];
-        let b = [0.1, 0.3, 0.6];
-        let c = [0.3, 0.4, 0.3];
-        let ab = wasserstein_1d_hist(&a, &b).unwrap();
-        let ac = wasserstein_1d_hist(&a, &c).unwrap();
-        let cb = wasserstein_1d_hist(&c, &b).unwrap();
-        assert!(ab <= ac + cb + 1e-12);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property-based tests of the distance and aggregation layer.
 
 use acme_agg::{
-    aggregate_importance, importance_set_from_grads, js_divergence, least_important,
-    normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein_on,
-    sliced_wasserstein, wasserstein_1d_samples, DriftDetector, DriftDetectorConfig, DriftStatus,
-    MetricError,
+    aggregate_importance, js_divergence, least_important, normalize_similarity_with_temperature,
+    similarity_matrix_js, similarity_matrix_wasserstein_on, sliced_wasserstein,
+    wasserstein_1d_samples, DriftDetector, DriftDetectorConfig, DriftStatus, MetricError,
 };
 use acme_check::cases;
 use acme_runtime::Pool;
@@ -65,13 +64,10 @@ fn normalization_rows_are_distributions() {
 }
 
 #[test]
-fn importance_sets_are_nonnegative_and_aggregation_commutes_with_scaling() {
+fn aggregation_commutes_with_scaling() {
     cases(24, |g| {
-        let values = g.vec(6..7, |g| g.f32(-3.0..3.0));
-        let grads = g.vec(6..7, |g| g.f32(-3.0..3.0));
+        let q = g.vec(6..7, |g| g.f64(0.0..9.0));
         let scale = g.f64(0.1..10.0);
-        let q = importance_set_from_grads(&values, &grads);
-        assert!(q.iter().all(|&v| v >= 0.0));
         // Aggregation is linear: scaling all sets scales the result.
         let sets = vec![q.clone(), q.iter().map(|v| v * 2.0).collect()];
         let weights = vec![vec![0.3, 0.7], vec![0.5, 0.5]];

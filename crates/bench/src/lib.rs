@@ -51,11 +51,6 @@ impl RunScale {
             RunScale::Quick => quick,
         }
     }
-
-    /// Whether this is the quick scale.
-    pub fn is_quick(self) -> bool {
-        self == RunScale::Quick
-    }
 }
 
 /// The sweep bins' `--out PATH` argument: where to write the JSON rows,
@@ -146,8 +141,6 @@ mod tests {
     fn scale_pick_dispatches() {
         assert_eq!(RunScale::Full.pick(10, 2), 10);
         assert_eq!(RunScale::Quick.pick(10, 2), 2);
-        assert!(RunScale::Quick.is_quick());
-        assert!(!RunScale::Full.is_quick());
     }
 
     #[test]

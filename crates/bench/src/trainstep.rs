@@ -115,7 +115,7 @@ fn gelu_grad_scalar(x: f32) -> f32 {
 /// loops. Dead clones are routed through [`std::hint::black_box`] so
 /// the optimizer cannot elide traffic the old engine really paid for.
 #[allow(clippy::needless_range_loop)] // index loops mirror the old engine's rules
-pub fn baseline_step(p: &Problem) -> StepBits {
+fn baseline_step(p: &Problem) -> StepBits {
     use std::hint::black_box;
     // Graph build: `leaf`/`bind_param` cloned every input onto the tape.
     let x_n = p.x.clone();
@@ -311,7 +311,7 @@ pub fn baseline_step(p: &Problem) -> StepBits {
 // ---- pooled engine ------------------------------------------------------
 
 /// The same step on the autograd engine, reusing `g`'s arena.
-pub fn engine_step(p: &Problem, g: &mut Graph) -> StepBits {
+fn engine_step(p: &Problem, g: &mut Graph) -> StepBits {
     g.reset();
     let xv = g.leaf(p.x.clone());
     let w1v = g.bind_param(1, &p.w1);

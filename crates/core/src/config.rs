@@ -190,6 +190,9 @@ impl AcmeConfig {
         {
             return Err("depths must lie in 1..=reference depth".to_string());
         }
+        if self.search.num_blocks == 0 || self.search.u == 0 {
+            return Err("header search needs at least one block and one repetition".to_string());
+        }
         if !(0.0..=1.0).contains(&self.edge_share) {
             return Err("edge share must lie in [0, 1]".to_string());
         }
@@ -326,6 +329,24 @@ mod tests {
         let mut c = AcmeConfig::quick();
         c.threads = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn an_empty_header_search_space_is_invalid() {
+        // Either used to pass validation and then panic inside NAS.
+        for search in [
+            SearchConfig {
+                num_blocks: 0,
+                ..SearchConfig::quick()
+            },
+            SearchConfig {
+                u: 0,
+                ..SearchConfig::quick()
+            },
+        ] {
+            let built = AcmeConfig::builder().quick().search(search).build();
+            assert!(matches!(built, Err(AcmeError::InvalidConfig(_))));
+        }
     }
 
     #[test]

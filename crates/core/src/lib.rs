@@ -57,23 +57,18 @@ mod recustomize;
 mod refine;
 
 pub use acme_distsys::{
-    simulate_fleet, DriverKind, DropPoint, FaultAction, FaultPlan, FaultRule, NodeStatus,
-    ProtocolConfig, ProtocolOutcome, ProtocolRun, RetryPolicy, SimConfig, SimDriver, SimStats,
+    DriverKind, DropPoint, FaultAction, FaultPlan, FaultRule, NodeStatus, ProtocolConfig,
+    ProtocolOutcome, ProtocolRun, RetryPolicy, SimConfig, SimDriver, SimStats,
 };
 pub use acme_pareto::SelectError;
 pub use acme_runtime::Pool;
 pub use config::{AcmeConfig, AcmeConfigBuilder};
 pub use error::AcmeError;
 pub use outcome::{AcmeOutcome, BackboneAssignment, DeviceResult};
-pub use phase1::{
-    build_candidate_pool, build_candidate_pool_on, customize_backbone_for_cluster, CandidateModel,
-};
+pub use phase1::{build_candidate_pool_on, customize_backbone_for_cluster, CandidateModel};
 pub use phase2::{coarse_header_search, EdgeCustomization};
 pub use pipeline::Acme;
 pub use recustomize::{
     run_recustomization, DeviceRecustomization, RecustomizeConfig, RecustomizeOutcome,
 };
-pub use refine::{
-    apply_neuron_drops, backbone_features, header_neuron_importance, refine_cluster, DeviceSetup,
-    RefineConfig, RefineOutcome,
-};
+pub use refine::{backbone_features, refine_cluster, DeviceSetup, RefineConfig, RefineOutcome};

@@ -68,44 +68,13 @@ fn validate(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> (f64
 /// are computed once and shared by every candidate), and measure loss and
 /// accuracy on the cloud's public validation split.
 ///
-/// Serial convenience wrapper over [`build_candidate_pool_on`] with a
-/// single-threaded pool.
-///
-/// # Panics
-///
-/// Panics on empty grids or datasets.
-#[allow(clippy::too_many_arguments)]
-pub fn build_candidate_pool(
-    teacher: &Vit,
-    teacher_ps: &ParamSet,
-    public_train: &Dataset,
-    public_val: &Dataset,
-    widths: &[f64],
-    depths: &[usize],
-    distill_cfg: &DistillConfig,
-    importance_batches: usize,
-    rng: &mut SmallRng64,
-) -> Vec<CandidateModel> {
-    build_candidate_pool_on(
-        &Pool::serial(),
-        teacher,
-        teacher_ps,
-        public_train,
-        public_val,
-        widths,
-        depths,
-        distill_cfg,
-        importance_batches,
-        rng,
-    )
-}
-
-/// [`build_candidate_pool`] with every candidate pruned, distilled, and
-/// evaluated as one task on `pool`. Candidates are returned in
-/// width-major, depth-minor grid order regardless of thread count, and
-/// no task consumes the shared RNG (importance scoring drains `rng`
-/// serially before the fan-out; distillation and evaluation seed their
-/// own streams), so the result is identical at any parallelism.
+/// Every candidate is pruned, distilled, and evaluated as one task on
+/// `pool`. Candidates are returned in width-major, depth-minor grid
+/// order regardless of thread count, and no task consumes the shared
+/// RNG (importance scoring drains `rng` serially before the fan-out;
+/// distillation and evaluation seed their own streams), so the result
+/// is identical at any parallelism; `Pool::serial()` runs it on one
+/// thread.
 ///
 /// # Panics
 ///
@@ -259,7 +228,8 @@ mod tests {
     #[test]
     fn pool_covers_grid_with_monotone_sizes() {
         let (vit, ps, train, val, mut rng) = setup();
-        let pool = build_candidate_pool(
+        let pool = build_candidate_pool_on(
+            &Pool::serial(),
             &vit,
             &ps,
             &train,
@@ -283,7 +253,8 @@ mod tests {
     #[test]
     fn cluster_selection_respects_storage() {
         let (vit, ps, train, val, mut rng) = setup();
-        let pool = build_candidate_pool(
+        let pool = build_candidate_pool_on(
+            &Pool::serial(),
             &vit,
             &ps,
             &train,
@@ -320,7 +291,8 @@ mod tests {
     #[test]
     fn nan_losses_are_skipped_and_all_nan_pool_is_an_error() {
         let (vit, ps, train, val, mut rng) = setup();
-        let mut pool = build_candidate_pool(
+        let mut pool = build_candidate_pool_on(
+            &Pool::serial(),
             &vit,
             &ps,
             &train,
@@ -357,7 +329,8 @@ mod tests {
             epochs: 1,
             ..DistillConfig::default()
         };
-        let serial = build_candidate_pool(
+        let serial = build_candidate_pool_on(
+            &Pool::serial(),
             &vit,
             &ps,
             &train,
@@ -422,7 +395,8 @@ mod tests {
         ];
         for (seed, want) in pinned {
             let (vit, ps, train, val, mut rng) = setup_at(seed);
-            let pool = build_candidate_pool(
+            let pool = build_candidate_pool_on(
+                &Pool::serial(),
                 &vit,
                 &ps,
                 &train,
@@ -458,7 +432,8 @@ mod tests {
             },
         );
         let mk_pool = |epochs: usize, rng: &mut SmallRng64| {
-            build_candidate_pool(
+            build_candidate_pool_on(
+                &Pool::serial(),
                 &vit,
                 &ps,
                 &train,

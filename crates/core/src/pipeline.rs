@@ -58,16 +58,6 @@ impl Acme {
     /// degenerate, a similarity metric is undefined, or Phase 1 yields
     /// no candidate to assign.
     pub fn run(&self) -> Result<AcmeOutcome, AcmeError> {
-        self.run_with_rng(&mut SmallRng64::new(self.config.seed))
-    }
-
-    /// [`Acme::run`] with a caller-supplied root RNG, for harnesses that
-    /// thread their own stream across repetitions.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Acme::run`].
-    pub fn run_with_rng(&self, rng: &mut SmallRng64) -> Result<AcmeOutcome, AcmeError> {
         let cfg = &self.config;
         let pool_rt = Pool::new(cfg.threads);
         // `--threads` also governs kernel-level parallelism: the GEMM
@@ -79,6 +69,7 @@ impl Acme {
         // `par_map`s) inside the task stay within it — serial when the
         // fan-out already uses every thread, as in the stages below.
         acme_runtime::set_global_threads(cfg.threads);
+        let mut rng = SmallRng64::new(cfg.seed);
         let mut data_rng = rng.fork(1);
         let mut model_rng = rng.fork(2);
         let mut pipe_rng = rng.fork(3);

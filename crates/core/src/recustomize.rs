@@ -434,7 +434,7 @@ mod tests {
                 seed,
             )
             .unwrap();
-            assert_eq!(net.ledger().message_count(), out.drifted_count() as u64);
+            assert_eq!(net.ledger().report().messages, out.drifted_count() as u64);
             assert_eq!(
                 out.total_delta_bytes,
                 out.devices.iter().map(|d| d.delta_bytes).sum::<u64>()
@@ -516,7 +516,7 @@ mod tests {
             );
         }
         // One RecustomizeDelta per drifted device, charged at delta size.
-        assert_eq!(net.ledger().message_count(), out.drifted_count() as u64);
+        assert_eq!(net.ledger().report().messages, out.drifted_count() as u64);
         let report = net.ledger().report();
         assert!(report.total_bytes <= out.total_delta_bytes + 16 * out.drifted_count() as u64);
         // Re-personalization recovers accuracy on the drifted

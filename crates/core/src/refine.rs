@@ -39,10 +39,11 @@ pub struct RefineConfig {
     pub sim_sample: usize,
     /// Random projections of the sliced Wasserstein distance.
     pub sim_projections: usize,
-    /// Softmax temperature of the Eq. (20) normalization (see
-    /// [`acme_agg::normalize_similarity_with_temperature`]).
-    pub sim_temperature: f64,
 }
+
+/// Softmax temperature of the Eq. (20) normalization (see
+/// [`acme_agg::normalize_similarity_with_temperature`]).
+const SIM_TEMPERATURE: f64 = 0.02;
 
 impl Default for RefineConfig {
     fn default() -> Self {
@@ -55,7 +56,6 @@ impl Default for RefineConfig {
             method: AggregationMethod::Wasserstein,
             sim_sample: 24,
             sim_projections: 12,
-            sim_temperature: 0.02,
         }
     }
 }
@@ -121,7 +121,7 @@ fn class_tokens(features: &FrozenFeatures, indices: &[usize]) -> Array {
 /// incoming parameters, `Σ_i (g_ij · v_ij)² + (g_bj · v_bj)²`,
 /// accumulated over up to `batches` minibatches.
 #[allow(clippy::needless_range_loop)] // index loops mirror Eq. (17)'s per-parameter sums
-pub fn header_neuron_importance(
+fn header_neuron_importance(
     header: &NasHeader,
     ps: &ParamSet,
     features: &FrozenFeatures,
@@ -170,7 +170,7 @@ pub fn header_neuron_importance(
 /// fc2 row of every index in `drops`. Call again after local training to
 /// keep revived weights dead (the optimizer does not know about the
 /// architectural decision).
-pub fn apply_neuron_drops(ps: &mut ParamSet, header: &NasHeader, drops: &[usize]) {
+fn apply_neuron_drops(ps: &mut ParamSet, header: &NasHeader, drops: &[usize]) {
     let [w1, b1] = header.shared().tail_fc1().param_ids();
     let [w2, _b2] = header.shared().tail_fc2().param_ids();
     let hidden = header.shared().tail_hidden();
@@ -265,7 +265,7 @@ pub fn refine_cluster(
                 })
                 .collect();
             let sim = similarity_matrix_wasserstein_on(pool, &feats, cfg.sim_projections, rng)?;
-            normalize_similarity_with_temperature(&sim, cfg.sim_temperature)?
+            normalize_similarity_with_temperature(&sim, SIM_TEMPERATURE)?
         }
         AggregationMethod::Js => {
             let dists: Vec<_> = devices
@@ -273,7 +273,7 @@ pub fn refine_cluster(
                 .map(|d| label_distribution(&d.train))
                 .collect();
             let sim = similarity_matrix_js(&dists)?;
-            normalize_similarity_with_temperature(&sim, cfg.sim_temperature)?
+            normalize_similarity_with_temperature(&sim, SIM_TEMPERATURE)?
         }
         other => aggregation_weights(other, n, None),
     };
@@ -371,7 +371,7 @@ pub fn refine_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_data::{cifar100_like, partition_iid, SyntheticSpec};
+    use acme_data::{cifar100_like, partition_confusion, ConfusionLevel, SyntheticSpec};
     use acme_nas::{HeaderArch, SharedParams};
     use acme_vit::VitConfig;
 
@@ -391,7 +391,7 @@ mod tests {
             &mut rng,
         );
         let header = NasHeader::new(HeaderArch::chain(2, 1), shared);
-        let parts = partition_iid(&ds, 3, &mut rng).unwrap();
+        let parts = partition_confusion(&ds, 3, ConfusionLevel::Iid, &mut rng).unwrap();
         let devices = parts
             .into_iter()
             .enumerate()
@@ -460,7 +460,7 @@ mod tests {
             / 3.0;
         assert!(mean_impr > 0.0, "improvements {:?}", out.results);
         // Two rounds x 3 devices x (upload + downlink).
-        assert_eq!(net.ledger().message_count(), 2 * 3 * 2);
+        assert_eq!(net.ledger().report().messages, 2 * 3 * 2);
         // Weight rows are convex.
         for row in &out.weights {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);

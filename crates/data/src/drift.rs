@@ -140,7 +140,7 @@ impl DriftingStream {
 
     /// Ramp progress in `[0, 1]` at window `t`: `0` before `onset`,
     /// linear over `ramp` windows, then saturated.
-    pub fn progress(&self, t: usize) -> f32 {
+    fn progress(&self, t: usize) -> f32 {
         if t < self.spec.onset {
             return 0.0;
         }
@@ -148,7 +148,7 @@ impl DriftingStream {
     }
 
     /// Prototype blend level at window `t` (`progress · magnitude`).
-    pub fn drift_level(&self, t: usize) -> f32 {
+    fn drift_level(&self, t: usize) -> f32 {
         self.progress(t) * self.spec.magnitude
     }
 

@@ -27,8 +27,6 @@ pub enum DataError {
     BadConfusion(f32),
     /// A partition into zero parts was requested.
     ZeroParts,
-    /// A shard partition with zero classes per part was requested.
-    ZeroClassesPerPart,
     /// The Dirichlet concentration is not positive and finite.
     BadAlpha(f64),
     /// A [`DriftSpec`](crate::DriftSpec) field is degenerate (zero ramp
@@ -52,9 +50,6 @@ impl std::fmt::Display for DataError {
                 write!(f, "confusion must be in [0, 1), got {c}")
             }
             DataError::ZeroParts => write!(f, "cannot partition into zero parts"),
-            DataError::ZeroClassesPerPart => {
-                write!(f, "shard partition needs at least one class per part")
-            }
             DataError::BadAlpha(a) => {
                 write!(f, "Dirichlet alpha must be positive and finite, got {a}")
             }
@@ -81,7 +76,6 @@ mod tests {
             .contains("3"));
         assert!(DataError::BadConfusion(1.5).to_string().contains("1.5"));
         assert!(DataError::ZeroParts.to_string().contains("zero parts"));
-        assert!(DataError::ZeroClassesPerPart.to_string().contains("class"));
         assert!(DataError::BadAlpha(-1.0).to_string().contains("-1"));
         assert!(DataError::BadDriftSpec { field: "magnitude" }
             .to_string()

@@ -40,8 +40,6 @@ mod synthetic;
 pub use dataset::{batch_indices, sample_indices, Batch, Dataset};
 pub use drift::{DriftSpec, DriftingStream};
 pub use error::DataError;
-pub use partition::{
-    partition_confusion, partition_dirichlet, partition_iid, partition_shards, ConfusionLevel,
-};
+pub use partition::{partition_confusion, ConfusionLevel};
 pub use stats::label_distribution;
 pub use synthetic::{cifar100_like, generate, stanford_cars_like, SyntheticSpec};

@@ -1,5 +1,5 @@
-//! Device partitioning: IID, label shards, Dirichlet skew, and the
-//! paper's C1/C2/C3 confusion levels (Fig. 11).
+//! Device partitioning: IID or Dirichlet skew at the paper's C1/C2/C3
+//! confusion levels (Fig. 11).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -24,7 +24,7 @@ pub enum ConfusionLevel {
 impl ConfusionLevel {
     /// Dirichlet concentration realizing this level (smaller = more
     /// skewed).
-    pub fn dirichlet_alpha(self) -> f64 {
+    fn dirichlet_alpha(self) -> f64 {
         match self {
             ConfusionLevel::Iid => 1000.0,
             ConfusionLevel::C1 => 1.0,
@@ -61,7 +61,7 @@ impl std::fmt::Display for ConfusionLevel {
 /// # Errors
 ///
 /// Returns [`DataError::ZeroParts`] when `n_parts` is zero.
-pub fn partition_iid(
+fn partition_iid(
     ds: &Dataset,
     n_parts: usize,
     rng: &mut impl Rng,
@@ -74,60 +74,6 @@ pub fn partition_iid(
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n_parts];
     for (i, &e) in idx.iter().enumerate() {
         parts[i % n_parts].push(e);
-    }
-    Ok(parts.iter().map(|p| ds.subset(p)).collect())
-}
-
-/// Classic shard-based non-IID split: each part receives examples from at
-/// most `classes_per_part` classes.
-///
-/// # Errors
-///
-/// Returns [`DataError::ZeroParts`] / [`DataError::ZeroClassesPerPart`]
-/// on a degenerate shard spec.
-pub fn partition_shards(
-    ds: &Dataset,
-    n_parts: usize,
-    classes_per_part: usize,
-    rng: &mut impl Rng,
-) -> Result<Vec<Dataset>, DataError> {
-    if n_parts == 0 {
-        return Err(DataError::ZeroParts);
-    }
-    if classes_per_part == 0 {
-        return Err(DataError::ZeroClassesPerPart);
-    }
-    let classes = ds.num_classes();
-    // Assign each part a set of classes (cyclic over a shuffled class list
-    // so every class is used when possible).
-    let mut class_order: Vec<usize> = (0..classes).collect();
-    class_order.shuffle(rng);
-    let mut part_classes: Vec<Vec<usize>> = vec![Vec::new(); n_parts];
-    let mut cursor = 0;
-    for pc in &mut part_classes {
-        for _ in 0..classes_per_part {
-            pc.push(class_order[cursor % classes]);
-            cursor += 1;
-        }
-    }
-    // Per class, the list of owning parts; spread that class's examples
-    // across its owners.
-    let mut owners: Vec<Vec<usize>> = vec![Vec::new(); classes];
-    for (p, pc) in part_classes.iter().enumerate() {
-        for &c in pc {
-            owners[c].push(p);
-        }
-    }
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n_parts];
-    let mut per_class_counter = vec![0usize; classes];
-    for i in 0..ds.len() {
-        let c = ds.get(i).1;
-        if owners[c].is_empty() {
-            continue; // class not assigned anywhere (classes > n_parts * cpp)
-        }
-        let o = owners[c][per_class_counter[c] % owners[c].len()];
-        per_class_counter[c] += 1;
-        parts[o].push(i);
     }
     Ok(parts.iter().map(|p| ds.subset(p)).collect())
 }
@@ -181,7 +127,7 @@ fn gamma_sample(alpha: f64, rng: &mut impl Rng) -> f64 {
 ///
 /// Returns [`DataError::ZeroParts`] when `n_parts` is zero and
 /// [`DataError::BadAlpha`] when `alpha` is not positive and finite.
-pub fn partition_dirichlet(
+fn partition_dirichlet(
     ds: &Dataset,
     n_parts: usize,
     alpha: f64,
@@ -282,20 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_limit_classes_per_part() {
-        let ds = toy();
-        let parts = partition_shards(&ds, 4, 2, &mut SmallRng64::new(2)).unwrap();
-        for p in &parts {
-            let mut classes: Vec<usize> = p.labels().to_vec();
-            classes.sort_unstable();
-            classes.dedup();
-            assert!(classes.len() <= 2, "part has {} classes", classes.len());
-        }
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, ds.len());
-    }
-
-    #[test]
     fn dirichlet_preserves_all_examples() {
         let ds = toy();
         let parts = partition_dirichlet(&ds, 5, 0.5, &mut SmallRng64::new(3)).unwrap();
@@ -306,7 +238,11 @@ mod tests {
     #[test]
     fn smaller_alpha_is_more_skewed() {
         let ds = generate(
-            &SyntheticSpec::tiny().with_classes(8).with_per_class(30),
+            &SyntheticSpec {
+                classes: 8,
+                ..SyntheticSpec::tiny()
+            }
+            .with_per_class(30),
             &mut SmallRng64::new(7),
         )
         .unwrap();
@@ -349,14 +285,6 @@ mod tests {
         assert_eq!(
             partition_iid(&ds, 0, &mut rng).err(),
             Some(DataError::ZeroParts)
-        );
-        assert_eq!(
-            partition_shards(&ds, 0, 2, &mut rng).err(),
-            Some(DataError::ZeroParts)
-        );
-        assert_eq!(
-            partition_shards(&ds, 2, 0, &mut rng).err(),
-            Some(DataError::ZeroClassesPerPart)
         );
         assert_eq!(
             partition_dirichlet(&ds, 3, 0.0, &mut rng).err(),

@@ -75,21 +75,9 @@ impl SyntheticSpec {
         }
     }
 
-    /// Overrides the class count.
-    pub fn with_classes(mut self, classes: usize) -> Self {
-        self.classes = classes;
-        self
-    }
-
     /// Overrides examples per class.
     pub fn with_per_class(mut self, per_class: usize) -> Self {
         self.per_class = per_class;
-        self
-    }
-
-    /// Overrides the confusion fraction.
-    pub fn with_confusion(mut self, confusion: f32) -> Self {
-        self.confusion = confusion;
         self
     }
 
@@ -252,9 +240,11 @@ mod tests {
     fn higher_confusion_brings_prototypes_closer() {
         // Average inter-class distance shrinks as confusion grows.
         let dist = |confusion: f32| {
-            let spec = SyntheticSpec::tiny()
-                .with_confusion(confusion)
-                .with_per_class(1);
+            let spec = SyntheticSpec {
+                confusion,
+                ..SyntheticSpec::tiny()
+            }
+            .with_per_class(1);
             let ds = generate(&spec, &mut SmallRng64::new(4)).unwrap();
             let mut total = 0.0;
             let mut count = 0;
@@ -309,12 +299,18 @@ mod tests {
             generate(&spec, &mut SmallRng64::new(0)).err(),
             Some(DataError::GridMismatch { grid: 3, size: 8 })
         );
-        let spec = SyntheticSpec::tiny().with_classes(0);
+        let spec = SyntheticSpec {
+            classes: 0,
+            ..SyntheticSpec::tiny()
+        };
         assert_eq!(
             generate(&spec, &mut SmallRng64::new(0)).err(),
             Some(DataError::DegenerateSpec { field: "classes" })
         );
-        let spec = SyntheticSpec::tiny().with_confusion(1.0);
+        let spec = SyntheticSpec {
+            confusion: 1.0,
+            ..SyntheticSpec::tiny()
+        };
         assert_eq!(
             generate(&spec, &mut SmallRng64::new(0)).err(),
             Some(DataError::BadConfusion(1.0))

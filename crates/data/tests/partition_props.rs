@@ -2,16 +2,15 @@
 //! disjointness, and skew ordering.
 
 use acme_check::cases;
-use acme_data::{
-    generate, partition_confusion, partition_dirichlet, partition_iid, partition_shards,
-    ConfusionLevel, SyntheticSpec,
-};
+use acme_data::{generate, partition_confusion, ConfusionLevel, SyntheticSpec};
 use acme_tensor::SmallRng64;
 
 fn dataset(seed: u64, classes: usize, per_class: usize) -> acme_data::Dataset {
-    let spec = SyntheticSpec::tiny()
-        .with_classes(classes)
-        .with_per_class(per_class);
+    let spec = SyntheticSpec {
+        classes,
+        ..SyntheticSpec::tiny()
+    }
+    .with_per_class(per_class);
     generate(&spec, &mut SmallRng64::new(seed)).expect("valid spec")
 }
 
@@ -21,7 +20,13 @@ fn iid_partition_is_complete_and_balanced() {
         let seed = g.u64(0..100);
         let parts = g.usize(1..8);
         let ds = dataset(seed, 4, 16);
-        let out = partition_iid(&ds, parts, &mut SmallRng64::new(seed + 1)).unwrap();
+        let out = partition_confusion(
+            &ds,
+            parts,
+            ConfusionLevel::Iid,
+            &mut SmallRng64::new(seed + 1),
+        )
+        .unwrap();
         assert_eq!(out.len(), parts);
         let total: usize = out.iter().map(|p| p.len()).sum();
         assert_eq!(total, ds.len());
@@ -36,36 +41,13 @@ fn dirichlet_partition_is_complete() {
     cases(16, |g| {
         let seed = g.u64(0..100);
         let parts = g.usize(1..6);
-        let alpha_x10 = g.u32(1..50);
+        let level = ConfusionLevel::all()[g.usize(1..4)];
         let ds = dataset(seed, 5, 12);
-        let out = partition_dirichlet(
-            &ds,
-            parts,
-            alpha_x10 as f64 / 10.0,
-            &mut SmallRng64::new(seed),
-        )
-        .unwrap();
+        let out = partition_confusion(&ds, parts, level, &mut SmallRng64::new(seed)).unwrap();
         assert_eq!(out.iter().map(|p| p.len()).sum::<usize>(), ds.len());
         // Every example's class space is preserved.
         for p in &out {
             assert_eq!(p.num_classes(), ds.num_classes());
-        }
-    });
-}
-
-#[test]
-fn shards_respect_class_budget() {
-    cases(16, |g| {
-        let seed = g.u64(0..100);
-        let parts = g.usize(1..5);
-        let cpp = g.usize(1..4);
-        let ds = dataset(seed, 6, 10);
-        let out = partition_shards(&ds, parts, cpp, &mut SmallRng64::new(seed)).unwrap();
-        for p in &out {
-            let mut cls: Vec<usize> = p.labels().to_vec();
-            cls.sort_unstable();
-            cls.dedup();
-            assert!(cls.len() <= cpp);
         }
     });
 }

@@ -20,7 +20,7 @@
 //!   OS threads per node, deterministic by seed; a delivery is a queue
 //!   push addressed to the recipient's machine slot. This is what
 //!   scales the fleet from tens of nodes to 100k+ devices in one
-//!   process; see [`simulate_fleet`].
+//!   process.
 //!
 //! Differential tests (`tests/driver_differential.rs`) pin the two
 //! drivers to bit-identical [`ProtocolOutcome`]s on deterministic
@@ -497,31 +497,6 @@ impl Driver for SimDriver {
     }
 }
 
-/// Simulates the ACME schedule over `fleet` on the virtual clock —
-/// the scalable entry point: 100k+ devices complete in seconds on one
-/// thread, where the threaded oracle would need one OS thread per node.
-///
-/// Uses default [`LinkModel`] latencies with seeded jitter; for custom
-/// links or jitter build a [`SimDriver`] (or use
-/// [`crate::ProtocolRun`]).
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::Register`] when the fleet contains a
-/// duplicate node id.
-pub fn simulate_fleet(
-    fleet: &Fleet,
-    config: &ProtocolConfig,
-    faults: FaultPlan,
-    seed: u64,
-) -> Result<ProtocolOutcome, ProtocolError> {
-    SimDriver::new(SimConfig {
-        seed,
-        ..SimConfig::default()
-    })
-    .run(fleet, config, faults)
-}
-
 /// The simulator's pending events, popped in `(at, seq)` order: `seq` is
 /// the unique, monotone push counter, so ties at the same virtual instant
 /// resolve FIFO and the order never depends on heap internals. The heap
@@ -603,6 +578,19 @@ mod tests {
     use crate::fault::{FaultAction, FaultRule};
     use crate::protocol::{DropPoint, RetryPolicy};
     use acme_energy::{Device, DeviceCluster, EdgeId};
+
+    fn simulate_fleet(
+        fleet: &Fleet,
+        config: &ProtocolConfig,
+        faults: FaultPlan,
+        seed: u64,
+    ) -> Result<ProtocolOutcome, ProtocolError> {
+        SimDriver::new(SimConfig {
+            seed,
+            ..SimConfig::default()
+        })
+        .run(fleet, config, faults)
+    }
 
     fn fast_cfg(loop_rounds: usize) -> ProtocolConfig {
         ProtocolConfig {

@@ -98,16 +98,11 @@ impl Link {
         self.rtt_seconds
     }
 
-    /// Time to move `bytes` over this link in one message.
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        self.schedule_seconds(1, bytes)
-    }
-
     /// One-way flight time of a single `bytes`-sized message: half the
     /// round-trip setup plus serialization. This is what the sim driver
     /// schedules virtual deliveries with — a request/response pair over
     /// the virtual clock costs one full RTT plus both payloads, matching
-    /// [`Link::transfer_seconds`]' sequential estimate.
+    /// the one-message sequential estimate.
     pub fn one_way_seconds(&self, bytes: u64) -> f64 {
         self.rtt_seconds / 2.0 + bytes as f64 / self.bandwidth_bps
     }
@@ -116,7 +111,7 @@ impl Link {
     /// sequential messages: one RTT per message plus the serialized
     /// payload time. Division is safe: construction guarantees a
     /// positive, finite bandwidth.
-    pub fn schedule_seconds(&self, messages: u64, bytes: u64) -> f64 {
+    fn schedule_seconds(&self, messages: u64, bytes: u64) -> f64 {
         messages as f64 * self.rtt_seconds + bytes as f64 / self.bandwidth_bps
     }
 }
@@ -200,10 +195,8 @@ mod tests {
     #[test]
     fn transfer_time_has_rtt_floor() {
         let link = Link::try_new(1e6, 0.01).expect("valid link");
-        assert!(link.transfer_seconds(0) >= 0.01);
-        assert!((link.transfer_seconds(1_000_000) - 1.01).abs() < 1e-9);
-        // One message through transfer_seconds equals the schedule form.
-        assert_eq!(link.transfer_seconds(999), link.schedule_seconds(1, 999));
+        assert!(link.schedule_seconds(1, 0) >= 0.01);
+        assert!((link.schedule_seconds(1, 1_000_000) - 1.01).abs() < 1e-9);
     }
 
     #[test]
@@ -277,6 +270,6 @@ mod tests {
         assert_eq!(link.rtt_seconds(), 0.04);
         // Validation makes the estimate trustworthy: the default model
         // cannot produce the old clamp's pathological values.
-        assert!(link.transfer_seconds(100).is_finite());
+        assert!(link.schedule_seconds(1, 100).is_finite());
     }
 }

@@ -91,16 +91,6 @@ impl Ledger {
         self.totals.lock().uplink_bytes
     }
 
-    /// Total message count.
-    pub fn message_count(&self) -> u64 {
-        self.totals.lock().messages
-    }
-
-    /// Messages that were retransmissions.
-    pub fn retransmission_count(&self) -> u64 {
-        self.totals.lock().retransmissions
-    }
-
     /// Snapshot for reporting.
     pub fn report(&self) -> TransferReport {
         let t = self.totals.lock();
@@ -239,10 +229,10 @@ mod tests {
             },
         ));
         ledger.record(&env(false, Payload::Ack));
-        assert_eq!(ledger.message_count(), 2);
+        assert_eq!(ledger.report().messages, 2);
         assert_eq!(ledger.total_bytes(), (16 + 16) + 16);
         assert_eq!(ledger.uplink_bytes(), 32);
-        assert_eq!(ledger.retransmission_count(), 0);
+        assert_eq!(ledger.report().retransmissions, 0);
     }
 
     #[test]
@@ -327,8 +317,8 @@ mod tests {
         ledger.record_retransmission(&env(true, Payload::Ack));
         ledger.reset();
         assert_eq!(ledger.total_bytes(), 0);
-        assert_eq!(ledger.message_count(), 0);
-        assert_eq!(ledger.retransmission_count(), 0);
+        assert_eq!(ledger.report().messages, 0);
+        assert_eq!(ledger.report().retransmissions, 0);
     }
 
     #[test]
@@ -348,6 +338,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(ledger.message_count(), 800);
+        assert_eq!(ledger.report().messages, 800);
     }
 }

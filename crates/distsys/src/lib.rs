@@ -26,8 +26,7 @@
 //!   pluggable [`Driver`]: the thread-per-node [`ThreadedDriver`] oracle
 //!   (real channels, real clocks) or the discrete-event [`SimDriver`]
 //!   (one thread, a virtual clock, deterministic by seed; its sink is an
-//!   event heap), which scales the same protocol to 100k+ devices via
-//!   [`simulate_fleet`].
+//!   event heap), which scales the same protocol to 100k+ devices.
 //!
 //! The runtime is fault tolerant: every wait is bounded by a
 //! [`RetryPolicy`] timer, and a deterministic [`FaultPlan`] can drop,
@@ -67,7 +66,7 @@ pub mod node;
 pub mod persist;
 pub mod protocol;
 
-pub use driver::{simulate_fleet, Driver, SimConfig, SimDriver, SimStats, ThreadedDriver};
+pub use driver::{Driver, SimConfig, SimDriver, SimStats, ThreadedDriver};
 pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use latency::{Link, LinkError, LinkModel};
 pub use ledger::{KindRow, Ledger, TransferReport};
@@ -78,6 +77,6 @@ pub use node::{
 };
 pub use persist::RunCheckpoint;
 pub use protocol::{
-    DriverKind, DropPoint, MeasuredDeploy, NodeStatus, ProtocolConfig, ProtocolError,
-    ProtocolOutcome, ProtocolRun, RetryPolicy,
+    DriverKind, DropPoint, NodeStatus, ProtocolConfig, ProtocolError, ProtocolOutcome, ProtocolRun,
+    RetryPolicy,
 };

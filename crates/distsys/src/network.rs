@@ -195,11 +195,6 @@ impl Network {
     pub fn ledger(&self) -> &Ledger {
         &self.inner.ledger
     }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.routes.read().len()
-    }
 }
 
 /// What [`route`] put on the wire for one send, left for the calling
@@ -312,8 +307,7 @@ mod tests {
             .unwrap();
         let env = rx.recv().unwrap();
         assert_eq!(env.payload, Payload::Ack);
-        assert_eq!(net.ledger().message_count(), 1);
-        assert_eq!(net.node_count(), 2);
+        assert_eq!(net.ledger().report().messages, 1);
     }
 
     #[test]
@@ -324,7 +318,7 @@ mod tests {
             err,
             Err(SendError::UnknownNode(NodeId::Device(DeviceId(0))))
         );
-        assert_eq!(net.ledger().message_count(), 0);
+        assert_eq!(net.ledger().report().messages, 0);
     }
 
     #[test]
@@ -363,7 +357,7 @@ mod tests {
         let reply = cloud_rx.recv().unwrap();
         assert_eq!(reply.payload, Payload::Ack);
         t.join().unwrap();
-        assert_eq!(net.ledger().message_count(), 2);
+        assert_eq!(net.ledger().report().messages, 2);
     }
 
     #[test]
@@ -372,7 +366,6 @@ mod tests {
         let rx = net.register(NodeId::Cloud).unwrap();
         net.close();
         assert!(rx.recv().is_err());
-        assert_eq!(net.node_count(), 0);
         assert_eq!(
             net.send(NodeId::Cloud, NodeId::Cloud, Payload::Ack),
             Err(SendError::UnknownNode(NodeId::Cloud))
@@ -395,7 +388,6 @@ mod tests {
         net.send(NodeId::Cloud, NodeId::Cloud, Payload::Ack)
             .unwrap();
         assert_eq!(rx.try_iter().count(), 1);
-        assert_eq!(net.node_count(), 1);
         // Closing frees the id for a fresh registration.
         net.close();
         let rx2 = net.register(NodeId::Cloud).unwrap();
@@ -495,8 +487,7 @@ mod tests {
         let net = Network::new();
         assert!(net.send(device, edge, Payload::Ack).is_err());
         net.meter(device, edge, Payload::Ack);
-        assert_eq!(net.node_count(), 0);
-        assert_eq!(net.ledger().message_count(), 1);
+        assert_eq!(net.ledger().report().messages, 1);
         assert_eq!(net.ledger().total_bytes(), Payload::Ack.wire_bytes());
         // Same path as a send: a dead sender meters nothing, traffic
         // toward it is lost but metered, a duplicate meters twice.
@@ -506,12 +497,12 @@ mod tests {
                 .rule(FaultRule::on(FaultAction::Duplicate).from(device).nth(0)),
         );
         net.meter(dead, edge, Payload::Ack);
-        assert_eq!(net.ledger().message_count(), 0);
+        assert_eq!(net.ledger().report().messages, 0);
         net.meter(edge, dead, Payload::Ack);
-        assert_eq!(net.ledger().message_count(), 1);
+        assert_eq!(net.ledger().report().messages, 1);
         net.meter(device, edge, Payload::Ack);
-        assert_eq!(net.ledger().message_count(), 3);
+        assert_eq!(net.ledger().report().messages, 3);
         net.meter(device, edge, Payload::Ack);
-        assert_eq!(net.ledger().message_count(), 4);
+        assert_eq!(net.ledger().report().messages, 4);
     }
 }

@@ -145,7 +145,7 @@ impl Outbox {
     }
 
     /// Queues a retransmission of an earlier send.
-    pub fn send_retransmit(&mut self, to: NodeId, payload: Payload) {
+    fn send_retransmit(&mut self, to: NodeId, payload: Payload) {
         self.sends.push(OutboundSend {
             to,
             payload,
@@ -155,18 +155,12 @@ impl Outbox {
 
     /// Arms (or re-arms) the node's single timeout to fire `after` from
     /// now, invalidating any previously armed timer.
-    pub fn arm_timer(&mut self, token: TimerToken, after: Duration) {
+    fn arm_timer(&mut self, token: TimerToken, after: Duration) {
         self.timer = Some((token, after));
     }
 
-    /// Drains the queued sends, in the order they were queued.
-    pub fn take_sends(&mut self) -> Vec<OutboundSend> {
-        std::mem::take(&mut self.sends)
-    }
-
-    /// Drains the queued sends in place, keeping the buffer: the drivers
-    /// flush after every event, and [`Outbox::take_sends`] would free
-    /// and re-allocate it each time.
+    /// Drains the queued sends in place, in the order they were queued,
+    /// keeping the buffer: the drivers flush after every event.
     pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, OutboundSend> {
         self.sends.drain(..)
     }
@@ -587,7 +581,7 @@ impl NodeStateMachine for EdgeNode {
                                 tokens: vec![0; self.cfg.header_tokens],
                                 u: 1,
                                 param_count: self.cfg.header_params + self.cfg.backbone_params,
-                                measured_bytes: self.cfg.deploy.map(|m| m.variant_bytes),
+                                measured_bytes: None,
                             },
                         );
                     }
@@ -771,7 +765,7 @@ impl NodeStateMachine for CloudNode {
             w: 1.0,
             d: 6,
             param_count: self.cfg.backbone_params,
-            measured_bytes: self.cfg.deploy.map(|m| m.backbone_bytes),
+            measured_bytes: None,
         };
         if self.assigned.insert(env.from) {
             out.send(env.from, assignment);
@@ -811,6 +805,10 @@ mod tests {
     use super::*;
     use acme_energy::Device;
 
+    fn take_sends(out: &mut Outbox) -> Vec<OutboundSend> {
+        out.drain_sends().collect()
+    }
+
     fn cfg(loop_rounds: usize) -> Arc<ProtocolConfig> {
         Arc::new(ProtocolConfig {
             loop_rounds,
@@ -832,7 +830,7 @@ mod tests {
         let mut d = DeviceNode::new(DeviceId(0), EdgeId(0), cfg(2));
         let mut out = Outbox::new();
         d.handle(Event::Start, VirtualTime::ZERO, &mut out);
-        assert!(out.take_sends().is_empty());
+        assert!(take_sends(&mut out).is_empty());
         assert!(out.take_timer().is_some(), "setup patience armed");
         // Header arrives: round 0 upload goes out with a fresh timer.
         d.handle(
@@ -849,7 +847,7 @@ mod tests {
             VirtualTime::ZERO,
             &mut out,
         );
-        let sends = out.take_sends();
+        let sends = take_sends(&mut out);
         assert_eq!(sends.len(), 1);
         assert!(matches!(
             sends[0].payload,
@@ -871,7 +869,7 @@ mod tests {
                 VirtualTime::ZERO,
                 &mut out,
             );
-            out.take_sends();
+            take_sends(&mut out);
             out.take_timer();
         }
         let st = d.status().expect("terminal");
@@ -900,18 +898,21 @@ mod tests {
             VirtualTime::ZERO,
             &mut out,
         );
-        out.take_sends();
+        take_sends(&mut out);
         // The stale setup timer must be ignored.
         d.handle(Event::Timer(tok), VirtualTime::ZERO, &mut out);
         assert!(d.status().is_none());
-        assert!(out.take_sends().is_empty());
+        assert!(take_sends(&mut out).is_empty());
         // Current-round timeouts retransmit until the budget runs out.
         let attempts = d.cfg.retry.effective_attempts();
         let mut retransmits = 0;
         for _ in 0..attempts {
             let (tok, _) = out.take_timer().expect("armed");
             d.handle(Event::Timer(tok), VirtualTime::ZERO, &mut out);
-            retransmits += out.take_sends().iter().filter(|s| s.retransmission).count();
+            retransmits += take_sends(&mut out)
+                .iter()
+                .filter(|s| s.retransmission)
+                .count();
         }
         assert_eq!(retransmits as u32, attempts - 1);
         let st = d.status().expect("dropped");
@@ -924,7 +925,7 @@ mod tests {
         let mut e = EdgeNode::new(&DeviceCluster::new(EdgeId(0), Vec::new()), cfg(3));
         let mut out = Outbox::new();
         e.handle(Event::Start, VirtualTime::ZERO, &mut out);
-        assert_eq!(out.take_sends().len(), 1, "attribute report");
+        assert_eq!(take_sends(&mut out).len(), 1, "attribute report");
         out.take_timer();
         e.handle(
             Event::Message(Envelope {
@@ -941,7 +942,7 @@ mod tests {
             &mut out,
         );
         // No headers to send, no timer to arm: the rounds idle out.
-        assert!(out.take_sends().is_empty());
+        assert!(take_sends(&mut out).is_empty());
         assert!(out.take_timer().is_none());
         let st = e.status().expect("terminal");
         assert_eq!(st.completed_rounds, 3);
@@ -954,7 +955,7 @@ mod tests {
         let mut e = EdgeNode::new(&c, cfg(1));
         let mut out = Outbox::new();
         e.handle(Event::Start, VirtualTime::ZERO, &mut out);
-        out.take_sends();
+        take_sends(&mut out);
         out.take_timer();
         e.handle(
             Event::Message(Envelope {
@@ -970,7 +971,7 @@ mod tests {
             VirtualTime::ZERO,
             &mut out,
         );
-        assert_eq!(out.take_sends().len(), 2, "headers to both devices");
+        assert_eq!(take_sends(&mut out).len(), 2, "headers to both devices");
         assert!(out.take_timer().is_some(), "collection deadline armed");
         for i in 0..2u64 {
             e.handle(
@@ -986,7 +987,7 @@ mod tests {
                 &mut out,
             );
         }
-        let sends = out.take_sends();
+        let sends = take_sends(&mut out);
         assert_eq!(sends.len(), 2, "personalized replies to both");
         assert!(sends
             .iter()
@@ -1008,7 +1009,7 @@ mod tests {
         );
         let mut out = Outbox::new();
         e.handle(Event::Start, VirtualTime::ZERO, &mut out);
-        out.take_sends();
+        take_sends(&mut out);
         out.take_timer();
         e.handle(
             Event::Message(Envelope {
@@ -1024,7 +1025,7 @@ mod tests {
             VirtualTime::ZERO,
             &mut out,
         );
-        out.take_sends();
+        take_sends(&mut out);
         let (deadline, _) = out.take_timer().expect("collection deadline");
         // Only one of three devices reports; the deadline fires.
         e.handle(
@@ -1061,11 +1062,11 @@ mod tests {
             },
         };
         c.handle(Event::Message(report.clone()), VirtualTime::ZERO, &mut out);
-        let first = out.take_sends();
+        let first = take_sends(&mut out);
         assert_eq!(first.len(), 1);
         assert!(!first[0].retransmission);
         c.handle(Event::Message(report), VirtualTime::ZERO, &mut out);
-        let replay = out.take_sends();
+        let replay = take_sends(&mut out);
         assert_eq!(replay.len(), 1);
         assert!(replay[0].retransmission, "re-report triggers a replay");
         let st = c.finalize(VirtualTime::ZERO);

@@ -5,24 +5,29 @@
 //! where it stopped: the fleet topology, the full-run
 //! [`ProtocolConfig`], the loop rounds already completed, and the
 //! cumulative transfer/status accounting. It serializes to a single
-//! digest-trailed `ACMR` blob whose [`ContentHash`] address doubles as
-//! its integrity check, so a restarted process can
-//! [`load`](RunCheckpoint::load) it from the same
-//! [`ModelStore`](acme_store::ModelStore) that holds the fleet's
-//! backbone blobs and variant deltas, and
-//! [`resume`](RunCheckpoint::resume) the remaining rounds.
+//! digest-trailed `ACMR` blob ([`to_bytes`](RunCheckpoint::to_bytes)),
+//! which can sit in the same content-addressed
+//! [`ModelStore`](acme_store::ModelStore) as the fleet's backbone blobs
+//! and variant deltas; a restarted process reads it back
+//! ([`from_bytes`](RunCheckpoint::from_bytes)) and
+//! [`resume`](RunCheckpoint::resume)s the remaining rounds.
 //!
 //! Resuming replays the schedule's setup phase (attribute report,
 //! backbone assignment, header distribution) because every node state
 //! machine starts from its initial state — the merged report therefore
 //! meters one extra setup phase per resume, while the loop-round
-//! traffic adds up exactly as if the run had never stopped. Fault plans
-//! are not serialized; a resumed run executes fault-free unless the
-//! caller re-injects a plan via
+//! traffic adds up exactly as if the run had never stopped. The one
+//! exception is an edge's replay to a retransmitted upload that
+//! straddles the cut, which a segment's end drops. The remaining rounds
+//! run on the checkpoint's own [`SimConfig`] (links, seed, jitter).
+//! Fault plans are not serialized; a resumed run executes fault-free
+//! unless the caller re-injects a plan via
 //! [`ProtocolRun::execute_segment`].
 //!
-//! `ACMR` body grammar (inside the [`acme_store::wire`] frame; ids,
-//! rounds and sizes are `u64`):
+//! `ACMR` version 2 body grammar (inside the [`acme_store::wire`] frame;
+//! ids, rounds and sizes are `u64`). Version 1 carried a deploy tag after
+//! the min quorum and no links; its blobs are rejected as
+//! `UnsupportedVersion(1)`.
 //!
 //! ```text
 //! cluster count u32 (>= 1)
@@ -30,9 +35,12 @@
 //!   per device: id | gpu f64 | storage | patches | batch size
 //! config: loop rounds | backbone params | header params | header tokens
 //!         | importance len | retry attempts u32 | retry base ns
-//!         | retry cap ns | min quorum | deploy tag u8 (1 adds backbone
-//!         bytes | variant bytes)
-//! rounds done | driver u8 | seed | jitter f64 (finite, >= 0)
+//!         | retry cap ns | min quorum
+//! rounds done | driver u8
+//! sim: seed | jitter f64 (finite, >= 0)
+//!      | device-edge bandwidth f64 | device-edge rtt f64
+//!      | edge-cloud bandwidth f64 | edge-cloud rtt f64
+//!      (each link positive and finite, as `Link::try_new` checks)
 //! report: messages | total | uplink | retransmissions | retransmitted
 //!         bytes | row count u32
 //!   per row: kind (u32 len + UTF-8) | messages | uplink | downlink | link u8
@@ -42,22 +50,22 @@
 //! ```
 
 use acme_energy::{Device, DeviceCluster, DeviceId, EdgeId, Fleet};
-use acme_store::{
-    wire, ByteReader, ByteWriter, Codec, ContentHash, ModelStore, StoreError, WireError,
-};
+use acme_store::{wire, ByteReader, ByteWriter, Codec, WireError};
 
+use crate::driver::SimConfig;
+use crate::latency::{Link, LinkModel};
 use crate::ledger::{KindRow, TransferReport};
 use crate::message::{LinkClass, NodeId};
 use crate::protocol::{
-    DriverKind, DropPoint, MeasuredDeploy, NodeStatus, ProtocolConfig, ProtocolError,
-    ProtocolOutcome, ProtocolRun, RetryPolicy,
+    DriverKind, DropPoint, NodeStatus, ProtocolConfig, ProtocolError, ProtocolOutcome, ProtocolRun,
+    RetryPolicy,
 };
 
 /// A resumable snapshot of a partially executed protocol run.
 ///
-/// Produced by [`ProtocolRun::execute_segment`]; round-trips through a
-/// [`ModelStore`] via [`save`](RunCheckpoint::save) /
-/// [`load`](RunCheckpoint::load).
+/// Produced by [`ProtocolRun::execute_segment`]; round-trips through
+/// [`to_bytes`](RunCheckpoint::to_bytes) /
+/// [`from_bytes`](RunCheckpoint::from_bytes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
     /// The fleet the run executes over.
@@ -74,21 +82,15 @@ pub struct RunCheckpoint {
     pub nodes: Vec<NodeStatus>,
     /// Driver the run executes on.
     pub driver: DriverKind,
-    /// Sim-driver jitter seed.
-    pub seed: u64,
-    /// Sim-driver relative latency jitter.
-    pub jitter: f64,
+    /// Sim-driver links, jitter seed and jitter: the remaining rounds
+    /// run on the same virtual clock as the finished ones.
+    pub sim: SimConfig,
 }
 
 impl RunCheckpoint {
     /// Loop rounds still to run.
-    pub fn remaining_rounds(&self) -> usize {
+    fn remaining_rounds(&self) -> usize {
         self.config.loop_rounds.saturating_sub(self.rounds_done)
-    }
-
-    /// Whether the full schedule has been executed.
-    pub fn is_complete(&self) -> bool {
-        self.remaining_rounds() == 0
     }
 
     /// The cumulative outcome of the segments executed so far.
@@ -114,7 +116,7 @@ impl RunCheckpoint {
     /// # Errors
     ///
     /// Same failure modes as [`ProtocolRun::execute`].
-    pub fn resume_segment(&self, rounds: usize) -> Result<RunCheckpoint, ProtocolError> {
+    fn resume_segment(&self, rounds: usize) -> Result<RunCheckpoint, ProtocolError> {
         let rounds = rounds.min(self.remaining_rounds());
         if rounds == 0 {
             return Ok(self.clone());
@@ -124,33 +126,15 @@ impl RunCheckpoint {
         let segment = ProtocolRun::new(&self.fleet)
             .config(seg_cfg)
             .driver(self.driver)
-            .seed(self.seed)
-            .jitter(self.jitter)
+            .links(self.sim.links)
+            .seed(self.sim.seed)
+            .jitter(self.sim.jitter)
             .execute()?;
         let mut next = self.clone();
         next.rounds_done += rounds;
         next.report = self.report.merged(&segment.report);
         next.nodes = merge_statuses(&self.nodes, &segment.nodes, self.rounds_done);
         Ok(next)
-    }
-
-    /// Stores the serialized checkpoint as a content-addressed blob.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError::Io`] from a directory-backed store.
-    pub fn save(&self, store: &mut ModelStore) -> Result<ContentHash, StoreError> {
-        store.put(self.to_bytes())
-    }
-
-    /// Loads and deserializes a checkpoint blob.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`]/[`StoreError::Corrupt`] from the store,
-    /// [`StoreError::Wire`] for a malformed blob.
-    pub fn load(store: &ModelStore, hash: ContentHash) -> Result<RunCheckpoint, StoreError> {
-        Ok(RunCheckpoint::from_bytes(&store.get(hash)?)?)
     }
 
     /// Serializes to a sealed `ACMR` blob.
@@ -167,7 +151,7 @@ impl RunCheckpoint {
 
 impl Codec for RunCheckpoint {
     const MAGIC: [u8; 4] = *b"ACMR";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut ByteWriter) {
         // Fleet topology.
@@ -193,22 +177,18 @@ impl Codec for RunCheckpoint {
         w.u64(duration_nanos(self.config.retry.base));
         w.u64(duration_nanos(self.config.retry.cap));
         w.usize(self.config.min_quorum);
-        match self.config.deploy {
-            None => w.u8(0),
-            Some(m) => {
-                w.u8(1);
-                w.u64(m.backbone_bytes);
-                w.u64(m.variant_bytes);
-            }
-        }
         // Progress and driver selection.
         w.usize(self.rounds_done);
         w.u8(match self.driver {
             DriverKind::Threaded => 0,
             DriverKind::Sim => 1,
         });
-        w.u64(self.seed);
-        w.f64(self.jitter);
+        w.u64(self.sim.seed);
+        w.f64(self.sim.jitter);
+        for link in [self.sim.links.device_edge, self.sim.links.edge_cloud] {
+            w.f64(link.bandwidth_bps());
+            w.f64(link.rtt_seconds());
+        }
         // Cumulative transfer report.
         w.u64(self.report.messages);
         w.u64(self.report.total_bytes);
@@ -294,14 +274,6 @@ impl Codec for RunCheckpoint {
                 cap: std::time::Duration::from_nanos(r.u64()?),
             },
             min_quorum: r.usize()?,
-            deploy: match r.u8()? {
-                0 => None,
-                1 => Some(MeasuredDeploy {
-                    backbone_bytes: r.u64()?,
-                    variant_bytes: r.u64()?,
-                }),
-                t => return Err(WireError::BadTag(t)),
-            },
         };
         let rounds_done = r.usize()?;
         let driver = match r.u8()? {
@@ -314,6 +286,14 @@ impl Codec for RunCheckpoint {
         if !jitter.is_finite() || jitter < 0.0 {
             return Err(WireError::BadShape);
         }
+        let mut link = || -> Result<Link, WireError> {
+            let (bandwidth, rtt) = (r.f64()?, r.f64()?);
+            Link::try_new(bandwidth, rtt).map_err(|_| WireError::BadShape)
+        };
+        let links = LinkModel {
+            device_edge: link()?,
+            edge_cloud: link()?,
+        };
         let messages = r.u64()?;
         let total_bytes = r.u64()?;
         let uplink_bytes = r.u64()?;
@@ -381,8 +361,11 @@ impl Codec for RunCheckpoint {
             report,
             nodes,
             driver,
-            seed,
-            jitter,
+            sim: SimConfig {
+                links,
+                seed,
+                jitter,
+            },
         })
     }
 }
@@ -427,7 +410,7 @@ fn duration_nanos(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_store::ModelStore;
+    use acme_store::{ContentHash, ModelStore};
 
     fn checkpoint_after(rounds: usize, total: usize) -> (ProtocolOutcome, RunCheckpoint) {
         let fleet = Fleet::paper_default(3, 4);
@@ -450,9 +433,9 @@ mod tests {
         let back = RunCheckpoint::from_bytes(&bytes).expect("parse");
         assert_eq!(back, ck);
         let mut store = ModelStore::in_memory();
-        let hash = ck.save(&mut store).expect("save");
+        let hash = store.put(bytes.clone()).expect("put");
         assert_eq!(hash, ContentHash::of(&bytes));
-        let loaded = RunCheckpoint::load(&store, hash).expect("load");
+        let loaded = RunCheckpoint::from_bytes(&store.get(hash).expect("get")).expect("parse");
         assert_eq!(loaded, ck);
     }
 
@@ -478,13 +461,12 @@ mod tests {
         assert_eq!(segment.rounds_completed, 2);
         assert_eq!(ck.rounds_done, 2);
         assert_eq!(ck.remaining_rounds(), 2);
-        assert!(!ck.is_complete());
 
         // Survive a full store round-trip before resuming, as a real
         // restart would.
         let mut store = ModelStore::in_memory();
-        let hash = ck.save(&mut store).expect("save");
-        let ck = RunCheckpoint::load(&store, hash).expect("load");
+        let hash = store.put(ck.to_bytes()).expect("put");
+        let ck = RunCheckpoint::from_bytes(&store.get(hash).expect("get")).expect("parse");
 
         let resumed = ck.resume().expect("resume");
         assert_eq!(resumed.rounds_completed, 4);
@@ -522,13 +504,66 @@ mod tests {
     }
 
     #[test]
+    fn resume_keeps_the_sim_links() {
+        // Device-edge links slow enough that every importance exchange
+        // outlives its first retry window: the straight run retransmits
+        // in every loop round, and so must the resumed rounds.
+        let fleet = Fleet::paper_default(2, 3);
+        let slow = LinkModel {
+            device_edge: Link::try_new(40_000.0, 0.005).expect("valid link"),
+            ..LinkModel::default()
+        };
+        let run = || {
+            ProtocolRun::new(&fleet)
+                .config(ProtocolConfig {
+                    loop_rounds: 3,
+                    backbone_params: 1_000,
+                    header_params: 1_000,
+                    importance_len: 8_000,
+                    ..ProtocolConfig::default()
+                })
+                .driver(DriverKind::Sim)
+                .links(slow)
+                .seed(11)
+        };
+        let straight = run().execute().expect("straight run");
+        let (_, cut) = run().execute_segment(1).expect("first segment");
+        let cut = RunCheckpoint::from_bytes(&cut.to_bytes()).expect("checkpoint reads back");
+        assert_eq!(cut.sim.links, slow);
+        let resumed = cut.resume().expect("resume");
+
+        // Every device retransmits its upload in every round, and the
+        // resumed rounds retransmit as the straight run's do. (The edge's
+        // replays of uploads that arrive after it moved on are cut off at
+        // a segment's end, so its own rows and retries are not compared.)
+        let uploads = |o: &ProtocolOutcome| {
+            let row = o
+                .report
+                .per_kind
+                .iter()
+                .find(|r| r.kind == "importance-upload");
+            row.cloned().expect("uploads metered")
+        };
+        assert_eq!(uploads(&straight).messages, 3 * 6 * 3);
+        assert_eq!(uploads(&resumed), uploads(&straight));
+        let devices = |o: &ProtocolOutcome| -> Vec<NodeStatus> {
+            o.nodes
+                .iter()
+                .filter(|s| matches!(s.node, NodeId::Device(_)))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(devices(&resumed), devices(&straight));
+    }
+
+    #[test]
     fn segments_chain_and_complete() {
         let (_, ck) = checkpoint_after(1, 3);
         let ck2 = ck.resume_segment(1).expect("second segment");
         assert_eq!(ck2.rounds_done, 2);
         let ck3 = ck2.resume_segment(5).expect("final segment clamps");
         assert_eq!(ck3.rounds_done, 3);
-        assert!(ck3.is_complete());
+        assert_eq!(ck3.remaining_rounds(), 0);
         // Resuming a complete checkpoint is a no-op returning the
         // stored accounting.
         let done = ck3.resume().expect("no-op resume");

@@ -158,20 +158,11 @@ impl RetryPolicy {
         self.max_attempts.max(1)
     }
 
-    /// Total patience across all attempts — the window a receiver grants
-    /// a retrying peer before declaring it dropped. Never zero: see
-    /// [`RetryPolicy::effective_attempts`].
-    pub fn round_budget(&self) -> Duration {
-        (0..self.effective_attempts())
-            .map(|a| self.attempt_timeout(a))
-            .sum()
-    }
-
     /// Deadline an edge grants its cluster per collection round: all but
     /// the last attempt window. A device burning retransmissions still
     /// fits inside it, while the reserved final window keeps the edge's
     /// deadline-time replies from racing the devices' own give-up (a
-    /// device's patience is the full [`RetryPolicy::round_budget`]).
+    /// device waits out every attempt window).
     pub fn collection_deadline(&self) -> Duration {
         let d: Duration = (0..self.effective_attempts().saturating_sub(1))
             .map(|a| self.attempt_timeout(a))
@@ -203,35 +194,6 @@ pub struct ProtocolConfig {
     /// single-loop rounds (capped at the cluster size). Below it the
     /// edge abandons the cluster.
     pub min_quorum: usize,
-    /// Measured deploy payload sizes from a content-addressed model
-    /// store (`acme-store`). When set, the transfer ledger charges
-    /// weight deploys at these byte counts instead of the
-    /// `4·param_count` estimate: backbone assignments ship the
-    /// serialized backbone blob and header distributions ship a
-    /// structural variant delta. `None` keeps the estimate.
-    pub deploy: Option<MeasuredDeploy>,
-}
-
-/// Byte-accurate deploy sizes measured from serialized model-store
-/// artifacts, replacing the dense 4-bytes-per-parameter estimate in
-/// [`crate::Payload::wire_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeasuredDeploy {
-    /// Serialized backbone checkpoint blob size (cloud → edge).
-    pub backbone_bytes: u64,
-    /// Structural variant-delta size (edge → device), typically
-    /// `VariantDelta::bytes()`.
-    pub variant_bytes: u64,
-}
-
-impl ProtocolConfig {
-    /// Charge deploys at the given measured sizes instead of the
-    /// parameter-count estimate.
-    #[must_use]
-    pub fn with_measured_deploy(mut self, deploy: MeasuredDeploy) -> Self {
-        self.deploy = Some(deploy);
-        self
-    }
 }
 
 impl Default for ProtocolConfig {
@@ -244,7 +206,6 @@ impl Default for ProtocolConfig {
             importance_len: 4_000,
             retry: RetryPolicy::default(),
             min_quorum: 1,
-            deploy: None,
         }
     }
 }
@@ -374,11 +335,6 @@ impl ProtocolOutcome {
             .iter()
             .filter(|s| s.dropped_at.is_some())
             .collect()
-    }
-
-    /// Total retries across all nodes.
-    pub fn total_retries(&self) -> u64 {
-        self.nodes.iter().map(|s| s.retries).sum()
     }
 }
 
@@ -556,8 +512,7 @@ impl<'a> ProtocolRun<'a> {
             report: segment.report.clone(),
             nodes: segment.nodes.clone(),
             driver: self.driver,
-            seed: self.sim.seed,
-            jitter: self.sim.jitter,
+            sim: self.sim,
         };
         Ok((segment, checkpoint))
     }
@@ -634,7 +589,7 @@ mod tests {
         assert_eq!(out.report.retransmissions, 0);
         assert_eq!(out.nodes.len(), 1 + 3 + 12);
         assert!(out.dropped_nodes().is_empty());
-        assert_eq!(out.total_retries(), 0);
+        assert!(out.nodes.iter().all(|s| s.retries == 0));
         for status in &out.nodes {
             match status.node {
                 NodeId::Device(_) => assert_eq!(status.completed_rounds, 2),
@@ -802,7 +757,6 @@ mod tests {
         assert_eq!(p.attempt_timeout(1), Duration::from_millis(20));
         assert_eq!(p.attempt_timeout(2), Duration::from_millis(35));
         assert_eq!(p.attempt_timeout(3), Duration::from_millis(35));
-        assert_eq!(p.round_budget(), Duration::from_millis(10 + 20 + 35 + 35));
         // The edge's collection deadline excludes the final window.
         assert_eq!(p.collection_deadline(), Duration::from_millis(10 + 20 + 35));
         // Huge attempt indices saturate instead of overflowing.
@@ -827,7 +781,6 @@ mod tests {
         for attempt in 0..5 {
             assert_eq!(p.attempt_timeout(attempt), Duration::from_millis(25));
         }
-        assert_eq!(p.round_budget(), Duration::from_millis(3 * 25));
         assert_eq!(p.collection_deadline(), Duration::from_millis(2 * 25));
         // Degenerate single-attempt variant: the deadline floor keeps
         // one full (capped) window.
@@ -835,7 +788,6 @@ mod tests {
             max_attempts: 1,
             ..p
         };
-        assert_eq!(one.round_budget(), Duration::from_millis(25));
         assert_eq!(one.collection_deadline(), Duration::from_millis(25));
     }
 
@@ -851,14 +803,12 @@ mod tests {
             cap: Duration::from_millis(40),
         };
         assert_eq!(p.effective_attempts(), 1);
-        assert_eq!(p.round_budget(), Duration::from_millis(10));
         assert_eq!(p.collection_deadline(), Duration::from_millis(10));
         // "0" and "1" are the same policy: one wait, no retransmissions.
         let one = RetryPolicy {
             max_attempts: 1,
             ..p.clone()
         };
-        assert_eq!(p.round_budget(), one.round_budget());
         assert_eq!(p.collection_deadline(), one.collection_deadline());
         assert_eq!(one.effective_attempts(), 1);
     }

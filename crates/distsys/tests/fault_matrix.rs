@@ -42,7 +42,10 @@ fn fault_cfg(loop_rounds: usize) -> ProtocolConfig {
 /// for CI scheduling noise. A hang (the old blocking `recv()` behavior)
 /// blows way past this.
 fn wall_clock_budget(cfg: &ProtocolConfig) -> Duration {
-    cfg.retry.round_budget() * (cfg.loop_rounds as u32 + 2) + Duration::from_secs(5)
+    let patience: Duration = (0..cfg.retry.effective_attempts())
+        .map(|a| cfg.retry.attempt_timeout(a))
+        .sum();
+    patience * (cfg.loop_rounds as u32 + 2) + Duration::from_secs(5)
 }
 
 #[test]
@@ -153,7 +156,7 @@ fn dropped_uplink_recovers_with_one_retransmission() {
     assert!(out.dropped_nodes().is_empty());
     assert_eq!(out.rounds_completed, 2);
     assert_eq!(out.report.retransmissions, 1, "device re-upload");
-    assert_eq!(out.total_retries(), 1);
+    assert_eq!(out.nodes.iter().map(|s| s.retries).sum::<u64>(), 1);
     // The lost copy and its retransmission are both metered on top of
     // the fault-free volume.
     let clean = run_with(&fleet, &cfg, FaultPlan::none());

@@ -32,7 +32,10 @@ fn many_senders_one_receiver_is_lossless() {
         received += 1;
     }
     assert_eq!(received, senders * per_sender);
-    assert_eq!(net.ledger().message_count(), (senders * per_sender) as u64);
+    assert_eq!(
+        net.ledger().report().messages,
+        (senders * per_sender) as u64
+    );
 }
 
 #[test]

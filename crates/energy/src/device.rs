@@ -83,15 +83,6 @@ impl Device {
     pub fn params_from_megabytes(mb: f64) -> u64 {
         (mb * 1e6 / 4.0) as u64
     }
-
-    /// Whether a serialized artifact of `bytes` bytes fits this
-    /// device's storage budget. `C_n` is counted in parameters; at
-    /// 4 bytes per `f32` weight the byte budget is `4·C_n`. Used to
-    /// check measured model-store blobs (which carry framing overhead
-    /// beyond the raw weights) against the constraint of Eq. (10).
-    pub fn can_store_bytes(&self, bytes: u64) -> bool {
-        bytes <= self.storage_limit.saturating_mul(4)
-    }
 }
 
 #[cfg(test)]
@@ -113,15 +104,5 @@ mod tests {
     fn megabyte_conversion() {
         // 200 MB of f32 weights = 50M parameters.
         assert_eq!(Device::params_from_megabytes(200.0), 50_000_000);
-    }
-
-    #[test]
-    fn byte_budget_is_four_bytes_per_parameter() {
-        let d = Device::new(0, 5.0, 1000);
-        assert!(d.can_store_bytes(4000));
-        assert!(!d.can_store_bytes(4001));
-        // A saturating budget never overflows into a tiny limit.
-        let huge = Device::new(1, 5.0, u64::MAX);
-        assert!(huge.can_store_bytes(u64::MAX));
     }
 }

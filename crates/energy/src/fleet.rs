@@ -53,14 +53,6 @@ impl DeviceCluster {
             .unwrap_or(0)
     }
 
-    /// The binding storage constraint in bytes: `4·min_n C_n` at 4
-    /// bytes per `f32` parameter. A measured deploy artifact (backbone
-    /// blob + variant delta) must fit under this for every device of
-    /// the cluster to hold its model.
-    pub fn min_storage_bytes(&self) -> u64 {
-        self.min_storage().saturating_mul(4)
-    }
-
     /// The device with the largest energy footprint proxy (lowest GPU
     /// capacity): the paper uses the cluster's max energy as the
     /// representative metric in Eq. (10). Ties go to the earlier device.
@@ -253,7 +245,6 @@ mod tests {
             ],
         );
         assert_eq!(c.min_storage(), 100);
-        assert_eq!(c.min_storage_bytes(), 400);
         assert_eq!(c.weakest_device().id().0, 1);
         assert_eq!(c.edge(), EdgeId(0));
     }

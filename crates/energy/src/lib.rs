@@ -12,28 +12,20 @@
 //! T_n = (L_n + ΔL_n · w·d),   ΔG_n, G_n^β ∝ G_n,  ΔL_n ∝ L_n
 //! ```
 //!
-//! and the parameter count of a scaled backbone is
-//! `ζ(θ) = d·w·(H + 2·ξ_h·ξ_f)` where `H` counts attention parameters and
-//! `ξ_h`, `ξ_f` are the hidden and feed-forward widths.
-//!
 //! ```
-//! use acme_energy::{ArchShape, Device, EnergyModel};
+//! use acme_energy::{Device, EnergyModel};
 //!
 //! let device = Device::new(0, 5.0, 50_000_000);
 //! let model = EnergyModel::default();
 //! let e_small = model.energy(&device, 0.5, 6, 1);
 //! let e_large = model.energy(&device, 1.0, 12, 1);
 //! assert!(e_small < e_large);
-//!
-//! let arch = ArchShape::vit_base();
-//! assert!(arch.param_count(1.0, 12) > arch.param_count(0.5, 12));
 //! ```
 
 mod device;
 mod fleet;
 mod model;
 
-pub use acme_tensor::Precision;
 pub use device::{Device, DeviceId};
 pub use fleet::{DeviceCluster, EdgeId, Fleet};
-pub use model::{ArchShape, EnergyModel, INT8_MAC_ENERGY_RATIO};
+pub use model::EnergyModel;

@@ -1,86 +1,8 @@
-//! Energy model (Eqs. 1–2), the parameter-count function ζ (Eq. 3), and
-//! precision-aware deployment accounting.
+//! Energy model (Eqs. 1–2).
 
-use acme_tensor::Precision;
 use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
-
-/// Energy of one int8 multiply-accumulate relative to an f32 one.
-/// Quantized MACs move a quarter of the operand bytes and run on a
-/// narrower integer datapath; the ~4× advantage is the standard
-/// process-node figure (8-bit integer vs 32-bit float arithmetic) and
-/// matches the ~2× throughput × ~2× lower switching energy the VNNI
-/// kernel realizes on the serving path.
-pub const INT8_MAC_ENERGY_RATIO: f64 = 0.25;
-
-/// Architecture constants entering `ζ(θ) = d·w·(H + 2·ξ_h·ξ_f)`:
-/// per-layer attention parameters `H`, hidden width `ξ_h`, and
-/// feed-forward width `ξ_f`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ArchShape {
-    /// Parameters of all attention heads per layer (`H` in Eq. 3).
-    pub head_params: u64,
-    /// Hidden (embedding) dimension `ξ_h`.
-    pub hidden_dim: u64,
-    /// Feed-forward dimension `ξ_f`.
-    pub ff_dim: u64,
-    /// Parameters outside the scaled backbone (patch embedding + header),
-    /// counted once regardless of `(w, d)`.
-    pub fixed_params: u64,
-}
-
-impl ArchShape {
-    /// ViT-Base constants (86M-parameter regime of the paper): hidden 768,
-    /// MLP 3072, 12 heads of combined QKVO projections.
-    pub fn vit_base() -> Self {
-        ArchShape {
-            head_params: 4 * 768 * 768,
-            hidden_dim: 768,
-            ff_dim: 3072,
-            fixed_params: 768 * 1000 + 16 * 768,
-        }
-    }
-
-    /// Constants matching the scaled-down ViT in `acme-vit` with width
-    /// `dim` and MLP expansion 2x.
-    pub fn micro(dim: u64) -> Self {
-        ArchShape {
-            head_params: 4 * dim * dim,
-            hidden_dim: dim,
-            ff_dim: 2 * dim,
-            fixed_params: dim * 64,
-        }
-    }
-
-    /// Parameter count `ζ(θ)` of a backbone scaled to width fraction
-    /// `w ∈ (0, 1]` and `d` layers (Eq. 3), plus fixed parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w` is outside `(0, 1]`.
-    pub fn param_count(&self, w: f64, d: usize) -> u64 {
-        assert!(w > 0.0 && w <= 1.0, "width fraction must be in (0,1]");
-        let per_layer = self.head_params as f64 + 2.0 * (self.hidden_dim * self.ff_dim) as f64;
-        (d as f64 * w * per_layer) as u64 + self.fixed_params
-    }
-
-    /// Bytes shipped to (and stored on) a device for a `(w, d)` variant
-    /// deployed at `precision` — the bytes-on-the-wire quantity ACME's
-    /// Table I economics hinge on. An int8 deployment ships 1 byte per
-    /// parameter plus one f32 scale per output channel; the per-channel
-    /// scales (`≈ hidden_dim` f32s per weight matrix) are three orders
-    /// of magnitude below the parameter payload and are absorbed into
-    /// the rounding here.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w` is outside `(0, 1]` (see
-    /// [`ArchShape::param_count`]).
-    pub fn deploy_bytes(&self, w: f64, d: usize, precision: Precision) -> u64 {
-        self.param_count(w, d) * precision.bytes_per_param()
-    }
-}
 
 /// Coefficients of the energy model (Eq. 2). All proportionality
 /// constants of the paper (`ΔG_n ∝ G_n`, `G_n^β ∝ G_n`, `ΔL_n ∝ L_n`) are
@@ -116,7 +38,7 @@ impl Default for EnergyModel {
 
 impl EnergyModel {
     /// Power draw `P_n(w, d)` (Eq. 2).
-    pub fn power(&self, device: &Device, w: f64, d: usize) -> f64 {
+    fn power(&self, device: &Device, w: f64, d: usize) -> f64 {
         let g = device.gpu_capacity();
         let wd = w * d as f64;
         let delta_g = self.delta_g_ratio * g;
@@ -134,36 +56,6 @@ impl EnergyModel {
     /// Total energy `E_n(θ)` over `epochs` epochs (Eq. 1).
     pub fn energy(&self, device: &Device, w: f64, d: usize, epochs: usize) -> f64 {
         epochs as f64 * self.power(device, w, d) * self.latency(device, w, d)
-    }
-
-    /// Scale applied to the compute term of the energy model when the
-    /// variant's multiply-accumulates run at `precision` (1.0 at f32,
-    /// [`INT8_MAC_ENERGY_RATIO`] at int8).
-    pub fn mac_energy_scale(&self, precision: Precision) -> f64 {
-        match precision {
-            Precision::F32 => 1.0,
-            Precision::Int8 => INT8_MAC_ENERGY_RATIO,
-        }
-    }
-
-    /// Per-inference serving energy of a `(w, d)` variant deployed at
-    /// `precision`: the Eq. 1 model for a single epoch with its
-    /// MAC-bound term scaled by [`EnergyModel::mac_energy_scale`]. The
-    /// base device draw (`G_n`) is precision-independent — quantization
-    /// cheapens the arithmetic, not the idle platform — so only the
-    /// width-depth-proportional compute component shrinks.
-    pub fn serving_energy(&self, device: &Device, w: f64, d: usize, precision: Precision) -> f64 {
-        let g = device.gpu_capacity();
-        let wd = w * d as f64;
-        let scale = self.mac_energy_scale(precision);
-        let compute = self.delta_g_ratio * g * wd * scale;
-        let batch = self.batch_power_ratio * g * device.batch_size() as f64;
-        let power = g + compute + device.num_patches() as f64 * batch;
-        // Latency's wd term shrinks with the kernel speedup (the int8
-        // engine retires roughly 1/scale MACs per cycle of f32).
-        let l = self.base_latency / device.gpu_capacity().max(1e-9);
-        let latency = l + self.delta_l_ratio * l * wd * scale;
-        power * latency
     }
 }
 
@@ -200,64 +92,6 @@ mod tests {
         let one = m.energy(&d, 0.75, 8, 1);
         let five = m.energy(&d, 0.75, 8, 5);
         assert!((five - 5.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn param_count_formula() {
-        let arch = ArchShape {
-            head_params: 100,
-            hidden_dim: 10,
-            ff_dim: 20,
-            fixed_params: 7,
-        };
-        // d*w*(H + 2*ξ_h*ξ_f) + fixed = 2*0.5*(100+400)+7 = 507
-        assert_eq!(arch.param_count(0.5, 2), 507);
-        assert_eq!(arch.param_count(1.0, 1), 507);
-    }
-
-    #[test]
-    fn vit_base_is_tens_of_millions() {
-        let arch = ArchShape::vit_base();
-        let full = arch.param_count(1.0, 12);
-        assert!(full > 70_000_000 && full < 120_000_000, "got {full}");
-    }
-
-    #[test]
-    #[should_panic(expected = "width fraction")]
-    fn rejects_bad_width() {
-        ArchShape::vit_base().param_count(0.0, 12);
-    }
-
-    #[test]
-    fn int8_deploy_ships_a_quarter_of_the_bytes() {
-        let arch = ArchShape::vit_base();
-        let f32_bytes = arch.deploy_bytes(1.0, 12, Precision::F32);
-        let i8_bytes = arch.deploy_bytes(1.0, 12, Precision::Int8);
-        assert_eq!(f32_bytes, arch.param_count(1.0, 12) * 4);
-        assert_eq!(i8_bytes * 4, f32_bytes);
-    }
-
-    #[test]
-    fn int8_serving_energy_is_cheaper_and_converges_to_base_draw() {
-        let m = EnergyModel::default();
-        let d = dev(5.0);
-        let f32_e = m.serving_energy(&d, 1.0, 12, Precision::F32);
-        let i8_e = m.serving_energy(&d, 1.0, 12, Precision::Int8);
-        assert!(i8_e < f32_e, "int8 {i8_e} vs f32 {f32_e}");
-        // At w·d = 0 there is no compute term to scale, so the two
-        // precisions cost the same (base draw × base latency).
-        let f32_base = m.serving_energy(&d, 1e-12, 0, Precision::F32);
-        let i8_base = m.serving_energy(&d, 1e-12, 0, Precision::Int8);
-        assert!((f32_base - i8_base).abs() < 1e-9);
-        // f32 serving matches the one-epoch Eq. 1 energy exactly.
-        assert!((f32_e - m.energy(&d, 1.0, 12, 1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mac_energy_scale_matches_ratio() {
-        let m = EnergyModel::default();
-        assert_eq!(m.mac_energy_scale(Precision::F32), 1.0);
-        assert_eq!(m.mac_energy_scale(Precision::Int8), INT8_MAC_ENERGY_RATIO);
     }
 
     #[test]

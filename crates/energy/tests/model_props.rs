@@ -1,7 +1,7 @@
 //! Property-based tests of the energy model (Eqs. 1–2) and ζ (Eq. 3).
 
 use acme_check::cases;
-use acme_energy::{ArchShape, Device, EnergyModel, Fleet};
+use acme_energy::{Device, EnergyModel, Fleet};
 
 #[test]
 fn energy_is_positive_and_monotone() {
@@ -20,23 +20,6 @@ fn energy_is_positive_and_monotone() {
         assert!(e_lo <= e_hi);
         // Deeper always costs at least as much.
         assert!(m.energy(&device, lo, d, k) <= m.energy(&device, lo, d + 1, k));
-    });
-}
-
-#[test]
-fn param_count_is_monotone_and_linear_in_depth() {
-    cases(256, |g| {
-        let w = g.f64(0.1..1.0);
-        let d = g.usize(1..12);
-        let arch = ArchShape::vit_base();
-        let a = arch.param_count(w, d);
-        let b = arch.param_count(w, d + 1);
-        let c = arch.param_count(w, d + 2);
-        assert!(a < b && b < c);
-        // Linear in d: constant second difference (within rounding).
-        let d1 = b - a;
-        let d2 = c - b;
-        assert!(d1.abs_diff(d2) <= 1);
     });
 }
 

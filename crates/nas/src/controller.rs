@@ -8,36 +8,15 @@ use rand::Rng;
 use crate::ops::OpKind;
 use crate::space::{BlockSpec, HeaderArch};
 
-/// Controller hyperparameters. The paper follows Zoph et al. / Pham et
-/// al.: a single LSTM layer with 100 hidden units.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControllerConfig {
-    /// Blocks per underlying module (`B`).
-    pub num_blocks: usize,
-    /// Module repetitions (`U`) of emitted architectures.
-    pub u: usize,
-    /// LSTM hidden units.
-    pub hidden: usize,
-    /// Embedding width of decision tokens.
-    pub embed_dim: usize,
-    /// Moving-average decay of the REINFORCE baseline.
-    pub baseline_decay: f32,
-    /// Learning rate of the controller's Adam optimizer.
-    pub lr: f32,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            num_blocks: 3,
-            u: 2,
-            hidden: 100,
-            embed_dim: 16,
-            baseline_decay: 0.9,
-            lr: 5e-3,
-        }
-    }
-}
+/// LSTM hidden units: the paper follows Zoph et al. / Pham et al., a
+/// single LSTM layer with 100 hidden units.
+const HIDDEN: usize = 100;
+/// Embedding width of decision tokens.
+const EMBED_DIM: usize = 16;
+/// Moving-average decay of the REINFORCE baseline.
+const BASELINE_DECAY: f32 = 0.9;
+/// Learning rate of the controller's Adam optimizer.
+const LR: f32 = 5e-3;
 
 /// The architecture-sampling LSTM. Decisions alternate
 /// `in1, in2, op1, op2` per block (sequence length `4B`); input
@@ -48,54 +27,40 @@ pub struct Controller {
     embed: EmbeddingLayer,
     input_head: Linear,
     op_head: Linear,
-    config: ControllerConfig,
+    num_blocks: usize,
+    u: usize,
     baseline: Option<f32>,
     opt: Adam,
-    steps: usize,
 }
 
 impl Controller {
-    /// Registers the controller's parameters in `ps`.
+    /// Registers the controller's parameters in `ps`. It emits
+    /// architectures of `num_blocks` blocks per module (`B`) and `u`
+    /// module repetitions (`U`).
     ///
     /// # Panics
     ///
-    /// Panics for a zero-block configuration.
-    pub fn new(ps: &mut ParamSet, config: ControllerConfig, rng: &mut impl Rng) -> Self {
-        assert!(config.num_blocks > 0, "controller needs at least one block");
+    /// Panics for zero blocks.
+    pub fn new(ps: &mut ParamSet, num_blocks: usize, u: usize, rng: &mut impl Rng) -> Self {
+        assert!(num_blocks > 0, "controller needs at least one block");
         let num_ops = OpKind::all().len();
-        let max_inputs = config.num_blocks + 1;
+        let max_inputs = num_blocks + 1;
         // Token vocabulary: one start token + the largest decision space.
         let vocab = 1 + max_inputs.max(num_ops);
-        let cell = LstmCell::new(ps, "ctrl.lstm", config.embed_dim, config.hidden, rng);
-        let embed = EmbeddingLayer::new(ps, "ctrl.embed", vocab, config.embed_dim, rng);
-        let input_head = Linear::new(ps, "ctrl.in_head", config.hidden, max_inputs, rng);
-        let op_head = Linear::new(ps, "ctrl.op_head", config.hidden, num_ops, rng);
-        let opt = Adam::new(config.lr);
+        let cell = LstmCell::new(ps, "ctrl.lstm", EMBED_DIM, HIDDEN, rng);
+        let embed = EmbeddingLayer::new(ps, "ctrl.embed", vocab, EMBED_DIM, rng);
+        let input_head = Linear::new(ps, "ctrl.in_head", HIDDEN, max_inputs, rng);
+        let op_head = Linear::new(ps, "ctrl.op_head", HIDDEN, num_ops, rng);
         Controller {
             cell,
             embed,
             input_head,
             op_head,
-            config,
+            num_blocks,
+            u,
             baseline: None,
-            opt,
-            steps: 0,
+            opt: Adam::new(LR),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
-    /// The current REINFORCE baseline, if any reward has been observed.
-    pub fn baseline(&self) -> Option<f32> {
-        self.baseline
-    }
-
-    /// Number of REINFORCE updates applied.
-    pub fn updates(&self) -> usize {
-        self.steps
     }
 
     /// Samples one architecture, returning it together with the summed
@@ -112,8 +77,8 @@ impl Controller {
         let (mut h, mut c) = self.cell.zero_state(g, 1);
         let mut prev_token = 0usize; // start token
         let mut logp_total: Option<Var> = None;
-        let mut blocks = Vec::with_capacity(self.config.num_blocks);
-        for b in 0..self.config.num_blocks {
+        let mut blocks = Vec::with_capacity(self.num_blocks);
+        for b in 0..self.num_blocks {
             let mut decisions = [0usize; 4];
             for (slot, d) in decisions.iter_mut().enumerate() {
                 let x = self.embed.forward(g, ps, &[prev_token]);
@@ -154,7 +119,7 @@ impl Controller {
             });
         }
         (
-            HeaderArch::new(blocks, self.config.u),
+            HeaderArch::new(blocks, self.u),
             logp_total.expect("at least one decision"),
         )
     }
@@ -168,12 +133,10 @@ impl Controller {
         g.backward(loss);
         clip_grad_norm(g, 1.0);
         self.opt.step(ps, g);
-        let decay = self.config.baseline_decay;
         self.baseline = Some(match self.baseline {
-            Some(b) => decay * b + (1.0 - decay) * reward,
+            Some(b) => BASELINE_DECAY * b + (1.0 - BASELINE_DECAY) * reward,
             None => reward,
         });
-        self.steps += 1;
     }
 }
 
@@ -197,14 +160,7 @@ mod tests {
     fn setup() -> (Controller, ParamSet, SmallRng64) {
         let mut rng = SmallRng64::new(0);
         let mut ps = ParamSet::new();
-        let ctrl = Controller::new(
-            &mut ps,
-            ControllerConfig {
-                num_blocks: 3,
-                ..ControllerConfig::default()
-            },
-            &mut rng,
-        );
+        let ctrl = Controller::new(&mut ps, 3, 2, &mut rng);
         (ctrl, ps, rng)
     }
 
@@ -247,8 +203,7 @@ mod tests {
             0,
             "policy should prefer rewarded choice"
         );
-        assert!(ctrl.baseline().unwrap() > 0.0);
-        assert_eq!(ctrl.updates(), 60);
+        assert!(ctrl.baseline.unwrap() > 0.0);
     }
 
     #[test]

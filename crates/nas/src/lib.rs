@@ -35,10 +35,10 @@ pub mod search;
 pub mod shared;
 pub mod space;
 
-pub use controller::{Controller, ControllerConfig};
+pub use controller::Controller;
 pub use header::NasHeader;
 pub use ops::OpKind;
 pub use predictor::AccuracyPredictor;
-pub use search::{random_search, NasSearch, SearchConfig, SearchOutcome};
+pub use search::{NasSearch, SearchConfig, SearchOutcome};
 pub use shared::SharedParams;
 pub use space::{search_space_size, BlockSpec, HeaderArch};

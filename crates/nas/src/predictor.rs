@@ -18,7 +18,6 @@ pub struct AccuracyPredictor {
     embed: EmbeddingLayer,
     readout: Linear,
     opt: Adam,
-    trained_pairs: usize,
 }
 
 impl AccuracyPredictor {
@@ -31,7 +30,6 @@ impl AccuracyPredictor {
             embed: EmbeddingLayer::new(ps, "pred.embed", vocab, 16, rng),
             readout: Linear::new(ps, "pred.read", 64, 1, rng),
             opt: Adam::new(1e-2),
-            trained_pairs: 0,
         }
     }
 
@@ -63,13 +61,7 @@ impl AccuracyPredictor {
         let loss = g.mse_loss(y, target);
         g.backward(loss);
         self.opt.step(ps, &g);
-        self.trained_pairs += 1;
         g.value(loss).item()
-    }
-
-    /// How many pairs the predictor has been trained on.
-    pub fn trained_pairs(&self) -> usize {
-        self.trained_pairs
     }
 }
 
@@ -107,6 +99,5 @@ mod tests {
         let pg = pred.predict(&ps, &good);
         let pb = pred.predict(&ps, &bad);
         assert!(pg > pb + 0.2, "good {pg} vs bad {pb}");
-        assert_eq!(pred.trained_pairs(), 160);
     }
 }

@@ -8,11 +8,17 @@ use acme_tensor::{Graph, SmallRng64};
 use acme_vit::headers::Header;
 use acme_vit::Vit;
 
-use crate::controller::{Controller, ControllerConfig};
+use crate::controller::Controller;
 use crate::header::NasHeader;
 use crate::predictor::AccuracyPredictor;
 use crate::shared::SharedParams;
 use crate::space::HeaderArch;
+
+/// Child models sampled per shared-parameter step: the Monte-Carlo `M`
+/// of Eq. (15).
+const CHILD_SAMPLES: usize = 2;
+/// Adam learning rate of the shared parameters `ω_s`.
+const SHARED_LR: f32 = 3e-3;
 
 /// Hyperparameters of [`NasSearch::run`].
 #[derive(Debug, Clone, PartialEq)]
@@ -25,17 +31,10 @@ pub struct SearchConfig {
     pub rounds: usize,
     /// Shared-parameter minibatch steps per round.
     pub shared_steps: usize,
-    /// Child models sampled per shared step (the Monte-Carlo `M` of
-    /// Eq. 15).
-    pub child_samples: usize,
     /// Controller REINFORCE steps per round.
     pub controller_steps: usize,
     /// Minibatch size for both phases.
     pub batch_size: usize,
-    /// Learning rate of the shared parameters.
-    pub shared_lr: f32,
-    /// Learning rate of the controller.
-    pub controller_lr: f32,
     /// Candidate architectures evaluated for the final selection.
     pub final_candidates: usize,
     /// Epochs each final candidate is briefly fine-tuned (on its own
@@ -53,11 +52,8 @@ impl Default for SearchConfig {
             u: 2,
             rounds: 3,
             shared_steps: 8,
-            child_samples: 2,
             controller_steps: 6,
             batch_size: 16,
-            shared_lr: 3e-3,
-            controller_lr: 5e-3,
             final_candidates: 4,
             final_finetune_epochs: 2,
             seed: 0,
@@ -111,27 +107,13 @@ impl NasSearch {
     /// Registers the controller in `ps` (the same store that holds the
     /// backbone and supernet — different graphs bind disjoint subsets).
     pub fn new(ps: &mut ParamSet, config: SearchConfig, rng: &mut SmallRng64) -> Self {
-        let controller = Controller::new(
-            ps,
-            ControllerConfig {
-                num_blocks: config.num_blocks,
-                u: config.u,
-                lr: config.controller_lr,
-                ..ControllerConfig::default()
-            },
-            rng,
-        );
+        let controller = Controller::new(ps, config.num_blocks, config.u, rng);
         let predictor = AccuracyPredictor::new(ps, config.num_blocks, rng);
         NasSearch {
             controller,
             predictor,
             config,
         }
-    }
-
-    /// The search configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
     }
 
     /// Runs the alternating optimization. `train` optimizes the shared
@@ -151,7 +133,7 @@ impl NasSearch {
         rng: &mut SmallRng64,
     ) -> SearchOutcome {
         assert!(!train.is_empty() && !val.is_empty(), "search needs data");
-        let mut shared_opt = Adam::new(self.config.shared_lr);
+        let mut shared_opt = Adam::new(SHARED_LR);
         let mut reward_history = Vec::with_capacity(self.config.rounds);
         let mut evaluations = 0usize;
         // One tape arena per phase, reused across every step of the
@@ -170,7 +152,7 @@ impl NasSearch {
                     g.reset();
                     let feats = vit.forward(&mut g, ps, &batch.images);
                     let mut loss_acc = None;
-                    for _ in 0..self.config.child_samples {
+                    for _ in 0..CHILD_SAMPLES {
                         let arch = HeaderArch::random(self.config.num_blocks, self.config.u, rng);
                         let header = NasHeader::new(arch, shared.clone());
                         let logits = header.forward(&mut g, ps, &feats);
@@ -181,7 +163,7 @@ impl NasSearch {
                         });
                     }
                     let total = loss_acc.expect("at least one child");
-                    let mean = g.scale(total, 1.0 / self.config.child_samples as f32);
+                    let mean = g.scale(total, 1.0 / CHILD_SAMPLES as f32);
                     g.backward(mean);
                     clip_grad_norm(&mut g, 5.0);
                     shared_opt.step(ps, &g);
@@ -304,24 +286,12 @@ impl NasSearch {
                 ..acme_vit::TrainConfig::default()
             },
         );
-        self.eval_full_with(vit, shared, &local, arch, val, rng)
+        self.eval_full(vit, shared, &local, arch, val, rng)
     }
 
     /// Accuracy of one child on the full validation set.
-    fn eval_full(
-        &self,
-        vit: &Vit,
-        shared: &SharedParams,
-        ps: &ParamSet,
-        arch: &HeaderArch,
-        val: &Dataset,
-        rng: &mut SmallRng64,
-    ) -> f32 {
-        self.eval_full_with(vit, shared, ps, arch, val, rng)
-    }
-
     #[allow(clippy::too_many_arguments)]
-    fn eval_full_with(
+    fn eval_full(
         &self,
         vit: &Vit,
         shared: &SharedParams,
@@ -343,69 +313,6 @@ impl NasSearch {
         }
         (correct / total.max(1) as f64) as f32
     }
-}
-
-/// Random-search baseline at a matched evaluation budget: trains the
-/// shared parameters exactly like [`NasSearch::run`]'s phase A, then
-/// evaluates `budget` uniformly sampled architectures on the validation
-/// set and returns the best. The classic control for learned NAS
-/// controllers.
-///
-/// # Panics
-///
-/// Panics on empty datasets or a zero budget.
-#[allow(clippy::too_many_arguments)]
-pub fn random_search(
-    vit: &Vit,
-    shared: &SharedParams,
-    ps: &mut ParamSet,
-    train: &Dataset,
-    val: &Dataset,
-    cfg: &SearchConfig,
-    budget: usize,
-    rng: &mut SmallRng64,
-) -> (HeaderArch, f32) {
-    assert!(
-        !train.is_empty() && !val.is_empty(),
-        "random search needs data"
-    );
-    assert!(budget > 0, "budget must be positive");
-    let mut shared_opt = Adam::new(cfg.shared_lr);
-    let mut steps = 0;
-    let mut g = Graph::new();
-    'outer: loop {
-        for batch in train.batches(cfg.batch_size, rng) {
-            if steps >= cfg.rounds * cfg.shared_steps {
-                break 'outer;
-            }
-            g.reset();
-            let feats = vit.forward(&mut g, ps, &batch.images);
-            let arch = HeaderArch::random(cfg.num_blocks, cfg.u, rng);
-            let header = NasHeader::new(arch, shared.clone());
-            let logits = header.forward(&mut g, ps, &feats);
-            let loss = g.cross_entropy_logits(logits, &batch.labels);
-            g.backward(loss);
-            clip_grad_norm(&mut g, 5.0);
-            shared_opt.step(ps, &g);
-            steps += 1;
-        }
-    }
-    let mut best_arch = HeaderArch::random(cfg.num_blocks, cfg.u, rng);
-    let mut best_acc = f32::MIN;
-    for _ in 0..budget {
-        let arch = HeaderArch::random(cfg.num_blocks, cfg.u, rng);
-        let header = NasHeader::new(arch.clone(), shared.clone());
-        let batch = val.sample(cfg.batch_size.min(val.len()), rng).as_batch();
-        g.reset();
-        let feats = vit.forward(&mut g, ps, &batch.images);
-        let logits = header.forward(&mut g, ps, &feats);
-        let acc = accuracy(g.value(logits), &batch.labels);
-        if acc > best_acc {
-            best_acc = acc;
-            best_arch = arch;
-        }
-    }
-    (best_arch, best_acc)
 }
 
 #[cfg(test)]
@@ -476,37 +383,6 @@ mod tests {
         let outcome = search.run(&vit, &shared, &mut ps, &train, &val, &mut rng);
         assert_eq!(outcome.best_arch.blocks().len(), 2);
         assert!((0.0..=1.0).contains(&outcome.best_accuracy));
-    }
-
-    #[test]
-    fn random_search_returns_valid_architecture() {
-        let mut rng = SmallRng64::new(4);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
-        let (train, val) = ds.split(0.7, &mut rng);
-        let cfg = VitConfig::tiny(ds.num_classes());
-        let mut ps = ParamSet::new();
-        let vit = Vit::new(&mut ps, &cfg, &mut rng);
-        let shared = SharedParams::new(
-            &mut ps,
-            "sn",
-            2,
-            cfg.dim,
-            cfg.grid(),
-            ds.num_classes(),
-            &mut rng,
-        );
-        let (arch, acc) = random_search(
-            &vit,
-            &shared,
-            &mut ps,
-            &train,
-            &val,
-            &SearchConfig::quick(),
-            4,
-            &mut rng,
-        );
-        assert_eq!(arch.blocks().len(), 2);
-        assert!((0.0..=1.0).contains(&acc));
     }
 
     #[test]

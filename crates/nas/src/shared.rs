@@ -48,37 +48,9 @@ impl SharedParams {
         classes: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        Self::with_op_dim(
-            ps,
-            name,
-            num_blocks,
-            dim,
-            (dim / 2).max(1),
-            grid,
-            classes,
-            rng,
-        )
-    }
-
-    /// [`SharedParams::new`] with an explicit operation channel width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grid` is not even (pool ops need 2×2 windows) or any
-    /// dimension is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_op_dim(
-        ps: &mut ParamSet,
-        name: &str,
-        num_blocks: usize,
-        dim: usize,
-        op_dim: usize,
-        grid: usize,
-        classes: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
+        let op_dim = (dim / 2).max(1);
         assert!(
-            num_blocks > 0 && dim > 0 && op_dim > 0 && classes > 0,
+            num_blocks > 0 && dim > 0 && classes > 0,
             "degenerate supernet"
         );
         assert!(
@@ -278,11 +250,6 @@ impl SharedParams {
         self.dim
     }
 
-    /// Header operation channel width.
-    pub fn op_dim(&self) -> usize {
-        self.op_dim
-    }
-
     /// Spatial grid side.
     pub fn grid(&self) -> usize {
         self.grid
@@ -304,7 +271,6 @@ mod tests {
         let mut rng = SmallRng64::new(0);
         let mut ps = ParamSet::new();
         let sp = SharedParams::new(&mut ps, "sn", 2, 8, 4, 5, &mut rng);
-        assert_eq!(sp.op_dim(), 4);
         let mut g = Graph::new();
         let raw = g.constant(randn(&[2, 8, 4, 4], &mut rng));
         let x = sp.project_input(&mut g, &ps, raw);

@@ -11,8 +11,6 @@ use crate::param::{ParamId, ParamSet};
 pub struct Conv2dLayer {
     w: ParamId,
     b: ParamId,
-    in_ch: usize,
-    out_ch: usize,
     kernel: usize,
     stride: usize,
     pad: usize,
@@ -41,8 +39,6 @@ impl Conv2dLayer {
         Conv2dLayer {
             w,
             b,
-            in_ch,
-            out_ch,
             kernel,
             stride,
             pad,
@@ -73,16 +69,6 @@ impl Conv2dLayer {
         g.conv2d(x, w, Some(b), self.stride, self.pad)
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
     /// Square kernel size.
     pub fn kernel(&self) -> usize {
         self.kernel
@@ -108,7 +94,6 @@ mod tests {
         let x = g.constant(randn(&[2, 3, 6, 6], &mut rng));
         let y = c.forward(&mut g, &ps, x);
         assert_eq!(g.shape(y), &[2, 8, 6, 6]);
-        assert_eq!(c.out_channels(), 8);
         assert_eq!(c.kernel(), 3);
     }
 

@@ -54,7 +54,7 @@ impl Linear {
     }
 
     /// Output width.
-    pub fn out_dim(&self) -> usize {
+    fn out_dim(&self) -> usize {
         self.out_dim
     }
 
@@ -159,7 +159,6 @@ impl Mlp {
 #[derive(Debug, Clone)]
 pub struct EmbeddingLayer {
     w: ParamId,
-    vocab: usize,
     dim: usize,
 }
 
@@ -176,7 +175,7 @@ impl EmbeddingLayer {
             format!("{name}.emb"),
             acme_tensor::randn(&[vocab, dim], rng).scale(0.1),
         );
-        EmbeddingLayer { w, vocab, dim }
+        EmbeddingLayer { w, dim }
     }
 
     /// Looks up rows for `indices`, producing `[indices.len(), dim]`.
@@ -187,11 +186,6 @@ impl EmbeddingLayer {
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, indices: &[usize]) -> Var {
         let w = ps.bind(g, self.w);
         g.embedding(w, indices)
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
     }
 
     /// Embedding width.
@@ -265,7 +259,6 @@ mod tests {
         let mut g = Graph::new();
         let out = e.forward(&mut g, &ps, &[1, 2, 3]);
         assert_eq!(g.shape(out), &[3, 4]);
-        assert_eq!(e.vocab(), 10);
         assert_eq!(e.dim(), 4);
     }
 }

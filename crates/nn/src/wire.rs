@@ -213,7 +213,7 @@ impl ByteWriter {
     }
 
     /// Appends raw little-endian `f32` bits.
-    pub fn f32s(&mut self, vals: &[f32]) {
+    fn f32s(&mut self, vals: &[f32]) {
         match &mut self.0 {
             Sink::Buffer(buf) => {
                 buf.reserve(4 * vals.len());
@@ -265,7 +265,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -346,7 +346,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads `n` raw little-endian `f32`s.
-    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
         let raw = self.bytes(n.checked_mul(4).ok_or(WireError::BadShape)?)?;
         Ok(raw
             .chunks_exact(4)

@@ -12,7 +12,7 @@ use crate::trace::{FieldValue, SpanKind, Trace};
 
 /// Escapes a string for embedding in a JSON string literal.
 #[must_use]
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -31,7 +31,7 @@ pub fn json_escape(s: &str) -> String {
 /// Renders a float as a JSON number (`null` for non-finite values,
 /// which JSON cannot represent).
 #[must_use]
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

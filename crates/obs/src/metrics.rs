@@ -13,7 +13,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Default microsecond bucket upper bounds used by [`observe_us`] (an
 /// implicit overflow bucket follows the last bound).
-pub const DEFAULT_US_BOUNDS: [f64; 16] = [
+const DEFAULT_US_BOUNDS: [f64; 16] = [
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1e3, 2.5e3, 5e3, 1e4, 1e5, 1e6, 1e7,
 ];
 
@@ -97,14 +97,6 @@ struct Registry {
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
-}
-
-/// Adds `by` to the named monotonic counter.
-pub fn inc_counter(name: &'static str, by: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    *registry().lock().unwrap().counters.entry(name).or_insert(0) += by;
 }
 
 /// Sets the named counter to an absolute value — the bridge for

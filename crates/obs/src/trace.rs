@@ -121,7 +121,7 @@ impl SpanEvent {
     /// of the determinism contract — the multiset of signatures in a
     /// drained trace is reproducible for a fixed seed and thread count.
     #[must_use]
-    pub fn signature(&self) -> String {
+    fn signature(&self) -> String {
         let mut s = String::with_capacity(self.name.len() + 16 * self.fields.len());
         s.push_str(self.name);
         s.push('{');

@@ -53,7 +53,7 @@ fn nothing_records_while_disabled() {
         let _s = span!(Detail::Phase, "ghost");
         event!(Detail::Phase, "ghost-event");
         let _t = timer!("ghost-timer");
-        metrics::inc_counter("ghost.counter", 1);
+        metrics::set_counter("ghost.counter", 1);
     }
     assert!(trace::drain().is_empty());
     assert!(metrics::snapshot().is_empty());
@@ -154,8 +154,8 @@ fn kernel_detail_records_timer_spans() {
 fn metrics_registry_counters_gauges_histograms() {
     let _g = fresh();
     trace::set_enabled(true);
-    metrics::inc_counter("net.sent", 2);
-    metrics::inc_counter("net.sent", 3);
+    metrics::set_counter("net.sent", 2);
+    metrics::set_counter("net.sent", 5);
     metrics::set_counter("pool.misses", 7);
     metrics::set_gauge("cache.entries", 1.5);
     metrics::observe("latency", &[10.0, 100.0], 55.0);

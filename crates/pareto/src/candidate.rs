@@ -51,8 +51,8 @@ impl Candidate {
     /// Marks the candidate as deployed at `precision` with the measured
     /// quantization penalty (mean absolute weight error; `0.0` at f32).
     /// Energy and size are *not* rescaled here — callers measure them at
-    /// the deployed precision via `acme-energy`'s `deploy_bytes` /
-    /// `serving_energy` and pass the scaled values to [`Candidate::new`].
+    /// the deployed precision and pass the scaled values to
+    /// [`Candidate::new`].
     pub fn with_precision(mut self, precision: Precision, quantization: f64) -> Self {
         self.precision = precision;
         self.objectives[3] = quantization;
@@ -108,7 +108,7 @@ pub fn dominates(a: &[f64; NUM_OBJECTIVES], b: &[f64; NUM_OBJECTIVES]) -> bool {
 /// # Panics
 ///
 /// Panics on an empty candidate list.
-pub fn ideal_point(candidates: &[Candidate]) -> [f64; NUM_OBJECTIVES] {
+pub(crate) fn ideal_point(candidates: &[Candidate]) -> [f64; NUM_OBJECTIVES] {
     assert!(!candidates.is_empty(), "ideal point of empty set");
     let mut out = candidates[0].objectives;
     for c in &candidates[1..] {
@@ -124,7 +124,7 @@ pub fn ideal_point(candidates: &[Candidate]) -> [f64; NUM_OBJECTIVES] {
 /// # Panics
 ///
 /// Panics on an empty candidate list.
-pub fn worst_point(candidates: &[Candidate]) -> [f64; NUM_OBJECTIVES] {
+pub(crate) fn worst_point(candidates: &[Candidate]) -> [f64; NUM_OBJECTIVES] {
     assert!(!candidates.is_empty(), "worst point of empty set");
     let mut out = candidates[0].objectives;
     for c in &candidates[1..] {

@@ -21,7 +21,7 @@ pub struct GridSpec {
 
 impl GridSpec {
     /// Small constant σ preventing division by zero (Eq. 11).
-    pub const DEFAULT_SIGMA: f64 = 1e-6;
+    const DEFAULT_SIGMA: f64 = 1e-6;
 
     /// Builds the grid from a candidate population and the performance
     /// window `γ_p` (same scale as the loss objective).
@@ -57,11 +57,6 @@ impl GridSpec {
     /// Number of intervals per objective.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The ideal point the grid is anchored at.
-    pub fn ideal(&self) -> &[f64; NUM_OBJECTIVES] {
-        &self.ideal
     }
 
     /// Grid coordinates `Ψ(θ̃)` of an objective vector (Eq. 11); each

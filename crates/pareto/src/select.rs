@@ -149,7 +149,7 @@ pub struct MatchOutcome {
 /// Per-candidate evaluation cost in seconds charged to methods that must
 /// measure accuracy at selection time; mirrors the paper's observation
 /// that greedy selection pays per-device evaluation latency.
-pub const EVAL_COST_SECONDS: f64 = 2e-4;
+const EVAL_COST_SECONDS: f64 = 2e-4;
 
 /// Runs one matching method over the candidate pool for a device with the
 /// given storage limit. `spec` must be prebuilt (that cost is amortized

@@ -42,7 +42,4 @@ pub use engine::{BatchEngine, ExitPolicy, Request, Response};
 pub use loadgen::{replay, trace, LoadGenConfig};
 pub use persist::{ManifestVariant, StoreManifest};
 pub use server::{serve, Completion, ServeReport, ServerConfig};
-pub use variant::{
-    ClusterModel, DeviceVariant, ServeModelConfig, StoreConfig, VariantStore,
-    DEVICE_PARAM_KEY_OFFSET,
-};
+pub use variant::{ClusterModel, DeviceVariant, ServeModelConfig, StoreConfig, VariantStore};

@@ -14,7 +14,7 @@ static EARLY_EXITS: AtomicU64 = AtomicU64::new(0);
 static INT8_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
 /// Histogram bucket upper bounds for `serve.batch_size`.
-pub const BATCH_SIZE_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+const BATCH_SIZE_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// Records one dispatched batch: `rows` requests served, of which
 /// `early` left before the final exit.
@@ -47,7 +47,7 @@ pub fn record_int8_rows(rows: usize) {
 }
 
 /// Requests served at int8 deploy precision since process start.
-pub fn int8_requests() -> u64 {
+fn int8_requests() -> u64 {
     INT8_REQUESTS.load(Ordering::Relaxed)
 }
 

@@ -191,7 +191,7 @@ pub struct DeviceVariant {
 /// Graph binding keys for device-variant parameters are offset so they
 /// can never collide with cluster-backbone bindings (which use the raw
 /// `ParamId::key`, i.e. the slot index) within the same [`Graph`].
-pub const DEVICE_PARAM_KEY_OFFSET: u64 = 1 << 32;
+const DEVICE_PARAM_KEY_OFFSET: u64 = 1 << 32;
 
 impl DeviceVariant {
     /// Binds one of this variant's parameters into `g` under the
@@ -391,7 +391,8 @@ impl VariantStore {
     /// How many device variants are currently materialized. A store
     /// freshly loaded from blobs ([`VariantStore::from_store`]) starts
     /// at zero and materializes per device on first request.
-    pub fn materialized_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn materialized_count(&self) -> usize {
         self.slots.iter().filter(|s| s.cell.get().is_some()).count()
     }
 

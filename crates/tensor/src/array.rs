@@ -2,7 +2,7 @@
 
 use crate::error::{Result, TensorError};
 use crate::pool;
-use crate::shape::{strides_for, volume};
+use crate::shape::volume;
 
 /// An owned n-dimensional `f32` tensor stored in row-major order.
 ///
@@ -134,11 +134,6 @@ impl Array {
         std::mem::take(&mut self.data)
     }
 
-    /// Row-major strides.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_for(&self.shape)
-    }
-
     /// Returns the single element of a size-1 array.
     ///
     /// # Panics
@@ -193,23 +188,6 @@ impl Array {
         let mut data = pool::take(self.data.len());
         data.extend_from_slice(&self.data);
         Array::from_vec(data, shape)
-    }
-
-    /// Reshapes in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if volumes differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
-        let expected = volume(shape);
-        if self.data.len() != expected {
-            return Err(TensorError::LengthMismatch {
-                expected,
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
     }
 
     /// Applies `f` to every element, returning a new array (pool-backed).

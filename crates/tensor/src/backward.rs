@@ -556,7 +556,7 @@ mod tests {
         g.backward(s);
         // ds/da = ones @ b^T
         let ones = Array::ones(&[3, 2]);
-        let expect_ga = ones.matmul(&g.value(b).transpose2d().unwrap()).unwrap();
+        let expect_ga = ones.matmul(&g.value(b).permute(&[1, 0]).unwrap()).unwrap();
         for (x, y) in g.grad(a).unwrap().data().iter().zip(expect_ga.data()) {
             assert!((x - y).abs() < 1e-5);
         }

@@ -22,7 +22,12 @@ pub(crate) struct ConvGeom {
 
 impl ConvGeom {
     /// Validates input/weight shapes and computes output geometry.
-    pub fn new(input: &[usize], weight: &[usize], stride: usize, pad: usize) -> Result<ConvGeom> {
+    pub(crate) fn new(
+        input: &[usize],
+        weight: &[usize],
+        stride: usize,
+        pad: usize,
+    ) -> Result<ConvGeom> {
         if input.len() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -74,12 +79,12 @@ impl ConvGeom {
     }
 
     /// Number of columns in the im2col matrix per batch element.
-    pub fn col_width(&self) -> usize {
+    pub(crate) fn col_width(&self) -> usize {
         self.in_ch * self.kh * self.kw
     }
 
     /// Number of rows in the im2col matrix per batch element.
-    pub fn col_height(&self) -> usize {
+    pub(crate) fn col_height(&self) -> usize {
         self.out_h * self.out_w
     }
 }
@@ -152,7 +157,7 @@ pub(crate) struct PoolGeom {
 
 impl PoolGeom {
     /// Validates a `[B, C, H, W]` input for a `k x k`, stride-`k` pool.
-    pub fn new(input: &[usize], k: usize) -> Result<PoolGeom> {
+    pub(crate) fn new(input: &[usize], k: usize) -> Result<PoolGeom> {
         if input.len() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -178,7 +183,7 @@ impl PoolGeom {
     }
 
     /// Output shape `[B, C, H/k, W/k]`.
-    pub fn out_shape(&self) -> Vec<usize> {
+    pub(crate) fn out_shape(&self) -> Vec<usize> {
         vec![self.batch, self.ch, self.out_h, self.out_w]
     }
 }

@@ -291,11 +291,6 @@ impl Graph {
         self.matmul_precision = p;
     }
 
-    /// The precision configured via [`Graph::set_matmul_precision`].
-    pub fn matmul_precision(&self) -> Precision {
-        self.matmul_precision
-    }
-
     fn push(&mut self, value: Array, op: Op) -> Var {
         // Off, the clock is dropped, so a node pushed after recording
         // turns back on is never charged the time it was off.

@@ -239,40 +239,6 @@ impl Array {
         }
         Array::from_vec(data, &out_shape)
     }
-
-    /// Transposes a 2-D array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] when the array is not 2-D.
-    pub fn transpose2d(&self) -> Result<Array> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "transpose2d",
-            });
-        }
-        self.permute(&[1, 0])
-    }
-
-    /// Swaps the last two axes (per-batch transpose).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when rank < 2.
-    pub fn transpose_last(&self) -> Result<Array> {
-        if self.rank() < 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "transpose_last",
-            });
-        }
-        let mut perm: Vec<usize> = (0..self.rank()).collect();
-        perm.swap(self.rank() - 1, self.rank() - 2);
-        self.permute(&perm)
-    }
 }
 
 /// Returns the inverse of a permutation.
@@ -359,22 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose2d_works() {
-        let a = arr(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let t = a.transpose2d().unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn transpose_last_on_3d() {
-        let a = Array::from_vec((0..12).map(|x| x as f32).collect(), &[2, 2, 3]).unwrap();
-        let t = a.transpose_last().unwrap();
-        assert_eq!(t.shape(), &[2, 3, 2]);
-        assert_eq!(t.at(&[1, 2, 0]), a.at(&[1, 0, 2]));
-    }
-
-    #[test]
     fn kernels_agree_with_reference() {
         // a: [2,3], b: [3,2]
         let a = arr(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
@@ -382,13 +332,13 @@ mod tests {
         let c = a.matmul(&b).unwrap();
 
         // a^T stored as [3,2]: matmul_at_b_kernel(aT, b) == matmul(a, b)
-        let at = a.transpose2d().unwrap();
+        let at = a.permute(&[1, 0]).unwrap();
         let mut out = vec![0.0; 4];
         matmul_at_b_kernel(at.data(), b.data(), &mut out, 2, 3, 2);
         assert_eq!(out, c.data());
 
         // b^T stored as [2,3]: matmul_a_bt_kernel(a, bT) == matmul(a, b)
-        let bt = b.transpose2d().unwrap();
+        let bt = b.permute(&[1, 0]).unwrap();
         let mut out = vec![0.0; 4];
         matmul_a_bt_kernel(a.data(), bt.data(), &mut out, 2, 3, 2);
         assert_eq!(out, c.data());

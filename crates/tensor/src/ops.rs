@@ -24,12 +24,7 @@ impl Array {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when shapes cannot broadcast.
-    pub fn binary(
-        &self,
-        rhs: &Array,
-        op: &'static str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Array> {
+    fn binary(&self, rhs: &Array, op: &'static str, f: impl Fn(f32, f32) -> f32) -> Result<Array> {
         if self.shape() == rhs.shape() {
             // Fast path: no index translation needed.
             let mut data = pool::take(self.len());
@@ -149,22 +144,6 @@ impl Array {
         }
     }
 
-    /// In-place `self += c * rhs` (axpy) for identically-shaped arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    pub fn add_scaled_assign(&mut self, rhs: &Array, c: f32) {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "add_scaled_assign shape mismatch"
-        );
-        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data()) {
-            *a += c * b;
-        }
-    }
-
     /// Reduces `grad` (shaped like the broadcast output) back to
     /// `target_shape` by summing over broadcast axes. This is the adjoint of
     /// broadcasting and is used by every binary op's backward pass.
@@ -234,19 +213,6 @@ impl Array {
             }
         }
         Ok(out)
-    }
-
-    /// Mean along `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn mean_axis(&self, axis: usize) -> Result<Array> {
-        let n = *self.shape().get(axis).ok_or(TensorError::AxisOutOfRange {
-            axis,
-            rank: self.rank(),
-        })? as f32;
-        Ok(self.sum_axis(axis)?.scale(1.0 / n))
     }
 
     /// Row-wise softmax over the last axis.
@@ -461,12 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_axis_divides() {
-        let a = arr(&[2.0, 4.0, 6.0, 8.0], &[2, 2]);
-        assert_eq!(a.mean_axis(0).unwrap().data(), &[4.0, 6.0]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let a = arr(&[1.0, 2.0, 3.0, 100.0, 100.0, 100.0], &[2, 3]);
         let s = a.softmax_last();
@@ -521,13 +481,5 @@ mod tests {
         let b = Array::ones(&[3, 3]);
         assert!(Array::concat(&[&a, &b], 0).is_err());
         assert!(Array::concat(&[], 0).is_err());
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = arr(&[1.0, 1.0], &[2]);
-        let b = arr(&[2.0, 3.0], &[2]);
-        a.add_scaled_assign(&b, 0.5);
-        assert_eq!(a.data(), &[2.0, 2.5]);
     }
 }

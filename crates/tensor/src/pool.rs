@@ -40,11 +40,11 @@ use std::sync::{Mutex, OnceLock};
 
 /// Smallest buffer (in `f32`s) worth pooling; tinier ones cost less to
 /// allocate than to round-trip through a free list.
-pub const MIN_POOLED: usize = 64;
+const MIN_POOLED: usize = 64;
 
 /// Largest pooled buffer (in `f32`s, 64 MiB); larger ones go straight to
 /// the allocator so a one-off huge tensor cannot pin memory forever.
-pub const MAX_POOLED: usize = 1 << 24;
+const MAX_POOLED: usize = 1 << 24;
 
 /// Free-list buckets: powers of two from `MIN_POOLED` to `MAX_POOLED`.
 const BUCKETS: usize = (MAX_POOLED.trailing_zeros() - MIN_POOLED.trailing_zeros() + 1) as usize;

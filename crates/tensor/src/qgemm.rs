@@ -57,7 +57,7 @@ use crate::gemm::{gemm_prepacked, Kernel, MatRef, Packed, MR, NR};
 
 /// Quantized values live in `[-QMAX, QMAX]`; the symmetric range keeps
 /// `-q` representable so sign-flipped inputs quantize to flipped codes.
-pub const QMAX: f32 = 127.0;
+const QMAX: f32 = 127.0;
 
 /// Serving precision of a model variant: which GEMM instantiation its
 /// frozen weight products run through.
@@ -89,17 +89,6 @@ impl Precision {
             "f32" => Some(Precision::F32),
             "int8" => Some(Precision::Int8),
             _ => None,
-        }
-    }
-
-    /// Deployed bytes per weight parameter at this precision (the
-    /// quantity ACME's Table I meters as bytes-on-the-wire). Per-channel
-    /// scales add 4 bytes per output column on top — negligible next to
-    /// `k` rows, and accounted separately by `acme-energy`.
-    pub fn bytes_per_param(self) -> u64 {
-        match self {
-            Precision::F32 => 4,
-            Precision::Int8 => 1,
         }
     }
 }
@@ -610,8 +599,6 @@ mod tests {
         }
         assert_eq!(Precision::parse("fp16"), None);
         assert_eq!(Precision::default(), Precision::F32);
-        assert_eq!(Precision::F32.bytes_per_param(), 4);
-        assert_eq!(Precision::Int8.bytes_per_param(), 1);
     }
 
     #[test]

@@ -344,7 +344,7 @@ pub struct DeVitLike {
 
 impl DeVitLike {
     /// DeViT: two half-width members.
-    pub fn devit(
+    fn devit(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -355,7 +355,7 @@ impl DeVitLike {
     }
 
     /// DeDeiTs: three shallower members.
-    pub fn dedeits(
+    fn dedeits(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -367,7 +367,7 @@ impl DeVitLike {
 
     /// DeCCTs: two members with convolutional stems (compact conv
     /// tokenization).
-    pub fn deccts(
+    fn deccts(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -426,7 +426,8 @@ impl DeVitLike {
     }
 
     /// Number of ensemble members.
-    pub fn num_members(&self) -> usize {
+    #[cfg(test)]
+    fn num_members(&self) -> usize {
         self.members.len()
     }
 }
@@ -470,7 +471,10 @@ mod tests {
     #[test]
     fn all_baselines_build_and_forward() {
         let mut rng = SmallRng64::new(0);
-        let spec = SyntheticSpec::tiny().with_classes(5);
+        let spec = SyntheticSpec {
+            classes: 5,
+            ..SyntheticSpec::tiny()
+        };
         let ds = cifar100_like(&spec, &mut rng).unwrap();
         let batch = ds.sample(3, &mut rng).as_batch();
         for kind in BaselineKind::all() {

@@ -77,13 +77,9 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// The last epoch's mean loss.
-    pub fn final_loss(&self) -> f32 {
-        *self.epoch_losses.last().unwrap_or(&f32::NAN)
-    }
-
     /// Whether the loss decreased from first to last epoch.
-    pub fn improved(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn improved(&self) -> bool {
         match (self.epoch_losses.first(), self.epoch_losses.last()) {
             (Some(a), Some(b)) => b < a,
             _ => false,
@@ -312,7 +308,6 @@ mod tests {
         let r = TrainReport {
             epoch_losses: vec![2.0, 1.0],
         };
-        assert_eq!(r.final_loss(), 1.0);
         assert!(r.improved());
         let flat = TrainReport {
             epoch_losses: vec![],

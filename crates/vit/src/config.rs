@@ -1,7 +1,5 @@
 //! ViT architecture configuration and the `δ(θ₀, w, d)` transform.
 
-use acme_energy::ArchShape;
-
 /// Architecture of a (scaled-down) Vision Transformer.
 ///
 /// The reference model `θ₀` of the paper is [`VitConfig::reference`]; any
@@ -101,24 +99,6 @@ impl VitConfig {
         self.image / self.patch
     }
 
-    /// The corresponding [`ArchShape`] for the analytic parameter count
-    /// `ζ(θ)` of Eq. (3).
-    pub fn arch_shape(&self) -> ArchShape {
-        ArchShape {
-            head_params: (2 * self.dim as u64 + 1) * 4 * (self.heads * self.head_dim) as u64 / 2,
-            hidden_dim: self.dim as u64,
-            ff_dim: self.mlp_hidden as u64,
-            fixed_params: (self.patch_dim() * self.dim
-                + self.dim
-                + self.dim * self.num_tokens()
-                + self.dim
-                + self.dim * self.classes
-                + self.classes) as u64,
-        }
-    }
-
-    /// Exact parameter count of the backbone + default linear header as
-    /// constructed by [`Vit::new`](crate::Vit::new).
     pub fn exact_params(&self) -> u64 {
         let inner = self.heads * self.head_dim;
         let attn = 3 * (self.dim * inner + inner) + inner * self.dim + self.dim;

@@ -8,14 +8,15 @@ use acme_tensor::{pool, Array, Graph};
 use crate::classifier::{train_on, TrainConfig, TrainReport};
 use crate::model::Vit;
 
-/// Hyperparameters of [`distill`] and [`distill_from`]; `lambda1`/`lambda2`
-/// are the loss weights of Eq. (9) (the hidden-state term has weight 1).
+/// Weight λ₁ of Eq. (9)'s logit-matching term.
+const LAMBDA1: f32 = 1.0;
+/// Weight λ₂ of Eq. (9)'s embedding-matching term (the hidden-state term
+/// has weight 1).
+const LAMBDA2: f32 = 0.5;
+
+/// Hyperparameters of [`distill`] and [`distill_from`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistillConfig {
-    /// Weight λ₁ of the logit-matching term.
-    pub lambda1: f32,
-    /// Weight λ₂ of the embedding-matching term.
-    pub lambda2: f32,
     /// Passes over the transfer set.
     pub epochs: usize,
     /// Minibatch size.
@@ -29,8 +30,6 @@ pub struct DistillConfig {
 impl Default for DistillConfig {
     fn default() -> Self {
         DistillConfig {
-            lambda1: 1.0,
-            lambda2: 0.5,
             epochs: 4,
             batch_size: 32,
             lr: 3e-3,
@@ -209,8 +208,8 @@ pub fn distill_from(
         let l_logit = g.mse_loss(s_logits, ty);
         let l_embed = g.mse_loss(s_embed, te);
         let l_hidden = g.mse_loss(s_feats.tokens, th);
-        let l1 = g.scale(l_logit, cfg.lambda1);
-        let l2 = g.scale(l_embed, cfg.lambda2);
+        let l1 = g.scale(l_logit, LAMBDA1);
+        let l2 = g.scale(l_embed, LAMBDA2);
         let partial = g.add(l1, l2);
         g.add(partial, l_hidden)
     })

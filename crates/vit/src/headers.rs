@@ -359,7 +359,11 @@ mod tests {
         use crate::classifier::{fit, TrainConfig};
         use acme_data::{cifar100_like, SyntheticSpec};
         let (vit, mut ps, mut rng) = setup();
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_classes(5), &mut rng).unwrap();
+        let spec = SyntheticSpec {
+            classes: 5,
+            ..SyntheticSpec::tiny()
+        };
+        let ds = cifar100_like(&spec, &mut rng).unwrap();
         let header = HeaderKind::Mlp.build(&mut ps, "h", 16, 2, 5, &mut rng);
         let model = HeadedVit::new(&vit, header.as_ref());
         let report = fit(&model, &mut ps, &ds, &TrainConfig::quick());

@@ -61,5 +61,5 @@ pub use frozen::FrozenFeatures;
 pub use headers::{Header, HeaderKind};
 pub use importance::{score_importance, ImportanceScores};
 pub use model::{patchify, Features, Vit};
-pub use multi_exit::{final_exit_accuracy, EarlyExitReport, MultiExitVit};
+pub use multi_exit::{EarlyExitReport, MultiExitVit};
 pub use prune::{prune_width, truncate_depth};

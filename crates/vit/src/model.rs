@@ -282,7 +282,8 @@ impl Vit {
     }
 
     /// All parameter ids including the default header.
-    pub fn all_param_ids(&self) -> Vec<ParamId> {
+    #[cfg(test)]
+    pub(crate) fn all_param_ids(&self) -> Vec<ParamId> {
         let mut ids = self.backbone_param_ids();
         ids.extend(self.head.param_ids());
         ids

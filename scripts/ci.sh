@@ -126,10 +126,9 @@ step "one training loop (pretrain, distillation, header refits and multi-exit tr
 # train_on: fit, fit_header, distill_from and MultiExitVit::fit_exits pass
 # their loss to that loop instead of growing their own optimizer and
 # clip, so ROADMAP item 4's data-parallel step lands in one place.
-# crates/nas is left out on purpose: NasSearch::run's phase A and
-# random_search draw their shuffles and architectures from the caller's
-# rng and stop on a step budget, so folding them into train_on would
-# move Phase 2-1's bits.
+# crates/nas is left out on purpose: NasSearch::run's phase A draws its
+# shuffles and architectures from the caller's rng and stops on a step
+# budget, so folding it into train_on would move Phase 2-1's bits.
 for call in 'Adam::new(' 'clip_grad_norm('; do
     found="$(
         for f in $(find crates/{vit,core}/src -name '*.rs' | sort); do
@@ -173,8 +172,87 @@ if [ -n "$gated$features" ]; then
     exit 1
 fi
 
+step "no orphan pub item (every pub fn / const / static in crates/*/src has a caller)"
+# Every `pub fn`, `pub const` and `pub static` above its file's first
+# #[cfg(test)] in crates/*/src is named, outside tests and comments, in
+# the code of another file: crates/*/src (bins included),
+# crates/*/examples, benchmarks/src, examples/ or src/. A `pub use`
+# re-export, one line or the lines of a multi-line `pub use {...}`, is
+# not a caller. An item nothing calls is deleted, or made private /
+# pub(crate) when its own file or crate uses it; one kept for tests stays
+# only on the allow-list below, each name with its reason, and a name on
+# the list that is no longer an orphan fails the stage too. The count is
+# by name over one (identifier, file) table built in a single pass, and
+# nothing parses Rust: a method name shared across types (`config`,
+# `len`) counts as called when any of them is, so the gate can miss such
+# an item. Pub items of private modules are clippy's `unreachable_pub`.
+orphan_allow='
+backward_with       seeded backward: the attention oracle test drives it with a random upstream gradient
+cases               acme-check property-test entry point: its callers are tests by design
+counter             MetricsSnapshot inspection the observability and serving tests read
+dequantize_acc      int8 stage the GEMM oracle property test composes against gemm_i8_naive
+dequantize_rows     inverse of quantize_rows for the quantization round-trip property
+dominates           Pareto-dominance oracle the selection property tests check PFG picks against
+early_exits         process-wide serving counter the serving test compares with the registry
+field_u64           SpanEvent inspection the recording tests read
+gauge               MetricsSnapshot inspection the recording tests read
+gemm_i8_naive       int8 GEMM oracle (safety code): the property tests compare the engine against it
+gemm_i8_prepacked   int8 engine entry the GEMM oracle property test drives at 1, 2 and 4 threads
+gemm_naive          f32 GEMM oracle (safety code): the property tests compare the engine against it
+hashes              ModelStore listing the serve persist tests compare across thread counts
+KC                  depth-block size the GEMM property shapes straddle
+MC                  row-block size the GEMM property shapes straddle
+non_finite_dropped  DriftDetector count of dropped NaN/inf observations, the evidence the robustness tests read
+quantize_cols       int8 stage the GEMM oracle property test composes against gemm_i8_naive
+quantize_rows       int8 stage the GEMM oracle property test composes against gemm_i8_naive
+scales              packed int8 panel scales the GEMM oracle property test dequantizes with
+set_detail          recording-detail switch the observability tests set per level
+set_ring_capacity   trace ring bound the recording tests shrink to force overflow
+spans_named         Trace inspection the recording tests read
+stable_signature    Trace inspection the determinism tests compare across reruns
+'
+orphans="$(
+    {
+        printf '%s\n' "$orphan_allow" | awk 'NF { print "allow", "-", $1 }'
+        for f in $(find crates/*/src -name '*.rs' | sort); do
+            code_of "$f" \
+                | grep -oE '^[[:space:]]*pub (const |unsafe )*(fn|const|static) +[A-Za-z_][A-Za-z0-9_]*' \
+                | awk -v f="$f" '{ print "item", f, $NF }' || true
+        done
+        for f in $(find crates/*/src crates/*/examples benchmarks/src examples src -name '*.rs' | sort); do
+            code_of "$f" | awk -v f="$f" '
+                /^[[:space:]]*pub(\([a-z]+\))? use / { reexport = !/[;}]/; next }
+                reexport { reexport = !/[;}]/; next }
+                {
+                    sub(/[[:space:]]\/\/.*$/, "")
+                    n = split($0, w, /[^A-Za-z0-9_]+/)
+                    for (i = 1; i <= n; i++)
+                        if (w[i] ~ /^[A-Za-z_]/ && !seen[w[i]]++) print "use", f, w[i]
+                }'
+        done
+    } | awk '
+        $1 == "allow" { allowed[$3] = 1; next }
+        $1 == "item" { name[++n] = $3; file[n] = $2; next }
+        { users[$3] = users[$3] " " $2 }
+        END {
+            for (i = 1; i <= n; i++) {
+                called = 0; k = split(users[name[i]], u, " ")
+                for (j = 1; j <= k; j++) if (u[j] != file[i]) called = 1
+                if (called) continue
+                orphan[name[i]] = 1
+                if (!allowed[name[i]]) print file[i] ": " name[i]
+            }
+            for (a in allowed) if (!orphan[a]) print "allow-list entry with a caller or no item: " a
+        }' | sort -u
+)"
+if [ -n "$orphans" ]; then
+    echo "ci.sh: pub items without a caller outside their file (delete, narrow, or allow-list with a reason):" >&2
+    printf '%s\n' "$orphans" >&2
+    exit 1
+fi
+
 step "cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings -W unreachable_pub
 
 step "cargo build --release"
 cargo build --workspace --release

@@ -12,9 +12,10 @@ use std::cell::Cell;
 use std::fmt::Debug;
 use std::time::Duration;
 
-use acme_distsys::protocol::{DropPoint, MeasuredDeploy, NodeStatus, RetryPolicy};
+use acme_distsys::protocol::{DropPoint, NodeStatus, RetryPolicy};
 use acme_distsys::{
-    DriverKind, KindRow, LinkClass, NodeId, ProtocolConfig, RunCheckpoint, TransferReport,
+    DriverKind, KindRow, Link, LinkClass, LinkModel, NodeId, ProtocolConfig, RunCheckpoint,
+    SimConfig, TransferReport,
 };
 use acme_energy::{Device, DeviceCluster, DeviceId, EdgeId, Fleet};
 use acme_nn::wire::{digest128, encoded_len, open, seal, ByteWriter, Codec, WireError};
@@ -211,10 +212,6 @@ fn sample_run() -> RunCheckpoint {
                 cap: Duration::from_millis(200),
             },
             min_quorum: 1,
-            deploy: Some(MeasuredDeploy {
-                backbone_bytes: 438_000,
-                variant_bytes: 3_300,
-            }),
         },
         rounds_done: 2,
         report: TransferReport {
@@ -250,10 +247,20 @@ fn sample_run() -> RunCheckpoint {
             status(NodeId::Device(DeviceId(2)), 2, None, 0),
         ],
         driver: DriverKind::Sim,
-        seed: 7,
-        jitter: 0.05,
+        sim: SimConfig {
+            links: LinkModel {
+                device_edge: Link::try_new(SAMPLE_BANDWIDTH, 0.0075).unwrap(),
+                edge_cloud: Link::try_new(1.5e6, 0.055).unwrap(),
+            },
+            seed: 7,
+            jitter: 0.05,
+        },
     }
 }
+
+/// The sample run's device-edge bandwidth, a bit pattern the body holds
+/// once.
+const SAMPLE_BANDWIDTH: f64 = 3.25e6;
 
 /// Frames an arbitrary body as a `T` blob with a valid digest.
 fn reseal<T: Codec>(body: &[u8]) -> Vec<u8> {
@@ -370,14 +377,15 @@ fn sweep_acmr_run_checkpoint() {
 }
 
 /// Captured at the commit before the four encoders moved onto the shared
-/// frame; a mismatch means an encoder's bytes changed.
+/// frame (`ACMR` re-captured at its v2 body: sim links in, deploy tag
+/// out); a mismatch means an encoder's bytes changed.
 #[test]
 fn golden_bytes() {
     for (sealed, golden) in [
         (seal(&sample_params()), "31851f99b6497d98bb33d49ff848bec9"),
         (seal(&sample_delta()), "16be6e150ef35f57a335c3838c23b717"),
         (seal(&sample_manifest()), "4d0a19da6b4a757ea03c60c977a66ec0"),
-        (seal(&sample_run()), "9d12679d3d4b3b703918969221076a5a"),
+        (seal(&sample_run()), "fb44cb95d5485511bae6f10d63b3508f"),
     ] {
         assert_eq!(ContentHash::of(&sealed).to_hex(), golden);
     }
@@ -518,4 +526,21 @@ fn run_checkpoint_that_would_panic_on_resume_is_bad_shape() {
     });
     rejects(|ck| ck.nodes.swap(2, 3));
     rejects(|ck| ck.nodes.clear());
+}
+
+#[test]
+fn run_checkpoint_with_a_negative_bandwidth_is_bad_shape() {
+    // `Link`'s fields are private, so only a hostile body can carry a
+    // link `Link::try_new` rejects; decoding checks it the same way.
+    let mut body = body_of(&seal(&sample_run())).to_vec();
+    let good = SAMPLE_BANDWIDTH.to_le_bytes();
+    let at = body
+        .windows(8)
+        .position(|w| w == good)
+        .expect("the sample's bandwidth is in the body");
+    body[at..at + 8].copy_from_slice(&(-SAMPLE_BANDWIDTH).to_le_bytes());
+    assert_eq!(
+        err_of::<RunCheckpoint>(&reseal::<RunCheckpoint>(&body)),
+        WireError::BadShape
+    );
 }

@@ -26,7 +26,11 @@ fn loss_bits(r: &TrainReport) -> Vec<u32> {
 fn cached_feature_refits_match_refits_through_the_backbone_bitwise() {
     let mut rng = SmallRng64::new(8);
     let data = cifar100_like(
-        &SyntheticSpec::cifar().with_classes(4).with_per_class(10),
+        &SyntheticSpec {
+            classes: 4,
+            ..SyntheticSpec::cifar()
+        }
+        .with_per_class(10),
         &mut rng,
     )
     .unwrap();

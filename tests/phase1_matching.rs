@@ -1,7 +1,7 @@
 //! Cross-crate integration of Phase 1: candidate generation (acme-vit),
 //! energy objectives (acme-energy), and PFG selection (acme-pareto).
 
-use acme::{build_candidate_pool, customize_backbone_for_cluster};
+use acme::{build_candidate_pool_on, customize_backbone_for_cluster, Pool};
 use acme_data::{cifar100_like, SyntheticSpec};
 use acme_energy::{Device, DeviceCluster, EdgeId, EnergyModel, Fleet};
 use acme_nn::ParamSet;
@@ -16,7 +16,8 @@ fn pool() -> Vec<acme::CandidateModel> {
     let cfg = VitConfig::tiny(ds.num_classes());
     let mut ps = ParamSet::new();
     let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    build_candidate_pool(
+    build_candidate_pool_on(
+        &Pool::serial(),
         &vit,
         &ps,
         &train,

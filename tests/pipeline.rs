@@ -134,9 +134,11 @@ fn run_thin(per_class: usize) -> Result<acme::AcmeOutcome, acme::AcmeError> {
         .quick()
         .reference(acme_vit::VitConfig::tiny(2))
         .dataset(
-            acme_data::SyntheticSpec::tiny()
-                .with_classes(2)
-                .with_per_class(per_class),
+            acme_data::SyntheticSpec {
+                classes: 2,
+                ..acme_data::SyntheticSpec::tiny()
+            }
+            .with_per_class(per_class),
         )
         .clusters(1)
         .devices_per_cluster(1)

@@ -24,7 +24,11 @@ fn bits(a: &Array) -> (Vec<usize>, Vec<u32>) {
 fn gathered_rows_match_a_per_batch_teacher_pass_bitwise() {
     let mut rng = SmallRng64::new(5);
     let data = cifar100_like(
-        &SyntheticSpec::cifar().with_classes(4).with_per_class(12),
+        &SyntheticSpec {
+            classes: 4,
+            ..SyntheticSpec::cifar()
+        }
+        .with_per_class(12),
         &mut rng,
     )
     .unwrap();
