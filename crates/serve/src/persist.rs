@@ -201,10 +201,11 @@ impl Codec for StoreManifest {
 
 /// Rebuilds a [`ClusterModel`] from a checkpointed backbone
 /// [`ParamSet`]: construct the skeleton (which assigns `ParamId`s in
-/// save order), then overwrite every value bitwise from the blob.
+/// save order), then move every decoded value into it, so no second
+/// copy of the backbone is ever live.
 fn rebuild_cluster(
     model: &ServeModelConfig,
-    loaded: &ParamSet,
+    mut loaded: ParamSet,
 ) -> Result<ClusterModel, StoreError> {
     // The RNG only seeds values that are overwritten below; any seed
     // yields the same structure.
@@ -219,8 +220,8 @@ fn rebuild_cluster(
             params.len()
         )));
     }
-    let ids: Vec<_> = params.ids().collect();
-    for (id, lid) in ids.into_iter().zip(loaded.ids()) {
+    let ids: Vec<_> = params.ids().zip(loaded.ids()).collect();
+    for (id, lid) in ids {
         if params.name(id) != loaded.name(lid) {
             return Err(StoreError::Mismatch(format!(
                 "backbone param {:?} where model expects {:?}",
@@ -236,7 +237,7 @@ fn rebuild_cluster(
                 params.value(id).shape()
             )));
         }
-        *params.value_mut(id) = loaded.value(lid).clone();
+        std::mem::swap(params.value_mut(id), loaded.value_mut(lid));
         params.set_trainable(id, loaded.is_trainable(lid));
     }
     Ok(ClusterModel { vit, exits, params })
@@ -302,7 +303,7 @@ impl VariantStore {
         let mut clusters = Vec::with_capacity(manifest.backbones.len());
         for &h in &manifest.backbones {
             let loaded = store.get_params(h)?;
-            clusters.push(rebuild_cluster(&manifest.model, &loaded)?);
+            clusters.push(rebuild_cluster(&manifest.model, loaded)?);
         }
         let mut slots = Vec::with_capacity(manifest.variants.len());
         for entry in &manifest.variants {

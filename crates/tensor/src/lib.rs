@@ -59,7 +59,8 @@ pub use acme_obs as obs;
 
 /// Publishes the tensor substrate's ad-hoc counters into the
 /// [`acme_obs::metrics`] registry: pool hits/misses/recycled/dropped
-/// (as `tensor.pool.*` counters), pack-cache packs
+/// (as `tensor.pool.*` counters) and the bytes its free lists hold
+/// (`tensor.pool.retained_bytes`, a gauge), pack-cache packs
 /// (`tensor.packcache.packs` / `tensor.packcache.hits`, plus the
 /// `i8_packs` / `i8_hits` pair for the quantized side) and its size
 /// (`tensor.packcache.entries`, both dtypes, and
@@ -81,6 +82,7 @@ pub fn publish_obs_metrics() {
     acme_obs::metrics::set_counter("tensor.pool.misses", stats.misses);
     acme_obs::metrics::set_counter("tensor.pool.recycled", stats.recycled);
     acme_obs::metrics::set_counter("tensor.pool.dropped", stats.dropped);
+    acme_obs::metrics::set_gauge("tensor.pool.retained_bytes", stats.retained_bytes as f64);
     acme_obs::metrics::set_counter("tensor.packcache.packs", packcache::packs());
     acme_obs::metrics::set_counter("tensor.packcache.hits", packcache::hits());
     acme_obs::metrics::set_counter("tensor.packcache.i8_packs", packcache::i8_packs());

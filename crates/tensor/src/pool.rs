@@ -9,24 +9,39 @@
 //!
 //! # Design
 //!
-//! * **Buckets.** Buffers are grouped by the largest power of two that
-//!   fits their capacity, from [`MIN_POOLED`] to [`MAX_POOLED`] floats.
-//!   A request of `len` floats is served from the bucket of the next
-//!   power of two ≥ `len`, so every pooled buffer's capacity is
-//!   guaranteed to cover the request. Each bucket sits behind its own
-//!   mutex, spreading contention across sizes.
+//! * **Buckets.** One free list per power of two from [`MIN_POOLED`]
+//!   to [`MAX_POOLED`] floats. A request of `len` floats is served from
+//!   the bucket of the next power of two ≥ `len`, and a miss allocates
+//!   exactly that bucket size, so every pooled buffer's capacity covers
+//!   the request. Each bucket sits behind its own mutex, spreading
+//!   contention across sizes.
 //! * **Recycling.** [`Array`](crate::Array) returns its backing here on
 //!   drop, so every temporary — graph values recycled by
 //!   `Graph::reset`, backward contributions consumed by `add_assign`,
-//!   intermediate clones — flows back automatically. Out-of-range or
-//!   over-cap buffers fall through to the allocator.
+//!   intermediate clones — flows back automatically. The pool keeps only
+//!   buffers it can hand back: a buffer whose capacity is exactly a
+//!   bucket size, i.e. what [`take`] allocates, and only while the
+//!   bucket has buffers out, so a bucket never holds more buffers than
+//!   it has allocated. Every other buffer, and any beyond the bucket
+//!   cap, falls through to the allocator.
+//!
+//!   Both halves close a leak. Buffers born outside the pool — decoded
+//!   checkpoints, `randn` / `uniform`, `from_vec` of a collected `Vec` —
+//!   mostly have capacities that are not a power of two. An earlier
+//!   rule filed them one bucket *below* their size, where no request of
+//!   their own size ever found them: a serving process that built its
+//!   fleet three times and restored it four held ≈650 MB of them. Those
+//!   born with a power-of-two capacity add supply without demand, so
+//!   every restore of a model with such shapes grew the pool by another
+//!   copy until the bucket cap.
 //! * **Determinism.** The pool only moves buffers around; callers
 //!   overwrite every element before reading. Results are unaffected by
 //!   hits vs. misses, pool on vs. off.
 //! * **Stats.** Hit/miss/recycle counters make allocation behaviour
 //!   observable: `misses` counts exactly the heap allocations performed
 //!   through the pool, which is the "allocations per step" metric the
-//!   training-step bench reports. [`set_enabled`] turns reuse off (every
+//!   training-step bench reports, and `retained_bytes` is the capacity
+//!   the free lists hold right now. [`set_enabled`] turns reuse off (every
 //!   take allocates, every recycle frees) so benches can measure the
 //!   pre-pool baseline with the same instrumentation. For observability
 //!   runs these counters are published into the unified metrics
@@ -54,8 +69,16 @@ const BUCKETS: usize = (MAX_POOLED.trailing_zeros() - MIN_POOLED.trailing_zeros(
 /// the cap is sized to hold a full step's working set per size class.
 const BUCKET_CAP: usize = 256;
 
+/// One size class: its free list, and how many buffers of its size the
+/// pool has handed out and not yet had back.
+#[derive(Default)]
+struct Bucket {
+    free: Vec<Vec<f32>>,
+    out: usize,
+}
+
 struct Pool {
-    buckets: [Mutex<Vec<Vec<f32>>>; BUCKETS],
+    buckets: [Mutex<Bucket>; BUCKETS],
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -67,55 +90,43 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        buckets: std::array::from_fn(|_| Mutex::new(Vec::new())),
+        buckets: std::array::from_fn(|_| Mutex::default()),
     })
 }
 
-/// Bucket index for a request of `len` floats (next power of two ≥ len).
-fn bucket_for_request(len: usize) -> Option<usize> {
-    if len > MAX_POOLED {
-        return None;
-    }
-    let rounded = len.max(MIN_POOLED).next_power_of_two();
-    Some((rounded.trailing_zeros() - MIN_POOLED.trailing_zeros()) as usize)
-}
-
-/// Bucket index a retired buffer of `capacity` floats belongs to
-/// (largest power of two ≤ capacity), or `None` when out of range.
-fn bucket_for_capacity(capacity: usize) -> Option<usize> {
-    if capacity < MIN_POOLED {
-        return None;
-    }
-    let floor = if capacity.is_power_of_two() {
-        capacity
-    } else {
-        capacity.next_power_of_two() >> 1
-    };
-    if floor > MAX_POOLED {
-        return None;
-    }
-    Some((floor.trailing_zeros() - MIN_POOLED.trailing_zeros()) as usize)
+/// Free-list index of a bucket-sized capacity: a power of two in
+/// `[MIN_POOLED, MAX_POOLED]`, or `None` for any other capacity.
+fn bucket_index(capacity: usize) -> Option<usize> {
+    (capacity.is_power_of_two() && (MIN_POOLED..=MAX_POOLED).contains(&capacity))
+        .then(|| (capacity.trailing_zeros() - MIN_POOLED.trailing_zeros()) as usize)
 }
 
 /// An **empty** `Vec<f32>` with capacity ≥ `len`, served from the pool
 /// when possible. The caller extends it to the length it needs; nothing
 /// is ever read from a pooled buffer before being written.
 pub fn take(len: usize) -> Vec<f32> {
-    if ENABLED.load(Ordering::Relaxed) {
-        if let Some(b) = bucket_for_request(len) {
-            if let Some(mut v) = lock(&pool().buckets[b]).pop() {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                v.clear();
-                return v;
-            }
+    // The bucket size that serves `len`; none above `MAX_POOLED`.
+    let size = len.max(MIN_POOLED).next_power_of_two();
+    let Some(b) = bucket_index(size).filter(|_| ENABLED.load(Ordering::Relaxed)) else {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        return Vec::with_capacity(len);
+    };
+    let mut bucket = lock(&pool().buckets[b]);
+    bucket.out += 1;
+    let hit = bucket.free.pop();
+    drop(bucket);
+    match hit {
+        Some(mut v) => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            v.clear();
+            v
+        }
+        None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            // Round the fresh allocation up to the bucket size so it
-            // re-enters the same bucket on recycle.
-            return Vec::with_capacity(len.max(MIN_POOLED).next_power_of_two());
+            // The bucket size, so the buffer is poolable on recycle.
+            Vec::with_capacity(size)
         }
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    Vec::with_capacity(len)
 }
 
 /// A pool-backed `Vec<f32>` of exactly `len` elements, all `value`.
@@ -125,29 +136,29 @@ pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
     v
 }
 
-/// Returns a retired backing to its size bucket. Buffers below
-/// [`MIN_POOLED`], above [`MAX_POOLED`], or beyond the bucket cap are
-/// dropped; so is everything while the pool is disabled.
+/// Returns a retired backing to its size bucket. It is kept only if its
+/// capacity is exactly a bucket size — the capacity [`take`] allocates —
+/// and the bucket has a buffer out that this one can stand in for;
+/// otherwise a buffer of at least [`MIN_POOLED`] floats is freed and
+/// counted as dropped, as is one beyond the bucket cap. Every buffer is
+/// freed while the pool is disabled.
 pub fn recycle(v: Vec<f32>) {
     if !ENABLED.load(Ordering::Relaxed) || v.capacity() < MIN_POOLED {
         return;
     }
-    match bucket_for_capacity(v.capacity()) {
-        Some(b) => {
-            let mut bucket = lock(&pool().buckets[b]);
-            if bucket.len() < BUCKET_CAP {
-                bucket.push(v);
+    if let Some(b) = bucket_index(v.capacity()) {
+        let mut bucket = lock(&pool().buckets[b]);
+        if bucket.out > 0 {
+            bucket.out -= 1;
+            if bucket.free.len() < BUCKET_CAP {
+                bucket.free.push(v);
                 drop(bucket);
                 RECYCLED.fetch_add(1, Ordering::Relaxed);
-            } else {
-                drop(bucket);
-                DROPPED.fetch_add(1, Ordering::Relaxed);
+                return;
             }
         }
-        None => {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
     }
+    DROPPED.fetch_add(1, Ordering::Relaxed);
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -176,8 +187,12 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to a free list.
     pub recycled: u64,
-    /// Poolable buffers freed instead (bucket full or size out of range).
+    /// Buffers of at least [`MIN_POOLED`] floats freed instead: capacity
+    /// not a bucket size, no buffer of its size out, or bucket full.
     pub dropped: u64,
+    /// Bytes of capacity currently held on the free lists (a level, not a
+    /// counter: [`reset_stats`] leaves it alone, [`clear`] zeroes it).
+    pub retained_bytes: u64,
 }
 
 /// Snapshot of the global counters since process start or the last
@@ -188,10 +203,24 @@ pub fn stats() -> PoolStats {
         misses: MISSES.load(Ordering::SeqCst),
         recycled: RECYCLED.load(Ordering::SeqCst),
         dropped: DROPPED.load(Ordering::SeqCst),
+        retained_bytes: retained_bytes(),
     }
 }
 
-/// Zeroes all counters (the retained buffers are unaffected).
+/// Bytes of capacity on the free lists. Every buffer on a free list has
+/// exactly its bucket's size, so the lists' lengths say it all.
+fn retained_bytes() -> u64 {
+    let bucket_bytes = |i: usize| (MIN_POOLED << i) * std::mem::size_of::<f32>();
+    pool()
+        .buckets
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (lock(b).free.len() * bucket_bytes(i)) as u64)
+        .sum()
+}
+
+/// Zeroes all counters (the retained buffers, and
+/// [`PoolStats::retained_bytes`], are unaffected).
 pub fn reset_stats() {
     HITS.store(0, Ordering::SeqCst);
     MISSES.store(0, Ordering::SeqCst);
@@ -202,7 +231,7 @@ pub fn reset_stats() {
 /// Frees every retained buffer (counters are unaffected).
 pub fn clear() {
     for b in &pool().buckets {
-        lock(b).clear();
+        lock(b).free.clear();
     }
 }
 
@@ -245,19 +274,102 @@ mod tests {
         recycle(vec![0.0; 8]); // below MIN_POOLED
         let s = stats();
         assert_eq!(s.recycled, 0);
-        assert!(bucket_for_request(MAX_POOLED + 1).is_none());
-        assert!(bucket_for_capacity(MIN_POOLED - 1).is_none());
+        assert_eq!(take(MAX_POOLED + 1).capacity(), MAX_POOLED + 1);
+        assert!(bucket_index(2 * MAX_POOLED).is_none());
+        assert!(bucket_index(MIN_POOLED / 2).is_none());
     }
 
     #[test]
     fn buckets_cover_the_size_range() {
-        assert_eq!(bucket_for_request(1), Some(0));
-        assert_eq!(bucket_for_request(MIN_POOLED), Some(0));
-        assert_eq!(bucket_for_request(MIN_POOLED + 1), Some(1));
-        assert_eq!(bucket_for_request(MAX_POOLED), Some(BUCKETS - 1));
-        assert_eq!(bucket_for_capacity(MIN_POOLED), Some(0));
-        assert_eq!(bucket_for_capacity(2 * MIN_POOLED - 1), Some(0));
-        assert_eq!(bucket_for_capacity(MAX_POOLED), Some(BUCKETS - 1));
+        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(bucket_index(MIN_POOLED), Some(0));
+        assert_eq!(bucket_index(2 * MIN_POOLED), Some(1));
+        assert_eq!(bucket_index(MAX_POOLED), Some(BUCKETS - 1));
+        for cap in [MIN_POOLED + 1, 2 * MIN_POOLED - 1, MAX_POOLED - 1] {
+            assert_eq!(bucket_index(cap), None, "{cap} is not a bucket size");
+        }
+        for len in [0, 1, MIN_POOLED, MIN_POOLED + 1, 589_824, MAX_POOLED] {
+            let cap = take(len).capacity();
+            assert!(
+                cap >= len && bucket_index(cap).is_some(),
+                "take({len}) -> {cap}"
+            );
+        }
+    }
+
+    /// Whether any free list holds a buffer of capacity `cap`.
+    fn holds(cap: usize) -> bool {
+        pool()
+            .buckets
+            .iter()
+            .any(|b| lock(b).free.iter().any(|v| v.capacity() == cap))
+    }
+
+    #[test]
+    fn only_bucket_sized_buffers_are_kept() {
+        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        // A 384×1536 weight decoded from a checkpoint: capacity 589 824,
+        // between the 2^19 and 2^20 buckets. Other tests share the
+        // counters, so only increases are asserted.
+        let decoded: Vec<f32> = (0..589_824).map(|i| i as f32).collect();
+        assert_eq!(decoded.capacity(), 589_824);
+        let before = stats();
+        recycle(decoded);
+        assert!(stats().dropped > before.dropped, "an odd capacity is freed");
+        assert!(!holds(589_824), "an odd capacity is never filed");
+
+        let mut v = take(589_824);
+        v.resize(589_824, 0.0);
+        assert_eq!(v.capacity(), 1 << 20, "a miss allocates the bucket size");
+        let before = stats();
+        recycle(v);
+        assert!(stats().recycled > before.recycled);
+        assert!(holds(1 << 20), "a bucket-sized buffer is kept");
+    }
+
+    #[test]
+    fn a_bucket_never_holds_more_than_it_handed_out() {
+        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        const SIZE: usize = 1 << 22;
+        // A bucket-sized buffer the pool did not allocate, returned while
+        // none of its size is out, is supply without demand.
+        let before = stats();
+        recycle(Vec::with_capacity(SIZE));
+        assert!(stats().dropped > before.dropped);
+        assert!(!holds(SIZE));
+        // While one is out, a returned buffer stands in for it, and the
+        // one handed out comes back as surplus.
+        let out = take(SIZE);
+        recycle(Vec::with_capacity(SIZE));
+        assert!(holds(SIZE), "a stand-in for the buffer out is kept");
+        let before = stats();
+        recycle(out);
+        assert!(stats().dropped > before.dropped, "the surplus is freed");
+        clear();
+    }
+
+    #[test]
+    fn retained_bytes_count_the_free_lists() {
+        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        // Only this test uses the 2^21 bucket (8 MiB a buffer); other
+        // tests' traffic moves the figure by far less than half of that
+        // while the asserts run.
+        const SIZE: usize = 1 << 21;
+        const HALF: u64 = 2 * SIZE as u64;
+        let base = stats().retained_bytes;
+        recycle(take(SIZE));
+        let kept = stats().retained_bytes;
+        assert!(kept > base + HALF, "a kept buffer counts");
+        let v = take(SIZE);
+        assert!(stats().retained_bytes + HALF < kept, "a hit hands it back");
+        recycle(v);
+        reset_stats();
+        assert!(
+            stats().retained_bytes > HALF,
+            "reset_stats leaves the level alone"
+        );
+        clear();
+        assert!(stats().retained_bytes < HALF, "clear frees the lists");
     }
 
     #[test]

@@ -403,7 +403,8 @@ step "observability smoke (fault-injected trace -> acme-obs-trace-v1)"
 # Run the fault-injected example with tracing on and validate the
 # exported document: per-round protocol spans, at least one retry and
 # one device-drop event, and the registry counters the ad-hoc meters
-# migrated into (pool misses, pack-cache packs, retransmissions).
+# migrated into (pool misses, pack-cache packs, retransmissions), plus
+# the pool's retained-bytes gauge.
 TRACE_OUT="$(mktemp -t acme-obs-trace.XXXXXX.json)"
 cargo run --release --example edge_deployment -- \
     --quick --trace-out "$TRACE_OUT"
@@ -420,7 +421,9 @@ counters = doc["metrics"]["counters"]
 for key in ("net.retransmissions", "net.retransmitted_bytes",
             "tensor.pool.misses", "tensor.packcache.packs"):
     assert key in counters, f"missing counter {key}"
-print(f"trace OK: {len(names)} spans, {len(counters)} counters")
+gauges = doc["metrics"]["gauges"]
+assert "tensor.pool.retained_bytes" in gauges, "missing gauge tensor.pool.retained_bytes"
+print(f"trace OK: {len(names)} spans, {len(counters)} counters, {len(gauges)} gauges")
 PY
 rm -f "$TRACE_OUT"
 
