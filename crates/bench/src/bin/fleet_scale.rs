@@ -14,10 +14,11 @@
 //! - `--out PATH`: write the JSON somewhere other than
 //!   `BENCH_fleet_scale.json`.
 //!
-//! Payload sizes are scaled down (32-float importance sets, 1 k-param
-//! headers) so the sweep measures the *event engine* — queue discipline,
-//! timer churn, route fan-in — rather than `Vec<f32>` memcpy; the
-//! protocol's message count per device is unchanged.
+//! Payload sizes are scaled down (32-score importance sets, 1 k-param
+//! headers). Message bodies are lengths, so the sizes set only the
+//! metered bytes and link flight times; they stay as first recorded so
+//! the committed rows remain comparable. The protocol's message count
+//! per device is unchanged.
 
 use std::io::Write as _;
 use std::time::Instant;

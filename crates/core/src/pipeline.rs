@@ -155,16 +155,7 @@ impl Acme {
             net.meter(
                 NodeId::Edge(edge),
                 NodeId::Cloud,
-                Payload::AttributeReport {
-                    device_count: cluster.devices().len(),
-                    min_storage: cluster.min_storage(),
-                    min_gpu: cluster.weakest_device().gpu_capacity(),
-                    max_gpu: cluster
-                        .devices()
-                        .iter()
-                        .map(|d| d.gpu_capacity())
-                        .fold(f64::NEG_INFINITY, f64::max),
-                },
+                Payload::attribute_report(cluster),
             );
             let idx = choice.unwrap_or(smallest);
             let chosen = &pool[idx];

@@ -207,7 +207,6 @@ struct DeviceSim {
     accuracy_at_detection: f32,
     accuracy_final: f32,
     delta: Option<VariantDelta>,
-    param_count: u64,
     cold_start_bytes: u64,
 }
 
@@ -290,7 +289,6 @@ fn simulate_device(
         accuracy_at_detection,
         accuracy_final,
         delta,
-        param_count: ps.ids().map(|id| ps.value(id).data().len() as u64).sum(),
         cold_start_bytes: save_params(&ps).len() as u64,
     }
 }
@@ -376,8 +374,7 @@ pub fn run_recustomization(
                     NodeId::Device(DeviceId(d)),
                     Payload::RecustomizeDelta {
                         round: t,
-                        param_count: sim.param_count,
-                        measured_bytes: Some(delta_bytes),
+                        bytes: delta_bytes,
                     },
                 );
             }

@@ -316,7 +316,7 @@ pub fn refine_cluster(
                     NodeId::Edge(edge),
                     Payload::ImportanceUpload {
                         round,
-                        values: set.iter().map(|&v| v as f32).collect(),
+                        len: set.len(),
                     },
                 );
             }
@@ -331,7 +331,7 @@ pub fn refine_cluster(
                     NodeId::Device(dev.device),
                     Payload::PersonalizedImportance {
                         round,
-                        values: fused.iter().map(|&v| v as f32).collect(),
+                        len: fused.len(),
                     },
                 );
             }
@@ -460,7 +460,15 @@ mod tests {
             / 3.0;
         assert!(mean_impr > 0.0, "improvements {:?}", out.results);
         // Two rounds x 3 devices x (upload + downlink).
-        assert_eq!(net.ledger().report().messages, 2 * 3 * 2);
+        let report = net.ledger().report();
+        assert_eq!(report.messages, 2 * 3 * 2);
+        // Each importance set is one score per tail neuron, 4 bytes each,
+        // behind the 16-byte routing header.
+        let set_bytes = 16 + 4 * header.shared().tail_hidden() as u64;
+        for kind in ["importance-upload", "personalized-importance"] {
+            let row = report.per_kind.iter().find(|r| r.kind == kind).unwrap();
+            assert_eq!(row.bytes(), 2 * 3 * set_bytes, "{kind}");
+        }
         // Weight rows are convex.
         for row in &out.weights {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);

@@ -5,8 +5,6 @@
 //! ledger can also answer "how long would this schedule take" — the
 //! question the paper's latency-motivated introduction raises.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ledger::TransferReport;
 use crate::message::LinkClass;
 
@@ -40,30 +38,14 @@ impl std::error::Error for LinkError {}
 /// a zero or negative bandwidth used to be silently clamped to
 /// 1 byte/s inside the schedule math, turning a misconfiguration into
 /// absurd-but-plausible latency estimates. The fields are private so a
-/// constructed `Link` is always valid — including one deserialized from
-/// a config file, which goes through the same validation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "LinkSpec")]
+/// constructed `Link` is always valid; the run checkpoint's decoder
+/// builds its links through the same constructor.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Usable bandwidth in bytes per second.
     bandwidth_bps: f64,
     /// Per-message round-trip setup latency in seconds.
     rtt_seconds: f64,
-}
-
-/// Raw wire form of a [`Link`], validated on conversion.
-#[derive(Debug, Clone, Copy, Deserialize)]
-struct LinkSpec {
-    bandwidth_bps: f64,
-    rtt_seconds: f64,
-}
-
-impl TryFrom<LinkSpec> for Link {
-    type Error = LinkError;
-
-    fn try_from(spec: LinkSpec) -> Result<Self, Self::Error> {
-        Link::try_new(spec.bandwidth_bps, spec.rtt_seconds)
-    }
 }
 
 impl Link {
@@ -117,7 +99,7 @@ impl Link {
 }
 
 /// The three-tier topology's link classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Device ↔ edge links (LAN-ish).
     pub device_edge: Link,

@@ -1,12 +1,17 @@
 //! Typed protocol messages with explicit wire-size accounting.
+//!
+//! A message body holds what the protocol reads and no tensor data: its
+//! kind, its round and its size. Weight and importance payloads are
+//! represented by their lengths (or measured byte counts), which is all
+//! [`Payload::wire_bytes`] charges and all the simulator needs to move
+//! them through a fleet.
 
-use acme_energy::{DeviceId, EdgeId};
-use serde::{Deserialize, Serialize};
+use acme_energy::{DeviceCluster, DeviceId, EdgeId};
 
 use crate::fault::fnv1a;
 
 /// Address of a node in the three-tier hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     /// The cloud server `C`.
     Cloud,
@@ -26,10 +31,12 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// A protocol message body. Weight payloads are represented by their
-/// parameter counts — the simulation meters bytes without shipping the
-/// actual tensors through channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A protocol message body: sizes, not stand-in data. Weight payloads
+/// are their parameter counts or measured byte counts, importance sets
+/// are their lengths, and the re-customization delta is its encoded
+/// size, so the ledger meters bytes without any tensor travelling
+/// through channels or the simulator's event queue.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Edge → cloud: statistical attributes of the device cluster
     /// (backbone-customization uplink).
@@ -79,8 +86,9 @@ pub enum Payload {
         /// adds no wire bytes; it lets receivers deduplicate retransmits
         /// and discard stale copies.
         round: usize,
-        /// Importance scores, one per header parameter.
-        values: Vec<f32>,
+        /// Importance scores in the set, one per header parameter
+        /// (4 bytes each on the wire).
+        len: usize,
     },
     /// Edge → device (loop downlink): the personalized set `Q'_n`
     /// (Eq. 21).
@@ -88,8 +96,8 @@ pub enum Payload {
         /// Single-loop round this set answers (0-based); part of the
         /// routing header, see [`Payload::ImportanceUpload::round`].
         round: usize,
-        /// Aggregated importance scores.
-        values: Vec<f32>,
+        /// Aggregated importance scores in the set (4 bytes each).
+        len: usize,
     },
     /// Edge → device (online re-customization): a structural variant
     /// delta that re-personalizes a deployed header after drift, charged
@@ -99,13 +107,8 @@ pub enum Payload {
         /// of the routing header, see
         /// [`Payload::ImportanceUpload::round`].
         round: usize,
-        /// Parameters the fresh head would ship dense (the cold-start
-        /// fallback estimate, 4 bytes each).
-        param_count: u64,
-        /// Measured `VariantDelta::bytes()` when the delta ships from
-        /// the content-addressed model store; `None` falls back to the
-        /// `4·param_count` estimate.
-        measured_bytes: Option<u64>,
+        /// The delta's measured `VariantDelta::bytes()`.
+        bytes: u64,
     },
     /// Device → cloud (centralized baseline only): raw training data.
     RawDataUpload {
@@ -123,7 +126,7 @@ pub enum Payload {
 /// class from the payload (exhaustively) instead of string-matching kind
 /// labels means a new payload kind cannot silently fall through to the
 /// wrong link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkClass {
     /// Device ↔ edge traffic (LAN-ish).
     DeviceEdge,
@@ -132,13 +135,28 @@ pub enum LinkClass {
 }
 
 impl Payload {
+    /// The attribute report an edge sends for `cluster`: its size, its
+    /// smallest storage limit and its GPU range. An empty cluster, or one
+    /// whose capacities are not finite, reports a GPU bound of 0.
+    pub fn attribute_report(cluster: &DeviceCluster) -> Payload {
+        let gpus = cluster.devices().iter().map(|d| d.gpu_capacity());
+        let finite_or_zero = |x: f64| if x.is_finite() { x } else { 0.0 };
+        Payload::AttributeReport {
+            device_count: cluster.devices().len(),
+            min_storage: cluster.min_storage(),
+            min_gpu: finite_or_zero(gpus.clone().fold(f64::INFINITY, f64::min)),
+            max_gpu: finite_or_zero(gpus.fold(f64::NEG_INFINITY, f64::max)),
+        }
+    }
+
     /// Bytes this message occupies on the wire. Weights and importance
     /// values are 4-byte floats; architecture tokens 2 bytes; attribute
     /// scalars 8 bytes; a 16-byte routing header (which carries the loop
     /// round tag) is charged per message. Weight payloads carrying a
     /// `measured_bytes` (deploys shipped from the content-addressed
     /// model store) are charged that measured size instead of the
-    /// `4·param_count` estimate.
+    /// `4·param_count` estimate, and a re-customization delta is charged
+    /// its measured size.
     pub fn wire_bytes(&self) -> u64 {
         const HEADER: u64 = 16;
         HEADER
@@ -155,13 +173,9 @@ impl Payload {
                     measured_bytes,
                     ..
                 } => 8 + 2 * tokens.len() as u64 + measured_bytes.unwrap_or(4 * param_count),
-                Payload::ImportanceUpload { values, .. }
-                | Payload::PersonalizedImportance { values, .. } => 4 * values.len() as u64,
-                Payload::RecustomizeDelta {
-                    param_count,
-                    measured_bytes,
-                    ..
-                } => measured_bytes.unwrap_or(4 * param_count),
+                Payload::ImportanceUpload { len, .. }
+                | Payload::PersonalizedImportance { len, .. } => 4 * *len as u64,
+                Payload::RecustomizeDelta { bytes, .. } => *bytes,
                 Payload::RawDataUpload {
                     samples,
                     bytes_per_sample,
@@ -239,7 +253,7 @@ const KIND_TAGS: [u64; KINDS.len()] = {
 };
 
 /// A routed message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sender.
     pub from: NodeId,
@@ -289,13 +303,12 @@ mod tests {
             measured_bytes: None,
         };
         assert_eq!(hs.wire_bytes(), 16 + 8 + 24 + 40);
-        let imp = Payload::ImportanceUpload {
-            round: 2,
-            values: vec![0.0; 7],
-        };
+        let imp = Payload::ImportanceUpload { round: 2, len: 7 };
         // The round tag is part of the 16-byte routing header: no extra
         // wire bytes.
         assert_eq!(imp.wire_bytes(), 16 + 28);
+        let fused = Payload::PersonalizedImportance { round: 2, len: 7 };
+        assert_eq!(fused.wire_bytes(), imp.wire_bytes());
         let raw = Payload::RawDataUpload {
             samples: 10,
             bytes_per_sample: 3072,
@@ -328,18 +341,10 @@ mod tests {
 
     #[test]
     fn recustomize_delta_rides_the_lan_at_delta_size() {
-        // Without a store measurement, the cold-start dense estimate.
-        let dense = Payload::RecustomizeDelta {
-            round: 3,
-            param_count: 250,
-            measured_bytes: None,
-        };
-        assert_eq!(dense.wire_bytes(), 16 + 1000);
-        // With a measured variant delta, the ledger charges the delta.
+        // The ledger charges the measured variant delta.
         let delta = Payload::RecustomizeDelta {
             round: 3,
-            param_count: 250,
-            measured_bytes: Some(72),
+            bytes: 72,
         };
         assert_eq!(delta.wire_bytes(), 16 + 72);
         assert_eq!(delta.link_class(), LinkClass::DeviceEdge);
@@ -367,16 +372,8 @@ mod tests {
     fn kinds_are_distinct() {
         let kinds = [
             Payload::Ack.kind(),
-            Payload::ImportanceUpload {
-                round: 0,
-                values: vec![],
-            }
-            .kind(),
-            Payload::PersonalizedImportance {
-                round: 0,
-                values: vec![],
-            }
-            .kind(),
+            Payload::ImportanceUpload { round: 0, len: 0 }.kind(),
+            Payload::PersonalizedImportance { round: 0, len: 0 }.kind(),
             Payload::RawDataUpload {
                 samples: 0,
                 bytes_per_sample: 0,
@@ -411,23 +408,13 @@ mod tests {
                 param_count: 0,
                 measured_bytes: None,
             },
-            Payload::ImportanceUpload {
-                round: 0,
-                values: vec![],
-            },
-            Payload::PersonalizedImportance {
-                round: 0,
-                values: vec![],
-            },
+            Payload::ImportanceUpload { round: 0, len: 0 },
+            Payload::PersonalizedImportance { round: 0, len: 0 },
             Payload::RawDataUpload {
                 samples: 0,
                 bytes_per_sample: 0,
             },
-            Payload::RecustomizeDelta {
-                round: 0,
-                param_count: 0,
-                measured_bytes: None,
-            },
+            Payload::RecustomizeDelta { round: 0, bytes: 0 },
         ];
         for (i, p) in every.iter().enumerate() {
             assert_eq!(p.kind_index(), i, "{}", p.kind());
@@ -441,11 +428,7 @@ mod tests {
     #[test]
     fn link_classes_route_device_traffic_to_lan() {
         assert_eq!(
-            Payload::ImportanceUpload {
-                round: 0,
-                values: vec![]
-            }
-            .link_class(),
+            Payload::ImportanceUpload { round: 0, len: 0 }.link_class(),
             LinkClass::DeviceEdge
         );
         assert_eq!(

@@ -262,7 +262,7 @@ impl DeviceNode {
     fn upload(&self, round: usize) -> Payload {
         Payload::ImportanceUpload {
             round,
-            values: vec![0.0; self.cfg.importance_len],
+            len: self.cfg.importance_len,
         }
     }
 
@@ -409,12 +409,12 @@ enum EdgeState {
         live: NodeSet<NodeId>,
         /// Devices heard from in the current round (dedup set).
         got: NodeSet<NodeId>,
-        /// This round's uploads in arrival order.
-        sets: Vec<(NodeId, Vec<f32>)>,
-        /// Last personalized set served per device, replayed when a
-        /// device signals (by re-uploading an old round) that its
-        /// downlink was lost.
-        served: NodeMap<NodeId, (usize, Vec<f32>)>,
+        /// This round's uploaders in arrival order.
+        uploaders: Vec<NodeId>,
+        /// Last round served per device: its personalized set is
+        /// replayed when the device signals (by re-uploading that round)
+        /// that its downlink was lost.
+        served: NodeMap<NodeId, usize>,
     },
     Done,
 }
@@ -439,24 +439,6 @@ impl EdgeNode {
     /// An edge serving `cluster`, with the cluster's attribute report
     /// precomputed from its devices.
     pub fn new(cluster: &DeviceCluster, cfg: Arc<ProtocolConfig>) -> Self {
-        let attrs = Payload::AttributeReport {
-            device_count: cluster.devices().len(),
-            min_storage: cluster.min_storage(),
-            min_gpu: finite_or_zero(
-                cluster
-                    .devices()
-                    .iter()
-                    .map(|d| d.gpu_capacity())
-                    .fold(f64::INFINITY, f64::min),
-            ),
-            max_gpu: finite_or_zero(
-                cluster
-                    .devices()
-                    .iter()
-                    .map(|d| d.gpu_capacity())
-                    .fold(f64::NEG_INFINITY, f64::max),
-            ),
-        };
         EdgeNode {
             me: NodeId::Edge(cluster.edge()),
             cfg,
@@ -465,7 +447,7 @@ impl EdgeNode {
                 .iter()
                 .map(|d| NodeId::Device(d.id()))
                 .collect(),
-            attrs,
+            attrs: Payload::attribute_report(cluster),
             state: EdgeState::AwaitAssignment { attempt: 0 },
             completed: 0,
             retries: 0,
@@ -529,12 +511,12 @@ impl EdgeNode {
         }
     }
 
-    /// Serves the collected sets and moves to the next round.
+    /// Answers this round's uploaders and moves to the next round.
     fn finish_round(&mut self, out: &mut Outbox) {
         let EdgeState::Rounds {
             round,
             got,
-            sets,
+            uploaders,
             served,
             ..
         } = &mut self.state
@@ -544,9 +526,15 @@ impl EdgeNode {
         let r = *round;
         // Personalized aggregation happens here in the real pipeline;
         // the wire cost is one downlink per surviving device.
-        for (from, values) in sets.drain(..) {
-            served.insert(from, (r, values.clone()));
-            out.send(from, Payload::PersonalizedImportance { round: r, values });
+        for from in uploaders.drain(..) {
+            served.insert(from, r);
+            out.send(
+                from,
+                Payload::PersonalizedImportance {
+                    round: r,
+                    len: self.cfg.importance_len,
+                },
+            );
         }
         got.clear();
         *round += 1;
@@ -592,7 +580,7 @@ impl NodeStateMachine for EdgeNode {
                             self.devices.len(),
                             Default::default(),
                         ),
-                        sets: Vec::with_capacity(self.devices.len()),
+                        uploaders: Vec::with_capacity(self.devices.len()),
                         served: NodeMap::default(),
                     };
                     self.run_rounds(out);
@@ -602,10 +590,10 @@ impl NodeStateMachine for EdgeNode {
                         round,
                         live,
                         got,
-                        sets,
+                        uploaders,
                         served,
                     },
-                    Payload::ImportanceUpload { round: r, values },
+                    Payload::ImportanceUpload { round: r, .. },
                 ) => {
                     let from = env.from;
                     if !live.contains(&from) {
@@ -614,33 +602,29 @@ impl NodeStateMachine for EdgeNode {
                         // Deduplicates retransmitted and duplicated
                         // uploads by sender.
                         if got.insert(from) {
-                            sets.push((from, values));
+                            uploaders.push(from);
                         }
                         if got.len() == live.len() {
                             self.finish_round(out);
                         }
-                    } else if r < *round {
+                    } else if r < *round && served.get(&from) == Some(&r) {
                         // The device never saw its round-`r` reply:
                         // replay the served set.
-                        if let Some((sr, vals)) = served.get(&from) {
-                            if *sr == r {
-                                self.retries += 1;
-                                acme_obs::event!(
-                                    acme_obs::Detail::Phase,
-                                    "protocol.retry",
-                                    "node" => self.me.to_string(),
-                                    "waiting_for" => "personalized-replay",
-                                    "round" => r,
-                                );
-                                out.send_retransmit(
-                                    from,
-                                    Payload::PersonalizedImportance {
-                                        round: r,
-                                        values: vals.clone(),
-                                    },
-                                );
-                            }
-                        }
+                        self.retries += 1;
+                        acme_obs::event!(
+                            acme_obs::Detail::Phase,
+                            "protocol.retry",
+                            "node" => self.me.to_string(),
+                            "waiting_for" => "personalized-replay",
+                            "round" => r,
+                        );
+                        out.send_retransmit(
+                            from,
+                            Payload::PersonalizedImportance {
+                                round: r,
+                                len: self.cfg.importance_len,
+                            },
+                        );
                     }
                 }
                 // Duplicated assignments and other stale control
@@ -792,14 +776,6 @@ impl NodeStateMachine for CloudNode {
     }
 }
 
-fn finite_or_zero(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,10 +837,7 @@ mod tests {
                 Event::Message(Envelope {
                     from: NodeId::Edge(EdgeId(0)),
                     to: d.id(),
-                    payload: Payload::PersonalizedImportance {
-                        round,
-                        values: vec![],
-                    },
+                    payload: Payload::PersonalizedImportance { round, len: 0 },
                 }),
                 VirtualTime::ZERO,
                 &mut out,
@@ -978,10 +951,7 @@ mod tests {
                 Event::Message(Envelope {
                     from: NodeId::Device(DeviceId(i as usize)),
                     to: e.id(),
-                    payload: Payload::ImportanceUpload {
-                        round: 0,
-                        values: vec![i as f32],
-                    },
+                    payload: Payload::ImportanceUpload { round: 0, len: 1 },
                 }),
                 VirtualTime::ZERO,
                 &mut out,
@@ -1032,10 +1002,7 @@ mod tests {
             Event::Message(Envelope {
                 from: NodeId::Device(DeviceId(0)),
                 to: e.id(),
-                payload: Payload::ImportanceUpload {
-                    round: 0,
-                    values: vec![],
-                },
+                payload: Payload::ImportanceUpload { round: 0, len: 0 },
             }),
             VirtualTime::ZERO,
             &mut out,

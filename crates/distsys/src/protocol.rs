@@ -106,6 +106,9 @@ impl From<RegisterError> for ProtocolError {
     }
 }
 
+/// Attempts after which a [`RetryPolicy`] window stops doubling.
+const MAX_DOUBLINGS: u32 = 20;
+
 /// Bounded-retry policy with exponential backoff shared by every
 /// protocol wait: attempt `k` (0-based) times out after
 /// `min(base * 2^k, cap)`, and a peer silent through all
@@ -142,7 +145,7 @@ impl RetryPolicy {
     /// Timeout of the `attempt`-th (0-based) wait:
     /// `min(base * 2^attempt, cap)`.
     pub fn attempt_timeout(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX);
+        let factor = 1u32 << attempt.min(MAX_DOUBLINGS);
         self.base.saturating_mul(factor).min(self.cap)
     }
 
@@ -162,11 +165,20 @@ impl RetryPolicy {
     /// the last attempt window. A device burning retransmissions still
     /// fits inside it, while the reserved final window keeps the edge's
     /// deadline-time replies from racing the devices' own give-up (a
-    /// device waits out every attempt window).
+    /// device waits out every attempt window). Saturates at
+    /// `Duration::MAX`, and costs at most `MAX_DOUBLINGS + 1` window
+    /// computations whatever `max_attempts` is: every window from attempt
+    /// `MAX_DOUBLINGS` on is the same length.
     pub fn collection_deadline(&self) -> Duration {
-        let d: Duration = (0..self.effective_attempts().saturating_sub(1))
+        let windows = self.effective_attempts() - 1;
+        let growing = windows.min(MAX_DOUBLINGS + 1);
+        let head = (0..growing)
             .map(|a| self.attempt_timeout(a))
-            .sum();
+            .fold(Duration::ZERO, Duration::saturating_add);
+        let tail = self
+            .attempt_timeout(MAX_DOUBLINGS)
+            .saturating_mul(windows - growing);
+        let d = head.saturating_add(tail);
         if d.is_zero() {
             self.attempt_timeout(0)
         } else {
@@ -767,6 +779,50 @@ mod tests {
             ..p
         };
         assert_eq!(one.collection_deadline(), Duration::from_millis(10));
+    }
+
+    #[test]
+    fn collection_deadline_saturates_and_stays_closed_form() {
+        let huge = RetryPolicy {
+            max_attempts: 3,
+            base: Duration::MAX,
+            cap: Duration::MAX,
+        };
+        assert_eq!(huge.collection_deadline(), Duration::MAX);
+        // 21 doubling windows (10 ms · (2^21 − 1), all under the cap),
+        // then every remaining window at 10 ms · 2^20.
+        let many = RetryPolicy {
+            max_attempts: u32::MAX,
+            base: Duration::from_millis(10),
+            cap: Duration::from_secs(1 << 30),
+        };
+        let doubling = Duration::from_millis(10 * ((1 << 21) - 1));
+        let flat = Duration::from_millis(10 << 20) * (u32::MAX - 1 - 21);
+        assert_eq!(many.collection_deadline(), doubling + flat);
+    }
+
+    #[test]
+    fn a_sim_run_with_unbounded_retry_windows_completes() {
+        // Windows of `Duration::MAX` saturate the edge's collection
+        // deadline instead of overflowing it inside `EdgeNode::run_rounds`.
+        let fleet = Fleet::paper_default(2, 3);
+        let cfg = ProtocolConfig {
+            loop_rounds: 2,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::MAX,
+                cap: Duration::MAX,
+            },
+            ..ProtocolConfig::default()
+        };
+        let out = ProtocolRun::new(&fleet)
+            .config(cfg)
+            .driver(DriverKind::Sim)
+            .execute()
+            .expect("sim run");
+        assert_eq!(out.rounds_completed, 2);
+        assert!(out.dropped_nodes().is_empty());
+        assert_eq!(out.report.retransmissions, 0);
     }
 
     #[test]

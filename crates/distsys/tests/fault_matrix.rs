@@ -183,6 +183,12 @@ fn dropped_downlink_recovers_via_cached_replay() {
         out.report.retransmissions, 2,
         "device re-upload + edge cached replay"
     );
+    // Both retransmissions are full importance sets: the replay is
+    // charged at the set's whole length, not at an empty body.
+    assert_eq!(
+        out.report.retransmitted_bytes,
+        2 * (16 + 4 * cfg.importance_len as u64)
+    );
 }
 
 #[test]

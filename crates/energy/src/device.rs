@@ -1,9 +1,7 @@
 //! Device attributes `(G_n, C_n)` from §II-C of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a device in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub usize);
 
 impl std::fmt::Display for DeviceId {
@@ -14,7 +12,7 @@ impl std::fmt::Display for DeviceId {
 
 /// A device with the attribute tuple `(G_n, C_n)` of the paper: GPU
 /// capacity and a storage limit measured in model parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     id: DeviceId,
     /// GPU capacity `G_n` (abstract compute units; the paper's VMs use

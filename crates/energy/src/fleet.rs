@@ -1,12 +1,10 @@
 //! Device clusters and the fleet of the paper's system settings (§IV-A):
 //! 10 clusters of 5 devices each, vCPUs 3–7, storage 200–400 MB.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::Device;
 
 /// Identifier of an edge server / device cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub usize);
 
 impl std::fmt::Display for EdgeId {
@@ -18,7 +16,7 @@ impl std::fmt::Display for EdgeId {
 /// The device cluster `N_s` managed by one edge server. Devices within a
 /// cluster have similar compute and storage (the paper partitions by
 /// attribute similarity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceCluster {
     edge: EdgeId,
     devices: Vec<Device>,
@@ -76,7 +74,7 @@ impl DeviceCluster {
 }
 
 /// The whole fleet: all clusters under the cloud server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     clusters: Vec<DeviceCluster>,
 }

@@ -1,13 +1,11 @@
 //! Energy model (Eqs. 1–2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::Device;
 
 /// Coefficients of the energy model (Eq. 2). All proportionality
 /// constants of the paper (`ΔG_n ∝ G_n`, `G_n^β ∝ G_n`, `ΔL_n ∝ L_n`) are
 /// explicit fields here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// `ΔG_n / G_n`: power increase per unit of `w·d`, relative to `G_n`.
     pub delta_g_ratio: f64,

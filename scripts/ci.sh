@@ -251,6 +251,23 @@ if [ -n "$orphans" ]; then
     exit 1
 fi
 
+step "the protocol carries sizes (acme-distsys holds no tensor data)"
+# Outside tests and comments, crates/distsys/src names no f32 and no
+# serde: a message body is its kind, its round and its sizes (importance
+# sets are lengths, weights parameter or byte counts), so no node, queue
+# or ledger of the simulator holds stand-in tensor data, and nothing
+# derives a serializer the tree does not have.
+offenders="$(
+    for f in crates/distsys/src/*.rs; do
+        code_of "$f" | grep -E '\bf32\b|\bserde\b' | sed "s|^|$f: |" || true
+    done
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: the protocol layer names f32 or serde again:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings -W unreachable_pub
 
