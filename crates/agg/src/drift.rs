@@ -218,11 +218,6 @@ impl DriftDetector {
             .max(self.cfg.min_threshold)
     }
 
-    /// The calibrated threshold, once warmup has completed.
-    pub fn threshold(&self) -> Option<f64> {
-        self.threshold
-    }
-
     /// Whether any monitored window has ever exceeded the threshold.
     pub fn has_drifted(&self) -> bool {
         self.drifted
@@ -322,7 +317,7 @@ mod tests {
                 );
             }
             assert!(!det.has_drifted());
-            assert_eq!(det.threshold(), Some(cfg_small().min_threshold));
+            assert_eq!(det.threshold, Some(cfg_small().min_threshold));
         }
     }
 
@@ -382,7 +377,7 @@ mod tests {
             .iter()
             .all(|s| matches!(s, DriftStatus::Filling | DriftStatus::Calibrating { .. })));
         assert!(!det.has_drifted());
-        assert_eq!(det.threshold(), None);
+        assert_eq!(det.threshold, None);
     }
 
     #[test]
@@ -432,7 +427,7 @@ mod tests {
         assert!(det.has_drifted());
         det.rebase();
         assert!(!det.has_drifted());
-        assert_eq!(det.threshold(), None);
+        assert_eq!(det.threshold, None);
         // The new distribution is now "normal": no re-trigger.
         feed(&mut det, std::iter::repeat_n(5.0, 256));
         assert!(!det.has_drifted());
@@ -453,7 +448,7 @@ mod tests {
                     let base = if t >= 256 { shift } else { 0.0 };
                     det.observe(base + rng.gen_range(-0.1..0.1f32));
                 }
-                (det.has_drifted(), det.threshold())
+                (det.has_drifted(), det.threshold)
             })
         };
         let one = run(1);

@@ -186,8 +186,8 @@ mod tests {
     fn similar_devices_get_higher_similarity() {
         let mut rng = SmallRng64::new(1);
         let base = randn(&[20, 4], &mut rng);
-        let near = base.add_scalar(0.05);
-        let far = base.add_scalar(4.0);
+        let near = base.map(|v| v + 0.05);
+        let far = base.map(|v| v + 4.0);
         let sim = similarity_matrix_wasserstein(&[base, near, far], 16, &mut rng).unwrap();
         assert!(sim[0][1] > sim[0][2]);
     }

@@ -258,8 +258,8 @@ mod tests {
     fn sliced_ranks_clouds_by_separation() {
         let mut rng = SmallRng64::new(0);
         let base = randn(&[40, 8], &mut rng);
-        let near = base.add_scalar(0.1);
-        let far = base.add_scalar(5.0);
+        let near = base.map(|v| v + 0.1);
+        let far = base.map(|v| v + 5.0);
         let mut r1 = SmallRng64::new(1);
         let d_near = sliced_wasserstein(&base, &near, 16, &mut r1).unwrap();
         let mut r2 = SmallRng64::new(1);

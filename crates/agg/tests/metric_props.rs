@@ -17,7 +17,7 @@ fn sliced_wasserstein_symmetric_under_same_projections() {
         let m = g.usize(2..12);
         let mut rng = SmallRng64::new(seed);
         let x = randn(&[n, 4], &mut rng);
-        let y = randn(&[m, 4], &mut rng).add_scalar(1.0);
+        let y = randn(&[m, 4], &mut rng).map(|v| v + 1.0);
         // Same projection stream -> symmetric.
         let d_xy = sliced_wasserstein(&x, &y, 8, &mut SmallRng64::new(7)).unwrap();
         let d_yx = sliced_wasserstein(&y, &x, 8, &mut SmallRng64::new(7)).unwrap();

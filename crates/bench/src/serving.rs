@@ -2,7 +2,7 @@
 //! `acme-serve` stack across batch-window and fleet-size settings,
 //! recorded to `BENCH_serving.json` at the workspace root.
 //!
-//! Every setting replays the same seeded Zipf/Poisson trace (firehose
+//! Every setting replays the same seeded Zipf firehose trace (no
 //! pacing, so throughput measures the serving stack, not the generator)
 //! against the same variant store, after a short warmup that populates
 //! the pack cache and the buffer pool. The `max_batch = 1` rows are the

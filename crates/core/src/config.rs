@@ -240,13 +240,6 @@ impl AcmeConfigBuilder {
         self
     }
 
-    /// Replaces every field with the [`AcmeConfig::paper_scaled`]
-    /// preset (the builder's starting point).
-    pub fn paper_scaled(mut self) -> Self {
-        self.config = AcmeConfig::paper_scaled();
-        self
-    }
-
     builder_setters! {
         /// The reference backbone `θ₀`.
         reference: VitConfig,

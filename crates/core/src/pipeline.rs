@@ -43,11 +43,6 @@ impl Acme {
         Ok(Acme { config })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AcmeConfig {
-        &self.config
-    }
-
     /// Executes the full pipeline, seeding every stream from
     /// [`AcmeConfig::seed`], and returns per-cluster assignments,
     /// per-device accuracies, and the metered transfer report.
@@ -317,7 +312,7 @@ mod tests {
     fn quick_pipeline_end_to_end() {
         let acme = Acme::try_new(AcmeConfig::quick()).expect("quick preset is valid");
         let outcome = acme.run().expect("quick run");
-        let cfg = acme.config();
+        let cfg = &acme.config;
         assert_eq!(outcome.assignments.len(), cfg.clusters);
         assert_eq!(
             outcome.devices.len(),

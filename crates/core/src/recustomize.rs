@@ -115,8 +115,6 @@ impl RecustomizeConfig {
 /// One device's passage through the online loop.
 #[derive(Debug, Clone)]
 pub struct DeviceRecustomization {
-    /// The device.
-    pub device: DeviceId,
     /// Window index at which the detector fired, if it did.
     pub detected_at: Option<usize>,
     /// Windows between the drift onset and detection (`None` when the
@@ -382,7 +380,6 @@ pub fn run_recustomization(
             total_cold_start_bytes += sim.cold_start_bytes;
         }
         devices.push(DeviceRecustomization {
-            device: DeviceId(d),
             detected_at: sim.detected_at,
             detection_latency: sim.detected_at.map(|t| t.saturating_sub(spec.onset)),
             accuracy_before: sim.accuracy_before,

@@ -82,7 +82,7 @@ impl SyntheticSpec {
     }
 
     /// Total number of examples generated.
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         self.classes * self.per_class
     }
 

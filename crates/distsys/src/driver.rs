@@ -322,11 +322,6 @@ impl SimDriver {
         SimDriver { config }
     }
 
-    /// The virtual-clock parameters.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Runs the schedule and additionally returns the simulator's event
     /// statistics (count, virtual elapsed time, order digest).
     ///
@@ -818,7 +813,11 @@ mod tests {
     fn queue_pops_by_time_then_push_order_and_reuses_bodies() {
         let mut q = EventQueue::default();
         let push = |q: &mut EventQueue, at_ns, target| {
-            q.push(VirtualTime::from_nanos(at_ns), target, Event::Start);
+            q.push(
+                VirtualTime::from_duration(Duration::from_nanos(at_ns)),
+                target,
+                Event::Start,
+            );
         };
         // (time, target); the target doubles as the push number here.
         for (t, target) in [(5u64, 0usize), (1, 1), (5, 2), (1, 3), (0, 4)] {
@@ -863,6 +862,9 @@ mod tests {
         assert_eq!(out.dropped_nodes().len(), 2 + 6);
         // The cloud never finishes, so its saturated deliveries set the
         // finish line.
-        assert_eq!(stats.virtual_elapsed, VirtualTime::from_nanos(u64::MAX));
+        assert_eq!(
+            stats.virtual_elapsed,
+            VirtualTime::from_duration(Duration::from_nanos(u64::MAX))
+        );
     }
 }

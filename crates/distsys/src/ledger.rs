@@ -85,11 +85,6 @@ impl Ledger {
         self.totals.lock().bytes
     }
 
-    /// Bytes flowing toward the cloud — the paper's "upload data" metric.
-    pub fn uplink_bytes(&self) -> u64 {
-        self.totals.lock().uplink_bytes
-    }
-
     /// Snapshot for reporting.
     pub fn report(&self) -> TransferReport {
         let t = self.totals.lock();
@@ -113,11 +108,6 @@ impl Ledger {
                 })
                 .collect(),
         }
-    }
-
-    /// Clears all counters.
-    pub fn reset(&self) {
-        *self.totals.lock() = Totals::default();
     }
 }
 
@@ -224,7 +214,7 @@ mod tests {
         ledger.record(&env(false, Payload::Ack));
         assert_eq!(ledger.report().messages, 2);
         assert_eq!(ledger.total_bytes(), (16 + 16) + 16);
-        assert_eq!(ledger.uplink_bytes(), 32);
+        assert_eq!(ledger.report().uplink_bytes, 32);
         assert_eq!(ledger.report().retransmissions, 0);
     }
 
@@ -284,16 +274,6 @@ mod tests {
         // Merging with an empty report is the identity.
         let empty = Ledger::new().report();
         assert_eq!(merged.merged(&empty), merged);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let ledger = Ledger::new();
-        ledger.record_retransmission(&env(true, Payload::Ack));
-        ledger.reset();
-        assert_eq!(ledger.total_bytes(), 0);
-        assert_eq!(ledger.report().messages, 0);
-        assert_eq!(ledger.report().retransmissions, 0);
     }
 
     #[test]

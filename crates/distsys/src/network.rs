@@ -123,23 +123,6 @@ impl Network {
         self.transmit(from, to, payload, false)
     }
 
-    /// Sends a retransmission of an earlier message: delivered like
-    /// [`Network::send`], but metered in the ledger's separate
-    /// retransmission totals as well.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] when the recipient is unknown or its inbox
-    /// was dropped.
-    pub fn send_retransmit(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        payload: Payload,
-    ) -> Result<(), SendError> {
-        self.transmit(from, to, payload, true)
-    }
-
     /// Meters `payload` as sent from `from` to `to` without delivering
     /// it anywhere: the entry point for callers that account for a
     /// transfer they carry out themselves (the in-process pipeline, the

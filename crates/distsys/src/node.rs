@@ -44,11 +44,6 @@ impl VirtualTime {
     /// The start of the run.
     pub const ZERO: VirtualTime = VirtualTime(0);
 
-    /// From elapsed nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        VirtualTime(ns)
-    }
-
     /// From an elapsed duration (saturating at ~584 years).
     pub fn from_duration(d: Duration) -> Self {
         VirtualTime(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
@@ -1059,7 +1054,8 @@ mod tests {
         assert_eq!(t.as_micros(), 1_500);
         assert!((t.as_secs_f64() - 0.0015).abs() < 1e-12);
         assert_eq!(t.to_string(), "0.001500s");
-        let sat = VirtualTime::from_nanos(u64::MAX).saturating_add(Duration::from_secs(1));
+        let sat = VirtualTime::from_duration(Duration::from_nanos(u64::MAX))
+            .saturating_add(Duration::from_secs(1));
         assert_eq!(sat.as_nanos(), u64::MAX);
         assert!(VirtualTime::from_duration(Duration::from_nanos(7)) < t);
     }

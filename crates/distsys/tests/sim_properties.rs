@@ -96,7 +96,7 @@ fn golden_run_pins_every_bit() {
             SimStats {
                 events: 17_309,
                 messages_delivered: 9_777,
-                virtual_elapsed: VirtualTime::from_nanos(1_391_052_730),
+                virtual_elapsed: VirtualTime::from_duration(Duration::from_nanos(1_391_052_730)),
                 order_digest: 16_535_467_259_104_839_301,
             },
             45_722_624u64,
@@ -108,7 +108,7 @@ fn golden_run_pins_every_bit() {
             SimStats {
                 events: 16_934,
                 messages_delivered: 9_538,
-                virtual_elapsed: VirtualTime::from_nanos(1_387_192_554),
+                virtual_elapsed: VirtualTime::from_duration(Duration::from_nanos(1_387_192_554)),
                 order_digest: 11_036_477_694_222_501_025,
             },
             45_686_192,

@@ -41,8 +41,6 @@ pub struct SearchConfig {
     /// parameter copy) before scoring. Counters the ENAS bias toward
     /// parameterless children whose shared weights need no training.
     pub final_finetune_epochs: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for SearchConfig {
@@ -56,7 +54,6 @@ impl Default for SearchConfig {
             batch_size: 16,
             final_candidates: 4,
             final_finetune_epochs: 2,
-            seed: 0,
         }
     }
 }

@@ -26,10 +26,8 @@ pub struct SharedParams {
     fc1: Linear,
     fc2: Linear,
     num_blocks: usize,
-    dim: usize,
     op_dim: usize,
     grid: usize,
-    classes: usize,
 }
 
 impl SharedParams {
@@ -111,10 +109,8 @@ impl SharedParams {
             fc1,
             fc2,
             num_blocks,
-            dim,
             op_dim,
             grid,
-            classes,
         }
     }
 
@@ -225,39 +221,14 @@ impl SharedParams {
         ids
     }
 
-    /// All supernet parameter ids (for freezing or counting).
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.in_proj.param_ids().to_vec();
-        for block in &self.convs {
-            for slot in block {
-                for conv in slot {
-                    ids.extend(conv.param_ids());
-                }
-            }
-        }
-        ids.extend(self.fc1.param_ids());
-        ids.extend(self.fc2.param_ids());
-        ids
-    }
-
     /// Block capacity of the supernet.
     pub fn num_blocks(&self) -> usize {
         self.num_blocks
     }
 
-    /// Backbone channel width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Spatial grid side.
     pub fn grid(&self) -> usize {
         self.grid
-    }
-
-    /// Output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
     }
 }
 
@@ -299,7 +270,7 @@ mod tests {
         let mut ps = ParamSet::new();
         let sp = SharedParams::new(&mut ps, "sn", 2, 8, 4, 5, &mut rng);
         // in_proj (w+b) + 2 blocks * 2 slots * 4 learned ops * (w+b) + 2 fc * (w+b)
-        assert_eq!(sp.param_ids().len(), 2 + 2 * 2 * 4 * 2 + 4);
+        assert_eq!(ps.len(), 2 + 2 * 2 * 4 * 2 + 4);
         let mut g = Graph::new();
         let x = g.constant(Array::ones(&[1, 4, 4, 4]));
         let y = sp.apply_op(&mut g, &ps, 0, 0, OpKind::Identity, x);

@@ -11,10 +11,6 @@ pub enum Activation {
     /// Gaussian error linear unit (tanh approximation) — the ViT default.
     #[default]
     Gelu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// No nonlinearity.
-    Identity,
 }
 
 impl Activation {
@@ -23,8 +19,6 @@ impl Activation {
         match self {
             Activation::Relu => g.relu(x),
             Activation::Gelu => g.gelu(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Identity => x,
         }
     }
 }
@@ -34,8 +28,6 @@ impl std::fmt::Display for Activation {
         let s = match self {
             Activation::Relu => "relu",
             Activation::Gelu => "gelu",
-            Activation::Tanh => "tanh",
-            Activation::Identity => "identity",
         };
         f.write_str(s)
     }
@@ -47,13 +39,11 @@ mod tests {
     use acme_tensor::Array;
 
     #[test]
-    fn relu_and_identity() {
+    fn relu_clamps_negatives() {
         let mut g = Graph::new();
         let x = g.leaf(Array::from_slice(&[-1.0, 2.0]));
         let r = Activation::Relu.apply(&mut g, x);
         assert_eq!(g.value(r).data(), &[0.0, 2.0]);
-        let i = Activation::Identity.apply(&mut g, x);
-        assert_eq!(i, x);
     }
 
     #[test]

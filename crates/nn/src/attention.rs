@@ -19,31 +19,10 @@ pub struct MultiHeadSelfAttention {
     wv: Linear,
     wo: Linear,
     heads: usize,
-    head_dim: usize,
     dim: usize,
 }
 
 impl MultiHeadSelfAttention {
-    /// Builds attention with `heads` heads over width `dim`, with
-    /// `head_dim = dim / heads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dim` is not divisible by `heads`.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dim: usize,
-        heads: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert!(
-            heads > 0 && dim.is_multiple_of(heads),
-            "dim {dim} not divisible by heads {heads}"
-        );
-        Self::with_head_dim(ps, name, dim, heads, dim / heads, rng)
-    }
-
     /// Builds attention whose inner width `heads * head_dim` may differ
     /// from the model width `dim` — the shape produced by physically
     /// removing heads (the paper's width pruning, §III-B1).
@@ -70,7 +49,6 @@ impl MultiHeadSelfAttention {
             wv: Linear::new(ps, &format!("{name}.wv"), dim, inner, rng),
             wo: Linear::new(ps, &format!("{name}.wo"), inner, dim, rng),
             heads,
-            head_dim,
             dim,
         }
     }
@@ -131,21 +109,6 @@ impl MultiHeadSelfAttention {
         g.reshape(out, &[b, t, d])
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Per-head width.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
-    /// Model width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// All parameter ids (q, k, v, o weights and biases).
     pub fn param_ids(&self) -> Vec<ParamId> {
         let mut ids = Vec::with_capacity(8);
@@ -170,7 +133,7 @@ mod tests {
     fn output_shape_matches_input() {
         let mut rng = SmallRng64::new(0);
         let mut ps = ParamSet::new();
-        let attn = MultiHeadSelfAttention::new(&mut ps, "attn", 8, 2, &mut rng);
+        let attn = MultiHeadSelfAttention::with_head_dim(&mut ps, "attn", 8, 2, 4, &mut rng);
         let mut g = Graph::new();
         let x = g.constant(randn(&[2, 5, 8], &mut rng));
         let y = attn.forward(&mut g, &ps, x);
@@ -178,18 +141,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divisible")]
-    fn rejects_indivisible_heads() {
-        let mut rng = SmallRng64::new(0);
-        let mut ps = ParamSet::new();
-        MultiHeadSelfAttention::new(&mut ps, "attn", 7, 2, &mut rng);
-    }
-
-    #[test]
     fn unit_mask_is_identity() {
         let mut rng = SmallRng64::new(1);
         let mut ps = ParamSet::new();
-        let attn = MultiHeadSelfAttention::new(&mut ps, "attn", 8, 4, &mut rng);
+        let attn = MultiHeadSelfAttention::with_head_dim(&mut ps, "attn", 8, 4, 2, &mut rng);
         let mut g = Graph::new();
         let x = g.constant(randn(&[1, 3, 8], &mut rng));
         let plain = attn.forward(&mut g, &ps, x);
@@ -203,7 +158,7 @@ mod tests {
     fn zero_mask_removes_all_value_paths() {
         let mut rng = SmallRng64::new(2);
         let mut ps = ParamSet::new();
-        let attn = MultiHeadSelfAttention::new(&mut ps, "attn", 8, 2, &mut rng);
+        let attn = MultiHeadSelfAttention::with_head_dim(&mut ps, "attn", 8, 2, 4, &mut rng);
         // Zero the output bias so a fully masked attention yields exactly 0.
         let ids = attn.param_ids();
         ps.value_mut(ids[7]).map_in_place(|_| 0.0); // wo bias
@@ -217,13 +172,13 @@ mod tests {
     fn mask_var_gradient_is_finite_and_nonzero() {
         let mut rng = SmallRng64::new(3);
         let mut ps = ParamSet::new();
-        let attn = MultiHeadSelfAttention::new(&mut ps, "attn", 8, 2, &mut rng);
+        let attn = MultiHeadSelfAttention::with_head_dim(&mut ps, "attn", 8, 2, 4, &mut rng);
         let mut g = Graph::new();
         let x = g.constant(randn(&[2, 4, 8], &mut rng));
         let mask = g.leaf(Array::ones(&[1, 2, 1, 1]));
         let y = attn.forward_with_mask_var(&mut g, &ps, x, mask);
-        let t = g.pow_scalar(y, 2.0);
-        let loss = g.mean_all(t);
+        let zeros = g.constant(Array::zeros(g.shape(y)));
+        let loss = g.mse_loss(y, zeros);
         g.backward(loss);
         let mg = g.grad(mask).expect("mask grad");
         assert_eq!(mg.shape(), &[1, 2, 1, 1]);

@@ -11,7 +11,6 @@ use crate::param::{ParamId, ParamSet};
 pub struct Conv2dLayer {
     w: ParamId,
     b: ParamId,
-    kernel: usize,
     stride: usize,
     pad: usize,
 }
@@ -36,13 +35,7 @@ impl Conv2dLayer {
             kaiming_uniform(&[out_ch, in_ch, kernel, kernel], fan_in, rng),
         );
         let b = ps.add(format!("{name}.b"), Array::zeros(&[out_ch]));
-        Conv2dLayer {
-            w,
-            b,
-            kernel,
-            stride,
-            pad,
-        }
+        Conv2dLayer { w, b, stride, pad }
     }
 
     /// Convenience constructor for a "same"-padded stride-1 convolution
@@ -69,11 +62,6 @@ impl Conv2dLayer {
         g.conv2d(x, w, Some(b), self.stride, self.pad)
     }
 
-    /// Square kernel size.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
     /// Parameter ids `(weight, bias)`.
     pub fn param_ids(&self) -> [ParamId; 2] {
         [self.w, self.b]
@@ -94,7 +82,6 @@ mod tests {
         let x = g.constant(randn(&[2, 3, 6, 6], &mut rng));
         let y = c.forward(&mut g, &ps, x);
         assert_eq!(g.shape(y), &[2, 8, 6, 6]);
-        assert_eq!(c.kernel(), 3);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::param::{ParamId, ParamSet};
 pub struct Linear {
     w: ParamId,
     b: ParamId,
-    in_dim: usize,
     out_dim: usize,
 }
 
@@ -29,12 +28,7 @@ impl Linear {
             kaiming_uniform(&[in_dim, out_dim], in_dim, rng),
         );
         let b = ps.add(format!("{name}.b"), Array::zeros(&[out_dim]));
-        Linear {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
+        Linear { w, b, out_dim }
     }
 
     /// Applies the layer to a 2-D input `[n, in_dim]`.
@@ -46,11 +40,6 @@ impl Linear {
         let w = ps.bind(g, self.w);
         let b = ps.bind(g, self.b);
         g.linear(x, w, b)
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     /// Output width.
@@ -159,7 +148,6 @@ impl Mlp {
 #[derive(Debug, Clone)]
 pub struct EmbeddingLayer {
     w: ParamId,
-    dim: usize,
 }
 
 impl EmbeddingLayer {
@@ -175,7 +163,7 @@ impl EmbeddingLayer {
             format!("{name}.emb"),
             acme_tensor::randn(&[vocab, dim], rng).scale(0.1),
         );
-        EmbeddingLayer { w, dim }
+        EmbeddingLayer { w }
     }
 
     /// Looks up rows for `indices`, producing `[indices.len(), dim]`.
@@ -186,11 +174,6 @@ impl EmbeddingLayer {
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, indices: &[usize]) -> Var {
         let w = ps.bind(g, self.w);
         g.embedding(w, indices)
-    }
-
-    /// Embedding width.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -208,7 +191,6 @@ mod tests {
         let x = g.constant(Array::ones(&[2, 3]));
         let y = l.forward(&mut g, &ps, x);
         assert_eq!(g.shape(y), &[2, 5]);
-        assert_eq!(l.in_dim(), 3);
         assert_eq!(l.out_dim(), 5);
     }
 
@@ -233,7 +215,7 @@ mod tests {
     fn mlp_trains_xor() {
         let mut rng = SmallRng64::new(7);
         let mut ps = ParamSet::new();
-        let m = Mlp::new(&mut ps, "mlp", 2, 16, 2, Activation::Tanh, &mut rng);
+        let m = Mlp::new(&mut ps, "mlp", 2, 16, 2, Activation::Gelu, &mut rng);
         let xs = Array::from_vec(vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], &[4, 2]).unwrap();
         let ys = [0usize, 1, 1, 0];
         let mut opt = crate::optim::Adam::new(0.05);
@@ -259,6 +241,5 @@ mod tests {
         let mut g = Graph::new();
         let out = e.forward(&mut g, &ps, &[1, 2, 3]);
         assert_eq!(g.shape(out), &[3, 4]);
-        assert_eq!(e.dim(), 4);
     }
 }

@@ -4,7 +4,7 @@ use acme_tensor::{Array, Graph, Var};
 use rand::Rng;
 
 use crate::linear::Linear;
-use crate::param::{ParamId, ParamSet};
+use crate::param::ParamSet;
 
 /// A single LSTM cell with input width `in_dim` and hidden width `hidden`.
 ///
@@ -15,7 +15,6 @@ use crate::param::{ParamId, ParamSet};
 pub struct LstmCell {
     wx: Linear,
     wh: Linear,
-    in_dim: usize,
     hidden: usize,
 }
 
@@ -36,12 +35,7 @@ impl LstmCell {
         for i in hidden..2 * hidden {
             bias.data_mut()[i] = 1.0;
         }
-        LstmCell {
-            wx,
-            wh,
-            in_dim,
-            hidden,
-        }
+        LstmCell { wx, wh, hidden }
     }
 
     /// One step: `x: [batch, in_dim]`, state `(h, c): [batch, hidden]`,
@@ -76,23 +70,6 @@ impl LstmCell {
         let h = g.constant(Array::zeros(&[batch, self.hidden]));
         let c = g.constant(Array::zeros(&[batch, self.hidden]));
         (h, c)
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// All parameter ids.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.wx.param_ids().to_vec();
-        ids.extend(self.wh.param_ids());
-        ids
     }
 }
 

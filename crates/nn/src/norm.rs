@@ -9,7 +9,6 @@ use crate::param::{ParamId, ParamSet};
 pub struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
-    dim: usize,
     eps: f32,
 }
 
@@ -21,7 +20,6 @@ impl LayerNorm {
         LayerNorm {
             gamma,
             beta,
-            dim,
             eps: 1e-5,
         }
     }
@@ -35,11 +33,6 @@ impl LayerNorm {
         let gamma = ps.bind(g, self.gamma);
         let beta = ps.bind(g, self.beta);
         g.layer_norm(x, gamma, beta, self.eps)
-    }
-
-    /// Normalized width.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Parameter ids `(gamma, beta)`.
@@ -65,6 +58,5 @@ mod tests {
             let mean: f32 = row.iter().sum::<f32>() / 6.0;
             assert!(mean.abs() < 1e-4);
         }
-        assert_eq!(ln.dim(), 6);
     }
 }

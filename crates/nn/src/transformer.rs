@@ -43,7 +43,7 @@ impl TransformerBlock {
 
     /// Builds a block whose attention inner width `heads * head_dim`
     /// differs from `dim` — the shape of a width-pruned backbone layer.
-    pub fn with_head_dim(
+    fn with_head_dim(
         ps: &mut ParamSet,
         name: &str,
         dim: usize,
@@ -183,7 +183,7 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_tensor::{randn, SmallRng64};
+    use acme_tensor::{randn, Array, SmallRng64};
 
     #[test]
     fn shape_preserved() {
@@ -226,8 +226,8 @@ mod tests {
             let mut g = Graph::new();
             let x = g.constant(input.clone());
             let y = blk.forward(&mut g, &ps, x);
-            let sq = g.pow_scalar(y, 2.0);
-            let loss = g.mean_all(sq);
+            let zeros = g.constant(Array::zeros(g.shape(y)));
+            let loss = g.mse_loss(y, zeros);
             g.backward(loss);
             opt.step(&mut ps, &g);
             last = g.value(loss).item();

@@ -5,7 +5,7 @@ use acme_nn::{
     Activation, Conv2dLayer, LayerNorm, Linear, LstmCell, Mlp, MultiHeadSelfAttention, ParamSet,
     TransformerBlock,
 };
-use acme_tensor::{randn, Array, Graph, SmallRng64};
+use acme_tensor::{randn, Array, Graph, SmallRng64, Var};
 
 /// Central-difference check of every *parameter* gradient of a model:
 /// perturbs each scalar in the store and compares the loss delta against
@@ -45,6 +45,13 @@ fn check_param_grads(
     assert!(checked > 0, "no coordinates checked");
 }
 
+/// Mean of every element of `x` as a scalar node.
+fn mean(g: &mut Graph, x: Var) -> Var {
+    let n = g.value(x).len() as f32;
+    let sum = g.sum_all(x);
+    g.scale(sum, 1.0 / n)
+}
+
 fn harvest(g: &Graph) -> Vec<(usize, Array)> {
     g.param_bindings()
         .filter_map(|(k, v)| g.grad(v).map(|gr| (k as usize, gr.clone())))
@@ -62,7 +69,7 @@ fn linear_param_grads() {
         let xv = g.constant(x.clone());
         let y = layer.forward(&mut g, ps, xv);
         let t = g.tanh(y);
-        let loss = g.mean_all(t);
+        let loss = mean(&mut g, t);
         (g, loss)
     };
     let loss_of = |ps: &ParamSet| {
@@ -89,8 +96,8 @@ fn mlp_and_layernorm_param_grads() {
         let xv = g.constant(x.clone());
         let h = mlp.forward(&mut g, ps, xv);
         let y = ln.forward(&mut g, ps, h);
-        let sq = g.pow_scalar(y, 2.0);
-        let loss = g.mean_all(sq);
+        let zeros = g.constant(Array::zeros(g.shape(y)));
+        let loss = g.mse_loss(y, zeros);
         (g, loss)
     };
     check_param_grads(
@@ -112,14 +119,14 @@ fn mlp_and_layernorm_param_grads() {
 fn attention_param_grads() {
     let mut rng = SmallRng64::new(2);
     let mut ps = ParamSet::new();
-    let attn = MultiHeadSelfAttention::new(&mut ps, "a", 8, 2, &mut rng);
+    let attn = MultiHeadSelfAttention::with_head_dim(&mut ps, "a", 8, 2, 4, &mut rng);
     let x = randn(&[2, 3, 8], &mut rng);
     let run = |ps: &ParamSet| {
         let mut g = Graph::new();
         let xv = g.constant(x.clone());
         let y = attn.forward(&mut g, ps, xv);
         let t = g.tanh(y);
-        let loss = g.mean_all(t);
+        let loss = mean(&mut g, t);
         (g, loss)
     };
     check_param_grads(
@@ -148,7 +155,7 @@ fn transformer_block_param_grads() {
         let xv = g.constant(x.clone());
         let y = blk.forward(&mut g, ps, xv);
         let t = g.tanh(y);
-        let loss = g.mean_all(t);
+        let loss = mean(&mut g, t);
         (g, loss)
     };
     check_param_grads(
@@ -177,7 +184,7 @@ fn conv_layer_param_grads() {
         let xv = g.constant(x.clone());
         let y = conv.forward(&mut g, ps, xv);
         let t = g.tanh(y);
-        let loss = g.mean_all(t);
+        let loss = mean(&mut g, t);
         (g, loss)
     };
     check_param_grads(
@@ -210,8 +217,8 @@ fn lstm_param_grads() {
             h = h2;
             c = c2;
         }
-        let sq = g.pow_scalar(h, 2.0);
-        let loss = g.mean_all(sq);
+        let zeros = g.constant(Array::zeros(g.shape(h)));
+        let loss = g.mse_loss(h, zeros);
         (g, loss)
     };
     check_param_grads(

@@ -40,11 +40,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Counter value, defaulting to 0 when absent.
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {

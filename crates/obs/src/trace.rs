@@ -166,16 +166,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Number of spans/events with the given name.
     #[must_use]
     pub fn count(&self, name: &str) -> usize {

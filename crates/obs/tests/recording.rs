@@ -3,6 +3,7 @@
 //! Recording state is process-global, so every test takes `GUARD` and
 //! resets state on entry.
 
+use acme_obs::metrics::MetricsSnapshot;
 use acme_obs::{event, metrics, span, timer, trace, Detail, SpanKind};
 use std::sync::Mutex;
 
@@ -55,8 +56,8 @@ fn nothing_records_while_disabled() {
         let _t = timer!("ghost-timer");
         metrics::set_counter("ghost.counter", 1);
     }
-    assert!(trace::drain().is_empty());
-    assert!(metrics::snapshot().is_empty());
+    assert!(trace::drain().spans.is_empty());
+    assert_eq!(metrics::snapshot(), MetricsSnapshot::default());
 }
 
 #[test]
@@ -86,7 +87,7 @@ fn ring_overflow_is_counted_not_silent() {
     }
     trace::set_enabled(false);
     let trace = trace::drain();
-    assert_eq!(trace.len(), 8);
+    assert_eq!(trace.spans.len(), 8);
     assert_eq!(trace.dropped_events, 12);
 }
 
@@ -169,7 +170,7 @@ fn metrics_registry_counters_gauges_histograms() {
     assert_eq!(hist.counts, vec![0, 1, 1]);
     assert_eq!(hist.count, 2);
     metrics::reset();
-    assert!(metrics::snapshot().is_empty());
+    assert_eq!(metrics::snapshot(), MetricsSnapshot::default());
 }
 
 #[test]

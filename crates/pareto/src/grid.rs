@@ -54,11 +54,6 @@ impl GridSpec {
         })
     }
 
-    /// Number of intervals per objective.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Grid coordinates `Ψ(θ̃)` of an objective vector (Eq. 11); each
     /// coordinate lies in `1..=K` for vectors inside the population's
     /// bounding box.
@@ -142,7 +137,7 @@ mod tests {
         let cs = cands();
         let fine = GridSpec::from_candidates(&cs, 0.05).unwrap();
         let coarse = GridSpec::from_candidates(&cs, 0.5).unwrap();
-        assert!(fine.k() > coarse.k());
+        assert!(fine.k > coarse.k);
     }
 
     #[test]
@@ -151,35 +146,24 @@ mod tests {
         let spec = GridSpec::from_candidates(&cs, 0.1).unwrap();
         for c in &cs {
             let psi = spec.coords(&c.objectives);
-            assert!(psi.iter().all(|&p| p >= 1 && p <= spec.k()));
+            assert!(psi.iter().all(|&p| p >= 1 && p <= spec.k));
         }
         // Worse loss -> larger first coordinate.
-        let lo = spec.coords(&[0.5, 5.0, 5.0, 0.0]);
-        let hi = spec.coords(&[1.5, 5.0, 5.0, 0.0]);
+        let lo = spec.coords(&[0.5, 5.0, 5.0]);
+        let hi = spec.coords(&[1.5, 5.0, 5.0]);
         assert!(hi[0] > lo[0]);
     }
 
     #[test]
     fn ideal_maps_to_smallest_cell() {
-        // Mixed-precision pool: every axis (including quantization) has
-        // a nonzero span, so the ideal point lands in cell 1 everywhere.
+        // Every axis has a nonzero span, so the ideal point lands in
+        // cell 1 everywhere.
         let cs = vec![
             Candidate::new(1.0, 12, [0.5, 9.0, 9.0]),
-            Candidate::new(0.5, 6, [0.9, 3.0, 3.0])
-                .with_precision(acme_tensor::Precision::Int8, 0.02),
+            Candidate::new(0.5, 6, [0.9, 3.0, 3.0]),
         ];
         let spec = GridSpec::from_candidates(&cs, 0.1).unwrap();
-        assert_eq!(spec.ideal_coords(), [1, 1, 1, 1]);
-        // f32-only pools leave the quantization axis degenerate: every
-        // candidate shares the same coordinate there, so the axis never
-        // perturbs dominance or grid distance.
-        let f32_cs = cands();
-        let f32_spec = GridSpec::from_candidates(&f32_cs, 0.1).unwrap();
-        let q: Vec<usize> = f32_cs
-            .iter()
-            .map(|c| f32_spec.coords(&c.objectives)[3])
-            .collect();
-        assert!(q.iter().all(|&x| x == q[0]), "quant coords {q:?}");
+        assert_eq!(spec.ideal_coords(), [1, 1, 1]);
     }
 
     #[test]
@@ -218,7 +202,7 @@ mod tests {
             Candidate::new(0.5, 1, [2.0, 2.0, 2.0]),
         ];
         let spec = GridSpec::from_candidates(&cs, 0.1).unwrap();
-        let psi = spec.coords(&[2.0, 2.0, 2.0, 0.0]);
+        let psi = spec.coords(&[2.0, 2.0, 2.0]);
         assert!(psi.iter().all(|&p| p >= 1));
     }
 
@@ -230,9 +214,7 @@ mod tests {
 
     #[test]
     fn grid_distance_is_euclidean() {
-        assert_eq!(GridSpec::grid_distance(&[1, 1, 1, 1], &[1, 1, 1, 1]), 0.0);
-        assert!(
-            (GridSpec::grid_distance(&[1, 2, 3, 1], &[2, 3, 4, 1]) - 3f64.sqrt()).abs() < 1e-12
-        );
+        assert_eq!(GridSpec::grid_distance(&[1, 1, 1], &[1, 1, 1]), 0.0);
+        assert!((GridSpec::grid_distance(&[1, 2, 3], &[2, 3, 4]) - 3f64.sqrt()).abs() < 1e-12);
     }
 }

@@ -6,10 +6,8 @@
 //! and efficiency metrics used in Fig. 9 of the paper.
 //!
 //! A [`Candidate`] is a `(w, d)` backbone with its objective vector
-//! `(loss, energy, size, quantization)` — the paper's three minimized
-//! objectives plus the deployment-precision axis, which stays `0.0` for
-//! f32 candidates so three-objective populations behave exactly as
-//! before. [`GridSpec`] discretizes the objective space
+//! `(loss, energy, size)` — the paper's three minimized objectives
+//! (Eq. 10). [`GridSpec`] discretizes the objective space
 //! into `K` intervals per objective derived from the performance window
 //! `γ_p` (Eq. 11); [`pareto_front_grid`] keeps grid-nondominated
 //! candidates; [`select_constrained`] applies the storage truncation and
@@ -37,7 +35,6 @@ mod candidate;
 mod grid;
 mod select;
 
-pub use acme_tensor::Precision;
 pub use candidate::{dominates, Candidate, NUM_OBJECTIVES};
 pub use grid::{pareto_front_grid, GridSpec};
 pub use select::{

@@ -137,13 +137,11 @@ impl std::fmt::Display for MatchingMethod {
 pub struct MatchOutcome {
     /// The chosen candidate, if any fit the constraint.
     pub candidate: Option<Candidate>,
-    /// Wall-clock seconds spent selecting (the Fig. 9 latency metric).
+    /// Wall-clock seconds spent selecting (the Fig. 9 latency metric),
+    /// plus a simulated evaluation cost per candidate the method had to
+    /// evaluate at selection time: greedy methods pay one per feasible
+    /// candidate; PFG and Random pay none (the front is prebuilt).
     pub selection_seconds: f64,
-    /// Simulated evaluation cost: how many candidate evaluations the
-    /// method had to perform at selection time. Greedy methods pay one
-    /// per feasible candidate; PFG and Random pay none (the front is
-    /// prebuilt).
-    pub evaluations: usize,
 }
 
 /// Per-candidate evaluation cost in seconds charged to methods that must
@@ -203,14 +201,12 @@ pub fn select_with(
     Ok(MatchOutcome {
         candidate: candidate.cloned(),
         selection_seconds,
-        evaluations,
     })
 }
 
 /// The efficiency metrics of Fig. 9: accuracy per unit energy, accuracy
 /// per unit size, and the additive trade-off score
-/// `L + E + ζ + q` over *normalized* objectives (lower is better; the
-/// quantization term `q` vanishes for f32-only populations).
+/// `L + E + ζ` over *normalized* objectives (lower is better).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyMetrics {
     /// Accuracy / energy.
@@ -261,8 +257,7 @@ impl EfficiencyMetrics {
             size_efficiency: chosen.accuracy / chosen.size().max(1e-12),
             tradeoff_score: norm(chosen.loss(), worst[0])
                 + norm(chosen.energy(), worst[1])
-                + norm(chosen.size(), worst[2])
-                + norm(chosen.quantization(), worst[3]),
+                + norm(chosen.size(), worst[2]),
             ideal_distance: d,
         }
     }
@@ -310,7 +305,6 @@ mod tests {
         let mut rng = SmallRng64::new(0);
         let out = select_with(MatchingMethod::GreedyAccuracy, &cs, &spec, 7.0, &mut rng).unwrap();
         assert_eq!(out.candidate.unwrap().accuracy, 0.74);
-        assert_eq!(out.evaluations, 3);
         assert!(out.selection_seconds >= 3.0 * EVAL_COST_SECONDS);
     }
 
@@ -331,7 +325,6 @@ mod tests {
         for _ in 0..10 {
             let out = select_with(MatchingMethod::Random, &cs, &spec, 7.0, &mut rng).unwrap();
             assert!(out.candidate.unwrap().size() < 7.0);
-            assert_eq!(out.evaluations, 0);
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! 1. **Determinism.** [`Pool::par_map`] returns results in input order,
 //!    and the pipeline derives every task's RNG stream from the root
-//!    seed by *stable task index* (see [`stream_seed`]) before any task
+//!    seed by *stable task index* (`SmallRng64::fork`) before any task
 //!    runs. Output is therefore identical at any thread count —
 //!    `threads = 1` reproduces the serial pipeline bit-for-bit.
 //! 2. **Scoped borrows.** Tasks may borrow from the caller's stack (the
@@ -118,19 +118,6 @@ pub fn global_pool() -> Pool {
 /// lock, so a panicking task cannot leave a slot half-written.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Derives a per-task stream seed from a root seed and a stable task
-/// index (SplitMix64 finalizer). Tasks seeded this way produce the same
-/// stream no matter which worker executes them or in what order, which
-/// is the foundation of the pipeline's "same seed ⇒ same results at any
-/// thread count" contract.
-pub fn stream_seed(root_seed: u64, task_index: u64) -> u64 {
-    let mut z = root_seed ^ task_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A thread-pool configuration.
@@ -294,6 +281,11 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// A task result that depends on both the item and its index.
+    fn mix(x: u64, i: usize) -> u64 {
+        (x ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
     #[test]
     fn par_map_preserves_input_order() {
         let pool = Pool::new(4);
@@ -305,7 +297,7 @@ mod tests {
     #[test]
     fn par_map_matches_serial_at_any_thread_count() {
         let items: Vec<u64> = (0..57).collect();
-        let f = |i: usize, x: u64| stream_seed(x, i as u64);
+        let f = |i: usize, x: u64| mix(x, i);
         let serial: Vec<u64> = Pool::new(1).par_map(items.clone(), f);
         for threads in [2, 3, 4, 8] {
             let par = Pool::new(threads).par_map(items.clone(), f);
@@ -446,7 +438,7 @@ mod tests {
 
     #[test]
     fn nesting_changes_neither_results_nor_which_panic_wins() {
-        let f = |i: usize, x: u64| stream_seed(x, i as u64);
+        let f = |i: usize, x: u64| mix(x, i);
         let expect: Vec<Vec<u64>> = (0..6u64)
             .map(|x| Pool::serial().par_map((x..x + 9).collect(), f))
             .collect();
@@ -573,16 +565,6 @@ mod tests {
     #[test]
     fn default_pool_uses_available_parallelism() {
         assert!(Pool::default().threads() >= 1);
-    }
-
-    #[test]
-    fn stream_seed_is_stable_and_index_sensitive() {
-        assert_eq!(stream_seed(7, 3), stream_seed(7, 3));
-        assert_ne!(stream_seed(7, 3), stream_seed(7, 4));
-        assert_ne!(stream_seed(7, 3), stream_seed(8, 3));
-        // Consecutive indices must not collide for small grids.
-        let seeds: std::collections::HashSet<u64> = (0..1024).map(|i| stream_seed(42, i)).collect();
-        assert_eq!(seeds.len(), 1024);
     }
 
     #[test]

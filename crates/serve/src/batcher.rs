@@ -23,16 +23,6 @@ pub struct BatcherConfig {
     pub window: Duration,
 }
 
-impl BatcherConfig {
-    /// The unbatched baseline: every request is its own batch.
-    pub fn unbatched() -> Self {
-        BatcherConfig {
-            max_batch: 1,
-            window: Duration::ZERO,
-        }
-    }
-}
-
 /// A request with its enqueue timestamp (latency is measured from here).
 #[derive(Debug)]
 pub struct QueuedRequest {
@@ -53,21 +43,11 @@ struct Shared {
 }
 
 /// A multi-producer, multi-worker coalescing queue.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Batcher {
-    cfg: BatcherConfigCell,
+    cfg: BatcherConfig,
     shared: Mutex<Shared>,
     ready: Condvar,
-}
-
-// Plain wrapper so `Batcher::default()` exists for tests.
-#[derive(Debug)]
-struct BatcherConfigCell(BatcherConfig);
-
-impl Default for BatcherConfigCell {
-    fn default() -> Self {
-        BatcherConfigCell(BatcherConfig::unbatched())
-    }
 }
 
 impl Batcher {
@@ -79,15 +59,10 @@ impl Batcher {
     pub fn new(cfg: BatcherConfig) -> Self {
         assert!(cfg.max_batch > 0, "max_batch must be at least 1");
         Batcher {
-            cfg: BatcherConfigCell(cfg),
+            cfg,
             shared: Mutex::new(Shared::default()),
             ready: Condvar::new(),
         }
-    }
-
-    /// The coalescing config.
-    pub fn config(&self) -> BatcherConfig {
-        self.cfg.0
     }
 
     /// Enqueues one request.
@@ -124,7 +99,7 @@ impl Batcher {
     /// Blocks until a batch is ready (or the batcher is closed and
     /// empty, yielding `None`). The returned rows share one batch key.
     pub fn pop_batch(&self) -> Option<Vec<QueuedRequest>> {
-        let BatcherConfig { max_batch, window } = self.cfg.0;
+        let BatcherConfig { max_batch, window } = self.cfg;
         let mut s = self.shared.lock().expect("batcher mutex");
         loop {
             let Some(key) = s.order.front().cloned() else {
@@ -155,12 +130,6 @@ impl Batcher {
             }
             return Some(batch);
         }
-    }
-
-    /// Number of requests currently queued (for tests and gauges).
-    pub fn pending(&self) -> usize {
-        let s = self.shared.lock().expect("batcher mutex");
-        s.queues.values().map(VecDeque::len).sum()
     }
 }
 
@@ -228,12 +197,14 @@ mod tests {
         // A huge window must not stall a closed batcher.
         assert_eq!(b.pop_batch().expect("drain").len(), 1);
         assert!(b.pop_batch().is_none());
-        assert_eq!(b.pending(), 0);
     }
 
     #[test]
     fn zero_window_dispatches_immediately() {
-        let b = Batcher::new(BatcherConfig::unbatched());
+        let b = Batcher::new(BatcherConfig {
+            max_batch: 1,
+            window: Duration::ZERO,
+        });
         b.push(req(0, 0));
         b.push(req(1, 0));
         assert_eq!(b.pop_batch().expect("batch").len(), 1);
@@ -265,6 +236,7 @@ mod tests {
             second.iter().map(|q| q.request.id).collect::<Vec<_>>(),
             vec![4, 5]
         );
-        assert_eq!(b.pending(), 0);
+        b.close();
+        assert!(b.pop_batch().is_none(), "nothing is left queued");
     }
 }

@@ -106,11 +106,6 @@ impl<'a> BatchEngine<'a> {
         BatchEngine { store, policy }
     }
 
-    /// The engine's exit policy.
-    pub fn policy(&self) -> ExitPolicy {
-        self.policy
-    }
-
     /// Runs one coalesced batch. All requests must target the same
     /// device variant and share an input shape; responses come back in
     /// request order.
@@ -290,7 +285,11 @@ mod tests {
             precision: Precision::Int8,
         };
         let store_i8 = VariantStore::build(&cfg, 21);
-        let store_f32 = VariantStore::build(&cfg.clone().with_precision(Precision::F32), 21);
+        let f32_cfg = StoreConfig {
+            precision: Precision::F32,
+            ..cfg.clone()
+        };
+        let store_f32 = VariantStore::build(&f32_cfg, 21);
         let reqs = requests(&store_i8, 0, 4, 13);
         let mut g = Graph::new();
         let packs0 = acme_tensor::packcache::i8_packs();

@@ -19,7 +19,7 @@
 //!    with a long-lived graph: steady-state serving is free of per-batch
 //!    graph allocation and every frozen product hits the
 //!    [`acme_tensor::packcache`].
-//! 5. **[`loadgen`]** — seeded Poisson arrivals with Zipf device
+//! 5. **[`loadgen`]** — seeded firehose traces with Zipf device
 //!    popularity for benchmarks and tests.
 //!
 //! Serving counters (`serve.requests`, `serve.batches`,
@@ -39,7 +39,7 @@ pub mod variant;
 pub use acme_tensor::Precision;
 pub use batcher::{Batcher, BatcherConfig, QueuedRequest};
 pub use engine::{BatchEngine, ExitPolicy, Request, Response};
-pub use loadgen::{replay, trace, LoadGenConfig};
+pub use loadgen::{trace, LoadGenConfig};
 pub use persist::{ManifestVariant, StoreManifest};
 pub use server::{serve, Completion, ServeReport, ServerConfig};
 pub use variant::{ClusterModel, DeviceVariant, ServeModelConfig, StoreConfig, VariantStore};

@@ -1,17 +1,15 @@
 //! Seeded heavy-traffic load generation.
 //!
-//! Arrivals follow a Poisson process (exponential inter-arrival times)
-//! and device popularity follows a Zipf law, so a few hot variants
-//! dominate — the regime where same-variant coalescing pays. Both
-//! draws come from the raw [`SmallRng64`] stream, so a seed fully
-//! determines the trace.
-
-use std::time::{Duration, Instant};
+//! A trace is a firehose: every request is available at once, and
+//! device popularity follows a classic Zipf law (exponent 1), so a few
+//! hot variants dominate — the regime where same-variant coalescing
+//! pays. Every draw comes from the raw [`SmallRng64`] stream, so a seed
+//! fully determines the trace. Paced open-loop arrivals are the
+//! caller's to schedule.
 
 use acme_tensor::{Array, SmallRng64};
 use rand::RngCore;
 
-use crate::batcher::Batcher;
 use crate::engine::Request;
 use crate::variant::VariantStore;
 
@@ -20,25 +18,14 @@ use crate::variant::VariantStore;
 pub struct LoadGenConfig {
     /// Total requests to emit.
     pub requests: usize,
-    /// Zipf skew exponent for device popularity (`0.0` = uniform;
-    /// `1.0` = classic Zipf).
-    pub zipf_exponent: f64,
-    /// Mean arrival rate in requests/second; `None` emits the whole
-    /// trace as fast as the batcher accepts it (closed-loop stress).
-    pub rate_rps: Option<f64>,
     /// RNG seed; one seed = one exact trace.
     pub seed: u64,
 }
 
 impl LoadGenConfig {
-    /// A firehose trace of `requests` arrivals with classic Zipf skew.
+    /// A firehose trace of `requests` arrivals.
     pub fn firehose(requests: usize, seed: u64) -> Self {
-        LoadGenConfig {
-            requests,
-            zipf_exponent: 1.0,
-            rate_rps: None,
-            seed,
-        }
+        LoadGenConfig { requests, seed }
     }
 }
 
@@ -52,10 +39,8 @@ fn unit(rng: &mut SmallRng64) -> f64 {
 pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
     let mut rng = SmallRng64::new(cfg.seed);
     let devices = store.num_devices();
-    // Zipf CDF over devices ranked by index.
-    let weights: Vec<f64> = (0..devices)
-        .map(|d| 1.0 / ((d + 1) as f64).powf(cfg.zipf_exponent))
-        .collect();
+    // Zipf CDF over devices ranked by index: weight 1 / rank.
+    let weights: Vec<f64> = (0..devices).map(|d| 1.0 / (d + 1) as f64).collect();
     let total: f64 = weights.iter().sum();
     let mut cdf = Vec::with_capacity(devices);
     let mut acc = 0.0;
@@ -78,27 +63,6 @@ pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
             }
         })
         .collect()
-}
-
-/// Replays a trace into `batcher`, pacing arrivals per the config's
-/// Poisson process (or firehosing when `rate_rps` is `None`). Returns
-/// the number of requests pushed.
-pub fn replay(batcher: &Batcher, cfg: &LoadGenConfig, requests: Vec<Request>) -> usize {
-    let mut rng = SmallRng64::new(cfg.seed ^ 0xa55a_a55a);
-    let start = Instant::now();
-    let mut next_at = Duration::ZERO;
-    let n = requests.len();
-    for r in requests {
-        if let Some(rate) = cfg.rate_rps {
-            let gap = -(1.0 - unit(&mut rng)).ln() / rate.max(1e-9);
-            next_at += Duration::from_secs_f64(gap);
-            while start.elapsed() < next_at {
-                std::thread::yield_now();
-            }
-        }
-        batcher.push(r);
-    }
-    n
 }
 
 #[cfg(test)]
@@ -136,15 +100,7 @@ mod tests {
     #[test]
     fn zipf_skews_toward_low_ranked_devices() {
         let store = store(8);
-        let reqs = trace(
-            &store,
-            &LoadGenConfig {
-                requests: 400,
-                zipf_exponent: 1.2,
-                rate_rps: None,
-                seed: 3,
-            },
-        );
+        let reqs = trace(&store, &LoadGenConfig::firehose(400, 3));
         let mut counts = vec![0usize; 8];
         for r in &reqs {
             counts[r.device] += 1;

@@ -65,8 +65,6 @@ fn activation_tag(a: Activation) -> u8 {
     match a {
         Activation::Relu => 0,
         Activation::Gelu => 1,
-        Activation::Tanh => 2,
-        Activation::Identity => 3,
     }
 }
 
@@ -74,8 +72,6 @@ fn activation_from_tag(t: u8) -> Result<Activation, WireError> {
     Ok(match t {
         0 => Activation::Relu,
         1 => Activation::Gelu,
-        2 => Activation::Tanh,
-        3 => Activation::Identity,
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -97,7 +93,7 @@ fn precision_from_tag(t: u8) -> Result<Precision, WireError> {
 
 impl StoreManifest {
     /// Serializes to a sealed `ACMS` blob.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    fn to_bytes(&self) -> Vec<u8> {
         wire::seal(self)
     }
 
@@ -145,9 +141,10 @@ impl Codec for StoreManifest {
     }
 
     /// Also checks what [`VariantStore::from_store`] builds a model
-    /// from — a [`VitConfig`] that validates, and exit layers strictly
-    /// increasing up to the final block — so a manifest that decodes
-    /// cannot trip the model constructors' asserts.
+    /// from — a [`VitConfig`] that validates, exit layers strictly
+    /// increasing up to the final block, and at least one backbone and
+    /// one variant — so a manifest that decodes cannot trip the model
+    /// constructors' asserts or leave a store with nothing to serve.
     fn decode_body(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let vit = VitConfig {
             image: r.usize()?,
@@ -174,11 +171,17 @@ impl Codec for StoreManifest {
         let activation = activation_from_tag(r.u8()?)?;
         let precision = precision_from_tag(r.u8()?)?;
         let n_backbones = r.count(16)?;
+        if n_backbones == 0 {
+            return Err(WireError::BadShape);
+        }
         let mut backbones = Vec::with_capacity(n_backbones);
         for _ in 0..n_backbones {
             backbones.push(ContentHash::read(r)?);
         }
         let n_variants = r.count(20)?;
+        if n_variants == 0 {
+            return Err(WireError::BadShape);
+        }
         let mut variants = Vec::with_capacity(n_variants);
         for _ in 0..n_variants {
             variants.push(ManifestVariant {
@@ -393,16 +396,22 @@ mod tests {
     fn restoring_an_unbuildable_model_is_a_typed_error() {
         // Well-sealed manifests whose model shape used to reach
         // `VitConfig::num_patches` (division by zero) or
-        // `MultiExitVit::new`'s asserts inside `from_store`.
+        // `MultiExitVit::new`'s asserts inside `from_store`, or whose
+        // empty fleet restored a store that panicked on first use.
         let store = tiny_store(2);
         let mut blobs = ModelStore::in_memory();
         let root = store.persist(&mut blobs).unwrap();
         let good = StoreManifest::from_bytes(&blobs.get(root).unwrap()).unwrap();
-        let edits: [fn(&mut StoreManifest); 4] = [
+        let edits: [fn(&mut StoreManifest); 6] = [
             |m| m.model.vit.patch = 0,
             |m| m.model.exit_layers.clear(),
             |m| m.model.exit_layers.reverse(),
             |m| *m.model.exit_layers.last_mut().unwrap() += 1,
+            |m| m.variants.clear(),
+            |m| {
+                m.backbones.clear();
+                m.variants.clear();
+            },
         ];
         for edit in edits {
             let mut bad = good.clone();
@@ -422,7 +431,7 @@ mod tests {
         let _ = store.persist(&mut blobs).unwrap();
         // 2 backbone blobs + 12 distinct deltas + 1 manifest. If
         // backbones were stored per device this would be 12 + 12 + 1.
-        assert_eq!(blobs.len(), 2 + 12 + 1);
+        assert_eq!(blobs.hashes().len(), 2 + 12 + 1);
     }
 
     #[test]
@@ -701,10 +710,10 @@ mod tests {
         let store = tiny_store(3);
         let mut blobs = ModelStore::in_memory();
         let a = store.persist(&mut blobs).unwrap();
-        let before = blobs.len();
+        let before = blobs.hashes().len();
         let b = store.persist(&mut blobs).unwrap();
         assert_eq!(a, b, "persist must be content-determined");
-        assert_eq!(blobs.len(), before);
+        assert_eq!(blobs.hashes().len(), before);
     }
 
     #[test]

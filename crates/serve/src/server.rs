@@ -263,7 +263,10 @@ mod tests {
     fn one_worker() -> ServerConfig {
         ServerConfig {
             workers: 1,
-            batcher: BatcherConfig::unbatched(),
+            batcher: BatcherConfig {
+                max_batch: 1,
+                window: Duration::ZERO,
+            },
             policy: ExitPolicy::never(),
         }
     }

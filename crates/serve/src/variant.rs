@@ -116,7 +116,8 @@ pub struct StoreConfig {
     /// Number of device variants (assigned to clusters round-robin).
     pub devices: usize,
     /// Classes kept per device header (pruned from the cluster's full
-    /// class set; clamped to at least 2 and at most `classes`).
+    /// class set; clamped to at least 2 and at most `classes`, so a
+    /// one-class model keeps its single class).
     pub keep_classes: usize,
     /// The served model shape.
     pub model: ServeModelConfig,
@@ -153,12 +154,6 @@ impl StoreConfig {
             model: ServeModelConfig::quantized_default(),
             precision,
         }
-    }
-
-    /// The same store at a different deploy precision.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 }
 
@@ -335,7 +330,9 @@ impl VariantStore {
         rng: &mut SmallRng64,
     ) -> DeviceVariant {
         let total = cfg.model.vit.classes;
-        let keep = cfg.keep_classes.clamp(2, total);
+        // At least two classes where the model has them; a one-class
+        // model degrades to one-class headers instead of panicking.
+        let keep = cfg.keep_classes.max(2).min(total);
         // Seeded class subset: partial Fisher-Yates over the class ids.
         let mut ids: Vec<usize> = (0..total).collect();
         for i in 0..keep {
@@ -558,5 +555,36 @@ mod tests {
             store.device(1).params.value(w1).data(),
             "personalization deltas must differ per device"
         );
+    }
+
+    #[test]
+    fn one_class_model_keeps_its_single_class() {
+        // `keep_classes.clamp(2, classes)` used to panic here (min > max).
+        let mut model = ServeModelConfig::tiny();
+        model.vit.classes = 1;
+        let cfg = StoreConfig {
+            clusters: 1,
+            devices: 2,
+            keep_classes: 4,
+            model,
+            precision: Precision::F32,
+        };
+        let store = VariantStore::build(&cfg, 5);
+        for d in 0..store.num_devices() {
+            let v = store.device(d);
+            assert_eq!(v.classes, vec![0]);
+            let [wid, bid] = v.head_ids[0];
+            assert_eq!(v.params.value(wid).shape(), &[16, 1]);
+            assert_eq!(v.params.value(bid).shape(), &[1]);
+        }
+        let [c, h, w] = store.input_shape();
+        let request = crate::engine::Request {
+            id: 0,
+            device: 1,
+            input: Array::zeros(&[c, h, w]),
+        };
+        let engine = crate::engine::BatchEngine::new(&store, crate::engine::ExitPolicy::never());
+        let out = engine.serve_batch(&mut Graph::new(), &[request]);
+        assert_eq!((out[0].class, out[0].logits.len()), (0, 1));
     }
 }

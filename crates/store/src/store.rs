@@ -162,11 +162,6 @@ impl ModelStore {
         Err(StoreError::NotFound(hash))
     }
 
-    /// Whether a blob with this address is known.
-    pub fn contains(&self, hash: ContentHash) -> bool {
-        self.blobs.contains_key(&hash) || self.disk.contains_key(&hash)
-    }
-
     /// Stores a checkpointed [`ParamSet`], returning its address.
     pub fn put_params(&mut self, ps: &ParamSet) -> Result<ContentHash, StoreError> {
         self.put(save_params(ps))
@@ -185,18 +180,6 @@ impl ModelStore {
     /// Loads a [`VariantDelta`] blob.
     pub fn get_delta(&self, hash: ContentHash) -> Result<VariantDelta, StoreError> {
         Ok(VariantDelta::from_bytes(&self.get(hash)?)?)
-    }
-
-    /// Number of distinct blobs known.
-    pub fn len(&self) -> usize {
-        let mut keys: BTreeSet<ContentHash> = self.blobs.keys().copied().collect();
-        keys.extend(self.disk.keys().copied());
-        keys.len()
-    }
-
-    /// Whether the store holds no blobs.
-    pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty() && self.disk.is_empty()
     }
 
     /// Total bytes across all distinct blobs — the fleet's storage
@@ -250,7 +233,7 @@ mod tests {
         let c = s.put(vec![4]).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.hashes().len(), 2);
         assert_eq!(s.total_bytes(), 4);
         assert_eq!(s.get(a).unwrap(), vec![1, 2, 3]);
         assert!(matches!(
@@ -284,8 +267,7 @@ mod tests {
             s.put_params(&ps).unwrap()
         };
         let s = ModelStore::open(&dir).unwrap();
-        assert!(s.contains(h));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.hashes(), vec![h]);
         assert!(s.total_bytes() > 0);
         let back = s.get_params(h).unwrap();
         assert_eq!(
@@ -318,7 +300,7 @@ mod tests {
         std::fs::write(dir.join("README.txt"), b"not a blob").unwrap();
         std::fs::write(dir.join("zzzz.blob"), b"bad name").unwrap();
         let s = ModelStore::open(&dir).unwrap();
-        assert!(s.is_empty());
+        assert!(s.hashes().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -128,12 +128,6 @@ impl Array {
         &mut self.data
     }
 
-    /// Consumes the array, returning its flat buffer (kept out of the
-    /// pool — the caller owns it).
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// Returns the single element of a size-1 array.
     ///
     /// # Panics
@@ -212,17 +206,6 @@ impl Array {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
     }
 
-    /// Mean of all elements.
-    ///
-    /// Returns 0 for an empty array.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element.
     ///
     /// # Panics
@@ -231,16 +214,6 @@ impl Array {
     pub fn max(&self) -> f32 {
         assert!(!self.data.is_empty(), "max() on empty array");
         self.data.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty array.
-    pub fn min(&self) -> f32 {
-        assert!(!self.data.is_empty(), "min() on empty array");
-        self.data.iter().cloned().fold(f32::INFINITY, f32::min)
     }
 
     /// Index of the maximum element in the flat buffer.
@@ -392,9 +365,7 @@ mod tests {
         let a = Array::from_slice(&[1.0, -2.0, 3.0]);
         assert_eq!(a.sum(), 2.0);
         assert_eq!(a.max(), 3.0);
-        assert_eq!(a.min(), -2.0);
         assert_eq!(a.argmax(), 2);
-        assert!((a.mean() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(a.sq_norm(), 14.0);
     }
 

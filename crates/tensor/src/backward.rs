@@ -122,10 +122,6 @@ impl Graph {
                 part(*a, &|| grad.reduce_to_shape(val(*a).shape())),
                 part(*b, &|| grad.reduce_to_shape(val(*b).shape())),
             ]),
-            Op::Sub(a, b) => pair([
-                part(*a, &|| grad.reduce_to_shape(val(*a).shape())),
-                part(*b, &|| grad.scale(-1.0).reduce_to_shape(val(*b).shape())),
-            ]),
             Op::Mul(a, b) => pair([
                 part(*a, &|| {
                     grad.mul(val(*b))
@@ -138,32 +134,7 @@ impl Graph {
                         .reduce_to_shape(val(*b).shape())
                 }),
             ]),
-            Op::Div(a, b) => pair([
-                part(*a, &|| {
-                    grad.div(val(*b))
-                        .expect("div backward")
-                        .reduce_to_shape(val(*a).shape())
-                }),
-                part(*b, &|| {
-                    let b2 = val(*b).mul(val(*b)).expect("square");
-                    grad.mul(val(*a))
-                        .expect("div backward")
-                        .div(&b2)
-                        .expect("div backward")
-                        .scale(-1.0)
-                        .reduce_to_shape(val(*b).shape())
-                }),
-            ]),
             Op::Scale(a, c) => vec![(a.0, grad.scale(*c))],
-            Op::AddScalar(a) => vec![(a.0, grad.clone())],
-            Op::PowScalar(a, p) => {
-                let x = val(*a);
-                let mut g = grad.clone();
-                for (gi, &xi) in g.data_mut().iter_mut().zip(x.data()) {
-                    *gi *= p * xi.powf(p - 1.0);
-                }
-                vec![(a.0, g)]
-            }
             Op::MatMul(a, b) => {
                 let av = val(*a);
                 let bv = val(*b);
@@ -232,10 +203,6 @@ impl Graph {
             }
             Op::Reshape(a, orig) => vec![(a.0, grad.reshaped(orig).expect("reshape backward"))],
             Op::SumAll(a) => vec![(a.0, Array::full(val(*a).shape(), grad.item()))],
-            Op::MeanAll(a) => {
-                let n = val(*a).len().max(1) as f32;
-                vec![(a.0, Array::full(val(*a).shape(), grad.item() / n))]
-            }
             Op::SumAxis(a, axis) => {
                 let shape = val(*a).shape();
                 let outer: usize = shape[..*axis].iter().product();
@@ -276,20 +243,6 @@ impl Graph {
                 let mut g = grad.clone();
                 for (gi, &yi) in g.data_mut().iter_mut().zip(out_value.data()) {
                     *gi *= yi * (1.0 - yi);
-                }
-                vec![(a.0, g)]
-            }
-            Op::Exp(a) => {
-                let mut g = grad.clone();
-                for (gi, &yi) in g.data_mut().iter_mut().zip(out_value.data()) {
-                    *gi *= yi;
-                }
-                vec![(a.0, g)]
-            }
-            Op::Ln(a) => {
-                let mut g = grad.clone();
-                for (gi, &xi) in g.data_mut().iter_mut().zip(val(*a).data()) {
-                    *gi /= xi;
                 }
                 vec![(a.0, g)]
             }

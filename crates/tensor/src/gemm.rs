@@ -26,10 +26,9 @@
 //! arithmetic as the naive triple loop in [`gemm_naive`]: `k` is walked in
 //! ascending order with a single accumulator per element (initialized from
 //! the existing `out` value, so the kernels keep `+=` semantics), and each
-//! step applies one [`madd`] — a *fused* multiply-add on targets with FMA,
-//! a plain `a * b + c` elsewhere, selected at compile time and used
-//! **uniformly** by the reference kernel, the scalar microkernel, and the
-//! vector microkernel (`vfmadd` is bitwise-identical to scalar
+//! step applies one [`madd`] — a *fused* multiply-add on every target,
+//! used **uniformly** by the reference kernel, the scalar microkernel,
+//! and the vector microkernel (`vfmadd` is bitwise-identical to scalar
 //! `f32::mul_add`). Packing only relocates values and the parallel driver
 //! only splits over *independent* output rows, so the blocked, packed, and
 //! multi-threaded paths are all **bit-identical** to [`gemm_naive`] at any
@@ -65,19 +64,14 @@ pub const KC: usize = 512;
 /// Dispatch is invisible in the results — both paths are bit-identical.
 const BLOCKED_MIN_FLOPS: usize = 16 * 1024;
 
-/// One accumulation step, `a * b + c`. Fused on FMA targets, plain
-/// mul-then-add elsewhere — chosen at compile time, never mixed, so every
-/// kernel in this module performs bitwise-identical arithmetic.
+/// One accumulation step, `a * b + c` with a single rounding — always
+/// fused, on every target: a `vfmadd` where the build enables FMA, the
+/// correctly rounded software `fmaf` elsewhere. Both give the same bits,
+/// so every kernel in this module, and every value pinned downstream,
+/// is the same with or without FMA.
 #[inline(always)]
 pub fn madd(a: f32, b: f32, c: f32) -> f32 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
+    a.mul_add(b, c)
 }
 
 /// A read-only strided view of a logical `rows x cols` matrix: element

@@ -4,25 +4,9 @@
 use crate::array::Array;
 use crate::graph::{Graph, Var};
 
-/// Outcome of a [`gradcheck`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GradCheckReport {
-    /// Largest absolute difference between analytic and numeric gradient.
-    pub max_abs_err: f32,
-    /// Largest relative difference (normalized by magnitudes + 1e-4).
-    pub max_rel_err: f32,
-    /// Total number of coordinates checked.
-    pub checked: usize,
-}
-
-impl GradCheckReport {
-    /// Whether every coordinate agreed within `tol` relative error.
-    pub fn passes(&self, tol: f32) -> bool {
-        self.max_rel_err <= tol
-    }
-}
-
-/// Checks analytic gradients of `f` against central finite differences.
+/// Checks analytic gradients of `f` against central finite differences,
+/// returning the largest relative difference over every input coordinate
+/// (normalized by the larger magnitude + 1e-4).
 ///
 /// `f` must build a scalar output from leaves created from `inputs` inside
 /// the graph it is given; it is invoked repeatedly with perturbed copies of
@@ -31,11 +15,7 @@ impl GradCheckReport {
 /// # Panics
 ///
 /// Panics if `f` returns a non-scalar output.
-pub fn gradcheck(
-    inputs: &[Array],
-    eps: f32,
-    f: impl Fn(&mut Graph, &[Var]) -> Var,
-) -> GradCheckReport {
+pub fn gradcheck(inputs: &[Array], eps: f32, f: impl Fn(&mut Graph, &[Var]) -> Var) -> f32 {
     // Analytic pass.
     let mut g = Graph::new();
     let vars: Vec<Var> = inputs.iter().map(|a| g.leaf(a.clone())).collect();
@@ -59,9 +39,7 @@ pub fn gradcheck(
         g.value(out).item()
     };
 
-    let mut max_abs = 0.0f32;
     let mut max_rel = 0.0f32;
-    let mut checked = 0;
     for (i, input) in inputs.iter().enumerate() {
         for j in 0..input.len() {
             let mut plus = inputs.to_vec();
@@ -70,18 +48,11 @@ pub fn gradcheck(
             minus[i].data_mut()[j] -= eps;
             let numeric = (eval(&plus) - eval(&minus)) / (2.0 * eps);
             let a = analytic[i].data()[j];
-            let abs = (a - numeric).abs();
-            let rel = abs / (a.abs().max(numeric.abs()) + 1e-4);
-            max_abs = max_abs.max(abs);
+            let rel = (a - numeric).abs() / (a.abs().max(numeric.abs()) + 1e-4);
             max_rel = max_rel.max(rel);
-            checked += 1;
         }
     }
-    GradCheckReport {
-        max_abs_err: max_abs,
-        max_rel_err: max_rel,
-        checked,
-    }
+    max_rel
 }
 
 #[cfg(test)]
@@ -92,27 +63,21 @@ mod tests {
     const TOL: f32 = 3e-2;
 
     fn check(inputs: &[Array], f: impl Fn(&mut Graph, &[Var]) -> Var) {
-        let report = gradcheck(inputs, 1e-2, f);
-        assert!(
-            report.passes(TOL),
-            "gradcheck failed: max_rel={} max_abs={} over {} coords",
-            report.max_rel_err,
-            report.max_abs_err,
-            report.checked
-        );
+        let err = gradcheck(inputs, 1e-2, f);
+        assert!(err <= TOL, "gradcheck failed: max relative error {err}");
     }
 
     #[test]
     fn gc_elementwise_chain() {
         let mut rng = SmallRng64::new(11);
         let a = randn(&[2, 3], &mut rng);
-        let b = randn(&[2, 3], &mut rng).add_scalar(2.5);
+        let b = randn(&[2, 3], &mut rng);
         check(&[a, b], |g, v| {
             let t = g.mul(v[0], v[1]);
-            let d = g.div(t, v[1]);
-            let s = g.sub(d, v[0]);
+            let s = g.scale(t, -0.5);
             let e = g.add(s, v[1]);
-            g.mean_all(e)
+            let r = g.tanh(e);
+            g.sum_all(r)
         });
     }
 
@@ -149,7 +114,7 @@ mod tests {
             let c = g.batch_matmul(v[0], v[1]).expect("shapes match");
             let p = g.permute(c, &[1, 0, 2]);
             let s = g.sigmoid(p);
-            g.mean_all(s)
+            g.sum_all(s)
         });
     }
 
@@ -165,27 +130,9 @@ mod tests {
             let r = g.tanh(v[0]);
             g.sum_all(r)
         });
-        check(std::slice::from_ref(&a), |g, v| {
+        check(&[a], |g, v| {
             let r = g.sigmoid(v[0]);
             g.sum_all(r)
-        });
-        check(&[a], |g, v| {
-            let r = g.exp(v[0]);
-            g.mean_all(r)
-        });
-    }
-
-    #[test]
-    fn gc_ln_and_pow() {
-        let mut rng = SmallRng64::new(16);
-        let a = uniform(&[8], 0.5, 2.0, &mut rng);
-        check(std::slice::from_ref(&a), |g, v| {
-            let r = g.ln(v[0]);
-            g.sum_all(r)
-        });
-        check(&[a], |g, v| {
-            let r = g.pow_scalar(v[0], 3.0);
-            g.mean_all(r)
         });
     }
 
@@ -195,13 +142,13 @@ mod tests {
         let a = randn(&[3, 5], &mut rng);
         check(std::slice::from_ref(&a), |g, v| {
             let s = g.softmax_last(v[0]);
-            let w = g.pow_scalar(s, 2.0);
+            let w = g.mul(s, s);
             g.sum_all(w)
         });
         check(&[a], |g, v| {
             let s = g.log_softmax_last(v[0]);
             let sl = g.slice_axis(s, 1, 1, 2);
-            g.mean_all(sl)
+            g.sum_all(sl)
         });
     }
 
@@ -213,8 +160,8 @@ mod tests {
         let beta = randn(&[6], &mut rng);
         check(&[x, gamma, beta], |g, v| {
             let y = g.layer_norm(v[0], v[1], v[2], 1e-5);
-            let w = g.pow_scalar(y, 2.0);
-            g.mean_all(w)
+            let w = g.mul(y, y);
+            g.sum_all(w)
         });
     }
 
@@ -255,7 +202,7 @@ mod tests {
         check(&[x, w, b], |g, v| {
             let y = g.conv2d(v[0], v[1], Some(v[2]), 1, 1);
             let t = g.tanh(y);
-            g.mean_all(t)
+            g.sum_all(t)
         });
     }
 
@@ -276,7 +223,7 @@ mod tests {
         let x = randn(&[1, 2, 4, 4], &mut rng);
         check(std::slice::from_ref(&x), |g, v| {
             let y = g.avg_pool2d(v[0], 2);
-            let t = g.pow_scalar(y, 2.0);
+            let t = g.mul(y, y);
             g.sum_all(t)
         });
         // Max pool: perturbations can flip the argmax at ties; random data
@@ -304,8 +251,8 @@ mod tests {
         let a = randn(&[2, 3, 2], &mut rng);
         check(&[a], |g, v| {
             let s = g.sum_axis(v[0], 1);
-            let t = g.pow_scalar(s, 2.0);
-            g.mean_all(t)
+            let t = g.mul(s, s);
+            g.sum_all(t)
         });
     }
 

@@ -28,18 +28,13 @@ pub(crate) enum Op {
         requires_grad: bool,
     },
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
-    Div(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var),
-    PowScalar(Var, f32),
     MatMul(Var, Var),
     BatchMatMul(Var, Var),
     Permute(Var, Vec<usize>),
     Reshape(Var, Vec<usize>),
     SumAll(Var),
-    MeanAll(Var),
     SumAxis(Var, usize),
     Relu(Var),
     Gelu {
@@ -50,8 +45,6 @@ pub(crate) enum Op {
     },
     Tanh(Var),
     Sigmoid(Var),
-    Exp(Var),
-    Ln(Var),
     SoftmaxLast(Var),
     LogSoftmaxLast(Var),
     LayerNorm {
@@ -117,26 +110,19 @@ impl Op {
         match self {
             Op::Leaf { .. } => false,
             Op::Add(a, b)
-            | Op::Sub(a, b)
             | Op::Mul(a, b)
-            | Op::Div(a, b)
             | Op::MatMul(a, b)
             | Op::BatchMatMul(a, b)
             | Op::MseLoss(a, b) => f(*a) || f(*b),
             Op::Scale(a, _)
-            | Op::AddScalar(a)
-            | Op::PowScalar(a, _)
             | Op::Permute(a, _)
             | Op::Reshape(a, _)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
             | Op::SumAxis(a, _)
             | Op::Relu(a)
             | Op::Gelu { a, .. }
             | Op::Tanh(a)
             | Op::Sigmoid(a)
-            | Op::Exp(a)
-            | Op::Ln(a)
             | Op::SoftmaxLast(a)
             | Op::LogSoftmaxLast(a)
             | Op::CrossEntropyLogits { logits: a, .. }
@@ -238,16 +224,6 @@ impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Graph::default()
-    }
-
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Clears the tape for the next training step while keeping the
@@ -412,19 +388,6 @@ impl Graph {
         self.push(v, Op::Add(a, b))
     }
 
-    /// Broadcast subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes cannot broadcast.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self
-            .value(a)
-            .sub(self.value(b))
-            .expect("sub: incompatible shapes");
-        self.push(v, Op::Sub(a, b))
-    }
-
     /// Broadcast elementwise multiplication.
     ///
     /// # Panics
@@ -438,35 +401,10 @@ impl Graph {
         self.push(v, Op::Mul(a, b))
     }
 
-    /// Broadcast elementwise division.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes cannot broadcast.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self
-            .value(a)
-            .div(self.value(b))
-            .expect("div: incompatible shapes");
-        self.push(v, Op::Div(a, b))
-    }
-
     /// Multiplies by a constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let v = self.value(a).scale(c);
         self.push(v, Op::Scale(a, c))
-    }
-
-    /// Adds a constant.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).add_scalar(c);
-        self.push(v, Op::AddScalar(a))
-    }
-
-    /// Elementwise power with a constant exponent.
-    pub fn pow_scalar(&mut self, a: Var, p: f32) -> Var {
-        let v = self.value(a).map(|x| x.powf(p));
-        self.push(v, Op::PowScalar(a, p))
     }
 
     // ---- linear algebra ----
@@ -546,12 +484,6 @@ impl Graph {
         self.push(v, Op::SumAll(a))
     }
 
-    /// Mean of all elements, producing a scalar node.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Array::scalar(self.value(a).mean());
-        self.push(v, Op::MeanAll(a))
-    }
-
     /// Sum along one axis (the axis is removed).
     ///
     /// # Panics
@@ -594,18 +526,6 @@ impl Graph {
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| 1.0 / (1.0 + fastmath::exp(-x)));
         self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(fastmath::exp);
-        self.push(v, Op::Exp(a))
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::ln);
-        self.push(v, Op::Ln(a))
     }
 
     /// Softmax over the last axis.

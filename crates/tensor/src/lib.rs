@@ -98,9 +98,9 @@ pub fn publish_obs_metrics() {
     );
     optable::publish();
 }
-pub use gradcheck::{gradcheck, GradCheckReport};
+pub use gradcheck::gradcheck;
 pub use graph::{Graph, Var};
 pub use packcache::PackIdent;
 pub use qgemm::Precision;
-pub use random::{kaiming_uniform, randn, uniform, SmallRng64};
+pub use random::{kaiming_uniform, randn, SmallRng64};
 pub use shape::{broadcast_shapes, strides_for};

@@ -112,23 +112,9 @@ impl Array {
         self.binary(rhs, "mul", |a, b| a * b)
     }
 
-    /// Broadcast elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes cannot broadcast.
-    pub fn div(&self, rhs: &Array) -> Result<Array> {
-        self.binary(rhs, "div", |a, b| a / b)
-    }
-
     /// Multiplies every element by `c`.
     pub fn scale(&self, c: f32) -> Array {
         self.map(|x| x * c)
-    }
-
-    /// Adds `c` to every element.
-    pub fn add_scalar(&self, c: f32) -> Array {
-        self.map(|x| x + c)
     }
 
     /// In-place `self += rhs` for identically-shaped arrays.
@@ -349,11 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_div_sub() {
+    fn mul_sub() {
         let a = arr(&[2.0, 4.0], &[2]);
         let b = arr(&[2.0, 2.0], &[2]);
         assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 8.0]);
-        assert_eq!(a.div(&b).unwrap().data(), &[1.0, 2.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[0.0, 2.0]);
     }
 

@@ -50,25 +50,18 @@ macro_rules! op_table {
 op_table! {
     Leaf => "leaf",
     Add => "add",
-    Sub => "sub",
     Mul => "mul",
-    Div => "div",
     Scale => "scale",
-    AddScalar => "add_scalar",
-    PowScalar => "pow_scalar",
     MatMul => "matmul",
     BatchMatMul => "batch_matmul",
     Permute => "permute",
     Reshape => "reshape",
     SumAll => "sum_all",
-    MeanAll => "mean_all",
     SumAxis => "sum_axis",
     Relu => "relu",
     Gelu => "gelu",
     Tanh => "tanh",
     Sigmoid => "sigmoid",
-    Exp => "exp",
-    Ln => "ln",
     SoftmaxLast => "softmax_last",
     LogSoftmaxLast => "log_softmax_last",
     LayerNorm => "layer_norm",

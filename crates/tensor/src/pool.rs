@@ -173,11 +173,6 @@ pub fn set_enabled(on: bool) -> bool {
     ENABLED.swap(on, Ordering::SeqCst)
 }
 
-/// Whether pooling is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
 /// A snapshot of the pool counters (see [`stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {

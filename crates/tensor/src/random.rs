@@ -63,7 +63,7 @@ pub fn randn(shape: &[usize], rng: &mut impl Rng) -> Array {
 }
 
 /// Samples a uniform array over `[lo, hi)`.
-pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Array {
+pub(crate) fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Array {
     let n: usize = shape.iter().product();
     let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
     Array::from_vec(data, shape).expect("volume matches by construction")
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn randn_moments_roughly_standard() {
         let a = randn(&[10_000], &mut SmallRng64::new(42));
-        let mean = a.mean();
+        let mean = a.sum() / a.len() as f32;
         let var = a.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / a.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");

@@ -21,13 +21,13 @@ fn binary_chain_gradients_match_fd() {
         let shape = [rows, cols];
         let a = arr(&values_a, &shape);
         let b = arr(&values_b, &shape);
-        let report = gradcheck(&[a, b], 1e-2, |g, v| {
+        let err = gradcheck(&[a, b], 1e-2, |g, v| {
             let s = g.mul(v[0], v[1]);
-            let d = g.div(s, v[1]);
+            let d = g.scale(s, 0.25);
             let t = g.tanh(d);
-            g.mean_all(t)
+            g.sum_all(t)
         });
-        assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
+        assert!(err <= TOL, "rel err {err}");
     });
 }
 
@@ -41,11 +41,11 @@ fn matmul_grad_matches_fd() {
         let k = (12 / m).min(12 / n).max(1);
         let a = arr(&values_a, &[m, k]);
         let b = arr(&values_b, &[k, n]);
-        let report = gradcheck(&[a, b], 1e-2, |g, v| {
+        let err = gradcheck(&[a, b], 1e-2, |g, v| {
             let c = g.matmul(v[0], v[1]).expect("shapes match");
             g.sum_all(c)
         });
-        assert!(report.passes(TOL), "rel err {}", report.max_rel_err);
+        assert!(err <= TOL, "rel err {err}");
     });
 }
 
@@ -125,7 +125,7 @@ fn layer_norm_is_shift_invariant() {
         let values = g.vec(16..17, |g| g.f32(-2.0..2.0));
         let shift = g.f32(-10.0..10.0);
         let x = arr(&values, &[2, 8]);
-        let shifted = x.add_scalar(shift);
+        let shifted = x.map(|v| v + shift);
         let run = |input: Array| {
             let mut g = Graph::new();
             let xv = g.leaf(input);

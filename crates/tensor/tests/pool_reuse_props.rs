@@ -39,7 +39,8 @@ fn step_bits(
     let h = g.layer_norm(h, gv, bv, 1e-5);
     let logits = g.matmul(h, w2v).expect("h @ w2");
     let lsm = g.log_softmax_last(logits);
-    let aux = g.mean_all(lsm);
+    let total = g.sum_all(lsm);
+    let aux = g.scale(total, 1.0 / g.value(lsm).len() as f32);
     let ce = g.cross_entropy_logits(logits, targets);
     let loss = g.add(ce, aux);
     g.backward(loss);

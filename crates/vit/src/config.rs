@@ -79,7 +79,7 @@ impl VitConfig {
     }
 
     /// Number of patch tokens (excluding the class token).
-    pub fn num_patches(&self) -> usize {
+    fn num_patches(&self) -> usize {
         let side = self.image / self.patch;
         side * side
     }

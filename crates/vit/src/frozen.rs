@@ -24,7 +24,6 @@ use crate::model::{Features, Vit};
 pub struct FrozenFeatures {
     tokens: usize,
     dim: usize,
-    grid: usize,
     last: Vec<f32>,
     penultimate: Vec<f32>,
     labels: Vec<usize>,
@@ -50,7 +49,6 @@ impl FrozenFeatures {
         FrozenFeatures {
             tokens,
             dim,
-            grid: cfg.grid(),
             last,
             penultimate,
             labels: data.labels().to_vec(),
@@ -91,6 +89,6 @@ impl FrozenFeatures {
         };
         let last = rows(&self.last);
         let penultimate = rows(&self.penultimate);
-        Features::over(g, last, penultimate, self.grid, self.dim)
+        Features::over(g, last, penultimate, self.dim)
     }
 }

@@ -17,22 +17,12 @@ pub struct Features {
     pub cls: Var,
     /// Output of the penultimate Transformer layer `[batch, tokens, dim]`.
     pub penultimate: Var,
-    /// Spatial grid side of the patch tokens.
-    pub grid: usize,
-    /// Embedding width.
-    pub dim: usize,
 }
 
 impl Features {
     /// The features of final tokens `tokens` and penultimate tokens
     /// `penultimate`; the class token is row 0 of `tokens`.
-    pub(crate) fn over(
-        g: &mut Graph,
-        tokens: Var,
-        penultimate: Var,
-        grid: usize,
-        dim: usize,
-    ) -> Features {
+    pub(crate) fn over(g: &mut Graph, tokens: Var, penultimate: Var, dim: usize) -> Features {
         let b = g.shape(tokens)[0];
         let cls = g.slice_axis(tokens, 1, 0, 1);
         let cls = g.reshape(cls, &[b, dim]);
@@ -40,8 +30,6 @@ impl Features {
             tokens,
             cls,
             penultimate,
-            grid,
-            dim,
         }
     }
 }
@@ -235,7 +223,7 @@ impl Vit {
 
     fn features_from(&self, g: &mut Graph, ps: &ParamSet, x: Var, penultimate: Var) -> Features {
         let tokens = self.final_ln.forward(g, ps, x);
-        Features::over(g, tokens, penultimate, self.config.grid(), self.config.dim)
+        Features::over(g, tokens, penultimate, self.config.dim)
     }
 
     /// Logits of the default linear header applied to the class token.

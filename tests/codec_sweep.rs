@@ -489,7 +489,9 @@ fn delta_hostile_bodies_are_typed_errors() {
 fn manifest_that_would_panic_the_model_constructors_is_bad_shape() {
     // Each of these decoded fine before and then divided by zero in
     // `VitConfig::num_patches` or tripped `MultiExitVit::new`'s asserts
-    // inside `VariantStore::from_store`.
+    // inside `VariantStore::from_store`, or (an empty fleet) restored a
+    // store that panicked on first use: `input_shape` indexes cluster 0,
+    // `loadgen::trace` draws from `devices - 1`.
     let rejects = |edit: fn(&mut StoreManifest)| {
         let mut m = sample_manifest();
         edit(&mut m);
@@ -502,6 +504,29 @@ fn manifest_that_would_panic_the_model_constructors_is_bad_shape() {
     rejects(|m| m.model.exit_layers = vec![3, 3]);
     rejects(|m| m.model.exit_layers = vec![1, 2]);
     rejects(|m| m.model.exit_layers = vec![1, 4]);
+    rejects(|m| m.variants.clear());
+    rejects(|m| {
+        m.backbones.clear();
+        m.variants.clear();
+    });
+}
+
+#[test]
+fn manifest_activation_tags_past_gelu_are_bad_tags() {
+    // Tags 2 and 3 were tanh and identity, which no program deploys; the
+    // manifest now knows only relu (0) and gelu (1).
+    let m = sample_manifest();
+    let mut body = body_of(&seal(&m)).to_vec();
+    // Nine u64 model dims, the u32 exit count, one u64 per exit.
+    let at = 9 * 8 + 4 + 8 * m.model.exit_layers.len();
+    assert_eq!(body[at], 1, "the sample deploys gelu");
+    for tag in [2u8, 3] {
+        body[at] = tag;
+        assert_eq!(
+            err_of::<StoreManifest>(&reseal::<StoreManifest>(&body)),
+            WireError::BadTag(tag)
+        );
+    }
 }
 
 #[test]
