@@ -45,36 +45,6 @@ impl std::fmt::Display for AggregationMethod {
     }
 }
 
-/// Produces the aggregation weight matrix for a method: `Alone` is the
-/// identity, `Avg` is uniform, and the similarity-based methods pass
-/// through their (row-normalized) similarity matrices.
-///
-/// # Panics
-///
-/// Panics when `normalized_sim` is required (JS/Wasserstein) but absent,
-/// or when dimensions disagree.
-pub fn aggregation_weights(
-    method: AggregationMethod,
-    n_devices: usize,
-    normalized_sim: Option<&[Vec<f64>]>,
-) -> Vec<Vec<f64>> {
-    match method {
-        AggregationMethod::Alone => {
-            let mut w = vec![vec![0.0; n_devices]; n_devices];
-            for (i, row) in w.iter_mut().enumerate() {
-                row[i] = 1.0;
-            }
-            w
-        }
-        AggregationMethod::Avg => vec![vec![1.0 / n_devices as f64; n_devices]; n_devices],
-        AggregationMethod::Js | AggregationMethod::Wasserstein => {
-            let sim = normalized_sim.expect("similarity-based aggregation needs a matrix");
-            assert_eq!(sim.len(), n_devices, "similarity matrix size mismatch");
-            sim.to_vec()
-        }
-    }
-}
-
 /// Eq. (21): the personalized importance set of device `n` is the convex
 /// combination `Q'_n = Σ_i ŵ_{n,i} · Q_i`.
 ///
@@ -135,32 +105,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alone_weights_are_identity() {
-        let w = aggregation_weights(AggregationMethod::Alone, 3, None);
-        assert_eq!(w[0], vec![1.0, 0.0, 0.0]);
-        assert_eq!(w[2], vec![0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn avg_weights_are_uniform() {
-        let w = aggregation_weights(AggregationMethod::Avg, 4, None);
-        assert!(w.iter().flatten().all(|&v| (v - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
-    fn similarity_methods_pass_matrix_through() {
-        let sim = vec![vec![0.7, 0.3], vec![0.4, 0.6]];
-        let w = aggregation_weights(AggregationMethod::Wasserstein, 2, Some(&sim));
-        assert_eq!(w, sim);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a matrix")]
-    fn similarity_methods_require_matrix() {
-        aggregation_weights(AggregationMethod::Js, 2, None);
-    }
-
-    #[test]
     fn aggregation_is_convex_combination() {
         let sets = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let weights = vec![vec![0.75, 0.25], vec![0.25, 0.75]];
@@ -171,7 +115,7 @@ mod tests {
     #[test]
     fn alone_aggregation_returns_own_set() {
         let sets = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let w = aggregation_weights(AggregationMethod::Alone, 2, None);
+        let w = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         assert_eq!(aggregate_importance(&sets, &w, 1), sets[1]);
     }
 

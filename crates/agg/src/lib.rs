@@ -7,8 +7,10 @@
 //! that refines each device's header architecture with knowledge from
 //! similar devices (Eq. 21).
 //!
-//! The Jensen–Shannon divergence and plain averaging are included as the
-//! `JS` and `Avg` baselines of Fig. 11.
+//! The Jensen–Shannon divergence is included for the `JS` baseline of
+//! Fig. 11; the fixed `Alone` (identity) and `Avg` (uniform) weightings
+//! need no metric and are spelled where they are used, in
+//! `acme::refine_cluster`.
 //!
 //! Since PR 10 the crate also hosts the sliding-window [`DriftDetector`]
 //! that watches per-device statistics post-deployment, and every metric
@@ -44,9 +46,7 @@ mod wasserstein;
 pub use divergence::js_divergence;
 pub use drift::{DriftDetector, DriftDetectorConfig, DriftStatus};
 pub use error::MetricError;
-pub use importance::{
-    aggregate_importance, aggregation_weights, least_important, AggregationMethod, ImportanceSet,
-};
+pub use importance::{aggregate_importance, least_important, AggregationMethod, ImportanceSet};
 pub use similarity::{
     normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein,
     similarity_matrix_wasserstein_on,

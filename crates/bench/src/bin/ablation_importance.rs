@@ -6,7 +6,7 @@ use acme_bench::{eval_cifar, f3, print_table, RunScale};
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::{
-    evaluate, fit, prune_width, score_importance, ImportanceScores, TrainConfig, Vit, VitConfig,
+    evaluate, fit, score_importance, sub_network, ImportanceScores, TrainConfig, Vit, VitConfig,
 };
 use rand::RngCore;
 
@@ -92,7 +92,7 @@ fn main() {
     for &w in &widths {
         let mut row = vec![format!("w={w:.2}")];
         for scores in [&taylor, &magnitude] {
-            let (pvit, pps) = prune_width(&vit, &ps, scores, w);
+            let (pvit, pps) = sub_network(&vit, &ps, scores, w, cfg.depth);
             row.push(f3(evaluate(&pvit, &pps, &test, 32) as f64));
         }
         // Random: average over a few draws.
@@ -100,7 +100,7 @@ fn main() {
         let draws = scale.pick(3, 2);
         for _ in 0..draws {
             let scores = random_scores(&vit, &mut seeds);
-            let (pvit, pps) = prune_width(&vit, &ps, &scores, w);
+            let (pvit, pps) = sub_network(&vit, &ps, &scores, w, cfg.depth);
             acc += evaluate(&pvit, &pps, &test, 32) as f64;
         }
         row.push(f3(acc / draws as f64));

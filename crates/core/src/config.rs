@@ -190,6 +190,20 @@ impl AcmeConfig {
         {
             return Err("depths must lie in 1..=reference depth".to_string());
         }
+        // A non-positive γ_p fails the Pareto grid, so selection would
+        // fall back to the smallest candidate; a non-finite one collapses
+        // the grid to one cell.
+        if !(self.gamma_p.is_finite() && self.gamma_p > 0.0) {
+            return Err(format!(
+                "gamma_p must be finite and positive, got {}",
+                self.gamma_p
+            ));
+        }
+        // With zero batches every head and neuron scores 0, so Phase 1
+        // would keep them in index order instead of by importance.
+        if self.importance_batches == 0 {
+            return Err("importance scoring needs at least one batch".to_string());
+        }
         if self.search.num_blocks == 0 || self.search.u == 0 {
             return Err("header search needs at least one block and one repetition".to_string());
         }
@@ -322,6 +336,14 @@ mod tests {
         let mut c = AcmeConfig::quick();
         c.threads = 0;
         assert!(c.validate().is_err());
+        for gamma_p in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            let mut c = AcmeConfig::quick();
+            c.gamma_p = gamma_p;
+            assert!(c.validate().is_err(), "gamma_p {gamma_p}");
+        }
+        let mut c = AcmeConfig::quick();
+        c.importance_batches = 0;
+        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -369,5 +391,8 @@ mod tests {
         assert!(AcmeConfig::builder().edge_share(2.0).build().is_err());
         assert!(AcmeConfig::builder().depths(vec![0]).build().is_err());
         assert!(AcmeConfig::builder().threads(0).build().is_err());
+        assert!(AcmeConfig::builder().gamma_p(0.0).build().is_err());
+        assert!(AcmeConfig::builder().gamma_p(f64::NAN).build().is_err());
+        assert!(AcmeConfig::builder().importance_batches(0).build().is_err());
     }
 }

@@ -7,9 +7,7 @@ use acme_nn::{accuracy, ParamSet};
 use acme_pareto::{select_constrained, Candidate, GridSpec, SelectError};
 use acme_runtime::Pool;
 use acme_tensor::{Graph, SmallRng64};
-use acme_vit::{
-    distill_from, prune_width, score_importance, truncate_depth, DistillConfig, TeacherTargets, Vit,
-};
+use acme_vit::{distill_from, score_importance, sub_network, DistillConfig, TeacherTargets, Vit};
 
 /// One `(w, d)` candidate with its trained weights and cloud-side loss.
 pub struct CandidateModel {
@@ -63,12 +61,13 @@ fn validate(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> (f64
 }
 
 /// Builds the backbone candidate pool: for every `(w, d)` of the grids,
-/// importance-prune the teacher to width `w` (Eqs. 6–8), truncate to
-/// depth `d`, distill against the teacher (Eq. 9; the teacher's targets
-/// are computed once and shared by every candidate), and measure loss and
-/// accuracy on the cloud's public validation split.
+/// cut `δ(θ₀, w, d)` out of the teacher (its most important heads and
+/// neurons by Eqs. 6–8, its first `d` blocks), distill against the
+/// teacher (Eq. 9; the teacher's targets are computed once and shared by
+/// every candidate), and measure loss and accuracy on the cloud's public
+/// validation split.
 ///
-/// Every candidate is pruned, distilled, and evaluated as one task on
+/// Every candidate is cut, distilled, and evaluated as one task on
 /// `pool`. Candidates are returned in width-major, depth-minor grid
 /// order regardless of thread count, and no task consumes the shared
 /// RNG (importance scoring drains `rng` serially before the fan-out;
@@ -108,17 +107,13 @@ pub fn build_candidate_pool_on(
         distill_cfg.batch_size,
         rng,
     );
-    // Width pruning once per width; depth truncations share it.
-    let pruned: Vec<(f64, Vit, ParamSet)> = pool.par_map(widths.to_vec(), |_, w| {
-        let (wide, wide_ps) = prune_width(teacher, teacher_ps, &scores, w);
-        (w, wide, wide_ps)
-    });
     // Handed over largest first and turned back below: the grid is sorted
     // by cost and the pool starts tasks in index order, so as listed the
     // two heaviest distillations would run together, last, and set the
     // makespan (measured: +7 % `job_s` on `customize`).
-    let grid: Vec<(usize, usize)> = (0..widths.len())
-        .flat_map(|wi| depths.iter().map(move |&d| (wi, d)))
+    let grid: Vec<(f64, usize)> = widths
+        .iter()
+        .flat_map(|&w| depths.iter().map(move |&d| (w, d)))
         .rev()
         .collect();
     // The Eq. (9) targets depend only on θ₀ and the example: one teacher
@@ -126,16 +121,15 @@ pub fn build_candidate_pool_on(
     let targets = (distill_cfg.epochs > 0).then(|| {
         TeacherTargets::compute(teacher, teacher_ps, public_train, distill_cfg.batch_size)
     });
-    let mut candidates = pool.par_map(grid, |_, (wi, d)| {
-        let (w, wide, wide_ps) = &pruned[wi];
-        let (vit, mut ps) = truncate_depth(wide, wide_ps, d);
+    let mut candidates = pool.par_map(grid, |_, (w, d)| {
+        let (vit, mut ps) = sub_network(teacher, teacher_ps, &scores, w, d);
         if let Some(targets) = &targets {
             distill_from(targets, &vit, &mut ps, public_train, distill_cfg);
         }
         let (loss, accuracy) = validate(&vit, &ps, public_val, distill_cfg.batch_size);
         let params = ps.num_scalars() as u64;
         CandidateModel {
-            w: *w,
+            w,
             d,
             vit,
             ps,

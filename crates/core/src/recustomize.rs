@@ -221,7 +221,7 @@ fn simulate_device(
 ) -> DeviceSim {
     let mut rng = SmallRng64::new(seed);
     let mut ps = base_ps.clone();
-    backbone.set_backbone_trainable(&mut ps, false);
+    backbone.freeze_backbone(&mut ps);
     // The backbone never changes on the device: each window it fits or
     // is evaluated on runs through it once, from the shared base
     // parameters, and the header reads the cached features.

@@ -1,9 +1,8 @@
 //! Phase 2-2: the edge–device single-loop refinement (Algorithm 2).
 
 use acme_agg::{
-    aggregate_importance, aggregation_weights, least_important,
-    normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein_on,
-    AggregationMethod,
+    aggregate_importance, least_important, normalize_similarity_with_temperature,
+    similarity_matrix_js, similarity_matrix_wasserstein_on, AggregationMethod,
 };
 use acme_data::{batch_indices, label_distribution, sample_indices, Dataset};
 use acme_distsys::{Network, NodeId, Payload};
@@ -275,7 +274,10 @@ pub fn refine_cluster(
             let sim = similarity_matrix_js(&dists)?;
             normalize_similarity_with_temperature(&sim, SIM_TEMPERATURE)?
         }
-        other => aggregation_weights(other, n, None),
+        AggregationMethod::Alone => (0..n)
+            .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect(),
+        AggregationMethod::Avg => vec![vec![1.0 / n as f64; n]; n],
     };
 
     // Device state: private parameter copies. The backbone reaches the
@@ -498,6 +500,16 @@ mod tests {
             )
             .expect("refine");
             assert_eq!(out.results.len(), 3, "method {method}");
+            match method {
+                AggregationMethod::Alone => {
+                    assert_eq!(out.weights[0], vec![1.0, 0.0, 0.0]);
+                    assert_eq!(out.weights[2], vec![0.0, 0.0, 1.0]);
+                }
+                AggregationMethod::Avg => {
+                    assert!(out.weights.iter().flatten().all(|&v| v == 1.0 / 3.0));
+                }
+                _ => {}
+            }
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Drivers: the IO-and-time layer that executes the sans-IO state
 //! machines of [`crate::node`].
 //!
-//! A [`Driver`] owns everything the machines deliberately don't —
+//! A driver owns everything the machines deliberately don't —
 //! transport, clocks, scheduling — and speaks to them only through
-//! [`Event`]s and the [`Outbox`]. Both implementations run the same
+//! [`Event`]s and the [`Outbox`]; [`crate::ProtocolRun`] picks one by
+//! [`crate::DriverKind`]. Both drivers run the same
 //! machines, built once in fleet order, and put every outbox send
 //! through the crate's one send path (`network::route`: fault verdict →
 //! ledger charge → `net.*` trace events); they are two *sinks* of it,
@@ -50,26 +51,6 @@ use crate::node::{
 use crate::protocol::{
     assemble_outcome, NodeStatus, ProtocolConfig, ProtocolError, ProtocolOutcome,
 };
-
-/// Executes the ACME schedule over a fleet. Implementations differ only
-/// in *how* events reach the node state machines — the schedule logic
-/// itself lives in [`crate::node`] and is shared verbatim.
-pub trait Driver {
-    /// Runs the full protocol, returning the metered outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] for structural faults: duplicate node
-    /// registration, an invalid [`SimConfig`] or (threaded only) a
-    /// panicking node thread. Lost peers degrade the run per cluster
-    /// instead.
-    fn run(
-        &self,
-        fleet: &Fleet,
-        config: &ProtocolConfig,
-        faults: FaultPlan,
-    ) -> Result<ProtocolOutcome, ProtocolError>;
-}
 
 /// One node of a run. An enum rather than `Box<dyn NodeStateMachine>`
 /// to keep the simulator monomorphic (no per-node vtables across a
@@ -155,8 +136,15 @@ impl NodeStateMachine for Machine {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedDriver;
 
-impl Driver for ThreadedDriver {
-    fn run(
+impl ThreadedDriver {
+    /// Runs the full protocol, returning the metered outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ProtocolError`] for structural faults: duplicate node
+    /// registration or a panicking node thread. Lost peers degrade the
+    /// run per cluster instead.
+    pub fn run(
         &self,
         fleet: &Fleet,
         config: &ProtocolConfig,
@@ -322,6 +310,21 @@ impl SimDriver {
         SimDriver { config }
     }
 
+    /// Runs the full protocol, returning the metered outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimDriver::run_with_stats`].
+    pub fn run(
+        &self,
+        fleet: &Fleet,
+        config: &ProtocolConfig,
+        faults: FaultPlan,
+    ) -> Result<ProtocolOutcome, ProtocolError> {
+        self.run_with_stats(fleet, config, faults)
+            .map(|(outcome, _)| outcome)
+    }
+
     /// Runs the schedule and additionally returns the simulator's event
     /// statistics (count, virtual elapsed time, order digest).
     ///
@@ -477,18 +480,6 @@ impl<'a> SimWire<'a> {
         for env in std::iter::repeat_n(env, routed.copies) {
             self.queue.push(at, target, Event::Message(env));
         }
-    }
-}
-
-impl Driver for SimDriver {
-    fn run(
-        &self,
-        fleet: &Fleet,
-        config: &ProtocolConfig,
-        faults: FaultPlan,
-    ) -> Result<ProtocolOutcome, ProtocolError> {
-        self.run_with_stats(fleet, config, faults)
-            .map(|(outcome, _)| outcome)
     }
 }
 

@@ -22,8 +22,8 @@
 //!   rounds) purely as events in, sends and timers out;
 //!   [`protocol::centralized_transfers`] models the centralized-system
 //!   baseline in which devices ship raw data to the cloud.
-//! * **Drivers** — a [`ProtocolRun`] executes the machines on a
-//!   pluggable [`Driver`]: the thread-per-node [`ThreadedDriver`] oracle
+//! * **Drivers** — a [`ProtocolRun`] executes the machines on the driver
+//!   its [`DriverKind`] names: the thread-per-node [`ThreadedDriver`] oracle
 //!   (real channels, real clocks) or the discrete-event [`SimDriver`]
 //!   (one thread, a virtual clock, deterministic by seed; its sink is an
 //!   event heap), which scales the same protocol to 100k+ devices.
@@ -66,7 +66,7 @@ pub mod node;
 pub mod persist;
 pub mod protocol;
 
-pub use driver::{Driver, SimConfig, SimDriver, SimStats, ThreadedDriver};
+pub use driver::{SimConfig, SimDriver, SimStats, ThreadedDriver};
 pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use latency::{Link, LinkError, LinkModel};
 pub use ledger::{KindRow, Ledger, TransferReport};

@@ -12,9 +12,8 @@
 //!    returns personalized sets.
 //!
 //! The schedule logic itself lives in [`crate::node`] as sans-IO state
-//! machines; this module executes them through a
-//! [`Driver`](crate::driver::Driver) — the thread-per-node
-//! [`ThreadedDriver`] oracle or the discrete-event
+//! machines; this module executes them through one of two drivers —
+//! the thread-per-node [`ThreadedDriver`] oracle or the discrete-event
 //! [`SimDriver`](crate::driver::SimDriver) — selected via the
 //! [`ProtocolRun`] builder.
 //!
@@ -44,7 +43,7 @@ use std::time::Duration;
 
 use acme_energy::Fleet;
 
-use crate::driver::{Driver, SimConfig, SimDriver, ThreadedDriver};
+use crate::driver::{SimConfig, SimDriver, ThreadedDriver};
 use crate::fault::FaultPlan;
 use crate::latency::LinkModel;
 use crate::ledger::TransferReport;
@@ -380,8 +379,7 @@ pub(crate) fn assemble_outcome(nodes: Vec<NodeStatus>, report: TransferReport) -
     ProtocolOutcome::new(nodes, report, trace)
 }
 
-/// Which [`Driver`](crate::driver::Driver) a [`ProtocolRun`] executes
-/// on.
+/// Which driver a [`ProtocolRun`] executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriverKind {
     /// The thread-per-node oracle ([`ThreadedDriver`]): real channels,

@@ -1,6 +1,6 @@
 //! Multi-head self-attention with per-head masking.
 
-use acme_tensor::{Array, Graph, Var};
+use acme_tensor::{Graph, Var};
 use rand::Rng;
 
 use crate::linear::Linear;
@@ -58,42 +58,21 @@ impl MultiHeadSelfAttention {
         self.forward_masked(g, ps, x, None)
     }
 
-    /// Forward with an optional multiplicative per-head mask
-    /// (`mask.len() == heads`). The mask is applied to each head's output
-    /// `O_h` before the output projection. Passing a *leaf* mask instead is
-    /// possible through [`MultiHeadSelfAttention::forward_with_mask_var`].
+    /// Forward with an optional multiplicative per-head mask, a graph
+    /// variable shaped `[1, heads, 1, 1]` applied to each head's output
+    /// `O_h` before the output projection. With a leaf mask of ones, its
+    /// gradient after backward is the per-head Taylor importance
+    /// numerator `∂F/∂O_h · O_h` summed over positions.
     ///
-    /// # Panics
-    ///
-    /// Panics when input is not `[batch, tokens, dim]` or mask length is
-    /// not `heads`.
-    pub fn forward_masked(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        x: Var,
-        mask: Option<&[f32]>,
-    ) -> Var {
-        let mask_var = mask.map(|m| {
-            assert_eq!(m.len(), self.heads, "head mask length");
-            let arr = Array::from_vec(m.to_vec(), &[1, self.heads, 1, 1]).expect("mask shape");
-            g.constant(arr)
-        });
-        self.forward_inner(g, ps, x, mask_var)
-    }
-
-    /// Forward with a head mask that is itself a graph variable shaped
-    /// `[1, heads, 1, 1]`; its gradient after backward is the per-head
-    /// Taylor importance numerator `∂F/∂O_h · O_h` summed over positions.
-    pub fn forward_with_mask_var(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Var) -> Var {
-        self.forward_inner(g, ps, x, Some(mask))
-    }
-
     /// The three input projections, one fused [`Graph::attention`] node
     /// (scores, softmax, context and head mask per (batch, head), in the
     /// projections' own `[batch·tokens, heads·head_dim]` layout), then
     /// the output projection.
-    fn forward_inner(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Option<Var>) -> Var {
+    ///
+    /// # Panics
+    ///
+    /// Panics when input is not `[batch, tokens, dim]`.
+    pub fn forward_masked(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Option<Var>) -> Var {
         let shape = g.shape(x).to_vec();
         assert_eq!(
             shape.len(),
@@ -127,7 +106,7 @@ impl MultiHeadSelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_tensor::{randn, SmallRng64};
+    use acme_tensor::{randn, Array, SmallRng64};
 
     #[test]
     fn output_shape_matches_input() {
@@ -148,7 +127,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(randn(&[1, 3, 8], &mut rng));
         let plain = attn.forward(&mut g, &ps, x);
-        let masked = attn.forward_masked(&mut g, &ps, x, Some(&[1.0; 4]));
+        let ones = g.constant(Array::ones(&[1, 4, 1, 1]));
+        let masked = attn.forward_masked(&mut g, &ps, x, Some(ones));
         for (a, b) in g.value(plain).data().iter().zip(g.value(masked).data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -164,7 +144,8 @@ mod tests {
         ps.value_mut(ids[7]).map_in_place(|_| 0.0); // wo bias
         let mut g = Graph::new();
         let x = g.constant(randn(&[1, 3, 8], &mut rng));
-        let y = attn.forward_masked(&mut g, &ps, x, Some(&[0.0, 0.0]));
+        let off = g.constant(Array::zeros(&[1, 2, 1, 1]));
+        let y = attn.forward_masked(&mut g, &ps, x, Some(off));
         assert!(g.value(y).data().iter().all(|v| v.abs() < 1e-6));
     }
 
@@ -176,7 +157,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(randn(&[2, 4, 8], &mut rng));
         let mask = g.leaf(Array::ones(&[1, 2, 1, 1]));
-        let y = attn.forward_with_mask_var(&mut g, &ps, x, mask);
+        let y = attn.forward_masked(&mut g, &ps, x, Some(mask));
         let zeros = g.constant(Array::zeros(g.shape(y)));
         let loss = g.mse_loss(y, zeros);
         g.backward(loss);

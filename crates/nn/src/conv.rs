@@ -59,7 +59,7 @@ impl Conv2dLayer {
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
         let w = ps.bind(g, self.w);
         let b = ps.bind(g, self.b);
-        g.conv2d(x, w, Some(b), self.stride, self.pad)
+        g.conv2d(x, w, b, self.stride, self.pad)
     }
 
     /// Parameter ids `(weight, bias)`.

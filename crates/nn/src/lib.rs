@@ -2,10 +2,12 @@
 //!
 //! Neural-network building blocks on top of [`acme_tensor`]: a parameter
 //! store, the Adam optimizer, and the layers the ACME reproduction needs — linear
-//! and convolutional layers, layer normalization, multi-head self-attention
-//! with per-head masking (the hook for the paper's head-importance
-//! pruning), Transformer encoder blocks with MLP-neuron masking, and an
-//! LSTM cell for the NAS controller.
+//! and convolutional layers, layer normalization, multi-head self-attention,
+//! an MLP, Transformer encoder blocks, and an LSTM cell for the NAS
+//! controller. Attention, MLP and block each have one forward body,
+//! `forward_masked`, whose head / neuron masks are optional graph
+//! variables; `forward` passes none, and the paper's importance scoring
+//! (Eqs. 6–8) passes mask leaves and reads their gradients.
 //!
 //! The calling convention is *stateless forward over an external parameter
 //! store*: layers hold only [`ParamId`]s and hyperparameters; each training

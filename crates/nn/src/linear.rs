@@ -54,8 +54,8 @@ impl Linear {
 }
 
 /// Two-layer perceptron with a configurable activation, the Transformer
-/// feed-forward block. Supports an optional hidden-neuron mask used by the
-/// paper's neuron-importance scoring (Eq. 8) and width pruning.
+/// feed-forward block. Supports an optional hidden-neuron mask, which the
+/// paper's neuron-importance scoring (Eq. 8) differentiates.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     fc1: Linear,
@@ -87,37 +87,16 @@ impl Mlp {
     }
 
     /// Forward with an optional multiplicative mask over the hidden
-    /// neurons (`mask.len() == hidden`). A zero entry silences a neuron,
-    /// which is how Eq. (6)–(8) of the paper evaluates neuron importance
-    /// without rebuilding the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mask length differs from the hidden width.
-    pub fn forward_masked(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        x: Var,
-        mask: Option<&[f32]>,
-    ) -> Var {
+    /// neurons, a graph variable of shape `[hidden]`. A zero entry
+    /// silences a neuron; with a leaf mask of ones, the mask's gradient
+    /// after backward is the per-neuron first-order Taylor importance
+    /// numerator (Eq. 8 of the ACME paper).
+    pub fn forward_masked(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Option<Var>) -> Var {
         let h = self.fc1.forward(g, ps, x);
         let mut h = self.activation.apply(g, h);
-        if let Some(m) = mask {
-            assert_eq!(m.len(), self.fc1.out_dim(), "neuron mask length");
-            let mv = g.constant(Array::from_slice(m));
-            h = g.mul(h, mv);
+        if let Some(mask) = mask {
+            h = g.mul(h, mask);
         }
-        self.fc2.forward(g, ps, h)
-    }
-
-    /// Forward where the hidden-neuron mask is itself a graph variable of
-    /// shape `[hidden]`; its gradient after backward is the per-neuron
-    /// first-order Taylor importance numerator (Eq. 8 of the ACME paper).
-    pub fn forward_with_mask_var(&self, g: &mut Graph, ps: &ParamSet, x: Var, mask: Var) -> Var {
-        let h = self.fc1.forward(g, ps, x);
-        let h = self.activation.apply(g, h);
-        let h = g.mul(h, mask);
         self.fc2.forward(g, ps, h)
     }
 
@@ -204,9 +183,11 @@ mod tests {
         ps.value_mut(fc2b).map_in_place(|_| 0.0);
         let mut g = Graph::new();
         let x = g.constant(Array::ones(&[1, 2]));
-        let all_off = m.forward_masked(&mut g, &ps, x, Some(&[0.0; 4]));
+        let off = g.constant(Array::zeros(&[4]));
+        let all_off = m.forward_masked(&mut g, &ps, x, Some(off));
         assert_eq!(g.value(all_off).data(), &[0.0, 0.0]);
-        let on = m.forward_masked(&mut g, &ps, x, Some(&[1.0; 4]));
+        let ones = g.constant(Array::ones(&[4]));
+        let on = m.forward_masked(&mut g, &ps, x, Some(ones));
         let plain = m.forward(&mut g, &ps, x);
         assert_eq!(g.value(on).data(), g.value(plain).data());
     }

@@ -103,53 +103,28 @@ impl TransformerBlock {
 
     /// Standard forward over `[batch, tokens, dim]`.
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
-        self.forward_masked(g, ps, x, None, None)
+        self.forward_masked(g, ps, x, None)
     }
 
-    /// Forward with optional head and hidden-neuron masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when mask lengths disagree with the block's widths.
+    /// Forward with optional `(head, neuron)` masks, graph variables of
+    /// shapes `[1, heads, 1, 1]` and `[hidden]`. With leaf masks of ones,
+    /// their gradients after backward are the Taylor importance
+    /// numerators of Eqs. (6)–(8).
     pub fn forward_masked(
         &self,
         g: &mut Graph,
         ps: &ParamSet,
         x: Var,
-        head_mask: Option<&[f32]>,
-        neuron_mask: Option<&[f32]>,
+        masks: Option<(Var, Var)>,
     ) -> Var {
         let shape = g.shape(x).to_vec();
         let (b, t, d) = (shape[0], shape[1], shape[2]);
         let n1 = self.ln1.forward(g, ps, x);
-        let a = self.attn.forward_masked(g, ps, n1, head_mask);
+        let a = self.attn.forward_masked(g, ps, n1, masks.map(|m| m.0));
         let x = g.add(x, a);
         let n2 = self.ln2.forward(g, ps, x);
         let flat = g.reshape(n2, &[b * t, d]);
-        let m = self.mlp.forward_masked(g, ps, flat, neuron_mask);
-        let m = g.reshape(m, &[b, t, d]);
-        g.add(x, m)
-    }
-
-    /// Forward where the head and neuron masks are graph *leaves*
-    /// (shapes `[1, heads, 1, 1]` and `[hidden]`); their gradients after
-    /// backward are the Taylor importance numerators of Eqs. (6)–(8).
-    pub fn forward_importance(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        x: Var,
-        head_mask: Var,
-        neuron_mask: Var,
-    ) -> Var {
-        let shape = g.shape(x).to_vec();
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
-        let n1 = self.ln1.forward(g, ps, x);
-        let a = self.attn.forward_with_mask_var(g, ps, n1, head_mask);
-        let x = g.add(x, a);
-        let n2 = self.ln2.forward(g, ps, x);
-        let flat = g.reshape(n2, &[b * t, d]);
-        let m = self.mlp.forward_with_mask_var(g, ps, flat, neuron_mask);
+        let m = self.mlp.forward_masked(g, ps, flat, masks.map(|m| m.1));
         let m = g.reshape(m, &[b, t, d]);
         g.add(x, m)
     }
@@ -204,8 +179,12 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(randn(&[1, 4, 8], &mut rng));
         let plain = blk.forward(&mut g, &ps, x);
-        let head_off = blk.forward_masked(&mut g, &ps, x, Some(&[0.0, 1.0]), None);
-        let neuron_off = blk.forward_masked(&mut g, &ps, x, None, Some(&[0.0; 16]));
+        let heads = g.constant(Array::from_vec(vec![0.0, 1.0], &[1, 2, 1, 1]).unwrap());
+        let neurons = g.constant(Array::ones(&[16]));
+        let head_off = blk.forward_masked(&mut g, &ps, x, Some((heads, neurons)));
+        let heads = g.constant(Array::ones(&[1, 2, 1, 1]));
+        let neurons = g.constant(Array::zeros(&[16]));
+        let neuron_off = blk.forward_masked(&mut g, &ps, x, Some((heads, neurons)));
         assert_ne!(g.value(plain).data(), g.value(head_off).data());
         assert_ne!(g.value(plain).data(), g.value(neuron_off).data());
     }

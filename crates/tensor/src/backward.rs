@@ -350,9 +350,7 @@ impl Graph {
                 let mut gin = needs_grad[input.0].then(|| Array::zeros(iv.shape()));
                 // [out_ch, cw] flat
                 let mut gw = needs_grad[weight.0].then(|| Array::zeros(wv.shape()));
-                let mut gb = bias
-                    .filter(|b| needs_grad[b.0])
-                    .map(|_| Array::zeros(&[g.out_ch]));
+                let mut gb = needs_grad[bias.0].then(|| Array::zeros(&[g.out_ch]));
                 let mut col = vec![0.0f32; ch * cw];
                 let mut gcol = vec![0.0f32; ch * cw];
                 for b in 0..g.batch {
@@ -383,7 +381,7 @@ impl Graph {
                 [
                     gin.map(|gin| (input.0, gin)),
                     gw.map(|gw| (weight.0, gw)),
-                    bias.zip(gb).map(|(b, gb)| (b.0, gb)),
+                    gb.map(|gb| (bias.0, gb)),
                 ]
                 .into_iter()
                 .flatten()

@@ -200,7 +200,7 @@ mod tests {
         let w = randn(&[3, 2, 3, 3], &mut rng).scale(0.5);
         let b = randn(&[3], &mut rng);
         check(&[x, w, b], |g, v| {
-            let y = g.conv2d(v[0], v[1], Some(v[2]), 1, 1);
+            let y = g.conv2d(v[0], v[1], v[2], 1, 1);
             let t = g.tanh(y);
             g.sum_all(t)
         });
@@ -212,7 +212,8 @@ mod tests {
         let x = randn(&[1, 1, 6, 6], &mut rng);
         let w = randn(&[2, 1, 2, 2], &mut rng);
         check(&[x, w], |g, v| {
-            let y = g.conv2d(v[0], v[1], None, 2, 0);
+            let b = g.constant(Array::zeros(&[2]));
+            let y = g.conv2d(v[0], v[1], b, 2, 0);
             g.sum_all(y)
         });
     }

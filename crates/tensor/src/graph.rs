@@ -77,7 +77,7 @@ pub(crate) enum Op {
     Conv2d {
         input: Var,
         weight: Var,
-        bias: Option<Var>,
+        bias: Var,
         geom: ConvGeom,
     },
     MaxPool2d {
@@ -138,7 +138,7 @@ impl Op {
                 weight,
                 bias,
                 ..
-            } => f(*input) || f(*weight) || bias.is_some_and(f),
+            } => f(*input) || f(*weight) || f(*bias),
         }
     }
 }
@@ -770,27 +770,18 @@ impl Graph {
 
     // ---- convolution / pooling ----
 
-    /// 2-D convolution: input `[B,C,H,W]`, weight `[O,C,kh,kw]`, optional
-    /// bias `[O]`, producing `[B,O,H',W']`.
+    /// 2-D convolution: input `[B,C,H,W]`, weight `[O,C,kh,kw]`, bias
+    /// `[O]`, producing `[B,O,H',W']`.
     ///
     /// # Panics
     ///
     /// Panics on invalid geometry (see [`crate::TensorError`] variants for
     /// the conditions).
     #[allow(clippy::needless_range_loop)]
-    pub fn conv2d(
-        &mut self,
-        input: Var,
-        weight: Var,
-        bias: Option<Var>,
-        stride: usize,
-        pad: usize,
-    ) -> Var {
+    pub fn conv2d(&mut self, input: Var, weight: Var, bias: Var, stride: usize, pad: usize) -> Var {
         let geom = ConvGeom::new(self.shape(input), self.shape(weight), stride, pad)
             .expect("conv2d: invalid geometry");
-        if let Some(b) = bias {
-            assert_eq!(self.shape(b), &[geom.out_ch], "conv2d: bias shape");
-        }
+        assert_eq!(self.shape(bias), &[geom.out_ch], "conv2d: bias shape");
         let (ch, cw) = (geom.col_height(), geom.col_width());
         let in_plane = geom.in_ch * geom.in_h * geom.in_w;
         let mut out = Array::zeros(&[geom.batch, geom.out_ch, geom.out_h, geom.out_w]);
@@ -813,14 +804,12 @@ impl Graph {
                 }
             }
         }
-        if let Some(bias) = bias {
-            let bv = self.value(bias).data().to_vec();
-            for b in 0..geom.batch {
-                for o in 0..geom.out_ch {
-                    let base = (b * geom.out_ch + o) * ch;
-                    for i in 0..ch {
-                        out.data_mut()[base + i] += bv[o];
-                    }
+        let bv = self.value(bias).data().to_vec();
+        for b in 0..geom.batch {
+            for o in 0..geom.out_ch {
+                let base = (b * geom.out_ch + o) * ch;
+                for i in 0..ch {
+                    out.data_mut()[base + i] += bv[o];
                 }
             }
         }
@@ -1047,7 +1036,8 @@ mod tests {
         let x =
             g.leaf(Array::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap());
         let w = g.leaf(Array::ones(&[1, 1, 1, 1]));
-        let y = g.conv2d(x, w, None, 1, 0);
+        let b = g.constant(Array::zeros(&[1]));
+        let y = g.conv2d(x, w, b, 1, 0);
         assert_eq!(g.value(y).data(), g.value(x).data());
     }
 
@@ -1057,7 +1047,7 @@ mod tests {
         let x = g.leaf(Array::zeros(&[1, 1, 2, 2]));
         let w = g.leaf(Array::zeros(&[2, 1, 1, 1]));
         let b = g.leaf(Array::from_slice(&[1.5, -2.0]));
-        let y = g.conv2d(x, w, Some(b), 1, 0);
+        let y = g.conv2d(x, w, b, 1, 0);
         assert_eq!(
             g.value(y).data(),
             &[1.5, 1.5, 1.5, 1.5, -2.0, -2.0, -2.0, -2.0]

@@ -26,7 +26,7 @@ const BATCHES: [usize; 3] = [1, 3, 32];
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mask {
     None,
-    /// A constant mask, as `forward_masked` binds it.
+    /// A constant mask: a `g.constant` var, as the layer tests feed it.
     Constant,
     /// A leaf mask whose gradient is the head importance.
     Leaf,

@@ -154,7 +154,8 @@ fn conv_identity_kernel_is_identity() {
         *w.at_mut(&[0, 0, 0, 0]) = 1.0;
         *w.at_mut(&[1, 1, 0, 0]) = 1.0;
         let wv = g.constant(w);
-        let y = g.conv2d(xv, wv, None, 1, 0);
+        let bv = g.constant(Array::zeros(&[2]));
+        let y = g.conv2d(xv, wv, bv, 1, 0);
         assert_eq!(g.value(y).data(), x.data());
     });
 }

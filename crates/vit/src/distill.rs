@@ -81,7 +81,7 @@ impl TeacherTargets {
             let batch = transfer.batch(chunk);
             g.reset();
             let emb = teacher.embed(&mut g, teacher_ps, &batch.images);
-            let feats = teacher.encode(&mut g, teacher_ps, emb);
+            let feats = teacher.encode(&mut g, teacher_ps, emb, None);
             let out = teacher.logits_from(&mut g, teacher_ps, &feats);
             logits.extend_from_slice(g.value(out).data());
             embed.extend_from_slice(g.value(emb).data());

@@ -408,7 +408,7 @@ mod tests {
             (held, grads)
         };
         let trainable: Vec<_> = headers.iter().map(|h| step(&ps, h.as_ref())).collect();
-        vit.set_backbone_trainable(&mut ps, false);
+        vit.freeze_backbone(&mut ps);
         for (header, (held, grads)) in headers.iter().zip(trainable) {
             assert!(
                 held > 0,

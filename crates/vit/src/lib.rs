@@ -7,9 +7,9 @@
 //!   `δ(θ₀, w, d)` of §II-C realized by [`VitConfig::scaled`];
 //! * [`score_importance`] — first-order Taylor importance of attention
 //!   heads and MLP neurons (Eqs. 6–8);
-//! * [`prune_width`] — physical structured pruning that removes the least
-//!   important heads/neurons, yielding the width-scalable backbone
-//!   `θ̂^B`;
+//! * [`sub_network`] — `δ(θ₀, w, d)` with trained weights: one copy that
+//!   keeps the most important heads/neurons of the first `d` blocks,
+//!   cutting a candidate backbone `θ̂^B` out of the teacher;
 //! * [`distill`] — knowledge distillation of the pruned student against
 //!   the full teacher (Eq. 9: logits + embeddings + hidden states, MSE),
 //!   split into one teacher pass ([`TeacherTargets`]) shared by every
@@ -62,4 +62,4 @@ pub use headers::{Header, HeaderKind};
 pub use importance::{score_importance, ImportanceScores};
 pub use model::{patchify, Features, Vit};
 pub use multi_exit::{EarlyExitReport, MultiExitVit};
-pub use prune::{prune_width, truncate_depth};
+pub use prune::sub_network;

@@ -172,23 +172,7 @@ impl Vit {
     /// the final layer norm.
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, images: &Array) -> Features {
         let x = self.embed(g, ps, images);
-        self.encode(g, ps, x)
-    }
-
-    /// The encoder blocks and final layer norm over an embedded token
-    /// sequence `x` (the output of [`Vit::embed`]).
-    pub(crate) fn encode(&self, g: &mut Graph, ps: &ParamSet, mut x: Var) -> Features {
-        let mut penultimate = x;
-        for (i, blk) in self.blocks.iter().enumerate() {
-            if i + 1 == self.blocks.len() {
-                penultimate = x;
-            }
-            x = blk.forward(g, ps, x);
-        }
-        if self.blocks.len() == 1 {
-            penultimate = x;
-        }
-        self.features_from(g, ps, x, penultimate)
+        self.encode(g, ps, x, None)
     }
 
     /// Backbone forward with head/neuron mask *leaves* inserted into every
@@ -200,25 +184,42 @@ impl Vit {
         ps: &ParamSet,
         images: &Array,
     ) -> (Features, Vec<Var>, Vec<Var>) {
-        let mut x = self.embed(g, ps, images);
+        let x = self.embed(g, ps, images);
+        let mut masks = (Vec::new(), Vec::new());
+        let f = self.encode(g, ps, x, Some(&mut masks));
+        (f, masks.0, masks.1)
+    }
+
+    /// The encoder blocks and final layer norm over an embedded token
+    /// sequence `x` (the output of [`Vit::embed`]). With `masks`, each
+    /// block gets a head mask leaf `[1, heads, 1, 1]` and a neuron mask
+    /// leaf `[hidden]` of ones, recorded right before the block and
+    /// pushed onto `masks`' `(heads, neurons)` lists.
+    pub(crate) fn encode(
+        &self,
+        g: &mut Graph,
+        ps: &ParamSet,
+        mut x: Var,
+        mut masks: Option<&mut (Vec<Var>, Vec<Var>)>,
+    ) -> Features {
         let mut penultimate = x;
-        let mut head_masks = Vec::with_capacity(self.blocks.len());
-        let mut neuron_masks = Vec::with_capacity(self.blocks.len());
         for (i, blk) in self.blocks.iter().enumerate() {
             if i + 1 == self.blocks.len() {
                 penultimate = x;
             }
-            let hm = g.leaf(Array::ones(&[1, self.config.heads, 1, 1]));
-            let nm = g.leaf(Array::ones(&[blk.mlp().hidden_dim()]));
-            head_masks.push(hm);
-            neuron_masks.push(nm);
-            x = blk.forward_importance(g, ps, x, hm, nm);
+            let leaves = masks.as_deref_mut().map(|(heads, neurons)| {
+                let hm = g.leaf(Array::ones(&[1, self.config.heads, 1, 1]));
+                let nm = g.leaf(Array::ones(&[blk.mlp().hidden_dim()]));
+                heads.push(hm);
+                neurons.push(nm);
+                (hm, nm)
+            });
+            x = blk.forward_masked(g, ps, x, leaves);
         }
         if self.blocks.len() == 1 {
             penultimate = x;
         }
-        let f = self.features_from(g, ps, x, penultimate);
-        (f, head_masks, neuron_masks)
+        self.features_from(g, ps, x, penultimate)
     }
 
     fn features_from(&self, g: &mut Graph, ps: &ParamSet, x: Var, penultimate: Var) -> Features {
@@ -242,19 +243,15 @@ impl Vit {
         &self.blocks
     }
 
-    /// The patch embedding projection.
-    pub fn patch_embed(&self) -> &Linear {
-        &self.patch_embed
-    }
-
-    /// Class-token and positional-embedding parameter ids.
-    pub fn embed_param_ids(&self) -> [ParamId; 2] {
-        [self.cls_token, self.pos_embed]
-    }
-
-    /// The default linear header.
-    pub fn head(&self) -> &Linear {
-        &self.head
+    /// Every parameter outside the encoder blocks, in registration order:
+    /// the embeddings, the final layer norm and the default header — the
+    /// parts `δ(θ₀, w, d)` leaves unscaled.
+    pub(crate) fn outer_param_ids(&self) -> Vec<ParamId> {
+        let mut ids = self.patch_embed.param_ids().to_vec();
+        ids.extend([self.cls_token, self.pos_embed]);
+        ids.extend(self.final_ln.param_ids());
+        ids.extend(self.head.param_ids());
+        ids
     }
 
     /// All backbone parameter ids (everything except the default header).
@@ -277,11 +274,11 @@ impl Vit {
         ids
     }
 
-    /// Freezes (or unfreezes) the backbone — devices freeze it during
-    /// second-stage header refinement (§III-D).
-    pub fn set_backbone_trainable(&self, ps: &mut ParamSet, trainable: bool) {
+    /// Freezes the backbone — devices freeze it during second-stage
+    /// header refinement (§III-D).
+    pub fn freeze_backbone(&self, ps: &mut ParamSet) {
         for id in self.backbone_param_ids() {
-            ps.set_trainable(id, trainable);
+            ps.set_trainable(id, false);
         }
     }
 }
@@ -358,11 +355,11 @@ mod tests {
         let cfg = VitConfig::tiny(4);
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);
-        vit.set_backbone_trainable(&mut ps, false);
+        vit.freeze_backbone(&mut ps);
         for id in vit.backbone_param_ids() {
             assert!(!ps.is_trainable(id));
         }
-        for id in vit.head().param_ids() {
+        for id in vit.head.param_ids() {
             assert!(ps.is_trainable(id));
         }
     }

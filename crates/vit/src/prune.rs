@@ -1,40 +1,28 @@
-//! Physical structured pruning: removing the least-important heads and
-//! neurons to obtain the width-scalable backbone `θ̂^B` (§III-B1).
+//! The transform `δ(θ₀, w, d)` with trained weights: cutting a candidate
+//! backbone out of the teacher (§III-B1, Algorithm 1).
 
 use acme_nn::{Linear, ParamSet};
 use acme_tensor::{Array, SmallRng64};
 
-use crate::config::VitConfig;
 use crate::importance::ImportanceScores;
 use crate::model::Vit;
 
-/// Copies `src[:, keep]` into a fresh `[rows, keep.len()]` array.
-fn select_cols(src: &Array, keep: &[usize]) -> Array {
-    let (r, c) = (src.shape()[0], src.shape()[1]);
-    let mut out = Array::zeros(&[r, keep.len()]);
-    for row in 0..r {
-        for (j, &k) in keep.iter().enumerate() {
-            debug_assert!(k < c);
-            out.data_mut()[row * keep.len() + j] = src.data()[row * c + k];
-        }
-    }
-    out
-}
-
-/// Copies `src[keep, :]` into a fresh `[keep.len(), cols]` array.
-fn select_rows(src: &Array, keep: &[usize]) -> Array {
-    let c = src.shape()[1];
-    let mut out = Array::zeros(&[keep.len(), c]);
-    for (i, &k) in keep.iter().enumerate() {
-        out.data_mut()[i * c..(i + 1) * c].copy_from_slice(&src.data()[k * c..(k + 1) * c]);
-    }
-    out
-}
-
-/// Copies `src[keep]` from a 1-D array.
-fn select_entries(src: &Array, keep: &[usize]) -> Array {
-    Array::from_vec(keep.iter().map(|&k| src.data()[k]).collect(), &[keep.len()])
-        .expect("volume matches")
+/// Copies the `rows` (axis 0 of a matrix) and `cols` (the last axis) of a
+/// 1-D or 2-D `src` into a fresh array; `None` keeps the whole axis.
+fn gather(src: &Array, rows: Option<&[usize]>, cols: Option<&[usize]>) -> Array {
+    let c = src.shape()[src.rank() - 1];
+    let all = |n: usize| (0..n).collect::<Vec<_>>();
+    let rows = rows.map_or_else(|| all(src.len() / c), <[usize]>::to_vec);
+    let cols = cols.map_or_else(|| all(c), <[usize]>::to_vec);
+    let data = rows
+        .iter()
+        .flat_map(|&r| cols.iter().map(move |&k| src.data()[r * c + k]))
+        .collect();
+    let shape = match src.rank() {
+        1 => vec![cols.len()],
+        _ => vec![rows.len(), cols.len()],
+    };
+    Array::from_vec(data, &shape).expect("volume matches")
 }
 
 /// Expands per-head keep indices into per-column indices for an
@@ -46,6 +34,8 @@ fn head_cols(keep_heads: &[usize], head_dim: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Copies `src`'s weight rows `keep_in` and output columns `keep_out`
+/// (bias entries too) into `dst`.
 fn copy_linear(
     src_ps: &ParamSet,
     dst_ps: &mut ParamSet,
@@ -56,185 +46,84 @@ fn copy_linear(
 ) {
     let [sw, sb] = src.param_ids();
     let [dw, db] = dst.param_ids();
-    let mut w = src_ps.value(sw).clone();
-    if let Some(rows) = keep_in {
-        w = select_rows(&w, rows);
-    }
-    if let Some(cols) = keep_out {
-        w = select_cols(&w, cols);
-    }
-    let mut b = src_ps.value(sb).clone();
-    if let Some(cols) = keep_out {
-        b = select_entries(&b, cols);
-    }
-    assert_eq!(w.shape(), dst_ps.value(dw).shape(), "pruned weight shape");
-    assert_eq!(b.shape(), dst_ps.value(db).shape(), "pruned bias shape");
+    let w = gather(src_ps.value(sw), keep_in, keep_out);
+    let b = gather(src_ps.value(sb), None, keep_out);
+    assert_eq!(w.shape(), dst_ps.value(dw).shape(), "cut weight shape");
+    assert_eq!(b.shape(), dst_ps.value(db).shape(), "cut bias shape");
     *dst_ps.value_mut(dw) = w;
     *dst_ps.value_mut(db) = b;
 }
 
-/// Builds a width-pruned copy of `vit`: per layer, the
-/// `max(1, round(w · heads))` most important heads and
-/// `max(1, round(w · hidden))` most important neurons survive, with their
-/// trained weights carried over. Depth is unchanged — depth scaling is
-/// handled by distillation into a shallower student (Eq. 9).
+/// Cuts the candidate `δ(θ₀, w, d)` out of `vit` in one copy. Its shape
+/// is `vit.config().scaled(w, d)`; in each of the first `d` blocks the
+/// most important heads and neurons (by `scores`, Eqs. 6–8) survive with
+/// their trained weights, and every unscaled parameter (embeddings, layer
+/// norms, default header) copies over verbatim. The cut student is then
+/// refined by distillation (Eq. 9).
 ///
-/// Returns the pruned model and its own fresh [`ParamSet`].
-///
-/// # Panics
-///
-/// Panics when `w` is outside `(0, 1]` or `scores` does not match the
-/// model's geometry.
-pub fn prune_width(vit: &Vit, ps: &ParamSet, scores: &ImportanceScores, w: f64) -> (Vit, ParamSet) {
-    assert!(w > 0.0 && w <= 1.0, "width fraction must be in (0,1]");
-    let cfg = vit.config();
-    assert_eq!(scores.heads.len(), cfg.depth, "scores depth mismatch");
-    let keep_h = ((cfg.heads as f64 * w).round() as usize).clamp(1, cfg.heads);
-    let keep_n = ((cfg.mlp_hidden as f64 * w).round() as usize).clamp(1, cfg.mlp_hidden);
-    let new_cfg = VitConfig {
-        heads: keep_h,
-        mlp_hidden: keep_n,
-        ..cfg.clone()
-    };
-    let mut new_ps = ParamSet::new();
-    // Seed value is irrelevant: every parameter is overwritten below.
-    let new_vit = Vit::new(&mut new_ps, &new_cfg, &mut SmallRng64::new(0));
-
-    // Unscaled parts copy over verbatim.
-    copy_linear(
-        ps,
-        &mut new_ps,
-        vit.patch_embed(),
-        new_vit.patch_embed(),
-        None,
-        None,
-    );
-    copy_linear(ps, &mut new_ps, vit.head(), new_vit.head(), None, None);
-    let [s_cls, s_pos] = vit.embed_param_ids();
-    let [d_cls, d_pos] = new_vit.embed_param_ids();
-    *new_ps.value_mut(d_cls) = ps.value(s_cls).clone();
-    *new_ps.value_mut(d_pos) = ps.value(s_pos).clone();
-
-    for (l, (sb, db)) in vit.blocks().iter().zip(new_vit.blocks()).enumerate() {
-        let kept_heads = scores.top_heads(l, keep_h);
-        let kept_neurons = scores.top_neurons(l, keep_n);
-        let cols = head_cols(&kept_heads, cfg.head_dim);
-        let [sq, sk, sv, so] = sb.attention().projections();
-        let [dq, dk, dv, do_] = db.attention().projections();
-        copy_linear(ps, &mut new_ps, sq, dq, None, Some(&cols));
-        copy_linear(ps, &mut new_ps, sk, dk, None, Some(&cols));
-        copy_linear(ps, &mut new_ps, sv, dv, None, Some(&cols));
-        copy_linear(ps, &mut new_ps, so, do_, Some(&cols), None);
-        copy_linear(
-            ps,
-            &mut new_ps,
-            sb.mlp().fc1(),
-            db.mlp().fc1(),
-            None,
-            Some(&kept_neurons),
-        );
-        copy_linear(
-            ps,
-            &mut new_ps,
-            sb.mlp().fc2(),
-            db.mlp().fc2(),
-            Some(&kept_neurons),
-            None,
-        );
-        // Layer norms copy verbatim (width `dim` is unchanged).
-        let (s1, s2) = sb.norms();
-        let (d1, d2) = db.norms();
-        for (s, d) in s1
-            .param_ids()
-            .into_iter()
-            .zip(d1.param_ids())
-            .chain(s2.param_ids().into_iter().zip(d2.param_ids()))
-        {
-            *new_ps.value_mut(d) = ps.value(s).clone();
-        }
-    }
-    // Final layer norm.
-    // (Vit exposes it only through params; copy by name order: the last
-    // two backbone params before the head are ln_f gamma/beta.)
-    let src_ids = vit.backbone_param_ids();
-    let dst_ids = new_vit.backbone_param_ids();
-    let (sg, sb_) = (src_ids[src_ids.len() - 2], src_ids[src_ids.len() - 1]);
-    let (dg, db_) = (dst_ids[dst_ids.len() - 2], dst_ids[dst_ids.len() - 1]);
-    *new_ps.value_mut(dg) = ps.value(sg).clone();
-    *new_ps.value_mut(db_) = ps.value(sb_).clone();
-
-    (new_vit, new_ps)
-}
-
-/// Builds a depth-truncated copy of `vit` keeping the first `d` layers
-/// (and all non-block parameters). Together with [`prune_width`] this
-/// realizes the full transform `δ(θ₀, w, d)` with trained weights carried
-/// over; the truncated student is then refined by distillation (Eq. 9).
+/// Returns the sub-network and its own fresh [`ParamSet`].
 ///
 /// # Panics
 ///
-/// Panics when `d` is zero or exceeds the model's depth.
-pub fn truncate_depth(vit: &Vit, ps: &ParamSet, d: usize) -> (Vit, ParamSet) {
+/// Panics when `w` is outside `(0, 1]`, `d` is outside `1..=depth`, or
+/// `scores` does not match the model's geometry.
+pub fn sub_network(
+    vit: &Vit,
+    ps: &ParamSet,
+    scores: &ImportanceScores,
+    w: f64,
+    d: usize,
+) -> (Vit, ParamSet) {
     let cfg = vit.config();
     assert!(
         d >= 1 && d <= cfg.depth,
         "depth {d} out of range 1..={}",
         cfg.depth
     );
-    let new_cfg = VitConfig {
-        depth: d,
-        ..cfg.clone()
-    };
-    let mut new_ps = ParamSet::new();
-    let new_vit = Vit::new(&mut new_ps, &new_cfg, &mut SmallRng64::new(0));
-    copy_linear(
-        ps,
-        &mut new_ps,
-        vit.patch_embed(),
-        new_vit.patch_embed(),
-        None,
-        None,
-    );
-    copy_linear(ps, &mut new_ps, vit.head(), new_vit.head(), None, None);
-    let [s_cls, s_pos] = vit.embed_param_ids();
-    let [d_cls, d_pos] = new_vit.embed_param_ids();
-    *new_ps.value_mut(d_cls) = ps.value(s_cls).clone();
-    *new_ps.value_mut(d_pos) = ps.value(s_pos).clone();
-    for (sb, db) in vit.blocks().iter().take(d).zip(new_vit.blocks()) {
+    assert_eq!(scores.heads.len(), cfg.depth, "scores depth mismatch");
+    let sub_cfg = cfg.scaled(w, d);
+    let mut sub_ps = ParamSet::new();
+    // Seed value is irrelevant: every parameter is overwritten below.
+    let sub = Vit::new(&mut sub_ps, &sub_cfg, &mut SmallRng64::new(0));
+    for (s, t) in vit.outer_param_ids().into_iter().zip(sub.outer_param_ids()) {
+        *sub_ps.value_mut(t) = ps.value(s).clone();
+    }
+    for (l, (sb, tb)) in vit.blocks().iter().zip(sub.blocks()).enumerate() {
+        let heads = head_cols(&scores.top_heads(l, sub_cfg.heads), cfg.head_dim);
+        let neurons = scores.top_neurons(l, sub_cfg.mlp_hidden);
         let [sq, sk, sv, so] = sb.attention().projections();
-        let [dq, dk, dv, do_] = db.attention().projections();
-        copy_linear(ps, &mut new_ps, sq, dq, None, None);
-        copy_linear(ps, &mut new_ps, sk, dk, None, None);
-        copy_linear(ps, &mut new_ps, sv, dv, None, None);
-        copy_linear(ps, &mut new_ps, so, do_, None, None);
-        copy_linear(ps, &mut new_ps, sb.mlp().fc1(), db.mlp().fc1(), None, None);
-        copy_linear(ps, &mut new_ps, sb.mlp().fc2(), db.mlp().fc2(), None, None);
-        let (s1, s2) = sb.norms();
-        let (d1, d2) = db.norms();
-        for (s, dd) in s1
+        let [tq, tk, tv, to] = tb.attention().projections();
+        let (h, n) = (Some(heads.as_slice()), Some(neurons.as_slice()));
+        for (s, t, keep_in, keep_out) in [
+            (sq, tq, None, h),
+            (sk, tk, None, h),
+            (sv, tv, None, h),
+            (so, to, h, None),
+            (sb.mlp().fc1(), tb.mlp().fc1(), None, n),
+            (sb.mlp().fc2(), tb.mlp().fc2(), n, None),
+        ] {
+            copy_linear(ps, &mut sub_ps, s, t, keep_in, keep_out);
+        }
+        // Layer norms keep their width (`dim` is unscaled).
+        let ((s1, s2), (t1, t2)) = (sb.norms(), tb.norms());
+        for (s, t) in s1
             .param_ids()
             .into_iter()
-            .zip(d1.param_ids())
-            .chain(s2.param_ids().into_iter().zip(d2.param_ids()))
+            .zip(t1.param_ids())
+            .chain(s2.param_ids().into_iter().zip(t2.param_ids()))
         {
-            *new_ps.value_mut(dd) = ps.value(s).clone();
+            *sub_ps.value_mut(t) = ps.value(s).clone();
         }
     }
-    let src_ids = vit.backbone_param_ids();
-    let dst_ids = new_vit.backbone_param_ids();
-    let (sg, sb_) = (src_ids[src_ids.len() - 2], src_ids[src_ids.len() - 1]);
-    let (dg, db_) = (dst_ids[dst_ids.len() - 2], dst_ids[dst_ids.len() - 1]);
-    *new_ps.value_mut(dg) = ps.value(sg).clone();
-    *new_ps.value_mut(db_) = ps.value(sb_).clone();
-    (new_vit, new_ps)
+    (sub, sub_ps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VitConfig;
     use crate::importance::score_importance;
     use acme_data::{cifar100_like, SyntheticSpec};
-    use acme_nn::accuracy;
     use acme_tensor::Graph;
 
     fn setup() -> (Vit, ParamSet, acme_data::Dataset, SmallRng64) {
@@ -246,88 +135,111 @@ mod tests {
         (vit, ps, ds, rng)
     }
 
+    /// The value of the parameter called `name` in `ps`.
+    fn by_name<'a>(ps: &'a ParamSet, name: &str) -> &'a Array {
+        let id = ps.ids().find(|&id| ps.name(id) == name).expect(name);
+        ps.value(id)
+    }
+
     #[test]
-    fn full_width_prune_is_identity_function() {
+    fn full_cut_reproduces_the_teachers_logits_bitwise() {
         let (vit, ps, ds, mut rng) = setup();
         let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
-        let (pvit, pps) = prune_width(&vit, &ps, &scores, 1.0);
+        let (full, full_ps) = sub_network(&vit, &ps, &scores, 1.0, vit.config().depth);
+        assert_eq!(full.config(), vit.config());
         let batch = ds.sample(4, &mut rng).as_batch();
         let mut g = Graph::new();
         let a = vit.logits(&mut g, &ps, &batch.images);
-        let b = pvit.logits(&mut g, &pps, &batch.images);
-        for (x, y) in g.value(a).data().iter().zip(g.value(b).data()) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
+        let b = full.logits(&mut g, &full_ps, &batch.images);
+        let bits = |v| {
+            g.value(v)
+                .data()
+                .iter()
+                .map(|x: &f32| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]
-    fn half_width_prune_shrinks_params() {
-        let (vit, ps, ds, mut rng) = setup();
-        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
-        let (pvit, pps) = prune_width(&vit, &ps, &scores, 0.5);
-        assert!(pps.num_scalars() < ps.num_scalars());
-        assert_eq!(pvit.config().heads, 1);
-        assert_eq!(pvit.config().mlp_hidden, 16);
-        // Pruned model still runs and produces valid logits.
-        let batch = ds.sample(4, &mut rng).as_batch();
-        let mut g = Graph::new();
-        let logits = pvit.logits(&mut g, &pps, &batch.images);
-        assert!(g.value(logits).data().iter().all(|v| v.is_finite()));
-        let _ = accuracy(g.value(logits), &batch.labels);
-    }
-
-    #[test]
-    fn pruning_keeps_most_important_head_weights() {
+    fn width_cut_shrinks_params_and_keeps_the_most_important_head() {
         let (vit, ps, ds, mut rng) = setup();
         let mut scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
         // Force layer 0: head 1 most important.
         scores.heads[0] = vec![0.0, 1.0];
-        let (pvit, pps) = prune_width(&vit, &ps, &scores, 0.5);
-        // The kept wq columns should equal head 1's columns from the source.
+        let (sub, sub_ps) = sub_network(&vit, &ps, &scores, 0.5, vit.config().depth);
+        assert!(sub_ps.num_scalars() < ps.num_scalars());
+        assert_eq!(sub.config().heads, 1);
+        assert_eq!(sub.config().mlp_hidden, 16);
+        assert_eq!(sub.config().depth, 2);
+        // The kept wq columns equal head 1's columns from the source.
         let src_w = ps.value(vit.blocks()[0].attention().projections()[0].param_ids()[0]);
-        let dst_w = pps.value(pvit.blocks()[0].attention().projections()[0].param_ids()[0]);
+        let dst_w = sub_ps.value(sub.blocks()[0].attention().projections()[0].param_ids()[0]);
         let dh = vit.config().head_dim;
-        let dim = vit.config().dim;
-        for r in 0..dim {
+        for r in 0..vit.config().dim {
             for j in 0..dh {
-                let expect = src_w.data()[r * (2 * dh) + dh + j];
-                let got = dst_w.data()[r * dh + j];
-                assert_eq!(expect, got);
+                assert_eq!(
+                    src_w.data()[r * (2 * dh) + dh + j],
+                    dst_w.data()[r * dh + j]
+                );
             }
+        }
+        let batch = ds.sample(4, &mut rng).as_batch();
+        let mut g = Graph::new();
+        let logits = sub.logits(&mut g, &sub_ps, &batch.images);
+        assert!(g.value(logits).data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn depth_cut_keeps_the_teachers_prefix_verbatim() {
+        let (vit, ps, ds, mut rng) = setup();
+        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
+        let (sub, sub_ps) = sub_network(&vit, &ps, &scores, 1.0, 1);
+        assert_eq!(sub.config().depth, 1);
+        assert!(sub_ps.num_scalars() < ps.num_scalars());
+        // Every surviving parameter is the teacher's namesake, bit for bit.
+        for id in sub_ps.ids() {
+            assert_eq!(sub_ps.value(id), by_name(&ps, sub_ps.name(id)));
         }
     }
 
     #[test]
-    fn truncate_depth_keeps_prefix_behaviour() {
+    fn width_and_depth_cut_is_a_width_cut_of_the_depth_cut() {
         let (vit, ps, ds, mut rng) = setup();
-        let (tvit, tps) = truncate_depth(&vit, &ps, 1);
-        assert_eq!(tvit.config().depth, 1);
-        assert!(tps.num_scalars() < ps.num_scalars());
-        // Full truncation is the identity.
-        let (fvit, fps) = truncate_depth(&vit, &ps, 2);
-        let batch = ds.sample(3, &mut rng).as_batch();
-        let mut g = Graph::new();
-        let a = vit.logits(&mut g, &ps, &batch.images);
-        let b = fvit.logits(&mut g, &fps, &batch.images);
-        for (x, y) in g.value(a).data().iter().zip(g.value(b).data()) {
-            assert!((x - y).abs() < 1e-5);
+        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
+        let (both, both_ps) = sub_network(&vit, &ps, &scores, 0.5, 1);
+        assert_eq!((both.config().heads, both.config().depth), (1, 1));
+        let (shallow, shallow_ps) = sub_network(&vit, &ps, &scores, 1.0, 1);
+        let prefix = ImportanceScores {
+            heads: scores.heads[..1].to_vec(),
+            neurons: scores.neurons[..1].to_vec(),
+        };
+        let (two_step, two_step_ps) = sub_network(&shallow, &shallow_ps, &prefix, 0.5, 1);
+        assert_eq!(two_step.config(), both.config());
+        for id in both_ps.ids() {
+            assert_eq!(both_ps.value(id), by_name(&two_step_ps, both_ps.name(id)));
         }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn truncate_depth_validates() {
-        let (vit, ps, _, _) = setup();
-        truncate_depth(&vit, &ps, 0);
+    fn sub_network_validates_depth() {
+        let (vit, ps, ds, mut rng) = setup();
+        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
+        sub_network(&vit, &ps, &scores, 1.0, 0);
     }
 
     #[test]
-    fn select_helpers() {
+    fn gather_helpers() {
         let a = Array::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
-        assert_eq!(select_cols(&a, &[0, 2]).data(), &[0.0, 2.0, 3.0, 5.0]);
-        assert_eq!(select_rows(&a, &[1]).data(), &[3.0, 4.0, 5.0]);
+        assert_eq!(
+            gather(&a, None, Some(&[0, 2])).data(),
+            &[0.0, 2.0, 3.0, 5.0]
+        );
+        assert_eq!(gather(&a, Some(&[1]), None).data(), &[3.0, 4.0, 5.0]);
+        assert_eq!(gather(&a, Some(&[1]), Some(&[2, 0])).shape(), &[1, 2]);
         let v = Array::from_slice(&[5.0, 6.0, 7.0]);
-        assert_eq!(select_entries(&v, &[2, 0]).data(), &[7.0, 5.0]);
+        assert_eq!(gather(&v, None, Some(&[2, 0])).data(), &[7.0, 5.0]);
         assert_eq!(head_cols(&[0, 2], 2), vec![0, 1, 4, 5]);
     }
 }

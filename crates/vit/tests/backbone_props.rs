@@ -1,11 +1,11 @@
 //! Property-based tests of the ViT transform `δ(θ₀, w, d)`, the
-//! pruning machinery and patch extraction.
+//! sub-network cut and patch extraction.
 
 use acme_check::cases;
 use acme_data::{cifar100_like, SyntheticSpec};
 use acme_nn::ParamSet;
 use acme_tensor::{Array, Graph, SmallRng64};
-use acme_vit::{patchify, prune_width, score_importance, truncate_depth, Vit, VitConfig};
+use acme_vit::{patchify, score_importance, sub_network, Vit, VitConfig};
 
 fn setup(seed: u64) -> (Vit, ParamSet, acme_data::Dataset, SmallRng64) {
     let mut rng = SmallRng64::new(seed);
@@ -36,29 +36,19 @@ fn scaled_config_params_are_monotone() {
 }
 
 #[test]
-fn pruned_model_param_count_matches_its_config() {
+fn sub_network_param_count_matches_its_config() {
     cases(12, |g| {
         let seed = g.u64(0..20);
-        let keep = g.usize(1..3);
-        let (vit, ps, ds, mut rng) = setup(seed);
-        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
-        let w = keep as f64 / 2.0; // 0.5 or 1.0
-        let (pvit, pps) = prune_width(&vit, &ps, &scores, w);
-        assert_eq!(pvit.config().exact_params(), pps.num_scalars() as u64);
-    });
-}
-
-#[test]
-fn truncated_model_behaves_and_counts() {
-    cases(12, |g| {
-        let seed = g.u64(0..20);
+        let w = g.usize(1..3) as f64 / 2.0; // 0.5 or 1.0
         let d = g.usize(1..3);
         let (vit, ps, ds, mut rng) = setup(seed);
-        let (tvit, tps) = truncate_depth(&vit, &ps, d);
-        assert_eq!(tvit.config().exact_params(), tps.num_scalars() as u64);
+        let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
+        let (sub, sub_ps) = sub_network(&vit, &ps, &scores, w, d);
+        assert_eq!(sub.config(), &vit.config().scaled(w, d));
+        assert_eq!(sub.config().exact_params(), sub_ps.num_scalars() as u64);
         let batch = ds.sample(2, &mut rng).as_batch();
         let mut g = Graph::new();
-        let logits = tvit.logits(&mut g, &tps, &batch.images);
+        let logits = sub.logits(&mut g, &sub_ps, &batch.images);
         assert!(g.value(logits).data().iter().all(|v| v.is_finite()));
     });
 }
@@ -76,11 +66,10 @@ fn importance_scores_are_finite_nonnegative() {
 }
 
 #[test]
-fn prune_then_truncate_composes() {
+fn width_and_depth_cut_runs() {
     let (vit, ps, ds, mut rng) = setup(0);
     let scores = score_importance(&vit, &ps, &ds, 1, 8, &mut rng);
-    let (wide, wide_ps) = prune_width(&vit, &ps, &scores, 0.5);
-    let (small, small_ps) = truncate_depth(&wide, &wide_ps, 1);
+    let (small, small_ps) = sub_network(&vit, &ps, &scores, 0.5, 1);
     assert_eq!(small.config().depth, 1);
     assert_eq!(small.config().heads, 1);
     assert!(small_ps.num_scalars() < ps.num_scalars() / 2);

@@ -55,7 +55,7 @@ fn main() {
     let test_features = FrozenFeatures::compute(&vit, &ps, &test, 32);
     for kind in HeaderKind::all() {
         let mut hps = ps.clone();
-        vit.set_backbone_trainable(&mut hps, false);
+        vit.freeze_backbone(&mut hps);
         let header = kind.build(
             &mut hps,
             &format!("fixed-{kind}"),

@@ -195,6 +195,7 @@ step "no orphan pub item (every pub fn / const / static in crates/*/src has a ca
 # finds and this stage cannot see is kept on `audit_keep`. Pub items of
 # private modules are clippy's `unreachable_pub`.
 orphan_allow='
+backbone_param_ids  the frozen-feature and header tests check that no backbone parameter moves or holds a gradient
 backward_with       seeded backward: the attention oracle test drives it with a random upstream gradient
 batches             process-wide serving counter the serving test compares with the registry
 check::cases        acme-check property-test entry point: its callers are tests by design
@@ -360,6 +361,26 @@ offenders="$(
 if [ -n "$offenders" ]; then
     echo "ci.sh: the protocol layer names f32 or serde again:" >&2
     printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
+step "one sub-network cut (Phase 1 cuts each candidate from the teacher in one copy)"
+# Outside tests and comments, crates/vit/src/prune.rs builds one model
+# skeleton (Vit::new( once, in sub_network): δ(θ₀, w, d) cuts width and
+# depth in one copy, so a new parameter layout changes one function's
+# index lists. And crates/nn/src names no Option<&[f32]> mask parameter:
+# a layer is masked only through a graph variable, the path
+# score_importance differentiates, so there is no second masked forward.
+skeletons="$(code_of crates/vit/src/prune.rs | grep -cF 'Vit::new(' || true)"
+const_masks="$(
+    for f in crates/nn/src/*.rs; do
+        code_of "$f" | grep -F 'Option<&[f32]>' | sed "s|^|$f: |" || true
+    done
+)"
+if [ "$skeletons" -ne 1 ] || [ -n "$const_masks" ]; then
+    echo "ci.sh: expected one Vit::new( in crates/vit/src/prune.rs (found $skeletons)" \
+        "and no constant-mask parameter in crates/nn/src:" >&2
+    printf '%s\n' "$const_masks" >&2
     exit 1
 fi
 

@@ -57,7 +57,7 @@ fn cached_feature_refits_match_refits_through_the_backbone_bitwise() {
         &mut rng,
     );
     let headers: [&dyn Header; 2] = [&nas, pool.as_ref()];
-    vit.set_backbone_trainable(&mut ps, false);
+    vit.freeze_backbone(&mut ps);
 
     for threads in [1, 2] {
         acme_runtime::set_global_threads(threads);
