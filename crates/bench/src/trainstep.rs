@@ -19,6 +19,7 @@
 //! fails CI.
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use acme_nn::{Adam, Optimizer, ParamSet};
@@ -62,10 +63,10 @@ impl StepMeasurement {
 /// The fixed training-step problem, shared by both paths.
 pub struct Problem {
     x: Array,
-    w1: Array,
-    w2: Array,
-    gamma: Array,
-    beta: Array,
+    w1: Arc<Array>,
+    w2: Arc<Array>,
+    gamma: Arc<Array>,
+    beta: Arc<Array>,
     targets: Vec<usize>,
 }
 
@@ -75,10 +76,10 @@ impl Problem {
         let mut rng = SmallRng64::new(17);
         Problem {
             x: randn(&[ROWS, D_IN], &mut rng),
-            w1: randn(&[D_IN, HIDDEN], &mut rng),
-            w2: randn(&[HIDDEN, CLASSES], &mut rng),
-            gamma: randn(&[HIDDEN], &mut rng),
-            beta: randn(&[HIDDEN], &mut rng),
+            w1: Arc::new(randn(&[D_IN, HIDDEN], &mut rng)),
+            w2: Arc::new(randn(&[HIDDEN, CLASSES], &mut rng)),
+            gamma: Arc::new(randn(&[HIDDEN], &mut rng)),
+            beta: Arc::new(randn(&[HIDDEN], &mut rng)),
             targets: (0..ROWS).map(|i| (i * 3 + 1) % CLASSES).collect(),
         }
     }
@@ -119,10 +120,10 @@ fn baseline_step(p: &Problem) -> StepBits {
     use std::hint::black_box;
     // Graph build: `leaf`/`bind_param` cloned every input onto the tape.
     let x_n = p.x.clone();
-    let w1_n = p.w1.clone();
-    let w2_n = p.w2.clone();
-    let gamma_n = p.gamma.clone();
-    let beta_n = p.beta.clone();
+    let w1_n = Array::clone(&p.w1);
+    let w2_n = Array::clone(&p.w2);
+    let gamma_n = Array::clone(&p.gamma);
+    let beta_n = Array::clone(&p.beta);
     // Forward: h1 = x @ w1.
     let mut h1 = Array::zeros(&[ROWS, HIDDEN]);
     gemm::gemm(
@@ -314,10 +315,10 @@ fn baseline_step(p: &Problem) -> StepBits {
 fn engine_step(p: &Problem, g: &mut Graph) -> StepBits {
     g.reset();
     let xv = g.leaf(p.x.clone());
-    let w1v = g.bind_param(1, &p.w1);
-    let w2v = g.bind_param(2, &p.w2);
-    let gav = g.bind_param(3, &p.gamma);
-    let bev = g.bind_param(4, &p.beta);
+    let w1v = g.bind_param(1, &p.w1, true, None);
+    let w2v = g.bind_param(2, &p.w2, true, None);
+    let gav = g.bind_param(3, &p.gamma, true, None);
+    let bev = g.bind_param(4, &p.beta, true, None);
     let h1 = g.matmul(xv, w1v).expect("x @ w1");
     let ln = g.layer_norm(h1, gav, bev, 1e-5);
     let act = g.gelu(ln);

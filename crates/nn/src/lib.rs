@@ -14,7 +14,10 @@
 //! step builds a fresh [`Graph`](acme_tensor::Graph), binds parameters via
 //! [`ParamSet::bind`], and the optimizer folds gradients back into the
 //! store. Binding is memoized per graph, so parameter sharing (as in the
-//! paper's ENAS-style header search, §III-C) is gradient-correct for free.
+//! paper's ENAS-style header search, §III-C) is gradient-correct for free,
+//! and it is by reference: the store keeps each value in shared storage and
+//! copies it on write only while a graph still holds it, so frozen weights
+//! are never copied.
 //!
 //! ```
 //! use acme_nn::{Adam, Linear, Optimizer, ParamSet};

@@ -1,5 +1,7 @@
 //! External parameter storage shared across training steps.
 
+use std::sync::Arc;
+
 use acme_tensor::{packcache, Array, Graph, PackIdent, Var};
 
 /// Identifier of a parameter inside a [`ParamSet`].
@@ -16,7 +18,9 @@ impl ParamId {
 #[derive(Debug, Clone)]
 struct Entry {
     name: String,
-    value: Array,
+    /// Shared with every graph the value is bound into and with every
+    /// clone of the store, until one of them writes it.
+    value: Arc<Array>,
     trainable: bool,
     /// Mutation counter: bumped on every mutable access so the
     /// packed-weight cache (`acme_tensor::packcache`) can tell frozen
@@ -31,6 +35,14 @@ struct Entry {
 /// a parameter into the active [`Graph`] (memoized per graph), and after
 /// `backward` an [`Optimizer`](crate::Optimizer) walks the graph's
 /// bindings to update values.
+///
+/// Each value lives in shared storage (`Arc<Array>`). A bind hands the
+/// graph a reference, not a copy, and [`ParamSet::value_mut`] copies on
+/// write only while a graph or a clone of this store still holds the
+/// value. So a frozen parameter is never copied — a serving backbone, a
+/// frozen-backbone pass and the distillation teacher bind for free —
+/// while a training step copies each updated parameter once, at the
+/// optimizer's write instead of at the bind.
 #[derive(Debug)]
 pub struct ParamSet {
     entries: Vec<Entry>,
@@ -41,6 +53,8 @@ pub struct ParamSet {
     store: u64,
 }
 
+/// A clone shares every value with its source until either side writes
+/// it ([`ParamSet::value_mut`] copies on write).
 impl Clone for ParamSet {
     fn clone(&self) -> Self {
         ParamSet {
@@ -95,7 +109,7 @@ impl ParamSet {
     pub fn add(&mut self, name: impl Into<String>, value: Array) -> ParamId {
         self.entries.push(Entry {
             name: name.into(),
-            value,
+            value: Arc::new(value),
             trainable: true,
             version: 0,
         });
@@ -135,15 +149,20 @@ impl ParamSet {
     /// Mutable access to a parameter value (used by optimizers and by the
     /// structured-pruning code in `acme-vit`).
     ///
+    /// While a graph or a clone of this store still holds the value, it is
+    /// copied first, so what they hold never changes; otherwise it is
+    /// written in place.
+    ///
     /// # Panics
     ///
     /// Panics for an id from a different store.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Array {
+        let entry = &mut self.entries[id.0];
         // Pessimistically treat every mutable access as a write: a stale
         // packed copy must never survive an update, while an unnecessary
         // bump only costs one re-pack.
-        self.entries[id.0].version += 1;
-        &mut self.entries[id.0].value
+        entry.version += 1;
+        Arc::make_mut(&mut entry.value)
     }
 
     /// The packed-weight-cache identity of a parameter: store instance,
@@ -191,13 +210,26 @@ impl ParamSet {
     /// Either way the bind carries the parameter's pack-cache identity,
     /// so matmuls against it reuse the process-wide packed form while
     /// the value stays unchanged (frozen backbones during PFG evaluation
-    /// and header refinement hit this every step).
+    /// and header refinement hit this every step). The graph holds a
+    /// reference to the value, never a copy.
+    ///
+    /// The graph key is [`ParamId::key`], the one an
+    /// [`Optimizer`](crate::Optimizer) reads back.
     pub fn bind(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.bind_param_ident(
-            id.key(),
-            self.pack_ident(id),
-            self.value(id),
-            self.is_trainable(id),
+        self.bind_keyed(g, id, id.key())
+    }
+
+    /// [`ParamSet::bind`] under a caller-chosen graph `key`, for a graph
+    /// that binds parameters of several stores whose slots would
+    /// otherwise share keys (a serving batch's backbone and its variants'
+    /// heads). No optimizer maps such a key back to a [`ParamId`].
+    pub fn bind_keyed(&self, g: &mut Graph, id: ParamId, key: u64) -> Var {
+        let entry = &self.entries[id.0];
+        g.bind_param(
+            key,
+            &entry.value,
+            entry.trainable,
+            Some(self.pack_ident(id)),
         )
     }
 
@@ -231,6 +263,60 @@ mod tests {
         let v1 = ps.bind(&mut g, a);
         let v2 = ps.bind(&mut g, a);
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn a_bound_value_shares_the_stores_buffer() {
+        let mut ps = ParamSet::new();
+        let a = ps.add("w", Array::ones(&[2, 3]));
+        let mut g = Graph::new();
+        let v = ps.bind(&mut g, a);
+        assert!(std::ptr::eq(g.value(v), ps.value(a)), "bound by reference");
+    }
+
+    #[test]
+    fn a_write_after_a_bind_copies_and_leaves_the_tape_alone() {
+        let mut ps = ParamSet::new();
+        let a = ps.add("w", Array::ones(&[64, 64]));
+        // x · w[:, 0] through the pack cache (a 64 x 64 weight packs).
+        let product = |ps: &ParamSet| {
+            let mut g = Graph::new();
+            let x = g.constant(Array::ones(&[1, 64]));
+            let w = ps.bind(&mut g, a);
+            let y = g.matmul(x, w).unwrap();
+            g.value(y).data()[0]
+        };
+        assert_eq!(product(&ps), 64.0);
+        let mut g = Graph::new();
+        let v = ps.bind(&mut g, a);
+        let bits =
+            |g: &Graph| -> Vec<u32> { g.value(v).data().iter().map(|x| x.to_bits()).collect() };
+        let recorded = bits(&g);
+        let before = ps.pack_ident(a).version;
+        ps.value_mut(a).data_mut()[0] = 5.0;
+        assert_eq!(ps.pack_ident(a).version, before + 1, "version bumped");
+        assert_eq!(bits(&g), recorded, "the tape's value is bitwise unchanged");
+        assert!(!std::ptr::eq(g.value(v), ps.value(a)), "copied on write");
+        assert_eq!(product(&ps), 68.0, "repacked: 5 + 63 ones");
+        // With no tape left holding it, a write is in place.
+        drop(g);
+        let at = ps.value(a).data().as_ptr();
+        ps.value_mut(a).data_mut()[1] = 2.0;
+        assert_eq!(ps.value(a).data().as_ptr(), at, "written in place");
+    }
+
+    #[test]
+    fn a_clone_written_after_the_clone_leaves_the_original_untouched() {
+        let mut ps = ParamSet::new();
+        let a = ps.add("w", Array::ones(&[4]));
+        let mut copy = ps.clone();
+        assert!(
+            std::ptr::eq(copy.value(a), ps.value(a)),
+            "shared until written"
+        );
+        copy.value_mut(a).data_mut()[2] = 9.0;
+        assert_eq!(ps.value(a).data(), &[1.0; 4]);
+        assert_eq!(copy.value(a).data(), &[1.0, 1.0, 9.0, 1.0]);
     }
 
     #[test]

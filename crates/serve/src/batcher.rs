@@ -1,11 +1,11 @@
 //! Shape-aware request coalescing.
 //!
-//! Requests are queued per *batch key* — the `(device variant, input
-//! shape)` pair — because only same-variant, same-shape rows can share
-//! one backbone pass. A worker popping a batch takes the key with the
-//! oldest waiting request and either fills a full batch immediately or
-//! waits out the batch window (the serving latency budget) for more
-//! arrivals, whichever comes first.
+//! Requests are queued per *batch key* — the `(backbone, input shape)`
+//! pair — because rows of any variants on one cluster backbone share one
+//! backbone pass as long as their shapes agree. A worker popping a batch
+//! takes the key with the oldest waiting request and either fills a full
+//! batch immediately or waits out the batch window (the serving latency
+//! budget) for more arrivals, whichever comes first.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -32,6 +32,7 @@ pub struct QueuedRequest {
     pub enqueued: Instant,
 }
 
+/// `(backbone, input shape)`.
 type BatchKey = (usize, Vec<usize>);
 
 #[derive(Debug, Default)]
@@ -46,20 +47,37 @@ struct Shared {
 #[derive(Debug)]
 pub struct Batcher {
     cfg: BatcherConfig,
+    /// The backbone each device runs on, indexed by device; a device
+    /// past its end is its own backbone.
+    backbone_of: Vec<usize>,
     shared: Mutex<Shared>,
     ready: Condvar,
 }
 
 impl Batcher {
-    /// An empty batcher with the given coalescing config.
+    /// An empty batcher with the given coalescing config that knows no
+    /// backbones: each device is its own, so only same-device requests
+    /// share a batch.
     ///
     /// # Panics
     ///
     /// Panics when `max_batch` is zero.
     pub fn new(cfg: BatcherConfig) -> Self {
+        Batcher::on_backbones(cfg, Vec::new())
+    }
+
+    /// An empty batcher whose device `d` runs on backbone
+    /// `backbone_of[d]`, so requests of every device on one backbone can
+    /// share a batch (what `serve()` builds from its store).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `max_batch` is zero.
+    pub(crate) fn on_backbones(cfg: BatcherConfig, backbone_of: Vec<usize>) -> Self {
         assert!(cfg.max_batch > 0, "max_batch must be at least 1");
         Batcher {
             cfg,
+            backbone_of,
             shared: Mutex::new(Shared::default()),
             ready: Condvar::new(),
         }
@@ -71,7 +89,12 @@ impl Batcher {
     ///
     /// Panics when the batcher is already closed.
     pub fn push(&self, request: Request) {
-        let key = (request.device, request.input.shape().to_vec());
+        let backbone = self
+            .backbone_of
+            .get(request.device)
+            .copied()
+            .unwrap_or(request.device);
+        let key = (backbone, request.input.shape().to_vec());
         let mut s = self.shared.lock().expect("batcher mutex");
         assert!(!s.closed, "push after close");
         let q = s.queues.entry(key.clone()).or_default();
@@ -167,23 +190,41 @@ mod tests {
     }
 
     #[test]
-    fn distinct_devices_never_share_a_batch() {
+    fn different_backbones_never_share_a_batch() {
+        // Devices 0 and 2 run on backbone 0, device 1 on backbone 1.
+        let b = Batcher::on_backbones(
+            BatcherConfig {
+                max_batch: 8,
+                window: Duration::ZERO,
+            },
+            vec![0, 1, 0],
+        );
+        for (id, device) in [(0, 0), (1, 1), (2, 2), (3, 0)] {
+            b.push(req(id, device));
+        }
+        b.close();
+        let mut batches = Vec::new();
+        while let Some(batch) = b.pop_batch() {
+            batches.push(batch.iter().map(|q| q.request.id).collect::<Vec<_>>());
+        }
+        assert_eq!(batches, vec![vec![0, 2, 3], vec![1]]);
+    }
+
+    #[test]
+    fn a_batcher_without_backbones_keys_each_device_apart() {
         let b = Batcher::new(BatcherConfig {
             max_batch: 8,
             window: Duration::ZERO,
         });
-        b.push(req(0, 0));
-        b.push(req(1, 1));
-        b.push(req(2, 0));
-        b.close();
-        let mut seen = Vec::new();
-        while let Some(batch) = b.pop_batch() {
-            let dev = batch[0].request.device;
-            assert!(batch.iter().all(|q| q.request.device == dev));
-            seen.extend(batch.iter().map(|q| q.request.id));
+        for (id, device) in [(0, 0), (1, 1), (2, 0)] {
+            b.push(req(id, device));
         }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
+        b.close();
+        let mut batches = Vec::new();
+        while let Some(batch) = b.pop_batch() {
+            batches.push(batch.iter().map(|q| q.request.id).collect::<Vec<_>>());
+        }
+        assert_eq!(batches, vec![vec![0, 2], vec![1]]);
     }
 
     #[test]

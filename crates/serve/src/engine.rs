@@ -1,17 +1,18 @@
 //! The batched early-exit inference engine.
 //!
-//! A batch of same-variant, same-shape requests runs the shared cluster
-//! backbone once. At each exit the device's pruned head scores the
-//! `[CLS]` token of every row still in flight; confident rows return
-//! immediately and the survivors are *compacted* (a row gather) before
-//! the next block, so deep blocks only ever see the hard inputs.
+//! A batch of same-shape requests for any variants of one cluster
+//! backbone runs that backbone once. At each exit every variant in the
+//! batch scores the `[CLS]` tokens of its own rows still in flight with
+//! its pruned head; confident rows return immediately and the survivors
+//! are *compacted* (a row gather) before the next block, so deep blocks
+//! only ever see the hard inputs.
 //!
 //! Every operation along this path is row-independent and accumulates in
 //! a batch-size-invariant order, so a batched run is **bit-identical**
 //! to serving the same requests one at a time — batching composition is
 //! a pure scheduling decision, never an accuracy one.
 
-use acme_tensor::{Array, Graph};
+use acme_tensor::{pool, Array, Graph};
 
 use crate::variant::VariantStore;
 
@@ -92,8 +93,8 @@ impl ExitPolicy {
     }
 }
 
-/// Serves batches of same-variant, same-shape requests against a
-/// [`VariantStore`].
+/// Serves batches of same-shape requests on one cluster backbone against
+/// a [`VariantStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEngine<'a> {
     store: &'a VariantStore,
@@ -106,24 +107,31 @@ impl<'a> BatchEngine<'a> {
         BatchEngine { store, policy }
     }
 
-    /// Runs one coalesced batch. All requests must target the same
-    /// device variant and share an input shape; responses come back in
-    /// request order.
+    /// Runs one coalesced batch. All requests must target variants of the
+    /// same cluster backbone and share an input shape; responses come back
+    /// in request order.
+    ///
+    /// The embedding and the blocks run once for the whole batch. At each
+    /// exit the live rows are grouped by variant, in order of first
+    /// appearance, and each group's `[CLS]` rows go through that
+    /// variant's head; survivors keep their row order.
     ///
     /// The graph is `reset` and reused, so a long-lived caller performs
-    /// no per-batch graph allocation and the frozen backbone weights hit
-    /// the pack cache on every product.
+    /// no per-batch graph allocation, and the frozen backbone weights are
+    /// bound by reference and hit the pack cache on every product.
     ///
     /// # Panics
     ///
-    /// Panics on an empty batch, mixed devices, or a shape mismatch with
+    /// Panics on an empty batch, mixed backbones, or a shape mismatch with
     /// the store's model.
     pub fn serve_batch(&self, g: &mut Graph, requests: &[Request]) -> Vec<Response> {
         assert!(!requests.is_empty(), "serve_batch: empty batch");
-        let device = requests[0].device;
+        let cluster = self.store.cluster_of(requests[0].device);
         assert!(
-            requests.iter().all(|r| r.device == device),
-            "serve_batch: batch mixes device variants"
+            requests
+                .iter()
+                .all(|r| std::ptr::eq(self.store.cluster_of(r.device), cluster)),
+            "serve_batch: batch mixes backbones"
         );
         let shape = self.store.input_shape();
         assert!(
@@ -131,12 +139,25 @@ impl<'a> BatchEngine<'a> {
             "serve_batch: batch mixes input shapes"
         );
 
-        let variant = self.store.device(device);
-        let cluster = self.store.cluster_of(device);
+        // The batch's devices in order of first appearance, and each
+        // row's index into them.
+        let mut devices: Vec<usize> = Vec::new();
+        let variant_of: Vec<usize> = requests
+            .iter()
+            .map(|r| match devices.iter().position(|&d| d == r.device) {
+                Some(v) => v,
+                None => {
+                    devices.push(r.device);
+                    devices.len() - 1
+                }
+            })
+            .collect();
+        let variants: Vec<_> = devices.iter().map(|&d| self.store.device(d)).collect();
+
         let cfg = cluster.vit.config();
         let (b, dim, tokens) = (requests.len(), cfg.dim, cfg.num_tokens());
 
-        let mut pixels = Vec::with_capacity(b * shape.iter().product::<usize>());
+        let mut pixels = pool::take(b * shape.iter().product::<usize>());
         for r in requests {
             pixels.extend_from_slice(r.input.data());
         }
@@ -169,30 +190,42 @@ impl<'a> BatchEngine<'a> {
             let normed = cluster.exits.norms()[e].forward(g, &cluster.params, x);
             let cls = g.slice_axis(normed, 1, 0, 1);
             let cls = g.reshape(cls, &[k, dim]);
-            let [wid, bid] = variant.head_ids[e];
-            let w = variant.bind(g, wid);
-            let bias = variant.bind(g, bid);
-            let logits = g.linear(cls, w, bias);
-            let classes = variant.classes.len();
-            let logit_rows = g.value(logits).data();
-
-            let mut keep: Vec<usize> = Vec::new();
-            for (row, &orig) in alive.iter().enumerate() {
-                let row_logits = &logit_rows[row * classes..(row + 1) * classes];
-                let (top, confidence) = softmax_top(row_logits);
-                if e == last_exit || confidence >= self.policy.confidence {
-                    out[orig] = Some(Response {
-                        id: requests[orig].id,
-                        device,
-                        exit: e,
-                        class: variant.classes[top],
-                        confidence,
-                        logits: row_logits.to_vec(),
-                    });
+            let mut stays = vec![false; k];
+            for (v, variant) in variants.iter().enumerate() {
+                let rows: Vec<usize> = (0..k).filter(|&row| variant_of[alive[row]] == v).collect();
+                if rows.is_empty() {
+                    continue;
+                }
+                let own = if rows.len() == k {
+                    cls
                 } else {
-                    keep.push(row);
+                    g.embedding(cls, &rows)
+                };
+                let [wid, bid] = variant.head_ids[e];
+                let w = variant.bind(g, wid);
+                let bias = variant.bind(g, bid);
+                let logits = g.linear(own, w, bias);
+                let classes = variant.classes.len();
+                let logit_rows = g.value(logits).data();
+                for (i, &row) in rows.iter().enumerate() {
+                    let row_logits = &logit_rows[i * classes..(i + 1) * classes];
+                    let (top, confidence) = softmax_top(row_logits);
+                    if e == last_exit || confidence >= self.policy.confidence {
+                        let orig = alive[row];
+                        out[orig] = Some(Response {
+                            id: requests[orig].id,
+                            device: devices[v],
+                            exit: e,
+                            class: variant.classes[top],
+                            confidence,
+                            logits: row_logits.to_vec(),
+                        });
+                    } else {
+                        stays[row] = true;
+                    }
                 }
             }
+            let keep: Vec<usize> = (0..k).filter(|&row| stays[row]).collect();
             if keep.is_empty() {
                 break;
             }

@@ -8,16 +8,18 @@
 //!
 //! 1. **[`variant`]** — the variant store resolving a device id to its
 //!    shared cluster backbone plus its own pruned exit heads.
-//! 2. **[`batcher`]** — shape-aware coalescing: only same-variant,
-//!    same-shape requests share a backbone pass, gathered up to a batch
-//!    cap or a latency-budget window.
-//! 3. **[`engine`]** — the batched early-exit forward: confident rows
-//!    return from shallow exits and the survivors are row-compacted, so
-//!    deep blocks only see hard inputs. Bit-identical to one-at-a-time
-//!    serving at any batch composition.
+//! 2. **[`batcher`]** — shape-aware coalescing: same-shape requests of
+//!    every variant on one cluster backbone share a backbone pass,
+//!    gathered up to a batch cap or a latency-budget window.
+//! 3. **[`engine`]** — the batched early-exit forward: the backbone runs
+//!    once per batch, each variant's head scores its own rows at every
+//!    exit, confident rows return from shallow exits and the survivors
+//!    are row-compacted, so deep blocks only see hard inputs.
+//!    Bit-identical to one-at-a-time serving at any batch composition.
 //! 4. **[`server`]** — worker loops on an [`acme_runtime::Pool`], each
 //!    with a long-lived graph: steady-state serving is free of per-batch
-//!    graph allocation and every frozen product hits the
+//!    graph allocation, the frozen backbone is bound by reference (no
+//!    weight is copied per batch) and every frozen product hits the
 //!    [`acme_tensor::packcache`].
 //! 5. **[`loadgen`]** — seeded firehose traces with Zipf device
 //!    popularity for benchmarks and tests.

@@ -2,12 +2,11 @@
 //!
 //! A trace is a firehose: every request is available at once, and
 //! device popularity follows a classic Zipf law (exponent 1), so a few
-//! hot variants dominate — the regime where same-variant coalescing
-//! pays. Every draw comes from the raw [`SmallRng64`] stream, so a seed
+//! hot variants dominate. Every draw comes from the raw [`SmallRng64`] stream, so a seed
 //! fully determines the trace. Paced open-loop arrivals are the
 //! caller's to schedule.
 
-use acme_tensor::{Array, SmallRng64};
+use acme_tensor::{pool, Array, SmallRng64};
 use rand::RngCore;
 
 use crate::engine::Request;
@@ -35,7 +34,8 @@ fn unit(rng: &mut SmallRng64) -> f64 {
 }
 
 /// Generates the full request trace for `store` up front (inputs are
-/// uniform noise images; ids are sequential).
+/// uniform noise images drawn into pooled buffers, which return to the
+/// [`pool`] when a served request is dropped; ids are sequential).
 pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
     let mut rng = SmallRng64::new(cfg.seed);
     let devices = store.num_devices();
@@ -53,9 +53,10 @@ pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
         .map(|id| {
             let u = unit(&mut rng);
             let device = cdf.partition_point(|&p| p < u).min(devices - 1);
-            let data = (0..c * h * w)
-                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                .collect();
+            let mut data = pool::take(c * h * w);
+            data.extend(
+                (0..c * h * w).map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32),
+            );
             Request {
                 id,
                 device,

@@ -183,21 +183,15 @@ pub struct DeviceVariant {
     pub head_ids: Vec<[ParamId; 2]>,
 }
 
-/// Graph binding keys for device-variant parameters are offset so they
-/// can never collide with cluster-backbone bindings (which use the raw
-/// `ParamId::key`, i.e. the slot index) within the same [`Graph`].
-const DEVICE_PARAM_KEY_OFFSET: u64 = 1 << 32;
-
 impl DeviceVariant {
-    /// Binds one of this variant's parameters into `g` under the
-    /// device-offset key space.
+    /// Binds one of this variant's parameters into `g` under a key of its
+    /// own: the variant's store id in the high 32 bits and the parameter's
+    /// key (its slot) in the low. Heads of different variants therefore
+    /// never share a node in one graph, and no head takes a backbone's key
+    /// (the raw slot, below 2^32; store ids start at 1).
     pub fn bind(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.bind_param_ident(
-            DEVICE_PARAM_KEY_OFFSET + id.key(),
-            self.params.pack_ident(id),
-            self.params.value(id),
-            self.params.is_trainable(id),
-        )
+        let store = self.params.pack_ident(id).store;
+        self.params.bind_keyed(g, id, store << 32 | id.key())
     }
 }
 
@@ -414,6 +408,12 @@ impl VariantStore {
         })
     }
 
+    /// The cluster index of every device, indexed by device: the table
+    /// `serve()` keys its batches by.
+    pub(crate) fn backbone_table(&self) -> Vec<usize> {
+        self.slots.iter().map(|s| s.cluster).collect()
+    }
+
     /// The backbone the given device runs on (does not materialize the
     /// variant).
     ///
@@ -535,6 +535,36 @@ mod tests {
             let [wid, bid] = v.head_ids[0];
             assert_eq!(v.params.value(wid).shape(), &[16, 4]);
             assert_eq!(v.params.value(bid).shape(), &[4]);
+        }
+    }
+
+    #[test]
+    fn two_variants_bind_their_own_heads_into_one_graph() {
+        let cfg = StoreConfig {
+            clusters: 1,
+            devices: 2,
+            keep_classes: 4,
+            model: ServeModelConfig::tiny(),
+            precision: Precision::F32,
+        };
+        let store = VariantStore::build(&cfg, 9);
+        let mut g = Graph::new();
+        let backbone = &store.clusters()[0].params;
+        let trunk: Vec<Var> = backbone.ids().map(|id| backbone.bind(&mut g, id)).collect();
+        for d in 0..2 {
+            let v = store.device(d);
+            for &[wid, bid] in &v.head_ids {
+                for id in [wid, bid] {
+                    let node = v.bind(&mut g, id);
+                    assert!(!trunk.contains(&node), "device {d} took a backbone node");
+                    let bound = g.value(node).data();
+                    assert_eq!(
+                        bound,
+                        v.params.value(id).data(),
+                        "device {d} got another head"
+                    );
+                }
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use std::time::Instant;
 use crate::array::Array;
 use crate::attention;
 use crate::conv::{col2im, im2col};
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{Graph, Op, Value, Var};
 use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel, matmul_kernel};
 use crate::{optable, rowwise};
 
@@ -104,13 +104,13 @@ impl Graph {
     /// The gradient contributions of `op`'s inputs that require one.
     #[allow(clippy::needless_range_loop)] // index loops mirror the math of each rule
     fn contributions(
-        values: &[Array],
+        values: &[Value],
         needs_grad: &[bool],
         op: &Op,
         grad: &Array,
         out_value: &Array,
     ) -> Vec<(usize, Array)> {
-        let val = |v: Var| &values[v.0];
+        let val = |v: Var| -> &Array { &values[v.0] };
         // `Some((v, rule()))` when `v` requires a gradient; the rule is
         // not run otherwise. A node with one input requires a gradient
         // only through it, so single-input rules below need no check.

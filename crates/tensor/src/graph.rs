@@ -2,6 +2,8 @@
 //! builders for every differentiable operation.
 
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::array::Array;
@@ -143,6 +145,25 @@ impl Op {
     }
 }
 
+/// A node's forward value: computed on the tape, or a parameter bound by
+/// reference and shared with the store that owns it.
+#[derive(Debug)]
+pub(crate) enum Value {
+    Owned(Array),
+    Shared(Arc<Array>),
+}
+
+impl Deref for Value {
+    type Target = Array;
+
+    fn deref(&self) -> &Array {
+        match self {
+            Value::Owned(a) => a,
+            Value::Shared(a) => a,
+        }
+    }
+}
+
 /// A reverse-mode autodiff tape.
 ///
 /// Every builder method appends a node holding the forward value and enough
@@ -151,10 +172,12 @@ impl Op {
 /// in reverse; leaf gradients are then available through [`Graph::grad`].
 ///
 /// Parameters live outside the graph and are bound each step via
-/// [`Graph::bind_param`]. Training loops should allocate one `Graph` and
-/// call [`Graph::reset`] between steps: the tape arena (and, through the
-/// buffer [`pool`](crate::pool), every node's backing) is then reused
-/// instead of reallocated.
+/// [`Graph::bind_param`], by reference: the node shares the store's
+/// `Arc<Array>`, so binding copies nothing, and a store that writes a
+/// value while a tape still holds it copies on write. Training loops
+/// should allocate one `Graph` and call [`Graph::reset`] between steps:
+/// the tape arena (and, through the buffer [`pool`](crate::pool), every
+/// node's backing) is then reused instead of reallocated.
 ///
 /// Node storage is split into parallel `values` / `grads` / `ops` arrays
 /// so the backward sweep can hold a node's gradient and value while
@@ -189,7 +212,7 @@ impl Op {
 #[derive(Debug, Default)]
 pub struct Graph {
     /// Forward value of each node.
-    pub(crate) values: Vec<Array>,
+    pub(crate) values: Vec<Value>,
     /// Accumulated gradient of each node (populated by backward).
     pub(crate) grads: Vec<Option<Array>>,
     /// Recorded operation of each node.
@@ -207,7 +230,7 @@ pub struct Graph {
     /// parameters must not inherit it.
     bind_order: Vec<(u64, Var)>,
     /// Pack-cache identity of bound parameter nodes (node index →
-    /// ident), recorded by [`Graph::bind_param_ident`] and consumed by
+    /// ident), recorded by [`Graph::bind_param`] and consumed by
     /// [`Graph::matmul`] to reuse packed frozen weights.
     param_idents: HashMap<usize, PackIdent>,
     /// Precision the pack-cache-eligible weight products run at (see
@@ -235,9 +258,10 @@ impl Graph {
     /// previously returned [`Var`] handles are invalidated; parameter
     /// bindings are cleared (parameters themselves live outside the
     /// graph and are simply re-bound). Pack-cache identities recorded
-    /// via [`Graph::bind_param_ident`] are keyed on the external
+    /// by [`Graph::bind_param`] are keyed on the external
     /// parameter store, not on this graph, so re-binding after a reset
-    /// keeps hitting the same packed entries.
+    /// keeps hitting the same packed entries. A bound parameter's shared
+    /// value is released here, so its store writes in place again.
     pub fn reset(&mut self) {
         self.values.clear();
         self.grads.clear();
@@ -251,7 +275,7 @@ impl Graph {
     }
 
     /// Sets the precision at which pack-cache-eligible weight products
-    /// (parameters bound via [`Graph::bind_param_ident`] and large
+    /// (parameters bound with a pack identity and large
     /// enough to cache) execute. [`Precision::F32`] — the default —
     /// leaves every product exactly as it has always been.
     /// [`Precision::Int8`] routes them through the quantized engine
@@ -268,6 +292,10 @@ impl Graph {
     }
 
     fn push(&mut self, value: Array, op: Op) -> Var {
+        self.push_value(Value::Owned(value), op)
+    }
+
+    fn push_value(&mut self, value: Value, op: Op) -> Var {
         // Off, the clock is dropped, so a node pushed after recording
         // turns back on is never charged the time it was off.
         self.clock = acme_obs::enabled().then(|| optable::forward(&op, self.clock));
@@ -297,54 +325,50 @@ impl Graph {
         )
     }
 
-    /// Binds an external parameter identified by `key` as a leaf that
-    /// requires a gradient, returning the same [`Var`] for repeated
-    /// bindings of the same key within this graph.
+    /// Binds the external parameter `value`, identified by `key`, as a
+    /// leaf — a gradient leaf when `requires_grad`, a constant otherwise —
+    /// and returns the same [`Var`] for repeated bindings of the same key
+    /// within this graph.
+    ///
+    /// The node holds a reference to `value`, never a copy: binding a
+    /// frozen backbone costs nothing per step, and a store that writes a
+    /// parameter while a tape still holds it copies on write (`acme-nn`'s
+    /// `ParamSet::value_mut`), so what the tape recorded never changes
+    /// under it.
     ///
     /// This is the hook used by the `acme-nn` parameter store: after
     /// [`Graph::backward`], the gradient of each bound parameter can be
     /// read back via [`Graph::grad`] using the var recorded here. Binding
     /// the same key twice reuses the node, which is what makes NAS
     /// parameter sharing (§III-C of the paper) gradient-correct.
-    pub fn bind_param(&mut self, key: u64, value: &Array) -> Var {
-        self.bind(key, value, true)
-    }
-
-    /// [`Graph::bind_param`] carrying the parameter's pack-cache identity
-    /// (see [`crate::packcache`]), bound as a gradient leaf when
-    /// `requires_grad` and as a constant otherwise. When such a node
-    /// later appears as the right-hand side of [`Graph::matmul`], its
-    /// packed microkernel layout is fetched from — or installed into —
-    /// the process-wide packed-weight cache, so repeated products against
-    /// frozen weights skip re-packing. Results are unaffected (the packed
-    /// path is bit-identical); only 2-D values are recorded.
-    pub fn bind_param_ident(
+    ///
+    /// With a pack-cache identity `ident` (see [`crate::packcache`]), a
+    /// 2-D value that later appears as the right-hand side of
+    /// [`Graph::matmul`] has its packed microkernel layout fetched from —
+    /// or installed into — the process-wide packed-weight cache, so
+    /// repeated products against frozen weights skip re-packing. Results
+    /// are unaffected (the packed path is bit-identical).
+    pub fn bind_param(
         &mut self,
         key: u64,
-        ident: PackIdent,
-        value: &Array,
+        value: &Arc<Array>,
         requires_grad: bool,
+        ident: Option<PackIdent>,
     ) -> Var {
-        let v = self.bind(key, value, requires_grad);
-        if value.rank() == 2 {
+        if let Some(&v) = self.param_bindings.get(&key) {
+            return v;
+        }
+        let v = self.push_value(Value::Shared(Arc::clone(value)), Op::Leaf { requires_grad });
+        self.param_bindings.insert(key, v);
+        self.bind_order.push((key, v));
+        if let Some(ident) = ident.filter(|_| value.rank() == 2) {
             self.param_idents.insert(v.0, ident);
         }
         v
     }
 
-    fn bind(&mut self, key: u64, value: &Array, requires_grad: bool) -> Var {
-        if let Some(&v) = self.param_bindings.get(&key) {
-            return v;
-        }
-        let v = self.push(value.clone(), Op::Leaf { requires_grad });
-        self.param_bindings.insert(key, v);
-        self.bind_order.push((key, v));
-        v
-    }
-
     /// All `(key, var)` parameter bindings recorded by
-    /// [`Graph::bind_param`] and [`Graph::bind_param_ident`] (constants
-    /// included), in the order the keys were first bound — the same on
+    /// [`Graph::bind_param`] (constants included), in the order the keys were first bound — the same on
     /// every graph and in every process that runs the same model.
     pub fn param_bindings(&self) -> impl Iterator<Item = (u64, Var)> + '_ {
         self.bind_order.iter().copied()
@@ -411,8 +435,8 @@ impl Graph {
 
     /// 2-D matrix multiplication `[m,k] x [k,n] -> [m,n]`.
     ///
-    /// When `b` is a parameter bound with [`Graph::bind_param_ident`],
-    /// the product runs against its cached packed form (bit-identical,
+    /// When `b` is a parameter bound with a pack-cache identity, the
+    /// product runs against its cached packed form (bit-identical,
     /// skips the per-call packing copy).
     ///
     /// # Errors
@@ -926,10 +950,10 @@ mod tests {
     #[test]
     fn reset_reuses_arena_and_replays_identically() {
         let mut g = Graph::new();
-        let w = Array::from_slice(&[1.0, 2.0]);
+        let w = Arc::new(Array::from_slice(&[1.0, 2.0]));
         let run = |g: &mut Graph| {
             let a = g.leaf(Array::from_slice(&[3.0, 4.0]));
-            let wv = g.bind_param(7, &w);
+            let wv = g.bind_param(7, &w, true, None);
             let p = g.mul(a, wv);
             let loss = g.sum_all(p);
             g.backward(loss);
@@ -948,10 +972,10 @@ mod tests {
         // 16 keys, scrambled (5 is a unit mod 16 and a multiplier that
         // spreads them): no hash order, nor key order, reproduces this.
         let keys: Vec<u64> = (0..16u64).map(|i| (i * 5 + 3) % 16 * 1_000_003).collect();
-        let w = Array::ones(&[1]);
+        let w = Arc::new(Array::ones(&[1]));
         let bound = |g: &mut Graph| -> Vec<u64> {
             for &k in keys.iter().chain(&keys[..4]) {
-                g.bind_param(k, &w);
+                g.bind_param(k, &w, true, None);
             }
             g.param_bindings().map(|(k, _)| k).collect()
         };
@@ -965,13 +989,24 @@ mod tests {
     #[test]
     fn bind_param_reuses_node() {
         let mut g = Graph::new();
-        let w = Array::from_slice(&[1.0]);
-        let v1 = g.bind_param(42, &w);
-        let v2 = g.bind_param(42, &w);
+        let w = Arc::new(Array::from_slice(&[1.0]));
+        let v1 = g.bind_param(42, &w, true, None);
+        let v2 = g.bind_param(42, &w, true, None);
         assert_eq!(v1, v2);
-        let v3 = g.bind_param(43, &w);
+        let v3 = g.bind_param(43, &w, true, None);
         assert_ne!(v1, v3);
         assert_eq!(g.param_bindings().count(), 2);
+    }
+
+    #[test]
+    fn bind_param_shares_the_bound_buffer() {
+        let w = Arc::new(Array::from_slice(&[1.0, 2.0]));
+        let mut g = Graph::new();
+        let v = g.bind_param(1, &w, false, None);
+        assert!(std::ptr::eq(g.value(v), &*w), "the tape holds a reference");
+        assert_eq!(Arc::strong_count(&w), 2);
+        g.reset();
+        assert_eq!(Arc::strong_count(&w), 1, "reset releases the value");
     }
 
     #[test]

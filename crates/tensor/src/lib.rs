@@ -13,7 +13,9 @@
 //!   pure (non-differentiable) numeric operations.
 //! * [`Graph`] / [`Var`] — a tape: every differentiable operation appends a
 //!   node to the [`Graph`] arena and returns a [`Var`] handle. Calling
-//!   [`Graph::backward`] propagates gradients to every leaf.
+//!   [`Graph::backward`] propagates gradients to every leaf. External
+//!   parameters enter through [`Graph::bind_param`] by reference: the
+//!   node shares the caller's `Arc<Array>` instead of copying it.
 //!
 //! ```
 //! use acme_tensor::{Array, Graph};

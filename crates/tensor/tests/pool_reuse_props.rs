@@ -7,7 +7,7 @@
 use acme_check::cases;
 use acme_tensor::packcache::{self, PackIdent};
 use acme_tensor::{pool, randn, Array, Graph, SmallRng64};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The pool, the pack cache, and the runtime thread count are all
 /// process-global; every test in this binary serializes on this lock.
@@ -23,17 +23,17 @@ fn guard() -> MutexGuard<'static, ()> {
 fn step_bits(
     g: &mut Graph,
     x: &Array,
-    w1: &Array,
-    w2: &Array,
-    gamma: &Array,
-    beta: &Array,
+    w1: &Arc<Array>,
+    w2: &Arc<Array>,
+    gamma: &Arc<Array>,
+    beta: &Arc<Array>,
     targets: &[usize],
 ) -> Vec<u32> {
     let xv = g.leaf(x.clone());
-    let w1v = g.bind_param(1, w1);
-    let w2v = g.bind_param(2, w2);
-    let gv = g.bind_param(3, gamma);
-    let bv = g.bind_param(4, beta);
+    let w1v = g.bind_param(1, w1, true, None);
+    let w2v = g.bind_param(2, w2, true, None);
+    let gv = g.bind_param(3, gamma, true, None);
+    let bv = g.bind_param(4, beta, true, None);
     let h = g.matmul(xv, w1v).expect("x @ w1");
     let h = g.gelu(h);
     let h = g.layer_norm(h, gv, bv, 1e-5);
@@ -54,10 +54,10 @@ fn step_bits(
 
 struct Problem {
     x: Array,
-    w1: Array,
-    w2: Array,
-    gamma: Array,
-    beta: Array,
+    w1: Arc<Array>,
+    w2: Arc<Array>,
+    gamma: Arc<Array>,
+    beta: Arc<Array>,
     targets: Vec<usize>,
 }
 
@@ -65,10 +65,10 @@ fn problem(seed: u64, rows: usize, d: usize, classes: usize) -> Problem {
     let mut rng = SmallRng64::new(seed);
     Problem {
         x: randn(&[rows, d], &mut rng),
-        w1: randn(&[d, d], &mut rng),
-        w2: randn(&[d, classes], &mut rng),
-        gamma: randn(&[d], &mut rng),
-        beta: randn(&[d], &mut rng),
+        w1: Arc::new(randn(&[d, d], &mut rng)),
+        w2: Arc::new(randn(&[d, classes], &mut rng)),
+        gamma: Arc::new(randn(&[d], &mut rng)),
+        beta: Arc::new(randn(&[d], &mut rng)),
         targets: (0..rows)
             .map(|i| (i * 7 + seed as usize) % classes)
             .collect(),
@@ -173,7 +173,7 @@ fn graph_reset_keeps_pack_cache_warm() {
     acme_runtime::set_global_threads(1);
     let mut rng = SmallRng64::new(3);
     // ≥ 64x64 so the packed form is cache-eligible.
-    let w = randn(&[64, 64], &mut rng);
+    let w = Arc::new(randn(&[64, 64], &mut rng));
     let x = randn(&[8, 64], &mut rng);
     let ident = PackIdent {
         store: packcache::fresh_store_id(),
@@ -184,7 +184,7 @@ fn graph_reset_keeps_pack_cache_warm() {
     let step = |g: &mut Graph| {
         g.reset();
         let xv = g.leaf(x.clone());
-        let wv = g.bind_param_ident(11, ident, &w, true);
+        let wv = g.bind_param(11, &w, true, Some(ident));
         let y = g.matmul(xv, wv).expect("x @ w");
         let loss = g.sum_all(y);
         g.backward(loss);

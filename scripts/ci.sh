@@ -384,6 +384,70 @@ if [ "$skeletons" -ne 1 ] || [ -n "$const_masks" ]; then
     exit 1
 fi
 
+step "one bind (a parameter enters a graph by reference, through one entry point)"
+# Outside tests and comments, crates/tensor/src/graph.rs defines one
+# pub fn bind_param…, and it takes the shared handle (&Arc<Array>): the
+# node holds the parameter store's value, so no bind path copies a
+# parameter into the tape, and a store that writes a bound value copies
+# on write instead.
+binds="$(
+    code_of crates/tensor/src/graph.rs | awk '
+        /pub fn bind_param/ { sig = ""; inside = 1 }
+        inside { sig = sig $0; if ($0 ~ /\{[[:space:]]*$/) { print sig; inside = 0 } }'
+)"
+if [ "$(grep -c . <<<"$binds" || true)" -ne 1 ] || ! grep -qF '&Arc<Array>' <<<"$binds"; then
+    echo "ci.sh: expected one pub fn bind_param… in crates/tensor/src/graph.rs, taking &Arc<Array>; found:" >&2
+    printf '%s\n' "$binds" >&2
+    exit 1
+fi
+
+step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
+# scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
+# and restate their medians, the parent's quartiles and the win count
+# exactly; a row with claim: true must have at least 10 pairs, the change
+# better in at least nine tenths of them, and a median gap in the better
+# direction wider than the parent's IQR.
+python3 - <<'PY'
+import json, statistics
+
+keys = {"id", "workload", "metric", "unit", "better", "bound", "seed", "seconds",
+        "parent_rev", "change_rev", "change_crates_tree", "env", "pairs", "n_pairs",
+        "parent_median", "parent_q1", "parent_q3", "parent_iqr", "change_median",
+        "change_q1", "change_q3", "wins", "claim"}
+seen = set()
+rows = [json.loads(l) for l in open("PERF.jsonl") if l.strip()]
+assert rows, "PERF.jsonl holds no row"
+for r in rows:
+    rid = r.get("id")
+    assert set(r) == keys, f"{rid}: keys drifted: {sorted(set(r) ^ keys)}"
+    assert rid not in seen, f"{rid}: id repeats"
+    seen.add(rid)
+    assert r["better"] in ("lower", "higher"), f"{rid}: better is {r['better']}"
+    ps = [p["parent"] for p in r["pairs"]]
+    cs = [p["change"] for p in r["pairs"]]
+    assert r["n_pairs"] == len(r["pairs"]) >= 2, f"{rid}: pair count"
+    assert [p["first"] for p in r["pairs"]] == [("parent", "change")[i % 2] for i in range(len(ps))], \
+        f"{rid}: the order inside the pairs does not alternate"
+    assert all(isinstance(p[k], (int, float)) for p in r["pairs"]
+               for k in ("load_parent", "load_change")), f"{rid}: a run has no load stamp"
+    q = lambda xs: statistics.quantiles(xs, n=4, method="inclusive")
+    lower = r["better"] == "lower"
+    derived = {
+        "parent_median": statistics.median(ps), "change_median": statistics.median(cs),
+        "parent_q1": q(ps)[0], "parent_q3": q(ps)[2], "parent_iqr": q(ps)[2] - q(ps)[0],
+        "change_q1": q(cs)[0], "change_q3": q(cs)[2],
+        "wins": sum((c < p) if lower else (c > p) for p, c in zip(ps, cs)),
+    }
+    for k, v in derived.items():
+        assert abs(r[k] - v) <= 1e-9 * max(1.0, abs(v)), f"{rid}: {k} is {r[k]}, its pairs give {v}"
+    if r["claim"]:
+        gap = (r["parent_median"] - r["change_median"]) * (1 if lower else -1)
+        assert r["n_pairs"] >= 10, f"{rid}: a claim needs 10 pairs, has {r['n_pairs']}"
+        assert 10 * r["wins"] >= 9 * r["n_pairs"], f"{rid}: won {r['wins']}/{r['n_pairs']}"
+        assert gap > r["parent_iqr"], f"{rid}: median gap {gap} is inside the parent's IQR {r['parent_iqr']}"
+print(f"perf rows OK: {len(rows)} rows, {sum(r['claim'] for r in rows)} claimed")
+PY
+
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings -W unreachable_pub
 

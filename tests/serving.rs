@@ -6,10 +6,12 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use acme_nn::ParamSet;
 use acme_serve::{
     serve, BatchEngine, BatcherConfig, ExitPolicy, Request, Response, ServeModelConfig,
     ServerConfig, StoreConfig, VariantStore,
 };
+use acme_store::{ModelStore, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64};
 use rand::RngCore;
 
@@ -110,6 +112,51 @@ fn batched_server_is_bitwise_identical_to_sequential_reference() {
                 r.id
             );
         }
+    }
+}
+
+#[test]
+fn a_mixed_variant_batch_equals_the_sequential_reference_bitwise() {
+    let _g = serialize();
+    // Devices 0, 2 and 4 run on backbone 0.
+    let mut store = test_store(6);
+    // Device 2 is hot-swapped to a re-personalized head first.
+    let (classes, nudged) = {
+        let v = store.device(2);
+        let mut nudged = ParamSet::new();
+        for id in v.params.ids() {
+            let src = v.params.value(id);
+            let data = src.data().iter().map(|&x| x + 0.125).collect();
+            nudged.add(
+                v.params.name(id),
+                Array::from_vec(data, src.shape()).unwrap(),
+            );
+        }
+        (v.classes.clone(), nudged)
+    };
+    let backbone = &store.clusters()[0].params;
+    let hash = ModelStore::in_memory().put_params(backbone).unwrap();
+    let delta = VariantDelta::encode(backbone, hash, &classes, &nudged);
+    store.hot_swap(2, delta).unwrap();
+
+    let mut reqs = test_requests(&store, 24, 31);
+    for (i, r) in reqs.iter_mut().enumerate() {
+        r.device = [0, 2, 4, 2][i % 4];
+    }
+    let policy = ExitPolicy::calibrated(&store, &reqs, 0.5);
+    let engine = BatchEngine::new(&store, policy);
+    let mut g = Graph::new();
+    let batched = engine.serve_batch(&mut g, &reqs);
+    let reference = engine.serve_sequential(&mut g, &reqs);
+    let early = reference.iter().filter(|r| r.exit == 0).count();
+    assert!(
+        early > 0 && early < reference.len(),
+        "the batch must mix exit decisions (early {early}/{})",
+        reference.len()
+    );
+    assert_eq!(batched.len(), reference.len());
+    for (a, b) in batched.iter().zip(&reference) {
+        assert_eq!(bits(a), bits(b), "request {} drifted", b.id);
     }
 }
 

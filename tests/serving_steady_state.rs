@@ -1,6 +1,8 @@
 //! Steady-state serving is pack-free and allocation-free: after a warmup
 //! pass, replaying the same batch schedule inserts nothing into the
-//! pack cache and performs zero tensor-buffer heap allocations.
+//! pack cache and performs zero tensor-buffer heap allocations. And the
+//! frozen backbone is bound by reference: a served batch leaves no copy
+//! of its weights in the buffer pool.
 //!
 //! This file holds a single test so it owns its test process — the pool
 //! and pack-cache counters are process-wide, and tensor traffic from an
@@ -68,4 +70,17 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
         "steady-state serving allocated tensor buffers: {stats:?}"
     );
     assert!(stats.hits > 0, "steady-state takes are pool hits");
+
+    // A batch of one run to the last exit binds every backbone weight; a
+    // copied bind would return each copy to the pool at the reset.
+    let backbone_bytes = 4 * store.clusters()[0].params.num_scalars() as u64;
+    g.reset();
+    pool::clear();
+    let _ = BatchEngine::new(&store, ExitPolicy::never()).serve_batch(&mut g, &schedule[0][..1]);
+    g.reset();
+    let retained = pool::stats().retained_bytes;
+    assert!(
+        retained < backbone_bytes,
+        "a served batch left {retained} B in the pool, one backbone is {backbone_bytes} B"
+    );
 }
