@@ -14,8 +14,8 @@ use crate::refine::RefineConfig;
 pub struct AcmeConfig {
     /// The reference backbone `θ₀`.
     pub reference: VitConfig,
-    /// Synthetic dataset generator settings (classes must match
-    /// `reference.classes`).
+    /// Synthetic dataset generator settings (classes, image size and
+    /// channels must match `reference`'s).
     pub dataset: SyntheticSpec,
     /// Device clusters and devices per cluster.
     pub clusters: usize,
@@ -164,6 +164,15 @@ impl AcmeConfig {
 
     fn check(&self) -> Result<(), String> {
         self.reference.validate()?;
+        header_grid(self.reference.grid())?;
+        let (d, r) = (&self.dataset, &self.reference);
+        if (d.size, d.channels) != (r.image, r.channels) {
+            return Err(format!(
+                "dataset images are {}x{} with {} channel(s), the reference model takes {}x{} \
+                 with {}",
+                d.size, d.size, d.channels, r.image, r.image, r.channels
+            ));
+        }
         if self.dataset.classes != self.reference.classes {
             return Err(format!(
                 "dataset classes {} != model classes {}",
@@ -215,6 +224,19 @@ impl AcmeConfig {
         }
         Ok(())
     }
+}
+
+/// Checks that a backbone's `grid × grid` token map can feed the NAS
+/// header supernet, whose pool ops take 2×2 windows: the grid must be
+/// even and at least 2.
+pub(crate) fn header_grid(grid: usize) -> Result<(), String> {
+    if grid < 2 || !grid.is_multiple_of(2) {
+        return Err(format!(
+            "backbone grid {grid} (image / patch) must be even and at least 2: \
+             the header's pool ops take 2x2 windows"
+        ));
+    }
+    Ok(())
 }
 
 /// Builder for [`AcmeConfig`] — the validated construction path of the
@@ -344,6 +366,44 @@ mod tests {
         let mut c = AcmeConfig::quick();
         c.importance_batches = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// Each of the next four used to pass validation and then panic
+    /// inside the run: the header supernet (odd grid, grid 1) or the
+    /// patch embedding (images unlike the model's).
+    fn assert_invalid(c: &AcmeConfig, names: &str) {
+        match c.validate() {
+            Err(AcmeError::InvalidConfig(m)) => assert!(m.contains(names), "{m}"),
+            other => panic!("expected InvalidConfig naming {names}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_odd_backbone_grid_is_invalid() {
+        let mut c = AcmeConfig::quick();
+        (c.reference.image, c.dataset.size) = (12, 12);
+        assert_invalid(&c, "grid 3");
+    }
+
+    #[test]
+    fn a_backbone_grid_of_one_is_invalid() {
+        let mut c = AcmeConfig::quick();
+        c.reference.patch = 8;
+        assert_invalid(&c, "grid 1");
+    }
+
+    #[test]
+    fn a_dataset_size_unlike_the_reference_image_is_invalid() {
+        let mut c = AcmeConfig::quick();
+        c.dataset.size = 12;
+        assert_invalid(&c, "12x12");
+    }
+
+    #[test]
+    fn dataset_channels_unlike_the_reference_channels_are_invalid() {
+        let mut c = AcmeConfig::quick();
+        c.dataset.channels = 3;
+        assert_invalid(&c, "3 channel(s)");
     }
 
     #[test]

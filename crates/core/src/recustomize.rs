@@ -26,6 +26,7 @@ use acme_tensor::SmallRng64;
 use acme_vit::{evaluate_header, fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
 use rand::RngCore;
 
+use crate::config::header_grid;
 use crate::error::AcmeError;
 
 /// Hyperparameters of the online re-customization loop.
@@ -305,8 +306,10 @@ fn simulate_device(
 /// Returns [`AcmeError::Metric`] on a degenerate detector config,
 /// [`AcmeError::Data`] on a degenerate stream spec, and
 /// [`AcmeError::InvalidConfig`] when `pretrain_samples` or
-/// `adapt_samples` is zero (a header fit with nothing to train on) — all
-/// before any device runs.
+/// `adapt_samples` is zero (a header fit with nothing to train on) or
+/// the stream's prototype grid, which is the backbone's token grid, is
+/// odd or below 2 (the header's pool ops take 2×2 windows) — all before
+/// any device runs.
 pub fn run_recustomization(
     pool: &Pool,
     cfg: &RecustomizeConfig,
@@ -326,11 +329,12 @@ pub fn run_recustomization(
         }
     }
     let stream = DriftingStream::new(spec.clone(), seed)?;
+    let vit_cfg = backbone_config(&spec.base);
+    header_grid(vit_cfg.grid()).map_err(AcmeError::InvalidConfig)?;
 
     let mut root = SmallRng64::new(seed ^ 0xAC3E_0417_D21F_7C1D);
     let n = cfg.devices;
     let mut model_rng = root.fork(0);
-    let vit_cfg = backbone_config(&spec.base);
     let mut base_ps = ParamSet::new();
     let backbone = Vit::new(&mut base_ps, &vit_cfg, &mut model_rng);
     let shared = SharedParams::new(
@@ -557,6 +561,22 @@ mod tests {
         let err = run_recustomization(&Pool::serial(), &RecustomizeConfig::quick(), &spec, None, 0)
             .expect_err("zero ramp");
         assert!(matches!(err, AcmeError::Data(_)), "got {err}");
+    }
+
+    /// Both used to panic building the header supernet.
+    #[test]
+    fn an_odd_or_unit_drift_grid_is_a_typed_error() {
+        for (size, grid) in [(9, 3), (8, 1)] {
+            let mut spec = drifting_spec(0.9);
+            (spec.base.size, spec.base.grid) = (size, grid);
+            let err =
+                run_recustomization(&Pool::serial(), &RecustomizeConfig::quick(), &spec, None, 4)
+                    .expect_err("a grid the header cannot pool");
+            assert!(
+                matches!(&err, AcmeError::InvalidConfig(m) if m.contains(&format!("grid {grid}"))),
+                "got {err}"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@ use std::time::Instant;
 
 use crate::array::Array;
 use crate::attention;
-use crate::conv::{col2im, im2col};
+use crate::conv::conv2d_backward;
 use crate::graph::{Graph, Op, Value, Var};
-use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel, matmul_kernel};
+use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel};
 use crate::{optable, rowwise};
 
 impl Graph {
@@ -342,50 +342,14 @@ impl Graph {
                 bias,
                 geom,
             } => {
-                let g = geom;
-                let (ch, cw) = (g.col_height(), g.col_width());
-                let in_plane = g.in_ch * g.in_h * g.in_w;
-                let iv = val(*input);
-                let wv = val(*weight);
-                let mut gin = needs_grad[input.0].then(|| Array::zeros(iv.shape()));
-                // [out_ch, cw] flat
-                let mut gw = needs_grad[weight.0].then(|| Array::zeros(wv.shape()));
-                let mut gb = needs_grad[bias.0].then(|| Array::zeros(&[g.out_ch]));
-                let mut col = vec![0.0f32; ch * cw];
-                let mut gcol = vec![0.0f32; ch * cw];
-                for b in 0..g.batch {
-                    // gout for this batch: [out_ch, ch] contiguous
-                    let gout = &grad.data()[b * g.out_ch * ch..(b + 1) * g.out_ch * ch];
-                    if let Some(gw) = gw.as_mut() {
-                        im2col(&iv.data()[b * in_plane..(b + 1) * in_plane], g, &mut col);
-                        // gw[o, c] += sum_yx gout[o, yx] * col[yx, c]
-                        matmul_kernel(gout, &col, gw.data_mut(), g.out_ch, ch, cw);
-                    }
-                    if let Some(gin) = gin.as_mut() {
-                        // gcol[yx, c] = sum_o gout[o, yx] * w[o, c] = gout^T @ w
-                        gcol.iter_mut().for_each(|v| *v = 0.0);
-                        matmul_at_b_kernel(gout, wv.data(), &mut gcol, ch, g.out_ch, cw);
-                        col2im(
-                            &gcol,
-                            g,
-                            &mut gin.data_mut()[b * in_plane..(b + 1) * in_plane],
-                        );
-                    }
-                    if let Some(gb) = gb.as_mut() {
-                        for o in 0..g.out_ch {
-                            let s: f32 = gout[o * ch..(o + 1) * ch].iter().sum();
-                            gb.data_mut()[o] += s;
-                        }
-                    }
-                }
-                [
-                    gin.map(|gin| (input.0, gin)),
-                    gw.map(|gw| (weight.0, gw)),
-                    gb.map(|gb| (bias.0, gb)),
-                ]
-                .into_iter()
-                .flatten()
-                .collect()
+                let need = [input, weight, bias].map(|v| needs_grad[v.0]);
+                let (x, w) = (val(*input).data(), val(*weight).data());
+                let grads = conv2d_backward(x, w, grad.data(), geom, need);
+                [input, weight, bias]
+                    .into_iter()
+                    .zip(grads)
+                    .filter_map(|(v, g)| Some((v.0, g?)))
+                    .collect()
             }
             Op::MaxPool2d { input, argmax } => {
                 let mut g = Array::zeros(val(*input).shape());

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use crate::array::Array;
 use crate::attention::{self, Geom};
-use crate::conv::{avgpool_forward, im2col, maxpool_forward, ConvGeom, PoolGeom};
+use crate::conv::{avgpool_forward, conv2d_forward, maxpool_forward, ConvGeom, PoolGeom};
 use crate::error::Result;
 use crate::packcache::{self, PackIdent};
 use crate::qgemm::Precision;
@@ -795,48 +795,25 @@ impl Graph {
     // ---- convolution / pooling ----
 
     /// 2-D convolution: input `[B,C,H,W]`, weight `[O,C,kh,kw]`, bias
-    /// `[O]`, producing `[B,O,H',W']`.
+    /// `[O]`, producing `[B,O,H',W']`. The node lowers the whole batch
+    /// once and runs one GEMM per product, forward and backward; every
+    /// element keeps the chain of a per-example naive loop, so no bit
+    /// depends on the batch size or the thread count.
     ///
     /// # Panics
     ///
     /// Panics on invalid geometry (see [`crate::TensorError`] variants for
     /// the conditions).
-    #[allow(clippy::needless_range_loop)]
     pub fn conv2d(&mut self, input: Var, weight: Var, bias: Var, stride: usize, pad: usize) -> Var {
         let geom = ConvGeom::new(self.shape(input), self.shape(weight), stride, pad)
             .expect("conv2d: invalid geometry");
         assert_eq!(self.shape(bias), &[geom.out_ch], "conv2d: bias shape");
-        let (ch, cw) = (geom.col_height(), geom.col_width());
-        let in_plane = geom.in_ch * geom.in_h * geom.in_w;
-        let mut out = Array::zeros(&[geom.batch, geom.out_ch, geom.out_h, geom.out_w]);
-        let mut col = vec![0.0f32; ch * cw];
-        // weight viewed as [out_ch, cw]; out rows per batch: col @ w^T -> [ch, out_ch]
-        let wv = self.value(weight).data().to_vec();
-        for b in 0..geom.batch {
-            im2col(
-                &self.value(input).data()[b * in_plane..(b + 1) * in_plane],
-                &geom,
-                &mut col,
-            );
-            // out[b, o, y, x] = sum_c col[yx, c] * w[o, c]
-            let mut tmp = vec![0.0f32; ch * geom.out_ch];
-            crate::linalg::matmul_a_bt_kernel(&col, &wv, &mut tmp, ch, cw, geom.out_ch);
-            let ob = &mut out.data_mut()[b * geom.out_ch * ch..(b + 1) * geom.out_ch * ch];
-            for yx in 0..ch {
-                for o in 0..geom.out_ch {
-                    ob[o * ch + yx] = tmp[yx * geom.out_ch + o];
-                }
-            }
-        }
-        let bv = self.value(bias).data().to_vec();
-        for b in 0..geom.batch {
-            for o in 0..geom.out_ch {
-                let base = (b * geom.out_ch + o) * ch;
-                for i in 0..ch {
-                    out.data_mut()[base + i] += bv[o];
-                }
-            }
-        }
+        let out = conv2d_forward(
+            self.value(input).data(),
+            self.value(weight).data(),
+            self.value(bias).data(),
+            &geom,
+        );
         self.push(
             out,
             Op::Conv2d {

@@ -2,8 +2,8 @@
 //!
 //! The actual arithmetic lives in the blocked, multi-threaded engine in
 //! [`crate::gemm`]; the `matmul_*_kernel` entry points here are thin
-//! shape adapters kept for the rest of the crate (forward ops, backward
-//! passes, conv's im2col path). All of them run on the process-wide
+//! shape adapters kept for the rest of the crate (forward ops and
+//! backward passes). All of them run on the process-wide
 //! worker pool ([`acme_runtime::global_pool`]) and stay bit-identical to
 //! the naive reference loop at any thread count.
 

@@ -401,6 +401,41 @@ if [ "$(grep -c . <<<"$binds" || true)" -ne 1 ] || ! grep -qF '&Arc<Array>' <<<"
     exit 1
 fi
 
+step "one conv lowering (a conv node lowers its whole batch once, in conv.rs)"
+# Outside tests and comments, the lowering helpers im2col( and col2im( are
+# called only in crates/tensor/src/conv.rs, and Graph::conv2d and the
+# Op::Conv2d arm of the backward sweep each call conv.rs's one entry,
+# conv2d_forward( and conv2d_backward(, which nothing else calls: the
+# batch is lowered through one tap table and each product is one GEMM,
+# and no per-example loop grows beside it.
+offenders="$(
+    for f in $(find crates/*/src -name '*.rs' -not -path crates/tensor/src/conv.rs | sort); do
+        code_of "$f" | grep -E '\b(im2col|col2im)\(' | sed "s|^|$f: |" || true
+    done
+)"
+entries="$(
+    for f in $(find crates/*/src -name '*.rs' -not -path crates/tensor/src/conv.rs | sort); do
+        code_of "$f" | grep -oE '\bconv2d_(forward|backward)\(' | sed "s|^|$f: |" || true
+    done
+)"
+forward_arm="$(code_of crates/tensor/src/graph.rs | awk '
+    /pub fn conv2d\(/ { inside = 1 }
+    inside && /^    }$/ { inside = 0 }
+    inside' | grep -c 'conv2d_forward(' || true)"
+backward_arm="$(code_of crates/tensor/src/backward.rs | awk '
+    /Op::Conv2d \{/ { inside = 1 }
+    inside && /^            }$/ { inside = 0 }
+    inside' | grep -c 'conv2d_backward(' || true)"
+expected="crates/tensor/src/backward.rs: conv2d_backward(
+crates/tensor/src/graph.rs: conv2d_forward("
+if [ -n "$offenders" ] || [ "$entries" != "$expected" ] \
+    || [ "$forward_arm" -ne 1 ] || [ "$backward_arm" -ne 1 ]; then
+    echo "ci.sh: conv lowering outside conv.rs, or the Conv2d arms do not call its one forward" \
+        "and one backward entry (forward arm $forward_arm, backward arm $backward_arm):" >&2
+    printf '%s\n' "$offenders" "$entries" | sed '/^$/d' >&2
+    exit 1
+fi
+
 step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
 # scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
 # and restate their medians, the parent's quartiles and the win count
@@ -461,9 +496,10 @@ step "value pins without FMA (a plain x86-64 build computes the same bits)"
 # gemm::madd is always fused: a hardware FMA in the native build, the
 # software fmaf here. The value pins (every Phase 1 candidate's loss and
 # accuracy bits, every training epoch's loss and parameter bits, the
-# GEMM oracle, fastmath's lane-position test) must pass unchanged in a
-# build for the x86-64 baseline, which has no FMA. Its own target
-# directory keeps the native build warm.
+# GEMM oracle, fastmath's lane-position test, the whole-path pins of
+# tests/golden_path.rs) must pass unchanged in a build for the x86-64
+# baseline, which has no FMA. Its own target directory keeps the native
+# build warm.
 no_fma() {
     RUSTFLAGS=-Ctarget-cpu=x86-64 CARGO_TARGET_DIR=target/x86-64 cargo test --release -q "$@"
 }
@@ -471,6 +507,7 @@ no_fma -p acme --lib phase1::tests::golden_pool_pins_every_bit
 no_fma -p acme-vit --test training_pins
 no_fma -p acme-tensor --test gemm_props
 no_fma -p acme-tensor --lib fastmath::tests::slice_kernels_match_the_scalar_functions_at_every_lane
+no_fma --test golden_path
 
 step "hermetic benchmark smoke (benchmarks/ builds --offline --locked from its own lock file)"
 # ACMR resume == straight run; ACME/ACMD/ACMS persist -> lazy restore ->
