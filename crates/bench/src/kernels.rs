@@ -206,7 +206,7 @@ pub fn sweep_int8(sizes: &[usize], thread_counts: &[usize]) -> Vec<QGemmMeasurem
 /// crate deliberately has no serialization dependency). f32 rows carry
 /// the naive-vs-blocked comparison; int8 rows the f32-vs-int8 one. Both
 /// kinds are tagged with a `dtype` discriminator.
-pub fn to_json(rows: &[GemmMeasurement], qrows: &[QGemmMeasurement]) -> String {
+fn to_json(rows: &[GemmMeasurement], qrows: &[QGemmMeasurement]) -> String {
     let mut s = String::from("[\n");
     let total = rows.len() + qrows.len();
     for (i, r) in rows.iter().enumerate() {

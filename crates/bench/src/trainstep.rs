@@ -72,7 +72,7 @@ pub struct Problem {
 
 impl Problem {
     /// The standard harness problem (seeded, deterministic).
-    pub fn standard() -> Problem {
+    fn standard() -> Problem {
         let mut rng = SmallRng64::new(17);
         Problem {
             x: randn(&[ROWS, D_IN], &mut rng),
@@ -527,7 +527,7 @@ pub fn vit_op_table(steps: usize) -> OpTable {
 /// Serializes the sweep, followed by `extra` rows, to a JSON array
 /// (hand-rolled — the bench crate deliberately has no serialization
 /// dependency).
-pub fn to_json(rows: &[StepMeasurement], extra: &[String]) -> String {
+fn to_json(rows: &[StepMeasurement], extra: &[String]) -> String {
     let mut lines: Vec<String> = rows
         .iter()
         .map(|r| {

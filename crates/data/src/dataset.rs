@@ -154,19 +154,12 @@ impl Dataset {
     }
 
     /// Yields shuffled minibatches of (at most) `batch_size`: the
-    /// batches of [`Dataset::batch_indices`], in its order.
+    /// batches of [`batch_indices`] over this dataset, in its order.
     pub fn batches(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Batch> {
-        self.batch_indices(batch_size, rng)
+        batch_indices(self.len(), batch_size, rng)
             .iter()
             .map(|c| self.batch(c))
             .collect()
-    }
-
-    /// One shuffle of the example indices, cut into chunks of (at most)
-    /// `batch_size` — the indices behind [`Dataset::batches`], for
-    /// callers that keep per-example state beside the images.
-    pub fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
-        batch_indices(self.len(), batch_size, rng)
     }
 
     /// Stacks the examples at `indices`, in that order, into one batch.
@@ -194,9 +187,9 @@ impl Dataset {
 }
 
 /// One shuffle of `0..len`, cut into chunks of (at most) `batch_size`:
-/// [`Dataset::batch_indices`] for a dataset of `len` examples, for
-/// per-example stores (such as cached features) that batch the way the
-/// images would.
+/// the indices behind [`Dataset::batches`] for a dataset of `len`
+/// examples, for per-example stores (such as cached features) that
+/// batch the way the images would.
 pub fn batch_indices(len: usize, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
     let mut idx: Vec<usize> = (0..len).collect();
     idx.shuffle(rng);
@@ -266,7 +259,7 @@ mod tests {
     #[test]
     fn batches_are_the_batch_indices_built() {
         let ds = toy(10, 2);
-        let idx = ds.batch_indices(3, &mut SmallRng64::new(4));
+        let idx = batch_indices(ds.len(), 3, &mut SmallRng64::new(4));
         let bs = ds.batches(3, &mut SmallRng64::new(4));
         assert_eq!(idx.len(), bs.len());
         for (c, b) in idx.iter().zip(&bs) {

@@ -61,7 +61,7 @@ impl DriftSpec {
     ///
     /// Returns [`DataError`] when the base spec is invalid, `ramp` is
     /// zero, or a blend knob is outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), DataError> {
+    fn validate(&self) -> Result<(), DataError> {
         self.base.validate()?;
         if self.ramp == 0 {
             return Err(DataError::BadDriftSpec { field: "ramp" });

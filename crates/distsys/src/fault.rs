@@ -151,7 +151,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rules.is_empty() && self.kills.is_empty() && self.drop_prob == 0.0
     }
 }

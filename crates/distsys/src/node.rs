@@ -131,7 +131,7 @@ impl Outbox {
     }
 
     /// Queues a first-time transmission.
-    pub fn send(&mut self, to: NodeId, payload: Payload) {
+    fn send(&mut self, to: NodeId, payload: Payload) {
         self.sends.push(OutboundSend {
             to,
             payload,

@@ -94,7 +94,7 @@ impl RunCheckpoint {
     }
 
     /// The cumulative outcome of the segments executed so far.
-    pub fn outcome(&self) -> ProtocolOutcome {
+    fn outcome(&self) -> ProtocolOutcome {
         ProtocolOutcome::new(self.nodes.clone(), self.report.clone(), None)
     }
 

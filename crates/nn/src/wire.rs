@@ -104,7 +104,7 @@ pub fn encoded_len<T: Codec>(value: &T) -> u64 {
 
 /// Serializes `value` inside the frame.
 pub fn seal<T: Codec>(value: &T) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.bytes(&T::MAGIC);
     w.u32(T::VERSION);
     value.encode_body(&mut w);
@@ -152,17 +152,13 @@ enum Sink {
 pub struct ByteWriter(Sink);
 
 impl Default for ByteWriter {
+    /// An empty buffering writer.
     fn default() -> Self {
-        ByteWriter::new()
+        ByteWriter(Sink::Buffer(Vec::new()))
     }
 }
 
 impl ByteWriter {
-    /// An empty buffering writer.
-    pub fn new() -> Self {
-        ByteWriter(Sink::Buffer(Vec::new()))
-    }
-
     /// Appends raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         match &mut self.0 {
@@ -260,7 +256,7 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// A reader positioned at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
@@ -270,12 +266,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Whether the whole input was consumed.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Takes the next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if n > self.remaining() {
             return Err(WireError::Truncated);
         }
@@ -377,7 +373,7 @@ mod tests {
 
     #[test]
     fn roundtrip_all_primitives() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.u8(7);
         w.u32(0xdead_beef);
         w.u64(u64::MAX - 1);
@@ -415,7 +411,7 @@ mod tests {
 
     #[test]
     fn oversized_declared_string_is_rejected_before_copy() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.u32(u32::MAX);
         w.bytes(b"ab");
         let bytes = w.into_vec();
@@ -436,7 +432,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_bad_name() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.u32(2);
         w.bytes(&[0xff, 0xfe]);
         let bytes = w.into_vec();

@@ -139,7 +139,7 @@ impl SpanEvent {
 
     /// Looks up a field by key.
     #[must_use]
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+    fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 

@@ -312,10 +312,8 @@ mod tests {
     fn int8_store_serves_and_hits_quantized_cache() {
         let cfg = StoreConfig {
             clusters: 1,
-            devices: 2,
             keep_classes: 4,
-            model: ServeModelConfig::quantized_default(),
-            precision: Precision::Int8,
+            ..StoreConfig::quantized_default(2, Precision::Int8)
         };
         let store_i8 = VariantStore::build(&cfg, 21);
         let f32_cfg = StoreConfig {

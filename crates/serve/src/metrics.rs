@@ -3,8 +3,9 @@
 //!
 //! Following the tensor-substrate pattern, the hot path touches only
 //! dependency-free atomics; [`publish_obs_metrics`] copies them into the
-//! registry at a snapshot point. Publishing records only while
-//! recording is enabled (`acme_obs::trace::set_enabled`).
+//! registry at a snapshot point, the return of every
+//! [`crate::server::serve`]. Publishing records only while recording is
+//! enabled (`acme_obs::trace::set_enabled`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

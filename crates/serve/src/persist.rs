@@ -36,7 +36,7 @@ use acme_store::{
 use acme_tensor::{Precision, SmallRng64};
 use acme_vit::{MultiExitVit, Vit, VitConfig};
 
-use crate::variant::{ClusterModel, ServeModelConfig, VariantSlot, VariantStore};
+use crate::variant::{admit, ClusterModel, ServeModelConfig, VariantSlot, VariantStore};
 
 /// One device entry in a [`StoreManifest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,23 +318,12 @@ impl VariantStore {
                 )));
             };
             let delta = store.get_delta(entry.delta)?;
-            if delta.backbone != manifest.backbones[cluster] {
-                return Err(StoreError::Mismatch(format!(
-                    "delta encoded against backbone {}, cluster {cluster} is {}",
-                    delta.backbone, manifest.backbones[cluster]
-                )));
-            }
-            delta.validate(&cm.params)?;
-            if delta.ops.len() % 2 != 0 {
-                return Err(StoreError::Mismatch(format!(
-                    "variant delta has {} ops; exit heads come in (w, b) pairs",
-                    delta.ops.len()
-                )));
-            }
+            admit(&delta, manifest.backbones[cluster], &cm.params)?;
             slots.push(VariantSlot::lazy(cluster, delta));
         }
         Ok(VariantStore::from_parts(
             clusters,
+            manifest.backbones,
             slots,
             manifest.precision,
             manifest.model,
@@ -605,10 +594,13 @@ mod tests {
             engine.serve_batch(&mut g, &batch)
         };
         let before = serve(&store);
+        // Both deltas carry the right address, so the op checks reject them.
+        let backbone = &store.clusters()[store.device(device).cluster].params;
+        let address = ModelStore::in_memory().put_params(backbone).unwrap();
 
         // Odd op count: heads come in (w, b) pairs.
         let odd = VariantDelta {
-            backbone: ContentHash([0; 16]),
+            backbone: address,
             classes: vec![0, 1],
             ops: vec![DeltaOp::Same {
                 name: "exit0.head.w".into(),
@@ -622,7 +614,7 @@ mod tests {
 
         // A delta referencing a parameter this backbone does not have.
         let wrong = VariantDelta {
-            backbone: ContentHash([0; 16]),
+            backbone: address,
             classes: vec![0, 1],
             ops: vec![
                 DeltaOp::Same {
@@ -643,6 +635,56 @@ mod tests {
             for (p, q) in x.logits.iter().zip(&y.logits) {
                 assert_eq!(p.to_bits(), q.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn hot_swap_rejects_a_delta_encoded_against_another_cluster() {
+        // Both clusters share one model shape, so device 1's head, encoded
+        // against cluster 1's backbone, fits cluster 0's names and shapes
+        // as well: only its backbone address tells the two apart.
+        let mut store = tiny_store(4);
+        let device = 0;
+        let donor = store.device(1);
+        assert_ne!(store.device(device).cluster, donor.cluster);
+        let delta = {
+            let backbone = &store.clusters()[donor.cluster].params;
+            let address = ModelStore::in_memory().put_params(backbone).unwrap();
+            VariantDelta::encode(backbone, address, &donor.classes, &donor.params)
+        };
+        let requests = sample_requests(&store, 16);
+        let serve = |s: &VariantStore| {
+            let engine = BatchEngine::new(s, ExitPolicy::always());
+            let batch: Vec<Request> = requests
+                .iter()
+                .filter(|r| r.device == device)
+                .cloned()
+                .collect();
+            engine.serve_batch(&mut Graph::new(), &batch)
+        };
+        let before = serve(&store);
+
+        // A built store learns its addresses on this first swap; a
+        // restored one reads them from its manifest.
+        let mut blobs = ModelStore::in_memory();
+        let root = store.persist(&mut blobs).unwrap();
+        let mut restored = VariantStore::from_store(&blobs, root).unwrap();
+        for s in [&mut store, &mut restored] {
+            assert!(matches!(
+                s.hot_swap(device, delta.clone()),
+                Err(StoreError::Mismatch(_))
+            ));
+            // The old variant keeps serving, bit for bit.
+            let after = serve(s);
+            assert_eq!(before.len(), after.len());
+            for (x, y) in before.iter().zip(&after) {
+                assert_eq!((x.id, x.exit, x.class), (y.id, y.exit, y.class));
+                for (p, q) in x.logits.iter().zip(&y.logits) {
+                    assert_eq!(p.to_bits(), q.to_bits());
+                }
+            }
+            // Device 3 runs on the donor's cluster and takes the delta.
+            s.hot_swap(3, delta.clone()).unwrap();
         }
     }
 

@@ -120,6 +120,10 @@ impl Drop for CloseOnDrop<'_> {
 /// [`BatchEngine`]), so any two runs over the same requests agree bitwise
 /// response-by-response.
 ///
+/// On return the process-wide serving counters are published into the
+/// [`acme_obs::metrics`] registry ([`metrics::publish_obs_metrics`], a
+/// no-op unless recording is enabled).
+///
 /// # Panics
 ///
 /// Panics when `cfg.workers` is zero, or with the panic of the generator
@@ -179,6 +183,7 @@ where
     });
 
     let elapsed = start.elapsed();
+    metrics::publish_obs_metrics();
     let mut completions = completions.into_inner().expect("completions mutex");
     completions.sort_by_key(|c| c.response.id);
     ServeReport {

@@ -11,8 +11,8 @@
 
 use std::sync::OnceLock;
 
-use acme_nn::{Activation, ParamId, ParamSet};
-use acme_store::{StoreError, VariantDelta};
+use acme_nn::{save_params, Activation, ParamId, ParamSet};
+use acme_store::{ContentHash, StoreError, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64, Var};
 use acme_vit::{MultiExitVit, Vit, VitConfig};
 use rand::RngCore;
@@ -41,7 +41,7 @@ impl ServeModelConfig {
     /// thereafter. Unbatched serving re-pays graph construction and
     /// parameter binding per request; coalesced batches pay it once per
     /// batch. Two exits: one shallow, one final.
-    pub fn serving_default() -> Self {
+    fn serving_default() -> Self {
         ServeModelConfig {
             vit: VitConfig {
                 image: 8,
@@ -70,7 +70,7 @@ impl ServeModelConfig {
     /// width, so the products run entirely on full-width microkernel
     /// tiles at either precision. This is the config the
     /// `BENCH_serving.json` precision rows sweep at f32 vs int8.
-    pub fn quantized_default() -> Self {
+    fn quantized_default() -> Self {
         ServeModelConfig {
             vit: VitConfig {
                 image: 16,
@@ -233,6 +233,10 @@ impl VariantSlot {
 #[derive(Debug)]
 pub struct VariantStore {
     clusters: Vec<ClusterModel>,
+    /// Each cluster backbone's blob address, the one a delta for it must
+    /// be encoded against. A restored store knows them from its
+    /// manifest; a built one learns them on its first hot swap.
+    addresses: Option<Vec<ContentHash>>,
     pub(crate) slots: Vec<VariantSlot>,
     precision: Precision,
     /// The served model shape, kept so the store can be persisted (the
@@ -281,6 +285,7 @@ impl VariantStore {
             .collect();
         VariantStore {
             clusters,
+            addresses: None,
             slots,
             precision: cfg.precision,
             model: cfg.model.clone(),
@@ -288,15 +293,18 @@ impl VariantStore {
     }
 
     /// Assembles a store from already-constructed parts (used by the
-    /// persistence path when rebuilding from blobs).
+    /// persistence path when rebuilding from blobs, which knows every
+    /// backbone's address).
     pub(crate) fn from_parts(
         clusters: Vec<ClusterModel>,
+        addresses: Vec<ContentHash>,
         slots: Vec<VariantSlot>,
         precision: Precision,
         model: ServeModelConfig,
     ) -> Self {
         VariantStore {
             clusters,
+            addresses: Some(addresses),
             slots,
             precision,
             model,
@@ -436,8 +444,10 @@ impl VariantStore {
     /// # Errors
     ///
     /// Fails closed (every variant keeps serving) when `device` is out of
-    /// range, the delta does not match the backbone, or its ops do not
-    /// come in per-exit `(w, b)` pairs.
+    /// range or the delta fails the admission check
+    /// [`VariantStore::from_store`] runs too: it was encoded against
+    /// another backbone's address, does not match this backbone's names
+    /// and shapes, or its ops do not come in per-exit `(w, b)` pairs.
     pub fn hot_swap(&mut self, device: usize, delta: VariantDelta) -> Result<(), StoreError> {
         let Some(slot) = self.slots.get(device) else {
             return Err(StoreError::Mismatch(format!(
@@ -446,13 +456,15 @@ impl VariantStore {
             )));
         };
         let cluster = slot.cluster;
-        if !delta.ops.len().is_multiple_of(2) {
-            return Err(StoreError::Mismatch(format!(
-                "variant delta has {} ops; exit heads come in (w, b) pairs",
-                delta.ops.len()
-            )));
-        }
-        let params = delta.apply(&self.clusters[cluster].params)?;
+        let clusters = &self.clusters;
+        let addresses = self.addresses.get_or_insert_with(|| {
+            clusters
+                .iter()
+                .map(|c| ContentHash::of(&save_params(&c.params)))
+                .collect()
+        });
+        admit(&delta, addresses[cluster], &clusters[cluster].params)?;
+        let params = delta.apply(&clusters[cluster].params)?;
         let variant = device_variant_from_params(cluster, &delta, params);
         self.slots[device] = VariantSlot::materialized(cluster, variant);
         Ok(())
@@ -463,6 +475,32 @@ impl VariantStore {
         let c = self.clusters[0].vit.config();
         [c.channels, c.image, c.image]
     }
+}
+
+/// The one admission check for a device delta, at restore
+/// ([`VariantStore::from_store`]) and at hot swap: `delta` must be
+/// encoded against `address`, the blob address of the cluster backbone
+/// `backbone`, resolve against that backbone
+/// ([`VariantDelta::validate`]), and hold one `(w, b)` op pair per exit.
+pub(crate) fn admit(
+    delta: &VariantDelta,
+    address: ContentHash,
+    backbone: &ParamSet,
+) -> Result<(), StoreError> {
+    if delta.backbone != address {
+        return Err(StoreError::Mismatch(format!(
+            "delta encoded against backbone {}, its cluster's is {address}",
+            delta.backbone
+        )));
+    }
+    delta.validate(backbone)?;
+    if !delta.ops.len().is_multiple_of(2) {
+        return Err(StoreError::Mismatch(format!(
+            "variant delta has {} ops; exit heads come in (w, b) pairs",
+            delta.ops.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Small personalized weight delta in `[-0.05, 0.05)`, derived from the

@@ -74,6 +74,26 @@ impl DeltaOp {
             | DeltaOp::Changed { name, .. } => name,
         }
     }
+
+    fn trainable(&self) -> bool {
+        match self {
+            DeltaOp::Same { trainable, .. }
+            | DeltaOp::PrunedCols { trainable, .. }
+            | DeltaOp::Changed { trainable, .. } => *trainable,
+        }
+    }
+}
+
+/// Where one op's value comes from, once [`VariantDelta::resolve`] has
+/// checked that it can be built.
+enum Source<'a> {
+    /// The named backbone parameter, as is.
+    Backbone(&'a Array),
+    /// The named backbone parameter, its last axis gathered at the kept
+    /// classes.
+    Gathered(&'a Array),
+    /// The op's own stored shape and values.
+    Stored(&'a [usize], &'a [f32]),
 }
 
 /// Bitwise equality — NaN-safe, unlike f32 `==` (a delta holding a NaN
@@ -244,74 +264,32 @@ impl VariantDelta {
         }
     }
 
-    /// Reconstructs the variant [`ParamSet`] from `backbone` —
-    /// bit-identical to the set [`VariantDelta::encode`] saw, with the
-    /// same parameter order, names, and trainable flags.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ApplyError`] when the delta references parameters
-    /// or class columns `backbone` does not have (i.e. the delta was
-    /// encoded against a different backbone).
-    pub fn apply(&self, backbone: &ParamSet) -> Result<ParamSet, ApplyError> {
+    /// Resolves every op against `backbone`, in op order, checking the
+    /// one set of rules [`VariantDelta::apply`] relies on: a `Same` or
+    /// `PrunedCols` op names a backbone parameter
+    /// ([`ApplyError::MissingParam`]), a `PrunedCols` parameter has a
+    /// last axis every kept class indexes ([`ApplyError::BadGather`]),
+    /// and a `Changed` op's values fill its shape exactly
+    /// ([`ApplyError::BadValue`]).
+    fn resolve<'a>(&'a self, backbone: &'a ParamSet) -> Result<Vec<Source<'a>>, ApplyError> {
         let by_name: HashMap<&str, _> = backbone.ids().map(|id| (backbone.name(id), id)).collect();
-        let mut out = ParamSet::new();
-        for op in &self.ops {
-            let (value, trainable) = match op {
-                DeltaOp::Same { name, trainable } => {
-                    let &bid = by_name
-                        .get(name.as_str())
-                        .ok_or_else(|| ApplyError::MissingParam(name.clone()))?;
-                    (backbone.value(bid).clone(), *trainable)
-                }
-                DeltaOp::PrunedCols { name, trainable } => {
-                    let &bid = by_name
-                        .get(name.as_str())
-                        .ok_or_else(|| ApplyError::MissingParam(name.clone()))?;
-                    let gathered = gather_last_axis(backbone.value(bid), &self.classes)
-                        .ok_or_else(|| ApplyError::BadGather(name.clone()))?;
-                    (gathered, *trainable)
-                }
-                DeltaOp::Changed {
-                    name,
-                    shape,
-                    values,
-                    trainable,
-                } => {
-                    let arr = Array::from_vec(values.clone(), shape)
-                        .map_err(|_| ApplyError::BadValue(name.clone()))?;
-                    (arr, *trainable)
-                }
-            };
-            let id = out.add(op.name(), value);
-            out.set_trainable(id, trainable);
-        }
-        Ok(out)
-    }
-
-    /// Checks that [`VariantDelta::apply`] against `backbone` would
-    /// succeed, without materializing anything — the structural
-    /// validation a lazy store runs once at load time so later
-    /// on-demand materialization is infallible.
-    pub fn validate(&self, backbone: &ParamSet) -> Result<(), ApplyError> {
-        let by_name: HashMap<&str, _> = backbone.ids().map(|id| (backbone.name(id), id)).collect();
-        for op in &self.ops {
-            match op {
-                DeltaOp::Same { name, .. } => {
-                    if !by_name.contains_key(name.as_str()) {
-                        return Err(ApplyError::MissingParam(name.clone()));
-                    }
-                }
+        let named = |name: &String| {
+            by_name
+                .get(name.as_str())
+                .map(|&id| backbone.value(id))
+                .ok_or_else(|| ApplyError::MissingParam(name.clone()))
+        };
+        self.ops
+            .iter()
+            .map(|op| match op {
+                DeltaOp::Same { name, .. } => named(name).map(Source::Backbone),
                 DeltaOp::PrunedCols { name, .. } => {
-                    let &bid = by_name
-                        .get(name.as_str())
-                        .ok_or_else(|| ApplyError::MissingParam(name.clone()))?;
-                    let shape = backbone.value(bid).shape();
-                    let Some(&last) = shape.last() else {
-                        return Err(ApplyError::BadGather(name.clone()));
-                    };
-                    if self.classes.iter().any(|&c| c as usize >= last) {
-                        return Err(ApplyError::BadGather(name.clone()));
+                    let value = named(name)?;
+                    match value.shape().last() {
+                        Some(&last) if self.classes.iter().all(|&c| (c as usize) < last) => {
+                            Ok(Source::Gathered(value))
+                        }
+                        _ => Err(ApplyError::BadGather(name.clone())),
                     }
                 }
                 DeltaOp::Changed {
@@ -320,17 +298,55 @@ impl VariantDelta {
                     values,
                     ..
                 } => {
-                    let volume = shape
-                        .iter()
-                        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                        .ok_or_else(|| ApplyError::BadValue(name.clone()))?;
-                    if volume != values.len() {
-                        return Err(ApplyError::BadValue(name.clone()));
+                    let volume = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+                    if volume == Some(values.len()) {
+                        Ok(Source::Stored(shape, values))
+                    } else {
+                        Err(ApplyError::BadValue(name.clone()))
                     }
                 }
-            }
+            })
+            .collect()
+    }
+
+    /// Reconstructs the variant [`ParamSet`] from `backbone` —
+    /// bit-identical to the set [`VariantDelta::encode`] saw, with the
+    /// same parameter order, names, and trainable flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ApplyError`] when the delta references parameters
+    /// or class columns `backbone` does not have (i.e. the delta was
+    /// encoded against a different backbone), or a stored value does not
+    /// fit its shape.
+    pub fn apply(&self, backbone: &ParamSet) -> Result<ParamSet, ApplyError> {
+        let mut out = ParamSet::new();
+        for (op, source) in self.ops.iter().zip(self.resolve(backbone)?) {
+            let value = match source {
+                Source::Backbone(value) => value.clone(),
+                Source::Gathered(value) => {
+                    gather_last_axis(value, &self.classes).expect("resolved gather")
+                }
+                Source::Stored(shape, values) => {
+                    Array::from_vec(values.to_vec(), shape).expect("resolved volume")
+                }
+            };
+            let id = out.add(op.name(), value);
+            out.set_trainable(id, op.trainable());
         }
-        Ok(())
+        Ok(out)
+    }
+
+    /// Checks that [`VariantDelta::apply`] against `backbone` would
+    /// succeed, without materializing anything — the structural
+    /// validation a lazy store runs once at load time so later
+    /// on-demand materialization is infallible.
+    ///
+    /// # Errors
+    ///
+    /// The [`ApplyError`] `apply` would return.
+    pub fn validate(&self, backbone: &ParamSet) -> Result<(), ApplyError> {
+        self.resolve(backbone).map(drop)
     }
 
     /// Serializes to a sealed `ACMD` blob.
@@ -365,14 +381,13 @@ impl Codec for VariantDelta {
         }
         w.count(self.ops.len());
         for op in &self.ops {
-            let (tag, trainable) = match op {
-                DeltaOp::Same { trainable, .. } => (TAG_SAME, trainable),
-                DeltaOp::PrunedCols { trainable, .. } => (TAG_PRUNED, trainable),
-                DeltaOp::Changed { trainable, .. } => (TAG_CHANGED, trainable),
-            };
-            w.u8(tag);
+            w.u8(match op {
+                DeltaOp::Same { .. } => TAG_SAME,
+                DeltaOp::PrunedCols { .. } => TAG_PRUNED,
+                DeltaOp::Changed { .. } => TAG_CHANGED,
+            });
             w.str(op.name());
-            w.u8(u8::from(*trainable));
+            w.u8(u8::from(op.trainable()));
             if let DeltaOp::Changed { shape, values, .. } = op {
                 w.tensor(shape, values);
             }
@@ -500,6 +515,25 @@ mod tests {
         let d = VariantDelta::encode(&b, h, &classes, &v);
         let full = acme_nn::save_params(&v).len() as u64;
         assert!(d.bytes() * 2 < full, "delta {} vs full {full}", d.bytes());
+    }
+
+    #[test]
+    fn a_stored_shape_whose_volume_overflows_is_bad_value() {
+        // 2^32 · 2^32 wraps to 0 = the stored value count, so a product
+        // that is not checked takes the shape as filled.
+        let (b, h) = backbone();
+        let d = VariantDelta {
+            backbone: h,
+            classes: vec![],
+            ops: vec![DeltaOp::Changed {
+                name: "w".into(),
+                shape: vec![1 << 32, 1 << 32],
+                values: vec![],
+                trainable: true,
+            }],
+        };
+        assert_eq!(d.validate(&b), Err(ApplyError::BadValue("w".into())));
+        assert_eq!(d.apply(&b).unwrap_err(), ApplyError::BadValue("w".into()));
     }
 
     #[test]

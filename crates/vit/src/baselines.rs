@@ -112,7 +112,7 @@ fn mean_tokens(g: &mut Graph, tokens: Var) -> Var {
 /// Efficient-ViT analogue: two conv+pool stages halve the resolution
 /// twice, then two Transformer blocks over the coarse tokens.
 #[derive(Debug, Clone)]
-pub struct EfficientVitLike {
+struct EfficientVitLike {
     conv1: Conv2dLayer,
     conv2: Conv2dLayer,
     blocks: Vec<TransformerBlock>,
@@ -122,7 +122,7 @@ pub struct EfficientVitLike {
 
 impl EfficientVitLike {
     /// Builds the model (dim 24).
-    pub fn new(
+    fn new(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -172,7 +172,7 @@ impl ImageClassifier for EfficientVitLike {
 /// MobileViT analogue: conv -> pool -> conv -> pool -> one Transformer
 /// block -> mean pool -> affine.
 #[derive(Debug, Clone)]
-pub struct MobileVitLike {
+struct MobileVitLike {
     conv1: Conv2dLayer,
     conv2: Conv2dLayer,
     block: TransformerBlock,
@@ -181,7 +181,7 @@ pub struct MobileVitLike {
 
 impl MobileVitLike {
     /// Builds the model (dim 20).
-    pub fn new(
+    fn new(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -225,7 +225,7 @@ impl ImageClassifier for MobileVitLike {
 /// Twins-SVT analogue: patch tokens with a *convolutional* positional
 /// encoding (instead of a learned table) and two lean attention blocks.
 #[derive(Debug, Clone)]
-pub struct TwinsSvtLike {
+struct TwinsSvtLike {
     patch_proj: Linear,
     pos_conv: Conv2dLayer,
     blocks: Vec<TransformerBlock>,
@@ -236,7 +236,7 @@ pub struct TwinsSvtLike {
 
 impl TwinsSvtLike {
     /// Builds the model (dim 28, patch 4).
-    pub fn new(
+    fn new(
         ps: &mut ParamSet,
         image: usize,
         channels: usize,
@@ -336,7 +336,7 @@ impl ImageClassifier for TwinsSvtLike {
 
 /// DeViT-family analogue: an ensemble of decomposed small ViTs whose
 /// logits are averaged at inference (collaborative-inference style).
-pub struct DeVitLike {
+struct DeVitLike {
     members: Vec<Vit>,
     stems: Vec<Option<Conv2dLayer>>,
     label: &'static str,

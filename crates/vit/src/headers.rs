@@ -83,19 +83,13 @@ impl std::fmt::Display for HeaderKind {
 
 /// Affine header on the class token.
 #[derive(Debug, Clone)]
-pub struct LinearHeader {
+struct LinearHeader {
     fc: Linear,
 }
 
 impl LinearHeader {
     /// Builds the header.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dim: usize,
-        classes: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
+    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
         LinearHeader {
             fc: Linear::new(ps, &format!("{name}.linear"), dim, classes, rng),
         }
@@ -118,19 +112,13 @@ impl Header for LinearHeader {
 
 /// Two-layer MLP header on the class token.
 #[derive(Debug, Clone)]
-pub struct MlpHeader {
+struct MlpHeader {
     mlp: Mlp,
 }
 
 impl MlpHeader {
     /// Builds the header (hidden width `2·dim`).
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dim: usize,
-        classes: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
+    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
         MlpHeader {
             mlp: Mlp::new(
                 ps,
@@ -163,7 +151,7 @@ impl Header for MlpHeader {
 /// features are concatenated with the class token before the final affine
 /// map (the paper's CLS-integration, §III-C1).
 #[derive(Debug, Clone)]
-pub struct CnnHeader {
+struct CnnHeader {
     conv: Conv2dLayer,
     fc: Linear,
     dim: usize,
@@ -176,7 +164,7 @@ impl CnnHeader {
     /// # Panics
     ///
     /// Panics when `grid < 2` (the pooling stage needs at least 2x2).
-    pub fn new(
+    fn new(
         ps: &mut ParamSet,
         name: &str,
         dim: usize,
@@ -234,7 +222,7 @@ impl Header for CnnHeader {
 /// Learned attention pooling: a trainable query scores all tokens, and
 /// their softmax-weighted sum feeds an affine classifier.
 #[derive(Debug, Clone)]
-pub struct AttentionPoolHeader {
+struct AttentionPoolHeader {
     query: ParamId,
     fc: Linear,
     dim: usize,
@@ -242,13 +230,7 @@ pub struct AttentionPoolHeader {
 
 impl AttentionPoolHeader {
     /// Builds the header.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dim: usize,
-        classes: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
+    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
         let query = ps.add(
             format!("{name}.query"),
             acme_tensor::randn(&[dim, 1], rng).scale(0.1),

@@ -172,180 +172,10 @@ if [ -n "$gated$features" ]; then
     exit 1
 fi
 
-step "no orphan pub item (every pub fn / const / static in crates/*/src has a caller)"
-# Every `pub fn`, `pub const` and `pub static` above its file's first
-# #[cfg(test)] in crates/*/src is used, outside tests and comments, in
-# the code of another file: crates/*/src (bins included),
-# crates/*/examples, benchmarks/src, examples/ or src/. A fn counts as
-# used only where its name is called or named as a path (`name(`,
-# `.name(`, `name::<`, `::name`), never by its own `fn name(` or by a
-# field or variable of the same name; a const or static counts wherever
-# its name appears. When two crates define the same name, a use counts
-# only from a file of the defining crate or from a file that names it
-# (`acme_<crate>`, `acme` for crates/core, or a crate whose lib.rs
-# `pub use`s the defining crate). A `pub use` re-export, one line or the
-# lines of a multi-line `pub use {...}`, is not a use. An item nothing
-# uses is deleted, or made private / pub(crate) when its own file or
-# crate uses it; one kept for tests stays only on the allow-list below,
-# each name (or `crate::name`) with its reason, and an entry that is no
-# longer an orphan fails the stage too. Nothing parses Rust: two types
-# of one crate that share a method name still count as one. The exact
-# check is `python3 scripts/pub_audit.py` (every pub item marked
-# #[deprecated], then `cargo check` of every non-test target); what it
-# finds and this stage cannot see is kept on `audit_keep`. Pub items of
-# private modules are clippy's `unreachable_pub`.
-orphan_allow='
-backbone_param_ids  the frozen-feature and header tests check that no backbone parameter moves or holds a gradient
-backward_with       seeded backward: the attention oracle test drives it with a random upstream gradient
-batches             process-wide serving counter the serving test compares with the registry
-check::cases        acme-check property-test entry point: its callers are tests by design
-counter             MetricsSnapshot inspection the observability and serving tests read
-dequantize_acc      int8 stage the GEMM oracle property test composes against gemm_i8_naive
-dequantize_rows     inverse of quantize_rows for the quantization round-trip property
-dominates           Pareto-dominance oracle the selection property tests check PFG picks against
-early_exits         process-wide serving counter the serving test compares with the registry
-check::f64          acme-check draw: its callers are property tests by design
-field_u64           SpanEvent inspection the recording tests read
-gauge               MetricsSnapshot inspection the recording tests read
-gemm_i8_naive       int8 GEMM oracle (safety code): the property tests compare the engine against it
-gemm_i8_prepacked   int8 engine entry the GEMM oracle property test drives at 1, 2 and 4 threads
-gemm_naive          f32 GEMM oracle (safety code): the property tests compare the engine against it
-gradcheck           finite-difference gradient oracle (safety code) the autograd and attention tests check against
-hashes              ModelStore listing the serve persist tests compare across thread counts
-into_vec            ByteWriter buffer the codec sweep reseals hand-built hostile bodies from
-KC                  depth-block size the GEMM property shapes straddle
-MC                  row-block size the GEMM property shapes straddle
-non_finite_dropped  DriftDetector count of dropped NaN/inf observations, the evidence the robustness tests read
-publish_obs_metrics serving counters into the registry, which the observability and serving tests read back
-quantize_cols       int8 stage the GEMM oracle property test composes against gemm_i8_naive
-quantize_rows       int8 stage the GEMM oracle property test composes against gemm_i8_naive
-check::replay       acme-check re-run of one failing case, the line a failing property prints
-scales              packed int8 panel scales the GEMM oracle property test dequantizes with
-set_detail          recording-detail switch the observability tests set per level
-set_ring_capacity   trace ring bound the recording tests shrink to force overflow
-spans_named         Trace inspection the recording tests read
-stable_signature    Trace inspection the determinism tests compare across reruns
-agg::standard       the drift-detector preset the 200-seed rate tests gate (ROADMAP item 12(a))
-serve::tiny         the serving model shape the unit and integration tests build on
-to                  fault-injection rule target: only tests script targeted faults (FaultRule::from, FaultAction below)
-check::u32          acme-check draw: its callers are property tests by design
-check::u64          acme-check draw: its callers are property tests by design
-check::usize        acme-check draw: its callers are property tests by design
-'
-# Items of the compiler audit (see above) that this stage cannot see,
-# kept for tests with the same one-line reason, as `Owner::name` (a type,
-# or the file stem of a free fn). An entry whose owner no longer defines
-# the name fails the stage.
-audit_keep='
-Array::is_empty           clippy len_without_is_empty pairs it with the called len()
-DriftSpec::standard       the drift-stream preset the 200-seed rate tests draw from
-FaultAction::Delay        fault-injection action: only the fault-matrix and differential tests script it
-FaultAction::Duplicate    fault-injection action: only the fault-matrix and differential tests script it
-FaultRule::from           fault-injection rule source: only tests script targeted faults
-FrozenFeatures::is_empty  clippy len_without_is_empty pairs it with the called len()
-Gen::f32                  acme-check draw: its callers are property tests by design
-Gen::vec                  acme-check draw: its callers are property tests by design
-metrics::reset            clears the registry between the recording and observability tests
-Packed::is_empty          clippy len_without_is_empty pairs it with the called len()
-ParamSet::is_empty        clippy len_without_is_empty pairs it with the called len()
-Payload::Ack              the ack ledger kind the fenced benchmark declares a row for; only the ledger and fault tests send it
-pool::clear               empties the buffer pool so the retention and codec tests start from zero
-RecustomizeConfig::quick  the drift-loop preset the unit tests and false-alarm rate test run
-Response::device          request echo the serving tests group answers by
-TeacherTargets::is_empty  clippy len_without_is_empty pairs it with the called len()
-Trace::count              Trace inspection the recording and observability tests read
-TrainConfig::quick        the training preset the unit tests run
-TrainReport::epoch_losses per-epoch losses the training pins and frozen-feature tests compare bit for bit
-VitConfig::tiny           the ViT shape the unit and integration tests build on
-'
-orphans="$(
-    {
-        printf '%s\n' "$orphan_allow" | awk 'NF { print "allow", "-", $1 }'
-        for f in $(find crates/*/src -name '*.rs' | sort); do
-            code_of "$f" \
-                | grep -oE '^[[:space:]]*pub (const |unsafe )*(fn|const|static) +[A-Za-z_][A-Za-z0-9_]*' \
-                | awk -v f="$f" '{ print "item", f, ($0 ~ / fn /) ? "fn" : "value", $NF }' || true
-        done
-        for f in crates/*/src/lib.rs; do
-            code_of "$f" | grep -oE '^pub use acme_[a-z]+' | awk -v f="$f" '
-                { split(f, p, "/"); sub(/^pub use acme_/, ""); print "provides", p[2], $0 }' || true
-        done
-        for f in $(find crates/*/src crates/*/examples benchmarks/src examples src -name '*.rs' | sort); do
-            code_of "$f" | awk -v f="$f" '
-                function each(s, re, kind, drop,    tok) {
-                    while (match(s, re)) {
-                        tok = substr(s, RSTART, RLENGTH)
-                        if (kind != "call" || substr(s, 1, RSTART - 1) !~ /fn[[:space:]]+$/) {
-                            gsub(drop, "", tok)
-                            if (!seen[kind, tok]++) print kind, f, tok
-                        }
-                        s = substr(s, RSTART + RLENGTH)
-                    }
-                }
-                /^[[:space:]]*pub(\([a-z]+\))? use / { reexport = !/[;}]/; next }
-                reexport { reexport = !/[;}]/; next }
-                {
-                    sub(/[[:space:]]\/\/.*$/, "")
-                    each($0, "[A-Za-z_][A-Za-z0-9_]*(\\(|::<)", "call", "[(:<]")
-                    each($0, "::[A-Za-z_][A-Za-z0-9_]*", "call", ":")
-                    each($0, "[A-Za-z_][A-Za-z0-9_]*", "word", "")
-                    s = " " $0
-                    while (match(s, /[^A-Za-z0-9_]acme(_[a-z]+)?::/)) {
-                        c = substr(s, RSTART + 6, RLENGTH - 8)
-                        if (c == "") c = "core"
-                        if (!seen["names", c]++) print "names", f, c
-                        s = substr(s, RSTART + RLENGTH)
-                    }
-                }'
-        done
-    } | awk '
-        function crate(path,    p) { return split(path, p, "/") > 2 && p[1] == "crates" ? p[2] : "" }
-        function counts(u, c,    d) {
-            if (crate(u) == c || named[u, c]) return 1
-            for (d in crates) if (provides[d, c] && named[u, d]) return 1
-            return 0
-        }
-        $1 == "allow" { allowed[$3] = 1; next }
-        $1 == "item" {
-            name[++n] = $4; file[n] = $2; kind[n] = $3
-            c = crate($2); crates[c] = 1
-            if (!defined[$4, c]++) definers[$4]++
-            next
-        }
-        $1 == "provides" { provides[$2, $3] = 1; next }
-        $1 == "names" { named[$2, $3] = 1; next }
-        $1 == "call" { calls[$3] = calls[$3] " " $2; next }
-        $1 == "word" { words[$3] = words[$3] " " $2 }
-        END {
-            for (i = 1; i <= n; i++) {
-                used = 0
-                k = split(kind[i] == "fn" ? calls[name[i]] : words[name[i]], u, " ")
-                for (j = 1; j <= k && !used; j++)
-                    used = u[j] != file[i] && (definers[name[i]] == 1 || counts(u[j], crate(file[i])))
-                if (used) continue
-                scoped = crate(file[i]) "::" name[i]
-                orphan[name[i]] = orphan[scoped] = 1
-                if (!allowed[name[i]] && !allowed[scoped]) print file[i] ": " name[i]
-            }
-            for (a in allowed) if (!orphan[a]) print "allow-list entry with a caller or no item: " a
-        }' | sort -u
-)"
-stale_keeps="$(
-    printf '%s\n' "$audit_keep" | while read -r entry _; do
-        [ -n "$entry" ] || continue
-        owner="${entry%%::*}" name="${entry##*::}"
-        files="$(grep -rlE "^(pub(\([a-z]+\))? )?(struct|enum|trait) $owner\b|^impl(<[^>]*>)? $owner\b" crates/*/src || true)"
-        files="$files $(ls crates/*/src/"$owner".rs 2>/dev/null || true)"
-        found="$(code_of $files | grep -cE "\bfn $name\b|\bpub $name:|^[[:space:]]+$name\b" || true)"
-        [ "$found" -gt 0 ] || echo "audit keep with no item: $entry"
-    done
-)"
-orphans="$(printf '%s\n' "$orphans" "$stale_keeps" | sed '/^$/d')"
-if [ -n "$orphans" ]; then
-    echo "ci.sh: pub items without a caller outside their file (delete, narrow, or allow-list with a reason):" >&2
-    printf '%s\n' "$orphans" >&2
-    exit 1
-fi
+step "no orphan pub item (every pub item of crates/*/src has a non-test use)"
+# The compiler audit; its docstring states the rule and holds the one
+# allow-list. Pub items of private modules are clippy's unreachable_pub.
+python3 scripts/pub_audit.py
 
 step "the protocol carries sizes (acme-distsys holds no tensor data)"
 # Outside tests and comments, crates/distsys/src names no f32 and no

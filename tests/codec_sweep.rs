@@ -420,25 +420,25 @@ fn checkpoint_hostile_lengths_fail_before_allocating() {
     };
     // A parameter count the stream cannot carry.
     for count in [u64::MAX, u64::MAX / 2, 1 << 40] {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.u64(count);
         w.bytes(&[0u8; 64]);
         assert_eq!(err(w), WireError::Truncated);
     }
     // A 4 GiB name against a 2-byte remainder.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.u64(1);
     w.u32(u32::MAX);
     w.bytes(b"ab");
     assert_eq!(err(w), WireError::Truncated);
     // A rank of ~4 billion.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.u64(1);
     param_record_head(&mut w, u32::MAX);
     w.bytes(&[0u8; 32]);
     assert_eq!(err(w), WireError::Truncated);
     // Dims whose product wraps u64.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.u64(1);
     param_record_head(&mut w, 3);
     for d in [1u64 << 32, 1 << 32, 16] {
@@ -446,7 +446,7 @@ fn checkpoint_hostile_lengths_fail_before_allocating() {
     }
     assert_eq!(err(w), WireError::BadShape);
     // A volume that fits u64 but not the stream.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.u64(1);
     param_record_head(&mut w, 2);
     for d in [1u64 << 20, 1 << 20] {
@@ -459,12 +459,12 @@ fn checkpoint_hostile_lengths_fail_before_allocating() {
 fn delta_hostile_bodies_are_typed_errors() {
     let err = |body: ByteWriter| err_of::<VariantDelta>(&reseal::<VariantDelta>(&body.into_vec()));
     // A class count the stream cannot carry.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.bytes(&[0u8; 16]);
     w.u32(u32::MAX);
     assert_eq!(err(w), WireError::Truncated);
     // A Changed op (tag 2) whose dims wrap.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.bytes(&[0u8; 16]);
     w.u32(0);
     w.u32(1);
@@ -475,7 +475,7 @@ fn delta_hostile_bodies_are_typed_errors() {
     }
     assert_eq!(err(w), WireError::BadShape);
     // An op tag with no meaning.
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::default();
     w.bytes(&[0u8; 16]);
     w.u32(0);
     w.u32(1);

@@ -17,7 +17,16 @@
 //! loop's header refit below its outcome (every epoch loss and the hash
 //! of every parameter bit): the outcomes' accuracies are ratios of
 //! counts, so a last-bit change in a header's training reaches them only
-//! when it flips a prediction.
+//! when it flips a prediction. Also pinned: the root hash of a
+//! `VariantStore` built at seed 42 and persisted, with its deltas
+//! encoded at one and two threads (every backbone, head and manifest
+//! byte).
+//!
+//! The pins hold in the native build and in a plain x86-64 build
+//! without FMA (`gemm::madd` is always fused). They still depend on the
+//! host libm's `ln` / `cos` / `sin` behind `randn`, which draws every
+//! initial weight here, as `phase1::golden_pool_pins_every_bit` does: a
+//! host whose libm rounds those differently fails them.
 //!
 //! The kernel thread count is process-wide and the cases run
 //! concurrently, so a case may run at another's count; no pinned bit
@@ -28,8 +37,9 @@ use acme_data::{generate, DriftSpec, SyntheticSpec};
 use acme_distsys::Network;
 use acme_nas::{HeaderArch, NasHeader, SharedParams};
 use acme_nn::{save_params, ParamSet};
-use acme_store::ContentHash;
-use acme_tensor::SmallRng64;
+use acme_serve::{ServeModelConfig, StoreConfig, VariantStore};
+use acme_store::{ContentHash, ModelStore};
+use acme_tensor::{Precision, SmallRng64};
 use acme_vit::{fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
 
 /// One `name value` line per pinned field; floats as their bit patterns.
@@ -200,6 +210,22 @@ fn header_refit(threads: usize) -> Fields {
     f
 }
 
+/// The manifest address of a built store persisted into an empty
+/// in-memory store, its deltas encoded on `threads` workers.
+fn store_root(threads: usize) -> Fields {
+    let cfg = StoreConfig {
+        clusters: 2,
+        devices: 5,
+        keep_classes: 4,
+        model: ServeModelConfig::tiny(),
+        precision: Precision::F32,
+    };
+    let root = VariantStore::build(&cfg, 42)
+        .persist_on(&mut ModelStore::in_memory(), &Pool::new(threads))
+        .expect("an in-memory persist");
+    vec![("manifest.root".into(), root.to_hex())]
+}
+
 /// Compares `got` with the pinned table and panics listing every field
 /// that moved, appeared or vanished.
 fn check(case: &str, threads: usize, pinned: &str, got: &Fields) {
@@ -283,6 +309,17 @@ fn drift_header_refit_matches_its_pins() {
         );
     }
 }
+
+#[test]
+fn persisted_store_root_matches_its_pin() {
+    for threads in [1, 2] {
+        check("store root", threads, STORE_ROOT, &store_root(threads));
+    }
+}
+
+const STORE_ROOT: &str = "
+    manifest.root 0cb2e87cdeda72e2a926e6a698a0996c
+";
 
 const HEADER_REFIT: &str = "
     epoch.0.loss 0x402518de

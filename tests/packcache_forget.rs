@@ -7,9 +7,9 @@
 //! `packcache::len()` under it.
 
 use acme_nn::ParamSet;
-use acme_serve::{BatchEngine, ExitPolicy, Request, ServeModelConfig, StoreConfig, VariantStore};
+use acme_serve::{BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
 use acme_store::{ModelStore, VariantDelta};
-use acme_tensor::{packcache, randn, Array, Graph, Precision, SmallRng64};
+use acme_tensor::{packcache, randn, Array, Graph, SmallRng64};
 
 #[test]
 fn dropped_stores_leave_no_packed_weights_behind() {
@@ -31,15 +31,12 @@ fn dropped_stores_leave_no_packed_weights_behind() {
 
     // Heads of `[64, 64]` sit at the cache floor, so a device's variant
     // owns cache entries of its own.
-    let mut model = ServeModelConfig::serving_default();
-    model.vit.classes = 64;
-    let cfg = StoreConfig {
+    let mut cfg = StoreConfig {
         clusters: 1,
-        devices: 2,
         keep_classes: 64,
-        model,
-        precision: Precision::F32,
+        ..StoreConfig::serving_default(2)
     };
+    cfg.model.vit.classes = 64;
     let mut store = VariantStore::build(&cfg, 11);
     let [c, h, w] = store.input_shape();
     let batch = [Request {

@@ -7,9 +7,9 @@
 //! is process-wide, and an unrelated test's tensors would move
 //! `retained_bytes` under it.
 
-use acme_serve::{ServeModelConfig, StoreConfig, VariantStore};
+use acme_serve::{StoreConfig, VariantStore};
 use acme_store::ModelStore;
-use acme_tensor::{pool, Precision};
+use acme_tensor::pool;
 
 #[test]
 fn repeated_restores_retain_no_more_pool_bytes_than_the_first() {
@@ -20,15 +20,11 @@ fn repeated_restores_retain_no_more_pool_bytes_than_the_first() {
     // checkpoint value, a `kaiming_uniform` initialisation) can have: the
     // MLP's 64×96 and 96×64 weights are not a bucket size, the
     // attention's 64×64 weights are.
-    let mut model = ServeModelConfig::serving_default();
-    model.vit.mlp_hidden = 96;
-    let cfg = StoreConfig {
-        clusters: 2,
-        devices: 6,
+    let mut cfg = StoreConfig {
         keep_classes: 8,
-        model,
-        precision: Precision::F32,
+        ..StoreConfig::serving_default(6)
     };
+    cfg.model.vit.mlp_hidden = 96;
     // Only the persisted blobs outlive a cycle: each cycle restores the
     // fleet, materializes every variant, persists it again and drops it.
     let mut blobs = ModelStore::in_memory();

@@ -186,7 +186,8 @@ fn serving_counters_publish_into_obs_registry() {
             }
         },
     );
-    acme_serve::metrics::publish_obs_metrics();
+    // No publish call here: `serve()` publishes the serving counters as
+    // it returns.
     acme_tensor::publish_obs_metrics();
     acme_obs::trace::set_enabled(false);
 

@@ -8,7 +8,7 @@
 //! This file holds a single test so it owns its test process: the kernel
 //! thread count is process-wide.
 
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme_data::{batch_indices, cifar100_like, SyntheticSpec};
 use acme_nn::ParamSet;
 use acme_tensor::{Array, Graph, SmallRng64};
 use acme_vit::{TeacherTargets, Vit, VitConfig};
@@ -44,7 +44,9 @@ fn gathered_rows_match_a_per_batch_teacher_pass_bitwise() {
             assert_eq!(targets.len(), data.len());
             for pass_bs in [1, 7, 32] {
                 let mut g = Graph::new();
-                for chunk in data.batch_indices(pass_bs, &mut SmallRng64::new(pass_bs as u64)) {
+                for chunk in
+                    batch_indices(data.len(), pass_bs, &mut SmallRng64::new(pass_bs as u64))
+                {
                     let images = data.batch(&chunk).images;
                     g.reset();
                     let emb = teacher.embed(&mut g, &ps, &images);
