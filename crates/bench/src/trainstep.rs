@@ -61,7 +61,7 @@ impl StepMeasurement {
 }
 
 /// The fixed training-step problem, shared by both paths.
-pub struct Problem {
+struct Problem {
     x: Array,
     w1: Arc<Array>,
     w2: Arc<Array>,
@@ -88,7 +88,7 @@ impl Problem {
 /// The step's observable result: loss bits plus every parameter
 /// gradient's bits, for the bitwise cross-check.
 #[derive(PartialEq, Eq)]
-pub struct StepBits(Vec<u32>);
+struct StepBits(Vec<u32>);
 
 // ---- pre-pool replica ---------------------------------------------------
 

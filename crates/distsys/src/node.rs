@@ -100,14 +100,14 @@ pub enum Event {
 
 /// An intended transmission recorded by a state machine.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OutboundSend {
+pub(crate) struct OutboundSend {
     /// Recipient.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Body.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
     /// Whether this is a retransmission of an earlier send (metered
     /// separately by the ledger).
-    pub retransmission: bool,
+    pub(crate) retransmission: bool,
 }
 
 /// Collects a state machine's intents during one [`handle`] call: the

@@ -5,7 +5,9 @@
 //! batch scores the `[CLS]` tokens of its own rows still in flight with
 //! its pruned head; confident rows return immediately and the survivors
 //! are *compacted* (a row gather) before the next block, so deep blocks
-//! only ever see the hard inputs.
+//! only ever see the hard inputs. The block loop, exit norms and
+//! compaction are [`acme_vit::MultiExitVit::walk`]'s; this module adds
+//! the variant grouping, the per-variant heads and the responses.
 //!
 //! Every operation along this path is row-independent and accumulates in
 //! a batch-size-invariant order, so a batched run is **bit-identical**
@@ -14,7 +16,7 @@
 
 use acme_tensor::{pool, Array, Graph};
 
-use crate::variant::VariantStore;
+use crate::variant::{ClusterModel, VariantStore};
 
 /// One inference request against a device variant.
 #[derive(Debug, Clone)]
@@ -111,8 +113,9 @@ impl<'a> BatchEngine<'a> {
     /// same cluster backbone and share an input shape; responses come back
     /// in request order.
     ///
-    /// The embedding and the blocks run once for the whole batch. At each
-    /// exit the live rows are grouped by variant, in order of first
+    /// The embedding and the blocks run once for the whole batch, in
+    /// [`MultiExitVit::walk`](acme_vit::MultiExitVit::walk). At each exit
+    /// the live rows are grouped by variant, in order of first
     /// appearance, and each group's `[CLS]` rows go through that
     /// variant's head; survivors keep their row order.
     ///
@@ -154,9 +157,7 @@ impl<'a> BatchEngine<'a> {
             .collect();
         let variants: Vec<_> = devices.iter().map(|&d| self.store.device(d)).collect();
 
-        let cfg = cluster.vit.config();
-        let (b, dim, tokens) = (requests.len(), cfg.dim, cfg.num_tokens());
-
+        let b = requests.len();
         let mut pixels = pool::take(b * shape.iter().product::<usize>());
         for r in requests {
             pixels.extend_from_slice(r.input.data());
@@ -171,25 +172,11 @@ impl<'a> BatchEngine<'a> {
         // knob survives reset, but re-asserting it keeps a shared graph
         // correct across stores of different precisions).
         g.set_matmul_precision(self.store.precision());
-        let mut x = cluster.vit.embed(g, &cluster.params, &images);
-        let exits = cluster.exits.exit_layers();
-        let last_exit = exits.len() - 1;
-        let mut next_exit = 0usize;
-        // Original row index (into `requests`) of each still-alive row.
-        let mut alive: Vec<usize> = (0..b).collect();
+        let ClusterModel { vit, exits, params } = cluster;
+        let last_exit = exits.exit_layers().len() - 1;
         let mut out: Vec<Option<Response>> = vec![None; b];
-
-        for (l, blk) in cluster.vit.blocks().iter().enumerate() {
-            x = blk.forward(g, &cluster.params, x);
-            if next_exit >= exits.len() || exits[next_exit] != l {
-                continue;
-            }
-            let e = next_exit;
-            next_exit += 1;
+        exits.walk(g, params, vit, &images, |g, e, cls, alive| {
             let k = alive.len();
-            let normed = cluster.exits.norms()[e].forward(g, &cluster.params, x);
-            let cls = g.slice_axis(normed, 1, 0, 1);
-            let cls = g.reshape(cls, &[k, dim]);
             let mut stays = vec![false; k];
             for (v, variant) in variants.iter().enumerate() {
                 let rows: Vec<usize> = (0..k).filter(|&row| variant_of[alive[row]] == v).collect();
@@ -225,19 +212,8 @@ impl<'a> BatchEngine<'a> {
                     }
                 }
             }
-            let keep: Vec<usize> = (0..k).filter(|&row| stays[row]).collect();
-            if keep.is_empty() {
-                break;
-            }
-            if keep.len() < k {
-                // Compact: gather surviving rows so the remaining blocks
-                // only process the hard inputs.
-                let flat = g.reshape(x, &[k, tokens * dim]);
-                let gathered = g.embedding(flat, &keep);
-                x = g.reshape(gathered, &[keep.len(), tokens, dim]);
-                alive = keep.into_iter().map(|row| alive[row]).collect();
-            }
-        }
+            Some((0..k).filter(|&row| stays[row]).collect())
+        });
 
         out.into_iter()
             .map(|r| r.expect("final exit answers every row"))

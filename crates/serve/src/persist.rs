@@ -34,7 +34,7 @@ use acme_store::{
     WireError,
 };
 use acme_tensor::{Precision, SmallRng64};
-use acme_vit::{MultiExitVit, Vit, VitConfig};
+use acme_vit::{MultiExitVit, VitConfig};
 
 use crate::variant::{admit, ClusterModel, ServeModelConfig, VariantSlot, VariantStore};
 
@@ -141,9 +141,9 @@ impl Codec for StoreManifest {
     }
 
     /// Also checks what [`VariantStore::from_store`] builds a model
-    /// from — a [`VitConfig`] that validates, exit layers strictly
-    /// increasing up to the final block, and at least one backbone and
-    /// one variant — so a manifest that decodes cannot trip the model
+    /// from — a [`VitConfig`] that validates, exit layers
+    /// [`MultiExitVit::check_layout`] accepts, and at least one backbone
+    /// and one variant — so a manifest that decodes cannot trip the model
     /// constructors' asserts or leave a store with nothing to serve.
     fn decode_body(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let vit = VitConfig {
@@ -162,10 +162,7 @@ impl Codec for StoreManifest {
         for _ in 0..n_exits {
             exit_layers.push(r.usize()?);
         }
-        if vit.validate().is_err()
-            || !exit_layers.windows(2).all(|w| w[0] < w[1])
-            || exit_layers.last() != Some(&(vit.depth - 1))
-        {
+        if vit.validate().is_err() || MultiExitVit::check_layout(&exit_layers, vit.depth).is_err() {
             return Err(WireError::BadShape);
         }
         let activation = activation_from_tag(r.u8()?)?;
@@ -212,10 +209,8 @@ fn rebuild_cluster(
 ) -> Result<ClusterModel, StoreError> {
     // The RNG only seeds values that are overwritten below; any seed
     // yields the same structure.
-    let mut rng = SmallRng64::new(0);
-    let mut params = ParamSet::new();
-    let vit = Vit::with_activation(&mut params, &model.vit, model.activation, &mut rng);
-    let exits = MultiExitVit::new(&mut params, &vit, &model.exit_layers, &mut rng);
+    let mut cm = ClusterModel::new(model, &mut SmallRng64::new(0));
+    let params = &mut cm.params;
     if params.len() != loaded.len() {
         return Err(StoreError::Mismatch(format!(
             "backbone blob has {} params, model shape implies {}",
@@ -243,7 +238,7 @@ fn rebuild_cluster(
         std::mem::swap(params.value_mut(id), loaded.value_mut(lid));
         params.set_trainable(id, loaded.is_trainable(lid));
     }
-    Ok(ClusterModel { vit, exits, params })
+    Ok(cm)
 }
 
 impl VariantStore {
@@ -318,7 +313,7 @@ impl VariantStore {
                 )));
             };
             let delta = store.get_delta(entry.delta)?;
-            admit(&delta, manifest.backbones[cluster], &cm.params)?;
+            admit(&delta, manifest.backbones[cluster], cm)?;
             slots.push(VariantSlot::lazy(cluster, delta));
         }
         Ok(VariantStore::from_parts(
@@ -344,7 +339,7 @@ mod tests {
     use super::*;
     use crate::engine::{BatchEngine, ExitPolicy, Request};
     use crate::variant::StoreConfig;
-    use acme_tensor::{randn, Graph};
+    use acme_tensor::{randn, Array, Graph};
 
     fn tiny_store(devices: usize) -> VariantStore {
         let cfg = StoreConfig {
@@ -634,6 +629,82 @@ mod tests {
         for (x, y) in before.iter().zip(&after) {
             for (p, q) in x.logits.iter().zip(&y.logits) {
                 assert_eq!(p.to_bits(), q.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn admission_rejects_a_variant_the_engine_cannot_serve() {
+        // Each delta carries the right address and resolves against the
+        // backbone, with an even op count; it used to be admitted, and the
+        // next request then panicked (one exit pair of two, no kept class)
+        // or answered from a head that does not fit its classes.
+        let mut store = tiny_store(4);
+        let device = 0;
+        let heads = |pairs: usize, k: usize| {
+            let mut ps = ParamSet::new();
+            for e in 0..pairs {
+                ps.add(format!("exit{e}.head.w"), Array::full(&[16, k], 0.5));
+                ps.add(format!("exit{e}.head.b"), Array::full(&[k], 0.25));
+            }
+            ps
+        };
+        let bad: Vec<VariantDelta> = {
+            let backbone = &store.clusters()[store.device(device).cluster].params;
+            let address = ModelStore::in_memory().put_params(backbone).unwrap();
+            [
+                (vec![0, 1, 2, 3], heads(1, 4)), // one exit pair of two
+                (vec![0, 1, 2], heads(2, 4)),    // heads wider than the classes
+                (vec![0, 1, 2, 8], heads(2, 4)), // class 8 of an 8-class model
+                (vec![0, 2, 2, 3], heads(2, 4)), // class 2 answers for two columns
+                (vec![], heads(2, 0)),           // no kept class
+            ]
+            .iter()
+            .map(|(classes, params)| VariantDelta::encode(backbone, address, classes, params))
+            .collect()
+        };
+        let requests = sample_requests(&store, 16);
+        let serve = |s: &VariantStore| {
+            let engine = BatchEngine::new(s, ExitPolicy::never());
+            (0..s.num_devices())
+                .flat_map(|d| {
+                    let batch: Vec<Request> =
+                        requests.iter().filter(|r| r.device == d).cloned().collect();
+                    engine.serve_batch(&mut Graph::new(), &batch)
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = serve(&store);
+        let mut blobs = ModelStore::in_memory();
+        let root = store.persist(&mut blobs).unwrap();
+        let manifest = StoreManifest::from_bytes(&blobs.get(root).unwrap()).unwrap();
+        for delta in bad {
+            let classes = delta.classes.clone();
+            // At restore: a manifest naming the delta does not load.
+            let mut edited = manifest.clone();
+            edited.variants[device].delta = blobs.put_delta(&delta).unwrap();
+            let edited_root = blobs.put(edited.to_bytes()).unwrap();
+            assert!(
+                matches!(
+                    VariantStore::from_store(&blobs, edited_root),
+                    Err(StoreError::Mismatch(_))
+                ),
+                "restore admitted classes {classes:?}"
+            );
+            // At hot swap: fails closed.
+            assert!(
+                matches!(store.hot_swap(device, delta), Err(StoreError::Mismatch(_))),
+                "hot swap admitted classes {classes:?}"
+            );
+            // Every variant keeps serving, bit for bit.
+            let after = serve(&store);
+            assert_eq!(before.len(), after.len());
+            for (x, y) in before.iter().zip(&after) {
+                assert_eq!((x.id, x.exit, x.class), (y.id, y.exit, y.class));
+                assert_eq!(x.confidence.to_bits(), y.confidence.to_bits());
+                for (p, q) in x.logits.iter().zip(&y.logits) {
+                    assert_eq!(p.to_bits(), q.to_bits());
+                }
             }
         }
     }

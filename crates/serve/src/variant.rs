@@ -169,6 +169,18 @@ pub struct ClusterModel {
     pub params: ParamSet,
 }
 
+impl ClusterModel {
+    /// Lays out a cluster of shape `model`: the trunk, then the exit
+    /// norms and heads, registered in that order and initialized from
+    /// `rng`.
+    pub(crate) fn new(model: &ServeModelConfig, rng: &mut SmallRng64) -> Self {
+        let mut params = ParamSet::new();
+        let vit = Vit::with_activation(&mut params, &model.vit, model.activation, rng);
+        let exits = MultiExitVit::new(&mut params, &vit, &model.exit_layers, rng);
+        ClusterModel { vit, exits, params }
+    }
+}
+
 /// One device's serving variant: which cluster backbone it runs on and
 /// its personalized, class-pruned exit heads.
 #[derive(Debug)]
@@ -262,18 +274,7 @@ impl VariantStore {
         assert!(cfg.devices > 0, "need at least one device");
         let mut root = SmallRng64::new(seed);
         let clusters: Vec<ClusterModel> = (0..cfg.clusters)
-            .map(|c| {
-                let mut rng = root.fork(c as u64);
-                let mut params = ParamSet::new();
-                let vit = Vit::with_activation(
-                    &mut params,
-                    &cfg.model.vit,
-                    cfg.model.activation,
-                    &mut rng,
-                );
-                let exits = MultiExitVit::new(&mut params, &vit, &cfg.model.exit_layers, &mut rng);
-                ClusterModel { vit, exits, params }
-            })
+            .map(|c| ClusterModel::new(&cfg.model, &mut root.fork(c as u64)))
             .collect();
         let slots = (0..cfg.devices)
             .map(|d| {
@@ -346,7 +347,6 @@ impl VariantStore {
 
         let dim = cfg.model.vit.dim;
         let mut params = ParamSet::new();
-        let mut head_ids = Vec::with_capacity(cm.exits.heads().len());
         for (e, head) in cm.exits.heads().iter().enumerate() {
             let [wid, bid] = head.param_ids();
             let w_full = cm.params.value(wid); // [dim, total]
@@ -364,16 +364,10 @@ impl VariantStore {
             }
             let w = Array::from_vec(w, &[dim, keep]).expect("pruned head volume");
             let b = Array::from_vec(b, &[keep]).expect("pruned bias volume");
-            let wid = params.add(format!("exit{e}.head.w"), w);
-            let bid = params.add(format!("exit{e}.head.b"), b);
-            head_ids.push([wid, bid]);
+            params.add(format!("exit{e}.head.w"), w);
+            params.add(format!("exit{e}.head.b"), b);
         }
-        DeviceVariant {
-            cluster,
-            classes,
-            params,
-            head_ids,
-        }
+        device_variant_from_params(cluster, classes, params)
     }
 
     /// The cluster backbones.
@@ -412,7 +406,8 @@ impl VariantStore {
             let params = delta
                 .apply(&self.clusters[slot.cluster].params)
                 .expect("delta validated against its backbone at load time");
-            device_variant_from_params(slot.cluster, delta, params)
+            let classes = delta.classes.iter().map(|&c| c as usize).collect();
+            device_variant_from_params(slot.cluster, classes, params)
         })
     }
 
@@ -447,7 +442,8 @@ impl VariantStore {
     /// range or the delta fails the admission check
     /// [`VariantStore::from_store`] runs too: it was encoded against
     /// another backbone's address, does not match this backbone's names
-    /// and shapes, or its ops do not come in per-exit `(w, b)` pairs.
+    /// and shapes, or does not resolve to one `[dim, k]` / `[k]` head
+    /// pair per exit over `k ≥ 1` ascending kept classes of the model.
     pub fn hot_swap(&mut self, device: usize, delta: VariantDelta) -> Result<(), StoreError> {
         let Some(slot) = self.slots.get(device) else {
             return Err(StoreError::Mismatch(format!(
@@ -463,9 +459,10 @@ impl VariantStore {
                 .map(|c| ContentHash::of(&save_params(&c.params)))
                 .collect()
         });
-        admit(&delta, addresses[cluster], &clusters[cluster].params)?;
+        admit(&delta, addresses[cluster], &clusters[cluster])?;
         let params = delta.apply(&clusters[cluster].params)?;
-        let variant = device_variant_from_params(cluster, &delta, params);
+        let classes = delta.classes.iter().map(|&c| c as usize).collect();
+        let variant = device_variant_from_params(cluster, classes, params);
         self.slots[device] = VariantSlot::materialized(cluster, variant);
         Ok(())
     }
@@ -479,13 +476,15 @@ impl VariantStore {
 
 /// The one admission check for a device delta, at restore
 /// ([`VariantStore::from_store`]) and at hot swap: `delta` must be
-/// encoded against `address`, the blob address of the cluster backbone
-/// `backbone`, resolve against that backbone
-/// ([`VariantDelta::validate`]), and hold one `(w, b)` op pair per exit.
+/// encoded against `address`, the blob address of `cluster`'s backbone,
+/// resolve against that backbone ([`VariantDelta::validate`]), and
+/// describe a variant the batch engine can serve: one `(w, b)` head pair
+/// per exit, shaped `[dim, k]` and `[k]` for its `k ≥ 1` kept classes,
+/// whose ids ascend and stay below the model's class count.
 pub(crate) fn admit(
     delta: &VariantDelta,
     address: ContentHash,
-    backbone: &ParamSet,
+    cluster: &ClusterModel,
 ) -> Result<(), StoreError> {
     if delta.backbone != address {
         return Err(StoreError::Mismatch(format!(
@@ -493,11 +492,17 @@ pub(crate) fn admit(
             delta.backbone
         )));
     }
-    delta.validate(backbone)?;
-    if !delta.ops.len().is_multiple_of(2) {
+    let shapes = delta.validate(&cluster.params)?;
+    let (exits, cfg) = (cluster.exits.exit_layers().len(), cluster.vit.config());
+    let (classes, k) = (&delta.classes, delta.classes.len());
+    let head = [vec![cfg.dim, k], vec![k]];
+    let heads_fit = k > 0 && shapes.len() == 2 * exits && shapes.chunks(2).all(|p| p == head);
+    let ascending = classes.windows(2).all(|w| w[0] < w[1]);
+    if !heads_fit || !ascending || classes.iter().any(|&c| c as usize >= cfg.classes) {
         return Err(StoreError::Mismatch(format!(
-            "variant delta has {} ops; exit heads come in (w, b) pairs",
-            delta.ops.len()
+            "variant delta keeps classes {classes:?} with params shaped {shapes:?}; the \
+             model serves {exits} head pairs [{}, k], [k] over k ≥ 1 ascending ids below {}",
+            cfg.dim, cfg.classes
         )));
     }
     Ok(())
@@ -509,13 +514,14 @@ fn personalization_delta(rng: &mut SmallRng64) -> f32 {
     ((rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.1
 }
 
-/// Rebuilds a [`DeviceVariant`] from a delta-applied [`ParamSet`]. The
-/// delta's ops are in the variant's original registration order (one
-/// `exit{e}.head.w` / `exit{e}.head.b` pair per exit), so consecutive id
-/// pairs are the per-exit `[weight, bias]` bindings.
+/// Assembles a [`DeviceVariant`] from its kept `classes` and its head
+/// parameters, registered as one `exit{e}.head.w` / `exit{e}.head.b`
+/// pair per exit (the order [`VariantStore::build`] adds them in and a
+/// delta replays), so consecutive id pairs are the per-exit
+/// `[weight, bias]` bindings.
 pub(crate) fn device_variant_from_params(
     cluster: usize,
-    delta: &VariantDelta,
+    classes: Vec<usize>,
     params: ParamSet,
 ) -> DeviceVariant {
     debug_assert_eq!(params.len() % 2, 0, "head params come in (w, b) pairs");
@@ -523,7 +529,7 @@ pub(crate) fn device_variant_from_params(
     let head_ids = ids.chunks_exact(2).map(|c| [c[0], c[1]]).collect();
     DeviceVariant {
         cluster,
-        classes: delta.classes.iter().map(|&c| c as usize).collect(),
+        classes,
         params,
         head_ids,
     }

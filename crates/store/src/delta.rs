@@ -340,13 +340,26 @@ impl VariantDelta {
     /// Checks that [`VariantDelta::apply`] against `backbone` would
     /// succeed, without materializing anything — the structural
     /// validation a lazy store runs once at load time so later
-    /// on-demand materialization is infallible.
+    /// on-demand materialization is infallible — and returns the shape
+    /// of each parameter `apply` would build, in op order.
     ///
     /// # Errors
     ///
     /// The [`ApplyError`] `apply` would return.
-    pub fn validate(&self, backbone: &ParamSet) -> Result<(), ApplyError> {
-        self.resolve(backbone).map(drop)
+    pub fn validate(&self, backbone: &ParamSet) -> Result<Vec<Vec<usize>>, ApplyError> {
+        let sources = self.resolve(backbone)?;
+        Ok(sources
+            .into_iter()
+            .map(|source| match source {
+                Source::Backbone(value) => value.shape().to_vec(),
+                Source::Gathered(value) => {
+                    let mut shape = value.shape().to_vec();
+                    *shape.last_mut().expect("resolved gather") = self.classes.len();
+                    shape
+                }
+                Source::Stored(shape, _) => shape.to_vec(),
+            })
+            .collect())
     }
 
     /// Serializes to a sealed `ACMD` blob.
@@ -487,6 +500,12 @@ mod tests {
         let d = VariantDelta::encode(&b, h, &classes, &v);
         let back = d.apply(&b).unwrap();
         assert_eq!(back.len(), v.len());
+        // One op of each kind: validate's shapes are the built ones.
+        let built: Vec<Vec<usize>> = back
+            .ids()
+            .map(|id| back.value(id).shape().to_vec())
+            .collect();
+        assert_eq!(d.validate(&b).unwrap(), built);
         for (x, y) in v.ids().zip(back.ids()) {
             assert_eq!(v.name(x), back.name(y));
             assert_eq!(v.is_trainable(x), back.is_trainable(y));

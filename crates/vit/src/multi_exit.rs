@@ -19,7 +19,6 @@ pub struct MultiExitVit {
     exit_layers: Vec<usize>,
     norms: Vec<LayerNorm>,
     heads: Vec<Linear>,
-    dim: usize,
 }
 
 /// Outcome of confidence-thresholded inference over a dataset.
@@ -48,24 +47,9 @@ impl MultiExitVit {
     ///
     /// # Panics
     ///
-    /// Panics when `exit_layers` is empty, not strictly increasing, out
-    /// of range, or does not end at the final layer.
+    /// Panics when `exit_layers` breaks [`MultiExitVit::check_layout`].
     pub fn new(ps: &mut ParamSet, vit: &Vit, exit_layers: &[usize], rng: &mut impl Rng) -> Self {
-        let depth = vit.config().depth;
-        assert!(!exit_layers.is_empty(), "need at least one exit");
-        assert!(
-            exit_layers.windows(2).all(|w| w[0] < w[1]),
-            "exit layers must be strictly increasing"
-        );
-        assert!(
-            *exit_layers.last().expect("nonempty") == depth - 1,
-            "last exit must sit at the final layer {}",
-            depth - 1
-        );
-        assert!(
-            exit_layers.iter().all(|&l| l < depth),
-            "exit layer out of range"
-        );
+        Self::check_layout(exit_layers, vit.config().depth).unwrap_or_else(|msg| panic!("{msg}"));
         let dim = vit.config().dim;
         let classes = vit.config().classes;
         let mut norms = Vec::with_capacity(exit_layers.len());
@@ -78,7 +62,23 @@ impl MultiExitVit {
             exit_layers: exit_layers.to_vec(),
             norms,
             heads,
-            dim,
+        }
+    }
+
+    /// The exit-layer rule of a backbone `depth` blocks deep: at least
+    /// one exit, strictly increasing, the last at the final block.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message stating the rule when `exit_layers` breaks it.
+    pub fn check_layout(exit_layers: &[usize], depth: usize) -> Result<(), String> {
+        let increasing = exit_layers.windows(2).all(|w| w[0] < w[1]);
+        match exit_layers.last() {
+            Some(&last) if increasing && Some(last) == depth.checked_sub(1) => Ok(()),
+            _ => Err(format!(
+                "exit layers {exit_layers:?} must be non-empty, strictly increasing \
+                 and end at the last of {depth} blocks"
+            )),
         }
     }
 
@@ -87,35 +87,54 @@ impl MultiExitVit {
         &self.exit_layers
     }
 
-    /// The pre-head layer norm at each exit (parallel to
-    /// [`exit_layers`](Self::exit_layers)).
-    pub fn norms(&self) -> &[LayerNorm] {
-        &self.norms
-    }
-
     /// The classifier head at each exit (parallel to
     /// [`exit_layers`](Self::exit_layers)).
     pub fn heads(&self) -> &[Linear] {
         &self.heads
     }
 
-    /// Forward pass producing logits at *every* exit.
-    fn all_exit_logits(&self, g: &mut Graph, ps: &ParamSet, vit: &Vit, images: &Array) -> Vec<Var> {
+    /// Runs `vit` over `images` exit by exit: the one block loop of
+    /// multi-exit training, the early-exit evaluation and serving. After
+    /// block `exit_layers[e]` it applies exit `e`'s norm and calls
+    /// `at_exit(g, e, cls, rows)` with the `[k, dim]` `[CLS]` tokens of
+    /// the `k` live rows and each one's index into `images`. The closure
+    /// returns the ascending positions, among the `k`, of the rows that
+    /// continue (`None`: all); the walk gathers them before the next
+    /// block and stops once none does. Every op is row-independent, so a
+    /// row's values do not depend on which rows ran beside it.
+    pub fn walk(
+        &self,
+        g: &mut Graph,
+        ps: &ParamSet,
+        vit: &Vit,
+        images: &Array,
+        mut at_exit: impl FnMut(&mut Graph, usize, Var, &[usize]) -> Option<Vec<usize>>,
+    ) {
+        let (tokens, dim) = (vit.config().num_tokens(), vit.config().dim);
+        let mut rows: Vec<usize> = (0..images.shape()[0]).collect();
+        let mut e = 0;
         let mut x = vit.embed(g, ps, images);
-        let b = images.shape()[0];
-        let mut logits = Vec::with_capacity(self.exit_layers.len());
-        let mut next_exit = 0;
         for (l, blk) in vit.blocks().iter().enumerate() {
             x = blk.forward(g, ps, x);
-            if next_exit < self.exit_layers.len() && self.exit_layers[next_exit] == l {
-                let n = self.norms[next_exit].forward(g, ps, x);
-                let cls = g.slice_axis(n, 1, 0, 1);
-                let cls = g.reshape(cls, &[b, self.dim]);
-                logits.push(self.heads[next_exit].forward(g, ps, cls));
-                next_exit += 1;
+            if self.exit_layers.get(e) != Some(&l) {
+                continue;
             }
+            let k = rows.len();
+            let normed = self.norms[e].forward(g, ps, x);
+            let cls = g.slice_axis(normed, 1, 0, 1);
+            let cls = g.reshape(cls, &[k, dim]);
+            match at_exit(g, e, cls, &rows) {
+                Some(keep) if keep.is_empty() => return,
+                Some(keep) if keep.len() < k => {
+                    let flat = g.reshape(x, &[k, tokens * dim]);
+                    let gathered = g.embedding(flat, &keep);
+                    x = g.reshape(gathered, &[keep.len(), tokens, dim]);
+                    rows = keep.into_iter().map(|row| rows[row]).collect();
+                }
+                _ => {}
+            }
+            e += 1;
         }
-        logits
     }
 
     /// Jointly trains all exits (sum of cross-entropies, backbone not
@@ -133,7 +152,11 @@ impl MultiExitVit {
     ) -> TrainReport {
         train_on(train.len(), ps, cfg, |g, ps, indices| {
             let batch = train.batch(indices);
-            let all = self.all_exit_logits(g, ps, vit, &batch.images);
+            let mut all = Vec::with_capacity(self.heads.len());
+            self.walk(g, ps, vit, &batch.images, |g, e, cls, _| {
+                all.push(self.heads[e].forward(g, ps, cls));
+                None
+            });
             let (first, rest) = all.split_first().expect("at least one exit");
             let mut loss = g.cross_entropy_logits(*first, &batch.labels);
             for &logits in rest {
@@ -167,38 +190,36 @@ impl MultiExitVit {
         let full_blocks = vit.config().depth;
         let mut exit_counts = vec![0usize; self.exit_layers.len()];
         let mut correct = 0usize;
-        let mut total = 0usize;
         let mut blocks_run = 0usize;
         let mut rng = SmallRng64::new(0);
         for batch in test.batches(batch_size, &mut rng) {
             let mut g = Graph::new();
-            let all = self.all_exit_logits(&mut g, ps, vit, &batch.images);
-            let probs: Vec<Array> = all.iter().map(|&l| g.value(l).softmax_last()).collect();
-            for (row, &label) in batch.labels.iter().enumerate() {
-                let mut taken = self.exit_layers.len() - 1;
-                for (e, p) in probs.iter().enumerate() {
-                    let r = p.row(row);
-                    if e + 1 == probs.len() || r.max() >= threshold {
-                        taken = e;
-                        break;
+            self.walk(&mut g, ps, vit, &batch.images, |g, e, cls, rows| {
+                let logits = self.heads[e].forward(g, ps, cls);
+                let probs = g.value(logits).softmax_last();
+                let last = e + 1 == self.exit_layers.len();
+                let mut keep = Vec::new();
+                for (i, &row) in rows.iter().enumerate() {
+                    let p = probs.row(i);
+                    if last || p.max() >= threshold {
+                        exit_counts[e] += 1;
+                        blocks_run += self.exit_layers[e] + 1;
+                        correct += usize::from(p.argmax() == batch.labels[row]);
+                    } else {
+                        keep.push(i);
                     }
                 }
-                exit_counts[taken] += 1;
-                blocks_run += self.exit_layers[taken] + 1;
-                let pred = probs[taken].row(row).argmax();
-                if pred == label {
-                    correct += 1;
-                }
-                total += 1;
-            }
+                Some(keep)
+            });
         }
+        let total = test.len();
         EarlyExitReport {
-            accuracy: correct as f32 / total.max(1) as f32,
+            accuracy: correct as f32 / total as f32,
             exit_fractions: exit_counts
                 .iter()
-                .map(|&c| c as f64 / total.max(1) as f64)
+                .map(|&c| c as f64 / total as f64)
                 .collect(),
-            mean_blocks: blocks_run as f64 / total.max(1) as f64,
+            mean_blocks: blocks_run as f64 / total as f64,
             full_blocks,
         }
     }
@@ -225,11 +246,18 @@ mod tests {
         let me = MultiExitVit::new(&mut ps, &vit, &[0, 1], &mut rng);
         let batch = ds.sample(3, &mut rng).as_batch();
         let mut g = Graph::new();
-        let all = me.all_exit_logits(&mut g, &ps, &vit, &batch.images);
-        assert_eq!(all.len(), 2);
-        for l in all {
-            assert_eq!(g.shape(l), &[3, ds.num_classes()]);
-        }
+        let mut seen = Vec::new();
+        me.walk(&mut g, &ps, &vit, &batch.images, |g, e, cls, rows| {
+            seen.push((e, g.shape(cls).to_vec(), rows.to_vec()));
+            None
+        });
+        assert_eq!(
+            seen,
+            [
+                (0, vec![3, 16], vec![0, 1, 2]),
+                (1, vec![3, 16], vec![0, 1, 2])
+            ]
+        );
     }
 
     #[test]
@@ -243,6 +271,63 @@ mod tests {
             MultiExitVit::new(&mut ps, &vit, &[0], &mut rng);
         }));
         assert!(r.is_err(), "missing final exit must panic");
+        assert_eq!(MultiExitVit::check_layout(&[0, 1], 2), Ok(()));
+        assert_eq!(MultiExitVit::check_layout(&[3], 4), Ok(()));
+        for (exits, depth) in [
+            (&[][..], 2),
+            (&[1, 1], 2),
+            (&[1, 0], 2),
+            (&[0], 2),
+            (&[0, 2], 2),
+            (&[0], 0),
+        ] {
+            assert!(
+                MultiExitVit::check_layout(exits, depth).is_err(),
+                "{exits:?} at depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_walk_runs_deeper_blocks_on_the_kept_rows_only() {
+        let (vit, mut ps, ds, mut rng) = setup();
+        let me = MultiExitVit::new(&mut ps, &vit, &[0, 1], &mut rng);
+        let batch = ds.sample(4, &mut rng).as_batch();
+        let final_cls = |keep: Option<Vec<usize>>| {
+            let mut g = Graph::new();
+            let mut out = None;
+            me.walk(&mut g, &ps, &vit, &batch.images, |g, e, cls, rows| {
+                if e == 1 {
+                    out = Some((rows.to_vec(), g.value(cls).clone()));
+                }
+                keep.clone()
+            });
+            out.expect("every walk reaches the final exit here")
+        };
+        let (all_rows, all) = final_cls(None);
+        let (kept_rows, kept) = final_cls(Some(vec![1, 3]));
+        assert_eq!(
+            (all_rows, kept_rows.clone()),
+            (vec![0, 1, 2, 3], vec![1, 3])
+        );
+        assert_eq!(kept.shape(), &[2, 16]);
+        for (i, &row) in kept_rows.iter().enumerate() {
+            let bits = |a: &Array, r: usize| {
+                a.row(r)
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&kept, i), bits(&all, row), "row {row}");
+        }
+        // No row continues: the final exit is never reached.
+        let mut exits = Vec::new();
+        me.walk(&mut Graph::new(), &ps, &vit, &batch.images, |_, e, _, _| {
+            exits.push(e);
+            Some(Vec::new())
+        });
+        assert_eq!(exits, [0]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Absolute bit pins of the minibatch training loop: every epoch loss and
 //! a digest of every parameter bit after `fit` on a tiny ViT and after
-//! `MultiExitVit::fit_exits` on two exits, at two seeds.
+//! `MultiExitVit::fit_exits` on two exits, at two seeds, and the
+//! early-exit report of the trained exits at five thresholds.
 //!
 //! A moved bit means the loop changed its shuffle draws, its op order or
 //! its accumulation order. Re-pin only on purpose.
@@ -74,5 +75,61 @@ fn fit_exits_pins_every_bit() {
         let got: Vec<u32> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
         assert_eq!(got, losses, "seed {seed} epoch losses");
         assert_eq!(param_digest(&ps), digest, "seed {seed} parameters");
+    }
+}
+
+/// Confidence-thresholded inference after `fit_exits` at seed 0, batch 7
+/// (four full batches and a ragged one): rows that leave at exit 0 skip
+/// block 1, and each kept row's bits do not depend on which rows left.
+#[test]
+fn evaluate_early_exit_pins_every_bit() {
+    // (threshold, accuracy, exit fractions, mean_blocks), floats as bits.
+    let pinned: [(f32, u32, [u64; 2], u64); 5] = [
+        (
+            0.5,
+            1063780352,
+            [4603241769126068224, 4601552919265804288],
+            4609152743636992000,
+        ),
+        (
+            0.6,
+            1063256064,
+            [4602115869219225600, 4602960294149357568],
+            4609574956102057984,
+        ),
+        (
+            0.7,
+            1063256064,
+            [4601552919265804288, 4603241769126068224],
+            4609715693590413312,
+        ),
+        (
+            0.9,
+            1063256064,
+            [0, 4607182418800017408],
+            4611686018427387904,
+        ),
+        (
+            1.0,
+            1063256064,
+            [0, 4607182418800017408],
+            4611686018427387904,
+        ),
+    ];
+    let (vit, mut ps, ds, mut rng) = setup(0);
+    let me = MultiExitVit::new(&mut ps, &vit, &[0, 1], &mut rng);
+    me.fit_exits(&mut ps, &vit, &ds, &train_cfg(0));
+    for (threshold, accuracy, fractions, mean_blocks) in pinned {
+        let report = me.evaluate_early_exit(&ps, &vit, &ds, threshold, 7);
+        let fractions_got: Vec<u64> = report.exit_fractions.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(
+            (
+                report.accuracy.to_bits(),
+                fractions_got,
+                report.mean_blocks.to_bits()
+            ),
+            (accuracy, fractions.to_vec(), mean_blocks),
+            "threshold {threshold}"
+        );
     }
 }

@@ -266,6 +266,37 @@ if [ -n "$offenders" ] || [ "$entries" != "$expected" ] \
     exit 1
 fi
 
+step "one exit walk (exit training, the early-exit ablation and serving run MultiExitVit::walk)"
+# Outside tests and comments, a TransformerBlock forward (a call of
+# blk.forward( / block.forward( or their _masked forms, the names the
+# tree gives a block) is made in two functions: Vit::encode and
+# MultiExitVit::walk, the one loop fit_exits, evaluate_early_exit and
+# BatchEngine::serve_batch run, so the exit norms, the [CLS] slice and
+# the row compaction are written once. crates/serve/src names no
+# .blocks(): the engine does not walk the backbone itself.
+# crates/vit/src/baselines.rs is left out: the Fig. 7(a) comparison
+# models are no Vit and each runs its own block stack.
+walks="$(
+    for f in $(find crates/*/src -name '*.rs' -not -path crates/vit/src/baselines.rs | sort); do
+        code_of "$f" | awk -v f="$f" '
+            match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            /(^|[^a-z_])(blk|block)\.forward(_masked)?\(/ { print f ": " fn }'
+    done
+)"
+serve_blocks="$(
+    for f in $(find crates/serve/src -name '*.rs' | sort); do
+        code_of "$f" | grep -F '.blocks()' | sed "s|^|$f: |" || true
+    done
+)"
+expected="crates/vit/src/model.rs: encode
+crates/vit/src/multi_exit.rs: walk"
+if [ "$walks" != "$expected" ] || [ -n "$serve_blocks" ]; then
+    echo "ci.sh: expected block forwards only in Vit::encode and MultiExitVit::walk," \
+        "and no .blocks() in crates/serve/src; found:" >&2
+    printf '%s\n' "$walks" "$serve_blocks" | sed '/^$/d' >&2
+    exit 1
+fi
+
 step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
 # scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
 # and restate their medians, the parent's quartiles and the win count

@@ -3,28 +3,39 @@
 
     python3 scripts/pub_audit.py
 
-Copies the tree to a temporary directory and marks every `pub` fn,
-method, const, static, struct field and enum variant of crates/*/src
-`#[deprecated(note = "AUDIT-<n>")]`. Then it runs `cargo check` on the
-workspace's lib, bin and example targets and on the `benchmarks/` crate:
+Copies the tree to target/pub-audit/tree and marks every `pub` fn,
+method, const, static, struct, enum, trait, type alias, struct field and
+enum variant of crates/*/src `#[deprecated(note = "AUDIT:<file>:<n>")]`.
+Then it runs `cargo check` on the workspace's lib, bin and example
+targets and on the `benchmarks/` crate, into target/pub-audit/target:
 rustc warns at every use the compiler resolves to a marked item, naming
-the item by its note, and test code is not compiled. An item is
-reported when no warning calls it (fns, consts and statics, from a file
-other than its own), reads it (fields) or constructs it (variants);
-reads and writes, constructions and match arms are told apart by the
-text around each warning, a heuristic that errs toward counting a use.
+the item by its note, and test code is not compiled. The copy rewrites
+only the files whose marked content changed and the target persists, so
+a repeat run checks incrementally; cargo replays the warnings of the
+crates it does not re-check.
+
+An item is reported when no warning calls it (fns, consts and statics,
+from a file other than its own), reads it (fields), constructs it
+(variants) or names it from another file (types), and, for a type, when
+no used item's signature names it either: a type reached only through a
+used fn's arguments or result, a used field's type or a used variant's
+payload counts as used. Names are matched as words, which errs toward
+counting a use. Reads and writes, constructions and match arms are told
+apart by the text around each warning, a heuristic that errs toward
+counting a use.
 
 Every report must be on ALLOW below, as `Owner::name` (a type, or the
-file stem of a free item, the crate's directory for lib.rs) with the
-reason a test needs it; an entry the audit does not report, because its
-item gained a caller or is gone, is stale. The script exits 1 on either.
+file stem of a free item or a type, the crate's directory for lib.rs)
+with the reason a test needs it; an entry the audit does not report,
+because its item gained a caller or is gone, is stale. The script exits
+1 on either.
 """
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
-import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,6 +44,7 @@ ALLOW = {
     'DriftDetectorConfig::standard': 'the drift-detector preset the 200-seed rate tests gate (ROADMAP item 12(a))',
     'DriftDetector::non_finite_dropped': 'count of dropped NaN/inf observations, the evidence the robustness tests read',
     # acme-check: property-test machinery, its callers are tests by design
+    'check::Gen': 'acme-check generator every property test draws from: its users are tests by design',
     'Gen::bits': 'acme-check draw: its callers are property tests by design',
     'Gen::u64': 'acme-check draw: its callers are property tests by design',
     'Gen::u32': 'acme-check draw: its callers are property tests by design',
@@ -85,6 +97,7 @@ ALLOW = {
     'gemm::gemm_naive': 'f32 GEMM oracle (safety code): the property tests compare the engine against it',
     'gradcheck::gradcheck': 'finite-difference gradient oracle (safety code) the autograd and attention tests check against',
     'pool::clear': 'empties the buffer pool so the retention and codec tests start from zero',
+    'qgemm::Quant': "the int8 Kernel impl's associated Extra type, which rustc requires as public as the impl (E0446)",
     'qgemm::quantize_rows': 'int8 stage the GEMM oracle property test composes against gemm_i8_naive',
     'qgemm::quantize_cols': 'int8 stage the GEMM oracle property test composes against gemm_i8_naive',
     'qgemm::dequantize_rows': 'inverse of quantize_rows for the quantization round-trip property',
@@ -104,62 +117,116 @@ ALLOW = {
 }
 
 FN = re.compile(r'^(\s*)pub (?:const |unsafe )*(fn|const|static) +([A-Za-z_]\w*)')
+TYPE = re.compile(r'^(\s*)pub (struct|enum|trait|type) +([A-Za-z_]\w*)')
 BLOCK = re.compile(r'^(\s*)pub(?:\([a-z]+\))? (struct|enum) +([A-Za-z_]\w*)[^;(]*\{\s*$')
 IMPL = re.compile(r'^\s*impl(?:<.*?>)? +(?:[\w:<>, ]+ +for +)?([A-Za-z_]\w*)')
 FIELD = re.compile(r'^(\s*)pub ([a-z_]\w*) *:')
 VARIANT = re.compile(r'^(\s*)([A-Z]\w*)\s*(\(|\{|,|=|$)')
+NOTE = re.compile(r'AUDIT:([\w./-]+):(\d+)')
 
 
-def mark(tree):
-    """Marks every pub item above each file's first #[cfg(test)]."""
-    items = []
-    for dirpath, _, names in sorted(os.walk(os.path.join(tree, 'crates'))):
-        rel_dir = os.path.relpath(dirpath, tree)
-        if '/src' not in rel_dir + '/':
+def signature(lines, i, kind):
+    """The text of the item starting at lines[i]: a fn's, const's,
+    static's or type's up to its body (`{` or `;` outside brackets), a
+    field's or variant's up to the `,` that ends it."""
+    out, brackets, angles = [], 0, 0
+    for line in lines[i:]:
+        code = line.split('//')[0]
+        for j, ch in enumerate(code):
+            if brackets == 0 and (ch in '{;' if kind in ('fn', 'type') else ch == ',' and angles == 0):
+                return ''.join(out)
+            if ch in '([{':
+                brackets += 1
+            elif ch in ')]}':
+                if brackets == 0:
+                    return ''.join(out)
+                brackets -= 1
+            elif ch == '<':
+                angles += 1
+            elif ch == '>' and code[j - 1:j] != '-':
+                angles -= 1
+            out.append(ch)
+        out.append(' ')
+    return ''.join(out)
+
+
+def mark(rel, text, items):
+    """`text` with every pub item above the file's first #[cfg(test)]
+    marked `#[deprecated(note = "AUDIT:<rel>:<k>")]`, appending each to
+    `items`. Notes are numbered per file, so an edit renumbers only its
+    own file."""
+    stem = os.path.splitext(os.path.basename(rel))[0]
+    stem = rel.split('/')[1] if stem == 'lib' else stem
+    out, block, owner, k = [], None, stem, 0
+    lines = text.split('\n')
+    for i, line in enumerate(lines):
+        if line.startswith('#[cfg(test)]'):
+            out.extend(lines[i:])
+            break
+
+        def note(kind, own, name, indent):
+            nonlocal k
+            out.append(f'{indent}#[deprecated(note = "AUDIT:{rel}:{k}")]')
+            items[(rel, k)] = dict(file=rel, line=i + 1, kind=kind, item=f'{own}::{name}',
+                                  sig=signature(lines, i, kind))
+            k += 1
+
+        if block:
+            indent = block[1]
+            m = (FIELD if block[0] == 'struct' else VARIANT).match(line)
+            if line.startswith(indent + '}'):
+                block = None
+            elif m and len(m.group(1)) == len(indent) + 4:
+                note('field' if block[0] == 'struct' else 'variant', block[2], m.group(2), m.group(1))
+            out.append(line)
             continue
-        for fname in sorted(n for n in names if n.endswith('.rs')):
-            path = os.path.join(dirpath, fname)
-            rel = os.path.relpath(path, tree)
-            stem = os.path.splitext(fname)[0]
-            stem = rel.split('/')[1] if stem == 'lib' else stem
-            out, block, owner = [], None, stem
-            lines = open(path).read().split('\n')
-            for i, line in enumerate(lines):
-                if line.startswith('#[cfg(test)]'):
-                    out.extend(lines[i:])
-                    break
+        m = BLOCK.match(line)
+        if m:
+            block = (m.group(2), m.group(1), m.group(3))
+        m = IMPL.match(line)
+        if m and not line.lstrip().startswith('//'):
+            owner = m.group(1)
+        m = FN.match(line)
+        if m:
+            note('fn', owner if m.group(1) else stem, m.group(3), m.group(1))
+        m = TYPE.match(line)
+        if m:
+            note('type', stem, m.group(3), m.group(1))
+        out.append(line)
+    return '\n'.join(out)
 
-                def note(kind, own, name, indent):
-                    out.append(f'{indent}#[deprecated(note = "AUDIT-{len(items)}")]')
-                    items.append(dict(file=rel, line=i + 1, kind=kind, item=f'{own}::{name}'))
 
-                if block:
-                    indent = block[1]
-                    m = (FIELD if block[0] == 'struct' else VARIANT).match(line)
-                    if line.startswith(indent + '}'):
-                        block = None
-                    elif m and len(m.group(1)) == len(indent) + 4:
-                        note('field' if block[0] == 'struct' else 'variant', block[2], m.group(2), m.group(1))
-                    out.append(line)
-                    continue
-                m = BLOCK.match(line)
-                if m:
-                    block = (m.group(2), m.group(1), m.group(3))
-                m = IMPL.match(line)
-                if m and not line.lstrip().startswith('//'):
-                    owner = m.group(1)
-                m = FN.match(line)
-                if m:
-                    note('fn', owner if m.group(1) else stem, m.group(3), m.group(1))
-                out.append(line)
-            open(path, 'w').write('\n'.join(out))
+def sync(tree):
+    """Writes the marked copy of the repo's files into `tree` and returns
+    the marked items. A file is written only when its content changed and
+    a file the repo no longer lists is deleted, so cargo re-checks only
+    what changed since the last run."""
+    items, kept = {}, set()
+    listed = subprocess.run(['git', 'ls-files', '-co', '--exclude-standard', '-z'],
+                            cwd=ROOT, capture_output=True, check=True).stdout.split(b'\0')
+    for rel in sorted(f.decode() for f in listed if f):
+        src, dst = os.path.join(ROOT, rel), os.path.join(tree, rel)
+        if not os.path.isfile(src):
+            continue
+        data = open(src, 'rb').read()
+        if rel.startswith('crates/') and '/src/' in rel and rel.endswith('.rs'):
+            data = mark(rel, data.decode(), items).encode()
+        kept.add(dst)
+        if not os.path.isfile(dst) or open(dst, 'rb').read() != data:
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            with open(dst, 'wb') as f:
+                f.write(data)
+    for dirpath, _, names in os.walk(tree):
+        for name in names:
+            if os.path.join(dirpath, name) not in kept:
+                os.remove(os.path.join(dirpath, name))
     return items
 
 
 def uses(tree, target, items):
-    """The kinds of use (call, read, write, construct, match) every
-    non-test target makes of each marked item. A call from the item's
-    own file is `self-call`."""
+    """The kinds of use (call, read, write, construct, match, name) every
+    non-test target makes of each marked item. A call or a naming from
+    the item's own file is `self-call` / `self-name`."""
     found = {}
     for cwd, args in [
         (tree, ['--workspace', '--lib', '--bins', '--examples']),
@@ -176,22 +243,28 @@ def uses(tree, target, items):
             msg = json.loads(raw)
             if msg.get('reason') != 'compiler-message':
                 continue
-            m = re.search(r'AUDIT-(\d+)', msg['message']['message'])
+            m = NOTE.search(msg['message']['message'])
             span = m and next(s for s in msg['message']['spans'] if s['is_primary'])
             path = span and os.path.normpath(os.path.join(cwd, span['file_name']))
             if span and not in_use(path, span['line_start']):
-                it = items[int(m.group(1))]
+                key = (m.group(1), int(m.group(2)))
+                it = items[key]
                 kind = use_kind(span, it['kind'])
-                if kind == 'call' and os.path.relpath(path, tree) == it['file']:
-                    kind = 'self-call'
-                found.setdefault(int(m.group(1)), set()).add(kind)
+                if kind in ('call', 'name') and os.path.relpath(path, tree) == it['file']:
+                    kind = 'self-' + kind
+                found.setdefault(key, set()).add(kind)
     return found
+
+
+@functools.cache
+def lines_of(path):
+    return open(path).read().split('\n')
 
 
 def in_use(path, line):
     """Whether 1-based `line` of `path` lies in a `use` declaration: a
     re-export names an item without using it."""
-    lines = open(path).read().split('\n')[:line]
+    lines = lines_of(path)[:line]
     for i in range(len(lines) - 1, -1, -1):
         if re.match(r'\s*(pub(\(\w+\))? )?use ', lines[i]):
             return True
@@ -204,6 +277,8 @@ def use_kind(span, kind):
     """How one warning's span uses an item of `kind`."""
     if kind == 'fn':
         return 'call'
+    if kind == 'type':
+        return 'name'
     line = span['text'][0]['text']
     start, end = span['column_start'] - 1, span['column_end'] - 1
     after = line[end:] if span['line_start'] == span['line_end'] else ''
@@ -220,21 +295,27 @@ def use_kind(span, kind):
     return 'write' if re.match(r'\s*(:(?!:)|[,}])', after) else 'read'
 
 
+def used(items, kinds):
+    """The keys of the items with a non-test use: a fn, const or static
+    called from another file, a field read, a variant constructed; a type
+    named in another file or in the signature of a used item."""
+    needed = {'fn': 'call', 'field': 'read', 'variant': 'construct', 'type': 'name'}
+    done = {key for key, it in items.items() if needed[it['kind']] in kinds.get(key, ())}
+    while True:
+        signatures = ' '.join(items[key]['sig'] for key in done)
+        more = {key for key, it in items.items() if it['kind'] == 'type' and key not in done
+                and re.search(r'\b%s\b' % it['item'].split('::')[1], signatures)}
+        if not more:
+            return done
+        done |= more
+
+
 def main():
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = os.path.join(tmp, 'tree')
-        files = subprocess.run(['git', 'ls-files', '-co', '--exclude-standard', '-z'],
-                               cwd=ROOT, capture_output=True, check=True).stdout.split(b'\0')
-        for f in filter(None, files):
-            src, dst = os.path.join(ROOT, f.decode()), os.path.join(tree, f.decode())
-            if os.path.isfile(src):
-                os.makedirs(os.path.dirname(dst), exist_ok=True)
-                with open(src, 'rb') as a, open(dst, 'wb') as b:
-                    b.write(a.read())
-        items = mark(tree)
-        kinds = uses(tree, os.path.join(tmp, 'target'), items)
-    needed = {'fn': 'call', 'field': 'read', 'variant': 'construct'}
-    unused = [it for n, it in enumerate(items) if needed[it['kind']] not in kinds.get(n, ())]
+    base = os.path.join(ROOT, 'target', 'pub-audit')
+    tree = os.path.join(base, 'tree')
+    items = sync(tree)
+    live = used(items, uses(tree, os.path.join(base, 'target'), items))
+    unused = [it for key, it in sorted(items.items()) if key not in live]
     failures = [f"orphan {it['kind']} {it['item']} at {it['file']}:{it['line']}"
                 for it in unused if it['item'] not in ALLOW]
     failures += [f'stale allow-list entry (its item has a caller, or is gone): {entry}'

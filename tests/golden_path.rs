@@ -20,7 +20,10 @@
 //! when it flips a prediction. Also pinned: the root hash of a
 //! `VariantStore` built at seed 42 and persisted, with its deltas
 //! encoded at one and two threads (every backbone, head and manifest
-//! byte).
+//! byte), and the responses of `BatchEngine::serve_batch` to a seeded
+//! mixed-variant request mix on such a store under a calibrated exit
+//! threshold (every response's id, device, exit, class, confidence bits
+//! and a hash of its logits' bits, and the responses per exit).
 //!
 //! The pins hold in the native build and in a plain x86-64 build
 //! without FMA (`gemm::madd` is always fused). They still depend on the
@@ -37,10 +40,11 @@ use acme_data::{generate, DriftSpec, SyntheticSpec};
 use acme_distsys::Network;
 use acme_nas::{HeaderArch, NasHeader, SharedParams};
 use acme_nn::{save_params, ParamSet};
-use acme_serve::{ServeModelConfig, StoreConfig, VariantStore};
+use acme_serve::{BatchEngine, ExitPolicy, Request, ServeModelConfig, StoreConfig, VariantStore};
 use acme_store::{ContentHash, ModelStore};
-use acme_tensor::{Precision, SmallRng64};
+use acme_tensor::{Array, Graph, Precision, SmallRng64};
 use acme_vit::{fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
+use rand::RngCore;
 
 /// One `name value` line per pinned field; floats as their bit patterns.
 type Fields = Vec<(String, String)>;
@@ -226,6 +230,68 @@ fn store_root(threads: usize) -> Fields {
     vec![("manifest.root".into(), root.to_hex())]
 }
 
+/// A seeded mix of 24 requests over the 6 variants of a 2-cluster store,
+/// served as one mixed-variant batch per backbone under a threshold
+/// calibrated at the mix's median first-exit confidence, so rows leave
+/// at both exits.
+fn served_batches(threads: usize) -> Fields {
+    acme_runtime::set_global_threads(threads);
+    let cfg = StoreConfig {
+        clusters: 2,
+        devices: 6,
+        keep_classes: 4,
+        model: ServeModelConfig::tiny(),
+        precision: Precision::F32,
+    };
+    let store = VariantStore::build(&cfg, 42);
+    let [c, h, w] = store.input_shape();
+    let mut rng = SmallRng64::new(3);
+    let requests: Vec<Request> = (0..24)
+        .map(|id| {
+            let device = rng.next_u64() as usize % store.num_devices();
+            let data = (0..c * h * w)
+                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
+                .collect();
+            Request {
+                id,
+                device,
+                input: Array::from_vec(data, &[c, h, w]).expect("input volume"),
+            }
+        })
+        .collect();
+    let engine = BatchEngine::new(&store, ExitPolicy::calibrated(&store, &requests, 0.5));
+    let mut g = Graph::new();
+    let mut f = Fields::new();
+    let mut per_exit = [0usize; 2];
+    for cluster in 0..cfg.clusters {
+        let batch: Vec<Request> = requests
+            .iter()
+            .filter(|r| r.device % cfg.clusters == cluster)
+            .cloned()
+            .collect();
+        for r in engine.serve_batch(&mut g, &batch) {
+            let logits: Vec<u8> = r.logits.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let id = r.id;
+            f.push((format!("response.{id}.device"), r.device.to_string()));
+            f.push((format!("response.{id}.exit"), r.exit.to_string()));
+            f.push((format!("response.{id}.class"), r.class.to_string()));
+            f.push((
+                format!("response.{id}.confidence"),
+                format!("{:#x}", r.confidence.to_bits()),
+            ));
+            f.push((
+                format!("response.{id}.logits"),
+                ContentHash::of(&logits).to_hex(),
+            ));
+            per_exit[r.exit] += 1;
+        }
+    }
+    for (e, n) in per_exit.iter().enumerate() {
+        f.push((format!("exit.{e}.responses"), n.to_string()));
+    }
+    f
+}
+
 /// Compares `got` with the pinned table and panics listing every field
 /// that moved, appeared or vanished.
 fn check(case: &str, threads: usize, pinned: &str, got: &Fields) {
@@ -316,6 +382,143 @@ fn persisted_store_root_matches_its_pin() {
         check("store root", threads, STORE_ROOT, &store_root(threads));
     }
 }
+
+#[test]
+fn served_batches_match_their_pins() {
+    for threads in [1, 2] {
+        check(
+            "served batches",
+            threads,
+            SERVED_BATCHES,
+            &served_batches(threads),
+        );
+    }
+}
+
+const SERVED_BATCHES: &str = "
+    response.1.device 0
+    response.1.exit 1
+    response.1.class 7
+    response.1.confidence 0x3f06a353
+    response.1.logits e869a76174a376779a271e74e64e29bc
+    response.3.device 2
+    response.3.exit 1
+    response.3.class 5
+    response.3.confidence 0x3eff01be
+    response.3.logits 3f64adadece6d90bcaab86bf78ae1e94
+    response.5.device 4
+    response.5.exit 0
+    response.5.class 1
+    response.5.confidence 0x3f503bc1
+    response.5.logits b9a7eb425804cb2d4019e3e7d3343b8f
+    response.7.device 0
+    response.7.exit 1
+    response.7.class 7
+    response.7.confidence 0x3f32f9e1
+    response.7.logits 7a52b14d7a9b6e261b2040899206791e
+    response.8.device 4
+    response.8.exit 0
+    response.8.class 1
+    response.8.confidence 0x3f458fce
+    response.8.logits 15e3c26b49cf6ecfd8dee8439ae74f46
+    response.9.device 2
+    response.9.exit 1
+    response.9.class 1
+    response.9.confidence 0x3ef458de
+    response.9.logits 0caa0cf8a22e9d8e8b9ee3f4b2ed9f01
+    response.12.device 0
+    response.12.exit 1
+    response.12.class 7
+    response.12.confidence 0x3f277f04
+    response.12.logits 33422aba96fa76df968003d2c1daa809
+    response.14.device 4
+    response.14.exit 0
+    response.14.class 1
+    response.14.confidence 0x3f4c75df
+    response.14.logits 81af510d0d31cd348db8317eaa28ab29
+    response.15.device 2
+    response.15.exit 1
+    response.15.class 1
+    response.15.confidence 0x3f03ad2f
+    response.15.logits e1e8399f56c78ee8e909022a72fa804f
+    response.19.device 2
+    response.19.exit 1
+    response.19.class 1
+    response.19.confidence 0x3f15adc0
+    response.19.logits 2ecff9f3f0b4c72a288a3bb3d2a4b76e
+    response.22.device 4
+    response.22.exit 0
+    response.22.class 1
+    response.22.confidence 0x3f53fc50
+    response.22.logits ebeca5cafd6cf3cf76f0dea825d10534
+    response.23.device 4
+    response.23.exit 0
+    response.23.class 1
+    response.23.confidence 0x3f52a743
+    response.23.logits 4bc42220fee31a502e7bc5761fa48ba0
+    response.0.device 3
+    response.0.exit 0
+    response.0.class 1
+    response.0.confidence 0x3f5ab308
+    response.0.logits ac042a281de65d74579f2f7e5c61472e
+    response.2.device 1
+    response.2.exit 0
+    response.2.class 0
+    response.2.confidence 0x3f455096
+    response.2.logits e5e36e15c6757ccc2a87c5f3b049c67a
+    response.4.device 5
+    response.4.exit 1
+    response.4.class 2
+    response.4.confidence 0x3ec467f7
+    response.4.logits acb6ce4eb42b30578212c84a8afbdef4
+    response.6.device 1
+    response.6.exit 0
+    response.6.class 0
+    response.6.confidence 0x3f3d7183
+    response.6.logits 41b5d67967668b2fa4db1a70c217d08e
+    response.10.device 1
+    response.10.exit 1
+    response.10.class 0
+    response.10.confidence 0x3f40667d
+    response.10.logits 531db45be8765e647f6f59dc70f4cf5f
+    response.11.device 3
+    response.11.exit 0
+    response.11.class 1
+    response.11.confidence 0x3f3c2c68
+    response.11.logits 0361cc25d81c9f84bc3b4209bd0bfd9f
+    response.13.device 1
+    response.13.exit 1
+    response.13.class 0
+    response.13.confidence 0x3f31642d
+    response.13.logits 3b432e7c5c21f4750d5ed254d1571028
+    response.16.device 3
+    response.16.exit 1
+    response.16.class 0
+    response.16.confidence 0x3f1a5c57
+    response.16.logits 4100c94059e70aece69d956dfb3510fe
+    response.17.device 1
+    response.17.exit 1
+    response.17.class 0
+    response.17.confidence 0x3f06161f
+    response.17.logits 7854b542ef4f352f1c2d864b7da7a2a6
+    response.18.device 5
+    response.18.exit 0
+    response.18.class 7
+    response.18.confidence 0x3f3c35a7
+    response.18.logits 9807ebcd77a1e315133a9d77cfd72f15
+    response.20.device 3
+    response.20.exit 0
+    response.20.class 1
+    response.20.confidence 0x3f5f2e66
+    response.20.logits 13561fe0e28a0e9f99846c72790a1872
+    response.21.device 1
+    response.21.exit 0
+    response.21.class 0
+    response.21.confidence 0x3f3af1fd
+    response.21.logits 8bb756d4201a732de032678508fc01b2
+    exit.0.responses 12
+    exit.1.responses 12
+";
 
 const STORE_ROOT: &str = "
     manifest.root 0cb2e87cdeda72e2a926e6a698a0996c
