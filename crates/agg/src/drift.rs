@@ -247,7 +247,6 @@ mod tests {
     use super::*;
     use acme_runtime::Pool;
     use acme_tensor::SmallRng64;
-    use rand::Rng;
 
     fn feed(det: &mut DriftDetector, xs: impl IntoIterator<Item = f32>) -> Vec<DriftStatus> {
         xs.into_iter().map(|x| det.observe(x)).collect()
@@ -307,7 +306,7 @@ mod tests {
         // floor must keep it silent no matter the constant.
         for seed in 0..20u64 {
             let mut rng = SmallRng64::new(seed);
-            let level: f32 = rng.gen_range(-5.0..5.0);
+            let level = rng.f32_in(-5.0..5.0);
             let mut det = DriftDetector::new(cfg_small()).unwrap();
             for _ in 0..2000 {
                 let s = det.observe(level);
@@ -336,7 +335,7 @@ mod tests {
             })
             .unwrap();
             for _ in 0..4000 {
-                let x: f32 = rng.gen_range(-1.0..1.0);
+                let x = rng.f32_in(-1.0..1.0);
                 det.observe(x);
             }
             assert!(!det.has_drifted(), "seed {seed} false-positived");
@@ -348,13 +347,13 @@ mod tests {
         let mut rng = SmallRng64::new(7);
         let mut det = DriftDetector::new(cfg_small()).unwrap();
         for _ in 0..640 {
-            det.observe(rng.gen_range(-0.1..0.1));
+            det.observe(rng.f32_in(-0.1..0.1));
         }
         assert!(!det.has_drifted());
         let mut latency = 0u64;
         for _ in 0..640 {
             latency += 1;
-            let s = det.observe(2.0 + rng.gen_range(-0.1..0.1f32));
+            let s = det.observe(2.0 + rng.f32_in(-0.1..0.1));
             if matches!(s, DriftStatus::Drifted { .. }) {
                 break;
             }
@@ -387,7 +386,7 @@ mod tests {
         let mut rng = SmallRng64::new(11);
         let mut det = DriftDetector::new(cfg_small()).unwrap();
         for _ in 0..1000 {
-            let s = det.observe(0.7 + rng.gen_range(-0.01..0.01f32));
+            let s = det.observe(0.7 + rng.f32_in(-0.01..0.01));
             assert!(!matches!(s, DriftStatus::Drifted { .. }));
         }
         assert!(!det.has_drifted());
@@ -446,7 +445,7 @@ mod tests {
                 let shift = if dev % 3 == 0 { 3.0 } else { 0.0 };
                 for t in 0..512 {
                     let base = if t >= 256 { shift } else { 0.0 };
-                    det.observe(base + rng.gen_range(-0.1..0.1f32));
+                    det.observe(base + rng.f32_in(-0.1..0.1));
                 }
                 (det.has_drifted(), det.threshold)
             })

@@ -2,7 +2,6 @@
 
 use acme_runtime::Pool;
 use acme_tensor::{Array, SmallRng64};
-use rand::Rng;
 
 use crate::divergence::js_divergence;
 use crate::error::MetricError;
@@ -23,7 +22,7 @@ use crate::wasserstein::sliced_wasserstein;
 pub fn similarity_matrix_wasserstein(
     features: &[Array],
     projections: usize,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<Vec<Vec<f64>>, MetricError> {
     if features.is_empty() {
         return Err(MetricError::NoDevices);

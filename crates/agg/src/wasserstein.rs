@@ -1,8 +1,7 @@
 //! Wasserstein distances: exact 1-D solutions and the sliced
 //! approximation used for high-dimensional feature clouds.
 
-use acme_tensor::{randn, Array};
-use rand::Rng;
+use acme_tensor::{randn, Array, SmallRng64};
 
 use crate::error::MetricError;
 
@@ -88,7 +87,7 @@ pub fn sliced_wasserstein(
     x: &Array,
     y: &Array,
     projections: usize,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<f64, MetricError> {
     if projections == 0 {
         return Err(MetricError::ZeroProjections);

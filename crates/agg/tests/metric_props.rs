@@ -47,11 +47,10 @@ fn normalization_rows_are_distributions() {
         let tau = g.f64(0.01..2.0);
         let seed = g.u64(0..50);
         let mut rng = SmallRng64::new(seed);
-        use rand::Rng;
         let sim: Vec<Vec<f64>> = (0..n)
             .map(|i| {
                 (0..n)
-                    .map(|j| if i == j { 1.0 } else { rng.gen_range(0.0..1.0) })
+                    .map(|j| if i == j { 1.0 } else { rng.f64_in(0.0..1.0) })
                     .collect()
             })
             .collect();

@@ -8,7 +8,6 @@ use acme_tensor::SmallRng64;
 use acme_vit::{
     evaluate, fit, score_importance, sub_network, ImportanceScores, TrainConfig, Vit, VitConfig,
 };
-use rand::RngCore;
 
 /// Magnitude scores: per head, the squared norm of its value-projection
 /// columns; per neuron, the squared norm of its fc1 column.
@@ -49,14 +48,14 @@ fn random_scores(vit: &Vit, rng: &mut SmallRng64) -> ImportanceScores {
     let heads = (0..cfg.depth)
         .map(|_| {
             (0..cfg.heads)
-                .map(|_| (rng.next_u32() as f32) / u32::MAX as f32)
+                .map(|_| ((rng.next_u64() >> 32) as f32) / u32::MAX as f32)
                 .collect()
         })
         .collect();
     let neurons = (0..cfg.depth)
         .map(|_| {
             (0..cfg.mlp_hidden)
-                .map(|_| (rng.next_u32() as f32) / u32::MAX as f32)
+                .map(|_| ((rng.next_u64() >> 32) as f32) / u32::MAX as f32)
                 .collect()
         })
         .collect();

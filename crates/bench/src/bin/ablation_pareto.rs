@@ -7,7 +7,7 @@ use acme_energy::{EnergyModel, Fleet};
 use acme_nn::ParamSet;
 use acme_pareto::{select_constrained, Candidate, EfficiencyMetrics, GridSpec};
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, DistillConfig, TrainConfig, Vit, VitConfig};
+use acme_vit::{fit, TrainConfig, Vit, VitConfig};
 
 /// Weighted-sum baseline: minimize the mean of objectives normalized by
 /// the population's worst value, subject to the storage bound.
@@ -61,9 +61,9 @@ fn main() {
         &val,
         &scale.pick(vec![0.25, 0.5, 0.75, 1.0], vec![0.5, 1.0]),
         &scale.pick(vec![1, 2, 3, 4, 5, 6], vec![2, 4]),
-        &DistillConfig {
+        &TrainConfig {
             epochs: scale.pick(2, 1),
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         },
         2,
         &mut rng,

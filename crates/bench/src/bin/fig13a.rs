@@ -12,7 +12,7 @@ use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::baselines::BaselineKind;
 use acme_vit::headers::{HeadedVit, Header};
-use acme_vit::{evaluate, fit, DistillConfig, TrainConfig, Vit, VitConfig};
+use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -65,9 +65,9 @@ fn main() {
         &test,
         &[0.5, 0.75, 1.0],
         &scale.pick(vec![2, 3, 4, 5, 6], vec![2, 4]),
-        &DistillConfig {
+        &TrainConfig {
             epochs: scale.pick(2, 1),
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         },
         2,
         &mut rng,

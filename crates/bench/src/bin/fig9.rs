@@ -8,7 +8,7 @@ use acme_energy::{EnergyModel, Fleet};
 use acme_nn::ParamSet;
 use acme_pareto::{select_with, Candidate, EfficiencyMetrics, GridSpec, MatchingMethod};
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, DistillConfig, TrainConfig, Vit, VitConfig};
+use acme_vit::{fit, TrainConfig, Vit, VitConfig};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -37,9 +37,9 @@ fn main() {
         &val,
         &scale.pick(vec![0.25, 0.5, 0.75, 1.0], vec![0.5, 1.0]),
         &scale.pick(vec![1, 2, 3, 4, 5, 6], vec![2, 4]),
-        &DistillConfig {
+        &TrainConfig {
             epochs: scale.pick(2, 1),
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         },
         2,
         &mut rng,

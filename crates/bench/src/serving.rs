@@ -13,8 +13,7 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use acme_serve::{
-    loadgen, serve, BatcherConfig, ExitPolicy, LoadGenConfig, Precision, ServerConfig, StoreConfig,
-    VariantStore,
+    loadgen, serve, BatcherConfig, ExitPolicy, Precision, ServerConfig, StoreConfig, VariantStore,
 };
 
 /// One measured serving configuration.
@@ -194,8 +193,7 @@ pub fn sweep(cfg: &SweepConfig) -> Vec<ServingRow> {
     let mut rows: Vec<ServingRow> = Vec::new();
     for &fleet in &cfg.fleets {
         let store = VariantStore::build(&StoreConfig::serving_default(fleet), cfg.seed);
-        let gen_cfg = LoadGenConfig::firehose(cfg.requests, cfg.seed);
-        let trace = loadgen::trace(&store, &gen_cfg);
+        let trace = loadgen::trace(&store, cfg.requests, cfg.seed);
         let probe = &trace[..trace.len().min(96)];
         let policy = ExitPolicy::calibrated(&store, probe, 0.6);
         for &workers in &cfg.workers {
@@ -220,8 +218,7 @@ pub fn sweep_precision(cfg: &SweepConfig) -> Vec<ServingRow> {
     for precision in [Precision::F32, Precision::Int8] {
         let store =
             VariantStore::build(&StoreConfig::quantized_default(fleet, precision), cfg.seed);
-        let gen_cfg = LoadGenConfig::firehose(cfg.requests, cfg.seed);
-        let trace = loadgen::trace(&store, &gen_cfg);
+        let trace = loadgen::trace(&store, cfg.requests, cfg.seed);
         let probe = &trace[..trace.len().min(96)];
         let policy = ExitPolicy::calibrated(&store, probe, 0.6);
         for &workers in &cfg.workers {

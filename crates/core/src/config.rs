@@ -4,7 +4,7 @@ use acme_data::{ConfusionLevel, SyntheticSpec};
 use acme_energy::EnergyModel;
 use acme_nas::SearchConfig;
 use acme_runtime::Pool;
-use acme_vit::{DistillConfig, TrainConfig, VitConfig};
+use acme_vit::{TrainConfig, VitConfig};
 
 use crate::error::AcmeError;
 use crate::refine::RefineConfig;
@@ -36,7 +36,7 @@ pub struct AcmeConfig {
     /// Cloud pre-training schedule for `θ₀`.
     pub pretrain: TrainConfig,
     /// Distillation schedule per Phase 1 candidate (Eq. 9).
-    pub distill: DistillConfig,
+    pub distill: TrainConfig,
     /// Importance-scoring batches for head/neuron pruning.
     pub importance_batches: usize,
     /// Edge NAS settings (Phase 2-1).
@@ -75,9 +75,9 @@ impl AcmeConfig {
                 epochs: 6,
                 ..TrainConfig::default()
             },
-            distill: DistillConfig {
+            distill: TrainConfig {
                 epochs: 2,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
             importance_batches: 4,
             search: SearchConfig::default(),
@@ -126,10 +126,10 @@ impl AcmeConfig {
                 batch_size: 16,
                 ..TrainConfig::default()
             },
-            distill: DistillConfig {
+            distill: TrainConfig {
                 epochs: 1,
                 batch_size: 16,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
             importance_batches: 2,
             search: SearchConfig::quick(),
@@ -300,7 +300,7 @@ impl AcmeConfigBuilder {
         /// Cloud pre-training schedule for `θ₀`.
         pretrain: TrainConfig,
         /// Distillation schedule per Phase 1 candidate (Eq. 9).
-        distill: DistillConfig,
+        distill: TrainConfig,
         /// Importance-scoring batches for head/neuron pruning.
         importance_batches: usize,
         /// Edge NAS settings (Phase 2-1).

@@ -7,7 +7,7 @@ use acme_nn::{accuracy, ParamSet};
 use acme_pareto::{select_constrained, Candidate, GridSpec, SelectError};
 use acme_runtime::Pool;
 use acme_tensor::{Graph, SmallRng64};
-use acme_vit::{distill_from, score_importance, sub_network, DistillConfig, TeacherTargets, Vit};
+use acme_vit::{distill_from, score_importance, sub_network, TeacherTargets, TrainConfig, Vit};
 
 /// One `(w, d)` candidate with its trained weights and cloud-side loss.
 pub struct CandidateModel {
@@ -87,7 +87,7 @@ pub fn build_candidate_pool_on(
     public_val: &Dataset,
     widths: &[f64],
     depths: &[usize],
-    distill_cfg: &DistillConfig,
+    distill_cfg: &TrainConfig,
     importance_batches: usize,
     rng: &mut SmallRng64,
 ) -> Vec<CandidateModel> {
@@ -230,9 +230,9 @@ mod tests {
             &val,
             &[0.5, 1.0],
             &[1, 2],
-            &DistillConfig {
+            &TrainConfig {
                 epochs: 0,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
             1,
             &mut rng,
@@ -255,9 +255,9 @@ mod tests {
             &val,
             &[0.5, 1.0],
             &[1, 2],
-            &DistillConfig {
+            &TrainConfig {
                 epochs: 0,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
             1,
             &mut rng,
@@ -293,9 +293,9 @@ mod tests {
             &val,
             &[0.5, 1.0],
             &[1, 2],
-            &DistillConfig {
+            &TrainConfig {
                 epochs: 0,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
             1,
             &mut rng,
@@ -319,9 +319,9 @@ mod tests {
     #[test]
     fn parallel_pool_matches_serial() {
         let (vit, ps, train, val, rng) = setup();
-        let cfg = DistillConfig {
+        let cfg = TrainConfig {
             epochs: 1,
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         };
         let serial = build_candidate_pool_on(
             &Pool::serial(),
@@ -397,9 +397,9 @@ mod tests {
                 &val,
                 &[0.5, 1.0],
                 &[1, 2],
-                &DistillConfig {
+                &TrainConfig {
                     epochs: 1,
-                    ..DistillConfig::default()
+                    ..TrainConfig::default()
                 },
                 1,
                 &mut rng,
@@ -434,9 +434,9 @@ mod tests {
                 &val,
                 &[1.0],
                 &[1],
-                &DistillConfig {
+                &TrainConfig {
                     epochs,
-                    ..DistillConfig::default()
+                    ..TrainConfig::default()
                 },
                 1,
                 rng,

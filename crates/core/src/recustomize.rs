@@ -24,7 +24,6 @@ use acme_runtime::Pool;
 use acme_store::{ContentHash, VariantDelta};
 use acme_tensor::SmallRng64;
 use acme_vit::{evaluate_header, fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
-use rand::RngCore;
 
 use crate::config::header_grid;
 use crate::error::AcmeError;
@@ -57,8 +56,6 @@ pub struct RecustomizeConfig {
     pub adapt_epochs: usize,
     /// Minibatch size of both fits and of evaluation.
     pub batch_size: usize,
-    /// Learning rate of both fits.
-    pub lr: f32,
     /// Per-class examples of each accuracy probe.
     pub eval_per_class: usize,
 }
@@ -84,7 +81,6 @@ impl RecustomizeConfig {
             adapt_samples: 96,
             adapt_epochs: 4,
             batch_size: 16,
-            lr: 3e-3,
             eval_per_class: 8,
         }
     }
@@ -107,7 +103,6 @@ impl RecustomizeConfig {
             adapt_samples: 64,
             adapt_epochs: 3,
             batch_size: 16,
-            lr: 3e-3,
             eval_per_class: 6,
         }
     }
@@ -236,7 +231,6 @@ fn simulate_device(
         let train_cfg = TrainConfig {
             epochs,
             batch_size: cfg.batch_size,
-            lr: cfg.lr,
             seed,
         };
         fit_header(header, ps, window, &train_cfg);

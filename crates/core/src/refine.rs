@@ -26,8 +26,6 @@ pub struct RefineConfig {
     pub local_epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Learning rate of local header training.
-    pub lr: f32,
     /// Tail neurons discarded per round ("the preset number").
     pub drop_per_round: usize,
     /// How importance sets are fused across devices (Fig. 11's Alone /
@@ -50,7 +48,6 @@ impl Default for RefineConfig {
             loop_rounds: 3,
             local_epochs: 2,
             batch_size: 16,
-            lr: 3e-3,
             drop_per_round: 2,
             method: AggregationMethod::Wasserstein,
             sim_sample: 24,
@@ -296,14 +293,10 @@ pub fn refine_cluster(
         // Local training + importance sets (device side).
         let mut sets = Vec::with_capacity(n);
         for (i, dev) in devices.iter().enumerate() {
-            let seed = {
-                use rand::RngCore;
-                rng.fork(i as u64).next_u64()
-            };
+            let seed = rng.fork(i as u64).next_u64();
             let train_cfg = TrainConfig {
                 epochs: cfg.local_epochs,
                 batch_size: cfg.batch_size,
-                lr: cfg.lr,
                 seed,
             };
             let train = &features[i].0;

@@ -1,8 +1,6 @@
 //! In-memory labeled image dataset with batching.
 
-use acme_tensor::Array;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use acme_tensor::{Array, SmallRng64};
 
 /// One minibatch: images `[batch, c, h, w]` plus integer labels.
 #[derive(Debug, Clone)]
@@ -103,15 +101,15 @@ impl Dataset {
 
     /// Randomly samples `n` examples (without replacement; clamped to
     /// `len()`): the examples at [`sample_indices`], in its order.
-    pub fn sample(&self, n: usize, rng: &mut impl Rng) -> Dataset {
+    pub fn sample(&self, n: usize, rng: &mut SmallRng64) -> Dataset {
         self.subset(&sample_indices(self.len(), n, rng))
     }
 
     /// Splits into `(train, test)` with a `frac` fraction of shuffled
     /// examples in train.
-    pub fn split(&self, frac: f64, rng: &mut impl Rng) -> (Dataset, Dataset) {
+    pub fn split(&self, frac: f64, rng: &mut SmallRng64) -> (Dataset, Dataset) {
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
+        rng.shuffle(&mut idx);
         let (cut, _) = self.split_sizes(frac);
         (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
     }
@@ -155,7 +153,7 @@ impl Dataset {
 
     /// Yields shuffled minibatches of (at most) `batch_size`: the
     /// batches of [`batch_indices`] over this dataset, in its order.
-    pub fn batches(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Batch> {
+    pub fn batches(&self, batch_size: usize, rng: &mut SmallRng64) -> Vec<Batch> {
         batch_indices(self.len(), batch_size, rng)
             .iter()
             .map(|c| self.batch(c))
@@ -190,9 +188,9 @@ impl Dataset {
 /// the indices behind [`Dataset::batches`] for a dataset of `len`
 /// examples, for per-example stores (such as cached features) that
 /// batch the way the images would.
-pub fn batch_indices(len: usize, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
+pub fn batch_indices(len: usize, batch_size: usize, rng: &mut SmallRng64) -> Vec<Vec<usize>> {
     let mut idx: Vec<usize> = (0..len).collect();
-    idx.shuffle(rng);
+    rng.shuffle(&mut idx);
     idx.chunks(batch_size.max(1))
         .map(<[usize]>::to_vec)
         .collect()
@@ -200,9 +198,9 @@ pub fn batch_indices(len: usize, batch_size: usize, rng: &mut impl Rng) -> Vec<V
 
 /// `n` indices of `0..len` drawn without replacement (clamped to `len`):
 /// the examples [`Dataset::sample`] picks from a dataset of `len`.
-pub fn sample_indices(len: usize, n: usize, rng: &mut impl Rng) -> Vec<usize> {
+pub fn sample_indices(len: usize, n: usize, rng: &mut SmallRng64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..len).collect();
-    idx.shuffle(rng);
+    rng.shuffle(&mut idx);
     idx.truncate(n.min(len));
     idx
 }

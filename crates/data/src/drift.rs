@@ -19,7 +19,6 @@
 //! streams are reproducible under any traversal order or thread count.
 
 use acme_tensor::{Array, SmallRng64};
-use rand::Rng;
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
@@ -118,7 +117,7 @@ impl DriftingStream {
         // — a few classes get most of the mass.
         let mut mix_rng = SmallRng64::new(window_seed(seed, 0, 0, 3));
         let logits: Vec<f64> = (0..spec.base.classes)
-            .map(|_| mix_rng.gen_range(-2.0..2.0))
+            .map(|_| mix_rng.f64_in(-2.0..2.0))
             .collect();
         let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
@@ -162,9 +161,9 @@ impl DriftingStream {
             .expect("same shape")
     }
 
-    fn sample_class(&self, mix_level: f32, rng: &mut impl Rng) -> usize {
+    fn sample_class(&self, mix_level: f32, rng: &mut SmallRng64) -> usize {
         let k = self.spec.base.classes;
-        let u: f64 = rng.gen_range(0.0..1.0);
+        let u = rng.f64_in(0.0..1.0);
         let mut acc = 0.0;
         for (c, &w) in self.target_mixture.iter().enumerate() {
             let p = (1.0 - mix_level as f64) / k as f64 + mix_level as f64 * w;

@@ -1,8 +1,7 @@
 //! Device partitioning: IID or Dirichlet skew at the paper's C1/C2/C3
 //! confusion levels (Fig. 11).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
+use acme_tensor::SmallRng64;
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
@@ -64,13 +63,13 @@ impl std::fmt::Display for ConfusionLevel {
 fn partition_iid(
     ds: &Dataset,
     n_parts: usize,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<Vec<Dataset>, DataError> {
     if n_parts == 0 {
         return Err(DataError::ZeroParts);
     }
     let mut idx: Vec<usize> = (0..ds.len()).collect();
-    idx.shuffle(rng);
+    rng.shuffle(&mut idx);
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n_parts];
     for (i, &e) in idx.iter().enumerate() {
         parts[i % n_parts].push(e);
@@ -80,7 +79,7 @@ fn partition_iid(
 
 /// Samples a Dirichlet(α,…,α) vector of length `k` by normalizing Gamma
 /// draws (Marsaglia–Tsang for α ≥ 1, boosted for α < 1).
-fn dirichlet(alpha: f64, k: usize, rng: &mut impl Rng) -> Vec<f64> {
+fn dirichlet(alpha: f64, k: usize, rng: &mut SmallRng64) -> Vec<f64> {
     let mut draws: Vec<f64> = (0..k).map(|_| gamma_sample(alpha, rng)).collect();
     let sum: f64 = draws.iter().sum();
     if sum <= 0.0 {
@@ -92,10 +91,10 @@ fn dirichlet(alpha: f64, k: usize, rng: &mut impl Rng) -> Vec<f64> {
     draws
 }
 
-fn gamma_sample(alpha: f64, rng: &mut impl Rng) -> f64 {
+fn gamma_sample(alpha: f64, rng: &mut SmallRng64) -> f64 {
     if alpha < 1.0 {
         // Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u = rng.f64_in(f64::EPSILON..1.0);
         return gamma_sample(alpha + 1.0, rng) * u.powf(1.0 / alpha);
     }
     // Marsaglia–Tsang squeeze method.
@@ -104,15 +103,15 @@ fn gamma_sample(alpha: f64, rng: &mut impl Rng) -> f64 {
     loop {
         let x: f64 = {
             // Standard normal via Box–Muller.
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
+            let u1 = rng.f64_in(f64::EPSILON..1.0);
+            let u2 = rng.f64_in(0.0..1.0);
             (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         };
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;
         }
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u = rng.f64_in(f64::EPSILON..1.0);
         if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
             return d * v;
         }
@@ -131,7 +130,7 @@ fn partition_dirichlet(
     ds: &Dataset,
     n_parts: usize,
     alpha: f64,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<Vec<Dataset>, DataError> {
     if n_parts == 0 {
         return Err(DataError::ZeroParts);
@@ -146,7 +145,7 @@ fn partition_dirichlet(
     }
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n_parts];
     for mut idxs in by_class {
-        idxs.shuffle(rng);
+        rng.shuffle(&mut idxs);
         let props = dirichlet(alpha, n_parts, rng);
         // Cumulative allocation keeps counts exact.
         let n = idxs.len();
@@ -177,7 +176,7 @@ pub fn partition_confusion(
     ds: &Dataset,
     n_parts: usize,
     level: ConfusionLevel,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<Vec<Dataset>, DataError> {
     match level {
         ConfusionLevel::Iid => partition_iid(ds, n_parts, rng),

@@ -9,8 +9,7 @@
 //! * `confusion` — the fraction of each prototype shared across classes
 //!   (fine-grained recognition: Stanford Cars classes are all "car").
 
-use acme_tensor::{randn, Array};
-use rand::Rng;
+use acme_tensor::{randn, Array, SmallRng64};
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
@@ -142,7 +141,7 @@ fn upsample(coarse: &Array, channels: usize, grid: usize, size: usize) -> Array 
 /// component (weighted by `confusion`) plus a per-class unique component,
 /// upsampled to image resolution. The drifting streams reuse this to
 /// build a second, target prototype set from an independent RNG stream.
-pub(crate) fn render_prototypes(spec: &SyntheticSpec, rng: &mut impl Rng) -> Vec<Array> {
+pub(crate) fn render_prototypes(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Vec<Array> {
     let coarse_shape = [spec.channels, spec.grid, spec.grid];
     let shared = randn(&coarse_shape, rng);
     let unique_w = (1.0 - spec.confusion).sqrt();
@@ -163,8 +162,8 @@ pub(crate) fn render_prototypes(spec: &SyntheticSpec, rng: &mut impl Rng) -> Vec
 /// additive pixel noise. Shared by [`generate`] and the drifting streams
 /// so a zero-drift stream is distributed identically to a static
 /// dataset.
-pub(crate) fn render_example(proto: &Array, noise: f32, rng: &mut impl Rng) -> Array {
-    let jitter = 1.0 + 0.1 * rng.gen_range(-1.0f32..1.0);
+pub(crate) fn render_example(proto: &Array, noise: f32, rng: &mut SmallRng64) -> Array {
+    let jitter = 1.0 + 0.1 * rng.f32_in(-1.0..1.0);
     let noise = randn(proto.shape(), rng).scale(noise);
     proto.scale(jitter).add(&noise).expect("same shape")
 }
@@ -177,7 +176,7 @@ pub(crate) fn render_example(proto: &Array, noise: f32, rng: &mut impl Rng) -> A
 /// Returns [`DataError`] when `grid` does not divide `size`, `confusion`
 /// is outside `[0, 1)`, or the spec is degenerate (zero
 /// classes/examples).
-pub fn generate(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Dataset, DataError> {
+pub fn generate(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Result<Dataset, DataError> {
     spec.validate()?;
     let prototypes = render_prototypes(spec, rng);
     let mut images = Vec::with_capacity(spec.total());
@@ -196,7 +195,7 @@ pub fn generate(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Dataset, Dat
 /// # Errors
 ///
 /// Same contract as [`generate`].
-pub fn cifar100_like(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Dataset, DataError> {
+pub fn cifar100_like(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Result<Dataset, DataError> {
     generate(spec, rng)
 }
 
@@ -206,7 +205,10 @@ pub fn cifar100_like(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Dataset
 /// # Errors
 ///
 /// Same contract as [`generate`].
-pub fn stanford_cars_like(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Dataset, DataError> {
+pub fn stanford_cars_like(
+    spec: &SyntheticSpec,
+    rng: &mut SmallRng64,
+) -> Result<Dataset, DataError> {
     generate(spec, rng)
 }
 

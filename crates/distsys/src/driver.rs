@@ -30,11 +30,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use acme_energy::Fleet;
 
@@ -125,7 +124,7 @@ impl NodeStateMachine for Machine {
 // ---------------------------------------------------------------------
 
 /// The thread-per-node oracle: one OS thread per device, edge, and
-/// cloud, pumping crossbeam channel receives into the state machines
+/// cloud, pumping channel receives into the state machines
 /// against wall-clock timer deadlines.
 ///
 /// Send failures (a peer that already tore its inbox down) are ignored

@@ -1,10 +1,10 @@
 //! Thread-safe transfer metering for Table I's cost-efficiency analysis.
 
 use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::message::{Envelope, LinkClass, KINDS};
+use crate::network::lock;
 
 #[derive(Debug, Clone, Copy)]
 struct KindTotals {
@@ -56,7 +56,7 @@ impl Ledger {
     fn meter(&self, env: &Envelope, retransmission: bool) {
         let bytes = env.payload.wire_bytes();
         let uplink = env.is_uplink();
-        let mut t = self.totals.lock();
+        let mut t = lock(&self.totals);
         t.messages += 1;
         t.bytes += bytes;
         if uplink {
@@ -82,12 +82,12 @@ impl Ledger {
 
     /// Total bytes over all links.
     pub fn total_bytes(&self) -> u64 {
-        self.totals.lock().bytes
+        lock(&self.totals).bytes
     }
 
     /// Snapshot for reporting.
     pub fn report(&self) -> TransferReport {
-        let t = self.totals.lock();
+        let t = lock(&self.totals);
         TransferReport {
             messages: t.messages,
             total_bytes: t.bytes,

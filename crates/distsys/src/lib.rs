@@ -11,7 +11,7 @@
 //!   shared [`Ledger`] and emits its `net.*` trace events; what it
 //!   returns (how many copies, how late) is delivered by a *sink*.
 //!   [`Network`] is the channel sink, routing [`Envelope`]s between
-//!   [`NodeId`]s over crossbeam channels; [`Network::meter`] is the
+//!   [`NodeId`]s over `std::sync::mpsc` channels; [`Network::meter`] is the
 //!   sink that delivers nothing, for callers that only account for a
 //!   transfer. This is what Table I's upload-volume comparison is
 //!   measured on.

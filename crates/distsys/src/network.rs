@@ -4,12 +4,10 @@
 
 use std::collections::HashMap;
 use std::ops::DerefMut;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
 
 use crate::fault::{FaultPlan, FaultState, Verdict};
 use crate::ledger::Ledger;
@@ -71,8 +69,15 @@ pub struct Network {
 #[derive(Debug, Default)]
 struct Inner {
     ledger: Arc<Ledger>,
-    routes: RwLock<HashMap<NodeId, Sender<Envelope>>>,
+    routes: Mutex<HashMap<NodeId, Sender<Envelope>>>,
     faults: Option<Mutex<FaultState>>,
+}
+
+/// Locks `m` whether or not an earlier holder panicked: the panic
+/// surfaces where it happened (a node thread's join), not again at
+/// every later send, meter or report.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Network {
@@ -87,7 +92,7 @@ impl Network {
         Network {
             inner: Arc::new(Inner {
                 ledger: Arc::default(),
-                routes: RwLock::default(),
+                routes: Mutex::default(),
                 faults: FaultState::for_plan(plan).map(Mutex::new),
             }),
         }
@@ -102,8 +107,8 @@ impl Network {
     /// The existing route is left untouched; after [`Network::close`]
     /// the id can be registered again.
     pub fn register(&self, node: NodeId) -> Result<Receiver<Envelope>, RegisterError> {
-        let (tx, rx) = unbounded();
-        let mut routes = self.inner.routes.write();
+        let (tx, rx) = channel();
+        let mut routes = lock(&self.inner.routes);
         match routes.entry(node) {
             std::collections::hash_map::Entry::Occupied(_) => Err(RegisterError { node }),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -145,10 +150,10 @@ impl Network {
     ) -> Result<(), SendError> {
         // An unknown recipient is the caller's error, not traffic:
         // rejected before anything is ruled or metered.
-        let tx = {
-            let routes = self.inner.routes.read();
-            routes.get(&to).cloned().ok_or(SendError::UnknownNode(to))?
-        };
+        let tx = lock(&self.inner.routes)
+            .get(&to)
+            .cloned()
+            .ok_or(SendError::UnknownNode(to))?;
         let env = Envelope { from, to, payload };
         let Some(routed) = self.route(&env, retransmission) else {
             // Swallowed silently, so a dead sender cannot observe its
@@ -163,7 +168,7 @@ impl Network {
     }
 
     fn route(&self, env: &Envelope, retransmission: bool) -> Option<Routed> {
-        let faults = self.inner.faults.as_ref().map(|f| f.lock());
+        let faults = self.inner.faults.as_ref().map(lock);
         route(env, retransmission, faults, &self.inner.ledger, None)
     }
 
@@ -171,7 +176,7 @@ impl Network {
     /// `recv()` calls on those inboxes return errors, so node threads
     /// waiting on a faulted peer unwind cleanly instead of hanging.
     pub fn close(&self) {
-        self.inner.routes.write().clear();
+        lock(&self.inner.routes).clear();
     }
 
     /// The shared transfer ledger.

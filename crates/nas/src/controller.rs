@@ -3,7 +3,6 @@
 
 use acme_nn::{clip_grad_norm, Adam, EmbeddingLayer, Linear, LstmCell, Optimizer, ParamSet};
 use acme_tensor::{Graph, SmallRng64, Var};
-use rand::Rng;
 
 use crate::ops::OpKind;
 use crate::space::{BlockSpec, HeaderArch};
@@ -41,7 +40,7 @@ impl Controller {
     /// # Panics
     ///
     /// Panics for zero blocks.
-    pub fn new(ps: &mut ParamSet, num_blocks: usize, u: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(ps: &mut ParamSet, num_blocks: usize, u: usize, rng: &mut SmallRng64) -> Self {
         assert!(num_blocks > 0, "controller needs at least one block");
         let num_ops = OpKind::all().len();
         let max_inputs = num_blocks + 1;
@@ -141,9 +140,9 @@ impl Controller {
 }
 
 /// Samples an index from unnormalized probabilities.
-fn sample_categorical(probs: &[f32], rng: &mut impl Rng) -> usize {
+fn sample_categorical(probs: &[f32], rng: &mut SmallRng64) -> usize {
     let total: f32 = probs.iter().sum();
-    let mut t = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
+    let mut t = rng.f32_in(0.0..total.max(f32::MIN_POSITIVE));
     for (i, &p) in probs.iter().enumerate() {
         if t < p {
             return i;

@@ -3,8 +3,7 @@
 //! connected layer and a sigmoid.
 
 use acme_nn::{Adam, EmbeddingLayer, Linear, LstmCell, Optimizer, ParamSet};
-use acme_tensor::{Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{Array, Graph, SmallRng64, Var};
 
 use crate::ops::OpKind;
 use crate::space::HeaderArch;
@@ -23,7 +22,7 @@ pub struct AccuracyPredictor {
 impl AccuracyPredictor {
     /// Registers the predictor's parameters in `ps` for architectures of
     /// up to `max_blocks` blocks.
-    pub fn new(ps: &mut ParamSet, max_blocks: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(ps: &mut ParamSet, max_blocks: usize, rng: &mut SmallRng64) -> Self {
         let vocab = 1 + (max_blocks + 1).max(OpKind::all().len());
         AccuracyPredictor {
             cell: LstmCell::new(ps, "pred.lstm", 16, 64, rng),

@@ -2,9 +2,8 @@
 //! weights per (block, slot, learned-op) reused by every sampled child.
 
 use acme_nn::{Conv2dLayer, Linear, ParamId, ParamSet};
-use acme_tensor::Graph;
 use acme_tensor::Var;
-use rand::Rng;
+use acme_tensor::{Graph, SmallRng64};
 
 use crate::ops::{upsample2, OpKind};
 
@@ -44,7 +43,7 @@ impl SharedParams {
         dim: usize,
         grid: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let op_dim = (dim / 2).max(1);
         assert!(

@@ -1,6 +1,6 @@
 //! The block-structured header search space (Eq. 14).
 
-use rand::Rng;
+use acme_tensor::SmallRng64;
 
 use crate::ops::OpKind;
 
@@ -75,15 +75,15 @@ impl HeaderArch {
     /// # Panics
     ///
     /// Panics when `num_blocks` or `u` is zero.
-    pub fn random(num_blocks: usize, u: usize, rng: &mut impl Rng) -> Self {
+    pub fn random(num_blocks: usize, u: usize, rng: &mut SmallRng64) -> Self {
         assert!(num_blocks > 0 && u > 0, "degenerate architecture");
         let ops = OpKind::all();
         let blocks = (0..num_blocks)
             .map(|b| BlockSpec {
-                in1: rng.gen_range(0..b + 2),
-                in2: rng.gen_range(0..b + 2),
-                op1: ops[rng.gen_range(0..ops.len())],
-                op2: ops[rng.gen_range(0..ops.len())],
+                in1: rng.usize_in(0..b + 2),
+                in2: rng.usize_in(0..b + 2),
+                op1: ops[rng.usize_in(0..ops.len())],
+                op2: ops[rng.usize_in(0..ops.len())],
             })
             .collect();
         HeaderArch::new(blocks, u)

@@ -1,7 +1,6 @@
 //! Multi-head self-attention with per-head masking.
 
-use acme_tensor::{Graph, Var};
-use rand::Rng;
+use acme_tensor::{Graph, SmallRng64, Var};
 
 use crate::linear::Linear;
 use crate::param::{ParamId, ParamSet};
@@ -36,7 +35,7 @@ impl MultiHeadSelfAttention {
         dim: usize,
         heads: usize,
         head_dim: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         assert!(
             heads > 0 && head_dim > 0,

@@ -1,8 +1,7 @@
 //! Convolution layer wrapper used by the NAS header operations and the
 //! CNN-style baselines.
 
-use acme_tensor::{kaiming_uniform, Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{kaiming_uniform, Array, Graph, SmallRng64, Var};
 
 use crate::param::{ParamId, ParamSet};
 
@@ -27,7 +26,7 @@ impl Conv2dLayer {
         kernel: usize,
         stride: usize,
         pad: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let fan_in = in_ch * kernel * kernel;
         let w = ps.add(
@@ -46,7 +45,7 @@ impl Conv2dLayer {
         in_ch: usize,
         out_ch: usize,
         kernel: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Self::new(ps, name, in_ch, out_ch, kernel, 1, kernel / 2, rng)
     }

@@ -1,7 +1,6 @@
 //! Linear, MLP and embedding layers.
 
-use acme_tensor::{kaiming_uniform, Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{kaiming_uniform, Array, Graph, SmallRng64, Var};
 
 use crate::activation::Activation;
 use crate::param::{ParamId, ParamSet};
@@ -21,7 +20,7 @@ impl Linear {
         name: &str,
         in_dim: usize,
         out_dim: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let w = ps.add(
             format!("{name}.w"),
@@ -72,7 +71,7 @@ impl Mlp {
         hidden: usize,
         out_dim: usize,
         activation: Activation,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Mlp {
             fc1: Linear::new(ps, &format!("{name}.fc1"), in_dim, hidden, rng),
@@ -136,7 +135,7 @@ impl EmbeddingLayer {
         name: &str,
         vocab: usize,
         dim: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let w = ps.add(
             format!("{name}.emb"),

@@ -1,7 +1,6 @@
 //! LSTM cell for the NAS controller (§III-C of the paper).
 
-use acme_tensor::{Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{Array, Graph, SmallRng64, Var};
 
 use crate::linear::Linear;
 use crate::param::ParamSet;
@@ -25,7 +24,7 @@ impl LstmCell {
         name: &str,
         in_dim: usize,
         hidden: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let wx = Linear::new(ps, &format!("{name}.wx"), in_dim, 4 * hidden, rng);
         let wh = Linear::new(ps, &format!("{name}.wh"), hidden, 4 * hidden, rng);

@@ -1,7 +1,6 @@
 //! Pre-norm Transformer encoder block with head and neuron mask hooks.
 
-use acme_tensor::{Graph, Var};
-use rand::Rng;
+use acme_tensor::{Graph, SmallRng64, Var};
 
 use crate::activation::Activation;
 use crate::attention::MultiHeadSelfAttention;
@@ -32,7 +31,7 @@ impl TransformerBlock {
         dim: usize,
         heads: usize,
         mlp_hidden: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         assert!(
             dim.is_multiple_of(heads),
@@ -50,7 +49,7 @@ impl TransformerBlock {
         heads: usize,
         head_dim: usize,
         mlp_hidden: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Self::with_activation(
             ps,
@@ -76,7 +75,7 @@ impl TransformerBlock {
         head_dim: usize,
         mlp_hidden: usize,
         activation: Activation,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         TransformerBlock {
             ln1: LayerNorm::new(ps, &format!("{name}.ln1"), dim),

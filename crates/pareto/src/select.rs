@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use rand::Rng;
+use acme_tensor::SmallRng64;
 
 use crate::candidate::Candidate;
 use crate::grid::{pareto_front_grid, GridSpec};
@@ -164,7 +164,7 @@ pub fn select_with(
     candidates: &[Candidate],
     spec: &GridSpec,
     storage_limit: f64,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng64,
 ) -> Result<MatchOutcome, SelectError> {
     let start = Instant::now();
     let feasible: Vec<&Candidate> = finite_pool(candidates)?
@@ -193,7 +193,7 @@ pub fn select_with(
             if feasible.is_empty() {
                 (None, 0)
             } else {
-                (Some(feasible[rng.gen_range(0..feasible.len())]), 0)
+                (Some(feasible[rng.usize_in(0..feasible.len())]), 0)
             }
         }
     };

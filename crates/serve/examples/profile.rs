@@ -6,7 +6,6 @@ use std::time::Instant;
 
 use acme_serve::{BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
 use acme_tensor::{randn, Array, Graph, SmallRng64};
-use rand::RngCore;
 
 fn main() {
     acme_runtime::set_global_threads(1);
@@ -102,13 +101,8 @@ fn main() {
     let make = |rng: &mut SmallRng64, id: usize| Request {
         id,
         device: 0,
-        input: Array::from_vec(
-            (0..c * h * w)
-                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                .collect(),
-            &[c, h, w],
-        )
-        .expect("volume"),
+        input: Array::from_vec((0..c * h * w).map(|_| rng.unit_f32()).collect(), &[c, h, w])
+            .expect("volume"),
     };
     for &b in &[1usize, 2, 4, 8, 16, 32, 64] {
         let reqs: Vec<Request> = (0..b).map(|i| make(&mut rng, i)).collect();

@@ -74,6 +74,8 @@ impl ExitPolicy {
     /// `probe` requests, so roughly `1 - quantile` of comparable traffic
     /// leaves at the first exit. Self-calibrating: no assumption about
     /// the absolute confidence scale of the (possibly untrained) model.
+    /// Each backbone's probes are served as one batch, which gives the
+    /// bits one-at-a-time serving gives.
     ///
     /// # Panics
     ///
@@ -83,10 +85,21 @@ impl ExitPolicy {
         assert!((0.0..=1.0).contains(&quantile), "quantile out of range");
         let engine = BatchEngine::new(store, ExitPolicy::always());
         let mut g = Graph::new();
-        let mut confs: Vec<f32> = probe
-            .iter()
-            .map(|r| engine.serve_batch(&mut g, std::slice::from_ref(r))[0].confidence)
-            .collect();
+        let mut confs = Vec::with_capacity(probe.len());
+        let mut rest = probe.to_vec();
+        while let Some(first) = rest.first() {
+            let backbone = store.cluster_of(first.device);
+            let (batch, others): (Vec<Request>, Vec<Request>) = rest
+                .into_iter()
+                .partition(|r| std::ptr::eq(store.cluster_of(r.device), backbone));
+            confs.extend(
+                engine
+                    .serve_batch(&mut g, &batch)
+                    .iter()
+                    .map(|r| r.confidence),
+            );
+            rest = others;
+        }
         confs.sort_by(f32::total_cmp);
         let idx = ((confs.len() - 1) as f64 * quantile).round() as usize;
         ExitPolicy {
@@ -252,7 +265,6 @@ mod tests {
     use super::*;
     use crate::variant::{ServeModelConfig, StoreConfig, VariantStore};
     use acme_tensor::{Precision, SmallRng64};
-    use rand::RngCore;
 
     fn store() -> VariantStore {
         VariantStore::build(
@@ -272,9 +284,7 @@ mod tests {
         let mut rng = SmallRng64::new(seed);
         (0..n)
             .map(|id| {
-                let data = (0..c * h * w)
-                    .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                    .collect();
+                let data = (0..c * h * w).map(|_| rng.unit_f32()).collect();
                 Request {
                     id,
                     device,
@@ -351,6 +361,37 @@ mod tests {
         };
         for (a, b) in batched.iter().zip(&sequential) {
             assert_eq!(bits(a), bits(b), "request {} drifted", a.id);
+        }
+    }
+
+    #[test]
+    fn calibration_serves_each_backbone_as_one_batch_with_one_at_a_time_bits() {
+        let store = store();
+        let devices = store.num_devices();
+        assert!(!std::ptr::eq(store.cluster_of(0), store.cluster_of(1)));
+        // Devices interleaved, so neither backbone's probes are contiguous.
+        let probe: Vec<Request> = requests(&store, 0, 4 * devices, 17)
+            .into_iter()
+            .map(|r| Request {
+                device: r.id % devices,
+                ..r
+            })
+            .collect();
+        let mut g = Graph::new();
+        let mut confs: Vec<f32> = BatchEngine::new(&store, ExitPolicy::always())
+            .serve_sequential(&mut g, &probe)
+            .iter()
+            .map(|r| r.confidence)
+            .collect();
+        confs.sort_by(f32::total_cmp);
+        for quantile in [0.0, 0.3, 0.5, 0.6, 1.0] {
+            let idx = ((confs.len() - 1) as f64 * quantile).round() as usize;
+            let policy = ExitPolicy::calibrated(&store, &probe, quantile);
+            assert_eq!(
+                policy.confidence.to_bits(),
+                confs[idx].to_bits(),
+                "quantile {quantile}"
+            );
         }
     }
 

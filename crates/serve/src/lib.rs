@@ -42,7 +42,7 @@ pub mod variant;
 pub use acme_tensor::Precision;
 pub use batcher::{Batcher, BatcherConfig, QueuedRequest};
 pub use engine::{BatchEngine, ExitPolicy, Request, Response};
-pub use loadgen::{trace, LoadGenConfig};
+pub use loadgen::trace;
 pub use persist::{ManifestVariant, StoreManifest};
 pub use server::{serve, Completion, ServeReport, ServerConfig};
 pub use variant::{ClusterModel, DeviceVariant, ServeModelConfig, StoreConfig, VariantStore};

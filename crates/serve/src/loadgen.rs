@@ -2,42 +2,21 @@
 //!
 //! A trace is a firehose: every request is available at once, and
 //! device popularity follows a classic Zipf law (exponent 1), so a few
-//! hot variants dominate. Every draw comes from the raw [`SmallRng64`] stream, so a seed
-//! fully determines the trace. Paced open-loop arrivals are the
+//! hot variants dominate. Every draw comes from one [`SmallRng64`], so a
+//! seed fully determines the trace. Paced open-loop arrivals are the
 //! caller's to schedule.
 
 use acme_tensor::{pool, Array, SmallRng64};
-use rand::RngCore;
 
 use crate::engine::Request;
 use crate::variant::VariantStore;
 
-/// Traffic shape.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadGenConfig {
-    /// Total requests to emit.
-    pub requests: usize,
-    /// RNG seed; one seed = one exact trace.
-    pub seed: u64,
-}
-
-impl LoadGenConfig {
-    /// A firehose trace of `requests` arrivals.
-    pub fn firehose(requests: usize, seed: u64) -> Self {
-        LoadGenConfig { requests, seed }
-    }
-}
-
-/// Uniform `[0, 1)` draw from the raw RNG stream.
-fn unit(rng: &mut SmallRng64) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Generates the full request trace for `store` up front (inputs are
-/// uniform noise images drawn into pooled buffers, which return to the
-/// [`pool`] when a served request is dropped; ids are sequential).
-pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
-    let mut rng = SmallRng64::new(cfg.seed);
+/// Generates a firehose trace of `requests` arrivals for `store` up
+/// front, one exact trace per `seed` (inputs are uniform noise images
+/// drawn into pooled buffers, which return to the [`pool`] when a served
+/// request is dropped; ids are sequential).
+pub fn trace(store: &VariantStore, requests: usize, seed: u64) -> Vec<Request> {
+    let mut rng = SmallRng64::new(seed);
     let devices = store.num_devices();
     // Zipf CDF over devices ranked by index: weight 1 / rank.
     let weights: Vec<f64> = (0..devices).map(|d| 1.0 / (d + 1) as f64).collect();
@@ -49,14 +28,12 @@ pub fn trace(store: &VariantStore, cfg: &LoadGenConfig) -> Vec<Request> {
         cdf.push(acc);
     }
     let [c, h, w] = store.input_shape();
-    (0..cfg.requests)
+    (0..requests)
         .map(|id| {
-            let u = unit(&mut rng);
+            let u = rng.unit_f64();
             let device = cdf.partition_point(|&p| p < u).min(devices - 1);
             let mut data = pool::take(c * h * w);
-            data.extend(
-                (0..c * h * w).map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32),
-            );
+            data.extend((0..c * h * w).map(|_| rng.unit_f32()));
             Request {
                 id,
                 device,
@@ -88,9 +65,8 @@ mod tests {
     #[test]
     fn trace_is_deterministic_per_seed() {
         let store = store(6);
-        let cfg = LoadGenConfig::firehose(40, 9);
-        let a = trace(&store, &cfg);
-        let b = trace(&store, &cfg);
+        let a = trace(&store, 40, 9);
+        let b = trace(&store, 40, 9);
         assert_eq!(a.len(), 40);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.device, y.device);
@@ -101,7 +77,7 @@ mod tests {
     #[test]
     fn zipf_skews_toward_low_ranked_devices() {
         let store = store(8);
-        let reqs = trace(&store, &LoadGenConfig::firehose(400, 3));
+        let reqs = trace(&store, 400, 3);
         let mut counts = vec![0usize; 8];
         for r in &reqs {
             counts[r.device] += 1;
@@ -116,7 +92,7 @@ mod tests {
     #[test]
     fn devices_stay_in_range() {
         let store = store(3);
-        let reqs = trace(&store, &LoadGenConfig::firehose(100, 1));
+        let reqs = trace(&store, 100, 1);
         assert!(reqs.iter().all(|r| r.device < 3));
     }
 }

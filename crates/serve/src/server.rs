@@ -199,7 +199,6 @@ mod tests {
     use crate::engine::Request;
     use crate::variant::{ServeModelConfig, StoreConfig, VariantStore};
     use acme_tensor::{Array, Precision, SmallRng64};
-    use rand::RngCore;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn store() -> VariantStore {
@@ -220,9 +219,7 @@ mod tests {
         let mut rng = SmallRng64::new(4);
         (0..n)
             .map(|id| {
-                let data = (0..c * h * w)
-                    .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                    .collect();
+                let data = (0..c * h * w).map(|_| rng.unit_f32()).collect();
                 Request {
                     id,
                     device: id % 2,

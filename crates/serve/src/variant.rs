@@ -15,7 +15,6 @@ use acme_nn::{save_params, Activation, ParamId, ParamSet};
 use acme_store::{ContentHash, StoreError, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64, Var};
 use acme_vit::{MultiExitVit, Vit, VitConfig};
-use rand::RngCore;
 
 /// Model shape served by a cluster: the ViT backbone plus its exit
 /// positions.
@@ -508,10 +507,9 @@ pub(crate) fn admit(
     Ok(())
 }
 
-/// Small personalized weight delta in `[-0.05, 0.05)`, derived from the
-/// raw RNG stream (bit-stable across `rand` backend versions).
+/// Small personalized weight delta in `[-0.05, 0.05)`.
 fn personalization_delta(rng: &mut SmallRng64) -> f32 {
-    ((rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.1
+    (rng.unit_f32() - 0.5) * 0.1
 }
 
 /// Assembles a [`DeviceVariant`] from its kept `classes` and its head

@@ -6,7 +6,6 @@ use acme_check::cases;
 use acme_nn::{save_params, ParamSet};
 use acme_store::{ContentHash, DeltaOp, VariantDelta};
 use acme_tensor::{randn, Array, SmallRng64};
-use rand::RngCore;
 
 /// A random backbone: a trunk matrix plus one head over `total` classes.
 fn make_backbone(seed: u64, dim: usize, total: usize) -> (ParamSet, ContentHash) {
@@ -36,7 +35,7 @@ fn make_variant(backbone: &ParamSet, classes: &[usize], personalize: bool, seed:
         for &c in classes {
             let mut x = w_full.data()[row * total + c];
             if personalize {
-                x += ((rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.1;
+                x += (rng.unit_f32() - 0.5) * 0.1;
             }
             w.push(x);
         }

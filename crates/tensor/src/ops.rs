@@ -362,7 +362,6 @@ mod tests {
 
     #[test]
     fn reduce_to_shape_suffix_path_matches_generic_bitwise() {
-        use rand::Rng;
         let mut rng = crate::SmallRng64::new(5);
         let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let check = |src: &[usize], target: &[usize], suffix: bool| {
@@ -384,11 +383,11 @@ mod tests {
         check(&[2, 3], &[2, 1], false);
         check(&[4, 5, 6], &[5, 1], false);
         for _ in 0..32 {
-            let src: Vec<usize> = (0..rng.gen_range(1..=4))
-                .map(|_| rng.gen_range(1..=6))
+            let src: Vec<usize> = (0..rng.usize_in(1..=4))
+                .map(|_| rng.usize_in(1..=6))
                 .collect();
-            let keep = rng.gen_range(0..=src.len());
-            let mut target = vec![1; rng.gen_range(0..=src.len() - keep)];
+            let keep = rng.usize_in(0..=src.len());
+            let mut target = vec![1; rng.usize_in(0..=src.len() - keep)];
             target.extend_from_slice(&src[src.len() - keep..]);
             check(&src, &target, true);
             // Collapse one kept axis instead: no longer a suffix unless

@@ -10,8 +10,7 @@
 //! frontier comparison exercises the same trade-offs.
 
 use acme_nn::{Conv2dLayer, Linear, ParamSet, TransformerBlock};
-use acme_tensor::{Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{Array, Graph, SmallRng64, Var};
 
 use crate::classifier::ImageClassifier;
 use crate::config::VitConfig;
@@ -57,7 +56,7 @@ impl BaselineKind {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Box<dyn ImageClassifier> {
         match self {
             BaselineKind::EfficientVit => {
@@ -127,7 +126,7 @@ impl EfficientVitLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         assert!(
             image.is_multiple_of(4) && image >= 8,
@@ -186,7 +185,7 @@ impl MobileVitLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         assert!(
             image.is_multiple_of(4) && image >= 8,
@@ -241,7 +240,7 @@ impl TwinsSvtLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let patch = 4;
         assert!(image.is_multiple_of(patch), "image must be a multiple of 4");
@@ -349,7 +348,7 @@ impl DeVitLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Self::ensemble(ps, image, channels, classes, 2, 3, false, "DeViT", rng)
     }
@@ -360,7 +359,7 @@ impl DeVitLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Self::ensemble(ps, image, channels, classes, 3, 2, false, "DeDeiTs", rng)
     }
@@ -372,7 +371,7 @@ impl DeVitLike {
         image: usize,
         channels: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         Self::ensemble(ps, image, channels, classes, 2, 2, true, "DeCCTs", rng)
     }
@@ -387,7 +386,7 @@ impl DeVitLike {
         depth: usize,
         conv_stem: bool,
         label: &'static str,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         let mut members = Vec::with_capacity(n);
         let mut stems = Vec::with_capacity(n);

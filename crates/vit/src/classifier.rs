@@ -31,7 +31,8 @@ impl ImageClassifier for crate::model::Vit {
     }
 }
 
-/// Hyperparameters of [`fit`], [`fit_header`] and
+/// Hyperparameters of [`fit`], [`fit_header`],
+/// [`distill`](crate::distill), [`distill_from`](crate::distill_from) and
 /// [`MultiExitVit::fit_exits`](crate::MultiExitVit::fit_exits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
@@ -39,8 +40,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Adam learning rate, constant over the run.
-    pub lr: f32,
     /// Shuffling seed.
     pub seed: u64,
 }
@@ -50,7 +49,6 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 5,
             batch_size: 32,
-            lr: 3e-3,
             seed: 0,
         }
     }
@@ -184,12 +182,15 @@ fn fit_source(source: &dyn BatchSource, ps: &mut ParamSet, cfg: &TrainConfig) ->
     })
 }
 
+/// Adam's learning rate in every run of [`train_on`].
+const LR: f32 = 3e-3;
+
 /// The minibatch training loop every trainer of this crate and of
 /// `acme-core` runs (the NAS searches keep their own, whose draws share
 /// the caller's RNG): per epoch, one seeded shuffle of
 /// `0..len` cut into `cfg.batch_size` chunks; per chunk, `loss` records
 /// the minibatch's scalar loss on a reset tape, then backward, a global
-/// gradient-norm clip at 5 and one Adam step at the constant `cfg.lr`.
+/// gradient-norm clip at 5 and one Adam step at the constant [`LR`].
 /// Each epoch reports the f64 mean of its minibatch losses.
 ///
 /// # Panics
@@ -203,7 +204,7 @@ pub(crate) fn train_on(
 ) -> TrainReport {
     assert!(len > 0, "fit on empty dataset");
     let mut rng = SmallRng64::new(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
+    let mut opt = Adam::new(LR);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     // One tape arena for the whole run: reset per step recycles every
     // node buffer through the pool instead of reallocating.

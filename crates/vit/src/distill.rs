@@ -14,30 +14,6 @@ const LAMBDA1: f32 = 1.0;
 /// has weight 1).
 const LAMBDA2: f32 = 0.5;
 
-/// Hyperparameters of [`distill`] and [`distill_from`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistillConfig {
-    /// Passes over the transfer set.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Shuffling seed.
-    pub seed: u64,
-}
-
-impl Default for DistillConfig {
-    fn default() -> Self {
-        DistillConfig {
-            epochs: 4,
-            batch_size: 32,
-            lr: 3e-3,
-            seed: 0,
-        }
-    }
-}
-
 /// The teacher's side of Eq. (9) for every example of a transfer set:
 /// logits `ý` `[N, classes]`, token embeddings `É` `[N, T, D]` and final
 /// hidden states `H́` `[N, T, D]`.
@@ -151,7 +127,7 @@ pub fn distill(
     student: &Vit,
     student_ps: &mut ParamSet,
     transfer: &Dataset,
-    cfg: &DistillConfig,
+    cfg: &TrainConfig,
 ) -> TrainReport {
     let targets = TeacherTargets::compute(teacher, teacher_ps, transfer, cfg.batch_size);
     distill_from(&targets, student, student_ps, transfer, cfg)
@@ -173,7 +149,7 @@ pub fn distill_from(
     student: &Vit,
     student_ps: &mut ParamSet,
     transfer: &Dataset,
-    cfg: &DistillConfig,
+    cfg: &TrainConfig,
 ) -> TrainReport {
     assert!(!transfer.is_empty(), "distill on empty dataset");
     assert_eq!(
@@ -187,13 +163,7 @@ pub fn distill_from(
         student.config().num_tokens(),
         "distill token-count mismatch"
     );
-    let train_cfg = TrainConfig {
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        seed: cfg.seed,
-    };
-    train_on(transfer.len(), student_ps, &train_cfg, |g, ps, indices| {
+    train_on(transfer.len(), student_ps, cfg, |g, ps, indices| {
         let batch = transfer.batch(indices);
         let (t_logits, t_embed, t_hidden) = targets.gather(indices);
         // Two student embeddings on purpose: feeding `s_embed` into
@@ -252,9 +222,9 @@ mod tests {
             &student,
             &mut sps,
             &ds,
-            &DistillConfig {
+            &TrainConfig {
                 epochs: 6,
-                ..DistillConfig::default()
+                ..TrainConfig::default()
             },
         );
         let after = evaluate(&student, &sps, &ds, 16);
@@ -278,10 +248,10 @@ mod tests {
         let teacher = Vit::new(&mut tps, &cfg, &mut rng);
         let mut sps = ParamSet::new();
         let student = Vit::new(&mut sps, &cfg.scaled(0.5, 1), &mut rng);
-        let dcfg = DistillConfig {
+        let dcfg = TrainConfig {
             epochs: 2,
             batch_size: 7,
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         };
         let mut a = sps.clone();
         let ra = distill(&teacher, &tps, &student, &mut a, &ds, &dcfg);
@@ -329,7 +299,10 @@ mod tests {
             &student,
             &mut sps,
             &ds,
-            &DistillConfig::default(),
+            &TrainConfig {
+                epochs: 4,
+                ..TrainConfig::default()
+            },
         );
     }
 
@@ -351,7 +324,10 @@ mod tests {
             &student,
             &mut sps,
             &ds,
-            &DistillConfig::default(),
+            &TrainConfig {
+                epochs: 4,
+                ..TrainConfig::default()
+            },
         );
     }
 }

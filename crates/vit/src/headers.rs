@@ -3,8 +3,7 @@
 //! NAS-generated headers of `acme-nas`.
 
 use acme_nn::{Activation, Conv2dLayer, Linear, Mlp, ParamId, ParamSet};
-use acme_tensor::{Graph, Var};
-use rand::Rng;
+use acme_tensor::{Graph, SmallRng64, Var};
 
 use crate::classifier::ImageClassifier;
 use crate::model::{Features, Vit};
@@ -56,7 +55,7 @@ impl HeaderKind {
         dim: usize,
         grid: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Box<dyn Header> {
         match self {
             HeaderKind::Linear => Box::new(LinearHeader::new(ps, name, dim, classes, rng)),
@@ -89,7 +88,13 @@ struct LinearHeader {
 
 impl LinearHeader {
     /// Builds the header.
-    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
+    fn new(
+        ps: &mut ParamSet,
+        name: &str,
+        dim: usize,
+        classes: usize,
+        rng: &mut SmallRng64,
+    ) -> Self {
         LinearHeader {
             fc: Linear::new(ps, &format!("{name}.linear"), dim, classes, rng),
         }
@@ -118,7 +123,13 @@ struct MlpHeader {
 
 impl MlpHeader {
     /// Builds the header (hidden width `2·dim`).
-    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
+    fn new(
+        ps: &mut ParamSet,
+        name: &str,
+        dim: usize,
+        classes: usize,
+        rng: &mut SmallRng64,
+    ) -> Self {
         MlpHeader {
             mlp: Mlp::new(
                 ps,
@@ -170,7 +181,7 @@ impl CnnHeader {
         dim: usize,
         grid: usize,
         classes: usize,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         assert!(grid >= 2, "CnnHeader needs a grid of at least 2x2");
         let conv = Conv2dLayer::same(ps, &format!("{name}.conv"), dim, dim, 3, rng);
@@ -230,7 +241,13 @@ struct AttentionPoolHeader {
 
 impl AttentionPoolHeader {
     /// Builds the header.
-    fn new(ps: &mut ParamSet, name: &str, dim: usize, classes: usize, rng: &mut impl Rng) -> Self {
+    fn new(
+        ps: &mut ParamSet,
+        name: &str,
+        dim: usize,
+        classes: usize,
+        rng: &mut SmallRng64,
+    ) -> Self {
         let query = ps.add(
             format!("{name}.query"),
             acme_tensor::randn(&[dim, 1], rng).scale(0.1),

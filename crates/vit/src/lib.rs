@@ -56,7 +56,7 @@ pub use classifier::{
     evaluate, evaluate_header, fit, fit_header, ImageClassifier, TrainConfig, TrainReport,
 };
 pub use config::VitConfig;
-pub use distill::{distill, distill_from, DistillConfig, TeacherTargets};
+pub use distill::{distill, distill_from, TeacherTargets};
 pub use frozen::FrozenFeatures;
 pub use headers::{Header, HeaderKind};
 pub use importance::{score_importance, ImportanceScores};

@@ -1,8 +1,7 @@
 //! The ViT backbone model with masking hooks for importance scoring.
 
 use acme_nn::{Activation, LayerNorm, Linear, ParamId, ParamSet, TransformerBlock};
-use acme_tensor::{pool, randn, Array, Graph, Var};
-use rand::Rng;
+use acme_tensor::{pool, randn, Array, Graph, SmallRng64, Var};
 
 use crate::config::VitConfig;
 
@@ -92,7 +91,7 @@ impl Vit {
     /// # Panics
     ///
     /// Panics when `config.validate()` fails.
-    pub fn new(ps: &mut ParamSet, config: &VitConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(ps: &mut ParamSet, config: &VitConfig, rng: &mut SmallRng64) -> Self {
         Self::with_activation(ps, config, Activation::Gelu, rng)
     }
 
@@ -107,7 +106,7 @@ impl Vit {
         ps: &mut ParamSet,
         config: &VitConfig,
         activation: Activation,
-        rng: &mut impl Rng,
+        rng: &mut SmallRng64,
     ) -> Self {
         config.validate().expect("invalid ViT config");
         let patch_embed = Linear::new(ps, "vit.patch_embed", config.patch_dim(), config.dim, rng);

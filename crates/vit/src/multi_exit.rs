@@ -6,7 +6,6 @@
 use acme_data::Dataset;
 use acme_nn::{LayerNorm, Linear, ParamSet};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
-use rand::Rng;
 
 use crate::classifier::{train_on, TrainConfig, TrainReport};
 use crate::model::Vit;
@@ -48,7 +47,7 @@ impl MultiExitVit {
     /// # Panics
     ///
     /// Panics when `exit_layers` breaks [`MultiExitVit::check_layout`].
-    pub fn new(ps: &mut ParamSet, vit: &Vit, exit_layers: &[usize], rng: &mut impl Rng) -> Self {
+    pub fn new(ps: &mut ParamSet, vit: &Vit, exit_layers: &[usize], rng: &mut SmallRng64) -> Self {
         Self::check_layout(exit_layers, vit.config().depth).unwrap_or_else(|msg| panic!("{msg}"));
         let dim = vit.config().dim;
         let classes = vit.config().classes;

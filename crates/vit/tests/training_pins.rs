@@ -35,7 +35,6 @@ fn train_cfg(seed: u64) -> TrainConfig {
         epochs: 3,
         batch_size: 7,
         seed,
-        ..TrainConfig::default()
     }
 }
 

@@ -18,7 +18,7 @@ use acme_energy::{EnergyModel, Fleet};
 use acme_nn::ParamSet;
 use acme_pareto::{select_with, Candidate, EfficiencyMetrics, GridSpec, MatchingMethod};
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, DistillConfig, TrainConfig, Vit, VitConfig};
+use acme_vit::{fit, TrainConfig, Vit, VitConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,9 +81,9 @@ fn main() {
         &val,
         widths,
         depths,
-        &DistillConfig {
+        &TrainConfig {
             epochs: if quick { 0 } else { 1 },
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         },
         2,
         &mut rng,

@@ -7,8 +7,7 @@
 use std::time::Duration;
 
 use acme_serve::{
-    loadgen, serve, BatcherConfig, ExitPolicy, LoadGenConfig, ServeReport, ServerConfig,
-    StoreConfig, VariantStore,
+    loadgen, serve, BatcherConfig, ExitPolicy, ServeReport, ServerConfig, StoreConfig, VariantStore,
 };
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
     // trace with Zipf device popularity (hot tenants batch well, the
     // tail still gets served).
     let store = VariantStore::build(&StoreConfig::serving_default(16), 42);
-    let trace = loadgen::trace(&store, &LoadGenConfig::firehose(1200, 42));
+    let trace = loadgen::trace(&store, 1200, 42);
     let policy = ExitPolicy::calibrated(&store, &trace[..96], 0.6);
 
     let run = |max_batch: usize, window_us: u64| -> ServeReport {

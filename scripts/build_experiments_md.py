@@ -114,8 +114,8 @@ verdict.
 Seeds are fixed inside each harness binary. These outputs
 (`results/*.txt`, and the six `BENCH_*.json` at the repository root) were
 recorded under `rand 0.8`'s ChaCha12 `StdRng`, a generator this checkout
-no longer builds: `SmallRng64` now draws from the in-tree xoshiro256++
-stand-in (README "Offline builds"), so rerunning the script does not
+no longer builds: `SmallRng64` is now the in-tree xoshiro256++
+generator (DESIGN §5), so rerunning the script does not
 reproduce them. A full re-run under the in-tree stream leaves Table I
 unchanged and moves single-seed verdicts elsewhere (Fig. 13(b) mean NAS
 gain +5.2 -> -8.8 pts; Fig. 1(b) same-size spread 5.0 -> 25.6 pts;

@@ -297,6 +297,34 @@ if [ "$walks" != "$expected" ] || [ -n "$serve_blocks" ]; then
     exit 1
 fi
 
+step "one RNG, no registry crate in code (SmallRng64 owns every seeded draw)"
+# Outside comments, tests included, no file of crates/*/{src,tests,examples},
+# tests/ or examples/ uses or paths the crates rand, crossbeam,
+# parking_lot, serde or bytes. Every seeded draw is an inherent method of
+# acme_tensor::SmallRng64, so a run's bits do not hang on which crate a
+# registry name resolves to; channels and locks are std::sync's. The one
+# exception is random.rs's single `impl rand::RngCore for SmallRng64`
+# block, which lets code outside the crates draw through rand's traits.
+# The bare words are not matched: `bytes` is a common identifier.
+registry='\b(rand|crossbeam|parking_lot|serde|bytes)::|\b(use|extern crate) (rand|crossbeam|parking_lot|serde|bytes)\b'
+rng_impl='^impl rand::RngCore for SmallRng64 \{'
+named="$(
+    for f in $(find crates/*/src crates/*/tests crates/*/examples tests examples \
+        -name '*.rs' 2>/dev/null | sort); do
+        awk -v f="$f" -v exempt="$rng_impl" '
+            f == "crates/tensor/src/random.rs" && $0 ~ exempt { skip = 1 }
+            skip { if (/^\}/) skip = 0; next }
+            { sub(/\/\/.*/, ""); print f ": " $0 }' "$f" | grep -E "$registry" || true
+    done
+)"
+impls="$(grep -cE "$rng_impl" crates/tensor/src/random.rs || true)"
+if [ -n "$named" ] || [ "$impls" -ne 1 ]; then
+    echo "ci.sh: code names a registry crate ($impls rand::RngCore impl blocks in random.rs):" >&2
+    printf '%s\n' "$named" | sed '/^$/d' >&2
+    echo "files: $(printf '%s\n' "$named" | sed '/^$/d' | cut -d: -f1 | sort -u | wc -l)" >&2
+    exit 1
+fi
+
 step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
 # scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
 # and restate their medians, the parent's quartiles and the win count
@@ -358,9 +386,9 @@ step "value pins without FMA (a plain x86-64 build computes the same bits)"
 # software fmaf here. The value pins (every Phase 1 candidate's loss and
 # accuracy bits, every training epoch's loss and parameter bits, the
 # GEMM oracle, fastmath's lane-position test, the whole-path pins of
-# tests/golden_path.rs) must pass unchanged in a build for the x86-64
-# baseline, which has no FMA. Its own target directory keeps the native
-# build warm.
+# tests/golden_path.rs, SmallRng64's stream pin, the codec goldens) must
+# pass unchanged in a build for the x86-64 baseline, which has no FMA.
+# Its own target directory keeps the native build warm.
 no_fma() {
     RUSTFLAGS=-Ctarget-cpu=x86-64 CARGO_TARGET_DIR=target/x86-64 cargo test --release -q "$@"
 }
@@ -369,6 +397,8 @@ no_fma -p acme-vit --test training_pins
 no_fma -p acme-tensor --test gemm_props
 no_fma -p acme-tensor --lib fastmath::tests::slice_kernels_match_the_scalar_functions_at_every_lane
 no_fma --test golden_path
+no_fma -p acme-tensor --lib random::tests::stream_pins_every_draw
+no_fma --test codec_sweep
 
 step "hermetic benchmark smoke (benchmarks/ builds --offline --locked from its own lock file)"
 # ACMR resume == straight run; ACME/ACMD/ACMS persist -> lazy restore ->

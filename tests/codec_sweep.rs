@@ -78,9 +78,8 @@ fn largest_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// (80 bytes) over an empty-named op (6 bytes).
 const ALLOC_FACTOR: usize = 16;
 
-/// splitmix64. The samples must not draw from `rand`: the offline shim's
-/// stream differs from the registry crate's, and the goldens must hold
-/// under either.
+/// splitmix64, apart from `SmallRng64`, so the goldens pin the formats
+/// and nothing of the workspace's generator.
 struct Mix(u64);
 
 impl Mix {

@@ -72,7 +72,6 @@ fn cached_feature_refits_match_refits_through_the_backbone_bitwise() {
                     epochs: 2,
                     batch_size,
                     seed: 11,
-                    ..TrainConfig::default()
                 };
                 let mut through = ps.clone();
                 let model = HeadedVit::new(&vit, header);

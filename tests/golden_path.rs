@@ -44,7 +44,6 @@ use acme_serve::{BatchEngine, ExitPolicy, Request, ServeModelConfig, StoreConfig
 use acme_store::{ContentHash, ModelStore};
 use acme_tensor::{Array, Graph, Precision, SmallRng64};
 use acme_vit::{fit_header, FrozenFeatures, TrainConfig, Vit, VitConfig};
-use rand::RngCore;
 
 /// One `name value` line per pinned field; floats as their bit patterns.
 type Fields = Vec<(String, String)>;
@@ -197,7 +196,6 @@ fn header_refit(threads: usize) -> Fields {
     let train = TrainConfig {
         epochs: 3,
         batch_size: 16,
-        lr: 3e-3,
         seed: 9,
     };
     let report = fit_header(&header, &mut ps, &features, &train);
@@ -249,9 +247,7 @@ fn served_batches(threads: usize) -> Fields {
     let requests: Vec<Request> = (0..24)
         .map(|id| {
             let device = rng.next_u64() as usize % store.num_devices();
-            let data = (0..c * h * w)
-                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                .collect();
+            let data = (0..c * h * w).map(|_| rng.unit_f32()).collect();
             Request {
                 id,
                 device,

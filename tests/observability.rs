@@ -267,7 +267,6 @@ fn serving_is_bit_identical_under_observation() {
         StoreConfig, VariantStore,
     };
     use acme_tensor::{Array, Precision, SmallRng64};
-    use rand::RngCore;
     use std::time::Duration;
     let _g = serialize();
     reset_obs();
@@ -287,13 +286,8 @@ fn serving_is_bit_identical_under_observation() {
         .map(|id| Request {
             id,
             device: (rng.next_u64() as usize) % store.num_devices(),
-            input: Array::from_vec(
-                (0..c * h * w)
-                    .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                    .collect(),
-                &[c, h, w],
-            )
-            .expect("input volume"),
+            input: Array::from_vec((0..c * h * w).map(|_| rng.unit_f32()).collect(), &[c, h, w])
+                .expect("input volume"),
         })
         .collect();
     let cfg = ServerConfig {

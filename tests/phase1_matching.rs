@@ -7,7 +7,7 @@ use acme_energy::{Device, DeviceCluster, EdgeId, EnergyModel, Fleet};
 use acme_nn::ParamSet;
 use acme_pareto::{dominates, Candidate, GridSpec};
 use acme_tensor::SmallRng64;
-use acme_vit::{DistillConfig, Vit, VitConfig};
+use acme_vit::{TrainConfig, Vit, VitConfig};
 
 fn pool() -> Vec<acme::CandidateModel> {
     let mut rng = SmallRng64::new(0);
@@ -24,9 +24,9 @@ fn pool() -> Vec<acme::CandidateModel> {
         &val,
         &[0.5, 1.0],
         &[1, 2],
-        &DistillConfig {
+        &TrainConfig {
             epochs: 0,
-            ..DistillConfig::default()
+            ..TrainConfig::default()
         },
         1,
         &mut rng,

@@ -13,7 +13,6 @@ use acme_serve::{
 };
 use acme_store::{ModelStore, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64};
-use rand::RngCore;
 
 /// The serve counters and the obs registry are process-wide, so the
 /// tests in this file must not interleave.
@@ -37,8 +36,7 @@ fn test_store(devices: usize) -> VariantStore {
     )
 }
 
-/// Seeded request mix over every device in the store, from the raw RNG
-/// stream (bit-stable across `rand` backend versions).
+/// Seeded request mix over every device in the store.
 fn test_requests(store: &VariantStore, n: usize, seed: u64) -> Vec<Request> {
     let [c, h, w] = store.input_shape();
     let devices = store.num_devices();
@@ -46,9 +44,7 @@ fn test_requests(store: &VariantStore, n: usize, seed: u64) -> Vec<Request> {
     (0..n)
         .map(|id| {
             let device = (rng.next_u64() as usize) % devices;
-            let data = (0..c * h * w)
-                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32)
-                .collect();
+            let data = (0..c * h * w).map(|_| rng.unit_f32()).collect();
             Request {
                 id,
                 device,

@@ -10,9 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use acme_serve::{
-    loadgen, BatchEngine, ExitPolicy, LoadGenConfig, Request, StoreConfig, VariantStore,
-};
+use acme_serve::{loadgen, BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
 use acme_tensor::{packcache, pool, Graph};
 
 #[test]
@@ -23,7 +21,7 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
     // The bench-default store: every backbone weight sits at the
     // pack-cache size floor, so the serve path genuinely exercises it.
     let store = VariantStore::build(&StoreConfig::serving_default(4), 7);
-    let trace = loadgen::trace(&store, &LoadGenConfig::firehose(192, 7));
+    let trace = loadgen::trace(&store, 192, 7);
     let policy = ExitPolicy::calibrated(&store, &trace[..32], 0.6);
     let engine = BatchEngine::new(&store, policy);
 
