@@ -465,6 +465,7 @@ pub fn vit_op_table(steps: usize) -> OpTable {
     let vit = Vit::new(&mut ps, &cfg, &mut rng);
     let images = randn(&[VIT_BATCH, cfg.channels, cfg.image, cfg.image], &mut rng);
     let labels: Vec<usize> = (0..VIT_BATCH).map(|i| (i * 7) % cfg.classes).collect();
+    #[expect(clippy::disallowed_methods, reason = "times fwd, bwd and step apart")]
     let mut opt = Adam::new(1e-3);
     let mut g = Graph::new();
     let mut step = |g: &mut Graph, ps: &mut ParamSet| {

@@ -164,6 +164,10 @@ impl ThreadedDriver {
             .map(|sm| Ok((net.register(sm.id())?, sm)))
             .collect::<Result<Vec<_>, RegisterError>>()?;
         // Collected: every thread is running before the first is joined.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a node pump blocks on its inbox, so it cannot be a pool task"
+        )]
         let mut handles = nodes
             .into_iter()
             .map(|(rx, sm)| {

@@ -56,6 +56,8 @@
 //! assert!(network.ledger().total_bytes() > 0);
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod driver;
 mod fault;
 mod latency;

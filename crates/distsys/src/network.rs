@@ -245,6 +245,7 @@ pub(crate) fn route(
         };
     }
     // `faults` may be a lock guard: it is released with the verdict.
+    #[expect(clippy::disallowed_methods, reason = "route: the one fault verdict")]
     let verdict = faults.map_or(Verdict::Deliver, |mut f| f.on_send(env));
     let kind = env.payload.kind();
     let (copies, delay) = match verdict {
@@ -271,8 +272,10 @@ pub(crate) fn route(
     // A lost message still crossed the sender's link: metered once.
     for _ in 0..copies.max(1) {
         if retransmission {
+            #[expect(clippy::disallowed_methods, reason = "route: the one send meter")]
             ledger.record_retransmission(env);
         } else {
+            #[expect(clippy::disallowed_methods, reason = "route: the one send meter")]
             ledger.record(env);
         }
         net_event!("net.send", "to" => env.to.to_string(), "kind" => kind,

@@ -10,6 +10,8 @@
 //! the threaded driver its peers' retransmission counts depend on OS
 //! scheduling, so there is no stable oracle to compare against.)
 
+#![allow(clippy::disallowed_methods)]
+
 use std::time::Duration;
 
 use acme_distsys::protocol::{

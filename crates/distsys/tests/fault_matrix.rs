@@ -2,6 +2,8 @@
 //! without hanging, survivors must complete all rounds, and the ledger's
 //! retransmission meters must match the injected plan.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::time::{Duration, Instant};
 
 use acme_distsys::protocol::{

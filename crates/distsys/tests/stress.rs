@@ -1,5 +1,7 @@
 //! Concurrency stress tests of the network fabric and protocol driver.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::thread;
 

@@ -50,6 +50,11 @@ impl Controller {
         let embed = EmbeddingLayer::new(ps, "ctrl.embed", vocab, EMBED_DIM, rng);
         let input_head = Linear::new(ps, "ctrl.in_head", HIDDEN, max_inputs, rng);
         let op_head = Linear::new(ps, "ctrl.op_head", HIDDEN, num_ops, rng);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "REINFORCE: one update per sampled architecture, no dataset to batch"
+        )]
+        let opt = Adam::new(LR);
         Controller {
             cell,
             embed,
@@ -58,7 +63,7 @@ impl Controller {
             num_blocks,
             u,
             baseline: None,
-            opt: Adam::new(LR),
+            opt,
         }
     }
 
@@ -130,6 +135,10 @@ impl Controller {
         let advantage = reward - self.baseline.unwrap_or(reward);
         let loss = g.scale(logp, -advantage);
         g.backward(loss);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "REINFORCE: one update per sampled architecture, no dataset to batch"
+        )]
         clip_grad_norm(g, 1.0);
         self.opt.step(ps, g);
         self.baseline = Some(match self.baseline {

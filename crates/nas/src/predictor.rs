@@ -24,11 +24,16 @@ impl AccuracyPredictor {
     /// up to `max_blocks` blocks.
     pub fn new(ps: &mut ParamSet, max_blocks: usize, rng: &mut SmallRng64) -> Self {
         let vocab = 1 + (max_blocks + 1).max(OpKind::all().len());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one regression step per observed (architecture, accuracy) pair, no dataset to batch"
+        )]
+        let opt = Adam::new(1e-2);
         AccuracyPredictor {
             cell: LstmCell::new(ps, "pred.lstm", 16, 64, rng),
             embed: EmbeddingLayer::new(ps, "pred.embed", vocab, 16, rng),
             readout: Linear::new(ps, "pred.read", 64, 1, rng),
-            opt: Adam::new(1e-2),
+            opt,
         }
     }
 

@@ -130,6 +130,10 @@ impl NasSearch {
         rng: &mut SmallRng64,
     ) -> SearchOutcome {
         assert!(!train.is_empty() && !val.is_empty(), "search needs data");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "NAS phase A samples from the caller's rng on a step budget; train_on would move Phase 2-1's bits"
+        )]
         let mut shared_opt = Adam::new(SHARED_LR);
         let mut reward_history = Vec::with_capacity(self.config.rounds);
         let mut evaluations = 0usize;
@@ -162,6 +166,10 @@ impl NasSearch {
                     let total = loss_acc.expect("at least one child");
                     let mean = g.scale(total, 1.0 / CHILD_SAMPLES as f32);
                     g.backward(mean);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "NAS phase A samples from the caller's rng on a step budget; train_on would move Phase 2-1's bits"
+                    )]
                     clip_grad_norm(&mut g, 5.0);
                     shared_opt.step(ps, &g);
                     steps += 1;

@@ -38,6 +38,8 @@
 //! }
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 mod activation;
 mod attention;
 mod checkpoint;

@@ -101,6 +101,7 @@ impl TransformerBlock {
     }
 
     /// Standard forward over `[batch, tokens, dim]`.
+    #[expect(clippy::disallowed_methods, reason = "forward_masked with no mask")]
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
         self.forward_masked(g, ps, x, None)
     }

@@ -1,6 +1,8 @@
 //! Finite-difference gradient verification of every layer, routed through
 //! the parameter store exactly as training does.
 
+#![allow(clippy::disallowed_methods)]
+
 use acme_nn::{
     Activation, Conv2dLayer, LayerNorm, Linear, LstmCell, Mlp, MultiHeadSelfAttention, ParamSet,
     TransformerBlock,

@@ -3,6 +3,8 @@
 //! Recording state is process-global, so every test takes `GUARD` and
 //! resets state on entry.
 
+#![allow(clippy::disallowed_methods)]
+
 use acme_obs::metrics::MetricsSnapshot;
 use acme_obs::{event, metrics, span, timer, trace, Detail, SpanKind};
 use std::sync::Mutex;

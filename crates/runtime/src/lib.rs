@@ -260,6 +260,7 @@ fn fork_join(n: usize, workers: usize, task_share: usize, run: &(dyn Fn(usize) +
             .for_each(run);
         SHARE.set(outer_share);
     };
+    #[expect(clippy::disallowed_methods, reason = "par_map: the pool's one fork")]
     std::thread::scope(|ts| {
         for _ in 1..workers {
             ts.spawn(work);

@@ -59,6 +59,7 @@ fn main() {
             blk.mlp().forward(g, ps, flat);
         });
         time("block", &mut |g, x| {
+            #[expect(clippy::disallowed_methods, reason = "times one block on its own")]
             blk.forward(g, ps, x);
         });
         // Micro-ops at the MLP/attention shapes.

@@ -31,6 +31,8 @@
 //! runs as it returns, while recording is enabled
 //! (`acme_obs::trace::set_enabled`), the one switch of the workspace.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod batcher;
 pub mod engine;
 pub mod loadgen;

@@ -344,6 +344,7 @@ impl Graph {
             } => {
                 let need = [input, weight, bias].map(|v| needs_grad[v.0]);
                 let (x, w) = (val(*input).data(), val(*weight).data());
+                #[expect(clippy::disallowed_methods, reason = "the one backward entry")]
                 let grads = conv2d_backward(x, w, grad.data(), geom, need);
                 [input, weight, bias]
                     .into_iter()

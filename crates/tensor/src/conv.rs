@@ -247,6 +247,7 @@ fn product(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n:
 pub(crate) fn conv2d_forward(input: &[f32], weight: &[f32], bias: &[f32], g: &ConvGeom) -> Array {
     let (hw, cw, n) = (g.col_height(), g.col_width(), g.rows());
     let mut cols = pool::take_filled(cw * n, 0.0);
+    #[expect(clippy::disallowed_methods, reason = "the forward's one lowering")]
     im2col(input, g, &g.taps(), &mut cols, 1, n);
     let mut y = pool::take_filled(g.out_ch * n, 0.0);
     let (a, b) = (MatRef::row_major(weight, cw), MatRef::row_major(&cols, n));
@@ -290,6 +291,7 @@ pub(crate) fn conv2d_backward(
     let gw = need_w.then(|| {
         let grad_t = grad_t.as_deref().expect("computed for dW");
         let mut cols = pool::take_filled(cw * n, 0.0);
+        #[expect(clippy::disallowed_methods, reason = "dW's one lowering")]
         im2col(
             input,
             g,
@@ -310,6 +312,7 @@ pub(crate) fn conv2d_backward(
         let (a, b) = (MatRef::transposed(grad_t, n), MatRef::row_major(weight, cw));
         product(a, b, &mut gcol, n, g.out_ch, cw);
         let mut gin = Array::zeros(&[g.batch, g.in_ch, g.in_h, g.in_w]);
+        #[expect(clippy::disallowed_methods, reason = "dX's one scatter")]
         col2im(
             &gcol,
             g,

@@ -808,6 +808,7 @@ impl Graph {
         let geom = ConvGeom::new(self.shape(input), self.shape(weight), stride, pad)
             .expect("conv2d: invalid geometry");
         assert_eq!(self.shape(bias), &[geom.out_ch], "conv2d: bias shape");
+        #[expect(clippy::disallowed_methods, reason = "the one forward entry")]
         let out = conv2d_forward(
             self.value(input).data(),
             self.value(weight).data(),

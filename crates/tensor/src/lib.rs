@@ -31,6 +31,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 mod array;
 mod attention;
 mod backward;

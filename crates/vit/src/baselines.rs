@@ -9,6 +9,11 @@
 //! ensemble of decomposed small ViTs for DeViT — so the accuracy-vs-size
 //! frontier comparison exercises the same trade-offs.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the comparison models are no Vit: each runs its own block stack"
+)]
+
 use acme_nn::{Conv2dLayer, Linear, ParamSet, TransformerBlock};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
 

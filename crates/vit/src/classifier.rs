@@ -204,6 +204,7 @@ pub(crate) fn train_on(
 ) -> TrainReport {
     assert!(len > 0, "fit on empty dataset");
     let mut rng = SmallRng64::new(cfg.seed);
+    #[expect(clippy::disallowed_methods, reason = "the one training loop")]
     let mut opt = Adam::new(LR);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     // One tape arena for the whole run: reset per step recycles every
@@ -216,6 +217,7 @@ pub(crate) fn train_on(
             g.reset();
             let loss = loss(&mut g, ps, indices);
             g.backward(loss);
+            #[expect(clippy::disallowed_methods, reason = "the one training loop")]
             clip_grad_norm(&mut g, 5.0);
             opt.step(ps, &g);
             total += g.value(loss).item() as f64;

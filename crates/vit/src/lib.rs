@@ -41,6 +41,8 @@
 //! assert_eq!(g.shape(logits), &[ds.len(), ds.num_classes()]);
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod baselines;
 mod classifier;
 mod config;

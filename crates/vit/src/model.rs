@@ -213,7 +213,10 @@ impl Vit {
                 neurons.push(nm);
                 (hm, nm)
             });
-            x = blk.forward_masked(g, ps, x, leaves);
+            #[expect(clippy::disallowed_methods, reason = "the one plain block loop")]
+            {
+                x = blk.forward_masked(g, ps, x, leaves);
+            }
         }
         if self.blocks.len() == 1 {
             penultimate = x;

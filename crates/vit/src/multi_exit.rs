@@ -114,7 +114,10 @@ impl MultiExitVit {
         let mut e = 0;
         let mut x = vit.embed(g, ps, images);
         for (l, blk) in vit.blocks().iter().enumerate() {
-            x = blk.forward(g, ps, x);
+            #[expect(clippy::disallowed_methods, reason = "the one block loop with exits")]
+            {
+                x = blk.forward(g, ps, x);
+            }
             if self.exit_layers.get(e) != Some(&l) {
                 continue;
             }

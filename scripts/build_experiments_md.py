@@ -3,6 +3,8 @@
 
 Run scripts/run_experiments.sh first; then this script embeds each raw
 output next to the paper's reported numbers and the reproduction verdict.
+The hand-written rest, from the first `## ` heading of the current
+EXPERIMENTS.md that is not a SECTIONS title on, is kept verbatim.
 """
 
 import os
@@ -125,7 +127,23 @@ five seeds with verdicts computed by the binaries (ROADMAP item 1).
 """
 
 
+def hand_written(path: str) -> str:
+    """The text of `path` from its first `## ` heading that no SECTIONS
+    entry generates, or "" when there is none."""
+    titles = {f"## {title}\n" for _, title, _, _ in SECTIONS}
+    if not os.path.exists(path):
+        return ""
+    with open(path) as fh:
+        lines = fh.readlines()
+    for i, line in enumerate(lines):
+        if line.startswith("## ") and line not in titles:
+            return "".join(lines[i:])
+    return ""
+
+
 def main() -> int:
+    target = os.path.join(ROOT, "EXPERIMENTS.md")
+    kept = hand_written(target)
     out = [HEADER]
     missing = []
     for name, title, paper, shape in SECTIONS:
@@ -145,7 +163,9 @@ def main() -> int:
         if os.path.exists(verdict_path):
             with open(verdict_path) as fh:
                 out.append(f"**Verdict:** {fh.read().strip()}\n")
-    with open(os.path.join(ROOT, "EXPERIMENTS.md"), "w") as fh:
+    if kept:
+        out.append("\n" + kept)
+    with open(target, "w") as fh:
         fh.write("\n".join(out))
     if missing:
         print("missing results:", ", ".join(missing))

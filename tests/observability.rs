@@ -5,6 +5,8 @@
 //! drained trace itself must be stable across reruns of the same seeded
 //! workload.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use acme::{Acme, AcmeConfig, AcmeOutcome, ProtocolConfig, ProtocolRun};
