@@ -1,85 +1,55 @@
 //! Ablation — the edge–device single-loop iteration count `T` of
 //! Algorithm 2: accuracy improvement as the loop deepens.
+//!
+//! One pipeline run through Phase 2-1 at non-IID level C2; Phase 2-2 then
+//! runs once per `T` from the searched headers over the assigned
+//! backbones, averaged over every device of the fleet.
 
-use acme::{refine_cluster, DeviceSetup, RefineConfig};
-use acme_bench::{eval_cifar, print_table, RunScale};
-use acme_data::{partition_confusion, ConfusionLevel};
-use acme_energy::{DeviceId, EdgeId};
-use acme_nas::{HeaderArch, NasHeader, SharedParams};
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::{fit, TrainConfig, Vit, VitConfig};
+use acme::{Acme, DeviceResult, Pool, RefineConfig};
+use acme_bench::{cifar_spec, pipeline_config, print_table, RunScale};
+use acme_data::ConfusionLevel;
+use acme_nas::SearchConfig;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(53);
-    let ds = eval_cifar(scale, &mut rng);
-    let classes = ds.num_classes();
-
-    let cfg = VitConfig {
-        depth: scale.pick(4, 2),
-        ..VitConfig::reference(classes)
-    };
-    let mut ps = ParamSet::new();
-    let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    fit(
-        &vit,
-        &mut ps,
-        &ds,
-        &TrainConfig {
-            epochs: scale.pick(4, 2),
-            ..TrainConfig::default()
-        },
-    );
-    let shared = SharedParams::new(&mut ps, "sn", 2, cfg.dim, cfg.grid(), classes, &mut rng);
-    let header = NasHeader::new(HeaderArch::chain(2, 1), shared);
-
-    let mut srng = SmallRng64::new(99);
-    let parts =
-        partition_confusion(&ds, 5, ConfusionLevel::C2, &mut srng).expect("valid partition");
-    let devices: Vec<DeviceSetup> = parts
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.len() >= 8)
-        .map(|(i, p)| {
-            let (train, test) = p.split(0.6, &mut srng);
-            let train = train.sample(scale.pick(30, 14), &mut srng);
-            DeviceSetup {
-                device: DeviceId(i),
-                train,
-                test,
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for t in 1..=scale.pick(5, 3) {
-        let refine_cfg = RefineConfig {
-            loop_rounds: t,
+    let config = pipeline_config(scale, cifar_spec(scale), 53)
+        .clusters(scale.pick(2, 1))
+        .devices_per_cluster(5)
+        .confusion(ConfusionLevel::C2)
+        .widths(vec![0.5, 1.0])
+        .depths(scale.pick(vec![2, 4], vec![1, 2]))
+        .search(scale.pick(SearchConfig::default(), SearchConfig::quick()))
+        .refine(RefineConfig {
             local_epochs: 1,
             drop_per_round: 4,
             ..RefineConfig::default()
+        })
+        .build()
+        .expect("the harness pipeline is valid");
+    let acme = Acme::try_new(config.clone()).expect("validated configuration");
+    let pre = acme.pretrain().expect("pretraining");
+    let pool = acme.candidate_pool(&pre);
+    let selection = acme.select(&pre, &pool, None).expect("selection");
+    let clusters = acme
+        .search_clusters(&pre, &pool, &selection, None)
+        .expect("every device and edge holds data");
+
+    let mut rows = Vec::new();
+    for t in 1..=scale.pick(5, 3) {
+        let refine = RefineConfig {
+            loop_rounds: t,
+            ..config.refine.clone()
         };
-        let out = refine_cluster(
-            &acme::Pool::default(),
-            EdgeId(0),
-            &vit,
-            &header,
-            &ps,
-            &devices,
-            &refine_cfg,
-            None,
-            &mut SmallRng64::new(3),
-        )
-        .expect("refinement without a network cannot fault");
-        let mean_after: f32 =
-            out.results.iter().map(|r| r.accuracy_after).sum::<f32>() / out.results.len() as f32;
-        let mean_impr: f32 = out
-            .results
-            .iter()
-            .map(acme::DeviceResult::improvement)
-            .sum::<f32>()
-            / out.results.len() as f32;
+        let mut results: Vec<DeviceResult> = Vec::new();
+        for cluster in &clusters {
+            let out = cluster
+                .refine(&Pool::default(), &refine, None)
+                .expect("refinement without a network cannot fault");
+            results.extend(out.results);
+        }
+        let n = results.len() as f32;
+        let mean_after: f32 = results.iter().map(|r| r.accuracy_after).sum::<f32>() / n;
+        let mean_impr: f32 = results.iter().map(DeviceResult::improvement).sum::<f32>() / n;
         rows.push(vec![
             t.to_string(),
             format!("{mean_after:.3}"),

@@ -1,90 +1,60 @@
 //! Fig. 11 — accuracy improvement of the four aggregation methods
 //! (Alone / Avg / JS / ACME) under IID and the C1–C3 non-IID levels,
-//! averaged over devices and seeds.
+//! averaged over every device of the fleet.
+//!
+//! One pipeline run up to Phase 1's selection; per level, its Phase 2-1
+//! searches each cluster's header over the assigned backbone, and
+//! Phase 2-2 runs once per method from that same state.
 
-use acme::{refine_cluster, DeviceSetup, RefineConfig};
+use acme::{Acme, AcmeConfig, Pool, RefineConfig};
 use acme_agg::AggregationMethod;
-use acme_bench::{eval_cifar, print_table, RunScale};
-use acme_data::{partition_confusion, ConfusionLevel};
-use acme_energy::{DeviceId, EdgeId};
-use acme_nas::{HeaderArch, NasHeader, SharedParams};
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::{fit, TrainConfig, Vit, VitConfig};
+use acme_bench::{cifar_spec, pipeline_config, print_table, RunScale};
+use acme_data::ConfusionLevel;
+use acme_nas::SearchConfig;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(23);
-    let ds = eval_cifar(scale, &mut rng);
-    let classes = ds.num_classes();
-    let n_devices = 5;
-    let seeds: Vec<u64> = scale.pick(vec![1, 2, 3], vec![1]);
-
-    // Shared backbone + coarse header trained once on pooled data.
-    let cfg = VitConfig {
-        depth: scale.pick(4, 2),
-        ..VitConfig::reference(classes)
-    };
-    let mut ps = ParamSet::new();
-    let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    fit(
-        &vit,
-        &mut ps,
-        &ds,
-        &TrainConfig {
-            epochs: scale.pick(4, 2),
-            ..TrainConfig::default()
-        },
-    );
-    let shared = SharedParams::new(&mut ps, "sn", 2, cfg.dim, cfg.grid(), classes, &mut rng);
-    let header = NasHeader::new(HeaderArch::chain(2, 1), shared);
+    let config = pipeline_config(scale, cifar_spec(scale), 23)
+        .clusters(scale.pick(2, 1))
+        .devices_per_cluster(5)
+        .widths(vec![0.5, 1.0])
+        .depths(scale.pick(vec![2, 4], vec![1, 2]))
+        .search(scale.pick(SearchConfig::default(), SearchConfig::quick()))
+        .refine(RefineConfig {
+            loop_rounds: scale.pick(3, 2),
+            local_epochs: 1,
+            drop_per_round: 6,
+            ..RefineConfig::default()
+        })
+        .build()
+        .expect("the harness pipeline is valid");
+    let acme = Acme::try_new(config.clone()).expect("validated configuration");
+    let pre = acme.pretrain().expect("pretraining");
+    let pool = acme.candidate_pool(&pre);
+    let selection = acme.select(&pre, &pool, None).expect("selection");
 
     let mut rows = Vec::new();
     for level in ConfusionLevel::all() {
+        let at_level = Acme::try_new(AcmeConfig {
+            confusion: level,
+            ..config.clone()
+        })
+        .expect("validated configuration");
+        let clusters = at_level
+            .search_clusters(&pre, &pool, &selection, None)
+            .expect("every device and edge holds data");
         let mut row = vec![level.to_string()];
         for method in AggregationMethod::all() {
+            let refine = RefineConfig {
+                method,
+                ..config.refine.clone()
+            };
             let mut total = 0.0f64;
             let mut count = 0usize;
-            for &seed in &seeds {
-                let mut srng = SmallRng64::new(1000 * seed + 7);
-                let parts =
-                    partition_confusion(&ds, n_devices, level, &mut srng).expect("valid partition");
-                let devices: Vec<DeviceSetup> = parts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.len() >= 8)
-                    .map(|(i, p)| {
-                        let (train, test) = p.split(0.6, &mut srng);
-                        let train = train.sample(scale.pick(28, 14), &mut srng);
-                        DeviceSetup {
-                            device: DeviceId(i),
-                            train,
-                            test,
-                        }
-                    })
-                    .collect();
-                if devices.len() < 2 {
-                    continue;
-                }
-                let refine_cfg = RefineConfig {
-                    loop_rounds: scale.pick(3, 2),
-                    local_epochs: 1,
-                    drop_per_round: 6,
-                    method,
-                    ..RefineConfig::default()
-                };
-                let out = refine_cluster(
-                    &acme::Pool::default(),
-                    EdgeId(0),
-                    &vit,
-                    &header,
-                    &ps,
-                    &devices,
-                    &refine_cfg,
-                    None,
-                    &mut SmallRng64::new(seed * 31),
-                )
-                .expect("refinement without a network cannot fault");
+            for cluster in &clusters {
+                let out = cluster
+                    .refine(&Pool::default(), &refine, None)
+                    .expect("refinement without a network cannot fault");
                 for r in &out.results {
                     total += r.improvement() as f64;
                     count += 1;

@@ -1,5 +1,6 @@
 //! Pipeline configuration.
 
+use acme_agg::AggregationMethod;
 use acme_data::{ConfusionLevel, SyntheticSpec};
 use acme_energy::EnergyModel;
 use acme_nas::SearchConfig;
@@ -213,6 +214,22 @@ impl AcmeConfig {
         if self.importance_batches == 0 {
             return Err("importance scoring needs at least one batch".to_string());
         }
+        // A zero batch would train silently at batch 1 (`batch_indices`
+        // clamps it), or panic in the header search.
+        for (stage, batch_size) in [
+            ("pretrain", self.pretrain.batch_size),
+            ("distill", self.distill.batch_size),
+            ("search", self.search.batch_size),
+            ("refine", self.refine.batch_size),
+        ] {
+            if batch_size == 0 {
+                return Err(format!("{stage}.batch_size is 0"));
+            }
+        }
+        let r = &self.refine;
+        if matches!(r.method, AggregationMethod::Wasserstein) && r.sim_projections == 0 {
+            return Err("refine.sim_projections is 0 under the Wasserstein similarity".to_string());
+        }
         if self.search.num_blocks == 0 || self.search.u == 0 {
             return Err("header search needs at least one block and one repetition".to_string());
         }
@@ -366,6 +383,26 @@ mod tests {
         let mut c = AcmeConfig::quick();
         c.importance_batches = 0;
         assert!(c.validate().is_err());
+        // Each used to pass validation: a zero search batch panicked in
+        // Phase 2-1, the other three trained silently at batch 1.
+        for stage in ["pretrain", "distill", "search", "refine"] {
+            let mut c = AcmeConfig::quick();
+            match stage {
+                "pretrain" => c.pretrain.batch_size = 0,
+                "distill" => c.distill.batch_size = 0,
+                "search" => c.search.batch_size = 0,
+                _ => c.refine.batch_size = 0,
+            }
+            assert_invalid(&c, &format!("{stage}.batch_size"));
+        }
+        // Used to fail only after pretraining, Phase 1 and Phase 2-1.
+        let mut c = AcmeConfig::quick();
+        c.refine.method = AggregationMethod::Wasserstein;
+        c.refine.sim_projections = 0;
+        assert_invalid(&c, "sim_projections");
+        // The other methods draw no projection.
+        c.refine.method = AggregationMethod::Avg;
+        c.validate().unwrap();
     }
 
     /// Each of the next four used to pass validation and then panic

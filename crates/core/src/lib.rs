@@ -20,6 +20,11 @@
 //!    edge aggregates them with Wasserstein-similarity weights and the
 //!    devices prune accordingly, for `T` single-loop rounds.
 //!
+//! Each step is a stage of [`Acme`] that returns a value — [`Pretrained`],
+//! [`CandidatePool`], [`Selection`], one [`SearchedCluster`] per cluster —
+//! carrying the RNG state the next stage draws from; [`Acme::run`] chains
+//! them, and a caller can run the stages one by one with the same bits.
+//!
 //! Every transfer is metered through [`acme_distsys`], so the pipeline
 //! reports the Table I upload volumes alongside per-device accuracy.
 //!
@@ -47,6 +52,8 @@
 //! }
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 mod config;
 mod error;
 mod outcome;
@@ -65,9 +72,11 @@ pub use acme_runtime::Pool;
 pub use config::{AcmeConfig, AcmeConfigBuilder};
 pub use error::AcmeError;
 pub use outcome::{AcmeOutcome, BackboneAssignment, DeviceResult};
-pub use phase1::{build_candidate_pool_on, customize_backbone_for_cluster, CandidateModel};
+pub use phase1::{
+    build_candidate_pool_on, cluster_objective, customize_backbone_for_cluster, CandidateModel,
+};
 pub use phase2::{coarse_header_search, EdgeCustomization};
-pub use pipeline::Acme;
+pub use pipeline::{Acme, CandidatePool, Pretrained, SearchedCluster, Selection};
 pub use recustomize::{
     run_recustomization, DeviceRecustomization, RecustomizeConfig, RecustomizeOutcome,
 };

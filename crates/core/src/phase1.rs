@@ -142,9 +142,27 @@ pub fn build_candidate_pool_on(
     candidates
 }
 
-/// Algorithm 1's per-cluster selection: builds the objective vectors
-/// `f_s = [L, E_s, ζ]` (energy is the cluster's representative maximum,
-/// Eq. 10), constructs the Pareto Front Grid, truncates by
+/// Algorithm 1's objective vector of candidate `c` for `cluster`:
+/// `f_s = [L, E_s, ζ]`, where `E_s` is the cluster's representative
+/// energy (Eq. 10), the maximum over its devices, i.e. the weakest
+/// (slowest) one. Carries the candidate's accuracy for the Fig. 9
+/// efficiency metrics.
+pub fn cluster_objective(
+    c: &CandidateModel,
+    cluster: &DeviceCluster,
+    energy: &EnergyModel,
+    energy_epochs: usize,
+) -> Candidate {
+    let e = cluster
+        .devices()
+        .iter()
+        .map(|dev| energy.energy(dev, c.w, c.d, energy_epochs))
+        .fold(f64::NEG_INFINITY, f64::max);
+    Candidate::new(c.w, c.d, [c.loss, e, c.params as f64]).with_accuracy(c.accuracy)
+}
+
+/// Algorithm 1's per-cluster selection: builds every candidate's
+/// [`cluster_objective`], constructs the Pareto Front Grid, truncates by
 /// `min_n C_n`, and applies the Eq. (13) selection rule.
 ///
 /// Returns the index into `pool` of the chosen candidate, or `Ok(None)`
@@ -165,16 +183,7 @@ pub fn customize_backbone_for_cluster(
 ) -> Result<Option<usize>, SelectError> {
     let candidates: Vec<Candidate> = pool
         .iter()
-        .map(|c| {
-            // Representative energy: the maximum over the cluster, i.e.
-            // the weakest (slowest) device.
-            let e = cluster
-                .devices()
-                .iter()
-                .map(|dev| energy.energy(dev, c.w, c.d, energy_epochs))
-                .fold(f64::NEG_INFINITY, f64::max);
-            Candidate::new(c.w, c.d, [c.loss, e, c.params as f64]).with_accuracy(c.accuracy)
-        })
+        .map(|c| cluster_objective(c, cluster, energy, energy_epochs))
         .collect();
     // The grid is built over the finite sub-pool so a single NaN loss
     // cannot poison the interval bounds for everyone else.

@@ -299,9 +299,9 @@ fn simulate_device(
 ///
 /// Returns [`AcmeError::Metric`] on a degenerate detector config,
 /// [`AcmeError::Data`] on a degenerate stream spec, and
-/// [`AcmeError::InvalidConfig`] when `pretrain_samples` or
-/// `adapt_samples` is zero (a header fit with nothing to train on) or
-/// the stream's prototype grid, which is the backbone's token grid, is
+/// [`AcmeError::InvalidConfig`] when `pretrain_samples`,
+/// `adapt_samples`, `eval_per_class` or `batch_size` is zero, or the
+/// stream's prototype grid, which is the backbone's token grid, is
 /// odd or below 2 (the header's pool ops take 2×2 windows) — all before
 /// any device runs.
 pub fn run_recustomization(
@@ -312,14 +312,16 @@ pub fn run_recustomization(
     seed: u64,
 ) -> Result<RecustomizeOutcome, AcmeError> {
     cfg.detector.validate()?;
-    for (field, samples) in [
+    // A zero would fit a header on nothing, read an empty probe as
+    // accuracy 0, or train silently at batch 1.
+    for (field, count) in [
         ("pretrain_samples", cfg.pretrain_samples),
         ("adapt_samples", cfg.adapt_samples),
+        ("eval_per_class", cfg.eval_per_class),
+        ("batch_size", cfg.batch_size),
     ] {
-        if samples == 0 {
-            return Err(AcmeError::InvalidConfig(format!(
-                "{field} is 0: every device fits its header on that many samples"
-            )));
+        if count == 0 {
+            return Err(AcmeError::InvalidConfig(format!("{field} is 0")));
         }
     }
     let stream = DriftingStream::new(spec.clone(), seed)?;
@@ -585,6 +587,35 @@ mod tests {
             matches!(&err, AcmeError::InvalidConfig(m) if m.contains("pretrain_samples")),
             "got {err}"
         );
+    }
+
+    /// Both used to run: an empty probe reported accuracy 0 on every
+    /// device, and a zero batch trained at batch 1.
+    #[test]
+    fn zero_eval_per_class_or_batch_size_is_a_typed_error() {
+        for (field, cfg) in [
+            (
+                "eval_per_class",
+                RecustomizeConfig {
+                    eval_per_class: 0,
+                    ..RecustomizeConfig::quick()
+                },
+            ),
+            (
+                "batch_size",
+                RecustomizeConfig {
+                    batch_size: 0,
+                    ..RecustomizeConfig::quick()
+                },
+            ),
+        ] {
+            let err = run_recustomization(&Pool::serial(), &cfg, &drifting_spec(0.9), None, 42)
+                .expect_err(field);
+            assert!(
+                matches!(&err, AcmeError::InvalidConfig(m) if m.contains(field)),
+                "got {err}"
+            );
+        }
     }
 
     /// Seed 4 at magnitude 0.9 trips detectors (see

@@ -69,7 +69,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics on an empty dataset.
-    pub fn image_shape(&self) -> &[usize] {
+    pub(crate) fn image_shape(&self) -> &[usize] {
         self.images
             .first()
             .expect("image_shape on empty dataset")

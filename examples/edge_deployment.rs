@@ -10,15 +10,13 @@
 //! cargo run --release --example edge_deployment -- --quick --trace-out /tmp/trace.json
 //! ```
 
-use acme::{build_candidate_pool_on, customize_backbone_for_cluster, Pool};
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme::{cluster_objective, Acme, AcmeConfig};
+use acme_data::SyntheticSpec;
 use acme_distsys::protocol::{centralized_transfers, ProtocolConfig, ProtocolRun, RetryPolicy};
 use acme_distsys::{FaultPlan, NodeId};
-use acme_energy::{EnergyModel, Fleet};
-use acme_nn::ParamSet;
 use acme_pareto::{select_with, Candidate, EfficiencyMetrics, GridSpec, MatchingMethod};
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, TrainConfig, Vit, VitConfig};
+use acme_vit::{TrainConfig, VitConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,55 +38,42 @@ fn main() {
         i += 1;
     }
 
-    let mut rng = SmallRng64::new(5);
+    // Cloud: pretrain the reference model, derive the candidate pool and
+    // match it to the fleet with the pipeline's own Phase 1 stages.
     let spec = SyntheticSpec {
         classes: 10,
         per_class: if quick { 10 } else { 25 },
         ..SyntheticSpec::cifar()
     };
-    let ds = cifar100_like(&spec, &mut rng).expect("valid spec");
-    let (train, val) = ds.split(0.8, &mut rng);
-
-    // Cloud: train the reference model and derive the candidate pool.
-    let cfg = VitConfig {
-        classes: 10,
-        ..VitConfig::reference(10)
-    };
-    let mut ps = ParamSet::new();
-    let teacher = Vit::new(&mut ps, &cfg, &mut rng);
-    println!("cloud: pre-training reference backbone...");
-    fit(
-        &teacher,
-        &mut ps,
-        &train,
-        &TrainConfig {
+    let config = AcmeConfig::builder()
+        .reference(VitConfig::reference(10))
+        .dataset(spec.clone())
+        .clusters(5)
+        .devices_per_cluster(5)
+        .pretrain(TrainConfig {
             epochs: if quick { 1 } else { 5 },
             ..TrainConfig::default()
-        },
-    );
-    println!("cloud: building (w, d) candidate pool...");
-    let widths: &[f64] = if quick {
-        &[0.5, 1.0]
-    } else {
-        &[0.25, 0.5, 0.75, 1.0]
-    };
-    let depths: &[usize] = if quick { &[2, 4] } else { &[2, 4, 6] };
-    let pool = build_candidate_pool_on(
-        &Pool::default(),
-        &teacher,
-        &ps,
-        &train,
-        &val,
-        widths,
-        depths,
-        &TrainConfig {
+        })
+        .widths(if quick {
+            vec![0.5, 1.0]
+        } else {
+            vec![0.25, 0.5, 0.75, 1.0]
+        })
+        .depths(if quick { vec![2, 4] } else { vec![2, 4, 6] })
+        .distill(TrainConfig {
             epochs: if quick { 0 } else { 1 },
             ..TrainConfig::default()
-        },
-        2,
-        &mut rng,
-    );
-    for c in &pool {
+        })
+        .importance_batches(2)
+        .seed(5)
+        .build()
+        .expect("the example's configuration is valid");
+    let acme = Acme::try_new(config.clone()).expect("validated configuration");
+    println!("cloud: pre-training reference backbone...");
+    let pre = acme.pretrain().expect("pretraining");
+    println!("cloud: building (w, d) candidate pool...");
+    let pool = acme.candidate_pool(&pre);
+    for c in &pool.candidates {
         println!(
             "  w={:.2} d={}: {:>6} params, val loss {:.3}, val acc {:.3}",
             c.w, c.d, c.params, c.loss, c.accuracy
@@ -96,40 +81,31 @@ fn main() {
     }
 
     // Fleet matching.
-    let full_params = cfg.exact_params();
-    let fleet = Fleet::micro_scaled(5, 5, full_params);
-    let energy = EnergyModel::default();
-    println!("\ncluster assignments (ACME PFG selection):");
-    for cluster in fleet.clusters() {
-        let idx = customize_backbone_for_cluster(&pool, cluster, &energy, 5, 0.15)
-            .expect("candidate losses are finite");
-        match idx {
-            Some(i) => println!(
-                "  {}: storage bound {:>9} params -> w={:.2} d={} ({} params)",
-                cluster.edge(),
-                cluster.min_storage(),
-                pool[i].w,
-                pool[i].d,
-                pool[i].params
-            ),
-            None => println!("  {}: no feasible candidate", cluster.edge()),
-        }
+    let fleet = &pre.fleet;
+    let selection = acme
+        .select(&pre, &pool, None)
+        .expect("candidate losses are finite");
+    println!("\ncluster assignments (ACME PFG selection, the smallest where nothing fits):");
+    for (cluster, a) in fleet.clusters().iter().zip(&selection.assignments) {
+        println!(
+            "  {}: storage bound {:>9} params -> w={:.2} d={} ({} params)",
+            cluster.edge(),
+            cluster.min_storage(),
+            a.w,
+            a.d,
+            a.params
+        );
     }
 
     // Matching-method comparison on one representative cluster.
     let cluster = &fleet.clusters()[2];
     let candidates: Vec<Candidate> = pool
+        .candidates
         .iter()
-        .map(|c| {
-            let e = cluster
-                .devices()
-                .iter()
-                .map(|d| energy.energy(d, c.w, c.d, 5))
-                .fold(f64::NEG_INFINITY, f64::max);
-            Candidate::new(c.w, c.d, [c.loss, e, c.params as f64]).with_accuracy(c.accuracy)
-        })
+        .map(|c| cluster_objective(c, cluster, &config.energy, config.energy_epochs))
         .collect();
-    let grid = GridSpec::from_candidates(&candidates, 0.15).expect("nonempty pool");
+    let grid = GridSpec::from_candidates(&candidates, config.gamma_p).expect("nonempty pool");
+    let mut rng = SmallRng64::new(5);
     println!(
         "\nmatching methods on {} (storage {} params):",
         cluster.edge(),
@@ -163,15 +139,15 @@ fn main() {
 
     // Transfer volume of the full protocol vs the centralized system.
     let proto = ProtocolConfig {
-        backbone_params: pool.iter().map(|c| c.params).max().unwrap_or(0),
+        backbone_params: pool.candidates.iter().map(|c| c.params).max().unwrap_or(0),
         ..ProtocolConfig::default()
     };
-    let acme_run = ProtocolRun::new(&fleet)
+    let acme_run = ProtocolRun::new(fleet)
         .config(proto.clone())
         .execute()
         .expect("protocol run");
     let image_bytes = (spec.channels * spec.size * spec.size * 4) as u64;
-    let cs = centralized_transfers(&fleet, 500, image_bytes, proto.backbone_params)
+    let cs = centralized_transfers(fleet, 500, image_bytes, proto.backbone_params)
         .expect("baseline run");
     println!("\ntransfer volume ({} devices):", fleet.num_devices());
     println!(
@@ -206,7 +182,7 @@ fn main() {
     if trace_out.is_some() {
         acme_obs::trace::set_enabled(true);
     }
-    let degraded = ProtocolRun::new(&fleet)
+    let degraded = ProtocolRun::new(fleet)
         .config(faulty_cfg)
         .faults(faults)
         .execute()

@@ -39,7 +39,15 @@ fn main() -> Result<(), AcmeError> {
     );
 
     let acme = Acme::try_new(config)?;
-    let outcome = acme.run()?;
+    let pre = acme.pretrain()?;
+    println!("\nCloud pre-training of the reference model:");
+    println!(
+        "  {} params, accuracy {:.3} on {} public validation examples",
+        pre.teacher_ps.num_scalars(),
+        acme_vit::evaluate(&pre.teacher, &pre.teacher_ps, &pre.public_val, 32),
+        pre.public_val.len()
+    );
+    let outcome = acme.run_from(&pre)?;
 
     println!("\nPhase 1 — backbone assignments (Algorithm 1):");
     for a in &outcome.assignments {

@@ -31,6 +31,10 @@
 //! initial weight here, as `phase1::golden_pool_pins_every_bit` does: a
 //! host whose libm rounds those differently fails them.
 //!
+//! One case checks the pins themselves: one ulp on the teacher's first
+//! weight, set inside the pretraining stage's value, must move at least
+//! one pinned field of the rest of the run.
+//!
 //! The kernel thread count is process-wide and the cases run
 //! concurrently, so a case may run at another's count; no pinned bit
 //! depends on it.
@@ -288,9 +292,9 @@ fn served_batches(threads: usize) -> Fields {
     f
 }
 
-/// Compares `got` with the pinned table and panics listing every field
-/// that moved, appeared or vanished.
-fn check(case: &str, threads: usize, pinned: &str, got: &Fields) {
+/// Every field of `got` that differs from the pinned table, appeared or
+/// vanished, as `name: old → new`.
+fn moved(pinned: &str, got: &Fields) -> Vec<String> {
     let pinned: Vec<(&str, &str)> = pinned
         .lines()
         .map(str::trim)
@@ -310,6 +314,13 @@ fn check(case: &str, threads: usize, pinned: &str, got: &Fields) {
             moved.push(format!("  {pk}: {pv} → (gone)"));
         }
     }
+    moved
+}
+
+/// Compares `got` with the pinned table and panics listing every field
+/// that moved, appeared or vanished.
+fn check(case: &str, threads: usize, pinned: &str, got: &Fields) {
+    let moved = moved(pinned, got);
     if !moved.is_empty() {
         let table: String = got.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
         panic!(
@@ -342,6 +353,42 @@ fn quick_pipeline_at_seed_7_matches_its_pins() {
             &acme_run(7, threads),
         );
     }
+}
+
+/// The pins see the teacher: one ulp on `θ₀`'s first weight, set inside
+/// the pretraining stage's value, moves at least one pinned field of the
+/// rest of the run, and the test prints which.
+#[test]
+fn one_ulp_of_the_teacher_moves_a_pin() {
+    let acme = Acme::try_new(AcmeConfig {
+        seed: 42,
+        threads: 1,
+        ..AcmeConfig::quick()
+    })
+    .expect("quick config is valid");
+    let mut pre = acme.pretrain().expect("quick pretraining");
+    let first = pre
+        .teacher_ps
+        .ids()
+        .next()
+        .expect("the teacher has weights");
+    let w = &mut pre.teacher_ps.value_mut(first).data_mut()[0];
+    assert!(
+        w.is_finite() && *w != 0.0,
+        "a finite nonzero weight has an ulp"
+    );
+    *w = f32::from_bits(w.to_bits() + 1);
+    let out = acme.run_from(&pre).expect("quick run");
+    let moved = moved(ACME_SEED_42, &acme_fields(&out));
+    assert!(
+        !moved.is_empty(),
+        "one ulp of the teacher's first weight moved no pinned field"
+    );
+    println!(
+        "one ulp of the teacher's first weight moved {} pinned field(s):\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
 }
 
 #[test]

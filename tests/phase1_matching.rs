@@ -1,6 +1,8 @@
 //! Cross-crate integration of Phase 1: candidate generation (acme-vit),
 //! energy objectives (acme-energy), and PFG selection (acme-pareto).
 
+#![allow(clippy::disallowed_methods)]
+
 use acme::{build_candidate_pool_on, customize_backbone_for_cluster, Pool};
 use acme_data::{cifar100_like, SyntheticSpec};
 use acme_energy::{Device, DeviceCluster, EdgeId, EnergyModel, Fleet};

@@ -101,6 +101,45 @@ fn pipeline_is_deterministic_under_seed() {
     assert_eq!(a.transfers.total_bytes, b.transfers.total_bytes);
 }
 
+/// The stages after pretraining, run twice from one `Pretrained` value,
+/// yield `Acme::run`'s outcome bit for bit both times, and so do the
+/// stages called one by one, at one and two threads.
+#[test]
+fn stages_from_one_pretrained_equal_the_whole_run() {
+    for threads in [1, 2] {
+        let config = AcmeConfig::builder()
+            .quick()
+            .seed(42)
+            .threads(threads)
+            .build()
+            .expect("quick preset is valid");
+        let acme = Acme::try_new(config.clone()).expect("validated config");
+        let whole = acme.run().expect("quick run");
+        let pre = acme.pretrain().expect("quick pretraining");
+        for rerun in 0..2 {
+            let rest = acme.run_from(&pre).expect("quick run");
+            assert_eq!(rest.assignments, whole.assignments, "rerun {rerun}");
+            assert_eq!(rest.devices, whole.devices, "rerun {rerun}");
+            assert_eq!(rest.transfers, whole.transfers, "rerun {rerun}");
+            assert_eq!(rest.header_search_space, whole.header_search_space);
+        }
+        let pool = acme.candidate_pool(&pre);
+        let selection = acme.select(&pre, &pool, None).expect("selection");
+        assert_eq!(selection.assignments, whole.assignments);
+        let devices: Vec<acme::DeviceResult> = acme
+            .search_clusters(&pre, &pool, &selection, None)
+            .expect("Phase 2-1")
+            .iter()
+            .flat_map(|c| {
+                c.refine(&acme::Pool::new(threads), &config.refine, None)
+                    .expect("Phase 2-2")
+                    .results
+            })
+            .collect();
+        assert_eq!(devices, whole.devices, "{threads} thread(s)");
+    }
+}
+
 #[test]
 fn different_seeds_differ() {
     let a = run_quick(10);
