@@ -110,7 +110,7 @@ fn main() {
             virtual_secs: stats.virtual_elapsed.as_secs_f64(),
             edges_completed,
             dropped_nodes: outcome.dropped_nodes().len(),
-            peak_rss_mb: peak_rss_mb(),
+            peak_rss_mb: acme_bench::peak_rss_mb(),
         };
         eprintln!(
             "{:>9} devices / {:>3} edges: {:>7.3} s wall, {:>10} events \
@@ -164,20 +164,4 @@ fn main() {
         );
         eprintln!("smoke OK ({wall:.3} s < {SMOKE_CEILING_SECS} s ceiling)");
     }
-}
-
-/// Process peak resident set in MB, from `/proc/self/status` (`VmHWM`).
-/// Returns 0 where procfs is unavailable.
-fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace()
-                    .nth(1)
-                    .and_then(|kb| kb.parse::<f64>().ok())
-            })
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
 }

@@ -71,6 +71,22 @@ pub fn out_path(default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
+/// Process peak resident set in MB, from `/proc/self/status` (`VmHWM`).
+/// Returns 0 where procfs is unavailable.
+pub fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
+                l.split_whitespace()
+                    .nth(1)
+                    .and_then(|kb| kb.parse::<f64>().ok())
+            })
+        })
+        .map(|kb| kb / 1024.0)
+        .unwrap_or(0.0)
+}
+
 /// The CIFAR-100-like evaluation spec at harness scale.
 pub fn cifar_spec(scale: RunScale) -> SyntheticSpec {
     SyntheticSpec {

@@ -1,5 +1,6 @@
 //! In-memory labeled image dataset with batching.
 
+use acme_tensor::obs::mem::{self, Owner};
 use acme_tensor::{Array, SmallRng64};
 
 /// One minibatch: images `[batch, c, h, w]` plus integer labels.
@@ -14,12 +15,25 @@ pub struct Batch {
 /// An owned, in-memory labeled image dataset.
 ///
 /// Images are stored per-example (`[c, h, w]` each) so partitioning into
-/// device shards is cheap.
-#[derive(Debug, Clone, Default)]
+/// device shards is cheap. A dataset's images and labels are charged to
+/// the [`Owner::Datasets`] gauge while it lives.
+#[derive(Debug, Default)]
 pub struct Dataset {
     images: Vec<Array>,
     labels: Vec<usize>,
     num_classes: usize,
+}
+
+impl Clone for Dataset {
+    fn clone(&self) -> Self {
+        Dataset::charged(self.images.clone(), self.labels.clone(), self.num_classes)
+    }
+}
+
+impl Drop for Dataset {
+    fn drop(&mut self) {
+        mem::release(Owner::Datasets, self.heap_bytes());
+    }
 }
 
 impl Dataset {
@@ -41,11 +55,23 @@ impl Dataset {
                 "inconsistent image shapes"
             );
         }
-        Dataset {
+        Dataset::charged(images, labels, num_classes)
+    }
+
+    fn charged(images: Vec<Array>, labels: Vec<usize>, num_classes: usize) -> Self {
+        let data = Dataset {
             images,
             labels,
             num_classes,
-        }
+        };
+        mem::charge(Owner::Datasets, data.heap_bytes());
+        data
+    }
+
+    /// Bytes of the image backings and the labels.
+    fn heap_bytes(&self) -> usize {
+        let images: usize = self.images.iter().map(Array::heap_bytes).sum();
+        images + self.labels.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Number of examples.
@@ -92,11 +118,11 @@ impl Dataset {
     ///
     /// Panics on out-of-range indices.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            images: indices.iter().map(|&i| self.images[i].clone()).collect(),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            num_classes: self.num_classes,
-        }
+        Dataset::charged(
+            indices.iter().map(|&i| self.images[i].clone()).collect(),
+            indices.iter().map(|&i| self.labels[i]).collect(),
+            self.num_classes,
+        )
     }
 
     /// Randomly samples `n` examples (without replacement; clamped to
@@ -135,11 +161,7 @@ impl Dataset {
         images.extend(other.images.iter().cloned());
         let mut labels = self.labels.clone();
         labels.extend_from_slice(&other.labels);
-        Dataset {
-            images,
-            labels,
-            num_classes: self.num_classes,
-        }
+        Dataset::charged(images, labels, self.num_classes)
     }
 
     /// Stacks the whole dataset into one batch.

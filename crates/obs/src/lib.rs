@@ -14,6 +14,8 @@
 //! * [`export`] — the `acme-obs-trace-v1` document (spans, metrics, and
 //!   per-phase totals derived from the trace's duration spans) and
 //!   `chrome://tracing` trace-event JSON.
+//! * [`mem`] — heap accounting: the one counting global allocator and
+//!   the owner gauges (tapes, tensor pool, caches) it reads at its peak.
 //!
 //! ## One switch, at run time
 //!
@@ -34,6 +36,7 @@
 //! thread count, as long as no ring overflows (`dropped_events == 0`).
 
 pub mod export;
+pub mod mem;
 pub mod metrics;
 pub mod trace;
 

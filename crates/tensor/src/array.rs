@@ -118,6 +118,12 @@ impl Array {
         self.data.is_empty()
     }
 
+    /// Bytes of the backing's capacity: what holding this array costs
+    /// the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Read-only view of the underlying buffer (row-major).
     pub fn data(&self) -> &[f32] {
         &self.data

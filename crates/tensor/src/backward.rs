@@ -2,6 +2,8 @@
 
 use std::time::Instant;
 
+use acme_obs::mem::{self, Owner};
+
 use crate::array::Array;
 use crate::attention;
 use crate::conv::conv2d_backward;
@@ -11,10 +13,12 @@ use crate::{optable, rowwise};
 
 impl Graph {
     /// Runs the backward sweep from `output`, seeding its gradient with
-    /// ones. Leaf gradients are afterwards available via [`Graph::grad`].
+    /// ones. Leaf gradients are afterwards available via [`Graph::grad`];
+    /// every inner node's gradient is released during the sweep.
     ///
-    /// Calling `backward` twice on the same graph accumulates gradients
-    /// (the tape is not consumed).
+    /// Calling `backward` twice on the same graph adds the second sweep's
+    /// leaf gradients to the first's (the tape is not consumed): each
+    /// sweep starts from its seed alone.
     pub fn backward(&mut self, output: Var) {
         let seed = Array::ones(self.values[output.0].shape());
         self.backward_with(output, seed);
@@ -31,11 +35,16 @@ impl Graph {
     /// bitwise what a sweep over every node would give them.
     ///
     /// The sweep is clone-free: each node's gradient is *taken* out of
-    /// its slot (`Option::take`) for the duration of its rule and put
-    /// back afterwards, the out-value and parent values are borrowed
-    /// straight from the split `values` arena, and contributions land in
-    /// parents via in-place [`Array::add_assign`]. Nothing on the hot
-    /// path is copied.
+    /// its slot (`Option::take`) for the duration of its rule, the
+    /// out-value and parent values are borrowed straight from the split
+    /// `values` arena, and contributions land in parents via in-place
+    /// [`Array::add_assign`]. Nothing on the hot path is copied.
+    ///
+    /// Only leaves keep their gradient. An inner node's gradient has
+    /// reached all of its inputs once its rule has run, so it goes back
+    /// to the buffer [`pool`](crate::pool) right then, where the next
+    /// rule's contributions find it: a tape holds gradients for its
+    /// leaves and for the frontier of the sweep, not for every node.
     ///
     /// # Panics
     ///
@@ -50,7 +59,7 @@ impl Graph {
         if !self.needs_grad[output.0] {
             return;
         }
-        Self::accumulate_into(&mut self.grads, output.0, seed);
+        self.accumulate(output.0, seed);
         let timed = acme_obs::enabled();
         for id in (0..=output.0).rev() {
             // Take the gradient while its contributions are computed;
@@ -68,13 +77,18 @@ impl Graph {
                 &self.values[id],
             );
             for (parent, contrib) in contributions {
-                Self::accumulate_into(&mut self.grads, parent, contrib);
+                self.accumulate(parent, contrib);
             }
             if let Some(start) = start {
                 optable::backward(&self.ops[id], start);
             }
-            // Restore so repeated backward calls keep accumulating.
-            self.grads[id] = Some(grad);
+            if matches!(self.ops[id], Op::Leaf { .. }) {
+                self.grads[id] = Some(grad);
+            } else {
+                let bytes = grad.heap_bytes();
+                self.grad_bytes -= bytes;
+                mem::release(Owner::TapeGrads, bytes);
+            }
         }
         self.clock = timed.then(Instant::now);
     }
@@ -94,10 +108,15 @@ impl Graph {
         }
     }
 
-    fn accumulate_into(grads: &mut [Option<Array>], id: usize, contrib: Array) {
-        match &mut grads[id] {
+    fn accumulate(&mut self, id: usize, contrib: Array) {
+        match &mut self.grads[id] {
             Some(g) => g.add_assign(&contrib),
-            slot @ None => *slot = Some(contrib),
+            slot @ None => {
+                let bytes = contrib.heap_bytes();
+                self.grad_bytes += bytes;
+                mem::charge(Owner::TapeGrads, bytes);
+                *slot = Some(contrib);
+            }
         }
     }
 
@@ -434,6 +453,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::random::{randn, SmallRng64};
+    use std::sync::Arc;
 
     #[test]
     fn add_mul_chain_grads() {
@@ -542,14 +562,44 @@ mod tests {
     }
 
     #[test]
+    fn only_leaves_that_require_a_gradient_keep_one() {
+        let mut g = Graph::new();
+        let x = g.leaf(Array::full(&[4, 8], 0.5));
+        let c = g.constant(Array::full(&[8, 8], 0.25));
+        let w = g.bind_param(1, &Arc::new(Array::full(&[8, 8], 0.1)), true, None);
+        let frozen = g.bind_param(2, &Arc::new(Array::ones(&[8])), false, None);
+        let unused = g.leaf(Array::ones(&[3]));
+        let h = g.matmul(x, w).unwrap();
+        let h = g.add(h, frozen);
+        let k = g.matmul(h, c).unwrap();
+        let k = g.gelu(k);
+        let gamma = g.constant(Array::ones(&[8]));
+        let beta = g.constant(Array::zeros(&[8]));
+        let k = g.layer_norm(k, gamma, beta, 1e-5);
+        let loss = g.sum_all(k);
+        g.backward(loss);
+        for id in 0..g.values.len() {
+            let kept = [x, w].contains(&Var(id));
+            assert_eq!(g.grads[id].is_some(), kept, "node {id}: {:?}", g.ops[id]);
+        }
+        assert!(g.grad(unused).is_none());
+        // The tape's gradient gauge holds exactly the leaves' buffers.
+        let leaf_bytes = [x, w].map(|v| g.grad(v).unwrap().heap_bytes());
+        assert_eq!(g.grad_bytes, leaf_bytes.iter().sum::<usize>());
+    }
+
+    #[test]
     fn backward_twice_accumulates() {
         let mut g = Graph::new();
         let x = g.leaf(Array::from_slice(&[1.0]));
-        let s = g.sum_all(x);
+        let y = g.relu(x);
+        let s = g.sum_all(y);
         g.backward(s);
         g.backward(s);
-        // Gradients accumulate across backward calls (grad of s seeds again),
-        // and the intermediate node's grad doubles too.
-        assert!(g.grad(x).unwrap().data()[0] >= 2.0);
+        // Each sweep sends its own seed alone down the chain and the
+        // leaf adds the two: no sweep re-sends what an earlier one left
+        // on an inner node, because none is left there.
+        assert_eq!(g.grad(x).unwrap().data(), &[2.0]);
+        assert!(g.grad(y).is_none() && g.grad(s).is_none());
     }
 }

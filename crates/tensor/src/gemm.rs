@@ -200,6 +200,11 @@ impl<K: Kernel> Packed<K> {
         self.data.is_empty()
     }
 
+    /// Bytes of the packed panels' capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<K::B>()
+    }
+
     /// Allocates the zeroed panels of a `k x n` matrix and walks them in
     /// storage order, handing each to `fill(panel, pc, kcb, j0, nrb)`:
     /// the panel of depth block `pc .. pc+kcb` and columns

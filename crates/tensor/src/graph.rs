@@ -6,6 +6,8 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
+use acme_obs::mem::{self, Owner};
+
 use crate::array::Array;
 use crate::attention::{self, Geom};
 use crate::conv::{avgpool_forward, conv2d_forward, maxpool_forward, ConvGeom, PoolGeom};
@@ -143,6 +145,15 @@ impl Op {
             } => f(*input) || f(*weight) || f(*bias),
         }
     }
+
+    /// The forward state this op keeps for its backward rule.
+    fn saved(&self) -> Option<&Array> {
+        match self {
+            Op::Gelu { saved, .. } | Op::LayerNorm { saved, .. } => Some(saved),
+            Op::Attention { probs, .. } => Some(probs),
+            _ => None,
+        }
+    }
 }
 
 /// A node's forward value: computed on the tape, or a parameter bound by
@@ -213,7 +224,8 @@ impl Deref for Value {
 pub struct Graph {
     /// Forward value of each node.
     pub(crate) values: Vec<Value>,
-    /// Accumulated gradient of each node (populated by backward).
+    /// Accumulated gradient of each node: set by backward, and kept
+    /// after it only for leaves.
     pub(crate) grads: Vec<Option<Array>>,
     /// Recorded operation of each node.
     pub(crate) ops: Vec<Op>,
@@ -241,6 +253,17 @@ pub struct Graph {
     /// reset, or a backward sweep ended): the start of the next node's
     /// forward self-time in the per-op table (see [`crate::optable`]).
     pub(crate) clock: Option<Instant>,
+    /// Heap bytes of the owned values and saved op state on the tape,
+    /// and of the gradients it holds: this tape's share of the
+    /// [`Owner::TapeValues`] / [`Owner::TapeGrads`] gauges.
+    value_bytes: usize,
+    pub(crate) grad_bytes: usize,
+}
+
+impl Drop for Graph {
+    fn drop(&mut self) {
+        self.release_bytes();
+    }
 }
 
 impl Graph {
@@ -263,6 +286,7 @@ impl Graph {
     /// keeps hitting the same packed entries. A bound parameter's shared
     /// value is released here, so its store writes in place again.
     pub fn reset(&mut self) {
+        self.release_bytes();
         self.values.clear();
         self.grads.clear();
         self.ops.clear();
@@ -295,10 +319,23 @@ impl Graph {
         self.push_value(Value::Owned(value), op)
     }
 
+    /// Takes this tape's bytes off the owner gauges.
+    fn release_bytes(&mut self) {
+        mem::release(Owner::TapeValues, std::mem::take(&mut self.value_bytes));
+        mem::release(Owner::TapeGrads, std::mem::take(&mut self.grad_bytes));
+    }
+
     fn push_value(&mut self, value: Value, op: Op) -> Var {
         // Off, the clock is dropped, so a node pushed after recording
         // turns back on is never charged the time it was off.
         self.clock = acme_obs::enabled().then(|| optable::forward(&op, self.clock));
+        let owned = match &value {
+            Value::Owned(a) => a.heap_bytes(),
+            Value::Shared(_) => 0,
+        };
+        let bytes = owned + op.saved().map_or(0, Array::heap_bytes);
+        self.value_bytes += bytes;
+        mem::charge(Owner::TapeValues, bytes);
         self.values.push(value);
         self.grads.push(None);
         self.ops.push(op);
@@ -379,9 +416,10 @@ impl Graph {
         &self.values[v.0]
     }
 
-    /// The accumulated gradient of `v`, if any was produced by
-    /// [`Graph::backward`] — never for a node computed from constants
-    /// alone.
+    /// The accumulated gradient of `v`: `Some` after [`Graph::backward`]
+    /// only for a leaf that requires a gradient and lies upstream of the
+    /// output. Inner nodes' gradients are released during the sweep, and
+    /// a node computed from constants alone never gets one.
     pub fn grad(&self, v: Var) -> Option<&Array> {
         self.grads[v.0].as_ref()
     }

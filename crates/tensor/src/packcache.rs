@@ -43,6 +43,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
+use acme_obs::mem::{self, Owner};
+
 use crate::array::Array;
 use crate::gemm::{Kernel, MatRef, Packed, F32};
 use crate::qgemm::I8;
@@ -79,9 +81,24 @@ pub fn worth_caching(b: &Array) -> bool {
     b.rank() == 2 && b.len() >= MIN_CACHED_LEN
 }
 
+/// A cached pack, charged to the [`Owner::PackCache`] gauge while the
+/// cache holds it.
 struct Entry<K: Kernel> {
     version: u64,
     pack: Arc<Packed<K>>,
+}
+
+impl<K: Kernel> Entry<K> {
+    fn new(version: u64, pack: Arc<Packed<K>>) -> Self {
+        mem::charge(Owner::PackCache, pack.heap_bytes());
+        Entry { version, pack }
+    }
+}
+
+impl<K: Kernel> Drop for Entry<K> {
+    fn drop(&mut self) {
+        mem::release(Owner::PackCache, self.pack.heap_bytes());
+    }
 }
 
 /// The cache of one kernel instantiation: its packed weights by store,
@@ -212,13 +229,7 @@ impl<K: Kernel> Cache<K> {
             }
             _ => {
                 let pack = pack_now();
-                slots.insert(
-                    ident.slot,
-                    Entry {
-                        version: ident.version,
-                        pack: Arc::clone(&pack),
-                    },
-                );
+                slots.insert(ident.slot, Entry::new(ident.version, Arc::clone(&pack)));
                 pack
             }
         }

@@ -9,29 +9,35 @@
 //!
 //! # Design
 //!
-//! * **Buckets.** One free list per power of two from [`MIN_POOLED`]
-//!   to [`MAX_POOLED`] floats. A request of `len` floats is served from
-//!   the bucket of the next power of two ≥ `len`, and a miss allocates
-//!   exactly that bucket size, so every pooled buffer's capacity covers
-//!   the request. Each bucket sits behind its own mutex, spreading
-//!   contention across sizes.
+//! * **Buckets.** One free list per size class, two classes per octave
+//!   from [`MIN_POOLED`] to [`MAX_POOLED`] floats: each power of two `p`
+//!   and `¾·p` (64, 96, 128, 192, 256, …). A request of `len` floats is
+//!   served from the smallest class ≥ `len`, and a miss allocates
+//!   exactly that class size, so every pooled buffer's capacity covers
+//!   the request and exceeds it by less than half (above `MIN_POOLED`,
+//!   a class is at most `1.5·len`). Powers of two alone let a buffer
+//!   run to twice its request, and a training tape is mostly such
+//!   buffers. Finer classes would waste less per buffer but split the
+//!   free lists further, so a serving process that churns many shapes
+//!   would hold more idle buffers. Each bucket sits behind its own
+//!   mutex, spreading contention across sizes.
 //! * **Recycling.** [`Array`](crate::Array) returns its backing here on
 //!   drop, so every temporary — graph values recycled by
 //!   `Graph::reset`, backward contributions consumed by `add_assign`,
 //!   intermediate clones — flows back automatically. The pool keeps only
 //!   buffers it can hand back: a buffer whose capacity is exactly a
-//!   bucket size, i.e. what [`take`] allocates, and only while the
+//!   class size, i.e. what [`take`] allocates, and only while the
 //!   bucket has buffers out, so a bucket never holds more buffers than
 //!   it has allocated. Every other buffer, and any beyond the bucket
 //!   cap, falls through to the allocator.
 //!
 //!   Both halves close a leak. Buffers born outside the pool — decoded
 //!   checkpoints, `randn` / `uniform`, `from_vec` of a collected `Vec` —
-//!   mostly have capacities that are not a power of two. An earlier
-//!   rule filed them one bucket *below* their size, where no request of
+//!   mostly have capacities that are not a class size. An earlier rule
+//!   filed them one bucket *below* their size, where no request of
 //!   their own size ever found them: a serving process that built its
 //!   fleet three times and restored it four held ≈650 MB of them. Those
-//!   born with a power-of-two capacity add supply without demand, so
+//!   born with a class-sized capacity add supply without demand, so
 //!   every restore of a model with such shapes grew the pool by another
 //!   copy until the bucket cap.
 //! * **Determinism.** The pool only moves buffers around; callers
@@ -41,7 +47,10 @@
 //!   observable: `misses` counts exactly the heap allocations performed
 //!   through the pool, which is the "allocations per step" metric the
 //!   training-step bench reports, and `retained_bytes` is the capacity
-//!   the free lists hold right now. [`set_enabled`] turns reuse off (every
+//!   the free lists hold right now. The same bytes, and those of the
+//!   buffers handed out, are the `acme_obs::mem` owner gauges
+//!   `PoolFree` and `PoolOut` in a process that installed its
+//!   allocator. [`set_enabled`] turns reuse off (every
 //!   take allocates, every recycle frees) so benches can measure the
 //!   pre-pool baseline with the same instrumentation. For observability
 //!   runs these counters are published into the unified metrics
@@ -53,6 +62,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use acme_obs::mem::{self, Owner};
+
 /// Smallest buffer (in `f32`s) worth pooling; tinier ones cost less to
 /// allocate than to round-trip through a free list.
 const MIN_POOLED: usize = 64;
@@ -61,13 +72,16 @@ const MIN_POOLED: usize = 64;
 /// the allocator so a one-off huge tensor cannot pin memory forever.
 const MAX_POOLED: usize = 1 << 24;
 
-/// Free-list buckets: powers of two from `MIN_POOLED` to `MAX_POOLED`.
-const BUCKETS: usize = (MAX_POOLED.trailing_zeros() - MIN_POOLED.trailing_zeros() + 1) as usize;
+/// Free-list buckets: two size classes per octave, `MIN_POOLED` to
+/// `MAX_POOLED` (both powers of two) inclusive.
+const BUCKETS: usize = 2 * (MAX_POOLED.ilog2() - MIN_POOLED.ilog2()) as usize + 1;
 
 /// Per-bucket cap on retained buffers. A transformer-block step retires
 /// a few dozen same-shaped buffers (values + grads + saved state), so
 /// the cap is sized to hold a full step's working set per size class.
 const BUCKET_CAP: usize = 256;
+
+const F32_BYTES: usize = std::mem::size_of::<f32>();
 
 /// One size class: its free list, and how many buffers of its size the
 /// pool has handed out and not yet had back.
@@ -94,19 +108,50 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Free-list index of a bucket-sized capacity: a power of two in
-/// `[MIN_POOLED, MAX_POOLED]`, or `None` for any other capacity.
+/// The capacity [`take`] gives a request of `len` floats: the smallest
+/// size class ≥ `len` (`MIN_POOLED` for anything smaller), or `len`
+/// itself above `MAX_POOLED`.
+fn class_size(len: usize) -> usize {
+    if len > MAX_POOLED {
+        return len;
+    }
+    let p = len.max(MIN_POOLED).next_power_of_two();
+    let three_quarters = p / 4 * 3;
+    if len <= three_quarters && three_quarters >= MIN_POOLED {
+        three_quarters
+    } else {
+        p
+    }
+}
+
+/// Free-list index of a class-sized capacity — a power of two `p` in
+/// `[MIN_POOLED, MAX_POOLED]` (even index) or `¾·2p` above it (odd
+/// index) — or `None` for any other capacity.
 fn bucket_index(capacity: usize) -> Option<usize> {
-    (capacity.is_power_of_two() && (MIN_POOLED..=MAX_POOLED).contains(&capacity))
-        .then(|| (capacity.trailing_zeros() - MIN_POOLED.trailing_zeros()) as usize)
+    if !(MIN_POOLED..=MAX_POOLED).contains(&capacity) {
+        return None;
+    }
+    let octave = (capacity.ilog2() - MIN_POOLED.ilog2()) as usize;
+    let p = MIN_POOLED << octave;
+    match capacity - p {
+        0 => Some(2 * octave),
+        half if half == p / 2 => Some(2 * octave + 1),
+        _ => None,
+    }
+}
+
+/// The capacity of bucket `i`'s buffers, the inverse of [`bucket_index`].
+fn bucket_size(i: usize) -> usize {
+    let p = MIN_POOLED << (i / 2);
+    p + i % 2 * (p / 2)
 }
 
 /// An **empty** `Vec<f32>` with capacity ≥ `len`, served from the pool
 /// when possible. The caller extends it to the length it needs; nothing
 /// is ever read from a pooled buffer before being written.
 pub fn take(len: usize) -> Vec<f32> {
-    // The bucket size that serves `len`; none above `MAX_POOLED`.
-    let size = len.max(MIN_POOLED).next_power_of_two();
+    // The class that serves `len`; none above `MAX_POOLED`.
+    let size = class_size(len);
     let Some(b) = bucket_index(size).filter(|_| ENABLED.load(Ordering::Relaxed)) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return Vec::with_capacity(len);
@@ -115,15 +160,17 @@ pub fn take(len: usize) -> Vec<f32> {
     bucket.out += 1;
     let hit = bucket.free.pop();
     drop(bucket);
+    mem::charge(Owner::PoolOut, size * F32_BYTES);
     match hit {
         Some(mut v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
+            mem::release(Owner::PoolFree, size * F32_BYTES);
             v.clear();
             v
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            // The bucket size, so the buffer is poolable on recycle.
+            // The class size, so the buffer is poolable on recycle.
             Vec::with_capacity(size)
         }
     }
@@ -137,7 +184,7 @@ pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
 }
 
 /// Returns a retired backing to its size bucket. It is kept only if its
-/// capacity is exactly a bucket size — the capacity [`take`] allocates —
+/// capacity is exactly a class size — the capacity [`take`] allocates —
 /// and the bucket has a buffer out that this one can stand in for;
 /// otherwise a buffer of at least [`MIN_POOLED`] floats is freed and
 /// counted as dropped, as is one beyond the bucket cap. Every buffer is
@@ -147,12 +194,15 @@ pub fn recycle(v: Vec<f32>) {
         return;
     }
     if let Some(b) = bucket_index(v.capacity()) {
+        let bytes = v.capacity() * F32_BYTES;
         let mut bucket = lock(&pool().buckets[b]);
         if bucket.out > 0 {
             bucket.out -= 1;
+            mem::release(Owner::PoolOut, bytes);
             if bucket.free.len() < BUCKET_CAP {
                 bucket.free.push(v);
                 drop(bucket);
+                mem::charge(Owner::PoolFree, bytes);
                 RECYCLED.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -183,7 +233,7 @@ pub struct PoolStats {
     /// Buffers returned to a free list.
     pub recycled: u64,
     /// Buffers of at least [`MIN_POOLED`] floats freed instead: capacity
-    /// not a bucket size, no buffer of its size out, or bucket full.
+    /// not a class size, no buffer of its size out, or bucket full.
     pub dropped: u64,
     /// Bytes of capacity currently held on the free lists (a level, not a
     /// counter: [`reset_stats`] leaves it alone, [`clear`] zeroes it).
@@ -203,14 +253,13 @@ pub fn stats() -> PoolStats {
 }
 
 /// Bytes of capacity on the free lists. Every buffer on a free list has
-/// exactly its bucket's size, so the lists' lengths say it all.
+/// exactly its class's size, so the lists' lengths say it all.
 fn retained_bytes() -> u64 {
-    let bucket_bytes = |i: usize| (MIN_POOLED << i) * std::mem::size_of::<f32>();
     pool()
         .buckets
         .iter()
         .enumerate()
-        .map(|(i, b)| (lock(b).free.len() * bucket_bytes(i)) as u64)
+        .map(|(i, b)| (lock(b).free.len() * bucket_size(i) * F32_BYTES) as u64)
         .sum()
 }
 
@@ -226,7 +275,11 @@ pub fn reset_stats() {
 /// Frees every retained buffer (counters are unaffected).
 pub fn clear() {
     for b in &pool().buckets {
-        lock(b).free.clear();
+        let mut bucket = lock(b);
+        let bytes = bucket.free.iter().map(|v| v.capacity() * F32_BYTES).sum();
+        bucket.free.clear();
+        drop(bucket);
+        mem::release(Owner::PoolFree, bytes);
     }
 }
 
@@ -278,10 +331,17 @@ mod tests {
     fn buckets_cover_the_size_range() {
         let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(bucket_index(MIN_POOLED), Some(0));
-        assert_eq!(bucket_index(2 * MIN_POOLED), Some(1));
+        assert_eq!(bucket_index(MIN_POOLED + MIN_POOLED / 2), Some(1));
+        assert_eq!(bucket_index(2 * MIN_POOLED), Some(2));
         assert_eq!(bucket_index(MAX_POOLED), Some(BUCKETS - 1));
-        for cap in [MIN_POOLED + 1, 2 * MIN_POOLED - 1, MAX_POOLED - 1] {
-            assert_eq!(bucket_index(cap), None, "{cap} is not a bucket size");
+        for cap in [
+            MIN_POOLED + 1,
+            MIN_POOLED + MIN_POOLED / 4,
+            2 * MIN_POOLED - 1,
+            MAX_POOLED / 4 * 3 + 1,
+            MAX_POOLED - 1,
+        ] {
+            assert_eq!(bucket_index(cap), None, "{cap} is not a class size");
         }
         for len in [0, 1, MIN_POOLED, MIN_POOLED + 1, 589_824, MAX_POOLED] {
             let cap = take(len).capacity();
@@ -301,10 +361,36 @@ mod tests {
     }
 
     #[test]
+    fn class_sizes_bound_every_request() {
+        // Every length up to 2^14, then a stride through the rest.
+        let lens = (0..1 << 14)
+            .chain((1 << 14..MAX_POOLED).step_by(997))
+            .chain([MAX_POOLED]);
+        for len in lens {
+            let size = class_size(len);
+            assert!(size >= len, "class_size({len}) = {size}");
+            assert!(
+                len < MIN_POOLED || 2 * size <= 3 * len,
+                "class_size({len}) = {size} is over 1.5x"
+            );
+            assert!(bucket_index(size).is_some(), "class_size({len}) = {size}");
+        }
+        // Each class size files into exactly its own bucket, and is the
+        // class of its own length.
+        let sizes: Vec<usize> = (0..BUCKETS).map(bucket_size).collect();
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(sizes.last(), Some(&MAX_POOLED));
+        for (i, &size) in sizes.iter().enumerate() {
+            assert_eq!(bucket_index(size), Some(i));
+            assert_eq!(class_size(size), size);
+        }
+    }
+
+    #[test]
     fn only_bucket_sized_buffers_are_kept() {
         let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
         // A 384×1536 weight decoded from a checkpoint: capacity 589 824,
-        // between the 2^19 and 2^20 buckets. Other tests share the
+        // between the 2^19 and 3·2^18 classes. Other tests share the
         // counters, so only increases are asserted.
         let decoded: Vec<f32> = (0..589_824).map(|i| i as f32).collect();
         assert_eq!(decoded.capacity(), 589_824);
@@ -315,11 +401,11 @@ mod tests {
 
         let mut v = take(589_824);
         v.resize(589_824, 0.0);
-        assert_eq!(v.capacity(), 1 << 20, "a miss allocates the bucket size");
+        assert_eq!(v.capacity(), 3 << 18, "a miss allocates the class size");
         let before = stats();
         recycle(v);
         assert!(stats().recycled > before.recycled);
-        assert!(holds(1 << 20), "a bucket-sized buffer is kept");
+        assert!(holds(3 << 18), "a class-sized buffer is kept");
     }
 
     #[test]

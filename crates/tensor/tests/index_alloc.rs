@@ -3,55 +3,17 @@
 //! data upsampler that every drift window runs, the baselines), so an
 //! allocation per call is an allocation per element.
 //!
-//! This file holds a single test because it installs its own global
-//! allocator, which counts the allocations of the calling thread only.
+//! This file holds a single test because it installs the counting
+//! global allocator, read for the calling thread's allocations only.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use acme_tensor::obs::mem::{thread_allocs, CountingAlloc};
 use acme_tensor::Array;
 
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    // A thread tearing down its locals still allocates; nothing to count.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `count` neither allocates
-// (the thread-local is const-initialized and has no destructor) nor
-// unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTING: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
+    thread_allocs(f).1.count
 }
 
 #[test]

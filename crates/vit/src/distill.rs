@@ -3,6 +3,7 @@
 
 use acme_data::Dataset;
 use acme_nn::ParamSet;
+use acme_tensor::obs::mem::{self, Owner};
 use acme_tensor::{pool, Array, Graph};
 
 use crate::classifier::{train_on, TrainConfig, TrainReport};
@@ -37,6 +38,12 @@ pub struct TeacherTargets {
     hidden: Vec<f32>,
 }
 
+impl Drop for TeacherTargets {
+    fn drop(&mut self) {
+        mem::release(Owner::TeacherTargets, self.heap_bytes());
+    }
+}
+
 impl TeacherTargets {
     /// Runs `teacher` once over `transfer`, in example order, `batch_size`
     /// examples at a time, and keeps its outputs.
@@ -63,7 +70,7 @@ impl TeacherTargets {
             embed.extend_from_slice(g.value(emb).data());
             hidden.extend_from_slice(g.value(feats.tokens).data());
         }
-        TeacherTargets {
+        let targets = TeacherTargets {
             len,
             classes,
             tokens,
@@ -71,7 +78,14 @@ impl TeacherTargets {
             logits,
             embed,
             hidden,
-        }
+        };
+        mem::charge(Owner::TeacherTargets, targets.heap_bytes());
+        targets
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let floats = self.logits.capacity() + self.embed.capacity() + self.hidden.capacity();
+        floats * std::mem::size_of::<f32>()
     }
 
     /// Number of examples covered.

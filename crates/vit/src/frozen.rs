@@ -3,6 +3,7 @@
 
 use acme_data::Dataset;
 use acme_nn::ParamSet;
+use acme_tensor::obs::mem::{self, Owner};
 use acme_tensor::{pool, Array, Graph};
 
 use crate::model::{Features, Vit};
@@ -29,6 +30,12 @@ pub struct FrozenFeatures {
     labels: Vec<usize>,
 }
 
+impl Drop for FrozenFeatures {
+    fn drop(&mut self) {
+        mem::release(Owner::FrozenFeatures, self.heap_bytes());
+    }
+}
+
 impl FrozenFeatures {
     /// Runs `backbone` once over `data`, in example order, `batch_size`
     /// examples at a time, and keeps its features.
@@ -46,13 +53,20 @@ impl FrozenFeatures {
             last.extend_from_slice(g.value(f.tokens).data());
             penultimate.extend_from_slice(g.value(f.penultimate).data());
         }
-        FrozenFeatures {
+        let features = FrozenFeatures {
             tokens,
             dim,
             last,
             penultimate,
             labels: data.labels().to_vec(),
-        }
+        };
+        mem::charge(Owner::FrozenFeatures, features.heap_bytes());
+        features
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let floats = self.last.capacity() + self.penultimate.capacity();
+        floats * std::mem::size_of::<f32>() + self.labels.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Number of examples covered.

@@ -207,6 +207,26 @@ if [ -n "$named" ] || [ "$impls" -ne 1 ]; then
     exit 1
 fi
 
+step "one GlobalAlloc impl (acme_obs::mem::CountingAlloc counts every heap byte)"
+# Outside comments, no file of crates/*/{src,tests,examples}, tests/ or
+# examples/ but those of crates/obs/src implements GlobalAlloc. A binary
+# or test that needs allocation counts installs acme_obs's allocator,
+# which keeps live and peak bytes, the owner gauges at the peak and the
+# calling thread's count and largest request; a second counting
+# allocator would measure the same heap by other rules.
+impls="$(
+    for f in $(find crates/*/src crates/*/tests crates/*/examples tests examples \
+        -name '*.rs' -not -path 'crates/obs/src/*' 2>/dev/null | sort); do
+        awk -v f="$f" '{ sub(/\/\/.*/, ""); print f ": " $0 }' "$f" |
+            grep -E '\bimpl\b.*\bGlobalAlloc\b' || true
+    done
+)"
+if [ -n "$impls" ]; then
+    echo "ci.sh: a GlobalAlloc impl outside crates/obs/src:" >&2
+    printf '%s\n' "$impls" >&2
+    exit 1
+fi
+
 step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
 # scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
 # and restate their medians, the parent's quartiles and the win count

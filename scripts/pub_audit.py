@@ -69,6 +69,8 @@ ALLOW = {
     'ParamSet::is_empty': 'clippy len_without_is_empty pairs it with the called len()',
     'ByteWriter::into_vec': 'writer buffer the codec sweep reseals hand-built hostile bodies from',
     # acme-obs: inspection the recording and observability tests read
+    'mem::thread_allocs': "the calling thread's allocation count and largest request, the probe the allocation tests read",
+    'mem::ThreadAllocs': 'what mem::thread_allocs returns to the allocation tests',
     'MetricsSnapshot::counter': 'registry inspection the observability and serving tests read',
     'MetricsSnapshot::gauge': 'registry inspection the recording tests read',
     'metrics::reset': 'clears the registry between the recording and observability tests',

@@ -7,8 +7,6 @@
 //! digest, so hostile counts, ranks, name lengths, tags and dims reach
 //! the parser instead of dying at the checksum.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 use std::time::Duration;
 
@@ -20,6 +18,7 @@ use acme_distsys::{
 use acme_energy::{Device, DeviceCluster, DeviceId, EdgeId, Fleet};
 use acme_nn::wire::{digest128, encoded_len, open, seal, ByteWriter, Codec, WireError};
 use acme_nn::{Activation, ParamSet};
+use acme_obs::mem::{thread_allocs, CountingAlloc};
 use acme_serve::{ManifestVariant, Precision, ServeModelConfig, StoreManifest};
 use acme_store::{ContentHash, DeltaOp, VariantDelta};
 use acme_tensor::Array;
@@ -28,49 +27,13 @@ use acme_vit::VitConfig;
 /// Records the largest single allocation each thread requests, so the
 /// sweep can assert that no decode sizes a buffer from a length the
 /// stream merely declares.
-struct AllocGuard;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // Ignoring the error: a thread tearing down its locals still
-    // allocates, and has nothing left to measure.
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `note` neither allocates
-// (the thread-local is const-initialized and has no destructor) nor
-// unwinds.
-unsafe impl GlobalAlloc for AllocGuard {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GUARD: AllocGuard = AllocGuard;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Runs `f` and returns its result with the largest allocation it made.
 fn largest_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    LARGEST.with(|l| l.set(0));
-    let out = f();
-    (out, LARGEST.with(Cell::get))
+    let (out, allocs) = thread_allocs(f);
+    (out, allocs.largest)
 }
 
 /// A decode may allocate at most this many times the blob's length: the

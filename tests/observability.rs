@@ -3,7 +3,8 @@
 //! of the protocol, of drift re-customization, of serving and of one
 //! training step — and the
 //! drained trace itself must be stable across reruns of the same seeded
-//! workload.
+//! workload. The counting allocator is installed for the whole file:
+//! heap accounting is observation too, and must move no output bit.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -12,8 +13,12 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use acme::{Acme, AcmeConfig, AcmeOutcome, ProtocolConfig, ProtocolRun};
 use acme_energy::Fleet;
 use acme_nn::{Adam, Optimizer, ParamSet};
+use acme_obs::mem::{self, CountingAlloc};
 use acme_tensor::{randn, Graph, SmallRng64};
 use acme_vit::{Vit, VitConfig};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The obs registries (trace rings, metrics) are process-wide, so tests
 /// that flip recording on and off must not interleave.
@@ -191,6 +196,7 @@ fn pipeline_outputs_are_bit_identical_under_observation_at_any_thread_count() {
             "phase spans recorded at {threads} threads"
         );
     }
+    assert!(mem::peak().peak_bytes > 0, "the allocator counted the runs");
     reset_obs();
 }
 
