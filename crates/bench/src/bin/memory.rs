@@ -1,32 +1,50 @@
 //! Where `customize`'s heap goes: runs the benchmark's `customize`
-//! configuration (`Acme::run` over a 2 × 3 fleet, widths `[0.5, 1.0]`,
-//! depths `[2, 4, 6]`, 2 threads) under the counting allocator and
-//! prints, for pretraining and for the stages after it, the owner
-//! gauges at the allocator's high-water mark.
+//! configuration (a 2 × 3 fleet, widths `[0.5, 1.0]`, depths
+//! `[2, 4, 6]`, 2 threads) stage by stage under the counting allocator
+//! and prints, for each stage, the owner gauges at the allocator's
+//! high-water mark during it.
 //!
 //! ```sh
-//! cargo run --release -p acme-bench --bin memory -- [--seed 42] [--quick]
+//! cargo run --release -p acme-bench --bin memory -- [--seed 42] [--quick] [--out memory.json]
 //! ```
 //!
-//! `--quick` runs the quick preset instead. The rows are disjoint (the
-//! tape rows are the tapes' part of the pool's handed-out bytes), so
-//! their sum over the peak's live bytes is how much of the peak the
-//! named owners explain.
+//! `--quick` runs the quick preset instead. The stages are
+//! [`Acme`]'s stage values: pretraining, Phase 1's candidate pool,
+//! selection, Phase 2-1 (`search_clusters`) and Phase 2-2 (each
+//! cluster's `refine`, one after another). The peak restarts from the
+//! live bytes as each stage starts. The rows are disjoint (the tape and
+//! dataset rows are their part of the pool's handed-out bytes), so their
+//! sum over a peak's live bytes is how much of it the named owners
+//! explain. `--out` also writes each stage's coverage and the bytes on
+//! the pool's free lists right after Phase 1 as JSON, for CI.
 
-use acme::{Acme, AcmeConfig};
+use std::time::Instant;
+
+use acme::{Acme, AcmeConfig, DeviceResult, Pool};
 use acme_bench::{f1, print_table, RunScale};
 use acme_tensor::obs::mem::{self, CountingAlloc, Peak};
+use acme_tensor::pool;
 
 const MB: f64 = 1024.0 * 1024.0;
+
+/// The table's columns, in the order the stages run.
+const STAGES: [&str; 5] = ["pretrain", "phase 1", "selection", "phase 2-1", "phase 2-2"];
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Runs `f` as one stage: restarts the peak, and keeps the one `f` sets.
+fn stage<R>(peaks: &mut Vec<Peak>, f: impl FnOnce() -> R) -> R {
+    mem::reset_peak();
+    let out = f();
+    peaks.push(mem::peak());
+    out
+}
+
 fn main() {
-    let seed = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .map_or(42, |s| s.parse().expect("--seed takes an integer"));
+    let args: Vec<String> = std::env::args().collect();
+    let value_of = |flag: &str| args.iter().skip_while(|a| *a != flag).nth(1);
+    let seed = value_of("--seed").map_or(42, |s| s.parse().expect("--seed takes an integer"));
     let builder = match RunScale::from_args() {
         RunScale::Quick => AcmeConfig::builder().quick(),
         RunScale::Full => AcmeConfig::builder()
@@ -40,18 +58,32 @@ fn main() {
         .seed(seed)
         .build()
         .expect("valid configuration");
-    let acme = Acme::try_new(cfg).expect("validated configuration");
+    let acme = Acme::try_new(cfg.clone()).expect("validated configuration");
 
-    mem::reset_peak();
-    let pre = acme.pretrain().expect("pretraining");
-    let pretrain = mem::peak();
-    mem::reset_peak();
-    let outcome = acme.run_from(&pre).expect("pipeline run");
-    let stages = mem::peak();
+    let start = Instant::now();
+    let mut peaks = Vec::new();
+    let pre = stage(&mut peaks, || acme.pretrain().expect("pretraining"));
+    let candidates = stage(&mut peaks, || acme.candidate_pool(&pre));
+    let retained_after_phase1 = pool::stats().retained_bytes;
+    let selection = stage(&mut peaks, || {
+        acme.select(&pre, &candidates, None).expect("selection")
+    });
+    let searched = stage(&mut peaks, || {
+        acme.search_clusters(&pre, &candidates, &selection, None)
+            .expect("Phase 2-1")
+    });
+    let devices: Vec<DeviceResult> = stage(&mut peaks, || {
+        let rt = Pool::new(cfg.threads);
+        searched
+            .iter()
+            .flat_map(|c| c.refine(&rt, &cfg.refine, None).expect("Phase 2-2").results)
+            .collect()
+    });
+    let wall_s = start.elapsed().as_secs_f64();
 
-    let names = pretrain.rows().into_iter().map(|r| r.0);
+    let names = peaks[0].rows().into_iter().map(|r| r.0);
     let names = names.chain(["owners, summed", "live at the peak", "coverage %"]);
-    let columns = [column(&pretrain), column(&stages)];
+    let columns: Vec<Vec<f64>> = peaks.iter().map(column).collect();
     let rows: Vec<Vec<String>> = names
         .enumerate()
         .map(|(i, name)| {
@@ -61,16 +93,44 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("customize heap at the allocator's peak, MB (seed {seed})"),
-        &["owner", "pretrain", "phases 1-2"],
+        &format!("customize heap at each stage's allocator peak, MB (seed {seed})"),
+        &std::iter::once("owner").chain(STAGES).collect::<Vec<_>>(),
         &rows,
     );
+    let peak_bytes = peaks.iter().map(|p| p.peak_bytes).max().unwrap_or(0);
     println!(
-        "\npeak live heap {:.1} MB; peak RSS (VmHWM) {:.1} MB; mean accuracy {:.6}",
-        pretrain.peak_bytes.max(stages.peak_bytes) as f64 / MB,
+        "\npool free lists right after Phase 1: {retained_after_phase1} B\n\
+         peak live heap {:.1} MB; peak RSS (VmHWM) {:.1} MB; \
+         mean accuracy {:.6}; stages took {wall_s:.2} s",
+        peak_bytes as f64 / MB,
         acme_bench::peak_rss_mb(),
-        outcome.mean_accuracy(),
+        // `AcmeOutcome::mean_accuracy`'s sum and rounding.
+        devices
+            .iter()
+            .map(|d| f64::from(d.accuracy_after))
+            .sum::<f64>() as f32
+            / devices.len().max(1) as f32,
     );
+    if let Some(path) = value_of("--out") {
+        let stages: Vec<String> = STAGES
+            .iter()
+            .zip(&peaks)
+            .zip(&columns)
+            .map(|((name, p), c)| {
+                format!(
+                    "{{\"stage\": \"{name}\", \"peak_mb\": {:.3}, \"coverage_pct\": {:.2}}}",
+                    p.peak_bytes as f64 / MB,
+                    c[c.len() - 1]
+                )
+            })
+            .collect();
+        let json = format!(
+            "{{\"seed\": {seed}, \"stages\": [{}], \
+             \"pool_retained_after_phase1_bytes\": {retained_after_phase1}}}\n",
+            stages.join(", ")
+        );
+        std::fs::write(path, json).expect("write --out");
+    }
 }
 
 /// One column of the table: each owner row in MB, their sum, the live

@@ -75,6 +75,12 @@ fn validate(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> (f64
 /// is identical at any parallelism; `Pool::serial()` runs it on one
 /// thread.
 ///
+/// Once the fan-out has joined, the tensor pool's free lists are freed
+/// ([`acme_tensor::pool::clear`]): they hold the retired buffers of the
+/// distillation tapes, shapes no later stage asks for, and would
+/// otherwise sit idle through Phase 2. The pool only moves buffers, so
+/// no result changes.
+///
 /// # Panics
 ///
 /// Panics on empty grids or datasets.
@@ -138,6 +144,7 @@ pub fn build_candidate_pool_on(
             params,
         }
     });
+    acme_tensor::pool::clear();
     candidates.reverse();
     candidates
 }

@@ -1,7 +1,7 @@
 //! In-memory labeled image dataset with batching.
 
 use acme_tensor::obs::mem::{self, Owner};
-use acme_tensor::{Array, SmallRng64};
+use acme_tensor::{pool, Array, SmallRng64};
 
 /// One minibatch: images `[batch, c, h, w]` plus integer labels.
 #[derive(Debug, Clone)]
@@ -182,7 +182,8 @@ impl Dataset {
             .collect()
     }
 
-    /// Stacks the examples at `indices`, in that order, into one batch.
+    /// Stacks the examples at `indices`, in that order, into one batch
+    /// (a pooled buffer, like every array a tape builds).
     ///
     /// # Panics
     ///
@@ -191,7 +192,7 @@ impl Dataset {
         assert!(!indices.is_empty(), "empty batch");
         let shape = self.image_shape().to_vec();
         let per = shape.iter().product::<usize>();
-        let mut data = Vec::with_capacity(indices.len() * per);
+        let mut data = pool::take(indices.len() * per);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             data.extend_from_slice(self.images[i].data());

@@ -129,9 +129,9 @@ pub struct Peak {
 impl Peak {
     /// Rows that sum to the bytes the owners account for, each owner's
     /// gauge but [`Owner::PoolOut`]'s, which is what the pool has handed
-    /// out less what tapes and datasets hold (none when they hold more:
-    /// the pool counts a returned stand-in as the buffer it handed out,
-    /// so buffers it handed out can outlive its count).
+    /// out less what tapes and datasets hold. It reads below zero when
+    /// they hold arrays born outside the pool, or when the pool has
+    /// filed such a buffer as a stand-in for one it handed out.
     pub fn rows(&self) -> Vec<(&'static str, isize)> {
         let arrays: isize = self
             .owners
@@ -142,10 +142,7 @@ impl Peak {
         self.owners
             .iter()
             .map(|&(o, bytes)| match o {
-                Owner::PoolOut => (
-                    "pool handed out, to no owner above",
-                    (bytes - arrays).max(0),
-                ),
+                Owner::PoolOut => ("pool handed out, to no owner above", bytes - arrays),
                 _ => (o.name(), bytes),
             })
             .collect()

@@ -32,17 +32,28 @@
 //!   cap, falls through to the allocator.
 //!
 //!   Both halves close a leak. Buffers born outside the pool — decoded
-//!   checkpoints, `randn` / `uniform`, `from_vec` of a collected `Vec` —
-//!   mostly have capacities that are not a class size. An earlier rule
-//!   filed them one bucket *below* their size, where no request of
-//!   their own size ever found them: a serving process that built its
-//!   fleet three times and restored it four held ≈650 MB of them. Those
-//!   born with a class-sized capacity add supply without demand, so
-//!   every restore of a model with such shapes grew the pool by another
-//!   copy until the bucket cap.
+//!   checkpoints, `uniform` weight initialisations, `from_vec` of a
+//!   collected `Vec` — mostly have capacities that are not a class
+//!   size. An earlier rule filed them one bucket *below* their size,
+//!   where no request of their own size ever found them: a serving
+//!   process that built its fleet three times and restored it four
+//!   held ≈650 MB of them. Those born with a class-sized capacity add
+//!   supply without demand, so every restore of a model with such
+//!   shapes grew the pool by another copy until the bucket cap.
 //! * **Determinism.** The pool only moves buffers around; callers
 //!   overwrite every element before reading. Results are unaffected by
 //!   hits vs. misses, pool on vs. off.
+//! * **Release.** [`clear`] frees every free list and leaves the
+//!   handed-out counts alone, so a buffer still out is filed as usual
+//!   when it drops. The pipeline calls it once, where Phase 1's
+//!   candidate fan-out has joined (`acme::build_candidate_pool_on`): the
+//!   free lists then hold the distillation tapes' buffers, shapes no
+//!   later stage asks for. The pool is process-wide, so that call
+//!   empties the free lists under every thread of the process. A test
+//!   that asserts pool misses therefore owns its test binary and runs
+//!   no pipeline stage: `tests/tape_memory.rs`,
+//!   `tests/serving_steady_state.rs` and
+//!   `crates/tensor/tests/pool_reuse_props.rs` run none.
 //! * **Stats.** Hit/miss/recycle counters make allocation behaviour
 //!   observable: `misses` counts exactly the heap allocations performed
 //!   through the pool, which is the "allocations per step" metric the
@@ -451,6 +462,18 @@ mod tests {
         );
         clear();
         assert!(stats().retained_bytes < HALF, "clear frees the lists");
+    }
+
+    #[test]
+    fn randn_draws_into_a_pool_buffer() {
+        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        // Only this test uses the 3·2^19 bucket. A draw born outside the
+        // pool, with this class size as its capacity, would be freed on
+        // drop while no buffer of its size is out.
+        const SIZE: usize = 3 << 19;
+        drop(crate::randn(&[SIZE], &mut crate::SmallRng64::new(1)));
+        assert!(holds(SIZE), "randn's buffer goes back to its bucket");
+        clear();
     }
 
     #[test]

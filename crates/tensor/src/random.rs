@@ -10,6 +10,7 @@
 use std::ops::{Bound, Range, RangeBounds};
 
 use crate::array::Array;
+use crate::pool;
 
 /// SplitMix64's increment, also the salt multiplier of [`SmallRng64::fork`].
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -177,10 +178,16 @@ impl rand::RngCore for SmallRng64 {
     }
 }
 
-/// Samples a standard-normal array via the Box–Muller transform.
+/// Samples a standard-normal array via the Box–Muller transform, into a
+/// pooled buffer: most draws are short-lived noise (a synthetic example's,
+/// a projection direction), and a class-sized buffer born outside the
+/// pool would be filed as a stand-in for one the pool handed out.
+/// Weight initialisations ([`kaiming_uniform`]) stay outside the pool:
+/// a model store built and dropped would leave them idle on the free
+/// lists.
 pub fn randn(shape: &[usize], rng: &mut SmallRng64) -> Array {
     let n: usize = shape.iter().product();
-    let mut data = Vec::with_capacity(n);
+    let mut data = pool::take(n);
     while data.len() < n {
         let u1 = rng.f32_in(f32::EPSILON..1.0);
         let u2 = rng.f32_in(0.0..1.0);

@@ -481,6 +481,29 @@ print(f"trace OK: {len(names)} spans, {len(counters)} counters, {len(gauges)} ga
 PY
 rm -f "$TRACE_OUT"
 
+step "memory smoke (owners cover the peak; Phase 1 hands its buffers back)"
+# The memory bin runs the benchmark's customize configuration (≈5 s on 2
+# cores) stage by stage under the counting allocator. It fails here when
+# the named owners cover less than 90 % of the live heap at the run's
+# highest stage peak (ROADMAP item 24(b)'s bar, which is about this
+# configuration: in the quick preset's 7 MB peak, parameter values no
+# owner names are a tenth), or when the pool's free lists hold any byte
+# right after Phase 1, so that Phase 2's free lists hold only its own.
+MEMORY_SMOKE_OUT="$(mktemp -t acme-memory-smoke.XXXXXX.json)"
+cargo run --release -p acme-bench --bin memory -- --out "$MEMORY_SMOKE_OUT"
+python3 - "$MEMORY_SMOKE_OUT" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+peak = max(doc["stages"], key=lambda s: s["peak_mb"])
+assert peak["coverage_pct"] >= 90.0, \
+    f"owners cover {peak['coverage_pct']} % of the {peak['stage']} peak ({peak['peak_mb']} MB)"
+retained = doc["pool_retained_after_phase1_bytes"]
+assert retained == 0, f"the pool's free lists hold {retained} B right after Phase 1"
+print(f"memory OK: {peak['coverage_pct']} % of the {peak['stage']} peak named, "
+      f"free lists empty after Phase 1")
+PY
+rm -f "$MEMORY_SMOKE_OUT"
+
 step "kernel sweep smoke (quick GEMM sweep, f32 and int8)"
 # Both sweep smokes write to a scratch path to leave the committed
 # full-sweep BENCH_kernels.json / BENCH_training_step.json alone.

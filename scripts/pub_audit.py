@@ -98,7 +98,6 @@ ALLOW = {
     'Packed::is_empty': 'clippy len_without_is_empty pairs it with the called len()',
     'gemm::gemm_naive': 'f32 GEMM oracle (safety code): the property tests compare the engine against it',
     'gradcheck::gradcheck': 'finite-difference gradient oracle (safety code) the autograd and attention tests check against',
-    'pool::clear': 'empties the buffer pool so the retention and codec tests start from zero',
     'qgemm::Quant': "the int8 Kernel impl's associated Extra type, which rustc requires as public as the impl (E0446)",
     'qgemm::quantize_rows': 'int8 stage the GEMM oracle property test composes against gemm_i8_naive',
     'qgemm::quantize_cols': 'int8 stage the GEMM oracle property test composes against gemm_i8_naive',

@@ -49,22 +49,22 @@ fn a_training_tape_keeps_leaf_gradients_and_its_second_step_allocates_nothing() 
     let params: Vec<Var> = g.param_bindings().map(|(_, v)| v).collect();
     assert_eq!(params.len(), ps.ids().count());
     assert!(params.iter().all(|&p| g.grad(p).is_some()));
+    // This tape binds the initial values. Kept, it would hold each one
+    // past the first optimizer write, and the second step would allocate
+    // a buffer per parameter to replace what it did not give back.
+    drop(g);
 
-    // A fresh model's values are born outside the pool, so the first
-    // copy-on-write of each in a step costs one allocation that no later
-    // step repeats. One warm-up step makes every parameter a pool buffer.
-    let one_batch = |epochs| TrainConfig {
-        epochs,
-        batch_size: data.len(),
-        seed: 0,
-    };
-    fit(&vit, &mut ps, &data, &one_batch(1));
     let stepwise = Stepwise {
         vit: &vit,
         misses_at_step: RefCell::default(),
     };
     // One batch per epoch: three steps on the loop's one tape.
-    fit(&stepwise, &mut ps, &data, &one_batch(3));
+    let three_steps = TrainConfig {
+        epochs: 3,
+        batch_size: data.len(),
+        seed: 0,
+    };
+    fit(&stepwise, &mut ps, &data, &three_steps);
     let at = stepwise.misses_at_step.into_inner();
     assert_eq!(at.len(), 3);
     assert_eq!(at[2] - at[1], 0, "misses in the second step");
