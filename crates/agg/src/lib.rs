@@ -19,8 +19,9 @@
 //!
 //! ```
 //! use acme_agg::{
-//!     aggregate_importance, normalize_similarity_with_temperature, similarity_matrix_wasserstein,
+//!     aggregate_importance, normalize_similarity_with_temperature, similarity_matrix_wasserstein_on,
 //! };
+//! use acme_runtime::Pool;
 //! use acme_tensor::{Array, SmallRng64};
 //!
 //! // Two devices with very different feature clouds, one pair similar.
@@ -28,7 +29,7 @@
 //! let b = Array::from_vec(vec![0.05, 0.0, 0.12, 0.1], &[2, 2]).unwrap();
 //! let c = Array::from_vec(vec![5.0, 5.0, 5.1, 5.2], &[2, 2]).unwrap();
 //! let mut rng = SmallRng64::new(0);
-//! let sim = similarity_matrix_wasserstein(&[a, b, c], 16, &mut rng).unwrap();
+//! let sim = similarity_matrix_wasserstein_on(&Pool::serial(), &[a, b, c], 16, &mut rng).unwrap();
 //! assert!(sim[0][1] > sim[0][2]); // a is closer to b than to c
 //! let weights = normalize_similarity_with_temperature(&sim, 1.0).unwrap();
 //! let sets = vec![vec![1.0, 0.0], vec![1.0, 0.2], vec![0.0, 9.0]];
@@ -48,7 +49,6 @@ pub use drift::{DriftDetector, DriftDetectorConfig, DriftStatus};
 pub use error::MetricError;
 pub use importance::{aggregate_importance, least_important, AggregationMethod, ImportanceSet};
 pub use similarity::{
-    normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein,
-    similarity_matrix_wasserstein_on,
+    normalize_similarity_with_temperature, similarity_matrix_js, similarity_matrix_wasserstein_on,
 };
 pub use wasserstein::{sliced_wasserstein, wasserstein_1d_samples};

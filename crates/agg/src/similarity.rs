@@ -12,46 +12,17 @@ use crate::wasserstein::sliced_wasserstein;
 /// 1-Wasserstein distance between device `i`'s and device `j`'s features.
 ///
 /// `features[i]` is an `[n_i, d]` matrix of extracted features from a
-/// tiny random sample of `D_i` (the paper's `D̃_i`).
+/// tiny random sample of `D_i` (the paper's `D̃_i`). Every upper-triangle
+/// pair is computed as one task on `pool`, drawing its projections from
+/// its own RNG stream, forked from `rng` in row-major pair order before
+/// the fan-out, so the matrix is identical at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`MetricError::NoDevices`] for an empty fleet and propagates
 /// any [`sliced_wasserstein`] validation error (mismatched widths, bad
-/// ranks, empty clouds).
-pub fn similarity_matrix_wasserstein(
-    features: &[Array],
-    projections: usize,
-    rng: &mut SmallRng64,
-) -> Result<Vec<Vec<f64>>, MetricError> {
-    if features.is_empty() {
-        return Err(MetricError::NoDevices);
-    }
-    let n = features.len();
-    let mut sim = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        sim[i][i] = 1.0;
-        for j in (i + 1)..n {
-            let d = sliced_wasserstein(&features[i], &features[j], projections, rng)?;
-            let w = 1.0 / (1.0 + d);
-            sim[i][j] = w;
-            sim[j][i] = w;
-        }
-    }
-    Ok(sim)
-}
-
-/// [`similarity_matrix_wasserstein`] with every upper-triangle pair
-/// computed as one task on `pool`. Each pair draws its projections from
-/// its own RNG stream, forked from `rng` in row-major pair order before
-/// the fan-out, so the matrix is identical at any thread count (though
-/// not bit-identical to the serial function, which threads one stream
-/// through all pairs).
-///
-/// # Errors
-///
-/// Same contract as [`similarity_matrix_wasserstein`]; the first
-/// validation error in row-major pair order is the one reported.
+/// ranks, empty clouds); the first in row-major pair order is the one
+/// reported.
 pub fn similarity_matrix_wasserstein_on(
     pool: &Pool,
     features: &[Array],
@@ -171,7 +142,7 @@ mod tests {
     fn wasserstein_similarity_is_symmetric_with_unit_diagonal() {
         let mut rng = SmallRng64::new(0);
         let feats: Vec<Array> = (0..3).map(|_| randn(&[10, 4], &mut rng)).collect();
-        let sim = similarity_matrix_wasserstein(&feats, 8, &mut rng).unwrap();
+        let sim = similarity_matrix_wasserstein_on(&Pool::serial(), &feats, 8, &mut rng).unwrap();
         for (i, row) in sim.iter().enumerate() {
             assert_eq!(row[i], 1.0);
             for (j, &v) in row.iter().enumerate() {
@@ -187,7 +158,9 @@ mod tests {
         let base = randn(&[20, 4], &mut rng);
         let near = base.map(|v| v + 0.05);
         let far = base.map(|v| v + 4.0);
-        let sim = similarity_matrix_wasserstein(&[base, near, far], 16, &mut rng).unwrap();
+        let sim =
+            similarity_matrix_wasserstein_on(&Pool::serial(), &[base, near, far], 16, &mut rng)
+                .unwrap();
         assert!(sim[0][1] > sim[0][2]);
     }
 
@@ -212,13 +185,13 @@ mod tests {
     fn empty_fleet_and_ragged_widths_are_typed_errors() {
         let mut rng = SmallRng64::new(0);
         assert_eq!(
-            similarity_matrix_wasserstein(&[], 8, &mut rng),
+            similarity_matrix_wasserstein_on(&Pool::serial(), &[], 8, &mut rng),
             Err(MetricError::NoDevices)
         );
         let a = randn(&[4, 3], &mut rng);
         let b = randn(&[4, 5], &mut rng);
         assert_eq!(
-            similarity_matrix_wasserstein(&[a.clone(), b.clone()], 8, &mut rng),
+            similarity_matrix_wasserstein_on(&Pool::serial(), &[a.clone(), b.clone()], 8, &mut rng),
             Err(MetricError::WidthMismatch { left: 3, right: 5 })
         );
         assert_eq!(

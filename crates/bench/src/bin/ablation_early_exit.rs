@@ -1,43 +1,43 @@
 //! Extension — multi-exit / early-exit inference (the direction §V of
 //! the paper motivates): accuracy vs compute saved as the confidence
 //! threshold varies, on the customized backbone.
+//!
+//! Varies the exit threshold on the backbone Algorithm 1 assigns to a
+//! five-device cluster: its exits train jointly with it on the public
+//! training split and are scored on the public validation split.
 
-use acme_bench::{eval_cifar, f3, print_table, RunScale};
-use acme_nn::ParamSet;
+use acme_bench::{assigned_backbone, cifar_spec, f3, pipeline_config, print_table, RunScale};
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, MultiExitVit, TrainConfig, Vit, VitConfig};
+use acme_vit::{MultiExitVit, TrainConfig};
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(59);
-    let ds = eval_cifar(scale, &mut rng);
-    let (train, test) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-
-    let depth = scale.pick(6, 2);
-    let cfg = VitConfig {
-        depth,
-        ..VitConfig::reference(classes)
-    };
-    let mut ps = ParamSet::new();
-    let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    let train_cfg = TrainConfig {
-        epochs: scale.pick(6, 3),
-        ..TrainConfig::default()
-    };
-    fit(&vit, &mut ps, &train, &train_cfg);
+    let config = pipeline_config(scale, cifar_spec(scale), 59)
+        .clusters(1)
+        .devices_per_cluster(5)
+        .widths(vec![0.5, 1.0])
+        .depths(scale.pick(vec![4, 6], vec![2, 4]))
+        .build()
+        .expect("the harness pipeline is valid");
+    let (pre, backbone) = assigned_backbone(config);
+    let (vit, mut ps) = (&backbone.vit, backbone.ps.clone());
+    let depth = backbone.d;
 
     let exits: Vec<usize> = if depth >= 6 {
         vec![1, 3, depth - 1]
     } else {
         vec![0, depth - 1]
     };
-    let me = MultiExitVit::new(&mut ps, &vit, &exits, &mut rng);
-    me.fit_exits(&mut ps, &vit, &train, &train_cfg);
+    let me = MultiExitVit::new(&mut ps, vit, &exits, &mut SmallRng64::new(59));
+    let train_cfg = TrainConfig {
+        epochs: scale.pick(6, 3),
+        ..TrainConfig::default()
+    };
+    me.fit_exits(&mut ps, vit, &pre.public_train, &train_cfg);
 
     let mut rows = Vec::new();
     for &threshold in &[0.5f32, 0.7, 0.8, 0.9, 0.95, 1.0] {
-        let report = me.evaluate_early_exit(&ps, &vit, &test, threshold, 32);
+        let report = me.evaluate_early_exit(&ps, vit, &pre.public_val, threshold, 32);
         let fr: Vec<String> = report
             .exit_fractions
             .iter()
@@ -52,7 +52,10 @@ fn main() {
         ]);
     }
     print_table(
-        &format!("Extension: early-exit inference (exits after blocks {exits:?})"),
+        &format!(
+            "Extension: early-exit inference (assigned backbone w={:.2} d={depth}, exits after blocks {exits:?})",
+            backbone.w
+        ),
         &[
             "threshold",
             "accuracy",

@@ -1,13 +1,16 @@
 //! Ablation — Taylor importance (Eqs. 6–8) vs magnitude vs random
 //! selection for width pruning: accuracy of the pruned model *before*
 //! any distillation recovers it.
+//!
+//! Varies Phase 1's importance criterion on the pipeline's pretrained
+//! teacher `θ₀`: scored on the public training split, each cut scored on
+//! the public validation split.
 
-use acme_bench::{eval_cifar, f3, print_table, RunScale};
+use acme::Acme;
+use acme_bench::{cifar_spec, f3, pipeline_config, print_table, RunScale};
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
-use acme_vit::{
-    evaluate, fit, score_importance, sub_network, ImportanceScores, TrainConfig, Vit, VitConfig,
-};
+use acme_vit::{evaluate, score_importance, sub_network, ImportanceScores, Vit};
 
 /// Magnitude scores: per head, the squared norm of its value-projection
 /// columns; per neuron, the squared norm of its fc1 column.
@@ -64,43 +67,38 @@ fn random_scores(vit: &Vit, rng: &mut SmallRng64) -> ImportanceScores {
 
 fn main() {
     let scale = RunScale::from_args();
+    let config = pipeline_config(scale, cifar_spec(scale), 41)
+        .clusters(1)
+        .devices_per_cluster(1)
+        .build()
+        .expect("the harness pipeline is valid");
+    let pre = Acme::try_new(config)
+        .expect("validated configuration")
+        .pretrain()
+        .expect("pretraining");
+    let (vit, ps, test) = (&pre.teacher, &pre.teacher_ps, &pre.public_val);
+    let depth = vit.config().depth;
     let mut rng = SmallRng64::new(41);
-    let ds = eval_cifar(scale, &mut rng);
-    let (train, test) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-
-    let cfg = VitConfig::reference(classes);
-    let mut ps = ParamSet::new();
-    let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    fit(
-        &vit,
-        &mut ps,
-        &train,
-        &TrainConfig {
-            epochs: scale.pick(8, 3),
-            ..TrainConfig::default()
-        },
-    );
-    let dense_acc = evaluate(&vit, &ps, &test, 32) as f64;
+    let dense_acc = evaluate(vit, ps, test, 32) as f64;
 
     let widths: Vec<f64> = scale.pick(vec![0.25, 0.5, 0.75], vec![0.5]);
-    let taylor = score_importance(&vit, &ps, &train, scale.pick(4, 2), 32, &mut rng);
-    let magnitude = magnitude_scores(&vit, &ps);
+    let taylor = score_importance(vit, ps, &pre.public_train, scale.pick(4, 2), 32, &mut rng);
+    let magnitude = magnitude_scores(vit, ps);
     let mut rows = Vec::new();
     let mut seeds = rng.fork(9);
     for &w in &widths {
         let mut row = vec![format!("w={w:.2}")];
         for scores in [&taylor, &magnitude] {
-            let (pvit, pps) = sub_network(&vit, &ps, scores, w, cfg.depth);
-            row.push(f3(evaluate(&pvit, &pps, &test, 32) as f64));
+            let (pvit, pps) = sub_network(vit, ps, scores, w, depth);
+            row.push(f3(evaluate(&pvit, &pps, test, 32) as f64));
         }
         // Random: average over a few draws.
         let mut acc = 0.0;
         let draws = scale.pick(3, 2);
         for _ in 0..draws {
-            let scores = random_scores(&vit, &mut seeds);
-            let (pvit, pps) = sub_network(&vit, &ps, &scores, w, cfg.depth);
-            acc += evaluate(&pvit, &pps, &test, 32) as f64;
+            let scores = random_scores(vit, &mut seeds);
+            let (pvit, pps) = sub_network(vit, ps, &scores, w, depth);
+            acc += evaluate(&pvit, &pps, test, 32) as f64;
         }
         row.push(f3(acc / draws as f64));
         rows.push(row);

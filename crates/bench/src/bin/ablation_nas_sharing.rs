@@ -1,45 +1,36 @@
 //! Ablation — parameter sharing in the header search (§III-C2): the
 //! ENAS-style shared supernet vs evaluating children on untrained
 //! (frozen random) operation weights, at equal controller budget.
+//!
+//! Varies Phase 2-1's weight sharing on the backbone Algorithm 1 assigns
+//! to a five-device cluster: the search trains on the public training
+//! split and scores children on the public validation split.
 
-use acme_bench::{eval_cifar, f3, print_table, RunScale};
-use acme_energy::EdgeId;
+use acme_bench::{assigned_backbone, cifar_spec, f3, pipeline_config, print_table, RunScale};
 use acme_nas::{NasSearch, SearchConfig, SharedParams};
-use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
-use acme_vit::{fit, TrainConfig, Vit, VitConfig};
 
 fn main() {
     let scale = RunScale::from_args();
+    let config = pipeline_config(scale, cifar_spec(scale), 47)
+        .clusters(1)
+        .devices_per_cluster(5)
+        .widths(vec![0.5, 1.0])
+        .depths(scale.pick(vec![2, 4], vec![1, 2]))
+        .build()
+        .expect("the harness pipeline is valid");
+    let (pre, backbone) = assigned_backbone(config);
+    let (vit, cfg) = (&backbone.vit, backbone.vit.config());
     let mut rng = SmallRng64::new(47);
-    let ds = eval_cifar(scale, &mut rng);
-    let (train, val) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-    let _ = EdgeId(0);
-
-    let cfg = VitConfig {
-        depth: scale.pick(4, 2),
-        ..VitConfig::reference(classes)
-    };
-    let mut base_ps = ParamSet::new();
-    let vit = Vit::new(&mut base_ps, &cfg, &mut rng);
-    fit(
-        &vit,
-        &mut base_ps,
-        &train,
-        &TrainConfig {
-            epochs: scale.pick(6, 3),
-            ..TrainConfig::default()
-        },
-    );
 
     let mut rows = Vec::new();
     for (name, shared_steps) in [
         ("shared supernet (Eq. 15)", scale.pick(12, 4)),
         ("no sharing (frozen ops)", 0),
     ] {
-        let mut ps = base_ps.clone();
-        let shared = SharedParams::new(&mut ps, "sn", 2, cfg.dim, cfg.grid(), classes, &mut rng);
+        let mut ps = backbone.ps.clone();
+        let shared =
+            SharedParams::new(&mut ps, "sn", 2, cfg.dim, cfg.grid(), cfg.classes, &mut rng);
         let search_cfg = SearchConfig {
             num_blocks: 2,
             u: 1,
@@ -51,11 +42,11 @@ fn main() {
         };
         let mut search = NasSearch::new(&mut ps, search_cfg, &mut SmallRng64::new(5));
         let out = search.run(
-            &vit,
+            vit,
             &shared,
             &mut ps,
-            &train,
-            &val,
+            &pre.public_train,
+            &pre.public_val,
             &mut SmallRng64::new(9),
         );
         rows.push(vec![
@@ -72,7 +63,10 @@ fn main() {
         ]);
     }
     print_table(
-        "Ablation: NAS parameter sharing",
+        &format!(
+            "Ablation: NAS parameter sharing (assigned backbone w={:.2} d={})",
+            backbone.w, backbone.d
+        ),
         &[
             "variant",
             "best child val acc",

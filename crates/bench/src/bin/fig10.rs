@@ -1,25 +1,21 @@
 //! Fig. 10 — feature-extraction ability of the Wasserstein distance vs
-//! the JS divergence: similarity matrices over five devices where
-//! devices 0–2 share one data distribution and devices 3–4 another.
+//! the JS divergence: the aggregation weights each similarity gives the
+//! five devices of one cluster under severe label skew (C3; quick runs
+//! C2, since C3 leaves a device of the smaller pool without test data).
 //!
-//! The paper's point: JS saturates on (near-)disjoint label supports and
-//! loses the geometry; the Wasserstein distance still grades *how far*
-//! distributions are and recovers the block structure.
+//! Varies Phase 2-2's similarity on one searched cluster: both matrices
+//! are the `RefineOutcome::weights` (Eq. 20, row-normalized) that
+//! `SearchedCluster::refine` aggregated with. The paper's point: JS
+//! saturates on (near-)disjoint label supports, so a device weighs its
+//! peers nearly alike; the Wasserstein distance on backbone features
+//! still grades *how far* distributions are, which shows as a wider
+//! spread of each device's peer weights.
 
-use acme::backbone_features;
-use acme_agg::{similarity_matrix_js, similarity_matrix_wasserstein};
-use acme_bench::{eval_cifar, print_table, RunScale};
-use acme_data::{label_distribution, Dataset};
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::{fit, TrainConfig, Vit, VitConfig};
-
-fn by_classes(ds: &Dataset, classes: &[usize]) -> Dataset {
-    let idx: Vec<usize> = (0..ds.len())
-        .filter(|&i| classes.contains(&ds.get(i).1))
-        .collect();
-    ds.subset(&idx)
-}
+use acme::{Acme, Pool, RefineConfig};
+use acme_agg::AggregationMethod;
+use acme_bench::{cifar_spec, pipeline_config, print_table, RunScale};
+use acme_data::ConfusionLevel;
+use acme_nas::SearchConfig;
 
 fn matrix_rows(m: &[Vec<f64>]) -> Vec<Vec<String>> {
     m.iter()
@@ -32,111 +28,71 @@ fn matrix_rows(m: &[Vec<f64>]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Mean within-group minus cross-group similarity: positive = the
-/// block structure of Fig. 10 was recovered.
-#[allow(clippy::needless_range_loop)]
-fn block_contrast(m: &[Vec<f64>]) -> f64 {
-    let group = |i: usize| usize::from(i >= 3);
-    let (mut within, mut wn) = (0.0, 0);
-    let (mut cross, mut cn) = (0.0, 0);
-    for i in 0..5 {
-        for j in 0..5 {
-            if i == j {
-                continue;
-            }
-            if group(i) == group(j) {
-                within += m[i][j];
-                wn += 1;
-            } else {
-                cross += m[i][j];
-                cn += 1;
-            }
-        }
-    }
-    within / wn as f64 - cross / cn as f64
+/// Mean over devices of the standard deviation of a device's weights on
+/// its peers (its row's off-diagonal entries): 0 when every device
+/// weighs all its peers alike.
+fn peer_spread(m: &[Vec<f64>]) -> f64 {
+    let std_of_peers = |(i, row): (usize, &Vec<f64>)| {
+        let peers: Vec<f64> = (0..row.len()).filter(|&j| j != i).map(|j| row[j]).collect();
+        let mean = peers.iter().sum::<f64>() / peers.len() as f64;
+        (peers.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / peers.len() as f64).sqrt()
+    };
+    m.iter().enumerate().map(std_of_peers).sum::<f64>() / m.len() as f64
 }
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(19);
-    let ds = eval_cifar(scale, &mut rng);
-    let classes = ds.num_classes();
-    let half = classes / 2;
-    let group_a: Vec<usize> = (0..half).collect();
-    let group_b: Vec<usize> = (half..classes).collect();
-    let pool_a = by_classes(&ds, &group_a);
-    let pool_b = by_classes(&ds, &group_b);
-    let samples = scale.pick(40, 16);
-    let devices: Vec<Dataset> = (0..5)
-        .map(|i| {
-            let src = if i < 3 { &pool_a } else { &pool_b };
-            src.sample(samples, &mut rng.fork(50 + i as u64))
+    let config = pipeline_config(scale, cifar_spec(scale), 19)
+        .clusters(1)
+        .devices_per_cluster(5)
+        .confusion(scale.pick(ConfusionLevel::C3, ConfusionLevel::C2))
+        .widths(vec![0.5, 1.0])
+        .depths(scale.pick(vec![2, 4], vec![1, 2]))
+        .search(scale.pick(SearchConfig::default(), SearchConfig::quick()))
+        .refine(RefineConfig {
+            loop_rounds: scale.pick(3, 2),
+            local_epochs: 1,
+            sim_sample: scale.pick(40, 16),
+            sim_projections: scale.pick(24, 8),
+            ..RefineConfig::default()
         })
-        .collect();
-
-    // A pre-trained model provides the feature space (the paper's P(D)).
-    let cfg = VitConfig {
-        depth: scale.pick(4, 2),
-        ..VitConfig::reference(classes)
+        .build()
+        .expect("the harness pipeline is valid");
+    let acme = Acme::try_new(config.clone()).expect("validated configuration");
+    let pre = acme.pretrain().expect("pretraining");
+    let pool = acme.candidate_pool(&pre);
+    let selection = acme.select(&pre, &pool, None).expect("selection");
+    let clusters = acme
+        .search_clusters(&pre, &pool, &selection, None)
+        .expect("every device and edge holds data");
+    let weights = |method| {
+        let refine = RefineConfig {
+            method,
+            ..config.refine.clone()
+        };
+        clusters[0]
+            .refine(&Pool::default(), &refine, None)
+            .expect("refinement without a network cannot fault")
+            .weights
     };
-    let mut ps = ParamSet::new();
-    let vit = Vit::new(&mut ps, &cfg, &mut rng);
-    let pretrain = ds.sample(scale.pick(400, 100), &mut rng);
-    fit(
-        &vit,
-        &mut ps,
-        &pretrain,
-        &TrainConfig {
-            epochs: scale.pick(5, 2),
-            ..TrainConfig::default()
-        },
-    );
+    let wass = weights(AggregationMethod::Wasserstein);
+    let js = weights(AggregationMethod::Js);
 
-    let feats: Vec<_> = devices
-        .iter()
-        .map(|d| backbone_features(&vit, &ps, d, samples, &mut rng))
-        .collect();
-    let wass =
-        similarity_matrix_wasserstein(&feats, scale.pick(24, 8), &mut rng).expect("valid features");
-    let dists: Vec<_> = devices.iter().map(label_distribution).collect();
-    let js = similarity_matrix_js(&dists).expect("valid distributions");
-
-    let header = ["", "d0 (A)", "d1 (A)", "d2 (A)", "d3 (B)", "d4 (B)"];
+    let header = ["", "d0", "d1", "d2", "d3", "d4"];
     print_table(
-        "Fig. 10 (left): Wasserstein similarity",
+        "Fig. 10 (left): Wasserstein aggregation weights",
         &header,
         &matrix_rows(&wass),
     );
-    print_table("Fig. 10 (right): JS similarity", &header, &matrix_rows(&js));
-
-    let cw = block_contrast(&wass);
-    let cj = block_contrast(&js);
-    println!("\nblock contrast (within-group minus cross-group similarity):");
-    println!("  Wasserstein: {cw:+.4}");
-    println!("  JS:          {cj:+.4}");
-
-    // The paper's actual criticism: on (near-)disjoint supports JS
-    // saturates at its ln(2) bound, i.e. every cross-group similarity
-    // collapses to 1/(1+ln 2) ≈ 0.591 and the *geometry* between
-    // distributions is lost. The Wasserstein entries keep grading it.
-    #[allow(clippy::needless_range_loop)]
-    let cross_spread = |m: &[Vec<f64>]| {
-        let mut vals = Vec::new();
-        for i in 0..3 {
-            for j in 3..5 {
-                vals.push(m[i][j]);
-            }
-        }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        (vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64).sqrt()
-    };
-    println!("\ncross-group similarity spread (geometric discrimination):");
-    println!("  Wasserstein: {:.4}", cross_spread(&wass));
-    println!(
-        "  JS:          {:.4}  (saturated at 1/(1+ln2) = {:.3})",
-        cross_spread(&js),
-        1.0 / (1.0 + (2.0f64).ln())
+    print_table(
+        "Fig. 10 (right): JS aggregation weights",
+        &header,
+        &matrix_rows(&js),
     );
+
+    println!("\npeer-weight spread (mean over devices of the std of its peers' weights):");
+    println!("  Wasserstein: {:.4}", peer_spread(&wass));
+    println!("  JS:          {:.4}", peer_spread(&js));
     println!("paper: the Wasserstein distance captures the complex data relationships");
     println!("between devices that the saturated JS divergence cannot grade.");
 }

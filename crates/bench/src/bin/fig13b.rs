@@ -1,102 +1,24 @@
 //! Fig. 13(b) — auxiliary validation on the Stanford-Cars-like workload:
 //! fixed headers vs the NAS header at matched backbone sizes (the
 //! fine-grained dataset shows the larger NAS gains the paper reports).
+//!
+//! Same sweep as `fig7b` (`header_sweep` over the pool's `w = 1` cells),
+//! on the harder fine-grained dataset.
 
-use acme::coarse_header_search;
-use acme_bench::{eval_cars, f3, print_table, RunScale};
-use acme_energy::EdgeId;
-use acme_nas::SearchConfig;
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::headers::{HeadedVit, HeaderKind};
-use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
+use acme_bench::{cars_spec, header_sweep, nas_gain, print_table, RunScale};
+use acme_vit::headers::HeaderKind;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(37);
-    let ds = eval_cars(scale, &mut rng);
-    let (train, test) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-    let depths: Vec<usize> = scale.pick(vec![2, 4, 6], vec![2, 4]);
-    let epochs = scale.pick(6, 3);
-
-    let mut rows = Vec::new();
-    let mut gains = Vec::new();
-    for &d in &depths {
-        let cfg = VitConfig {
-            depth: d,
-            ..VitConfig::reference(classes)
-        };
-        let mut ps = ParamSet::new();
-        let vit = Vit::new(&mut ps, &cfg, &mut rng);
-        fit(
-            &vit,
-            &mut ps,
-            &train,
-            &TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        );
-        let mut row = vec![format!("d={d}")];
-        let mut best_fixed = f64::NEG_INFINITY;
-        for kind in HeaderKind::all() {
-            let mut hps = ps.clone();
-            let header = kind.build(
-                &mut hps,
-                &format!("h{kind}{d}"),
-                cfg.dim,
-                cfg.grid(),
-                classes,
-                &mut rng,
-            );
-            let model = HeadedVit::new(&vit, header.as_ref());
-            fit(
-                &model,
-                &mut hps,
-                &train,
-                &TrainConfig {
-                    epochs,
-                    ..TrainConfig::default()
-                },
-            );
-            let acc = evaluate(&model, &hps, &test, 32) as f64;
-            best_fixed = best_fixed.max(acc);
-            row.push(f3(acc));
-        }
-        let mut nps = ps.clone();
-        let search_cfg = SearchConfig {
-            num_blocks: 2,
-            u: 2,
-            rounds: scale.pick(3, 1),
-            shared_steps: scale.pick(12, 4),
-            controller_steps: scale.pick(10, 3),
-            final_candidates: scale.pick(5, 2),
-            final_finetune_epochs: scale.pick(3, 1),
-            ..SearchConfig::default()
-        };
-        let custom = coarse_header_search(EdgeId(0), &vit, &mut nps, &train, &search_cfg, &mut rng);
-        let model = HeadedVit::new(&vit, &custom.header);
-        fit(
-            &model,
-            &mut nps,
-            &train,
-            &TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        );
-        let nas_acc = evaluate(&model, &nps, &test, 32) as f64;
-        row.push(f3(nas_acc));
-        gains.push(nas_acc - best_fixed);
-        rows.push(row);
-    }
+    let depths = scale.pick(vec![2, 4, 6], vec![2, 4]);
+    let kinds = HeaderKind::all();
+    let rows = header_sweep(scale, cars_spec(scale), 37, vec![1.0], depths, &kinds);
     print_table(
         "Fig. 13(b): Stanford-Cars-like — headers at matched backbone sizes",
         &["backbone", "linear", "mlp", "cnn", "attn-pool", "NAS"],
         &rows,
     );
-    let mean_gain = gains.iter().sum::<f64>() / gains.len() as f64;
+    let mean_gain = rows.iter().map(|r| nas_gain(r)).sum::<f64>() / rows.len() as f64;
     println!(
         "\nmean NAS gain over the best fixed header: {:+.1} pts (paper: ~+14.4 pts averaged over sizes on Stanford Cars)",
         mean_gain * 100.0

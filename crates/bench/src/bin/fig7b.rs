@@ -1,105 +1,18 @@
 //! Fig. 7(b) — accuracy of the four fixed reference headers vs the
 //! NAS-generated header across backbone sizes (width fixed to 1, depth
 //! varied, as in the paper).
+//!
+//! Varies the header over Phase 1's backbones: the pool's `w = 1` cells
+//! (`header_sweep`).
 
-use acme::coarse_header_search;
-use acme_bench::{eval_cifar, f3, print_table, RunScale};
-use acme_energy::EdgeId;
-use acme_nas::SearchConfig;
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::headers::{HeadedVit, HeaderKind};
-use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
+use acme_bench::{cifar_spec, header_sweep, nas_gain, print_table, RunScale};
+use acme_vit::headers::HeaderKind;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(11);
-    let ds = eval_cifar(scale, &mut rng);
-    let (train, test) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-    let depths: Vec<usize> = scale.pick(vec![2, 4, 6], vec![2, 4]);
-    let epochs = scale.pick(6, 3);
-
-    let mut rows = Vec::new();
-    let mut nas_gain_small = 0.0f64;
-    let mut nas_gain_large = 0.0f64;
-    for (i, &d) in depths.iter().enumerate() {
-        let cfg = VitConfig {
-            depth: d,
-            ..VitConfig::reference(classes)
-        };
-        let mut ps = ParamSet::new();
-        let vit = Vit::new(&mut ps, &cfg, &mut rng);
-        fit(
-            &vit,
-            &mut ps,
-            &train,
-            &TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        );
-        let mut row = vec![format!("d={d}")];
-        let mut fixed_best = f64::NEG_INFINITY;
-        for kind in HeaderKind::all() {
-            // Each header family fine-tunes jointly with its own backbone
-            // copy (equal budget to the NAS child).
-            let mut hps = ps.clone();
-            let header = kind.build(
-                &mut hps,
-                &format!("h{kind}"),
-                cfg.dim,
-                cfg.grid(),
-                classes,
-                &mut rng,
-            );
-            let model = HeadedVit::new(&vit, header.as_ref());
-            fit(
-                &model,
-                &mut hps,
-                &train,
-                &TrainConfig {
-                    epochs,
-                    ..TrainConfig::default()
-                },
-            );
-            let acc = evaluate(&model, &hps, &test, 32) as f64;
-            fixed_best = fixed_best.max(acc);
-            row.push(f3(acc));
-        }
-        // NAS header on the same backbone.
-        let mut nps = ps.clone();
-        let search_cfg = SearchConfig {
-            num_blocks: 2,
-            u: 2,
-            rounds: scale.pick(3, 1),
-            shared_steps: scale.pick(12, 4),
-            controller_steps: scale.pick(10, 3),
-            final_candidates: scale.pick(5, 2),
-            final_finetune_epochs: scale.pick(3, 1),
-            ..SearchConfig::default()
-        };
-        let custom = coarse_header_search(EdgeId(0), &vit, &mut nps, &train, &search_cfg, &mut rng);
-        let model = HeadedVit::new(&vit, &custom.header);
-        fit(
-            &model,
-            &mut nps,
-            &train,
-            &TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        );
-        let nas_acc = evaluate(&model, &nps, &test, 32) as f64;
-        row.push(f3(nas_acc));
-        if i == 0 {
-            nas_gain_small = nas_acc - fixed_best;
-        }
-        if i + 1 == depths.len() {
-            nas_gain_large = nas_acc - fixed_best;
-        }
-        rows.push(row);
-    }
+    let depths = scale.pick(vec![2, 4, 6], vec![2, 4]);
+    let kinds = HeaderKind::all();
+    let rows = header_sweep(scale, cifar_spec(scale), 11, vec![1.0], depths, &kinds);
     print_table(
         "Fig. 7(b): fixed headers vs NAS header across backbone depths (w=1)",
         &["backbone", "linear", "mlp", "cnn", "attn-pool", "NAS"],
@@ -107,8 +20,8 @@ fn main() {
     );
     println!(
         "\nNAS gain over best fixed header: {:+.1} pts on the smallest backbone, {:+.1} pts on the largest",
-        nas_gain_small * 100.0,
-        nas_gain_large * 100.0
+        nas_gain(&rows[0]) * 100.0,
+        nas_gain(&rows[rows.len() - 1]) * 100.0
     );
     println!("(paper: ~+9 pts on small backbones, ~+3 pts on large)");
 }

@@ -1,97 +1,22 @@
 //! Fig. 8 — accuracy of different header families applied to varying
 //! backbone architectures: a (width × depth) grid of backbones, each
 //! paired with a simple (linear) header, a complex (CNN) header, and the
-//! NAS header; plus the paper's detailed w=0.75 / d=0.75 slices.
+//! NAS header.
 //!
+//! Varies the header over every cell of Phase 1's pool (`header_sweep`).
 //! The paper's observation: simple backbones need complex headers, and
 //! complex backbones are best served by simpler headers — NAS adapts
 //! automatically.
 
-use acme::coarse_header_search;
-use acme_bench::{eval_cifar, f3, print_table, RunScale};
-use acme_energy::EdgeId;
-use acme_nas::SearchConfig;
-use acme_nn::ParamSet;
-use acme_tensor::SmallRng64;
-use acme_vit::headers::{HeadedVit, HeaderKind};
-use acme_vit::{evaluate, fit, TrainConfig, Vit, VitConfig};
+use acme_bench::{cifar_spec, header_sweep, print_table, RunScale};
+use acme_vit::headers::HeaderKind;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut rng = SmallRng64::new(13);
-    let ds = eval_cifar(scale, &mut rng);
-    let (train, test) = ds.split(0.8, &mut rng);
-    let classes = ds.num_classes();
-    let epochs = scale.pick(6, 3);
-
-    let widths: Vec<f64> = scale.pick(vec![0.5, 0.75, 1.0], vec![0.5, 1.0]);
-    let depths: Vec<usize> = scale.pick(vec![3, 4, 6], vec![2, 4]);
-
-    let search_cfg = SearchConfig {
-        num_blocks: 2,
-        u: 1,
-        rounds: scale.pick(2, 1),
-        shared_steps: scale.pick(8, 4),
-        controller_steps: scale.pick(6, 3),
-        final_candidates: scale.pick(3, 2),
-        ..SearchConfig::default()
-    };
-
-    let mut rows = Vec::new();
-    for &w in &widths {
-        for &d in &depths {
-            let cfg = VitConfig::reference(classes).scaled(w, d);
-            let mut ps = ParamSet::new();
-            let vit = Vit::new(&mut ps, &cfg, &mut rng);
-            fit(
-                &vit,
-                &mut ps,
-                &train,
-                &TrainConfig {
-                    epochs,
-                    ..TrainConfig::default()
-                },
-            );
-            let mut row = vec![format!("w={w:.2} d={d}")];
-            for kind in [HeaderKind::Linear, HeaderKind::Cnn] {
-                let mut hps = ps.clone();
-                let header = kind.build(
-                    &mut hps,
-                    &format!("h-{kind}-{w}-{d}"),
-                    cfg.dim,
-                    cfg.grid(),
-                    classes,
-                    &mut rng,
-                );
-                let model = HeadedVit::new(&vit, header.as_ref());
-                fit(
-                    &model,
-                    &mut hps,
-                    &train,
-                    &TrainConfig {
-                        epochs,
-                        ..TrainConfig::default()
-                    },
-                );
-                row.push(f3(evaluate(&model, &hps, &test, 32) as f64));
-            }
-            let mut nps = ps.clone();
-            let custom =
-                coarse_header_search(EdgeId(0), &vit, &mut nps, &train, &search_cfg, &mut rng);
-            let model = HeadedVit::new(&vit, &custom.header);
-            fit(
-                &model,
-                &mut nps,
-                &train,
-                &TrainConfig {
-                    epochs,
-                    ..TrainConfig::default()
-                },
-            );
-            row.push(f3(evaluate(&model, &nps, &test, 32) as f64));
-            rows.push(row);
-        }
-    }
+    let widths = scale.pick(vec![0.5, 0.75, 1.0], vec![0.5, 1.0]);
+    let depths = scale.pick(vec![3, 4, 6], vec![2, 4]);
+    let kinds = [HeaderKind::Linear, HeaderKind::Cnn];
+    let rows = header_sweep(scale, cifar_spec(scale), 13, widths, depths, &kinds);
     print_table(
         "Fig. 8: header family x backbone architecture",
         &["backbone", "linear header", "cnn header", "NAS header"],

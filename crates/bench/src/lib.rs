@@ -14,18 +14,28 @@
 //! cargo run -p acme-bench --release --bin fig7a -- --quick # CI-sized
 //! ```
 //!
+//! Each model-building bin is a sweep over one stage of the pipeline
+//! `Acme::run` chains: it builds its configuration with
+//! [`pipeline_config`], runs the stages upstream of the one it varies
+//! once (`Acme::pretrain` → `candidate_pool` → `select` →
+//! `search_clusters`), and calls that stage under each setting. Its data
+//! are `Pretrained`'s public splits or the devices' partition, and its
+//! backbones the teacher or Phase 1's pool; only `fig1` trains models of
+//! its own, from scratch, as the comparison. `table1` builds no model.
+//!
 //! The recorded outputs live in `EXPERIMENTS.md` at the repository root.
 
 use acme::{
     coarse_header_search, customize_backbone_for_cluster, Acme, AcmeConfig, AcmeConfigBuilder,
+    CandidateModel, Pretrained,
 };
-use acme_data::{cifar100_like, stanford_cars_like, Dataset, SyntheticSpec};
+use acme_data::SyntheticSpec;
 use acme_energy::{Device, DeviceCluster, EdgeId};
 use acme_nas::SearchConfig;
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::baselines::BaselineKind;
-use acme_vit::headers::{HeadedVit, Header};
+use acme_vit::headers::{HeadedVit, Header, HeaderKind};
 use acme_vit::{evaluate, fit, TrainConfig, VitConfig};
 
 pub mod drift;
@@ -102,11 +112,6 @@ pub fn cifar_spec(scale: RunScale) -> SyntheticSpec {
     }
 }
 
-/// The CIFAR-100-like evaluation workload at harness scale.
-pub fn eval_cifar(scale: RunScale, rng: &mut SmallRng64) -> Dataset {
-    cifar100_like(&cifar_spec(scale), rng).expect("benchmark spec is valid")
-}
-
 /// The Stanford-Cars-like auxiliary spec (§IV-D): fine-grained classes
 /// (high shared structure) and more intra-class variation.
 pub fn cars_spec(scale: RunScale) -> SyntheticSpec {
@@ -117,11 +122,6 @@ pub fn cars_spec(scale: RunScale) -> SyntheticSpec {
         noise: scale.pick(0.95, 0.65),
         ..SyntheticSpec::cars()
     }
-}
-
-/// The Stanford-Cars-like auxiliary workload at harness scale.
-pub fn eval_cars(scale: RunScale, rng: &mut SmallRng64) -> Dataset {
-    stanford_cars_like(&cars_spec(scale), rng).expect("benchmark spec is valid")
 }
 
 /// The pipeline a bin that varies one of its stages runs at harness
@@ -145,28 +145,21 @@ pub fn pipeline_config(scale: RunScale, dataset: SyntheticSpec, seed: u64) -> Ac
         .seed(seed)
 }
 
-/// Figs. 7(a) and 13(a): ACME's customized model against the
-/// lightweight-ViT baselines under a storage budget, one
-/// `[model, params, accuracy]` row each, the ACME row last.
-///
-/// The baselines train on the pipeline's public training split with the
-/// teacher's schedule. ACME selects from the pipeline's candidate pool
-/// under a budget of 70% of the reference model (the paper's 25M of
-/// ViT-B's 86M is a ~30% budget; the pool spans a narrower band, so the
-/// bound is one that binds), searches a header on the same split and
-/// fine-tunes both jointly for `finetune_epochs`. Every model is scored
-/// on the public validation split.
-pub fn storage_constrained(
+/// The header-comparison bins' pipeline, pretrained: one device over
+/// the `widths` x `depths` grid, and a header search of two one-module
+/// blocks.
+fn header_pipeline(
     scale: RunScale,
     dataset: SyntheticSpec,
     seed: u64,
-    finetune_epochs: usize,
-) -> Vec<Vec<String>> {
+    widths: Vec<f64>,
+    depths: Vec<usize>,
+) -> (Acme, AcmeConfig, Pretrained) {
     let config = pipeline_config(scale, dataset, seed)
         .clusters(1)
         .devices_per_cluster(1)
-        .widths(vec![0.5, 0.75, 1.0])
-        .depths(scale.pick(vec![2, 3, 4, 5, 6], vec![2, 4]))
+        .widths(widths)
+        .depths(depths)
         .search(SearchConfig {
             num_blocks: 2,
             u: 1,
@@ -180,7 +173,129 @@ pub fn storage_constrained(
         .expect("the harness pipeline is valid");
     let acme = Acme::try_new(config.clone()).expect("validated configuration");
     let pre = acme.pretrain().expect("pretraining");
-    let (train, test) = (&pre.public_train, &pre.public_val);
+    (acme, config, pre)
+}
+
+/// One header on a Phase 1 backbone, as Figs. 7 and 8 compare them: a
+/// fixed family (`Some(kind)`) or Phase 2-1's searched header (`None`,
+/// [`coarse_header_search`] under `search` on the public training
+/// split), fine-tuned jointly with a copy of the backbone for `epochs` on
+/// that split. Returns the accuracy on the public validation split and
+/// the header's parameter count.
+fn finetuned_header(
+    pre: &Pretrained,
+    candidate: &CandidateModel,
+    kind: Option<HeaderKind>,
+    search: &SearchConfig,
+    epochs: usize,
+    rng: &mut SmallRng64,
+) -> (f64, u64) {
+    let (vit, train) = (&candidate.vit, &pre.public_train);
+    let mut ps = candidate.ps.clone();
+    let header: Box<dyn Header> = match kind {
+        Some(kind) => {
+            let cfg = vit.config();
+            kind.build(
+                &mut ps,
+                &format!("h{kind}"),
+                cfg.dim,
+                cfg.grid(),
+                cfg.classes,
+                rng,
+            )
+        }
+        None => Box::new(coarse_header_search(EdgeId(0), vit, &mut ps, train, search, rng).header),
+    };
+    let model = HeadedVit::new(vit, header.as_ref());
+    fit(
+        &model,
+        &mut ps,
+        train,
+        &TrainConfig {
+            epochs,
+            ..TrainConfig::default()
+        },
+    );
+    let acc = evaluate(&model, &ps, &pre.public_val, 32) as f64;
+    (acc, ps.num_scalars_of(&header.param_ids()) as u64)
+}
+
+/// Figs. 7(b), 8 and 13(b): every fixed header family of `kinds`, then
+/// the searched header, on each backbone of Phase 1's `widths` x
+/// `depths` pool (`finetuned_header`, 6 fine-tuning epochs; quick 3).
+/// One `[backbone, kinds.., NAS]` row per pool cell, width-major.
+pub fn header_sweep(
+    scale: RunScale,
+    dataset: SyntheticSpec,
+    seed: u64,
+    widths: Vec<f64>,
+    depths: Vec<usize>,
+    kinds: &[HeaderKind],
+) -> Vec<Vec<String>> {
+    let (acme, config, pre) = header_pipeline(scale, dataset, seed, widths, depths);
+    let mut rng = SmallRng64::new(seed);
+    let epochs = scale.pick(6, 3);
+    let headers: Vec<Option<HeaderKind>> = kinds.iter().copied().map(Some).chain([None]).collect();
+    acme.candidate_pool(&pre)
+        .candidates
+        .iter()
+        .map(|c| {
+            let mut row = vec![format!("w={:.2} d={}", c.w, c.d)];
+            for &kind in &headers {
+                let (acc, _) = finetuned_header(&pre, c, kind, &config.search, epochs, &mut rng);
+                row.push(f3(acc));
+            }
+            row
+        })
+        .collect()
+}
+
+/// The NAS column of a [`header_sweep`] row minus its best fixed header.
+pub fn nas_gain(row: &[String]) -> f64 {
+    let acc: Vec<f64> = row[1..]
+        .iter()
+        .map(|a| a.parse().expect("f3 cell"))
+        .collect();
+    let (nas, fixed) = acc.split_last().expect("a NAS column");
+    nas - fixed.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Phase 1 up to Algorithm 1's choice: the pretrained value and the
+/// pool's backbone that `select` assigns to the first cluster.
+pub fn assigned_backbone(config: AcmeConfig) -> (Pretrained, CandidateModel) {
+    let acme = Acme::try_new(config).expect("validated configuration");
+    let pre = acme.pretrain().expect("pretraining");
+    let pool = acme.candidate_pool(&pre);
+    let selection = acme.select(&pre, &pool, None).expect("selection");
+    let a = &selection.assignments[0];
+    let chosen = pool
+        .candidates
+        .into_iter()
+        .find(|c| (c.w, c.d) == (a.w, a.d))
+        .expect("an assignment names a pool cell");
+    (pre, chosen)
+}
+
+/// Figs. 7(a) and 13(a): ACME's customized model against the
+/// lightweight-ViT baselines under a storage budget, one
+/// `[model, params, accuracy]` row each, the ACME row last.
+///
+/// The baselines train on the pipeline's public training split with the
+/// teacher's schedule. ACME selects from the pipeline's candidate pool
+/// under a budget of 70% of the reference model (the paper's 25M of
+/// ViT-B's 86M is a ~30% budget; the pool spans a narrower band, so the
+/// bound is one that binds), then searches a header on the same split
+/// and fine-tunes both jointly for `finetune_epochs`
+/// (`finetuned_header`). Every model is scored on the public
+/// validation split.
+pub fn storage_constrained(
+    scale: RunScale,
+    dataset: SyntheticSpec,
+    seed: u64,
+    finetune_epochs: usize,
+) -> Vec<Vec<String>> {
+    let depths = scale.pick(vec![2, 3, 4, 5, 6], vec![2, 4]);
+    let (acme, config, pre) = header_pipeline(scale, dataset, seed, vec![0.5, 0.75, 1.0], depths);
     let mut rng = SmallRng64::new(seed);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -189,8 +304,8 @@ pub fn storage_constrained(
     for kind in BaselineKind::all() {
         let mut ps = ParamSet::new();
         let model = kind.build(&mut ps, image, channels, classes, &mut rng);
-        fit(model.as_ref(), &mut ps, train, &config.pretrain);
-        let acc = evaluate(model.as_ref(), &ps, test, 32);
+        fit(model.as_ref(), &mut ps, &pre.public_train, &config.pretrain);
+        let acc = evaluate(model.as_ref(), &ps, &pre.public_val, 32);
         rows.push(vec![
             kind.to_string(),
             ps.num_scalars().to_string(),
@@ -211,31 +326,18 @@ pub fn storage_constrained(
     .expect("finite pool")
     .expect("budget feasible");
     let chosen = &pool[idx];
-    let mut ps = chosen.ps.clone();
-    let custom = coarse_header_search(
-        EdgeId(0),
-        &chosen.vit,
-        &mut ps,
-        train,
+    let (acc, header_params) = finetuned_header(
+        &pre,
+        chosen,
+        None,
         &config.search,
+        finetune_epochs,
         &mut rng,
     );
-    let model = HeadedVit::new(&chosen.vit, &custom.header);
-    fit(
-        &model,
-        &mut ps,
-        train,
-        &TrainConfig {
-            epochs: finetune_epochs,
-            ..TrainConfig::default()
-        },
-    );
-    let acc = evaluate(&model, &ps, test, 32);
-    let params = chosen.params + ps.num_scalars_of(&Header::param_ids(&custom.header)) as u64;
     rows.push(vec![
         format!("ACME (w={:.2} d={})", chosen.w, chosen.d),
-        params.to_string(),
-        f3(acc as f64),
+        (chosen.params + header_params).to_string(),
+        f3(acc),
     ]);
     rows
 }
@@ -293,13 +395,18 @@ mod tests {
     }
 
     #[test]
-    fn workloads_have_expected_shapes() {
-        let mut rng = SmallRng64::new(0);
-        let c = eval_cifar(RunScale::Quick, &mut rng);
-        assert_eq!(c.num_classes(), 8);
-        let s = eval_cars(RunScale::Quick, &mut rng);
-        assert_eq!(s.num_classes(), 8);
-        assert_eq!(c.get(0).0.shape(), &[3, 16, 16]);
+    fn harness_pipelines_validate_with_expected_shapes() {
+        for scale in [RunScale::Full, RunScale::Quick] {
+            for spec in [cifar_spec(scale), cars_spec(scale)] {
+                let config = pipeline_config(scale, spec, 0)
+                    .build()
+                    .expect("the harness pipeline is valid");
+                let d = &config.dataset;
+                assert_eq!(d.classes, scale.pick(20, 8));
+                assert_eq!(config.reference.classes, d.classes);
+                assert_eq!([d.channels, d.size, d.size], [3, 16, 16]);
+            }
+        }
     }
 
     #[test]

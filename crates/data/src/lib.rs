@@ -4,8 +4,9 @@
 //! schemes used by the ACME reproduction.
 //!
 //! The paper evaluates on CIFAR-100 and Stanford Cars; neither dataset can
-//! ship with this repository, so [`cifar100_like`] and
-//! [`stanford_cars_like`] generate *structurally equivalent* workloads:
+//! ship with this repository, so [`generate`] renders *structurally
+//! equivalent* workloads from a [`SyntheticSpec`] ([`SyntheticSpec::cifar`]
+//! and [`SyntheticSpec::cars`] set the two difficulties):
 //! Gaussian class prototypes rendered as low-frequency image patterns with
 //! controllable class count, intra-class noise, and inter-class confusion
 //! (the "fine-grained" axis that makes Stanford Cars harder than
@@ -42,4 +43,4 @@ pub use drift::{DriftSpec, DriftingStream};
 pub use error::DataError;
 pub use partition::{partition_confusion, ConfusionLevel};
 pub use stats::label_distribution;
-pub use synthetic::{cifar100_like, generate, stanford_cars_like, SyntheticSpec};
+pub use synthetic::{cifar100_like, generate, SyntheticSpec};

@@ -199,19 +199,6 @@ pub fn cifar100_like(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Result<Datas
     generate(spec, rng)
 }
 
-/// Stanford-Cars-like synthetic dataset (the paper's auxiliary benchmark,
-/// §IV-D): call with [`SyntheticSpec::cars`] for the intended difficulty.
-///
-/// # Errors
-///
-/// Same contract as [`generate`].
-pub fn stanford_cars_like(
-    spec: &SyntheticSpec,
-    rng: &mut SmallRng64,
-) -> Result<Dataset, DataError> {
-    generate(spec, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -227,6 +227,27 @@ if [ -n "$impls" ]; then
     exit 1
 fi
 
+step "figures from the pipeline (the paper bins take their data and teacher from its stages)"
+# Outside tests and comments, no table1 / fig* / ablation_* bin of
+# crates/bench/src/bin names cifar100_like, stanford_cars_like,
+# generate( or .split(: each bin's data are Acme::pretrain's public
+# splits or the devices' partition Phase 2 draws. And only fig1, whose
+# from-scratch models are the comparison, calls Vit::new(: every other
+# bin's backbones are the pipeline's teacher or Phase 1 pool.
+figure_bins() { ls crates/bench/src/bin/{table1,fig*,ablation_*}.rs; }
+offenders="$(
+    for f in $(figure_bins); do
+        rule='\b(cifar100_like|stanford_cars_like|generate\()|\.split\('
+        [ "$f" = crates/bench/src/bin/fig1.rs ] || rule="$rule|\bVit::new\("
+        code_of "$f" | sed 's|//.*||' | grep -E "$rule" | sed "s|^|$f: |" || true
+    done
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: a paper bin builds its own data or backbone:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "perf rows (every PERF.jsonl row adds up; a claimed one meets the standing rule)"
 # scripts/pairs.sh appends the rows. Each must parse, carry its pairs,
 # and restate their medians, the parent's quartiles and the win count
@@ -503,6 +524,17 @@ print(f"memory OK: {peak['coverage_pct']} % of the {peak['stage']} peak named, "
       f"free lists empty after Phase 1")
 PY
 rm -f "$MEMORY_SMOKE_OUT"
+
+step "figure smoke (every table1 / fig* / ablation_* bin runs --quick)"
+# The bin list is the gate's glob, so a new paper bin is run here too.
+# Each prints its table to a scratch directory; a panic fails the stage.
+FIG_OUT="$(mktemp -d -t acme-figures.XXXXXX)"
+for f in $(figure_bins); do
+    b="$(basename "$f" .rs)"
+    echo "--> $b"
+    cargo run -q --release -p acme-bench --bin "$b" -- --quick >"$FIG_OUT/$b.txt"
+done
+rm -rf "$FIG_OUT"
 
 step "kernel sweep smoke (quick GEMM sweep, f32 and int8)"
 # Both sweep smokes write to a scratch path to leave the committed

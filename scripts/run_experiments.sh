@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure of the paper and stores the raw output
 # under results/. Full-scale runs; pass --quick to downscale.
-set -u
+#
+# The bins are crates/bench/src/bin/{table1,fig*,ablation_*}.rs, the
+# list ci.sh's figure smoke runs. The script stops at the first bin that
+# fails, with its stderr on the terminal.
+set -euo pipefail
 cd "$(dirname "$0")/.."
-ARGS="${1:-}"
-BINS="table1 fig1 fig7a fig7b fig8 fig9 fig10 fig11 fig12 fig13a fig13b \
-ablation_importance ablation_pareto ablation_nas_sharing ablation_loop_depth ablation_early_exit"
 cargo build -p acme-bench --release --bins
-for b in $BINS; do
+for f in crates/bench/src/bin/{table1,fig*,ablation_*}.rs; do
+  b="$(basename "$f" .rs)"
   echo ">>> $b"
-  cargo run -p acme-bench --release --bin "$b" -- $ARGS 2>/dev/null > "results/$b.txt"
+  cargo run -q -p acme-bench --release --bin "$b" -- "$@" > "results/$b.txt"
 done
 echo "done; outputs in results/"
