@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use acme_bench::drift::{sweep, write_json, SweepConfig};
+use acme_bench::drift::{sweep, DriftRow, SweepConfig};
 
 /// Wall-clock ceiling for the `--smoke` sweep.
 const SMOKE_CEILING_SECS: f64 = 120.0;
@@ -23,8 +23,9 @@ const SMOKE_CEILING_SECS: f64 = 120.0;
 const RECOVERY_TOLERANCE: f64 = 0.15;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_path = acme_bench::out_path("BENCH_drift.json");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_drift.json"));
 
     let cfg = if smoke {
         SweepConfig::smoke()
@@ -69,13 +70,8 @@ fn main() {
         );
     }
 
-    match write_json(&out_path, &rows) {
-        Ok(()) => eprintln!("wrote {out_path} ({} rows)", rows.len()),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json: Vec<String> = rows.iter().map(DriftRow::json).collect();
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 
     // Self-checks: the strongest drift swept must be detected by a
     // majority of each fleet (the detector's measured recall there is

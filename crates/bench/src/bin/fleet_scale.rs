@@ -20,7 +20,6 @@
 //! the committed rows remain comparable. The protocol's message count
 //! per device is unchanged.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use acme_distsys::protocol::{ProtocolConfig, RetryPolicy};
@@ -47,8 +46,9 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_path = acme_bench::out_path("BENCH_fleet_scale.json");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_fleet_scale.json"));
 
     // Ascending sweep: each row's peak-RSS reading (VmHWM is a process
     // high-water mark) is attributable to the largest fleet seen so far.
@@ -130,31 +130,29 @@ fn main() {
         rows.push(row);
     }
 
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"fleet_scale\", \"devices\": {}, \"edges\": {}, \
-             \"wall_secs\": {:.4}, \"events\": {}, \"messages\": {}, \
-             \"events_per_sec\": {:.0}, \"virtual_secs\": {:.4}, \
-             \"edges_completed\": {}, \"dropped_nodes\": {}, \
-             \"peak_rss_mb\": {:.1}}}{}\n",
-            r.devices,
-            r.edges,
-            r.wall_secs,
-            r.events,
-            r.messages,
-            r.events_per_sec,
-            r.virtual_secs,
-            r.edges_completed,
-            r.dropped_nodes,
-            r.peak_rss_mb,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    let mut f = std::fs::File::create(&out_path).expect("create bench json");
-    f.write_all(json.as_bytes()).expect("write bench json");
-    eprintln!("wrote {out_path}");
+    let json: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"bench\": \"fleet_scale\", \"devices\": {}, \"edges\": {}, \
+         \"wall_secs\": {:.4}, \"events\": {}, \"messages\": {}, \
+         \"events_per_sec\": {:.0}, \"virtual_secs\": {:.4}, \
+         \"edges_completed\": {}, \"dropped_nodes\": {}, \
+         \"peak_rss_mb\": {:.1}}}",
+                r.devices,
+                r.edges,
+                r.wall_secs,
+                r.events,
+                r.messages,
+                r.events_per_sec,
+                r.virtual_secs,
+                r.edges_completed,
+                r.dropped_nodes,
+                r.peak_rss_mb,
+            )
+        })
+        .collect();
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 
     if smoke {
         let wall = rows[0].wall_secs;

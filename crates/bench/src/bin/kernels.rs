@@ -1,22 +1,22 @@
-//! Blocked-GEMM size sweep: the packed, cache-blocked engine against
-//! the pre-blocking naive kernel at 1 / 2 / all-cores threads, then f32
-//! against int8 at the serving-relevant sizes (see
+//! GEMM size sweep: the packed, cache-blocked f32 engine and the int8
+//! engine on the same operands at 1 / 2 / all-cores threads (see
 //! `acme_bench::kernels`), recorded to `BENCH_kernels.json`.
 //!
 //! Run via `cargo run --release -p acme-bench --bin kernels`. Flags:
 //!
-//! - `--quick`: one size at one thread count (CI-sized smoke run).
+//! - `--quick`: two sizes at one thread count (CI-sized smoke run).
 //! - `--out PATH`: write the JSON somewhere other than
 //!   `BENCH_kernels.json`.
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out_path = acme_bench::out_path("BENCH_kernels.json");
+use acme_bench::kernels::GemmMeasurement;
 
-    // Blocked-GEMM size sweep at 1 / 2 / all-cores threads, tracked
-    // across PRs via BENCH_kernels.json at the workspace root.
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_kernels.json"));
+
     let sizes: &[usize] = if quick {
-        &[64]
+        &[64, 256]
     } else {
         &[64, 128, 256, 512, 1024]
     };
@@ -28,49 +28,22 @@ fn main() {
         threads.truncate(1);
     }
     let rows = acme_bench::kernels::sweep(sizes, &threads);
-    println!("\ngemm sweep (naive = pre-blocking kernel):");
+    println!("\ngemm sweep (int8 = prepacked weights, quantization included):");
     println!(
-        "{:>6} {:>8} {:>11} {:>11} {:>8} {:>8}",
-        "size", "threads", "naive_ms", "blocked_ms", "speedup", "GFLOP/s"
+        "{:>6} {:>8} {:>11} {:>11} {:>8} {:>12}",
+        "size", "threads", "f32_ms", "int8_ms", "GFLOP/s", "quant_err"
     );
     for r in &rows {
         println!(
-            "{:>6} {:>8} {:>11.3} {:>11.3} {:>7.2}x {:>8.2}",
-            r.size,
-            r.threads,
-            r.naive_ms,
-            r.blocked_ms,
-            r.speedup(),
-            r.gflops()
-        );
-    }
-
-    // f32-vs-int8 at the serving-relevant sizes, same thread counts.
-    let qsizes: &[usize] = if quick { &[256] } else { &[256, 512] };
-    let qrows = acme_bench::kernels::sweep_int8(qsizes, &threads);
-    println!("\nint8 gemm sweep (f32 = blocked engine, prepacked weights):");
-    println!(
-        "{:>6} {:>8} {:>11} {:>11} {:>8} {:>8} {:>12}",
-        "size", "threads", "f32_ms", "int8_ms", "speedup", "GOP/s", "quant_err"
-    );
-    for r in &qrows {
-        println!(
-            "{:>6} {:>8} {:>11.3} {:>11.3} {:>7.2}x {:>8.2} {:>12.6}",
+            "{:>6} {:>8} {:>11.3} {:>11.3} {:>8.2} {:>12.6}",
             r.size,
             r.threads,
             r.f32_ms,
             r.int8_ms,
-            r.speedup_vs_f32(),
-            r.gops(),
+            r.gflops(),
             r.mean_quant_error
         );
     }
-
-    match acme_bench::kernels::write_json(&out_path, &rows, &qrows) {
-        Ok(_) => println!("wrote {out_path} ({} rows)", rows.len() + qrows.len()),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json: Vec<String> = rows.iter().map(GemmMeasurement::json).collect();
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 }

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use acme_bench::serving::{sweep, sweep_precision, write_json, SweepConfig};
+use acme_bench::serving::{sweep, sweep_precision, ServingRow, SweepConfig};
 
 /// Wall-clock ceiling for the `--smoke` sweep.
 const SMOKE_CEILING_SECS: f64 = 60.0;
@@ -27,7 +27,7 @@ const SMOKE_CEILING_SECS: f64 = 60.0;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = acme_bench::out_path("BENCH_serving.json");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_serving.json"));
     let precision_arg = args
         .iter()
         .position(|a| a == "--precision")
@@ -93,13 +93,8 @@ fn main() {
         );
     }
 
-    match write_json(&out_path, &rows) {
-        Ok(()) => eprintln!("wrote {out_path} ({} rows)", rows.len()),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json: Vec<String> = rows.iter().map(ServingRow::json).collect();
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 
     // Shape self-check: the sweep must carry both the unbatched baseline
     // and a batched setting, and the batched rows must coalesce.

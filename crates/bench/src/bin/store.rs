@@ -16,14 +16,15 @@
 
 use std::time::Instant;
 
-use acme_bench::store::{sweep, write_json, SweepConfig};
+use acme_bench::store::{sweep, StoreRow, SweepConfig};
 
 /// Wall-clock ceiling for the `--smoke` sweep.
 const SMOKE_CEILING_SECS: f64 = 60.0;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_path = acme_bench::out_path("BENCH_store.json");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_store.json"));
 
     let cfg = if smoke {
         SweepConfig::smoke()
@@ -64,13 +65,8 @@ fn main() {
         );
     }
 
-    match write_json(&out_path, &rows) {
-        Ok(()) => eprintln!("wrote {out_path} ({} rows)", rows.len()),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json: Vec<String> = rows.iter().map(StoreRow::json).collect();
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 
     // Self-checks: restoration must be bit-exact, the delta layout must
     // beat the naive layout by the committed margin, and deltas must be

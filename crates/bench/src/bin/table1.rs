@@ -49,8 +49,7 @@ fn main() {
             .config(proto.clone())
             .execute()
             .expect("protocol run");
-        let cs =
-            centralized_transfers(&fleet, 500, 3072, proto.backbone_params).expect("baseline run");
+        let cs = centralized_transfers(&fleet, 500, 3072, proto.backbone_params);
         let ours_space = header_space * clusters as u128;
         let cs_space = cs_per_device * n as u128;
         rows.push(vec![

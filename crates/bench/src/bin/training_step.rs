@@ -1,10 +1,9 @@
-//! Training-step sweep: the pooled, fused, clone-free engine step
-//! against a verbatim replica of the pre-pool step (see
-//! `acme_bench::trainstep`), at 1 / 2 / 4 / all-cores threads, tracked
-//! across PRs via `BENCH_training_step.json` at the workspace root. The
-//! harness panics (failing CI) if the two paths are not bit-identical.
-//! Then the per-op self-time table of the reference ViT's batch-32
-//! training step on one thread, printed and appended to the JSON as
+//! Training-step sweep: the pooled, fused, clone-free engine's
+//! ViT-block step (see `acme_bench::trainstep`) at 1 / 2 / 4 /
+//! all-cores threads, with its steady-state pool misses, tracked across
+//! PRs via `BENCH_training_step.json` at the workspace root. Then the
+//! per-op self-time table of the reference ViT's batch-32 training step
+//! on one thread, printed and appended to the JSON as
 //! `training_step_vit` / `training_step_op` rows.
 //!
 //! Run via `cargo run --release -p acme-bench --bin training_step`.
@@ -14,9 +13,12 @@
 //! - `--out PATH`: write the JSON somewhere other than
 //!   `BENCH_training_step.json`.
 
+use acme_bench::trainstep::StepMeasurement;
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out_path = acme_bench::out_path("BENCH_training_step.json");
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_training_step.json"));
     let reps = if quick { 5 } else { 50 };
 
     let mut threads = vec![1usize, 2, 4];
@@ -28,28 +30,10 @@ fn main() {
     }
 
     let rows = acme_bench::trainstep::sweep(&threads, reps);
-    println!("\ntraining step (baseline = pre-pool replica, bit-identical):");
-    println!(
-        "{:>8} {:>12} {:>9} {:>8} {:>15} {:>12} {:>11}",
-        "threads",
-        "baseline_ms",
-        "step_ms",
-        "speedup",
-        "baseline_allocs",
-        "step_allocs",
-        "alloc_drop"
-    );
+    println!("\ntraining step (steady state, reused arena):");
+    println!("{:>8} {:>9} {:>12}", "threads", "step_ms", "step_allocs");
     for r in &rows {
-        println!(
-            "{:>8} {:>12.3} {:>9.3} {:>7.2}x {:>15} {:>12} {:>10.1}x",
-            r.threads,
-            r.baseline_ms,
-            r.step_ms,
-            r.speedup(),
-            r.baseline_allocs,
-            r.step_allocs,
-            r.alloc_drop()
-        );
+        println!("{:>8} {:>9.3} {:>12}", r.threads, r.step_ms, r.step_allocs);
     }
 
     let table = acme_bench::trainstep::vit_op_table(if quick { 2 } else { 20 });
@@ -73,15 +57,7 @@ fn main() {
         .iter()
         .fold((0.0, 0.0), |(f, b), r| (f + r.fwd_ms, b + r.bwd_ms));
     println!("{:<22} {:>7} {fwd:>9.3} {bwd:>9.3}", "sum of rows", "");
-    match acme_bench::trainstep::write_json(&out_path, &rows, &table.json_rows()) {
-        Ok(_) => println!(
-            "wrote {out_path} ({} sweep rows, {} ViT rows)",
-            rows.len(),
-            table.rows.len() + 1
-        ),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let mut json: Vec<String> = rows.iter().map(StepMeasurement::json).collect();
+    json.extend(table.json_rows());
+    acme_bench::or_exit(acme_bench::write_rows(&out_path, &json));
 }

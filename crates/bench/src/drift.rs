@@ -10,7 +10,6 @@
 //! bytes actually shipped versus the cold-start redeploy baseline, and
 //! accuracy before drift / at detection / after adaptation.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use acme::{
@@ -182,45 +181,36 @@ fn json_opt(v: Option<f64>) -> String {
     v.map_or_else(|| "null".to_string(), |x| format!("{x:.4}"))
 }
 
-/// Writes the sweep as a JSON array.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing `path`.
-pub fn write_json(path: &str, rows: &[DriftRow]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"drift\", \"magnitude\": {:.2}, \"fleet_devices\": {}, \
-             \"windows\": {}, \"onset\": {}, \"drifted_devices\": {}, \
-             \"mean_detection_latency\": {}, \"total_delta_bytes\": {}, \
-             \"total_cold_start_bytes\": {}, \"transfer_ratio\": {}, \
-             \"mean_accuracy_before\": {:.4}, \"mean_accuracy_at_detection\": {:.4}, \
-             \"mean_accuracy_final\": {:.4}, \"recustomized_accuracy_before\": {:.4}, \
-             \"recustomized_accuracy_final\": {:.4}, \"ledger_bytes\": {}, \
-             \"wall_s\": {:.4}}}{}\n",
-            r.magnitude,
-            r.fleet_devices,
-            r.windows,
-            r.onset,
-            r.drifted_devices,
-            json_opt(r.mean_detection_latency),
-            r.total_delta_bytes,
-            r.total_cold_start_bytes,
-            json_opt(r.transfer_ratio),
-            r.mean_accuracy_before,
-            r.mean_accuracy_at_detection,
-            r.mean_accuracy_final,
-            r.recustomized_accuracy_before,
-            r.recustomized_accuracy_final,
-            r.ledger_bytes,
-            r.wall_s,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+impl DriftRow {
+    /// The row as one JSON object.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"bench\": \"drift\", \"magnitude\": {:.2}, \"fleet_devices\": {}, \
+         \"windows\": {}, \"onset\": {}, \"drifted_devices\": {}, \
+         \"mean_detection_latency\": {}, \"total_delta_bytes\": {}, \
+         \"total_cold_start_bytes\": {}, \"transfer_ratio\": {}, \
+         \"mean_accuracy_before\": {:.4}, \"mean_accuracy_at_detection\": {:.4}, \
+         \"mean_accuracy_final\": {:.4}, \"recustomized_accuracy_before\": {:.4}, \
+         \"recustomized_accuracy_final\": {:.4}, \"ledger_bytes\": {}, \
+         \"wall_s\": {:.4}}}",
+            self.magnitude,
+            self.fleet_devices,
+            self.windows,
+            self.onset,
+            self.drifted_devices,
+            json_opt(self.mean_detection_latency),
+            self.total_delta_bytes,
+            self.total_cold_start_bytes,
+            json_opt(self.transfer_ratio),
+            self.mean_accuracy_before,
+            self.mean_accuracy_at_detection,
+            self.mean_accuracy_final,
+            self.recustomized_accuracy_before,
+            self.recustomized_accuracy_final,
+            self.ledger_bytes,
+            self.wall_s,
+        )
     }
-    json.push_str("]\n");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
 }
 
 #[cfg(test)]

@@ -72,13 +72,45 @@ impl RunScale {
     }
 }
 
-/// The sweep bins' `--out PATH` argument: where to write the JSON rows,
-/// `default` (the committed `BENCH_*.json`) when the flag is absent.
-pub fn out_path(default: &str) -> String {
-    std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| default.to_string())
+/// The sweep bins' `--out PATH` argument in `args` (the process's
+/// arguments): where to write the JSON rows, `default` (the committed
+/// `BENCH_*.json`) when `args` has no `--out`. An `--out` with no path
+/// after it is an error, not the committed file: `--out $UNSET` expands
+/// to exactly that.
+///
+/// # Errors
+///
+/// When `--out` is the last argument.
+pub fn out_path(args: &[String], default: &str) -> Result<String, String> {
+    match args.iter().position(|a| a == "--out") {
+        None => Ok(default.to_string()),
+        Some(i) => args
+            .get(i + 1)
+            .cloned()
+            .ok_or_else(|| "--out needs a path".to_string()),
+    }
+}
+
+/// Writes `rows`, one JSON object each, to `path` as a JSON array of
+/// one row a line, and says so on stderr.
+///
+/// # Errors
+///
+/// When `path` cannot be written; the message names it.
+pub fn write_rows(path: &str, rows: &[String]) -> Result<(), String> {
+    std::fs::write(path, format!("[\n  {}\n]\n", rows.join(",\n  ")))
+        .map_err(|e| format!("could not write {path}: {e}"))?;
+    eprintln!("wrote {path} ({} rows)", rows.len());
+    Ok(())
+}
+
+/// `r`'s value; its error goes to stderr and ends the process with
+/// status 1.
+pub fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Process peak resident set in MB, from `/proc/self/status` (`VmHWM`).
@@ -407,6 +439,36 @@ mod tests {
                 assert_eq!([d.channels, d.size, d.size], [3, 16, 16]);
             }
         }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn out_path_takes_the_flag_or_the_committed_default() {
+        let default = "BENCH_kernels.json";
+        assert_eq!(out_path(&args(&["kernels"]), default).unwrap(), default);
+        let given = args(&["kernels", "--out", "/tmp/k.json", "--quick"]);
+        assert_eq!(out_path(&given, default).unwrap(), "/tmp/k.json");
+        // `--out $UNSET`: the flag with nothing after it.
+        let unset = args(&["kernels", "--quick", "--out"]);
+        assert!(out_path(&unset, default).is_err());
+    }
+
+    #[test]
+    fn rows_are_written_one_a_line() {
+        let path =
+            std::env::temp_dir().join(format!("acme-bench-rows-{}.json", std::process::id()));
+        let path = path.to_str().expect("a UTF-8 temp path");
+        let rows = ["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()];
+        write_rows(path, &rows).unwrap();
+        let written = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(written, "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
+        assert!(write_rows("/nonexistent-dir/rows.json", &rows)
+            .unwrap_err()
+            .contains("/nonexistent-dir/rows.json"));
     }
 
     #[test]

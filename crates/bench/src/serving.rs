@@ -9,7 +9,6 @@
 //! unbatched baseline; `speedup_vs_unbatched` compares each batched row
 //! to the baseline at the same fleet size and worker count.
 
-use std::io::Write as _;
 use std::time::Duration;
 
 use acme_serve::{
@@ -249,44 +248,35 @@ pub fn sweep_precision(cfg: &SweepConfig) -> Vec<ServingRow> {
     rows
 }
 
-/// Writes the sweep as a JSON array.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing `path`.
-pub fn write_json(path: &str, rows: &[ServingRow]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"serving\", \"fleet_devices\": {}, \"clusters\": {}, \
-             \"workers\": {}, \"max_batch\": {}, \"batch_window_us\": {}, \
-             \"precision\": \"{}\", \
-             \"requests\": {}, \"elapsed_s\": {:.4}, \"throughput_rps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"mean_batch\": {:.2}, \
-             \"occupancy\": {:.3}, \"early_exit_frac\": {:.3}, \
-             \"speedup_vs_unbatched\": {:.2}, \"mean_quant_error\": {:.6}, \
-             \"speedup_vs_f32\": {:.2}}}{}\n",
-            r.fleet_devices,
-            r.clusters,
-            r.workers,
-            r.max_batch,
-            r.batch_window_us,
-            r.precision,
-            r.requests,
-            r.elapsed_s,
-            r.throughput_rps,
-            r.p50_ms,
-            r.p99_ms,
-            r.mean_batch,
-            r.occupancy,
-            r.early_exit_frac,
-            r.speedup_vs_unbatched,
-            r.mean_quant_error,
-            r.speedup_vs_f32,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+impl ServingRow {
+    /// The row as one JSON object.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"bench\": \"serving\", \"fleet_devices\": {}, \"clusters\": {}, \
+         \"workers\": {}, \"max_batch\": {}, \"batch_window_us\": {}, \
+         \"precision\": \"{}\", \
+         \"requests\": {}, \"elapsed_s\": {:.4}, \"throughput_rps\": {:.1}, \
+         \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"mean_batch\": {:.2}, \
+         \"occupancy\": {:.3}, \"early_exit_frac\": {:.3}, \
+         \"speedup_vs_unbatched\": {:.2}, \"mean_quant_error\": {:.6}, \
+         \"speedup_vs_f32\": {:.2}}}",
+            self.fleet_devices,
+            self.clusters,
+            self.workers,
+            self.max_batch,
+            self.batch_window_us,
+            self.precision,
+            self.requests,
+            self.elapsed_s,
+            self.throughput_rps,
+            self.p50_ms,
+            self.p99_ms,
+            self.mean_batch,
+            self.occupancy,
+            self.early_exit_frac,
+            self.speedup_vs_unbatched,
+            self.mean_quant_error,
+            self.speedup_vs_f32,
+        )
     }
-    json.push_str("]\n");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
 }

@@ -11,7 +11,6 @@
 //! size of a single checkpoint holding the device's full personalized
 //! model (cluster backbone plus its pruned exit heads).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use acme_nn::{save_params, ParamSet};
@@ -174,39 +173,30 @@ pub fn sweep(cfg: &SweepConfig) -> Vec<StoreRow> {
         .collect()
 }
 
-/// Writes the sweep as a JSON array.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing `path`.
-pub fn write_json(path: &str, rows: &[StoreRow]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"store\", \"fleet_devices\": {}, \"clusters\": {}, \
-             \"backbone_params\": {}, \"backbone_blob_bytes\": {}, \
-             \"mean_delta_bytes\": {:.1}, \"manifest_bytes\": {}, \
-             \"store_bytes\": {}, \"naive_bytes\": {}, \"ratio\": {:.2}, \
-             \"persist_s\": {:.4}, \"restore_s\": {:.4}, \
-             \"bitwise_identical\": {}}}{}\n",
-            r.fleet_devices,
-            r.clusters,
-            r.backbone_params,
-            r.backbone_blob_bytes,
-            r.mean_delta_bytes,
-            r.manifest_bytes,
-            r.store_bytes,
-            r.naive_bytes,
-            r.ratio,
-            r.persist_s,
-            r.restore_s,
-            r.bitwise_identical,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+impl StoreRow {
+    /// The row as one JSON object.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"bench\": \"store\", \"fleet_devices\": {}, \"clusters\": {}, \
+         \"backbone_params\": {}, \"backbone_blob_bytes\": {}, \
+         \"mean_delta_bytes\": {:.1}, \"manifest_bytes\": {}, \
+         \"store_bytes\": {}, \"naive_bytes\": {}, \"ratio\": {:.2}, \
+         \"persist_s\": {:.4}, \"restore_s\": {:.4}, \
+         \"bitwise_identical\": {}}}",
+            self.fleet_devices,
+            self.clusters,
+            self.backbone_params,
+            self.backbone_blob_bytes,
+            self.mean_delta_bytes,
+            self.manifest_bytes,
+            self.store_bytes,
+            self.naive_bytes,
+            self.ratio,
+            self.persist_s,
+            self.restore_s,
+            self.bitwise_identical,
+        )
     }
-    json.push_str("]\n");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
 }
 
 #[cfg(test)]

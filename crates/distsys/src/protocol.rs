@@ -530,18 +530,14 @@ impl<'a> ProtocolRun<'a> {
 
 /// The centralized-system baseline of Table I: every device uploads its
 /// raw training data to the cloud, which returns a customized full model
-/// per device.
-///
-/// # Errors
-///
-/// None today: the transfers are only metered ([`Network::meter`]), so
-/// there is no inbox to lose. The `Result` is kept for the callers.
+/// per device. The transfers are only metered ([`Network::meter`]), so
+/// there is no inbox to lose.
 pub fn centralized_transfers(
     fleet: &Fleet,
     samples_per_device: u64,
     bytes_per_sample: u64,
     model_params: u64,
-) -> Result<TransferReport, ProtocolError> {
+) -> TransferReport {
     let net = Network::new();
     for device in fleet.clusters().iter().flat_map(|c| c.devices()) {
         let d = NodeId::Device(device.id());
@@ -564,7 +560,7 @@ pub fn centralized_transfers(
             },
         );
     }
-    Ok(net.ledger().report())
+    net.ledger().report()
 }
 
 #[cfg(test)]
@@ -657,7 +653,7 @@ mod tests {
         let fleet = Fleet::paper_default(2, 5);
         let acme = run_threaded(&fleet, &ProtocolConfig::default());
         // CIFAR-scale: 500 samples of 3 KiB each per device.
-        let cs = centralized_transfers(&fleet, 500, 3072, 1_000_000).expect("baseline run");
+        let cs = centralized_transfers(&fleet, 500, 3072, 1_000_000);
         assert!(
             acme.report.uplink_bytes * 5 < cs.uplink_bytes,
             "acme {} vs cs {}",
@@ -669,7 +665,7 @@ mod tests {
     #[test]
     fn centralized_report_keeps_direction_per_kind() {
         let fleet = Fleet::paper_default(2, 3);
-        let cs = centralized_transfers(&fleet, 10, 100, 1_000).expect("baseline run");
+        let cs = centralized_transfers(&fleet, 10, 100, 1_000);
         let raw = cs
             .per_kind
             .iter()

@@ -275,9 +275,6 @@ impl NasSearch {
         val: &Dataset,
         rng: &mut SmallRng64,
     ) -> f32 {
-        if self.config.final_finetune_epochs == 0 {
-            return self.eval_full(vit, shared, ps, arch, val, rng);
-        }
         let mut local = ps.clone();
         let header = NasHeader::new(arch.clone(), shared.clone());
         let model = acme_vit::headers::HeadedVit::new(vit, &header);
@@ -349,6 +346,39 @@ mod tests {
         assert!(outcome.best_accuracy >= 0.0 && outcome.best_accuracy <= 1.0);
         assert_eq!(outcome.reward_history.len(), 1);
         assert!(outcome.evaluations >= 3);
+    }
+
+    /// With no fine-tuning epochs the final candidates are scored on the
+    /// shared weights as they stand: `fit` over zero epochs leaves the
+    /// copy it trains unchanged. Pinned across builds.
+    #[test]
+    fn zero_finetune_epochs_score_the_shared_weights() {
+        let mut rng = SmallRng64::new(0);
+        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let (train, val) = ds.split(0.7, &mut rng);
+        let cfg = VitConfig::tiny(ds.num_classes());
+        let mut ps = ParamSet::new();
+        let vit = Vit::new(&mut ps, &cfg, &mut rng);
+        let shared = SharedParams::new(
+            &mut ps,
+            "sn",
+            2,
+            cfg.dim,
+            cfg.grid(),
+            ds.num_classes(),
+            &mut rng,
+        );
+        let config = SearchConfig {
+            final_finetune_epochs: 0,
+            ..SearchConfig::quick()
+        };
+        let mut search = NasSearch::new(&mut ps, config, &mut rng);
+        let outcome = search.run(&vit, &shared, &mut ps, &train, &val, &mut rng);
+        assert_eq!(
+            outcome.best_arch.to_string(),
+            "U=1 [(0,0,conv5,conv1); (1,1,conv1,conv5)]"
+        );
+        assert_eq!(outcome.best_accuracy.to_bits(), 0x3f12_4925);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let mut g = Graph::new();
-        let x = g.leaf(Array::from_slice(&[-1.0, 2.0]));
+        let x = g.leaf(Array::from_vec(vec![-1.0, 2.0], &[2]).unwrap());
         let r = Activation::Relu.apply(&mut g, x);
         assert_eq!(g.value(r).data(), &[0.0, 2.0]);
     }

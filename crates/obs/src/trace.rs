@@ -202,7 +202,7 @@ impl Trace {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+static RECORDING: AtomicBool = AtomicBool::new(false);
 static DETAIL: AtomicU8 = AtomicU8::new(Detail::Phase as u8);
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(1 << 16);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
@@ -268,13 +268,13 @@ pub fn set_enabled(on: bool) {
     if on {
         epoch(); // pin the epoch before the first span
     }
-    ENABLED.store(on, Ordering::SeqCst);
+    RECORDING.store(on, Ordering::SeqCst);
 }
 
 /// `true` iff runtime recording is on.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// `true` iff runtime recording is on at the given detail level.

@@ -89,7 +89,7 @@ impl Array {
     }
 
     /// Creates a 1-D array from a slice (pool-backed).
-    pub fn from_slice(data: &[f32]) -> Self {
+    pub(crate) fn from_slice(data: &[f32]) -> Self {
         let mut buf = pool::take(data.len());
         buf.extend_from_slice(data);
         Array {

@@ -42,7 +42,9 @@
 //!   shapes grew the pool by another copy until the bucket cap.
 //! * **Determinism.** The pool only moves buffers around; callers
 //!   overwrite every element before reading. Results are unaffected by
-//!   hits vs. misses, pool on vs. off.
+//!   hits vs. misses: a step on a fresh graph over cleared free lists
+//!   computes the bits of one on a reused arena
+//!   (`crates/tensor/tests/pool_reuse_props.rs`).
 //! * **Release.** [`clear`] frees every free list and leaves the
 //!   handed-out counts alone, so a buffer still out is filed as usual
 //!   when it drops. The pipeline calls it once, where Phase 1's
@@ -61,16 +63,13 @@
 //!   the free lists hold right now. The same bytes, and those of the
 //!   buffers handed out, are the `acme_obs::mem` owner gauges
 //!   `PoolFree` and `PoolOut` in a process that installed its
-//!   allocator. [`set_enabled`] turns reuse off (every
-//!   take allocates, every recycle frees) so benches can measure the
-//!   pre-pool baseline with the same instrumentation. For observability
-//!   runs these counters are published into the unified metrics
-//!   registry as `tensor.pool.*` by
+//!   allocator. For observability runs these counters are published
+//!   into the unified metrics registry as `tensor.pool.*` by
 //!   [`publish_obs_metrics`](crate::publish_obs_metrics) — prefer
 //!   reading them from an `acme_obs::metrics::snapshot()` (or a
 //!   `--trace-out` document) over calling [`stats`] directly.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use acme_obs::mem::{self, Owner};
@@ -106,7 +105,6 @@ struct Pool {
     buckets: [Mutex<Bucket>; BUCKETS],
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static RECYCLED: AtomicU64 = AtomicU64::new(0);
@@ -163,7 +161,7 @@ fn bucket_size(i: usize) -> usize {
 pub fn take(len: usize) -> Vec<f32> {
     // The class that serves `len`; none above `MAX_POOLED`.
     let size = class_size(len);
-    let Some(b) = bucket_index(size).filter(|_| ENABLED.load(Ordering::Relaxed)) else {
+    let Some(b) = bucket_index(size) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return Vec::with_capacity(len);
     };
@@ -198,10 +196,9 @@ pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
 /// capacity is exactly a class size — the capacity [`take`] allocates —
 /// and the bucket has a buffer out that this one can stand in for;
 /// otherwise a buffer of at least [`MIN_POOLED`] floats is freed and
-/// counted as dropped, as is one beyond the bucket cap. Every buffer is
-/// freed while the pool is disabled.
+/// counted as dropped, as is one beyond the bucket cap.
 pub fn recycle(v: Vec<f32>) {
-    if !ENABLED.load(Ordering::Relaxed) || v.capacity() < MIN_POOLED {
+    if v.capacity() < MIN_POOLED {
         return;
     }
     if let Some(b) = bucket_index(v.capacity()) {
@@ -224,14 +221,6 @@ pub fn recycle(v: Vec<f32>) {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Turns pooling on or off (on by default), returning the previous
-/// setting. While off, [`take`] always allocates (and still counts a
-/// miss) and [`recycle`] frees — the pre-pool allocation behaviour,
-/// with the same counters, for baseline measurements.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
 }
 
 /// A snapshot of the pool counters (see [`stats`]).
@@ -474,22 +463,6 @@ mod tests {
         drop(crate::randn(&[SIZE], &mut crate::SmallRng64::new(1)));
         assert!(holds(SIZE), "randn's buffer goes back to its bucket");
         clear();
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
-        let was = set_enabled(false);
-        reset_stats();
-        recycle(vec![0.0; 256]);
-        let v = take(256);
-        assert_eq!(v.capacity(), 256);
-        let s = stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 1, "disabled takes still count allocations");
-        assert_eq!(s.recycled, 0);
-        set_enabled(was);
     }
 
     #[test]

@@ -238,7 +238,7 @@ mod tests {
         );
         assert_eq!(gather(&a, Some(&[1]), None).data(), &[3.0, 4.0, 5.0]);
         assert_eq!(gather(&a, Some(&[1]), Some(&[2, 0])).shape(), &[1, 2]);
-        let v = Array::from_slice(&[5.0, 6.0, 7.0]);
+        let v = Array::from_vec(vec![5.0, 6.0, 7.0], &[3]).unwrap();
         assert_eq!(gather(&v, None, Some(&[2, 0])).data(), &[7.0, 5.0]);
         assert_eq!(head_cols(&[0, 2], 2), vec![0, 1, 4, 5]);
     }

@@ -147,8 +147,7 @@ fn main() {
         .execute()
         .expect("protocol run");
     let image_bytes = (spec.channels * spec.size * spec.size * 4) as u64;
-    let cs = centralized_transfers(fleet, 500, image_bytes, proto.backbone_params)
-        .expect("baseline run");
+    let cs = centralized_transfers(fleet, 500, image_bytes, proto.backbone_params);
     println!("\ntransfer volume ({} devices):", fleet.num_devices());
     println!(
         "  ACME upload: {:.3} MB",

@@ -14,7 +14,6 @@ use acme_tensor::pool;
 #[test]
 fn repeated_restores_retain_no_more_pool_bytes_than_the_first() {
     acme_runtime::set_global_threads(1);
-    pool::set_enabled(true);
 
     // Both kinds of capacity a buffer born outside the pool (a decoded
     // checkpoint value, a `kaiming_uniform` initialisation) can have: the

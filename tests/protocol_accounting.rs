@@ -52,7 +52,7 @@ fn upload_ratio_matches_paper_band_at_paper_scale() {
                 ..ProtocolConfig::default()
             },
         );
-        let cs = centralized_transfers(&fleet, 500, 3072, 1_000_000).expect("baseline run");
+        let cs = centralized_transfers(&fleet, 500, 3072, 1_000_000);
         let ratio = acme.report.uplink_bytes as f64 / cs.uplink_bytes as f64;
         assert!(ratio < 0.10, "N={} ratio {ratio}", fleet.num_devices());
         assert!(ratio > 0.001, "ratio suspiciously small: {ratio}");

@@ -16,7 +16,6 @@ use acme_tensor::{packcache, pool, Graph};
 #[test]
 fn steady_state_serving_is_pack_free_and_allocation_free() {
     acme_runtime::set_global_threads(1);
-    pool::set_enabled(true);
 
     // The bench-default store: every backbone weight sits at the
     // pack-cache size floor, so the serve path genuinely exercises it.

@@ -11,7 +11,6 @@ use acme_tensor::pool;
 
 #[test]
 fn phase1_releases_the_pool_and_the_run_is_unchanged() {
-    pool::set_enabled(true);
     let config = AcmeConfig::builder()
         .quick()
         .seed(42)

@@ -30,7 +30,6 @@ impl ImageClassifier for Stepwise<'_> {
 #[test]
 fn a_training_tape_keeps_leaf_gradients_and_its_second_step_allocates_nothing() {
     acme_runtime::set_global_threads(1);
-    pool::set_enabled(true);
     let spec = SyntheticSpec {
         per_class: 2,
         ..SyntheticSpec::cifar()
