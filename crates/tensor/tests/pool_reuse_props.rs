@@ -85,8 +85,12 @@ fn run(p: &Problem, g: &mut Graph) -> Vec<u32> {
     step_bits(g, &p.x, &p.w1, &p.w2, &p.gamma, &p.beta, &p.targets)
 }
 
-/// Baseline: a fresh graph at one thread, over free lists emptied first,
-/// so every buffer of the step is newly allocated.
+/// Baseline: a fresh graph at one thread, over free lists emptied first.
+/// Buffers dropped during the step (temporaries, the tape's non-leaf
+/// grads in backward) are still recycled and taken again within it, so
+/// this is not a pool-free run; the reference tests below
+/// (`engine_step_matches_the_reference_*`) are the check that does not
+/// depend on the pool.
 fn baseline_bits(p: &Problem) -> Vec<u32> {
     acme_runtime::set_global_threads(1);
     pool::clear();
