@@ -16,7 +16,8 @@
 //! dataset rows are their part of the pool's handed-out bytes), so their
 //! sum over a peak's live bytes is how much of it the named owners
 //! explain. `--out` also writes each stage's coverage and the bytes on
-//! the pool's free lists right after Phase 1 as JSON, for CI.
+//! the pool's free lists right after Phase 1 as JSON, for CI; an `--out`
+//! with no path after it exits 1 before any stage runs.
 
 use std::time::Instant;
 
@@ -43,6 +44,7 @@ fn stage<R>(peaks: &mut Vec<Peak>, f: impl FnOnce() -> R) -> R {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let out = acme_bench::or_exit(acme_bench::out_arg(&args));
     let value_of = |flag: &str| args.iter().skip_while(|a| *a != flag).nth(1);
     let seed = value_of("--seed").map_or(42, |s| s.parse().expect("--seed takes an integer"));
     let builder = match RunScale::from_args() {
@@ -111,7 +113,7 @@ fn main() {
             .sum::<f64>() as f32
             / devices.len().max(1) as f32,
     );
-    if let Some(path) = value_of("--out") {
+    if let Some(path) = out {
         let stages: Vec<String> = STAGES
             .iter()
             .zip(&peaks)

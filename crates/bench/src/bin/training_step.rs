@@ -2,9 +2,9 @@
 //! ViT-block step (see `acme_bench::trainstep`) at 1 / 2 / 4 /
 //! all-cores threads, with its steady-state pool misses, tracked across
 //! PRs via `BENCH_training_step.json` at the workspace root. Then the
-//! per-op self-time table of the reference ViT's batch-32 training step
-//! on one thread, printed and appended to the JSON as
-//! `training_step_vit` / `training_step_op` rows.
+//! per-op table (self time and tape bytes) of the reference ViT's
+//! batch-32 training step on one thread, printed and appended to the
+//! JSON as `training_step_vit` / `training_step_op` rows.
 //!
 //! Run via `cargo run --release -p acme-bench --bin training_step`.
 //! Flags:
@@ -39,17 +39,21 @@ fn main() {
     let table = acme_bench::trainstep::vit_op_table(if quick { 2 } else { 20 });
     println!(
         "\nreference ViT step, batch 32, 1 thread, recording on: \
-         fwd {:.3} ms, bwd {:.3} ms; per-op self time per step:",
+         fwd {:.3} ms, bwd {:.3} ms; per-op self time and tape bytes per step:",
         table.fwd_ms, table.bwd_ms
     );
     println!(
-        "{:<22} {:>7} {:>9} {:>9}",
-        "op", "calls", "fwd_ms", "bwd_ms"
+        "{:<22} {:>7} {:>9} {:>9} {:>10}",
+        "op", "calls", "fwd_ms", "bwd_ms", "value_kb"
     );
     for r in &table.rows {
         println!(
-            "{:<22} {:>7.0} {:>9.3} {:>9.3}",
-            r.op, r.calls, r.fwd_ms, r.bwd_ms
+            "{:<22} {:>7.0} {:>9.3} {:>9.3} {:>10.1}",
+            r.op,
+            r.calls,
+            r.fwd_ms,
+            r.bwd_ms,
+            r.value_bytes / 1024.0
         );
     }
     let (fwd, bwd) = table

@@ -82,13 +82,23 @@ impl RunScale {
 ///
 /// When `--out` is the last argument.
 pub fn out_path(args: &[String], default: &str) -> Result<String, String> {
-    match args.iter().position(|a| a == "--out") {
-        None => Ok(default.to_string()),
-        Some(i) => args
-            .get(i + 1)
+    Ok(out_arg(args)?.unwrap_or_else(|| default.to_string()))
+}
+
+/// The `--out PATH` argument in `args` by [`out_path`]'s rule, `None`
+/// when `args` has no `--out`: for a bin with no default file.
+///
+/// # Errors
+///
+/// When `--out` is the last argument.
+pub fn out_arg(args: &[String]) -> Result<Option<String>, String> {
+    let at = args.iter().position(|a| a == "--out");
+    at.map(|i| {
+        args.get(i + 1)
             .cloned()
-            .ok_or_else(|| "--out needs a path".to_string()),
-    }
+            .ok_or_else(|| "--out needs a path".to_string())
+    })
+    .transpose()
 }
 
 /// Writes `rows`, one JSON object each, to `path` as a JSON array of

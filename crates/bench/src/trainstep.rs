@@ -9,7 +9,8 @@
 //!
 //! [`vit_op_table`] adds the per-op breakdown of a second step: the
 //! reference ViT's batch-32 training step, read from the tape's per-op
-//! self-time table (`tensor.op.*` in the `acme-obs` registry).
+//! table of self time and tape bytes (`tensor.op.*` in the `acme-obs`
+//! registry).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,6 +137,9 @@ pub struct OpRow {
     pub fwd_ms: f64,
     /// Backward self-time per step, in ms.
     pub bwd_ms: f64,
+    /// Bytes this op's nodes put on the tape per step (owned values plus
+    /// saved state).
+    pub value_bytes: f64,
 }
 
 /// The per-op breakdown of the reference ViT's training step.
@@ -160,8 +164,9 @@ impl OpTable {
         out.extend(self.rows.iter().map(|r| {
             format!(
                 "{{\"bench\": \"training_step_op\", \"threads\": 1, \"op\": \"{}\", \
-                 \"calls\": {:.1}, \"fwd_ms\": {:.4}, \"bwd_ms\": {:.4}}}",
-                r.op, r.calls, r.fwd_ms, r.bwd_ms
+                 \"calls\": {:.1}, \"fwd_ms\": {:.4}, \"bwd_ms\": {:.4}, \
+                 \"value_bytes\": {:.0}}}",
+                r.op, r.calls, r.fwd_ms, r.bwd_ms, r.value_bytes
             )
         }));
         out
@@ -234,6 +239,7 @@ pub fn vit_op_table(steps: usize) -> OpTable {
             calls: per_step(format!("tensor.op.{op}.calls")),
             fwd_ms: per_step(format!("tensor.op.{op}.fwd_ns")) * 1e-6,
             bwd_ms: per_step(format!("tensor.op.{op}.bwd_ns")) * 1e-6,
+            value_bytes: per_step(format!("tensor.op.{op}.value_bytes")),
         })
         .filter(|r| r.calls > 0.0)
         .collect();

@@ -65,8 +65,8 @@ impl MultiHeadSelfAttention {
     ///
     /// The three input projections, one fused [`Graph::attention`] node
     /// (scores, softmax, context and head mask per (batch, head), in the
-    /// projections' own `[batch·tokens, heads·head_dim]` layout), then
-    /// the output projection.
+    /// projections' own `[batch, tokens, heads·head_dim]` layout), then
+    /// the output projection, each reading its input's rows in place.
     ///
     /// # Panics
     ///
@@ -78,13 +78,10 @@ impl MultiHeadSelfAttention {
             3,
             "attention input must be [batch, tokens, dim]"
         );
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
-        assert_eq!(d, self.dim, "attention width mismatch");
-        let flat = g.reshape(x, &[b * t, d]);
-        let [q, k, v] = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(g, ps, flat));
-        let out = g.attention(q, k, v, mask, t, self.heads);
-        let out = self.wo.forward(g, ps, out);
-        g.reshape(out, &[b, t, d])
+        assert_eq!(shape[2], self.dim, "attention width mismatch");
+        let [q, k, v] = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(g, ps, x));
+        let out = g.attention(q, k, v, mask, shape[1], self.heads);
+        self.wo.forward(g, ps, out)
     }
 
     /// All parameter ids (q, k, v, o weights and biases).

@@ -5,7 +5,8 @@ use acme_tensor::{kaiming_uniform, Array, Graph, SmallRng64, Var};
 use crate::activation::Activation;
 use crate::param::{ParamId, ParamSet};
 
-/// Affine layer `y = x W + b` with `x: [n, in_dim]`.
+/// Affine layer `y = x W + b` with `x: [.., in_dim]`, one
+/// [`Graph::linear`] node.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: ParamId,
@@ -30,7 +31,8 @@ impl Linear {
         Linear { w, b, out_dim }
     }
 
-    /// Applies the layer to a 2-D input `[n, in_dim]`.
+    /// Applies the layer to `x: [.., in_dim]`, giving `[.., out_dim]`: the
+    /// leading dims are read in place as rows.
     ///
     /// # Panics
     ///
@@ -80,7 +82,7 @@ impl Mlp {
         }
     }
 
-    /// Forward over `[n, in_dim]`.
+    /// Forward over `[.., in_dim]`.
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
         self.forward_masked(g, ps, x, None)
     }

@@ -62,7 +62,6 @@ impl Optimizer for Adam {
                 *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
                 *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
             }
-            let (m, v) = (m.clone(), v.clone());
             let value = ps.value_mut(id);
             for ((x, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let mhat = mi / bc1;

@@ -117,15 +117,11 @@ impl TransformerBlock {
         x: Var,
         masks: Option<(Var, Var)>,
     ) -> Var {
-        let shape = g.shape(x).to_vec();
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
         let n1 = self.ln1.forward(g, ps, x);
         let a = self.attn.forward_masked(g, ps, n1, masks.map(|m| m.0));
         let x = g.add(x, a);
         let n2 = self.ln2.forward(g, ps, x);
-        let flat = g.reshape(n2, &[b * t, d]);
-        let m = self.mlp.forward_masked(g, ps, flat, masks.map(|m| m.1));
-        let m = g.reshape(m, &[b, t, d]);
+        let m = self.mlp.forward_masked(g, ps, n2, masks.map(|m| m.1));
         g.add(x, m)
     }
 

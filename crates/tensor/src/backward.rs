@@ -135,6 +135,25 @@ impl Graph {
         // only through it, so single-input rules below need no check.
         let part = |v: Var, rule: &dyn Fn() -> Array| needs_grad[v.0].then(|| (v.0, rule()));
         let pair = |p: [Option<(usize, Array)>; 2]| p.into_iter().flatten().collect();
+        // `da = grad · bᵀ` and `db = aᵀ · grad` of a product over `a`'s
+        // rows `[.., k]` (`b` is `[k, n]`).
+        let product = |a: Var, b: Var| {
+            let (av, bv) = (val(a), val(b));
+            let (k, n) = (bv.shape()[0], bv.shape()[1]);
+            let m = av.len().checked_div(k).unwrap_or(0);
+            [
+                part(a, &|| {
+                    let mut ga = Array::zeros(av.shape());
+                    matmul_a_bt_kernel(grad.data(), bv.data(), ga.data_mut(), m, n, k);
+                    ga
+                }),
+                part(b, &|| {
+                    let mut gb = Array::zeros(&[k, n]);
+                    matmul_at_b_kernel(av.data(), grad.data(), gb.data_mut(), k, m, n);
+                    gb
+                }),
+            ]
+        };
         match op {
             Op::Leaf { .. } => Vec::new(),
             Op::Add(a, b) => pair([
@@ -154,25 +173,14 @@ impl Graph {
                 }),
             ]),
             Op::Scale(a, c) => vec![(a.0, grad.scale(*c))],
-            Op::MatMul(a, b) => {
-                let av = val(*a);
-                let bv = val(*b);
-                let (m, k) = (av.shape()[0], av.shape()[1]);
-                let n = bv.shape()[1];
-                pair([
-                    // ga = grad @ b^T
-                    part(*a, &|| {
-                        let mut ga = Array::zeros(&[m, k]);
-                        matmul_a_bt_kernel(grad.data(), bv.data(), ga.data_mut(), m, n, k);
-                        ga
-                    }),
-                    // gb = a^T @ grad
-                    part(*b, &|| {
-                        let mut gb = Array::zeros(&[k, n]);
-                        matmul_at_b_kernel(av.data(), grad.data(), gb.data_mut(), k, m, n);
-                        gb
-                    }),
-                ])
+            Op::MatMul(a, b) => pair(product(*a, *b)),
+            // The bias first, then the product: the order of the `add`
+            // and `matmul` pair this node stands for.
+            Op::Linear { x, w, b } => {
+                std::iter::once(part(*b, &|| grad.reduce_to_shape(val(*b).shape())))
+                    .chain(product(*x, *w))
+                    .flatten()
+                    .collect()
             }
             Op::BatchMatMul(a, b) => {
                 let av = val(*a);

@@ -260,7 +260,8 @@ mod tests {
     #[test]
     fn gc_linear_helper() {
         let mut rng = SmallRng64::new(27);
-        let x = randn(&[4, 3], &mut rng);
+        // Leading dims read as rows: `[2, 2, 3]` is four rows of three.
+        let x = randn(&[2, 2, 3], &mut rng);
         let w = randn(&[3, 2], &mut rng);
         let b = randn(&[2], &mut rng);
         check(&[x, w, b], |g, v| {

@@ -35,6 +35,13 @@ pub(crate) enum Op {
     Mul(Var, Var),
     Scale(Var, f32),
     MatMul(Var, Var),
+    /// `x · w + b` over `x`'s rows: the affine map as one node, which
+    /// keeps only its output (the product is never a node of its own).
+    Linear {
+        x: Var,
+        w: Var,
+        b: Var,
+    },
     BatchMatMul(Var, Var),
     Permute(Var, Vec<usize>),
     Reshape(Var, Vec<usize>),
@@ -135,6 +142,7 @@ impl Op {
             | Op::AvgPool2d { input: a, .. }
             | Op::Embedding { weight: a, .. } => f(*a),
             Op::LayerNorm { x, gamma, beta, .. } => f(*x) || f(*gamma) || f(*beta),
+            Op::Linear { x, w, b } => f(*x) || f(*w) || f(*b),
             Op::Attention { q, k, v, mask, .. } => f(*q) || f(*k) || f(*v) || mask.is_some_and(f),
             Op::Concat { parts, .. } => parts.iter().any(|&p| f(p)),
             Op::Conv2d {
@@ -204,7 +212,7 @@ impl Deref for Value {
 ///
 /// While [`acme_obs::trace::enabled`], every pushed node and every
 /// backward rule adds its wall time to a process-wide per-op table
-/// (forward ns, backward ns, node count per op), which
+/// (forward ns, backward ns, node count and tape bytes per op), which
 /// [`crate::publish_obs_metrics`] publishes as `tensor.op.<name>.*`
 /// counters. A node's forward time runs from the previous push, so host
 /// work between two builders (patchifying images before their
@@ -308,7 +316,7 @@ impl Graph {
     /// dequantized f32 outputs.
     ///
     /// This is an inference-mode knob: the tape still records
-    /// `Op::MatMul` over the f32 operands, so a backward pass computes
+    /// `Op::MatMul` / `Op::Linear` over the f32 operands, so a backward pass computes
     /// gradients as if the product were exact. Serving never
     /// backpropagates; training graphs should stay at f32.
     pub fn set_matmul_precision(&mut self, p: Precision) {
@@ -326,14 +334,14 @@ impl Graph {
     }
 
     fn push_value(&mut self, value: Value, op: Op) -> Var {
-        // Off, the clock is dropped, so a node pushed after recording
-        // turns back on is never charged the time it was off.
-        self.clock = acme_obs::enabled().then(|| optable::forward(&op, self.clock));
         let owned = match &value {
             Value::Owned(a) => a.heap_bytes(),
             Value::Shared(_) => 0,
         };
         let bytes = owned + op.saved().map_or(0, Array::heap_bytes);
+        // Off, the clock is dropped, so a node pushed after recording
+        // turns back on is never charged the time it was off.
+        self.clock = acme_obs::enabled().then(|| optable::forward(&op, self.clock, bytes));
         self.value_bytes += bytes;
         mem::charge(Owner::TapeValues, bytes);
         self.values.push(value);
@@ -381,7 +389,7 @@ impl Graph {
     ///
     /// With a pack-cache identity `ident` (see [`crate::packcache`]), a
     /// 2-D value that later appears as the right-hand side of
-    /// [`Graph::matmul`] has its packed microkernel layout fetched from —
+    /// [`Graph::matmul`] or [`Graph::linear`] has its packed microkernel layout fetched from —
     /// or installed into — the process-wide packed-weight cache, so
     /// repeated products against frozen weights skip re-packing. Results
     /// are unaffected (the packed path is bit-identical).
@@ -471,7 +479,10 @@ impl Graph {
 
     // ---- linear algebra ----
 
-    /// 2-D matrix multiplication `[m,k] x [k,n] -> [m,n]`.
+    /// Matrix multiplication over `a`'s rows: `[.., k] x [k, n] ->
+    /// [.., n]`. `a`'s leading dims are read as the rows of one product,
+    /// in place, so a `[batch, tokens, k]` input needs no flattening
+    /// reshape (and its tape no flattened copy).
     ///
     /// When `b` is a parameter bound with a pack-cache identity, the
     /// product runs against its cached packed form (bit-identical,
@@ -479,25 +490,30 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::TensorError`] unless both operands are 2-D with
-    /// matching inner dimension.
+    /// Returns [`crate::TensorError`] unless `b` is 2-D and `a`'s last
+    /// dimension is `b`'s first.
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
-        let v = match self.param_idents.get(&b.0) {
-            Some(&ident) if packcache::worth_caching(self.value(b)) => {
-                match self.matmul_precision {
-                    Precision::F32 => {
-                        let packed = packcache::F32_CACHE.lookup_or_pack(ident, self.value(b));
-                        self.value(a).matmul_prepacked(&*packed)?
-                    }
-                    Precision::Int8 => {
-                        let packed = packcache::I8_CACHE.lookup_or_pack(ident, self.value(b));
-                        self.value(a).matmul_prepacked(&*packed)?
-                    }
-                }
-            }
-            _ => self.value(a).matmul(self.value(b))?,
-        };
+        let v = self.product(a, b)?;
         Ok(self.push(v, Op::MatMul(a, b)))
+    }
+
+    /// The value of `a · b` over `a`'s rows: against `b`'s packed form at
+    /// the graph's matmul precision when `b` is a parameter bound with a
+    /// pack-cache identity and large enough to cache, by the plain
+    /// blocked GEMM otherwise.
+    fn product(&self, a: Var, b: Var) -> Result<Array> {
+        let (av, bv) = (self.value(a), self.value(b));
+        match self.param_idents.get(&b.0) {
+            Some(&ident) if packcache::worth_caching(bv) => match self.matmul_precision {
+                Precision::F32 => {
+                    av.matmul_prepacked(&*packcache::F32_CACHE.lookup_or_pack(ident, bv))
+                }
+                Precision::Int8 => {
+                    av.matmul_prepacked(&*packcache::I8_CACHE.lookup_or_pack(ident, bv))
+                }
+            },
+            _ => av.matmul(bv),
+        }
     }
 
     /// Batched matmul over matching leading dimensions.
@@ -607,13 +623,15 @@ impl Graph {
     }
 
     /// Multi-head self-attention over projections `q`, `k`, `v`, each
-    /// `[batch·tokens, heads·head_dim]` (the outputs of the three input
-    /// projections, row `b·tokens + t`, head `h` in columns
-    /// `h·head_dim ..`). Per (batch, head) it computes
-    /// `softmax(Q·Kᵀ / √head_dim) · V`, times `mask[h]` when a mask is
-    /// given, and writes the context back in the same
-    /// `[batch·tokens, heads·head_dim]` layout, ready for the output
-    /// projection. `head_dim` is the projection width over `heads`.
+    /// `[.., heads·head_dim]` (the outputs of the three input
+    /// projections). By the rows rule of [`Graph::linear`], the leading
+    /// dims are read in place as `batch·tokens` rows, row `b·tokens + t`,
+    /// head `h` in columns `h·head_dim ..`: `[batch, tokens, inner]` and
+    /// `[batch·tokens, inner]` are the same input. Per (batch, head) it
+    /// computes `softmax(Q·Kᵀ / √head_dim) · V`, times `mask[h]` when a
+    /// mask is given, and writes the context back in `q`'s shape and
+    /// layout, ready for the output projection. `head_dim` is the
+    /// projection width over `heads`.
     ///
     /// One node replaces the unfused reshape / permute / `batch_matmul`
     /// / `scale` / `softmax_last` / `batch_matmul` / `mul` / permute
@@ -625,8 +643,8 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics unless `q`, `k` and `v` are 2-D of one shape whose rows
-    /// divide into `tokens` and whose width divides into `heads`, and a
+    /// Panics unless `q`, `k` and `v` have one shape of rank ≥ 1 whose
+    /// rows divide into `tokens` and whose width divides into `heads`, and a
     /// mask, if given, holds `heads` values (e.g. `[1, heads, 1, 1]`).
     pub fn attention(
         &mut self,
@@ -638,12 +656,14 @@ impl Graph {
         heads: usize,
     ) -> Var {
         let shape = self.shape(q).to_vec();
-        assert_eq!(shape.len(), 2, "attention: projections must be 2-D");
+        let (&inner, lead) = shape
+            .split_last()
+            .expect("attention: projections must have rank 1 or more");
         assert!(
             self.shape(k) == shape && self.shape(v) == shape,
             "attention: q, k, v shapes differ"
         );
-        let (rows, inner) = (shape[0], shape[1]);
+        let rows: usize = lead.iter().product();
         assert!(
             tokens > 0 && rows.is_multiple_of(tokens),
             "attention: {rows} rows are not batches of {tokens} tokens"
@@ -917,16 +937,34 @@ impl Graph {
 
     // ---- composite helpers ----
 
-    /// Affine map `x @ w + b` with `x: [n, in]`, `w: [in, out]`,
-    /// `b: [out]`.
+    /// Affine map `x @ w + b` over `x`'s rows, one node: `x: [.., in]`,
+    /// `w: [in, out]`, `b: [out]`, giving `[.., out]`. The leading dims of
+    /// `x` are read in place as the rows of one product (the rows rule
+    /// [`Graph::matmul`] and [`Graph::attention`] share), so a `[batch,
+    /// tokens, in]` input needs no flattening reshape. The product runs
+    /// as [`Graph::matmul`]'s (pack cache, f32 or int8) and `b` is added
+    /// over it in place, so the tape stores one value per affine map.
+    ///
+    /// Bit-identical, forward and backward, to `matmul` then a
+    /// broadcast `add` over the flattened rows: the backward gives `db`,
+    /// then `dx = g · wᵀ` and `dw = xᵀ · g`, in the order that pair gave
+    /// them.
     ///
     /// # Panics
     ///
     /// Panics on incompatible shapes (use [`Graph::matmul`] directly for
-    /// a fallible variant).
+    /// a fallible variant) and unless `b` is `[out]`.
     pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let y = self.matmul(x, w).expect("linear: incompatible shapes");
-        self.add(y, b)
+        let mut y = self.product(x, w).expect("linear: incompatible shapes");
+        let bias = self.value(b).data();
+        let out = *y.shape().last().expect("a product has rank 1 or more");
+        assert_eq!(self.shape(b), &[out], "linear: bias shape");
+        for row in y.data_mut().chunks_exact_mut(out.max(1)) {
+            for (o, &c) in row.iter_mut().zip(bias) {
+                *o += c;
+            }
+        }
+        self.push(y, Op::Linear { x, w, b })
     }
 }
 

@@ -71,8 +71,8 @@ pub use acme_obs as obs;
 /// `tensor.packcache.cached_floats`, the f32 side, as gauges), and the
 /// mean weight-quantization error over every int8
 /// pack performed (`tensor.packcache.i8_mean_quant_error`), and the
-/// tape's per-op self-time table (`tensor.op.<name>.fwd_ns` /
-/// `.bwd_ns` / `.calls` counters for every op that has recorded a
+/// tape's per-op table (`tensor.op.<name>.fwd_ns` / `.bwd_ns` /
+/// `.calls` / `.value_bytes` counters for every op that has recorded a
 /// node; see `Graph`'s docs). Call at a
 /// snapshot point (end of run, before `metrics::snapshot`); the hot
 /// paths keep their dependency-free atomics, so observation costs

@@ -70,59 +70,73 @@ pub(crate) fn matmul_a_bt_kernel(
 }
 
 impl Array {
-    /// The `(m, k, n)` of the 2-D product `self · rhs`, `rhs_shape` being
-    /// the right operand's logical shape (packed operands have no
-    /// `Array` to ask).
+    /// The `(m, k, n)` of `self · rhs` with `self` read as `m` rows of its
+    /// last dimension `k` (`m` is the product of its leading dims),
+    /// `rhs_shape` being the right operand's logical shape (packed
+    /// operands have no `Array` to ask).
     fn matmul_dims(&self, rhs_shape: &[usize], op: &'static str) -> Result<(usize, usize, usize)> {
-        for rank in [self.rank(), rhs_shape.len()] {
-            if rank != 2 {
-                return Err(TensorError::RankMismatch {
-                    expected: 2,
-                    actual: rank,
-                    op,
-                });
-            }
-        }
-        if self.shape()[1] != rhs_shape[0] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs_shape.to_vec(),
+        if rhs_shape.len() != 2 {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: rhs_shape.len(),
                 op,
             });
         }
-        Ok((self.shape()[0], self.shape()[1], rhs_shape[1]))
+        match self.shape().split_last() {
+            Some((&k, lead)) if k == rhs_shape[0] => Ok((lead.iter().product(), k, rhs_shape[1])),
+            _ => Err(TensorError::ShapeMismatch {
+                lhs: self.shape().to_vec(),
+                rhs: rhs_shape.to_vec(),
+                op,
+            }),
+        }
     }
 
-    /// Plain 2-D matrix multiplication `[m,k] x [k,n] -> [m,n]`.
+    /// `self`'s shape with its last dimension replaced by `n`: the shape
+    /// of a product over `self`'s rows.
+    fn rows_shape(&self, n: usize) -> Vec<usize> {
+        let mut shape = self.shape().to_vec();
+        if let Some(last) = shape.last_mut() {
+            *last = n;
+        }
+        shape
+    }
+
+    /// Matrix multiplication over `self`'s rows: `[.., k] x [k, n] ->
+    /// [.., n]`, the plain `[m, k] x [k, n] -> [m, n]` product for a 2-D
+    /// `self`. The leading dims of `self` are read in place as the rows
+    /// (nothing is flattened into a copy).
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for non-2-D operands and
-    /// [`TensorError::ShapeMismatch`] when the inner dimensions differ.
+    /// Returns [`TensorError::RankMismatch`] unless `rhs` is 2-D and
+    /// [`TensorError::ShapeMismatch`] when `self`'s last dimension is not
+    /// `rhs`'s first.
     pub fn matmul(&self, rhs: &Array) -> Result<Array> {
         let (m, k, n) = self.matmul_dims(rhs.shape(), "matmul")?;
-        let mut out = Array::zeros(&[m, n]);
+        let mut out = Array::zeros(&self.rows_shape(n));
         matmul_kernel(self.data(), rhs.data(), out.data_mut(), m, k, n);
         Ok(out)
     }
 
-    /// `self · b` where the right-hand side has already been packed into
-    /// kernel `K`'s microkernel layout (see [`crate::packcache`]). At
-    /// [`gemm::F32`] it is bit-identical to [`Array::matmul`] against the
-    /// unpacked matrix; only the `O(k·n)` packing copy is skipped. At
-    /// [`crate::qgemm::I8`] it quantizes `self` per row, runs the
-    /// i8·i8→i32 engine and dequantizes into an f32 output: bit-identical
-    /// to the scalar quantized oracle at any thread count, *not* to
-    /// [`Array::matmul`] — the quantization error is the precision trade
-    /// serving opts into.
+    /// `self · b` over `self`'s rows (`[.., k] x [k, n] -> [.., n]`, as
+    /// [`Array::matmul`]) where the right-hand side has already been
+    /// packed into kernel `K`'s microkernel layout (see
+    /// [`crate::packcache`]). At [`gemm::F32`] it is bit-identical to the
+    /// product against the unpacked matrix; only the `O(k·n)` packing
+    /// copy is skipped. At [`crate::qgemm::I8`] it quantizes `self` per
+    /// row, runs the i8·i8→i32 engine and dequantizes into an f32 output:
+    /// bit-identical to the scalar quantized oracle at any thread count,
+    /// *not* to [`Array::matmul`] — the quantization error is the
+    /// precision trade serving opts into.
     ///
     /// # Errors
     ///
-    /// Returns the same rank/shape errors as [`Array::matmul`], with the
+    /// Returns the same shape errors as [`Array::matmul`], with the
     /// packed operand's logical shape standing in for `rhs`.
     pub fn matmul_prepacked<K: Kernel>(&self, packed: &Packed<K>) -> Result<Array> {
         let (m, _, n) = self.matmul_dims(&[packed.k(), packed.n()], "matmul")?;
-        let mut out = Array::zeros(&[m, n]);
+        let mut out = Array::zeros(&self.rows_shape(n));
         let pool = acme_runtime::global_pool();
         K::gemm_f32(self.data(), packed, out.data_mut(), m, &pool);
         Ok(out)
@@ -280,7 +294,17 @@ mod tests {
         let a = Array::ones(&[2, 3]);
         assert!(a.matmul(&Array::ones(&[4, 2])).is_err());
         assert!(a.matmul(&Array::ones(&[3])).is_err());
-        assert!(Array::ones(&[3]).matmul(&a).is_err());
+        assert!(Array::scalar(1.0).matmul(&a).is_err());
+    }
+
+    #[test]
+    fn matmul_reads_leading_dims_as_rows() {
+        let a = Array::from_vec((0..12).map(|x| x as f32).collect(), &[2, 2, 3]).unwrap();
+        let b = arr(&[1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
+        let c = a.matmul(&b).unwrap();
+        assert_eq!(c.shape(), &[2, 2, 2]);
+        let flat = a.reshaped(&[4, 3]).unwrap().matmul(&b).unwrap();
+        assert_eq!(c.data(), flat.data());
     }
 
     #[test]

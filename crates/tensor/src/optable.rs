@@ -1,8 +1,8 @@
-//! The tape's per-op self-time table: forward nanoseconds, backward
-//! nanoseconds and node count per [`Op`] variant, accumulated
+//! The tape's per-op table: forward nanoseconds, backward nanoseconds,
+//! node count and tape bytes per [`Op`] variant, accumulated
 //! process-wide while [`acme_obs::trace::enabled`] and published by
 //! [`crate::publish_obs_metrics`] as `tensor.op.<name>.{fwd_ns, bwd_ns,
-//! calls}` counters.
+//! calls, value_bytes}` counters.
 //!
 //! A node's forward time is the wall time since the graph's previous
 //! node was pushed (or since [`Graph::reset`](crate::Graph::reset) /
@@ -13,6 +13,10 @@
 //! patchify. A node's backward time is its
 //! gradient rule plus the accumulation of its contributions. The rows of
 //! one step therefore sum to the step's forward and backward wall time.
+//! A node's bytes are what it puts on the tape: its owned value (a
+//! parameter bound by reference has none) plus the state its op saves
+//! for the backward rule, the node's share of the
+//! [`Owner::TapeValues`](acme_obs::mem::Owner::TapeValues) gauge.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -29,11 +33,13 @@ macro_rules! op_table {
             $($op),*
         }
 
-        /// Registry names of each row's `fwd_ns`, `bwd_ns` and `calls`.
-        const METRICS: [[&str; 3]; ROWS] = [$([
+        /// Registry names of each row's `fwd_ns`, `bwd_ns`, `calls` and
+        /// `value_bytes`.
+        const METRICS: [[&str; COLUMNS]; ROWS] = [$([
             concat!("tensor.op.", $name, ".fwd_ns"),
             concat!("tensor.op.", $name, ".bwd_ns"),
             concat!("tensor.op.", $name, ".calls"),
+            concat!("tensor.op.", $name, ".value_bytes"),
         ]),*];
 
         impl Op {
@@ -53,6 +59,7 @@ op_table! {
     Mul => "mul",
     Scale => "scale",
     MatMul => "matmul",
+    Linear => "linear",
     BatchMatMul => "batch_matmul",
     Permute => "permute",
     Reshape => "reshape",
@@ -79,9 +86,12 @@ op_table! {
 const FWD: usize = 0;
 const BWD: usize = 1;
 const CALLS: usize = 2;
+const BYTES: usize = 3;
+const COLUMNS: usize = 4;
 
-/// `[fwd_ns, bwd_ns, calls]` per row.
-static TABLE: [[AtomicU64; 3]; ROWS] = [const { [const { AtomicU64::new(0) }; 3] }; ROWS];
+/// `[fwd_ns, bwd_ns, calls, value_bytes]` per row.
+static TABLE: [[AtomicU64; COLUMNS]; ROWS] =
+    [const { [const { AtomicU64::new(0) }; COLUMNS] }; ROWS];
 
 fn add(row: usize, column: usize, by: u64) {
     TABLE[row][column].fetch_add(by, Relaxed);
@@ -91,15 +101,17 @@ fn ns_since(t: Instant, now: Instant) -> u64 {
     now.duration_since(t).as_nanos() as u64
 }
 
-/// Counts one pushed `op` and charges it the time since `since` (the
-/// graph's previous push), returning the new clock.
-pub(crate) fn forward(op: &Op, since: Option<Instant>) -> Instant {
+/// Counts one pushed `op` holding `bytes` on the tape and charges it
+/// the time since `since` (the graph's previous push), returning the new
+/// clock.
+pub(crate) fn forward(op: &Op, since: Option<Instant>, bytes: usize) -> Instant {
     let now = Instant::now();
     let row = op.row();
     if let Some(t) = since {
         add(row, FWD, ns_since(t, now));
     }
     add(row, CALLS, 1);
+    add(row, BYTES, bytes as u64);
     now
 }
 
@@ -128,6 +140,6 @@ mod tests {
         let mut names: Vec<&str> = METRICS.iter().flatten().copied().collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 3 * ROWS);
+        assert_eq!(names.len(), COLUMNS * ROWS);
     }
 }

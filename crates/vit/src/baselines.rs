@@ -300,11 +300,8 @@ impl ImageClassifier for TwinsSvtLike {
         let grid = images.shape()[2] / self.patch;
         let patches = crate::model::patchify(images, self.patch);
         let t = patches.shape()[1];
-        let pd = patches.shape()[2];
         let pv = g.constant(patches);
-        let flat = g.reshape(pv, &[b * t, pd]);
-        let emb = self.patch_proj.forward(g, ps, flat);
-        let tokens = g.reshape(emb, &[b, t, self.dim]);
+        let tokens = self.patch_proj.forward(g, ps, pv);
         // Conditional positional encoding: depth-style conv over the grid,
         // added residually (Twins' CPE idea).
         let chan = g.permute(tokens, &[0, 2, 1]);

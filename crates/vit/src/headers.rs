@@ -260,10 +260,9 @@ impl AttentionPoolHeader {
 impl Header for AttentionPoolHeader {
     fn forward(&self, g: &mut Graph, ps: &ParamSet, features: &Features) -> Var {
         let shape = g.shape(features.tokens).to_vec();
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
+        let (b, t) = (shape[0], shape[1]);
         let q = ps.bind(g, self.query);
-        let flat = g.reshape(features.tokens, &[b * t, d]);
-        let scores = g.matmul(flat, q).expect("pool query shapes"); // [B*T, 1]
+        let scores = g.matmul(features.tokens, q).expect("pool query shapes"); // [B, T, 1]
         let scores = g.reshape(scores, &[b, t]);
         let weights = g.softmax_last(scores);
         let weights = g.reshape(weights, &[b, 1, t]);

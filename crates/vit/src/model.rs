@@ -152,12 +152,8 @@ impl Vit {
     pub fn embed(&self, g: &mut Graph, ps: &ParamSet, images: &Array) -> Var {
         let b = images.shape()[0];
         let patches = patchify(images, self.config.patch);
-        let t = patches.shape()[1];
-        let pd = patches.shape()[2];
         let pv = g.constant(patches);
-        let flat = g.reshape(pv, &[b * t, pd]);
-        let emb = self.patch_embed.forward(g, ps, flat);
-        let emb = g.reshape(emb, &[b, t, self.config.dim]);
+        let emb = self.patch_embed.forward(g, ps, pv);
         // Broadcast the class token over the batch and prepend it.
         let cls = ps.bind(g, self.cls_token);
         let zeros = g.constant(Array::zeros(&[b, 1, self.config.dim]));

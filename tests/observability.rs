@@ -378,14 +378,15 @@ fn a_training_step_is_bit_identical_with_recording_on_and_off() {
     acme_tensor::publish_obs_metrics();
     let metrics = acme_obs::metrics::snapshot();
     acme_obs::trace::set_enabled(false);
-    for name in ["leaf", "matmul", "layer_norm", "gelu"] {
+    for name in ["leaf", "linear", "layer_norm", "gelu"] {
         assert!(
             metrics.counter(&format!("tensor.op.{name}.calls")) > 0,
             "no {name} row"
         );
     }
-    assert!(metrics.counter("tensor.op.matmul.fwd_ns") > 0);
-    assert!(metrics.counter("tensor.op.matmul.bwd_ns") > 0);
+    assert!(metrics.counter("tensor.op.linear.fwd_ns") > 0);
+    assert!(metrics.counter("tensor.op.linear.bwd_ns") > 0);
+    assert!(metrics.counter("tensor.op.linear.value_bytes") > 0);
     reset_obs();
 }
 
