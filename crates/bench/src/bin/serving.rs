@@ -11,7 +11,8 @@
 //! - `--precision f32|int8`: restrict the sweep — `f32` runs only the
 //!   batching axis, `int8` only the precision axis (the GEMM-heavy
 //!   quantized model at f32 and int8, so `speedup_vs_f32` is measured).
-//!   Default runs both.
+//!   Default runs both; a `--precision` with no value or another value
+//!   exits 1 before any sweep.
 //!
 //! Serving workers share this machine's cores with the GEMM pool;
 //! kernel threading is pinned to one thread so the sweep isolates the
@@ -28,14 +29,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = acme_bench::or_exit(acme_bench::out_path(&args, "BENCH_serving.json"));
-    let precision_arg = args
-        .iter()
-        .position(|a| a == "--precision")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| {
-            acme_serve::Precision::parse(p)
-                .unwrap_or_else(|| panic!("unknown precision {p:?}; expected f32 or int8"))
-        });
+    let precision_arg = acme_bench::or_exit(
+        acme_bench::arg_value(&args, "--precision", "f32 or int8").and_then(|p| {
+            p.map(|p| {
+                acme_serve::Precision::parse(&p)
+                    .ok_or_else(|| format!("unknown precision {p:?}; expected f32 or int8"))
+            })
+            .transpose()
+        }),
+    );
 
     // One kernel thread: the serving workers are the parallelism axis
     // under measurement.

@@ -92,11 +92,22 @@ pub fn out_path(args: &[String], default: &str) -> Result<String, String> {
 ///
 /// When `--out` is the last argument.
 pub fn out_arg(args: &[String]) -> Result<Option<String>, String> {
-    let at = args.iter().position(|a| a == "--out");
+    arg_value(args, "--out", "a path")
+}
+
+/// The value after `flag` in `args`, `None` when `args` has no `flag`.
+/// A `flag` with nothing after it is an error, not the flag's absence:
+/// `--flag $UNSET` expands to exactly that.
+///
+/// # Errors
+///
+/// When `flag` is the last argument; the message says it needs `what`.
+pub fn arg_value(args: &[String], flag: &str, what: &str) -> Result<Option<String>, String> {
+    let at = args.iter().position(|a| a == flag);
     at.map(|i| {
         args.get(i + 1)
             .cloned()
-            .ok_or_else(|| "--out needs a path".to_string())
+            .ok_or_else(|| format!("{flag} needs {what}"))
     })
     .transpose()
 }

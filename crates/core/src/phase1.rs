@@ -1,7 +1,7 @@
 //! Phase 1: backbone generation and cluster-level customization
 //! (Algorithm 1).
 
-use acme_data::Dataset;
+use acme_data::{batch_indices, Dataset};
 use acme_energy::{DeviceCluster, EnergyModel};
 use acme_nn::{accuracy, ParamSet};
 use acme_pareto::{select_constrained, Candidate, GridSpec, SelectError};
@@ -47,7 +47,8 @@ fn validate(vit: &Vit, ps: &ParamSet, data: &Dataset, batch_size: usize) -> (f64
     let mut correct = 0.0f64;
     let mut count = 0usize;
     let mut g = Graph::new();
-    for batch in data.batches(batch_size, &mut rng) {
+    for indices in batch_indices(data.len(), batch_size, &mut rng) {
+        let batch = data.batch(&indices);
         g.reset();
         let n = batch.labels.len() as f64;
         let logits = vit.logits(&mut g, ps, &batch.images);
@@ -217,7 +218,7 @@ pub fn customize_backbone_for_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_energy::{Device, EdgeId};
     use acme_vit::VitConfig;
 
@@ -227,7 +228,7 @@ mod tests {
 
     fn setup_at(seed: u64) -> (Vit, ParamSet, Dataset, Dataset, SmallRng64) {
         let mut rng = SmallRng64::new(seed);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let (train, val) = ds.split(0.7, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();

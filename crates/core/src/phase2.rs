@@ -92,13 +92,13 @@ pub fn coarse_header_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_vit::VitConfig;
 
     #[test]
     fn edge_search_yields_usable_header() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -366,13 +366,13 @@ pub fn refine_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_data::{cifar100_like, partition_confusion, ConfusionLevel, SyntheticSpec};
+    use acme_data::{generate, partition_confusion, ConfusionLevel, SyntheticSpec};
     use acme_nas::{HeaderArch, SharedParams};
     use acme_vit::VitConfig;
 
     fn setup() -> (Vit, NasHeader, ParamSet, Vec<DeviceSetup>, SmallRng64) {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(48), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(48), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

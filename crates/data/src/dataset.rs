@@ -173,15 +173,6 @@ impl Dataset {
         self.batch(&(0..self.len()).collect::<Vec<_>>())
     }
 
-    /// Yields shuffled minibatches of (at most) `batch_size`: the
-    /// batches of [`batch_indices`] over this dataset, in its order.
-    pub fn batches(&self, batch_size: usize, rng: &mut SmallRng64) -> Vec<Batch> {
-        batch_indices(self.len(), batch_size, rng)
-            .iter()
-            .map(|c| self.batch(c))
-            .collect()
-    }
-
     /// Stacks the examples at `indices`, in that order, into one batch
     /// (a pooled buffer, like every array a tape builds).
     ///
@@ -208,9 +199,10 @@ impl Dataset {
 }
 
 /// One shuffle of `0..len`, cut into chunks of (at most) `batch_size`:
-/// the indices behind [`Dataset::batches`] for a dataset of `len`
-/// examples, for per-example stores (such as cached features) that
-/// batch the way the images would.
+/// one epoch's minibatches of a dataset of `len` examples. A loop stacks
+/// each with [`Dataset::batch`] when its step runs it, so an epoch cut
+/// short stacks no more than it uses; per-example stores (such as
+/// cached features) batch the same indices.
 pub fn batch_indices(len: usize, batch_size: usize, rng: &mut SmallRng64) -> Vec<Vec<usize>> {
     let mut idx: Vec<usize> = (0..len).collect();
     rng.shuffle(&mut idx);
@@ -268,22 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn batches_cover_dataset_once() {
-        let ds = toy(10, 2);
-        let bs = ds.batches(3, &mut SmallRng64::new(0));
-        assert_eq!(bs.len(), 4); // 3+3+3+1
-        let total: usize = bs.iter().map(|b| b.labels.len()).sum();
-        assert_eq!(total, 10);
-        assert_eq!(bs[0].images.shape(), &[3, 1, 2, 2]);
-    }
-
-    #[test]
-    fn batches_are_the_batch_indices_built() {
+    fn batch_indices_cover_dataset_once() {
         let ds = toy(10, 2);
         let idx = batch_indices(ds.len(), 3, &mut SmallRng64::new(4));
-        let bs = ds.batches(3, &mut SmallRng64::new(4));
-        assert_eq!(idx.len(), bs.len());
-        for (c, b) in idx.iter().zip(&bs) {
+        assert_eq!(idx.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 3, 1]);
+        for c in &idx {
+            let b = ds.batch(c);
+            assert_eq!(b.images.shape(), &[c.len(), 1, 2, 2]);
             // toy image i is filled with i.
             let firsts: Vec<f32> = b.images.data().iter().step_by(4).copied().collect();
             assert_eq!(firsts, c.iter().map(|&i| i as f32).collect::<Vec<_>>());

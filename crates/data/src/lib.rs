@@ -21,11 +21,11 @@
 //! panicking.
 //!
 //! ```
-//! use acme_data::{cifar100_like, SyntheticSpec};
+//! use acme_data::{generate, SyntheticSpec};
 //! use acme_tensor::SmallRng64;
 //!
 //! let mut rng = SmallRng64::new(0);
-//! let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+//! let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
 //! assert!(ds.len() > 0);
 //! let (train, test) = ds.split(0.8, &mut rng);
 //! assert!(train.len() > test.len());
@@ -43,4 +43,4 @@ pub use drift::{DriftSpec, DriftingStream};
 pub use error::DataError;
 pub use partition::{partition_confusion, ConfusionLevel};
 pub use stats::label_distribution;
-pub use synthetic::{cifar100_like, generate, SyntheticSpec};
+pub use synthetic::{generate, SyntheticSpec};

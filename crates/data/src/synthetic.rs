@@ -190,15 +190,6 @@ pub fn generate(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Result<Dataset, D
     Ok(Dataset::new(images, labels, spec.classes))
 }
 
-/// CIFAR-100-like synthetic dataset (the paper's main benchmark, §IV-A).
-///
-/// # Errors
-///
-/// Same contract as [`generate`].
-pub fn cifar100_like(spec: &SyntheticSpec, rng: &mut SmallRng64) -> Result<Dataset, DataError> {
-    generate(spec, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

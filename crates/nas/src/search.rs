@@ -2,7 +2,7 @@
 //! (§III-C2): shared-parameter steps (Eq. 15) interleaved with
 //! REINFORCE controller steps.
 
-use acme_data::Dataset;
+use acme_data::{batch_indices, Dataset};
 use acme_nn::{accuracy, clip_grad_norm, Adam, Optimizer, ParamSet};
 use acme_tensor::{Graph, SmallRng64};
 use acme_vit::headers::Header;
@@ -146,10 +146,11 @@ impl NasSearch {
             // sampled children (Eq. 15).
             let mut steps = 0;
             'outer: loop {
-                for batch in train.batches(self.config.batch_size, rng) {
+                for indices in batch_indices(train.len(), self.config.batch_size, rng) {
                     if steps >= self.config.shared_steps {
                         break 'outer;
                     }
+                    let batch = train.batch(&indices);
                     g.reset();
                     let feats = vit.forward(&mut g, ps, &batch.images);
                     let mut loss_acc = None;
@@ -306,7 +307,8 @@ impl NasSearch {
         let mut total = 0usize;
         let header = NasHeader::new(arch.clone(), shared.clone());
         let mut g = Graph::new();
-        for batch in val.batches(self.config.batch_size, rng) {
+        for indices in batch_indices(val.len(), self.config.batch_size, rng) {
+            let batch = val.batch(&indices);
             g.reset();
             let feats = vit.forward(&mut g, ps, &batch.images);
             let logits = header.forward(&mut g, ps, &feats);
@@ -320,13 +322,13 @@ impl NasSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_vit::VitConfig;
 
     #[test]
     fn quick_search_finds_a_working_header() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let (train, val) = ds.split(0.7, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
@@ -354,7 +356,7 @@ mod tests {
     #[test]
     fn zero_finetune_epochs_score_the_shared_weights() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let (train, val) = ds.split(0.7, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
@@ -384,7 +386,7 @@ mod tests {
     #[test]
     fn diverged_predictor_does_not_panic_the_final_selection() {
         let mut rng = SmallRng64::new(2);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let (train, val) = ds.split(0.7, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
@@ -425,7 +427,7 @@ mod tests {
         // Train shared params for several rounds and verify a fixed
         // child's loss decreases.
         let mut rng = SmallRng64::new(1);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -165,11 +165,6 @@ impl Pool {
         self.threads
     }
 
-    /// Whether this pool runs tasks inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Worker count, and the share each task gets, for a map opened
     /// here that wants `fan_out` workers: all of them at top level, at
     /// most the enclosing task's share inside one.
@@ -559,7 +554,6 @@ mod tests {
     fn zero_threads_clamps_to_serial() {
         let pool = Pool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert!(pool.is_serial());
         assert_eq!(pool.par_map(vec![1, 2], |_, x| x), vec![1, 2]);
     }
 

@@ -7,8 +7,9 @@ use acme_obs::mem::{self, Owner};
 use crate::array::Array;
 use crate::attention;
 use crate::conv::conv2d_backward;
+use crate::gemm::{self, MatRef};
 use crate::graph::{Graph, Op, Value, Var};
-use crate::linalg::{invert_perm, matmul_a_bt_kernel, matmul_at_b_kernel};
+use crate::linalg::invert_perm;
 use crate::{optable, rowwise};
 
 impl Graph {
@@ -135,8 +136,19 @@ impl Graph {
         // only through it, so single-input rules below need no check.
         let part = |v: Var, rule: &dyn Fn() -> Array| needs_grad[v.0].then(|| (v.0, rule()));
         let pair = |p: [Option<(usize, Array)>; 2]| p.into_iter().flatten().collect();
-        // `da = grad · bᵀ` and `db = aᵀ · grad` of a product over `a`'s
-        // rows `[.., k]` (`b` is `[k, n]`).
+        let pool = acme_runtime::global_pool();
+        // `da += g · bᵀ` and `db += aᵀ · g` of one `[m, k] x [k, n]`
+        // product, all three operands row-major slices.
+        let da = |g: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize| {
+            let (g, b) = (MatRef::row_major(g, n), MatRef::transposed(b, n));
+            gemm::gemm(g, b, out, m, n, k, &pool);
+        };
+        let db = |a: &[f32], g: &[f32], out: &mut [f32], m: usize, k: usize, n: usize| {
+            let (a, g) = (MatRef::transposed(a, k), MatRef::row_major(g, n));
+            gemm::gemm(a, g, out, k, m, n, &pool);
+        };
+        // The gradients of a product over `a`'s rows `[.., k]` (`b` is
+        // `[k, n]`).
         let product = |a: Var, b: Var| {
             let (av, bv) = (val(a), val(b));
             let (k, n) = (bv.shape()[0], bv.shape()[1]);
@@ -144,12 +156,12 @@ impl Graph {
             [
                 part(a, &|| {
                     let mut ga = Array::zeros(av.shape());
-                    matmul_a_bt_kernel(grad.data(), bv.data(), ga.data_mut(), m, n, k);
+                    da(grad.data(), bv.data(), ga.data_mut(), m, k, n);
                     ga
                 }),
                 part(b, &|| {
                     let mut gb = Array::zeros(&[k, n]);
-                    matmul_at_b_kernel(av.data(), grad.data(), gb.data_mut(), k, m, n);
+                    db(av.data(), grad.data(), gb.data_mut(), m, k, n);
                     gb
                 }),
             ]
@@ -190,32 +202,22 @@ impl Graph {
                 let (m, k) = (av.shape()[r - 2], av.shape()[r - 1]);
                 let n = bv.shape()[r - 1];
                 let gslice = |bi: usize| &grad.data()[bi * m * n..(bi + 1) * m * n];
+                let bslice = |bi: usize| &bv.data()[bi * k * n..(bi + 1) * k * n];
+                let aslice = |bi: usize| &av.data()[bi * m * k..(bi + 1) * m * k];
                 pair([
                     part(*a, &|| {
                         let mut ga = Array::zeros(av.shape());
                         for bi in 0..batch {
-                            matmul_a_bt_kernel(
-                                gslice(bi),
-                                &bv.data()[bi * k * n..(bi + 1) * k * n],
-                                &mut ga.data_mut()[bi * m * k..(bi + 1) * m * k],
-                                m,
-                                n,
-                                k,
-                            );
+                            let out = &mut ga.data_mut()[bi * m * k..(bi + 1) * m * k];
+                            da(gslice(bi), bslice(bi), out, m, k, n);
                         }
                         ga
                     }),
                     part(*b, &|| {
                         let mut gb = Array::zeros(bv.shape());
                         for bi in 0..batch {
-                            matmul_at_b_kernel(
-                                &av.data()[bi * m * k..(bi + 1) * m * k],
-                                gslice(bi),
-                                &mut gb.data_mut()[bi * k * n..(bi + 1) * k * n],
-                                k,
-                                m,
-                                n,
-                            );
+                            let out = &mut gb.data_mut()[bi * k * n..(bi + 1) * k * n];
+                            db(aslice(bi), gslice(bi), out, m, k, n);
                         }
                         gb
                     }),

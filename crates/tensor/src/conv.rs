@@ -9,10 +9,10 @@
 //! reads; a `(yx, c)` it does not list is padding and reads 0.0.
 //! [`im2col`] gathers the batch through it into one zeroed matrix,
 //! `[CK, B·HW]` or `[B·HW, CK]`, and [`col2im`] scatter-adds a
-//! `[B·HW, CK]` gradient back through it. Each product is then one call into the
-//! blocked GEMM engine ([`crate::gemm`]) over the whole batch, laid out
-//! so its wide axis is `B·HW` or `CK` and never the few output channels
-//! `O`:
+//! `[B·HW, CK]` gradient back through it. Each product is then one call
+//! of the plain dispatch [`gemm::gemm`] over the whole batch, which runs
+//! the blocked engine from `MR` output rows on. Each is laid out so its
+//! wide axis is `B·HW` or `CK` and never the few output channels `O`:
 //!
 //! * forward, [`conv2d_forward`]: `Y[O, B·HW] = W[O, CK] · Xᵀ[CK, B·HW]`,
 //!   then `+ bias[o]` while `Y` is scattered into `[B, O, H', W']`;
@@ -48,9 +48,11 @@
 //!
 //! [`madd`]: crate::gemm::madd
 
+use acme_runtime::global_pool;
+
 use crate::array::Array;
 use crate::error::{Result, TensorError};
-use crate::gemm::{gemm_prepacked, pack_b, MatRef};
+use crate::gemm::{self, MatRef};
 use crate::pool;
 
 /// Static geometry of a 2-D convolution.
@@ -233,14 +235,6 @@ fn col2im(gcol: &[f32], g: &ConvGeom, taps: &[Tap], input_grad: &mut [f32]) {
     }
 }
 
-/// `out[m, n] += a[m, k] · b[k, n]` through the blocked engine at any
-/// size. Conv products are narrow (`n` of 16 to a few hundred), where
-/// the naive loop's vector body barely runs; the engine's chains are the
-/// naive loop's, so the choice moves no bit.
-fn product(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_prepacked(a, &pack_b(b, k, n), out, m, &acme_runtime::global_pool());
-}
-
 /// The conv node's forward: `[B, O, H', W']` from input `[B, C, H, W]`,
 /// weight `[O, C, kh, kw]` and bias `[O]`, as one lowering and one
 /// product over the whole batch (see the module doc).
@@ -251,7 +245,7 @@ pub(crate) fn conv2d_forward(input: &[f32], weight: &[f32], bias: &[f32], g: &Co
     im2col(input, g, &g.taps(), &mut cols, 1, n);
     let mut y = pool::take_filled(g.out_ch * n, 0.0);
     let (a, b) = (MatRef::row_major(weight, cw), MatRef::row_major(&cols, n));
-    product(a, b, &mut y, g.out_ch, cw, n);
+    gemm::gemm(a, b, &mut y, g.out_ch, cw, n, &global_pool());
     let mut out = pool::take(g.out_ch * n);
     for b in 0..g.batch {
         for (o, &bo) in bias.iter().enumerate() {
@@ -302,7 +296,7 @@ pub(crate) fn conv2d_backward(
         );
         let mut gw = Array::zeros(&[g.out_ch, g.in_ch, g.kh, g.kw]);
         let (a, b) = (MatRef::row_major(grad_t, n), MatRef::row_major(&cols, cw));
-        product(a, b, gw.data_mut(), g.out_ch, n, cw);
+        gemm::gemm(a, b, gw.data_mut(), g.out_ch, n, cw, &global_pool());
         pool::recycle(cols);
         gw
     });
@@ -310,7 +304,7 @@ pub(crate) fn conv2d_backward(
         let grad_t = grad_t.as_deref().expect("computed for dX");
         let mut gcol = pool::take_filled(n * cw, 0.0);
         let (a, b) = (MatRef::transposed(grad_t, n), MatRef::row_major(weight, cw));
-        product(a, b, &mut gcol, n, g.out_ch, cw);
+        gemm::gemm(a, b, &mut gcol, n, g.out_ch, cw, &global_pool());
         let mut gin = Array::zeros(&[g.batch, g.in_ch, g.in_h, g.in_w]);
         #[expect(clippy::disallowed_methods, reason = "dX's one scatter")]
         col2im(

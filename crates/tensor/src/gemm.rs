@@ -34,10 +34,21 @@
 //! multi-threaded paths are all **bit-identical** to [`gemm_naive`] at any
 //! thread count and any block size.
 //!
+//! # One dispatch
+//!
+//! [`gemm`] is the one entry for an f32 product whose right operand is
+//! not pre-packed, and the one place that picks the kernel: fewer rows
+//! than one register tile (`m < MR`) take [`gemm_naive`], every other
+//! product packs `b` and runs the blocked driver. The rule is rows, not
+//! work: below `MR` rows packing `b` seldom pays off and the driver has
+//! no row panel to split, while from `MR` rows on the blocked kernel is
+//! faster at every measured shape of depth 8 or more but one, however
+//! few the multiply-adds (DESIGN.md §8 has the table).
+//!
 //! # Packed-B reuse
 //!
 //! [`pack_b`] produces a self-contained [`PackedB`] that can be cached and
-//! reused across calls via [`gemm_prepacked`] — the hook used by the
+//! reused across calls via [`Kernel::gemm_f32`] — the hook used by the
 //! parameter-keyed packed-weight cache in `packcache` for inference-style
 //! repeated matmuls against frozen weights.
 
@@ -58,11 +69,6 @@ pub const MC: usize = 128;
 /// Depth-block size: one `MC x KC` packed-A block (256 KiB) fits in L2
 /// while a `KC x NR` packed-B panel (96 KiB) streams through L1/L2.
 pub const KC: usize = 512;
-
-/// Work (in multiply-adds) below which the plain naive loop is used:
-/// packing and scratch setup cost more than they save on tiny operands.
-/// Dispatch is invisible in the results — both paths are bit-identical.
-const BLOCKED_MIN_FLOPS: usize = 16 * 1024;
 
 /// One accumulation step, `a * b + c` with a single rounding — always
 /// fused, on every target: a `vfmadd` where the build enables FMA, the
@@ -488,6 +494,7 @@ impl Kernel for F32 {
     }
 
     fn gemm_f32(a: &[f32], pb: &PackedB, out: &mut [f32], m: usize, pool: &Pool) {
+        #[expect(clippy::disallowed_methods, reason = "the cached-pack product")]
         gemm_prepacked(MatRef::row_major(a, pb.k), pb, out, m, pool);
     }
 }
@@ -499,8 +506,8 @@ pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
 
 /// Reference kernel: the naive, dense, branch-free triple loop
 /// (`k` ascending, direct accumulation into `out`, one [`madd`] per
-/// step). This is both the bit-exact oracle for the blocked paths and the
-/// small-operand fast path.
+/// step). This is the bit-exact oracle for the blocked paths, and the
+/// path [`gemm`] takes for fewer than [`MR`] rows.
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -522,8 +529,12 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: us
     }
 }
 
-/// `out[m, n] += a[m, k] · b[k, n]` with cache blocking, packing, and
-/// row-panel parallelism over `pool`. Bit-identical to [`gemm_naive`].
+/// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product against an
+/// unpacked right operand. Fewer than [`MR`] rows run [`gemm_naive`]
+/// (there packing `b` seldom pays off, and there is no row panel to
+/// split); every other product packs `b` and runs the blocked driver
+/// with row-panel parallelism over `pool`. Both give [`gemm_naive`]'s
+/// bits, so the choice is invisible in the result.
 pub fn gemm(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -534,50 +545,12 @@ pub fn gemm(
     pool: &Pool,
 ) {
     assert_eq!(out.len(), m * n, "gemm: output buffer size");
-    let flops = m * k * n;
-    if flops <= BLOCKED_MIN_FLOPS {
+    if m < MR {
         let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
         return gemm_naive(a, b, out, m, k, n);
     }
-    let pb = pack_b(b, k, n);
-    gemm_prepacked(a, &pb, out, m, pool);
-}
-
-/// Batched `out[b] += a[b] · rhs[b]` over `batch` independent
-/// `m x k · k x n` products, parallelized over the batch axis (each
-/// batch's product runs serial inside its task, keeping the k-order
-/// fixed). Falls back to row-panel parallelism for a single batch.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batched(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &Pool,
-) {
-    assert_eq!(out.len(), batch * m * n, "gemm_batched: output buffer size");
-    if out.is_empty() {
-        return;
-    }
-    let product = |bi: usize, chunk: &mut [f32], pool: &Pool| {
-        let av = MatRef::row_major(&a[bi * m * k..(bi + 1) * m * k], k);
-        let bv = MatRef::row_major(&b[bi * k * n..(bi + 1) * k * n], n);
-        gemm(av, bv, chunk, m, k, n, pool);
-    };
-    if batch == 1 {
-        return product(0, out, pool);
-    }
-    let chunks = out.chunks_exact_mut(m * n).enumerate();
-    if pool.is_serial() || batch * m * k * n < F32::PARALLEL_MIN_MACS {
-        chunks.for_each(|(bi, chunk)| product(bi, chunk, &Pool::serial()));
-    } else {
-        pool.par_map(chunks.collect(), |_, (bi, chunk)| {
-            product(bi, chunk, &Pool::serial())
-        });
-    }
+    #[expect(clippy::disallowed_methods, reason = "the unpacked dispatch")]
+    gemm_prepacked(a, &pack_b(b, k, n), out, m, pool);
 }
 
 #[cfg(test)]
@@ -753,31 +726,6 @@ pub(crate) mod tests {
             &Pool::serial(),
         );
         assert_bits_eq(&out, &expect, "strided lhs view");
-    }
-
-    #[test]
-    fn batched_matches_per_batch_naive() {
-        let (batch, m, k, n) = (6, 9, 14, 11);
-        let mut a = vec![0.0; batch * m * k];
-        let mut b = vec![0.0; batch * k * n];
-        fill(&mut a, 12);
-        fill(&mut b, 13);
-        let mut expect = vec![0.0; batch * m * n];
-        for bi in 0..batch {
-            let o = naive_out(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                m,
-                k,
-                n,
-            );
-            expect[bi * m * n..(bi + 1) * m * n].copy_from_slice(&o);
-        }
-        for threads in [1, 4] {
-            let mut out = vec![0.0; batch * m * n];
-            gemm_batched(&a, &b, &mut out, batch, m, k, n, &Pool::new(threads));
-            assert_bits_eq(&out, &expect, &format!("batched t{threads}"));
-        }
     }
 
     #[test]

@@ -1,73 +1,15 @@
 //! Matrix multiplication (plain and batched) and axis permutation.
 //!
-//! The actual arithmetic lives in the blocked, multi-threaded engine in
-//! [`crate::gemm`]; the `matmul_*_kernel` entry points here are thin
-//! shape adapters kept for the rest of the crate (forward ops and
-//! backward passes). All of them run on the process-wide
-//! worker pool ([`acme_runtime::global_pool`]) and stay bit-identical to
-//! the naive reference loop at any thread count.
+//! The products here are thin shape adapters: each turns an [`Array`]'s
+//! shape into `MatRef` views and calls [`gemm::gemm`], the one f32
+//! product entry, which picks the naive or the blocked kernel. They run
+//! on the process-wide worker pool ([`acme_runtime::global_pool`]) and
+//! stay bit-identical to the naive reference loop at any thread count.
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
 use crate::gemm::{self, Kernel, MatRef, Packed};
 use crate::shape::strides_for;
-
-/// Raw 2-D matmul kernel: `out[m,n] += a[m,k] * b[k,n]` over contiguous
-/// row-major buffers. Dense and branch-free — zero entries are multiplied
-/// like any other value.
-pub(crate) fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm::gemm(
-        MatRef::row_major(a, k),
-        MatRef::row_major(b, n),
-        out,
-        m,
-        k,
-        n,
-        &acme_runtime::global_pool(),
-    );
-}
-
-/// Raw kernel for `out[m,n] += a^T[m,k] * b[k,n]` where `a` is stored as
-/// `[k, m]`. Used by backward passes to avoid materializing transposes.
-pub(crate) fn matmul_at_b_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm::gemm(
-        MatRef::transposed(a, m),
-        MatRef::row_major(b, n),
-        out,
-        m,
-        k,
-        n,
-        &acme_runtime::global_pool(),
-    );
-}
-
-/// Raw kernel for `out[m,n] += a[m,k] * b^T[k,n]` where `b` is stored as
-/// `[n, k]`.
-pub(crate) fn matmul_a_bt_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm::gemm(
-        MatRef::row_major(a, k),
-        MatRef::transposed(b, k),
-        out,
-        m,
-        k,
-        n,
-        &acme_runtime::global_pool(),
-    );
-}
 
 impl Array {
     /// The `(m, k, n)` of `self · rhs` with `self` read as `m` rows of its
@@ -115,7 +57,11 @@ impl Array {
     pub fn matmul(&self, rhs: &Array) -> Result<Array> {
         let (m, k, n) = self.matmul_dims(rhs.shape(), "matmul")?;
         let mut out = Array::zeros(&self.rows_shape(n));
-        matmul_kernel(self.data(), rhs.data(), out.data_mut(), m, k, n);
+        let (a, b) = (
+            MatRef::row_major(self.data(), k),
+            MatRef::row_major(rhs.data(), n),
+        );
+        gemm::gemm(a, b, out.data_mut(), m, k, n, &acme_runtime::global_pool());
         Ok(out)
     }
 
@@ -146,7 +92,8 @@ impl Array {
     ///
     /// Both operands must have rank ≥ 2 and identical leading (batch)
     /// dimensions; the trailing two axes are multiplied per batch:
-    /// `[..., m, k] x [..., k, n] -> [..., m, n]`.
+    /// `[..., m, k] x [..., k, n] -> [..., m, n]`, one [`gemm::gemm`]
+    /// per batch slice, in batch order.
     ///
     /// # Errors
     ///
@@ -176,16 +123,13 @@ impl Array {
         out_shape.push(m);
         out_shape.push(n);
         let mut out = Array::zeros(&out_shape);
-        gemm::gemm_batched(
-            self.data(),
-            rhs.data(),
-            out.data_mut(),
-            batch,
-            m,
-            k,
-            n,
-            &acme_runtime::global_pool(),
-        );
+        let pool = acme_runtime::global_pool();
+        for bi in 0..batch {
+            let a = MatRef::row_major(&self.data()[bi * m * k..(bi + 1) * m * k], k);
+            let b = MatRef::row_major(&rhs.data()[bi * k * n..(bi + 1) * k * n], n);
+            let c = &mut out.data_mut()[bi * m * n..(bi + 1) * m * n];
+            gemm::gemm(a, b, c, m, k, n, &pool);
+        }
         Ok(out)
     }
 
@@ -346,25 +290,5 @@ mod tests {
         assert!(a.permute(&[0, 0]).is_err());
         assert!(a.permute(&[0]).is_err());
         assert!(a.permute(&[0, 2]).is_err());
-    }
-
-    #[test]
-    fn kernels_agree_with_reference() {
-        // a: [2,3], b: [3,2]
-        let a = arr(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = arr(&[7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = a.matmul(&b).unwrap();
-
-        // a^T stored as [3,2]: matmul_at_b_kernel(aT, b) == matmul(a, b)
-        let at = a.permute(&[1, 0]).unwrap();
-        let mut out = vec![0.0; 4];
-        matmul_at_b_kernel(at.data(), b.data(), &mut out, 2, 3, 2);
-        assert_eq!(out, c.data());
-
-        // b^T stored as [2,3]: matmul_a_bt_kernel(a, bT) == matmul(a, b)
-        let bt = b.permute(&[1, 0]).unwrap();
-        let mut out = vec![0.0; 4];
-        matmul_a_bt_kernel(a.data(), bt.data(), &mut out, 2, 3, 2);
-        assert_eq!(out, c.data());
     }
 }

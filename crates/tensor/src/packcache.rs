@@ -75,8 +75,9 @@ pub fn fresh_store_id() -> u64 {
 const MIN_CACHED_LEN: usize = 64 * 64;
 
 /// Whether a weight matrix is big enough for the packed-cache path to
-/// beat re-packing (tiny products go through the plain dispatch, which
-/// may pick the naive kernel outright).
+/// beat re-packing (smaller weights go through the plain dispatch,
+/// [`crate::gemm::gemm`], which packs them per call, or below
+/// [`crate::gemm::MR`] rows picks the naive kernel outright).
 pub fn worth_caching(b: &Array) -> bool {
     b.rank() == 2 && b.len() >= MIN_CACHED_LEN
 }

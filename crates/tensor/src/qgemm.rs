@@ -461,6 +461,7 @@ pub fn gemm_i8_naive(qa: &[i8], qb: &[i8], out: &mut [i32], m: usize, k: usize, 
 /// operands at any thread count.
 pub fn gemm_i8_prepacked(qa: &[i8], pb: &PackedBI8, out: &mut [i32], m: usize, pool: &Pool) {
     assert_eq!(qa.len(), m * pb.k(), "gemm_i8_prepacked: lhs size");
+    #[expect(clippy::disallowed_methods, reason = "the int8 driver call")]
     gemm_prepacked(MatRef::row_major(qa, pb.k()), pb, out, m, pool);
 }
 

@@ -9,6 +9,8 @@
 //! the int8 path (half-step round trips, row-permutation equivariance)
 //! live here too.
 
+#![allow(clippy::disallowed_methods)]
+
 use acme_check::{cases, Gen};
 use acme_runtime::Pool;
 use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, NR};
@@ -208,8 +210,65 @@ fn int8_dequantized_output_bitwise_matches_oracle() {
     });
 }
 
+/// The row-major `rows x cols` buffer of `src`'s transpose.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols)
+        .map(|i| src[(i % rows) * cols + i / rows])
+        .collect()
+}
+
+/// The `rows x cols` row-major `src` with each row padded to `rs` with
+/// NaN, which any read past a row's end would carry into the output.
+fn padded(src: &[f32], rows: usize, cols: usize, rs: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; rows * rs];
+    for i in 0..rows {
+        out[i * rs..i * rs + cols].copy_from_slice(&src[i * cols..(i + 1) * cols]);
+    }
+    out
+}
+
+/// `gemm::gemm`, the one unpacked-product dispatch, gives `gemm_naive`'s
+/// bits on both sides of its row rule (the naive loop below `MR` rows,
+/// the blocked engine from `MR` rows on): every `m` up to `2·MR + 1`
+/// against short, tile-straddling and long `k` and `n`, for row-major
+/// operands, the backward's `aᵀ·b` and `a·bᵀ` views and strided rows,
+/// into a non-zero `out`, at 1, 2 and 4 threads.
+#[test]
+fn dispatch_matches_naive_on_both_sides_of_the_row_rule() {
+    let sizes = [0, 1, 2, 7, NR - 1, NR + 1, 100];
+    for m in 0..=2 * MR + 1 {
+        for (k, n) in sizes.iter().flat_map(|&k| sizes.map(|n| (k, n))) {
+            let seed = (m * 10_007 + k * 101 + n) as u64;
+            let a = filled(m * k, seed, 4, k);
+            let b = filled(k * n, seed ^ 0x1234, 0, n);
+            let init = filled(m * n, seed ^ 0x5EED, 0, n);
+            let mut expect = init.clone();
+            F32::oracle(&a, &b, &mut expect, m, k, n);
+            let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+            let (a_wide, b_wide) = (padded(&a, m, k, k + 3), padded(&b, k, n, n + 5));
+            let views = [
+                ("a·b", MatRef::row_major(&a, k), MatRef::row_major(&b, n)),
+                ("aᵀ·b", MatRef::transposed(&at, m), MatRef::row_major(&b, n)),
+                ("a·bᵀ", MatRef::row_major(&a, k), MatRef::transposed(&bt, k)),
+                (
+                    "strided",
+                    MatRef::strided(&a_wide, k + 3, 1),
+                    MatRef::strided(&b_wide, n + 5, 1),
+                ),
+            ];
+            for threads in [1, 2, 4] {
+                for (name, lhs, rhs) in views {
+                    let mut out = init.clone();
+                    gemm::gemm(lhs, rhs, &mut out, m, k, n, &Pool::new(threads));
+                    assert_bits_eq(&out, &expect, &format!("{name} {m}x{k}x{n} t{threads}"));
+                }
+            }
+        }
+    }
+}
+
 /// The public dispatching entry point (which may pick the naive or
-/// the blocked kernel by size) is also bitwise-stable vs the oracle.
+/// the blocked kernel by rows) is also bitwise-stable vs the oracle.
 #[test]
 fn dispatched_gemm_bitwise_matches_naive() {
     cases(48, |g| {

@@ -466,7 +466,7 @@ impl ImageClassifier for DeVitLike {
 mod tests {
     use super::*;
     use crate::classifier::{evaluate, fit, TrainConfig};
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_tensor::SmallRng64;
 
     #[test]
@@ -476,7 +476,7 @@ mod tests {
             classes: 5,
             ..SyntheticSpec::tiny()
         };
-        let ds = cifar100_like(&spec, &mut rng).unwrap();
+        let ds = generate(&spec, &mut rng).unwrap();
         let batch = ds.sample(3, &mut rng).as_batch();
         for kind in BaselineKind::all() {
             let mut ps = ParamSet::new();
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn one_baseline_trains_above_chance() {
         let mut rng = SmallRng64::new(2);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
         let mut ps = ParamSet::new();
         let model = BaselineKind::MobileVit.build(&mut ps, 8, 1, ds.num_classes(), &mut rng);
         fit(

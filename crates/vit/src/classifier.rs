@@ -269,12 +269,12 @@ mod tests {
     use super::*;
     use crate::config::VitConfig;
     use crate::model::Vit;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
 
     #[test]
     fn vit_learns_tiny_dataset_above_chance() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
         let (train, test) = ds.split(0.75, &mut rng);
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn evaluate_empty_is_zero() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -204,13 +204,13 @@ mod tests {
     use super::*;
     use crate::classifier::{evaluate, fit};
     use crate::config::VitConfig;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_tensor::SmallRng64;
 
     #[test]
     fn distillation_reduces_loss_and_transfers_signal() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(16), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut tps = ParamSet::new();
         let teacher = Vit::new(&mut tps, &cfg, &mut rng);
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn distill_is_shared_targets_then_the_student_loop() {
         let mut rng = SmallRng64::new(3);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(10), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(10), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut tps = ParamSet::new();
         let teacher = Vit::new(&mut tps, &cfg, &mut rng);
@@ -298,7 +298,7 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn rejects_mismatched_width() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut tps = ParamSet::new();
         let teacher = Vit::new(&mut tps, &cfg, &mut rng);
@@ -324,7 +324,7 @@ mod tests {
     #[should_panic(expected = "token-count mismatch")]
     fn rejects_mismatched_token_count() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut tps = ParamSet::new();
         let teacher = Vit::new(&mut tps, &cfg, &mut rng);

@@ -1,6 +1,6 @@
 //! First-order Taylor importance of heads and neurons (Eqs. 6–8).
 
-use acme_data::Dataset;
+use acme_data::{batch_indices, Dataset};
 use acme_nn::ParamSet;
 use acme_tensor::{Graph, SmallRng64};
 
@@ -86,10 +86,11 @@ pub fn score_importance(
         .collect();
     let mut done = 0usize;
     while done < batches {
-        for batch in dataset.batches(batch_size, rng) {
+        for indices in batch_indices(dataset.len(), batch_size, rng) {
             if done >= batches {
                 break;
             }
+            let batch = dataset.batch(&indices);
             let mut g = Graph::new();
             let (f, hm, nm) = vit.forward_importance(&mut g, ps, &batch.images);
             let logits = vit.logits_from(&mut g, ps, &f);
@@ -119,7 +120,7 @@ pub fn score_importance(
 mod tests {
     use super::*;
     use crate::config::VitConfig;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_nn::ParamSet;
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn scores_have_expected_shape_and_are_nonnegative() {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn scoring_is_deterministic_under_seed() {
         let mut rng = SmallRng64::new(1);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut SmallRng64::new(5));

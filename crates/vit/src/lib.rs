@@ -28,10 +28,10 @@
 //! use acme_vit::{Vit, VitConfig};
 //! use acme_nn::ParamSet;
 //! use acme_tensor::{Graph, SmallRng64};
-//! use acme_data::{cifar100_like, SyntheticSpec};
+//! use acme_data::{generate, SyntheticSpec};
 //!
 //! let mut rng = SmallRng64::new(0);
-//! let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+//! let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
 //! let cfg = VitConfig::tiny(ds.num_classes());
 //! let mut ps = ParamSet::new();
 //! let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -3,7 +3,7 @@
 //! deployed backbone stop early on easy inputs, trading accuracy for
 //! energy exactly along the axis ACME's energy model (Eq. 1) prices.
 
-use acme_data::Dataset;
+use acme_data::{batch_indices, Dataset};
 use acme_nn::{LayerNorm, Linear, ParamSet};
 use acme_tensor::{Array, Graph, SmallRng64, Var};
 
@@ -194,7 +194,8 @@ impl MultiExitVit {
         let mut correct = 0usize;
         let mut blocks_run = 0usize;
         let mut rng = SmallRng64::new(0);
-        for batch in test.batches(batch_size, &mut rng) {
+        for indices in batch_indices(test.len(), batch_size, &mut rng) {
+            let batch = test.batch(&indices);
             let mut g = Graph::new();
             self.walk(&mut g, ps, vit, &batch.images, |g, e, cls, rows| {
                 let logits = self.heads[e].forward(g, ps, cls);
@@ -231,11 +232,11 @@ impl MultiExitVit {
 mod tests {
     use super::*;
     use crate::config::VitConfig;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
 
     fn setup() -> (Vit, ParamSet, Dataset, SmallRng64) {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(24), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny().with_per_class(24), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -123,12 +123,12 @@ mod tests {
     use super::*;
     use crate::config::VitConfig;
     use crate::importance::score_importance;
-    use acme_data::{cifar100_like, SyntheticSpec};
+    use acme_data::{generate, SyntheticSpec};
     use acme_tensor::Graph;
 
     fn setup() -> (Vit, ParamSet, acme_data::Dataset, SmallRng64) {
         let mut rng = SmallRng64::new(0);
-        let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+        let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
         let cfg = VitConfig::tiny(ds.num_classes());
         let mut ps = ParamSet::new();
         let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -2,14 +2,14 @@
 //! sub-network cut and patch extraction.
 
 use acme_check::cases;
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme_data::{generate, SyntheticSpec};
 use acme_nn::ParamSet;
 use acme_tensor::{Array, Graph, SmallRng64};
 use acme_vit::{patchify, score_importance, sub_network, Vit, VitConfig};
 
 fn setup(seed: u64) -> (Vit, ParamSet, acme_data::Dataset, SmallRng64) {
     let mut rng = SmallRng64::new(seed);
-    let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+    let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
     let cfg = VitConfig::tiny(ds.num_classes());
     let mut ps = ParamSet::new();
     let vit = Vit::new(&mut ps, &cfg, &mut rng);

@@ -6,7 +6,7 @@
 //! A moved bit means the loop changed its shuffle draws, its op order or
 //! its accumulation order. Re-pin only on purpose.
 
-use acme_data::{cifar100_like, Dataset, SyntheticSpec};
+use acme_data::{generate, Dataset, SyntheticSpec};
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
 use acme_vit::{fit, MultiExitVit, TrainConfig, Vit, VitConfig};
@@ -23,7 +23,7 @@ fn param_digest(ps: &ParamSet) -> u64 {
 /// 32 tiny examples (4 classes) and an untrained tiny ViT.
 fn setup(seed: u64) -> (Vit, ParamSet, Dataset, SmallRng64) {
     let mut rng = SmallRng64::new(seed);
-    let ds = cifar100_like(&SyntheticSpec::tiny(), &mut rng).unwrap();
+    let ds = generate(&SyntheticSpec::tiny(), &mut rng).unwrap();
     let mut ps = ParamSet::new();
     let vit = Vit::new(&mut ps, &VitConfig::tiny(ds.num_classes()), &mut rng);
     (vit, ps, ds, rng)

@@ -7,7 +7,7 @@
 //! ```
 
 use acme::coarse_header_search;
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme_data::{generate, SyntheticSpec};
 use acme_energy::EdgeId;
 use acme_nas::{search_space_size, OpKind, SearchConfig};
 use acme_nn::ParamSet;
@@ -26,7 +26,7 @@ fn main() {
         noise: 0.6,
         ..SyntheticSpec::cifar()
     };
-    let ds = cifar100_like(&spec, &mut rng).expect("valid spec");
+    let ds = generate(&spec, &mut rng).expect("valid spec");
     let (train, test) = ds.split(0.8, &mut rng);
 
     // A trained backbone stands in for the cloud-assigned δ(θ0, w, d).

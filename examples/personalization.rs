@@ -13,7 +13,7 @@
 
 use acme::{refine_cluster, DeviceSetup, RefineConfig};
 use acme_agg::AggregationMethod;
-use acme_data::{cifar100_like, Dataset, SyntheticSpec};
+use acme_data::{generate, Dataset, SyntheticSpec};
 use acme_energy::{DeviceId, EdgeId};
 use acme_nas::{HeaderArch, NasHeader, SharedParams};
 use acme_nn::ParamSet;
@@ -37,7 +37,7 @@ fn main() {
         noise: 0.5,
         ..SyntheticSpec::cifar()
     };
-    let ds = cifar100_like(&spec, &mut rng).expect("valid spec");
+    let ds = generate(&spec, &mut rng).expect("valid spec");
 
     // Fig. 10 grouping: devices 0-2 on classes 0..5, devices 3-4 on 5..10.
     let group_a = by_classes(&ds, &[0, 1, 2, 3, 4]);

@@ -82,6 +82,8 @@ ALLOW = {
     'trace::set_ring_capacity': 'trace ring bound the recording tests shrink to force overflow',
     # acme-pareto
     'candidate::dominates': 'Pareto-dominance oracle the selection property tests check PFG picks against',
+    # acme-runtime
+    'Pool::serial': 'the one-thread pool the kernel, aggregation and Phase 1 tests run on',
     # acme-serve
     'Response::device': 'request echo the serving tests group answers by',
     'metrics::requests': 'process-wide serving counter the serving test compares with the registry',

@@ -8,7 +8,7 @@
 //! This file holds a single test so it owns its test process: the kernel
 //! thread count is process-wide.
 
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme_data::{generate, SyntheticSpec};
 use acme_nas::{HeaderArch, NasHeader, SharedParams};
 use acme_nn::ParamSet;
 use acme_tensor::SmallRng64;
@@ -25,7 +25,7 @@ fn loss_bits(r: &TrainReport) -> Vec<u32> {
 #[test]
 fn cached_feature_refits_match_refits_through_the_backbone_bitwise() {
     let mut rng = SmallRng64::new(8);
-    let data = cifar100_like(
+    let data = generate(
         &SyntheticSpec {
             classes: 4,
             ..SyntheticSpec::cifar()

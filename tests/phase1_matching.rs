@@ -4,7 +4,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use acme::{build_candidate_pool_on, customize_backbone_for_cluster, Pool};
-use acme_data::{cifar100_like, SyntheticSpec};
+use acme_data::{generate, SyntheticSpec};
 use acme_energy::{Device, DeviceCluster, EdgeId, EnergyModel, Fleet};
 use acme_nn::ParamSet;
 use acme_pareto::{dominates, Candidate, GridSpec};
@@ -13,7 +13,7 @@ use acme_vit::{TrainConfig, Vit, VitConfig};
 
 fn pool() -> Vec<acme::CandidateModel> {
     let mut rng = SmallRng64::new(0);
-    let ds = cifar100_like(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
+    let ds = generate(&SyntheticSpec::tiny().with_per_class(12), &mut rng).unwrap();
     let (train, val) = ds.split(0.7, &mut rng);
     let cfg = VitConfig::tiny(ds.num_classes());
     let mut ps = ParamSet::new();

@@ -8,7 +8,7 @@
 //! This file holds a single test so it owns its test process: the kernel
 //! thread count is process-wide.
 
-use acme_data::{batch_indices, cifar100_like, SyntheticSpec};
+use acme_data::{batch_indices, generate, SyntheticSpec};
 use acme_nn::ParamSet;
 use acme_tensor::{Array, Graph, SmallRng64};
 use acme_vit::{TeacherTargets, Vit, VitConfig};
@@ -23,7 +23,7 @@ fn bits(a: &Array) -> (Vec<usize>, Vec<u32>) {
 #[test]
 fn gathered_rows_match_a_per_batch_teacher_pass_bitwise() {
     let mut rng = SmallRng64::new(5);
-    let data = cifar100_like(
+    let data = generate(
         &SyntheticSpec {
             classes: 4,
             ..SyntheticSpec::cifar()
