@@ -19,7 +19,7 @@ use acme_data::{Dataset, DriftSpec, DriftingStream, SyntheticSpec};
 use acme_distsys::{Network, NodeId, Payload};
 use acme_energy::{DeviceId, EdgeId};
 use acme_nas::{HeaderArch, NasHeader, SharedParams};
-use acme_nn::{save_params, ParamSet};
+use acme_nn::{wire, ParamSet};
 use acme_runtime::Pool;
 use acme_store::{ContentHash, VariantDelta};
 use acme_tensor::SmallRng64;
@@ -282,7 +282,7 @@ fn simulate_device(
         accuracy_at_detection,
         accuracy_final,
         delta,
-        cold_start_bytes: save_params(&ps).len() as u64,
+        cold_start_bytes: wire::encoded_len(&ps),
     }
 }
 
@@ -299,8 +299,9 @@ fn simulate_device(
 ///
 /// Returns [`AcmeError::Metric`] on a degenerate detector config,
 /// [`AcmeError::Data`] on a degenerate stream spec, and
-/// [`AcmeError::InvalidConfig`] when `pretrain_samples`,
-/// `adapt_samples`, `eval_per_class` or `batch_size` is zero, or the
+/// [`AcmeError::InvalidConfig`] when `windows`, `window_samples`,
+/// `pretrain_samples`, `adapt_samples`, `eval_per_class` or
+/// `batch_size` is zero, or the
 /// stream's prototype grid, which is the backbone's token grid, is
 /// odd or below 2 (the header's pool ops take 2×2 windows) — all before
 /// any device runs.
@@ -312,9 +313,12 @@ pub fn run_recustomization(
     seed: u64,
 ) -> Result<RecustomizeOutcome, AcmeError> {
     cfg.detector.validate()?;
-    // A zero would fit a header on nothing, read an empty probe as
+    // A zero would feed the detector nothing (so every device reports
+    // "no drift"), fit a header on nothing, read an empty probe as
     // accuracy 0, or train silently at batch 1.
     for (field, count) in [
+        ("windows", cfg.windows),
+        ("window_samples", cfg.window_samples),
         ("pretrain_samples", cfg.pretrain_samples),
         ("adapt_samples", cfg.adapt_samples),
         ("eval_per_class", cfg.eval_per_class),
@@ -343,7 +347,7 @@ pub fn run_recustomization(
         &mut model_rng,
     );
     let header = NasHeader::new(HeaderArch::chain(2, 1), shared);
-    let backbone_hash = ContentHash::of(&save_params(&base_ps));
+    let backbone_hash = ContentHash::of_sealed(&base_ps);
 
     let dev_seeds: Vec<u64> = (0..n).map(|i| root.fork(1 + i as u64).next_u64()).collect();
     let sims: Vec<DeviceSim> = pool.par_map((0..n).collect::<Vec<usize>>(), |_, d| {
@@ -610,6 +614,35 @@ mod tests {
             ),
         ] {
             let err = run_recustomization(&Pool::serial(), &cfg, &drifting_spec(0.9), None, 42)
+                .expect_err(field);
+            assert!(
+                matches!(&err, AcmeError::InvalidConfig(m) if m.contains(field)),
+                "got {err}"
+            );
+        }
+    }
+
+    /// Both used to return `Ok` with 0 of 3 devices drifted on a
+    /// 0.9-magnitude stream: the detector never observed a sample.
+    #[test]
+    fn zero_windows_or_window_samples_is_a_typed_error() {
+        for (field, cfg) in [
+            (
+                "windows",
+                RecustomizeConfig {
+                    windows: 0,
+                    ..RecustomizeConfig::quick()
+                },
+            ),
+            (
+                "window_samples",
+                RecustomizeConfig {
+                    window_samples: 0,
+                    ..RecustomizeConfig::quick()
+                },
+            ),
+        ] {
+            let err = run_recustomization(&Pool::serial(), &cfg, &drifting_spec(0.9), None, 4)
                 .expect_err(field);
             assert!(
                 matches!(&err, AcmeError::InvalidConfig(m) if m.contains(field)),

@@ -15,6 +15,12 @@
 //! [`digest128`] the content-addressed model store keys blobs by, so a
 //! blob's address doubles as its integrity check.
 //!
+//! FNV-1a is a running state, and its state after a sealed blob's prefix
+//! *is* that blob's trailer, so one pass over a blob yields both digests
+//! a store needs: [`Sealed::of`] takes the address of what it seals from
+//! the state that wrote the trailer, and [`Digested::new`] checks the
+//! trailer and computes the address of a blob it reads in one walk.
+//!
 //! [`ByteReader`] enforces the repo-wide robustness rule: every length a
 //! stream declares is validated against the bytes actually remaining
 //! *before* any allocation is sized from it, so a corrupt or adversarial
@@ -65,18 +71,41 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A running 128-bit FNV-1a state.
+#[derive(Debug, Clone, Copy)]
+struct Fnv128(u128);
+
+impl Fnv128 {
+    const START: Fnv128 = Fnv128(0x6c62272e07bb014262b821756295c58d);
+    const PRIME: u128 = 0x0000000001000000000000000000013b;
+
+    /// The state after `bytes` more input.
+    fn update(self, bytes: &[u8]) -> Fnv128 {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u128;
+            h = h.wrapping_mul(Self::PRIME);
+        }
+        Fnv128(h)
+    }
+
+    /// The digest of everything fed so far.
+    fn digest(self) -> [u8; 16] {
+        self.0.to_le_bytes()
+    }
+
+    /// The state after a sealed blob's prefix is its trailer; continuing
+    /// it over the trailer gives the digest of the whole blob.
+    fn sealed(self) -> [u8; 16] {
+        self.update(&self.digest()).digest()
+    }
+}
+
 /// 128-bit FNV-1a digest: the frame trailer and the content-addressed
 /// model store's blob address — one function, so an object's address
 /// *is* its checksum.
 pub fn digest128(bytes: &[u8]) -> [u8; 16] {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h.to_le_bytes()
+    Fnv128::START.update(bytes).digest()
 }
 
 /// A type with a framed binary form.
@@ -102,20 +131,104 @@ pub fn encoded_len<T: Codec>(value: &T) -> u64 {
     (FRAME_LEN + w.len()) as u64
 }
 
+/// A sealed blob and its digest (the whole blob's [`digest128`], which a
+/// content-addressed store files it under), both from one pass over the
+/// bytes. Only [`Sealed::of`] makes one, so the digest is always that of
+/// the bytes beside it.
+#[derive(Debug, Clone)]
+pub struct Sealed {
+    bytes: Vec<u8>,
+    digest: [u8; 16],
+}
+
+impl Sealed {
+    /// Serializes `value` inside the frame, into a buffer sized by
+    /// [`encoded_len`].
+    pub fn of<T: Codec>(value: &T) -> Sealed {
+        let len = encoded_len(value) as usize;
+        let mut w = ByteWriter(Sink::Buffer(Vec::with_capacity(len)));
+        w.bytes(&T::MAGIC);
+        w.u32(T::VERSION);
+        value.encode_body(&mut w);
+        let mut bytes = w.into_vec();
+        let state = Fnv128::START.update(&bytes);
+        bytes.extend_from_slice(&state.digest());
+        debug_assert_eq!(bytes.len(), len);
+        Sealed {
+            bytes,
+            digest: state.sealed(),
+        }
+    }
+
+    /// [`digest128`] of the sealed bytes.
+    pub fn digest(&self) -> [u8; 16] {
+        self.digest
+    }
+
+    /// The sealed bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
 /// Serializes `value` inside the frame.
 pub fn seal<T: Codec>(value: &T) -> Vec<u8> {
-    let mut w = ByteWriter::default();
-    w.bytes(&T::MAGIC);
-    w.u32(T::VERSION);
-    value.encode_body(&mut w);
-    let mut out = w.into_vec();
-    let digest = digest128(&out);
-    out.extend_from_slice(&digest);
-    out
+    Sealed::of(value).into_bytes()
+}
+
+/// A framed blob after its one digest pass: its whole-blob digest (the
+/// address a store files it under) and whether its trailer matches the
+/// bytes before it.
+#[derive(Debug, Clone, Copy)]
+pub struct Digested<'a> {
+    bytes: &'a [u8],
+    digest: [u8; 16],
+    trailer_ok: bool,
+}
+
+impl<'a> Digested<'a> {
+    /// Walks `bytes` once.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        let Some(cut) = bytes.len().checked_sub(DIGEST_LEN) else {
+            // Too short for a trailer: `open` stops before consulting it.
+            return Digested {
+                bytes,
+                digest: digest128(bytes),
+                trailer_ok: false,
+            };
+        };
+        let (prefix, trailer) = bytes.split_at(cut);
+        let state = Fnv128::START.update(prefix);
+        Digested {
+            bytes,
+            digest: state.update(trailer).digest(),
+            trailer_ok: state.digest()[..] == *trailer,
+        }
+    }
+
+    /// [`digest128`] of the whole blob.
+    pub fn digest(&self) -> [u8; 16] {
+        self.digest
+    }
+
+    /// Parses the blob as [`open`] does, reading the trailer check from
+    /// the pass already made.
+    pub fn open<T: Codec>(&self) -> Result<T, WireError> {
+        open_checked(self.bytes, || self.trailer_ok)
+    }
 }
 
 /// Parses a framed blob, applying the module-level check order.
 pub fn open<T: Codec>(bytes: &[u8]) -> Result<T, WireError> {
+    open_checked(bytes, || {
+        let (digested, trailer) = bytes.split_at(bytes.len() - DIGEST_LEN);
+        digest128(digested)[..] == *trailer
+    })
+}
+
+/// [`open`]'s check order, with the trailer check supplied: it runs only
+/// once the frame head and length have passed.
+fn open_checked<T: Codec>(bytes: &[u8], trailer_ok: impl FnOnce() -> bool) -> Result<T, WireError> {
     let mut r = ByteReader::new(bytes);
     if r.array::<4>()? != T::MAGIC {
         return Err(WireError::BadMagic);
@@ -128,8 +241,7 @@ pub fn open<T: Codec>(bytes: &[u8]) -> Result<T, WireError> {
         .remaining()
         .checked_sub(DIGEST_LEN)
         .ok_or(WireError::Truncated)?;
-    let (digested, trailer) = bytes.split_at(bytes.len() - DIGEST_LEN);
-    if digest128(digested)[..] != *trailer {
+    if !trailer_ok() {
         return Err(WireError::BadChecksum);
     }
     let mut body = ByteReader::new(r.bytes(body_len)?);
@@ -208,13 +320,14 @@ impl ByteWriter {
         self.bytes(s.as_bytes());
     }
 
-    /// Appends raw little-endian `f32` bits.
+    /// Appends raw little-endian `f32` bits, in one bulk copy.
     fn f32s(&mut self, vals: &[f32]) {
         match &mut self.0 {
             Sink::Buffer(buf) => {
-                buf.reserve(4 * vals.len());
-                for v in vals {
-                    buf.extend_from_slice(&v.to_le_bytes());
+                let start = buf.len();
+                buf.resize(start + 4 * vals.len(), 0);
+                for (dst, v) in buf[start..].chunks_exact_mut(4).zip(vals) {
+                    dst.copy_from_slice(&v.to_le_bytes());
                 }
             }
             Sink::Count(n) => *n += 4 * vals.len(),

@@ -29,6 +29,7 @@
 
 use acme_nn::{Activation, ParamSet};
 use acme_runtime::Pool;
+use acme_store::wire::Sealed;
 use acme_store::{
     wire, ByteReader, ByteWriter, Codec, ContentHash, ModelStore, StoreError, VariantDelta,
     WireError,
@@ -92,11 +93,6 @@ fn precision_from_tag(t: u8) -> Result<Precision, WireError> {
 }
 
 impl StoreManifest {
-    /// Serializes to a sealed `ACMS` blob.
-    fn to_bytes(&self) -> Vec<u8> {
-        wire::seal(self)
-    }
-
     /// Parses a sealed `ACMS` blob; see [`wire::open`] for the check
     /// order.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoreManifest, WireError> {
@@ -201,8 +197,10 @@ impl Codec for StoreManifest {
 
 /// Rebuilds a [`ClusterModel`] from a checkpointed backbone
 /// [`ParamSet`]: construct the skeleton (which assigns `ParamId`s in
-/// save order), then move every decoded value into it, so no second
-/// copy of the backbone is ever live.
+/// save order), then swap every decoded value into it, so no decoded
+/// value is copied. The skeleton is built with randomly drawn values, a
+/// full backbone's worth, which the swap hands to `loaded` and which
+/// drop with it: while a cluster rebuilds, two backbones are live.
 fn rebuild_cluster(
     model: &ServeModelConfig,
     mut loaded: ParamSet,
@@ -250,33 +248,37 @@ impl VariantStore {
         self.persist_on(store, &Pool::new(1))
     }
 
-    /// Like [`VariantStore::persist`], encoding the per-device deltas on
-    /// `pool`. The result is byte-identical at any thread count: deltas
-    /// are encoded in parallel but inserted in device order.
+    /// Like [`VariantStore::persist`], sealing the backbones, then
+    /// encoding and sealing the per-device deltas, on `pool`. Each blob
+    /// takes its address from its seal. The result is byte-identical at
+    /// any thread count: blobs are sealed in parallel but inserted in
+    /// cluster, then device, order.
     pub fn persist_on(
         &self,
         store: &mut ModelStore,
         pool: &Pool,
     ) -> Result<ContentHash, StoreError> {
-        let mut backbones = Vec::with_capacity(self.clusters().len());
-        for cluster in self.clusters() {
-            backbones.push(store.put_params(&cluster.params)?);
-        }
-        let deltas: Vec<VariantDelta> = pool.par_map((0..self.num_devices()).collect(), |_, d| {
+        let sealed = pool.par_map(self.clusters().iter().collect(), |_, c: &ClusterModel| {
+            Sealed::of(&c.params)
+        });
+        let backbones = sealed
+            .into_iter()
+            .map(|blob| store.insert(blob))
+            .collect::<Result<Vec<_>, _>>()?;
+        let deltas = pool.par_map((0..self.num_devices()).collect(), |_, d| {
             let v = self.device(d);
-            VariantDelta::encode(
+            Sealed::of(&VariantDelta::encode(
                 &self.clusters()[v.cluster].params,
                 backbones[v.cluster],
                 &v.classes,
                 &v.params,
-            )
+            ))
         });
         let mut variants = Vec::with_capacity(deltas.len());
-        for (d, delta) in deltas.iter().enumerate() {
-            let hash = store.put_delta(delta)?;
+        for (slot, blob) in self.slots.iter().zip(deltas) {
             variants.push(ManifestVariant {
-                cluster: self.slots[d].cluster as u32,
-                delta: hash,
+                cluster: slot.cluster as u32,
+                delta: store.insert(blob)?,
             });
         }
         let manifest = StoreManifest {
@@ -285,7 +287,7 @@ impl VariantStore {
             backbones,
             variants,
         };
-        store.put(manifest.to_bytes())
+        store.insert(Sealed::of(&manifest))
     }
 
     /// Rebuilds a serving store from a persisted manifest. Backbones
@@ -297,7 +299,7 @@ impl VariantStore {
         store: &ModelStore,
         manifest: ContentHash,
     ) -> Result<VariantStore, StoreError> {
-        let manifest = StoreManifest::from_bytes(&store.get(manifest)?)?;
+        let manifest: StoreManifest = store.get_decoded(manifest)?;
         let mut clusters = Vec::with_capacity(manifest.backbones.len());
         for &h in &manifest.backbones {
             let loaded = store.get_params(h)?;
@@ -372,7 +374,7 @@ mod tests {
         let manifest = StoreManifest::from_bytes(&blobs.get(root).unwrap()).unwrap();
         assert_eq!(manifest.backbones.len(), 2);
         assert_eq!(manifest.variants.len(), 5);
-        let again = StoreManifest::from_bytes(&manifest.to_bytes()).unwrap();
+        let again = StoreManifest::from_bytes(&wire::seal(&manifest)).unwrap();
         assert_eq!(again, manifest);
     }
 
@@ -400,7 +402,7 @@ mod tests {
         for edit in edits {
             let mut bad = good.clone();
             edit(&mut bad);
-            let bad_root = blobs.put(bad.to_bytes()).unwrap();
+            let bad_root = blobs.put(wire::seal(&bad)).unwrap();
             assert!(matches!(
                 VariantStore::from_store(&blobs, bad_root),
                 Err(StoreError::Wire(WireError::BadShape))
@@ -526,8 +528,7 @@ mod tests {
             (v.classes.clone(), fresh)
         };
         let cluster = store.device(device).cluster;
-        let mut blobs = ModelStore::in_memory();
-        let backbone_hash = blobs.put_params(&store.clusters()[cluster].params).unwrap();
+        let backbone_hash = ContentHash::of_sealed(&store.clusters()[cluster].params);
         let delta = VariantDelta::encode(
             &store.clusters()[cluster].params,
             backbone_hash,
@@ -591,7 +592,7 @@ mod tests {
         let before = serve(&store);
         // Both deltas carry the right address, so the op checks reject them.
         let backbone = &store.clusters()[store.device(device).cluster].params;
-        let address = ModelStore::in_memory().put_params(backbone).unwrap();
+        let address = ContentHash::of_sealed(backbone);
 
         // Odd op count: heads come in (w, b) pairs.
         let odd = VariantDelta {
@@ -651,7 +652,7 @@ mod tests {
         };
         let bad: Vec<VariantDelta> = {
             let backbone = &store.clusters()[store.device(device).cluster].params;
-            let address = ModelStore::in_memory().put_params(backbone).unwrap();
+            let address = ContentHash::of_sealed(backbone);
             [
                 (vec![0, 1, 2, 3], heads(1, 4)), // one exit pair of two
                 (vec![0, 1, 2], heads(2, 4)),    // heads wider than the classes
@@ -682,8 +683,8 @@ mod tests {
             let classes = delta.classes.clone();
             // At restore: a manifest naming the delta does not load.
             let mut edited = manifest.clone();
-            edited.variants[device].delta = blobs.put_delta(&delta).unwrap();
-            let edited_root = blobs.put(edited.to_bytes()).unwrap();
+            edited.variants[device].delta = blobs.insert(Sealed::of(&delta)).unwrap();
+            let edited_root = blobs.put(wire::seal(&edited)).unwrap();
             assert!(
                 matches!(
                     VariantStore::from_store(&blobs, edited_root),
@@ -720,7 +721,7 @@ mod tests {
         assert_ne!(store.device(device).cluster, donor.cluster);
         let delta = {
             let backbone = &store.clusters()[donor.cluster].params;
-            let address = ModelStore::in_memory().put_params(backbone).unwrap();
+            let address = ContentHash::of_sealed(backbone);
             VariantDelta::encode(backbone, address, &donor.classes, &donor.params)
         };
         let requests = sample_requests(&store, 16);
@@ -782,7 +783,7 @@ mod tests {
         let delta = {
             let v = store.device(0);
             let backbone = &store.clusters()[v.cluster].params;
-            let hash = ModelStore::in_memory().put_params(backbone).unwrap();
+            let hash = ContentHash::of_sealed(backbone);
             VariantDelta::encode(backbone, hash, &v.classes, &v.params)
         };
         assert!(matches!(
@@ -855,7 +856,7 @@ mod tests {
         for h in other_blobs.hashes() {
             blobs.put(other_blobs.get(h).unwrap()).unwrap();
         }
-        let bad_root = blobs.put(manifest.to_bytes()).unwrap();
+        let bad_root = blobs.put(wire::seal(&manifest)).unwrap();
         assert!(matches!(
             VariantStore::from_store(&blobs, bad_root),
             Err(StoreError::Mismatch(_))

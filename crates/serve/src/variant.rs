@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use acme_nn::{save_params, Activation, ParamId, ParamSet};
+use acme_nn::{Activation, ParamId, ParamSet};
 use acme_store::{ContentHash, StoreError, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64, Var};
 use acme_vit::{MultiExitVit, Vit, VitConfig};
@@ -455,7 +455,7 @@ impl VariantStore {
         let addresses = self.addresses.get_or_insert_with(|| {
             clusters
                 .iter()
-                .map(|c| ContentHash::of(&save_params(&c.params)))
+                .map(|c| ContentHash::of_sealed(&c.params))
                 .collect()
         });
         admit(&delta, addresses[cluster], &clusters[cluster])?;

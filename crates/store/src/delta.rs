@@ -362,17 +362,6 @@ impl VariantDelta {
             .collect())
     }
 
-    /// Serializes to a sealed `ACMD` blob.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        wire::seal(self)
-    }
-
-    /// Parses a sealed `ACMD` blob; see [`wire::open`] for the check
-    /// order.
-    pub fn from_bytes(bytes: &[u8]) -> Result<VariantDelta, WireError> {
-        wire::open(bytes)
-    }
-
     /// Serialized size in bytes — the *measured* deploy cost of shipping
     /// this variant to a device that already holds the backbone (the
     /// quantity the transfer ledger meters instead of the
@@ -455,7 +444,7 @@ mod tests {
         ps.add("trunk.w", randn(&[16, 16], &mut rng));
         ps.add("exit1.head.w", randn(&[4, 8], &mut rng));
         ps.add("exit1.head.b", randn(&[8], &mut rng));
-        let h = ContentHash::of(&acme_nn::save_params(&ps));
+        let h = ContentHash::of_sealed(&ps);
         (ps, h)
     }
 
@@ -521,9 +510,9 @@ mod tests {
         let (b, h) = backbone();
         let (classes, v) = sample_variant(&b);
         let d = VariantDelta::encode(&b, h, &classes, &v);
-        let bytes = d.to_bytes();
+        let bytes = wire::seal(&d);
         assert_eq!(bytes.len() as u64, d.bytes(), "bytes() must match the wire");
-        let back = VariantDelta::from_bytes(&bytes).unwrap();
+        let back: VariantDelta = wire::open(&bytes).unwrap();
         assert_eq!(back, d);
     }
 

@@ -1,6 +1,6 @@
 //! Content addresses: the 128-bit FNV-1a digest of a blob.
 
-use acme_nn::wire::{digest128, ByteReader, WireError};
+use acme_nn::wire::{digest128, ByteReader, Codec, Sealed, WireError};
 
 /// Address of a blob in a [`ModelStore`](crate::ModelStore): the
 /// [`digest128`] of its bytes. Two identical serializations share one
@@ -10,9 +10,18 @@ use acme_nn::wire::{digest128, ByteReader, WireError};
 pub struct ContentHash(pub [u8; 16]);
 
 impl ContentHash {
-    /// The address of `bytes`.
+    /// The address of raw `bytes`. A blob the tree seals takes its
+    /// address from its seal instead ([`ModelStore::insert`](crate::ModelStore::insert),
+    /// [`ContentHash::of_sealed`]); the root `clippy.toml` holds this to
+    /// the store's raw-bytes `put` and `get`.
     pub fn of(bytes: &[u8]) -> Self {
         ContentHash(digest128(bytes))
+    }
+
+    /// The address `value`'s sealed blob is filed under, from the one
+    /// digest pass of its seal.
+    pub fn of_sealed<T: Codec>(value: &T) -> Self {
+        ContentHash(Sealed::of(value).digest())
     }
 
     /// Reads the 16 raw address bytes a framed body embeds.

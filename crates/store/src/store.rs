@@ -1,13 +1,16 @@
 //! The deduplicating blob store, in-memory or directory-backed.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use acme_nn::{load_params, save_params, ParamSet};
+use acme_nn::wire::{Codec, Digested, Sealed, WireError};
+use acme_nn::ParamSet;
+use acme_tensor::obs::trace::SpanGuard;
+use acme_tensor::obs::{span, Detail};
 
 use crate::delta::{ApplyError, VariantDelta};
 use crate::hash::ContentHash;
-use acme_nn::wire::WireError;
 
 /// Error from a [`ModelStore`] operation.
 #[derive(Debug)]
@@ -72,6 +75,13 @@ impl From<WireError> for StoreError {
 /// blob to `<dir>/<hex-hash>.blob` and indexes what a previous process
 /// left there (content is read back lazily, with the digest re-verified
 /// against the address on every disk read).
+///
+/// A blob the tree seals goes in through [`ModelStore::insert`] and takes
+/// its address from its seal, and a typed read
+/// ([`ModelStore::get_decoded`], `get_params`, `get_delta`) checks the
+/// address and the trailer in one pass, so each byte is digested once
+/// per write and once per read. Only raw caller bytes ([`ModelStore::put`],
+/// [`ModelStore::get`]) are digested on their own.
 #[derive(Debug)]
 pub struct ModelStore {
     /// Blobs resident in memory.
@@ -128,7 +138,23 @@ impl ModelStore {
     /// Stores `bytes`, returning their address. Content already present
     /// (in memory or on disk) is not written again.
     pub fn put(&mut self, bytes: Vec<u8>) -> Result<ContentHash, StoreError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "raw caller bytes carry no seal to take an address from"
+        )]
         let hash = ContentHash::of(&bytes);
+        self.file(hash, bytes)
+    }
+
+    /// Stores a sealed blob under the address its seal computed.
+    pub fn insert(&mut self, blob: Sealed) -> Result<ContentHash, StoreError> {
+        let hash = ContentHash(blob.digest());
+        self.file(hash, blob.into_bytes())
+    }
+
+    /// Files `bytes` under `hash`, which the caller computed from them.
+    fn file(&mut self, hash: ContentHash, bytes: Vec<u8>) -> Result<ContentHash, StoreError> {
+        let _span = span!(Detail::Task, "store.put", "bytes" => bytes.len());
         if self.blobs.contains_key(&hash) || self.disk.contains_key(&hash) {
             return Ok(hash);
         }
@@ -145,41 +171,63 @@ impl ModelStore {
         Ok(hash)
     }
 
-    /// Fetches a blob's bytes by address, reading (and digest-verifying)
-    /// from disk when it is not resident.
-    pub fn get(&self, hash: ContentHash) -> Result<Vec<u8>, StoreError> {
+    /// A blob's bytes as stored: borrowed when resident, read from disk
+    /// otherwise. The caller verifies them against `hash`, inside the
+    /// `store.get` span this opens.
+    fn read(&self, hash: ContentHash) -> Result<(SpanGuard, Cow<'_, [u8]>), StoreError> {
+        let span = span!(
+            Detail::Task,
+            "store.get",
+            "bytes" => self.blob_bytes(hash).unwrap_or(0)
+        );
         if let Some(bytes) = self.blobs.get(&hash) {
-            return Ok(bytes.clone());
+            return Ok((span, Cow::Borrowed(bytes)));
         }
         if self.disk.contains_key(&hash) {
             let dir = self.dir.as_ref().expect("disk index implies a directory");
             let bytes = std::fs::read(Self::blob_path(dir, hash))?;
-            if ContentHash::of(&bytes) != hash {
-                return Err(StoreError::Corrupt(hash));
-            }
-            return Ok(bytes);
+            return Ok((span, Cow::Owned(bytes)));
         }
         Err(StoreError::NotFound(hash))
     }
 
-    /// Stores a checkpointed [`ParamSet`], returning its address.
-    pub fn put_params(&mut self, ps: &ParamSet) -> Result<ContentHash, StoreError> {
-        self.put(save_params(ps))
+    /// Fetches a blob's bytes by address, reading (and digest-verifying)
+    /// from disk when it is not resident.
+    pub fn get(&self, hash: ContentHash) -> Result<Vec<u8>, StoreError> {
+        let (_span, bytes) = self.read(hash)?;
+        if let Cow::Owned(read) = &bytes {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "raw bytes read back are checked against their address"
+            )]
+            let address = ContentHash::of(read);
+            if address != hash {
+                return Err(StoreError::Corrupt(hash));
+            }
+        }
+        Ok(bytes.into_owned())
+    }
+
+    /// Loads and decodes a sealed blob, digesting it once: the one pass
+    /// gives both the address check ([`StoreError::Corrupt`] first) and
+    /// the trailer check of [`acme_nn::wire::open`]'s order.
+    pub fn get_decoded<T: Codec>(&self, hash: ContentHash) -> Result<T, StoreError> {
+        let (_span, bytes) = self.read(hash)?;
+        let blob = Digested::new(&bytes);
+        if ContentHash(blob.digest()) != hash {
+            return Err(StoreError::Corrupt(hash));
+        }
+        Ok(blob.open()?)
     }
 
     /// Loads a [`ParamSet`] blob.
     pub fn get_params(&self, hash: ContentHash) -> Result<ParamSet, StoreError> {
-        Ok(load_params(&self.get(hash)?)?)
-    }
-
-    /// Stores a serialized [`VariantDelta`], returning its address.
-    pub fn put_delta(&mut self, delta: &VariantDelta) -> Result<ContentHash, StoreError> {
-        self.put(delta.to_bytes())
+        self.get_decoded(hash)
     }
 
     /// Loads a [`VariantDelta`] blob.
     pub fn get_delta(&self, hash: ContentHash) -> Result<VariantDelta, StoreError> {
-        Ok(VariantDelta::from_bytes(&self.get(hash)?)?)
+        self.get_decoded(hash)
     }
 
     /// Total bytes across all distinct blobs — the fleet's storage
@@ -248,7 +296,7 @@ mod tests {
         let mut ps = ParamSet::new();
         ps.add("w", randn(&[5, 5], &mut rng));
         let mut s = ModelStore::in_memory();
-        let h = s.put_params(&ps).unwrap();
+        let h = s.insert(Sealed::of(&ps)).unwrap();
         let back = s.get_params(h).unwrap();
         assert_eq!(
             ps.value(ps.ids().next().unwrap()),
@@ -264,7 +312,7 @@ mod tests {
         ps.add("w", randn(&[3, 3], &mut rng));
         let h = {
             let mut s = ModelStore::open(&dir).unwrap();
-            s.put_params(&ps).unwrap()
+            s.insert(Sealed::of(&ps)).unwrap()
         };
         let s = ModelStore::open(&dir).unwrap();
         assert_eq!(s.hashes(), vec![h]);

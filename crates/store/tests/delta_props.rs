@@ -3,8 +3,8 @@
 //! backbone/variant pairs.
 
 use acme_check::cases;
-use acme_nn::{save_params, ParamSet};
-use acme_store::{ContentHash, DeltaOp, VariantDelta};
+use acme_nn::ParamSet;
+use acme_store::{wire, ContentHash, DeltaOp, VariantDelta};
 use acme_tensor::{randn, Array, SmallRng64};
 
 /// A random backbone: a trunk matrix plus one head over `total` classes.
@@ -15,7 +15,7 @@ fn make_backbone(seed: u64, dim: usize, total: usize) -> (ParamSet, ContentHash)
     ps.add("head.w", randn(&[dim, total], &mut rng));
     let b = ps.add("head.b", randn(&[total], &mut rng));
     ps.set_trainable(b, false);
-    let hash = ContentHash::of(&save_params(&ps));
+    let hash = ContentHash::of_sealed(&ps);
     (ps, hash)
 }
 
@@ -116,9 +116,9 @@ fn wire_roundtrip_is_exact() {
         let (backbone, hash) = make_backbone(seed, dim, total);
         let variant = make_variant(&backbone, &classes, true, seed);
         let delta = VariantDelta::encode(&backbone, hash, &classes, &variant);
-        let bytes = delta.to_bytes();
+        let bytes = wire::seal(&delta);
         assert_eq!(bytes.len() as u64, delta.bytes());
-        let back = VariantDelta::from_bytes(&bytes).unwrap();
+        let back: VariantDelta = wire::open(&bytes).unwrap();
         assert!(back == delta);
         // And the reconstruction through the wire is still bitwise.
         assert_bitwise_equal(&variant, &back.apply(&backbone).unwrap());

@@ -112,6 +112,12 @@ impl<'a, T: Copy> MatRef<'a, T> {
     pub(crate) fn at(&self, i: usize, j: usize) -> T {
         self.data[i * self.rs + j * self.cs]
     }
+
+    /// Columns `0..cols` of row `i`, as one slice when the view's
+    /// columns are contiguous (`cs = 1`).
+    pub(crate) fn row(&self, i: usize, cols: usize) -> Option<&'a [T]> {
+        (self.cs == 1).then(|| &self.data[i * self.rs..i * self.rs + cols])
+    }
 }
 
 /// One dtype instantiation of the blocked engine: the operand types, the
@@ -206,9 +212,23 @@ impl<K: Kernel> Packed<K> {
         self.data.is_empty()
     }
 
+    /// The packed panels, for tests that compare two packs.
+    #[cfg(test)]
+    pub(crate) fn data(&self) -> &[K::B] {
+        &self.data
+    }
+
     /// Bytes of the packed panels' capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<K::B>()
+    }
+
+    /// The zeroed panels of a `k x n` matrix.
+    pub(crate) fn zeroed(k: usize, n: usize, extra: K::Extra) -> Self {
+        const { assert!(KC.is_multiple_of(K::KP)) };
+        let len = k.div_ceil(K::KP) * K::KP * n.div_ceil(NR) * NR;
+        let data = vec![K::B::default(); len];
+        Packed { k, n, data, extra }
     }
 
     /// Allocates the zeroed panels of a `k x n` matrix and walks them in
@@ -221,10 +241,7 @@ impl<K: Kernel> Packed<K> {
         extra: K::Extra,
         mut fill: impl FnMut(&mut [K::B], usize, usize, usize, usize),
     ) -> Self {
-        const { assert!(KC.is_multiple_of(K::KP)) };
-        let len = k.div_ceil(K::KP) * K::KP * n.div_ceil(NR) * NR;
-        let data = vec![K::B::default(); len];
-        let mut packed = Packed { k, n, data, extra };
+        let mut packed = Self::zeroed(k, n, extra);
         let mut pc = 0;
         while pc < k {
             let kcb = KC.min(k - pc);
@@ -236,6 +253,23 @@ impl<K: Kernel> Packed<K> {
             pc += kcb;
         }
         packed
+    }
+
+    /// Writes row `p` of the logical `k x n` matrix (`n` elements) into
+    /// its places in the panels: depth step `p` of each column panel,
+    /// `KP` elements apart.
+    pub(crate) fn scatter_row(&mut self, p: usize, row: &[K::B]) {
+        debug_assert_eq!(row.len(), self.n);
+        let pc = p / KC * KC;
+        let kcb = KC.min(self.k - pc);
+        let step = (p - pc) / K::KP * NR * K::KP + (p - pc) % K::KP;
+        for (jp, cols) in row.chunks(NR).enumerate() {
+            let start = self.panel_range(pc, kcb, jp).start + step;
+            let dst = self.data[start..].iter_mut().step_by(K::KP);
+            for (d, &v) in dst.zip(cols) {
+                *d = v;
+            }
+        }
     }
 
     /// Where the panel of depth block `pc` (`kcb` deep) and column panel
@@ -534,7 +568,9 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: us
 /// (there packing `b` seldom pays off, and there is no row panel to
 /// split); every other product packs `b` and runs the blocked driver
 /// with row-panel parallelism over `pool`. Both give [`gemm_naive`]'s
-/// bits, so the choice is invisible in the result.
+/// bits, so the choice is invisible in the result. The pack has a timer
+/// of its own (`tensor.gemm.pack_b`), so the naive timer compares with
+/// the pack's and the blocked product's together.
 pub fn gemm(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -549,8 +585,12 @@ pub fn gemm(
         let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
         return gemm_naive(a, b, out, m, k, n);
     }
+    let packed = {
+        let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);
+        pack_b(b, k, n)
+    };
     #[expect(clippy::disallowed_methods, reason = "the unpacked dispatch")]
-    gemm_prepacked(a, &pack_b(b, k, n), out, m, pool);
+    gemm_prepacked(a, &packed, out, m, pool);
 }
 
 #[cfg(test)]

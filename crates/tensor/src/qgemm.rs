@@ -99,6 +99,22 @@ impl std::fmt::Display for Precision {
     }
 }
 
+/// The largest f32 below one half, `0.5 - 2^-25`.
+const HALF_BELOW: f32 = 0.499_999_97;
+
+/// `x` rounded to the nearest integer, halves away from zero: bitwise
+/// [`f32::round`] for every input, but a branch-free add and truncate
+/// rather than a libm call, so a loop of it vectorizes. Adding just
+/// under one half, with `x`'s sign, carries `x` past the next integer
+/// exactly when its fraction is at least one half (a fraction of one
+/// half rounds the sum up to the integer; anything less stays below
+/// it), and the truncation drops the rest. From 2^23 up every f32 is an
+/// integer, and the sum rounds back to `x`.
+#[inline(always)]
+fn round_half_away(x: f32) -> f32 {
+    (x + HALF_BELOW.copysign(x)).trunc()
+}
+
 /// Quantizes one slice symmetrically against `maxabs`: returns the int8
 /// code of `v` under scale `maxabs / QMAX`. A zero `maxabs` (all-zero
 /// row) maps everything to code 0 under scale 0.0, which dequantizes
@@ -106,7 +122,18 @@ impl std::fmt::Display for Precision {
 /// the packed path agree bitwise.
 #[inline(always)]
 fn quantize_one(v: f32, inv_scale: f32) -> i8 {
-    (v * inv_scale).round().clamp(-QMAX, QMAX) as i8
+    round_half_away(v * inv_scale).clamp(-QMAX, QMAX) as i8
+}
+
+/// Row `p` of `b`, `n` wide: borrowed when the view's columns are
+/// contiguous, gathered into `scratch` otherwise.
+fn row_of<'s>(b: MatRef<'s>, p: usize, n: usize, scratch: &'s mut Vec<f32>) -> &'s [f32] {
+    if let Some(row) = b.row(p, n) {
+        return row;
+    }
+    scratch.clear();
+    scratch.extend((0..n).map(|j| b.at(p, j)));
+    scratch
 }
 
 /// The `(inv_scale, scale)` pair for a maxabs. Both directions are kept
@@ -211,7 +238,7 @@ pub type PackedBI8 = Packed<I8>;
 /// What an int8-packed weight carries beside its panels: the
 /// per-output-channel scales, the premultiplied `u8`-bias corrections,
 /// and the mean absolute quantization error of the weights it encodes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Quant {
     /// One scale per output channel (column of the logical `[k, n]`).
     scales: Vec<f32>,
@@ -250,46 +277,58 @@ impl Kernel for I8 {
     const PARALLEL_MIN_MACS: usize = 1 << 27;
     const TIMER: &'static str = "tensor.gemm.i8";
 
-    /// Quantizes the weight view per output channel, then packs the
-    /// codes `[quad][column][4]`.
+    /// Quantizes the weight view per output channel and packs the codes
+    /// `[quad][column][4]`, in two passes over its rows in storage order:
+    /// the per-column maxabs, then each row's codes, bias sums, error
+    /// terms and panel bytes. Every column meets its rows in the order a
+    /// column walk would, and the f64 error sum keeps the row-major
+    /// order it always had, so the pack is bitwise that of
+    /// [`quantize_cols`] followed by a sweep over the codes.
     fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedBI8 {
-        let (q, scales) = quantize_cols(b, k, n);
-        // One pass over the codes for the quantization error and the
-        // per-output-channel bias corrections of the `u8` activation
-        // trick: `128 · Σ_k qb[k, j]`, accumulated with the same wrapping
-        // i32 arithmetic the kernels use.
-        let mut err_sum = 0.0f64;
-        let mut col_bias = vec![0i32; n];
+        let _t = acme_obs::timer!("tensor.gemm.i8.pack_b", "k" => k, "n" => n);
+        let mut scratch = Vec::new();
+        let mut maxabs = vec![0.0f32; n];
         for p in 0..k {
-            for (j, bias) in col_bias.iter_mut().enumerate() {
-                let code = q[p * n + j];
-                err_sum += (code as f32 * scales[j] - b.at(p, j)).abs() as f64;
-                *bias = bias.wrapping_add(code as i32);
+            for (m, &v) in maxabs.iter_mut().zip(row_of(b, p, n, &mut scratch)) {
+                *m = m.max(v.abs());
             }
+        }
+        let (inv, scales): (Vec<f32>, Vec<f32>) = maxabs.into_iter().map(scales_for).unzip();
+
+        // `128 · Σ_k qb[k, j]` per output channel corrects the `u8`
+        // activation trick, accumulated with the same wrapping i32
+        // arithmetic the kernels use.
+        let mut col_bias = vec![0i32; n];
+        let mut err_sum = 0.0f64;
+        let (mut codes, mut errs) = (vec![0i8; n], vec![0.0f32; n]);
+        let mut packed = Packed::zeroed(k, n, Quant::default());
+        for p in 0..k {
+            let row = row_of(b, p, n, &mut scratch);
+            for ((q, &v), &inv) in codes.iter_mut().zip(row).zip(&inv) {
+                *q = quantize_one(v, inv);
+            }
+            for (bias, &q) in col_bias.iter_mut().zip(&codes) {
+                *bias = bias.wrapping_add(q as i32);
+            }
+            for (((e, &q), &v), &scale) in errs.iter_mut().zip(&codes).zip(row).zip(&scales) {
+                *e = (q as f32 * scale - v).abs();
+            }
+            for &e in &errs {
+                err_sum += e as f64;
+            }
+            // Depth tails stay zero-padded: a zero weight byte
+            // contributes exact zero whatever the activation byte.
+            packed.scatter_row(p, &codes);
         }
         for bias in &mut col_bias {
             *bias = bias.wrapping_mul(128);
         }
-        let mean_abs_error = (err_sum / (k * n).max(1) as f64) as f32;
-
-        let quant = Quant {
+        packed.extra = Quant {
             scales,
             col_bias,
-            mean_abs_error,
+            mean_abs_error: (err_sum / (k * n).max(1) as f64) as f32,
         };
-        Packed::build(k, n, quant, |panel, pc, kcb, j0, nrb| {
-            for p4 in 0..kcb.div_ceil(KP) {
-                let row0 = pc + p4 * KP;
-                let dst = p4 * NR * KP;
-                // Depth tail stays zero-padded: a zero weight byte
-                // contributes exact zero whatever the activation byte.
-                for j in 0..nrb {
-                    for t in 0..KP.min(pc + kcb - row0) {
-                        panel[dst + j * KP + t] = q[(row0 + t) * n + j0 + j];
-                    }
-                }
-            }
-        })
+        packed
     }
 
     /// Panels are ordered `[panel][quad][row][4]`, each code biased by
@@ -590,6 +629,187 @@ mod tests {
         assert_eq!(pb.scales().len(), n);
         // Panels hold one byte per weight plus NR-column padding.
         assert!((pb.k(), pb.n()) == (k, n) && !pb.is_empty() && pb.len() >= k * n);
+    }
+
+    /// The pack as it was before the row-major rewrite, kept as the
+    /// oracle: libm `round`, a column walk for the scales and codes, a
+    /// row-major sweep over the codes for the error and bias sums, then
+    /// the panels filled in storage order.
+    fn column_walk_pack(b: MatRef<'_>, k: usize, n: usize) -> PackedBI8 {
+        let mut q = vec![0i8; k * n];
+        let mut scales = vec![0.0f32; n];
+        for j in 0..n {
+            let mut maxabs = 0.0f32;
+            for p in 0..k {
+                maxabs = maxabs.max(b.at(p, j).abs());
+            }
+            let (inv, scale) = scales_for(maxabs);
+            scales[j] = scale;
+            for p in 0..k {
+                q[p * n + j] = (b.at(p, j) * inv).round().clamp(-QMAX, QMAX) as i8;
+            }
+        }
+        let mut err_sum = 0.0f64;
+        let mut col_bias = vec![0i32; n];
+        for p in 0..k {
+            for (j, bias) in col_bias.iter_mut().enumerate() {
+                let code = q[p * n + j];
+                err_sum += (code as f32 * scales[j] - b.at(p, j)).abs() as f64;
+                *bias = bias.wrapping_add(code as i32);
+            }
+        }
+        for bias in &mut col_bias {
+            *bias = bias.wrapping_mul(128);
+        }
+        let quant = Quant {
+            scales,
+            col_bias,
+            mean_abs_error: (err_sum / (k * n).max(1) as f64) as f32,
+        };
+        Packed::build(k, n, quant, |panel, pc, kcb, j0, nrb| {
+            for p4 in 0..kcb.div_ceil(KP) {
+                let row0 = pc + p4 * KP;
+                let dst = p4 * NR * KP;
+                for j in 0..nrb {
+                    for t in 0..KP.min(pc + kcb - row0) {
+                        panel[dst + j * KP + t] = q[(row0 + t) * n + j0 + j];
+                    }
+                }
+            }
+        })
+    }
+
+    fn assert_packs_equal(a: &PackedBI8, b: &PackedBI8, what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.data(), b.data(), "{what}: panels");
+        assert_eq!(
+            bits(&a.extra.scales),
+            bits(&b.extra.scales),
+            "{what}: scales"
+        );
+        assert_eq!(a.extra.col_bias, b.extra.col_bias, "{what}: col_bias");
+        assert_eq!(
+            a.extra.mean_abs_error.to_bits(),
+            b.extra.mean_abs_error.to_bits(),
+            "{what}: mean_abs_error"
+        );
+    }
+
+    #[test]
+    fn row_major_pack_matches_the_column_walk_bitwise() {
+        // Shapes straddle the depth block (KC), the panel width (NR) and
+        // the depth quad (KP).
+        let shapes = [
+            (1, 1),
+            (3, 5),
+            (KP - 1, NR - 1),
+            (KP + 1, NR + 1),
+            (KC - 1, 2 * NR),
+            (KC + 3, 2 * NR + 5),
+            (2 * KC + 1, 7),
+            (384, 1536),
+        ];
+        for (k, n) in shapes {
+            let mut b = vec![0.0f32; k * n];
+            fill(&mut b, (k * 131 + n) as u64);
+            for p in 0..k {
+                // Column 0 all zero; column 1 (where it exists) holds the
+                // special values; column 2 has maxabs 127, so its scale is
+                // 1 and its half-integers are exact half steps.
+                b[p * n] = 0.0;
+                if n > 1 {
+                    let specials = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5];
+                    b[p * n + 1] = specials[p % specials.len()];
+                }
+                if n > 2 {
+                    let half = [127.0, 0.5, -0.5, 1.5, -2.5, 126.5, -126.5, 63.5];
+                    b[p * n + 2] = half[p % half.len()];
+                }
+            }
+            let view = MatRef::row_major(&b, n);
+            let what = format!("{k}x{n}");
+            assert_packs_equal(&pack_b_i8(view, k, n), &column_walk_pack(view, k, n), &what);
+            // A strided (transposed) view takes the gathered-row path.
+            let t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+            let view = MatRef::transposed(&t, k);
+            assert_packs_equal(
+                &pack_b_i8(view, k, n),
+                &column_walk_pack(view, k, n),
+                &format!("{what} transposed"),
+            );
+        }
+    }
+
+    /// Round half away from zero on the bits alone, so the check does
+    /// not lean on how the compiler lowers either float expression (it
+    /// may lower `f32::round` to the very add-and-truncate under test).
+    fn round_by_bits(x: f32) -> f32 {
+        let bits = x.to_bits();
+        let exp = ((bits >> 23) & 0xff) as i32 - 127;
+        match exp {
+            // Integers, infinities and NaNs stay as they are.
+            23.. => x,
+            // [0.5, 1) rounds to one.
+            -1 => 1.0f32.copysign(x),
+            // Below one half, to a zero of x's sign.
+            ..-1 => f32::from_bits(bits & 0x8000_0000),
+            // Add half a unit, carrying into the exponent if need be, and
+            // clear the fraction.
+            _ => {
+                let frac_bits = (23 - exp) as u32;
+                let mask = (1u32 << frac_bits) - 1;
+                f32::from_bits((bits + (1 << (frac_bits - 1))) & !mask)
+            }
+        }
+    }
+
+    /// Every `stride`-th f32 bit pattern: `round_half_away` is bitwise
+    /// `f32::round`, and both are the bit-level reference.
+    fn round_sweep(stride: usize) {
+        for bits in (0..1u64 << 32).step_by(stride) {
+            let x = f32::from_bits(bits as u32);
+            let got = round_half_away(x).to_bits();
+            assert_eq!(got, x.round().to_bits(), "round({x:e}) bits {bits:#x}");
+            if !x.is_nan() {
+                assert_eq!(
+                    got,
+                    round_by_bits(x).to_bits(),
+                    "round({x:e}) bits {bits:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_half_away_is_f32_round_on_a_strided_sweep() {
+        assert_eq!(HALF_BELOW, f32::from_bits(0.5f32.to_bits() - 1));
+        // Odd and prime, so every exponent and low-mantissa pattern is
+        // visited; the edges around each power of two are added whole.
+        round_sweep(if cfg!(debug_assertions) {
+            65_537
+        } else {
+            1_021
+        });
+        for e in 0..=255u32 {
+            for delta in 0..64u32 {
+                for sign in [0, 1u32 << 31] {
+                    for bits in [(e << 23).wrapping_add(delta), (e << 23).wrapping_sub(delta)] {
+                        let x = f32::from_bits(bits | sign);
+                        assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x:e}");
+                        if !x.is_nan() {
+                            let want = round_by_bits(x).to_bits();
+                            assert_eq!(round_half_away(x).to_bits(), want, "{x:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 inputs, about ten seconds in release"]
+    fn round_half_away_is_f32_round_on_every_input() {
+        round_sweep(1);
     }
 
     #[test]

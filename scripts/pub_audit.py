@@ -92,6 +92,7 @@ ALLOW = {
     'ServeModelConfig::tiny': 'the serving model shape the unit and integration tests build on',
     # acme-store
     'ModelStore::hashes': 'blob listing the serve persist tests compare across thread counts',
+    'ModelStore::put': 'raw caller bytes in, digested on their own: the store and persist tests file hand-made and edited blobs with it',
     # acme-tensor: oracles (safety code) and the stages the oracle tests compose
     'Array::is_empty': 'clippy len_without_is_empty pairs it with the called len()',
     'Graph::backward_with': 'seeded backward: the attention oracle test drives it with a random upstream gradient',

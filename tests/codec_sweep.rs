@@ -6,8 +6,16 @@
 //! "Re-sealed" is the point: a mutated body is framed again with a valid
 //! digest, so hostile counts, ranks, name lengths, tags and dims reach
 //! the parser instead of dying at the checksum.
+//!
+//! The one-pass addressing is checked here too: the address a seal
+//! reports is the blob's digest, and a directory store's typed read of a
+//! truncated or bit-flipped blob fails exactly as a digest-then-`open`
+//! read does.
+
+#![allow(clippy::disallowed_methods)]
 
 use std::fmt::Debug;
+use std::path::PathBuf;
 use std::time::Duration;
 
 use acme_distsys::protocol::{DropPoint, NodeStatus, RetryPolicy};
@@ -16,11 +24,13 @@ use acme_distsys::{
     SimConfig, TransferReport,
 };
 use acme_energy::{Device, DeviceCluster, DeviceId, EdgeId, Fleet};
-use acme_nn::wire::{digest128, encoded_len, open, seal, ByteWriter, Codec, WireError};
+use acme_nn::wire::{
+    digest128, encoded_len, open, seal, ByteWriter, Codec, Digested, Sealed, WireError,
+};
 use acme_nn::{Activation, ParamSet};
 use acme_obs::mem::{thread_allocs, CountingAlloc};
 use acme_serve::{ManifestVariant, Precision, ServeModelConfig, StoreManifest};
-use acme_store::{ContentHash, DeltaOp, VariantDelta};
+use acme_store::{ContentHash, DeltaOp, ModelStore, StoreError, VariantDelta};
 use acme_tensor::Array;
 use acme_vit::VitConfig;
 
@@ -336,6 +346,104 @@ fn sweep_acms_manifest() {
 #[test]
 fn sweep_acmr_run_checkpoint() {
     codec_sweep(sample_run());
+}
+
+/// The address every one-pass route reports for `sample` — the seal's,
+/// `ContentHash::of_sealed`'s, a read's and the store's — is the digest
+/// of the sealed bytes.
+fn seal_addresses_the_blob<T: Codec>(sample: &T) {
+    let tag = String::from_utf8_lossy(&T::MAGIC).into_owned();
+    let bytes = seal(sample);
+    let address = ContentHash::of(&bytes);
+    assert_eq!(
+        ContentHash(Sealed::of(sample).digest()),
+        address,
+        "{tag}: seal"
+    );
+    assert_eq!(ContentHash::of_sealed(sample), address, "{tag}: of_sealed");
+    assert_eq!(
+        ContentHash(Digested::new(&bytes).digest()),
+        address,
+        "{tag}: read"
+    );
+    let mut store = ModelStore::in_memory();
+    assert_eq!(
+        store.insert(Sealed::of(sample)).unwrap(),
+        address,
+        "{tag}: insert"
+    );
+    assert_eq!(store.get(address).unwrap(), bytes, "{tag}: filed bytes");
+}
+
+#[test]
+fn every_seal_addresses_its_blob() {
+    seal_addresses_the_blob(&sample_params());
+    seal_addresses_the_blob(&sample_delta());
+    seal_addresses_the_blob(&sample_manifest());
+    seal_addresses_the_blob(&sample_run());
+}
+
+/// A directory store's read as it was before one-pass addressing: the
+/// bytes digested against their address, then `open`ed, which digests
+/// them again.
+fn two_pass_read<T: Codec>(bytes: &[u8], hash: ContentHash) -> Result<T, String> {
+    if ContentHash::of(bytes) != hash {
+        return Err(format!("{:?}", StoreError::Corrupt(hash)));
+    }
+    open::<T>(bytes).map_err(|e| format!("{:?}", StoreError::Wire(e)))
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("acme-codec-sweep-{tag}-{}", std::process::id()))
+}
+
+/// Every truncation of `sample`'s blob and a bit flip at every byte,
+/// filed in a directory store under the blob's address (so the read
+/// meets a corrupt file) and under its own (so it reaches the frame
+/// checks): the typed read returns what the two-pass read returned.
+fn store_reads_fail_as_two_pass<T: Codec + PartialEq + Debug>(sample: T) {
+    let tag = String::from_utf8_lossy(&T::MAGIC).into_owned();
+    let good = seal(&sample);
+    let address = ContentHash::of(&good);
+    let dir = scratch_dir(&tag);
+    let read = |bytes: &[u8], hash: ContentHash| {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{}.blob", hash.to_hex())), bytes).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
+        store.get_decoded::<T>(hash).map_err(|e| format!("{e:?}"))
+    };
+    let mut mutants: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+    for pos in 0..good.len() {
+        let mut bad = good.clone();
+        bad[pos] ^= 1 << (pos % 8);
+        mutants.push(bad);
+    }
+    mutants.push(good.clone());
+    let mut seen = std::collections::BTreeSet::new();
+    for (i, mutant) in mutants.iter().enumerate() {
+        for hash in [address, ContentHash::of(mutant)] {
+            let want = two_pass_read::<T>(mutant, hash);
+            assert_eq!(read(mutant, hash), want, "{tag}: mutant {i}");
+            seen.insert(
+                want.map_or_else(|e| e.split('(').next().unwrap().to_owned(), |_| "Ok".into()),
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    // Both stages of the check order were reached.
+    assert!(
+        seen.contains("Corrupt") && seen.contains("Wire") && seen.contains("Ok"),
+        "{tag}: {seen:?}"
+    );
+}
+
+#[test]
+fn typed_reads_fail_as_the_two_pass_read_did() {
+    store_reads_fail_as_two_pass(sample_params());
+    store_reads_fail_as_two_pass(sample_delta());
+    store_reads_fail_as_two_pass(sample_manifest());
+    store_reads_fail_as_two_pass(sample_run());
 }
 
 /// Captured at the commit before the four encoders moved onto the shared

@@ -39,6 +39,8 @@
 //! concurrently, so a case may run at another's count; no pinned bit
 //! depends on it.
 
+#![allow(clippy::disallowed_methods)]
+
 use acme::{run_recustomization, Acme, AcmeConfig, AcmeOutcome, Pool, RecustomizeConfig};
 use acme_data::{generate, DriftSpec, SyntheticSpec};
 use acme_distsys::Network;

@@ -414,3 +414,119 @@ fn a_node_pushed_after_recording_resumes_is_not_charged_the_pause() {
     assert!(charged < 100_000_000, "the pause was charged: {charged} ns");
     reset_obs();
 }
+
+#[test]
+fn persist_and_restore_are_bit_identical_under_observation() {
+    use acme::Pool;
+    use acme_obs::{Detail, FieldValue};
+    use acme_serve::{StoreConfig, VariantStore};
+    use acme_store::ModelStore;
+    use acme_tensor::Precision;
+    let _g = serialize();
+    reset_obs();
+    let store = VariantStore::build(
+        &StoreConfig {
+            precision: Precision::Int8,
+            ..StoreConfig::serving_default(5)
+        },
+        23,
+    );
+    let run = |observe: bool| {
+        let dir =
+            std::env::temp_dir().join(format!("acme-obs-store-{observe}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        acme_obs::trace::set_detail(Detail::Task);
+        acme_obs::trace::set_enabled(observe);
+        let root = store
+            .persist_on(
+                &mut ModelStore::open(&dir).expect("store dir"),
+                &Pool::new(2),
+            )
+            .expect("persist");
+        let restored = VariantStore::from_store(&ModelStore::open(&dir).expect("reopen"), root)
+            .expect("restore");
+        restored.materialize_all();
+        acme_obs::trace::set_enabled(false);
+        acme_obs::trace::set_detail(Detail::Phase);
+        std::fs::remove_dir_all(&dir).expect("remove the store dir");
+        (root, restored)
+    };
+    let (plain_root, plain) = run(false);
+    let _ = acme_obs::trace::drain();
+    let (observed_root, observed) = run(true);
+    let trace = acme_obs::trace::drain();
+    assert_eq!(plain_root, observed_root, "recording moved a stored byte");
+    let bits = |s: &VariantStore, d: usize| {
+        let v = s.device(d);
+        let values: Vec<Vec<u32>> = v
+            .params
+            .ids()
+            .map(|id| {
+                v.params
+                    .value(id)
+                    .data()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect();
+        (v.cluster, v.classes.clone(), values)
+    };
+    for d in 0..store.num_devices() {
+        assert_eq!(bits(&plain, d), bits(&observed, d), "device {d}");
+        assert_eq!(
+            bits(&store, d),
+            bits(&observed, d),
+            "device {d} against its source"
+        );
+    }
+    // Blobs in and out are spans carrying their sizes: two backbones,
+    // five deltas and the manifest, each way.
+    for name in ["store.put", "store.get"] {
+        let sized = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .filter(|s| {
+                s.fields
+                    .iter()
+                    .any(|(k, v)| *k == "bytes" && matches!(v, FieldValue::U64(b) if *b > 0))
+            })
+            .count();
+        assert_eq!(sized, 2 + 5 + 1, "{name} spans with a bytes field");
+    }
+    reset_obs();
+}
+
+#[test]
+fn weight_packs_have_timers_of_their_own() {
+    use acme::Pool;
+    use acme_tensor::gemm::{self, MatRef};
+    use acme_tensor::qgemm;
+    let _g = serialize();
+    reset_obs();
+    let (m, k, n) = (4, 8, 8);
+    let (a, b) = (vec![0.5f32; m * k], vec![0.25f32; k * n]);
+    let mut out = vec![0.0f32; m * n];
+    acme_obs::trace::set_enabled(true);
+    gemm::gemm(
+        MatRef::row_major(&a, k),
+        MatRef::row_major(&b, n),
+        &mut out,
+        m,
+        k,
+        n,
+        &Pool::serial(),
+    );
+    drop(qgemm::pack_b_i8(MatRef::row_major(&b, n), k, n));
+    acme_obs::trace::set_enabled(false);
+    let histograms = acme_obs::metrics::snapshot().histograms;
+    for name in [
+        "tensor.gemm.pack_b",
+        "tensor.gemm.blocked",
+        "tensor.gemm.i8.pack_b",
+    ] {
+        assert_eq!(histograms.get(name).map(|h| h.count), Some(1), "{name}");
+    }
+    reset_obs();
+}

@@ -8,7 +8,7 @@
 
 use acme_nn::ParamSet;
 use acme_serve::{BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
-use acme_store::{ModelStore, VariantDelta};
+use acme_store::{ContentHash, VariantDelta};
 use acme_tensor::{packcache, randn, Array, Graph, SmallRng64};
 
 #[test]
@@ -52,7 +52,7 @@ fn dropped_stores_leave_no_packed_weights_behind() {
     let warm = packcache::len();
 
     let backbone = &store.clusters()[0].params;
-    let hash = ModelStore::in_memory().put_params(backbone).unwrap();
+    let hash = ContentHash::of_sealed(backbone);
     let v = store.device(0);
     let delta = VariantDelta::encode(backbone, hash, &v.classes, &v.params);
     store.hot_swap(0, delta).unwrap();

@@ -11,7 +11,7 @@ use acme_serve::{
     serve, BatchEngine, BatcherConfig, ExitPolicy, Request, Response, ServeModelConfig,
     ServerConfig, StoreConfig, VariantStore,
 };
-use acme_store::{ModelStore, VariantDelta};
+use acme_store::{ContentHash, VariantDelta};
 use acme_tensor::{Array, Graph, Precision, SmallRng64};
 
 /// The serve counters and the obs registry are process-wide, so the
@@ -131,7 +131,7 @@ fn a_mixed_variant_batch_equals_the_sequential_reference_bitwise() {
         (v.classes.clone(), nudged)
     };
     let backbone = &store.clusters()[0].params;
-    let hash = ModelStore::in_memory().put_params(backbone).unwrap();
+    let hash = ContentHash::of_sealed(backbone);
     let delta = VariantDelta::encode(backbone, hash, &classes, &nudged);
     store.hot_swap(2, delta).unwrap();
 
