@@ -5,7 +5,7 @@
 //! Every setting replays the same seeded Zipf firehose trace (no
 //! pacing, so throughput measures the serving stack, not the generator)
 //! against the same variant store, after a short warmup that populates
-//! the pack cache and the buffer pool. The `max_batch = 1` rows are the
+//! the buffer pool (and, at int8, the pack cache). The `max_batch = 1` rows are the
 //! unbatched baseline; `speedup_vs_unbatched` compares each batched row
 //! to the baseline at the same fleet size and worker count.
 
@@ -68,7 +68,7 @@ pub struct SweepConfig {
     pub batching: Vec<(usize, u64)>,
     /// Requests per measured replay.
     pub requests: usize,
-    /// Warmup requests (pack cache + pool population) before timing.
+    /// Warmup requests (pool and int8 pack-cache population) before timing.
     pub warmup: usize,
     /// Trace seed.
     pub seed: u64,
@@ -126,7 +126,7 @@ fn run_setting(
         },
         policy,
     };
-    // Warmup: populate the pack cache and buffer pool so the
+    // Warmup: populate the buffer pool (and the int8 pack cache) so the
     // measured replay is the steady state.
     let warm: Vec<_> = trace[..trace.len().min(warmup)].to_vec();
     serve(store, &server, move |b| {

@@ -29,11 +29,10 @@ impl Conv2dLayer {
         rng: &mut SmallRng64,
     ) -> Self {
         let fan_in = in_ch * kernel * kernel;
-        let w = ps.add(
-            format!("{name}.w"),
-            kaiming_uniform(&[out_ch, in_ch, kernel, kernel], fan_in, rng),
-        );
-        let b = ps.add(format!("{name}.b"), Array::zeros(&[out_ch]));
+        let w = ps.add_with(format!("{name}.w"), &[out_ch, in_ch, kernel, kernel], |s| {
+            kaiming_uniform(s, fan_in, rng)
+        });
+        let b = ps.add_with(format!("{name}.b"), &[out_ch], Array::zeros);
         Conv2dLayer { w, b, stride, pad }
     }
 

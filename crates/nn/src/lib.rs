@@ -62,5 +62,5 @@ pub use lstm::LstmCell;
 pub use metrics::accuracy;
 pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, Adam, Optimizer};
-pub use param::{ParamId, ParamSet};
+pub use param::{LayoutError, ParamId, ParamSet};
 pub use transformer::TransformerBlock;

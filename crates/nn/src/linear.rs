@@ -23,11 +23,10 @@ impl Linear {
         out_dim: usize,
         rng: &mut SmallRng64,
     ) -> Self {
-        let w = ps.add(
-            format!("{name}.w"),
-            kaiming_uniform(&[in_dim, out_dim], in_dim, rng),
-        );
-        let b = ps.add(format!("{name}.b"), Array::zeros(&[out_dim]));
+        let w = ps.add_with(format!("{name}.w"), &[in_dim, out_dim], |s| {
+            kaiming_uniform(s, in_dim, rng)
+        });
+        let b = ps.add_with(format!("{name}.b"), &[out_dim], Array::zeros);
         Linear { w, b, out_dim }
     }
 
@@ -139,10 +138,9 @@ impl EmbeddingLayer {
         dim: usize,
         rng: &mut SmallRng64,
     ) -> Self {
-        let w = ps.add(
-            format!("{name}.emb"),
-            acme_tensor::randn(&[vocab, dim], rng).scale(0.1),
-        );
+        let w = ps.add_with(format!("{name}.emb"), &[vocab, dim], |s| {
+            acme_tensor::randn(s, rng).scale(0.1)
+        });
         EmbeddingLayer { w }
     }
 

@@ -15,8 +15,8 @@ pub struct LayerNorm {
 impl LayerNorm {
     /// Registers unit/zero affine parameters for a `dim`-wide last axis.
     pub fn new(ps: &mut ParamSet, name: &str, dim: usize) -> Self {
-        let gamma = ps.add(format!("{name}.gamma"), Array::ones(&[dim]));
-        let beta = ps.add(format!("{name}.beta"), Array::zeros(&[dim]));
+        let gamma = ps.add_with(format!("{name}.gamma"), &[dim], Array::ones);
+        let beta = ps.add_with(format!("{name}.beta"), &[dim], Array::zeros);
         LayerNorm {
             gamma,
             beta,

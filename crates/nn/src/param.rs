@@ -22,9 +22,9 @@ struct Entry {
     /// clone of the store, until one of them writes it.
     value: Arc<Array>,
     trainable: bool,
-    /// Mutation counter: bumped on every mutable access so the
-    /// packed-weight cache (`acme_tensor::packcache`) can tell frozen
-    /// values (cache hits) from updated ones (invalidation).
+    /// Mutation counter: bumped on every mutable access so the int8
+    /// pack cache (`acme_tensor::packcache`) can tell frozen values
+    /// (cache hits) from updated ones (invalidation).
     version: u64,
 }
 
@@ -47,10 +47,86 @@ struct Entry {
 pub struct ParamSet {
     entries: Vec<Entry>,
     /// Process-unique id of this store instance, part of the
-    /// packed-weight-cache key. Clones get a fresh id (see
+    /// pack-cache key. Clones get a fresh id (see
     /// [`Clone`] impl) so stores that diverge after a clone — e.g.
     /// per-cluster Phase 2 copies — can never alias cache entries.
     store: u64,
+    /// The decoded values registrations take, while
+    /// [`ParamSet::lay_out`] runs; `None` otherwise.
+    layout: Option<Layout>,
+}
+
+/// How a model's registrations departed from the decoded store
+/// [`ParamSet::lay_out`] laid it over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LayoutError {
+    /// The decoded store holds `decoded` parameters; the model registers
+    /// `model`.
+    Count { decoded: usize, model: usize },
+    /// A decoded parameter's name is not the one the model registers in
+    /// its place.
+    Name { decoded: String, model: String },
+    /// A decoded parameter's shape is not the one the model registers.
+    Shape {
+        name: String,
+        decoded: Vec<usize>,
+        model: Vec<usize>,
+    },
+}
+
+/// The decoded entries a store being laid out hands to registrations,
+/// in order, and the first departure from them.
+#[derive(Debug)]
+struct Layout {
+    decoded: std::vec::IntoIter<Entry>,
+    mismatch: Option<LayoutError>,
+}
+
+impl Layout {
+    /// The entry registered as `name` of `shape`: the next decoded one
+    /// (its value and trainable flag), its initializer left unrun. Past
+    /// the decoded entries — a count mismatch [`ParamSet::lay_out`]
+    /// reports — `init` runs.
+    fn take(
+        &mut self,
+        name: String,
+        shape: &[usize],
+        init: impl FnOnce(&[usize]) -> Array,
+    ) -> Entry {
+        let Some(decoded) = self.decoded.next() else {
+            return Entry::new(name, init(shape));
+        };
+        if self.mismatch.is_none() {
+            if decoded.name != name {
+                self.mismatch = Some(LayoutError::Name {
+                    decoded: decoded.name.clone(),
+                    model: name.clone(),
+                });
+            } else if decoded.value.shape() != shape {
+                self.mismatch = Some(LayoutError::Shape {
+                    name: name.clone(),
+                    decoded: decoded.value.shape().to_vec(),
+                    model: shape.to_vec(),
+                });
+            }
+        }
+        Entry {
+            name,
+            version: 0,
+            ..decoded
+        }
+    }
+}
+
+impl Entry {
+    fn new(name: String, value: Array) -> Self {
+        Entry {
+            name,
+            value: Arc::new(value),
+            trainable: true,
+            version: 0,
+        }
+    }
 }
 
 /// A clone shares every value with its source until either side writes
@@ -60,6 +136,7 @@ impl Clone for ParamSet {
         ParamSet {
             entries: self.entries.clone(),
             store: packcache::fresh_store_id(),
+            layout: None,
         }
     }
 }
@@ -102,18 +179,72 @@ impl ParamSet {
         ParamSet {
             entries: Vec::new(),
             store: packcache::fresh_store_id(),
+            layout: None,
         }
     }
 
     /// Registers a parameter, returning its id.
     pub fn add(&mut self, name: impl Into<String>, value: Array) -> ParamId {
-        self.entries.push(Entry {
-            name: name.into(),
-            value: Arc::new(value),
-            trainable: true,
-            version: 0,
-        });
+        let shape = value.shape().to_vec();
+        self.add_with(name, &shape, |_| value)
+    }
+
+    /// Registers a parameter of `shape` whose initial value `init`
+    /// computes from the shape, returning its id. While the store is laid
+    /// out over decoded values ([`ParamSet::lay_out`]) the next decoded
+    /// value takes its place and `init` does not run, so a model's
+    /// constructor can rebuild it from a checkpoint without drawing a
+    /// random initialization only to drop it.
+    pub fn add_with(
+        &mut self,
+        name: impl Into<String>,
+        shape: &[usize],
+        init: impl FnOnce(&[usize]) -> Array,
+    ) -> ParamId {
+        let name = name.into();
+        let entry = match &mut self.layout {
+            Some(layout) => layout.take(name, shape, init),
+            None => Entry::new(name, init(shape)),
+        };
+        self.entries.push(entry);
         ParamId(self.entries.len() - 1)
+    }
+
+    /// Lays a model out over `decoded`, the values of a store of the same
+    /// model in registration order (a loaded checkpoint): `build`
+    /// registers the model as it would into a fresh store, and each
+    /// registration takes the next decoded value and trainable flag
+    /// without running its initializer. No value is copied, and no other
+    /// initialization is drawn.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LayoutError`] when the model registers a different
+    /// number of parameters than `decoded` holds, or else at the first
+    /// registration whose name, then shape, differs from its decoded
+    /// counterpart's.
+    pub fn lay_out<M>(
+        mut decoded: ParamSet,
+        build: impl FnOnce(&mut ParamSet) -> M,
+    ) -> Result<(M, ParamSet), LayoutError> {
+        let count = decoded.len();
+        let mut ps = ParamSet::new();
+        ps.layout = Some(Layout {
+            decoded: std::mem::take(&mut decoded.entries).into_iter(),
+            mismatch: None,
+        });
+        let model = build(&mut ps);
+        let layout = ps.layout.take().expect("set above");
+        if ps.len() != count {
+            return Err(LayoutError::Count {
+                decoded: count,
+                model: ps.len(),
+            });
+        }
+        match layout.mismatch {
+            Some(mismatch) => Err(mismatch),
+            None => Ok((model, ps)),
+        }
     }
 
     /// Number of registered parameters (tensors, not scalars).
@@ -165,7 +296,7 @@ impl ParamSet {
         Arc::make_mut(&mut entry.value)
     }
 
-    /// The packed-weight-cache identity of a parameter: store instance,
+    /// The pack-cache identity of a parameter: store instance,
     /// slot, and current mutation version (see
     /// [`acme_tensor::packcache`]).
     pub fn pack_ident(&self, id: ParamId) -> PackIdent {
@@ -208,10 +339,10 @@ impl ParamSet {
     /// (see [`ParamSet::set_trainable`]) as a constant, so a header
     /// refit over a frozen backbone differentiates the header alone.
     /// Either way the bind carries the parameter's pack-cache identity,
-    /// so matmuls against it reuse the process-wide packed form while
-    /// the value stays unchanged (frozen backbones during PFG evaluation
-    /// and header refinement hit this every step). The graph holds a
-    /// reference to the value, never a copy.
+    /// so on an int8 serving graph matmuls against it reuse the
+    /// process-wide int8 pack while the value stays unchanged; an f32
+    /// product reads the value in place. The graph holds a reference to
+    /// the value, never a copy.
     ///
     /// The graph key is [`ParamId::key`], the one an
     /// [`Optimizer`](crate::Optimizer) reads back.
@@ -278,7 +409,7 @@ mod tests {
     fn a_write_after_a_bind_copies_and_leaves_the_tape_alone() {
         let mut ps = ParamSet::new();
         let a = ps.add("w", Array::ones(&[64, 64]));
-        // x · w[:, 0] through the pack cache (a 64 x 64 weight packs).
+        // x · w[:, 0], the 64 x 64 weight read where the store holds it.
         let product = |ps: &ParamSet| {
             let mut g = Graph::new();
             let x = g.constant(Array::ones(&[1, 64]));
@@ -297,7 +428,7 @@ mod tests {
         assert_eq!(ps.pack_ident(a).version, before + 1, "version bumped");
         assert_eq!(bits(&g), recorded, "the tape's value is bitwise unchanged");
         assert!(!std::ptr::eq(g.value(v), ps.value(a)), "copied on write");
-        assert_eq!(product(&ps), 68.0, "repacked: 5 + 63 ones");
+        assert_eq!(product(&ps), 68.0, "the written value: 5 + 63 ones");
         // With no tape left holding it, a write is in place.
         drop(g);
         let at = ps.value(a).data().as_ptr();
@@ -326,5 +457,68 @@ mod tests {
         assert!(ps.is_trainable(a));
         ps.set_trainable(a, false);
         assert!(!ps.is_trainable(a));
+    }
+
+    /// Registers `a: [2, 3]` and `b: [3]`, counting initializer runs.
+    fn two_params(ps: &mut ParamSet, runs: &std::cell::Cell<usize>) -> (ParamId, ParamId) {
+        let counted = |s: &[usize]| {
+            runs.set(runs.get() + 1);
+            Array::ones(s)
+        };
+        (
+            ps.add_with("a", &[2, 3], counted),
+            ps.add_with("b", &[3], counted),
+        )
+    }
+
+    #[test]
+    fn lay_out_takes_the_decoded_values_and_runs_no_initializer() {
+        let runs = std::cell::Cell::new(0);
+        let mut saved = ParamSet::new();
+        let (a, b) = two_params(&mut saved, &runs);
+        saved.value_mut(a).data_mut()[4] = 7.0;
+        saved.set_trainable(b, false);
+        let value_a: *const Array = saved.value(a);
+        let expect = saved.clone();
+        runs.set(0);
+        let ((a2, b2), laid) = ParamSet::lay_out(saved, |ps| two_params(ps, &runs)).unwrap();
+        assert_eq!(runs.get(), 0, "no initializer ran");
+        assert!(laid == expect, "the decoded names, flags and values");
+        assert_eq!((a2, b2), (a, b));
+        assert!(std::ptr::eq(laid.value(a2), value_a), "no value copied");
+
+        // Departures: a missing parameter, a renamed one, a reshaped one.
+        let mut short = ParamSet::new();
+        short.add("a", Array::ones(&[2, 3]));
+        let err = ParamSet::lay_out(short, |ps| two_params(ps, &runs));
+        assert_eq!(
+            err.err(),
+            Some(LayoutError::Count {
+                decoded: 1,
+                model: 2
+            })
+        );
+        let mut renamed = expect.clone();
+        renamed.entries[1].name = "c".into();
+        let err = ParamSet::lay_out(renamed, |ps| two_params(ps, &runs));
+        assert_eq!(
+            err.err(),
+            Some(LayoutError::Name {
+                decoded: "c".into(),
+                model: "b".into()
+            })
+        );
+        let mut reshaped = ParamSet::new();
+        reshaped.add("a", Array::ones(&[3, 2]));
+        reshaped.add("b", Array::ones(&[3]));
+        let err = ParamSet::lay_out(reshaped, |ps| two_params(ps, &runs));
+        assert_eq!(
+            err.err(),
+            Some(LayoutError::Shape {
+                name: "a".into(),
+                decoded: vec![3, 2],
+                model: vec![2, 3]
+            })
+        );
     }
 }

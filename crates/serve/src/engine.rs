@@ -134,7 +134,8 @@ impl<'a> BatchEngine<'a> {
     ///
     /// The graph is `reset` and reused, so a long-lived caller performs
     /// no per-batch graph allocation, and the frozen backbone weights are
-    /// bound by reference and hit the pack cache on every product.
+    /// bound by reference: an f32 store's products read them in place, an
+    /// int8 store's hit their cached int8 packs.
     ///
     /// # Panics
     ///
@@ -181,8 +182,8 @@ impl<'a> BatchEngine<'a> {
         g.reset();
         // Deploy precision of the store: int8 stores route every
         // pack-cache-eligible frozen product through the quantized
-        // engine; f32 stores leave the graph exactly as before (the
-        // knob survives reset, but re-asserting it keeps a shared graph
+        // engine; f32 stores run the plain f32 product (the knob
+        // survives reset, but re-asserting it keeps a shared graph
         // correct across stores of different precisions).
         g.set_matmul_precision(self.store.precision());
         let ClusterModel { vit, exits, params } = cluster;

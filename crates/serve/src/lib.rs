@@ -19,8 +19,8 @@
 //! 4. **[`server`]** — worker loops on an [`acme_runtime::Pool`], each
 //!    with a long-lived graph: steady-state serving is free of per-batch
 //!    graph allocation, the frozen backbone is bound by reference (no
-//!    weight is copied per batch) and every frozen product hits the
-//!    [`acme_tensor::packcache`].
+//!    weight is copied per batch): an f32 product reads it in place, an
+//!    int8 one hits the [`acme_tensor::packcache`].
 //! 5. **[`loadgen`]** — seeded firehose traces with Zipf device
 //!    popularity for benchmarks and tests.
 //!

@@ -27,7 +27,7 @@
 //! variant count u32 | per variant: cluster u32 | delta hash 16
 //! ```
 
-use acme_nn::{Activation, ParamSet};
+use acme_nn::{Activation, LayoutError, ParamSet};
 use acme_runtime::Pool;
 use acme_store::wire::Sealed;
 use acme_store::{
@@ -196,47 +196,32 @@ impl Codec for StoreManifest {
 }
 
 /// Rebuilds a [`ClusterModel`] from a checkpointed backbone
-/// [`ParamSet`]: construct the skeleton (which assigns `ParamId`s in
-/// save order), then swap every decoded value into it, so no decoded
-/// value is copied. The skeleton is built with randomly drawn values, a
-/// full backbone's worth, which the swap hands to `loaded` and which
-/// drop with it: while a cluster rebuilds, two backbones are live.
-fn rebuild_cluster(
-    model: &ServeModelConfig,
-    mut loaded: ParamSet,
-) -> Result<ClusterModel, StoreError> {
-    // The RNG only seeds values that are overwritten below; any seed
-    // yields the same structure.
-    let mut cm = ClusterModel::new(model, &mut SmallRng64::new(0));
-    let params = &mut cm.params;
-    if params.len() != loaded.len() {
-        return Err(StoreError::Mismatch(format!(
-            "backbone blob has {} params, model shape implies {}",
-            loaded.len(),
-            params.len()
-        )));
-    }
-    let ids: Vec<_> = params.ids().zip(loaded.ids()).collect();
-    for (id, lid) in ids {
-        if params.name(id) != loaded.name(lid) {
-            return Err(StoreError::Mismatch(format!(
-                "backbone param {:?} where model expects {:?}",
-                loaded.name(lid),
-                params.name(id)
-            )));
-        }
-        if params.value(id).shape() != loaded.value(lid).shape() {
-            return Err(StoreError::Mismatch(format!(
-                "backbone param {:?} has shape {:?}, model expects {:?}",
-                loaded.name(lid),
-                loaded.value(lid).shape(),
-                params.value(id).shape()
-            )));
-        }
-        std::mem::swap(params.value_mut(id), loaded.value_mut(lid));
-        params.set_trainable(id, loaded.is_trainable(lid));
-    }
-    Ok(cm)
+/// [`ParamSet`]: the cluster is laid out over the decoded values
+/// ([`ParamSet::lay_out`], which assigns `ParamId`s in save order), so
+/// no decoded value is copied and no initialization is drawn: one
+/// backbone is live per cluster rebuilt.
+fn rebuild_cluster(model: &ServeModelConfig, loaded: ParamSet) -> Result<ClusterModel, StoreError> {
+    // No registration draws from the RNG unless the blob holds fewer
+    // parameters than the model, an error either way.
+    let built = ParamSet::lay_out(loaded, |ps| {
+        ClusterModel::register(ps, model, &mut SmallRng64::new(0))
+    });
+    let ((vit, exits), params) = built.map_err(|e| {
+        StoreError::Mismatch(match e {
+            LayoutError::Count { decoded, model } => {
+                format!("backbone blob has {decoded} params, model shape implies {model}")
+            }
+            LayoutError::Name { decoded, model } => {
+                format!("backbone param {decoded:?} where model expects {model:?}")
+            }
+            LayoutError::Shape {
+                name,
+                decoded,
+                model,
+            } => format!("backbone param {name:?} has shape {decoded:?}, model expects {model:?}"),
+        })
+    })?;
+    Ok(ClusterModel { vit, exits, params })
 }
 
 impl VariantStore {

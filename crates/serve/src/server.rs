@@ -4,8 +4,8 @@
 //! The load generator and the workers are the tasks of one
 //! [`acme_runtime::Pool::par_map`]; each worker owns a long-lived
 //! [`Graph`] it resets per batch, so steady-state serving performs no
-//! per-batch graph allocation and every frozen backbone product runs
-//! against the pack cache.
+//! per-batch graph allocation and every frozen backbone product reads
+//! its weight by reference (an int8 store's, its cached int8 pack).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -4,8 +4,9 @@
 //! ACME's customization pipeline leaves each cluster with one pruned
 //! backbone and each device with a small personalized header (§III).
 //! Serving therefore resolves a request's `device` to a *variant*: the
-//! cluster backbone (shared by every device in the cluster, frozen, so
-//! its weights pack once into the [`acme_tensor::packcache`]) and the
+//! cluster backbone (shared by every device in the cluster and frozen,
+//! so an f32 variant's products read its weights in place and an int8
+//! variant's quantize once into the [`acme_tensor::packcache`]) and the
 //! device's own exit heads, class-pruned to the label subset the device
 //! actually observes.
 
@@ -35,9 +36,10 @@ impl ServeModelConfig {
     /// The serving-bench default: a backbone shaped so serving cost is
     /// dominated by per-dispatch work that batching amortizes. One patch
     /// plus `[CLS]` (patch == image) keeps the per-row token math small,
-    /// while every weight matrix is `[64, 64]` — exactly the pack-cache
-    /// floor, so all frozen products pack once and run prepacked
-    /// thereafter. Unbatched serving re-pays graph construction and
+    /// while every weight matrix is `[64, 64]` — exactly the int8 pack
+    /// cache's floor, so at int8 every frozen product quantizes once and
+    /// runs from its cached pack thereafter, and at f32 every one reads
+    /// its weight in place. Unbatched serving re-pays graph construction and
     /// parameter binding per request; coalesced batches pay it once per
     /// batch. Two exits: one shallow, one final.
     fn serving_default() -> Self {
@@ -64,7 +66,7 @@ impl ServeModelConfig {
     /// put most of each request's flops into the backbone products while
     /// `dim = 384` makes every weight matrix (`[384, 384]` attention
     /// projections, `[384, 1536]`/`[1536, 384]` MLP, patch embed) far
-    /// above the pack-cache floor, so GEMM time is the serving time.
+    /// above the int8 pack cache's floor, so GEMM time is the serving time.
     /// Both 384 and 1536 are multiples of the `NR = 48` register-tile
     /// width, so the products run entirely on full-width microkernel
     /// tiles at either precision. This is the config the
@@ -121,7 +123,7 @@ pub struct StoreConfig {
     /// The served model shape.
     pub model: ServeModelConfig,
     /// Precision the variants are deployed at. `F32` (the default)
-    /// serves exactly the historical path; `Int8` quantizes every
+    /// reads every weight in place; `Int8` quantizes every
     /// pack-cache-eligible frozen weight once at first bind and runs
     /// backbone products through the quantized engine
     /// (see [`acme_tensor::qgemm`]). Training is unaffected — this knob
@@ -174,9 +176,20 @@ impl ClusterModel {
     /// `rng`.
     pub(crate) fn new(model: &ServeModelConfig, rng: &mut SmallRng64) -> Self {
         let mut params = ParamSet::new();
-        let vit = Vit::with_activation(&mut params, &model.vit, model.activation, rng);
-        let exits = MultiExitVit::new(&mut params, &vit, &model.exit_layers, rng);
+        let (vit, exits) = Self::register(&mut params, model, rng);
         ClusterModel { vit, exits, params }
+    }
+
+    /// Registers a cluster of shape `model` into `params`: the trunk,
+    /// then the exit norms and heads.
+    pub(crate) fn register(
+        params: &mut ParamSet,
+        model: &ServeModelConfig,
+        rng: &mut SmallRng64,
+    ) -> (Vit, MultiExitVit) {
+        let vit = Vit::with_activation(params, &model.vit, model.activation, rng);
+        let exits = MultiExitVit::new(params, &vit, &model.exit_layers, rng);
+        (vit, exits)
     }
 }
 

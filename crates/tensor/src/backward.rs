@@ -70,25 +70,36 @@ impl Graph {
                 continue;
             };
             let start = timed.then(Instant::now);
-            let contributions = Self::contributions(
-                &self.values,
-                &self.needs_grad,
-                &self.ops[id],
-                &grad,
-                &self.values[id],
-            );
-            for (parent, contrib) in contributions {
-                self.accumulate(parent, contrib);
-            }
+            let bytes = grad.heap_bytes();
+            let kept = match self.ops[id] {
+                Op::Leaf { .. } => Some(grad),
+                Op::Add(a, b) => {
+                    self.add_backward(a, b, grad);
+                    None
+                }
+                _ => {
+                    let contributions = Self::contributions(
+                        &self.values,
+                        &self.needs_grad,
+                        &self.ops[id],
+                        &grad,
+                        &self.values[id],
+                    );
+                    for (parent, contrib) in contributions {
+                        self.accumulate(parent, contrib);
+                    }
+                    None
+                }
+            };
             if let Some(start) = start {
                 optable::backward(&self.ops[id], start);
             }
-            if matches!(self.ops[id], Op::Leaf { .. }) {
-                self.grads[id] = Some(grad);
-            } else {
-                let bytes = grad.heap_bytes();
-                self.grad_bytes -= bytes;
-                mem::release(Owner::TapeGrads, bytes);
+            match kept {
+                Some(grad) => self.grads[id] = Some(grad),
+                None => {
+                    self.grad_bytes -= bytes;
+                    mem::release(Owner::TapeGrads, bytes);
+                }
             }
         }
         self.clock = timed.then(Instant::now);
@@ -106,6 +117,42 @@ impl Graph {
                 _ => op.any_input(|v| needs[v.0]),
             };
             needs.push(need);
+        }
+    }
+
+    /// `add`'s rule, which copies no gradient an input takes as it is:
+    /// an input of a broadcast shape gets `grad` summed over the
+    /// broadcast axes, and the last input of the output's own shape gets
+    /// `grad` itself, moved; another of that shape (`x + x`, or both
+    /// sides of a residual add) adds it in by reference, and copies it
+    /// only into an empty slot. The slots receive the values of the
+    /// two-copy rule in its order (inputs that share a slot are one
+    /// node, so they are both full-shape and keep theirs), so no bit
+    /// moves.
+    fn add_backward(&mut self, a: Var, b: Var, grad: Array) {
+        // Each input that needs a gradient, and whether it has `grad`'s shape.
+        let inputs: Vec<(usize, bool)> = [a, b]
+            .into_iter()
+            .filter(|v| self.needs_grad[v.0])
+            .map(|v| (v.0, self.values[v.0].shape() == grad.shape()))
+            .collect();
+        for &(id, _) in inputs.iter().filter(|(_, full)| !full) {
+            let contrib = grad.reduce_to_shape(self.values[id].shape());
+            self.accumulate(id, contrib);
+        }
+        let takers: Vec<usize> = inputs
+            .iter()
+            .filter(|(_, full)| *full)
+            .map(|i| i.0)
+            .collect();
+        if let Some((&last, rest)) = takers.split_last() {
+            for &id in rest {
+                match &mut self.grads[id] {
+                    Some(g) => g.add_assign(&grad),
+                    None => self.accumulate(id, grad.clone()),
+                }
+            }
+            self.accumulate(last, grad);
         }
     }
 
@@ -168,10 +215,7 @@ impl Graph {
         };
         match op {
             Op::Leaf { .. } => Vec::new(),
-            Op::Add(a, b) => pair([
-                part(*a, &|| grad.reduce_to_shape(val(*a).shape())),
-                part(*b, &|| grad.reduce_to_shape(val(*b).shape())),
-            ]),
+            Op::Add(..) => unreachable!("add runs Graph::add_backward"),
             Op::Mul(a, b) => pair([
                 part(*a, &|| {
                     grad.mul(val(*b))
@@ -489,6 +533,25 @@ mod tests {
         g.backward(s);
         assert_eq!(g.grad(b).unwrap().shape(), &[3]);
         assert_eq!(g.grad(b).unwrap().data(), &[2.0, 2.0, 2.0]);
+    }
+
+    /// `add` hands its gradient on: both sides of a residual add get the
+    /// output's gradient, `x + x` twice of it, and a constant side none.
+    #[test]
+    fn add_hands_the_gradient_to_each_side() {
+        let seed = Array::from_vec(vec![0.5, -1.25, 3.0, 0.75], &[2, 2]).unwrap();
+        let mut g = Graph::new();
+        let x = g.leaf(Array::ones(&[2, 2]));
+        let c = g.constant(Array::ones(&[2, 2]));
+        let y = g.scale(x, 2.0);
+        let r = g.add(x, y); // residual: x + f(x)
+        let d = g.add(r, r); // the same node on both sides
+        let out = g.add(d, c);
+        g.backward_with(out, seed.clone());
+        // d(out)/dx = 2 · (1 + 2) per element.
+        let expect: Vec<f32> = seed.data().iter().map(|s| 6.0 * s).collect();
+        assert_eq!(g.grad(x).unwrap().data(), &expect[..]);
+        assert!(g.grad(c).is_none());
     }
 
     #[test]

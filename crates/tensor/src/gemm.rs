@@ -4,21 +4,23 @@
 //! The structure is the classic three-level blocking scheme (BLIS/GotoBLAS):
 //!
 //! * an **MC×KC tiling layer** walks the operands in cache-sized blocks,
-//!   copying each block into contiguous, microkernel-ordered scratch
-//!   ("packing") so the inner loops touch memory strictly sequentially;
-//! * an **MR×NR register microkernel** holds an `MR x NR` tile of the
-//!   output in local accumulators and streams packed A/B panels through
-//!   it — an AVX-512 intrinsic kernel where the target supports it,
-//!   otherwise an unrolled scalar form the autovectorizer turns into SIMD;
+//!   copying each block of the left operand into contiguous,
+//!   microkernel-ordered scratch ("packing") so the inner loops read it
+//!   strictly sequentially;
+//! * an **R×NR register microkernel** holds an `R x NR` tile of the
+//!   output in local accumulators and streams a packed A panel and the
+//!   right operand's depth rows through it — an AVX-512 intrinsic kernel
+//!   where the target supports it, otherwise an unrolled scalar form the
+//!   autovectorizer turns into SIMD;
 //! * a **row-panel parallel driver** splits the output over disjoint row
 //!   chunks on an [`acme_runtime::Pool`], the caller working one chunk
 //!   itself.
 //!
-//! The loop nest, the packed-panel addressing ([`Packed`]), partial tiles
-//! and the row-panel split are written once, over a [`Kernel`]: the
-//! operand types, the two pack layouts and the register-tile arithmetic.
-//! [`F32`] (this file) and [`crate::qgemm::I8`] are the two
-//! instantiations.
+//! The loop nest, the right operand's addressing ([`Packed`] panels or a
+//! view read in place), partial tiles and the row-panel split are written
+//! once, over a [`Kernel`]: the operand types, the two pack layouts and
+//! the register-tile arithmetic. [`F32`] (this file) and
+//! [`crate::qgemm::I8`] are the two instantiations.
 //!
 //! # Determinism
 //!
@@ -28,47 +30,56 @@
 //! the existing `out` value, so the kernels keep `+=` semantics), and each
 //! step applies one [`madd`] — a *fused* multiply-add on every target,
 //! used **uniformly** by the reference kernel, the scalar microkernel,
-//! and the vector microkernel (`vfmadd` is bitwise-identical to scalar
-//! `f32::mul_add`). Packing only relocates values and the parallel driver
-//! only splits over *independent* output rows, so the blocked, packed, and
-//! multi-threaded paths are all **bit-identical** to [`gemm_naive`] at any
-//! thread count and any block size.
+//! and the vector microkernels (`vfmadd` is bitwise-identical to scalar
+//! `f32::mul_add`). Packing only relocates values, the tile height only
+//! changes which outputs share a pass, and the parallel driver only
+//! splits over *independent* output rows, so every path is
+//! **bit-identical** to [`gemm_naive`] at any thread count and any block
+//! size.
 //!
-//! # One dispatch
+//! # One dispatch, right operands in place
 //!
-//! [`gemm`] is the one entry for an f32 product whose right operand is
-//! not pre-packed, and the one place that picks the kernel: fewer rows
-//! than one register tile (`m < MR`) take [`gemm_naive`], every other
-//! product packs `b` and runs the blocked driver. The rule is rows, not
-//! work: below `MR` rows packing `b` seldom pays off and the driver has
-//! no row panel to split, while from `MR` rows on the blocked kernel is
-//! faster at every measured shape of depth 8 or more but one, however
-//! few the multiply-adds (DESIGN.md §8 has the table).
-//!
-//! # Packed-B reuse
-//!
-//! [`pack_b`] produces a self-contained [`PackedB`] that can be cached and
-//! reused across calls via [`Kernel::gemm_f32`] — the hook used by the
-//! parameter-keyed packed-weight cache in `packcache` for inference-style
-//! repeated matmuls against frozen weights.
+//! [`gemm`] is the one entry for an f32 product, and the one place that
+//! picks the kernel. A right operand with unit column stride (every
+//! row-major weight, activation and gradient) is read where it lies:
+//! below [`MR`] rows by the row-streaming kernel, from `MR` rows on by
+//! the blocked driver at an `MR x NR` tile, and from [`MR_WIDE`] rows on
+//! at an `MR_WIDE x NR` tile. Only a strided `b` (the backward's `a·bᵀ`)
+//! is packed, per call, before the blocked driver — or, below `MR`
+//! rows, multiplied by [`gemm_naive`]. No f32 product keeps a packed
+//! copy of its weights; DESIGN.md §8 has the measurements behind the
+//! rule.
 
 use std::fmt::Debug;
 use std::ops::Range;
 
 use acme_runtime::Pool;
 
-/// Rows of the register microkernel tile. Wider tiles (MR = 6/8) spill
-/// accumulators out of registers on every codegen we measured; 4 rows is
-/// the sweet spot for both the scalar and the AVX-512 kernel.
+/// Rows of the narrow register tile: the f32 tile for `MR .. MR_WIDE`
+/// rows, and the int8 kernel's one tile. Fewer rows than this take
+/// [`gemm`]'s row-streaming kernel.
 pub const MR: usize = 4;
+/// Rows of the wide f32 register tile, run from this many rows on: its
+/// 8×48 accumulators fill 24 of the 32 AVX-512 registers, and every
+/// depth row of `b` loaded feeds twice the multiply-adds of the narrow
+/// tile's.
+pub const MR_WIDE: usize = 8;
 /// Columns of the register microkernel tile: three 16-lane AVX-512
-/// vectors (or six 8-lane AVX vectors), giving a 4×48 accumulator block.
+/// vectors (or six 8-lane AVX vectors) per tile row.
 pub const NR: usize = 48;
-/// Row-block size of the packing layer (multiple of [`MR`]).
+/// Row-block size of the packing layer (a multiple of both tiles).
 pub const MC: usize = 128;
 /// Depth-block size: one `MC x KC` packed-A block (256 KiB) fits in L2
-/// while a `KC x NR` packed-B panel (96 KiB) streams through L1/L2.
+/// while a `KC x NR` strip of `b` (96 KiB) streams through L1/L2.
 pub const KC: usize = 512;
+/// Columns one strip of the row-streaming kernel keeps in accumulators:
+/// eight 16-lane vectors per row, 24 registers at three rows.
+pub const NS: usize = 128;
+/// Lanes of one accumulator vector of the row-streaming kernel.
+const LANES: usize = 16;
+/// How many depth rows ahead the f32 kernels prefetch `b`: a view read
+/// in place has its depth rows a whole row stride apart.
+const PREFETCH_ROWS: usize = 8;
 
 /// One accumulation step, `a * b + c` with a single rounding — always
 /// fused, on every target: a `vfmadd` where the build enables FMA, the
@@ -92,7 +103,7 @@ pub struct MatRef<'a, T = f32> {
 
 impl<'a, T: Copy> MatRef<'a, T> {
     /// A view with explicit row/column strides. The caller must ensure
-    /// every addressed element is in bounds; packing panics otherwise.
+    /// every addressed element is in bounds; the kernels panic otherwise.
     pub fn strided(data: &'a [T], rs: usize, cs: usize) -> Self {
         MatRef { data, rs, cs }
     }
@@ -122,21 +133,22 @@ impl<'a, T: Copy> MatRef<'a, T> {
 
 /// One dtype instantiation of the blocked engine: the operand types, the
 /// two pack layouts and the arithmetic of one register tile. Everything
-/// that walks blocks, addresses panels, pads partial tiles or forks rows
-/// lives in the generic driver ([`gemm_prepacked`]) and is shared.
+/// that walks blocks, addresses the right operand, pads partial tiles or
+/// forks rows lives in the generic driver and is shared.
 pub trait Kernel: Sized + 'static {
     /// Element of the unpacked left operand, as a [`MatRef`] views it.
     type Lhs: Copy + Send + Sync;
     /// Element of a packed left panel.
     type A: Copy + Send;
-    /// Element of a packed right panel; `default()` is its zero padding.
+    /// Element of the right operand as the microkernel reads it;
+    /// `default()` is its zero padding.
     type B: Copy + Default + Debug + Send + Sync;
     /// Accumulator and output element; `default()` is zero.
     type C: Copy + Default + Send;
     /// What a [`Packed`] right operand carries beside its panels.
     type Extra: Clone + Debug + Send + Sync;
 
-    /// Depth steps per packed group: panels interleave `KP` consecutive
+    /// Depth steps per group: packed panels interleave `KP` consecutive
     /// depth steps of one row/column, zero-padding the last group.
     /// [`KC`] must be a multiple of it.
     const KP: usize;
@@ -150,31 +162,38 @@ pub trait Kernel: Sized + 'static {
     fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> Packed<Self>;
 
     /// Packs rows `i0 .. i0+mb` of `a`, depth slice `p0 .. p0+kcb`, into
-    /// `MR`-row panels of `kcb.div_ceil(KP) * KP * MR` elements ordered
+    /// `mr`-row panels of `kcb.div_ceil(KP) * KP * mr` elements ordered
     /// `[panel][group][row][KP]`, padded past the last row and the depth
     /// tail with a value whose products vanish against the zero-padded
-    /// right panels. `buf` is resized as needed.
+    /// right operand. `buf` is resized as needed.
     fn pack_a(
         a: MatRef<'_, Self::Lhs>,
         i0: usize,
         mb: usize,
         p0: usize,
         kcb: usize,
+        mr: usize,
         buf: &mut Vec<Self::A>,
     );
 
-    /// The full `MR x NR` register-tile microkernel:
-    /// `out[0..MR, 0..NR] += pa · pb` over `groups` depth groups, rows of
-    /// `out` being `ldc` apart.
-    fn microkernel(pa: &[Self::A], pb: &[Self::B], groups: usize, out: &mut [Self::C], ldc: usize);
+    /// The full `R x NR` register-tile microkernel:
+    /// `out[0..R, 0..NR] += pa · pb` over `groups` depth groups, the
+    /// groups of `pb` being `ldb` elements apart (`NR * KP` in packed
+    /// panels, the row stride of a view read in place) and the rows of
+    /// `out` `ldc` apart.
+    fn microkernel<const R: usize>(
+        pa: &[Self::A],
+        pb: &[Self::B],
+        ldb: usize,
+        groups: usize,
+        out: &mut [Self::C],
+        ldc: usize,
+    );
 
     /// Runs once over a chunk of finished output rows (`n` columns each)
-    /// after the last depth block has been accumulated into them.
+    /// after the last depth block has been accumulated into them from
+    /// [`Packed`] panels.
     fn finish(_extra: &Self::Extra, _out: &mut [Self::C], _n: usize) {}
-
-    /// `out[m, n] = a[m, k] · pb` from f32 activations to f32 outputs,
-    /// `out` zeroed on entry: the product `Array::matmul_prepacked` runs.
-    fn gemm_f32(a: &[f32], pb: &Packed<Self>, out: &mut [f32], m: usize, pool: &Pool);
 }
 
 /// A right-hand matrix packed into `KC`-deep, `NR`-wide column panels,
@@ -200,16 +219,6 @@ impl<K: Kernel> Packed<K> {
     /// Columns of the packed matrix.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Packed size in elements (for cache accounting).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the packed buffer is empty (`k == 0` or `n == 0`).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// The packed panels, for tests that compare two packs.
@@ -283,68 +292,97 @@ impl<K: Kernel> Packed<K> {
     }
 }
 
-/// Runs `K`'s microkernel on a partial tile (`mr <= MR`, `nr <= NR`):
-/// the valid region of `out` is copied into a zeroed `MR x NR` stack
-/// tile, the full kernel runs on that, and the region is copied back.
-/// The accumulators still start from `out` and the panels are padded so
-/// the extra lanes never reach a valid one, so each valid element sees
-/// exactly the arithmetic of a full tile.
-fn partial_tile<K: Kernel>(
+/// The right operand of one blocked product, as the driver reads it.
+enum Rhs<'a, K: Kernel> {
+    /// Panels packed by [`Kernel::pack_b`]: groups `NR * KP` apart.
+    Packed(&'a Packed<K>),
+    /// A view with unit column stride (one depth step per group,
+    /// `KP = 1`), read where it lies: a full column panel's groups are
+    /// the view's rows, `rs` apart. Only the last, partial panel is
+    /// copied, into an `NR`-wide zero-padded scratch, so nothing past
+    /// column `n` is read.
+    InPlace(MatRef<'a, K::B>),
+}
+
+/// Runs `K`'s `R`-row microkernel on a partial tile (`mr <= R`,
+/// `nr <= NR`): the valid region of `out` is copied into a zeroed
+/// `R x NR` stack tile, the full kernel runs on that, and the region is
+/// copied back. The accumulators still start from `out` and the
+/// operands are padded so the extra lanes never reach a valid one, so
+/// each valid element sees exactly the arithmetic of a full tile.
+#[allow(clippy::too_many_arguments)]
+fn partial_tile<K: Kernel, const R: usize>(
     pa: &[K::A],
     pb: &[K::B],
+    ldb: usize,
     groups: usize,
     out: &mut [K::C],
     ldc: usize,
     mr: usize,
     nr: usize,
 ) {
-    let mut tile = [K::C::default(); MR * NR];
-    for r in 0..mr {
-        tile[r * NR..r * NR + nr].copy_from_slice(&out[r * ldc..r * ldc + nr]);
+    let mut tile = [[K::C::default(); NR]; R];
+    for (r, row) in tile.iter_mut().enumerate().take(mr) {
+        row[..nr].copy_from_slice(&out[r * ldc..r * ldc + nr]);
     }
-    K::microkernel(pa, pb, groups, &mut tile, NR);
-    for r in 0..mr {
-        out[r * ldc..r * ldc + nr].copy_from_slice(&tile[r * NR..r * NR + nr]);
+    K::microkernel::<R>(pa, pb, ldb, groups, tile.as_flattened_mut(), NR);
+    for (r, row) in tile.iter().enumerate().take(mr) {
+        out[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
     }
 }
 
-/// Runs the blocked kernels over output rows `row0 .. row0+rows` of a
-/// logical `m x k · k x n` product, accumulating into `out` (`out` is the
-/// caller's buffer *starting at* `row0`'s row, not the full matrix).
-/// Each row's full depth reduction lives inside one call, so
-/// [`Kernel::finish`] applies exactly once per output whatever the
-/// parallel row split.
-fn gemm_rows<K: Kernel>(
+/// Runs the blocked kernels at an `R`-row tile over output rows
+/// `row0 .. row0+rows` of a logical `m x k · k x n` product, accumulating
+/// into `out` (`out` is the caller's buffer *starting at* `row0`'s row,
+/// not the full matrix). Each row's full depth reduction lives inside
+/// one call, so [`Kernel::finish`] applies exactly once per output
+/// whatever the parallel row split.
+fn gemm_rows<K: Kernel, const R: usize>(
     a: MatRef<'_, K::Lhs>,
-    pb: &Packed<K>,
+    rhs: &Rhs<'_, K>,
+    (k, n): (usize, usize),
     out: &mut [K::C],
     row0: usize,
     rows: usize,
 ) {
-    let (k, n) = (pb.k, pb.n);
     let mut pa_buf = Vec::new();
+    let mut edge = Vec::new();
+    let (full, tail) = (n / NR * NR, n % NR);
     let mut pc = 0;
     while pc < k {
         let kcb = KC.min(k - pc);
         let groups = kcb.div_ceil(K::KP);
-        let a_panel = groups * K::KP * MR;
+        let a_panel = groups * K::KP * R;
+        if let (Rhs::InPlace(b), true) = (rhs, tail > 0) {
+            debug_assert_eq!(K::KP, 1, "in-place operands have one depth step per group");
+            edge.clear();
+            edge.resize(kcb * NR, K::B::default());
+            for (p, row) in edge.chunks_exact_mut(NR).enumerate() {
+                let src = (pc + p) * b.rs + full;
+                row[..tail].copy_from_slice(&b.data[src..src + tail]);
+            }
+        }
         let mut ic = 0;
         while ic < rows {
             let mcb = MC.min(rows - ic);
-            K::pack_a(a, row0 + ic, mcb, pc, kcb, &mut pa_buf);
+            K::pack_a(a, row0 + ic, mcb, pc, kcb, R, &mut pa_buf);
             for jp in 0..n.div_ceil(NR) {
                 let j0 = jp * NR;
                 let nrb = NR.min(n - j0);
-                let bp = &pb.data[pb.panel_range(pc, kcb, jp)];
-                for ip in 0..mcb.div_ceil(MR) {
-                    let r0 = ip * MR;
-                    let mrb = MR.min(mcb - r0);
+                let (bp, ldb) = match rhs {
+                    Rhs::Packed(pb) => (&pb.data[pb.panel_range(pc, kcb, jp)], NR * K::KP),
+                    Rhs::InPlace(b) if nrb == NR => (&b.data[pc * b.rs + j0..], b.rs),
+                    Rhs::InPlace(_) => (&edge[..], NR),
+                };
+                for ip in 0..mcb.div_ceil(R) {
+                    let r0 = ip * R;
+                    let mrb = R.min(mcb - r0);
                     let ap = &pa_buf[ip * a_panel..(ip + 1) * a_panel];
                     let co = (ic + r0) * n + j0;
-                    if mrb == MR && nrb == NR {
-                        K::microkernel(ap, bp, groups, &mut out[co..], n);
+                    if mrb == R && nrb == NR {
+                        K::microkernel::<R>(ap, bp, ldb, groups, &mut out[co..], n);
                     } else {
-                        partial_tile::<K>(ap, bp, groups, &mut out[co..], n, mrb, nrb);
+                        partial_tile::<K, R>(ap, bp, ldb, groups, &mut out[co..], n, mrb, nrb);
                     }
                 }
             }
@@ -352,14 +390,46 @@ fn gemm_rows<K: Kernel>(
         }
         pc += kcb;
     }
-    K::finish(&pb.extra, out, n);
+    if let Rhs::Packed(pb) = rhs {
+        K::finish(&pb.extra, out, n);
+    }
+}
+
+/// `out[m, n] += a[m, k] · rhs[k, n]` by the blocked kernels at an
+/// `R`-row tile, with row-panel parallelism over `pool`: the one blocked
+/// driver. Bit-identical to the kernel's naive oracle at any thread
+/// count.
+fn drive<K: Kernel, const R: usize>(
+    a: MatRef<'_, K::Lhs>,
+    rhs: &Rhs<'_, K>,
+    (k, n): (usize, usize),
+    out: &mut [K::C],
+    m: usize,
+    pool: &Pool,
+) {
+    assert_eq!(out.len(), m * n, "gemm: output buffer size");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let _t = acme_obs::timer!(K::TIMER, "m" => m, "k" => k, "n" => n);
+    let chunks = pool.threads().min(m.div_ceil(MC));
+    if chunks <= 1 || m * k * n < K::PARALLEL_MIN_MACS {
+        return gemm_rows::<K, R>(a, rhs, (k, n), out, 0, m);
+    }
+    // Split rows over `chunks` tasks on MC boundaries. Each task owns a
+    // disjoint slice of `out`; per-element arithmetic is unchanged, so
+    // the result is bit-identical at any thread count.
+    let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
+    pool.par_map(out.chunks_mut(rows_per * n).collect(), |t, chunk| {
+        gemm_rows::<K, R>(a, rhs, (k, n), chunk, t * rows_per, chunk.len() / n)
+    });
 }
 
 /// `out[m, n] += a[m, k] · pb[k, n]` against a pre-packed right-hand
-/// side, with cache blocking and row-panel parallelism over `pool`: the
-/// one blocked driver, and for f32 the packed-weight-cache fast path
-/// ([`gemm`] with the re-packing of `b` skipped). Bit-identical to the
-/// kernel's naive oracle at any thread count.
+/// side at the narrow [`MR`]-row tile, with cache blocking and row-panel
+/// parallelism over `pool`: the int8 serving product's driver, and for
+/// f32 a packed operand's. Bit-identical to the kernel's naive oracle at
+/// any thread count.
 pub fn gemm_prepacked<K: Kernel>(
     a: MatRef<'_, K::Lhs>,
     pb: &Packed<K>,
@@ -367,23 +437,7 @@ pub fn gemm_prepacked<K: Kernel>(
     m: usize,
     pool: &Pool,
 ) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(out.len(), m * n, "gemm_prepacked: output buffer size");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let _t = acme_obs::timer!(K::TIMER, "m" => m, "k" => k, "n" => n);
-    let chunks = pool.threads().min(m.div_ceil(MC));
-    if chunks <= 1 || m * k * n < K::PARALLEL_MIN_MACS {
-        return gemm_rows(a, pb, out, 0, m);
-    }
-    // Split rows over `chunks` tasks on MC boundaries. Each task owns a
-    // disjoint slice of `out`; per-element arithmetic is unchanged, so
-    // the result is bit-identical at any thread count.
-    let rows_per = m.div_ceil(chunks).div_ceil(MC) * MC;
-    pool.par_map(out.chunks_mut(rows_per * n).collect(), |t, chunk| {
-        gemm_rows(a, pb, chunk, t * rows_per, chunk.len() / n)
-    });
+    drive::<K, MR>(a, &Rhs::Packed(pb), (pb.k, pb.n), out, m, pool);
 }
 
 /// The f32 instantiation of the engine: plain `[group = depth step]`
@@ -416,6 +470,7 @@ impl Kernel for F32 {
     const TIMER: &'static str = "tensor.gemm.blocked";
 
     fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
+        crate::packcache::count_f32_pack();
         Packed::build(k, n, (), |panel, pc, kcb, j0, nrb| {
             for p in 0..kcb {
                 let row = &mut panel[p * NR..p * NR + nrb];
@@ -432,16 +487,24 @@ impl Kernel for F32 {
     }
 
     /// Panels are ordered `[panel][p][r]`, zero-padded in `r`.
-    fn pack_a(a: MatRef<'_>, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<f32>) {
-        let panels = mb.div_ceil(MR);
+    fn pack_a(
+        a: MatRef<'_>,
+        i0: usize,
+        mb: usize,
+        p0: usize,
+        kcb: usize,
+        mr: usize,
+        buf: &mut Vec<f32>,
+    ) {
+        let panels = mb.div_ceil(mr);
         buf.clear();
-        buf.resize(panels * kcb * MR, 0.0);
+        buf.resize(panels * kcb * mr, 0.0);
         for ip in 0..panels {
-            let r0 = i0 + ip * MR;
-            let mrb = MR.min(i0 + mb - r0);
-            let base = ip * kcb * MR;
+            let r0 = i0 + ip * mr;
+            let mrb = mr.min(i0 + mb - r0);
+            let base = ip * kcb * mr;
             for p in 0..kcb {
-                let dst = base + p * MR;
+                let dst = base + p * mr;
                 for r in 0..mrb {
                     buf[dst + r] = a.at(r0 + r, p0 + p);
                 }
@@ -457,19 +520,23 @@ impl Kernel for F32 {
         target_feature = "fma"
     )))]
     #[inline(always)]
-    fn microkernel(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
-        let mut acc = [[0.0f32; NR]; MR];
+    fn microkernel<const R: usize>(
+        pa: &[f32],
+        pb: &[f32],
+        ldb: usize,
+        kc: usize,
+        out: &mut [f32],
+        ldc: usize,
+    ) {
+        let mut acc = [[0.0f32; NR]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             row.copy_from_slice(&out[r * ldc..r * ldc + NR]);
         }
-        for (ap, bp) in pa[..kc * MR]
-            .chunks_exact(MR)
-            .zip(pb[..kc * NR].chunks_exact(NR))
-        {
-            for (r, row) in acc.iter_mut().enumerate() {
-                let ar = ap[r];
-                for (c, cell) in row.iter_mut().enumerate() {
-                    *cell = madd(ar, bp[c], *cell);
+        for p in 0..kc {
+            let (ap, bp) = (&pa[p * R..p * R + R], &pb[p * ldb..p * ldb + NR]);
+            for (row, &ar) in acc.iter_mut().zip(ap) {
+                for (cell, &bv) in row.iter_mut().zip(bp) {
+                    *cell = madd(ar, bv, *cell);
                 }
             }
         }
@@ -478,46 +545,56 @@ impl Kernel for F32 {
         }
     }
 
-    /// AVX-512 form of the microkernel: a 4×48 accumulator block held in
-    /// twelve zmm registers, loaded from `out` first, one `vfmadd231ps`
-    /// per accumulator per depth step. `vfmadd` is bitwise-identical to
-    /// scalar [`madd`] on FMA targets, so this kernel produces exactly
-    /// the bits of the scalar form it replaces.
+    /// AVX-512 form of the microkernel: an `R`×48 accumulator block held
+    /// in `3R` zmm registers (24 at the wide tile), loaded from `out`
+    /// first, one `vfmadd231ps` per accumulator per depth step. `vfmadd`
+    /// is bitwise-identical to scalar [`madd`] on FMA targets, so this
+    /// kernel produces exactly the bits of the scalar form it replaces.
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx512f",
         target_feature = "fma"
     ))]
     #[inline(always)]
-    fn microkernel(pa: &[f32], pb: &[f32], kc: usize, out: &mut [f32], ldc: usize) {
+    fn microkernel<const R: usize>(
+        pa: &[f32],
+        pb: &[f32],
+        ldb: usize,
+        kc: usize,
+        out: &mut [f32],
+        ldc: usize,
+    ) {
         use core::arch::x86_64::*;
-        assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-        assert!(out.len() >= (MR - 1) * ldc + NR);
+        assert!(pa.len() >= kc * R && pb.len() >= kc.saturating_sub(1) * ldb + NR);
+        assert!(out.len() >= (R - 1) * ldc + NR);
         // SAFETY: avx512f/fma are compile-time-enabled under this cfg; all
         // pointer arithmetic stays inside the slices per the asserts above
         // (loadu/storeu have no alignment requirement).
         unsafe {
             let o = out.as_mut_ptr();
-            let mut acc = [[_mm512_setzero_ps(); 3]; MR];
+            let mut acc = [[_mm512_setzero_ps(); 3]; R];
             for (r, row) in acc.iter_mut().enumerate() {
                 for (v, cell) in row.iter_mut().enumerate() {
                     *cell = _mm512_loadu_ps(o.add(r * ldc + v * 16));
                 }
             }
-            let mut ap = pa.as_ptr();
-            let mut bp = pb.as_ptr();
-            for _ in 0..kc {
+            for p in 0..kc {
+                let bp = pb.as_ptr().add(p * ldb);
+                let ahead = pb.as_ptr().add((p + PREFETCH_ROWS).min(kc - 1) * ldb);
+                _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(16) as *const i8);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(32) as *const i8);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(47) as *const i8);
                 let b0 = _mm512_loadu_ps(bp);
                 let b1 = _mm512_loadu_ps(bp.add(16));
                 let b2 = _mm512_loadu_ps(bp.add(32));
+                let ap = pa.as_ptr().add(p * R);
                 for (r, row) in acc.iter_mut().enumerate() {
                     let ar = _mm512_set1_ps(*ap.add(r));
                     row[0] = _mm512_fmadd_ps(ar, b0, row[0]);
                     row[1] = _mm512_fmadd_ps(ar, b1, row[1]);
                     row[2] = _mm512_fmadd_ps(ar, b2, row[2]);
                 }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
             }
             for (r, row) in acc.iter().enumerate() {
                 for (v, cell) in row.iter().enumerate() {
@@ -525,11 +602,6 @@ impl Kernel for F32 {
                 }
             }
         }
-    }
-
-    fn gemm_f32(a: &[f32], pb: &PackedB, out: &mut [f32], m: usize, pool: &Pool) {
-        #[expect(clippy::disallowed_methods, reason = "the cached-pack product")]
-        gemm_prepacked(MatRef::row_major(a, pb.k), pb, out, m, pool);
     }
 }
 
@@ -540,8 +612,8 @@ pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
 
 /// Reference kernel: the naive, dense, branch-free triple loop
 /// (`k` ascending, direct accumulation into `out`, one [`madd`] per
-/// step). This is the bit-exact oracle for the blocked paths, and the
-/// path [`gemm`] takes for fewer than [`MR`] rows.
+/// step). This is the bit-exact oracle for every other path, and the
+/// path [`gemm`] takes for fewer than [`MR`] rows against a strided `b`.
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -563,14 +635,156 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: us
     }
 }
 
-/// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product against an
-/// unpacked right operand. Fewer than [`MR`] rows run [`gemm_naive`]
-/// (there packing `b` seldom pays off, and there is no row panel to
-/// split); every other product packs `b` and runs the blocked driver
-/// with row-panel parallelism over `pool`. Both give [`gemm_naive`]'s
-/// bits, so the choice is invisible in the result. The pack has a timer
-/// of its own (`tensor.gemm.pack_b`), so the naive timer compares with
-/// the pack's and the blocked product's together.
+/// `out[M, ..] += a[M, k] · b[k, ..]` over columns `j0 .. j0+w` of a
+/// `b` with unit column stride, `w <= V · LANES` and only the last of
+/// the `V` vectors partial: the strip's `M × w` outputs sit in
+/// accumulators while the depth rows of `b` stream past once for all
+/// `M` rows, each output taking one [`madd`] per step, `k` ascending.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "fma"
+)))]
+fn strip<const M: usize, const V: usize>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    (k, ldc): (usize, usize),
+    j0: usize,
+    w: usize,
+) {
+    let mut acc = [[[0.0f32; LANES]; V]; M];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.as_flattened_mut()[..w].copy_from_slice(&out[r * ldc + j0..r * ldc + j0 + w]);
+    }
+    for p in 0..k {
+        let b_row = &b.data[p * b.rs + j0..p * b.rs + j0 + w];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let ar = a.at(r, p);
+            for (cell, &bv) in row.as_flattened_mut().iter_mut().zip(b_row) {
+                *cell = madd(ar, bv, *cell);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldc + j0..r * ldc + j0 + w].copy_from_slice(&row.as_flattened()[..w]);
+    }
+}
+
+/// AVX-512 form of [`strip`]: `M · V` zmm accumulators (24 at three
+/// rows of a full strip), one masked load of `b` per vector per depth
+/// step shared by the `M` rows' `vfmadd231ps`, and a prefetch of the
+/// depth row [`PREFETCH_ROWS`] ahead — a strip's rows of `b` are a whole
+/// row stride apart, which the hardware prefetcher does not follow.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "fma"
+))]
+fn strip<const M: usize, const V: usize>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    (k, ldc): (usize, usize),
+    j0: usize,
+    w: usize,
+) {
+    use core::arch::x86_64::*;
+    assert!(w > (V - 1) * LANES && w <= V * LANES);
+    assert!(out.len() >= (M - 1) * ldc + j0 + w);
+    assert!(k == 0 || b.data.len() >= (k - 1) * b.rs + j0 + w);
+    let mask = |v: usize| -> __mmask16 {
+        let lanes = (w - v * LANES).min(LANES);
+        (((1u32 << lanes) - 1) & 0xFFFF) as __mmask16
+    };
+    let masks: [__mmask16; V] = std::array::from_fn(mask);
+    // SAFETY: avx512f/fma are compile-time-enabled under this cfg. Every
+    // vector starts at a valid column (only the last is partial), the
+    // masked loads and stores touch only the `w` valid lanes, and every
+    // row of `out` and `b` addressed is in bounds per the asserts above.
+    unsafe {
+        let o = out.as_mut_ptr().add(j0);
+        let mut acc = [[_mm512_setzero_ps(); V]; M];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, cell) in row.iter_mut().enumerate() {
+                *cell = _mm512_maskz_loadu_ps(masks[v], o.add(r * ldc + v * LANES));
+            }
+        }
+        let bp = b.data.as_ptr().add(j0);
+        for p in 0..k {
+            let ahead = bp.add((p + PREFETCH_ROWS).min(k - 1) * b.rs);
+            for v in 0..V {
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(v * LANES) as *const i8);
+            }
+            let ars: [__m512; M] = std::array::from_fn(|r| _mm512_set1_ps(a.at(r, p)));
+            let row = bp.add(p * b.rs);
+            for v in 0..V {
+                let bv = _mm512_maskz_loadu_ps(masks[v], row.add(v * LANES));
+                for (acc_r, &ar) in acc.iter_mut().zip(&ars) {
+                    acc_r[v] = _mm512_fmadd_ps(ar, bv, acc_r[v]);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, cell) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(o.add(r * ldc + v * LANES), masks[v], *cell);
+            }
+        }
+    }
+}
+
+/// The row-streaming kernel at `M < MR` rows: full strips of [`NS`]
+/// columns, then the tail one vector at a time.
+fn stream_rows<const M: usize>(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], k: usize, n: usize) {
+    const NV: usize = NS / LANES;
+    let full = n / NS * NS;
+    for j0 in (0..full).step_by(NS) {
+        strip::<M, NV>(a, b, out, (k, n), j0, NS);
+    }
+    for j0 in (full..n).step_by(LANES) {
+        strip::<M, 1>(a, b, out, (k, n), j0, LANES.min(n - j0));
+    }
+}
+
+/// `out[m, n] += a[m, k] · b[k, n]` for `m < MR` rows of a `b` with unit
+/// column stride, read in place: the naive loop's chains, with `b` read
+/// once for all rows and the outputs kept in registers over the depth.
+fn stream(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+    const { assert!(MR == 4) };
+    match m {
+        0 => {}
+        1 => stream_rows::<1>(a, b, out, k, n),
+        2 => stream_rows::<2>(a, b, out, k, n),
+        _ => stream_rows::<3>(a, b, out, k, n),
+    }
+}
+
+/// The f32 blocked driver at the tile the row count picks: the wide one
+/// from [`MR_WIDE`] rows, the narrow one below.
+fn blocked(
+    a: MatRef<'_>,
+    rhs: &Rhs<'_, F32>,
+    kn: (usize, usize),
+    out: &mut [f32],
+    m: usize,
+    pool: &Pool,
+) {
+    if m >= MR_WIDE {
+        drive::<F32, MR_WIDE>(a, rhs, kn, out, m, pool);
+    } else {
+        drive::<F32, MR>(a, rhs, kn, out, m, pool);
+    }
+}
+
+/// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product. A `b` with
+/// unit column stride is read in place — by the row-streaming kernel
+/// below [`MR`] rows (timer `tensor.gemm.stream`), by the blocked driver
+/// from `MR` rows on (`tensor.gemm.blocked`), at the wide tile from
+/// [`MR_WIDE`] rows. A strided `b` runs [`gemm_naive`] below `MR` rows
+/// (`tensor.gemm.naive`) and is otherwise packed for the blocked driver
+/// (`tensor.gemm.pack_b`, then `tensor.gemm.blocked`), row-panel
+/// parallel over `pool` like the in-place product. Every path gives
+/// [`gemm_naive`]'s bits, so the choice is invisible in the result.
 pub fn gemm(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -581,16 +795,24 @@ pub fn gemm(
     pool: &Pool,
 ) {
     assert_eq!(out.len(), m * n, "gemm: output buffer size");
-    if m < MR {
-        let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
-        return gemm_naive(a, b, out, m, k, n);
+    match (m < MR, b.cs == 1) {
+        (true, true) => {
+            let _t = acme_obs::timer!("tensor.gemm.stream", "m" => m, "k" => k, "n" => n);
+            stream(a, b, out, m, k, n);
+        }
+        (true, false) => {
+            let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
+            gemm_naive(a, b, out, m, k, n);
+        }
+        (false, true) => blocked(a, &Rhs::InPlace(b), (k, n), out, m, pool),
+        (false, false) => {
+            let packed = {
+                let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);
+                pack_b(b, k, n)
+            };
+            blocked(a, &Rhs::Packed(&packed), (k, n), out, m, pool);
+        }
     }
-    let packed = {
-        let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);
-        pack_b(b, k, n)
-    };
-    #[expect(clippy::disallowed_methods, reason = "the unpacked dispatch")]
-    gemm_prepacked(a, &packed, out, m, pool);
 }
 
 #[cfg(test)]
@@ -734,7 +956,7 @@ pub(crate) mod tests {
         fill(&mut b, 11);
         let pb = pack_b(MatRef::row_major(&b, n), k, n);
         assert_eq!((pb.k(), pb.n()), (k, n));
-        assert!(!pb.is_empty());
+        assert!(!pb.data().is_empty());
         let mut out1 = vec![0.0; m * n];
         let mut out2 = vec![0.0; m * n];
         gemm_prepacked(MatRef::row_major(&a, k), &pb, &mut out1, m, &Pool::serial());

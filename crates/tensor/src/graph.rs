@@ -251,7 +251,7 @@ pub struct Graph {
     bind_order: Vec<(u64, Var)>,
     /// Pack-cache identity of bound parameter nodes (node index →
     /// ident), recorded by [`Graph::bind_param`] and consumed by
-    /// [`Graph::matmul`] to reuse packed frozen weights.
+    /// [`Graph::matmul`] to reuse int8-packed frozen weights.
     param_idents: HashMap<usize, PackIdent>,
     /// Precision the pack-cache-eligible weight products run at (see
     /// [`Graph::set_matmul_precision`]). Defaults to f32 and survives
@@ -309,7 +309,7 @@ impl Graph {
     /// Sets the precision at which pack-cache-eligible weight products
     /// (parameters bound with a pack identity and large
     /// enough to cache) execute. [`Precision::F32`] — the default —
-    /// leaves every product exactly as it has always been.
+    /// runs them as every other product, reading the weight in place.
     /// [`Precision::Int8`] routes them through the quantized engine
     /// ([`crate::qgemm`]): per-row activation scales, per-output-channel
     /// weight scales quantized once at bind time, i32 accumulation,
@@ -389,10 +389,12 @@ impl Graph {
     ///
     /// With a pack-cache identity `ident` (see [`crate::packcache`]), a
     /// 2-D value that later appears as the right-hand side of
-    /// [`Graph::matmul`] or [`Graph::linear`] has its packed microkernel layout fetched from —
-    /// or installed into — the process-wide packed-weight cache, so
-    /// repeated products against frozen weights skip re-packing. Results
-    /// are unaffected (the packed path is bit-identical).
+    /// [`Graph::matmul`] or [`Graph::linear`] on an int8 graph has its
+    /// quantized pack fetched from — or installed into — the
+    /// process-wide int8 cache, so repeated products against frozen
+    /// weights quantize once. At f32 the identity only counts the
+    /// product ([`packcache::hits`]): the f32 engine reads the weight in
+    /// place.
     pub fn bind_param(
         &mut self,
         key: u64,
@@ -484,9 +486,10 @@ impl Graph {
     /// in place, so a `[batch, tokens, k]` input needs no flattening
     /// reshape (and its tape no flattened copy).
     ///
-    /// When `b` is a parameter bound with a pack-cache identity, the
-    /// product runs against its cached packed form (bit-identical,
-    /// skips the per-call packing copy).
+    /// On an int8 graph (see [`Graph::set_matmul_precision`]), a `b`
+    /// bound with a pack-cache identity runs against its cached int8
+    /// pack; every other product is the f32 one, which reads `b` in
+    /// place.
     ///
     /// # Errors
     ///
@@ -497,22 +500,24 @@ impl Graph {
         Ok(self.push(v, Op::MatMul(a, b)))
     }
 
-    /// The value of `a · b` over `a`'s rows: against `b`'s packed form at
-    /// the graph's matmul precision when `b` is a parameter bound with a
-    /// pack-cache identity and large enough to cache, by the plain
-    /// blocked GEMM otherwise.
+    /// The value of `a · b` over `a`'s rows: on an int8 graph, against
+    /// `b`'s cached int8 pack when `b` is a parameter bound with a
+    /// pack-cache identity and large enough to cache; otherwise the f32
+    /// product, which reads `b` in place (a bound weight's counted by
+    /// [`packcache::hits`]).
     fn product(&self, a: Var, b: Var) -> Result<Array> {
         let (av, bv) = (self.value(a), self.value(b));
         match self.param_idents.get(&b.0) {
-            Some(&ident) if packcache::worth_caching(bv) => match self.matmul_precision {
-                Precision::F32 => {
-                    av.matmul_prepacked(&*packcache::F32_CACHE.lookup_or_pack(ident, bv))
-                }
-                Precision::Int8 => {
-                    av.matmul_prepacked(&*packcache::I8_CACHE.lookup_or_pack(ident, bv))
-                }
-            },
-            _ => av.matmul(bv),
+            Some(&ident)
+                if self.matmul_precision == Precision::Int8 && packcache::worth_caching(bv) =>
+            {
+                av.matmul_prepacked(&packcache::I8_CACHE.lookup_or_pack(ident, bv))
+            }
+            Some(_) => {
+                packcache::count_f32_in_place();
+                av.matmul(bv)
+            }
+            None => av.matmul(bv),
         }
     }
 
@@ -942,7 +947,7 @@ impl Graph {
     /// `x` are read in place as the rows of one product (the rows rule
     /// [`Graph::matmul`] and [`Graph::attention`] share), so a `[batch,
     /// tokens, in]` input needs no flattening reshape. The product runs
-    /// as [`Graph::matmul`]'s (pack cache, f32 or int8) and `b` is added
+    /// as [`Graph::matmul`]'s (f32 in place, or an int8 pack) and `b` is added
     /// over it in place, so the tape stores one value per affine map.
     ///
     /// Bit-identical, forward and backward, to `matmul` then a

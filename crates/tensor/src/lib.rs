@@ -64,11 +64,11 @@ pub use acme_obs as obs;
 /// Publishes the tensor substrate's ad-hoc counters into the
 /// [`acme_obs::metrics`] registry: pool hits/misses/recycled/dropped
 /// (as `tensor.pool.*` counters) and the bytes its free lists hold
-/// (`tensor.pool.retained_bytes`, a gauge), pack-cache packs
-/// (`tensor.packcache.packs` / `tensor.packcache.hits`, plus the
-/// `i8_packs` / `i8_hits` pair for the quantized side) and its size
-/// (`tensor.packcache.entries`, both dtypes, and
-/// `tensor.packcache.cached_floats`, the f32 side, as gauges), and the
+/// (`tensor.pool.retained_bytes`, a gauge), f32 packing
+/// (`tensor.packcache.packs`, packs performed, and
+/// `tensor.packcache.hits`, bound-weight products read in place), the
+/// int8 cache's `i8_packs` / `i8_hits` pair and its size
+/// (`tensor.packcache.entries`, a gauge), and the
 /// mean weight-quantization error over every int8
 /// pack performed (`tensor.packcache.i8_mean_quant_error`), and the
 /// tape's per-op table (`tensor.op.<name>.fwd_ns` / `.bwd_ns` /
@@ -92,10 +92,6 @@ pub fn publish_obs_metrics() {
     acme_obs::metrics::set_counter("tensor.packcache.i8_packs", packcache::i8_packs());
     acme_obs::metrics::set_counter("tensor.packcache.i8_hits", packcache::i8_hits());
     acme_obs::metrics::set_gauge("tensor.packcache.entries", packcache::len() as f64);
-    acme_obs::metrics::set_gauge(
-        "tensor.packcache.cached_floats",
-        packcache::cached_floats() as f64,
-    );
     acme_obs::metrics::set_gauge(
         "tensor.packcache.i8_mean_quant_error",
         packcache::i8_mean_quant_error(),

@@ -2,13 +2,14 @@
 //!
 //! The products here are thin shape adapters: each turns an [`Array`]'s
 //! shape into `MatRef` views and calls [`gemm::gemm`], the one f32
-//! product entry, which picks the naive or the blocked kernel. They run
+//! product entry, which picks the kernel by rows. They run
 //! on the process-wide worker pool ([`acme_runtime::global_pool`]) and
 //! stay bit-identical to the naive reference loop at any thread count.
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
-use crate::gemm::{self, Kernel, MatRef, Packed};
+use crate::gemm::{self, MatRef};
+use crate::qgemm::{self, PackedBI8};
 use crate::shape::strides_for;
 
 impl Array {
@@ -66,13 +67,10 @@ impl Array {
     }
 
     /// `self · b` over `self`'s rows (`[.., k] x [k, n] -> [.., n]`, as
-    /// [`Array::matmul`]) where the right-hand side has already been
-    /// packed into kernel `K`'s microkernel layout (see
-    /// [`crate::packcache`]). At [`gemm::F32`] it is bit-identical to the
-    /// product against the unpacked matrix; only the `O(k·n)` packing
-    /// copy is skipped. At [`crate::qgemm::I8`] it quantizes `self` per
-    /// row, runs the i8·i8→i32 engine and dequantizes into an f32 output:
-    /// bit-identical to the scalar quantized oracle at any thread count,
+    /// [`Array::matmul`]) against a weight quantized and packed for the
+    /// int8 engine (see [`crate::packcache`]): quantizes `self` per row,
+    /// runs the i8·i8→i32 engine and dequantizes into an f32 output.
+    /// Bit-identical to the scalar quantized oracle at any thread count,
     /// *not* to [`Array::matmul`] — the quantization error is the
     /// precision trade serving opts into.
     ///
@@ -80,11 +78,11 @@ impl Array {
     ///
     /// Returns the same shape errors as [`Array::matmul`], with the
     /// packed operand's logical shape standing in for `rhs`.
-    pub fn matmul_prepacked<K: Kernel>(&self, packed: &Packed<K>) -> Result<Array> {
+    pub fn matmul_prepacked(&self, packed: &PackedBI8) -> Result<Array> {
         let (m, _, n) = self.matmul_dims(&[packed.k(), packed.n()], "matmul")?;
         let mut out = Array::zeros(&self.rows_shape(n));
         let pool = acme_runtime::global_pool();
-        K::gemm_f32(self.data(), packed, out.data_mut(), m, &pool);
+        qgemm::gemm_i8_dequant(self.data(), packed, out.data_mut(), m, &pool);
         Ok(out)
     }
 

@@ -1,13 +1,19 @@
-//! Process-wide cache of pre-packed weight matrices.
+//! Process-wide cache of int8-packed weight matrices.
 //!
-//! Packing the right-hand side of a GEMM into the microkernel layout
-//! (see [`crate::gemm`]) costs an `O(k·n)` copy per call. Training
-//! amortizes that inside a single large product, but the inference-style
-//! workloads of the ACME pipeline — PFG candidate evaluation against a
-//! frozen backbone, header-search rollouts, device-side accuracy probes —
-//! multiply against the *same* frozen weight matrices thousands of times.
-//! This module keeps the packed form of such matrices around so repeated
-//! products skip the re-pack entirely.
+//! Serving at int8 quantizes each frozen weight per output channel and
+//! packs it into the VNNI microkernel's layout (see [`crate::qgemm`]):
+//! an `O(k·n)` pass that would otherwise repeat on every forward. The
+//! ACME serving workloads multiply against the *same* frozen weights
+//! thousands of times, so this module keeps each weight's int8 form
+//! around and repeated products skip the re-quantization entirely. The
+//! int8 form is a second, smaller copy the f32 value cannot stand in
+//! for.
+//!
+//! There is no f32 side: the f32 engine reads a row-major weight where
+//! it lies ([`crate::gemm::gemm`]), so an f32 copy of a frozen weight
+//! would only hold the same floats twice. [`packs`] and [`hits`] count
+//! what is left of f32 packing: the packs still performed (of strided
+//! right operands, per call) and the bound-weight products run in place.
 //!
 //! # Keying and invalidation
 //!
@@ -16,28 +22,24 @@
 //! parameter's slot in that store, and a monotonically increasing
 //! *version* bumped on every mutable access to the value. A lookup whose
 //! version differs from the cached entry's replaces it, so the cache can
-//! never serve stale weights: an optimizer step (which bumps the version)
+//! never serve stale weights: a write (which bumps the version)
 //! invalidates the packed copy automatically, while frozen parameters keep
-//! hitting. Each `(store, slot)` pair holds at most one packed buffer per
-//! dtype, and a store takes its entries with it when it is dropped
+//! hitting. Each `(store, slot)` pair holds at most one packed buffer,
+//! and a store takes its entries with it when it is dropped
 //! ([`forget_store`]), so memory is bounded by the number of live weight
 //! matrices, not by the number of versions or clones they went through.
 //!
-//! There is one cache type, [`Cache`], instantiated once per [`Kernel`]
-//! ([`F32_CACHE`] and [`I8_CACHE`]); [`Cache::lookup_or_pack`] is the
-//! only lookup body.
-//!
 //! # Determinism
 //!
-//! Packing only relocates values — [`crate::gemm::gemm_prepacked`] is
-//! bit-identical to the unpacked path — so cache hits and misses are
-//! observable only as wall-clock time, never in results.
+//! Quantizing and packing are pure functions of the weight, so cache
+//! hits and misses are observable only as wall-clock time, never in
+//! results.
 //!
-//! The pack counter and cache size are published into the unified
-//! metrics registry as `tensor.packcache.*` by
+//! The counters and cache size are published into the unified metrics
+//! registry as `tensor.packcache.*` by
 //! [`publish_obs_metrics`](crate::publish_obs_metrics); prefer reading
 //! them from an `acme_obs::metrics::snapshot()` (or a `--trace-out`
-//! document) over calling [`packs`]/[`len`] directly.
+//! document) over calling the functions here directly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +48,8 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 use acme_obs::mem::{self, Owner};
 
 use crate::array::Array;
-use crate::gemm::{Kernel, MatRef, Packed, F32};
-use crate::qgemm::I8;
+use crate::gemm::{Kernel, MatRef};
+use crate::qgemm::{PackedBI8, I8};
 
 /// Identity of one versioned parameter tensor, the cache key for its
 /// packed form. Obtained from the parameter store that owns the tensor
@@ -70,71 +72,89 @@ pub fn fresh_store_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Packed-B buffers below this size (in `f32`s) are not worth caching:
-/// the pack is cheaper than the cache round-trip.
+/// Weights below this size (in `f32`s) are not worth quantizing once
+/// and caching: they stay f32 products even on an int8 graph.
 const MIN_CACHED_LEN: usize = 64 * 64;
 
-/// Whether a weight matrix is big enough for the packed-cache path to
-/// beat re-packing (smaller weights go through the plain dispatch,
-/// [`crate::gemm::gemm`], which packs them per call, or below
-/// [`crate::gemm::MR`] rows picks the naive kernel outright).
+/// Whether a weight matrix is big enough to run as a cached int8
+/// product on an int8 graph (smaller weights run the f32 product,
+/// [`crate::gemm::gemm`], reading the weight in place).
 pub fn worth_caching(b: &Array) -> bool {
     b.rank() == 2 && b.len() >= MIN_CACHED_LEN
 }
 
 /// A cached pack, charged to the [`Owner::PackCache`] gauge while the
 /// cache holds it.
-struct Entry<K: Kernel> {
+struct Entry {
     version: u64,
-    pack: Arc<Packed<K>>,
+    pack: Arc<PackedBI8>,
 }
 
-impl<K: Kernel> Entry<K> {
-    fn new(version: u64, pack: Arc<Packed<K>>) -> Self {
+impl Entry {
+    fn new(version: u64, pack: Arc<PackedBI8>) -> Self {
         mem::charge(Owner::PackCache, pack.heap_bytes());
         Entry { version, pack }
     }
 }
 
-impl<K: Kernel> Drop for Entry<K> {
+impl Drop for Entry {
     fn drop(&mut self) {
         mem::release(Owner::PackCache, self.pack.heap_bytes());
     }
 }
 
-/// The cache of one kernel instantiation: its packed weights by store,
-/// then slot — so a dropped store is forgotten without a scan of the
-/// others' entries — and its counters.
-pub struct Cache<K: Kernel> {
-    stores: Mutex<HashMap<u64, HashMap<u64, Entry<K>>>>,
-    /// Packing operations actually performed (cache misses plus
-    /// below-threshold packs). Tests assert this stays flat across
-    /// `Graph::reset` + re-bind cycles to prove no spurious repacks.
+/// The int8 cache: packed weights by store, then slot — so a dropped
+/// store is forgotten without a scan of the others' entries — and its
+/// counters.
+pub struct Cache {
+    stores: Mutex<HashMap<u64, HashMap<u64, Entry>>>,
+    /// Quantize-and-pack operations actually performed (cache misses
+    /// plus below-threshold packs).
     packs: AtomicU64,
     /// Lookups served from the cache without repacking. The serving
     /// path's steady-state contract is "hits grow, packs stay flat".
     hits: AtomicU64,
-    /// Sees every pack performed.
-    on_pack: fn(&Packed<K>),
 }
-
-/// The f32 cache.
-pub static F32_CACHE: LazyLock<Cache<F32>> = LazyLock::new(|| Cache::new(|_| ()));
 
 /// The int8 cache: serving at int8 quantizes each frozen weight once at
 /// first bind, and each pack's mean absolute quantization error feeds
 /// [`i8_mean_quant_error`].
-pub static I8_CACHE: LazyLock<Cache<I8>> =
-    LazyLock::new(|| Cache::new(|pack| record_i8_error(pack.mean_abs_error())));
+pub static I8_CACHE: LazyLock<Cache> = LazyLock::new(|| Cache {
+    stores: Mutex::default(),
+    packs: AtomicU64::new(0),
+    hits: AtomicU64::new(0),
+});
 
-/// Total f32 packs performed since process start.
-pub fn packs() -> u64 {
-    F32_CACHE.packs.load(Ordering::Relaxed)
+/// f32 packs performed since process start: every [`crate::gemm::pack_b`],
+/// which [`crate::gemm::gemm`] runs per call on a strided right operand
+/// only (the backward's `a·bᵀ`). Serving forward passes perform none.
+static F32_PACKS: AtomicU64 = AtomicU64::new(0);
+
+/// Bound-weight f32 products since process start: products against a
+/// parameter bound with a [`PackIdent`] that ran at f32, reading the
+/// weight in place.
+static F32_IN_PLACE: AtomicU64 = AtomicU64::new(0);
+
+pub(crate) fn count_f32_pack() {
+    F32_PACKS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Total f32 cache hits since process start.
+pub(crate) fn count_f32_in_place() {
+    F32_IN_PLACE.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total f32 packs performed since process start. No f32 pack is
+/// cached, so this counts packing work, which only strided right
+/// operands still take.
+pub fn packs() -> u64 {
+    F32_PACKS.load(Ordering::Relaxed)
+}
+
+/// Total bound-weight f32 products since process start, each of which
+/// read its weight in place instead of from a packed copy: the f32 side
+/// of "hits grow, packs stay flat".
 pub fn hits() -> u64 {
-    F32_CACHE.hits.load(Ordering::Relaxed)
+    F32_IN_PLACE.load(Ordering::Relaxed)
 }
 
 /// Total int8 quantize-and-pack operations since process start.
@@ -178,20 +198,11 @@ pub fn i8_mean_quant_error() -> f64 {
     f64::from_bits(I8_ERR_SUM_BITS.load(Ordering::Relaxed)) / n as f64
 }
 
-impl<K: Kernel> Cache<K> {
-    fn new(on_pack: fn(&Packed<K>)) -> Self {
-        Cache {
-            stores: Mutex::default(),
-            packs: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            on_pack,
-        }
-    }
-
+impl Cache {
     /// Every update of the map is one `insert`, `remove` or `clear`, so
     /// it is valid even behind a poisoned lock — and `forget_store` runs
     /// in a destructor, which must not panic.
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, HashMap<u64, Entry<K>>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, HashMap<u64, Entry>>> {
         self.stores.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -199,23 +210,22 @@ impl<K: Kernel> Cache<K> {
         self.lock().values().map(HashMap::len).sum()
     }
 
-    /// The form of the 2-D weight matrix `b` packed for kernel `K` (for
-    /// [`I8`]: quantized per output channel, then packed) under identity
-    /// `ident`, served from the cache when the version still matches and
-    /// re-packed (and re-cached) otherwise: a mutated weight packs again,
-    /// a frozen one exactly once per process. Tiny matrices are packed
-    /// without caching.
+    /// The 2-D weight matrix `b` quantized per output channel and packed
+    /// for the int8 engine under identity `ident`, served from the cache
+    /// when the version still matches and re-packed (and re-cached)
+    /// otherwise: a mutated weight packs again, a frozen one exactly once
+    /// per process. Tiny matrices are packed without caching.
     ///
     /// # Panics
     ///
     /// Panics unless `b` is 2-D (callers gate on rank first).
-    pub fn lookup_or_pack(&self, ident: PackIdent, b: &Array) -> Arc<Packed<K>> {
+    pub fn lookup_or_pack(&self, ident: PackIdent, b: &Array) -> Arc<PackedBI8> {
         assert_eq!(b.rank(), 2, "packcache: weight must be 2-D");
         let (k, n) = (b.shape()[0], b.shape()[1]);
         let pack_now = || {
             self.packs.fetch_add(1, Ordering::Relaxed);
-            let pack = K::pack_b(MatRef::row_major(b.data(), n), k, n);
-            (self.on_pack)(&pack);
+            let pack = I8::pack_b(MatRef::row_major(b.data(), n), k, n);
+            record_i8_error(pack.mean_abs_error());
             Arc::new(pack)
         };
         if b.len() < MIN_CACHED_LEN {
@@ -237,31 +247,22 @@ impl<K: Kernel> Cache<K> {
     }
 }
 
-/// Drops every buffer cached for parameter store `store`, at every
-/// dtype. Stores call this when they are dropped: their id is never
-/// reused, so the entries could only sit there for good.
+/// Drops every buffer cached for parameter store `store`. Stores call
+/// this when they are dropped: their id is never reused, so the entries
+/// could only sit there for good.
 pub fn forget_store(store: u64) {
-    F32_CACHE.lock().remove(&store);
     I8_CACHE.lock().remove(&store);
 }
 
-/// Drops every cached buffer — f32 and int8 sides both (used by tests
-/// and by harnesses that want a cold-cache measurement).
+/// Drops every cached buffer (used by tests and by harnesses that want a
+/// cold-cache measurement).
 pub fn clear() {
-    F32_CACHE.lock().clear();
     I8_CACHE.lock().clear();
 }
 
-/// Number of cached packed matrices, both dtypes.
+/// Number of cached packed matrices.
 pub fn len() -> usize {
-    F32_CACHE.len() + I8_CACHE.len()
-}
-
-/// Total cached size in `f32`s across all f32 entries.
-pub fn cached_floats() -> usize {
-    let stores = F32_CACHE.lock();
-    let entries = stores.values().flat_map(HashMap::values);
-    entries.map(|e| e.pack.len()).sum()
+    I8_CACHE.len()
 }
 
 #[cfg(test)]
@@ -279,29 +280,26 @@ mod tests {
     #[test]
     fn hit_miss_and_invalidation() {
         let w = big();
-        let store = fresh_store_id();
-        let id_v0 = PackIdent {
-            store,
+        let id = PackIdent {
+            store: fresh_store_id(),
             slot: 0,
             version: 0,
         };
-        let p1 = F32_CACHE.lookup_or_pack(id_v0, &w);
-        let h0 = hits();
-        let p2 = F32_CACHE.lookup_or_pack(id_v0, &w);
+        let p1 = I8_CACHE.lookup_or_pack(id, &w);
+        let h0 = i8_hits();
+        let p2 = I8_CACHE.lookup_or_pack(id, &w);
         assert!(Arc::ptr_eq(&p1, &p2), "same version hits the cache");
-        assert!(hits() > h0, "cache hit increments the hit counter");
+        assert!(i8_hits() > h0, "cache hit increments the hit counter");
         // A version bump replaces the entry rather than growing the map.
         let before = len();
-        let p3 = F32_CACHE.lookup_or_pack(
-            PackIdent {
-                version: 1,
-                ..id_v0
-            },
-            &w,
-        );
-        assert!(!Arc::ptr_eq(&p1, &p3), "stale version repacks");
+        let p3 = I8_CACHE.lookup_or_pack(PackIdent { version: 1, ..id }, &w);
+        assert!(!Arc::ptr_eq(&p1, &p3), "stale version re-quantizes");
         assert_eq!(len(), before, "one entry per (store, slot)");
-        assert!(cached_floats() >= w.len());
+        assert!(i8_packs() >= 2, "miss and invalidation both pack");
+        assert!(
+            i8_mean_quant_error() >= 0.0,
+            "error stat populated after packs"
+        );
     }
 
     #[test]
@@ -314,40 +312,11 @@ mod tests {
         };
         let b = PackIdent {
             store: fresh_store_id(),
-            slot: 7,
-            version: 3,
+            ..a
         };
-        let pa = F32_CACHE.lookup_or_pack(a, &w);
-        let pb = F32_CACHE.lookup_or_pack(b, &w);
+        let pa = I8_CACHE.lookup_or_pack(a, &w);
+        let pb = I8_CACHE.lookup_or_pack(b, &w);
         assert!(!Arc::ptr_eq(&pa, &pb));
-    }
-
-    #[test]
-    fn i8_side_hits_and_invalidates_like_f32() {
-        let w = big();
-        let store = fresh_store_id();
-        let id = PackIdent {
-            store,
-            slot: 0,
-            version: 0,
-        };
-        let p1 = I8_CACHE.lookup_or_pack(id, &w);
-        let h0 = i8_hits();
-        let p2 = I8_CACHE.lookup_or_pack(id, &w);
-        assert!(Arc::ptr_eq(&p1, &p2), "same version hits the i8 cache");
-        assert!(i8_hits() > h0);
-        let p3 = I8_CACHE.lookup_or_pack(PackIdent { version: 1, ..id }, &w);
-        assert!(!Arc::ptr_eq(&p1, &p3), "stale version re-quantizes");
-        assert!(I8_CACHE.len() >= 1);
-        assert!(i8_packs() >= 2, "miss and invalidation both pack");
-        assert!(
-            i8_mean_quant_error() >= 0.0,
-            "error stat populated after packs"
-        );
-        // The two dtype caches are independent: an f32 pack of the same
-        // ident must not collide with the i8 entry.
-        let pf = F32_CACHE.lookup_or_pack(PackIdent { version: 1, ..id }, &w);
-        assert_eq!((pf.k(), pf.n()), (p3.k(), p3.n()));
     }
 
     #[test]
@@ -359,7 +328,7 @@ mod tests {
             version: 0,
         };
         let before = len();
-        let p = F32_CACHE.lookup_or_pack(id, &w);
+        let p = I8_CACHE.lookup_or_pack(id, &w);
         assert_eq!(len(), before, "below-threshold pack is not cached");
         assert_eq!((p.k(), p.n()), (4, 4));
     }

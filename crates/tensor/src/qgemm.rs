@@ -53,7 +53,7 @@
 
 use acme_runtime::Pool;
 
-use crate::gemm::{gemm_prepacked, Kernel, MatRef, Packed, MR, NR};
+use crate::gemm::{gemm_prepacked, Kernel, MatRef, Packed, NR};
 
 /// Quantized values live in `[-QMAX, QMAX]`; the symmetric range keeps
 /// `-q` representable so sign-flipped inputs quantize to flipped codes.
@@ -336,18 +336,26 @@ impl Kernel for I8 {
     /// the last row or the depth tail) stays at the biased zero `0x80`;
     /// tail products still vanish because the weight panel pads with
     /// zero bytes.
-    fn pack_a(a: MatRef<'_, i8>, i0: usize, mb: usize, p0: usize, kcb: usize, buf: &mut Vec<u8>) {
-        let panels = mb.div_ceil(MR);
+    fn pack_a(
+        a: MatRef<'_, i8>,
+        i0: usize,
+        mb: usize,
+        p0: usize,
+        kcb: usize,
+        mr: usize,
+        buf: &mut Vec<u8>,
+    ) {
+        let panels = mb.div_ceil(mr);
         let kcp = kcb.div_ceil(KP);
         buf.clear();
-        buf.resize(panels * kcp * MR * KP, 0x80);
+        buf.resize(panels * kcp * mr * KP, 0x80);
         for ip in 0..panels {
-            let r0 = i0 + ip * MR;
-            let mrb = MR.min(i0 + mb - r0);
-            let base = ip * kcp * MR * KP;
+            let r0 = i0 + ip * mr;
+            let mrb = mr.min(i0 + mb - r0);
+            let base = ip * kcp * mr * KP;
             for p4 in 0..kcp {
                 let c0 = p0 + p4 * KP;
-                let dst = base + p4 * MR * KP;
+                let dst = base + p4 * mr * KP;
                 for r in 0..mrb {
                     for t in 0..KP.min(p0 + kcb - c0) {
                         buf[dst + r * KP + t] = (a.at(r0 + r, c0 + t) as u8) ^ 0x80;
@@ -368,12 +376,18 @@ impl Kernel for I8 {
         target_feature = "avx512vnni"
     )))]
     #[inline(always)]
-    fn microkernel(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
-        let mut acc = [[0i32; NR]; MR];
-        for (ap, bp) in pa[..kcp * MR * KP]
-            .chunks_exact(MR * KP)
-            .zip(pb[..kcp * NR * KP].chunks_exact(NR * KP))
-        {
+    fn microkernel<const R: usize>(
+        pa: &[u8],
+        pb: &[i8],
+        ldb: usize,
+        kcp: usize,
+        out: &mut [i32],
+        ldc: usize,
+    ) {
+        let mut acc = [[0i32; NR]; R];
+        for q in 0..kcp {
+            let ap = &pa[q * R * KP..(q + 1) * R * KP];
+            let bp = &pb[q * ldb..q * ldb + NR * KP];
             for (r, row) in acc.iter_mut().enumerate() {
                 let a = &ap[r * KP..(r + 1) * KP];
                 for (c, cell) in row.iter_mut().enumerate() {
@@ -394,8 +408,8 @@ impl Kernel for I8 {
         }
     }
 
-    /// AVX-512 VNNI form: a 4×48 i32 accumulator block in twelve zmm
-    /// registers, one `vpdpbusd` (64 byte multiplies + 16 i32
+    /// AVX-512 VNNI form: an `R`×48 i32 accumulator block in `3R` zmm
+    /// registers (twelve at the 4-row tile the int8 driver runs), one `vpdpbusd` (64 byte multiplies + 16 i32
     /// accumulates) per accumulator per depth *quad* — four times the
     /// multiply-add density of the f32 FMA kernel. The four per-lane
     /// byte products each fit `i16` (`255 · 127`), their sum accumulates
@@ -407,20 +421,27 @@ impl Kernel for I8 {
         target_feature = "avx512vnni"
     ))]
     #[inline(always)]
-    fn microkernel(pa: &[u8], pb: &[i8], kcp: usize, out: &mut [i32], ldc: usize) {
+    fn microkernel<const R: usize>(
+        pa: &[u8],
+        pb: &[i8],
+        ldb: usize,
+        kcp: usize,
+        out: &mut [i32],
+        ldc: usize,
+    ) {
         use core::arch::x86_64::*;
-        assert!(pa.len() >= kcp * MR * KP && pb.len() >= kcp * NR * KP);
-        assert!(out.len() >= (MR - 1) * ldc + NR);
+        assert!(pa.len() >= kcp * R * KP && pb.len() >= kcp.saturating_sub(1) * ldb + NR * KP);
+        assert!(out.len() >= (R - 1) * ldc + NR);
         // SAFETY: avx512f/avx512vnni are compile-time-enabled under this
         // cfg; all pointer arithmetic stays inside the slices per the
         // asserts above, and every multi-byte access goes through
         // unaligned loads/stores.
         unsafe {
             let o = out.as_mut_ptr();
-            let mut acc = [[_mm512_setzero_si512(); 3]; MR];
-            let mut ap = pa.as_ptr() as *const i32; // one u8 quad per i32
-            let mut bp = pb.as_ptr() as *const i32;
-            for _ in 0..kcp {
+            let mut acc = [[_mm512_setzero_si512(); 3]; R];
+            for q in 0..kcp {
+                let ap = pa.as_ptr().add(q * R * KP) as *const i32; // one u8 quad per i32
+                let bp = pb.as_ptr().add(q * ldb) as *const i32;
                 let b0 = _mm512_loadu_si512(bp as *const __m512i);
                 let b1 = _mm512_loadu_si512(bp.add(16) as *const __m512i);
                 let b2 = _mm512_loadu_si512(bp.add(32) as *const __m512i);
@@ -430,8 +451,6 @@ impl Kernel for I8 {
                     row[1] = _mm512_dpbusd_epi32(row[1], a, b1);
                     row[2] = _mm512_dpbusd_epi32(row[2], a, b2);
                 }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
             }
             for (r, row) in acc.iter().enumerate() {
                 for (v, cell) in row.iter().enumerate() {
@@ -451,21 +470,6 @@ impl Kernel for I8 {
                 *o = o.wrapping_sub(bias);
             }
         }
-    }
-
-    /// Per-row quantization of `a`, the blocked int8 engine, and the
-    /// shared dequantization into `out`.
-    fn gemm_f32(a: &[f32], pb: &PackedBI8, out: &mut [f32], m: usize, pool: &Pool) {
-        let (k, n) = (pb.k(), pb.n());
-        assert_eq!(a.len(), m * k, "gemm_i8_dequant: lhs size");
-        assert_eq!(out.len(), m * n, "gemm_i8_dequant: output size");
-        if m == 0 || n == 0 {
-            return;
-        }
-        let (qa, sa) = quantize_rows(a, m, k);
-        let mut acc = vec![0i32; m * n];
-        gemm_i8_prepacked(&qa, pb, &mut acc, m, pool);
-        dequantize_acc(&acc, &sa, pb.scales(), out, m, n);
     }
 }
 
@@ -505,17 +509,27 @@ pub fn gemm_i8_prepacked(qa: &[i8], pb: &PackedBI8, out: &mut [i32], m: usize, p
 }
 
 /// The full quantized product for an f32 activation block against a
-/// pre-packed int8 weight ([`I8`]'s [`Kernel::gemm_f32`]): the serving
-/// fast path behind `Array::matmul_prepacked`.
+/// pre-packed int8 weight, `out` zeroed on entry: per-row quantization
+/// of `a`, the blocked int8 engine, and the shared dequantization into
+/// `out` — the int8 serving product behind `Array::matmul_prepacked`.
 pub fn gemm_i8_dequant(a: &[f32], pb: &PackedBI8, out: &mut [f32], m: usize, pool: &Pool) {
-    I8::gemm_f32(a, pb, out, m, pool);
+    let (k, n) = (pb.k(), pb.n());
+    assert_eq!(a.len(), m * k, "gemm_i8_dequant: lhs size");
+    assert_eq!(out.len(), m * n, "gemm_i8_dequant: output size");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (qa, sa) = quantize_rows(a, m, k);
+    let mut acc = vec![0i32; m * n];
+    gemm_i8_prepacked(&qa, pb, &mut acc, m, pool);
+    dequantize_acc(&acc, &sa, pb.scales(), out, m, n);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::tests::fill;
-    use crate::gemm::{KC, MC};
+    use crate::gemm::{KC, MC, MR};
 
     /// The scalar quantized oracle: shared quantization, naive i32
     /// product, shared dequantization.
@@ -628,7 +642,7 @@ mod tests {
         assert!(err > 0.0 && err < 0.01, "mean quant error {err}");
         assert_eq!(pb.scales().len(), n);
         // Panels hold one byte per weight plus NR-column padding.
-        assert!((pb.k(), pb.n()) == (k, n) && !pb.is_empty() && pb.len() >= k * n);
+        assert!((pb.k(), pb.n()) == (k, n) && pb.data().len() >= k * n);
     }
 
     /// The pack as it was before the row-major rewrite, kept as the

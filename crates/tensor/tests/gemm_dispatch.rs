@@ -1,50 +1,91 @@
-//! Which kernel `gemm::gemm` runs, read from its recorded timers: a
-//! product of fewer than `MR` rows takes the naive loop, one of `MR` rows
-//! takes the blocked engine however few its multiply-adds. A binary of
-//! its own, because it turns recording on for the whole process.
+//! Which kernel `gemm::gemm` runs, read from its recorded timers and
+//! `packcache::packs`: a row-major right operand is never packed — fewer
+//! than `MR` rows take the row-streaming kernel, from `MR` rows on the
+//! blocked engine reads it in place however few its multiply-adds —
+//! while a transposed one takes the naive loop below `MR` rows and is
+//! packed for the blocked engine from there. A binary of its own,
+//! because it turns recording on for the whole process and reads a
+//! process-wide counter.
 
 use acme_obs::{metrics, trace};
 use acme_runtime::Pool;
-use acme_tensor::gemm::{self, MatRef, MR};
+use acme_tensor::gemm::{self, MatRef, MR, MR_WIDE};
+use acme_tensor::packcache;
 
-const NAIVE: &str = "tensor.gemm.naive";
-const BLOCKED: &str = "tensor.gemm.blocked";
+const TIMERS: [&str; 4] = [
+    "tensor.gemm.stream",
+    "tensor.gemm.naive",
+    "tensor.gemm.blocked",
+    "tensor.gemm.pack_b",
+];
 
-/// Calls recorded so far under the naive and the blocked timer.
-fn calls() -> (u64, u64) {
+/// Calls recorded so far under each of [`TIMERS`], then the f32 packs.
+fn calls() -> [u64; 5] {
     let snap = metrics::snapshot();
     let count = |name| snap.histograms.get(name).map_or(0, |h| h.count);
-    (count(NAIVE), count(BLOCKED))
+    [
+        count(TIMERS[0]),
+        count(TIMERS[1]),
+        count(TIMERS[2]),
+        count(TIMERS[3]),
+        packcache::packs(),
+    ]
 }
 
-/// One `m x k · k x n` product of ones through the dispatch, and the
-/// naive and blocked calls it recorded.
-fn dispatch(m: usize, k: usize, n: usize) -> (u64, u64) {
+/// One `m x k · k x n` product of ones through the dispatch, `b` stored
+/// row-major or as the transpose of a row-major buffer, and the timer
+/// calls and packs it recorded, in [`calls`]' order.
+fn dispatch(m: usize, k: usize, n: usize, transposed: bool) -> [u64; 5] {
     let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
     let mut out = vec![0.0f32; m * n];
     let before = calls();
-    let (a, b) = (MatRef::row_major(&a, k), MatRef::row_major(&b, n));
-    gemm::gemm(a, b, &mut out, m, k, n, &Pool::serial());
+    let lhs = MatRef::row_major(&a, k);
+    let rhs = if transposed {
+        MatRef::transposed(&b, k)
+    } else {
+        MatRef::row_major(&b, n)
+    };
+    gemm::gemm(lhs, rhs, &mut out, m, k, n, &Pool::serial());
     assert!(out.iter().all(|&v| v == k as f32), "{m}x{k}x{n}: values");
     let after = calls();
-    (after.0 - before.0, after.1 - before.1)
+    std::array::from_fn(|i| after[i] - before[i])
 }
 
+const STREAM: [u64; 5] = [1, 0, 0, 0, 0];
+const NAIVE: [u64; 5] = [0, 1, 0, 0, 0];
+const IN_PLACE: [u64; 5] = [0, 0, 1, 0, 0];
+const PACKED: [u64; 5] = [0, 0, 1, 1, 1];
+
 #[test]
-fn rows_pick_the_kernel() {
+fn rows_and_strides_pick_the_kernel() {
     trace::set_enabled(true);
     // MR · 64 · 16 = 4 K multiply-adds: rows, not work, pick the kernel.
     let (k, n) = (64, 16);
-    assert_eq!(dispatch(MR - 1, k, n), (1, 0), "m = MR - 1 runs naive");
-    assert_eq!(dispatch(MR, k, n), (0, 1), "m = MR runs blocked");
+    for m in 1..MR {
+        assert_eq!(dispatch(m, k, n, false), STREAM, "m = {m} streams rows");
+        assert_eq!(dispatch(m, k, n, true), NAIVE, "m = {m}, bᵀ, runs naive");
+    }
+    for m in [MR, MR_WIDE - 1, MR_WIDE, 2 * MR_WIDE + 1] {
+        assert_eq!(
+            dispatch(m, k, n, false),
+            IN_PLACE,
+            "m = {m} reads b in place"
+        );
+        assert_eq!(dispatch(m, k, n, true), PACKED, "m = {m}, bᵀ, packs b");
+    }
     assert_eq!(
-        dispatch(1, 384, 6),
-        (1, 0),
-        "a serving head's row runs naive"
+        dispatch(1, 384, 6, false),
+        STREAM,
+        "a serving head's row streams"
     );
     assert_eq!(
-        dispatch(2 * MR + 1, 1, 1),
-        (0, 1),
+        dispatch(2 * MR + 1, 1, 1, false),
+        IN_PLACE,
         "depth 1 still runs blocked"
+    );
+    assert_eq!(
+        dispatch(64, 384, 1536, false),
+        IN_PLACE,
+        "a serving batch's weight product packs nothing"
     );
 }

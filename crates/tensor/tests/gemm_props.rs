@@ -1,6 +1,7 @@
 //! Property-based tests of the blocked GEMM engine, one body run for
-//! both dtype instantiations: the packed, cache-blocked, multi-threaded
-//! driver must be **bit-for-bit** identical to the kernel's naive oracle
+//! both dtype instantiations: the cache-blocked, multi-threaded driver,
+//! over packed panels or (f32) a right operand read in place, must be
+//! **bit-for-bit** identical to the kernel's naive oracle
 //! (`gemm_naive` for `F32`, `gemm_i8_naive` on the same quantized
 //! operands for `I8`) for every shape — edge tiles (dimensions not
 //! divisible by any block size), degenerate `m = 1` / `n = 1` products,
@@ -13,7 +14,7 @@
 
 use acme_check::{cases, Gen};
 use acme_runtime::Pool;
-use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, NR};
+use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, MR_WIDE, NR, NS};
 use acme_tensor::qgemm::{
     self, dequantize_acc, dequantize_rows, gemm_i8_naive, pack_b_i8, quantize_cols, quantize_rows,
     I8,
@@ -227,17 +228,27 @@ fn padded(src: &[f32], rows: usize, cols: usize, rs: usize) -> Vec<f32> {
     out
 }
 
-/// `gemm::gemm`, the one unpacked-product dispatch, gives `gemm_naive`'s
-/// bits on both sides of its row rule (the naive loop below `MR` rows,
-/// the blocked engine from `MR` rows on): every `m` up to `2·MR + 1`
-/// against short, tile-straddling and long `k` and `n`, for row-major
-/// operands, the backward's `aᵀ·b` and `a·bᵀ` views and strided rows,
-/// into a non-zero `out`, at 1, 2 and 4 threads.
+/// `gemm::gemm`, the one f32 product, gives `gemm_naive`'s bits on
+/// every side of its row rule: `m` from 0 through two wide tiles and
+/// one (the strided-`b` naive loop and the row-streaming kernel below
+/// `MR`, the narrow tile to `MR_WIDE`, the wide tile from there, with
+/// every partial row panel), against depths around `KC` and widths
+/// around the `NR` panels (full, and a partial last panel read through
+/// its padded scratch) and the streaming kernel's `NS`-column strips,
+/// for row-major operands (read in place), the backward's `aᵀ·b` and
+/// `a·bᵀ` views (the latter packed) and NaN-padded row-major views,
+/// where any read past a row's `n` columns would show, into a non-zero
+/// `out`, at 1, 2 and 4 threads.
 #[test]
-fn dispatch_matches_naive_on_both_sides_of_the_row_rule() {
-    let sizes = [0, 1, 2, 7, NR - 1, NR + 1, 100];
-    for m in 0..=2 * MR + 1 {
-        for (k, n) in sizes.iter().flat_map(|&k| sizes.map(|n| (k, n))) {
+fn dispatch_matches_naive_around_every_tile_edge() {
+    let depths = [0, 1, 7, KC - 1, KC + 1];
+    let widths = [1, 7, NR - 1, NR, NR + 1, 2 * NR + 5, NS - 1, NS + LANES + 3];
+    for m in 0..=2 * MR_WIDE + 1 {
+        for (k, n) in depths.iter().flat_map(|&k| widths.map(|n| (k, n))) {
+            // The deep products run at the tile edges only.
+            if k > 64 && ![0, 1, MR - 1, MR, MR_WIDE - 1, MR_WIDE, MR_WIDE + 1].contains(&m) {
+                continue;
+            }
             let seed = (m * 10_007 + k * 101 + n) as u64;
             let a = filled(m * k, seed, 4, k);
             let b = filled(k * n, seed ^ 0x1234, 0, n);
@@ -251,7 +262,7 @@ fn dispatch_matches_naive_on_both_sides_of_the_row_rule() {
                 ("aᵀ·b", MatRef::transposed(&at, m), MatRef::row_major(&b, n)),
                 ("a·bᵀ", MatRef::row_major(&a, k), MatRef::transposed(&bt, k)),
                 (
-                    "strided",
+                    "padded",
                     MatRef::strided(&a_wide, k + 3, 1),
                     MatRef::strided(&b_wide, n + 5, 1),
                 ),
@@ -264,6 +275,32 @@ fn dispatch_matches_naive_on_both_sides_of_the_row_rule() {
                 }
             }
         }
+    }
+}
+
+/// Lanes of one accumulator vector of the row-streaming kernel: its
+/// tail strips are this wide.
+const LANES: usize = 16;
+
+/// A product big enough to fork (past `F32::PARALLEL_MIN_MACS`) reads
+/// its row-major `b` in place on every thread and gives `gemm_naive`'s
+/// bits, at the wide tile with a partial last row panel and column
+/// panel.
+#[test]
+fn forked_in_place_product_matches_naive() {
+    let (m, k, n) = (2 * MC + MR_WIDE + 3, KC + 5, 11 * NR + 7);
+    assert!(m * k * n >= F32::PARALLEL_MIN_MACS);
+    let a = filled(m * k, 91, 4, k);
+    let b = filled(k * n, 92, 0, n);
+    let init = filled(m * n, 93, 0, n);
+    let mut expect = init.clone();
+    F32::oracle(&a, &b, &mut expect, m, k, n);
+    let b_wide = padded(&b, k, n, n + 1);
+    for threads in [1, 2, 4] {
+        let mut out = init.clone();
+        let (lhs, rhs) = (MatRef::row_major(&a, k), MatRef::strided(&b_wide, n + 1, 1));
+        gemm::gemm(lhs, rhs, &mut out, m, k, n, &Pool::new(threads));
+        assert_bits_eq(&out, &expect, &format!("{m}x{k}x{n} t{threads}"));
     }
 }
 
@@ -335,8 +372,10 @@ fn array_matmul_and_batched_match_reference() {
     });
 }
 
-/// The prepacked path against a cached `PackedB` is bitwise-stable
-/// across repeated uses and thread counts.
+/// A weight read again is read the same way: the f32 product against a
+/// row-major weight (in place) and the int8 product against its cached
+/// pack are each bitwise-stable across repeated uses, and the packed f32
+/// driver on the weight's panels gives the in-place product's bits.
 #[test]
 fn prepacked_reuse_is_bitwise_stable() {
     cases(48, |g| {
@@ -346,13 +385,21 @@ fn prepacked_reuse_is_bitwise_stable() {
         let seed = g.u64(0..1 << 48);
         let a = filled(m * k, seed, 0, k);
         let b = filled(k * n, seed ^ 0xF00D, 0, n);
-        let av = Array::from_vec(a, &[m, k]).unwrap();
+        let av = Array::from_vec(a.clone(), &[m, k]).unwrap();
         let bv = Array::from_vec(b.clone(), &[k, n]).unwrap();
+        let first = av.matmul(&bv).unwrap();
+        assert_bits_eq(first.data(), av.matmul(&bv).unwrap().data(), "f32 reuse");
         let pb = gemm::pack_b(MatRef::row_major(&b, n), k, n);
-        let first = av.matmul_prepacked(&pb).unwrap();
-        let second = av.matmul_prepacked(&pb).unwrap();
-        assert_bits_eq(first.data(), second.data(), "reuse");
-        assert_bits_eq(first.data(), av.matmul(&bv).unwrap().data(), "vs matmul");
+        let mut packed = vec![0.0f32; m * n];
+        gemm::gemm_prepacked(MatRef::row_major(&a, k), &pb, &mut packed, m, &Pool::new(2));
+        assert_bits_eq(first.data(), &packed, "packed f32 vs in place");
+        let qb = pack_b_i8(MatRef::row_major(&b, n), k, n);
+        let q1 = av.matmul_prepacked(&qb).unwrap();
+        let q2 = av.matmul_prepacked(&qb).unwrap();
+        assert_bits_eq(q1.data(), q2.data(), "int8 reuse");
+        let mut oracle = vec![0.0f32; m * n];
+        qgemm::gemm_i8_dequant(&a, &qb, &mut oracle, m, &Pool::serial());
+        assert_bits_eq(q1.data(), &oracle, "int8 vs its entry");
     });
 }
 

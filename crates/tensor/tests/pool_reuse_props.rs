@@ -4,13 +4,13 @@
 //! at every thread count; the engine's matmul → layer_norm → gelu →
 //! matmul → cross-entropy step must be bit-identical to the same
 //! arithmetic written out as plain loops; steady-state steps must stop
-//! allocating; and resetting a graph must not invalidate the
-//! packed-weight cache.
+//! allocating; and resetting a graph must not invalidate the int8
+//! pack cache.
 
 use acme_check::cases;
 use acme_tensor::gemm::{self, MatRef};
 use acme_tensor::packcache::{self, PackIdent};
-use acme_tensor::{fastmath, pool, randn, Array, Graph, SmallRng64};
+use acme_tensor::{fastmath, pool, randn, Array, Graph, Precision, SmallRng64};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The pool, the pack cache, and the runtime thread count are all
@@ -395,6 +395,8 @@ fn reused_arena_stops_allocating_after_warmup() {
     );
 }
 
+/// An int8 graph quantizes a frozen weight once: `Graph::reset` and a
+/// re-bind keep hitting its cached pack.
 #[test]
 fn graph_reset_keeps_pack_cache_warm() {
     let _lock = guard();
@@ -409,6 +411,7 @@ fn graph_reset_keeps_pack_cache_warm() {
         version: 1,
     };
     let mut g = Graph::new();
+    g.set_matmul_precision(Precision::Int8);
     let step = |g: &mut Graph| {
         g.reset();
         let xv = g.leaf(x.clone());
@@ -418,13 +421,14 @@ fn graph_reset_keeps_pack_cache_warm() {
         g.backward(loss);
     };
     step(&mut g); // warm the cache (one pack allowed)
-    let warm = packcache::packs();
+    let (warm, hits) = (packcache::i8_packs(), packcache::i8_hits());
     for _ in 0..5 {
         step(&mut g);
     }
+    assert_eq!(packcache::i8_hits(), hits + 5, "every step hits the cache");
     assert_eq!(
-        packcache::packs(),
+        packcache::i8_packs(),
         warm,
-        "Graph::reset + re-bind must keep hitting the packed-weight cache"
+        "Graph::reset + re-bind must keep hitting the int8 pack cache"
     );
 }

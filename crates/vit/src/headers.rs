@@ -248,10 +248,9 @@ impl AttentionPoolHeader {
         classes: usize,
         rng: &mut SmallRng64,
     ) -> Self {
-        let query = ps.add(
-            format!("{name}.query"),
-            acme_tensor::randn(&[dim, 1], rng).scale(0.1),
-        );
+        let query = ps.add_with(format!("{name}.query"), &[dim, 1], |s| {
+            acme_tensor::randn(s, rng).scale(0.1)
+        });
         let fc = Linear::new(ps, &format!("{name}.fc"), dim, classes, rng);
         AttentionPoolHeader { query, fc, dim }
     }

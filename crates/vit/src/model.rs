@@ -110,11 +110,12 @@ impl Vit {
     ) -> Self {
         config.validate().expect("invalid ViT config");
         let patch_embed = Linear::new(ps, "vit.patch_embed", config.patch_dim(), config.dim, rng);
-        let cls_token = ps.add("vit.cls", randn(&[1, 1, config.dim], rng).scale(0.02));
-        let pos_embed = ps.add(
-            "vit.pos",
-            randn(&[1, config.num_tokens(), config.dim], rng).scale(0.02),
-        );
+        let cls_token = ps.add_with("vit.cls", &[1, 1, config.dim], |s| {
+            randn(s, rng).scale(0.02)
+        });
+        let pos_embed = ps.add_with("vit.pos", &[1, config.num_tokens(), config.dim], |s| {
+            randn(s, rng).scale(0.02)
+        });
         let blocks = (0..config.depth)
             .map(|i| {
                 TransformerBlock::with_activation(

@@ -29,7 +29,7 @@ fn main() {
             },
             policy,
         };
-        // Warmup populates the pack cache and buffer pool; the measured
+        // Warmup populates the buffer pool; the measured
         // replay is the steady state.
         let warm: Vec<_> = trace[..128].to_vec();
         serve(&store, &cfg, move |b| {

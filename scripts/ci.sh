@@ -182,6 +182,25 @@ if [ "$(grep -c . <<<"$binds" || true)" -ne 1 ] || ! grep -qF '&Arc<Array>' <<<"
     exit 1
 fi
 
+step "no f32 pack cache (the f32 engine reads a weight where it lies)"
+# Outside comments, no file of crates/*/src names Cache<F32> or
+# F32_CACHE, and every lookup_or_pack( call is on I8_CACHE: an f32
+# weight is read in place by gemm::gemm, so a packed f32 copy of it
+# would hold the same floats twice. Only int8 weights, which serving
+# quantizes once, are cached.
+offenders="$(
+    for f in $(find crates/*/src -name '*.rs' | sort); do
+        awk -v f="$f" '{ sub(/\/\/.*/, ""); print f ": " $0 }' "$f" |
+            grep -E '\bCache<F32>|\bF32_CACHE\b|lookup_or_pack\(' |
+            grep -vE 'I8_CACHE\.lookup_or_pack\(|fn lookup_or_pack\(' || true
+    done
+)"
+if [ -n "$offenders" ]; then
+    echo "ci.sh: an f32 weight is packed into a cache:" >&2
+    printf '%s\n' "$offenders" >&2
+    exit 1
+fi
+
 step "one exit walk (the serving engine runs MultiExitVit::walk, not the backbone)"
 # Outside tests and comments, crates/serve/src names no .blocks(): the
 # engine does not walk the backbone's blocks itself.
@@ -519,7 +538,7 @@ print(f"trace OK: {len(names)} spans, {len(counters)} counters, {len(gauges)} ga
 PY
 rm -f "$TRACE_OUT"
 
-step "memory smoke (owners cover the peak; Phase 1 hands its buffers back; the peak stays down)"
+step "memory smoke (owners cover the peak; Phase 1 hands its buffers back; the peak stays down; f32 serving packs nothing)"
 # The memory bin runs the benchmark's customize configuration (≈5 s on 2
 # cores) stage by stage under the counting allocator. It fails here when
 # the named owners cover less than 90 % of the live heap at the run's
@@ -530,7 +549,11 @@ step "memory smoke (owners cover the peak; Phase 1 hands its buffers back; the p
 # It also fails when the highest stage peak passes 44 MB: five runs at
 # seed 42 on a 2-core host peaked at 36.7–40.0 MB (Phase 2-1's)
 # once each affine map became one tape node, against 49.3–51.4 MB
-# before; the ceiling is that maximum plus 10 %.
+# before; the ceiling is that maximum plus 10 %. Its serving stage
+# (serve_steady's set-up: an f32 fleet built, calibrated and warmed up)
+# fails here when it holds any pack-cache byte: the f32 engine reads
+# every weight in place, where a cache used to hold a second copy of
+# both backbones (57 MB).
 MEMORY_SMOKE_OUT="$(mktemp -t acme-memory-smoke.XXXXXX.json)"
 cargo run --release -p acme-bench --bin memory -- --out "$MEMORY_SMOKE_OUT"
 python3 - "$MEMORY_SMOKE_OUT" <<'PY'
@@ -543,8 +566,12 @@ retained = doc["pool_retained_after_phase1_bytes"]
 assert retained == 0, f"the pool's free lists hold {retained} B right after Phase 1"
 assert peak["peak_mb"] <= 44.0, \
     f"the {peak['stage']} peak is {peak['peak_mb']} MB, over the 44 MB ceiling"
+serving = doc["serving"]
+assert serving["pack_cache_bytes"] == 0, \
+    f"f32 serving holds {serving['pack_cache_bytes']} B of packed weights"
 print(f"memory OK: {peak['coverage_pct']} % of the {peak['stage']} peak named, "
-      f"{peak['peak_mb']} MB, free lists empty after Phase 1")
+      f"{peak['peak_mb']} MB, free lists empty after Phase 1; "
+      f"serving peak {serving['peak_mb']} MB, no packed weight")
 PY
 rm -f "$MEMORY_SMOKE_OUT"
 

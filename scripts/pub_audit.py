@@ -96,9 +96,11 @@ ALLOW = {
     # acme-tensor: oracles (safety code) and the stages the oracle tests compose
     'Array::is_empty': 'clippy len_without_is_empty pairs it with the called len()',
     'Graph::backward_with': 'seeded backward: the attention oracle test drives it with a random upstream gradient',
+    'gemm::MR': 'narrow register-tile height the GEMM dispatch and property tests straddle',
+    'gemm::MR_WIDE': 'wide register-tile height the GEMM dispatch and property tests straddle',
+    'gemm::NS': 'row-streaming strip width the GEMM property shapes straddle',
     'gemm::MC': 'row-block size the GEMM property shapes straddle',
     'gemm::KC': 'depth-block size the GEMM property shapes straddle',
-    'Packed::is_empty': 'clippy len_without_is_empty pairs it with the called len()',
     'gemm::gemm_naive': 'f32 GEMM oracle (safety code): the property tests compare the engine against it',
     'gradcheck::gradcheck': 'finite-difference gradient oracle (safety code) the autograd and attention tests check against',
     'qgemm::Quant': "the int8 Kernel impl's associated Extra type, which rustc requires as public as the impl (E0446)",

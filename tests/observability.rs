@@ -509,9 +509,11 @@ fn weight_packs_have_timers_of_their_own() {
     let (a, b) = (vec![0.5f32; m * k], vec![0.25f32; k * n]);
     let mut out = vec![0.0f32; m * n];
     acme_obs::trace::set_enabled(true);
+    // A row-major `b` is read in place; the f32 engine packs only a
+    // strided one, such as the backward's transposed weight.
     gemm::gemm(
         MatRef::row_major(&a, k),
-        MatRef::row_major(&b, n),
+        MatRef::transposed(&b, k),
         &mut out,
         m,
         k,

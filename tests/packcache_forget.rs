@@ -1,6 +1,7 @@
-//! The pack cache forgets a parameter store when the store is dropped:
-//! a bound-and-multiplied `ParamSet` clone leaves nothing behind, and a
-//! hot-swapped serving variant takes its packed heads with it.
+//! The int8 pack cache forgets a parameter store when the store is
+//! dropped: a `ParamSet` clone bound and multiplied on an int8 graph
+//! leaves nothing behind, and a hot-swapped int8 serving variant takes
+//! its packed heads with it.
 //!
 //! This file holds a single test so it owns its test process — the pack
 //! cache is process-wide, and an unrelated test's stores would move
@@ -9,7 +10,7 @@
 use acme_nn::ParamSet;
 use acme_serve::{BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
 use acme_store::{ContentHash, VariantDelta};
-use acme_tensor::{packcache, randn, Array, Graph, SmallRng64};
+use acme_tensor::{packcache, randn, Array, Graph, Precision, SmallRng64};
 
 #[test]
 fn dropped_stores_leave_no_packed_weights_behind() {
@@ -22,6 +23,7 @@ fn dropped_stores_leave_no_packed_weights_behind() {
     {
         let clone = params.clone();
         let mut g = Graph::new();
+        g.set_matmul_precision(Precision::Int8);
         let x = g.constant(Array::ones(&[2, 64]));
         let wv = clone.bind(&mut g, w);
         g.matmul(x, wv).unwrap();
@@ -29,11 +31,12 @@ fn dropped_stores_leave_no_packed_weights_behind() {
     }
     assert_eq!(packcache::len(), before, "a dropped store is forgotten");
 
-    // Heads of `[64, 64]` sit at the cache floor, so a device's variant
-    // owns cache entries of its own.
+    // Heads of `[64, 64]` sit at the cache floor, so a device's int8
+    // variant owns cache entries of its own.
     let mut cfg = StoreConfig {
         clusters: 1,
         keep_classes: 64,
+        precision: Precision::Int8,
         ..StoreConfig::serving_default(2)
     };
     cfg.model.vit.classes = 64;

@@ -1,11 +1,13 @@
-//! Steady-state serving is pack-free and allocation-free: after a warmup
-//! pass, replaying the same batch schedule inserts nothing into the
-//! pack cache and performs zero tensor-buffer heap allocations. And the
-//! frozen backbone is bound by reference: a served batch leaves no copy
-//! of its weights in the buffer pool.
+//! f32 serving is pack-free from its first batch and allocation-free at
+//! steady state: the engine reads every frozen weight in place, so no
+//! batch packs a weight or leaves a packed copy behind, and after a
+//! warmup pass, replaying the same batch schedule performs zero
+//! tensor-buffer heap allocations. And the frozen backbone is bound by
+//! reference: a served batch leaves no copy of its weights in the
+//! buffer pool.
 //!
 //! This file holds a single test so it owns its test process — the pool
-//! and pack-cache counters are process-wide, and tensor traffic from an
+//! and pack counters are process-wide, and tensor traffic from an
 //! unrelated test would perturb them.
 
 use std::collections::BTreeMap;
@@ -18,7 +20,7 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
     acme_runtime::set_global_threads(1);
 
     // The bench-default store: every backbone weight sits at the
-    // pack-cache size floor, so the serve path genuinely exercises it.
+    // int8 cache's size floor, so an f32 copy would be kept if any were.
     let store = VariantStore::build(&StoreConfig::serving_default(4), 7);
     let trace = loadgen::trace(&store, 192, 7);
     let policy = ExitPolicy::calibrated(&store, &trace[..32], 0.6);
@@ -36,17 +38,23 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
         .flat_map(|reqs| reqs.chunks(8).map(<[Request]>::to_vec).collect::<Vec<_>>())
         .collect();
 
+    let (packs0, hits0) = (packcache::packs(), packcache::hits());
     let mut g = Graph::new();
     for batch in &schedule {
         let _ = engine.serve_batch(&mut g, batch);
     }
-    assert!(
-        packcache::packs() > 0,
-        "warmup must populate the pack cache, or the steady-state claim is vacuous"
+    assert_eq!(
+        packcache::packs(),
+        packs0,
+        "f32 serving packed a weight in its first pass"
     );
+    assert!(
+        packcache::hits() > hits0,
+        "the bound weights' products must have run, in place"
+    );
+    assert_eq!(packcache::len(), 0, "f32 serving holds packed weights");
 
-    let packs0 = packcache::packs();
-    let hits0 = packcache::hits();
+    let hits1 = packcache::hits();
     pool::reset_stats();
     for batch in &schedule {
         let _ = engine.serve_batch(&mut g, batch);
@@ -55,11 +63,16 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
     assert_eq!(
         packcache::packs(),
         packs0,
-        "steady-state serving re-packed a frozen weight"
+        "steady-state serving packed a frozen weight"
     );
     assert!(
-        packcache::hits() > hits0,
-        "steady-state products must be served from the pack cache"
+        packcache::hits() > hits1,
+        "steady-state products must read the weights in place"
+    );
+    assert_eq!(
+        packcache::len(),
+        0,
+        "steady-state serving holds packed weights"
     );
     let stats = pool::stats();
     assert_eq!(
