@@ -41,14 +41,12 @@
 //!
 //! [`gemm`] is the one entry for an f32 product, and the one place that
 //! picks the kernel. A right operand with unit column stride (every
-//! row-major weight, activation and gradient) is read where it lies:
-//! below [`MR`] rows by the row-streaming kernel, from `MR` rows on by
-//! the blocked driver at an `MR x NR` tile, and from [`MR_WIDE`] rows on
-//! at an `MR_WIDE x NR` tile. Only a strided `b` (the backward's `a·bᵀ`)
-//! is packed, per call, before the blocked driver — or, below `MR`
-//! rows, multiplied by [`gemm_naive`]. No f32 product keeps a packed
-//! copy of its weights; DESIGN.md §8 has the measurements behind the
-//! rule.
+//! row-major weight, activation and gradient) is read where it lies by
+//! the blocked driver, at an `MR x NR` tile from [`MR`] rows and at an
+//! `MR_WIDE x NR` tile from [`MR_WIDE`] rows; only a strided `b` (the
+//! backward's `a·bᵀ`) is packed, per call, first. Below `MR` rows every
+//! product runs [`gemm_naive`]. No f32 product keeps a packed copy of
+//! its weights; DESIGN.md §8 has the measurements behind the rule.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -57,7 +55,7 @@ use acme_runtime::Pool;
 
 /// Rows of the narrow register tile: the f32 tile for `MR .. MR_WIDE`
 /// rows, and the int8 kernel's one tile. Fewer rows than this take
-/// [`gemm`]'s row-streaming kernel.
+/// [`gemm_naive`] in [`gemm`].
 pub const MR: usize = 4;
 /// Rows of the wide f32 register tile, run from this many rows on: its
 /// 8×48 accumulators fill 24 of the 32 AVX-512 registers, and every
@@ -72,12 +70,7 @@ pub const MC: usize = 128;
 /// Depth-block size: one `MC x KC` packed-A block (256 KiB) fits in L2
 /// while a `KC x NR` strip of `b` (96 KiB) streams through L1/L2.
 pub const KC: usize = 512;
-/// Columns one strip of the row-streaming kernel keeps in accumulators:
-/// eight 16-lane vectors per row, 24 registers at three rows.
-pub const NS: usize = 128;
-/// Lanes of one accumulator vector of the row-streaming kernel.
-const LANES: usize = 16;
-/// How many depth rows ahead the f32 kernels prefetch `b`: a view read
+/// How many depth rows ahead the f32 microkernel prefetches `b`: a view read
 /// in place has its depth rows a whole row stride apart.
 const PREFETCH_ROWS: usize = 8;
 
@@ -470,7 +463,6 @@ impl Kernel for F32 {
     const TIMER: &'static str = "tensor.gemm.blocked";
 
     fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
-        crate::packcache::count_f32_pack();
         Packed::build(k, n, (), |panel, pc, kcb, j0, nrb| {
             for p in 0..kcb {
                 let row = &mut panel[p * NR..p * NR + nrb];
@@ -613,7 +605,7 @@ pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
 /// Reference kernel: the naive, dense, branch-free triple loop
 /// (`k` ascending, direct accumulation into `out`, one [`madd`] per
 /// step). This is the bit-exact oracle for every other path, and the
-/// path [`gemm`] takes for fewer than [`MR`] rows against a strided `b`.
+/// path [`gemm`] takes for fewer than [`MR`] rows.
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -635,130 +627,6 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: us
     }
 }
 
-/// `out[M, ..] += a[M, k] · b[k, ..]` over columns `j0 .. j0+w` of a
-/// `b` with unit column stride, `w <= V · LANES` and only the last of
-/// the `V` vectors partial: the strip's `M × w` outputs sit in
-/// accumulators while the depth rows of `b` stream past once for all
-/// `M` rows, each output taking one [`madd`] per step, `k` ascending.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "fma"
-)))]
-fn strip<const M: usize, const V: usize>(
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
-    (k, ldc): (usize, usize),
-    j0: usize,
-    w: usize,
-) {
-    let mut acc = [[[0.0f32; LANES]; V]; M];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.as_flattened_mut()[..w].copy_from_slice(&out[r * ldc + j0..r * ldc + j0 + w]);
-    }
-    for p in 0..k {
-        let b_row = &b.data[p * b.rs + j0..p * b.rs + j0 + w];
-        for (r, row) in acc.iter_mut().enumerate() {
-            let ar = a.at(r, p);
-            for (cell, &bv) in row.as_flattened_mut().iter_mut().zip(b_row) {
-                *cell = madd(ar, bv, *cell);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        out[r * ldc + j0..r * ldc + j0 + w].copy_from_slice(&row.as_flattened()[..w]);
-    }
-}
-
-/// AVX-512 form of [`strip`]: `M · V` zmm accumulators (24 at three
-/// rows of a full strip), one masked load of `b` per vector per depth
-/// step shared by the `M` rows' `vfmadd231ps`, and a prefetch of the
-/// depth row [`PREFETCH_ROWS`] ahead — a strip's rows of `b` are a whole
-/// row stride apart, which the hardware prefetcher does not follow.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "fma"
-))]
-fn strip<const M: usize, const V: usize>(
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
-    (k, ldc): (usize, usize),
-    j0: usize,
-    w: usize,
-) {
-    use core::arch::x86_64::*;
-    assert!(w > (V - 1) * LANES && w <= V * LANES);
-    assert!(out.len() >= (M - 1) * ldc + j0 + w);
-    assert!(k == 0 || b.data.len() >= (k - 1) * b.rs + j0 + w);
-    let mask = |v: usize| -> __mmask16 {
-        let lanes = (w - v * LANES).min(LANES);
-        (((1u32 << lanes) - 1) & 0xFFFF) as __mmask16
-    };
-    let masks: [__mmask16; V] = std::array::from_fn(mask);
-    // SAFETY: avx512f/fma are compile-time-enabled under this cfg. Every
-    // vector starts at a valid column (only the last is partial), the
-    // masked loads and stores touch only the `w` valid lanes, and every
-    // row of `out` and `b` addressed is in bounds per the asserts above.
-    unsafe {
-        let o = out.as_mut_ptr().add(j0);
-        let mut acc = [[_mm512_setzero_ps(); V]; M];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, cell) in row.iter_mut().enumerate() {
-                *cell = _mm512_maskz_loadu_ps(masks[v], o.add(r * ldc + v * LANES));
-            }
-        }
-        let bp = b.data.as_ptr().add(j0);
-        for p in 0..k {
-            let ahead = bp.add((p + PREFETCH_ROWS).min(k - 1) * b.rs);
-            for v in 0..V {
-                _mm_prefetch::<_MM_HINT_T0>(ahead.add(v * LANES) as *const i8);
-            }
-            let ars: [__m512; M] = std::array::from_fn(|r| _mm512_set1_ps(a.at(r, p)));
-            let row = bp.add(p * b.rs);
-            for v in 0..V {
-                let bv = _mm512_maskz_loadu_ps(masks[v], row.add(v * LANES));
-                for (acc_r, &ar) in acc.iter_mut().zip(&ars) {
-                    acc_r[v] = _mm512_fmadd_ps(ar, bv, acc_r[v]);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, cell) in row.iter().enumerate() {
-                _mm512_mask_storeu_ps(o.add(r * ldc + v * LANES), masks[v], *cell);
-            }
-        }
-    }
-}
-
-/// The row-streaming kernel at `M < MR` rows: full strips of [`NS`]
-/// columns, then the tail one vector at a time.
-fn stream_rows<const M: usize>(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], k: usize, n: usize) {
-    const NV: usize = NS / LANES;
-    let full = n / NS * NS;
-    for j0 in (0..full).step_by(NS) {
-        strip::<M, NV>(a, b, out, (k, n), j0, NS);
-    }
-    for j0 in (full..n).step_by(LANES) {
-        strip::<M, 1>(a, b, out, (k, n), j0, LANES.min(n - j0));
-    }
-}
-
-/// `out[m, n] += a[m, k] · b[k, n]` for `m < MR` rows of a `b` with unit
-/// column stride, read in place: the naive loop's chains, with `b` read
-/// once for all rows and the outputs kept in registers over the depth.
-fn stream(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
-    const { assert!(MR == 4) };
-    match m {
-        0 => {}
-        1 => stream_rows::<1>(a, b, out, k, n),
-        2 => stream_rows::<2>(a, b, out, k, n),
-        _ => stream_rows::<3>(a, b, out, k, n),
-    }
-}
-
 /// The f32 blocked driver at the tile the row count picks: the wide one
 /// from [`MR_WIDE`] rows, the narrow one below.
 fn blocked(
@@ -776,15 +644,13 @@ fn blocked(
     }
 }
 
-/// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product. A `b` with
-/// unit column stride is read in place — by the row-streaming kernel
-/// below [`MR`] rows (timer `tensor.gemm.stream`), by the blocked driver
-/// from `MR` rows on (`tensor.gemm.blocked`), at the wide tile from
-/// [`MR_WIDE`] rows. A strided `b` runs [`gemm_naive`] below `MR` rows
-/// (`tensor.gemm.naive`) and is otherwise packed for the blocked driver
-/// (`tensor.gemm.pack_b`, then `tensor.gemm.blocked`), row-panel
-/// parallel over `pool` like the in-place product. Every path gives
-/// [`gemm_naive`]'s bits, so the choice is invisible in the result.
+/// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product. Below [`MR`]
+/// rows it runs [`gemm_naive`] (timer `tensor.gemm.naive`). From `MR`
+/// rows on it runs the blocked driver (`tensor.gemm.blocked`), at the
+/// wide tile from [`MR_WIDE`] rows, reading a `b` with unit column stride
+/// in place and packing a strided one first (`tensor.gemm.pack_b`),
+/// row-panel parallel over `pool`. Every path gives [`gemm_naive`]'s
+/// bits, so the choice is invisible in the result.
 pub fn gemm(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -795,23 +661,17 @@ pub fn gemm(
     pool: &Pool,
 ) {
     assert_eq!(out.len(), m * n, "gemm: output buffer size");
-    match (m < MR, b.cs == 1) {
-        (true, true) => {
-            let _t = acme_obs::timer!("tensor.gemm.stream", "m" => m, "k" => k, "n" => n);
-            stream(a, b, out, m, k, n);
-        }
-        (true, false) => {
-            let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
-            gemm_naive(a, b, out, m, k, n);
-        }
-        (false, true) => blocked(a, &Rhs::InPlace(b), (k, n), out, m, pool),
-        (false, false) => {
-            let packed = {
-                let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);
-                pack_b(b, k, n)
-            };
-            blocked(a, &Rhs::Packed(&packed), (k, n), out, m, pool);
-        }
+    if m < MR {
+        let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
+        gemm_naive(a, b, out, m, k, n);
+    } else if b.cs == 1 {
+        blocked(a, &Rhs::InPlace(b), (k, n), out, m, pool);
+    } else {
+        let packed = {
+            let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);
+            pack_b(b, k, n)
+        };
+        blocked(a, &Rhs::Packed(&packed), (k, n), out, m, pool);
     }
 }
 

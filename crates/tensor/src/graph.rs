@@ -392,9 +392,8 @@ impl Graph {
     /// [`Graph::matmul`] or [`Graph::linear`] on an int8 graph has its
     /// quantized pack fetched from — or installed into — the
     /// process-wide int8 cache, so repeated products against frozen
-    /// weights quantize once. At f32 the identity only counts the
-    /// product ([`packcache::hits`]): the f32 engine reads the weight in
-    /// place.
+    /// weights quantize once. At f32 the identity is unused: the f32
+    /// engine reads the weight in place.
     pub fn bind_param(
         &mut self,
         key: u64,
@@ -503,8 +502,7 @@ impl Graph {
     /// The value of `a · b` over `a`'s rows: on an int8 graph, against
     /// `b`'s cached int8 pack when `b` is a parameter bound with a
     /// pack-cache identity and large enough to cache; otherwise the f32
-    /// product, which reads `b` in place (a bound weight's counted by
-    /// [`packcache::hits`]).
+    /// product, which reads `b` in place.
     fn product(&self, a: Var, b: Var) -> Result<Array> {
         let (av, bv) = (self.value(a), self.value(b));
         match self.param_idents.get(&b.0) {
@@ -513,11 +511,7 @@ impl Graph {
             {
                 av.matmul_prepacked(&packcache::I8_CACHE.lookup_or_pack(ident, bv))
             }
-            Some(_) => {
-                packcache::count_f32_in_place();
-                av.matmul(bv)
-            }
-            None => av.matmul(bv),
+            _ => av.matmul(bv),
         }
     }
 

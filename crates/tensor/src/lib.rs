@@ -64,10 +64,9 @@ pub use acme_obs as obs;
 /// Publishes the tensor substrate's ad-hoc counters into the
 /// [`acme_obs::metrics`] registry: pool hits/misses/recycled/dropped
 /// (as `tensor.pool.*` counters) and the bytes its free lists hold
-/// (`tensor.pool.retained_bytes`, a gauge), f32 packing
-/// (`tensor.packcache.packs`, packs performed, and
-/// `tensor.packcache.hits`, bound-weight products read in place), the
-/// int8 cache's `i8_packs` / `i8_hits` pair and its size
+/// (`tensor.pool.retained_bytes`, a gauge), the pack cache's f32
+/// `tensor.packcache.packs` / `hits` pair (0: no f32 weight is cached),
+/// the int8 cache's `i8_packs` / `i8_hits` pair and its size
 /// (`tensor.packcache.entries`, a gauge), and the
 /// mean weight-quantization error over every int8
 /// pack performed (`tensor.packcache.i8_mean_quant_error`), and the

@@ -11,9 +11,8 @@
 //!
 //! There is no f32 side: the f32 engine reads a row-major weight where
 //! it lies ([`crate::gemm::gemm`]), so an f32 copy of a frozen weight
-//! would only hold the same floats twice. [`packs`] and [`hits`] count
-//! what is left of f32 packing: the packs still performed (of strided
-//! right operands, per call) and the bound-weight products run in place.
+//! would only hold the same floats twice; [`packs`] and [`hits`], the
+//! f32 side's counters, read 0.
 //!
 //! # Keying and invalidation
 //!
@@ -125,36 +124,18 @@ pub static I8_CACHE: LazyLock<Cache> = LazyLock::new(|| Cache {
     hits: AtomicU64::new(0),
 });
 
-/// f32 packs performed since process start: every [`crate::gemm::pack_b`],
-/// which [`crate::gemm::gemm`] runs per call on a strided right operand
-/// only (the backward's `a·bᵀ`). Serving forward passes perform none.
-static F32_PACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Bound-weight f32 products since process start: products against a
-/// parameter bound with a [`PackIdent`] that ran at f32, reading the
-/// weight in place.
-static F32_IN_PLACE: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn count_f32_pack() {
-    F32_PACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn count_f32_in_place() {
-    F32_IN_PLACE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Total f32 packs performed since process start. No f32 pack is
-/// cached, so this counts packing work, which only strided right
-/// operands still take.
+/// f32 weight packs the cache has made: always 0, as no f32 weight is
+/// cached. Kept beside [`i8_packs`] because the benchmark's
+/// `tensor.packcache.hit_ratio` probe sums the two sides.
 pub fn packs() -> u64 {
-    F32_PACKS.load(Ordering::Relaxed)
+    0
 }
 
-/// Total bound-weight f32 products since process start, each of which
-/// read its weight in place instead of from a packed copy: the f32 side
-/// of "hits grow, packs stay flat".
+/// f32 cache hits: always 0, as no f32 weight is cached. Kept beside
+/// [`i8_hits`] because the benchmark's `tensor.packcache.hit_ratio`
+/// probe sums the two sides.
 pub fn hits() -> u64 {
-    F32_IN_PLACE.load(Ordering::Relaxed)
+    0
 }
 
 /// Total int8 quantize-and-pack operations since process start.

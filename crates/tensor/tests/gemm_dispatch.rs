@@ -1,41 +1,30 @@
-//! Which kernel `gemm::gemm` runs, read from its recorded timers and
-//! `packcache::packs`: a row-major right operand is never packed — fewer
-//! than `MR` rows take the row-streaming kernel, from `MR` rows on the
-//! blocked engine reads it in place however few its multiply-adds —
-//! while a transposed one takes the naive loop below `MR` rows and is
-//! packed for the blocked engine from there. A binary of its own,
-//! because it turns recording on for the whole process and reads a
-//! process-wide counter.
+//! Which kernel `gemm::gemm` runs, read from its recorded timers: fewer
+//! than `MR` rows take the naive loop whatever `b`'s layout; from `MR`
+//! rows on the blocked engine reads a row-major right operand in place
+//! however few its multiply-adds, and packs a transposed one first. A
+//! binary of its own, because it turns recording on for the whole
+//! process.
 
 use acme_obs::{metrics, trace};
 use acme_runtime::Pool;
 use acme_tensor::gemm::{self, MatRef, MR, MR_WIDE};
-use acme_tensor::packcache;
 
-const TIMERS: [&str; 4] = [
-    "tensor.gemm.stream",
+const TIMERS: [&str; 3] = [
     "tensor.gemm.naive",
     "tensor.gemm.blocked",
     "tensor.gemm.pack_b",
 ];
 
-/// Calls recorded so far under each of [`TIMERS`], then the f32 packs.
-fn calls() -> [u64; 5] {
+/// Calls recorded so far under each of [`TIMERS`].
+fn calls() -> [u64; 3] {
     let snap = metrics::snapshot();
-    let count = |name| snap.histograms.get(name).map_or(0, |h| h.count);
-    [
-        count(TIMERS[0]),
-        count(TIMERS[1]),
-        count(TIMERS[2]),
-        count(TIMERS[3]),
-        packcache::packs(),
-    ]
+    TIMERS.map(|name| snap.histograms.get(name).map_or(0, |h| h.count))
 }
 
 /// One `m x k · k x n` product of ones through the dispatch, `b` stored
 /// row-major or as the transpose of a row-major buffer, and the timer
-/// calls and packs it recorded, in [`calls`]' order.
-fn dispatch(m: usize, k: usize, n: usize, transposed: bool) -> [u64; 5] {
+/// calls it recorded, in [`TIMERS`]' order.
+fn dispatch(m: usize, k: usize, n: usize, transposed: bool) -> [u64; 3] {
     let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
     let mut out = vec![0.0f32; m * n];
     let before = calls();
@@ -51,10 +40,9 @@ fn dispatch(m: usize, k: usize, n: usize, transposed: bool) -> [u64; 5] {
     std::array::from_fn(|i| after[i] - before[i])
 }
 
-const STREAM: [u64; 5] = [1, 0, 0, 0, 0];
-const NAIVE: [u64; 5] = [0, 1, 0, 0, 0];
-const IN_PLACE: [u64; 5] = [0, 0, 1, 0, 0];
-const PACKED: [u64; 5] = [0, 0, 1, 1, 1];
+const NAIVE: [u64; 3] = [1, 0, 0];
+const IN_PLACE: [u64; 3] = [0, 1, 0];
+const PACKED: [u64; 3] = [0, 1, 1];
 
 #[test]
 fn rows_and_strides_pick_the_kernel() {
@@ -62,7 +50,7 @@ fn rows_and_strides_pick_the_kernel() {
     // MR · 64 · 16 = 4 K multiply-adds: rows, not work, pick the kernel.
     let (k, n) = (64, 16);
     for m in 1..MR {
-        assert_eq!(dispatch(m, k, n, false), STREAM, "m = {m} streams rows");
+        assert_eq!(dispatch(m, k, n, false), NAIVE, "m = {m} runs naive");
         assert_eq!(dispatch(m, k, n, true), NAIVE, "m = {m}, bᵀ, runs naive");
     }
     for m in [MR, MR_WIDE - 1, MR_WIDE, 2 * MR_WIDE + 1] {
@@ -74,9 +62,9 @@ fn rows_and_strides_pick_the_kernel() {
         assert_eq!(dispatch(m, k, n, true), PACKED, "m = {m}, bᵀ, packs b");
     }
     assert_eq!(
-        dispatch(1, 384, 6, false),
-        STREAM,
-        "a serving head's row streams"
+        dispatch(2, 384, 1536, false),
+        NAIVE,
+        "a two-row serving product runs naive"
     );
     assert_eq!(
         dispatch(2 * MR + 1, 1, 1, false),

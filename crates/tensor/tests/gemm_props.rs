@@ -14,7 +14,7 @@
 
 use acme_check::{cases, Gen};
 use acme_runtime::Pool;
-use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, MR_WIDE, NR, NS};
+use acme_tensor::gemm::{self, Kernel, MatRef, F32, KC, MC, MR, MR_WIDE, NR};
 use acme_tensor::qgemm::{
     self, dequantize_acc, dequantize_rows, gemm_i8_naive, pack_b_i8, quantize_cols, quantize_rows,
     I8,
@@ -230,23 +230,23 @@ fn padded(src: &[f32], rows: usize, cols: usize, rs: usize) -> Vec<f32> {
 
 /// `gemm::gemm`, the one f32 product, gives `gemm_naive`'s bits on
 /// every side of its row rule: `m` from 0 through two wide tiles and
-/// one (the strided-`b` naive loop and the row-streaming kernel below
-/// `MR`, the narrow tile to `MR_WIDE`, the wide tile from there, with
-/// every partial row panel), against depths around `KC` and widths
-/// around the `NR` panels (full, and a partial last panel read through
-/// its padded scratch) and the streaming kernel's `NS`-column strips,
-/// for row-major operands (read in place), the backward's `aᵀ·b` and
-/// `a·bᵀ` views (the latter packed) and NaN-padded row-major views,
-/// where any read past a row's `n` columns would show, into a non-zero
-/// `out`, at 1, 2 and 4 threads.
+/// one (the naive loop below `MR`, the narrow tile to `MR_WIDE`, the
+/// wide tile from there, with every partial row panel), crossed with
+/// empty, short, tile-straddling and long depths and widths — around
+/// the `NR` panels (full, and a partial last panel read through its
+/// padded scratch) and, at the tile edges, depths around `KC` — for
+/// row-major operands (read in place), the backward's `aᵀ·b` and `a·bᵀ`
+/// views (the latter packed) and NaN-padded row-major views, where any
+/// read past a row's `n` columns would show, into a non-zero `out`, at
+/// 1, 2 and 4 threads.
 #[test]
 fn dispatch_matches_naive_around_every_tile_edge() {
-    let depths = [0, 1, 7, KC - 1, KC + 1];
-    let widths = [1, 7, NR - 1, NR, NR + 1, 2 * NR + 5, NS - 1, NS + LANES + 3];
+    let depths = [0, 1, 2, 7, NR - 1, NR + 1, 100, KC - 1, KC + 1];
+    let widths = [0, 1, 2, 7, NR - 1, NR, NR + 1, 100, 3 * NR];
     for m in 0..=2 * MR_WIDE + 1 {
         for (k, n) in depths.iter().flat_map(|&k| widths.map(|n| (k, n))) {
-            // The deep products run at the tile edges only.
-            if k > 64 && ![0, 1, MR - 1, MR, MR_WIDE - 1, MR_WIDE, MR_WIDE + 1].contains(&m) {
+            // The depths around KC run at the tile edges only.
+            if k >= KC - 1 && ![0, 1, MR - 1, MR, MR_WIDE - 1, MR_WIDE, MR_WIDE + 1].contains(&m) {
                 continue;
             }
             let seed = (m * 10_007 + k * 101 + n) as u64;
@@ -277,10 +277,6 @@ fn dispatch_matches_naive_around_every_tile_edge() {
         }
     }
 }
-
-/// Lanes of one accumulator vector of the row-streaming kernel: its
-/// tail strips are this wide.
-const LANES: usize = 16;
 
 /// A product big enough to fork (past `F32::PARALLEL_MIN_MACS`) reads
 /// its row-major `b` in place on every thread and gives `gemm_naive`'s

@@ -98,7 +98,6 @@ ALLOW = {
     'Graph::backward_with': 'seeded backward: the attention oracle test drives it with a random upstream gradient',
     'gemm::MR': 'narrow register-tile height the GEMM dispatch and property tests straddle',
     'gemm::MR_WIDE': 'wide register-tile height the GEMM dispatch and property tests straddle',
-    'gemm::NS': 'row-streaming strip width the GEMM property shapes straddle',
     'gemm::MC': 'row-block size the GEMM property shapes straddle',
     'gemm::KC': 'depth-block size the GEMM property shapes straddle',
     'gemm::gemm_naive': 'f32 GEMM oracle (safety code): the property tests compare the engine against it',

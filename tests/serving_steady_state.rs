@@ -6,14 +6,26 @@
 //! reference: a served batch leaves no copy of its weights in the
 //! buffer pool.
 //!
-//! This file holds a single test so it owns its test process — the pool
-//! and pack counters are process-wide, and tensor traffic from an
-//! unrelated test would perturb them.
+//! This file holds a single test so it owns its test process — the pool,
+//! the pack cache and the kernel timers are process-wide, and tensor
+//! traffic from an unrelated test would perturb them.
 
 use std::collections::BTreeMap;
 
+use acme_obs::{metrics, trace};
 use acme_serve::{loadgen, BatchEngine, ExitPolicy, Request, StoreConfig, VariantStore};
 use acme_tensor::{packcache, pool, Graph};
+
+/// Calls recorded so far of the f32 products (`gemm::gemm`'s naive and
+/// blocked timers) and of the f32 packs (`tensor.gemm.pack_b`).
+fn products_and_packs() -> (u64, u64) {
+    let snap = metrics::snapshot();
+    let count = |name| snap.histograms.get(name).map_or(0, |h| h.count);
+    (
+        count("tensor.gemm.naive") + count("tensor.gemm.blocked"),
+        count("tensor.gemm.pack_b"),
+    )
+}
 
 #[test]
 fn steady_state_serving_is_pack_free_and_allocation_free() {
@@ -22,15 +34,15 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
     // The bench-default store: every backbone weight sits at the
     // int8 cache's size floor, so an f32 copy would be kept if any were.
     let store = VariantStore::build(&StoreConfig::serving_default(4), 7);
-    let trace = loadgen::trace(&store, 192, 7);
-    let policy = ExitPolicy::calibrated(&store, &trace[..32], 0.6);
+    let requests = loadgen::trace(&store, 192, 7);
+    let policy = ExitPolicy::calibrated(&store, &requests[..32], 0.6);
     let engine = BatchEngine::new(&store, policy);
 
     // A deterministic batch schedule (the server's coalescing depends on
     // wall-clock timing): per-device runs of up to 8 rows, so the warmup
     // and measured passes replay the identical buffer traffic.
     let mut by_device: BTreeMap<usize, Vec<Request>> = BTreeMap::new();
-    for r in trace {
+    for r in requests {
         by_device.entry(r.device).or_default().push(r);
     }
     let schedule: Vec<Vec<Request>> = by_device
@@ -38,36 +50,35 @@ fn steady_state_serving_is_pack_free_and_allocation_free() {
         .flat_map(|reqs| reqs.chunks(8).map(<[Request]>::to_vec).collect::<Vec<_>>())
         .collect();
 
-    let (packs0, hits0) = (packcache::packs(), packcache::hits());
+    trace::set_enabled(true);
+    let (products0, packs0) = products_and_packs();
     let mut g = Graph::new();
     for batch in &schedule {
         let _ = engine.serve_batch(&mut g, batch);
     }
+    let (products1, packs1) = products_and_packs();
     assert_eq!(
-        packcache::packs(),
-        packs0,
+        packs1, packs0,
         "f32 serving packed a weight in its first pass"
     );
-    assert!(
-        packcache::hits() > hits0,
-        "the bound weights' products must have run, in place"
-    );
+    assert!(products1 > products0, "the weights' products must have run");
     assert_eq!(packcache::len(), 0, "f32 serving holds packed weights");
 
-    let hits1 = packcache::hits();
     pool::reset_stats();
     for batch in &schedule {
         let _ = engine.serve_batch(&mut g, batch);
     }
+    trace::set_enabled(false);
 
+    let (products2, packs2) = products_and_packs();
     assert_eq!(
-        packcache::packs(),
-        packs0,
+        packs2, packs0,
         "steady-state serving packed a frozen weight"
     );
-    assert!(
-        packcache::hits() > hits1,
-        "steady-state products must read the weights in place"
+    assert_eq!(
+        products2 - products1,
+        products1 - products0,
+        "the replayed schedule runs the same products"
     );
     assert_eq!(
         packcache::len(),
