@@ -1,9 +1,9 @@
-//! Which kernel `gemm::gemm` runs, read from its recorded timers: fewer
-//! than `MR` rows take the naive loop whatever `b`'s layout; from `MR`
-//! rows on the blocked engine reads a row-major right operand in place
-//! however few its multiply-adds, and packs a transposed one first. A
-//! binary of its own, because it turns recording on for the whole
-//! process.
+//! Which kernel `gemm::gemm` runs, read from its recorded timers: a
+//! row-major right operand is read in place by the blocked engine at
+//! any row count, however few its multiply-adds, while a transposed one
+//! takes the naive loop below `MR` rows and is packed for the blocked
+//! engine from there. A binary of its own, because it turns recording on
+//! for the whole process.
 
 use acme_obs::{metrics, trace};
 use acme_runtime::Pool;
@@ -50,7 +50,11 @@ fn rows_and_strides_pick_the_kernel() {
     // MR · 64 · 16 = 4 K multiply-adds: rows, not work, pick the kernel.
     let (k, n) = (64, 16);
     for m in 1..MR {
-        assert_eq!(dispatch(m, k, n, false), NAIVE, "m = {m} runs naive");
+        assert_eq!(
+            dispatch(m, k, n, false),
+            IN_PLACE,
+            "m = {m} reads b in place"
+        );
         assert_eq!(dispatch(m, k, n, true), NAIVE, "m = {m}, bᵀ, runs naive");
     }
     for m in [MR, MR_WIDE - 1, MR_WIDE, 2 * MR_WIDE + 1] {
@@ -63,8 +67,8 @@ fn rows_and_strides_pick_the_kernel() {
     }
     assert_eq!(
         dispatch(2, 384, 1536, false),
-        NAIVE,
-        "a two-row serving product runs naive"
+        IN_PLACE,
+        "a one-request serving product reads its weight in place"
     );
     assert_eq!(
         dispatch(2 * MR + 1, 1, 1, false),

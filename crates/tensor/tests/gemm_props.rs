@@ -230,8 +230,9 @@ fn padded(src: &[f32], rows: usize, cols: usize, rs: usize) -> Vec<f32> {
 
 /// `gemm::gemm`, the one f32 product, gives `gemm_naive`'s bits on
 /// every side of its row rule: `m` from 0 through two wide tiles and
-/// one (the naive loop below `MR`, the narrow tile to `MR_WIDE`, the
-/// wide tile from there, with every partial row panel), crossed with
+/// one (the narrow tile below `MR_WIDE` and the wide tile from there,
+/// with every partial row panel; for a strided `b`, the naive loop below
+/// `MR`), crossed with
 /// empty, short, tile-straddling and long depths and widths — around
 /// the `NR` panels (full, and a partial last panel read through its
 /// padded scratch) and, at the tile edges, depths around `KC` — for
