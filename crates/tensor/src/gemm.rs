@@ -44,9 +44,10 @@
 //! row-major weight, activation and gradient) is read where it lies by
 //! the blocked driver, at an `MR x NR` tile below [`MR_WIDE`] rows and
 //! at an `MR_WIDE x NR` tile from there. A strided `b` (the backward's
-//! `a·bᵀ`) is packed, per call, for the blocked driver, or below [`MR`]
-//! rows multiplied by [`gemm_naive`]. No f32 product keeps a packed copy
-//! of its weights; DESIGN.md §8 has the measurements behind the rule.
+//! `a·bᵀ`) is packed, per call, for the blocked driver. Below [`MR`]
+//! rows, a strided `b` or one narrower than [`NR`] columns is multiplied
+//! by [`gemm_naive`]. No f32 product keeps a packed copy of its weights;
+//! DESIGN.md §8 has the measurements behind the rule.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -55,7 +56,7 @@ use acme_runtime::Pool;
 
 /// Rows of the narrow register tile: the f32 tile below `MR_WIDE` rows,
 /// and the int8 kernel's one tile. Below this many rows [`gemm`] runs a
-/// strided `b` through [`gemm_naive`] rather than pack it.
+/// strided or narrow `b` through [`gemm_naive`].
 pub const MR: usize = 4;
 /// Rows of the wide f32 register tile, run from this many rows on: its
 /// 8×48 accumulators fill 24 of the 32 AVX-512 registers, and every
@@ -605,7 +606,8 @@ pub fn pack_b(b: MatRef<'_>, k: usize, n: usize) -> PackedB {
 /// Reference kernel: the naive, dense, branch-free triple loop
 /// (`k` ascending, direct accumulation into `out`, one [`madd`] per
 /// step). This is the bit-exact oracle for every other path, and the
-/// path [`gemm`] takes for fewer than [`MR`] rows against a strided `b`.
+/// path [`gemm`] takes for fewer than [`MR`] rows against a strided `b`
+/// or one narrower than [`NR`].
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -647,11 +649,13 @@ fn blocked(
 /// `out[m, n] += a[m, k] · b[k, n]`: the one f32 product. A `b` with
 /// unit column stride is read in place by the blocked driver
 /// (`tensor.gemm.blocked`), at the narrow tile below [`MR_WIDE`] rows and
-/// the wide one from there, row-panel parallel over `pool`. A strided
-/// `b` runs [`gemm_naive`] below [`MR`] rows (`tensor.gemm.naive`) and
-/// is otherwise packed (`tensor.gemm.pack_b`) for the blocked driver.
-/// Every path gives [`gemm_naive`]'s bits, so the choice is invisible in
-/// the result.
+/// the wide one from there, row-panel parallel over `pool`; a strided
+/// `b` is packed (`tensor.gemm.pack_b`) for it. Below [`MR`] rows,
+/// [`gemm_naive`] (`tensor.gemm.naive`) takes a strided `b`, which
+/// packing would cost more than the product, and a `b` narrower than one
+/// [`NR`] panel, which the driver would copy whole into its edge scratch
+/// and multiply at `NR` columns. Every path gives [`gemm_naive`]'s bits,
+/// so the choice is invisible in the result.
 pub fn gemm(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -662,11 +666,11 @@ pub fn gemm(
     pool: &Pool,
 ) {
     assert_eq!(out.len(), m * n, "gemm: output buffer size");
-    if b.cs == 1 {
-        blocked(a, &Rhs::InPlace(b), (k, n), out, m, pool);
-    } else if m < MR {
+    if m < MR && (b.cs != 1 || n < NR) {
         let _t = acme_obs::timer!("tensor.gemm.naive", "m" => m, "k" => k, "n" => n);
         gemm_naive(a, b, out, m, k, n);
+    } else if b.cs == 1 {
+        blocked(a, &Rhs::InPlace(b), (k, n), out, m, pool);
     } else {
         let packed = {
             let _t = acme_obs::timer!("tensor.gemm.pack_b", "k" => k, "n" => n);

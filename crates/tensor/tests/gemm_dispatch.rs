@@ -1,13 +1,14 @@
-//! Which kernel `gemm::gemm` runs, read from its recorded timers: a
-//! row-major right operand is read in place by the blocked engine at
-//! any row count, however few its multiply-adds, while a transposed one
-//! takes the naive loop below `MR` rows and is packed for the blocked
-//! engine from there. A binary of its own, because it turns recording on
-//! for the whole process.
+//! Which kernel `gemm::gemm` runs, read from its recorded timers: from
+//! `MR` rows the blocked engine reads a row-major right operand in place
+//! however few its multiply-adds, and packs a transposed one first.
+//! Below `MR` rows the naive loop takes a transposed operand and one
+//! narrower than an `NR` panel; the blocked engine reads a wider
+//! row-major one in place. A binary of its own, because it turns
+//! recording on for the whole process.
 
 use acme_obs::{metrics, trace};
 use acme_runtime::Pool;
-use acme_tensor::gemm::{self, MatRef, MR, MR_WIDE};
+use acme_tensor::gemm::{self, MatRef, MR, MR_WIDE, NR};
 
 const TIMERS: [&str; 3] = [
     "tensor.gemm.naive",
@@ -45,30 +46,40 @@ const IN_PLACE: [u64; 3] = [0, 1, 0];
 const PACKED: [u64; 3] = [0, 1, 1];
 
 #[test]
-fn rows_and_strides_pick_the_kernel() {
+fn rows_widths_and_strides_pick_the_kernel() {
     trace::set_enabled(true);
     // MR · 64 · 16 = 4 K multiply-adds: rows, not work, pick the kernel.
-    let (k, n) = (64, 16);
+    let k = 64;
     for m in 1..MR {
         assert_eq!(
-            dispatch(m, k, n, false),
+            dispatch(m, k, NR, false),
             IN_PLACE,
-            "m = {m} reads b in place"
+            "m = {m} reads a full panel's b in place"
         );
-        assert_eq!(dispatch(m, k, n, true), NAIVE, "m = {m}, bᵀ, runs naive");
+        assert_eq!(
+            dispatch(m, k, NR - 1, false),
+            NAIVE,
+            "m = {m}, b narrower than a panel, runs naive"
+        );
+        assert_eq!(dispatch(m, k, NR, true), NAIVE, "m = {m}, bᵀ, runs naive");
     }
     for m in [MR, MR_WIDE - 1, MR_WIDE, 2 * MR_WIDE + 1] {
         assert_eq!(
-            dispatch(m, k, n, false),
+            dispatch(m, k, 16, false),
             IN_PLACE,
             "m = {m} reads b in place"
         );
-        assert_eq!(dispatch(m, k, n, true), PACKED, "m = {m}, bᵀ, packs b");
+        assert_eq!(dispatch(m, k, 16, true), PACKED, "m = {m}, bᵀ, packs b");
     }
     assert_eq!(
         dispatch(2, 384, 1536, false),
         IN_PLACE,
         "a one-request serving product reads its weight in place"
+    );
+    assert_eq!(
+        dispatch(1, 384, 6, false),
+        NAIVE,
+        "a one-request exit head runs naive"
     );
     assert_eq!(
         dispatch(2 * MR + 1, 1, 1, false),
